@@ -1,6 +1,9 @@
 //! Ablation: gate compute-unit parallelism (§III-C fixes four CUs, one
-//! per gate). Compares 1 vs 2 vs 4 CUs in the latency model and serial
-//! vs threaded CU execution in the functional engine.
+//! per gate). Compares 1 vs 2 vs 4 CUs in the latency model — the
+//! question the hardware design poses — next to the functional engine's
+//! serial time for scale. (Threading the four gates in software loses
+//! ~15× to hand-off cost on a 32×40 matvec; see "Frozen baselines" in
+//! EXPERIMENTS.md.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -37,13 +40,10 @@ fn bench_cus(c: &mut Criterion) {
     let weights = ModelWeights::from_model(&model);
     let seq = bench_sequence();
     let mut group = c.benchmark_group("ablation/cu_execution");
-    for (name, parallel) in [("serial", false), ("threaded_4cu", true)] {
-        let engine = CsdInferenceEngine::new(&weights, OptimizationLevel::FixedPoint)
-            .with_parallel_cus(parallel);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &engine, |b, e| {
-            b.iter(|| black_box(e.classify(black_box(&seq))))
-        });
-    }
+    let engine = CsdInferenceEngine::new(&weights, OptimizationLevel::FixedPoint);
+    group.bench_with_input(BenchmarkId::from_parameter("serial"), &engine, |b, e| {
+        b.iter(|| black_box(e.classify(black_box(&seq))))
+    });
     group.finish();
 }
 

@@ -1,4 +1,4 @@
-//! Ablation: the fused zero-allocation hot path vs the seed per-CU
+//! Ablation: the fused zero-allocation hot path vs the per-CU
 //! formulation (four separate gate kernels, fresh vectors per timestep),
 //! across sequence lengths — the software-side payoff of stacking the
 //! four `H×Z` gate matrices into one `4H×Z` matvec over reused scratch.
@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel};
-use csd_bench::seed_baseline::SeedEngine;
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 
 fn seq(n: usize) -> Vec<usize> {
@@ -22,20 +21,13 @@ fn bench_paths(c: &mut Criterion) {
         for len in [10usize, 100, 1000] {
             let s = seq(len);
             group.throughput(Throughput::Elements(len as u64));
-            for (name, path) in [
-                ("fused", GatePath::Fused),
-                ("per_cu", GatePath::PerCuSerial),
-            ] {
+            for (name, path) in [("fused", GatePath::Fused), ("per_cu", GatePath::PerCu)] {
                 let engine = CsdInferenceEngine::new(&weights, level).with_gate_path(path);
                 let mut scratch = engine.make_scratch();
                 group.bench_with_input(BenchmarkId::new(name, len), &s, |b, s| {
                     b.iter(|| black_box(engine.classify_with_scratch(black_box(s), &mut scratch)))
                 });
             }
-            let seed = SeedEngine::new(&weights, level);
-            group.bench_with_input(BenchmarkId::new("seed_serial", len), &s, |b, s| {
-                b.iter(|| black_box(seed.classify_probability(black_box(s))))
-            });
         }
         group.finish();
     }

@@ -1,23 +1,19 @@
-//! Measures the fused zero-allocation inference path against (a) the
-//! in-tree per-CU serial path (hardware-mirroring shape, optimized
-//! primitives) and (b) the frozen seed baseline (seed shape *and* seed
-//! primitives), writing a machine-readable summary to `BENCH_fused.json`
-//! in the working directory.
+//! Measures the fused zero-allocation inference path (the production
+//! serial path) against the per-CU reference path (hardware-mirroring
+//! shape, table-free), writing a machine-readable summary to
+//! `BENCH_fused.json` in the working directory.
 //!
 //! ```text
 //! cargo run --release -p csd-bench --bin exp_fused
 //! ```
 //!
-//! The acceptance bar from the optimization issue — ≥2× single-sequence
-//! throughput over the seed serial path at sequence length 100 — is
-//! checked here and the run fails loudly if the fused path regresses
-//! below it. Fixed-point bit parity between the seed baseline and the
-//! live engine is asserted before timing anything.
+//! Fixed-point bit parity between the two paths is asserted before
+//! timing anything. Historical comparisons (the seed's primitives:
+//! 2.2–2.5×) are recorded in `EXPERIMENTS.md`, "Frozen baselines".
 
 use std::time::Instant;
 
 use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel};
-use csd_bench::seed_baseline::SeedEngine;
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use serde::Serialize;
 
@@ -35,9 +31,7 @@ struct Measurement {
 struct Report {
     level: String,
     measurements: Vec<Measurement>,
-    /// fused throughput ÷ seed-baseline throughput, per sequence length.
-    speedup_vs_seed_by_len: Vec<(usize, f64)>,
-    /// fused throughput ÷ in-tree per-CU throughput, per sequence length.
+    /// fused throughput ÷ per-CU throughput, per sequence length.
     speedup_vs_per_cu_by_len: Vec<(usize, f64)>,
 }
 
@@ -96,22 +90,20 @@ fn main() {
     let model = SequenceClassifier::new(ModelConfig::paper(), 51);
     let weights = ModelWeights::from_model(&model);
     let fused = CsdInferenceEngine::new(&weights, level);
-    let per_cu = CsdInferenceEngine::new(&weights, level).with_gate_path(GatePath::PerCuSerial);
-    let seed = SeedEngine::new(&weights, level);
+    let per_cu = CsdInferenceEngine::new(&weights, level).with_gate_path(GatePath::PerCu);
 
-    // Correctness gate before any timing: the seed baseline and the live
-    // fused path agree bit-for-bit in fixed point.
+    // Correctness gate before any timing: the production path and the
+    // table-free reference agree bit-for-bit in fixed point.
     let check = seq(100);
     assert_eq!(
-        seed.classify_probability(&check),
-        fused.classify(&check).probability,
-        "seed baseline diverged from the live engine"
+        fused.classify(&check),
+        per_cu.classify(&check),
+        "fused path diverged from the per-CU reference"
     );
 
     let mut measurements = Vec::new();
-    let mut speedup_vs_seed_by_len = Vec::new();
     let mut speedup_vs_per_cu_by_len = Vec::new();
-    println!("fused vs per-CU vs seed single-sequence inference ({level}):");
+    println!("fused vs per-CU single-sequence inference ({level}):");
     for len in [10usize, 100, 1000] {
         let s = seq(len);
 
@@ -123,47 +115,26 @@ fn main() {
         let mut run_per_cu = || {
             std::hint::black_box(per_cu.classify_with_scratch(&s, &mut per_cu_scratch));
         };
-        let mut run_seed = || {
-            std::hint::black_box(seed.classify_probability(&s));
-        };
-        let timed = time_interleaved(&mut [&mut run_fused, &mut run_per_cu, &mut run_seed]);
-        let us: Vec<f64> = timed.iter().map(|&(_, mean)| mean).collect();
-        for (&(iters, mean), path) in timed.iter().zip(["fused", "per_cu_serial", "seed_serial"]) {
+        let timed = time_interleaved(&mut [&mut run_fused, &mut run_per_cu]);
+        for (&(iters, mean), path) in timed.iter().zip(["fused", "per_cu"]) {
             record(&mut measurements, path, len, iters, mean);
         }
-
+        let speedup = timed[1].1 / timed[0].1;
         println!(
-            "  len {len:>4}: fused {:.2} µs, per_cu {:.2} µs, seed {:.2} µs → {:.2}x vs seed, {:.2}x vs per-CU",
-            us[0],
-            us[1],
-            us[2],
-            us[2] / us[0],
-            us[1] / us[0]
+            "  len {len:>4}: fused {:.2} µs, per_cu {:.2} µs → {speedup:.2}x vs per-CU",
+            timed[0].1, timed[1].1
         );
-        speedup_vs_seed_by_len.push((len, us[2] / us[0]));
-        speedup_vs_per_cu_by_len.push((len, us[1] / us[0]));
+        speedup_vs_per_cu_by_len.push((len, speedup));
     }
 
     let report = Report {
         level: level.to_string(),
         measurements,
-        speedup_vs_seed_by_len: speedup_vs_seed_by_len.clone(),
         speedup_vs_per_cu_by_len,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_fused.json", json).expect("write BENCH_fused.json");
     println!("wrote BENCH_fused.json");
-
-    let at_100 = speedup_vs_seed_by_len
-        .iter()
-        .find(|(len, _)| *len == 100)
-        .map(|(_, s)| *s)
-        .expect("len 100 measured");
-    assert!(
-        at_100 >= 2.0,
-        "fused path must be ≥2x the seed serial path at seq length 100, got {at_100:.2}x"
-    );
-    println!("acceptance: {at_100:.2}x ≥ 2x vs seed serial at len 100");
 }
 
 fn record(out: &mut Vec<Measurement>, path: &str, len: usize, iterations: u64, mean_us: f64) {

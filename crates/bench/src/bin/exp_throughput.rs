@@ -1,19 +1,18 @@
 //! Measures batch classification throughput (items/second) of the
-//! lane-batched engine against the frozen PR 1 batch path across batch
-//! sizes, writing a machine-readable summary to `BENCH_throughput.json`
-//! in the working directory.
+//! lane-batched engine across batch sizes, writing a machine-readable
+//! summary to `BENCH_throughput.json` in the working directory.
 //!
 //! ```text
 //! cargo run --release -p csd-bench --bin exp_throughput [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs a seconds-scale subset (small batches, no acceptance
-//! bar) for CI; the full run checks the lane engine's acceptance bar —
-//! ≥3× the PR 1 batch path's items/sec at batch size 512, sequence
-//! length 100, fixed point — and fails loudly below it. Bit parity
-//! between the two paths is asserted before timing anything.
+//! `--smoke` runs a seconds-scale subset (small batches) for CI. Bit
+//! parity with serial `classify` is asserted before timing anything.
+//! Historical comparisons (the PR 1 batch path: 4.8–12.4× at batch 512;
+//! the gate table off) are recorded in `EXPERIMENTS.md`, "Frozen
+//! baselines".
 //!
-//! Both paths scale with the worker pool, whose size is fixed at first
+//! The engine scales with the worker pool, whose size is fixed at first
 //! use, so a single process can only ever record one `pool_threads`
 //! value. The thread sweep re-executes this binary once per thread
 //! count with `CSD_POOL_THREADS` set (`--child-row` protocol: the child
@@ -25,7 +24,6 @@
 use std::time::Instant;
 
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_bench::pr1_batch::classify_batch_pr1;
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_tensor::lanes;
 use serde::{Deserialize, Serialize};
@@ -48,24 +46,15 @@ struct ThreadRow {
     pool_threads: usize,
     batch_size: usize,
     lane_items_per_sec: f64,
-    pr1_items_per_sec: f64,
-    speedup_lane_vs_pr1: f64,
 }
 
-/// Gate-kernel microbenchmark at the paper's dimensions: the
-/// vocabulary-indexed gate table (gather + `H`-column matmul, fused
-/// rescale) vs the unfolded path (embedding gather, `Z`-column matmul,
-/// separate rescale pass), and the narrow i16 vpmaddwd MAC vs the
-/// exact f64-FMA MAC on i16-range synthetic data.
+/// Gate-kernel microbenchmark at the paper's dimensions: one lane
+/// block of the vocabulary-indexed gate-table matmul (gather +
+/// `H`-column matmul, fused rescale).
 #[derive(Serialize)]
 struct KernelMicro {
     lane_width: usize,
-    full_matmul_us: f64,
     gate_table_us: f64,
-    speedup_table_vs_full: f64,
-    mac_f64_us: f64,
-    mac_i16_us: f64,
-    speedup_i16_vs_f64: f64,
 }
 
 #[derive(Serialize)]
@@ -76,12 +65,7 @@ struct Report {
     simd_level: String,
     pool_threads: usize,
     measurements: Vec<Measurement>,
-    /// lane items/sec ÷ PR 1 items/sec, per batch size.
-    speedup_vs_pr1_by_batch: Vec<(usize, f64)>,
-    /// gate-table-on items/sec ÷ gate-table-off items/sec, per batch
-    /// size — the tentpole's end-to-end delta in isolation.
-    speedup_table_by_batch: Vec<(usize, f64)>,
-    /// Single-lane-block kernel timings behind that delta.
+    /// Single-lane-block kernel timing behind the batch numbers.
     kernel_micro: KernelMicro,
     /// Batch-512 throughput at each swept pool size (one child process
     /// per row).
@@ -142,95 +126,33 @@ fn time_interleaved(contenders: &mut [&mut dyn FnMut()], rounds: usize) -> Vec<(
     iters.into_iter().zip(best).collect()
 }
 
-/// Times the gate kernels on one synthetic lane block at the paper's
-/// dimensions (fused `4H×Z` = 128×40, `H` = 32, vocabulary 278):
+/// Times the gate-table kernel on one synthetic lane block at the
+/// paper's dimensions (`4H` = 128 rows, `H` = 32, vocabulary 278):
 /// exactly the work one mux tick spends per lane sweep.
 fn kernel_micro(rounds: usize) -> KernelMicro {
     const ROWS: usize = 128;
     const HCOLS: usize = 32;
-    const ZCOLS: usize = 40;
-    const EMBED: usize = 8;
     const VOCAB: usize = 278;
     let width = 16usize;
     let int = |i: usize, m: i64| ((i as i64).wrapping_mul(48_271) % m) as f64;
-    let w_full: Vec<f64> = (0..ROWS * ZCOLS).map(|i| int(i, 2_000_000)).collect();
-    let w_hidden: Vec<f64> = (0..ROWS)
-        .flat_map(|r| {
-            (0..HCOLS)
-                .map(|k| w_full[r * ZCOLS + k])
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let bias: Vec<f64> = (0..ROWS).map(|i| int(i, 1_000_000) * 1e6).collect();
+    let w_hidden: Vec<f64> = (0..ROWS * HCOLS).map(|i| int(i, 2_000_000)).collect();
     let table: Vec<f64> = (0..VOCAB * ROWS).map(|i| int(i, 20_000_000_000)).collect();
-    let emb: Vec<f64> = (0..VOCAB * EMBED).map(|i| int(i, 1_000_000)).collect();
-    let z: Vec<f64> = (0..ZCOLS * width).map(|i| int(i, 1_000_000)).collect();
+    let zh: Vec<f64> = (0..HCOLS * width).map(|i| int(i, 1_000_000)).collect();
     let items: Vec<usize> = (0..width).map(|l| (l * 97 + 13) % VOCAB).collect();
-    let mut z_full = z.clone();
     let mut out = vec![0.0f64; ROWS * width];
-    let mut run_full = || {
-        for e in 0..EMBED {
-            for l in 0..width {
-                z_full[(HCOLS + e) * width + l] = emb[items[l] * EMBED + e];
-            }
-        }
-        lanes::matmul_fx_lanes(&w_full, ROWS, ZCOLS, &z_full, width, &bias, &mut out);
-        lanes::rescale_lanes(&mut out);
+    let mut run_table = || {
+        lanes::matmul_fx_lanes_table(&w_hidden, ROWS, HCOLS, &zh, width, &table, &items, &mut out);
         std::hint::black_box(&mut out);
     };
-    let mut out_t = vec![0.0f64; ROWS * width];
-    let zh = z[..HCOLS * width].to_vec();
-    let mut run_table = || {
-        lanes::matmul_fx_lanes_table(
-            &w_hidden, ROWS, HCOLS, &zh, width, &table, &items, &mut out_t,
-        );
-        std::hint::black_box(&mut out_t);
-    };
-    // i16-range synthetic data for the narrow-MAC head-to-head (the
-    // paper's 10^6 scale fails the narrow proof, so the engine only
-    // ever runs this kernel on models it proves — measured here on
-    // data shaped like such a model).
-    let w16: Vec<i16> = (0..ROWS * ZCOLS)
-        .map(|i| ((i as i64 * 48_271) % 601 - 300) as i16)
-        .collect();
-    let z16: Vec<i16> = (0..ZCOLS * width)
-        .map(|i| ((i as i64 * 25_931) % 2_001 - 1_000) as i16)
-        .collect();
-    let wf: Vec<f64> = w16.iter().map(|&v| f64::from(v)).collect();
-    let zf: Vec<f64> = z16.iter().map(|&v| f64::from(v)).collect();
-    let zero_bias = vec![0.0f64; ROWS];
-    let mut out_f = vec![0.0f64; ROWS * width];
-    let mut run_mac_f64 = || {
-        lanes::matmul_fx_lanes(&wf, ROWS, ZCOLS, &zf, width, &zero_bias, &mut out_f);
-        std::hint::black_box(&mut out_f);
-    };
-    let mut out_i = vec![0i32; ROWS * width];
-    let mut run_mac_i16 = || {
-        lanes::matmul_fx_lanes_i16(&w16, ROWS, ZCOLS, &z16, width, &mut out_i);
-        std::hint::black_box(&mut out_i);
-    };
-    let timed = time_interleaved(
-        &mut [
-            &mut run_full,
-            &mut run_table,
-            &mut run_mac_f64,
-            &mut run_mac_i16,
-        ],
-        rounds,
-    );
+    let timed = time_interleaved(&mut [&mut run_table], rounds);
     KernelMicro {
         lane_width: width,
-        full_matmul_us: timed[0].1,
-        gate_table_us: timed[1].1,
-        speedup_table_vs_full: timed[0].1 / timed[1].1,
-        mac_f64_us: timed[2].1,
-        mac_i16_us: timed[3].1,
-        speedup_i16_vs_f64: timed[2].1 / timed[3].1,
+        gate_table_us: timed[0].1,
     }
 }
 
-/// Child-process mode for the thread sweep: time batch 512 on both
-/// paths under the inherited `CSD_POOL_THREADS`, print one JSON row.
+/// Child-process mode for the thread sweep: time batch 512 under the
+/// inherited `CSD_POOL_THREADS`, print one JSON row.
 fn child_row() {
     let level = OptimizationLevel::FixedPoint;
     let model = SequenceClassifier::new(ModelConfig::paper(), 51);
@@ -239,17 +161,11 @@ fn child_row() {
     let mut run_lanes = || {
         std::hint::black_box(engine.classify_batch(&sequences));
     };
-    let mut run_pr1 = || {
-        std::hint::black_box(classify_batch_pr1(&engine, &sequences));
-    };
-    let timed = time_interleaved(&mut [&mut run_lanes, &mut run_pr1], 3);
-    let items = (512 * SEQ_LEN) as f64;
+    let timed = time_interleaved(&mut [&mut run_lanes], 3);
     let row = ThreadRow {
         pool_threads: csd_accel::WorkerPool::global().threads(),
         batch_size: 512,
-        lane_items_per_sec: items / (timed[0].1 / 1e6),
-        pr1_items_per_sec: items / (timed[1].1 / 1e6),
-        speedup_lane_vs_pr1: timed[1].1 / timed[0].1,
+        lane_items_per_sec: (512 * SEQ_LEN) as f64 / (timed[0].1 / 1e6),
     };
     println!("{}", serde_json::to_string(&row).expect("serialize row"));
 }
@@ -275,11 +191,8 @@ fn thread_sweep(counts: &[usize]) -> Vec<ThreadRow> {
         let line = stdout.lines().last().expect("child printed a row");
         let row: ThreadRow = serde_json::from_str(line).expect("parse child row");
         println!(
-            "  threads {:>2}: lanes {:>10.0} items/s, pr1 {:>10.0} items/s → {:.2}x",
-            row.pool_threads,
-            row.lane_items_per_sec,
-            row.pr1_items_per_sec,
-            row.speedup_lane_vs_pr1
+            "  threads {:>2}: lanes {:>10.0} items/s",
+            row.pool_threads, row.lane_items_per_sec
         );
         rows.push(row);
     }
@@ -322,23 +235,21 @@ fn main() {
     let batch_sizes: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 64, 512] };
     let rounds = if smoke { 2 } else { ROUNDS };
 
-    // Correctness gate before any timing: the lane-batched engine and the
-    // PR 1 path agree bit-for-bit on a ragged probe batch.
+    // Correctness gate before any timing: the lane-batched engine and
+    // serial `classify` agree bit-for-bit on a ragged probe batch.
     let probe: Vec<Vec<usize>> = (0..19)
         .map(|k| (0..(k % 7) * 23 + 4).map(|i| (i * 13 + k) % 278).collect())
         .collect();
+    let serial: Vec<_> = probe.iter().map(|s| engine.classify(s)).collect();
     assert_eq!(
         engine.classify_batch(&probe),
-        classify_batch_pr1(&engine, &probe),
-        "lane-batched engine diverged from the PR 1 batch path"
+        serial,
+        "lane-batched engine diverged from serial classify"
     );
 
-    let no_table = engine.clone().with_gate_table(false);
     let mut measurements = Vec::new();
-    let mut speedup_vs_pr1_by_batch = Vec::new();
-    let mut speedup_table_by_batch = Vec::new();
     println!(
-        "lane-batched vs PR 1 batch classification ({level}, seq len {SEQ_LEN}, lane width {}, simd {}):",
+        "lane-batched batch classification ({level}, seq len {SEQ_LEN}, lane width {}, simd {}):",
         engine.lane_width(),
         lanes::simd_level()
     );
@@ -347,44 +258,13 @@ fn main() {
         let mut run_lanes = || {
             std::hint::black_box(engine.classify_batch(&sequences));
         };
-        let mut run_no_table = || {
-            std::hint::black_box(no_table.classify_batch(&sequences));
-        };
-        let mut run_pr1 = || {
-            std::hint::black_box(classify_batch_pr1(&engine, &sequences));
-        };
-        let timed = time_interleaved(
-            &mut [&mut run_lanes, &mut run_no_table, &mut run_pr1],
-            rounds,
-        );
-        for (&(iters, mean), path) in
-            timed
-                .iter()
-                .zip(["lane_batched", "lane_no_table", "pr1_batch"])
-        {
-            record(&mut measurements, path, n, iters, mean);
-        }
-        let speedup = timed[2].1 / timed[0].1;
-        let table_speedup = timed[1].1 / timed[0].1;
-        println!(
-            "  batch {n:>3}: lanes {:.0} µs, pr1 {:.0} µs → {speedup:.2}x (table on/off {table_speedup:.2}x)",
-            timed[0].1, timed[2].1
-        );
-        speedup_vs_pr1_by_batch.push((n, speedup));
-        speedup_table_by_batch.push((n, table_speedup));
+        let timed = time_interleaved(&mut [&mut run_lanes], rounds);
+        record(&mut measurements, "lane_batched", n, timed[0].0, timed[0].1);
     }
 
     println!("gate-kernel micro (one lane block at paper dims):");
     let micro = kernel_micro(rounds);
-    println!(
-        "  full matmul {:.2} µs vs gate table {:.2} µs → {:.2}x; f64 MAC {:.2} µs vs i16 MAC {:.2} µs → {:.2}x",
-        micro.full_matmul_us,
-        micro.gate_table_us,
-        micro.speedup_table_vs_full,
-        micro.mac_f64_us,
-        micro.mac_i16_us,
-        micro.speedup_i16_vs_f64
-    );
+    println!("  gate table {:.2} µs", micro.gate_table_us);
 
     println!("thread sweep (batch 512, one child process per pool size):");
     let thread_sweep = thread_sweep(&sweep_counts(smoke));
@@ -396,29 +276,12 @@ fn main() {
         simd_level: lanes::simd_level().to_string(),
         pool_threads: csd_accel::WorkerPool::global().threads(),
         measurements,
-        speedup_vs_pr1_by_batch: speedup_vs_pr1_by_batch.clone(),
-        speedup_table_by_batch,
         kernel_micro: micro,
         thread_sweep,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_throughput.json", json).expect("write BENCH_throughput.json");
     println!("wrote BENCH_throughput.json");
-
-    if smoke {
-        println!("smoke mode: acceptance bar skipped");
-        return;
-    }
-    let at_512 = speedup_vs_pr1_by_batch
-        .iter()
-        .find(|(n, _)| *n == 512)
-        .map(|(_, s)| *s)
-        .expect("batch 512 measured");
-    assert!(
-        at_512 >= 3.0,
-        "lane-batched engine must be ≥3x the PR 1 batch path at batch 512, got {at_512:.2}x"
-    );
-    println!("acceptance: {at_512:.2}x ≥ 3x vs PR 1 batch path at batch 512");
 }
 
 fn record(out: &mut Vec<Measurement>, path: &str, n: usize, iterations: u64, mean_us: f64) {

@@ -12,22 +12,21 @@
 //! | §IV dataset stats (29K / 46%) | `exp_dataset_stats` | — |
 //! | §IV detection metrics | `exp_detection` | — |
 //! | Energy per item (extension) | `exp_energy` | — |
-//! | Mixed precision (§VI, extension) | `exp_mixed` | — |
 //! | Mitigation value (extension) | `exp_mitigation` | — |
 //! | Window length (extension) | `exp_window` | — |
 //! | Family identification (extension) | `exp_family` | — |
 //! | Ablations (activation / scale / CUs / P2P / model) | — | `ablation_*` |
-//! | Fused hot path vs seed serial path | `exp_fused` | `fused_vs_unfused` |
-//! | Lane-batched engine vs PR 1 batch path | `exp_throughput` | — |
-//! | Stream mux vs per-PID serial monitors | `exp_streaming` | — |
+//! | Fused hot path vs per-CU reference path | `exp_fused` | `fused_vs_unfused` |
+//! | Lane-batched engine throughput | `exp_throughput` | — |
+//! | Stream mux throughput, shard sweep, idle budget | `exp_streaming` | — |
 //! | Two-tier cascade vs exact-only mux | `exp_cascade` | `mux_hot` |
+//!
+//! Historical comparisons (seed, PR 1 batch path, per-PID serial
+//! monitors, gate table off, mixed precision) are recorded numbers: see
+//! "Frozen baselines" in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod pr1_batch;
-pub mod seed_baseline;
-pub mod serial_monitor;
 
 use csd_nn::{
     evaluate, ClassificationReport, ModelConfig, SequenceClassifier, TrainOptions, Trainer,

@@ -39,7 +39,8 @@ use crate::weights::{I16Decline, PackedGatesI16};
 /// numerics change in a way that invalidates stored calibrations.
 pub const SCREEN_MODEL_VERSION: u32 = 1;
 
-/// How the streaming mux runs the cascade (the `CSD_CASCADE` knob).
+/// How the streaming mux runs the cascade
+/// ([`StreamMuxConfig::cascade`](crate::StreamMuxConfig::cascade)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CascadeMode {
     /// Single-tier exact path only — the parity anchor. Default.

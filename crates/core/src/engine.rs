@@ -4,14 +4,15 @@
 //! The default per-timestep path is *fused and allocation-free*: the four
 //! `H×Z` gate matrices are stacked once at construction into a single
 //! `4H×Z` matrix, so each item costs one embedding copy, one concat, one
-//! matvec and two in-place sweeps over preallocated scratch. The original
-//! per-CU formulation (four separate gate kernels, optionally on the
-//! persistent worker pool, mirroring the four hardware CUs of §III-C)
-//! remains available via [`GatePath`] and is bit-for-bit identical — in
-//! f64 for the float levels and in 10^6-scaled fixed point for
-//! [`OptimizationLevel::FixedPoint`].
+//! matvec and two in-place sweeps over preallocated scratch (in fixed
+//! point the embedding half is further folded into a per-item gate
+//! table, see [`LaneGatesFx`]). The original per-CU formulation (four
+//! separate gate kernels, mirroring the four hardware CUs of §III-C)
+//! remains available via [`GatePath`] as the table-free reference and is
+//! bit-for-bit identical — in f64 for the float levels and in
+//! 10^6-scaled fixed point for [`OptimizationLevel::FixedPoint`].
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use csd_fxp::Fx6;
 use csd_nn::ModelWeights;
@@ -24,9 +25,7 @@ use crate::opt::OptimizationLevel;
 use crate::pool::WorkerPool;
 use crate::schedule::LaneSchedule;
 use crate::scratch::{EngineScratch, InferenceScratch, LaneScratch};
-use crate::weights::{
-    FusedGates, LaneGatesFx, PackedGatesFx, PackedGatesI16, QuantizedWeights, LANE_MAX_STEPS,
-};
+use crate::weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
 
 /// The outcome of classifying one sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,12 +46,10 @@ pub enum GatePath {
     /// One fused `4H×Z` matvec into preallocated scratch — the default,
     /// allocation-free software hot path.
     Fused,
-    /// Four separate gate kernels run serially, exactly as the seed
-    /// engine did — the hardware-mirroring formulation.
-    PerCuSerial,
-    /// Four separate gate kernels scattered onto the persistent
-    /// [`WorkerPool`], mirroring the four parallel hardware CUs.
-    PerCuParallel,
+    /// Four separate gate kernels, exactly as the seed engine ran them —
+    /// the hardware-mirroring formulation, and the table-free reference
+    /// every other path is proven bit-identical against.
+    PerCu,
 }
 
 /// Immutable model state shared (via `Arc`) by engine clones and batch
@@ -63,50 +60,12 @@ struct EngineCore {
     weights: QuantizedWeights,
     fused_f64: FusedGates<f64>,
     fused_fx: FusedGates<Fx6>,
-    /// Narrow-MAC repack of `fused_fx` (`None` when the weights don't
-    /// admit the exactness proof; the wide matvec then serves alone).
-    packed_fx: Option<PackedGatesFx>,
-    /// Lane-batched repack of `fused_fx` plus the embedding table (`None`
-    /// when the lane exactness proof fails; batches then fall back to the
-    /// serial per-sequence kernels).
+    /// The production fixed-point pack of `fused_fx` plus the embedding
+    /// table: the folded input-gate table and recurrent weights behind
+    /// both the serial and the lane-batched kernels (`None` when the
+    /// exactness proof fails; every fixed-point path then runs the wide
+    /// serial matvec, bit-identical anyway).
     lane_fx: Option<LaneGatesFx>,
-    /// `i16×i16→i32` repack of `fused_fx` (`None` whenever any row fails
-    /// the narrow-accumulator proof — which is *always* the case at the
-    /// paper's 10^6 decimal scale, where the recurrent `|h| ≤ 1` bound
-    /// is raw `10^6 ≫ 32767`; the engine then keeps the `f64`-FMA/`i32`
-    /// paths, the documented fallback contract).
-    packed_i16: Option<PackedGatesI16>,
-}
-
-/// Which execution tier each packed form of the model actually landed
-/// on — the introspection face of the pack-time decline machinery (the
-/// structured [`crate::weights::I16Decline`] log/counter's counterpart).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct TierReport {
-    /// The `i16×i16→i32` repack of the *exact* 10^6-scale path took
-    /// (always `false` for the paper model — the honest decline).
-    pub mac_i16_exact: bool,
-    /// The `i32` narrow-MAC repack took.
-    pub mac_i32_narrow: bool,
-    /// The lane/table repack took (lane stepping + gate table possible).
-    pub lane_table: bool,
-    /// The gate table is actually in use (toggle on and pack took).
-    pub gate_table_enabled: bool,
-    /// The attached screen tier, when a cascade is mounted: its decimal
-    /// scale and calibrated band edges. The screen tier always runs the
-    /// `i16` MAC — its quantizer guarantees the proof.
-    pub screen: Option<ScreenTierReport>,
-}
-
-/// The screen tier's slice of [`TierReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct ScreenTierReport {
-    /// Raw probability units per 1.0 (10^scale_pow).
-    pub scale: i64,
-    /// Calibrated lower band edge.
-    pub band_lo: i64,
-    /// Calibrated upper band edge.
-    pub band_hi: i64,
 }
 
 /// The CSD-resident classifier.
@@ -115,9 +74,6 @@ pub struct CsdInferenceEngine {
     core: Arc<EngineCore>,
     level: OptimizationLevel,
     path: GatePath,
-    /// Whether the fixed-point paths use the precomputed input-gate
-    /// table (`CSD_GATE_TABLE`, default on; bit-identical either way).
-    use_gate_table: bool,
     /// The optional screen tier (clone-cheap): mounted via
     /// [`with_cascade`](Self::with_cascade), consulted by
     /// [`classify_cascade`](Self::classify_cascade) and the streaming
@@ -136,38 +92,16 @@ impl CsdInferenceEngine {
         let weights = QuantizedWeights::from_model_weights(weights);
         let fused_f64 = weights.fused_f64();
         let fused_fx = weights.fused_fx();
-        let packed_fx = PackedGatesFx::pack(&fused_fx);
         let lane_fx = LaneGatesFx::pack(&fused_fx, &weights.embedding_fx, weights.dims().hidden);
-        // Attempt the i16 repack against the same per-column input bounds
-        // the lane proof uses: SCALE for recurrent columns, the column
-        // max |raw| for embedding columns. `pack` declines (None) when
-        // any row fails the narrow proof — always, at scale 10^6.
-        let packed_i16 = if crate::env::flag("CSD_MAC_I16").unwrap_or(true) {
-            let dims = weights.dims();
-            let mut zbound = vec![Fx6::SCALE; dims.z()];
-            for (col, zb) in zbound[dims.hidden..].iter_mut().enumerate() {
-                let mut m: i64 = 1;
-                for r in 0..weights.embedding_fx.rows() {
-                    m = m.max(weights.embedding_fx.get(r, col).raw().abs());
-                }
-                *zb = m;
-            }
-            PackedGatesI16::pack(&fused_fx, &zbound)
-        } else {
-            None
-        };
         Self {
             core: Arc::new(EngineCore {
                 weights,
                 fused_f64,
                 fused_fx,
-                packed_fx,
                 lane_fx,
-                packed_i16,
             }),
             level,
             path: GatePath::Fused,
-            use_gate_table: crate::env::flag("CSD_GATE_TABLE").unwrap_or(true),
             cascade: None,
         }
     }
@@ -191,25 +125,6 @@ impl CsdInferenceEngine {
     /// stream multiplexer's screen block holds one per mux.
     pub(crate) fn cascade_shared(&self) -> Option<Arc<CascadeTier>> {
         self.cascade.clone()
-    }
-
-    /// Which execution tier each packed form of the model selected —
-    /// the introspection API over the pack-time decline machinery.
-    pub fn tier_report(&self) -> TierReport {
-        TierReport {
-            mac_i16_exact: self.core.packed_i16.is_some(),
-            mac_i32_narrow: self.core.packed_fx.is_some(),
-            lane_table: self.core.lane_fx.is_some(),
-            gate_table_enabled: self.gate_table_enabled(),
-            screen: self.cascade.as_deref().map(|t| {
-                let band = t.band();
-                ScreenTierReport {
-                    scale: t.gates().scale(),
-                    band_lo: band.lo,
-                    band_hi: band.hi,
-                }
-            }),
-        }
     }
 
     /// Classifies one sequence through the cascade: the screen tier's
@@ -240,47 +155,10 @@ impl CsdInferenceEngine {
         (self.classify(seq), true)
     }
 
-    /// Runs the four gate CUs on the persistent worker pool, mirroring
-    /// the parallel hardware CUs (§III-C); `false` restores the default
-    /// fused path. Functionally identical either way.
-    pub fn with_parallel_cus(mut self, parallel: bool) -> Self {
-        self.path = if parallel {
-            GatePath::PerCuParallel
-        } else {
-            GatePath::Fused
-        };
-        self
-    }
-
     /// Selects the gate execution path explicitly.
     pub fn with_gate_path(mut self, path: GatePath) -> Self {
         self.path = path;
         self
-    }
-
-    /// Enables or disables the precomputed input-gate table on the
-    /// fixed-point paths, overriding the `CSD_GATE_TABLE` environment
-    /// default. Both settings produce bit-identical verdicts — the table
-    /// is exact integer reassociation — so this is a performance toggle
-    /// (and the race-free way for tests to pin a path).
-    pub fn with_gate_table(mut self, on: bool) -> Self {
-        self.use_gate_table = on;
-        self
-    }
-
-    /// Whether the fixed-point paths actually run off the input-gate
-    /// table: the toggle is on *and* the weights passed the lane
-    /// exactness proof that bounds every table entry.
-    pub fn gate_table_enabled(&self) -> bool {
-        self.use_gate_table && self.core.lane_fx.is_some()
-    }
-
-    /// Whether the `i16×i16→i32` MAC repack is active. At the paper's
-    /// 10^6 decimal scale this is always `false` — the narrow proof
-    /// fails on the recurrent columns — and the engine serves the
-    /// `f64`-FMA/`i32` paths instead (the fallback contract).
-    pub fn mac_i16_active(&self) -> bool {
-        self.core.packed_i16.is_some()
     }
 
     /// The gate execution path in effect.
@@ -364,11 +242,10 @@ impl CsdInferenceEngine {
     /// fastest batch execution for this engine's gate path.
     ///
     /// On the default [`GatePath::Fused`] path this runs the lane-batched
-    /// engine ([`classify_lanes`](Self::classify_lanes)); the per-CU paths
-    /// keep the hardware-mirroring serial kernels, sharded across the
+    /// engine ([`classify_lanes`](Self::classify_lanes)); the per-CU path
+    /// keeps the hardware-mirroring serial kernels, sharded across the
     /// persistent worker pool by borrowing — neither the engine nor any
-    /// sequence is cloned per chunk. Every path returns bit-identical
-    /// results.
+    /// sequence is cloned per chunk. Both return bit-identical results.
     ///
     /// # Panics
     ///
@@ -383,9 +260,7 @@ impl CsdInferenceEngine {
         }
         match self.path {
             GatePath::Fused => self.classify_lanes(sequences),
-            GatePath::PerCuSerial | GatePath::PerCuParallel => {
-                self.classify_batch_scoped(sequences)
-            }
+            GatePath::PerCu => self.classify_batch_scoped(sequences),
         }
     }
 
@@ -413,19 +288,14 @@ impl CsdInferenceEngine {
     }
 
     /// The lane width [`classify_lanes`](Self::classify_lanes) uses: the
-    /// `CSD_LANE_WIDTH` environment override when set to a positive
-    /// integer, otherwise the widest multiple of 8 whose lane block —
-    /// about `(4H + Z + H) · 8` bytes of `g`/`z`/`c` state per lane —
-    /// fits a 32 KiB L1 data cache, clamped to `[8, 64]`. Multiples of 8
-    /// keep the AVX-512 kernels on their full-width tiles; for the
-    /// paper's dimensions (`H = 32`, `Z = 40`, 1600 bytes per lane) the
-    /// heuristic lands on 16 lanes, i.e. two 8-wide vectors.
+    /// widest multiple of 8 whose lane block — about `(4H + Z + H) · 8`
+    /// bytes of `g`/`z`/`c` state per lane — fits a 32 KiB L1 data
+    /// cache, clamped to `[8, 64]`. Multiples of 8 keep the AVX-512
+    /// kernels on their full-width tiles; for the paper's dimensions
+    /// (`H = 32`, `Z = 40`, 1600 bytes per lane) this lands on 16 lanes,
+    /// i.e. two 8-wide vectors. Callers that want another width pass it
+    /// to [`classify_lanes_with_width`](Self::classify_lanes_with_width).
     pub fn lane_width(&self) -> usize {
-        static ENV: OnceLock<Option<usize>> = OnceLock::new();
-        let env = *ENV.get_or_init(|| crate::env::positive_usize("CSD_LANE_WIDTH"));
-        if let Some(width) = env {
-            return width;
-        }
         let dims = self.core.weights.dims();
         let bytes_per_lane = 8 * (4 * dims.hidden + dims.z() + dims.hidden);
         let fit = (32 * 1024) / bytes_per_lane.max(1);
@@ -595,61 +465,35 @@ impl CsdInferenceEngine {
     /// sweep. Lanes passed `None` keep computing — their state stays
     /// inside every kernel's proven exactness range and is never read.
     ///
-    /// With the input-gate table on (the default), a consuming lane just
-    /// records its item index: the table matmul initializes that lane's
-    /// accumulators from the precomputed `W_x·e(item) + b·SCALE` row,
-    /// runs only the `H` recurrent columns, and rescales in its store
-    /// epilogue — deleting the embedding gather, the `E` input columns,
-    /// and the separate rescale pass. Idle lanes keep item 0, whose
-    /// table row is proof-bounded like any other, so their (never read)
-    /// state stays exact. The unfolded path gathers the embedding
-    /// columns and runs the full `Z`-column matmul; both are exact
-    /// integer reassociation, hence bit-identical.
+    /// A consuming lane just records its item index: the table matmul
+    /// initializes that lane's accumulators from the precomputed
+    /// `W_x·e(item) + b·SCALE` row, runs only the `H` recurrent columns,
+    /// and rescales in its store epilogue — no embedding gather, no `E`
+    /// input columns, no separate rescale pass (exact integer
+    /// reassociation, hence bit-identical to the per-CU reference). Idle
+    /// lanes keep item 0, whose table row is proof-bounded like any
+    /// other, so their (never read) state stays exact.
     fn step_lanes_fx(&self, pack: &LaneGatesFx, s: &mut LaneScratch, items: &[Option<usize>]) {
-        let w = &self.core.weights;
-        let dims = w.dims();
-        let (hdim, edim, zdim) = (dims.hidden, dims.embed, dims.z());
-        let vocab = w.embedding_fx.rows();
+        let hdim = pack.hidden();
+        let vocab = pack.vocab();
         let width = s.width();
         let hw = hdim * width;
-        if self.use_gate_table {
-            for (l, slot) in items.iter().enumerate() {
-                if let Some(item) = *slot {
-                    assert!(item < vocab, "item {item} out of vocabulary");
-                    s.item[l] = item;
-                }
+        for (l, slot) in items.iter().enumerate() {
+            if let Some(item) = *slot {
+                assert!(item < vocab, "item {item} out of vocabulary");
+                s.item[l] = item;
             }
-            lanes::matmul_fx_lanes_table(
-                pack.w_hidden(),
-                4 * hdim,
-                hdim,
-                &s.z[..hw],
-                width,
-                pack.gate_table(),
-                &s.item,
-                &mut s.g,
-            );
-        } else {
-            for (l, slot) in items.iter().enumerate() {
-                if let Some(item) = *slot {
-                    assert!(item < vocab, "item {item} out of vocabulary");
-                    let row = &pack.embedding()[item * edim..(item + 1) * edim];
-                    for (e, &v) in row.iter().enumerate() {
-                        s.z[(hdim + e) * width + l] = v;
-                    }
-                }
-            }
-            lanes::matmul_fx_lanes(
-                pack.weights(),
-                4 * hdim,
-                zdim,
-                &s.z,
-                width,
-                pack.bias_scaled(),
-                &mut s.g,
-            );
-            lanes::rescale_lanes(&mut s.g);
         }
+        lanes::matmul_fx_lanes_table(
+            pack.w_hidden(),
+            4 * hdim,
+            hdim,
+            &s.z[..hw],
+            width,
+            pack.gate_table(),
+            &s.item,
+            &mut s.g,
+        );
         // Separate compact activation passes beat a fused
         // rescale+activate kernel on this data: the gate block is
         // L1-resident, so re-reading it is nearly free, while the small
@@ -796,7 +640,7 @@ impl CsdInferenceEngine {
                     hidden::update_fused_f64(&s.g, &mut s.c, &mut s.h);
                 }
             }
-            GatePath::PerCuSerial | GatePath::PerCuParallel => {
+            GatePath::PerCu => {
                 for &item in seq {
                     let x = preprocess::run_f64(&core.weights.embedding_f64, item);
                     // §III-C: each CU receives its own copies of x_t, h_{t−1}.
@@ -812,40 +656,17 @@ impl CsdInferenceEngine {
     }
 
     fn run_gate_cus_f64(&self, hs: &[Vector<f64>; 4], xs: &[Vector<f64>; 4]) -> [Vector<f64>; 4] {
-        if self.path == GatePath::PerCuParallel {
-            let jobs: Vec<Box<dyn FnOnce() -> Vector<f64> + Send>> = GateKind::ALL
-                .iter()
-                .enumerate()
-                .map(|(slot, &kind)| {
-                    let core = Arc::clone(&self.core);
-                    let h = hs[slot].clone();
-                    let x = xs[slot].clone();
-                    Box::new(move || {
-                        gates::run_f64(
-                            kind,
-                            &core.weights.gate_w_f64[kind.index()],
-                            &core.weights.gate_b_f64[kind.index()],
-                            &h,
-                            &x,
-                        )
-                    }) as Box<dyn FnOnce() -> Vector<f64> + Send>
-                })
-                .collect();
-            let mut out = WorkerPool::global().scatter(jobs).into_iter();
-            std::array::from_fn(|_| out.next().expect("four gate CUs"))
-        } else {
-            let w = &self.core.weights;
-            std::array::from_fn(|slot| {
-                let kind = GateKind::ALL[slot];
-                gates::run_f64(
-                    kind,
-                    &w.gate_w_f64[kind.index()],
-                    &w.gate_b_f64[kind.index()],
-                    &hs[slot],
-                    &xs[slot],
-                )
-            })
-        }
+        let w = &self.core.weights;
+        std::array::from_fn(|slot| {
+            let kind = GateKind::ALL[slot];
+            gates::run_f64(
+                kind,
+                &w.gate_w_f64[kind.index()],
+                &w.gate_b_f64[kind.index()],
+                &hs[slot],
+                &xs[slot],
+            )
+        })
     }
 
     fn run_states_fx(&self, seq: &[usize], s: &mut InferenceScratch<Fx6>) {
@@ -854,40 +675,27 @@ impl CsdInferenceEngine {
         match self.path {
             GatePath::Fused => {
                 let hdim = core.weights.dims().hidden;
-                // The input-gate table serves the serial path too: one
-                // precomputed row replaces the embedding copy, the
-                // `[h|x]` concat, the `E` input columns of the matvec,
-                // and the bias add. Falls back per-item to the unfolded
-                // path when the input leaves the narrow-MAC range.
-                let table = match (&core.lane_fx, &core.packed_fx) {
-                    (Some(lane), Some(packed)) if self.use_gate_table => Some((lane, packed)),
-                    _ => None,
-                };
                 for &item in seq {
-                    let table_ok = table.is_some_and(|(lane, packed)| {
+                    // One precomputed table row replaces the embedding
+                    // copy, the `[h|x]` concat, the `E` input columns of
+                    // the matvec, and the bias add. Weights that failed
+                    // the pack proof, or an input outside the narrow-MAC
+                    // range, take the wide matvec instead.
+                    let table_ok = core.lane_fx.as_ref().is_some_and(|lane| {
                         assert!(item < lane.vocab(), "item {item} out of vocabulary");
-                        packed.matvec_table_into(
-                            lane.table_row_i64(item),
-                            s.h.as_slice(),
-                            s.g.as_mut_slice(),
-                        )
+                        lane.matvec_table_into(item, s.h.as_slice(), s.g.as_mut_slice())
                     });
                     if !table_ok {
                         preprocess::run_into(&core.weights.embedding_fx, item, &mut s.x);
                         s.h.concat_into(&s.x, &mut s.z);
-                        let narrow_ok = core.packed_fx.as_ref().is_some_and(|p| {
-                            p.matvec_into(s.z.as_slice(), &mut s.narrow_z, s.g.as_mut_slice())
-                        });
-                        if !narrow_ok {
-                            core.fused_fx.w.matvec_into(&s.z, &mut s.g);
-                        }
+                        core.fused_fx.w.matvec_into(&s.z, &mut s.g);
                         s.g.add_assign(&core.fused_fx.b);
                     }
                     gates::activate_fused_fx(&mut s.g, hdim);
                     hidden::update_fused_fx(&s.g, &mut s.c, &mut s.h);
                 }
             }
-            GatePath::PerCuSerial | GatePath::PerCuParallel => {
+            GatePath::PerCu => {
                 for &item in seq {
                     let x = preprocess::run_fx(&core.weights.embedding_fx, item);
                     let xs = preprocess::fanout(&x);
@@ -902,40 +710,17 @@ impl CsdInferenceEngine {
     }
 
     fn run_gate_cus_fx(&self, hs: &[Vector<Fx6>; 4], xs: &[Vector<Fx6>; 4]) -> [Vector<Fx6>; 4] {
-        if self.path == GatePath::PerCuParallel {
-            let jobs: Vec<Box<dyn FnOnce() -> Vector<Fx6> + Send>> = GateKind::ALL
-                .iter()
-                .enumerate()
-                .map(|(slot, &kind)| {
-                    let core = Arc::clone(&self.core);
-                    let h = hs[slot].clone();
-                    let x = xs[slot].clone();
-                    Box::new(move || {
-                        gates::run_fx(
-                            kind,
-                            &core.weights.gate_w_fx[kind.index()],
-                            &core.weights.gate_b_fx[kind.index()],
-                            &h,
-                            &x,
-                        )
-                    }) as Box<dyn FnOnce() -> Vector<Fx6> + Send>
-                })
-                .collect();
-            let mut out = WorkerPool::global().scatter(jobs).into_iter();
-            std::array::from_fn(|_| out.next().expect("four gate CUs"))
-        } else {
-            let w = &self.core.weights;
-            std::array::from_fn(|slot| {
-                let kind = GateKind::ALL[slot];
-                gates::run_fx(
-                    kind,
-                    &w.gate_w_fx[kind.index()],
-                    &w.gate_b_fx[kind.index()],
-                    &hs[slot],
-                    &xs[slot],
-                )
-            })
-        }
+        let w = &self.core.weights;
+        std::array::from_fn(|slot| {
+            let kind = GateKind::ALL[slot];
+            gates::run_fx(
+                kind,
+                &w.gate_w_fx[kind.index()],
+                &w.gate_b_fx[kind.index()],
+                &hs[slot],
+                &xs[slot],
+            )
+        })
     }
 }
 
@@ -956,7 +741,6 @@ mod tests {
     fn lane_width_heuristic_for_paper_dims() {
         // (4·32 + 40 + 32)·8 = 1600 B/lane → 20 lanes fit 32 KiB →
         // round down to the multiple of 8: two full AVX-512 vectors.
-        // (Holds unless CSD_LANE_WIDTH overrides, which tests don't set.)
         let m = model();
         let engine =
             CsdInferenceEngine::new(&ModelWeights::from_model(&m), OptimizationLevel::FixedPoint);
@@ -975,43 +759,6 @@ mod tests {
             assert_eq!(engine.classify_lanes(&refs), serial, "{level}");
             assert_eq!(engine.classify_batch_refs(&refs), serial, "{level}");
         }
-    }
-
-    #[test]
-    fn gate_table_on_and_off_are_bit_identical() {
-        // The tentpole contract: the precomputed input-gate table is
-        // exact integer reassociation, so folding it in changes no bit
-        // on either the serial or the lane path.
-        let m = model();
-        let w = ModelWeights::from_model(&m);
-        let on = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint).with_gate_table(true);
-        let off = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint).with_gate_table(false);
-        assert!(on.gate_table_enabled());
-        assert!(!off.gate_table_enabled());
-        let batch: Vec<Vec<usize>> = [1usize, 7, 40, 100, 277].iter().map(|&n| seq(n)).collect();
-        let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
-        for s in &batch {
-            assert_eq!(on.classify(s), off.classify(s), "serial len {}", s.len());
-        }
-        assert_eq!(on.classify_lanes(&refs), off.classify_lanes(&refs));
-        // The per-CU path never uses the table: an independent anchor.
-        let per_cu = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint)
-            .with_gate_path(GatePath::PerCuSerial);
-        assert_eq!(on.classify(&batch[2]), per_cu.classify(&batch[2]));
-    }
-
-    #[test]
-    fn mac_i16_declines_the_paper_scale_model() {
-        // The fallback contract: at decimal scale 10^6 the recurrent
-        // |h| ≤ 1 columns are raw 10^6 ≫ 32767, so the i16 repack must
-        // decline and the engine serve the f64-FMA/i32 paths — which
-        // the parity tests above exercise on every classify call.
-        let m = model();
-        let w = ModelWeights::from_model(&m);
-        let engine = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
-        assert!(!engine.mac_i16_active());
-        // Lanes still step (f64 path), verdicts still bit-identical.
-        assert!(engine.supports_lane_stepping());
     }
 
     #[test]
@@ -1058,35 +805,60 @@ mod tests {
     }
 
     #[test]
-    fn all_gate_paths_identical() {
+    fn both_gate_paths_identical() {
         let m = model();
         let w = ModelWeights::from_model(&m);
         let s = seq(40);
         for level in OptimizationLevel::ALL {
             let fused = CsdInferenceEngine::new(&w, level).classify(&s);
             let per_cu = CsdInferenceEngine::new(&w, level)
-                .with_gate_path(GatePath::PerCuSerial)
-                .classify(&s);
-            let parallel = CsdInferenceEngine::new(&w, level)
-                .with_parallel_cus(true)
+                .with_gate_path(GatePath::PerCu)
                 .classify(&s);
             assert_eq!(fused, per_cu, "{level}");
-            assert_eq!(fused, parallel, "{level}");
         }
     }
 
     #[test]
-    fn parallel_cus_identical_to_serial() {
+    fn weights_that_fail_the_pack_proof_run_the_wide_path_end_to_end() {
+        // One candidate-gate row with recurrent weights ~10^4: raw 10^10
+        // against |h| ≤ 1 (raw 10^6) is 32·10^16 ≫ 2^52, so the lane
+        // proof fails and nothing may touch the table or the lanes.
         let m = model();
-        let w = ModelWeights::from_model(&m);
-        let s = seq(40);
-        for level in OptimizationLevel::ALL {
-            let serial = CsdInferenceEngine::new(&w, level).classify(&s);
-            let parallel = CsdInferenceEngine::new(&w, level)
-                .with_parallel_cus(true)
-                .classify(&s);
-            assert_eq!(serial, parallel, "{level}");
+        let mut w = ModelWeights::from_model(&m);
+        let h = w.config.hidden;
+        for hc in 0..h {
+            let sign = if hc % 2 == 0 { 1.0 } else { -1.0 };
+            w.lstm_recurrent[hc * 4 * h + 2 * h + 5] = sign * 1.0e4;
         }
+        let fused = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
+        assert!(!fused.supports_lane_stepping());
+        let per_cu = fused.clone().with_gate_path(GatePath::PerCu);
+
+        // Serial classify (Fused → wide arm) ≡ the per-CU reference, 0 ULP.
+        let windows: Vec<Vec<usize>> = [1usize, 9, 40, 100, 33, 77, 100, 12]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| (0..n).map(|i| (i * 37 + 11 + k * 53) % 278).collect())
+            .collect();
+        let reference: Vec<Classification> = windows.iter().map(|s| per_cu.classify(s)).collect();
+        let serial: Vec<Classification> = windows.iter().map(|s| fused.classify(s)).collect();
+        assert_eq!(serial, reference);
+
+        // The batch entry point falls back to the scoped serial path.
+        let refs: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
+        assert_eq!(fused.classify_batch_refs(&refs), reference);
+
+        // The stream mux retires every window through its serial route
+        // (stepping a lane would panic on this engine).
+        let mut mux = crate::StreamMux::new(fused, crate::StreamMuxConfig::default());
+        for (k, s) in windows.iter().enumerate() {
+            assert!(mux.submit(k as u64, s.len(), s));
+        }
+        let mut verdicts = mux.drain();
+        verdicts.sort_unstable_by_key(|v| v.stream);
+        let got: Vec<Classification> = verdicts.iter().map(|v| v.classification).collect();
+        assert_eq!(got, reference);
+        assert_eq!(mux.stats().verdicts, windows.len() as u64);
     }
 
     #[test]
@@ -1164,30 +936,6 @@ mod tests {
             CsdInferenceEngine::new(&ModelWeights::from_model(&m), OptimizationLevel::FixedPoint);
         let c = engine.classify(&seq(30));
         assert_eq!(c.is_positive, c.probability >= 0.5);
-    }
-
-    #[test]
-    fn tier_report_reflects_the_packed_tiers_and_the_cascade() {
-        let m = model();
-        let w = ModelWeights::from_model(&m);
-        let engine = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
-        let report = engine.tier_report();
-        // The paper-scale model: i16 honestly declines, i32/lane take.
-        assert!(!report.mac_i16_exact);
-        assert!(report.mac_i32_narrow);
-        assert!(report.lane_table);
-        assert!(report.gate_table_enabled);
-        assert!(report.screen.is_none());
-        assert!(crate::weights::i16_decline_count() >= 1, "decline counted");
-
-        let windows: Vec<Vec<usize>> = (0..8).map(|k| seq(10 + k * 7)).collect();
-        let exact = |s: &[usize]| engine.classify(s).is_positive;
-        let (tier, _, _) =
-            crate::cascade::build_cascade(&w, 4, 0.02, &windows, exact).expect("builds");
-        let engine = engine.with_cascade(tier);
-        let screen = engine.tier_report().screen.expect("screen tier mounted");
-        assert_eq!(screen.scale, 10_000);
-        assert!(screen.band_lo <= screen.band_hi + 1);
     }
 
     #[test]

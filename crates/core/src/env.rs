@@ -1,101 +1,18 @@
 //! Shared parsing of the engine's environment knobs.
 //!
-//! Seven runtime knobs tune the software engine to its host:
-//! `CSD_POOL_THREADS` (worker pool size), `CSD_LANE_WIDTH` (lane-block
-//! width of the batch engine), `CSD_STREAM_LANES` (lane slots per
-//! streaming-mux shard), `CSD_STREAM_SHARDS` (shard count of the
-//! sharded streaming mux), `CSD_STREAM_DETERMINISTIC_STEAL`
-//! (forces the deterministic work-steal policy for reproducible runs),
-//! `CSD_GATE_TABLE` (the precomputed input-gate table on the
-//! fixed-point paths, default on — bit-identical either way), and
-//! `CSD_MAC_I16` (attempt the `i16×i16→i32` gate repack at engine
-//! construction, default on — the pack declines whenever the narrow
-//! proof fails, always at the paper's 10^6 scale).
-//! The integer knobs share one contract — a positive integer, anything
-//! else silently ignored in favour of the built-in heuristic — and the
-//! boolean knobs share another (`1/0`, `true/false`, `yes/no`, `on/off`,
-//! case-insensitive, anything else ignored), both implemented once here
-//! so the modules cannot drift.
-//!
-//! The two-tier cascade adds three more: `CSD_CASCADE` (the mux's
-//! cascade mode — the flag spellings plus `verify`, default off),
-//! `CSD_SCREEN_SCALE` (the screen tier's decimal scale exponent,
-//! `1..=4`, default 4), and `CSD_CASCADE_BAND` (the calibration safety
-//! margin as a non-negative fraction of the probability range, default
-//! 0.02).
-
-use crate::cascade::CascadeMode;
+//! Two runtime knobs size the software engine to its host:
+//! `CSD_POOL_THREADS` (worker pool size) and `CSD_STREAM_SHARDS` (shard
+//! count of the sharded streaming mux, when
+//! [`StreamMuxConfig::shards`](crate::StreamMuxConfig::shards) leaves it
+//! open). Both share one contract — a positive integer, anything else
+//! silently ignored in favour of the built-in heuristic — implemented
+//! once here so the modules cannot drift. Everything else (lane widths,
+//! steal policy, cascade mode) is a config field, not an environment
+//! variable.
 
 /// Names of the recognized environment knobs, for documentation and
 /// diagnostics.
-pub const ENV_KNOBS: [&str; 10] = [
-    "CSD_POOL_THREADS",
-    "CSD_LANE_WIDTH",
-    "CSD_STREAM_LANES",
-    "CSD_STREAM_SHARDS",
-    "CSD_STREAM_DETERMINISTIC_STEAL",
-    "CSD_GATE_TABLE",
-    "CSD_MAC_I16",
-    "CSD_CASCADE",
-    "CSD_SCREEN_SCALE",
-    "CSD_CASCADE_BAND",
-];
-
-/// Reads `CSD_CASCADE`: the boolean spellings map to
-/// [`CascadeMode::On`]/[`CascadeMode::Off`], `verify` (case-insensitive)
-/// selects the shadow-verified mode, anything else falls back to the
-/// default ([`CascadeMode::Off`]).
-pub fn cascade_mode() -> CascadeMode {
-    std::env::var("CSD_CASCADE")
-        .ok()
-        .and_then(|v| parse_cascade(&v))
-        .unwrap_or_default()
-}
-
-/// Reads `CSD_SCREEN_SCALE` as the screen scale exponent: an integer in
-/// `1..=`[`csd_nn::SCREEN_SCALE_POW_MAX`], anything else ignored in
-/// favour of the default (4, the largest provable scale).
-pub fn screen_scale_pow() -> u32 {
-    positive_usize("CSD_SCREEN_SCALE")
-        .map(|n| n as u32)
-        .filter(|&n| n <= csd_nn::SCREEN_SCALE_POW_MAX)
-        .unwrap_or(csd_nn::SCREEN_SCALE_POW_MAX)
-}
-
-/// Reads `CSD_CASCADE_BAND` as the calibration margin: a non-negative
-/// finite fraction of the probability range, anything else ignored in
-/// favour of the default (0.02).
-pub fn cascade_band_margin() -> f64 {
-    std::env::var("CSD_CASCADE_BAND")
-        .ok()
-        .and_then(|v| parse_fraction(&v))
-        .unwrap_or(0.02)
-}
-
-/// The parsing rule behind [`cascade_mode`], separated for testing
-/// without touching the process environment.
-fn parse_cascade(value: &str) -> Option<CascadeMode> {
-    if value.trim().eq_ignore_ascii_case("verify") {
-        return Some(CascadeMode::Verify);
-    }
-    parse_flag(value).map(|on| {
-        if on {
-            CascadeMode::On
-        } else {
-            CascadeMode::Off
-        }
-    })
-}
-
-/// The parsing rule behind [`cascade_band_margin`], separated for
-/// testing without touching the process environment.
-fn parse_fraction(value: &str) -> Option<f64> {
-    value
-        .trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|m| m.is_finite() && *m >= 0.0)
-}
+pub const ENV_KNOBS: [&str; 2] = ["CSD_POOL_THREADS", "CSD_STREAM_SHARDS"];
 
 /// Reads `name` as a positive integer: `Some(n)` when the variable is
 /// set, parses (after trimming whitespace), and is at least 1; `None`
@@ -105,28 +22,10 @@ pub fn positive_usize(name: &str) -> Option<usize> {
     parse_positive(std::env::var(name).ok()?.as_str())
 }
 
-/// Reads `name` as a boolean flag: `Some(true)` for `1`, `true`, `yes`,
-/// or `on`; `Some(false)` for `0`, `false`, `no`, or `off` (whitespace
-/// trimmed, case-insensitive); `None` otherwise — unset, empty, and
-/// unrecognized values all fall back to the caller's default.
-pub fn flag(name: &str) -> Option<bool> {
-    parse_flag(std::env::var(name).ok()?.as_str())
-}
-
 /// The parsing rule behind [`positive_usize`], separated for testing
 /// without touching the process environment.
 fn parse_positive(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// The parsing rule behind [`flag`], separated for testing without
-/// touching the process environment.
-fn parse_flag(value: &str) -> Option<bool> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -151,165 +50,23 @@ mod tests {
     }
 
     #[test]
-    fn flag_accepts_both_polarities_in_every_spelling() {
-        for yes in ["1", "true", "yes", "on", "TRUE", "Yes", " on "] {
-            assert_eq!(parse_flag(yes), Some(true), "{yes:?}");
-        }
-        for no in ["0", "false", "no", "off", "FALSE", "No", " off "] {
-            assert_eq!(parse_flag(no), Some(false), "{no:?}");
-        }
-    }
-
-    #[test]
-    fn flag_rejects_garbage() {
-        assert_eq!(parse_flag(""), None);
-        assert_eq!(parse_flag("2"), None);
-        assert_eq!(parse_flag("-1"), None);
-        assert_eq!(parse_flag("yep"), None);
-        assert_eq!(parse_flag("truee"), None);
-        assert_eq!(parse_flag("on off"), None);
-    }
-
-    #[test]
     fn unset_variable_reads_none() {
         // A name no test (or machine) sets: the env read path itself.
-        assert_eq!(positive_usize("CSD_TEST_UNSET_KNOB_XYZZY"), None);
-        assert_eq!(flag("CSD_TEST_UNSET_FLAG_XYZZY"), None);
+        assert_eq!(positive_usize("CSDTEST_UNSET_KNOB_XYZZY"), None);
     }
 
     #[test]
     fn set_variable_reads_through() {
         // A unique name so parallel tests cannot race on it.
-        std::env::set_var("CSD_TEST_SET_KNOB_XYZZY", "12");
-        assert_eq!(positive_usize("CSD_TEST_SET_KNOB_XYZZY"), Some(12));
-        std::env::set_var("CSD_TEST_SET_KNOB_XYZZY", "nope");
-        assert_eq!(positive_usize("CSD_TEST_SET_KNOB_XYZZY"), None);
-        std::env::remove_var("CSD_TEST_SET_KNOB_XYZZY");
-
-        std::env::set_var("CSD_TEST_SET_FLAG_XYZZY", "on");
-        assert_eq!(flag("CSD_TEST_SET_FLAG_XYZZY"), Some(true));
-        std::env::set_var("CSD_TEST_SET_FLAG_XYZZY", "maybe");
-        assert_eq!(flag("CSD_TEST_SET_FLAG_XYZZY"), None);
-        std::env::remove_var("CSD_TEST_SET_FLAG_XYZZY");
+        std::env::set_var("CSDTEST_SET_KNOB_XYZZY", "12");
+        assert_eq!(positive_usize("CSDTEST_SET_KNOB_XYZZY"), Some(12));
+        std::env::set_var("CSDTEST_SET_KNOB_XYZZY", "nope");
+        assert_eq!(positive_usize("CSDTEST_SET_KNOB_XYZZY"), None);
+        std::env::remove_var("CSDTEST_SET_KNOB_XYZZY");
     }
 
     #[test]
     fn knob_names_are_documented() {
-        assert!(ENV_KNOBS.contains(&"CSD_STREAM_LANES"));
-        assert!(ENV_KNOBS.contains(&"CSD_LANE_WIDTH"));
-        assert!(ENV_KNOBS.contains(&"CSD_POOL_THREADS"));
-        assert!(ENV_KNOBS.contains(&"CSD_STREAM_SHARDS"));
-        assert!(ENV_KNOBS.contains(&"CSD_STREAM_DETERMINISTIC_STEAL"));
-        assert!(ENV_KNOBS.contains(&"CSD_GATE_TABLE"));
-        assert!(ENV_KNOBS.contains(&"CSD_MAC_I16"));
-        assert!(ENV_KNOBS.contains(&"CSD_CASCADE"));
-        assert!(ENV_KNOBS.contains(&"CSD_SCREEN_SCALE"));
-        assert!(ENV_KNOBS.contains(&"CSD_CASCADE_BAND"));
-    }
-
-    #[test]
-    fn cascade_knob_parses_tri_state() {
-        for on in ["1", "true", "ON", " yes "] {
-            assert_eq!(parse_cascade(on), Some(CascadeMode::On), "{on:?}");
-        }
-        for off in ["0", "false", "OFF", " no "] {
-            assert_eq!(parse_cascade(off), Some(CascadeMode::Off), "{off:?}");
-        }
-        for verify in ["verify", "VERIFY", " Verify "] {
-            assert_eq!(
-                parse_cascade(verify),
-                Some(CascadeMode::Verify),
-                "{verify:?}"
-            );
-        }
-        for bad in ["", "2", "cascade", "verify please", "on off"] {
-            assert_eq!(parse_cascade(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn cascade_knob_reads_through_the_environment() {
-        // The real knob, end to end: every mode, bad value, unset.
-        let saved = std::env::var("CSD_CASCADE").ok();
-        std::env::set_var("CSD_CASCADE", "verify");
-        assert_eq!(cascade_mode(), CascadeMode::Verify);
-        std::env::set_var("CSD_CASCADE", "on");
-        assert_eq!(cascade_mode(), CascadeMode::On);
-        std::env::set_var("CSD_CASCADE", "definitely");
-        assert_eq!(cascade_mode(), CascadeMode::Off, "bad value → default off");
-        std::env::remove_var("CSD_CASCADE");
-        assert_eq!(cascade_mode(), CascadeMode::Off, "unset → default off");
-        match saved {
-            Some(v) => std::env::set_var("CSD_CASCADE", v),
-            None => std::env::remove_var("CSD_CASCADE"),
-        }
-    }
-
-    #[test]
-    fn screen_scale_knob_clamps_to_the_provable_range() {
-        let saved = std::env::var("CSD_SCREEN_SCALE").ok();
-        std::env::set_var("CSD_SCREEN_SCALE", "3");
-        assert_eq!(screen_scale_pow(), 3);
-        std::env::set_var("CSD_SCREEN_SCALE", "4");
-        assert_eq!(screen_scale_pow(), 4);
-        std::env::set_var("CSD_SCREEN_SCALE", "5");
-        assert_eq!(screen_scale_pow(), 4, "beyond the i16 bound → default");
-        std::env::set_var("CSD_SCREEN_SCALE", "0");
-        assert_eq!(screen_scale_pow(), 4, "zero → default");
-        std::env::set_var("CSD_SCREEN_SCALE", "four");
-        assert_eq!(screen_scale_pow(), 4, "garbage → default");
-        std::env::remove_var("CSD_SCREEN_SCALE");
-        assert_eq!(screen_scale_pow(), 4, "unset → default");
-        match saved {
-            Some(v) => std::env::set_var("CSD_SCREEN_SCALE", v),
-            None => std::env::remove_var("CSD_SCREEN_SCALE"),
-        }
-    }
-
-    #[test]
-    fn band_margin_knob_accepts_only_non_negative_fractions() {
-        assert_eq!(parse_fraction("0.05"), Some(0.05));
-        assert_eq!(parse_fraction(" 0 "), Some(0.0));
-        assert_eq!(parse_fraction("1.5"), Some(1.5));
-        assert_eq!(parse_fraction("-0.1"), None);
-        assert_eq!(parse_fraction("NaN"), None);
-        assert_eq!(parse_fraction("inf"), None);
-        assert_eq!(parse_fraction("two percent"), None);
-        assert_eq!(parse_fraction(""), None);
-
-        let saved = std::env::var("CSD_CASCADE_BAND").ok();
-        std::env::set_var("CSD_CASCADE_BAND", "0.1");
-        assert_eq!(cascade_band_margin(), 0.1);
-        std::env::set_var("CSD_CASCADE_BAND", "-1");
-        assert_eq!(cascade_band_margin(), 0.02, "negative → default");
-        std::env::remove_var("CSD_CASCADE_BAND");
-        assert_eq!(cascade_band_margin(), 0.02, "unset → default");
-        match saved {
-            Some(v) => std::env::set_var("CSD_CASCADE_BAND", v),
-            None => std::env::remove_var("CSD_CASCADE_BAND"),
-        }
-    }
-
-    #[test]
-    fn gate_table_and_mac_i16_knobs_share_the_flag_contract() {
-        // The real knob names, end to end: override, bad value, unset.
-        // Any interleaving with a parallel engine construction is safe —
-        // both knob settings are bit-identical by contract — but restore
-        // the ambient state anyway.
-        for name in ["CSD_GATE_TABLE", "CSD_MAC_I16"] {
-            let saved = std::env::var(name).ok();
-            std::env::set_var(name, "off");
-            assert_eq!(flag(name), Some(false), "{name} explicit off");
-            std::env::set_var(name, " ON ");
-            assert_eq!(flag(name), Some(true), "{name} explicit on");
-            std::env::set_var(name, "definitely");
-            assert_eq!(flag(name), None, "{name} bad value ignored");
-            std::env::remove_var(name);
-            assert_eq!(flag(name), None, "{name} unset reads none");
-            match saved {
-                Some(v) => std::env::set_var(name, v),
-                None => std::env::remove_var(name),
-            }
-        }
+        assert_eq!(ENV_KNOBS, ["CSD_POOL_THREADS", "CSD_STREAM_SHARDS"]);
     }
 }

@@ -143,35 +143,32 @@ pub fn activate_fused_fx(pre: &mut Vector<Fx6>, hidden: usize) {
 }
 
 /// Fused gate pre-activation from the precomputed input-gate table:
-/// `out[r] = rescale(table_row[r] + Σ_{k<hcols} w[r·cols + k]·h[k])`.
+/// `out[r] = rescale(table_row[r] + Σ_k w_h[r·H + k]·h[k])`.
 ///
 /// `table_row` holds the folded-out `W_x·e(item) + b·SCALE` terms for
-/// one vocabulary item; the MAC covers only the recurrent (`hcols`)
-/// prefix of each packed row (`cols`-strided), replacing the embedding
-/// gather + concat + full-`Z` matvec + bias add of the unfolded path.
-/// Exactness: the partial row sum obeys the caller's full-row `z_limit`
-/// bound a fortiori, the table entry is below `2^52`, and integer
-/// addition is associative when nothing overflows — so this equals the
-/// unfolded pre-activation bit for bit.
+/// one vocabulary item; the MAC covers only the `H = h.len()` recurrent
+/// columns (`w_h` is the contiguous `rows × H` recurrent half of the
+/// fused gate matrix), replacing the embedding gather + concat +
+/// full-`Z` matvec + bias add of the per-gate formulation. Exactness:
+/// the caller bounds `|h|` so the `i64` accumulator cannot overflow, the
+/// table entry is below `2^52`, and integer addition is associative when
+/// nothing overflows — so this equals the table-free pre-activation bit
+/// for bit.
 ///
 /// # Panics
 ///
-/// Panics when the slice shapes disagree (`w` must hold at least
-/// `table_row.len()` rows of `cols` weights, `h` at least `hcols`).
-pub fn fused_preact_table_fx(
-    table_row: &[i64],
-    w: &[i32],
-    cols: usize,
-    hcols: usize,
-    h: &[Fx6],
-    out: &mut [Fx6],
-) {
-    assert!(hcols <= cols, "recurrent prefix wider than packed rows");
-    assert!(h.len() >= hcols, "recurrent input shorter than hcols");
+/// Panics when the slice shapes disagree (`w_h` must hold exactly
+/// `table_row.len()` rows of `h.len()` weights).
+pub fn fused_preact_table_fx(table_row: &[i64], w_h: &[i32], h: &[Fx6], out: &mut [Fx6]) {
     assert_eq!(table_row.len(), out.len(), "table row length mismatch");
-    assert!(w.len() >= out.len() * cols, "packed weights too short");
+    assert_eq!(
+        w_h.len(),
+        out.len() * h.len(),
+        "packed weights shape mismatch"
+    );
+    let hcols = h.len();
     for (r, (o, &init)) in out.iter_mut().zip(table_row).enumerate() {
-        let row = &w[r * cols..r * cols + hcols];
+        let row = &w_h[r * hcols..(r + 1) * hcols];
         let mut acc: i64 = init;
         for (&wv, hv) in row.iter().zip(h) {
             acc += wv as i64 * hv.raw();

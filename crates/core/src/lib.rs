@@ -25,8 +25,8 @@
 //! - [`engine`] — [`CsdInferenceEngine`]: bit-faithful classification;
 //!   the default software hot path fuses the four gate matrices into one
 //!   `4H×Z` matvec over preallocated scratch, with the per-CU
-//!   formulation (serial or on the persistent worker pool) preserved for
-//!   hardware-mirroring fidelity. Batches run the *lane-batched* engine:
+//!   formulation preserved for hardware-mirroring fidelity and as the
+//!   parity reference. Batches run the *lane-batched* engine:
 //!   many sequences advance in lockstep as structure-of-arrays lane
 //!   blocks, turning the gate matvec into a matrix–matrix kernel while
 //!   staying bit-identical to the serial path at every level.
@@ -34,14 +34,12 @@
 //!   steady state, including the lane-block scratch.
 //! - [`pool`] — the process-wide persistent worker pool backing
 //!   [`classify_batch`](engine::CsdInferenceEngine::classify_batch) and
-//!   the parallel-CU path, with scoped (borrowing) job submission.
+//!   the sharded stream mux, with scoped (borrowing) job submission.
 //! - [`timing`] — regenerates Fig. 3 and the FPGA row of Table I from the
 //!   HLS latency model.
 //! - [`schedule`] — the §III-C software pipeline (preprocess prefetching
 //!   item `t+1` under the compute of item `t`), plus the length-bucketing
 //!   lane schedule for ragged batches.
-//! - [`mixed`] — mixed-precision inference, the paper's §VI future-work
-//!   direction implemented and measured.
 //! - [`monitor`] — the continuous-protection wrapper: rolling window,
 //!   stride classification, alert debouncing (§I's background execution).
 //! - [`stream`] — the continuous-batching stream multiplexer: thousands
@@ -73,9 +71,10 @@
 //! assert!((p_fpga - p_f64).abs() < 0.05);
 //! ```
 
-// `deny`, not `forbid`: the packed gate matvec carries one narrowly
-// scoped `allow` for its runtime-dispatched `#[target_feature]` copy
-// (see `weights::PackedGatesFx`); everything else stays unsafe-free.
+// `deny`, not `forbid`: the worker pool carries one narrowly scoped
+// `allow` for the lifetime transmute behind scoped jobs (see
+// `pool::WorkerPool::try_scatter_scoped`); everything else stays
+// unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -86,7 +85,6 @@ pub mod env;
 pub mod fleet;
 pub mod host;
 pub mod kernels;
-pub mod mixed;
 pub mod monitor;
 pub mod mpsc;
 pub mod opt;
@@ -103,12 +101,11 @@ pub use cascade::{
     build_cascade, calibrate_band, CalibrationReport, CascadeBand, CascadeMode, CascadeTier,
     ScreenGates, ScreenModel, SCREEN_MODEL_VERSION,
 };
-pub use engine::{Classification, CsdInferenceEngine, GatePath, ScreenTierReport, TierReport};
+pub use engine::{Classification, CsdInferenceEngine, GatePath};
 pub use fleet::{CsdFleet, FleetPolicy, FleetScan, FleetStats};
 pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats};
 pub use kernels::LstmDims;
-pub use mixed::MixedPrecisionEngine;
-pub use monitor::{Alert, MonitorConfig, MonitorPool, RollingWindow, StreamMonitor};
+pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};
 pub use mpsc::{AdmissionHandle, AdmissionQueue};
 pub use opt::OptimizationLevel;
 pub use pool::{PoolError, WorkerPool, WorkerPoolBuilder};
@@ -121,6 +118,5 @@ pub use stream::{
 };
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
 pub use weights::{
-    i16_decline_count, FusedGates, I16Decline, LaneGatesFx, PackedGatesFx, PackedGatesI16,
-    QuantizedWeights, LANE_MAX_STEPS,
+    FusedGates, I16Decline, LaneGatesFx, PackedGatesI16, QuantizedWeights, LANE_MAX_STEPS,
 };

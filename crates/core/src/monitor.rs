@@ -15,9 +15,10 @@
 //! accounting from the pipeline schedule. The window itself is a
 //! [`RollingWindow`] — a compacting buffer that keeps the current window
 //! contiguous so each classification reads it in place instead of
-//! copying it out. [`MonitorPool`] keeps its historical
-//! observe-returns-alert shape for many processes, now backed by the
-//! continuous-batching [`FleetMonitor`](crate::stream::FleetMonitor).
+//! copying it out. Many processes at once are the job of the
+//! continuous-batching [`FleetMonitor`](crate::stream::FleetMonitor),
+//! which — like the sentry service — keeps each process's votes in a
+//! packed [`VoteRing`].
 
 use std::collections::VecDeque;
 
@@ -25,7 +26,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::CsdInferenceEngine;
 use crate::schedule::PipelineSchedule;
-use crate::stream::{FleetMonitor, StreamMuxConfig};
 
 /// Configuration for the streaming monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -296,65 +296,48 @@ impl StreamMonitor {
     }
 }
 
-/// A pool of per-process monitors sharing one engine — the data-center
-/// deployment shape: the CSD protects a host running many processes, and
-/// each process's API stream gets its own rolling window and vote state.
-///
-/// Since the stream multiplexer landed this is a thin synchronous facade
-/// over [`FleetMonitor`](crate::stream::FleetMonitor): each `observe`
-/// drains the mux immediately, so alerts still surface from the very
-/// call that completed the triggering window, exactly as before (the
-/// mux's low-occupancy shortcut keeps that drain at serial cost).
-/// Callers that can batch their polling should use `FleetMonitor`
-/// directly and let windows from many processes share lane sweeps.
-#[derive(Debug, Clone)]
-pub struct MonitorPool {
-    fleet: FleetMonitor,
-}
+/// A packed k-of-n vote ring: the newest `horizon ≤ 64` verdicts of one
+/// stream as the low bits of a `u64` (bit 0 newest), so a
+/// registered-but-idle stream pays eight bytes for its debouncing
+/// state. The production monitors ([`FleetMonitor`](crate::FleetMonitor)
+/// and the sentry service) both fold verdicts through this one type;
+/// [`StreamMonitor`] keeps its own `VecDeque<bool>` as the independent
+/// reference they are tested against.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VoteRing(u64);
 
-impl MonitorPool {
-    /// Creates a pool; each new process id lazily gets monitor state with
-    /// `config`.
+impl VoteRing {
+    /// The mask selecting the newest `horizon` verdicts, computed once
+    /// per monitor and passed to every [`push`](Self::push).
     ///
     /// # Panics
     ///
-    /// Panics on an invalid `config` (see [`StreamMonitor::new`]).
-    pub fn new(engine: CsdInferenceEngine, config: MonitorConfig) -> Self {
-        Self {
-            fleet: FleetMonitor::new(engine, config, StreamMuxConfig::default()),
+    /// Panics when `horizon` exceeds 64 — the ring is one `u64`.
+    pub fn mask(horizon: usize) -> u64 {
+        assert!(horizon <= 64, "vote ring packs votes into 64 bits");
+        if horizon == 64 {
+            u64::MAX
+        } else {
+            (1u64 << horizon) - 1
         }
     }
 
-    /// Number of processes currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.fleet.tracked()
+    /// Rebuilds a ring from its checkpointed bits.
+    pub fn from_bits(bits: u64) -> Self {
+        Self(bits)
     }
 
-    /// Feeds one API call observed in process `pid`; returns a
-    /// newly-raised alert for that process, if any. Out-of-vocabulary
-    /// calls are dropped and tallied by the backing fleet monitor,
-    /// never a panic.
-    pub fn observe(&mut self, pid: u64, call: usize) -> Option<Alert> {
-        self.fleet.observe(pid, call);
-        self.fleet
-            .drain()
-            .into_iter()
-            .find_map(|(p, alert)| (p == pid).then_some(alert))
+    /// The raw bits (bit 0 newest), as checkpoints store them.
+    pub fn bits(self) -> u64 {
+        self.0
     }
 
-    /// The alert state of process `pid`, if tracked.
-    pub fn alert_for(&self, pid: u64) -> Option<Alert> {
-        self.fleet.alert_for(pid)
-    }
-
-    /// Process ids with latched alerts.
-    pub fn alerted_pids(&self) -> Vec<u64> {
-        self.fleet.alerted_pids()
-    }
-
-    /// Drops a finished process's state.
-    pub fn retire(&mut self, pid: u64) {
-        self.fleet.retire(pid);
+    /// Shifts one verdict in under `mask` (see [`mask`](Self::mask)) and
+    /// reports whether at least `votes_needed` of the remembered
+    /// verdicts are now positive.
+    pub fn push(&mut self, positive: bool, mask: u64, votes_needed: usize) -> bool {
+        self.0 = ((self.0 << 1) | u64::from(positive)) & mask;
+        self.0.count_ones() as usize >= votes_needed
     }
 }
 
@@ -478,47 +461,36 @@ mod tests {
     }
 
     #[test]
-    fn pool_isolates_process_streams() {
-        let model = SequenceClassifier::new(ModelConfig::tiny(16), 9);
-        let engine = CsdInferenceEngine::new(
-            &ModelWeights::from_model(&model),
-            OptimizationLevel::FixedPoint,
-        );
-        let mut pool = MonitorPool::new(engine, small_config());
-        // Interleave two processes: each stream fills its own window.
-        for i in 0..200usize {
-            pool.observe(1, i % 16);
-            pool.observe(2, (i + 5) % 16);
+    fn vote_ring_matches_a_deque_of_bools_at_every_horizon() {
+        // The packed ring against the obvious reference, including the
+        // horizon == 64 edge where `1 << horizon` would overflow.
+        for horizon in [1usize, 2, 3, 7, 63, 64] {
+            let mask = VoteRing::mask(horizon);
+            for votes_needed in [1, horizon.div_ceil(2), horizon] {
+                let mut ring = VoteRing::default();
+                let mut reference: VecDeque<bool> = VecDeque::new();
+                for i in 0..200usize {
+                    let positive = (i * 7 + i / 5) % 3 != 0;
+                    if reference.len() == horizon {
+                        reference.pop_front();
+                    }
+                    reference.push_back(positive);
+                    let expect = reference.iter().filter(|&&v| v).count() >= votes_needed;
+                    assert_eq!(
+                        ring.push(positive, mask, votes_needed),
+                        expect,
+                        "horizon {horizon} k {votes_needed} step {i}"
+                    );
+                }
+                assert_eq!(VoteRing::from_bits(ring.bits()), ring);
+            }
         }
-        assert_eq!(pool.tracked(), 2);
-        // Per-process alert state is independent and consistent.
-        for pid in [1u64, 2] {
-            let direct = pool.alert_for(pid);
-            assert_eq!(pool.alerted_pids().contains(&pid), direct.is_some());
-        }
-        pool.retire(1);
-        assert_eq!(pool.tracked(), 1);
-        assert!(pool.alert_for(1).is_none());
     }
 
     #[test]
-    fn pool_matches_single_monitor_per_stream() {
-        let model = SequenceClassifier::new(ModelConfig::tiny(16), 9);
-        let engine = CsdInferenceEngine::new(
-            &ModelWeights::from_model(&model),
-            OptimizationLevel::FixedPoint,
-        );
-        let calls: Vec<usize> = (0..150).map(|i| (i * 7) % 16).collect();
-        let mut single = StreamMonitor::new(engine.clone(), small_config());
-        let single_alert = single.observe_all(&calls);
-        let mut pool = MonitorPool::new(engine, small_config());
-        let mut pool_alert = None;
-        for &c in &calls {
-            if pool_alert.is_none() {
-                pool_alert = pool.observe(7, c);
-            }
-        }
-        assert_eq!(single_alert, pool_alert);
+    #[should_panic(expected = "64 bits")]
+    fn vote_ring_rejects_horizons_beyond_one_word() {
+        let _ = VoteRing::mask(65);
     }
 
     #[test]

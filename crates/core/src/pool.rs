@@ -1,20 +1,18 @@
 //! A persistent worker pool shared by the engine's parallel paths.
 //!
-//! The previous engine spawned fresh OS threads per timestep (gate CUs)
-//! and per batch call via scoped threads. Thread creation costs dwarf a
-//! 32-element gate matvec, so the hot paths now submit work to one
-//! process-wide pool of long-lived workers ([`WorkerPool::global`]),
-//! mirroring how the physical CUs are instantiated once at bitstream
-//! programming and then fed per-timestep inputs.
+//! The seed engine spawned fresh OS threads per batch call via scoped
+//! threads. Thread creation costs dwarf a lane block's work, so the
+//! parallel paths now submit work to one process-wide pool of long-lived
+//! workers ([`WorkerPool::global`]), mirroring how the physical CUs are
+//! instantiated once at bitstream programming and then fed inputs.
 //!
-//! [`WorkerPool::scatter`] is the basic submission primitive: run a batch
-//! of `'static` jobs, return results in submission order. While waiting,
-//! the submitting thread drains pending pool jobs itself, so nested
-//! scatters (a batch worker fanning out gate CUs) cannot deadlock even
-//! when every worker is busy. [`WorkerPool::scatter_scoped`] relaxes the
-//! `'static` bound so jobs can borrow from the caller's stack — the lane
-//! engine paths shard borrowed slices across workers without cloning the
-//! engine or copying sequences.
+//! [`WorkerPool::scatter_scoped`] is the submission primitive: run a
+//! batch of jobs that may borrow from the caller's stack, return results
+//! in submission order — the lane engine and the sharded mux shard
+//! borrowed slices across workers without cloning the engine or copying
+//! sequences. While waiting, the submitting thread drains pending pool
+//! jobs itself, so nested scatters cannot deadlock even when every
+//! worker is busy.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -25,8 +23,7 @@ use std::time::Duration;
 
 /// A job panicked on the pool.
 ///
-/// [`WorkerPool::try_scatter`] and
-/// [`WorkerPool::try_scatter_scoped`] surface this instead of
+/// [`WorkerPool::try_scatter_scoped`] surfaces this instead of
 /// re-raising the panic, so callers can treat a poisoned job like any
 /// other fallible operation. Only the *first* observed panic is
 /// reported; every submitted job still runs to completion first.
@@ -123,7 +120,7 @@ impl Queue {
 /// Most callers want the process-wide [`WorkerPool::global`]; constructing
 /// private pools is supported for tests. A panicking job poisons only
 /// itself: the submitter sees it as a [`PoolError`] (or a re-raised
-/// panic from the infallible wrappers), sibling jobs run to completion,
+/// panic from the infallible wrapper), sibling jobs run to completion,
 /// and a worker thread killed by an escaped panic is respawned on the
 /// next submission.
 pub struct WorkerPool {
@@ -213,57 +210,8 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Runs every job on the pool and returns their results in submission
-    /// order. The calling thread helps drain the pool while waiting, so
-    /// scatters may nest arbitrarily without deadlocking.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first observed job panic's message. Use
-    /// [`try_scatter`](Self::try_scatter) to handle it as an error.
-    pub fn scatter<R, I>(&self, jobs: I) -> Vec<R>
-    where
-        R: Send + 'static,
-        I: IntoIterator<Item = Box<dyn FnOnce() -> R + Send + 'static>>,
-    {
-        match self.try_scatter(jobs) {
-            Ok(results) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`scatter`](Self::scatter): a panicking job becomes a
-    /// [`PoolError::JobPanicked`] instead of unwinding the caller.
-    /// Every submitted job runs to completion either way; one poisoned
-    /// job cannot take its siblings (or the pool) down with it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first observed job panic.
-    pub fn try_scatter<R, I>(&self, jobs: I) -> Result<Vec<R>, PoolError>
-    where
-        R: Send + 'static,
-        I: IntoIterator<Item = Box<dyn FnOnce() -> R + Send + 'static>>,
-    {
-        self.ensure_workers();
-        let (result_tx, result_rx) = channel();
-        let mut submitted = 0usize;
-        for (index, job) in jobs.into_iter().enumerate() {
-            let tx = result_tx.clone();
-            self.queue.push(Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(job));
-                // The submitter may have bailed already; a dead channel
-                // is fine then.
-                let _ = tx.send((index, outcome));
-            }));
-            submitted += 1;
-        }
-        drop(result_tx);
-        self.collect(submitted, &result_rx)
-    }
-
     /// Drains `submitted` results off `result_rx`, helping run pool jobs
-    /// while waiting. Shared by both scatter flavours.
+    /// while waiting.
     fn collect<R>(
         &self,
         submitted: usize,
@@ -307,11 +255,10 @@ impl WorkerPool {
             .collect())
     }
 
-    /// Like [`scatter`](Self::scatter), but jobs may borrow from the
-    /// caller's stack frame (`'env`): run every job on the pool and return
-    /// their results in submission order. The calling thread helps drain
-    /// the pool while waiting, so scoped scatters nest with plain ones
-    /// without deadlocking.
+    /// Runs every job on the pool and returns their results in
+    /// submission order. Jobs may borrow from the caller's stack frame
+    /// (`'env`). The calling thread helps drain the pool while waiting,
+    /// so scatters may nest arbitrarily without deadlocking.
     ///
     /// This is what lets the batch paths hand workers *references* to the
     /// engine and the input sequences instead of cloning an `Arc` handle
@@ -474,7 +421,7 @@ mod tests {
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
             .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
             .collect();
-        let results = pool.scatter(jobs);
+        let results = pool.scatter_scoped(jobs);
         assert_eq!(results, (0..32usize).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -489,11 +436,11 @@ mod tests {
                     let inner: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4usize)
                         .map(|j| Box::new(move || i * 10 + j) as Box<dyn FnOnce() -> usize + Send>)
                         .collect();
-                    WorkerPool::global().scatter(inner).into_iter().sum()
+                    WorkerPool::global().scatter_scoped(inner).into_iter().sum()
                 }) as Box<dyn FnOnce() -> usize + Send>
             })
             .collect();
-        let sums = pool.scatter(outer);
+        let sums = pool.scatter_scoped(outer);
         assert_eq!(sums, vec![6, 46, 86]);
     }
 
@@ -502,12 +449,12 @@ mod tests {
         let pool = WorkerPool::new(2);
         let boom: Vec<Box<dyn FnOnce() + Send>> =
             vec![Box::new(|| panic!("job failure")) as Box<dyn FnOnce() + Send>];
-        let outcome = catch_unwind(AssertUnwindSafe(|| pool.scatter(boom)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| pool.scatter_scoped(boom)));
         assert!(outcome.is_err(), "panic should reach the submitter");
         // The pool still works afterwards.
         let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 7u32) as Box<dyn FnOnce() -> u32 + Send>];
-        assert_eq!(pool.scatter(jobs), vec![7]);
+        assert_eq!(pool.scatter_scoped(jobs), vec![7]);
     }
 
     #[test]
@@ -522,7 +469,7 @@ mod tests {
     fn empty_scatter_returns_empty() {
         let pool = WorkerPool::new(2);
         let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = Vec::new();
-        assert!(pool.scatter(jobs).is_empty());
+        assert!(pool.scatter_scoped(jobs).is_empty());
     }
 
     #[test]
@@ -583,7 +530,7 @@ mod tests {
         }
         let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 11u32) as Box<dyn FnOnce() -> u32 + Send>];
-        assert_eq!(pool.scatter(jobs), vec![11]);
+        assert_eq!(pool.scatter_scoped(jobs), vec![11]);
     }
 
     #[test]
@@ -599,14 +546,14 @@ mod tests {
                 }) as Box<dyn FnOnce() -> usize + Send>
             })
             .collect();
-        let err = pool.try_scatter(jobs).expect_err("job 3 panicked");
+        let err = pool.try_scatter_scoped(jobs).expect_err("job 3 panicked");
         let PoolError::JobPanicked { index, message } = err;
         assert_eq!(index, 3);
         assert!(message.contains("job 3 failure"), "{message}");
         // Siblings ran, the pool is intact.
         let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             vec![Box::new(|| 9u32) as Box<dyn FnOnce() -> u32 + Send>];
-        assert_eq!(pool.try_scatter(jobs), Ok(vec![9]));
+        assert_eq!(pool.try_scatter_scoped(jobs), Ok(vec![9]));
     }
 
     #[test]
@@ -649,7 +596,7 @@ mod tests {
             .map(|i| Box::new(move || i * 3) as Box<dyn FnOnce() -> u32 + Send>)
             .collect();
         assert_eq!(
-            pool.scatter(jobs),
+            pool.scatter_scoped(jobs),
             (0..8u32).map(|i| i * 3).collect::<Vec<_>>()
         );
         assert_eq!(pool.alive_workers(), 2, "full strength restored");
@@ -675,7 +622,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        pool.scatter(jobs);
+        pool.scatter_scoped(jobs);
         assert_eq!(COUNTER.load(Ordering::SeqCst), 50);
     }
 }

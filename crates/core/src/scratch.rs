@@ -28,10 +28,6 @@ pub struct InferenceScratch<T> {
     pub c: Vector<T>,
     /// Hidden state `h_t` (`H` elements).
     pub h: Vector<T>,
-    /// Staging for the narrow-MAC gate matvec (`Z` capacity): the raw
-    /// input narrowed to `i32` for the packed fixed-point path. Unused
-    /// (but cheap) on the float instance.
-    pub narrow_z: Vec<i32>,
 }
 
 impl<T: Scalar> InferenceScratch<T> {
@@ -43,7 +39,6 @@ impl<T: Scalar> InferenceScratch<T> {
             g: Vector::zeros(4 * dims.hidden),
             c: Vector::zeros(dims.hidden),
             h: Vector::zeros(dims.hidden),
-            narrow_z: Vec::with_capacity(dims.z()),
         }
     }
 

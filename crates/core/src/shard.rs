@@ -208,9 +208,8 @@ impl ShardedStreamMux {
     ///
     /// The shard count resolves `config.shards`, then the
     /// `CSD_STREAM_SHARDS` environment knob, then the worker pool's
-    /// thread count. The steal policy resolves `config.steal`, then the
-    /// `CSD_STREAM_DETERMINISTIC_STEAL` knob (truthy forces
-    /// [`StealPolicy::Deterministic`]), then [`StealPolicy::default`].
+    /// thread count. The steal policy is `config.steal`, defaulting to
+    /// [`StealPolicy::default`].
     /// `config.lanes` and `config.max_pending` keep their
     /// [`StreamMux`] meanings, with `lanes` now *per shard* and
     /// `max_pending` bounding the *total* pending count across shards.
@@ -226,18 +225,7 @@ impl ShardedStreamMux {
             .or_else(|| crate::env::positive_usize("CSD_STREAM_SHARDS"))
             .unwrap_or_else(|| WorkerPool::global().threads())
             .max(1);
-        let steal = config
-            .steal
-            .or_else(|| {
-                crate::env::flag("CSD_STREAM_DETERMINISTIC_STEAL").map(|on| {
-                    if on {
-                        StealPolicy::Deterministic
-                    } else {
-                        StealPolicy::default()
-                    }
-                })
-            })
-            .unwrap_or_default();
+        let steal = config.steal.unwrap_or_default();
         let shard_config = StreamMuxConfig {
             lanes: config.lanes,
             // Backpressure is enforced globally before routing; a shard
@@ -1082,17 +1070,15 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_resolve_shard_count_and_steal_policy() {
+    fn env_override_resolves_shard_count() {
         // Unique-ish knob values, set and removed immediately; the
         // parity tests are shard-count-agnostic so a brief overlap with
         // a parallel test constructing a mux is harmless.
         std::env::set_var("CSD_STREAM_SHARDS", "3");
-        std::env::set_var("CSD_STREAM_DETERMINISTIC_STEAL", "yes");
         let mux = ShardedStreamMux::new(engine(1), StreamMuxConfig::default());
         std::env::remove_var("CSD_STREAM_SHARDS");
-        std::env::remove_var("CSD_STREAM_DETERMINISTIC_STEAL");
         assert_eq!(mux.shards(), 3);
-        assert_eq!(mux.steal_policy(), StealPolicy::Deterministic);
+        assert_eq!(mux.steal_policy(), StealPolicy::default());
         // Config wins over environment.
         std::env::set_var("CSD_STREAM_SHARDS", "7");
         let pinned = ShardedStreamMux::new(

@@ -33,7 +33,7 @@
 //!
 //! # Two-tier cascade
 //!
-//! With `CSD_CASCADE` on (or [`StreamMuxConfig::cascade`] set) *and* a
+//! With [`StreamMuxConfig::cascade`] set to a screening mode *and* a
 //! [`CascadeTier`] mounted on the engine, the mux runs two lane blocks
 //! per tick. Pending windows are admitted to the *screen* block first —
 //! the quantized `i16` model advancing in bulk through
@@ -69,7 +69,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cascade::{CascadeMode, CascadeTier};
 use crate::engine::{Classification, CsdInferenceEngine};
-use crate::monitor::{Alert, MonitorConfig, RollingWindow};
+use crate::monitor::{Alert, MonitorConfig, RollingWindow, VoteRing};
 use crate::schedule::PipelineSchedule;
 use crate::scratch::{EngineScratch, LaneScratch, ScreenLaneScratch};
 use crate::shard::{ShardedStreamMux, StealPolicy};
@@ -93,9 +93,8 @@ pub enum OverflowPolicy {
 /// Configuration for a [`StreamMux`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamMuxConfig {
-    /// Number of lane slots `W`. `None` resolves the `CSD_STREAM_LANES`
-    /// environment knob, falling back to the engine's cache-derived
-    /// [`lane_width`](CsdInferenceEngine::lane_width).
+    /// Number of lane slots `W`. `None` resolves to the engine's
+    /// cache-derived [`lane_width`](CsdInferenceEngine::lane_width).
     pub lanes: Option<usize>,
     /// Bound on the pending-window queue; [`OverflowPolicy`] applies
     /// beyond it.
@@ -108,15 +107,12 @@ pub struct StreamMuxConfig {
     /// [`StreamMux`] (always one shard).
     #[serde(default)]
     pub shards: Option<usize>,
-    /// Work-steal policy for a [`ShardedStreamMux`]. `None` resolves the
-    /// `CSD_STREAM_DETERMINISTIC_STEAL` environment knob, falling back
-    /// to [`StealPolicy::default`]. Ignored by a standalone
-    /// [`StreamMux`].
+    /// Work-steal policy for a [`ShardedStreamMux`]. `None` resolves to
+    /// [`StealPolicy::default`]. Ignored by a standalone [`StreamMux`].
     #[serde(default)]
     pub steal: Option<StealPolicy>,
-    /// Two-tier cascade mode. `None` resolves the `CSD_CASCADE`
-    /// environment knob (default [`CascadeMode::Off`]). Screening also
-    /// requires a [`CascadeTier`] mounted on the engine
+    /// Two-tier cascade mode. `None` resolves to [`CascadeMode::Off`].
+    /// Screening also requires a [`CascadeTier`] mounted on the engine
     /// ([`with_cascade`](CsdInferenceEngine::with_cascade)); without one
     /// the mux logs a one-shot notice and runs single-tier.
     #[serde(default)]
@@ -431,23 +427,20 @@ impl StreamMux {
     /// Panics when `config.lanes` is `Some(0)` or `config.max_pending`
     /// is zero.
     pub fn new(engine: CsdInferenceEngine, config: StreamMuxConfig) -> Self {
-        let width = config
-            .lanes
-            .or_else(|| crate::env::positive_usize("CSD_STREAM_LANES"))
-            .unwrap_or_else(|| engine.lane_width());
+        let width = config.lanes.unwrap_or_else(|| engine.lane_width());
         assert!(width > 0, "a stream mux needs at least one lane");
         assert!(config.max_pending > 0, "max_pending must be positive");
         let scratch = LaneScratch::new(engine.weights().dims(), width);
         let serial_scratch = engine.make_scratch();
         let lane_ok = engine.supports_lane_stepping();
         let vocab = engine.weights().dims().vocab;
-        let requested = config.cascade.unwrap_or_else(crate::env::cascade_mode);
+        let requested = config.cascade.unwrap_or_default();
         let tier = if requested.screening() {
             let tier = engine.cascade_shared();
             if tier.is_none() {
                 CASCADE_FALLBACK_LOGGED.call_once(|| {
                     eprintln!(
-                        "csd-accel: CSD_CASCADE requests screening but the engine has no \
+                        "csd-accel: the mux config requests screening but the engine has no \
                          mounted cascade tier; the stream mux runs single-tier (exact path)"
                     );
                 });
@@ -1181,16 +1174,15 @@ struct Latched {
 }
 
 /// Per-process record inside a [`FleetMonitor`]: a 32-byte cold core so
-/// a million registered streams fit in tens of megabytes. The vote ring
-/// is packed into a `u64` bitmask (bit 0 = newest verdict, one bit
-/// shifted in per verdict, masked to `vote_horizon` bits) — which is why
-/// the fleet monitor caps `vote_horizon` at 64.
+/// a million registered streams fit in tens of megabytes. The votes are
+/// a packed [`VoteRing`] — which is why the fleet monitor caps
+/// `vote_horizon` at 64.
 #[derive(Debug, Clone, Default)]
 struct StreamState {
     hot: Option<Box<HotState>>,
     latched: Option<Box<Latched>>,
     calls_seen: u64,
-    votes: u64,
+    votes: VoteRing,
 }
 
 /// A fleet of per-process ransomware monitors multiplexed onto one lane
@@ -1221,7 +1213,7 @@ pub struct FleetMonitor {
     /// Recycled verdict buffer for `poll`/`drain`: the hot monitoring
     /// path allocates nothing at steady state.
     verdict_buf: Vec<Verdict>,
-    /// `vote_horizon` ones, precomputed.
+    /// [`VoteRing::mask`] of `vote_horizon`, precomputed.
     vote_mask: u64,
     /// Vocabulary size, cached for `observe`-time validation.
     vocab: usize,
@@ -1291,16 +1283,8 @@ impl FleetMonitor {
             config.votes_needed <= config.vote_horizon,
             "cannot need more votes than the horizon holds"
         );
-        assert!(
-            config.vote_horizon <= 64,
-            "fleet monitor packs votes into a 64-bit ring"
-        );
+        let vote_mask = VoteRing::mask(config.vote_horizon);
         let per_item_us = PipelineSchedule::for_level(engine.level()).steady_item_us;
-        let vote_mask = if config.vote_horizon == 64 {
-            u64::MAX
-        } else {
-            (1u64 << config.vote_horizon) - 1
-        };
         let vocab = engine.weights().dims().vocab;
         Self {
             mux: ShardedStreamMux::new(engine, mux_config),
@@ -1478,9 +1462,11 @@ impl FleetMonitor {
                 continue;
             };
             hot.verdicts += 1;
-            state.votes =
-                ((state.votes << 1) | u64::from(v.classification.is_positive)) & self.vote_mask;
-            if (state.votes.count_ones() as usize) >= self.config.votes_needed {
+            if state.votes.push(
+                v.classification.is_positive,
+                self.vote_mask,
+                self.config.votes_needed,
+            ) {
                 let alert = Alert {
                     at_call: v.at_call,
                     probability: v.classification.probability,

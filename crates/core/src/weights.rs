@@ -46,169 +46,6 @@ fn fuse_gates<T: Scalar>(ws: &[Matrix<T>; 4], bs: &[Vector<T>; 4]) -> FusedGates
     }
 }
 
-/// The fused fixed-point gate matrix repacked into `i32` raw values — the
-/// software analogue of mapping the gate MACs onto the FPGA's narrow DSP
-/// multipliers instead of a wide soft multiplier.
-///
-/// Quantized LSTM weights are far below `2^31` in raw 10^6-scaled form,
-/// and every gate-input column is either a bounded activation (`|h| ≤ 1`,
-/// so `|raw| ≤ 10^6`) or a quantized embedding, so each product fits a
-/// 32×32→64-bit multiply and a whole `Z`-term row sum accumulates exactly
-/// in an `i64`. Integer addition is associative and exact when nothing
-/// overflows, so the narrow row sum equals the wide `i128` sum bit for
-/// bit; [`PackedGatesFx::pack`] refuses weights that cannot guarantee
-/// this, and [`PackedGatesFx::matvec_into`] refuses inputs outside the
-/// proven range, in both cases falling back to the wide path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedGatesFx {
-    /// Row-major `rows × cols` raw weights, narrowed to `i32`.
-    w: Vec<i32>,
-    rows: usize,
-    cols: usize,
-    /// Largest `|raw|` of an input element for which every partial sum
-    /// provably stays inside `i64`.
-    z_limit: i64,
-    /// Whether this CPU can run the AVX2-compiled copy of the row loop
-    /// (detected once at pack time). Same arithmetic either way; the
-    /// baseline x86-64 target lacks the signed 32×32→64 SIMD multiply,
-    /// so the vector body must be compiled — and gated — explicitly.
-    use_avx2: bool,
-}
-
-impl PackedGatesFx {
-    /// Narrows a fused gate matrix, or `None` when some weight exceeds
-    /// `i32` or is so large that no useful input range stays exact.
-    pub fn pack(fused: &FusedGates<Fx6>) -> Option<Self> {
-        let (rows, cols) = (fused.w.rows(), fused.w.cols());
-        let mut w = Vec::with_capacity(rows * cols);
-        let mut max_abs: i64 = 1;
-        for &v in fused.w.as_flat() {
-            let raw = v.raw();
-            w.push(i32::try_from(raw).ok()?);
-            max_abs = max_abs.max(raw.abs());
-        }
-        let z_limit = (i64::MAX / max_abs / cols.max(1) as i64).min(i32::MAX as i64);
-        // An engine input always holds |h| ≤ 1; a limit below one means
-        // even that cannot be guaranteed exact, so don't pack at all.
-        if z_limit < Fx6::SCALE {
-            return None;
-        }
-        Some(Self {
-            w,
-            rows,
-            cols,
-            z_limit,
-            use_avx2: avx2_available(),
-        })
-    }
-
-    /// Fused matvec over narrow MACs: `out[r] = rescale(Σ w[r][k]·z[k])`.
-    ///
-    /// Returns `false` — leaving `out` untouched — when any `|z|` exceeds
-    /// the exactness bound, so the caller can fall back to the wide path.
-    /// `z_narrow` is caller scratch for the narrowed input (resized here).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `z` or `out` disagree with the packed shape.
-    pub fn matvec_into(&self, z: &[Fx6], z_narrow: &mut Vec<i32>, out: &mut [Fx6]) -> bool {
-        assert_eq!(z.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        z_narrow.clear();
-        for v in z {
-            let raw = v.raw();
-            if raw.abs() > self.z_limit {
-                return false;
-            }
-            z_narrow.push(raw as i32);
-        }
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx2 {
-            // SAFETY: `use_avx2` is only set when the running CPU
-            // reported AVX2 support at pack time.
-            #[allow(unsafe_code)]
-            unsafe {
-                self.rows_avx2(z_narrow, out)
-            };
-            return true;
-        }
-        matvec_rows(&self.w, self.cols, z_narrow, out);
-        true
-    }
-
-    /// The row loop compiled with AVX2 enabled, so the widening MACs
-    /// vectorize (`vpmuldq`). Same source, same integer results.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    unsafe fn rows_avx2(&self, z_narrow: &[i32], out: &mut [Fx6]) {
-        matvec_rows(&self.w, self.cols, z_narrow, out);
-    }
-
-    /// Gate-table fused matvec: `out[r] = rescale(table_row[r] +
-    /// Σ_{k<hcols} w[r][k]·h[k])` — the serial twin of the lane kernel's
-    /// table path, skipping the embedding gather, the `[h|x]` concat,
-    /// the `E` input columns, and the separate bias add. Exact by the
-    /// same reassociation argument: `table_row[r]` is the integer value
-    /// of the folded-out terms, and integer addition is associative
-    /// when nothing overflows (the partial row sum is bounded by the
-    /// full-row `z_limit` proof; the table entry is below `2^52`).
-    ///
-    /// Returns `false` — leaving `out` untouched — when any `|h|`
-    /// exceeds the exactness bound, mirroring [`Self::matvec_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice shapes disagree with the packed matrix.
-    pub fn matvec_table_into(&self, table_row: &[i64], h: &[Fx6], out: &mut [Fx6]) -> bool {
-        let hcols = h.len();
-        assert!(hcols <= self.cols, "more recurrent columns than packed");
-        assert_eq!(table_row.len(), self.rows, "table row length mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        if h.iter().any(|v| v.raw().abs() > self.z_limit) {
-            return false;
-        }
-        crate::kernels::gates::fused_preact_table_fx(table_row, &self.w, self.cols, hcols, h, out);
-        true
-    }
-}
-
-/// Whether the AVX2-compiled row loop may run on this machine.
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Shared body of the narrow-MAC row loop: `out[r] = rescale(Σ w[r]·z)`.
-/// Fixed-width inner blocks keep the reduction vectorizable; integer
-/// addition makes any grouping exact, so every compilation of this loop
-/// produces identical raw sums.
-#[inline(always)]
-fn matvec_rows(w: &[i32], cols: usize, z_narrow: &[i32], out: &mut [Fx6]) {
-    for (row, o) in w.chunks_exact(cols).zip(out.iter_mut()) {
-        let mut acc: i64 = 0;
-        let mut wb = row.chunks_exact(8);
-        let mut zb = z_narrow.chunks_exact(8);
-        for (ws, zs) in wb.by_ref().zip(zb.by_ref()) {
-            let mut block: i64 = 0;
-            for k in 0..8 {
-                block += ws[k] as i64 * zs[k] as i64;
-            }
-            acc += block;
-        }
-        for (&wv, &zv) in wb.remainder().iter().zip(zb.remainder()) {
-            acc += wv as i64 * zv as i64;
-        }
-        *o = Fx6::from_raw(div_round_i64(acc, Fx6::SCALE));
-    }
-}
-
 /// Rounded division, half-away-from-zero — the same correction
 /// `Fixed::dot` applies to its wide accumulator.
 pub(crate) fn div_round_i64(num: i64, den: i64) -> i64 {
@@ -233,44 +70,51 @@ pub(crate) fn div_round_i64(num: i64, den: i64) -> i64 {
 /// Longer sequences fall back to the serial path (bit-identical anyway).
 pub const LANE_MAX_STEPS: usize = 8_000;
 
-/// The fused fixed-point gate parameters re-encoded for the lane-batched
-/// kernels in [`csd_tensor::lanes`]: every raw integer stored as an exact
-/// `f64`, biases pre-multiplied by `SCALE` so they fold into the matmul
-/// accumulator before the rescale (`round(a/S) + b == round((a + b·S)/S)`
-/// exactly, because `b·S` is a multiple of `S`).
+/// The fused fixed-point gate parameters folded and re-encoded for the
+/// production fixed-point path — the lane-batched table kernel in
+/// [`csd_tensor::lanes`] and its serial twin
+/// ([`matvec_table_into`](Self::matvec_table_into)).
+///
+/// The embedding is folded through the input (`W_x`) half of the fused
+/// gate matrix into a per-item **input-gate table** with the bias
+/// pre-multiplied by `SCALE` (`round(a/S) + b == round((a + b·S)/S)`
+/// exactly, because `b·S` is a multiple of `S`), so a timestep is one
+/// table-row gather plus the `H` recurrent columns. The recurrent half
+/// (`W_h`) is kept twice: as exact `f64` integers for the lane kernel
+/// and narrowed to `i32` for the serial one — the software analogue of
+/// mapping the gate MACs onto the FPGA's narrow DSP multipliers instead
+/// of a wide soft multiplier.
 ///
 /// [`LaneGatesFx::pack`] is where the exactness contract is *proven*, not
 /// assumed: it rejects (returns `None`) any weight set whose worst-case
 /// pre-activation accumulator could leave the exact-integer range of
-/// `f64`. The engine then routes rejected models through the serial
-/// fixed-point path, so lane batching never changes a single output bit.
+/// `f64`, or whose recurrent weights do not fit `i32`. The engine then
+/// routes rejected models through the wide serial fixed-point path, so
+/// neither packing nor lane batching ever changes a single output bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneGatesFx {
-    /// Row-major `rows × cols` raw weights as exact `f64` values.
-    w: Vec<f64>,
-    /// Row-major `rows × hidden` recurrent-column weights (`W_h`), the
-    /// contiguous repack the gate-table matmul iterates over.
+    /// Row-major `rows × hidden` recurrent-column weights (`W_h`) as
+    /// exact `f64` values — what the lane table matmul iterates over.
     w_h: Vec<f64>,
-    /// Per-row raw bias times `SCALE`, as exact `f64` values.
-    bias_scaled: Vec<f64>,
-    /// `vocab × embed` raw embedding table as exact `f64` values — the
-    /// lane gather source (column `hidden + e` of the gate input).
-    embedding: Vec<f64>,
+    /// The same `W_h` narrowed to `i32`, for the serial table matvec.
+    w_h_i32: Vec<i32>,
     /// The precomputed **input-gate table**, `vocab × rows` row-major:
     /// `table[item·rows + r] = Σ_e w[r][hidden+e]·emb[item][e] +
     /// b_r·SCALE`. One row gather replaces the per-timestep embedding
     /// copy plus the `E` input columns of the matmul.
     table: Vec<f64>,
-    /// The same table as raw `i64`, for the serial fused path.
+    /// The same table as raw `i64`, for the serial table matvec.
     table_i64: Vec<i64>,
+    /// Largest `|raw|` of a recurrent input for which the serial table
+    /// matvec's `i64` accumulator provably cannot overflow.
+    z_limit: i64,
     rows: usize,
-    cols: usize,
     hidden: usize,
 }
 
 impl LaneGatesFx {
-    /// Re-encodes the fused gates and embedding table, or `None` when the
-    /// exactness proof fails.
+    /// Folds and re-encodes the fused gates and embedding table, or
+    /// `None` when the exactness proof fails.
     ///
     /// The proof obligations, per row `r` of the fused matrix:
     ///
@@ -278,7 +122,10 @@ impl LaneGatesFx {
     /// 2. `Σ_k |w[r][k]| · zbound[k] + |b_r|·SCALE + SCALE/2 < 2^52`,
     ///    where `zbound[k] = SCALE` for recurrent columns (`|h| ≤ 1` is
     ///    an invariant of the update kernel: `h = o ∗ softsign(C)` with
-    ///    `o ≤ 1`) and the column's largest `|raw|` for embedding columns.
+    ///    `o ≤ 1`) and the column's largest `|raw|` for embedding columns;
+    /// 3. every recurrent weight fits `i32`, and `|table entry| +
+    ///    H · max|w_h| · SCALE` fits `i64` (so the serial accumulator
+    ///    holds for every `|h| ≤ 1`).
     ///
     /// Under (2) every FMA partial sum is an exact integer, so the tiled
     /// SIMD matmul, the scalar fallback, and the reference `i64`/`i128`
@@ -327,41 +174,32 @@ impl LaneGatesFx {
             }
         }
         let mut w_h = Vec::with_capacity(rows * hidden);
+        let mut w_h_i32 = Vec::with_capacity(rows * hidden);
+        let mut max_abs: i64 = 1;
         for r in 0..rows {
             for k in 0..hidden {
-                w_h.push(fused.w.get(r, k).raw() as f64);
+                let raw = fused.w.get(r, k).raw();
+                w_h.push(raw as f64);
+                w_h_i32.push(i32::try_from(raw).ok()?);
+                max_abs = max_abs.max(raw.abs());
             }
         }
+        let z_limit =
+            ((i64::MAX - EXACT_F64_INT) / max_abs / hidden.max(1) as i64).min(i32::MAX as i64);
+        // An engine input always holds |h| ≤ 1; a limit below one means
+        // even that cannot be guaranteed exact, so don't pack at all.
+        if z_limit < Fx6::SCALE {
+            return None;
+        }
         Some(Self {
-            w: fused.w.as_flat().iter().map(|v| v.raw() as f64).collect(),
             w_h,
-            bias_scaled: fused
-                .b
-                .iter()
-                .map(|v| (v.raw() as i128 * Fx6::SCALE as i128) as f64)
-                .collect(),
-            embedding: embedding.as_flat().iter().map(|v| v.raw() as f64).collect(),
+            w_h_i32,
             table: table_i64.iter().map(|&x| x as f64).collect(),
             table_i64,
+            z_limit,
             rows,
-            cols,
             hidden,
         })
-    }
-
-    /// Row-major raw weights, `f64`-encoded.
-    pub fn weights(&self) -> &[f64] {
-        &self.w
-    }
-
-    /// Per-row `bias · SCALE`, `f64`-encoded.
-    pub fn bias_scaled(&self) -> &[f64] {
-        &self.bias_scaled
-    }
-
-    /// Raw embedding table, `f64`-encoded, `vocab × embed` row-major.
-    pub fn embedding(&self) -> &[f64] {
-        &self.embedding
     }
 
     /// Recurrent-column weights `W_h`, row-major `rows × hidden`.
@@ -376,22 +214,43 @@ impl LaneGatesFx {
 
     /// One raw input-gate table row: the precomputed
     /// `W_x·e(item) + b·SCALE` for every fused gate row.
+    fn table_row_i64(&self, item: usize) -> &[i64] {
+        &self.table_i64[item * self.rows..(item + 1) * self.rows]
+    }
+
+    /// Gate-table fused matvec: `out[r] = rescale(table_row(item)[r] +
+    /// Σ_k w_h[r][k]·h[k])` — the serial twin of the lane kernel's table
+    /// path, skipping the embedding gather, the `[h|x]` concat, the `E`
+    /// input columns, and the separate bias add. Exact by the same
+    /// reassociation argument: the table entry is the integer value of
+    /// the folded-out terms, and integer addition is associative when
+    /// nothing overflows (proof obligation 3 of [`pack`](Self::pack)).
+    ///
+    /// Returns `false` — leaving `out` untouched — when any `|h|`
+    /// exceeds the exactness bound, so the caller can fall back to the
+    /// wide path.
     ///
     /// # Panics
     ///
-    /// Panics when `item` is outside the vocabulary.
-    pub fn table_row_i64(&self, item: usize) -> &[i64] {
-        &self.table_i64[item * self.rows..(item + 1) * self.rows]
+    /// Panics when `item` is outside the vocabulary or the slice shapes
+    /// disagree with the packed matrix.
+    pub fn matvec_table_into(&self, item: usize, h: &[Fx6], out: &mut [Fx6]) -> bool {
+        assert_eq!(h.len(), self.hidden, "recurrent input length mismatch");
+        if h.iter().any(|v| v.raw().abs() > self.z_limit) {
+            return false;
+        }
+        crate::kernels::gates::fused_preact_table_fx(
+            self.table_row_i64(item),
+            &self.w_h_i32,
+            h,
+            out,
+        );
+        true
     }
 
     /// Fused gate rows (`4H`).
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Gate input columns (`Z = H + E`).
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Recurrent columns (`H`).
@@ -405,18 +264,16 @@ impl LaneGatesFx {
     }
 }
 
-/// The fused fixed-point gate matrix narrowed all the way to `i16`
-/// weights with `i32` row sums — the `vpmaddwd` MAC tier, which retires
-/// twice the multiply-adds per vector instruction of the `f64` FMA path.
+/// A gate matrix narrowed all the way to `i16` weights with `i32` row
+/// sums — the `vpmaddwd` MAC tier, which retires twice the multiply-adds
+/// per vector instruction of the `f64` FMA path.
 ///
-/// [`PackedGatesI16::pack`] extends the per-row magnitude-bound proof of
-/// [`LaneGatesFx::pack`] to the narrower containers via
-/// [`csd_fxp::row_fits_i16_mac`]. At the paper's 10^6 decimal scale the
-/// proof **always fails** — the recurrent columns carry `|h| ≤ 1`, raw
-/// `10^6 ≫ 32767` — so the engine keeps the `f64`-FMA/`i32` paths for
-/// the shipped model (the documented fallback contract) while the kernel
-/// stands ready for lower-scale tiers (e.g. a 10^3 first-pass screen,
-/// ROADMAP item 2).
+/// [`PackedGatesI16::pack_rows_raw`] extends the per-row magnitude-bound
+/// proof of [`LaneGatesFx::pack`] to the narrower containers via
+/// [`csd_fxp::row_fits_i16_mac`]. The paper's 10^6 decimal scale can
+/// never pass it — the recurrent columns carry `|h| ≤ 1`, raw
+/// `10^6 ≫ 32767` — so only the 10^4 screen tier
+/// ([`crate::cascade::ScreenGates`]) packs one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedGatesI16 {
     /// Row-major `rows × cols` raw weights, narrowed to `i16`.
@@ -425,11 +282,9 @@ pub struct PackedGatesI16 {
     cols: usize,
 }
 
-/// Why a [`PackedGatesI16::pack_explain`] call declined: the structured
-/// form of the `row_fits_i16_mac` failure that used to be silent (one
-/// pinned test aside). The engine surfaces the first decline per process
-/// as a one-shot log line and counts every decline in
-/// [`i16_decline_count`].
+/// Why [`PackedGatesI16::pack_rows_raw`] declined: which rows broke the
+/// `row_fits_i16_mac` proof and how far outside the containers they
+/// were.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct I16Decline {
     /// Total fused rows examined.
@@ -461,56 +316,11 @@ impl std::fmt::Display for I16Decline {
     }
 }
 
-/// Process-wide count of `i16` pack declines (every model whose rows
-/// failed the narrow-MAC proof since process start).
-pub fn i16_decline_count() -> u64 {
-    I16_DECLINES.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-static I16_DECLINES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static I16_DECLINE_LOGGED: std::sync::Once = std::sync::Once::new();
-
-fn record_i16_decline(decline: &I16Decline) {
-    I16_DECLINES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    I16_DECLINE_LOGGED.call_once(|| {
-        eprintln!("csd-accel: {decline} — engine keeps the f64-FMA/i32 paths (further declines counted, not logged)");
-    });
-}
-
 impl PackedGatesI16 {
-    /// Narrows a fused gate matrix against the caller's per-column input
-    /// bound, or `None` when any row fails the `i16×i16→i32` proof.
-    /// `zbound[k]` must bound `|z[k].raw()|` over every input the caller
-    /// will ever present (the engine passes the same bounds
-    /// [`LaneGatesFx::pack`] derives).
-    pub fn pack(fused: &FusedGates<Fx6>, zbound: &[i64]) -> Option<Self> {
-        Self::pack_explain(fused, zbound).ok()
-    }
-
-    /// [`Self::pack`] with a structured decline: on failure, returns
-    /// *which* rows broke the proof and how far outside the containers
-    /// they were, bumps the process-wide decline counter, and emits a
-    /// one-shot log line for the first decline in the process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`I16Decline`] when `zbound` disagrees with the matrix
-    /// shape or any row fails [`row_fits_i16_mac`].
-    pub fn pack_explain(fused: &FusedGates<Fx6>, zbound: &[i64]) -> Result<Self, I16Decline> {
-        let (rows, cols) = (fused.w.rows(), fused.w.cols());
-        let mut row_raw = vec![0i64; rows * cols];
-        for r in 0..rows {
-            for k in 0..cols {
-                row_raw[r * cols + k] = fused.w.get(r, k).raw();
-            }
-        }
-        Self::pack_rows_raw(rows, cols, &row_raw, zbound)
-    }
-
-    /// The shared narrow-pack body over raw `i64` rows — the entry the
-    /// screen tier uses directly (its weights live at a screen scale,
-    /// not `Fx6`'s). Proves every row via [`row_fits_i16_mac`] against
-    /// `zbound`, recording and describing declines.
+    /// Narrows raw `i64` gate rows against the caller's per-column input
+    /// bound: `zbound[k]` must bound `|z[k]|` over every input the
+    /// caller will ever present. Proves every row via
+    /// [`row_fits_i16_mac`].
     ///
     /// # Errors
     ///
@@ -532,7 +342,6 @@ impl PackedGatesI16 {
         };
         if w_raw.len() != rows * cols || zbound.len() != cols {
             decline.rows_failed = rows;
-            record_i16_decline(&decline);
             return Err(decline);
         }
         let mut first_failed = None;
@@ -544,7 +353,6 @@ impl PackedGatesI16 {
         }
         if let Some(first) = first_failed {
             decline.first_failed_row = first;
-            record_i16_decline(&decline);
             return Err(decline);
         }
         Ok(Self {
@@ -842,36 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_matvec_is_bit_identical_to_wide_path() {
-        let q = weights();
-        let fused = q.fused_fx();
-        let packed = PackedGatesFx::pack(&fused).expect("paper weights fit i32");
-        let z: Vec<Fx6> = (0..q.dims().z())
-            .map(|i| Fx6::from_f64(0.13 * i as f64 - 1.7))
-            .collect();
-        let zv = Vector::from(z);
-        let wide = fused.w.matvec(&zv);
-        let mut narrow = Vector::zeros(fused.w.rows());
-        let mut z_scratch = Vec::new();
-        assert!(packed.matvec_into(zv.as_slice(), &mut z_scratch, narrow.as_mut_slice()));
-        assert_eq!(wide, narrow);
-    }
-
-    #[test]
-    fn packed_matvec_declines_out_of_range_input() {
-        let q = weights();
-        let fused = q.fused_fx();
-        let packed = PackedGatesFx::pack(&fused).expect("paper weights fit i32");
-        let mut z = vec![Fx6::ZERO; q.dims().z()];
-        z[0] = Fx6::from_raw(i64::MAX / 2);
-        let mut out = vec![Fx6::ONE; fused.w.rows()];
-        let mut z_scratch = Vec::new();
-        assert!(!packed.matvec_into(&z, &mut z_scratch, &mut out));
-        // Declined call must leave the output untouched.
-        assert!(out.iter().all(|&v| v == Fx6::ONE));
-    }
-
-    #[test]
     fn gate_table_entries_are_the_folded_embedding_products() {
         let q = weights();
         let fused = q.fused_fx();
@@ -894,42 +672,37 @@ mod tests {
                 assert_eq!(lane.gate_table()[item * lane.rows() + r] as i64, entry);
             }
         }
-        // W_h is the recurrent prefix of each packed row.
+        // W_h is the recurrent prefix of each fused row.
         for r in 0..lane.rows() {
             for k in 0..dims.hidden {
                 assert_eq!(
-                    lane.w_hidden()[r * dims.hidden + k],
-                    lane.weights()[r * lane.cols() + k]
+                    lane.w_hidden()[r * dims.hidden + k] as i64,
+                    fused.w.get(r, k).raw()
                 );
             }
         }
     }
 
     #[test]
-    fn table_matvec_is_bit_identical_to_unfolded_path() {
+    fn table_matvec_is_bit_identical_to_wide_path() {
         let q = weights();
         let fused = q.fused_fx();
         let dims = q.dims();
         let lane = LaneGatesFx::pack(&fused, &q.embedding_fx, dims.hidden).expect("paper packs");
-        let packed = PackedGatesFx::pack(&fused).expect("paper weights fit i32");
         let h: Vec<Fx6> = (0..dims.hidden)
             .map(|i| Fx6::from_raw((i as i64 * 137_911) % 2_000_001 - 1_000_000))
             .collect();
         for item in [0usize, 42, 277] {
-            // Unfolded reference: [h | e(item)] matvec plus bias.
+            // Table-free reference: wide [h | e(item)] matvec plus bias.
             let mut z: Vec<Fx6> = h.clone();
             for e in 0..dims.embed {
                 z.push(q.embedding_fx.get(item, e));
             }
-            let mut wide = vec![Fx6::ZERO; lane.rows()];
-            let mut scratch = Vec::new();
-            assert!(packed.matvec_into(&z, &mut scratch, &mut wide));
-            for (o, b) in wide.iter_mut().zip(fused.b.iter()) {
-                *o += *b;
-            }
+            let mut wide = fused.w.matvec(&Vector::from(z));
+            wide.add_assign(&fused.b);
             let mut table = vec![Fx6::ZERO; lane.rows()];
-            assert!(packed.matvec_table_into(lane.table_row_i64(item), &h, &mut table));
-            assert_eq!(table, wide, "item {item}");
+            assert!(lane.matvec_table_into(item, &h, &mut table));
+            assert_eq!(table, wide.as_slice(), "item {item}");
         }
     }
 
@@ -939,11 +712,10 @@ mod tests {
         let fused = q.fused_fx();
         let dims = q.dims();
         let lane = LaneGatesFx::pack(&fused, &q.embedding_fx, dims.hidden).expect("paper packs");
-        let packed = PackedGatesFx::pack(&fused).expect("paper weights fit i32");
         let mut h = vec![Fx6::ZERO; dims.hidden];
         h[3] = Fx6::from_raw(i64::MAX / 2);
         let mut out = vec![Fx6::ONE; lane.rows()];
-        assert!(!packed.matvec_table_into(lane.table_row_i64(0), &h, &mut out));
+        assert!(!lane.matvec_table_into(0, &h, &mut out));
         assert!(
             out.iter().all(|&v| v == Fx6::ONE),
             "declined output untouched"
@@ -954,9 +726,15 @@ mod tests {
     fn i16_pack_declines_paper_scale_but_takes_small_scale_rows() {
         let q = weights();
         let fused = q.fused_fx();
-        // Paper model, honest bounds: |h| ≤ 1 → raw 10^6 — must decline.
-        let zbound = vec![Fx6::SCALE; q.dims().z()];
-        assert!(PackedGatesI16::pack(&fused, &zbound).is_none());
+        // Paper model, honest bounds: |h| ≤ 1 → raw 10^6 — must decline,
+        // and the typed error says how badly.
+        let (rows, cols) = (fused.w.rows(), fused.w.cols());
+        let raw: Vec<i64> = fused.w.as_flat().iter().map(|v| v.raw()).collect();
+        let zbound = vec![Fx6::SCALE; cols];
+        let decline = PackedGatesI16::pack_rows_raw(rows, cols, &raw, &zbound)
+            .expect_err("10^6 scale cannot fit i16");
+        assert_eq!(decline.rows_failed, rows);
+        assert_eq!(decline.max_zbound, Fx6::SCALE);
         // Synthetic small-magnitude gates (10^3-scale-shaped): packs,
         // and the lane MAC matches the wide integer reference.
         let rows = 8;
@@ -964,16 +742,9 @@ mod tests {
         let wi: Vec<i64> = (0..rows * cols)
             .map(|i| (i as i64 * 97) % 601 - 300)
             .collect();
-        let small = FusedGates {
-            w: Matrix::from_flat(
-                rows,
-                cols,
-                wi.iter().map(|&x| Fx6::from_raw(x)).collect::<Vec<_>>(),
-            ),
-            b: Vector::from(vec![Fx6::ZERO; rows]),
-        };
         let zb = vec![1_000i64; cols];
-        let packed = PackedGatesI16::pack(&small, &zb).expect("small rows fit i16");
+        let packed =
+            PackedGatesI16::pack_rows_raw(rows, cols, &wi, &zb).expect("small rows fit i16");
         assert_eq!(packed.rows(), rows);
         assert_eq!(packed.cols(), cols);
         let width = 16;
@@ -994,12 +765,21 @@ mod tests {
     }
 
     #[test]
-    fn pack_refuses_weights_beyond_i32() {
+    fn pack_refuses_recurrent_weights_beyond_i32() {
+        // One recurrent column, one embedding column; the recurrent
+        // weight passes the 2^52 row bound but not the i32 container.
         let fused = FusedGates {
             w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(i64::from(i32::MAX) + 1), Fx6::ONE]),
             b: Vector::from(vec![Fx6::ZERO]),
         };
-        assert!(PackedGatesFx::pack(&fused).is_none());
+        let embedding = Matrix::from_flat(1, 1, vec![Fx6::ONE]);
+        assert!(LaneGatesFx::pack(&fused, &embedding, 1).is_none());
+        // The same shape one unit inside the container packs.
+        let fits = FusedGates {
+            w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(i64::from(i32::MAX)), Fx6::ONE]),
+            b: Vector::from(vec![Fx6::ZERO]),
+        };
+        assert!(LaneGatesFx::pack(&fits, &embedding, 1).is_some());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! kernel dispatch tier (scalar remainders, AVX2 4-wide tiles, AVX-512
 //! 8-wide tiles) plus the early-retirement/refill machinery.
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
+use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use proptest::prelude::*;
 
@@ -44,8 +44,7 @@ proptest! {
         }
     }
 
-    /// The default-width entry point (heuristic or `CSD_LANE_WIDTH`)
-    /// agrees too, via the `classify_batch` routing the monitors use.
+    /// The default-width entry point (the cache heuristic) agrees too, via the `classify_batch` routing the monitors use.
     #[test]
     fn batch_routing_bit_identical_to_serial(
         seed in any::<u64>(),
@@ -60,31 +59,25 @@ proptest! {
 
     /// The vocabulary-indexed gate table (fold the embedding into the
     /// fused matrix at pack time, gather per timestep) is an exact
-    /// integer reassociation: with the table forced on and forced off,
-    /// serial and lane classification agree bit for bit at every width
-    /// tier — and both agree with the table-free serial reference.
+    /// integer reassociation: the table-folded serial path and the
+    /// table-folded lane path at every width tier agree bit for bit with
+    /// the per-CU reference, which never touches the table.
     #[test]
-    fn gate_table_on_off_bit_identical(
+    fn gate_table_paths_bit_identical_to_per_cu(
         seed in any::<u64>(),
         batch in arb_ragged_batch(),
     ) {
-        let on = engine(seed, OptimizationLevel::FixedPoint).with_gate_table(true);
-        let off = engine(seed, OptimizationLevel::FixedPoint).with_gate_table(false);
+        let tabled = engine(seed, OptimizationLevel::FixedPoint);
+        let per_cu = tabled.clone().with_gate_path(GatePath::PerCu);
         let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
-        let reference: Vec<_> = batch.iter().map(|s| off.classify(s)).collect();
-        let tabled: Vec<_> = batch.iter().map(|s| on.classify(s)).collect();
-        prop_assert_eq!(&tabled, &reference, "serial table vs unfolded");
+        let reference: Vec<_> = batch.iter().map(|s| per_cu.classify(s)).collect();
+        let serial: Vec<_> = batch.iter().map(|s| tabled.classify(s)).collect();
+        prop_assert_eq!(&serial, &reference, "table serial vs per-CU");
         for width in [1usize, 3, 8, 32] {
             prop_assert_eq!(
-                on.classify_lanes_with_width(&refs, width),
+                tabled.classify_lanes_with_width(&refs, width),
                 reference.clone(),
-                "table lanes vs unfolded serial, width {}",
-                width
-            );
-            prop_assert_eq!(
-                off.classify_lanes_with_width(&refs, width),
-                reference.clone(),
-                "unfolded lanes vs unfolded serial, width {}",
+                "table lanes vs per-CU, width {}",
                 width
             );
         }

@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 
 use csd_accel::{
     Alert, CsdInferenceEngine, MuxStats, PipelineSchedule, ShardedStreamMux, StreamLoss,
-    StreamMuxConfig, Verdict,
+    StreamMuxConfig, Verdict, VoteRing,
 };
 use serde::{Deserialize, Serialize};
 
@@ -145,8 +145,8 @@ struct StreamRecord {
     /// Windows submitted so far; the next starts at
     /// `submitted * stride`.
     submitted: usize,
-    /// Last `vote_horizon` verdicts, bit 0 newest.
-    ring: u64,
+    /// Last `vote_horizon` verdicts.
+    ring: VoteRing,
     /// Verdicts folded for this session.
     verdicts: u32,
     /// An incident latched; no further windows or folds.
@@ -264,13 +264,8 @@ impl Sentry {
             config.votes_needed <= config.vote_horizon,
             "votes_needed cannot exceed the vote horizon"
         );
-        assert!(config.vote_horizon <= 64, "vote ring is one u64");
         assert!(config.sweep_every > 0, "sweep cadence must be positive");
-        let vote_mask = if config.vote_horizon == 64 {
-            u64::MAX
-        } else {
-            (1u64 << config.vote_horizon) - 1
-        };
+        let vote_mask = VoteRing::mask(config.vote_horizon);
         let per_item_us = PipelineSchedule::for_level(engine.level()).steady_item_us;
         let vocab = engine.weights().dims().vocab;
         let sessions = SessionTable::new(vocab, config.idle_timeout_events);
@@ -536,7 +531,11 @@ impl Sentry {
             .streams
             .iter()
             .filter(|(_, r)| {
-                !r.latched && !r.shed && r.verdicts > 0 && r.ring == 0 && !r.stamps.is_empty()
+                !r.latched
+                    && !r.shed
+                    && r.verdicts > 0
+                    && r.ring.bits() == 0
+                    && !r.stamps.is_empty()
             })
             .map(|(&sid, r)| (sid, r.stamps.len() as u64))
             .collect();
@@ -573,9 +572,12 @@ impl Sentry {
             }
             self.verdicts_folded += 1;
             rec.verdicts += 1;
-            rec.ring = ((rec.ring << 1) | u64::from(v.classification.is_positive)) & self.vote_mask;
+            let vote_complete = rec.ring.push(
+                v.classification.is_positive,
+                self.vote_mask,
+                self.config.votes_needed,
+            );
             let verdicts_folded = rec.verdicts;
-            let vote_complete = (rec.ring.count_ones() as usize) >= self.config.votes_needed;
             // Match the verdict to its submission stamp; stamps for
             // windows evicted before classifying are skipped here.
             let submitted_at = loop {
@@ -671,7 +673,7 @@ impl Sentry {
             .map(|(&sid, r)| StreamSnap {
                 sid,
                 submitted: r.submitted,
-                ring: r.ring,
+                ring: r.ring.bits(),
                 verdicts: r.verdicts,
                 latched: r.latched,
                 shed: r.shed,
@@ -722,7 +724,7 @@ impl Sentry {
                 s.sid,
                 StreamRecord {
                     submitted: s.submitted,
-                    ring: s.ring,
+                    ring: VoteRing::from_bits(s.ring),
                     verdicts: s.verdicts,
                     latched: s.latched,
                     shed: s.shed,

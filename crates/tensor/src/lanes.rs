@@ -147,63 +147,6 @@ pub fn matmul_f64_lanes(
 // Fixed-point path: integer-exact arithmetic on f64-encoded Fx6 raws
 // ---------------------------------------------------------------------------
 
-/// Lane-batched fused gate matmul for the fixed-point path, with the bias
-/// folded into the accumulator.
-///
-/// `w` holds the `rows × cols` raw weights converted to `f64`, `z` the
-/// `cols × width` raw inputs, and `bias_scaled[r]` the raw bias times
-/// `SCALE` (so after [`rescale_lanes`] the result equals
-/// `round_half_away(Σ w·z / SCALE) + bias`, the serial semantics —
-/// `round(a/S) + b == round((a + b·S)/S)` exactly because `b·S` is a
-/// multiple of `S`).
-///
-/// Every product and partial sum must stay below `2^53` in magnitude for
-/// the accumulation to be exact; the caller proves the per-row bound
-/// `Σ_k |w[r][k]|·max|z[k]| + |b_r|·SCALE + SCALE/2 < 2^52` at pack time.
-/// Under that bound the result is the exact integer sum no matter how the
-/// additions associate, so the FMA-tiled SIMD versions and the scalar
-/// fallback agree bit-for-bit.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with `rows`/`cols`/`width`.
-pub fn matmul_fx_lanes(
-    w: &[f64],
-    rows: usize,
-    cols: usize,
-    z: &[f64],
-    width: usize,
-    bias_scaled: &[f64],
-    out: &mut [f64],
-) {
-    assert_eq!(w.len(), rows * cols, "lane matmul weight shape mismatch");
-    assert_eq!(z.len(), cols * width, "lane matmul input shape mismatch");
-    assert_eq!(out.len(), rows * width, "lane matmul output shape mismatch");
-    assert_eq!(bias_scaled.len(), rows, "lane matmul bias shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if rows.is_multiple_of(8) && width.is_multiple_of(8) && avx512_available() {
-            // SAFETY: avx512f/dq/vl presence checked at runtime just above;
-            // the shape asserts guarantee every pointer offset is in bounds.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mm_fma_avx512(w, rows, cols, z, width, bias_scaled, out)
-            };
-            return;
-        }
-        if rows.is_multiple_of(4) && width.is_multiple_of(4) && avx2_fma_available() {
-            // SAFETY: avx2/fma presence checked at runtime just above; the
-            // shape asserts guarantee every pointer offset is in bounds.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mm_fma_avx2(w, rows, cols, z, width, bias_scaled, out)
-            };
-            return;
-        }
-    }
-    matmul_fx_scalar(w, rows, cols, z, width, bias_scaled, out);
-}
-
 /// Lane-batched fused gate matmul with a precomputed **input-gate
 /// table**: the accumulator of row `r`, lane `l` is *initialized* from
 /// `table[items[l] · rows + r]` — the per-item precomputation
@@ -212,15 +155,22 @@ pub fn matmul_fx_lanes(
 /// the store epilogue, so `out` receives the finished raw gate
 /// pre-activation: `round_half_away(acc / SCALE)`.
 ///
-/// This computes exactly the integer [`matmul_fx_lanes`] +
-/// [`rescale_lanes`] would produce over the full `Z = hcols + E` input
-/// (with the embedding columns holding `e(items[l])`): the table entry
-/// is the exact integer value of the folded-out partial sum, and
-/// integer addition is associative when nothing overflows, so moving
-/// those terms into the init changes no bit. The caller proves the
-/// same per-row bound as [`matmul_fx_lanes`] at pack time — a table
-/// entry is a partial sum of the proven row accumulator, hence itself
-/// exact.
+/// This is exactly `round_half_away((Σ_k w[r][k]·z[k][l] + bias_r·SCALE)
+/// / SCALE)` over the full `Z = hcols + E` gate input (with the embedding
+/// columns holding `e(items[l])`), i.e. the serial semantics
+/// `round(Σ w·z / SCALE) + bias_r` — `round(a/S) + b == round((a + b·S)/S)`
+/// because `b·S` is a multiple of `S`. The table entry is the exact
+/// integer value of the folded-out partial sum, and integer addition is
+/// associative when nothing overflows, so moving those terms into the
+/// init changes no bit.
+///
+/// Every product and partial sum must stay below `2^53` in magnitude for
+/// the `f64` accumulation to be exact; the caller proves the per-row
+/// bound `Σ_k |w[r][k]|·max|z[k]| + |b_r|·SCALE + SCALE/2 < 2^52` over
+/// the full row at pack time (a table entry is a partial sum of that
+/// proven accumulator, hence itself exact). Under the bound the result
+/// is the exact integer no matter how the additions associate, so the
+/// FMA-tiled SIMD versions and the scalar fallback agree bit for bit.
 ///
 /// `zh` is the `hcols × width` recurrent lane block (the `h` rows of
 /// the gate input); `table` is `n_items × rows` row-major.
@@ -310,7 +260,7 @@ fn matmul_fx_table_scalar(
 }
 
 /// Lane-batched `i16 × i16 → i32` gate MAC — the narrow-accumulator
-/// variant of [`matmul_fx_lanes`]: `out[r·width + l] = Σ_k w[r][k] ·
+/// kernel of the screen tier: `out[r·width + l] = Σ_k w[r][k] ·
 /// z[k][l]` with all operands in `i16` and the row sum accumulated in
 /// `i32` (no bias folding, no rescale — a scaled bias does not fit the
 /// narrow accumulator).
@@ -321,9 +271,9 @@ fn matmul_fx_table_scalar(
 /// (16 products per instruction) below it. Exactness is a *caller
 /// obligation*: every weight and input must fit `i16` and every row's
 /// worst-case sum must fit `i32` (prove with
-/// `csd_fxp::bounds::row_fits_i16_mac`; the engine's packer declines
-/// 10^6-scaled models, whose `|h| ≤ 1` inputs are raw `10^6 ≫ 32767`,
-/// and falls back to the `f64`-FMA path). Under the bound, integer
+/// `csd_fxp::bounds::row_fits_i16_mac`; a 10^6-scaled model can never
+/// pass — its `|h| ≤ 1` inputs are raw `10^6 ≫ 32767` — which is why only
+/// the 10^4 screen tier runs this kernel). Under the bound, integer
 /// addition makes every association exact, so the paired-madd tiles
 /// equal this function's scalar fallback and the wide reference bit
 /// for bit.
@@ -377,37 +327,15 @@ pub fn matmul_fx_lanes_i16(
     }
 }
 
-/// Scalar reference for [`matmul_fx_lanes`] — every `f64` multiply and
-/// add is exact on the proven domain, so this equals the SIMD tiles.
-fn matmul_fx_scalar(
-    w: &[f64],
-    rows: usize,
-    cols: usize,
-    z: &[f64],
-    width: usize,
-    bias_scaled: &[f64],
-    out: &mut [f64],
-) {
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        let o = &mut out[r * width..(r + 1) * width];
-        o.fill(bias_scaled[r]);
-        for (k, &wk) in row.iter().enumerate() {
-            let zk = &z[k * width..(k + 1) * width];
-            for (acc, &zv) in o.iter_mut().zip(zk) {
-                *acc += wk * zv;
-            }
-        }
-    }
-}
-
 /// In-place `x := round_half_away(x / SCALE)` over a block of `f64`-encoded
 /// raw integers — the `10^12 → 10^6` product correction (§III-D), exactly
 /// as `div_round_i64(x, SCALE)` computes it.
 ///
 /// Exact for `|x| + SCALE/2 < 2^53`; the matmul row bound guarantees a
-/// stronger `< 2^52`.
-pub fn rescale_lanes(xs: &mut [f64]) {
+/// stronger `< 2^52`. Only the AVX2 table tile needs it as a separate
+/// sweep — the AVX-512 and scalar table kernels rescale in their store
+/// epilogue.
+fn rescale_lanes(xs: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
         // SAFETY: avx512f/dq/vl presence checked at runtime just above.
@@ -876,175 +804,6 @@ mod x86 {
         _mm512_fmadd_pd(r, y, q0)
     }
 
-    /// AVX-512 tiled FMA matmul with bias folding. Lane-vector pairs get
-    /// an 8-row × 16-lane tile (16 accumulators): per `k` step that is 8
-    /// weight broadcasts + 2 `z` loads feeding 16 FMAs — 5 load-port
-    /// cycles against 8 FMA-port cycles, so the loop runs FMA-bound,
-    /// where the single-vector 8 × 8 tile (9 loads per 8 FMAs) is
-    /// load-port-bound. An odd trailing vector falls back to the 8 × 8
-    /// tile. All products and sums are exact integers, so neither the
-    /// fused multiply-adds nor the tile shape introduce any rounding.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `rows % 8 == 0`, `width % 8 == 0`, and the
-    /// slice shapes asserted by the dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn mm_fma_avx512(
-        w: &[f64],
-        rows: usize,
-        cols: usize,
-        z: &[f64],
-        width: usize,
-        bias_scaled: &[f64],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(rows % 8, 0);
-        debug_assert_eq!(width % 8, 0);
-        let nvec = width / 8;
-        let mut r = 0;
-        while r < rows {
-            let mut v = 0;
-            while v + 2 <= nvec {
-                let mut acc = [[_mm512_setzero_pd(); 2]; 8];
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let b = _mm512_set1_pd(bias_scaled[r + i]);
-                    *a = [b, b];
-                }
-                for k in 0..cols {
-                    let z0 = _mm512_loadu_pd(z.as_ptr().add(k * width + v * 8));
-                    let z1 = _mm512_loadu_pd(z.as_ptr().add(k * width + (v + 1) * 8));
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let wk = _mm512_set1_pd(*w.get_unchecked((r + i) * cols + k));
-                        a[0] = _mm512_fmadd_pd(wk, z0, a[0]);
-                        a[1] = _mm512_fmadd_pd(wk, z1, a[1]);
-                    }
-                }
-                for (i, a) in acc.iter().enumerate() {
-                    _mm512_storeu_pd(out.as_mut_ptr().add((r + i) * width + v * 8), a[0]);
-                    _mm512_storeu_pd(out.as_mut_ptr().add((r + i) * width + (v + 1) * 8), a[1]);
-                }
-                v += 2;
-            }
-            while v < nvec {
-                let mut a0 = _mm512_set1_pd(bias_scaled[r]);
-                let mut a1 = _mm512_set1_pd(bias_scaled[r + 1]);
-                let mut a2 = _mm512_set1_pd(bias_scaled[r + 2]);
-                let mut a3 = _mm512_set1_pd(bias_scaled[r + 3]);
-                let mut a4 = _mm512_set1_pd(bias_scaled[r + 4]);
-                let mut a5 = _mm512_set1_pd(bias_scaled[r + 5]);
-                let mut a6 = _mm512_set1_pd(bias_scaled[r + 6]);
-                let mut a7 = _mm512_set1_pd(bias_scaled[r + 7]);
-                for k in 0..cols {
-                    let zv = _mm512_loadu_pd(z.as_ptr().add(k * width + v * 8));
-                    a0 = _mm512_fmadd_pd(_mm512_set1_pd(*w.get_unchecked(r * cols + k)), zv, a0);
-                    a1 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 1) * cols + k)),
-                        zv,
-                        a1,
-                    );
-                    a2 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 2) * cols + k)),
-                        zv,
-                        a2,
-                    );
-                    a3 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 3) * cols + k)),
-                        zv,
-                        a3,
-                    );
-                    a4 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 4) * cols + k)),
-                        zv,
-                        a4,
-                    );
-                    a5 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 5) * cols + k)),
-                        zv,
-                        a5,
-                    );
-                    a6 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 6) * cols + k)),
-                        zv,
-                        a6,
-                    );
-                    a7 = _mm512_fmadd_pd(
-                        _mm512_set1_pd(*w.get_unchecked((r + 7) * cols + k)),
-                        zv,
-                        a7,
-                    );
-                }
-                _mm512_storeu_pd(out.as_mut_ptr().add(r * width + v * 8), a0);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 1) * width + v * 8), a1);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 2) * width + v * 8), a2);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 3) * width + v * 8), a3);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 4) * width + v * 8), a4);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 5) * width + v * 8), a5);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 6) * width + v * 8), a6);
-                _mm512_storeu_pd(out.as_mut_ptr().add((r + 7) * width + v * 8), a7);
-                v += 1;
-            }
-            r += 8;
-        }
-    }
-
-    /// AVX2+FMA fallback matmul: 4-row × 4-lane tiles. Same exact-integer
-    /// argument as the AVX-512 tile, so same bits.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx2/fma; `rows % 4 == 0`, `width % 4 == 0`, and the
-    /// slice shapes asserted by the dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn mm_fma_avx2(
-        w: &[f64],
-        rows: usize,
-        cols: usize,
-        z: &[f64],
-        width: usize,
-        bias_scaled: &[f64],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(rows % 4, 0);
-        debug_assert_eq!(width % 4, 0);
-        let nvec = width / 4;
-        let mut r = 0;
-        while r < rows {
-            for v in 0..nvec {
-                let mut a0 = _mm256_set1_pd(bias_scaled[r]);
-                let mut a1 = _mm256_set1_pd(bias_scaled[r + 1]);
-                let mut a2 = _mm256_set1_pd(bias_scaled[r + 2]);
-                let mut a3 = _mm256_set1_pd(bias_scaled[r + 3]);
-                for k in 0..cols {
-                    let zv = _mm256_loadu_pd(z.as_ptr().add(k * width + v * 4));
-                    a0 = _mm256_fmadd_pd(_mm256_set1_pd(*w.get_unchecked(r * cols + k)), zv, a0);
-                    a1 = _mm256_fmadd_pd(
-                        _mm256_set1_pd(*w.get_unchecked((r + 1) * cols + k)),
-                        zv,
-                        a1,
-                    );
-                    a2 = _mm256_fmadd_pd(
-                        _mm256_set1_pd(*w.get_unchecked((r + 2) * cols + k)),
-                        zv,
-                        a2,
-                    );
-                    a3 = _mm256_fmadd_pd(
-                        _mm256_set1_pd(*w.get_unchecked((r + 3) * cols + k)),
-                        zv,
-                        a3,
-                    );
-                }
-                _mm256_storeu_pd(out.as_mut_ptr().add(r * width + v * 4), a0);
-                _mm256_storeu_pd(out.as_mut_ptr().add((r + 1) * width + v * 4), a1);
-                _mm256_storeu_pd(out.as_mut_ptr().add((r + 2) * width + v * 4), a2);
-                _mm256_storeu_pd(out.as_mut_ptr().add((r + 3) * width + v * 4), a3);
-            }
-            r += 4;
-        }
-    }
-
     /// Load eight consecutive gate-table entries for each of eight lanes
     /// (`table[items8[l]·rows + r .. +8]`) and transpose in-register so
     /// vector `i` of the result holds entry `r + i` across the eight
@@ -1106,14 +865,19 @@ mod x86 {
         ]
     }
 
-    /// AVX-512 gate-table matmul: the [`mm_fma_avx512`] pair tile with
-    /// the accumulators *initialized from the precomputed input-gate
-    /// table* (via [`transpose_table_8`]) instead of a bias broadcast,
-    /// the `k` loop covering only the `hcols` recurrent columns, and the
-    /// rescale fused into the store epilogue ([`div_round_scale_pd`] on
-    /// the finished accumulator — the same function the standalone
-    /// rescale pass applies to the same integer values, hence the same
-    /// bits, with one whole read-modify-write sweep of `out` deleted).
+    /// AVX-512 gate-table matmul. Lane-vector pairs get an 8-row ×
+    /// 16-lane tile (16 accumulators): per `k` step that is 8 weight
+    /// broadcasts + 2 `z` loads feeding 16 FMAs — 5 load-port cycles
+    /// against 8 FMA-port cycles, so the loop runs FMA-bound, where the
+    /// single-vector 8 × 8 tile (9 loads per 8 FMAs) is load-port-bound.
+    /// An odd trailing vector falls back to the 8 × 8 tile. The
+    /// accumulators are *initialized from the precomputed input-gate
+    /// table* (via [`transpose_table_8`]), the `k` loop covers only the
+    /// `hcols` recurrent columns, and the rescale is fused into the
+    /// store epilogue ([`div_round_scale_pd`] on the finished
+    /// accumulator). All products and sums are exact integers, so
+    /// neither the fused multiply-adds nor the tile shape introduce any
+    /// rounding.
     ///
     /// # Safety
     ///
@@ -1182,7 +946,8 @@ mod x86 {
         }
     }
 
-    /// AVX2+FMA gate-table matmul: the [`mm_fma_avx2`] 4 × 4 tile with
+    /// AVX2+FMA gate-table matmul: 4-row × 4-lane tiles (same
+    /// exact-integer argument as the AVX-512 tile, so same bits) with
     /// accumulators initialized by four scalar table loads per row
     /// (`_mm256_set_pd` — no cross-lane permute network below AVX-512).
     /// Leaves the raw accumulator in `out`; the dispatching wrapper runs
@@ -1952,46 +1717,6 @@ mod tests {
         for (&inp, &out) in raws.iter().zip(&got) {
             let expect = softsign_fx(Fx6::from_raw(inp)).raw();
             assert_eq!(out as i64, expect, "softsign raw {inp}");
-        }
-    }
-
-    #[test]
-    fn fx_matmul_matches_integer_reference() {
-        const ROWS: usize = 128;
-        const COLS: usize = 40;
-        let wi: Vec<i64> = (0..ROWS * COLS)
-            .map(|i| i as i64 * 2_654_435_761 % 4_000_000 - 2_000_000)
-            .collect();
-        let bias: Vec<i64> = (0..ROWS)
-            .map(|i| (i as i64 * 137) % 3_000_000 - 1_500_000)
-            .collect();
-        let wf: Vec<f64> = wi.iter().map(|&x| x as f64).collect();
-        let bias_scaled: Vec<f64> = bias.iter().map(|&b| (b * Fx6::SCALE) as f64).collect();
-        // 16 exercises the paired-vector AVX-512 tile, 24 the pair plus
-        // the odd trailing vector, 8 the single-vector tile alone.
-        for width in [1usize, 3, 4, 8, 11, 16, 24] {
-            let zi: Vec<i64> = (0..COLS * width)
-                .map(|i| i as i64 * 40_503 % 2_000_000 - 1_000_000)
-                .collect();
-            let zf: Vec<f64> = zi.iter().map(|&x| x as f64).collect();
-            let mut acc = vec![0.0f64; ROWS * width];
-            matmul_fx_lanes(&wf, ROWS, COLS, &zf, width, &bias_scaled, &mut acc);
-            rescale_lanes(&mut acc);
-            for r in 0..ROWS {
-                for l in 0..width {
-                    let mut s = 0i64;
-                    for k in 0..COLS {
-                        s += wi[r * COLS + k] * zi[k * width + l];
-                    }
-                    // Bias folding: round(a/S) + b == round((a + b·S)/S).
-                    let expect = div_round_i64(s, Fx6::SCALE) + bias[r];
-                    assert_eq!(
-                        acc[r * width + l] as i64,
-                        expect,
-                        "fx matmul r={r} l={l} w={width}"
-                    );
-                }
-            }
         }
     }
 
