@@ -1,8 +1,7 @@
 //! Microbench for the stream multiplexer's per-tick hot trio: the
 //! LUT-sigmoid gathers over the gate block, the lane-batched state
-//! update, and the admission/retire bookkeeping around the lane sweep —
-//! plus the quantized screen-tier kernels the cascade runs in their
-//! place, at the paper's dimensions (`H` = 32, `4H` = 128).
+//! update, and the admission/retire bookkeeping around the lane sweep,
+//! at the paper's dimensions (`H` = 32, `4H` = 128).
 //!
 //! Kernel inputs are synthetic exact integers inside the proven ranges
 //! (pre-activations within the matmul bound, cell state within the
@@ -52,24 +51,6 @@ fn bench_activations(c: &mut Criterion) {
                 black_box(&mut xs);
             })
         });
-        // The screen tier's integer activation sweep over the same gate
-        // block shape (plan sigmoid + integer softsign at 10^4 scale),
-        // carried as exact integers in f64.
-        let screen_g: Vec<f64> = (0..ROWS * width)
-            .map(|i| ((i as i64).wrapping_mul(48_271) % 50_000) as f64)
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::new("screen_activate", width),
-            &width,
-            |b, _| {
-                let mut g = screen_g.clone();
-                b.iter(|| {
-                    g.copy_from_slice(&screen_g);
-                    lanes::screen_activate_lanes(&mut g, HIDDEN, width, 10_000);
-                    black_box(&mut g);
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -95,23 +76,6 @@ fn bench_state_update(c: &mut Criterion) {
             b.iter(|| {
                 cell.copy_from_slice(&c0);
                 lanes::update_lanes(&g, HIDDEN, width, &mut cell, &mut h);
-                black_box(&mut h);
-            })
-        });
-        // The screen tier's integer update over the same shape.
-        let sg: Vec<f64> = (0..4 * hw)
-            .map(|i| (i as i64).wrapping_mul(25_931).rem_euclid(10_001) as f64)
-            .collect();
-        let sc0: Vec<f64> = (0..hw)
-            .map(|i| ((i as i64).wrapping_mul(48_271) % 40_000_000) as f64)
-            .collect();
-        group.bench_with_input(BenchmarkId::new("screen_update", width), &width, |b, _| {
-            let mut cell = sc0.clone();
-            let mut h = vec![0i16; hw];
-            let g = sg.clone();
-            b.iter(|| {
-                cell.copy_from_slice(&sc0);
-                lanes::screen_update_lanes(&g, HIDDEN, width, 10_000, &mut cell, &mut h);
                 black_box(&mut h);
             })
         });

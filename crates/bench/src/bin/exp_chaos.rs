@@ -22,7 +22,7 @@
 //!   deliberately lazy fixed cadence — the degenerate configuration
 //!   where verdict staleness grows with the feed length. With the
 //!   bounded-staleness SLO set, the governor's ladder (SLO-driven
-//!   polls → screen-only hint → typed shedding) must engage and hold
+//!   polls → typed shedding) must engage and hold
 //!   p99 staleness near the SLO; a governorless twin of the same cell
 //!   is run first to report the degeneration being prevented. Any
 //!   incident missing versus the oracle must belong to a *shed*
@@ -290,9 +290,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     let shed_pids: HashSet<u32> = sentry.shed_log().iter().map(|r| r.pid).collect();
     let lost: Vec<_> = expect.iter().filter(|k| !got_set.contains(k)).collect();
     let untyped_losses = lost.iter().filter(|k| !shed_pids.contains(&k.0)).count();
-    // And nothing invented: every raised incident is an oracle incident
-    // (forced screen-only verdicts are a no-op without a cascade tier,
-    // so detection itself never diverges).
+    // And nothing invented: every raised incident is an oracle incident.
     let expect_set: HashSet<&(u32, usize, String)> = expect.iter().collect();
     let invented = got.iter().filter(|k| !expect_set.contains(k)).count();
     assert_eq!(

@@ -19,7 +19,6 @@ use csd_nn::ModelWeights;
 use csd_tensor::{lanes, Vector};
 use serde::{Deserialize, Serialize};
 
-use crate::cascade::CascadeTier;
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
 use crate::pool::WorkerPool;
@@ -74,11 +73,6 @@ pub struct CsdInferenceEngine {
     core: Arc<EngineCore>,
     level: OptimizationLevel,
     path: GatePath,
-    /// The optional screen tier (clone-cheap): mounted via
-    /// [`with_cascade`](Self::with_cascade), consulted by
-    /// [`classify_cascade`](Self::classify_cascade) and the streaming
-    /// mux's cascade mode.
-    cascade: Option<Arc<CascadeTier>>,
 }
 
 impl CsdInferenceEngine {
@@ -102,57 +96,7 @@ impl CsdInferenceEngine {
             }),
             level,
             path: GatePath::Fused,
-            cascade: None,
         }
-    }
-
-    /// Mounts a calibrated two-tier cascade: the quantized `i16` screen
-    /// model plus its uncertainty band. [`classify_cascade`](Self::classify_cascade)
-    /// and the streaming mux's cascade mode consult it; every other
-    /// classify entry point is untouched (the single-tier parity
-    /// anchor).
-    pub fn with_cascade(mut self, tier: CascadeTier) -> Self {
-        self.cascade = Some(Arc::new(tier));
-        self
-    }
-
-    /// The mounted cascade tier, if any.
-    pub fn cascade(&self) -> Option<&CascadeTier> {
-        self.cascade.as_deref()
-    }
-
-    /// The mounted cascade tier as a clone-cheap shared handle — the
-    /// stream multiplexer's screen block holds one per mux.
-    pub(crate) fn cascade_shared(&self) -> Option<Arc<CascadeTier>> {
-        self.cascade.clone()
-    }
-
-    /// Classifies one sequence through the cascade: the screen tier's
-    /// integer pass first, the exact path only when the screen score
-    /// falls inside the calibrated uncertainty band. Returns the verdict
-    /// and whether the window escalated. Without a mounted cascade,
-    /// every window "escalates" to the exact path.
-    ///
-    /// Screen-resolved windows report the screen's probability
-    /// (`score/scale`); escalated windows report the exact path's bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty sequence or out-of-vocabulary token.
-    pub fn classify_cascade(&self, seq: &[usize]) -> (Classification, bool) {
-        if let Some(tier) = self.cascade.as_deref() {
-            let (score, decision) = tier.screen(seq);
-            if let Some(is_positive) = decision {
-                return (
-                    Classification {
-                        probability: score as f64 / tier.gates().scale() as f64,
-                        is_positive,
-                    },
-                    false,
-                );
-            }
-        }
-        (self.classify(seq), true)
     }
 
     /// Selects the gate execution path explicitly.
@@ -936,31 +880,6 @@ mod tests {
             CsdInferenceEngine::new(&ModelWeights::from_model(&m), OptimizationLevel::FixedPoint);
         let c = engine.classify(&seq(30));
         assert_eq!(c.is_positive, c.probability >= 0.5);
-    }
-
-    #[test]
-    fn cascade_classification_never_flips_and_escalation_is_exact() {
-        let m = model();
-        let w = ModelWeights::from_model(&m);
-        let exact_engine = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
-        let windows: Vec<Vec<usize>> = (0..12).map(|k| seq(5 + k * 11)).collect();
-        let exact = |s: &[usize]| exact_engine.classify(s).is_positive;
-        let (tier, report, _) =
-            crate::cascade::build_cascade(&w, 4, 0.02, &windows, exact).expect("builds");
-        assert_eq!(report.windows, windows.len());
-        let engine = exact_engine.clone().with_cascade(tier);
-        for s in &windows {
-            let (verdict, escalated) = engine.classify_cascade(s);
-            let reference = exact_engine.classify(s);
-            assert_eq!(verdict.is_positive, reference.is_positive, "verdict flip");
-            if escalated {
-                assert_eq!(verdict, reference, "escalated window must be bit-identical");
-            }
-        }
-        // Without a cascade, everything escalates to the exact bits.
-        let (verdict, escalated) = exact_engine.classify_cascade(&windows[0]);
-        assert!(escalated);
-        assert_eq!(verdict, exact_engine.classify(&windows[0]));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! open). Both share one contract — a positive integer, anything else
 //! silently ignored in favour of the built-in heuristic — implemented
 //! once here so the modules cannot drift. Everything else (lane widths,
-//! steal policy, cascade mode) is a config field, not an environment
-//! variable.
+//! steal policy) is a config field, not an environment variable.
 
 /// Names of the recognized environment knobs, for documentation and
 /// diagnostics.

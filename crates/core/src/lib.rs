@@ -79,7 +79,6 @@
 #![warn(missing_docs)]
 
 pub mod bitstream;
-pub mod cascade;
 pub mod engine;
 pub mod env;
 pub mod fleet;
@@ -97,10 +96,6 @@ pub mod timing;
 pub mod weights;
 
 pub use bitstream::{link, LinkError, Xclbin};
-pub use cascade::{
-    build_cascade, calibrate_band, CalibrationReport, CascadeBand, CascadeMode, CascadeTier,
-    ScreenGates, ScreenModel, SCREEN_MODEL_VERSION,
-};
 pub use engine::{Classification, CsdInferenceEngine, GatePath};
 pub use fleet::{CsdFleet, FleetPolicy, FleetScan, FleetStats};
 pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats};
@@ -110,13 +105,11 @@ pub use mpsc::{AdmissionHandle, AdmissionQueue};
 pub use opt::OptimizationLevel;
 pub use pool::{PoolError, WorkerPool, WorkerPoolBuilder};
 pub use schedule::{Bottleneck, LaneBucket, LaneSchedule, PipelineSchedule, ScheduleEvent};
-pub use scratch::{EngineScratch, InferenceScratch, LaneScratch, ScreenLaneScratch};
+pub use scratch::{EngineScratch, InferenceScratch, LaneScratch};
 pub use shard::{ShardedStreamMux, StealPolicy, StreamInjector};
 pub use stream::{
     FleetMonitor, FleetResidentBytes, MuxStats, OverflowPolicy, StreamLoss, StreamMux,
     StreamMuxConfig, Verdict,
 };
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
-pub use weights::{
-    FusedGates, I16Decline, LaneGatesFx, PackedGatesI16, QuantizedWeights, LANE_MAX_STEPS,
-};
+pub use weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

@@ -143,91 +143,6 @@ impl LaneScratch {
     }
 }
 
-/// Structure-of-arrays working memory for one *screen-tier* lane block:
-/// `width` sequences advanced in lockstep through the quantized integer
-/// recurrence (`i16` hidden state feeding the narrow MAC, cell and gate
-/// blocks as exact integers carried in `f64` for the branchless
-/// epilogue kernels — see the screen section of `csd_tensor::lanes`).
-///
-/// Same layout contract as [`LaneScratch`] — element `(row r, lane l)`
-/// lives at `buf[r * width + l]`. Idle and freshly cleared lanes point
-/// at item 0 (a valid, bounded gate-table row), exactly as the
-/// exact-path lane scratch does.
-#[derive(Debug, Clone)]
-pub struct ScreenLaneScratch {
-    /// Hidden state block, `H × width`, raw at the screen scale. The
-    /// update invariant keeps `|h| ≤ scale ≤ 10^4`, so `i16` holds it.
-    pub h: Vec<i16>,
-    /// Cell state block, `H × width`, raw at the screen scale —
-    /// integer-valued `f64` (exact: `|C| ≤ 8000·scale ≪ 2^53`).
-    pub c: Vec<f64>,
-    /// Narrow-MAC output block, `4H × width`: exact `i32` row sums at
-    /// scale².
-    pub mac: Vec<i32>,
-    /// Fused gate block, `4H × width`: pre-activations then activations
-    /// in place (TF gate order `i f c o`), integer-valued `f64`.
-    pub g: Vec<f64>,
-    /// Each lane's current vocabulary item (gate-table row).
-    pub item: Vec<usize>,
-    hidden: usize,
-    width: usize,
-}
-
-impl ScreenLaneScratch {
-    /// Allocates all screen lane buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `hidden` or `width` is zero.
-    pub fn new(hidden: usize, width: usize) -> Self {
-        assert!(hidden > 0, "hidden size must be at least 1");
-        assert!(width > 0, "lane width must be at least 1");
-        Self {
-            h: vec![0; hidden * width],
-            c: vec![0.0; hidden * width],
-            mac: vec![0; 4 * hidden * width],
-            g: vec![0.0; 4 * hidden * width],
-            item: vec![0; width],
-            hidden,
-            width,
-        }
-    }
-
-    /// Number of lanes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Heap bytes held by the screen lane buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.h.capacity() * std::mem::size_of::<i16>()
-            + self.c.capacity() * std::mem::size_of::<f64>()
-            + self.mac.capacity() * std::mem::size_of::<i32>()
-            + self.g.capacity() * std::mem::size_of::<f64>()
-            + self.item.capacity() * std::mem::size_of::<usize>()
-    }
-
-    /// Zeroes one lane's recurrent state (`h` and `c` columns) and parks
-    /// its item on the placeholder row, so a freshly assigned — or
-    /// vacated — lane starts from the zero state.
-    pub fn clear_lane(&mut self, lane: usize) {
-        for r in 0..self.hidden {
-            self.h[r * self.width + lane] = 0;
-            self.c[r * self.width + lane] = 0.0;
-        }
-        self.item[lane] = 0;
-    }
-
-    /// Zeroes every buffer.
-    pub fn reset(&mut self) {
-        self.h.fill(0);
-        self.c.fill(0.0);
-        self.mac.fill(0);
-        self.g.fill(0.0);
-        self.item.fill(0);
-    }
-}
-
 /// Both precisions' scratch, so one allocation serves an engine at any
 /// [`OptimizationLevel`](crate::opt::OptimizationLevel).
 #[derive(Debug, Clone)]

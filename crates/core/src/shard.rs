@@ -234,7 +234,6 @@ impl ShardedStreamMux {
             policy: OverflowPolicy::DropNewest,
             shards: Some(1),
             steal: None,
-            cascade: config.cascade,
         };
         let vocab = engine.weights().dims().vocab;
         let shards: Vec<Shard> = (0..shard_count)
@@ -376,23 +375,6 @@ impl ShardedStreamMux {
         self.shards.iter().any(|s| s.mux.faults_armed())
     }
 
-    /// Sets or clears the screen-only overload hint on every shard
-    /// (see [`StreamMux::set_screen_only`]): while set, in-band windows
-    /// are force-decided at the band midpoint instead of escalating to
-    /// the exact path, bounding verdict latency under backlog. A no-op
-    /// (beyond remembering the flag) unless the shards run a screening
-    /// cascade.
-    pub fn set_screen_only(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.mux.set_screen_only(on);
-        }
-    }
-
-    /// Whether the screen-only overload hint is currently set.
-    pub fn screen_only(&self) -> bool {
-        self.shards.iter().any(|s| s.mux.screen_only())
-    }
-
     /// Enqueues one window, exactly like [`StreamMux::submit`] but with
     /// the backpressure bound applied across all shards and the window
     /// routed to the least-loaded shard. An out-of-vocabulary window is
@@ -520,11 +502,6 @@ impl ShardedStreamMux {
             degraded_reruns: per.iter().map(|s| s.degraded_reruns).sum(),
             degraded_ticks: per.iter().map(|s| s.degraded_ticks).sum(),
             lanes_poisoned: per.iter().map(|s| s.lanes_poisoned).sum(),
-            screened: per.iter().map(|s| s.screened).sum(),
-            escalated: per.iter().map(|s| s.escalated).sum(),
-            cascade_flips: per.iter().map(|s| s.cascade_flips).sum(),
-            forced_screen: per.iter().map(|s| s.forced_screen).sum(),
-            screen_only_ticks: per.iter().map(|s| s.screen_only_ticks).sum(),
             steals: self.steals,
             shards: self.shards.len() as u64,
         }
@@ -982,7 +959,6 @@ mod tests {
                 policy: OverflowPolicy::DropOldest,
                 shards: Some(2),
                 steal: Some(StealPolicy::Deterministic),
-                ..StreamMuxConfig::default()
             },
         );
         for k in 0..8u64 {
@@ -1019,7 +995,6 @@ mod tests {
                 policy: OverflowPolicy::DropNewest,
                 shards: Some(2),
                 steal: Some(StealPolicy::Deterministic),
-                ..StreamMuxConfig::default()
             },
         );
         // The first submit queues as pending; the tick moves it into a

@@ -30,54 +30,21 @@
 //! `observe` only appends to per-process rolling windows and enqueues
 //! completed windows; `poll`/`drain` run mux ticks and fold retired
 //! verdicts back into per-process vote state, emitting [`Alert`]s.
-//!
-//! # Two-tier cascade
-//!
-//! With [`StreamMuxConfig::cascade`] set to a screening mode *and* a
-//! [`CascadeTier`] mounted on the engine, the mux runs two lane blocks
-//! per tick. Pending windows are admitted to the *screen* block first —
-//! the quantized `i16` model advancing in bulk through
-//! [`ScreenGates::step_lanes`](crate::cascade::ScreenGates::step_lanes).
-//! A retiring screen lane consults the calibrated
-//! [`CascadeBand`](crate::cascade::CascadeBand): outside the band the
-//! screen's verdict is emitted directly; inside it the window re-enters
-//! the *exact* lane scheduler (pos reset, same latency clock) and
-//! retires through the usual bit-exact path. Every serial fallback
-//! (overlong windows, the low-occupancy drain shortcut, degraded-mode
-//! reruns) applies the same screen-then-maybe-escalate rule, so a
-//! window's verdict is a pure function of its contents — identical at
-//! every shard count and on every fallback route. With cascade off the
-//! mux is byte-for-byte the single-tier machine: the parity anchor.
-//!
-//! Two contract changes while screening, both visible and deliberate:
-//! screen-resolved verdicts report the screen probability
-//! (`score/scale`, not the exact path's bits), and a standalone mux's
-//! retirement order interleaves the two blocks (the sharded mux still
-//! delivers per-stream submission order). [`CascadeMode::Verify`]
-//! shadow-classifies every screen-resolved window on the exact path and
-//! counts disagreements in [`MuxStats::cascade_flips`] — the production
-//! mode's zero-flip claim, measurable in place.
 
 #![deny(clippy::unwrap_used)]
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Once};
 use std::time::Instant;
 
 use csd_device::FaultPlan;
 use serde::{Deserialize, Serialize};
 
-use crate::cascade::{CascadeMode, CascadeTier};
 use crate::engine::{Classification, CsdInferenceEngine};
 use crate::monitor::{Alert, MonitorConfig, RollingWindow, VoteRing};
 use crate::schedule::PipelineSchedule;
-use crate::scratch::{EngineScratch, LaneScratch, ScreenLaneScratch};
+use crate::scratch::{EngineScratch, LaneScratch};
 use crate::shard::{ShardedStreamMux, StealPolicy};
 use crate::weights::LANE_MAX_STEPS;
-
-/// One-shot notice when screening is requested but unavailable: the mux
-/// falls back to single-tier silently after the first warning.
-static CASCADE_FALLBACK_LOGGED: Once = Once::new();
 
 /// What [`StreamMux::submit`] does when the pending queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,12 +78,6 @@ pub struct StreamMuxConfig {
     /// [`StealPolicy::default`]. Ignored by a standalone [`StreamMux`].
     #[serde(default)]
     pub steal: Option<StealPolicy>,
-    /// Two-tier cascade mode. `None` resolves to [`CascadeMode::Off`].
-    /// Screening also requires a [`CascadeTier`] mounted on the engine
-    /// ([`with_cascade`](CsdInferenceEngine::with_cascade)); without one
-    /// the mux logs a one-shot notice and runs single-tier.
-    #[serde(default)]
-    pub cascade: Option<CascadeMode>,
 }
 
 impl Default for StreamMuxConfig {
@@ -127,7 +88,6 @@ impl Default for StreamMuxConfig {
             policy: OverflowPolicy::DropOldest,
             shards: None,
             steal: None,
-            cascade: None,
         }
     }
 }
@@ -204,30 +164,6 @@ pub struct MuxStats {
     pub degraded_ticks: u64,
     /// Lanes currently poisoned (out of service awaiting cooldown).
     pub lanes_poisoned: u64,
-    /// Windows resolved by the screen tier without touching the exact
-    /// path (0 unless the cascade is screening).
-    #[serde(default)]
-    pub screened: u64,
-    /// Windows whose screen score fell inside the calibrated band and
-    /// escalated to the exact path (0 unless the cascade is screening).
-    #[serde(default)]
-    pub escalated: u64,
-    /// Screen-resolved windows whose verdict disagreed with the exact
-    /// path's, counted only under [`CascadeMode::Verify`] (the screen
-    /// verdict is still the one emitted).
-    #[serde(default)]
-    pub cascade_flips: u64,
-    /// Windows force-decided at the screen band's midpoint while the
-    /// screen-only overload hint was set — verdicts that would have
-    /// escalated to the exact path under normal operation. A knowingly
-    /// degraded count, kept separate from [`screened`](Self::screened)
-    /// so overload-mode coverage is never mistaken for calibrated
-    /// screening.
-    #[serde(default)]
-    pub forced_screen: u64,
-    /// Ticks executed while the screen-only overload hint was set.
-    #[serde(default)]
-    pub screen_only_ticks: u64,
     /// Pending windows moved between shards by the rebalancer (always 0
     /// for a standalone mux, and for a shard's own snapshot — steals are
     /// coordinator events).
@@ -290,50 +226,6 @@ pub(crate) struct Window {
     enqueued_tick: u64,
     /// Admission sequence number (see [`Verdict::seq`]).
     order: u64,
-    /// Whether the screen tier already saw this window and escalated it:
-    /// an escalated window must take the exact path, never re-screen.
-    screened: bool,
-}
-
-/// The screen tier's lane block: the quantized `i16` model's scratch,
-/// its slots, and the queue of windows it escalated to the exact lanes.
-#[derive(Debug, Clone)]
-struct ScreenBlock {
-    scratch: ScreenLaneScratch,
-    slots: Vec<Option<Window>>,
-    /// Reused per-tick gather argument for `ScreenGates::step_lanes`.
-    items: Vec<Option<usize>>,
-    active: usize,
-    /// Windows the band refused to resolve, waiting for an exact lane.
-    escalated: VecDeque<Window>,
-}
-
-impl ScreenBlock {
-    fn new(hidden: usize, width: usize) -> Self {
-        Self {
-            scratch: ScreenLaneScratch::new(hidden, width),
-            slots: (0..width).map(|_| None).collect(),
-            items: vec![None; width],
-            active: 0,
-            escalated: VecDeque::new(),
-        }
-    }
-
-    /// Windows occupying screen lanes or waiting escalated.
-    fn in_flight(&self) -> usize {
-        self.active + self.escalated.len()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let win = |w: &Window| {
-            std::mem::size_of::<Window>() + w.seq.capacity() * std::mem::size_of::<usize>()
-        };
-        self.scratch.resident_bytes()
-            + self.slots.iter().flatten().map(win).sum::<usize>()
-            + self.slots.capacity() * std::mem::size_of::<Option<Window>>()
-            + self.items.capacity() * std::mem::size_of::<Option<usize>>()
-            + self.escalated.iter().map(win).sum::<usize>()
-    }
 }
 
 /// Verdict latencies kept for percentile stats (a ring of the most
@@ -399,24 +291,6 @@ pub struct StreamMux {
     fault_events: u64,
     degraded_reruns: u64,
     degraded_ticks: u64,
-    /// Resolved cascade mode: [`CascadeMode::Off`] unless screening was
-    /// requested *and* the engine carries a tier.
-    cascade_mode: CascadeMode,
-    /// The engine's mounted screen tier (present iff `cascade_mode`
-    /// screens), shared by the screen block and the serial fallbacks.
-    tier: Option<Arc<CascadeTier>>,
-    /// The screen lane block; `None` when not screening, or when the
-    /// engine's lane path is unavailable (serial cascade fallback).
-    screen: Option<ScreenBlock>,
-    screened: u64,
-    escalated: u64,
-    cascade_flips: u64,
-    /// Overload hint: while set, windows the band would escalate are
-    /// force-decided at the band midpoint instead of taking an exact
-    /// lane (see [`set_screen_only`](Self::set_screen_only)).
-    screen_only: bool,
-    forced_screen: u64,
-    screen_only_ticks: u64,
 }
 
 impl StreamMux {
@@ -434,30 +308,6 @@ impl StreamMux {
         let serial_scratch = engine.make_scratch();
         let lane_ok = engine.supports_lane_stepping();
         let vocab = engine.weights().dims().vocab;
-        let requested = config.cascade.unwrap_or_default();
-        let tier = if requested.screening() {
-            let tier = engine.cascade_shared();
-            if tier.is_none() {
-                CASCADE_FALLBACK_LOGGED.call_once(|| {
-                    eprintln!(
-                        "csd-accel: the mux config requests screening but the engine has no \
-                         mounted cascade tier; the stream mux runs single-tier (exact path)"
-                    );
-                });
-            }
-            tier
-        } else {
-            None
-        };
-        let cascade_mode = if tier.is_some() {
-            requested
-        } else {
-            CascadeMode::Off
-        };
-        let screen = tier.as_ref().filter(|_| lane_ok).map(|t| {
-            let hidden = t.gates().hidden();
-            ScreenBlock::new(hidden, width)
-        });
         Self {
             engine,
             width,
@@ -491,41 +341,7 @@ impl StreamMux {
             fault_events: 0,
             degraded_reruns: 0,
             degraded_ticks: 0,
-            cascade_mode,
-            tier,
-            screen,
-            screened: 0,
-            escalated: 0,
-            cascade_flips: 0,
-            screen_only: false,
-            forced_screen: 0,
-            screen_only_ticks: 0,
         }
-    }
-
-    /// Sets or clears the screen-only overload hint. While set, windows
-    /// whose screen score falls inside the calibrated band are
-    /// force-decided at the band midpoint ([`CascadeBand::force`])
-    /// instead of escalating to the exact path — bounding verdict
-    /// latency under backlog at the cost of calibrated accuracy, with
-    /// every forced verdict counted in [`MuxStats::forced_screen`].
-    /// Windows already escalated keep their claim on an exact lane.
-    /// A no-op (beyond remembering the flag) unless the mux is running
-    /// a screening cascade: with no screen tier there is no cheaper
-    /// path to prefer.
-    pub fn set_screen_only(&mut self, on: bool) {
-        self.screen_only = on;
-    }
-
-    /// Whether the screen-only overload hint is currently set.
-    pub fn screen_only(&self) -> bool {
-        self.screen_only
-    }
-
-    /// The resolved cascade mode: [`CascadeMode::Off`] unless screening
-    /// was requested and the engine carries a mounted tier.
-    pub fn cascade_mode(&self) -> CascadeMode {
-        self.cascade_mode
     }
 
     /// Arms degraded mode: each occupied lane draws one corruption
@@ -596,10 +412,9 @@ impl StreamMux {
         self.pending.len()
     }
 
-    /// Windows currently occupying lanes — exact or screen — plus any
-    /// escalated windows waiting for an exact lane.
+    /// Windows currently occupying lanes.
     pub fn in_flight(&self) -> usize {
-        self.active + self.screen.as_ref().map_or(0, ScreenBlock::in_flight)
+        self.active
     }
 
     /// Whether no window is queued or in flight.
@@ -642,11 +457,6 @@ impl StreamMux {
             degraded_reruns: self.degraded_reruns,
             degraded_ticks: self.degraded_ticks,
             lanes_poisoned: self.poisoned.iter().filter(|p| p.is_some()).count() as u64,
-            screened: self.screened,
-            escalated: self.escalated,
-            cascade_flips: self.cascade_flips,
-            forced_screen: self.forced_screen,
-            screen_only_ticks: self.screen_only_ticks,
             steals: 0,
             shards: MuxStats::one_shard(),
         }
@@ -727,7 +537,6 @@ impl StreamMux {
             pos: 0,
             enqueued_tick: self.ticks,
             order,
-            screened: false,
         });
     }
 
@@ -804,62 +613,16 @@ impl StreamMux {
             + self.free_bufs.iter().map(buf).sum::<usize>()
             + self.latencies.capacity() * std::mem::size_of::<u64>()
             + self.poisoned.capacity() * std::mem::size_of::<Option<u64>>()
-            + self.screen.as_ref().map_or(0, ScreenBlock::resident_bytes)
     }
 
     /// Classifies a window through the serial path and emits its verdict
     /// — the route for windows the lane path cannot take and for the
-    /// low-occupancy drain shortcut. While screening, an unscreened
-    /// window runs the screen tier first (serial screen is bit-identical
-    /// to the screen lanes) and only falls through to the exact path
-    /// when the band escalates it — the same rule as the lane blocks, so
-    /// every fallback route produces the same verdict.
+    /// low-occupancy drain shortcut.
     fn classify_serial(&mut self, window: Window, out: &mut Vec<Verdict>) {
-        if !window.screened {
-            if let Some(tier) = self.tier.clone() {
-                let (score, decision) = tier.screen(&window.seq);
-                if let Some(is_positive) = decision {
-                    self.screened += 1;
-                    let c = Classification {
-                        probability: score as f64 / tier.gates().scale() as f64,
-                        is_positive,
-                    };
-                    self.verify_screen_verdict(&window, is_positive);
-                    self.emit(window, c, out);
-                    return;
-                }
-                if self.screen_only {
-                    // Overload: force the in-band verdict rather than
-                    // pay the exact path. Counted, never silent.
-                    self.forced_screen += 1;
-                    let c = Classification {
-                        probability: score as f64 / tier.gates().scale() as f64,
-                        is_positive: tier.band().force(score),
-                    };
-                    self.emit(window, c, out);
-                    return;
-                }
-                self.escalated += 1;
-            }
-        }
         let c = self
             .engine
             .classify_with_scratch(&window.seq, &mut self.serial_scratch);
         self.emit(window, c, out);
-    }
-
-    /// Under [`CascadeMode::Verify`], shadow-classifies a screen-resolved
-    /// window on the exact path and counts a disagreement.
-    fn verify_screen_verdict(&mut self, window: &Window, screen_positive: bool) {
-        if self.cascade_mode != CascadeMode::Verify {
-            return;
-        }
-        let exact = self
-            .engine
-            .classify_with_scratch(&window.seq, &mut self.serial_scratch);
-        if exact.is_positive != screen_positive {
-            self.cascade_flips += 1;
-        }
     }
 
     /// Records one verdict and recycles the window's buffer.
@@ -882,23 +645,13 @@ impl StreamMux {
         self.free_bufs.push(window.seq);
     }
 
-    /// The next window owed an exact lane: the screen block's escalation
-    /// queue when one is running (pending windows reach the exact lanes
-    /// only *through* the screen), the pending queue otherwise.
-    fn next_exact_window(&mut self) -> Option<Window> {
-        if let Some(block) = self.screen.as_mut() {
-            return block.escalated.pop_front();
-        }
-        self.pending.pop_front()
-    }
-
-    /// Fills lane `lane` from the exact-lane source if possible. Windows
+    /// Fills lane `lane` from the pending queue if possible. Windows
     /// the lane path cannot serve (no exactness pack, or longer than
     /// [`LANE_MAX_STEPS`]) classify serially right here — bit-identical —
     /// rather than occupying a slot they cannot use.
     fn refill_slot(&mut self, lane: usize, out: &mut Vec<Verdict>) {
         debug_assert!(self.slots[lane].is_none());
-        while let Some(window) = self.next_exact_window() {
+        while let Some(window) = self.pending.pop_front() {
             if !self.lane_ok || window.seq.len() > LANE_MAX_STEPS {
                 self.classify_serial(window, out);
                 continue;
@@ -913,89 +666,6 @@ impl StreamMux {
         }
     }
 
-    /// Advances the screen lane block one item: admits pending windows
-    /// into free screen lanes, steps the quantized recurrence in bulk,
-    /// and retires finished lanes through the calibrated band — emitting
-    /// the screen verdict outright or queueing the window for an exact
-    /// lane. Returns the number of occupied screen lanes after the
-    /// sweep; 0 (and a guaranteed no-op) when the cascade is off.
-    fn tick_screen(&mut self, out: &mut Vec<Verdict>) -> usize {
-        let Some(mut block) = self.screen.take() else {
-            return 0;
-        };
-        let tier = self.tier.clone().expect("screen block implies a tier");
-        for lane in 0..block.slots.len() {
-            if block.slots[lane].is_none() {
-                if let Some(window) = self.pending.pop_front() {
-                    block.scratch.clear_lane(lane);
-                    block.slots[lane] = Some(window);
-                    block.active += 1;
-                }
-            }
-        }
-        if block.active == 0 {
-            self.screen = Some(block);
-            return 0;
-        }
-        for (item, slot) in block.items.iter_mut().zip(block.slots.iter()) {
-            *item = slot.as_ref().map(|w| w.seq[w.pos]);
-        }
-        tier.gates().step_lanes(&mut block.scratch, &block.items);
-        for lane in 0..block.slots.len() {
-            let finished = {
-                let Some(w) = block.slots[lane].as_mut() else {
-                    continue;
-                };
-                w.pos += 1;
-                w.pos == w.seq.len()
-            };
-            if !finished {
-                continue;
-            }
-            let mut window = block.slots[lane].take().expect("checked occupied");
-            block.active -= 1;
-            let score = tier.gates().retire_lane(&block.scratch, lane);
-            match tier.band().decide(score) {
-                Some(is_positive) => {
-                    self.screened += 1;
-                    self.verify_screen_verdict(&window, is_positive);
-                    let c = Classification {
-                        probability: score as f64 / tier.gates().scale() as f64,
-                        is_positive,
-                    };
-                    self.emit(window, c, out);
-                }
-                None if self.screen_only => {
-                    // Overload: force the in-band verdict at the band
-                    // midpoint instead of queueing for an exact lane.
-                    self.forced_screen += 1;
-                    let is_positive = tier.band().force(score);
-                    let c = Classification {
-                        probability: score as f64 / tier.gates().scale() as f64,
-                        is_positive,
-                    };
-                    self.emit(window, c, out);
-                }
-                None => {
-                    self.escalated += 1;
-                    window.pos = 0;
-                    window.screened = true;
-                    block.escalated.push_back(window);
-                }
-            }
-            // Same-tick refill: the screen slot starts its next window's
-            // first item on the very next sweep.
-            if let Some(next) = self.pending.pop_front() {
-                block.scratch.clear_lane(lane);
-                block.slots[lane] = Some(next);
-                block.active += 1;
-            }
-        }
-        let active = block.active;
-        self.screen = Some(block);
-        active
-    }
-
     /// Runs one lockstep tick, appending retired verdicts to `out` and
     /// returning how many were emitted. A tick admits pending windows
     /// into free slots, advances every occupied lane one item, retires
@@ -1003,18 +673,6 @@ impl StreamMux {
     /// queue *within the same tick* — continuous batching with no batch
     /// barrier. With nothing active or pending this is a no-op.
     pub fn tick_into(&mut self, out: &mut Vec<Verdict>) -> usize {
-        let ticks_before = self.ticks;
-        let n = self.tick_inner(out);
-        if self.screen_only {
-            self.screen_only_ticks += self.ticks - ticks_before;
-        }
-        n
-    }
-
-    /// [`tick_into`](Self::tick_into) minus the screen-only tick
-    /// accounting (which needs the before/after tick delta around the
-    /// whole sweep).
-    fn tick_inner(&mut self, out: &mut Vec<Verdict>) -> usize {
         let before = out.len();
         // Re-admit poisoned lanes whose cooldown has expired. The lane's
         // state is garbage after the fault, but refill clears at
@@ -1024,34 +682,16 @@ impl StreamMux {
                 self.poisoned[lane] = None;
             }
         }
-        // Screen phase first: it can escalate windows this very tick,
-        // and the exact refill below picks them up with no idle tick in
-        // between. No-op when the cascade is off.
-        let screen_active = self.tick_screen(out);
         for lane in 0..self.width {
             if self.slots[lane].is_none() && self.poisoned[lane].is_none() {
                 self.refill_slot(lane, out);
             }
         }
         if self.active == 0 {
-            if screen_active > 0 {
-                // The screen block advanced, so the tick did real work
-                // even with every exact lane empty.
-                self.ticks += 1;
-                if self.poisoned.iter().any(Option::is_some) {
-                    self.degraded_ticks += 1;
-                }
-                return out.len() - before;
-            }
             // Progress guarantee under total poisoning: with work queued
             // but every lane benched, time must still advance or the
             // cooldowns never expire and `drain` spins forever.
-            let backlog = !self.pending.is_empty()
-                || self
-                    .screen
-                    .as_ref()
-                    .is_some_and(|b| !b.escalated.is_empty());
-            if backlog && self.poisoned.iter().any(Option::is_some) {
+            if !self.pending.is_empty() && self.poisoned.iter().any(Option::is_some) {
                 self.ticks += 1;
                 self.degraded_ticks += 1;
             }
@@ -2154,265 +1794,5 @@ mod tests {
             },
             StreamMuxConfig::default(),
         );
-    }
-
-    /// A paper-model engine with a mounted cascade calibrated on the
-    /// returned windows (so every one of them screens or escalates with
-    /// zero flips by construction), plus the bare exact engine.
-    fn cascaded_engine() -> (CsdInferenceEngine, CsdInferenceEngine, Vec<Vec<usize>>) {
-        let model = SequenceClassifier::new(ModelConfig::paper(), 21);
-        let w = ModelWeights::from_model(&model);
-        let exact = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
-        let windows: Vec<Vec<usize>> = (0..24).map(|k| seq(4 + (k * 13) % 50, k)).collect();
-        let oracle = |s: &[usize]| exact.classify(s).is_positive;
-        // Margin 0.003 (30 score units): these windows' screen scores
-        // separate cleanly at 4992|5001, so a 30-unit band resolves the
-        // confident windows and escalates the handful near the edge —
-        // both cascade paths exercised.
-        let (tier, report, _) =
-            crate::cascade::build_cascade(&w, 4, 0.003, &windows, oracle).expect("screen packs");
-        assert!(report.escalated > 0 && report.escalated < report.windows);
-        (exact.clone().with_cascade(tier), exact, windows)
-    }
-
-    fn cascade_config(width: usize, mode: CascadeMode) -> StreamMuxConfig {
-        StreamMuxConfig {
-            lanes: Some(width),
-            cascade: Some(mode),
-            ..StreamMuxConfig::default()
-        }
-    }
-
-    #[test]
-    fn cascade_mux_matches_cascade_serial_and_never_flips_on_calibrated_windows() {
-        let (engine, exact, windows) = cascaded_engine();
-        for width in [1usize, 3, 16] {
-            let mut mux = StreamMux::new(engine.clone(), cascade_config(width, CascadeMode::On));
-            assert_eq!(mux.cascade_mode(), CascadeMode::On);
-            for (k, w) in windows.iter().enumerate() {
-                assert!(mux.submit(k as u64, k, w));
-            }
-            let verdicts = mux.drain();
-            assert!(mux.is_idle());
-            assert_eq!(verdicts.len(), windows.len(), "width {width}");
-            let mut escalations = 0u64;
-            for v in &verdicts {
-                let w = &windows[v.stream as usize];
-                let (reference, escalated) = engine.classify_cascade(w);
-                assert_eq!(
-                    v.classification, reference,
-                    "width {width} stream {}: mux cascade disagrees with serial cascade",
-                    v.stream
-                );
-                // Calibrated windows never flip the exact verdict.
-                assert_eq!(
-                    v.classification.is_positive,
-                    exact.classify(w).is_positive,
-                    "width {width} stream {}",
-                    v.stream
-                );
-                escalations += u64::from(escalated);
-            }
-            let stats = mux.stats();
-            assert_eq!(stats.escalated, escalations, "width {width}");
-            assert_eq!(
-                stats.screened,
-                windows.len() as u64 - escalations,
-                "width {width}"
-            );
-            assert_eq!(stats.cascade_flips, 0, "flips only count under Verify");
-        }
-    }
-
-    #[test]
-    fn cascade_off_is_the_single_tier_parity_anchor() {
-        let (engine, exact, windows) = cascaded_engine();
-        let mut mux = StreamMux::new(engine, cascade_config(4, CascadeMode::Off));
-        assert_eq!(mux.cascade_mode(), CascadeMode::Off);
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), windows.len());
-        for v in &verdicts {
-            assert_eq!(
-                v.classification,
-                exact.classify(&windows[v.stream as usize]),
-                "stream {}",
-                v.stream
-            );
-        }
-        let stats = mux.stats();
-        assert_eq!(
-            (stats.screened, stats.escalated, stats.cascade_flips),
-            (0, 0, 0)
-        );
-    }
-
-    #[test]
-    fn verify_mode_shadow_classifies_and_counts_zero_flips_when_calibrated() {
-        let (engine, _, windows) = cascaded_engine();
-        let mut mux = StreamMux::new(engine.clone(), cascade_config(4, CascadeMode::Verify));
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), windows.len());
-        for v in &verdicts {
-            let (reference, _) = engine.classify_cascade(&windows[v.stream as usize]);
-            assert_eq!(v.classification, reference, "stream {}", v.stream);
-        }
-        let stats = mux.stats();
-        assert!(stats.screened > 0, "verify mode still screens");
-        assert_eq!(stats.cascade_flips, 0, "calibrated windows cannot flip");
-    }
-
-    #[test]
-    fn screen_only_forces_in_band_windows_and_counts_them() {
-        let (engine, _, windows) = cascaded_engine();
-        let tier = engine.cascade_shared().expect("fixture mounts a tier");
-        let mut mux = StreamMux::new(engine.clone(), cascade_config(4, CascadeMode::On));
-        mux.set_screen_only(true);
-        assert!(mux.screen_only());
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), windows.len(), "every window still verdicts");
-        let mut forced = 0u64;
-        for v in &verdicts {
-            let (score, decision) = tier.screen(&windows[v.stream as usize]);
-            match decision {
-                Some(p) => assert_eq!(v.classification.is_positive, p, "out-of-band unchanged"),
-                None => {
-                    forced += 1;
-                    assert_eq!(
-                        v.classification.is_positive,
-                        tier.band().force(score),
-                        "in-band window takes the band-midpoint verdict"
-                    );
-                }
-            }
-        }
-        let stats = mux.stats();
-        assert!(forced > 0, "fixture has in-band windows by construction");
-        assert_eq!(stats.forced_screen, forced);
-        assert_eq!(stats.escalated, 0, "screen-only never escalates");
-        assert!(stats.screen_only_ticks > 0);
-        // Clearing the hint restores calibrated escalation for the same
-        // windows.
-        mux.set_screen_only(false);
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let _ = mux.drain();
-        let stats = mux.stats();
-        assert_eq!(
-            stats.escalated, forced,
-            "hint cleared, band escalates again"
-        );
-        assert_eq!(stats.forced_screen, forced, "no further forcing");
-    }
-
-    #[test]
-    fn sharded_screen_only_propagates_and_aggregates() {
-        let (engine, _, windows) = cascaded_engine();
-        let mut mux = ShardedStreamMux::new(
-            engine,
-            StreamMuxConfig {
-                lanes: Some(2),
-                shards: Some(2),
-                cascade: Some(CascadeMode::On),
-                ..StreamMuxConfig::default()
-            },
-        );
-        assert!(!mux.screen_only());
-        mux.set_screen_only(true);
-        assert!(mux.screen_only());
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), windows.len());
-        let stats = mux.stats();
-        assert!(stats.forced_screen > 0, "forcing crosses the coordinator");
-        assert_eq!(stats.escalated, 0);
-    }
-
-    #[test]
-    fn cascade_without_a_mounted_tier_falls_back_to_single_tier() {
-        let e = engine(OptimizationLevel::FixedPoint);
-        let mut mux = StreamMux::new(e.clone(), cascade_config(2, CascadeMode::On));
-        assert_eq!(mux.cascade_mode(), CascadeMode::Off);
-        let windows: Vec<Vec<usize>> = (0..5).map(|k| seq(6 + k * 3, k)).collect();
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), windows.len());
-        for v in &verdicts {
-            assert_eq!(v.classification, e.classify(&windows[v.stream as usize]));
-        }
-        assert_eq!(mux.stats().screened, 0);
-    }
-
-    #[test]
-    fn sharded_cascade_matches_serial_cascade_and_aggregates_counters() {
-        let (engine, _, windows) = cascaded_engine();
-        let serial: Vec<_> = windows.iter().map(|w| engine.classify_cascade(w)).collect();
-        for shards in [1usize, 2, 4] {
-            let mut mux = ShardedStreamMux::new(
-                engine.clone(),
-                StreamMuxConfig {
-                    lanes: Some(2),
-                    shards: Some(shards),
-                    steal: Some(StealPolicy::Deterministic),
-                    cascade: Some(CascadeMode::On),
-                    ..StreamMuxConfig::default()
-                },
-            );
-            let mut verdicts = Vec::new();
-            for (k, w) in windows.iter().enumerate() {
-                assert!(mux.submit(k as u64, k, w));
-                if k % 5 == 0 {
-                    mux.tick_into(&mut verdicts);
-                }
-            }
-            mux.drain_into(&mut verdicts);
-            assert!(mux.is_idle());
-            assert_eq!(verdicts.len(), windows.len(), "{shards} shards");
-            for v in &verdicts {
-                assert_eq!(
-                    v.classification, serial[v.stream as usize].0,
-                    "{shards} shards, stream {}",
-                    v.stream
-                );
-            }
-            let stats = mux.stats();
-            let escalations = serial.iter().filter(|(_, e)| *e).count() as u64;
-            assert_eq!(stats.escalated, escalations, "{shards} shards");
-            assert_eq!(
-                stats.screened,
-                windows.len() as u64 - escalations,
-                "{shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn cascade_mux_survives_degraded_mode_with_identical_verdicts() {
-        use csd_device::FaultConfig;
-        let (engine, _, windows) = cascaded_engine();
-        let mut mux = StreamMux::new(engine.clone(), cascade_config(4, CascadeMode::On));
-        mux.arm_faults(FaultPlan::new(0xFA_17, FaultConfig::uniform(0.05)), 3);
-        for (k, w) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, k, w));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), windows.len());
-        for v in &verdicts {
-            let (reference, _) = engine.classify_cascade(&windows[v.stream as usize]);
-            assert_eq!(v.classification, reference, "stream {}", v.stream);
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! [`csd_nn::ModelWeights`] export, keeping both the float and the
 //! fixed-point views so every optimization level can execute functionally.
 
-use csd_fxp::{row_exact_in_f64, row_fits_i16_mac, Fx6, EXACT_F64_INT};
+use csd_fxp::{row_exact_in_f64, Fx6, EXACT_F64_INT};
 use csd_nn::ModelWeights;
 use csd_tensor::{Matrix, Scalar, Vector};
 use serde::{Deserialize, Serialize};
@@ -261,131 +261,6 @@ impl LaneGatesFx {
     /// Vocabulary size (input-gate table rows).
     pub fn vocab(&self) -> usize {
         self.table_i64.len() / self.rows.max(1)
-    }
-}
-
-/// A gate matrix narrowed all the way to `i16` weights with `i32` row
-/// sums — the `vpmaddwd` MAC tier, which retires twice the multiply-adds
-/// per vector instruction of the `f64` FMA path.
-///
-/// [`PackedGatesI16::pack_rows_raw`] extends the per-row magnitude-bound
-/// proof of [`LaneGatesFx::pack`] to the narrower containers via
-/// [`csd_fxp::row_fits_i16_mac`]. The paper's 10^6 decimal scale can
-/// never pass it — the recurrent columns carry `|h| ≤ 1`, raw
-/// `10^6 ≫ 32767` — so only the 10^4 screen tier
-/// ([`crate::cascade::ScreenGates`]) packs one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedGatesI16 {
-    /// Row-major `rows × cols` raw weights, narrowed to `i16`.
-    w: Vec<i16>,
-    rows: usize,
-    cols: usize,
-}
-
-/// Why [`PackedGatesI16::pack_rows_raw`] declined: which rows broke the
-/// `row_fits_i16_mac` proof and how far outside the containers they
-/// were.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct I16Decline {
-    /// Total fused rows examined.
-    pub rows: usize,
-    /// Gate input columns.
-    pub cols: usize,
-    /// Rows that failed the `i16×i16→i32` proof.
-    pub rows_failed: usize,
-    /// First failing row index.
-    pub first_failed_row: usize,
-    /// Largest `|weight raw|` seen (the `i16` container bound is 32767).
-    pub max_weight_abs: i64,
-    /// Largest per-column input bound (`zbound`) seen.
-    pub max_zbound: i64,
-}
-
-impl std::fmt::Display for I16Decline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "i16 MAC pack declined: {}/{} rows fail row_fits_i16_mac \
-             (first row {}, max |w|={}, max zbound={}, i16 bound 32767)",
-            self.rows_failed,
-            self.rows,
-            self.first_failed_row,
-            self.max_weight_abs,
-            self.max_zbound
-        )
-    }
-}
-
-impl PackedGatesI16 {
-    /// Narrows raw `i64` gate rows against the caller's per-column input
-    /// bound: `zbound[k]` must bound `|z[k]|` over every input the
-    /// caller will ever present. Proves every row via
-    /// [`row_fits_i16_mac`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`I16Decline`] when shapes disagree or any row fails the
-    /// proof.
-    pub fn pack_rows_raw(
-        rows: usize,
-        cols: usize,
-        w_raw: &[i64],
-        zbound: &[i64],
-    ) -> Result<Self, I16Decline> {
-        let mut decline = I16Decline {
-            rows,
-            cols,
-            rows_failed: 0,
-            first_failed_row: 0,
-            max_weight_abs: w_raw.iter().map(|&x| x.abs()).max().unwrap_or(0),
-            max_zbound: zbound.iter().map(|&x| x.abs()).max().unwrap_or(0),
-        };
-        if w_raw.len() != rows * cols || zbound.len() != cols {
-            decline.rows_failed = rows;
-            return Err(decline);
-        }
-        let mut first_failed = None;
-        for r in 0..rows {
-            if !row_fits_i16_mac(&w_raw[r * cols..(r + 1) * cols], zbound) {
-                decline.rows_failed += 1;
-                first_failed.get_or_insert(r);
-            }
-        }
-        if let Some(first) = first_failed {
-            decline.first_failed_row = first;
-            return Err(decline);
-        }
-        Ok(Self {
-            w: w_raw.iter().map(|&x| x as i16).collect(),
-            rows,
-            cols,
-        })
-    }
-
-    /// Row-major raw weights, narrowed to `i16`.
-    pub fn weights(&self) -> &[i16] {
-        &self.w
-    }
-
-    /// Fused gate rows (`4H`).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Gate input columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Lane-batched raw row sums over the narrow MAC: delegates to
-    /// [`csd_tensor::lanes::matmul_fx_lanes_i16`]. `out` receives
-    /// unrescaled `Σ w·z` per row — exact under the pack-time proof.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice shapes disagree with the packed matrix.
-    pub fn matmul_lanes_into(&self, z: &[i16], width: usize, out: &mut [i32]) {
-        csd_tensor::lanes::matmul_fx_lanes_i16(&self.w, self.rows, self.cols, z, width, out);
     }
 }
 
@@ -720,48 +595,6 @@ mod tests {
             out.iter().all(|&v| v == Fx6::ONE),
             "declined output untouched"
         );
-    }
-
-    #[test]
-    fn i16_pack_declines_paper_scale_but_takes_small_scale_rows() {
-        let q = weights();
-        let fused = q.fused_fx();
-        // Paper model, honest bounds: |h| ≤ 1 → raw 10^6 — must decline,
-        // and the typed error says how badly.
-        let (rows, cols) = (fused.w.rows(), fused.w.cols());
-        let raw: Vec<i64> = fused.w.as_flat().iter().map(|v| v.raw()).collect();
-        let zbound = vec![Fx6::SCALE; cols];
-        let decline = PackedGatesI16::pack_rows_raw(rows, cols, &raw, &zbound)
-            .expect_err("10^6 scale cannot fit i16");
-        assert_eq!(decline.rows_failed, rows);
-        assert_eq!(decline.max_zbound, Fx6::SCALE);
-        // Synthetic small-magnitude gates (10^3-scale-shaped): packs,
-        // and the lane MAC matches the wide integer reference.
-        let rows = 8;
-        let cols = 5;
-        let wi: Vec<i64> = (0..rows * cols)
-            .map(|i| (i as i64 * 97) % 601 - 300)
-            .collect();
-        let zb = vec![1_000i64; cols];
-        let packed =
-            PackedGatesI16::pack_rows_raw(rows, cols, &wi, &zb).expect("small rows fit i16");
-        assert_eq!(packed.rows(), rows);
-        assert_eq!(packed.cols(), cols);
-        let width = 16;
-        let z: Vec<i16> = (0..cols * width)
-            .map(|i| (i as i64 % 2_001 - 1_000) as i16)
-            .collect();
-        let mut out = vec![0i32; rows * width];
-        packed.matmul_lanes_into(&z, width, &mut out);
-        for r in 0..rows {
-            for l in 0..width {
-                let mut s = 0i64;
-                for k in 0..cols {
-                    s += wi[r * cols + k] * z[k * width + l] as i64;
-                }
-                assert_eq!(out[r * width + l] as i64, s, "r={r} l={l}");
-            }
-        }
     }
 
     #[test]

@@ -167,66 +167,6 @@ pub fn div_round_raw(num: i64, den: i64) -> i64 {
     }
 }
 
-/// Pure-integer 5-segment PLAN sigmoid over a raw value at an arbitrary
-/// decimal `scale` — the screen tier's gate activation.
-///
-/// Same segments as [`sigmoid_fx`], but every coefficient is an exact
-/// binary fraction so the whole evaluation stays in `i64` with one
-/// rounded division per call (`0.03125·x + 0.84375 = (x + 27·S)/32`,
-/// `0.125·x + 0.625 = (x + 5·S)/8`, `0.25·x + 0.5 = (x + 2·S)/4`). The
-/// result is a raw value in `[0, scale]`, identical on every platform
-/// and association — the property the cascade's cross-path verdict
-/// determinism rests on. Negative inputs use `S − σ(−x)`, which keeps
-/// the PLAN symmetry `σ(x) + σ(−x) = S` exact.
-///
-/// The `2.375·S` breakpoint is compared as `8·x ≥ 19·S`, so no
-/// divisibility of `scale` is required.
-#[inline]
-pub fn plan_sigmoid_raw(x: i64, scale: i64) -> i64 {
-    debug_assert!(scale > 0);
-    if x < 0 {
-        return scale - plan_sigmoid_raw(-x, scale);
-    }
-    if x >= 5 * scale {
-        scale
-    } else if 8 * x >= 19 * scale {
-        div_round_raw(x + 27 * scale, 32)
-    } else if x >= scale {
-        div_round_raw(x + 5 * scale, 8)
-    } else {
-        div_round_raw(x + 2 * scale, 4)
-    }
-}
-
-/// Pure-integer softsign over a raw value at an arbitrary decimal
-/// `scale`: `round(x·S / (|x| + S))` — the screen tier's cell squash,
-/// the same function [`softsign_fx`] computes at the compile-time scale.
-///
-/// The fast `i64` path covers every magnitude the screen LSTM can reach
-/// (`|c| ≤ LANE_MAX_STEPS·S` keeps `x·S` far below `i64::MAX` at
-/// screen scales); larger inputs take the exact `i128` route.
-#[inline]
-pub fn softsign_raw(x: i64, scale: i64) -> i64 {
-    debug_assert!(scale > 0);
-    if x.abs() <= i64::MAX / (2 * scale) {
-        return div_round_raw(x * scale, x.abs() + scale);
-    }
-    let num = x as i128 * scale as i128;
-    let den = x.unsigned_abs() as i128 + scale as i128;
-    div_round_raw_i128(num, den)
-}
-
-#[inline]
-fn div_round_raw_i128(num: i128, den: i128) -> i64 {
-    let half = den / 2;
-    let out = if num >= 0 {
-        (num + half) / den
-    } else {
-        (num - half) / den
-    };
-    out as i64
-}
-
 /// Half-width of the sigmoid LUT's input domain: the table linearly
 /// interpolates over `[-8, 8]` and saturates outside it.
 pub const LUT_RANGE: f64 = 8.0;
@@ -358,103 +298,6 @@ mod tests {
         assert_eq!(div_round_raw(-5, 10), -1);
         assert_eq!(div_round_raw(-4, 10), 0);
         assert_eq!(div_round_raw(15, 10), 2);
-    }
-
-    #[test]
-    fn plan_sigmoid_raw_tracks_true_sigmoid_at_screen_scales() {
-        for scale in [1_000i64, 10_000, 1_000_000] {
-            for i in -160..=160 {
-                let x = i as f64 * 0.05;
-                let raw = (x * scale as f64).round() as i64;
-                let approx = plan_sigmoid_raw(raw, scale) as f64 / scale as f64;
-                let exact = 1.0 / (1.0 + (-x).exp());
-                assert!(
-                    (approx - exact).abs() < 0.02,
-                    "scale={scale} x={x}: {approx} vs {exact}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn plan_sigmoid_raw_is_bounded_and_near_monotone() {
-        // The classical PLAN table is monotone within each segment but
-        // has a known ≈0.004 downward step at the 2.375 breakpoint
-        // (segment 2 ends at 0.921875, segment 3 starts at 0.917969) —
-        // the same step `sigmoid_fx` carries. Pin that the dip never
-        // exceeds the published bound; the cascade band is calibrated
-        // on observed score extremes, not on monotonicity.
-        for scale in [1_000i64, 10_000] {
-            let dip = div_round_raw(4 * scale, 1000); // 0.004·S
-            let mut prev = 0;
-            for raw in (-6 * scale..=6 * scale).step_by((scale / 100) as usize) {
-                let y = plan_sigmoid_raw(raw, scale);
-                assert!((0..=scale).contains(&y), "out of range at {raw}");
-                if raw > -6 * scale {
-                    assert!(
-                        y + dip >= prev,
-                        "dip beyond PLAN bound at raw={raw} scale={scale}"
-                    );
-                }
-                prev = y;
-            }
-            assert_eq!(plan_sigmoid_raw(5 * scale, scale), scale);
-            assert_eq!(plan_sigmoid_raw(-5 * scale, scale), 0);
-            assert_eq!(plan_sigmoid_raw(0, scale), scale / 2);
-        }
-    }
-
-    #[test]
-    fn plan_sigmoid_raw_symmetry_is_exact() {
-        for scale in [1_000i64, 10_000] {
-            for i in -500..=500 {
-                let raw = i * scale / 100;
-                assert_eq!(
-                    plan_sigmoid_raw(raw, scale) + plan_sigmoid_raw(-raw, scale),
-                    scale
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn plan_sigmoid_raw_agrees_with_plan_fx_reference() {
-        // The f64-routed PLAN and the integer PLAN compute the same
-        // piecewise function; allow one raw ulp for the f64 rounding.
-        for i in -400..=400 {
-            let raw = i * 20_000;
-            let via_fx = sigmoid_fx(Fx6::from_raw(raw)).raw();
-            let via_int = plan_sigmoid_raw(raw, Fx6::SCALE);
-            assert!(
-                (via_fx - via_int).abs() <= 1,
-                "raw={raw}: fx {via_fx} vs int {via_int}"
-            );
-        }
-    }
-
-    #[test]
-    fn softsign_raw_matches_softsign_fx_bit_for_bit() {
-        for i in -2_000..=2_000 {
-            let raw = i * 3_517;
-            assert_eq!(
-                softsign_raw(raw, Fx6::SCALE),
-                softsign_fx(Fx6::from_raw(raw)).raw(),
-                "raw={raw}"
-            );
-        }
-    }
-
-    #[test]
-    fn softsign_raw_wide_path_matches_small_scale_identity() {
-        // Enormous |x| exercises the i128 route; softsign saturates
-        // toward ±scale without overflow.
-        let scale = 10_000;
-        let big = i64::MAX / scale;
-        // At this magnitude the quotient is within half an ulp of ±1,
-        // so the rounded division saturates to exactly ±scale.
-        assert_eq!(softsign_raw(big, scale), scale);
-        assert_eq!(softsign_raw(-big, scale), -scale);
-        assert_eq!(softsign_raw(0, scale), 0);
     }
 
     #[test]

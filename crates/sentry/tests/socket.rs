@@ -213,3 +213,64 @@ fn panicking_reader_thread_is_counted_and_drops_only_its_connection() {
     );
     drop(server);
 }
+
+#[test]
+fn connections_beyond_the_cap_are_refused_at_accept_and_counted() {
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    use csd_sentry::bus::MAX_CONNECTIONS;
+
+    let bus = EventBus::new(1024);
+    let path = socket_path("cap");
+    let server = SocketServer::bind(&path, bus.producer()).expect("bind");
+
+    // Fill the server with idle connections. The listener's queue is
+    // FIFO, so all of these are accepted before the one that follows.
+    let mut held: Vec<SocketClient> = (0..MAX_CONNECTIONS)
+        .map(|_| SocketClient::connect(&path).expect("connect"))
+        .collect();
+
+    // The next peer is accepted and dropped: it reads EOF.
+    let mut extra = UnixStream::connect(&path).expect("connect");
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        extra.read(&mut byte).expect("read"),
+        0,
+        "refused peer sees EOF"
+    );
+    assert_eq!(server.connections_refused(), 1);
+    assert_eq!(server.accept_errors(), 0);
+
+    // The connections already being served are undisturbed.
+    let mut got = Vec::new();
+    held[0].send(&ProcessEvent::api(0, 11, 1)).expect("frame");
+    held[MAX_CONNECTIONS - 1]
+        .send(&ProcessEvent::api(0, 12, 2))
+        .expect("frame");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got.len() < 2 && Instant::now() < deadline {
+        bus.recv_into(&mut got, Duration::from_millis(20));
+    }
+    let mut pids: Vec<u32> = got.iter().map(|e| e.pid).collect();
+    pids.sort_unstable();
+    assert_eq!(pids, vec![11, 12], "honest frames reach the bus");
+
+    // One client leaves; once its reader has seen the EOF the slot is
+    // free and a new peer is served (peers that arrive before that are
+    // refused, so retry until a frame gets through).
+    drop(held.pop());
+    got.clear();
+    loop {
+        let mut client = SocketClient::connect(&path).expect("connect");
+        if client.send(&ProcessEvent::api(0, 13, 3)).is_ok()
+            && bus.recv_into(&mut got, Duration::from_millis(100)) > 0
+        {
+            break;
+        }
+        assert!(Instant::now() < deadline, "freed slot never served a peer");
+    }
+    assert_eq!(got[0].pid, 13);
+    drop(server);
+}

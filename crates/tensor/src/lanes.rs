@@ -65,12 +65,6 @@ fn avx512_available() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn avx512bw_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512bw")
-}
-
-#[cfg(target_arch = "x86_64")]
 fn avx2_fma_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
@@ -259,74 +253,6 @@ fn matmul_fx_table_scalar(
     }
 }
 
-/// Lane-batched `i16 × i16 → i32` gate MAC — the narrow-accumulator
-/// kernel of the screen tier: `out[r·width + l] = Σ_k w[r][k] ·
-/// z[k][l]` with all operands in `i16` and the row sum accumulated in
-/// `i32` (no bias folding, no rescale — a scaled bias does not fit the
-/// narrow accumulator).
-///
-/// The vector body packs two `k` columns per `vpmaddwd`: the AVX-512BW
-/// tile retires 32 `i16×i16` products per 512-bit instruction (double
-/// the 16 of an AVX-512 `f64` FMA pair-issue), with an AVX2 4-row tile
-/// (16 products per instruction) below it. Exactness is a *caller
-/// obligation*: every weight and input must fit `i16` and every row's
-/// worst-case sum must fit `i32` (prove with
-/// `csd_fxp::bounds::row_fits_i16_mac`; a 10^6-scaled model can never
-/// pass — its `|h| ≤ 1` inputs are raw `10^6 ≫ 32767` — which is why only
-/// the 10^4 screen tier runs this kernel). Under the bound, integer
-/// addition makes every association exact, so the paired-madd tiles
-/// equal this function's scalar fallback and the wide reference bit
-/// for bit.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with `rows`/`cols`/`width`.
-pub fn matmul_fx_lanes_i16(
-    w: &[i16],
-    rows: usize,
-    cols: usize,
-    z: &[i16],
-    width: usize,
-    out: &mut [i32],
-) {
-    assert_eq!(w.len(), rows * cols, "i16 matmul weight shape mismatch");
-    assert_eq!(z.len(), cols * width, "i16 matmul input shape mismatch");
-    assert_eq!(out.len(), rows * width, "i16 matmul output shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if width.is_multiple_of(16) && avx512bw_available() {
-            // SAFETY: avx512f/bw presence checked at runtime just above;
-            // the shape asserts guarantee every pointer offset is in
-            // bounds.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mm_madd_i16_avx512(w, rows, cols, z, width, out)
-            };
-            return;
-        }
-        if width.is_multiple_of(16) && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 presence checked at runtime just above; the
-            // shape asserts guarantee every pointer offset is in bounds.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mm_madd_i16_avx2(w, rows, cols, z, width, out)
-            };
-            return;
-        }
-    }
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        let o = &mut out[r * width..(r + 1) * width];
-        o.fill(0);
-        for (k, &wk) in row.iter().enumerate() {
-            let zk = &z[k * width..(k + 1) * width];
-            for (acc, &zv) in o.iter_mut().zip(zk) {
-                *acc += wk as i32 * zv as i32;
-            }
-        }
-    }
-}
-
 /// In-place `x := round_half_away(x / SCALE)` over a block of `f64`-encoded
 /// raw integers — the `10^12 → 10^6` product correction (§III-D), exactly
 /// as `div_round_i64(x, SCALE)` computes it.
@@ -426,243 +352,6 @@ pub fn update_lanes(g: &[f64], hidden: usize, width: usize, c: &mut [f64], h: &m
         c[j] = ct as f64;
         let ss = softsign_fx(Fx6::from_raw(ct)).raw();
         h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Screen-tier kernels (exact integer arithmetic carried in f64 lanes)
-// ---------------------------------------------------------------------------
-//
-// The screen recurrence is defined in integers (`csd_fxp::div_round_raw`
-// / `plan_sigmoid_raw` / `softsign_raw` — the serial reference walks it
-// that way), but a literal i64 sweep costs a hardware division with a
-// runtime divisor per element — hundreds of ~25-cycle `idiv`s per
-// lane-step, which made the "cheap" tier slower than the AVX-512 f64
-// exact path it screens for. These kernels instead carry the same
-// integers in f64 lanes, where every operation below is *provably
-// exact* on the screen domain, so the results are bit-identical to the
-// integer definition while the loops stay branchless and
-// autovectorizable (`vdivpd`, `vroundpd`, blends):
-//
-// - every value is an integer with magnitude far below 2^53, so f64
-//   sums, differences, and products of in-domain operands are exact;
-// - `round_half_away(v / 10^k)` is computed as
-//   `floor((|v| + 10^k/2) / 10^k)` with the sign restored: the f64
-//   division is correctly rounded, the true quotient lies on the
-//   `1/10^k` grid, and for `|v| ≤ 2^52` the rounding error (≤ half an
-//   ulp of a quotient < 2^52/10^k) is smaller than half a grid step,
-//   so the floor of the rounded quotient is the true floor;
-// - the PLAN sigmoid's three chords divide by 4 / 8 / 32 — exact
-//   power-of-two scalings — and segment selection is arithmetic
-//   (masks), reproducing the reference's breakpoints including the
-//   deliberate discontinuity at `2.375·scale`;
-// - softsign's runtime-denominator division gets one exact fix-up step:
-//   `q = floor(RN(num/den))` is within ±1 of the true floor, and the
-//   exactly-computed remainder `num − q·den` corrects it.
-
-/// `2^52`, the float-format shift that rounds to integer.
-const TWO52: f64 = 4_503_599_627_370_496.0;
-
-/// Branchless floor for `0 ≤ x < 2^51` without a libm call (the crate
-/// builds against the baseline target, where `f64::floor` is a `libm`
-/// PLT call — thousands per lane-step): adding `2^52` pushes `x` into
-/// the range where the f64 ulp is exactly 1, so the addition's
-/// round-to-nearest *is* round-to-nearest-integer; subtracting `2^52`
-/// back is exact. One compare turns nearest into floor.
-#[inline]
-fn floor_nonneg(x: f64) -> f64 {
-    debug_assert!((0.0..2.25e15).contains(&x), "floor_nonneg domain");
-    let t = (x + TWO52) - TWO52;
-    t - ((t > x) as u64 as f64)
-}
-
-/// Exact `round_half_away(v / scale)` for an integer-valued `v` with
-/// `|v| ≤ 2^51` and a decimal `scale` (with `half = ⌊scale/2⌋`, exact
-/// for the even powers of ten the screen tier uses).
-#[inline]
-fn screen_round_div(v: f64, scale: f64, half: f64) -> f64 {
-    floor_nonneg((v.abs() + half) / scale).copysign(v)
-}
-
-/// Branchless PLAN sigmoid on an integer-valued raw pre-activation —
-/// bit-identical to [`csd_fxp::plan_sigmoid_raw`]. For `x ≥ 0` the
-/// reference picks one chord by segment; here all three are computed
-/// (each a `floor((x + c·S + half)·2^-k)`, exact in f64) and the
-/// active one is selected by mask arithmetic. The `min` with `scale`
-/// is the `x ≥ 5·scale` saturation: there the 1/32 chord is already
-/// `≥ scale`. Negative inputs use the exact PLAN symmetry
-/// `σ(x) = S − σ(−x)`.
-#[inline]
-fn screen_plan_sigmoid(x: f64, s: f64) -> f64 {
-    let a = x.abs();
-    let f4 = floor_nonneg((a + 2.0 * s + 2.0) * 0.25);
-    let f8 = floor_nonneg((a + 5.0 * s + 4.0) * 0.125);
-    let f32c = floor_nonneg((a + 27.0 * s + 16.0) * 0.03125);
-    let m1 = (a >= s) as u64 as f64;
-    let m2 = (8.0 * a >= 19.0 * s) as u64 as f64;
-    let t = (f4 + m1 * (f8 - f4) + m2 * (f32c - f8)).min(s);
-    t + ((x < 0.0) as u64 as f64) * (s - 2.0 * t)
-}
-
-/// Integer softsign `round_half_away(x·S / (|x| + S))` on an
-/// integer-valued raw input — bit-identical to
-/// [`csd_fxp::softsign_raw`] for `|x|·S ≤ 2^51`. Uses the tie-free
-/// form `floor((2·|x|·S + d) / 2d)` (`d = |x| + S`): for even `d` the
-/// two agree directly; for odd `d` no tie exists (parity), so the
-/// reference's `⌊d/2⌋` offset lands on the same integer. The f64
-/// division is only correctly rounded, not exact, so the floor can be
-/// off by one — the exactly-computed remainder fixes it.
-#[inline]
-fn screen_softsign(x: f64, s: f64) -> f64 {
-    let a = x.abs();
-    let d = a + s;
-    let num = 2.0 * a * s + d;
-    let den = 2.0 * d;
-    let mut q = floor_nonneg(num / den);
-    let r = num - q * den;
-    q += (r >= den) as u64 as f64 - (r < 0.0) as u64 as f64;
-    q.copysign(x)
-}
-
-/// Screen-tier pre-activation epilogue: widens the `i32` row sums of
-/// [`matmul_fx_lanes_i16`] (raw at `scale²`), adds each lane's gathered
-/// vocabulary gate-table entry (bias and `W_x·e(item)` pre-folded, raw
-/// at `scale²`), and rescales to `scale`:
-///
-/// `g[r·W + l] = round((mac[r·W + l] + table[items[l]·rows + r]) / scale)`.
-///
-/// Exact integer arithmetic carried in f64 (see the module section
-/// comment) — identical across SIMD levels, shard counts, and lane
-/// widths by construction. The MAC term is `≤ i32::MAX` by the pack's
-/// [`csd_fxp::row_fits_i16_mac`] proof; the table entry is a small
-/// multiple of `scale²` — the sum stays far inside the `2^52` domain
-/// of the exact rescale.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with `rows`/`width`, or when
-/// a lane's item is outside the table.
-pub fn screen_preact_lanes(
-    mac: &[i32],
-    rows: usize,
-    width: usize,
-    table: &[i64],
-    items: &[usize],
-    scale: i64,
-    g: &mut [f64],
-) {
-    assert_eq!(mac.len(), rows * width, "screen preact mac shape mismatch");
-    assert_eq!(g.len(), rows * width, "screen preact output shape mismatch");
-    assert_eq!(items.len(), width, "screen preact item lane mismatch");
-    for &item in items {
-        assert!(
-            (item + 1) * rows <= table.len(),
-            "screen preact item outside table"
-        );
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above;
-        // the shape and table-bound asserts guarantee in-bounds access.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::screen_preact_avx512(mac, rows, width, table, items, scale, g)
-        };
-        return;
-    }
-    let s = scale as f64;
-    let half = (scale / 2) as f64;
-    for (l, &item) in items.iter().enumerate() {
-        let row = &table[item * rows..(item + 1) * rows];
-        for r in 0..rows {
-            let v = mac[r * width + l] as f64 + row[r] as f64;
-            debug_assert!(v.abs() <= 4.5e15, "screen preact outside exact domain");
-            g[r * width + l] = screen_round_div(v, s, half);
-        }
-    }
-}
-
-/// Screen-tier gate activations in place over a `4H × width` block of
-/// integer-valued raw pre-activations at `scale`: PLAN sigmoid on the
-/// `i`, `f`, and `o` gate rows, integer softsign on the candidate
-/// (`c`) rows — bit-identical to the [`csd_fxp::plan_sigmoid_raw`] /
-/// [`csd_fxp::softsign_raw`] sweep the serial scorer performs, carried
-/// in f64 (see the module section comment).
-///
-/// # Panics
-///
-/// Panics when `g` is not `4·hidden·width` long.
-pub fn screen_activate_lanes(g: &mut [f64], hidden: usize, width: usize, scale: i64) {
-    let hw = hidden * width;
-    assert_eq!(g.len(), 4 * hw, "screen activate gate shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above;
-        // the shape assert guarantees in-bounds access.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::screen_activate_avx512(g, hw, scale)
-        };
-        return;
-    }
-    let s = scale as f64;
-    let (sig_if, rest) = g.split_at_mut(2 * hw);
-    let (cand, sig_o) = rest.split_at_mut(hw);
-    for x in sig_if.iter_mut() {
-        *x = screen_plan_sigmoid(*x, s);
-    }
-    for x in cand.iter_mut() {
-        *x = screen_softsign(*x, s);
-    }
-    for x in sig_o.iter_mut() {
-        *x = screen_plan_sigmoid(*x, s);
-    }
-}
-
-/// Screen-tier state update: `C_t = round((f·C_{t−1} + i·C′)/scale)`,
-/// `h_t = round(o·softsign(C_t)/scale)` narrowed to the `i16` state
-/// block the next timestep's [`matmul_fx_lanes_i16`] consumes. Exact
-/// integer arithmetic carried in f64: the gate values are in
-/// `[0, scale]` (candidate `[−scale, scale]`) and `|C|` grows by at
-/// most `scale` per step, so within the engine's sequence-length cap
-/// every product here stays below `2^43` — far inside the exact
-/// domain.
-///
-/// `h` always fits `i16`: `|o| ≤ scale` and `|softsign| ≤ scale` give
-/// `|h| ≤ scale ≤ 10^4 < 32767`.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with `hidden`/`width`.
-pub fn screen_update_lanes(
-    g: &[f64],
-    hidden: usize,
-    width: usize,
-    scale: i64,
-    c: &mut [f64],
-    h: &mut [i16],
-) {
-    let hw = hidden * width;
-    assert_eq!(g.len(), 4 * hw, "screen update gate shape mismatch");
-    assert_eq!(c.len(), hw, "screen update cell shape mismatch");
-    assert_eq!(h.len(), hw, "screen update hidden shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above;
-        // the shape asserts guarantee in-bounds access.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::screen_update_avx512(g, hw, scale, c, h)
-        };
-        return;
-    }
-    let s = scale as f64;
-    let half = (scale / 2) as f64;
-    let (gi, gf, gc, go) = (&g[..hw], &g[hw..2 * hw], &g[2 * hw..3 * hw], &g[3 * hw..]);
-    for j in 0..hw {
-        let ct = screen_round_div(gf[j] * c[j] + gi[j] * gc[j], s, half);
-        c[j] = ct;
-        h[j] = screen_round_div(go[j] * screen_softsign(ct, s), s, half) as i16;
     }
 }
 
@@ -1031,172 +720,6 @@ mod x86 {
         }
     }
 
-    /// AVX-512BW `vpmaddwd` tile for the i16 MAC: each 512-bit `madd`
-    /// retires 32 `i16×i16` products pre-summed in adjacent pairs — one
-    /// instruction covers two `k` columns of 16 lanes, double the
-    /// per-instruction MAC count of an `f64` FMA pair-issue. The two `z`
-    /// rows of a column pair are interleaved once per pair with a single
-    /// `vpermw` (`zinter[2l] = zk[l]`, `zinter[2l+1] = zk1[l]`), so the
-    /// `madd` result lands in *lane order* — `res[l] = zk[l]·w0 +
-    /// zk1[l]·w1` for all 16 lanes, no de-interleave needed — and is
-    /// shared by the whole 8-row tile; each row then costs one packed
-    /// weight-pair broadcast (a 4-byte load of the two adjacent `i16`
-    /// weights), one `madd`, and one `add`. Pair sums fit `i32`
-    /// unconditionally (`2·32767² < 2^31`); the caller's row bound
-    /// covers the cross-pair accumulation, so every add is exact and the
-    /// tile equals the scalar fallback bit for bit.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/bw; `width % 16 == 0` and the slice shapes
-    /// asserted by the dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub(super) unsafe fn mm_madd_i16_avx512(
-        w: &[i16],
-        rows: usize,
-        cols: usize,
-        z: &[i16],
-        width: usize,
-        out: &mut [i32],
-    ) {
-        debug_assert_eq!(width % 16, 0);
-        let nvec = width / 16;
-        // Interleave index: element 2l picks zk[l] (source 0..15),
-        // element 2l+1 picks zk1[l] (source 16..31).
-        #[rustfmt::skip]
-        let idx = _mm512_set_epi16(
-            31, 15, 30, 14, 29, 13, 28, 12, 27, 11, 26, 10, 25, 9, 24, 8,
-            23, 7, 22, 6, 21, 5, 20, 4, 19, 3, 18, 2, 17, 1, 16, 0,
-        );
-        for v in 0..nvec {
-            let mut r = 0;
-            while r < rows {
-                let tile = 8.min(rows - r);
-                let mut acc = [_mm512_setzero_si512(); 8];
-                let mut k = 0;
-                while k + 2 <= cols {
-                    let zk = _mm256_loadu_si256(z.as_ptr().add(k * width + v * 16).cast());
-                    let zk1 = _mm256_loadu_si256(z.as_ptr().add((k + 1) * width + v * 16).cast());
-                    let both = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(zk), zk1);
-                    let zinter = _mm512_permutexvar_epi16(idx, both);
-                    for (i, a) in acc.iter_mut().enumerate().take(tile) {
-                        let wv = _mm512_set1_epi32(
-                            w.as_ptr()
-                                .add((r + i) * cols + k)
-                                .cast::<i32>()
-                                .read_unaligned(),
-                        );
-                        *a = _mm512_add_epi32(*a, _mm512_madd_epi16(zinter, wv));
-                    }
-                    k += 2;
-                }
-                if k < cols {
-                    // Odd trailing column: pair it with a zero row (and a
-                    // scalar-built weight pair — a 4-byte load would read
-                    // past the weight row).
-                    let zk = _mm256_loadu_si256(z.as_ptr().add(k * width + v * 16).cast());
-                    let both = _mm512_castsi256_si512(zk);
-                    let zinter = _mm512_permutexvar_epi16(idx, both);
-                    for (i, a) in acc.iter_mut().enumerate().take(tile) {
-                        let w0 = *w.get_unchecked((r + i) * cols + k) as u16 as u32;
-                        let wv = _mm512_set1_epi32(w0 as i32);
-                        *a = _mm512_add_epi32(*a, _mm512_madd_epi16(zinter, wv));
-                    }
-                }
-                for (i, a) in acc.iter().enumerate().take(tile) {
-                    _mm512_storeu_si512(out.as_mut_ptr().add((r + i) * width + v * 16).cast(), *a);
-                }
-                r += tile;
-            }
-        }
-    }
-
-    /// AVX2 `vpmaddwd` tile for the i16 MAC: each 256-bit `madd` retires
-    /// 16 `i16×i16` products pre-summed in adjacent pairs, so one
-    /// instruction covers two `k` columns of 8 lanes. The two `z` rows
-    /// of a column pair are interleaved with `unpacklo/hi_epi16` (lane
-    /// groups [0..3, 8..11] and [4..7, 12..15] — the same permutation
-    /// every `k`, un-done once at the end by `permute2x128`) and shared
-    /// by a 4-row tile; each row costs one packed weight-pair broadcast
-    /// (a 4-byte load of the two adjacent `i16` weights) plus two
-    /// `madd`/`add` pairs. Pair sums fit `i32` unconditionally
-    /// (`2·32767² < 2^31`); the caller's row bound covers the cross-pair
-    /// accumulation, so every add is exact and the tile equals the
-    /// scalar fallback bit for bit.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx2; `width % 16 == 0` and the slice shapes asserted by
-    /// the dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mm_madd_i16_avx2(
-        w: &[i16],
-        rows: usize,
-        cols: usize,
-        z: &[i16],
-        width: usize,
-        out: &mut [i32],
-    ) {
-        debug_assert_eq!(width % 16, 0);
-        let nvec = width / 16;
-        for v in 0..nvec {
-            let mut r = 0;
-            while r < rows {
-                let tile = 4.min(rows - r);
-                let mut acc_lo = [_mm256_setzero_si256(); 4];
-                let mut acc_hi = [_mm256_setzero_si256(); 4];
-                let mut k = 0;
-                while k + 2 <= cols {
-                    let zk = _mm256_loadu_si256(z.as_ptr().add(k * width + v * 16).cast());
-                    let zk1 = _mm256_loadu_si256(z.as_ptr().add((k + 1) * width + v * 16).cast());
-                    let lo = _mm256_unpacklo_epi16(zk, zk1);
-                    let hi = _mm256_unpackhi_epi16(zk, zk1);
-                    for i in 0..tile {
-                        let wv = _mm256_set1_epi32(
-                            w.as_ptr()
-                                .add((r + i) * cols + k)
-                                .cast::<i32>()
-                                .read_unaligned(),
-                        );
-                        acc_lo[i] = _mm256_add_epi32(acc_lo[i], _mm256_madd_epi16(lo, wv));
-                        acc_hi[i] = _mm256_add_epi32(acc_hi[i], _mm256_madd_epi16(hi, wv));
-                    }
-                    k += 2;
-                }
-                if k < cols {
-                    // Odd trailing column: pair it with a zero row (and a
-                    // scalar-built weight pair — a 4-byte load would read
-                    // past the weight row).
-                    let zk = _mm256_loadu_si256(z.as_ptr().add(k * width + v * 16).cast());
-                    let zero = _mm256_setzero_si256();
-                    let lo = _mm256_unpacklo_epi16(zk, zero);
-                    let hi = _mm256_unpackhi_epi16(zk, zero);
-                    for i in 0..tile {
-                        let w0 = *w.get_unchecked((r + i) * cols + k) as u16 as u32;
-                        let wv = _mm256_set1_epi32(w0 as i32);
-                        acc_lo[i] = _mm256_add_epi32(acc_lo[i], _mm256_madd_epi16(lo, wv));
-                        acc_hi[i] = _mm256_add_epi32(acc_hi[i], _mm256_madd_epi16(hi, wv));
-                    }
-                }
-                for i in 0..tile {
-                    let out_a = _mm256_permute2x128_si256::<0x20>(acc_lo[i], acc_hi[i]);
-                    let out_b = _mm256_permute2x128_si256::<0x31>(acc_lo[i], acc_hi[i]);
-                    _mm256_storeu_si256(
-                        out.as_mut_ptr().add((r + i) * width + v * 16).cast(),
-                        out_a,
-                    );
-                    _mm256_storeu_si256(
-                        out.as_mut_ptr().add((r + i) * width + v * 16 + 8).cast(),
-                        out_b,
-                    );
-                }
-                r += tile;
-            }
-        }
-    }
-
     /// # Safety
     ///
     /// Requires avx512f/dq/vl.
@@ -1348,272 +871,6 @@ mod x86 {
             j += 1;
         }
     }
-
-    // -----------------------------------------------------------------
-    // Screen-tier kernels (runtime decimal scale ≤ 10^4)
-    // -----------------------------------------------------------------
-
-    /// Exact signed `round_half_away(v / scale)` for integer-valued
-    /// lanes and a runtime decimal `scale = 10^k`, `k ≤ 4` — the vector
-    /// twin of the scalar [`super::screen_round_div`], divider-free.
-    ///
-    /// `q0 = floor(m · RN(1/scale))` (`m = |v| + ⌊scale/2⌋`) is within
-    /// ±1 of `floor(m/scale)`: the two roundings perturb the product by
-    /// at most `(m/scale)·2^-51.4`, and the screen domain keeps
-    /// `m < 2^41`, so the error is ≪ 1. The FNMA residual
-    /// `r = m − q0·scale` is exact (`q0·scale < 2^42`, an integer), and
-    /// the branchless ±1 correction makes `q` the true floor no matter
-    /// how the estimate rounded. The caller hoists the broadcast
-    /// constants, including the one rounding of `1/scale`.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `|v| + half < 2^41` for every lane.
-    #[inline]
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn screen_div_round_pd(
-        v: __m512d,
-        s: __m512d,
-        half: __m512d,
-        inv_s: __m512d,
-    ) -> __m512d {
-        let sgnmask = _mm512_set1_pd(-0.0);
-        let sgn = _mm512_and_pd(v, sgnmask);
-        let mag = _mm512_andnot_pd(sgnmask, v);
-        let m = _mm512_add_pd(mag, half);
-        let q0 = _mm512_roundscale_pd(
-            _mm512_mul_pd(m, inv_s),
-            _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC,
-        );
-        let r = _mm512_fnmadd_pd(q0, s, m);
-        let ge = _mm512_cmp_pd_mask(r, s, _CMP_GE_OQ);
-        let lt = _mm512_cmp_pd_mask(r, _mm512_setzero_pd(), _CMP_LT_OQ);
-        let one = _mm512_set1_pd(1.0);
-        let q1 = _mm512_mask_add_pd(q0, ge, q0, one);
-        let q = _mm512_mask_sub_pd(q1, lt, q1, one);
-        _mm512_or_pd(q, sgn)
-    }
-
-    /// One vector of the branchless PLAN sigmoid — the vector twin of
-    /// [`super::screen_plan_sigmoid`], bit-identical to
-    /// `csd_fxp::plan_sigmoid_raw`. The three chords divide by 4/8/32
-    /// (exact power-of-two multiplies), segment selection is nested
-    /// blends (`8a ≥ 19s` implies `a ≥ s`, so the order is safe), the
-    /// `min` with `s` is the `x ≥ 5s` saturation, and negative lanes
-    /// use the PLAN symmetry `σ(x) = s − σ(−x)`. The caller hoists the
-    /// chord constants `c4 = 2s+2`, `c8 = 5s+4`, `c32 = 27s+16`,
-    /// `s19 = 19s` (all exact small integers).
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `|x| < 2^41` for every lane.
-    #[inline]
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn screen_sigmoid_pd(
-        x: __m512d,
-        s: __m512d,
-        c4: __m512d,
-        c8: __m512d,
-        c32: __m512d,
-        s19: __m512d,
-    ) -> __m512d {
-        const FL: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
-        let a = _mm512_andnot_pd(_mm512_set1_pd(-0.0), x);
-        let f4 = _mm512_roundscale_pd(
-            _mm512_mul_pd(_mm512_add_pd(a, c4), _mm512_set1_pd(0.25)),
-            FL,
-        );
-        let f8 = _mm512_roundscale_pd(
-            _mm512_mul_pd(_mm512_add_pd(a, c8), _mm512_set1_pd(0.125)),
-            FL,
-        );
-        let f32c = _mm512_roundscale_pd(
-            _mm512_mul_pd(_mm512_add_pd(a, c32), _mm512_set1_pd(0.03125)),
-            FL,
-        );
-        let m1 = _mm512_cmp_pd_mask(a, s, _CMP_GE_OQ);
-        let a8 = _mm512_mul_pd(a, _mm512_set1_pd(8.0));
-        let m2 = _mm512_cmp_pd_mask(a8, s19, _CMP_GE_OQ);
-        let t = _mm512_mask_mov_pd(f4, m1, f8);
-        let t = _mm512_mask_mov_pd(t, m2, f32c);
-        let t = _mm512_min_pd(t, s);
-        let neg = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LT_OQ);
-        _mm512_mask_mov_pd(t, neg, _mm512_sub_pd(s, t))
-    }
-
-    /// One vector of screen softsign `round_half_away(x·s / (|x| + s))`
-    /// at the runtime screen scale — the same [`div_round_generic_pd`]
-    /// core as the exact path's softsign, which lands on the identical
-    /// integer as the scalar [`super::screen_softsign`] (both compute
-    /// the true rounded quotient). Screen bounds are strictly inside
-    /// the generic divider's domain: `q ≤ s ≤ 10^4`, `den < 2^28`,
-    /// `num + den/2 < 2^42`.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `|x| < 2^37` for every lane.
-    #[inline]
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn screen_softsign_pd(x: __m512d, s: __m512d) -> __m512d {
-        let sgnmask = _mm512_set1_pd(-0.0);
-        let sgn = _mm512_and_pd(x, sgnmask);
-        let mag = _mm512_andnot_pd(sgnmask, x);
-        let num = _mm512_mul_pd(mag, s);
-        let den = _mm512_add_pd(mag, s);
-        div_round_generic_pd(num, den, sgn)
-    }
-
-    /// Screen pre-activation epilogue: per 8-lane block, the gate-table
-    /// entries of the block's items are fetched with one hoisted index
-    /// vector (`items·rows`, then `+r` per row) feeding a `vpgatherqq`
-    /// — the lanes' table rows (≤ 8 KiB live) stay L1-resident across
-    /// the row sweep — then widened, added to the `i32` MAC row, and
-    /// rescaled by the divider-free [`screen_div_round_pd`]. Remainder
-    /// lanes take the scalar helpers.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; slice shapes and table bounds asserted
-    /// by the dispatching wrapper; MAC + table sums within the
-    /// [`screen_div_round_pd`] domain.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn screen_preact_avx512(
-        mac: &[i32],
-        rows: usize,
-        width: usize,
-        table: &[i64],
-        items: &[usize],
-        scale: i64,
-        g: &mut [f64],
-    ) {
-        let s = _mm512_set1_pd(scale as f64);
-        let half = _mm512_set1_pd((scale / 2) as f64);
-        let inv_s = _mm512_set1_pd(1.0 / scale as f64);
-        let rows_v = _mm512_set1_epi64(rows as i64);
-        let mut l = 0;
-        while l + 8 <= width {
-            let iv = _mm512_loadu_si512(items.as_ptr().add(l).cast());
-            let base = _mm512_mullo_epi64(iv, rows_v);
-            for r in 0..rows {
-                let idx = _mm512_add_epi64(base, _mm512_set1_epi64(r as i64));
-                let tv = _mm512_cvtepi64_pd(_mm512_i64gather_epi64::<8>(idx, table.as_ptr()));
-                let mv =
-                    _mm512_cvtepi32_pd(_mm256_loadu_si256(mac.as_ptr().add(r * width + l).cast()));
-                let v = _mm512_add_pd(mv, tv);
-                _mm512_storeu_pd(
-                    g.as_mut_ptr().add(r * width + l),
-                    screen_div_round_pd(v, s, half, inv_s),
-                );
-            }
-            l += 8;
-        }
-        let sf = scale as f64;
-        let hf = (scale / 2) as f64;
-        for ll in l..width {
-            let row = &table[items[ll] * rows..(items[ll] + 1) * rows];
-            for (r, &tr) in row.iter().enumerate() {
-                let v = mac[r * width + ll] as f64 + tr as f64;
-                g[r * width + ll] = super::screen_round_div(v, sf, hf);
-            }
-        }
-    }
-
-    /// Screen gate activations over the `4H × width` block: PLAN
-    /// sigmoid on the `i`/`f` and `o` gate ranges, screen softsign on
-    /// the candidate range, scalar-helper tails.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `g.len() == 4·hw`; pre-activations
-    /// within the screen preact range.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn screen_activate_avx512(g: &mut [f64], hw: usize, scale: i64) {
-        let s = _mm512_set1_pd(scale as f64);
-        let c4 = _mm512_set1_pd((2 * scale + 2) as f64);
-        let c8 = _mm512_set1_pd((5 * scale + 4) as f64);
-        let c32 = _mm512_set1_pd((27 * scale + 16) as f64);
-        let s19 = _mm512_set1_pd((19 * scale) as f64);
-        let sf = scale as f64;
-        let (sig_if, rest) = g.split_at_mut(2 * hw);
-        let (cand, sig_o) = rest.split_at_mut(hw);
-        for block in [sig_if, sig_o] {
-            let mut i = 0;
-            while i + 8 <= block.len() {
-                let x = _mm512_loadu_pd(block.as_ptr().add(i));
-                _mm512_storeu_pd(
-                    block.as_mut_ptr().add(i),
-                    screen_sigmoid_pd(x, s, c4, c8, c32, s19),
-                );
-                i += 8;
-            }
-            for x in &mut block[i..] {
-                *x = super::screen_plan_sigmoid(*x, sf);
-            }
-        }
-        let mut i = 0;
-        while i + 8 <= cand.len() {
-            let x = _mm512_loadu_pd(cand.as_ptr().add(i));
-            _mm512_storeu_pd(cand.as_mut_ptr().add(i), screen_softsign_pd(x, s));
-            i += 8;
-        }
-        for x in &mut cand[i..] {
-            *x = super::screen_softsign(*x, sf);
-        }
-    }
-
-    /// Screen state update: `C_t = round((f·C + i·C′)/s)`,
-    /// `h_t = round(o·softsign(C_t)/s)` narrowed to the `i16` block the
-    /// next step's i16 MAC consumes (`|h| ≤ s ≤ 10^4`, so the
-    /// truncating f64→i32→i16 narrowing is value-preserving). All
-    /// products are exact integers below `2^41`.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; slice shapes asserted by the dispatching
-    /// wrapper; gates and cell within the screen recurrence bounds.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn screen_update_avx512(
-        g: &[f64],
-        hw: usize,
-        scale: i64,
-        c: &mut [f64],
-        h: &mut [i16],
-    ) {
-        let s = _mm512_set1_pd(scale as f64);
-        let half = _mm512_set1_pd((scale / 2) as f64);
-        let inv_s = _mm512_set1_pd(1.0 / scale as f64);
-        let (gi, gf, gc, go) = (&g[..hw], &g[hw..2 * hw], &g[2 * hw..3 * hw], &g[3 * hw..]);
-        let mut j = 0;
-        while j + 8 <= hw {
-            let iv = _mm512_loadu_pd(gi.as_ptr().add(j));
-            let fv = _mm512_loadu_pd(gf.as_ptr().add(j));
-            let cb = _mm512_loadu_pd(gc.as_ptr().add(j));
-            let ov = _mm512_loadu_pd(go.as_ptr().add(j));
-            let cv = _mm512_loadu_pd(c.as_ptr().add(j));
-            let prod = _mm512_add_pd(_mm512_mul_pd(fv, cv), _mm512_mul_pd(iv, cb));
-            let ct = screen_div_round_pd(prod, s, half, inv_s);
-            _mm512_storeu_pd(c.as_mut_ptr().add(j), ct);
-            let ss = screen_softsign_pd(ct, s);
-            let hv = screen_div_round_pd(_mm512_mul_pd(ov, ss), s, half, inv_s);
-            let h32 = _mm512_cvttpd_epi32(hv);
-            _mm_storeu_si128(h.as_mut_ptr().add(j).cast(), _mm256_cvtepi32_epi16(h32));
-            j += 8;
-        }
-        let sf = scale as f64;
-        let hf = (scale / 2) as f64;
-        while j < hw {
-            let ct = super::screen_round_div(gf[j] * c[j] + gi[j] * gc[j], sf, hf);
-            c[j] = ct;
-            h[j] = super::screen_round_div(go[j] * super::screen_softsign(ct, sf), sf, hf) as i16;
-            j += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1762,99 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn i16_matmul_matches_integer_reference() {
-        const ROWS: usize = 128;
-        // 31 exercises the odd-trailing-column madd pair; 32 the even path.
-        for cols in [31usize, 32] {
-            let wi: Vec<i16> = (0..ROWS * cols)
-                .map(|i| (i as i64 * 2_654_435_761 % 1_201 - 600) as i16)
-                .collect();
-            // 16/32/48 exercise the vpmaddwd tile; the rest the scalar path.
-            for width in [1usize, 5, 16, 32, 48] {
-                let zi: Vec<i16> = (0..cols * width)
-                    .map(|i| (i as i64 * 40_503 % 2_001 - 1_000) as i16)
-                    .collect();
-                let mut acc = vec![0i32; ROWS * width];
-                matmul_fx_lanes_i16(&wi, ROWS, cols, &zi, width, &mut acc);
-                for r in 0..ROWS {
-                    for l in 0..width {
-                        let mut s = 0i64;
-                        for k in 0..cols {
-                            s += wi[r * cols + k] as i64 * zi[k * width + l] as i64;
-                        }
-                        assert_eq!(
-                            acc[r * width + l] as i64,
-                            s,
-                            "i16 matmul r={r} l={l} cols={cols} w={width}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// On an avx512bw host the dispatcher never reaches the AVX2 i16
-    /// tile, so exercise it directly — it must match the integer
-    /// reference on every shape the wrapper would hand it.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn i16_avx2_tile_matches_scalar_even_when_shadowed_by_avx512() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for rows in [1usize, 5, 128] {
-            for cols in [31usize, 32] {
-                let wi: Vec<i16> = (0..rows * cols)
-                    .map(|i| (i as i64 * 2_654_435_761 % 1_201 - 600) as i16)
-                    .collect();
-                for width in [16usize, 32] {
-                    let zi: Vec<i16> = (0..cols * width)
-                        .map(|i| (i as i64 * 40_503 % 2_001 - 1_000) as i16)
-                        .collect();
-                    let mut acc = vec![0i32; rows * width];
-                    // SAFETY: avx2 presence checked above; shapes match.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        x86::mm_madd_i16_avx2(&wi, rows, cols, &zi, width, &mut acc)
-                    };
-                    for r in 0..rows {
-                        for l in 0..width {
-                            let mut s = 0i64;
-                            for k in 0..cols {
-                                s += wi[r * cols + k] as i64 * zi[k * width + l] as i64;
-                            }
-                            assert_eq!(
-                                acc[r * width + l] as i64,
-                                s,
-                                "avx2 i16 tile r={r} l={l} cols={cols} w={width}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn i16_matmul_covers_the_extreme_corners() {
-        // ±i16 extremes with a row bound that still fits i32: the madd
-        // pair sum 2·(−32768·32767) stays inside the accumulator.
-        let w: Vec<i16> = vec![-32768, 32767, -32768, 32767];
-        let z: Vec<i16> = (0..4 * 16)
-            .map(|i| if i % 3 == 0 { 32767 } else { -32768 })
-            .collect();
-        let mut acc = vec![0i32; 16];
-        matmul_fx_lanes_i16(&w, 1, 4, &z, 16, &mut acc);
-        for l in 0..16 {
-            let mut s = 0i64;
-            for k in 0..4 {
-                s += w[k] as i64 * z[k * 16 + l] as i64;
-            }
-            assert_eq!(acc[l] as i64, s, "i16 corner l={l}");
-        }
-    }
-
-    #[test]
     fn update_matches_fx6_reference() {
         let hidden = 32;
         for width in [3usize, 8] {
@@ -1918,142 +1082,5 @@ mod tests {
     #[test]
     fn simd_level_reports_a_tier() {
         assert!(["avx512", "avx2", "scalar"].contains(&simd_level()));
-    }
-
-    #[test]
-    fn screen_f64_helpers_match_integer_primitives() {
-        for &scale in &[10i64, 100, 1_000, 10_000] {
-            let s = scale as f64;
-            let half = (scale / 2) as f64;
-            // Dense around zero, the PLAN breakpoints (S, 2.375·S, 5·S)
-            // and both signs; sparse out past saturation and deep into
-            // the cell-state range.
-            let mut xs: Vec<i64> = (-6 * scale..=6 * scale)
-                .step_by(((scale / 50).max(1)) as usize)
-                .collect();
-            for k in [scale, 19 * scale / 8, 5 * scale] {
-                for d in -66..=66 {
-                    xs.push(k + d);
-                    xs.push(-(k + d));
-                }
-            }
-            xs.extend([
-                0,
-                1,
-                -1,
-                8_000 * scale,
-                -8_000 * scale,
-                123_456_789,
-                -123_456_789,
-            ]);
-            for &x in &xs {
-                assert_eq!(
-                    screen_plan_sigmoid(x as f64, s) as i64,
-                    csd_fxp::plan_sigmoid_raw(x, scale),
-                    "plan sigmoid x={x} scale={scale}"
-                );
-                assert_eq!(
-                    screen_softsign(x as f64, s) as i64,
-                    csd_fxp::softsign_raw(x, scale),
-                    "softsign x={x} scale={scale}"
-                );
-                assert_eq!(
-                    screen_round_div(x as f64, s, half) as i64,
-                    div_round_raw(x, scale),
-                    "round div x={x} scale={scale}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn screen_preact_matches_wide_reference() {
-        let rows = 16;
-        let vocab = 7;
-        let scale = 10_000i64;
-        let table: Vec<i64> = (0..vocab * rows)
-            .map(|i| (i as i64 * 987_654_321) % (3 * scale * scale) - scale * scale)
-            .collect();
-        for width in [1usize, 5, 16] {
-            let mac: Vec<i32> = (0..rows * width)
-                .map(|i| ((i as i64 * 48_271) % (2 * i32::MAX as i64) - i32::MAX as i64) as i32)
-                .collect();
-            let items: Vec<usize> = (0..width).map(|l| (l * 3 + 1) % vocab).collect();
-            let mut g = vec![0.0f64; rows * width];
-            screen_preact_lanes(&mac, rows, width, &table, &items, scale, &mut g);
-            for r in 0..rows {
-                for l in 0..width {
-                    let wide = mac[r * width + l] as i128 + table[items[l] * rows + r] as i128;
-                    let expect = {
-                        let half = (scale / 2) as i128;
-                        (if wide >= 0 {
-                            (wide + half) / scale as i128
-                        } else {
-                            (wide - half) / scale as i128
-                        }) as i64
-                    };
-                    assert_eq!(
-                        g[r * width + l] as i64,
-                        expect,
-                        "preact r={r} l={l} w={width}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn screen_activate_applies_gate_order() {
-        let hidden = 4;
-        let scale = 1_000i64;
-        for width in [1usize, 3, 8] {
-            let hw = hidden * width;
-            let raw: Vec<i64> = (0..4 * hw)
-                .map(|i| (i as i64 * 7_919) % (12 * scale) - 6 * scale)
-                .collect();
-            let mut g: Vec<f64> = raw.iter().map(|&x| x as f64).collect();
-            screen_activate_lanes(&mut g, hidden, width, scale);
-            for j in 0..4 * hw {
-                let expect = if (2 * hw..3 * hw).contains(&j) {
-                    csd_fxp::softsign_raw(raw[j], scale)
-                } else {
-                    csd_fxp::plan_sigmoid_raw(raw[j], scale)
-                };
-                assert_eq!(g[j] as i64, expect, "activate j={j} w={width}");
-            }
-        }
-    }
-
-    #[test]
-    fn screen_update_is_the_integer_recurrence_and_h_fits_i16() {
-        let hidden = 4;
-        let scale = 10_000i64;
-        for width in [1usize, 2, 16] {
-            let hw = hidden * width;
-            // Activated gates ∈ [0, S]; candidate ∈ [−S, S]; cell deep
-            // into a long sequence (thousands of steps).
-            let mut gi = vec![0i64; 4 * hw];
-            for j in 0..hw {
-                gi[j] = (j as i64 * 2_311) % (scale + 1); // i
-                gi[hw + j] = (j as i64 * 1_777 + 500) % (scale + 1); // f
-                gi[2 * hw + j] = (j as i64 * 3_271) % (2 * scale + 1) - scale; // c'
-                gi[3 * hw + j] = (j as i64 * 911 + 77) % (scale + 1); // o
-            }
-            let g: Vec<f64> = gi.iter().map(|&x| x as f64).collect();
-            let c0: Vec<i64> = (0..hw)
-                .map(|j| (j as i64 * 999_983) % (8_000 * scale) - 4_000 * scale)
-                .collect();
-            let mut c: Vec<f64> = c0.iter().map(|&x| x as f64).collect();
-            let mut h = vec![0i16; hw];
-            screen_update_lanes(&g, hidden, width, scale, &mut c, &mut h);
-            for j in 0..hw {
-                let ct = div_round_raw(gi[hw + j] * c0[j] + gi[j] * gi[2 * hw + j], scale);
-                assert_eq!(c[j] as i64, ct, "cell j={j} w={width}");
-                let expect =
-                    div_round_raw(gi[3 * hw + j] * csd_fxp::softsign_raw(ct, scale), scale);
-                assert_eq!(h[j] as i64, expect, "hidden j={j} w={width}");
-                assert!(expect.abs() <= scale, "h bound j={j}");
-            }
-        }
     }
 }
