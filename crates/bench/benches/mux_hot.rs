@@ -6,15 +6,17 @@
 //! Kernel inputs are synthetic exact integers inside the proven ranges
 //! (pre-activations within the matmul bound, cell state within the
 //! 8000-step growth bound), so every contender runs the same dispatch
-//! tier it runs inside `StreamMux::tick_into`. The bookkeeping group
-//! drives a real mux with one-item windows: every tick retires and
-//! refills the full lane block, so admission, retirement, latency-ring
-//! and buffer-pool work dominate the measurement.
+//! tier it runs inside the mux tick. The bookkeeping group drives the
+//! one-shard `ShardedStreamMux` (what the service runs) with one-item
+//! windows: every tick retires and refills the full lane block, so
+//! admission (vocabulary check, backpressure bound, sequence numbering),
+//! the per-stream reorder map, retirement, latency-ring and buffer-pool
+//! work dominate the measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel, StreamMux, StreamMuxConfig};
+use csd_accel::{CsdInferenceEngine, OptimizationLevel, ShardedStreamMux, StreamMuxConfig};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_tensor::lanes;
 
@@ -86,7 +88,8 @@ fn bench_state_update(c: &mut Criterion) {
 fn bench_bookkeeping(c: &mut Criterion) {
     // One-item windows: every tick retires and refills the entire lane
     // block, so per-verdict cost is dominated by admission, retirement,
-    // the latency ring, and buffer recycling — the mux bookkeeping.
+    // reorder settling, the latency ring, and buffer recycling — the
+    // mux bookkeeping.
     let model = SequenceClassifier::new(ModelConfig::paper(), 51);
     let weights = ModelWeights::from_model(&model);
     let engine = CsdInferenceEngine::new(&weights, OptimizationLevel::FixedPoint);
@@ -98,10 +101,11 @@ fn bench_bookkeeping(c: &mut Criterion) {
             BenchmarkId::new("admit_retire_1item", width),
             &width,
             |b, &w| {
-                let mut mux = StreamMux::new(
+                let mut mux = ShardedStreamMux::new(
                     engine.clone(),
                     StreamMuxConfig {
                         lanes: Some(w),
+                        shards: Some(1),
                         ..StreamMuxConfig::default()
                     },
                 );

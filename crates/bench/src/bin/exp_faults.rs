@@ -20,10 +20,10 @@
 //! 2. **Dead device** — one device fails every operation; the fleet
 //!    must quarantine it, redistribute its shard, and still return
 //!    every verdict unchanged.
-//! 3. **Stream sweep** — a [`StreamMux`] with lane-corruption faults
-//!    armed; poisoned lanes are retired and their windows re-run
-//!    through the serial fused path. Verdicts must stay bit-identical
-//!    to the fault-free engine, with zero drops.
+//! 3. **Stream sweep** — a one-shard [`ShardedStreamMux`] with
+//!    lane-corruption faults armed; poisoned lanes are retired and
+//!    their windows re-run through the serial fused path. Verdicts must
+//!    stay bit-identical to the fault-free engine, with zero drops.
 //!
 //! Fault rates are specified *per window* (probability a 100-call
 //! classification is disturbed at least once) and converted to per-op /
@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use csd_accel::{
     Classification, CsdFleet, CsdInferenceEngine, FleetStats, MuxStats, OptimizationLevel,
-    OverflowPolicy, RecoveryPolicy, RecoveryStats, StreamMux, StreamMuxConfig,
+    OverflowPolicy, RecoveryPolicy, RecoveryStats, ShardedStreamMux, StreamMuxConfig,
 };
 use csd_device::{FaultConfig, FaultCounters, FaultPlan};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -311,13 +311,14 @@ fn main() {
         // A window occupies a lane for ~window_len ticks; convert the
         // per-window disturbance rate to a per-tick lane rate.
         let per_tick = per_op_rate(rate, window_len as f64);
-        let mut mux = StreamMux::new(
+        let mut mux = ShardedStreamMux::new(
             engine.clone(),
             StreamMuxConfig {
                 lanes: None,
                 max_pending: stream_windows,
                 policy: OverflowPolicy::DropOldest,
-                ..StreamMuxConfig::default()
+                shards: Some(1),
+                steal: None,
             },
         );
         if per_tick > 0.0 {

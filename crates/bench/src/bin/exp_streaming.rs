@@ -9,40 +9,39 @@
 //!
 //! The workload is the paper's deployment shape: N concurrent process
 //! streams emit API calls round-robin (one call per stream per round, as
-//! a host timeslice would), each stream's monitor classifying a
-//! 100-call window every 10 calls. The fleet path enqueues due windows
-//! on the mux and drains them through lane-batched lockstep sweeps with
-//! iteration-level slot refill.
+//! a host timeslice would), each stream due a 100-call window at its
+//! first full window and every 10 calls after. The driver submits each
+//! due window straight to the [`ShardedStreamMux`] and drains them
+//! through lane-batched lockstep sweeps with iteration-level slot
+//! refill.
 //!
-//! Three experiments ride the same harness:
+//! Two experiments ride the same harness:
 //!
-//! 1. **Single-shard throughput** — the mux pinned to one shard (the
-//!    PR-4 configuration): the lane-batching path alone.
-//! 2. **Shard sweep** — the sharded mux at 1/2/4 shards against its own
+//! 1. **Single-shard throughput** — the mux pinned to one shard (what
+//!    the sentry benchmark runs): the lane-batching path alone.
+//! 2. **Shard sweep** — the mux at 1/2/4 shards against its own
 //!    single-shard baseline at each stream count. This is the multi-core
 //!    win alone; on a single-core host it measures coordination overhead
 //!    instead (reported honestly, see EXPERIMENTS.md).
-//! 3. **Registered-fleet scale point** — one million streams registered
-//!    (dormant) on a fleet monitor, pinning the idle-stream resident
-//!    budget at ≤100 B each so 1M tracked processes fit in ~100 MB.
 //!
 //! `--smoke` runs a seconds-scale subset (fewer/shorter streams, shard
 //! count left to `CSD_STREAM_SHARDS` so a CI matrix can sweep it, no
-//! acceptance bars) for CI; the full run checks the acceptance bars —
-//! the 4-shard sweep must reach ≥3× the single-shard mux at 4096
-//! streams *when the host has ≥4 cores* (skipped with a note
-//! otherwise), and the idle-stream budget must hold at 1M registered
-//! streams — and fails loudly below them. Before timing anything, alert
-//! parity is asserted against the serial semantic oracle: one
-//! [`StreamMonitor`] per process. Historical comparisons (per-PID serial
-//! monitors: 2.1–2.8×; the gate table off) are recorded in
-//! EXPERIMENTS.md, "Frozen baselines".
+//! acceptance bar) for CI; the full run checks the acceptance bar — the
+//! 4-shard sweep must reach ≥3× the single-shard mux at 4096 streams
+//! *when both the host and the worker pool have ≥4 threads* (skipped
+//! with a note otherwise) — and fails loudly below it. Before timing
+//! anything, at every swept shard count, every verdict is asserted
+//! bit-equal to serial `classify` of its window and every stream's
+//! verdicts are asserted to arrive in submission order. Historical
+//! comparisons (per-PID serial monitors: 2.1–2.8×; the gate table off;
+//! the pre-sentry fleet monitor's passes and its 86 B dormant-stream
+//! budget) are recorded in EXPERIMENTS.md, "Frozen baselines".
 
 use std::time::Instant;
 
 use csd_accel::{
-    CsdInferenceEngine, FleetMonitor, FleetResidentBytes, MonitorConfig, MuxStats,
-    OptimizationLevel, StreamMonitor, StreamMuxConfig, WorkerPool,
+    CsdInferenceEngine, MonitorConfig, MuxStats, OptimizationLevel, ShardedStreamMux,
+    StreamMuxConfig, Verdict, WorkerPool,
 };
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_tensor::lanes;
@@ -60,15 +59,6 @@ struct Measurement {
     verdicts_per_sec: f64,
 }
 
-/// The dormant-fleet scale point: how much RAM a registered-but-idle
-/// stream costs.
-#[derive(Serialize)]
-struct ResidentScalePoint {
-    streams: usize,
-    resident: FleetResidentBytes,
-    per_idle_stream_bytes: f64,
-}
-
 #[derive(Serialize)]
 struct Report {
     level: String,
@@ -84,8 +74,6 @@ struct Report {
     /// Per stream count: `(shards, speedup vs the single-shard mux)`
     /// for each swept shard count (the multi-core win alone).
     shard_speedup_by_streams: Vec<(usize, Vec<(usize, f64)>)>,
-    /// The million-dormant-streams memory pin.
-    resident_at_scale: ResidentScalePoint,
 }
 
 /// Rounds each configuration runs (see `exp_throughput`); each keeps
@@ -109,22 +97,25 @@ fn windows_per_stream(calls: usize, config: &MonitorConfig) -> usize {
     }
 }
 
-/// Feeds all streams round-robin into the fleet monitor and drains.
+/// Walks all streams round-robin, submitting each stream's due window
+/// (tagged with the call count that completed it) to a fresh mux, then
+/// drains. Returns the mux and every verdict in delivery order.
 fn run_fleet(
     engine: &CsdInferenceEngine,
     config: MonitorConfig,
     mux_config: StreamMuxConfig,
     traces: &[Vec<usize>],
-) -> FleetMonitor {
-    let mut fleet = FleetMonitor::new(engine.clone(), config, mux_config);
-    let calls = traces[0].len();
-    for i in 0..calls {
+) -> (ShardedStreamMux, Vec<Verdict>) {
+    let mut mux = ShardedStreamMux::new(engine.clone(), mux_config);
+    let mut verdicts = Vec::new();
+    for seen in (config.window_len..=traces[0].len()).step_by(config.stride) {
         for (pid, t) in traces.iter().enumerate() {
-            fleet.observe(pid as u64, t[i]);
+            let admitted = mux.submit(pid as u64, seen, &t[seen - config.window_len..seen]);
+            assert!(admitted, "the queue is sized for a full pass");
         }
     }
-    let _ = fleet.drain();
-    fleet
+    mux.drain_into(&mut verdicts);
+    (mux, verdicts)
 }
 
 /// Doubles the iteration count until one burst runs ≥25 ms (warm-up +
@@ -192,34 +183,43 @@ fn main() {
         ..StreamMuxConfig::default()
     };
 
-    // Correctness gate before any timing: identical per-PID alert state
-    // on a probe fleet, against one serial `StreamMonitor` per process.
+    // Correctness gate before any timing, on a probe fleet: every
+    // verdict bit-equal to serial `classify` of its window, and each
+    // stream's verdicts delivered in the order it submitted them.
     {
         let n = 32;
         let traces: Vec<Vec<usize>> = (0..n).map(|s| trace(s, calls_per_stream)).collect();
-        let serial: Vec<_> = traces
-            .iter()
-            .map(|t| StreamMonitor::new(engine.clone(), config).observe_all(t))
-            .collect();
+        let per_stream = windows_per_stream(calls_per_stream, &config);
         // Gate every swept shard count, plus the env-resolved default.
         for &shards in shard_counts.iter().chain([&None]) {
-            let fleet = run_fleet(&engine, config, mux_config(n, shards), &traces);
-            for (pid, want) in serial.iter().enumerate() {
+            let (_, verdicts) = run_fleet(&engine, config, mux_config(n, shards), &traces);
+            assert_eq!(
+                verdicts.len(),
+                n * per_stream,
+                "{shards:?} shards lost verdicts"
+            );
+            let mut next_due = vec![config.window_len; n];
+            for v in &verdicts {
+                let pid = v.stream as usize;
                 assert_eq!(
-                    fleet.alert_for(pid as u64),
-                    *want,
-                    "stream mux ({shards:?} shards) diverged from the serial monitor on pid {pid}"
+                    v.at_call, next_due[pid],
+                    "stream mux ({shards:?} shards) delivered pid {pid} out of submission order"
+                );
+                next_due[pid] += config.stride;
+                let window = &traces[pid][v.at_call - config.window_len..v.at_call];
+                assert_eq!(
+                    v.classification,
+                    engine.classify(window),
+                    "stream mux ({shards:?} shards) diverged from serial classify on pid {pid} at call {}",
+                    v.at_call
                 );
             }
         }
     }
     let mut measurements = Vec::new();
     let mut mux_stats_by_streams = Vec::new();
-    let stream_lanes = {
-        // Report the width the default config resolves to.
-        let probe = FleetMonitor::new(engine.clone(), config, StreamMuxConfig::default());
-        probe.mux().width()
-    };
+    // Report the width the default config resolves to.
+    let stream_lanes = engine.lane_width();
     println!(
         "stream mux fleet monitoring ({level}, window {}, stride {}, lanes {stream_lanes}, simd {}):",
         config.window_len,
@@ -281,13 +281,13 @@ fn main() {
         shard_speedup_by_streams.push((n, sweep));
         // One untimed pass for the tick-level stats snapshot, at the
         // widest swept shard count so steal counts surface.
-        let fleet = run_fleet(
+        let (mux, _) = run_fleet(
             &engine,
             config,
             mux_config(n, *shard_counts.last().unwrap()),
             &traces,
         );
-        let stats = fleet.mux().stats();
+        let stats = mux.stats();
         println!(
             "  streams {n:>4}: shards {}, occupancy {:.3}, latency p50 {} / p99 {} ticks, {} verdicts, {} steals",
             stats.shards, stats.occupancy, stats.p50_latency_ticks, stats.p99_latency_ticks,
@@ -295,36 +295,6 @@ fn main() {
         );
         mux_stats_by_streams.push((n, stats));
     }
-
-    // The dormant-fleet scale point: a million registered streams must
-    // fit in O(100 MB) — ≤100 B of table per idle stream. Smoke keeps
-    // CI fast with a fifth of the fleet; the budget is per-stream, so
-    // the pin is the same.
-    let scale_streams: usize = if smoke { 200_000 } else { 1_000_000 };
-    let resident_at_scale = {
-        let mut fleet = FleetMonitor::new(engine.clone(), config, StreamMuxConfig::default());
-        for pid in 0..scale_streams as u64 {
-            fleet.register(pid);
-        }
-        let resident = fleet.resident_bytes();
-        let point = ResidentScalePoint {
-            streams: scale_streams,
-            per_idle_stream_bytes: resident.per_idle_stream(),
-            resident,
-        };
-        println!(
-            "  registered fleet: {} streams, {:.1} B/idle stream, {:.1} MB table",
-            point.streams,
-            point.per_idle_stream_bytes,
-            point.resident.table_bytes as f64 / (1 << 20) as f64
-        );
-        assert!(
-            point.per_idle_stream_bytes <= 100.0,
-            "idle registered stream costs {:.1} B, budget is 100 B",
-            point.per_idle_stream_bytes
-        );
-        point
-    };
 
     let report = Report {
         level: level.to_string(),
@@ -336,7 +306,6 @@ fn main() {
         measurements,
         mux_stats_by_streams,
         shard_speedup_by_streams: shard_speedup_by_streams.clone(),
-        resident_at_scale,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_streaming.json", json).expect("write BENCH_streaming.json");
@@ -346,11 +315,15 @@ fn main() {
         println!("smoke mode: acceptance bar skipped");
         return;
     }
-    // The multi-core bar needs multiple cores: the sharded coordinator
-    // cannot beat 1x on a single-core host (every shard runs on the
-    // same core, plus coordination). Gate on real parallelism and say
-    // so, instead of faking a pass or failing for the wrong reason.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // The multi-core bar needs multiple cores *running shards*: the
+    // coordinator cannot beat 1x on a single-core host (every shard runs
+    // on the same core, plus coordination), nor when `CSD_POOL_THREADS`
+    // caps the pool the shards scatter onto below the core count. Gate
+    // on the smaller of the two and say so, instead of faking a pass or
+    // failing for the wrong reason.
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool_threads = WorkerPool::global().threads();
+    let cores = host_cores.min(pool_threads);
     let at_4096_4shard = shard_speedup_by_streams
         .iter()
         .find(|(n, _)| *n == 4096)
@@ -360,14 +333,14 @@ fn main() {
     if cores >= 4 {
         assert!(
             at_4096_4shard >= 3.0,
-            "4 shards must be ≥3x the single-shard mux at 4096 streams on a {cores}-core host, got {at_4096_4shard:.2}x"
+            "4 shards must be ≥3x the single-shard mux at 4096 streams with {pool_threads} pool threads on a {host_cores}-core host, got {at_4096_4shard:.2}x"
         );
         println!(
-            "acceptance: {at_4096_4shard:.2}x ≥ 3x vs single-shard mux at 4096 streams (4 shards, {cores} cores)"
+            "acceptance: {at_4096_4shard:.2}x ≥ 3x vs single-shard mux at 4096 streams (4 shards, {pool_threads} pool threads, {host_cores} cores)"
         );
     } else {
         println!(
-            "acceptance: ≥3x multi-core bar SKIPPED — host has {cores} core(s); 4-shard ran {at_4096_4shard:.2}x vs single shard (coordination overhead only)"
+            "acceptance: ≥3x multi-core bar SKIPPED — {pool_threads} pool thread(s) on {host_cores} core(s), the bar needs 4 of each; 4-shard ran {at_4096_4shard:.2}x vs single shard (coordination overhead only)"
         );
     }
 }

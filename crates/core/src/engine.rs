@@ -334,7 +334,7 @@ impl CsdInferenceEngine {
     /// `items[l]` when `Some`, and keeps computing on its (never read)
     /// stale state when `None`. This is the iteration-level primitive
     /// behind both the offline batch engine and the continuous-batching
-    /// stream multiplexer ([`crate::stream::StreamMux`]): callers own the
+    /// stream multiplexer ([`crate::shard::ShardedStreamMux`]): callers own the
     /// per-lane occupancy (which sequence, which position) and the engine
     /// owns one SoA kernel sweep per call.
     ///
@@ -794,7 +794,13 @@ mod tests {
 
         // The stream mux retires every window through its serial route
         // (stepping a lane would panic on this engine).
-        let mut mux = crate::StreamMux::new(fused, crate::StreamMuxConfig::default());
+        let mut mux = crate::ShardedStreamMux::new(
+            fused,
+            crate::StreamMuxConfig {
+                shards: Some(1),
+                ..crate::StreamMuxConfig::default()
+            },
+        );
         for (k, s) in windows.iter().enumerate() {
             assert!(mux.submit(k as u64, s.len(), s));
         }

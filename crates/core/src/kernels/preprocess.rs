@@ -27,7 +27,7 @@ use crate::opt::OptimizationLevel;
 /// This is the *single* vocabulary predicate: the stream layers validate
 /// tokens at the admission boundary with it, so the engine's internal
 /// out-of-vocabulary asserts — kept as defense in depth — are
-/// unreachable through `StreamMux`/`FleetMonitor`.
+/// unreachable through `ShardedStreamMux` and the monitors.
 pub fn in_vocabulary(vocab: usize, item: usize) -> bool {
     item < vocab
 }

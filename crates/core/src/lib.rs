@@ -42,11 +42,13 @@
 //!   lane schedule for ragged batches.
 //! - [`monitor`] — the continuous-protection wrapper: rolling window,
 //!   stride classification, alert debouncing (§I's background execution).
-//! - [`stream`] — the continuous-batching stream multiplexer: thousands
-//!   of process streams multiplexed onto one lane block with
-//!   iteration-level admission/retirement (a retiring window's slot
-//!   refills the same tick), backpressure, and tick-level stats; plus
-//!   the [`FleetMonitor`] that runs the monitor semantics at fleet scale.
+//! - [`shard`] — [`ShardedStreamMux`], the continuous-batching stream
+//!   multiplexer: thousands of process streams multiplexed onto one lane
+//!   block per worker thread with iteration-level admission/retirement
+//!   (a retiring window's slot refills the same tick), global
+//!   backpressure, work stealing, per-stream in-order delivery and
+//!   tick-level stats. [`stream`] holds its config/verdict/stats types
+//!   and the crate-private lane block the shards run.
 //! - [`fleet`] — multi-device scaling (§II's "multiple devices within a
 //!   single node").
 //! - [`bitstream`] — the `v++` link step: schedules the design against a
@@ -85,7 +87,6 @@ pub mod fleet;
 pub mod host;
 pub mod kernels;
 pub mod monitor;
-pub mod mpsc;
 pub mod opt;
 pub mod pool;
 pub mod schedule;
@@ -101,15 +102,11 @@ pub use fleet::{CsdFleet, FleetPolicy, FleetScan, FleetStats};
 pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats};
 pub use kernels::LstmDims;
 pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};
-pub use mpsc::{AdmissionHandle, AdmissionQueue};
 pub use opt::OptimizationLevel;
 pub use pool::{PoolError, WorkerPool, WorkerPoolBuilder};
 pub use schedule::{Bottleneck, LaneBucket, LaneSchedule, PipelineSchedule, ScheduleEvent};
 pub use scratch::{EngineScratch, InferenceScratch, LaneScratch};
-pub use shard::{ShardedStreamMux, StealPolicy, StreamInjector};
-pub use stream::{
-    FleetMonitor, FleetResidentBytes, MuxStats, OverflowPolicy, StreamLoss, StreamMux,
-    StreamMuxConfig, Verdict,
-};
+pub use shard::{ShardedStreamMux, StealPolicy};
+pub use stream::{MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict};
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
 pub use weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

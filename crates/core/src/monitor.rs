@@ -15,10 +15,10 @@
 //! accounting from the pipeline schedule. The window itself is a
 //! [`RollingWindow`] — a compacting buffer that keeps the current window
 //! contiguous so each classification reads it in place instead of
-//! copying it out. Many processes at once are the job of the
-//! continuous-batching [`FleetMonitor`](crate::stream::FleetMonitor),
-//! which — like the sentry service — keeps each process's votes in a
-//! packed [`VoteRing`].
+//! copying it out. Many processes at once are the job of the sentry
+//! service (`csd-sentry`) over the
+//! [`ShardedStreamMux`](crate::shard::ShardedStreamMux), which keeps
+//! each process's votes in a packed [`VoteRing`].
 
 use std::collections::VecDeque;
 
@@ -136,12 +136,6 @@ impl RollingWindow {
         &self.buf[self.start..]
     }
 
-    /// Heap bytes held by the window's compacting buffer (capacity, not
-    /// live length — what the allocator actually charges a hot stream).
-    pub fn resident_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<usize>()
-    }
-
     /// Empties the window, keeping the allocation.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -233,8 +227,8 @@ impl StreamMonitor {
     /// [`calls_seen`](Self::calls_seen), excluded from the window —
     /// rather than panicking inside the engine. A monitor fed by a live
     /// (possibly hostile) process must treat the call stream as
-    /// untrusted input; this matches
-    /// [`FleetMonitor::observe`](crate::stream::FleetMonitor::observe).
+    /// untrusted input; the sentry's session table filters the same way
+    /// at ingest.
     pub fn observe(&mut self, call: usize) -> Option<Alert> {
         self.calls_seen += 1;
         if !crate::kernels::preprocess::in_vocabulary(self.vocab, call) {
@@ -297,12 +291,11 @@ impl StreamMonitor {
 }
 
 /// A packed k-of-n vote ring: the newest `horizon ≤ 64` verdicts of one
-/// stream as the low bits of a `u64` (bit 0 newest), so a
-/// registered-but-idle stream pays eight bytes for its debouncing
-/// state. The production monitors ([`FleetMonitor`](crate::FleetMonitor)
-/// and the sentry service) both fold verdicts through this one type;
-/// [`StreamMonitor`] keeps its own `VecDeque<bool>` as the independent
-/// reference they are tested against.
+/// stream as the low bits of a `u64` (bit 0 newest), so a tracked
+/// stream pays eight bytes for its debouncing state. The production
+/// monitor (the sentry service) folds verdicts through this type and
+/// checkpoints its bits; [`StreamMonitor`] keeps its own
+/// `VecDeque<bool>` as the independent reference it is tested against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoteRing(u64);
 

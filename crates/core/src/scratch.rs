@@ -113,14 +113,6 @@ impl LaneScratch {
         self.width
     }
 
-    /// Heap bytes held by the lane buffers — the per-shard fixed cost a
-    /// sharded mux multiplies by its shard count.
-    pub fn resident_bytes(&self) -> usize {
-        (self.z.capacity() + self.g.capacity() + self.c.capacity() + self.acc.capacity())
-            * std::mem::size_of::<f64>()
-            + self.item.capacity() * std::mem::size_of::<usize>()
-    }
-
     /// Zeroes one lane's recurrent state (its `h` rows inside `z` and its
     /// `c` column) so a freshly assigned — or vacated — lane starts from
     /// the zero state. The embedding rows are overwritten at the next

@@ -12,8 +12,8 @@
 //! and simulated time, never correctness.
 
 use csd_accel::{
-    CsdInferenceEngine, HostProgram, OptimizationLevel, RecoveryPolicy, StreamMux, StreamMuxConfig,
-    Verdict,
+    CsdInferenceEngine, HostProgram, OptimizationLevel, RecoveryPolicy, ShardedStreamMux,
+    StreamMuxConfig, Verdict,
 };
 use csd_device::{FaultConfig, FaultPlan};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -47,10 +47,11 @@ proptest! {
         let e = engine(model_seed, level);
         let serial: Vec<_> = windows.iter().map(|w| e.classify(w)).collect();
         for width in [1usize, 4, 9] {
-            let mut m = StreamMux::new(
+            let mut m = ShardedStreamMux::new(
                 e.clone(),
                 StreamMuxConfig {
                     lanes: Some(width),
+                    shards: Some(1),
                     ..StreamMuxConfig::default()
                 },
             );

@@ -6,16 +6,15 @@
 //! levels, 0 ULP in 10^6-scaled fixed point — to
 //! [`CsdInferenceEngine::classify`] of the same window, no matter how
 //! admission interleaves with ticking, how ragged the window lengths
-//! are, how narrow the lane block is, or how often retirements refill
-//! slots mid-flight. The fleet monitor adds the second contract: with
-//! identical inputs its per-process alert state equals a serial
-//! [`StreamMonitor`] per process, alert for alert.
+//! are, how narrow the lane block is, how many shards run it, or how
+//! often retirements refill slots mid-flight. (The monitor-level
+//! contract — alert parity with a serial `StreamMonitor` per process —
+//! is `csd-sentry`'s `proptest_monitor_parity`.)
 
 use std::collections::HashMap;
 
 use csd_accel::{
-    CsdInferenceEngine, MonitorConfig, OptimizationLevel, ShardedStreamMux, StealPolicy,
-    StreamMonitor, StreamMux, StreamMuxConfig, Verdict,
+    CsdInferenceEngine, OptimizationLevel, ShardedStreamMux, StealPolicy, StreamMuxConfig, Verdict,
 };
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use proptest::prelude::*;
@@ -25,11 +24,13 @@ fn engine(seed: u64, level: OptimizationLevel) -> CsdInferenceEngine {
     CsdInferenceEngine::new(&ModelWeights::from_model(&model), level)
 }
 
-fn mux(engine: CsdInferenceEngine, width: usize) -> StreamMux {
-    StreamMux::new(
+/// The one-shard mux — what the service runs — at `width` lanes.
+fn mux(engine: CsdInferenceEngine, width: usize) -> ShardedStreamMux {
+    ShardedStreamMux::new(
         engine,
         StreamMuxConfig {
             lanes: Some(width),
+            shards: Some(1),
             ..StreamMuxConfig::default()
         },
     )
@@ -93,11 +94,11 @@ proptest! {
         }
     }
 
-    /// The sharded mux keeps the single mux's bit-identity contract at
-    /// every shard count and under every steal interleaving — work may
-    /// migrate between shards mid-run, but each verdict still equals
-    /// serial classification of its window exactly, and each stream's
-    /// verdicts arrive in submission order.
+    /// The bit-identity contract holds at every shard count and under
+    /// every steal interleaving — work may migrate between shards
+    /// mid-run, but each verdict still equals serial classification of
+    /// its window exactly, and each stream's verdicts arrive in
+    /// submission order.
     #[test]
     fn sharded_verdicts_bit_identical_at_every_shard_count_and_steal_order(
         seed in any::<u64>(),
@@ -190,62 +191,5 @@ proptest! {
             v
         };
         prop_assert_eq!(by_stream(&batch_verdicts), by_stream(&online_verdicts));
-    }
-
-    /// The fleet monitor's per-process alert state equals a serial
-    /// `StreamMonitor` per process fed the same calls, across random
-    /// trace lengths, monitor geometries, shard counts, and steal
-    /// interleavings. The vote fold is order-sensitive, so this also
-    /// proves the sharded mux's per-stream delivery order.
-    #[test]
-    fn fleet_monitor_matches_serial_monitors(
-        seed in any::<u64>(),
-        traces in prop::collection::vec(prop::collection::vec(0usize..278, 0..=220), 1..=6),
-        window_len in 4usize..40,
-        stride in 1usize..20,
-        shards in 1usize..=4,
-        steal in arb_steal(),
-    ) {
-        let config = MonitorConfig {
-            window_len,
-            stride,
-            votes_needed: 1,
-            vote_horizon: 2,
-        };
-        let e = engine(seed, OptimizationLevel::FixedPoint);
-        let mut reference = HashMap::new();
-        for (pid, calls) in traces.iter().enumerate() {
-            let mut m = StreamMonitor::new(e.clone(), config);
-            m.observe_all(calls);
-            reference.insert(pid as u64, m.alert());
-        }
-        let mut fleet = csd_accel::FleetMonitor::new(
-            e,
-            config,
-            StreamMuxConfig {
-                shards: Some(shards),
-                steal: Some(steal),
-                ..StreamMuxConfig::default()
-            },
-        );
-        let longest = traces.iter().map(Vec::len).max().unwrap_or(0);
-        for i in 0..longest {
-            for (pid, calls) in traces.iter().enumerate() {
-                if let Some(&c) = calls.get(i) {
-                    fleet.observe(pid as u64, c);
-                }
-            }
-            // Poll sporadically: alerts may surface late but must match.
-            if i % 7 == 0 {
-                let _ = fleet.poll();
-            }
-        }
-        let _ = fleet.drain();
-        for (pid, expected) in &reference {
-            prop_assert_eq!(
-                fleet.alert_for(*pid), *expected,
-                "pid {} window_len {} stride {}", pid, window_len, stride
-            );
-        }
     }
 }

@@ -25,8 +25,9 @@
 //! - [`service`] — [`Sentry`]: the assembly. Events in; windows sliced
 //!   at the serial monitor's classify points and submitted to a
 //!   [`ShardedStreamMux`](csd_accel::ShardedStreamMux) keyed by session
-//!   id; verdicts folded through `FleetMonitor`-identical vote rings;
-//!   incidents out.
+//!   id; verdicts folded through packed k-of-n vote rings, alert for
+//!   alert what a serial `StreamMonitor` per process raises; incidents
+//!   out.
 //!
 //! # Example
 //!

@@ -6,11 +6,12 @@
 //! `stride` calls, exactly the classify points of the serial
 //! [`StreamMonitor`](csd_accel::StreamMonitor) — and submits them to a
 //! [`ShardedStreamMux`] keyed by *session id*, not PID. Retired
-//! verdicts fold into the same vote-ring semantics as the
-//! [`FleetMonitor`](csd_accel::FleetMonitor) (a `u64` bitmask over the
+//! verdicts fold into a packed [`VoteRing`] (a `u64` bitmask over the
 //! last `vote_horizon` verdicts, alert at `votes_needed` positives,
-//! latched forever); a fresh alert passes the whitelist check and the
-//! configured [`ActionKind`] before latching as an [`Incident`].
+//! latched forever) — the serial monitor's k-of-n vote, alert for alert
+//! (`tests/proptest_monitor_parity.rs`); a fresh alert passes the
+//! whitelist check and the configured [`ActionKind`] before latching as
+//! an [`Incident`].
 //!
 //! Because streams key on never-reused session ids, a verdict raced by
 //! an exit folds against the dead incarnation (recorded `post_exit`),

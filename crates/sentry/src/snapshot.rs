@@ -1,7 +1,8 @@
 //! Checkpoint snapshots: the sentry's durable state, flattened.
 //!
-//! A checkpoint captures everything a restarted [`Sentry`] needs so
-//! that *checkpoint + journal replay* reconstructs the same incident
+//! A checkpoint captures everything a restarted
+//! [`Sentry`](crate::Sentry) needs so that *checkpoint + journal
+//! replay* reconstructs the same incident
 //! set an uninterrupted run produces: the session table (including the
 //! `next_sid` cursor, so replayed events assign the same never-reused
 //! session ids), every per-session vote ring and window cursor, and
