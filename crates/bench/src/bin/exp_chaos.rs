@@ -28,6 +28,13 @@
 //!   incident missing versus the oracle must belong to a *shed*
 //!   session — coverage loss under overload is typed and counted,
 //!   never silent.
+//!
+//! Every cell also reports what the sentry held: the most sessions it
+//! tracked at once next to the most that were alive, and the size of
+//! the last checkpoint. A parity cell fails if the tracked count runs
+//! more than [`TRACKED_SLACK`] ahead of the live one — ended sessions
+//! must retire once their verdicts are in — and every cell must end
+//! tracking only the sessions still alive.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -53,6 +60,12 @@ const LAZY_POLL_EVERY: usize = 256;
 /// scheduling, not fsync throughput.
 const SYNC_EVERY: usize = 1024;
 
+/// Sessions a parity cell may track beyond the live ones: those that
+/// exited while their window was still in the mux (≈ 16 at
+/// [`POLL_EVERY`]: 100 rounds of 16 events, one exit per 102 events).
+/// Overload cells are exempt — their backlog is the experiment.
+const TRACKED_SLACK: u64 = 128;
+
 #[derive(Serialize)]
 struct CellReport {
     name: String,
@@ -73,6 +86,14 @@ struct CellReport {
     staleness_p50: u64,
     staleness_p99: u64,
     staleness_max: u64,
+    /// Most sessions alive at once (started − ended), sampled every 16
+    /// frames.
+    live_sessions_peak: u64,
+    /// Most sessions tracked at once: live plus awaiting a verdict.
+    tracked_sessions_peak: u64,
+    /// Size of `checkpoint.snap` as the cell's last automatic checkpoint
+    /// left it (0 if the cell never reached one).
+    checkpoint_bytes_last: u64,
     /// Overload-cell fields (zero/default in parity cells).
     slo: Option<u64>,
     slo_polls: u64,
@@ -213,6 +234,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     let mut adopted_incidents = 0u64;
     let mut since_poll = 0usize;
     let mut max_rung = OverloadLevel::Normal;
+    let (mut live_sessions_peak, mut tracked_sessions_peak) = (0u64, 0u64);
 
     let mut i = 0usize;
     while i < schedule.ops.len() {
@@ -229,6 +251,10 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
                 if frames_sent.is_multiple_of(16) {
                     staleness_samples.push(d.sentry().staleness());
                     max_rung = max_rung.max(d.sentry().overload_level());
+                    let table = d.sentry().sessions();
+                    live_sessions_peak =
+                        live_sessions_peak.max(table.started() - table.ended_count());
+                    tracked_sessions_peak = tracked_sessions_peak.max(table.tracked() as u64);
                 }
             }
             ChaosOp::Reset => {
@@ -301,6 +327,21 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
 
     staleness_samples.sort_unstable();
     let stats = sentry.stats();
+    assert_eq!(
+        sentry.sessions().tracked() as u64,
+        stats.sessions_started - stats.sessions_ended,
+        "cell {}: ended sessions outlived the final drain",
+        cell.name
+    );
+    if !overload {
+        assert!(
+            tracked_sessions_peak <= live_sessions_peak + TRACKED_SLACK,
+            "cell {}: {tracked_sessions_peak} sessions tracked with at most \
+             {live_sessions_peak} alive: ended sessions are not retiring",
+            cell.name
+        );
+    }
+    let checkpoint_bytes_last = fs::metadata(dir.join("checkpoint.snap")).map_or(0, |m| m.len());
     let report = CellReport {
         name: cell.name.to_string(),
         kills: kills_done,
@@ -316,6 +357,9 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
         staleness_p50: percentile(&staleness_samples, 0.50),
         staleness_p99: percentile(&staleness_samples, 0.99),
         staleness_max: staleness_samples.last().copied().unwrap_or(0),
+        live_sessions_peak,
+        tracked_sessions_peak,
+        checkpoint_bytes_last,
         slo: cell.slo,
         slo_polls: stats.slo_polls,
         shed_sessions: stats.shed_sessions,
@@ -414,7 +458,8 @@ fn main() {
     for cell in &cells {
         let r = run_cell(cell, &trace, &parity_expect);
         println!(
-            "  {:<20} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} ({:.0} ms)",
+            "  {:<20} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} \
+             tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} ({:.0} ms)",
             r.name,
             r.kills,
             r.chaos.total(),
@@ -423,6 +468,9 @@ fn main() {
             r.oracle_incidents,
             r.lost_incidents,
             r.duplicate_incidents,
+            r.tracked_sessions_peak,
+            r.live_sessions_peak,
+            r.checkpoint_bytes_last,
             r.wall_ms,
         );
         // The campaign's contract: crash-recovery equivalence, every
@@ -441,7 +489,8 @@ fn main() {
     for cell in &overload_cells {
         let r = run_cell(cell, &trace, &overload_expect);
         println!(
-            "  {:<20} staleness p50={} p99={} max={} rung={} slo_polls={} shed={} untyped_losses={} ({:.0} ms)",
+            "  {:<20} staleness p50={} p99={} max={} rung={} slo_polls={} shed={} untyped_losses={} \
+             tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} ({:.0} ms)",
             r.name,
             r.staleness_p50,
             r.staleness_p99,
@@ -450,6 +499,9 @@ fn main() {
             r.slo_polls,
             r.shed_sessions,
             r.untyped_losses,
+            r.tracked_sessions_peak,
+            r.live_sessions_peak,
+            r.checkpoint_bytes_last,
             r.wall_ms,
         );
         assert_eq!(

@@ -10,9 +10,10 @@
 //!
 //! The load generator ([`csd_ransomware::replay`]) turns every dataset
 //! entry into one process — spawn, its 100 calls at seeded jittered
-//! gaps, exit — and merges all of them by timestamp, so thousands of
-//! sessions are live at once, exits race in-flight verdicts, and the
-//! sentry's session table does real lifecycle work. The sentry polls
+//! gaps, exit — and merges all of them by timestamp, so sessions
+//! overlap (up to sixteen alive at once, thousands over the run), exits
+//! race in-flight verdicts, and the sentry's session table does real
+//! lifecycle work. The sentry polls
 //! the sharded mux every [`POLL_EVERY`] events (a steady service loop,
 //! not one big drain), and latency is measured the way a deployment
 //! feels it: events a session observed between its window filling and
@@ -25,17 +26,23 @@
 //! ingestion path (lost window, misattributed verdict, session
 //! aliasing), not noise. The assertion runs in full *and* smoke mode.
 //!
+//! The run also watches what the sentry *holds*: sessions retire once
+//! they have exited and their last verdict has folded, so the tracked
+//! count must stay within [`TRACKED_SLACK`] of the live one however many
+//! sessions have come and gone — asserted in both modes, so unbounded
+//! state cannot come back unnoticed.
+//!
 //! Honors the `CSD_STREAM_SHARDS` environment knob through the default
 //! mux config, so a CI matrix can sweep the shard count.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::time::Instant;
 
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_ransomware::dataset::{Dataset, DatasetBuilder};
 use csd_ransomware::replay::{interleave, ReplayProfile, REPLAY_PID_BASE};
-use csd_sentry::{ActionKind, ProcessEvent, Sentry, SentryConfig, SentryStats};
+use csd_sentry::{ActionKind, ProcessEvent, Sentry, SentryConfig, SentryStats, SNAPSHOT_MAGIC};
 use serde::Serialize;
 
 /// Service-loop cadence: one mux round per this many ingested events.
@@ -46,6 +53,14 @@ use serde::Serialize;
 /// staleness degenerates to half the trace. Idle rounds are cheap, so
 /// the cadence errs well on the fast side.
 const POLL_EVERY: usize = 16;
+
+/// Sessions the sentry may track beyond the live ones: those that have
+/// exited while their window is still in the mux. A window takes 100
+/// rounds, i.e. 1 600 events at [`POLL_EVERY`], and one session exits
+/// per 102 events of this trace, so ≈ 16 are waiting at any time; the
+/// slack leaves room for a mux that runs behind, and is still far below
+/// the hundreds of sessions even the smoke corpus would pile up.
+const TRACKED_SLACK: u64 = 128;
 
 #[derive(Serialize)]
 struct Report {
@@ -60,8 +75,19 @@ struct Report {
     mismatches: usize,
     wall_ms: f64,
     events_per_sec: f64,
+    /// Most sessions alive at once (started − ended), sampled at every
+    /// poll.
+    live_sessions_peak: u64,
+    /// Most sessions the sentry tracked at once: the live ones plus
+    /// those awaiting a verdict.
+    tracked_sessions_peak: u64,
+    /// Size of a checkpoint of the final state (framing + JSON body).
+    checkpoint_bytes_last: usize,
     /// Verdict latency in events the session observed past window-full
-    /// (0 for corpus replays: each trace ends at window-full).
+    /// (0 for corpus replays: each trace ends at window-full). All six
+    /// latency figures come from the sentry's fixed-size histograms:
+    /// exact below 32 events, the upper edge of a 1/16-octave bucket
+    /// above (at most 6.25% high); the maxima are exact.
     latency_p50_events: u64,
     latency_p99_events: u64,
     latency_max_events: u64,
@@ -76,14 +102,6 @@ struct Report {
     refused: u64,
     rejected: u64,
     stats: SentryStats,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn corpus(smoke: bool) -> Dataset {
@@ -150,52 +168,53 @@ fn main() {
 
     let start = Instant::now();
     let mut since_poll = 0usize;
+    let (mut live_sessions_peak, mut tracked_sessions_peak) = (0u64, 0u64);
     for e in &trace.events {
         sentry.ingest(&ProcessEvent::from(e));
         since_poll += 1;
         if since_poll == POLL_EVERY {
             since_poll = 0;
             sentry.poll();
+            let table = sentry.sessions();
+            live_sessions_peak = live_sessions_peak.max(table.started() - table.ended_count());
+            tracked_sessions_peak = tracked_sessions_peak.max(table.tracked() as u64);
         }
     }
     sentry.drain();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let events_per_sec = sentry.events() as f64 / (wall_ms / 1e3);
 
-    // Parity sweep: replay pids map back to entries by construction.
-    let sid_by_pid: HashMap<u32, u64> = sentry
-        .sessions()
-        .sessions()
-        .map(|s| (s.pid(), s.sid()))
-        .collect();
+    // Parity sweep: replay pids map back to entries by construction,
+    // are never reused, and every incident carries its pid.
+    let alerted_pids: HashSet<u32> = sentry.incidents().iter().map(|i| i.pid).collect();
     let mut mismatches = 0usize;
-    let (mut evicted, mut refused, mut rejected) = (0u64, 0u64, 0u64);
     for (i, &positive) in offline.iter().enumerate() {
         let pid = REPLAY_PID_BASE + i as u32;
-        let sid = *sid_by_pid.get(&pid).unwrap_or_else(|| {
-            panic!("entry {i} (pid {pid}) never became a session");
-        });
-        let alerted = sentry.incident_for(sid).is_some();
+        let alerted = alerted_pids.contains(&pid);
         if alerted != positive {
             mismatches += 1;
             if mismatches <= 10 {
-                println!(
-                    "MISMATCH entry {i} pid {pid}: live={alerted} offline={positive} loss={:?}",
-                    sentry.loss_for(sid)
-                );
+                println!("MISMATCH entry {i} pid {pid}: live={alerted} offline={positive}");
             }
         }
-        let loss = sentry.loss_for(sid);
-        evicted += loss.evicted;
-        refused += loss.refused;
-        rejected += loss.rejected;
     }
 
     let stats = sentry.stats();
-    let mut latencies = sentry.latencies().to_vec();
-    latencies.sort_unstable();
-    let mut service_latencies = sentry.service_latencies().to_vec();
-    service_latencies.sort_unstable();
+    // Every session exited and the drain ran: all have retired, so the
+    // per-stream loss the mux has forgotten is all in the retired total.
+    assert_eq!(sentry.sessions().tracked(), 0, "every session retired");
+    let loss = sentry.retired_loss();
+    assert_eq!(
+        (loss.evicted, loss.refused, loss.rejected),
+        (stats.mux.evicted, stats.mux.refused, stats.mux.rejected),
+        "retired per-stream loss adds up to the mux's totals"
+    );
+    let checkpoint_bytes_last = SNAPSHOT_MAGIC.len()
+        + 4
+        + serde_json::to_string(&sentry.snapshot())
+            .expect("snapshot serializes")
+            .len();
+    let (latencies, service_latencies) = (sentry.latencies(), sentry.service_latencies());
     let report = Report {
         smoke,
         level: format!("{level:?}"),
@@ -208,15 +227,18 @@ fn main() {
         mismatches,
         wall_ms,
         events_per_sec,
-        latency_p50_events: percentile(&latencies, 0.50),
-        latency_p99_events: percentile(&latencies, 0.99),
-        latency_max_events: latencies.last().copied().unwrap_or(0),
-        service_latency_p50_events: percentile(&service_latencies, 0.50),
-        service_latency_p99_events: percentile(&service_latencies, 0.99),
-        service_latency_max_events: service_latencies.last().copied().unwrap_or(0),
-        evicted,
-        refused,
-        rejected,
+        live_sessions_peak,
+        tracked_sessions_peak,
+        checkpoint_bytes_last,
+        latency_p50_events: latencies.quantile(0.50),
+        latency_p99_events: latencies.quantile(0.99),
+        latency_max_events: latencies.max(),
+        service_latency_p50_events: service_latencies.quantile(0.50),
+        service_latency_p99_events: service_latencies.quantile(0.99),
+        service_latency_max_events: service_latencies.max(),
+        evicted: loss.evicted,
+        refused: loss.refused,
+        rejected: loss.rejected,
         stats,
     };
 
@@ -230,6 +252,10 @@ fn main() {
         report.positives_offline,
         report.service_latency_p50_events,
         report.service_latency_p99_events,
+    );
+    println!(
+        "tracked_sessions_peak={} (live peak {}) checkpoint_bytes_last={}",
+        report.tracked_sessions_peak, report.live_sessions_peak, report.checkpoint_bytes_last,
     );
 
     // The campaign's contract, enforced in both modes.
@@ -249,6 +275,12 @@ fn main() {
     assert_eq!(
         report.stats.sessions_started, report.entries as u64,
         "one session per entry"
+    );
+    assert!(
+        report.tracked_sessions_peak <= report.live_sessions_peak + TRACKED_SLACK,
+        "the sentry tracked {} sessions with at most {} alive: ended sessions are not retiring",
+        report.tracked_sessions_peak,
+        report.live_sessions_peak,
     );
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -260,6 +260,14 @@ impl ShardedStreamMux {
         self.loss.get(&stream).copied().unwrap_or_default()
     }
 
+    /// Drops `stream`'s loss entry and returns it — for a caller whose
+    /// stream ids are never reused and that keeps its own total for
+    /// retired streams, so the map follows the streams still alive.
+    /// The aggregate tallies in [`stats`](Self::stats) are unaffected.
+    pub fn forget_stream(&mut self, stream: u64) -> StreamLoss {
+        self.loss.remove(&stream).unwrap_or_default()
+    }
+
     /// Arms degraded mode on every shard: each occupied lane draws one
     /// corruption chance per tick ([`FaultPlan::corrupt_lane`]); a
     /// corrupted lane's window is evicted and re-classified through the
@@ -1075,6 +1083,12 @@ mod tests {
                 assert_eq!(mux.loss_for(k).dropped(), lost);
             }
             assert_eq!(mux.loss_for(99), StreamLoss::default(), "untracked stream");
+            // Forgetting a stream hands its entry back exactly once and
+            // leaves the aggregate alone.
+            assert_eq!(mux.forget_stream(0).evicted, 1);
+            assert_eq!(mux.forget_stream(0), StreamLoss::default());
+            assert_eq!(mux.loss_for(0), StreamLoss::default());
+            assert_eq!(mux.stats().evicted, 5);
         }
     }
 

@@ -35,6 +35,13 @@ use crate::event::{read_frame, write_frame, ProcessEvent, WireError};
 /// Default bound on queued events between producers and the sentry.
 pub const DEFAULT_BUS_CAPACITY: usize = 65_536;
 
+/// Most events one [`EventBus::recv_into`] hands over. A batch is a
+/// transient copy, so the consumer's staging buffers follow this
+/// constant rather than the queue bound; without a limit, a producer
+/// that keeps pace with the drain stretches one batch — and those
+/// buffers — past even the bus's capacity.
+pub const MAX_BATCH: usize = 1024;
+
 /// The consuming end of the bus, owned by the sentry's driver loop.
 #[derive(Debug)]
 pub struct EventBus {
@@ -85,17 +92,18 @@ impl EventBus {
         out.len() - before
     }
 
-    /// Blocks up to `timeout` for one event, then drains whatever else
-    /// is queued. Returns how many were appended — `0` means the
+    /// Blocks up to `timeout` for one event, then takes what else is
+    /// queued, up to [`MAX_BATCH`] events in all (the rest is there for
+    /// the next call). Returns how many were appended — `0` means the
     /// timeout elapsed with the bus idle.
     pub fn recv_into(&self, out: &mut Vec<ProcessEvent>, timeout: Duration) -> usize {
-        match self.rx.recv_timeout(timeout) {
-            Ok(event) => {
-                out.push(event);
-                1 + self.drain_into(out)
-            }
-            Err(_) => 0,
-        }
+        let Ok(first) = self.rx.recv_timeout(timeout) else {
+            return 0;
+        };
+        let before = out.len();
+        out.push(first);
+        out.extend(self.rx.try_iter().take(MAX_BATCH - 1));
+        out.len() - before
     }
 
     /// Events refused because the bus was full (producers saw
@@ -440,6 +448,24 @@ mod tests {
         let mut out = Vec::new();
         bus.drain_into(&mut out);
         assert_eq!(out.len(), 32, "every producer's events arrive");
+    }
+
+    #[test]
+    fn recv_into_hands_over_at_most_one_batch_and_leaves_the_rest_queued() {
+        let bus = EventBus::new(4 * MAX_BATCH);
+        let p = bus.producer();
+        for i in 0..(2 * MAX_BATCH + 5) as u64 {
+            assert!(p.send(ProcessEvent::exit(i, 1)));
+        }
+        let mut out = Vec::new();
+        let sizes: Vec<usize> = (0..4)
+            .map(|_| bus.recv_into(&mut out, Duration::from_millis(5)))
+            .collect();
+        assert_eq!(sizes, [MAX_BATCH, MAX_BATCH, 5, 0]);
+        assert!(
+            out.iter().map(|e| e.t_us).eq(0..(2 * MAX_BATCH + 5) as u64),
+            "in order, none lost"
+        );
     }
 
     #[test]

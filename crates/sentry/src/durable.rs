@@ -6,12 +6,15 @@
 //! Three mechanisms compose, cheapest-first:
 //!
 //! 1. **Journal** ([`journal`](crate::journal)) — every ingested event
-//!    and every latched incident is an append-only record; incidents
-//!    are fsync'd before they are returned to the caller.
+//!    and every latched incident is an append-only record; the
+//!    incidents one call raises are fsync'd, together, before that call
+//!    returns them.
 //! 2. **Checkpoint** — periodically (and only at quiescent points,
 //!    right after a drain) the sentry's durable state is snapshotted
 //!    atomically (write-temp → fsync → rename). A checkpoint bounds
 //!    recovery *time*; it never holds information the journal lacks.
+//!    A drain retires every ended session, so a checkpoint holds the
+//!    sessions alive at that moment and costs in proportion to them.
 //! 3. **Replay** — on open, the newest valid checkpoint is restored
 //!    and the journal's event records from the checkpoint's event
 //!    index onward are re-ingested through the ordinary path.
@@ -37,9 +40,12 @@
 //! latched before a crash are re-adopted from their journal records
 //! with their streams pre-latched, so replay cannot raise them a
 //! second time or re-dispatch their backend action — the never-reused
-//! session id is the dedup key.
+//! session id is the dedup key. An incident whose session had already
+//! retired at the checkpoint rejoins the log and the counters only:
+//! its id is spent, replay cannot touch it, and a stream record for it
+//! would re-grow what retirement shrank.
 //!
-//! What recovery does *not* preserve: latency sample vectors (run
+//! What recovery does *not* preserve: the latency histograms (run
 //! telemetry), and the `post_exit` flag / backend outcome of an
 //! incident may differ from the uninterrupted run when a crash changes
 //! fold timing relative to a session's exit — the detection itself
@@ -123,6 +129,8 @@ pub struct DurableSentry {
     inner: Sentry,
     journal: Journal,
     checkpoint_path: PathBuf,
+    /// The checkpoint file's bytes, rebuilt in place at each write.
+    checkpoint_buf: Vec<u8>,
     checkpoint_every: u64,
     since_checkpoint: u64,
     checkpoints_written: u64,
@@ -152,7 +160,7 @@ impl DurableSentry {
         };
 
         let snapshot = match read_checkpoint(&checkpoint_path) {
-            CheckpointRead::Valid(snap) if snap.events <= recovered.event_count() => Some(snap),
+            CheckpointRead::Valid(snap) if snap.events <= journal.durable_events() => Some(snap),
             CheckpointRead::Absent => None,
             // Invalid, or claims more events than the journal holds
             // (it must have been written by a future the torn journal
@@ -191,12 +199,7 @@ impl DurableSentry {
         // and shedding here would diverge from the uninterrupted run.
         inner.set_governing(false);
         let mut pending_raise: Vec<Incident> = Vec::new();
-        for (i, event) in recovered
-            .events()
-            .enumerate()
-            .skip(report.checkpoint_events as usize)
-        {
-            let _ = i;
+        for event in recovered.events().skip(report.checkpoint_events as usize) {
             pending_raise.extend(inner.ingest(event));
             report.replayed_events += 1;
             if report.replayed_events.is_multiple_of(REPLAY_POLL_EVERY) {
@@ -206,14 +209,13 @@ impl DurableSentry {
         pending_raise.extend(inner.poll());
         inner.set_governing(true);
         report.replay_incidents = pending_raise.len() as u64;
-        for incident in &pending_raise {
-            journal.append_incident(incident)?;
-        }
+        journal.append_incidents(&pending_raise)?;
 
         Ok(Self {
             inner,
             journal,
             checkpoint_path,
+            checkpoint_buf: Vec::new(),
             checkpoint_every: durable.checkpoint_every_events,
             since_checkpoint: 0,
             checkpoints_written: 0,
@@ -230,9 +232,7 @@ impl DurableSentry {
     pub fn ingest(&mut self, event: &ProcessEvent) -> Result<Vec<Incident>, JournalError> {
         self.journal.append_event(event)?;
         let mut raised = self.inner.ingest(event);
-        for incident in &raised {
-            self.journal.append_incident(incident)?;
-        }
+        self.journal.append_incidents(&raised)?;
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
             raised.extend(self.checkpoint()?);
@@ -240,13 +240,11 @@ impl DurableSentry {
         Ok(raised)
     }
 
-    /// One engine round; raised incidents are journaled (fsync'd)
-    /// before they are returned.
+    /// One engine round; raised incidents are journaled (one fsync for
+    /// all of them) before they are returned.
     pub fn poll(&mut self) -> Result<Vec<Incident>, JournalError> {
         let raised = self.inner.poll();
-        for incident in &raised {
-            self.journal.append_incident(incident)?;
-        }
+        self.journal.append_incidents(&raised)?;
         Ok(raised)
     }
 
@@ -254,9 +252,7 @@ impl DurableSentry {
     /// journaled before they are returned.
     pub fn drain(&mut self) -> Result<Vec<Incident>, JournalError> {
         let raised = self.inner.drain();
-        for incident in &raised {
-            self.journal.append_incident(incident)?;
-        }
+        self.journal.append_incidents(&raised)?;
         Ok(raised)
     }
 
@@ -273,7 +269,7 @@ impl DurableSentry {
             "journal and sentry must agree on the event count at a sync point"
         );
         let snap = self.inner.snapshot();
-        write_checkpoint(&self.checkpoint_path, &snap)?;
+        write_checkpoint(&self.checkpoint_path, &snap, &mut self.checkpoint_buf)?;
         self.checkpoints_written += 1;
         self.since_checkpoint = 0;
         Ok(raised)
@@ -358,9 +354,22 @@ fn read_checkpoint(path: &Path) -> CheckpointRead {
 
 /// Atomic checkpoint write: temp file, fsync, rename over the old
 /// checkpoint, best-effort directory sync. A crash at any point leaves
-/// either the old checkpoint or the new one — never a torn mix.
-fn write_checkpoint(path: &Path, snap: &SentrySnapshot) -> Result<(), JournalError> {
-    let json = serde_json::to_string(snap).map_err(|e| JournalError::Encode(e.to_string()))?;
+/// either the old checkpoint or the new one — never a torn mix. The
+/// file — magic, CRC-32 of the body, JSON body — is built in `buf`
+/// (cleared first, capacity kept between checkpoints) and written in
+/// one call.
+fn write_checkpoint(
+    path: &Path,
+    snap: &SentrySnapshot,
+    buf: &mut Vec<u8>,
+) -> Result<(), JournalError> {
+    let body_at = SNAPSHOT_MAGIC.len() + 4;
+    buf.clear();
+    buf.extend_from_slice(SNAPSHOT_MAGIC);
+    buf.extend_from_slice(&[0u8; 4]);
+    serde_json::to_writer(&mut *buf, snap).map_err(|e| JournalError::Encode(e.to_string()))?;
+    let crc = crc32(&buf[body_at..]);
+    buf[SNAPSHOT_MAGIC.len()..body_at].copy_from_slice(&crc.to_le_bytes());
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new()
@@ -368,9 +377,7 @@ fn write_checkpoint(path: &Path, snap: &SentrySnapshot) -> Result<(), JournalErr
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(SNAPSHOT_MAGIC)?;
-        f.write_all(&crc32(json.as_bytes()).to_le_bytes())?;
-        f.write_all(json.as_bytes())?;
+        f.write_all(buf)?;
         f.sync_data()?;
     }
     fs::rename(&tmp, path)?;
@@ -461,6 +468,17 @@ mod tests {
         v
     }
 
+    /// The service loop's shape: journaled ingest, a poll every 16
+    /// events.
+    fn feed(d: &mut DurableSentry, events: &[ProcessEvent]) {
+        for e in events {
+            d.ingest(e).unwrap();
+            if d.sentry().events().is_multiple_of(16) {
+                d.poll().unwrap();
+            }
+        }
+    }
+
     /// Oracle: the same workload through a plain sentry, uninterrupted.
     fn oracle(events: &[ProcessEvent]) -> Vec<(u64, u32, Option<String>, usize, String)> {
         let mut s = Sentry::new(engine(), config());
@@ -487,12 +505,7 @@ mod tests {
         durable.checkpoint_every_events = 50;
         durable.journal.sync_every = 16;
         let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        for e in &events[..kill_at] {
-            d.ingest(e).unwrap();
-            if d.sentry().events().is_multiple_of(16) {
-                d.poll().unwrap();
-            }
-        }
+        feed(&mut d, &events[..kill_at]);
         let resume_from = {
             let cursor = d.durable_events();
             d.simulate_crash(0);
@@ -504,12 +517,7 @@ mod tests {
         // the durable cursor.
         let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
         assert!(d.recovery().checkpoint_events > 0, "a checkpoint restored");
-        for e in &events[resume_from as usize..] {
-            d.ingest(e).unwrap();
-            if d.sentry().events().is_multiple_of(16) {
-                d.poll().unwrap();
-            }
-        }
+        feed(&mut d, &events[resume_from as usize..]);
         d.drain().unwrap();
         assert_eq!(
             keys(d.sentry()),
@@ -615,6 +623,146 @@ mod tests {
         assert!(d.recovery().checkpoint_discarded);
         assert_eq!(d.recovery().checkpoint_events, 0);
         assert_eq!(keys(d.sentry()), expect, "journal-only recovery is exact");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Crash after most sessions have ended and retired: recovery
+    /// reaches the oracle's incidents, adopts every journaled one, and
+    /// comes up tracking the sessions alive at the crash — not one
+    /// stream record per incident the journal remembers.
+    #[test]
+    fn crash_after_sessions_retired_recovers_exactly_and_stays_small() {
+        let dir = tmpdir("retired");
+        // Six waves on the same four PIDs: each wave's sessions exit
+        // (and retire at the next checkpoint's drain) before the next
+        // wave reuses their PIDs.
+        let wave = workload(4, 30);
+        let events: Vec<ProcessEvent> = (0..6).flat_map(|_| wave.clone()).collect();
+        let expect = oracle(&events);
+        assert!(expect.len() >= 6, "every wave must produce incidents");
+
+        let kill_at = 5 * wave.len() + wave.len() / 2;
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 50;
+        durable.journal.sync_every = 16;
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        feed(&mut d, &events[..kill_at]);
+        assert!(
+            d.sentry().sessions().tracked() <= 4,
+            "five waves have retired"
+        );
+        let journaled = d.journal().durable_incidents();
+        assert_eq!(journaled, d.sentry().incidents().len() as u64);
+        let resume_from = d.durable_events() as usize;
+        d.simulate_crash(5);
+
+        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
+        let recovery = d.recovery().clone();
+        assert!(recovery.checkpoint_events > 0, "a checkpoint restored");
+        assert_eq!(recovery.adopted_incidents, journaled);
+        let table = d.sentry().sessions();
+        let live = table.started() - table.ended_count();
+        assert!(live <= 4);
+        assert!(
+            d.sentry().tracked_streams() as u64 <= live + recovery.replayed_events,
+            "{} stream records for {live} live sessions",
+            d.sentry().tracked_streams()
+        );
+        assert!(table.tracked() as u64 <= live + recovery.replayed_events);
+        feed(&mut d, &events[resume_from..]);
+        d.drain().unwrap();
+        assert_eq!(keys(d.sentry()), expect);
+        assert_eq!(
+            d.sentry().sessions().tracked(),
+            0,
+            "all exited, all retired"
+        );
+        assert_eq!(d.sentry().tracked_streams(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `Sentry::snapshot()` as the commit before sessions retired wrote
+    /// it, after this test's 36 events: sessions 1 and 2 exited (one
+    /// out-of-vocabulary call between them), session 3 killed and still
+    /// PID-linked, no `retired_*` totals.
+    const PARENT_SNAPSHOT: &str = r#"{"version":1,"events":36,"verdicts_folded":3,"whitelist_exact":[],"whitelist_prefixes":[],"table":{"vocab":16,"idle_timeout_events":null,"next_sid":4,"clock":36,"started":3,"ended":2,"dropped_after_kill":0,"stray_exits":0,"oov_total":1,"by_pid":[[102,3]],"sessions":[{"sid":1,"pid":100,"name":"w.exe","buf":[],"base":10,"calls_seen":11,"oov":1,"killed":false,"ended":1,"started_at":1,"last_event":34},{"sid":2,"pid":101,"name":"w.exe","buf":[],"base":10,"calls_seen":10,"oov":0,"killed":false,"ended":1,"started_at":2,"last_event":32},{"sid":3,"pid":102,"name":"w.exe","buf":[],"base":10,"calls_seen":10,"oov":0,"killed":true,"ended":0,"started_at":3,"last_event":33}]},"streams":[{"sid":1,"submitted":1,"ring":0,"verdicts":1,"latched":false,"shed":false},{"sid":2,"submitted":1,"ring":0,"verdicts":1,"latched":false,"shed":false},{"sid":3,"submitted":1,"ring":1,"verdicts":1,"latched":true,"shed":false}],"last_t_us":[],"dup_events":0,"shed_log":[]}"#;
+
+    #[test]
+    fn checkpoint_with_dead_sessions_loads_and_is_pruned() {
+        let dir = tmpdir("parent-format");
+        fs::create_dir_all(&dir).unwrap();
+        // The run that wrote it: three processes, ten calls each, one
+        // stray out-of-vocabulary call, two exits.
+        let mut events = Vec::new();
+        let mut t = 0u64;
+        for pid in 100..103u32 {
+            t += 1;
+            events.push(ProcessEvent::spawn(t, pid, "w.exe"));
+        }
+        for round in 0..10usize {
+            for pid in 100..103u32 {
+                t += 1;
+                events.push(ProcessEvent::api(
+                    t,
+                    pid,
+                    (round * 7 + pid as usize * 3) % VOCAB,
+                ));
+            }
+        }
+        t += 1;
+        events.push(ProcessEvent::api(t, 100, 99));
+        for pid in 100..102u32 {
+            t += 1;
+            events.push(ProcessEvent::exit(t, pid));
+        }
+        let mut live = Sentry::new(engine(), config());
+        for e in &events {
+            live.ingest(e);
+        }
+        live.drain();
+        {
+            let (mut journal, _) =
+                Journal::open(&dir.join("journal.log"), JournalConfig::default()).unwrap();
+            for e in &events {
+                journal.append_event(e).unwrap();
+            }
+            journal.append_incidents(live.incidents()).unwrap();
+        }
+        let mut file = SNAPSHOT_MAGIC.to_vec();
+        file.extend_from_slice(&crc32(PARENT_SNAPSHOT.as_bytes()).to_le_bytes());
+        file.extend_from_slice(PARENT_SNAPSHOT.as_bytes());
+        fs::write(dir.join("checkpoint.snap"), &file).unwrap();
+
+        let mut d = DurableSentry::open(engine(), config(), DurableConfig::new(&dir)).unwrap();
+        assert!(!d.recovery().checkpoint_discarded, "the old format loads");
+        assert_eq!(d.recovery().checkpoint_events, 36);
+        assert_eq!(d.recovery().replayed_events, 0);
+        assert_eq!(d.recovery().adopted_incidents, 1);
+        let sentry = d.sentry();
+        assert_eq!(sentry.sessions().tracked(), 1, "the two dead sessions go");
+        assert_eq!(sentry.tracked_streams(), 1);
+        assert!(sentry.sessions().session(3).unwrap().is_killed());
+        assert_eq!(sentry.sessions().retired_calls(), 21);
+        assert_eq!(sentry.sessions().retired_oov(), 1);
+        // Same state as the run that never stopped, field for field
+        // (the mux's counters restart with the process).
+        let (got, mut want) = (sentry.stats(), live.stats());
+        want.mux = got.mux;
+        assert_eq!(
+            serde_json::to_string(&got).unwrap(),
+            serde_json::to_string(&want).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string(&sentry.snapshot()).unwrap(),
+            serde_json::to_string(&live.snapshot()).unwrap()
+        );
+        // The killed session still drops its stragglers.
+        d.ingest(&ProcessEvent::api(t + 1, 102, 1)).unwrap();
+        assert_eq!(d.sentry().stats().dropped_after_kill, 1);
+        // And the next checkpoint is written without the dead.
+        d.checkpoint().unwrap();
+        let rewritten = fs::metadata(dir.join("checkpoint.snap")).unwrap().len();
+        assert!((rewritten as usize) < file.len() - 300, "{rewritten} bytes");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -28,11 +28,13 @@
 //!
 //! # Durability model
 //!
-//! Appends buffer in user space and reach the file — one `write` plus
-//! one `fdatasync` — at *sync points*: every
+//! Appends are framed in place in one user-space buffer and reach the
+//! file — one `write` plus one `fdatasync` — at *sync points*: every
 //! [`sync_every`](JournalConfig::sync_every) event records, at every
-//! incident (alerts are exactly the records the service exists to
-//! produce, so they are never batched), and on clean shutdown (drop).
+//! [`append_incidents`](Journal::append_incidents) call (alerts are
+//! exactly the records the service exists to produce, so they never
+//! wait for an event batch; the incidents one service call raises
+//! share one sync), and on clean shutdown (drop).
 //! A crash therefore loses at most `sync_every − 1` trailing event
 //! records plus, if the crash interrupts a flush, a torn partial
 //! record at the tail.
@@ -102,8 +104,10 @@ impl From<io::Error> for JournalError {
 pub enum JournalRecord {
     /// An ingested process event.
     Event(ProcessEvent),
-    /// A latched incident, with its action outcome.
-    Incident(Incident),
+    /// A latched incident, with its action outcome. Boxed: incidents
+    /// are one record in hundreds, and unboxed they would set the size
+    /// of every event record `open` hands back (104 bytes against 40).
+    Incident(Box<Incident>),
 }
 
 /// What [`Journal::open`] recovered from an existing file.
@@ -128,7 +132,7 @@ impl JournalRecovery {
     /// The recovered incidents, in append order.
     pub fn incidents(&self) -> impl Iterator<Item = &Incident> {
         self.records.iter().filter_map(|r| match r {
-            JournalRecord::Incident(i) => Some(i),
+            JournalRecord::Incident(i) => Some(&**i),
             JournalRecord::Event(_) => None,
         })
     }
@@ -198,6 +202,8 @@ pub struct Journal {
     pending: Vec<u8>,
     /// Event records in `pending`.
     pending_events: usize,
+    /// Incident records in `pending`.
+    pending_incidents: usize,
     /// Event records durably on disk (written *and* synced).
     durable_events: u64,
     /// Incident records durably on disk.
@@ -250,7 +256,7 @@ impl Journal {
         };
         file.seek(SeekFrom::Start(valid_end))?;
         let durable_events = recovery.event_count();
-        let durable_incidents = recovery.incidents().count() as u64;
+        let durable_incidents = recovery.records.len() as u64 - durable_events;
         Ok((
             Self {
                 file,
@@ -258,6 +264,7 @@ impl Journal {
                 sync_every: config.sync_every.max(1),
                 pending: Vec::with_capacity(4096),
                 pending_events: 0,
+                pending_incidents: 0,
                 durable_events,
                 durable_incidents,
                 syncs: 0,
@@ -293,24 +300,38 @@ impl Journal {
         self.syncs
     }
 
-    fn frame_into(pending: &mut Vec<u8>, rtype: u8, body: &[u8]) {
-        let len = body.len() + 1;
+    /// Frames one record in place at the end of `pending`: the header
+    /// is reserved, `body` appends the record's bytes after the type
+    /// tag, then length and CRC are patched in. A record whose body
+    /// fails to encode leaves `pending` as it was.
+    fn frame_in_place(
+        pending: &mut Vec<u8>,
+        rtype: u8,
+        body: impl FnOnce(&mut Vec<u8>) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        let at = pending.len();
+        pending.extend_from_slice(&[0u8; 8]);
+        pending.push(rtype);
+        if let Err(e) = body(pending) {
+            pending.truncate(at);
+            return Err(e);
+        }
+        let len = pending.len() - at - 8;
         debug_assert!(len <= MAX_RECORD_LEN, "record exceeds MAX_RECORD_LEN");
-        let mut payload = Vec::with_capacity(len);
-        payload.push(rtype);
-        payload.extend_from_slice(body);
-        pending.extend_from_slice(&(len as u32).to_le_bytes());
-        pending.extend_from_slice(&crc32(&payload).to_le_bytes());
-        pending.extend_from_slice(&payload);
+        let crc = crc32(&pending[at + 8..]);
+        pending[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        pending[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
     }
 
     /// Appends one event record. Buffered; becomes durable at the next
     /// sync point (every `sync_every` events, any incident, `sync`, or
     /// clean drop).
     pub fn append_event(&mut self, event: &ProcessEvent) -> Result<(), JournalError> {
-        let mut body = Vec::with_capacity(32);
-        encode_payload(event, &mut body);
-        Self::frame_into(&mut self.pending, 0, &body);
+        Self::frame_in_place(&mut self.pending, 0, |out| {
+            encode_payload(event, out);
+            Ok(())
+        })?;
         self.pending_events += 1;
         if self.pending_events >= self.sync_every {
             self.sync()?;
@@ -321,15 +342,29 @@ impl Journal {
     /// Appends one incident record and forces a sync: an incident is
     /// never left in the volatile tail.
     pub fn append_incident(&mut self, incident: &Incident) -> Result<(), JournalError> {
-        let json =
-            serde_json::to_string(incident).map_err(|e| JournalError::Encode(e.to_string()))?;
-        Self::frame_into(&mut self.pending, 1, json.as_bytes());
-        self.durable_incidents += 1;
+        self.append_incidents(std::slice::from_ref(incident))
+    }
+
+    /// Appends every incident one service call raised and forces one
+    /// sync for all of them: none is left in the volatile tail, none is
+    /// handed back before it is durable. No-op for an empty slice.
+    pub fn append_incidents(&mut self, incidents: &[Incident]) -> Result<(), JournalError> {
+        if incidents.is_empty() {
+            return Ok(());
+        }
+        for incident in incidents {
+            Self::frame_in_place(&mut self.pending, 1, |out| {
+                serde_json::to_writer(out, incident)
+                    .map_err(|e| JournalError::Encode(e.to_string()))
+            })?;
+            self.pending_incidents += 1;
+        }
         self.sync()
     }
 
     /// Writes every buffered record and fdatasyncs. After `Ok`, all
-    /// previously appended records survive any crash.
+    /// previously appended records survive any crash; only then do they
+    /// count as durable.
     pub fn sync(&mut self) -> Result<(), JournalError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -337,7 +372,9 @@ impl Journal {
         self.file.write_all(&self.pending)?;
         self.file.sync_data()?;
         self.durable_events += self.pending_events as u64;
+        self.durable_incidents += self.pending_incidents as u64;
         self.pending_events = 0;
+        self.pending_incidents = 0;
         self.pending.clear();
         self.syncs += 1;
         Ok(())
@@ -358,6 +395,7 @@ impl Journal {
         }
         self.pending.clear();
         self.pending_events = 0;
+        self.pending_incidents = 0;
         // Drop now flushes an empty buffer: a no-op.
     }
 }
@@ -399,7 +437,7 @@ fn scan_records(bytes: &[u8], out: &mut Vec<JournalRecord>) -> usize {
                 .ok()
                 .and_then(|json| serde_json::from_str::<Incident>(json).ok())
             {
-                Some(incident) => JournalRecord::Incident(incident),
+                Some(incident) => JournalRecord::Incident(Box::new(incident)),
                 None => return at,
             },
             _ => return at, // Unknown record type: not ours.
@@ -550,6 +588,64 @@ mod tests {
             back, b"precious user data, definitely not a journal",
             "refusing must not modify the file"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The journal file of the commit before records were framed in
+    /// place: one spawn event, then [`sample_incident`]`(3)`.
+    const GOLDEN: &str = "4353444a524e4c31\
+        18000000923d22d5000007000000000000009210000008006576696c2e657865\
+        b10000006c7b1617017b22736964223a332c22706964223a343234322c226e616d65223a226576\
+        696c2e657865222c22616c657274223a7b2261745f63616c6c223a3130302c2270726f62616269\
+        6c697479223a302e39372c22696e666572656e63655f7573223a31322e357d2c22616374696f6e\
+        223a2251756172616e74696e6564222c226f7574636f6d65223a7b224170706c696564223a2273\
+        616e64626f786564227d2c22706f73745f65786974223a66616c73657d";
+
+    #[test]
+    fn in_place_framing_writes_the_bytes_the_copying_framing_wrote() {
+        let path = tmp("golden");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+            j.append_event(&ProcessEvent::spawn(7, 4242, "evil.exe"))
+                .unwrap();
+            j.append_incident(&sample_incident(3)).unwrap();
+        }
+        let hex: String = std::fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN.replace(char::is_whitespace, ""));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn incidents_count_as_durable_only_once_their_sync_succeeds() {
+        let path = tmp("failed-sync");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+        j.append_event(&sample_events(1)[0]).unwrap();
+        // A handle that cannot write: every sync fails.
+        let writable = std::mem::replace(&mut j.file, File::open(&path).unwrap());
+        let incidents = [sample_incident(1), sample_incident(2)];
+        assert!(matches!(
+            j.append_incidents(&incidents),
+            Err(JournalError::Io(_))
+        ));
+        assert_eq!(j.durable_incidents(), 0, "nothing reached the disk");
+        assert_eq!((j.durable_events(), j.pending_events()), (0, 1));
+        assert_eq!(j.syncs(), 0);
+        // The records are still buffered; the next sync that works
+        // makes them durable, in one batch.
+        j.file = writable;
+        j.sync().unwrap();
+        assert_eq!((j.durable_events(), j.durable_incidents()), (1, 2));
+        assert_eq!(j.syncs(), 1, "two incidents, one sync");
+        drop(j);
+        let (j, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
+        assert_eq!(rec.incidents().count(), 2);
+        assert_eq!((j.durable_events(), j.durable_incidents()), (1, 2));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -17,7 +17,8 @@
 //!   that remote producers connect to.
 //! - [`session`] — per-PID lifecycle: spawn / exit / idle-timeout /
 //!   PID-supersession, each incarnation keyed by a never-reused session
-//!   id so recycled PIDs can't inherit verdicts or incidents.
+//!   id so recycled PIDs can't inherit verdicts or incidents; an ended
+//!   session leaves the table once no verdict can name it.
 //! - [`whitelist`] — image-name allow list consulted between alert and
 //!   action (suppresses the response, never the detection).
 //! - [`actions`] — the dispatch end: log / kill / quarantine, every
@@ -28,6 +29,8 @@
 //!   id; verdicts folded through packed k-of-n vote rings, alert for
 //!   alert what a serial `StreamMonitor` per process raises; incidents
 //!   out.
+//! - [`histogram`] — [`LatencyHistogram`]: the fixed-size verdict-latency
+//!   telemetry the service keeps.
 //!
 //! # Example
 //!
@@ -62,6 +65,7 @@ pub mod actions;
 pub mod bus;
 pub mod durable;
 pub mod event;
+pub mod histogram;
 pub mod journal;
 pub mod quarantine;
 pub mod service;
@@ -76,6 +80,7 @@ pub use bus::{
 };
 pub use durable::{DurableConfig, DurableSentry, RecoveryReport, SNAPSHOT_MAGIC};
 pub use event::{read_frame, write_frame, EventKind, ProcessEvent, WireError, MAX_FRAME_LEN};
+pub use histogram::LatencyHistogram;
 pub use journal::{
     Journal, JournalConfig, JournalError, JournalRecord, JournalRecovery, JOURNAL_MAGIC,
 };

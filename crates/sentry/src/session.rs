@@ -22,7 +22,16 @@
 //! frees its buffer immediately, and the buffer itself is compacted as
 //! windows are consumed (see [`Session::discard_consumed`]) so resident
 //! memory per session stays O(window) rather than O(trace).
+//!
+//! An ended session is no longer PID-linked, so no event can reach it;
+//! the table keeps it only until its owner calls
+//! [`retire`](SessionTable::retire) — the sentry does so once no
+//! verdict can reference the session id any more. Retirement folds the
+//! session's tallies into table totals and frees the entry; the id is
+//! still never handed out again (`next_sid` only grows), so the table
+//! holds O(live) sessions rather than every session it ever saw.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::event::{EventKind, ProcessEvent};
@@ -216,6 +225,9 @@ pub enum Applied {
         /// `Some(false)` if it was out-of-vocabulary, `None` for an
         /// explicit spawn (no call).
         buffered: Option<bool>,
+        /// The session the PID was still linked to, ended as
+        /// [`EndReason::Superseded`] by this start.
+        superseded: Option<u64>,
     },
     /// A call on a live session: `buffered` is `false` for an
     /// out-of-vocabulary call (tallied, not buffered).
@@ -243,6 +255,7 @@ pub struct SessionTable {
     idle_timeout_events: Option<u64>,
     /// Live and killed sessions, PID-linked.
     by_pid: HashMap<u32, u64>,
+    /// PID-linked sessions plus ended ones not yet retired.
     sessions: HashMap<u64, Session>,
     next_sid: u64,
     clock: u64,
@@ -251,6 +264,10 @@ pub struct SessionTable {
     dropped_after_kill: u64,
     stray_exits: u64,
     oov_total: u64,
+    /// `calls_seen` / `oov` of retired sessions, so the per-session
+    /// tallies still sum to the table's totals.
+    retired_calls: u64,
+    retired_oov: u64,
 }
 
 impl SessionTable {
@@ -279,6 +296,8 @@ impl SessionTable {
             dropped_after_kill: 0,
             stray_exits: 0,
             oov_total: 0,
+            retired_calls: 0,
+            retired_oov: 0,
         }
     }
 
@@ -295,10 +314,11 @@ impl SessionTable {
         self.clock += 1;
         match &event.kind {
             EventKind::Spawn(name) => {
-                let sid = self.begin(event.pid, Some(name.clone()));
+                let (sid, superseded) = self.begin(event.pid, Some(name.clone()));
                 Applied::Started {
                     sid,
                     buffered: None,
+                    superseded,
                 }
             }
             EventKind::Api(call) => self.on_call(event.pid, *call),
@@ -318,7 +338,8 @@ impl SessionTable {
     fn on_call(&mut self, pid: u32, call: usize) -> Applied {
         let (sid, fresh) = match self.by_pid.get(&pid) {
             Some(&sid) => (sid, false),
-            None => (self.begin(pid, None), true),
+            // An unlinked PID supersedes nobody.
+            None => (self.begin(pid, None).0, true),
         };
         let Some(s) = self.sessions.get_mut(&sid) else {
             // `by_pid` and `sessions` are maintained together; an
@@ -345,6 +366,7 @@ impl SessionTable {
             Applied::Started {
                 sid,
                 buffered: Some(buffered),
+                superseded: None,
             }
         } else {
             Applied::Call { sid, buffered }
@@ -352,9 +374,11 @@ impl SessionTable {
     }
 
     /// Starts a session on `pid`, superseding any session the PID is
-    /// currently linked to. Returns the new session id.
-    fn begin(&mut self, pid: u32, name: Option<String>) -> u64 {
-        if let Some(old) = self.by_pid.remove(&pid) {
+    /// currently linked to. Returns the new session id and the
+    /// superseded one.
+    fn begin(&mut self, pid: u32, name: Option<String>) -> (u64, Option<u64>) {
+        let superseded = self.by_pid.remove(&pid);
+        if let Some(old) = superseded {
             self.end(old, EndReason::Superseded);
         }
         let sid = self.next_sid;
@@ -363,7 +387,7 @@ impl SessionTable {
             .insert(sid, Session::new(sid, pid, name, self.clock));
         self.by_pid.insert(pid, sid);
         self.started += 1;
-        sid
+        (sid, superseded)
     }
 
     fn end(&mut self, sid: u64, reason: EndReason) {
@@ -416,6 +440,23 @@ impl SessionTable {
         }
     }
 
+    /// Stops tracking an *ended* session: its tallies fold into the
+    /// table totals and the entry is freed. The id stays spent. Returns
+    /// `false` (and does nothing) for a session that is untracked or
+    /// still PID-linked — live and killed sessions must keep receiving
+    /// their PID's events.
+    pub fn retire(&mut self, sid: u64) -> bool {
+        match self.sessions.entry(sid) {
+            Entry::Occupied(entry) if entry.get().ended.is_some() => {
+                let s = entry.remove();
+                self.retired_calls += s.calls_seen;
+                self.retired_oov += s.oov;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// The session with id `sid`, if tracked.
     pub fn session(&self, sid: u64) -> Option<&Session> {
         self.sessions.get(&sid)
@@ -431,9 +472,20 @@ impl SessionTable {
         self.by_pid.get(&pid).copied()
     }
 
-    /// All sessions ever started, in unspecified order.
+    /// The tracked sessions — PID-linked (live or killed) plus ended
+    /// ones not yet [`retire`](Self::retire)d — in unspecified order.
     pub fn sessions(&self) -> impl Iterator<Item = &Session> {
         self.sessions.values()
+    }
+
+    /// How many sessions are tracked.
+    pub fn tracked(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// The id the next session will get; every id below it is spent.
+    pub fn next_sid(&self) -> u64 {
+        self.next_sid
     }
 
     /// Sessions started so far.
@@ -461,8 +513,18 @@ impl SessionTable {
         self.oov_total
     }
 
-    /// Flattens the table for a checkpoint: every session, every PID
-    /// link, every counter, and — critically for replay determinism —
+    /// [`Session::calls_seen`] summed over retired sessions.
+    pub fn retired_calls(&self) -> u64 {
+        self.retired_calls
+    }
+
+    /// [`Session::oov`] summed over retired sessions.
+    pub fn retired_oov(&self) -> u64 {
+        self.retired_oov
+    }
+
+    /// Flattens the table for a checkpoint: every tracked session, every
+    /// PID link, every counter, and — critically for replay determinism —
     /// the `next_sid` cursor. Output is sorted, so equal tables
     /// produce byte-equal snapshots.
     pub fn snapshot(&self) -> TableSnap {
@@ -480,6 +542,8 @@ impl SessionTable {
             dropped_after_kill: self.dropped_after_kill,
             stray_exits: self.stray_exits,
             oov_total: self.oov_total,
+            retired_calls: self.retired_calls,
+            retired_oov: self.retired_oov,
             by_pid,
             sessions,
         }
@@ -505,6 +569,8 @@ impl SessionTable {
             dropped_after_kill: snap.dropped_after_kill,
             stray_exits: snap.stray_exits,
             oov_total: snap.oov_total,
+            retired_calls: snap.retired_calls,
+            retired_oov: snap.retired_oov,
         }
     }
 }
@@ -526,6 +592,7 @@ mod tests {
         let Applied::Started {
             sid,
             buffered: Some(true),
+            superseded: None,
         } = applied
         else {
             panic!("expected implicit start, got {applied:?}");

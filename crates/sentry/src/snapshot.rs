@@ -5,11 +5,14 @@
 //! replay* reconstructs the same incident
 //! set an uninterrupted run produces: the session table (including the
 //! `next_sid` cursor, so replayed events assign the same never-reused
-//! session ids), every per-session vote ring and window cursor, and
-//! the scalar service counters. Volatile telemetry — latency sample
-//! vectors, the mux's in-flight windows — is deliberately *not*
-//! captured: checkpoints are taken quiescently (after a drain), when
-//! the mux is empty, and latency samples are measurements of a
+//! session ids), the vote ring and window cursor of every *tracked*
+//! session, and the scalar service counters. Sessions that ended and
+//! retired are not in it — nothing can reference them again, and their
+//! tallies are already in the counters — so a checkpoint's size follows
+//! the sessions alive when it was taken. Volatile telemetry — the
+//! latency histograms, the mux's in-flight windows — is deliberately
+//! *not* captured: checkpoints are taken quiescently (after a drain),
+//! when the mux is empty, and latency samples are measurements of a
 //! particular run, not state the detection pipeline depends on.
 //!
 //! The structures here are shaped for the vendored serde: `Vec`s of
@@ -77,6 +80,12 @@ pub struct TableSnap {
     pub stray_exits: u64,
     /// Out-of-vocabulary calls across all sessions.
     pub oov_total: u64,
+    /// `calls_seen` summed over retired sessions.
+    #[serde(default)]
+    pub retired_calls: u64,
+    /// `oov` summed over retired sessions.
+    #[serde(default)]
+    pub retired_oov: u64,
     /// The PID → sid links, sorted by PID.
     pub by_pid: Vec<(u32, u64)>,
     /// Every tracked session, sorted by sid.
@@ -125,10 +134,15 @@ pub struct SentrySnapshot {
     pub table: TableSnap,
     /// Per-session stream records, sorted by sid.
     pub streams: Vec<StreamSnap>,
-    /// Monotone-timestamp dedup watermarks per live PID, sorted by
-    /// PID. Checkpointed events are never replayed, so the watermark
-    /// that guarded them must survive the checkpoint — otherwise a
-    /// duplicate frame re-sent across a crash would be ingested twice.
+    /// Monotone-timestamp dedup watermarks, sorted by PID — one per PID
+    /// *ever seen*, not per live one, and deliberately so: a frame
+    /// re-sent after its process exited must still be recognised, and
+    /// the next incarnation of the PID must still be held to timestamps
+    /// above the last one's. (Empty unless
+    /// [`dedup_monotone_ts`](crate::SentryConfig::dedup_monotone_ts).)
+    /// Checkpointed events are never replayed, so the watermark that
+    /// guarded them must survive the checkpoint — otherwise a duplicate
+    /// frame re-sent across a crash would be ingested twice.
     #[serde(default)]
     pub last_t_us: Vec<(u32, u64)>,
     /// Duplicate frames dropped by monotone-timestamp dedup.

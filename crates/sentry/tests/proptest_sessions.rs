@@ -15,6 +15,12 @@
 //! - **Event conservation**: every API event lands somewhere —
 //!   buffered, tallied out-of-vocabulary, or tallied as dropped-after-
 //!   kill — and the ingest path never panics on any interleaving.
+//!
+//! Ended sessions retire from the table once no verdict can name them,
+//! so none of this is read off "every session ever is still in the
+//! map": identities come from watching the PID links as the script
+//! runs ([`Observed`]), tallies from tracked sessions plus the table's
+//! retired totals, and attributions from the incident log.
 
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -70,38 +76,84 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Replays a script, returning the sentry after a final drain.
-fn run_script(seed: u64, action: ActionKind, idle: Option<u64>, script: &[Step]) -> Sentry {
-    let mut sentry = Sentry::new(engine(seed), config(action, idle));
-    let mut t = 0u64;
-    for step in script {
-        t += 1;
-        match step {
-            Step::Spawn(pid) => {
-                sentry.ingest(&ProcessEvent::spawn(t, *pid, &format!("proc-{pid}.exe")));
-            }
-            Step::Call(pid, call) => {
-                sentry.ingest(&ProcessEvent::api(t, *pid, *call));
-            }
-            Step::Burst(pid, n) => {
-                for i in 0..*n {
-                    sentry.ingest(&ProcessEvent::api(
-                        t,
-                        *pid,
-                        (usize::from(i) * 7 + *pid as usize) % VOCAB,
-                    ));
-                }
-            }
-            Step::Exit(pid) => {
-                sentry.ingest(&ProcessEvent::exit(t, *pid));
-            }
-            Step::Poll => {
-                sentry.poll();
+/// Every `(sid, pid)` incarnation the PID links ever showed, in the
+/// order the table created them.
+#[derive(Debug, Default)]
+struct Observed {
+    incarnations: Vec<(u64, u32)>,
+}
+
+impl Observed {
+    /// Reads `pid`'s link after an event on it. A new incarnation must
+    /// carry an id above every id seen so far: ids are never reused,
+    /// whether or not the earlier session is still tracked.
+    fn note(&mut self, sentry: &Sentry, pid: u32) {
+        let Some(sid) = sentry.sessions().sid_for_pid(pid) else {
+            return;
+        };
+        if self.incarnations.contains(&(sid, pid)) {
+            return;
+        }
+        if let Some(&(last, _)) = self.incarnations.last() {
+            assert!(sid > last, "sid {sid} handed out after {last}");
+        }
+        assert!(sid < sentry.sessions().next_sid());
+        self.incarnations.push((sid, pid));
+    }
+
+    fn pid_of(&self, sid: u64) -> Option<u32> {
+        self.incarnations
+            .iter()
+            .find(|&&(s, _)| s == sid)
+            .map(|&(_, pid)| pid)
+    }
+}
+
+/// Applies one step, noting the incarnation it may have started.
+fn apply_step(sentry: &mut Sentry, seen: &mut Observed, t: u64, step: &Step) {
+    match step {
+        Step::Spawn(pid) => {
+            sentry.ingest(&ProcessEvent::spawn(t, *pid, &format!("proc-{pid}.exe")));
+            seen.note(sentry, *pid);
+        }
+        Step::Call(pid, call) => {
+            sentry.ingest(&ProcessEvent::api(t, *pid, *call));
+            seen.note(sentry, *pid);
+        }
+        Step::Burst(pid, n) => {
+            for i in 0..*n {
+                sentry.ingest(&ProcessEvent::api(
+                    t,
+                    *pid,
+                    (usize::from(i) * 7 + *pid as usize) % VOCAB,
+                ));
+                seen.note(sentry, *pid);
             }
         }
+        Step::Exit(pid) => {
+            sentry.ingest(&ProcessEvent::exit(t, *pid));
+        }
+        Step::Poll => {
+            sentry.poll();
+        }
+    }
+}
+
+/// Replays a script, returning the sentry after a final drain and the
+/// incarnations seen on the way.
+fn run_script(
+    seed: u64,
+    action: ActionKind,
+    idle: Option<u64>,
+    script: &[Step],
+) -> (Sentry, Observed) {
+    let mut sentry = Sentry::new(engine(seed), config(action, idle));
+    let mut seen = Observed::default();
+    for (t, step) in (1u64..).zip(script) {
+        apply_step(&mut sentry, &mut seen, t, step);
     }
     sentry.drain();
-    sentry
+    (sentry, seen)
 }
 
 proptest! {
@@ -119,21 +171,31 @@ proptest! {
         kill in any::<bool>(),
     ) {
         let action = if kill { ActionKind::Kill } else { ActionKind::Log };
-        let sentry = run_script(seed, action, Some(20), &script);
+        let (sentry, seen) = run_script(seed, action, Some(20), &script);
 
-        let mut sids: Vec<u64> = sentry.sessions().sessions().map(|s| s.sid()).collect();
-        let total = sids.len();
-        sids.sort_unstable();
-        sids.dedup();
-        prop_assert_eq!(sids.len(), total, "a session id was reused");
+        // `Observed::note` has already held every new incarnation to an
+        // id above all earlier ones; the table agrees on how many there
+        // were, and tracks no session it did not hand an id to.
+        let stats = sentry.stats();
+        prop_assert_eq!(seen.incarnations.len() as u64, stats.sessions_started);
+        prop_assert_eq!(sentry.sessions().next_sid(), stats.sessions_started + 1);
+        for session in sentry.sessions().sessions() {
+            prop_assert_eq!(seen.pid_of(session.sid()), Some(session.pid()));
+        }
+        // After the drain only PID-linked sessions are left.
+        prop_assert_eq!(
+            sentry.sessions().tracked() as u64,
+            stats.sessions_started - stats.sessions_ended,
+            "every ended session retired"
+        );
+        prop_assert!(sentry.tracked_streams() <= sentry.sessions().tracked());
 
         for incident in sentry.incidents() {
-            let session = sentry
-                .sessions()
-                .session(incident.sid)
-                .expect("incident names a tracked session");
-            prop_assert_eq!(session.pid(), incident.pid,
+            prop_assert_eq!(seen.pid_of(incident.sid), Some(incident.pid),
                 "incident pid matches the incarnation that earned it");
+            if let Some(session) = sentry.sessions().session(incident.sid) {
+                prop_assert_eq!(session.pid(), incident.pid);
+            }
         }
         // At most one incident per sid: latched means latched.
         let mut incident_sids: Vec<u64> =
@@ -156,7 +218,7 @@ proptest! {
         idle in prop_oneof![Just(None), (5u64..40).prop_map(Some)],
     ) {
         let action = if kill { ActionKind::Kill } else { ActionKind::Log };
-        let sentry = run_script(seed, action, idle, &script);
+        let (sentry, _) = run_script(seed, action, idle, &script);
         let stats = sentry.stats();
 
         let api_events: u64 = script.iter().map(|s| match s {
@@ -164,13 +226,17 @@ proptest! {
             Step::Burst(_, n) => u64::from(*n),
             _ => 0,
         }).sum();
-        let calls_seen: u64 = sentry.sessions().sessions().map(|s| s.calls_seen()).sum();
+        // Per-session tallies live in the tracked sessions and, for
+        // retired ones, in the table's totals.
+        let table = sentry.sessions();
+        let calls_seen: u64 =
+            table.sessions().map(|s| s.calls_seen()).sum::<u64>() + table.retired_calls();
         prop_assert_eq!(
             api_events,
             calls_seen + stats.dropped_after_kill,
             "every call is either seen by a session or tallied as dropped"
         );
-        let oov: u64 = sentry.sessions().sessions().map(|s| s.oov()).sum();
+        let oov: u64 = table.sessions().map(|s| s.oov()).sum::<u64>() + table.retired_oov();
         prop_assert_eq!(oov, stats.oov_calls, "oov tallies agree");
         // Engine-side conservation: windows either fold or are
         // accounted as loss (none here: default backpressure bound is
@@ -193,30 +259,14 @@ proptest! {
         // traffic in its first incarnation, then dies, then returns.
         script.push(Step::Burst(reuse_pid, 12));
         script.push(Step::Exit(reuse_pid));
-        let mut sentry = Sentry::new(engine(seed), config(ActionKind::Kill, None));
-        let mut t = 0u64;
-        for step in &script {
-            t += 1;
-            match step {
-                Step::Spawn(pid) => {
-                    sentry.ingest(&ProcessEvent::spawn(t, *pid, &format!("proc-{pid}.exe")));
-                }
-                Step::Call(pid, call) => {
-                    sentry.ingest(&ProcessEvent::api(t, *pid, *call));
-                }
-                Step::Burst(pid, n) => for i in 0..*n {
-                    sentry.ingest(&ProcessEvent::api(
-                        t, *pid, (usize::from(i) * 7 + *pid as usize) % VOCAB,
-                    ));
-                },
-                Step::Exit(pid) => {
-                    sentry.ingest(&ProcessEvent::exit(t, *pid));
-                }
-                Step::Poll => { sentry.poll(); }
-            }
-        }
-        sentry.drain();
+        let (mut sentry, _) = run_script(seed, ActionKind::Kill, None, &script);
+        let t = script.len() as u64;
         let before: Vec<_> = sentry.incidents().to_vec();
+        // The first incarnation exited and the drain ran: it has
+        // retired, so whatever it latched is held by the log alone.
+        for incident in before.iter().filter(|i| i.pid == reuse_pid) {
+            prop_assert!(sentry.sessions().session(incident.sid).is_none());
+        }
 
         // Second incarnation on the same pid: fresh traffic, then exit.
         sentry.ingest(&ProcessEvent::spawn(t + 1, reuse_pid, "reborn.exe"));
@@ -266,9 +316,10 @@ proptest! {
         }
         sentry.drain();
 
-        let a = sentry.sessions().session(sid_a).expect("tracked");
-        prop_assert!(a.ended().is_some(), "silent session timed out");
-        prop_assert_eq!(a.calls_seen(), idle_calls.max(8) as u64);
+        // A timed out and, its verdicts folded, retired with its tally.
+        prop_assert_eq!(sentry.stats().sessions_ended, 1, "silent session timed out");
+        prop_assert!(sentry.sessions().session(sid_a).is_none(), "and retired");
+        prop_assert_eq!(sentry.sessions().retired_calls(), idle_calls.max(8) as u64);
         prop_assert_eq!(sentry.sessions().sid_for_pid(1), None, "pid unlinked");
         let b_sid = sentry.sessions().sid_for_pid(2).expect("busy session survives");
         prop_assert!(sentry.sessions().session(b_sid).expect("tracked").is_live());
