@@ -29,6 +29,10 @@
 //!   session — coverage loss under overload is typed and counted,
 //!   never silent.
 //!
+//! Every cell runs the mux at one shard, as every serving configuration
+//! does; `--smoke` repeats the clean and the heaviest parity cell at two,
+//! so the multi-shard coordinator meets the same contract in CI.
+//!
 //! Every cell also reports what the sentry held: the most sessions it
 //! tracked at once next to the most that were alive, and the size of
 //! the last checkpoint. A parity cell fails if the tracked count runs
@@ -69,6 +73,7 @@ const TRACKED_SLACK: u64 = 128;
 #[derive(Serialize)]
 struct CellReport {
     name: String,
+    shards: usize,
     kills: u64,
     chaos: ChaosCounters,
     /// Frames handed to ingest, including crash-resume re-sends.
@@ -157,10 +162,9 @@ fn sentry_config(overload: bool, n_entries: usize) -> SentryConfig {
     };
     config.mux.max_pending = (n_entries * 4).max(4096);
     if overload {
-        // One lane, one shard: the engine genuinely cannot keep up, so
-        // the governor has real overload to govern.
+        // One lane (on the cell's one shard): the engine genuinely
+        // cannot keep up, so the governor has real overload to govern.
         config.mux.lanes = Some(1);
-        config.mux.shards = Some(1);
     }
     config
 }
@@ -189,6 +193,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
+#[derive(Clone)]
 struct Cell {
     name: &'static str,
     chaos: ChaosConfig,
@@ -196,14 +201,16 @@ struct Cell {
     kill_fracs: &'static [f64],
     slo: Option<u64>,
     poll_every: usize,
+    /// Mux shard count.
+    shards: usize,
 }
 
 #[allow(clippy::too_many_lines)]
 fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) -> CellReport {
     let overload = cell.slo.is_some() || cell.poll_every > POLL_EVERY;
-    let config = sentry_config(overload, expect.len().max(1));
-    let mut config = config;
+    let mut config = sentry_config(overload, expect.len().max(1));
     config.staleness_slo = cell.slo;
+    config.mux.shards = Some(cell.shards);
 
     let total = trace.len() as u64;
     let mut chaos_cfg = cell.chaos.clone();
@@ -344,6 +351,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     let checkpoint_bytes_last = fs::metadata(dir.join("checkpoint.snap")).map_or(0, |m| m.len());
     let report = CellReport {
         name: cell.name.to_string(),
+        shards: cell.shards,
         kills: kills_done,
         chaos: schedule.counters,
         frames_sent,
@@ -400,13 +408,14 @@ fn main() {
 
     let kills_mid: &[f64] = &[0.25, 0.6];
     let kills_dense: &[f64] = &[0.1, 0.35, 0.5, 0.8];
-    let cells = [
+    let mut cells = vec![
         Cell {
             name: "clean",
             chaos: ChaosConfig::none(),
             kill_fracs: &[],
             slo: None,
             poll_every: POLL_EVERY,
+            shards: 1,
         },
         Cell {
             name: "kills-only",
@@ -414,6 +423,7 @@ fn main() {
             kill_fracs: kills_mid,
             slo: None,
             poll_every: POLL_EVERY,
+            shards: 1,
         },
         Cell {
             name: "chaos-light",
@@ -421,6 +431,7 @@ fn main() {
             kill_fracs: &[],
             slo: None,
             poll_every: POLL_EVERY,
+            shards: 1,
         },
         Cell {
             name: "chaos-light-kills",
@@ -428,6 +439,7 @@ fn main() {
             kill_fracs: kills_mid,
             slo: None,
             poll_every: POLL_EVERY,
+            shards: 1,
         },
         Cell {
             name: "chaos-heavy-kills",
@@ -435,8 +447,22 @@ fn main() {
             kill_fracs: kills_dense,
             slo: None,
             poll_every: POLL_EVERY,
+            shards: 1,
         },
     ];
+    if smoke {
+        for (of, name) in [
+            ("clean", "clean-2shards"),
+            ("chaos-heavy-kills", "chaos-heavy-kills-2shards"),
+        ] {
+            let twin = cells.iter().find(|c| c.name == of).expect("cell exists");
+            cells.push(Cell {
+                name,
+                shards: 2,
+                ..twin.clone()
+            });
+        }
+    }
     let overload_cells = [
         Cell {
             name: "overload-ungoverned",
@@ -444,6 +470,7 @@ fn main() {
             kill_fracs: &[],
             slo: None,
             poll_every: LAZY_POLL_EVERY,
+            shards: 1,
         },
         Cell {
             name: "overload-governed",
@@ -451,6 +478,7 @@ fn main() {
             kill_fracs: &[],
             slo: Some(512),
             poll_every: LAZY_POLL_EVERY,
+            shards: 1,
         },
     ];
 
@@ -458,9 +486,10 @@ fn main() {
     for cell in &cells {
         let r = run_cell(cell, &trace, &parity_expect);
         println!(
-            "  {:<20} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} \
+            "  {:<26} shards={} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} \
              tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} ({:.0} ms)",
             r.name,
+            r.shards,
             r.kills,
             r.chaos.total(),
             r.dup_events,
@@ -489,7 +518,7 @@ fn main() {
     for cell in &overload_cells {
         let r = run_cell(cell, &trace, &overload_expect);
         println!(
-            "  {:<20} staleness p50={} p99={} max={} rung={} slo_polls={} shed={} untyped_losses={} \
+            "  {:<26} staleness p50={} p99={} max={} rung={} slo_polls={} shed={} untyped_losses={} \
              tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} ({:.0} ms)",
             r.name,
             r.staleness_p50,

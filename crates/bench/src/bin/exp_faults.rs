@@ -318,7 +318,6 @@ fn main() {
                 max_pending: stream_windows,
                 policy: OverflowPolicy::DropOldest,
                 shards: Some(1),
-                steal: None,
             },
         );
         if per_tick > 0.0 {

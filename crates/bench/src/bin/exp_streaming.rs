@@ -17,19 +17,18 @@
 //!
 //! Two experiments ride the same harness:
 //!
-//! 1. **Single-shard throughput** — the mux pinned to one shard (what
-//!    the sentry benchmark runs): the lane-batching path alone.
+//! 1. **Single-shard throughput** — the mux at one shard (the default,
+//!    and what the service runs): the lane-batching path alone.
 //! 2. **Shard sweep** — the mux at 1/2/4 shards against its own
 //!    single-shard baseline at each stream count. This is the multi-core
 //!    win alone; on a single-core host it measures coordination overhead
 //!    instead (reported honestly, see EXPERIMENTS.md).
 //!
-//! `--smoke` runs a seconds-scale subset (fewer/shorter streams, shard
-//! count left to `CSD_STREAM_SHARDS` so a CI matrix can sweep it, no
-//! acceptance bar) for CI; the full run checks the acceptance bar — the
-//! 4-shard sweep must reach ≥3× the single-shard mux at 4096 streams
-//! *when both the host and the worker pool have ≥4 threads* (skipped
-//! with a note otherwise) — and fails loudly below it. Before timing
+//! `--smoke` runs a seconds-scale subset (fewer/shorter streams, the
+//! same shard sweep, no acceptance bar) for CI; the full run checks the
+//! acceptance bar — the 4-shard sweep must reach ≥3× the single-shard
+//! mux at 4096 streams *when the host has ≥4 cores* (skipped with a
+//! note otherwise) — and fails loudly below it. Before timing
 //! anything, at every swept shard count, every verdict is asserted
 //! bit-equal to serial `classify` of its window and every stream's
 //! verdicts are asserted to arrive in submission order. Historical
@@ -76,8 +75,8 @@ struct Report {
     shard_speedup_by_streams: Vec<(usize, Vec<(usize, f64)>)>,
 }
 
-/// Rounds each configuration runs (see `exp_throughput`); each keeps
-/// its best round, the least-disturbed estimate on a drifting host.
+/// Rounds each configuration runs; each keeps its best round, the
+/// least-disturbed estimate on a drifting host.
 const ROUNDS: usize = 6;
 
 /// Deterministic per-stream API-call trace (content does not affect
@@ -119,7 +118,7 @@ fn run_fleet(
 }
 
 /// Doubles the iteration count until one burst runs ≥25 ms (warm-up +
-/// calibration), as in `exp_throughput`.
+/// calibration).
 fn calibrate(f: &mut dyn FnMut()) -> u64 {
     let mut iters = 1u64;
     loop {
@@ -164,22 +163,16 @@ fn main() {
     let engine = CsdInferenceEngine::new(&ModelWeights::from_model(&model), level);
     let config = MonitorConfig::default(); // window 100, stride 10
     let stream_counts: &[usize] = if smoke { &[16, 64] } else { &[64, 512, 4096] };
-    // The single-shard baseline race pins `shards: Some(1)` (the frozen
-    // PR-4 configuration); the sweep varies the count explicitly. Smoke
-    // leaves it `None` so a CI matrix can drive it via
-    // `CSD_STREAM_SHARDS`.
-    let shard_counts: &[Option<usize>] = if smoke {
-        &[None]
-    } else {
-        &[Some(1), Some(2), Some(4)]
-    };
+    // The sweep races each count against the first, the one-shard mux
+    // every serving configuration runs.
+    let shard_counts = [1usize, 2, 4];
     let calls_per_stream = if smoke { 200 } else { 300 };
     let rounds = if smoke { 2 } else { ROUNDS };
     // Deep enough that a full pass never triggers backpressure: drops
     // would silently shrink the fleet path's work and skew the race.
-    let mux_config = |n: usize, shards: Option<usize>| StreamMuxConfig {
+    let mux_config = |n: usize, shards: usize| StreamMuxConfig {
         max_pending: (n * windows_per_stream(calls_per_stream, &config)).max(1),
-        shards,
+        shards: Some(shards),
         ..StreamMuxConfig::default()
     };
 
@@ -190,27 +183,26 @@ fn main() {
         let n = 32;
         let traces: Vec<Vec<usize>> = (0..n).map(|s| trace(s, calls_per_stream)).collect();
         let per_stream = windows_per_stream(calls_per_stream, &config);
-        // Gate every swept shard count, plus the env-resolved default.
-        for &shards in shard_counts.iter().chain([&None]) {
+        for shards in shard_counts {
             let (_, verdicts) = run_fleet(&engine, config, mux_config(n, shards), &traces);
             assert_eq!(
                 verdicts.len(),
                 n * per_stream,
-                "{shards:?} shards lost verdicts"
+                "{shards} shards lost verdicts"
             );
             let mut next_due = vec![config.window_len; n];
             for v in &verdicts {
                 let pid = v.stream as usize;
                 assert_eq!(
                     v.at_call, next_due[pid],
-                    "stream mux ({shards:?} shards) delivered pid {pid} out of submission order"
+                    "stream mux ({shards} shards) delivered pid {pid} out of submission order"
                 );
                 next_due[pid] += config.stride;
                 let window = &traces[pid][v.at_call - config.window_len..v.at_call];
                 assert_eq!(
                     v.classification,
                     engine.classify(window),
-                    "stream mux ({shards:?} shards) diverged from serial classify on pid {pid} at call {}",
+                    "stream mux ({shards} shards) diverged from serial classify on pid {pid} at call {}",
                     v.at_call
                 );
             }
@@ -227,9 +219,7 @@ fn main() {
         lanes::simd_level()
     );
     let mut shard_speedup_by_streams: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
-    // In smoke mode the single measured configuration doubles as the
-    // baseline; full mode pins the baseline to one shard.
-    let baseline_shards = if smoke { None } else { Some(1) };
+    let baseline_shards = shard_counts[0];
     for &n in stream_counts {
         let traces: Vec<Vec<usize>> = (0..n).map(|s| trace(s, calls_per_stream)).collect();
         let windows_total = n * windows_per_stream(calls_per_stream, &config);
@@ -251,12 +241,11 @@ fn main() {
         // single-shard mux: the multi-core win alone.
         let single_shard_mean = timed[0].1;
         let mut sweep = Vec::new();
-        for &shards in shard_counts {
-            let s = shards.unwrap_or(1);
-            let mean = if shards == baseline_shards {
+        for s in shard_counts {
+            let mean = if s == baseline_shards {
                 single_shard_mean
             } else {
-                let smc = mux_config(n, shards);
+                let smc = mux_config(n, s);
                 let mut run_sharded = || {
                     std::hint::black_box(run_fleet(&engine, config, smc, &traces));
                 };
@@ -273,25 +262,21 @@ fn main() {
                 sharded[0].1
             };
             let vs_single = single_shard_mean / mean;
-            if shards != baseline_shards {
+            if s != baseline_shards {
                 println!("  streams {n:>4}: {s} shards → {vs_single:.2}x vs single shard");
             }
             sweep.push((s, vs_single));
         }
         shard_speedup_by_streams.push((n, sweep));
         // One untimed pass for the tick-level stats snapshot, at the
-        // widest swept shard count so steal counts surface.
-        let (mux, _) = run_fleet(
-            &engine,
-            config,
-            mux_config(n, *shard_counts.last().unwrap()),
-            &traces,
-        );
+        // widest swept shard count.
+        let widest = shard_counts[shard_counts.len() - 1];
+        let (mux, _) = run_fleet(&engine, config, mux_config(n, widest), &traces);
         let stats = mux.stats();
         println!(
-            "  streams {n:>4}: shards {}, occupancy {:.3}, latency p50 {} / p99 {} ticks, {} verdicts, {} steals",
+            "  streams {n:>4}: shards {}, occupancy {:.3}, latency p50 {} / p99 {} ticks, {} verdicts",
             stats.shards, stats.occupancy, stats.p50_latency_ticks, stats.p99_latency_ticks,
-            stats.verdicts, stats.steals
+            stats.verdicts
         );
         mux_stats_by_streams.push((n, stats));
     }
@@ -317,13 +302,10 @@ fn main() {
     }
     // The multi-core bar needs multiple cores *running shards*: the
     // coordinator cannot beat 1x on a single-core host (every shard runs
-    // on the same core, plus coordination), nor when `CSD_POOL_THREADS`
-    // caps the pool the shards scatter onto below the core count. Gate
-    // on the smaller of the two and say so, instead of faking a pass or
-    // failing for the wrong reason.
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let pool_threads = WorkerPool::global().threads();
-    let cores = host_cores.min(pool_threads);
+    // on the same core, plus coordination). The pool the shards scatter
+    // onto has one worker per core; gate on that count and say so,
+    // instead of faking a pass or failing for the wrong reason.
+    let cores = WorkerPool::global().threads();
     let at_4096_4shard = shard_speedup_by_streams
         .iter()
         .find(|(n, _)| *n == 4096)
@@ -333,14 +315,14 @@ fn main() {
     if cores >= 4 {
         assert!(
             at_4096_4shard >= 3.0,
-            "4 shards must be ≥3x the single-shard mux at 4096 streams with {pool_threads} pool threads on a {host_cores}-core host, got {at_4096_4shard:.2}x"
+            "4 shards must be ≥3x the single-shard mux at 4096 streams on a {cores}-core host, got {at_4096_4shard:.2}x"
         );
         println!(
-            "acceptance: {at_4096_4shard:.2}x ≥ 3x vs single-shard mux at 4096 streams (4 shards, {pool_threads} pool threads, {host_cores} cores)"
+            "acceptance: {at_4096_4shard:.2}x ≥ 3x vs single-shard mux at 4096 streams (4 shards, {cores} cores)"
         );
     } else {
         println!(
-            "acceptance: ≥3x multi-core bar SKIPPED — {pool_threads} pool thread(s) on {host_cores} core(s), the bar needs 4 of each; 4-shard ran {at_4096_4shard:.2}x vs single shard (coordination overhead only)"
+            "acceptance: ≥3x multi-core bar SKIPPED — {cores} core(s), the bar needs 4; 4-shard ran {at_4096_4shard:.2}x vs single shard"
         );
     }
 }

@@ -44,11 +44,12 @@
 //!   stride classification, alert debouncing (§I's background execution).
 //! - [`shard`] — [`ShardedStreamMux`], the continuous-batching stream
 //!   multiplexer: thousands of process streams multiplexed onto one lane
-//!   block per worker thread with iteration-level admission/retirement
-//!   (a retiring window's slot refills the same tick), global
-//!   backpressure, work stealing, per-stream in-order delivery and
-//!   tick-level stats. [`stream`] holds its config/verdict/stats types
-//!   and the crate-private lane block the shards run.
+//!   block (or, when asked, one per shard, advanced in parallel) with
+//!   iteration-level admission/retirement (a retiring window's slot
+//!   refills the same tick), global backpressure, placement fixed at
+//!   admission, per-stream in-order delivery and tick-level stats.
+//!   [`stream`] holds its config/verdict/stats types and the
+//!   crate-private lane block the shards run.
 //! - [`fleet`] — multi-device scaling (§II's "multiple devices within a
 //!   single node").
 //! - [`bitstream`] — the `v++` link step: schedules the design against a
@@ -82,7 +83,6 @@
 
 pub mod bitstream;
 pub mod engine;
-pub mod env;
 pub mod fleet;
 pub mod host;
 pub mod kernels;
@@ -103,10 +103,10 @@ pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats}
 pub use kernels::LstmDims;
 pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};
 pub use opt::OptimizationLevel;
-pub use pool::{PoolError, WorkerPool, WorkerPoolBuilder};
+pub use pool::{PoolError, WorkerPool};
 pub use schedule::{Bottleneck, LaneBucket, LaneSchedule, PipelineSchedule, ScheduleEvent};
 pub use scratch::{EngineScratch, InferenceScratch, LaneScratch};
-pub use shard::{ShardedStreamMux, StealPolicy};
+pub use shard::ShardedStreamMux;
 pub use stream::{MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict};
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
 pub use weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

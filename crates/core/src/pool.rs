@@ -190,19 +190,13 @@ impl WorkerPool {
             .count()
     }
 
-    /// Starts configuring a pool. Equivalent to `WorkerPool::new` but
-    /// reads defaults (including the `CSD_POOL_THREADS` environment
-    /// override) when a knob is left unset.
-    pub fn builder() -> WorkerPoolBuilder {
-        WorkerPoolBuilder { threads: None }
-    }
-
-    /// The single process-wide pool, created on first use. Sized from the
-    /// `CSD_POOL_THREADS` environment variable when set to a positive
-    /// integer, otherwise from the machine's available parallelism.
+    /// The single process-wide pool, created on first use with one
+    /// worker per core the machine makes available.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| WorkerPool::builder().build())
+        GLOBAL.get_or_init(|| {
+            WorkerPool::new(std::thread::available_parallelism().map_or(4, |n| n.get()))
+        })
     }
 
     /// Number of worker threads.
@@ -376,31 +370,6 @@ impl Drop for ScopeGuard {
                 let _ = catch_unwind(AssertUnwindSafe(job));
             }
         }
-    }
-}
-
-/// Configuration for a [`WorkerPool`]; obtained via [`WorkerPool::builder`].
-pub struct WorkerPoolBuilder {
-    threads: Option<usize>,
-}
-
-impl WorkerPoolBuilder {
-    /// Sets the worker count explicitly (clamped to at least one),
-    /// overriding both the environment variable and the machine default.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Builds the pool. When no thread count was set, reads
-    /// `CSD_POOL_THREADS` (positive integer) and falls back to the
-    /// machine's available parallelism.
-    pub fn build(self) -> WorkerPool {
-        let threads = self
-            .threads
-            .or_else(|| crate::env::positive_usize("CSD_POOL_THREADS"))
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-        WorkerPool::new(threads)
     }
 }
 
@@ -603,12 +572,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_thread_count() {
-        let pool = WorkerPool::builder().threads(3).build();
-        assert_eq!(pool.threads(), 3);
-        // Explicit zero still yields a working single-thread pool.
-        let pool = WorkerPool::builder().threads(0).build();
-        assert_eq!(pool.threads(), 1);
+    fn zero_threads_still_yields_one_worker() {
+        assert_eq!(WorkerPool::new(0).threads(), 1);
     }
 
     #[test]

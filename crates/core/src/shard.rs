@@ -1,62 +1,51 @@
-//! The stream multiplexer: a coordinator over one continuous-batching
-//! lane block (see [`stream`](crate::stream)) per worker-pool thread,
-//! with one admission path, work-stealing rebalance and per-stream
+//! The stream multiplexer: a coordinator over one or more
+//! continuous-batching lane blocks (see [`stream`](crate::stream)), with
+//! one admission path, placement fixed at admission and per-stream
 //! in-order verdict delivery.
 //!
-//! A single lane block advances every lane on one thread; at fleet
-//! scale (`exp_streaming` at 4096 streams) occupancy is 1.0 and the
-//! host core, not the engine, is the ceiling. [`ShardedStreamMux`]
-//! splits the lanes into `N` shard-owned blocks — one per
-//! [`WorkerPool`] worker — and advances every *loaded* shard in
-//! parallel via [`WorkerPool::scatter_scoped`]. The 0-ULP contract is
-//! untouched: each shard runs the same lane kernels on the same
-//! windows, so every verdict is still bit-identical to serial
-//! [`classify`](CsdInferenceEngine::classify). With one shard it is the
-//! single-threaded mux, run inline on the caller's thread.
+//! A single lane block advances every lane on one thread, and that is
+//! the default: one shard, run inline on the caller's thread, no worker
+//! pool. Asked for `N` shards ([`StreamMuxConfig::shards`]),
+//! [`ShardedStreamMux`] splits the lanes into `N` shard-owned blocks and
+//! advances every *loaded* shard in parallel via
+//! [`WorkerPool::scatter_scoped`] — worth it only where each shard has a
+//! free core and enough admitted windows to fill its lanes. The 0-ULP
+//! contract is untouched either way: each shard runs the same lane
+//! kernels on the same windows, so every verdict is still bit-identical
+//! to serial [`classify`](CsdInferenceEngine::classify).
 //!
-//! # Admission, routing, and stealing
+//! # Admission and routing
 //!
 //! [`submit`](ShardedStreamMux::submit) is the only way in, and the
 //! only place admission policy lives: it refuses out-of-vocabulary
 //! windows, applies the global backpressure bound and its
 //! [`OverflowPolicy`], tallies every loss against its stream, assigns
 //! the window a global sequence number, and routes it to the
-//! least-loaded shard (deterministic tie-break: lowest index). The lane
-//! blocks are handed validated, numbered, owned buffers and keep no
-//! admission state. Multi-producer ingestion sits in front of the mux,
-//! not inside it (the sentry's bounded event bus).
-//!
-//! Load drifts as windows of different lengths retire, so between tick
-//! rounds the coordinator *rebalances*: while some shard has free lane
-//! capacity and another holds pending work at least two loads above it,
-//! one pending window moves from the loaded shard's queue tail (its
-//! FIFO head — the oldest, most latency-burdened work — stays put) to
-//! the idle one. Stealing happens only at round boundaries on the
-//! coordinator thread, never mid-tick between shard threads, which is
-//! what makes it reproducible: under [`StealPolicy::Deterministic`]
-//! victims are chosen by (max load, lowest index) and the whole
-//! schedule is a pure function of the submission sequence; under
-//! [`StealPolicy::Seeded`] victim choice draws from a seeded splitmix64
-//! stream — different interleavings, same seed → same run.
+//! least-loaded shard (deterministic tie-break: lowest index). That is
+//! the one placement decision: a window stays on the shard it was
+//! admitted to, so the whole schedule is a pure function of the
+//! submission sequence. The lane blocks are handed validated, numbered,
+//! owned buffers and keep no admission state. Multi-producer ingestion
+//! sits in front of the mux, not inside it (the sentry's bounded event
+//! bus).
 //!
 //! # Per-stream order
 //!
-//! Shards retire windows independently, so cross-shard retirement can
-//! invert a stream's verdict order (a short window on an idle shard
-//! beats an earlier long one on a loaded shard). The monitor fold is
-//! order-sensitive (vote rings, alert latching), so the coordinator
-//! reorders: every window gets a global sequence number at admission,
-//! and a small per-stream reorder buffer holds early verdicts until
-//! their predecessors settle. The delivered contract: *each stream's
-//! verdicts arrive in its submission order*, at every shard count. Only
-//! streams with windows in flight hold reorder state — dormant streams
-//! cost nothing here.
+//! Windows retire independently: a short window beats an earlier long
+//! one in the next lane (or on the next shard), and a corrupted lane's
+//! serial re-run is emitted ahead of whatever is still in flight. The
+//! monitor fold is order-sensitive (vote rings, alert latching), so the
+//! coordinator reorders: every window gets a global sequence number at
+//! admission, and a small per-stream reorder buffer holds early verdicts
+//! until their predecessors settle. The delivered contract: *each
+//! stream's verdicts arrive in its submission order*, at every shard
+//! count. Only streams with windows in flight hold reorder state —
+//! dormant streams cost nothing here.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 use csd_device::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::CsdInferenceEngine;
 use crate::pool::WorkerPool;
@@ -64,40 +53,10 @@ use crate::stream::{
     LaneCounters, MuxStats, OverflowPolicy, StreamLoss, StreamMux, StreamMuxConfig, Verdict,
 };
 
-/// How the rebalancer picks its steal victims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StealPolicy {
-    /// Victims by (max load, lowest index): the steal schedule is a
-    /// pure function of the submission sequence — the mode for
-    /// reproducible tests and byte-stable benchmarks.
-    Deterministic,
-    /// Victim choice draws from a splitmix64 stream with this seed:
-    /// varied interleavings (good for shaking out order bugs), still
-    /// reproducible run-to-run for a fixed seed.
-    Seeded(u64),
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        StealPolicy::Seeded(0x5EED_CA11)
-    }
-}
-
-/// The shard count a mux is built with: `config.shards`, else the
-/// `CSD_STREAM_SHARDS` reading, else the worker pool's thread count
-/// (asked only when both are open, so a pinned count never starts the
-/// pool), and never zero.
-fn resolve_shard_count(
-    configured: Option<usize>,
-    env: Option<usize>,
-    pool_threads: impl FnOnce() -> usize,
-) -> usize {
-    configured.or(env).unwrap_or_else(pool_threads).max(1)
-}
-
 /// Ticks each loaded shard advances per scatter during `drain`: large
 /// enough to amortize the pool's scatter overhead over real kernel
-/// work, small enough that rebalancing stays responsive.
+/// work, small enough that retirements settle between bursts instead of
+/// piling up in the shards' out-buffers.
 const DRAIN_BURST: usize = 64;
 
 /// One shard: a lane block (unbounded queue — backpressure is global,
@@ -123,12 +82,12 @@ struct StreamOrder {
 }
 
 /// The continuous-batching stream multiplexer: `N` shard-owned lane
-/// blocks behind one `submit`/`tick_into`/`drain` front, verdicts
-/// bit-identical to serial classification, per-stream delivery in
-/// submission order, and every loaded shard advanced in parallel on the
-/// worker pool.
+/// blocks (one unless asked) behind one `submit`/`tick_into`/`drain`
+/// front, verdicts bit-identical to serial classification, per-stream
+/// delivery in submission order, and — with more than one shard — every
+/// loaded shard advanced in parallel on the worker pool.
 ///
-/// See the [module docs](self) for the admission/steal protocol.
+/// See the [module docs](self) for the admission protocol.
 #[derive(Debug, Clone)]
 pub struct ShardedStreamMux {
     shards: Vec<Shard>,
@@ -140,11 +99,7 @@ pub struct ShardedStreamMux {
     ready: Vec<Verdict>,
     max_pending: usize,
     policy: OverflowPolicy,
-    steal: StealPolicy,
-    /// splitmix64 state for [`StealPolicy::Seeded`] victim draws.
-    rng: u64,
     next_seq: u64,
-    steals: u64,
     /// Admitted windows later evicted by `DropOldest` global
     /// backpressure (charged to the stream that lost its window).
     evicted: u64,
@@ -163,12 +118,8 @@ pub struct ShardedStreamMux {
 }
 
 impl ShardedStreamMux {
-    /// Builds `N` shards around clones of `engine`.
-    ///
-    /// The shard count resolves `config.shards`, then the
-    /// `CSD_STREAM_SHARDS` environment knob, then the worker pool's
-    /// thread count. The steal policy is `config.steal`, defaulting to
-    /// [`StealPolicy::default`]. `config.lanes` is *per shard*;
+    /// Builds `config.shards` shards (one when left open, and never
+    /// zero) around clones of `engine`. `config.lanes` is *per shard*;
     /// `config.max_pending` bounds the *total* pending count across
     /// shards.
     ///
@@ -178,12 +129,7 @@ impl ShardedStreamMux {
     /// is zero.
     pub fn new(engine: CsdInferenceEngine, config: StreamMuxConfig) -> Self {
         assert!(config.max_pending > 0, "max_pending must be positive");
-        let shard_count = resolve_shard_count(
-            config.shards,
-            crate::env::positive_usize("CSD_STREAM_SHARDS"),
-            || WorkerPool::global().threads(),
-        );
-        let steal = config.steal.unwrap_or_default();
+        let shard_count = config.shards.unwrap_or(1).max(1);
         let vocab = engine.weights().dims().vocab;
         let shards: Vec<Shard> = (0..shard_count)
             .map(|_| Shard {
@@ -191,20 +137,13 @@ impl ShardedStreamMux {
                 out: Vec::new(),
             })
             .collect();
-        let rng = match steal {
-            StealPolicy::Seeded(seed) => seed,
-            StealPolicy::Deterministic => 0,
-        };
         Self {
             shards,
             order: HashMap::new(),
             ready: Vec::new(),
             max_pending: config.max_pending,
             policy: config.policy,
-            steal,
-            rng,
             next_seq: 0,
-            steals: 0,
             evicted: 0,
             refused: 0,
             rejected: 0,
@@ -222,11 +161,6 @@ impl ShardedStreamMux {
     /// Lane slots per shard (total lanes = `width() * shards()`).
     pub fn width(&self) -> usize {
         self.shards[0].mux.width()
-    }
-
-    /// The steal policy in effect.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.steal
     }
 
     /// The engine behind shard 0's lanes (all shards run clones of the
@@ -331,10 +265,10 @@ impl ShardedStreamMux {
         true
     }
 
-    /// Runs one coordinator round — flush, rebalance, one
-    /// tick on every loaded shard (in parallel when more than one is
-    /// loaded), settle — appending released verdicts to `out` and
-    /// returning how many were appended.
+    /// Runs one coordinator round — flush, one tick on every loaded
+    /// shard (in parallel when more than one is loaded), settle —
+    /// appending released verdicts to `out` and returning how many were
+    /// appended.
     pub fn tick_into(&mut self, out: &mut Vec<Verdict>) -> usize {
         let before = out.len();
         self.round(out, 1);
@@ -389,7 +323,7 @@ impl ShardedStreamMux {
     }
 
     /// Aggregated counters across shards plus the coordinator's loss
-    /// tallies and steals. Occupancy is lane-step-weighted
+    /// tallies. Occupancy is lane-step-weighted
     /// (`Σ occupied / Σ ticks·width`); latency percentiles merge every
     /// shard's recent-retirement samples; `ticks` sums shard ticks
     /// (lane sweeps executed, wherever they ran).
@@ -431,7 +365,6 @@ impl ShardedStreamMux {
             degraded_reruns: sum(|c| c.degraded_reruns),
             degraded_ticks: sum(|c| c.degraded_ticks),
             lanes_poisoned: sum(|c| c.lanes_poisoned),
-            steals: self.steals,
             shards: self.shards.len() as u64,
         }
     }
@@ -500,12 +433,10 @@ impl ShardedStreamMux {
             .expect("at least one shard")
     }
 
-    /// One coordinator round: flush released verdicts, rebalance,
-    /// advance every loaded shard `ticks` ticks, settle the retirements,
-    /// flush again.
+    /// One coordinator round: flush released verdicts, advance every
+    /// loaded shard `ticks` ticks, settle the retirements, flush again.
     fn round(&mut self, out: &mut Vec<Verdict>, ticks: usize) {
         self.flush_ready(out);
-        self.rebalance();
         let loaded = self.shards.iter().filter(|s| !s.mux.is_idle()).count();
         if loaded > 1 && WorkerPool::global().threads() > 1 {
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
@@ -541,65 +472,6 @@ impl ShardedStreamMux {
             }
             mux.tick_into(out);
         }
-    }
-
-    /// Moves pending windows from loaded shards to shards with spare
-    /// lane capacity until loads are balanced (difference ≤ 1) or no
-    /// thief has room. Runs only on the coordinator between tick
-    /// rounds, so the steal schedule never races shard threads.
-    fn rebalance(&mut self) {
-        if self.shards.len() < 2 {
-            return;
-        }
-        let load = |s: &Shard| s.mux.pending() + s.mux.in_flight();
-        loop {
-            let thief = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| load(s) < s.mux.width())
-                .min_by_key(|&(i, s)| (load(s), i));
-            let Some((t, t_load)) = thief.map(|(i, s)| (i, load(s))) else {
-                break;
-            };
-            let eligible: Vec<usize> = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|&(i, s)| i != t && s.mux.pending() > 0 && load(s) > t_load + 1)
-                .map(|(i, _)| i)
-                .collect();
-            if eligible.is_empty() {
-                break;
-            }
-            let victim = match self.steal {
-                StealPolicy::Deterministic => eligible
-                    .iter()
-                    .copied()
-                    .max_by_key(|&i| (load(&self.shards[i]), std::cmp::Reverse(i)))
-                    .expect("eligible is non-empty"),
-                StealPolicy::Seeded(_) => {
-                    let k = (self.next_rand() % eligible.len() as u64) as usize;
-                    eligible[k]
-                }
-            };
-            // Eligibility requires pending work; a racing miss just ends
-            // this rebalance round rather than panicking mid-steal.
-            let Some(window) = self.shards[victim].mux.steal_youngest() else {
-                break;
-            };
-            self.shards[t].mux.adopt(window);
-            self.steals += 1;
-        }
-    }
-
-    /// splitmix64 — the seeded steal mode's victim stream.
-    fn next_rand(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     /// Settles a batch of shard retirements, draining `buf`.
@@ -674,7 +546,6 @@ mod tests {
             StreamMuxConfig {
                 lanes: Some(lanes),
                 shards: Some(shards),
-                steal: Some(StealPolicy::Deterministic),
                 ..StreamMuxConfig::default()
             },
         )
@@ -689,34 +560,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_resolves_config_then_env_then_pool_and_never_zero() {
-        let pool = || 6;
-        assert_eq!(
-            resolve_shard_count(Some(2), Some(7), pool),
-            2,
-            "config wins"
-        );
-        assert_eq!(resolve_shard_count(None, Some(3), pool), 3, "then the knob");
-        assert_eq!(resolve_shard_count(None, None, pool), 6, "then the pool");
-        assert_eq!(resolve_shard_count(Some(0), Some(7), pool), 1, "never zero");
-        assert_eq!(resolve_shard_count(None, None, || 0), 1);
-        // A pinned count must not start the worker pool.
-        let unasked = || -> usize { panic!("pool consulted despite a pinned shard count") };
-        assert_eq!(resolve_shard_count(Some(4), None, unasked), 4);
-        assert_eq!(resolve_shard_count(None, Some(5), unasked), 5);
-    }
-
-    #[test]
-    fn open_steal_policy_resolves_to_the_default() {
-        let mux = ShardedStreamMux::new(
-            engine(1),
-            StreamMuxConfig {
-                shards: Some(2),
+    fn one_shard_unless_asked_and_never_zero() {
+        let count = |shards: Option<usize>| {
+            let config = StreamMuxConfig {
+                shards,
                 ..StreamMuxConfig::default()
-            },
-        );
-        assert_eq!(mux.shards(), 2);
-        assert_eq!(mux.steal_policy(), StealPolicy::default());
+            };
+            ShardedStreamMux::new(engine(1), config).shards()
+        };
+        assert_eq!(count(None), 1, "the default is one shard");
+        assert_eq!(count(Some(3)), 3, "an explicit count is honoured");
+        assert_eq!(count(Some(0)), 1, "never zero");
     }
 
     #[test]
@@ -979,64 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_seeded_steals_are_reproducible() {
-        let e = engine(11);
-        let windows: Vec<Vec<usize>> = (0..24).map(|k| seq(2 + (k * 7) % 50, k)).collect();
-        for policy in [
-            StealPolicy::Deterministic,
-            StealPolicy::Seeded(42),
-            StealPolicy::Seeded(1234),
-        ] {
-            let run = |policy: StealPolicy| -> (Vec<(u64, u64)>, u64) {
-                let mut mux = ShardedStreamMux::new(
-                    e.clone(),
-                    StreamMuxConfig {
-                        lanes: Some(1),
-                        shards: Some(3),
-                        steal: Some(policy),
-                        ..StreamMuxConfig::default()
-                    },
-                );
-                assert_eq!(mux.steal_policy(), policy);
-                let mut verdicts = Vec::new();
-                for (k, w) in windows.iter().enumerate() {
-                    mux.submit(k as u64, k, w);
-                    mux.tick_into(&mut verdicts);
-                }
-                mux.drain_into(&mut verdicts);
-                (
-                    verdicts.iter().map(|v| (v.stream, v.seq)).collect(),
-                    mux.stats().steals,
-                )
-            };
-            let (a, steals_a) = run(policy);
-            let (b, steals_b) = run(policy);
-            assert_eq!(a, b, "{policy:?} must reproduce its schedule");
-            assert_eq!(steals_a, steals_b);
-        }
-    }
-
-    #[test]
-    fn idle_shards_steal_pending_windows_from_loaded_ones() {
-        // Width-1 shards and ragged lengths: the shard that lands the
-        // short windows goes idle while the other still holds a
-        // backlog, so the rebalancer must move work.
-        let e = engine(5);
-        let mut mux = sharded(e, 2, 1);
-        for k in 0..12u64 {
-            let n = if k % 2 == 0 { 50 } else { 3 };
-            mux.submit(k, k as usize, &seq(n, k as usize));
-        }
-        let verdicts = mux.drain();
-        assert_eq!(verdicts.len(), 12);
-        assert!(mux.stats().steals > 0, "rebalancer never fired");
-        // Work actually ran on both shards.
-        for (i, retired) in verdicts_per_shard(&mux).into_iter().enumerate() {
-            assert!(retired > 0, "shard {i} retired nothing");
-        }
-    }
-
-    #[test]
     fn global_backpressure_drops_oldest_at_one_shard_and_across_shards() {
         for shards in [1usize, 2] {
             let mut mux = ShardedStreamMux::new(
@@ -1046,7 +842,6 @@ mod tests {
                     max_pending: 3,
                     policy: OverflowPolicy::DropOldest,
                     shards: Some(shards),
-                    steal: Some(StealPolicy::Deterministic),
                 },
             );
             for k in 0..8u64 {
@@ -1102,7 +897,6 @@ mod tests {
                     max_pending: 1,
                     policy: OverflowPolicy::DropNewest,
                     shards: Some(shards),
-                    steal: Some(StealPolicy::Deterministic),
                 },
             );
             // The first submit queues as pending; the tick moves it into a
@@ -1137,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_stats_sum_shards_and_count_steals() {
+    fn aggregated_stats_sum_shards() {
         let e = engine(5);
         let mut mux = sharded(e, 2, 1);
         for k in 0..12u64 {
@@ -1155,7 +949,10 @@ mod tests {
                 .map(|s| s.mux.counters().ticks)
                 .sum::<u64>()
         );
-        assert!(agg.steals > 0);
+        // Least-loaded routing spread the admissions: both shards ran.
+        for (i, retired) in verdicts_per_shard(&mux).into_iter().enumerate() {
+            assert!(retired > 0, "shard {i} retired nothing");
+        }
         assert!(agg.occupancy > 0.0 && agg.occupancy <= 1.0);
         assert!(agg.p50_latency_ticks <= agg.p99_latency_ticks);
     }

@@ -42,7 +42,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{Classification, CsdInferenceEngine};
 use crate::scratch::{EngineScratch, LaneScratch};
-use crate::shard::StealPolicy;
 use crate::weights::LANE_MAX_STEPS;
 
 /// What [`ShardedStreamMux::submit`](crate::shard::ShardedStreamMux::submit)
@@ -70,13 +69,12 @@ pub struct StreamMuxConfig {
     pub max_pending: usize,
     /// What to do when `max_pending` is reached.
     pub policy: OverflowPolicy,
-    /// Shard count. `None` resolves the `CSD_STREAM_SHARDS` environment
-    /// knob, falling back to the worker pool's thread count.
+    /// Shard count. `None` is one shard, run inline on the caller's
+    /// thread; `Some(n)` splits the lanes into `n` blocks advanced in
+    /// parallel on the worker pool, which pays only where each shard
+    /// has a free core and enough admitted windows to fill its lanes.
     #[serde(default)]
     pub shards: Option<usize>,
-    /// Work-steal policy. `None` resolves to [`StealPolicy::default`].
-    #[serde(default)]
-    pub steal: Option<StealPolicy>,
 }
 
 impl Default for StreamMuxConfig {
@@ -86,7 +84,6 @@ impl Default for StreamMuxConfig {
             max_pending: 4096,
             policy: OverflowPolicy::DropOldest,
             shards: None,
-            steal: None,
         }
     }
 }
@@ -163,9 +160,6 @@ pub struct MuxStats {
     pub degraded_ticks: u64,
     /// Lanes currently poisoned (out of service awaiting cooldown).
     pub lanes_poisoned: u64,
-    /// Pending windows moved between shards by the rebalancer.
-    #[serde(default)]
-    pub steals: u64,
     /// Shards aggregated into this snapshot.
     #[serde(default = "MuxStats::one_shard")]
     pub shards: u64,
@@ -210,11 +204,9 @@ impl StreamLoss {
 }
 
 /// A window travelling through the mux: pending (`pos == 0`, queued) or
-/// active (occupying a lane at item `pos`). `pub(crate)` so the
-/// coordinator can move pending windows between shards as opaque
-/// values; the fields stay private to this module.
+/// active (occupying a lane at item `pos`).
 #[derive(Debug, Clone)]
-pub(crate) struct Window {
+struct Window {
     stream: u64,
     at_call: usize,
     seq: Vec<usize>,
@@ -409,21 +401,6 @@ impl StreamMux {
     /// window payloads recycle inside the shard that will retire them.
     pub(crate) fn lease_buf(&mut self) -> Vec<usize> {
         self.free_bufs.pop().unwrap_or_default()
-    }
-
-    /// Removes and returns the *youngest* pending window for the
-    /// rebalancer: stealing from the queue's tail keeps the victim's
-    /// FIFO head — its oldest, most latency-burdened work — in place.
-    pub(crate) fn steal_youngest(&mut self) -> Option<Window> {
-        self.pending.pop_back()
-    }
-
-    /// Accepts a window stolen from another shard. The tick clock is
-    /// shard-local, so the latency stamp restarts here: a stolen
-    /// window's reported latency covers its life on the thief only.
-    pub(crate) fn adopt(&mut self, mut window: Window) {
-        window.enqueued_tick = self.ticks;
-        self.pending.push_back(window);
     }
 
     /// Evicts the oldest pending window (for coordinator-level

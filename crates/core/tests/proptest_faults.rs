@@ -6,10 +6,12 @@
 //! serial fused path, so under *any* `FaultPlan` (any seed, any rate up
 //! to certainty, any cooldown) every window still produces a verdict
 //! bit-identical to fault-free serial classification — exact f64
-//! equality on the float levels, 0 ULP in 10^6-scaled fixed point. The
-//! host recovery layer makes the same promise for the device datapath:
-//! CRC rejects, stalls, page-read failures and brownouts cost retries
-//! and simulated time, never correctness.
+//! equality on the float levels, 0 ULP in 10^6-scaled fixed point —
+//! and a re-run emitted ahead of an earlier window of its stream still
+//! reaches the caller after it. The host recovery layer makes the same
+//! promise for the device datapath: CRC rejects, stalls, page-read
+//! failures and brownouts cost retries and simulated time, never
+//! correctness.
 
 use csd_accel::{
     CsdInferenceEngine, HostProgram, OptimizationLevel, RecoveryPolicy, ShardedStreamMux,
@@ -30,7 +32,8 @@ proptest! {
     /// Degraded-mode invariant: any seeded fault plan over any
     /// submission/tick interleaving, lane width, cooldown, and
     /// optimization level yields exactly one verdict per window,
-    /// bit-identical to fault-free serial `classify`.
+    /// bit-identical to fault-free serial `classify`, each stream's in
+    /// the order it submitted them.
     #[test]
     fn any_fault_interleaving_is_bit_identical_to_fault_free_serial(
         model_seed in any::<u64>(),
@@ -57,8 +60,12 @@ proptest! {
             );
             m.arm_faults(FaultPlan::new(fault_seed, FaultConfig::uniform(rate)), cooldown);
             let mut verdicts: Vec<Verdict> = Vec::new();
+            // Every stream submits two windows so per-stream order is
+            // observable: stream k gets windows k and (k+1) % n.
+            let n = windows.len();
             for (k, w) in windows.iter().enumerate() {
-                m.submit(k as u64, k, w);
+                m.submit(k as u64, 0, w);
+                m.submit(k as u64, 1, &windows[(k + 1) % n]);
                 for _ in 0..ticks_between[k % ticks_between.len()] {
                     m.tick_into(&mut verdicts);
                 }
@@ -66,14 +73,21 @@ proptest! {
             verdicts.extend(m.drain());
             prop_assert!(m.is_idle());
             prop_assert_eq!(
-                verdicts.len(), windows.len(),
+                verdicts.len(), 2 * n,
                 "no verdict lost: width {} rate {}", width, rate
             );
+            let mut seen = vec![0usize; n];
             for v in &verdicts {
+                let k = v.stream as usize;
+                prop_assert_eq!(
+                    v.at_call, seen[k],
+                    "width {} rate {} stream {} out of order", width, rate, k
+                );
+                seen[k] += 1;
                 prop_assert_eq!(
                     v.classification,
-                    serial[v.stream as usize],
-                    "level {} width {} rate {} stream {}", level, width, rate, v.stream
+                    serial[(k + v.at_call) % n],
+                    "level {} width {} rate {} stream {}", level, width, rate, k
                 );
             }
             let s = m.stats();

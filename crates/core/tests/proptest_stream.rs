@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use csd_accel::{
-    CsdInferenceEngine, OptimizationLevel, ShardedStreamMux, StealPolicy, StreamMuxConfig, Verdict,
+    CsdInferenceEngine, OptimizationLevel, ShardedStreamMux, StreamMuxConfig, Verdict,
 };
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use proptest::prelude::*;
@@ -39,16 +39,6 @@ fn mux(engine: CsdInferenceEngine, width: usize) -> ShardedStreamMux {
 /// Ragged windows: the streams' due classifications.
 fn arb_windows() -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(prop::collection::vec(0usize..278, 1..=120), 1..=14)
-}
-
-/// A random steal policy: the deterministic schedule or a seeded
-/// splitmix64 victim stream — each draw is a different steal
-/// interleaving over the same submissions.
-fn arb_steal() -> impl Strategy<Value = StealPolicy> {
-    prop_oneof![
-        Just(StealPolicy::Deterministic),
-        any::<u64>().prop_map(StealPolicy::Seeded),
-    ]
 }
 
 proptest! {
@@ -94,18 +84,17 @@ proptest! {
         }
     }
 
-    /// The bit-identity contract holds at every shard count and under
-    /// every steal interleaving — work may migrate between shards
-    /// mid-run, but each verdict still equals serial classification of
+    /// The bit-identity contract holds at every shard count — a
+    /// stream's windows land on different shards and retire out of
+    /// order, but each verdict still equals serial classification of
     /// its window exactly, and each stream's verdicts arrive in
     /// submission order.
     #[test]
-    fn sharded_verdicts_bit_identical_at_every_shard_count_and_steal_order(
+    fn sharded_verdicts_bit_identical_and_in_stream_order_at_every_shard_count(
         seed in any::<u64>(),
         windows in arb_windows(),
         ticks_between in prop::collection::vec(0usize..6, 14),
         shards in 1usize..=4,
-        steal in arb_steal(),
         level_idx in 0usize..3,
     ) {
         let level = OptimizationLevel::ALL[level_idx];
@@ -114,10 +103,9 @@ proptest! {
         let mut m = ShardedStreamMux::new(
             e,
             StreamMuxConfig {
-                // Narrow shards force queueing and stealing.
+                // Narrow shards force queueing.
                 lanes: Some(2),
                 shards: Some(shards),
-                steal: Some(steal),
                 ..StreamMuxConfig::default()
             },
         );
@@ -148,7 +136,7 @@ proptest! {
             prop_assert_eq!(
                 v.classification,
                 serial[expect],
-                "level {} shards {} steal {:?} stream {}", level, shards, steal, v.stream
+                "level {} shards {} stream {}", level, shards, v.stream
             );
             // Submission order within the stream: at_call 0 before 1,
             // seq strictly increasing.

@@ -204,6 +204,12 @@ pub struct Journal {
     pending_events: usize,
     /// Incident records in `pending`.
     pending_incidents: usize,
+    /// File length as of the last successful sync (or `open`): where
+    /// the next batch belongs.
+    synced_len: u64,
+    /// A write or fdatasync failed since then, so the file may hold
+    /// some or all of `pending` past `synced_len`.
+    tail_suspect: bool,
     /// Event records durably on disk (written *and* synced).
     durable_events: u64,
     /// Incident records durably on disk.
@@ -265,6 +271,8 @@ impl Journal {
                 pending: Vec::with_capacity(4096),
                 pending_events: 0,
                 pending_incidents: 0,
+                synced_len: valid_end,
+                tail_suspect: false,
                 durable_events,
                 durable_incidents,
                 syncs: 0,
@@ -364,13 +372,24 @@ impl Journal {
 
     /// Writes every buffered record and fdatasyncs. After `Ok`, all
     /// previously appended records survive any crash; only then do they
-    /// count as durable.
+    /// count as durable. After `Err` the records stay buffered, and the
+    /// next sync first cuts the file back to the last synced length:
+    /// whatever the failed attempt left there — a partial record, or
+    /// the whole batch unsynced — must not end up in front of, or
+    /// beside, the batch written again.
     pub fn sync(&mut self) -> Result<(), JournalError> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        if self.tail_suspect {
+            self.file.set_len(self.synced_len)?;
+            self.file.seek(SeekFrom::Start(self.synced_len))?;
+        }
+        self.tail_suspect = true;
         self.file.write_all(&self.pending)?;
         self.file.sync_data()?;
+        self.tail_suspect = false;
+        self.synced_len += self.pending.len() as u64;
         self.durable_events += self.pending_events as u64;
         self.durable_incidents += self.pending_incidents as u64;
         self.pending_events = 0;
@@ -647,6 +666,41 @@ mod tests {
         assert_eq!(rec.incidents().count(), 2);
         assert_eq!((j.durable_events(), j.durable_incidents()), (1, 2));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_sync_after_a_failed_one_writes_every_record_exactly_once() {
+        // What the failed attempt left in the file: a torn record, or
+        // the whole batch (written, then the fdatasync failed).
+        for left_behind in [Some(10), None] {
+            let path = tmp("resync");
+            let _ = std::fs::remove_file(&path);
+            let events = sample_events(7);
+            let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 4 }).unwrap();
+            for e in &events {
+                j.append_event(e).unwrap();
+            }
+            assert_eq!((j.durable_events(), j.pending_events()), (4, 3));
+            // The sync fails (a handle that cannot write)...
+            let mut writable = std::mem::replace(&mut j.file, File::open(&path).unwrap());
+            assert!(matches!(j.sync(), Err(JournalError::Io(_))));
+            // ...having put this much of the tail in the file, the way
+            // `simulate_crash` leaves a torn flush.
+            let left = left_behind.unwrap_or(j.pending.len());
+            writable.write_all(&j.pending[..left]).unwrap();
+            writable.sync_data().unwrap();
+            j.file = writable;
+            // The next one works — `Drop` issues it if nobody else does.
+            j.sync().unwrap();
+            assert_eq!((j.durable_events(), j.pending_events()), (7, 0));
+            drop(j);
+            let (j, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
+            let got: Vec<ProcessEvent> = rec.events().cloned().collect();
+            assert_eq!(got, events, "{left} bytes left behind");
+            assert_eq!(rec.bytes_truncated, 0);
+            assert_eq!(j.durable_events(), 7, "the cursor is what recovery finds");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

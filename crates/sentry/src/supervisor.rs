@@ -1,8 +1,8 @@
 //! The supervisor: no silent death for the service loop.
 //!
 //! The ingest/pump/poll loop is the sentry's heart; if it dies, the
-//! host is unprotected and — before this PR — nobody would know. The
-//! supervisor wraps each incarnation of the loop in `catch_unwind`,
+//! host is unprotected, and somebody has to know. The supervisor
+//! wraps each incarnation of the loop in `catch_unwind`,
 //! counts consecutive deaths, respawns with exponential backoff, and
 //! escalates to a *clean degraded shutdown* after
 //! [`max_consecutive_panics`](SupervisorPolicy::max_consecutive_panics)

@@ -117,6 +117,11 @@ fn run_volatile(events: &[ProcessEvent]) -> Held {
         streams_peak = streams_peak.max(sentry.tracked_streams());
     }
     sentry.drain();
+    // No session latches with a window still in the mux here, so a
+    // verdict goes unfolded only if its session retired ahead of it.
+    let stats = sentry.stats();
+    assert_eq!(stats.mux.dropped + stats.mux.rejected, 0, "nothing shed");
+    assert_eq!(stats.verdicts_folded, stats.mux.verdicts);
     Held {
         sessions_peak,
         streams_peak,
@@ -186,6 +191,38 @@ fn assert_bounded(small: &Held, large: &Held) {
 #[test]
 fn volatile_sentry_state_does_not_grow_with_sessions_seen() {
     assert_bounded(&run_volatile(&churn(50)), &run_volatile(&churn(5_000)));
+}
+
+/// The mux forgets a retired session's loss entry; the sentry keeps the
+/// total, so per-stream loss still adds up to what the mux counted.
+#[test]
+fn loss_of_retired_sessions_still_adds_up_to_the_mux_totals() {
+    let mut config = config();
+    // One lane retires a window per 160 events, the ten streams submit
+    // one per 50, and the queue holds one: most windows are evicted.
+    config.mux.lanes = Some(1);
+    config.mux.max_pending = 1;
+    let mut sentry = Sentry::new(engine(), config);
+    for e in &churn(200) {
+        sentry.ingest(e);
+        if sentry.events().is_multiple_of(POLL_EVERY) {
+            sentry.poll();
+        }
+    }
+    sentry.drain();
+    let mux = sentry.stats().mux;
+    assert!(mux.evicted > 0, "the bound never bit: {mux:?}");
+    let retired = sentry.retired_loss();
+    assert!(retired.evicted > 0, "retired sessions lost windows too");
+    let tracked: u64 = sentry
+        .sessions()
+        .sessions()
+        .map(|s| sentry.loss_for(s.sid()).total())
+        .sum();
+    assert_eq!(
+        retired.total() + tracked,
+        mux.evicted + mux.refused + mux.rejected
+    );
 }
 
 #[test]

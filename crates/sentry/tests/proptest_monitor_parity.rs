@@ -5,29 +5,19 @@
 //! `at_call`, same `probability`, same `inference_us` — and none where
 //! the monitor has none.
 //!
-//! `exp_sentry` checks the sentry against offline `classify` of
-//! one-window sessions; this pins the monitor semantics on top — first
+//! The benchmark's oracle checks the sentry against offline `classify`
+//! of every window; this pins the monitor semantics on top — first
 //! full window, then every `stride` calls, k-of-n votes, latch — across
-//! random window geometries, shard counts, steal interleavings and a
-//! sporadic poll cadence. The vote fold is order-sensitive, so it is
-//! also the end-to-end pin on the mux's per-stream delivery order.
+//! random window geometries, shard counts and a sporadic poll cadence.
+//! The vote fold is order-sensitive, so it is also the end-to-end pin
+//! on the mux's per-stream delivery order.
 
 use csd_accel::{
-    CsdInferenceEngine, MonitorConfig, OptimizationLevel, StealPolicy, StreamMonitor,
-    StreamMuxConfig,
+    CsdInferenceEngine, MonitorConfig, OptimizationLevel, StreamMonitor, StreamMuxConfig,
 };
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_sentry::{ProcessEvent, Sentry, SentryConfig};
 use proptest::prelude::*;
-
-/// A random steal policy: the deterministic schedule or a seeded
-/// victim stream — each draw a different steal interleaving.
-fn arb_steal() -> impl Strategy<Value = StealPolicy> {
-    prop_oneof![
-        Just(StealPolicy::Deterministic),
-        any::<u64>().prop_map(StealPolicy::Seeded),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -39,7 +29,6 @@ proptest! {
         window_len in 4usize..40,
         stride in 1usize..20,
         shards in 1usize..=4,
-        steal in arb_steal(),
     ) {
         let model = SequenceClassifier::new(ModelConfig::paper(), seed);
         let e = CsdInferenceEngine::new(
@@ -66,7 +55,6 @@ proptest! {
                 vote_horizon: 2,
                 mux: StreamMuxConfig {
                     shards: Some(shards),
-                    steal: Some(steal),
                     ..StreamMuxConfig::default()
                 },
                 ..SentryConfig::default()
@@ -98,8 +86,8 @@ proptest! {
                 .collect();
             prop_assert_eq!(
                 &raised, &Vec::from_iter(*expected),
-                "pid {} window_len {} stride {} shards {} steal {:?}",
-                pid, window_len, stride, shards, steal
+                "pid {} window_len {} stride {} shards {}",
+                pid, window_len, stride, shards
             );
         }
     }
