@@ -35,10 +35,12 @@
 //!
 //! Every cell also reports what the sentry held: the most sessions it
 //! tracked at once next to the most that were alive, and the size of
-//! the last checkpoint. A parity cell fails if the tracked count runs
-//! more than [`TRACKED_SLACK`] ahead of the live one — ended sessions
-//! must retire once their verdicts are in — and every cell must end
-//! tracking only the sessions still alive.
+//! the last checkpoint — and what it asked of the disk: journal sync
+//! batches and checkpoints, counted, because a cell's wall time follows
+//! whatever an fsync costs on the host that day. A parity cell fails if
+//! the tracked count runs more than [`TRACKED_SLACK`] ahead of the live
+//! one — ended sessions must retire once their verdicts are in — and
+//! every cell must end tracking only the sessions still alive.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -99,6 +101,11 @@ struct CellReport {
     /// Size of `checkpoint.snap` as the cell's last automatic checkpoint
     /// left it (0 if the cell never reached one).
     checkpoint_bytes_last: u64,
+    /// Journal sync batches issued, over every incarnation of the cell:
+    /// what it asked of the disk, whatever a sync cost that day.
+    journal_syncs: u64,
+    /// Checkpoints written, over every incarnation.
+    checkpoints: u64,
     /// Overload-cell fields (zero/default in parity cells).
     slo: Option<u64>,
     slo_polls: u64,
@@ -242,6 +249,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     let mut since_poll = 0usize;
     let mut max_rung = OverloadLevel::Normal;
     let (mut live_sessions_peak, mut tracked_sessions_peak) = (0u64, 0u64);
+    let (mut journal_syncs, mut checkpoints) = (0u64, 0u64);
 
     let mut i = 0usize;
     while i < schedule.ops.len() {
@@ -276,6 +284,8 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
             ChaosOp::Kill => {
                 if executed_kills.insert(i) {
                     kills_done += 1;
+                    journal_syncs += d.journal().syncs();
+                    checkpoints += d.checkpoints_written();
                     // Torn tails of varying lengths across kills.
                     d.simulate_crash((kills_done as usize * 13) % 40);
                     d = DurableSentry::open(engine(), config.clone(), durable.clone())
@@ -302,6 +312,8 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     }
     d.drain().expect("final drain");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    journal_syncs += d.journal().syncs();
+    checkpoints += d.checkpoints_written();
 
     let sentry = d.sentry();
     let mut got: Vec<_> = sentry
@@ -368,6 +380,8 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
         live_sessions_peak,
         tracked_sessions_peak,
         checkpoint_bytes_last,
+        journal_syncs,
+        checkpoints,
         slo: cell.slo,
         slo_polls: stats.slo_polls,
         shed_sessions: stats.shed_sessions,
@@ -487,7 +501,8 @@ fn main() {
         let r = run_cell(cell, &trace, &parity_expect);
         println!(
             "  {:<26} shards={} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} \
-             tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} ({:.0} ms)",
+             tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} journal_syncs={} \
+             checkpoints={} ({:.0} ms)",
             r.name,
             r.shards,
             r.kills,
@@ -500,6 +515,8 @@ fn main() {
             r.tracked_sessions_peak,
             r.live_sessions_peak,
             r.checkpoint_bytes_last,
+            r.journal_syncs,
+            r.checkpoints,
             r.wall_ms,
         );
         // The campaign's contract: crash-recovery equivalence, every
@@ -519,7 +536,8 @@ fn main() {
         let r = run_cell(cell, &trace, &overload_expect);
         println!(
             "  {:<26} staleness p50={} p99={} max={} rung={} slo_polls={} shed={} untyped_losses={} \
-             tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} ({:.0} ms)",
+             tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} journal_syncs={} \
+             checkpoints={} ({:.0} ms)",
             r.name,
             r.staleness_p50,
             r.staleness_p99,
@@ -531,6 +549,8 @@ fn main() {
             r.tracked_sessions_peak,
             r.live_sessions_peak,
             r.checkpoint_bytes_last,
+            r.journal_syncs,
+            r.checkpoints,
             r.wall_ms,
         );
         assert_eq!(

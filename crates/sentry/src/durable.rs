@@ -6,9 +6,9 @@
 //! Three mechanisms compose, cheapest-first:
 //!
 //! 1. **Journal** ([`journal`](crate::journal)) — every ingested event
-//!    and every latched incident is an append-only record; the
-//!    incidents one call raises are fsync'd, together, before that call
-//!    returns them.
+//!    and every latched incident is an append-only record. An incident
+//!    is handed back exactly once and only after its record is
+//!    durable; see "Acknowledgement" below for which call that is.
 //! 2. **Checkpoint** — periodically (and only at quiescent points,
 //!    right after a drain) the sentry's durable state is snapshotted
 //!    atomically (write-temp → fsync → rename). A checkpoint bounds
@@ -49,12 +49,41 @@
 //! telemetry), and the `post_exit` flag / backend outcome of an
 //! incident may differ from the uninterrupted run when a crash changes
 //! fold timing relative to a session's exit — the detection itself
-//! (sid, window, verdict, action kind) is invariant.
+//! (sid, window, verdict, action kind) is invariant. Nor does it
+//! remember an incident that was raised but whose record had not been
+//! synced when the crash came: its action was dispatched at the fold,
+//! the crash forgets the record, replay raises the incident again and
+//! dispatches the action again — a backend has to tolerate a repeated
+//! kill or quarantine of one process — while the incident is still
+//! handed back once, by the incarnation that made it durable. That
+//! window was one fsync wide when every incident forced its own sync;
+//! it is now at most [`COMMIT_DEADLINE`] plus one fsync.
+//!
+//! # Acknowledgement
+//!
+//! The serving calls — [`ingest`](DurableSentry::ingest) and
+//! [`poll`](DurableSentry::poll) — frame the incidents they raise into
+//! the journal's pending tail *without* forcing a sync and hold them
+//! unacknowledged; each call returns the incidents that **became
+//! durable during it**: because the journal's `sync_every` event batch
+//! filled and synced the tail they ride in, or because the oldest of
+//! them has been held for [`COMMIT_DEADLINE`] and the call forces the
+//! sync. [`drain`](DurableSentry::drain),
+//! [`checkpoint`](DurableSentry::checkpoint) and
+//! [`open`](DurableSentry::open)'s replay are sync points: they leave
+//! nothing held. So a caller sees every incident exactly once, never
+//! before it would survive a crash, at most a deadline and an fsync
+//! after its verdict — and the disk sees one sync per event batch
+//! instead of one more per incident-raising call. Dropping a
+//! `DurableSentry` without a final drain still syncs the tail (the
+//! journal's clean-shutdown flush), so held incidents are journaled and
+//! the next `open` adopts them; they are just never returned by a call.
 
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
@@ -68,9 +97,31 @@ use csd_accel::CsdInferenceEngine;
 /// Magic bytes opening a checkpoint file (format version 1).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CSDSNAP1";
 
-/// During recovery replay, poll the engine every this many events so
-/// queued windows classify incrementally instead of piling up.
+/// During recovery replay, run one engine round every this many events
+/// so queued windows classify incrementally instead of piling up. One
+/// round ([`Sentry::round`]), not a queue-serving [`Sentry::poll`]:
+/// replay is followed by the next checkpoint's drain whatever happens,
+/// and serving the queue here only moves that work into `open`
+/// (`recover_cpu_s` 0.0054 → 0.0236 s on the benchmark's fleet workload
+/// and 0.0084 → 0.0091 s on its corpus workload when tried).
 const REPLAY_POLL_EVERY: u64 = 64;
+
+/// How long a raised incident may wait for the event batch's sync
+/// before a call forces one for it: the bound, in wall time and at any
+/// event rate, on hand-back after the verdict.
+///
+/// 10 ms is the magnitude of the service loop's `recv_timeout` (a bus
+/// quiet for that long drains anyway) and just under the 12.8 ms a
+/// 256-event sync batch takes to fill at the 20,000 events/s the
+/// benchmark paces, so most held incidents ride the batch's sync and
+/// the deadline forces one only for the stragglers: `syncs_per_kevent`
+/// reads 4.14 on `fleet-durable` (4.27 before incidents were held) and
+/// 4.16 on `corpus-durable` (6.11), against 5.14 on the fleet when
+/// every incident-raising call forces its own sync — which the
+/// queue-serving poll otherwise makes it do, and which buys ≈ 7 ms of
+/// p50 latency (14 against 21 ms) for one more sync per thousand events
+/// (EXPERIMENTS.md "Frozen baselines" row 20).
+pub const COMMIT_DEADLINE: Duration = Duration::from_millis(10);
 
 /// Durability tuning.
 #[derive(Debug, Clone)]
@@ -135,6 +186,13 @@ pub struct DurableSentry {
     since_checkpoint: u64,
     checkpoints_written: u64,
     recovery: RecoveryReport,
+    /// Incidents raised and framed into the journal but not yet handed
+    /// back, oldest first: the last `journal.pending_incidents()` of
+    /// them are not durable yet.
+    held: Vec<Incident>,
+    /// When the oldest held incident that is not durable yet was
+    /// framed.
+    held_since: Instant,
 }
 
 impl DurableSentry {
@@ -203,10 +261,10 @@ impl DurableSentry {
             pending_raise.extend(inner.ingest(event));
             report.replayed_events += 1;
             if report.replayed_events.is_multiple_of(REPLAY_POLL_EVERY) {
-                pending_raise.extend(inner.poll());
+                pending_raise.extend(inner.round());
             }
         }
-        pending_raise.extend(inner.poll());
+        pending_raise.extend(inner.round());
         inner.set_governing(true);
         report.replay_incidents = pending_raise.len() as u64;
         journal.append_incidents(&pending_raise)?;
@@ -220,48 +278,92 @@ impl DurableSentry {
             since_checkpoint: 0,
             checkpoints_written: 0,
             recovery: report,
+            held: Vec::new(),
+            held_since: Instant::now(),
         })
     }
 
-    /// Ingests one event: journaled first, then applied. Incidents
-    /// raised inline — by the overload governor's SLO-driven polls or
-    /// by an automatic checkpoint's drain — are journaled and returned
-    /// (usually empty). On error the event may or may not be durable —
-    /// the producer's resume protocol (re-send from
+    /// Ingests one event: journaled first, then applied. Incidents it
+    /// raises inline — by the overload governor's SLO-driven rounds —
+    /// are framed into the journal's pending tail and held. Returns the
+    /// incidents that *became durable during this call*, raised by it
+    /// or by an earlier one: because this event completed a
+    /// `sync_every` batch, because an automatic checkpoint was due (a
+    /// sync point: it drains and hands back everything held), or
+    /// because the oldest held incident has waited
+    /// [`COMMIT_DEADLINE`] and the call forces the sync. Usually empty.
+    /// On error the event may or may not be durable — the producer's
+    /// resume protocol (re-send from
     /// [`durable_events`](Self::durable_events)) covers both.
     pub fn ingest(&mut self, event: &ProcessEvent) -> Result<Vec<Incident>, JournalError> {
         self.journal.append_event(event)?;
-        let mut raised = self.inner.ingest(event);
-        self.journal.append_incidents(&raised)?;
+        let raised = self.inner.ingest(event);
+        let mut durable = self.hold(raised, false)?;
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
-            raised.extend(self.checkpoint()?);
+            durable.extend(self.checkpoint()?);
         }
-        Ok(raised)
+        Ok(durable)
     }
 
-    /// One engine round; raised incidents are journaled (one fsync for
-    /// all of them) before they are returned.
+    /// Serves the mux's queue ([`Sentry::poll`]); the incidents raised
+    /// are framed into the journal's pending tail and held until the
+    /// event batch's sync, or the commit deadline's, has made them
+    /// durable. Returns the incidents that became durable during this
+    /// call — see [`ingest`](Self::ingest).
     pub fn poll(&mut self) -> Result<Vec<Incident>, JournalError> {
         let raised = self.inner.poll();
-        self.journal.append_incidents(&raised)?;
-        Ok(raised)
+        self.hold(raised, false)
     }
 
-    /// Classifies everything queued or in flight; raised incidents are
-    /// journaled before they are returned.
+    /// Classifies everything queued or in flight. A sync point: the
+    /// incidents raised are journaled behind everything still held,
+    /// one sync makes all of them durable, and all of them are
+    /// returned. With nothing raised and nothing held it syncs nothing
+    /// — on an empty mux it is free, which is what lets the service
+    /// loop call it whenever the bus goes quiet.
     pub fn drain(&mut self) -> Result<Vec<Incident>, JournalError> {
         let raised = self.inner.drain();
-        self.journal.append_incidents(&raised)?;
-        Ok(raised)
+        self.hold(raised, true)
     }
 
-    /// Takes a quiescent checkpoint now: drain (incidents raised by it
-    /// are journaled and returned), journal sync, atomic snapshot
-    /// write. Bounds the next recovery's replay to events ingested
-    /// after this call.
+    /// Frames `raised` behind the incidents already held and hands
+    /// back, oldest first, every held incident whose record is durable
+    /// by the end of the call. A sync writes the journal's whole
+    /// pending tail and every incident record in that tail is one of
+    /// `held`'s last, so `held.len() − pending_incidents()` are. The
+    /// sync is forced here if `commit` is set or the oldest incident
+    /// still waiting has waited [`COMMIT_DEADLINE`]; otherwise the
+    /// event batch's will do it. The clock is read at most once, and
+    /// only while something is held.
+    fn hold(&mut self, raised: Vec<Incident>, commit: bool) -> Result<Vec<Incident>, JournalError> {
+        if self.held.is_empty() && raised.is_empty() {
+            return Ok(raised);
+        }
+        let waiting = self.journal.pending_incidents() > 0;
+        self.journal.frame_incidents(&raised)?;
+        self.held.extend(raised);
+        if self.journal.pending_incidents() > 0 {
+            if commit || (waiting && self.held_since.elapsed() >= COMMIT_DEADLINE) {
+                self.journal.sync()?;
+            } else if !waiting {
+                self.held_since = Instant::now();
+            }
+        }
+        let durable = self
+            .held
+            .len()
+            .saturating_sub(self.journal.pending_incidents());
+        Ok(self.held.drain(..durable).collect())
+    }
+
+    /// Takes a quiescent checkpoint now: drain, journal sync, atomic
+    /// snapshot write. A sync point like [`drain`](Self::drain):
+    /// returns the incidents the drain raised and everything held.
+    /// Bounds the next recovery's replay to events ingested after this
+    /// call.
     pub fn checkpoint(&mut self) -> Result<Vec<Incident>, JournalError> {
-        let raised = self.drain()?;
+        let durable = self.drain()?;
         self.journal.sync()?;
         debug_assert_eq!(
             self.journal.durable_events(),
@@ -272,7 +374,7 @@ impl DurableSentry {
         write_checkpoint(&self.checkpoint_path, &snap, &mut self.checkpoint_buf)?;
         self.checkpoints_written += 1;
         self.since_checkpoint = 0;
-        Ok(raised)
+        Ok(durable)
     }
 
     /// Event records durably journaled — the producer's resume cursor.
@@ -468,15 +570,74 @@ mod tests {
         v
     }
 
-    /// The service loop's shape: journaled ingest, a poll every 16
-    /// events.
-    fn feed(d: &mut DurableSentry, events: &[ProcessEvent]) {
-        for e in events {
-            d.ingest(e).unwrap();
-            if d.sentry().events().is_multiple_of(16) {
-                d.poll().unwrap();
+    /// What one incarnation's calls have handed back, checked against
+    /// the journal after every call: the acknowledgement contract.
+    struct Ledger {
+        /// `durable_incidents()` at open: adopted and replay-raised
+        /// records, which no call hands back.
+        base: u64,
+        handed_back: HashSet<u64>,
+    }
+
+    impl Ledger {
+        fn new(d: &DurableSentry) -> Self {
+            assert_eq!(d.journal().pending_incidents(), 0, "open is a sync point");
+            Self {
+                base: d.journal().durable_incidents(),
+                handed_back: HashSet::new(),
             }
         }
+
+        /// After any call that returned `back`: each incident comes
+        /// back once, none before its record is durable, and every
+        /// latched incident is either durable or in the pending tail.
+        fn check(&mut self, d: &DurableSentry, back: Vec<Incident>) {
+            for incident in back {
+                assert!(
+                    self.handed_back.insert(incident.sid),
+                    "session {} handed back twice",
+                    incident.sid
+                );
+            }
+            let journal = d.journal();
+            assert!(
+                self.handed_back.len() as u64 <= journal.durable_incidents() - self.base,
+                "an incident was handed back before its record was durable"
+            );
+            assert_eq!(
+                journal.durable_incidents() + journal.pending_incidents() as u64,
+                d.sentry().incidents().len() as u64,
+                "every latched incident is journaled: durable or held"
+            );
+        }
+
+        /// After a sync point (`drain`, `checkpoint`) that returned
+        /// `back`: nothing is held any more.
+        fn check_settled(&mut self, d: &DurableSentry, back: Vec<Incident>) {
+            self.check(d, back);
+            assert_eq!(d.journal().pending_incidents(), 0);
+            assert_eq!(
+                self.handed_back.len() as u64,
+                d.journal().durable_incidents() - self.base,
+                "a sync point hands back everything held"
+            );
+        }
+    }
+
+    /// The service loop's shape — journaled ingest, a poll every 16
+    /// events — on a freshly opened `d`, with the acknowledgement
+    /// contract checked after every call.
+    fn feed(d: &mut DurableSentry, events: &[ProcessEvent]) -> Ledger {
+        let mut ledger = Ledger::new(d);
+        for e in events {
+            let back = d.ingest(e).unwrap();
+            ledger.check(d, back);
+            if d.sentry().events().is_multiple_of(16) {
+                let back = d.poll().unwrap();
+                ledger.check(d, back);
+            }
+        }
+        ledger
     }
 
     /// Oracle: the same workload through a plain sentry, uninterrupted.
@@ -517,8 +678,9 @@ mod tests {
         // the durable cursor.
         let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
         assert!(d.recovery().checkpoint_events > 0, "a checkpoint restored");
-        feed(&mut d, &events[resume_from as usize..]);
-        d.drain().unwrap();
+        let mut ledger = feed(&mut d, &events[resume_from as usize..]);
+        let back = d.drain().unwrap();
+        ledger.check_settled(&d, back);
         assert_eq!(
             keys(d.sentry()),
             expect,
@@ -651,8 +813,13 @@ mod tests {
             d.sentry().sessions().tracked() <= 4,
             "five waves have retired"
         );
+        // Every incident is journaled — durable, or held in the
+        // pending tail, which the crash forgets and replay raises again.
         let journaled = d.journal().durable_incidents();
-        assert_eq!(journaled, d.sentry().incidents().len() as u64);
+        assert_eq!(
+            journaled + d.journal().pending_incidents() as u64,
+            d.sentry().incidents().len() as u64
+        );
         let resume_from = d.durable_events() as usize;
         d.simulate_crash(5);
 
@@ -669,8 +836,9 @@ mod tests {
             d.sentry().tracked_streams()
         );
         assert!(table.tracked() as u64 <= live + recovery.replayed_events);
-        feed(&mut d, &events[resume_from..]);
-        d.drain().unwrap();
+        let mut ledger = feed(&mut d, &events[resume_from..]);
+        let back = d.drain().unwrap();
+        ledger.check_settled(&d, back);
         assert_eq!(keys(d.sentry()), expect);
         assert_eq!(
             d.sentry().sessions().tracked(),
@@ -678,6 +846,131 @@ mod tests {
             "all exited, all retired"
         );
         assert_eq!(d.sentry().tracked_streams(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One seeded feed through every kind of call, the acknowledgement
+    /// contract checked after each: automatic checkpoints and batch
+    /// syncs along the way, then an explicit drain and checkpoint.
+    #[test]
+    fn incidents_come_back_once_and_only_after_they_are_durable() {
+        let dir = tmpdir("ledger");
+        let wave = workload(5, 30);
+        let events: Vec<ProcessEvent> = (0..4).flat_map(|_| wave.clone()).collect();
+        let expect = oracle(&events);
+        assert!(expect.len() >= 4);
+
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 150;
+        durable.journal.sync_every = 24;
+        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
+        let mut ledger = feed(&mut d, &events);
+        let back = d.drain().unwrap();
+        ledger.check_settled(&d, back);
+        let back = d.checkpoint().unwrap();
+        assert!(back.is_empty(), "the drain left nothing to hand back");
+        ledger.check_settled(&d, back);
+        assert_eq!(ledger.handed_back.len(), expect.len());
+        assert_eq!(keys(d.sentry()), expect);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Feeds `events` (a poll every 16) until a call leaves an incident
+    /// held: framed into the journal's pending tail, not durable, not
+    /// handed back. Returns how many events went in.
+    fn feed_until_held(d: &mut DurableSentry, events: &[ProcessEvent]) -> usize {
+        for (i, e) in events.iter().enumerate() {
+            let mut back = d.ingest(e).unwrap();
+            if d.sentry().events().is_multiple_of(16) {
+                back.extend(d.poll().unwrap());
+            }
+            assert!(back.is_empty(), "no sync point is within reach");
+            if d.journal().pending_incidents() > 0 {
+                return i + 1;
+            }
+        }
+        panic!("the workload raises incidents");
+    }
+
+    /// The crash window group commit widens: an incident raised but not
+    /// yet synced is forgotten by the crash, so recovery raises it
+    /// again — once — and the final set is still the oracle's.
+    #[test]
+    fn crash_while_an_incident_is_held_raises_it_again_exactly_once() {
+        let dir = tmpdir("held-crash");
+        let events = workload(6, 40);
+        let expect = oracle(&events);
+
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        // Polls fall right after a batch sync, so what one raises waits
+        // for the next batch.
+        durable.journal.sync_every = 16;
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        let fed = feed_until_held(&mut d, &events);
+        let held: Vec<u64> = d.sentry().incidents().iter().map(|i| i.sid).collect();
+        assert_eq!(d.journal().durable_incidents(), 0);
+        assert_eq!(d.journal().pending_incidents(), held.len());
+        let resume_from = d.durable_events() as usize;
+        assert!(resume_from <= fed);
+        d.simulate_crash(0);
+
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        assert_eq!(
+            d.recovery().adopted_incidents,
+            0,
+            "the crash forgot the held record"
+        );
+        let mut ledger = feed(&mut d, &events[resume_from..]);
+        let back = d.drain().unwrap();
+        ledger.check_settled(&d, back);
+        assert_eq!(keys(d.sentry()), expect, "no incident lost, none invented");
+        for sid in held {
+            let raised = d.sentry().incidents().iter().filter(|i| i.sid == sid);
+            assert_eq!(raised.count(), 1, "session {sid} raised again exactly once");
+        }
+        drop(d);
+
+        // The journal holds one record per incident.
+        let d = DurableSentry::open(engine(), config(), durable).unwrap();
+        assert_eq!(d.recovery().adopted_incidents, expect.len() as u64);
+        assert_eq!(d.recovery().duplicate_incidents, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Hand-back is bounded in wall time at any event rate: with the
+    /// batch sync out of reach and no further events, the first call
+    /// made after the commit deadline forces the sync and returns the
+    /// incident.
+    #[test]
+    fn a_held_incident_comes_back_with_the_first_call_after_the_deadline() {
+        let dir = tmpdir("deadline");
+        let events = workload(6, 40);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        durable.journal.sync_every = usize::MAX;
+        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
+        let began = Instant::now();
+        feed_until_held(&mut d, &events);
+
+        // A call made before the deadline hands back nothing and syncs
+        // nothing; the first one made after it forces the sync, which
+        // covers what that call raises too. (Should this thread be
+        // stalled past the deadline on its way here, this poll *is* the
+        // first one after it.)
+        let mut back = d.poll().unwrap();
+        if d.journal().syncs() == 0 {
+            assert!(back.is_empty());
+            std::thread::sleep(COMMIT_DEADLINE);
+            back.extend(d.poll().unwrap());
+        } else {
+            assert!(began.elapsed() >= COMMIT_DEADLINE, "a sync ahead of time");
+        }
+        let raised = d.sentry().incidents().len();
+        assert_eq!(back.len(), raised);
+        assert_eq!(d.journal().durable_incidents(), raised as u64);
+        assert_eq!(d.journal().pending_incidents(), 0);
+        assert_eq!(d.journal().syncs(), 1, "one forced sync for all of them");
         let _ = fs::remove_dir_all(&dir);
     }
 

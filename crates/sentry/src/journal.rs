@@ -31,13 +31,19 @@
 //! Appends are framed in place in one user-space buffer and reach the
 //! file — one `write` plus one `fdatasync` — at *sync points*: every
 //! [`sync_every`](JournalConfig::sync_every) event records, at every
-//! [`append_incidents`](Journal::append_incidents) call (alerts are
-//! exactly the records the service exists to produce, so they never
-//! wait for an event batch; the incidents one service call raises
-//! share one sync), and on clean shutdown (drop).
+//! explicit [`sync`](Journal::sync) or
+//! [`append_incidents`](Journal::append_incidents) call, and on clean
+//! shutdown (drop). A sync writes the whole pending tail, events and
+//! incidents alike, so an incident framed into the tail without a
+//! sync of its own becomes durable with the event batch around it —
+//! which is how the serving path journals incidents: they ride the
+//! batch's sync, and the [`durable`](crate::durable) layer above
+//! holds each one back until [`Journal::pending_incidents`] says it is
+//! on disk, forcing a sync only when one has waited past its commit
+//! deadline.
 //! A crash therefore loses at most `sync_every − 1` trailing event
-//! records plus, if the crash interrupts a flush, a torn partial
-//! record at the tail.
+//! records and the incident records framed among them plus, if the
+//! crash interrupts a flush, a torn partial record at the tail.
 //!
 //! # Torn-tail recovery
 //!
@@ -148,8 +154,10 @@ impl JournalRecovery {
 pub struct JournalConfig {
     /// Event records buffered between fsync batches. `1` syncs every
     /// append (slow, loses nothing); larger values trade a bounded
-    /// tail of re-sendable events for throughput. Incidents always
-    /// force a sync regardless.
+    /// tail of re-sendable events for throughput. Incidents framed
+    /// among the events share the batch's sync; how long one may wait
+    /// for it is the durable layer's commit deadline, not a journal
+    /// setting.
     pub sync_every: usize,
 }
 
@@ -303,6 +311,11 @@ impl Journal {
         self.pending_events
     }
 
+    /// Incident records appended but not yet synced.
+    pub fn pending_incidents(&self) -> usize {
+        self.pending_incidents
+    }
+
     /// fsync batches issued so far.
     pub fn syncs(&self) -> u64 {
         self.syncs
@@ -333,8 +346,8 @@ impl Journal {
     }
 
     /// Appends one event record. Buffered; becomes durable at the next
-    /// sync point (every `sync_every` events, any incident, `sync`, or
-    /// clean drop).
+    /// sync point (every `sync_every` events, `sync`,
+    /// `append_incidents`, or clean drop).
     pub fn append_event(&mut self, event: &ProcessEvent) -> Result<(), JournalError> {
         Self::frame_in_place(&mut self.pending, 0, |out| {
             encode_payload(event, out);
@@ -353,13 +366,24 @@ impl Journal {
         self.append_incidents(std::slice::from_ref(incident))
     }
 
-    /// Appends every incident one service call raised and forces one
-    /// sync for all of them: none is left in the volatile tail, none is
-    /// handed back before it is durable. No-op for an empty slice.
+    /// Appends `incidents` and forces one sync for all of them: none is
+    /// left in the volatile tail. No-op for an empty slice. Recovery
+    /// replay journals what it raises this way; the serving calls of
+    /// [`DurableSentry`](crate::durable::DurableSentry) frame theirs
+    /// without the sync and let them ride the event batch's.
     pub fn append_incidents(&mut self, incidents: &[Incident]) -> Result<(), JournalError> {
         if incidents.is_empty() {
             return Ok(());
         }
+        self.frame_incidents(incidents)?;
+        self.sync()
+    }
+
+    /// Frames `incidents` into the pending tail and syncs nothing: they
+    /// become durable with whatever sync comes next, and until then
+    /// [`pending_incidents`](Self::pending_incidents) counts them. The
+    /// caller must not hand them on before that.
+    pub(crate) fn frame_incidents(&mut self, incidents: &[Incident]) -> Result<(), JournalError> {
         for incident in incidents {
             Self::frame_in_place(&mut self.pending, 1, |out| {
                 serde_json::to_writer(out, incident)
@@ -367,7 +391,7 @@ impl Journal {
             })?;
             self.pending_incidents += 1;
         }
-        self.sync()
+        Ok(())
     }
 
     /// Writes every buffered record and fdatasyncs. After `Ok`, all

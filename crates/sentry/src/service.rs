@@ -114,6 +114,23 @@ impl Default for SentryConfig {
     }
 }
 
+/// Most engine rounds one [`Sentry::poll`] runs: the first, then one
+/// more for as long as a window is waiting for a lane.
+///
+/// A budget, so that a backlog cannot keep the service loop away from
+/// ingest. 64 rounds are ≈ 0.5 ms at paper dimensions (a 16-lane round
+/// measures 7.3–8.0 µs, `core.shard.tick_us`) and about six times what
+/// the benchmark's `fleet-durable` workload asks of a poll on average —
+/// a 100-step window per 10 events × 16 events a poll = 10 rounds of 16
+/// lanes, 8.3 run once detonations are killed early; its traced polls
+/// average 72 µs — so that queue is served in full (detection latency
+/// p50 190 → 22 ms, the checkpoint's drain 34 → 1.0 ms) while demand
+/// above the budget still queues: `exp_chaos`'s one-lane overload cell
+/// offers about four times the budget at its 256-event cadence and
+/// still reads p99 staleness 3,507 events ungoverned (EXPERIMENTS.md
+/// "Frozen baselines" row 20).
+pub const POLL_ROUNDS_MAX: usize = 64;
+
 /// Where the overload governor currently sits on the degradation
 /// ladder. Rungs engage as verdict staleness crosses fractions of the
 /// configured SLO and release with hysteresis (one rung per ingest,
@@ -445,8 +462,43 @@ impl Sentry {
         }
     }
 
-    /// Runs one engine round and returns incidents raised by it.
+    /// Serves the mux's queue: one engine round, then further rounds
+    /// *while an admitted window is still waiting for a lane*
+    /// ([`ShardedStreamMux::pending`] above zero), at most
+    /// [`POLL_ROUNDS_MAX`] rounds in all. Returns the incidents raised.
+    ///
+    /// A waiting window means every lane is busy, so each extra round
+    /// is a full block of lane-steps the engine owes anyway: occupancy
+    /// cannot fall, and a caller that offers more lane-steps per poll
+    /// than one round retires (a fleet of long-lived processes: a
+    /// 100-step window per 10 calls, ten lane-steps per event against
+    /// one per event from a 16-lane round every 16 events) gets its
+    /// verdicts when a lane can take them instead of at the next
+    /// [`drain`](Self::drain). With at most
+    /// [`width`](ShardedStreamMux::width) windows admitted nothing
+    /// waits and a poll is exactly one round. Demand above the budget
+    /// still queues, still grows [`staleness`](Self::staleness) and
+    /// still engages the overload governor.
+    ///
+    /// The rule reads the mux and nothing else — no clock, no bus
+    /// state — so the rounds run stay a pure function of the sequence
+    /// of `ingest` and `poll` calls: two service loops that batch the
+    /// bus differently end with equal [`SentryStats`].
     pub fn poll(&mut self) -> Vec<Incident> {
+        let mut raised = self.round();
+        for _ in 1..POLL_ROUNDS_MAX {
+            if self.mux.pending() == 0 {
+                break;
+            }
+            raised.extend(self.round());
+        }
+        raised
+    }
+
+    /// Runs one engine round and folds its verdicts. What
+    /// [`poll`](Self::poll) repeats, and what the overload governor and
+    /// recovery replay call on cadences of their own.
+    pub(crate) fn round(&mut self) -> Vec<Incident> {
         let mut buf = std::mem::take(&mut self.verdict_buf);
         buf.clear();
         self.mux.tick_into(&mut buf);
@@ -572,7 +624,7 @@ impl Sentry {
         }
         if self.overload >= OverloadLevel::FastPoll {
             self.slo_polls += 1;
-            return self.poll();
+            return self.round();
         }
         Vec::new()
     }
@@ -1174,6 +1226,80 @@ mod tests {
         assert_eq!(sentry.stats().dup_events, 2);
     }
 
+    /// A sentry over `lanes` lanes with `pids` sessions' first windows
+    /// (eight calls each) admitted and nothing ticked yet.
+    fn queued(lanes: usize, pids: u32) -> Sentry {
+        let mut cfg = config();
+        cfg.mux.lanes = Some(lanes);
+        cfg.mux.shards = Some(1);
+        let mut sentry = Sentry::new(engine(), cfg);
+        for pid in 1..=pids {
+            feed(&mut sentry, pid, &trace(pid as usize, 8));
+        }
+        assert_eq!(sentry.mux.pending(), pids as usize);
+        sentry
+    }
+
+    #[test]
+    fn poll_runs_one_round_while_every_admitted_window_has_a_lane() {
+        let mut sentry = queued(4, 4);
+        for round in 1..=8u64 {
+            sentry.poll();
+            assert_eq!(sentry.mux.stats().ticks, round, "one round a poll");
+        }
+        assert_eq!(sentry.stats().verdicts_folded, 4, "eight steps a window");
+    }
+
+    #[test]
+    fn poll_serves_the_queue_until_nothing_waits_or_the_budget_is_spent() {
+        // Six windows on two lanes: two rounds of eight steps seat the
+        // last pair, and the poll stops there — they have their lanes.
+        let mut sentry = queued(2, 6);
+        sentry.poll();
+        assert_eq!(sentry.mux.pending(), 0);
+        assert_eq!((sentry.mux.stats().ticks, sentry.mux.in_flight()), (16, 2));
+        // Twenty windows on one lane are 160 lane-steps: the budget
+        // stops the poll, the rest still waits.
+        let mut sentry = queued(1, 20);
+        sentry.poll();
+        assert_eq!(sentry.mux.stats().ticks, POLL_ROUNDS_MAX as u64);
+        assert_eq!(sentry.mux.pending(), 20 - POLL_ROUNDS_MAX / 8 - 1);
+    }
+
+    /// When windows classify never changes what latches: serving the
+    /// queue raises the incidents one-round polling raises.
+    #[test]
+    fn queue_serving_poll_raises_the_incidents_of_one_round_polling() {
+        let run = |serve: fn(&mut Sentry) -> Vec<Incident>| {
+            let mut cfg = config();
+            cfg.mux.lanes = Some(2);
+            cfg.mux.shards = Some(1);
+            let mut sentry = Sentry::new(engine(), cfg);
+            let mut returned = 0;
+            for i in 0..48usize {
+                for pid in 1..=6u32 {
+                    let call = trace(pid as usize, 48)[i];
+                    sentry.ingest(&ProcessEvent::api(i as u64, pid, call));
+                }
+                if i % 4 == 3 {
+                    returned += serve(&mut sentry).len();
+                }
+            }
+            returned += sentry.drain().len();
+            assert_eq!(returned, sentry.incidents().len());
+            let mut keys: Vec<_> = sentry
+                .incidents()
+                .iter()
+                .map(|i| (i.sid, i.pid, i.alert.at_call))
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let served = run(Sentry::poll);
+        assert!(!served.is_empty(), "the feed raises incidents");
+        assert_eq!(served, run(Sentry::round));
+    }
+
     /// A slow one-lane mux with a fixed caller poll cadence. Feeds
     /// `rounds` strides of traffic on `n_pids` concurrent sessions,
     /// polling every `cadence` events, and returns the worst staleness
@@ -1209,10 +1335,14 @@ mod tests {
     /// Pins the degeneration the governor exists to fix: with a fixed
     /// poll cadence and no SLO, ingest outpaces the engine and verdict
     /// staleness grows without bound — the backlog at the end is
-    /// proportional to everything ever fed.
+    /// proportional to everything ever fed. The cadence has to be
+    /// lazier than a poll's budget for that: 128 events offer the one
+    /// lane 256 lane-steps and a poll serves [`POLL_ROUNDS_MAX`] of
+    /// them (at 64 events a poll the queue-serving poll keeps up with
+    /// this feed once three of its four sessions have latched).
     #[test]
     fn fixed_poll_cadence_degenerates_staleness_without_an_slo() {
-        let (sentry, worst) = overload_run(None, 4, 40, 64);
+        let (sentry, worst) = overload_run(None, 4, 40, 128);
         assert_eq!(sentry.overload_level(), OverloadLevel::Normal);
         assert_eq!(sentry.stats().slo_polls, 0);
         assert!(

@@ -126,9 +126,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Service-loop tuning.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Engine rounds: poll after this many ingested events.
+    /// How often the mux's queue is served: a
+    /// [`poll`](DurableSentry::poll) after this many ingested events.
+    /// A poll runs as many engine rounds as windows are waiting for (up
+    /// to its budget), so this sets how long a verdict can wait for the
+    /// next poll, not how much engine work is done per event.
     pub poll_every: u64,
-    /// How long one loop iteration blocks waiting for bus traffic.
+    /// How long one loop iteration blocks waiting for bus traffic, and
+    /// so how long the bus must be quiet before the loop drains.
     pub recv_timeout: Duration,
     /// Optional per-event hook, called before each ingest. The chaos
     /// harness injects panics here to exercise the supervision path.
@@ -172,6 +177,17 @@ pub struct ServiceOutcome {
 /// checkpoints, and returns. A panic anywhere in the body (including
 /// the ingest hook) is caught by the supervisor and the next
 /// incarnation picks up from disk.
+///
+/// A bus that goes quiet *without* `stop` — a receive that times out —
+/// makes the loop [`drain`](DurableSentry::drain): no further event is
+/// coming to drive a poll or complete a sync batch, so the windows the
+/// mux still holds are classified and the incidents held for the batch
+/// sync are committed and handed back now, not when traffic resumes.
+/// On an empty mux with nothing held the drain runs no engine round
+/// and issues no sync, so an idle service costs nothing. (The
+/// benchmark's mirror of this loop, `benchmark/src/mirror.rs`, does
+/// not have this branch: its paced bus is never quiet for a receive
+/// timeout.)
 ///
 /// The pull queue lives *outside* the supervised body, so a panic
 /// forfeits at most the one event being processed (typed and counted
@@ -226,8 +242,14 @@ pub fn run_service(
                         sentry.poll()?;
                     }
                 }
-                if refilled == 0 && stop.load(Ordering::SeqCst) {
-                    break;
+                if refilled == 0 {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // A quiet bus: no further event is coming to drive
+                    // a poll or complete a sync batch, so finish what
+                    // the mux holds and commit what is held now.
+                    sentry.drain()?;
                 }
             }
             sentry.drain()?;

@@ -140,6 +140,9 @@ proptest! {
         // crash it rewinds to the journal's durable-event count —
         // the at-least-once resume protocol.
         let mut cursor = 0usize;
+        // Incidents this incarnation's calls have handed back, over the
+        // incident records its `open` found or wrote.
+        let (mut handed_back, mut at_open) = (0u64, d.journal().durable_incidents());
         while cursor < events.len() {
             if let Some(&(off, torn)) = kills.peek() {
                 if cursor == off {
@@ -149,13 +152,26 @@ proptest! {
                     let resume = d.durable_events() as usize;
                     prop_assert!(resume <= cursor, "the journal never runs ahead of the producer");
                     cursor = resume;
+                    (handed_back, at_open) = (0, d.journal().durable_incidents());
                     continue;
                 }
             }
-            d.ingest(&events[cursor]).unwrap();
+            handed_back += d.ingest(&events[cursor]).unwrap().len() as u64;
             cursor += 1;
+            let journal = d.journal();
+            prop_assert!(
+                handed_back <= journal.durable_incidents() - at_open,
+                "an incident came back before its record was durable"
+            );
+            prop_assert_eq!(
+                journal.durable_incidents() + journal.pending_incidents() as u64,
+                d.sentry().incidents().len() as u64,
+                "every latched incident is journaled: durable or held"
+            );
         }
-        d.drain().unwrap();
+        handed_back += d.drain().unwrap().len() as u64;
+        prop_assert_eq!(d.journal().pending_incidents(), 0, "a drain holds nothing back");
+        prop_assert_eq!(handed_back, d.journal().durable_incidents() - at_open);
 
         prop_assert_eq!(keys(d.sentry()), expect, "incident parity across crashes");
         prop_assert_eq!(

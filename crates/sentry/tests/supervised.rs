@@ -11,8 +11,8 @@ use std::time::Duration;
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_sentry::{
-    run_service, ActionKind, DurableConfig, EventBus, ProcessEvent, Sentry, SentryConfig,
-    ServiceConfig, SupervisorPolicy,
+    run_service, ActionKind, DurableConfig, EventBus, Journal, JournalConfig, ProcessEvent, Sentry,
+    SentryConfig, ServiceConfig, SupervisorPolicy,
 };
 
 const VOCAB: usize = 16;
@@ -219,5 +219,75 @@ fn supervised_loop_without_chaos_matches_the_oracle_exactly() {
     assert_eq!(outcome.events_lost_to_panic, 0);
     assert_eq!(outcome.stats.events, events.len() as u64);
     assert_eq!(keys(&outcome.incidents), expect, "exact incident parity");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A quiet bus is not a detection hole: a process detonates, then the
+/// host goes silent — no further event to drive a poll or complete a
+/// sync batch, and nobody raises `stop`. The loop must still classify
+/// the window and make its incident durable, within a few receive
+/// timeouts.
+#[test]
+fn quiet_bus_still_delivers_the_verdict_and_syncs_its_incident() {
+    // One window's worth of calls that the detector flags.
+    let offline = engine();
+    let calls: Vec<usize> = (0..64)
+        .map(|salt| (0..8).map(|i| (i * 7 + salt * 3) % VOCAB).collect())
+        .find(|calls: &Vec<usize>| offline.classify(calls).is_positive)
+        .expect("some window classifies positive");
+
+    let dir = tmpdir("quiet");
+    let bus = EventBus::new(64);
+    let producer = bus.producer();
+    let stop = Arc::new(AtomicBool::new(false));
+    let service = ServiceConfig::default();
+    let durable = DurableConfig::new(&dir);
+
+    // The host: sends the nine events (under `poll_every`, under
+    // `sync_every`), then only watches the journal — read the way a
+    // crash would leave it, a copy of the file opened on its own —
+    // and raises `stop` once the record is there or time is up.
+    let host = {
+        let (stop, dir, recv_timeout) = (Arc::clone(&stop), dir.clone(), service.recv_timeout);
+        std::thread::spawn(move || {
+            assert!(producer.send(ProcessEvent::spawn(1, 900, "evil.exe")));
+            for (i, &call) in calls.iter().enumerate() {
+                assert!(producer.send(ProcessEvent::api(2 + i as u64, 900, call)));
+            }
+            let copy = dir.join("journal.copy");
+            let mut journaled = 0;
+            for _ in 0..100 {
+                std::thread::sleep(recv_timeout);
+                if std::fs::copy(dir.join("journal.log"), &copy).is_err() {
+                    continue;
+                }
+                let (_, found) = Journal::open(&copy, JournalConfig::default()).expect("a journal");
+                journaled = found.incidents().filter(|i| i.pid == 900).count();
+                if journaled > 0 {
+                    break;
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+            journaled
+        })
+    };
+    let (outcome, _) = run_service(
+        &SupervisorPolicy::default(),
+        engine,
+        &config(),
+        &durable,
+        &service,
+        &bus,
+        &stop,
+    )
+    .expect("journal healthy");
+    let journaled = host.join().expect("host thread");
+    let outcome = outcome.expect("completed");
+    assert_eq!(outcome.stats.events, 9);
+    assert_eq!(outcome.incidents.len(), 1);
+    assert_eq!(
+        journaled, 1,
+        "the incident's record was on disk while the bus was idle and the loop still running"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
