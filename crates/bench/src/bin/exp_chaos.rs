@@ -67,8 +67,9 @@ const LAZY_POLL_EVERY: usize = 256;
 const SYNC_EVERY: usize = 1024;
 
 /// Sessions a parity cell may track beyond the live ones: those that
-/// exited while their window was still in the mux (≈ 16 at
-/// [`POLL_EVERY`]: 100 rounds of 16 events, one exit per 102 events).
+/// exited while their window was still in the mux — none in live
+/// service, where the poll after a window's last call returns its
+/// verdict, a few while a recovery replays through single lane rounds.
 /// Overload cells are exempt — their backlog is the experiment.
 const TRACKED_SLACK: u64 = 128;
 

@@ -6,7 +6,9 @@
 //! `4H×Z` matrix, so each item costs one embedding copy, one concat, one
 //! matvec and two in-place sweeps over preallocated scratch (in fixed
 //! point the embedding half is further folded into a per-item gate
-//! table, see [`LaneGatesFx`]). The original per-CU formulation (four
+//! table, see [`LaneGatesFx`], and one sequence alone runs the same
+//! `f64`-encoded kernels as a lane of a block, vectorised across gate
+//! rows instead of across lanes). The original per-CU formulation (four
 //! separate gate kernels, mirroring the four hardware CUs of §III-C)
 //! remains available via [`GatePath`] as the table-free reference and is
 //! bit-for-bit identical — in f64 for the float levels and in
@@ -61,9 +63,9 @@ struct EngineCore {
     fused_fx: FusedGates<Fx6>,
     /// The production fixed-point pack of `fused_fx` plus the embedding
     /// table: the folded input-gate table and recurrent weights behind
-    /// both the serial and the lane-batched kernels (`None` when the
-    /// exactness proof fails; every fixed-point path then runs the wide
-    /// serial matvec, bit-identical anyway).
+    /// both the row-vectorised serial kernel and the lane-batched one
+    /// (`None` when the exactness proof fails; every fixed-point path
+    /// then runs the wide serial matvec, bit-identical anyway).
     lane_fx: Option<LaneGatesFx>,
 }
 
@@ -141,6 +143,15 @@ impl CsdInferenceEngine {
     /// allocation; callers classifying many sequences (monitors, batch
     /// workers) amortize the buffer allocation across all of them.
     ///
+    /// In fixed point this is the width-1 case of the lane engine: the
+    /// same table-folded, `f64`-encoded kernels, with the gate matvec
+    /// vectorised across its `4H` rows
+    /// ([`csd_tensor::lanes::matvec_fx_rows_table`]). At paper
+    /// dimensions a 100-step window costs ≈ 35 µs here against ≈ 35 µs
+    /// as one lane of a full 16-lane block and ≈ 570 µs as the only
+    /// lane of one (EXPERIMENTS.md row 21a), so one window never has to
+    /// wait for company.
+    ///
     /// # Panics
     ///
     /// Panics on an empty sequence, an out-of-vocabulary token, or
@@ -153,7 +164,7 @@ impl CsdInferenceEngine {
         assert!(!seq.is_empty(), "empty sequence");
         let w = &self.core.weights;
         let probability = if self.level.is_fixed_point() {
-            self.run_states_fx(seq, &mut scratch.fx_buffers);
+            self.run_states_fx(seq, scratch);
             hidden::classify_fx(&scratch.fx_buffers.h, &w.fc_w_fx, w.fc_b_fx).to_f64()
         } else {
             self.run_states_f64(seq, &mut scratch.f64_buffers);
@@ -199,7 +210,10 @@ impl CsdInferenceEngine {
         assert!(!sequences.is_empty(), "empty batch");
         if sequences.len() == 1 {
             // A lane block would compute `width` lanes for one sequence;
-            // the serial path is strictly cheaper (and bit-identical).
+            // the serial path is strictly cheaper — by measurement
+            // since it is the row kernel: ≈ 35 µs a 100-step window
+            // against ≈ 570 µs for a 16-lane block at any occupancy —
+            // and bit-identical.
             return vec![self.classify(sequences[0])];
         }
         match self.path {
@@ -559,7 +573,7 @@ impl CsdInferenceEngine {
         assert!(!seq.is_empty(), "empty sequence");
         let mut scratch = self.make_scratch();
         if self.level.is_fixed_point() {
-            self.run_states_fx(seq, &mut scratch.fx_buffers);
+            self.run_states_fx(seq, &mut scratch);
             scratch.fx_buffers.h.to_f64_vec()
         } else {
             self.run_states_f64(seq, &mut scratch.f64_buffers);
@@ -613,32 +627,33 @@ impl CsdInferenceEngine {
         })
     }
 
-    fn run_states_fx(&self, seq: &[usize], s: &mut InferenceScratch<Fx6>) {
+    /// Walks the sequence in fixed point; leaves the final hidden state
+    /// in `scratch.fx_buffers.h`. The fused path has two arms: the row
+    /// kernel ([`run_states_fx_rows`](Self::run_states_fx_rows)), or —
+    /// for weights that failed the pack proof and sequences past
+    /// [`LANE_MAX_STEPS`], the softsign kernel's exactness range — the
+    /// wide integer matvec, bit-identical anyway.
+    fn run_states_fx(&self, seq: &[usize], scratch: &mut EngineScratch) {
         let core = &self.core;
+        let s = &mut scratch.fx_buffers;
         s.reset();
         match self.path {
-            GatePath::Fused => {
-                let hdim = core.weights.dims().hidden;
-                for &item in seq {
-                    // One precomputed table row replaces the embedding
-                    // copy, the `[h|x]` concat, the `E` input columns of
-                    // the matvec, and the bias add. Weights that failed
-                    // the pack proof, or an input outside the narrow-MAC
-                    // range, take the wide matvec instead.
-                    let table_ok = core.lane_fx.as_ref().is_some_and(|lane| {
-                        assert!(item < lane.vocab(), "item {item} out of vocabulary");
-                        lane.matvec_table_into(item, s.h.as_slice(), s.g.as_mut_slice())
-                    });
-                    if !table_ok {
+            GatePath::Fused => match &core.lane_fx {
+                Some(pack) if seq.len() <= LANE_MAX_STEPS => {
+                    Self::run_states_fx_rows(pack, seq, &mut scratch.f64_buffers, &mut s.h);
+                }
+                _ => {
+                    let hdim = core.weights.dims().hidden;
+                    for &item in seq {
                         preprocess::run_into(&core.weights.embedding_fx, item, &mut s.x);
                         s.h.concat_into(&s.x, &mut s.z);
                         core.fused_fx.w.matvec_into(&s.z, &mut s.g);
                         s.g.add_assign(&core.fused_fx.b);
+                        gates::activate_fused_fx(&mut s.g, hdim);
+                        hidden::update_fused_fx(&s.g, &mut s.c, &mut s.h);
                     }
-                    gates::activate_fused_fx(&mut s.g, hdim);
-                    hidden::update_fused_fx(&s.g, &mut s.c, &mut s.h);
                 }
-            }
+            },
             GatePath::PerCu => {
                 for &item in seq {
                     let x = preprocess::run_fx(&core.weights.embedding_fx, item);
@@ -650,6 +665,41 @@ impl CsdInferenceEngine {
                     s.h = h_next;
                 }
             }
+        }
+    }
+
+    /// One sequence as the width-1 case of
+    /// [`step_lanes_fx`](Self::step_lanes_fx): the raw state is held
+    /// `f64`-encoded in `raw` (the float buffers, idle on a fixed-point
+    /// engine otherwise), the gate matvec is the row-vectorised table
+    /// kernel — one gate-table row plus the `H` recurrent columns per
+    /// item, no embedding copy, no `[h|x]` concat, no bias add — and the
+    /// activation and update kernels are the lane ones at width 1. The
+    /// final hidden state is decoded into `h_out`.
+    fn run_states_fx_rows(
+        pack: &LaneGatesFx,
+        seq: &[usize],
+        raw: &mut InferenceScratch<f64>,
+        h_out: &mut Vector<Fx6>,
+    ) {
+        let (rows, hdim) = (pack.rows(), pack.hidden());
+        raw.reset();
+        let (g, c, h) = (
+            raw.g.as_mut_slice(),
+            raw.c.as_mut_slice(),
+            raw.h.as_mut_slice(),
+        );
+        for &item in seq {
+            assert!(item < pack.vocab(), "item {item} out of vocabulary");
+            let table_row = &pack.gate_table()[item * rows..(item + 1) * rows];
+            lanes::matvec_fx_rows_table(pack.w_hidden_t(), h, table_row, g);
+            lanes::sigmoid_lut_lanes(&mut g[..2 * hdim]);
+            lanes::softsign_lanes(&mut g[2 * hdim..3 * hdim]);
+            lanes::sigmoid_lut_lanes(&mut g[3 * hdim..]);
+            lanes::update_lanes(g, hdim, 1, c, h);
+        }
+        for (out, &v) in h_out.as_mut_slice().iter_mut().zip(h.iter()) {
+            *out = Fx6::from_raw(v as i64);
         }
     }
 

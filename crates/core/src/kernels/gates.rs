@@ -142,41 +142,6 @@ pub fn activate_fused_fx(pre: &mut Vector<Fx6>, hidden: usize) {
     }
 }
 
-/// Fused gate pre-activation from the precomputed input-gate table:
-/// `out[r] = rescale(table_row[r] + Σ_k w_h[r·H + k]·h[k])`.
-///
-/// `table_row` holds the folded-out `W_x·e(item) + b·SCALE` terms for
-/// one vocabulary item; the MAC covers only the `H = h.len()` recurrent
-/// columns (`w_h` is the contiguous `rows × H` recurrent half of the
-/// fused gate matrix), replacing the embedding gather + concat +
-/// full-`Z` matvec + bias add of the per-gate formulation. Exactness:
-/// the caller bounds `|h|` so the `i64` accumulator cannot overflow, the
-/// table entry is below `2^52`, and integer addition is associative when
-/// nothing overflows — so this equals the table-free pre-activation bit
-/// for bit.
-///
-/// # Panics
-///
-/// Panics when the slice shapes disagree (`w_h` must hold exactly
-/// `table_row.len()` rows of `h.len()` weights).
-pub fn fused_preact_table_fx(table_row: &[i64], w_h: &[i32], h: &[Fx6], out: &mut [Fx6]) {
-    assert_eq!(table_row.len(), out.len(), "table row length mismatch");
-    assert_eq!(
-        w_h.len(),
-        out.len() * h.len(),
-        "packed weights shape mismatch"
-    );
-    let hcols = h.len();
-    for (r, (o, &init)) in out.iter_mut().zip(table_row).enumerate() {
-        let row = &w_h[r * hcols..(r + 1) * hcols];
-        let mut acc: i64 = init;
-        for (&wv, hv) in row.iter().zip(h) {
-            acc += wv as i64 * hv.raw();
-        }
-        *o = Fx6::from_raw(crate::weights::div_round_i64(acc, Fx6::SCALE));
-    }
-}
-
 /// The hardware structure of one CU: the `H × Z` MAC nest followed by the
 /// activation loop. `#pragma HLS DATAFLOW` (§III-C) overlaps the two.
 pub fn spec(kind: GateKind, level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {

@@ -139,9 +139,13 @@ impl LaneScratch {
 /// [`OptimizationLevel`](crate::opt::OptimizationLevel).
 #[derive(Debug, Clone)]
 pub struct EngineScratch {
-    /// Float-path buffers.
+    /// Float-path buffers. A fixed-point engine's fused path keeps its
+    /// state here too (`g`, `c`, `h`): raw 10^6-scaled integers exactly
+    /// encoded in `f64`, as in a [`LaneScratch`] of width 1 — the form
+    /// the [`csd_tensor::lanes`] kernels compute on.
     pub f64_buffers: InferenceScratch<f64>,
-    /// Fixed-point-path buffers.
+    /// Fixed-point-path buffers: the wide and per-CU paths' working
+    /// state, and every fixed-point path's final `h` for the FC head.
     pub fx_buffers: InferenceScratch<Fx6>,
 }
 

@@ -53,10 +53,10 @@ use crate::stream::{
     LaneCounters, MuxStats, OverflowPolicy, StreamLoss, StreamMux, StreamMuxConfig, Verdict,
 };
 
-/// Ticks each loaded shard advances per scatter during `drain`: large
-/// enough to amortize the pool's scatter overhead over real kernel
-/// work, small enough that retirements settle between bursts instead of
-/// piling up in the shards' out-buffers.
+/// Most ticks each loaded shard advances per scatter while serving:
+/// large enough to amortize the pool's scatter overhead over real
+/// kernel work, small enough that retirements settle between bursts
+/// instead of piling up in the shards' out-buffers.
 const DRAIN_BURST: usize = 64;
 
 /// One shard: a lane block (unbounded queue — backpressure is global,
@@ -282,37 +282,69 @@ impl ShardedStreamMux {
         out
     }
 
-    /// Runs rounds until idle, appending every released verdict to
-    /// `out`.
-    ///
-    /// A near-empty mux takes a shortcut: with no lane active anywhere
-    /// and at most `width/4` windows pending in total, the stragglers
-    /// classify serially instead of paying full-width lane sweeps —
-    /// bit-identical results either way, so the choice is invisible.
-    /// This keeps low-concurrency callers (a drain after every call, a
-    /// single tracked process) at serial cost while fleets run at lane
-    /// throughput.
+    /// Serves until idle, appending every released verdict to `out`:
+    /// [`serve_into`](Self::serve_into) without a budget.
     pub fn drain_into(&mut self, out: &mut Vec<Verdict>) {
+        self.serve_into(out, usize::MAX);
+        debug_assert!(self.order.is_empty(), "all in-flight windows settled");
+    }
+
+    /// Serves the admitted windows — to their verdicts, the mux idle —
+    /// or until `max_rounds` rounds of engine time are spent, appending
+    /// every released verdict to `out`.
+    ///
+    /// One loop, one rule, read off the mux and nothing else. With no
+    /// lane active and fewer windows pending than one block holds
+    /// (`pending < width`, and a lone window on a one-lane mux), each
+    /// classifies serially, alone, through the row-vectorised kernel;
+    /// otherwise the lane blocks advance. A partly filled block is never
+    /// the cheaper way: a block round costs the same at any occupancy
+    /// (5.5–8 µs at 16 lanes and paper dimensions, 550–750 µs for a
+    /// block of 100-step windows), a window alone costs ≈ 35 µs, so `n`
+    /// windows break even only at the full block, which is no cheaper
+    /// per window than the row kernel (EXPERIMENTS.md row 21a; the
+    /// threshold was `width / 4` while a window alone cost 315–450 µs,
+    /// eight lanes' worth). Verdicts are bit-identical either way, so
+    /// the choice is invisible in anything but time — and a window that
+    /// arrives alone has its verdict at this call instead of `len`
+    /// rounds later.
+    ///
+    /// The budget is in lane rounds, the unit a caller dimensions by
+    /// ([`tick_into`](Self::tick_into) is one): a serially classified
+    /// window is charged `⌈len / width⌉`, the rounds a full block would
+    /// have spent on it, so a budget buys about the same engine time
+    /// whichever way the windows go (at one lane, exactly `len` — what
+    /// its lane would have taken). A serial window starts while any
+    /// budget is left and may overdraw it by its own charge.
+    pub fn serve_into(&mut self, out: &mut Vec<Verdict>, max_rounds: usize) {
+        let width = self.width();
+        let mut budget = max_rounds;
         loop {
             self.flush_ready(out);
             let active = self.in_flight();
             let pending = self.pending();
-            if active == 0 && pending == 0 {
+            if budget == 0 || (active == 0 && pending == 0) {
                 break;
             }
-            if active == 0 && pending <= (self.width() / 4).max(1) {
+            if active == 0 && pending <= (width - 1).max(1) {
                 for i in 0..self.shards.len() {
                     let mut buf = std::mem::take(&mut self.shards[i].out);
-                    self.shards[i].mux.classify_pending_serially(&mut buf);
+                    while budget > 0 {
+                        let Some(len) = self.shards[i].mux.classify_next_serially(&mut buf) else {
+                            break;
+                        };
+                        budget = budget.saturating_sub(len.div_ceil(width));
+                    }
                     self.settle_batch(&mut buf);
                     self.shards[i].out = buf;
                 }
                 continue;
             }
-            self.round(out, DRAIN_BURST);
+            let ticks = DRAIN_BURST.min(budget);
+            self.round(out, ticks);
+            budget -= ticks;
         }
         self.flush_ready(out);
-        debug_assert!(self.order.is_empty(), "all in-flight windows settled");
     }
 
     /// Convenience wrapper over [`drain_into`](Self::drain_into).
@@ -689,6 +721,47 @@ mod tests {
         let mut mux = sharded(engine(21), 1, 2);
         assert!(mux.tick().is_empty());
         assert_eq!(mux.stats().ticks, 0);
+    }
+
+    #[test]
+    fn serve_classifies_less_than_a_block_serially_and_charges_it_in_rounds() {
+        let e = engine(21);
+        let windows: Vec<Vec<usize>> = (0..16).map(|k| seq(100, k)).collect();
+        // Fifteen windows on sixteen lanes: no lane round. Each is
+        // charged ⌈100 / 16⌉ = 7 rounds, so a 64-round budget serves
+        // nine in full and starts a tenth.
+        let mut mux = sharded(e.clone(), 1, 16);
+        for (k, w) in windows.iter().take(15).enumerate() {
+            assert!(mux.submit(k as u64, k, w));
+        }
+        let mut out = Vec::new();
+        mux.serve_into(&mut out, 64);
+        assert_eq!(out.len(), 10);
+        assert_eq!((mux.pending(), mux.in_flight()), (5, 0));
+        assert_eq!(mux.stats().ticks, 0);
+        for v in &out {
+            assert_eq!(v.classification, e.classify(&windows[v.stream as usize]));
+        }
+        // A block's worth goes through the block, under the same budget.
+        let mut mux = sharded(e.clone(), 1, 16);
+        for (k, w) in windows.iter().enumerate() {
+            assert!(mux.submit(k as u64, k, w));
+        }
+        mux.serve_into(&mut out, 64);
+        assert_eq!((mux.pending(), mux.in_flight()), (0, 16));
+        assert_eq!(mux.stats().ticks, 64);
+        // One lane: a lone window classifies serially (charged its
+        // length, what its lane would have taken); two are a backlog.
+        let mut mux = sharded(e, 1, 1);
+        mux.submit(0, 0, &windows[0]);
+        mux.serve_into(&mut out, 64);
+        assert!(mux.is_idle());
+        assert_eq!(mux.stats().ticks, 0);
+        mux.submit(0, 0, &windows[0]);
+        mux.submit(1, 1, &windows[1]);
+        mux.serve_into(&mut out, 64);
+        assert_eq!((mux.pending(), mux.in_flight()), (1, 1));
+        assert_eq!(mux.stats().ticks, 64);
     }
 
     #[test]

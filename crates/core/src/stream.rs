@@ -419,17 +419,19 @@ impl StreamMux {
         self.pending.front().map(|w| w.order)
     }
 
-    /// Classifies every pending window through the serial path — the
-    /// low-occupancy drain shortcut.
-    pub(crate) fn classify_pending_serially(&mut self, out: &mut Vec<Verdict>) {
-        while let Some(window) = self.pending.pop_front() {
-            self.classify_serial(window, out);
-        }
+    /// Classifies the oldest pending window through the serial path —
+    /// the coordinator's route for windows too few to fill a block — and
+    /// returns its length, or `None` with nothing pending.
+    pub(crate) fn classify_next_serially(&mut self, out: &mut Vec<Verdict>) -> Option<usize> {
+        let window = self.pending.pop_front()?;
+        let len = window.seq.len();
+        self.classify_serial(window, out);
+        Some(len)
     }
 
     /// Classifies a window through the serial path and emits its verdict
-    /// — the route for windows the lane path cannot take and for the
-    /// low-occupancy drain shortcut.
+    /// — the route for windows the lane path cannot take, for a corrupted
+    /// lane's re-run and for windows too few to fill a block.
     fn classify_serial(&mut self, window: Window, out: &mut Vec<Verdict>) {
         let c = self
             .engine

@@ -46,68 +46,109 @@ fn fuse_gates<T: Scalar>(ws: &[Matrix<T>; 4], bs: &[Vector<T>; 4]) -> FusedGates
     }
 }
 
-/// Rounded division, half-away-from-zero — the same correction
-/// `Fixed::dot` applies to its wide accumulator.
-pub(crate) fn div_round_i64(num: i64, den: i64) -> i64 {
-    debug_assert!(den > 0);
-    let half = den / 2;
-    if num >= 0 {
-        (num + half) / den
-    } else {
-        (num - half) / den
-    }
-}
-
-/// Longest sequence (timesteps from a zero state) the lane-batched
-/// fixed-point path accepts.
+/// Longest sequence (timesteps from a zero state) the `f64`-encoded
+/// fixed-point kernels accept — a lane of a block or a window alone.
 ///
-/// The lane kernels hold raw values as exact integers in `f64`. Each
+/// The kernels hold raw values as exact integers in `f64`. Each
 /// timestep grows the cell state by at most `SCALE` in raw magnitude
 /// (`|C_t| ≤ |round(f·C/S)| + |round(i·C'/S)| ≤ |C_{t−1}| + SCALE`, since
 /// the sigmoid gates are ≤ `SCALE` and the candidate is a softsign
 /// output), so after `t` steps `|C| ≤ t · SCALE`. The softsign kernel
 /// needs `|C|·SCALE + den/2 < 2^53`, i.e. `|C| ≤ ~8·10^9 = 8000·SCALE`.
-/// Longer sequences fall back to the serial path (bit-identical anyway).
+/// Longer sequences take the wide serial matvec (bit-identical anyway).
 pub const LANE_MAX_STEPS: usize = 8_000;
 
+/// A fixed `f64` buffer whose first element starts a 64-byte cache line.
+///
+/// The row kernel reads `W_hᵀ` with one 64-byte load per FMA, and a
+/// `Vec`'s allocation is 16-byte aligned: three times in four every one
+/// of those loads straddles two lines, which halves what the load ports
+/// deliver (a row matvec measured 271 ns so against 188 ns aligned, a
+/// 100-step window 42 µs against 34–35; EXPERIMENTS.md row 21g). The
+/// values sit at an offset inside an over-allocated `Vec`, whose heap
+/// block does not move with the struct; a clone places its own copy.
+#[derive(Debug)]
+struct LineAligned {
+    buf: Vec<f64>,
+    start: usize,
+    len: usize,
+}
+
+impl LineAligned {
+    const LINE_BYTES: usize = 64;
+    const LINE_F64S: usize = Self::LINE_BYTES / std::mem::size_of::<f64>();
+
+    fn new(values: &[f64]) -> Self {
+        let mut buf = vec![0.0; values.len() + Self::LINE_F64S - 1];
+        // `align_offset` may decline (it does under const evaluation);
+        // an unaligned buffer is slower, never wrong.
+        let start = match buf.as_ptr().align_offset(Self::LINE_BYTES) {
+            offset if offset < Self::LINE_F64S => offset,
+            _ => 0,
+        };
+        buf[start..start + values.len()].copy_from_slice(values);
+        Self {
+            buf,
+            start,
+            len: values.len(),
+        }
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        &self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl Clone for LineAligned {
+    fn clone(&self) -> Self {
+        Self::new(self.as_slice())
+    }
+}
+
+impl PartialEq for LineAligned {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// The fused fixed-point gate parameters folded and re-encoded for the
-/// production fixed-point path — the lane-batched table kernel in
-/// [`csd_tensor::lanes`] and its serial twin
-/// ([`matvec_table_into`](Self::matvec_table_into)).
+/// production fixed-point path — the kernels of [`csd_tensor::lanes`],
+/// vectorised across lanes for a block of windows and across gate rows
+/// for one window alone.
 ///
 /// The embedding is folded through the input (`W_x`) half of the fused
 /// gate matrix into a per-item **input-gate table** with the bias
 /// pre-multiplied by `SCALE` (`round(a/S) + b == round((a + b·S)/S)`
 /// exactly, because `b·S` is a multiple of `S`), so a timestep is one
-/// table-row gather plus the `H` recurrent columns. The recurrent half
-/// (`W_h`) is kept twice: as exact `f64` integers for the lane kernel
-/// and narrowed to `i32` for the serial one — the software analogue of
-/// mapping the gate MACs onto the FPGA's narrow DSP multipliers instead
-/// of a wide soft multiplier.
+/// table-row gather plus the `H` recurrent columns. The table is kept
+/// once — item-major, so a row is contiguous for the row kernel and
+/// transposed in registers by the lane kernel. The recurrent half
+/// (`W_h`, 32 KB at paper dimensions) is kept twice, as exact `f64`
+/// integers in both orders, because each kernel streams it along its
+/// own SIMD axis: `rows × hidden` for the lane kernel, which broadcasts
+/// one weight against a register of lanes, and `hidden × rows` for the
+/// row kernel, which loads a register of weights against one broadcast
+/// `h[k]`.
 ///
 /// [`LaneGatesFx::pack`] is where the exactness contract is *proven*, not
 /// assumed: it rejects (returns `None`) any weight set whose worst-case
 /// pre-activation accumulator could leave the exact-integer range of
-/// `f64`, or whose recurrent weights do not fit `i32`. The engine then
-/// routes rejected models through the wide serial fixed-point path, so
-/// neither packing nor lane batching ever changes a single output bit.
+/// `f64`. The engine then routes rejected models through the wide serial
+/// fixed-point path, so neither packing nor either vectorisation ever
+/// changes a single output bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneGatesFx {
     /// Row-major `rows × hidden` recurrent-column weights (`W_h`) as
     /// exact `f64` values — what the lane table matmul iterates over.
     w_h: Vec<f64>,
-    /// The same `W_h` narrowed to `i32`, for the serial table matvec.
-    w_h_i32: Vec<i32>,
+    /// The same `W_h` transposed, `hidden × rows` — what the row kernel
+    /// iterates over, a 64-byte load at a time.
+    w_h_t: LineAligned,
     /// The precomputed **input-gate table**, `vocab × rows` row-major:
     /// `table[item·rows + r] = Σ_e w[r][hidden+e]·emb[item][e] +
     /// b_r·SCALE`. One row gather replaces the per-timestep embedding
     /// copy plus the `E` input columns of the matmul.
     table: Vec<f64>,
-    /// The same table as raw `i64`, for the serial table matvec.
-    table_i64: Vec<i64>,
-    /// Largest `|raw|` of a recurrent input for which the serial table
-    /// matvec's `i64` accumulator provably cannot overflow.
-    z_limit: i64,
     rows: usize,
     hidden: usize,
 }
@@ -122,14 +163,12 @@ impl LaneGatesFx {
     /// 2. `Σ_k |w[r][k]| · zbound[k] + |b_r|·SCALE + SCALE/2 < 2^52`,
     ///    where `zbound[k] = SCALE` for recurrent columns (`|h| ≤ 1` is
     ///    an invariant of the update kernel: `h = o ∗ softsign(C)` with
-    ///    `o ≤ 1`) and the column's largest `|raw|` for embedding columns;
-    /// 3. every recurrent weight fits `i32`, and `|table entry| +
-    ///    H · max|w_h| · SCALE` fits `i64` (so the serial accumulator
-    ///    holds for every `|h| ≤ 1`).
+    ///    `o ≤ 1`) and the column's largest `|raw|` for embedding columns.
     ///
-    /// Under (2) every FMA partial sum is an exact integer, so the tiled
-    /// SIMD matmul, the scalar fallback, and the reference `i64`/`i128`
-    /// accumulation all produce identical raw gate pre-activations.
+    /// Under (2) every FMA partial sum is an exact integer, so the
+    /// lane-tiled and row-tiled SIMD kernels, their scalar fallbacks, and
+    /// the reference `i64`/`i128` accumulation all produce identical raw
+    /// gate pre-activations.
     pub fn pack(fused: &FusedGates<Fx6>, embedding: &Matrix<Fx6>, hidden: usize) -> Option<Self> {
         let (rows, cols) = (fused.w.rows(), fused.w.cols());
         if cols != hidden + embedding.cols() {
@@ -162,7 +201,7 @@ impl LaneGatesFx {
         // row accumulator the proof above already bounded below 2^52,
         // so it is exact in f64 — no additional obligation.
         let vocab = embedding.rows();
-        let mut table_i64 = Vec::with_capacity(vocab * rows);
+        let mut table = Vec::with_capacity(vocab * rows);
         for item in 0..vocab {
             for r in 0..rows {
                 let mut acc = fused.b[r].raw() as i128 * Fx6::SCALE as i128;
@@ -170,33 +209,22 @@ impl LaneGatesFx {
                     acc += fused.w.get(r, hidden + e).raw() as i128
                         * embedding.get(item, e).raw() as i128;
                 }
-                table_i64.push(acc as i64);
+                table.push(acc as f64);
             }
         }
-        let mut w_h = Vec::with_capacity(rows * hidden);
-        let mut w_h_i32 = Vec::with_capacity(rows * hidden);
-        let mut max_abs: i64 = 1;
+        let mut w_h = vec![0.0; rows * hidden];
+        let mut w_h_t = vec![0.0; hidden * rows];
         for r in 0..rows {
             for k in 0..hidden {
-                let raw = fused.w.get(r, k).raw();
-                w_h.push(raw as f64);
-                w_h_i32.push(i32::try_from(raw).ok()?);
-                max_abs = max_abs.max(raw.abs());
+                let raw = fused.w.get(r, k).raw() as f64;
+                w_h[r * hidden + k] = raw;
+                w_h_t[k * rows + r] = raw;
             }
-        }
-        let z_limit =
-            ((i64::MAX - EXACT_F64_INT) / max_abs / hidden.max(1) as i64).min(i32::MAX as i64);
-        // An engine input always holds |h| ≤ 1; a limit below one means
-        // even that cannot be guaranteed exact, so don't pack at all.
-        if z_limit < Fx6::SCALE {
-            return None;
         }
         Some(Self {
             w_h,
-            w_h_i32,
-            table: table_i64.iter().map(|&x| x as f64).collect(),
-            table_i64,
-            z_limit,
+            w_h_t: LineAligned::new(&w_h_t),
+            table,
             rows,
             hidden,
         })
@@ -207,45 +235,15 @@ impl LaneGatesFx {
         &self.w_h
     }
 
+    /// `W_h` transposed, row-major `hidden × rows`, starting on a cache
+    /// line.
+    pub fn w_hidden_t(&self) -> &[f64] {
+        self.w_h_t.as_slice()
+    }
+
     /// The input-gate table, `vocab × rows` row-major, `f64`-encoded.
     pub fn gate_table(&self) -> &[f64] {
         &self.table
-    }
-
-    /// One raw input-gate table row: the precomputed
-    /// `W_x·e(item) + b·SCALE` for every fused gate row.
-    fn table_row_i64(&self, item: usize) -> &[i64] {
-        &self.table_i64[item * self.rows..(item + 1) * self.rows]
-    }
-
-    /// Gate-table fused matvec: `out[r] = rescale(table_row(item)[r] +
-    /// Σ_k w_h[r][k]·h[k])` — the serial twin of the lane kernel's table
-    /// path, skipping the embedding gather, the `[h|x]` concat, the `E`
-    /// input columns, and the separate bias add. Exact by the same
-    /// reassociation argument: the table entry is the integer value of
-    /// the folded-out terms, and integer addition is associative when
-    /// nothing overflows (proof obligation 3 of [`pack`](Self::pack)).
-    ///
-    /// Returns `false` — leaving `out` untouched — when any `|h|`
-    /// exceeds the exactness bound, so the caller can fall back to the
-    /// wide path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `item` is outside the vocabulary or the slice shapes
-    /// disagree with the packed matrix.
-    pub fn matvec_table_into(&self, item: usize, h: &[Fx6], out: &mut [Fx6]) -> bool {
-        assert_eq!(h.len(), self.hidden, "recurrent input length mismatch");
-        if h.iter().any(|v| v.raw().abs() > self.z_limit) {
-            return false;
-        }
-        crate::kernels::gates::fused_preact_table_fx(
-            self.table_row_i64(item),
-            &self.w_h_i32,
-            h,
-            out,
-        );
-        true
     }
 
     /// Fused gate rows (`4H`).
@@ -260,7 +258,7 @@ impl LaneGatesFx {
 
     /// Vocabulary size (input-gate table rows).
     pub fn vocab(&self) -> usize {
-        self.table_i64.len() / self.rows.max(1)
+        self.table.len() / self.rows.max(1)
     }
 }
 
@@ -534,85 +532,109 @@ mod tests {
         assert_eq!(lane.vocab(), q.embedding_fx.rows());
         assert_eq!(lane.gate_table().len(), lane.vocab() * lane.rows());
         assert_eq!(lane.w_hidden().len(), lane.rows() * dims.hidden);
+        assert_eq!(lane.w_hidden_t().len(), lane.rows() * dims.hidden);
         for item in [0usize, 1, 137, 277] {
-            let row = lane.table_row_i64(item);
-            for (r, &entry) in row.iter().enumerate() {
+            for r in 0..lane.rows() {
                 let mut acc = fused.b[r].raw() as i128 * Fx6::SCALE as i128;
                 for e in 0..dims.embed {
                     acc += fused.w.get(r, dims.hidden + e).raw() as i128
                         * q.embedding_fx.get(item, e).raw() as i128;
                 }
+                // The f64 entry is that integer, exactly encoded.
+                let entry = lane.gate_table()[item * lane.rows() + r];
                 assert_eq!(entry as i128, acc, "item {item} row {r}");
-                // The f64 view is the same integer, exactly encoded.
-                assert_eq!(lane.gate_table()[item * lane.rows() + r] as i64, entry);
             }
         }
-        // W_h is the recurrent prefix of each fused row.
+        // The row kernel's copy starts a cache line, in a clone too.
+        assert_eq!(lane.w_hidden_t().as_ptr().align_offset(64), 0);
+        let copy = lane.clone();
+        assert_eq!(copy.w_hidden_t().as_ptr().align_offset(64), 0);
+        assert_eq!(copy, lane);
+        // W_h is the recurrent prefix of each fused row, in both orders.
         for r in 0..lane.rows() {
             for k in 0..dims.hidden {
-                assert_eq!(
-                    lane.w_hidden()[r * dims.hidden + k] as i64,
-                    fused.w.get(r, k).raw()
-                );
+                let raw = fused.w.get(r, k).raw();
+                assert_eq!(lane.w_hidden()[r * dims.hidden + k] as i64, raw);
+                assert_eq!(lane.w_hidden_t()[k * lane.rows() + r] as i64, raw);
             }
         }
     }
 
+    /// The table-free reference: wide `[h | e(item)]` matvec plus bias.
+    fn wide_preact(
+        fused: &FusedGates<Fx6>,
+        embedding: &Matrix<Fx6>,
+        item: usize,
+        h: &[Fx6],
+    ) -> Vec<i64> {
+        let mut z: Vec<Fx6> = h.to_vec();
+        z.extend((0..embedding.cols()).map(|e| embedding.get(item, e)));
+        let mut wide = fused.w.matvec(&Vector::from(z));
+        wide.add_assign(&fused.b);
+        wide.iter().map(|v| v.raw()).collect()
+    }
+
+    /// What the row kernel computes from a pack's transposed `W_h` and
+    /// one gate-table row.
+    fn row_preact(lane: &LaneGatesFx, item: usize, h: &[Fx6]) -> Vec<i64> {
+        let rows = lane.rows();
+        let hf: Vec<f64> = h.iter().map(|v| v.raw() as f64).collect();
+        let mut out = vec![0.0f64; rows];
+        csd_tensor::lanes::matvec_fx_rows_table(
+            lane.w_hidden_t(),
+            &hf,
+            &lane.gate_table()[item * rows..(item + 1) * rows],
+            &mut out,
+        );
+        out.iter().map(|&v| v as i64).collect()
+    }
+
     #[test]
-    fn table_matvec_is_bit_identical_to_wide_path() {
+    fn row_matvec_is_bit_identical_to_wide_path() {
         let q = weights();
         let fused = q.fused_fx();
         let dims = q.dims();
         let lane = LaneGatesFx::pack(&fused, &q.embedding_fx, dims.hidden).expect("paper packs");
-        let h: Vec<Fx6> = (0..dims.hidden)
+        // Every |h| ≤ 1, the kernel's domain, its two ends included.
+        let mut h: Vec<Fx6> = (0..dims.hidden)
             .map(|i| Fx6::from_raw((i as i64 * 137_911) % 2_000_001 - 1_000_000))
             .collect();
+        h[0] = Fx6::from_raw(Fx6::SCALE);
+        h[1] = Fx6::from_raw(-Fx6::SCALE);
         for item in [0usize, 42, 277] {
-            // Table-free reference: wide [h | e(item)] matvec plus bias.
-            let mut z: Vec<Fx6> = h.clone();
-            for e in 0..dims.embed {
-                z.push(q.embedding_fx.get(item, e));
-            }
-            let mut wide = fused.w.matvec(&Vector::from(z));
-            wide.add_assign(&fused.b);
-            let mut table = vec![Fx6::ZERO; lane.rows()];
-            assert!(lane.matvec_table_into(item, &h, &mut table));
-            assert_eq!(table, wide.as_slice(), "item {item}");
+            assert_eq!(
+                row_preact(&lane, item, &h),
+                wide_preact(&fused, &q.embedding_fx, item, &h),
+                "item {item}"
+            );
         }
     }
 
     #[test]
-    fn table_matvec_declines_out_of_range_input() {
-        let q = weights();
-        let fused = q.fused_fx();
-        let dims = q.dims();
-        let lane = LaneGatesFx::pack(&fused, &q.embedding_fx, dims.hidden).expect("paper packs");
-        let mut h = vec![Fx6::ZERO; dims.hidden];
-        h[3] = Fx6::from_raw(i64::MAX / 2);
-        let mut out = vec![Fx6::ONE; lane.rows()];
-        assert!(!lane.matvec_table_into(0, &h, &mut out));
-        assert!(
-            out.iter().all(|&v| v == Fx6::ONE),
-            "declined output untouched"
-        );
-    }
-
-    #[test]
-    fn pack_refuses_recurrent_weights_beyond_i32() {
-        // One recurrent column, one embedding column; the recurrent
-        // weight passes the 2^52 row bound but not the i32 container.
-        let fused = FusedGates {
-            w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(i64::from(i32::MAX) + 1), Fx6::ONE]),
-            b: Vector::from(vec![Fx6::ZERO]),
-        };
+    fn pack_is_decided_by_the_row_bound_alone() {
+        // One recurrent column, one embedding column. A recurrent weight
+        // past `i32` (which the deleted narrow-MAC twin refused) packs:
+        // 2^31·10^6 is well inside the 2^52 row bound, and the row
+        // kernel agrees with the wide path on it.
         let embedding = Matrix::from_flat(1, 1, vec![Fx6::ONE]);
-        assert!(LaneGatesFx::pack(&fused, &embedding, 1).is_none());
-        // The same shape one unit inside the container packs.
-        let fits = FusedGates {
-            w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(i64::from(i32::MAX)), Fx6::ONE]),
+        let shape = |w_h: i64| FusedGates {
+            w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(w_h), Fx6::ONE]),
             b: Vector::from(vec![Fx6::ZERO]),
         };
-        assert!(LaneGatesFx::pack(&fits, &embedding, 1).is_some());
+        let fused = shape(i64::from(i32::MAX) + 1);
+        let lane = LaneGatesFx::pack(&fused, &embedding, 1).expect("inside the row bound");
+        for h in [Fx6::ONE, Fx6::from_raw(-Fx6::SCALE), Fx6::from_raw(333_333)] {
+            assert_eq!(
+                row_preact(&lane, 0, &[h]),
+                wide_preact(&fused, &embedding, 0, &[h])
+            );
+        }
+        // The row bound itself: |w_h|·SCALE + 1·e (= SCALE²) + SCALE/2
+        // must stay below 2^52.
+        let rest = Fx6::SCALE * Fx6::SCALE + Fx6::SCALE / 2;
+        let edge = (EXACT_F64_INT - rest - 1) / Fx6::SCALE;
+        assert!(LaneGatesFx::pack(&shape(edge), &embedding, 1).is_some());
+        assert!(LaneGatesFx::pack(&shape(edge + 1), &embedding, 1).is_none());
     }
 
     #[test]

@@ -8,23 +8,91 @@
 //! is a deterministic function of the quantized weights, so any path
 //! divergence shows up as raw-integer inequality).
 
-use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel, LANE_MAX_STEPS};
+use csd_nn::{Activation, ModelConfig, ModelWeights, SequenceClassifier};
 use proptest::prelude::*;
 
 fn arb_sequence() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0usize..278, 1..=60)
 }
 
-fn engines(seed: u64, level: OptimizationLevel) -> [CsdInferenceEngine; 2] {
-    let model = SequenceClassifier::new(ModelConfig::paper(), seed);
-    let weights = ModelWeights::from_model(&model);
+/// The per-CU reference and the fused production engine over one model.
+fn engine_pair(
+    config: ModelConfig,
+    seed: u64,
+    level: OptimizationLevel,
+) -> [CsdInferenceEngine; 2] {
+    let weights = ModelWeights::from_model(&SequenceClassifier::new(config, seed));
     let fused = CsdInferenceEngine::new(&weights, level);
     [fused.clone().with_gate_path(GatePath::PerCu), fused]
 }
 
+fn engines(seed: u64, level: OptimizationLevel) -> [CsdInferenceEngine; 2] {
+    engine_pair(ModelConfig::paper(), seed, level)
+}
+
+fn shape(vocab: usize, embed_dim: usize, hidden: usize) -> ModelConfig {
+    ModelConfig {
+        vocab,
+        embed_dim,
+        hidden,
+        cell_activation: Activation::Softsign,
+    }
+}
+
+/// One step past the `f64`-encoded kernels' proven range the fused
+/// serial path takes the wide integer matvec: still the per-CU bits, at
+/// every level, hidden sizes on and off the register width.
+#[test]
+fn fused_serial_past_the_lane_step_bound_matches_per_cu() {
+    let seq: Vec<usize> = (0..LANE_MAX_STEPS + 1).map(|i| (i * 7 + 3) % 16).collect();
+    for hidden in [5usize, 8] {
+        for level in OptimizationLevel::ALL {
+            let [per_cu, fused] = engine_pair(shape(16, 4, hidden), 11, level);
+            assert_eq!(per_cu.classify(&seq), fused.classify(&seq), "{level}");
+            assert_eq!(
+                per_cu.final_hidden_f64(&seq),
+                fused.final_hidden_f64(&seq),
+                "{level} hidden {hidden}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Fused serial == per-CU at 0 ULP over random model *shapes* —
+    /// hidden sizes that are not a multiple of the register width
+    /// included, so the row kernel's tiles, single registers and scalar
+    /// tail all meet real weights — at every level, on a single item,
+    /// on two (the first step with a non-zero state) and on a full
+    /// window.
+    #[test]
+    fn fused_serial_zero_ulp_over_random_shapes(
+        seed in any::<u64>(),
+        hidden in 1usize..=34,
+        embed_dim in 1usize..=9,
+        vocab in 2usize..=40,
+        tokens in prop::collection::vec(any::<u64>(), 100),
+    ) {
+        let seq: Vec<usize> = tokens.iter().map(|&t| (t % vocab as u64) as usize).collect();
+        for level in OptimizationLevel::ALL {
+            let [per_cu, fused] = engine_pair(shape(vocab, embed_dim, hidden), seed, level);
+            for len in [1usize, 2, 100] {
+                prop_assert_eq!(
+                    per_cu.classify(&seq[..len]),
+                    fused.classify(&seq[..len]),
+                    "{} len {}", level, len
+                );
+                prop_assert_eq!(
+                    per_cu.final_hidden_f64(&seq[..len]),
+                    fused.final_hidden_f64(&seq[..len]),
+                    "{} len {}", level, len
+                );
+            }
+        }
+    }
 
     /// Fused == per-CU on the float levels, compared with exact f64 equality (not a tolerance).
     #[test]

@@ -33,7 +33,8 @@
 //! follow the sessions alive now, not every session ever seen.
 //!
 //! The engine contract is untouched: every window classifies through
-//! the sharded mux's lane kernels, bit-identical to offline
+//! the sharded mux — alone or in a lane block, the same kernels —
+//! bit-identical to offline
 //! [`classify`](csd_accel::CsdInferenceEngine::classify) of the same
 //! window — which is what makes live-vs-offline alert parity a testable
 //! invariant rather than a hope (see `proptest_monitor_parity`).
@@ -114,21 +115,23 @@ impl Default for SentryConfig {
     }
 }
 
-/// Most engine rounds one [`Sentry::poll`] runs: the first, then one
-/// more for as long as a window is waiting for a lane.
+/// The engine time one [`Sentry::poll`] may spend, in lane rounds.
 ///
 /// A budget, so that a backlog cannot keep the service loop away from
 /// ingest. 64 rounds are ≈ 0.5 ms at paper dimensions (a 16-lane round
-/// measures 7.3–8.0 µs, `core.shard.tick_us`) and about six times what
-/// the benchmark's `fleet-durable` workload asks of a poll on average —
-/// a 100-step window per 10 events × 16 events a poll = 10 rounds of 16
-/// lanes, 8.3 run once detonations are killed early; its traced polls
-/// average 72 µs — so that queue is served in full (detection latency
-/// p50 190 → 22 ms, the checkpoint's drain 34 → 1.0 ms) while demand
-/// above the budget still queues: `exp_chaos`'s one-lane overload cell
-/// offers about four times the budget at its 256-event cadence and
-/// still reads p99 staleness 3,507 events ungoverned (EXPERIMENTS.md
-/// "Frozen baselines" row 20).
+/// measures 7.3–8.0 µs, `core.shard.tick_us`). A window the mux
+/// classifies alone is charged `⌈len / width⌉` rounds — what a full
+/// block would have spent on it: 7 for a 100-step window on 16 lanes,
+/// 35–50 µs either way — so a poll serves about nine such windows
+/// against the 0.16 (one-window sessions) to 1.6 (a fleet of long-lived
+/// processes, a window per 10 events) that 16 events offer it, and
+/// every verdict is back at the first poll after its window's last
+/// call. On one lane the charge is the window's length, what its lane
+/// would have taken, so demand above the budget queues exactly as it
+/// did when every window went through a lane: `exp_chaos`'s one-lane
+/// overload cell offers about four times the budget at its 256-event
+/// cadence and still reads p99 staleness ≈ 3,500 events ungoverned
+/// (EXPERIMENTS.md "Frozen baselines" rows 20 and 21).
 pub const POLL_ROUNDS_MAX: usize = 64;
 
 /// Where the overload governor currently sits on the degradation
@@ -462,46 +465,49 @@ impl Sentry {
         }
     }
 
-    /// Serves the mux's queue: one engine round, then further rounds
-    /// *while an admitted window is still waiting for a lane*
-    /// ([`ShardedStreamMux::pending`] above zero), at most
-    /// [`POLL_ROUNDS_MAX`] rounds in all. Returns the incidents raised.
+    /// Serves every admitted window to its verdict
+    /// ([`ShardedStreamMux::serve_into`]) under a budget of
+    /// [`POLL_ROUNDS_MAX`] engine rounds, folds the verdicts and returns
+    /// the incidents raised.
     ///
-    /// A waiting window means every lane is busy, so each extra round
-    /// is a full block of lane-steps the engine owes anyway: occupancy
-    /// cannot fall, and a caller that offers more lane-steps per poll
-    /// than one round retires (a fleet of long-lived processes: a
-    /// 100-step window per 10 calls, ten lane-steps per event against
-    /// one per event from a 16-lane round every 16 events) gets its
-    /// verdicts when a lane can take them instead of at the next
-    /// [`drain`](Self::drain). With at most
-    /// [`width`](ShardedStreamMux::width) windows admitted nothing
-    /// waits and a poll is exactly one round. Demand above the budget
-    /// still queues, still grows [`staleness`](Self::staleness) and
-    /// still engages the overload governor.
+    /// The mux picks the cheaper way for what it holds: fewer windows
+    /// than a lane block, none in a lane, classify one by one, each
+    /// alone at about the cost of one lane of a full block; more, or a
+    /// block under way, and the block advances. Either way a window's
+    /// verdict comes back from the first `poll` after its last call
+    /// unless the budget runs out first — a caller that offers less
+    /// than the budget per poll (the service loop: 0.16 windows a poll
+    /// from one-window sessions, 1.6 from a fleet of long-lived
+    /// processes, against ≈ 9) never waits for rounds, only for the next
+    /// poll. Demand above the budget still queues, still grows
+    /// [`staleness`](Self::staleness) and still engages the overload
+    /// governor.
     ///
     /// The rule reads the mux and nothing else — no clock, no bus
     /// state — so the rounds run stay a pure function of the sequence
     /// of `ingest` and `poll` calls: two service loops that batch the
     /// bus differently end with equal [`SentryStats`].
     pub fn poll(&mut self) -> Vec<Incident> {
-        let mut raised = self.round();
-        for _ in 1..POLL_ROUNDS_MAX {
-            if self.mux.pending() == 0 {
-                break;
-            }
-            raised.extend(self.round());
-        }
-        raised
+        self.run_and_fold(|mux, verdicts| mux.serve_into(verdicts, POLL_ROUNDS_MAX))
     }
 
-    /// Runs one engine round and folds its verdicts. What
-    /// [`poll`](Self::poll) repeats, and what the overload governor and
-    /// recovery replay call on cadences of their own.
+    /// Runs one lane round and folds its verdicts: what the overload
+    /// governor and recovery replay call on cadences of their own.
     pub(crate) fn round(&mut self) -> Vec<Incident> {
+        self.run_and_fold(|mux, verdicts| {
+            mux.tick_into(verdicts);
+        })
+    }
+
+    /// Runs the mux into the reused verdict buffer and folds what came
+    /// back.
+    fn run_and_fold(
+        &mut self,
+        run: impl FnOnce(&mut ShardedStreamMux, &mut Vec<Verdict>),
+    ) -> Vec<Incident> {
         let mut buf = std::mem::take(&mut self.verdict_buf);
         buf.clear();
-        self.mux.tick_into(&mut buf);
+        run(&mut self.mux, &mut buf);
         let new = self.fold(&buf);
         self.verdict_buf = buf;
         new
@@ -511,11 +517,7 @@ impl Sentry {
     /// raised. The mux is empty afterwards, so every ended session
     /// retires.
     pub fn drain(&mut self) -> Vec<Incident> {
-        let mut buf = std::mem::take(&mut self.verdict_buf);
-        buf.clear();
-        self.mux.drain_into(&mut buf);
-        let new = self.fold(&buf);
-        self.verdict_buf = buf;
+        let new = self.run_and_fold(ShardedStreamMux::drain_into);
         while let Some(sid) = self.awaiting.pop() {
             self.retire(sid);
         }
@@ -1241,35 +1243,68 @@ mod tests {
     }
 
     #[test]
-    fn poll_runs_one_round_while_every_admitted_window_has_a_lane() {
-        let mut sentry = queued(4, 4);
-        for round in 1..=8u64 {
-            sentry.poll();
-            assert_eq!(sentry.mux.stats().ticks, round, "one round a poll");
-        }
-        assert_eq!(sentry.stats().verdicts_folded, 4, "eight steps a window");
+    fn poll_returns_a_verdict_at_the_first_poll_after_the_windows_last_call() {
+        let offline = engine();
+        let salt = (0..64)
+            .find(|&s| offline.classify(&trace(s, 8)).is_positive)
+            .expect("some window classifies positive");
+        let mut cfg = config();
+        cfg.mux.lanes = Some(4);
+        cfg.mux.shards = Some(1);
+        let mut sentry = Sentry::new(engine(), cfg);
+        let calls = trace(salt, 8);
+        feed(&mut sentry, 1, &calls[..7]);
+        assert!(sentry.poll().is_empty(), "no window yet");
+        feed(&mut sentry, 1, &calls[7..]);
+        // Not eight polls later, one lane round each: this one.
+        let raised = sentry.poll();
+        assert_eq!(raised.len(), 1);
+        assert_eq!((raised[0].pid, raised[0].alert.at_call), (1, 8));
+        assert_eq!(sentry.staleness(), 0);
     }
 
     #[test]
-    fn poll_serves_the_queue_until_nothing_waits_or_the_budget_is_spent() {
-        // Six windows on two lanes: two rounds of eight steps seat the
-        // last pair, and the poll stops there — they have their lanes.
-        let mut sentry = queued(2, 6);
+    fn poll_counts_no_lane_round_for_fewer_windows_than_lanes() {
+        let mut sentry = queued(4, 3);
         sentry.poll();
-        assert_eq!(sentry.mux.pending(), 0);
-        assert_eq!((sentry.mux.stats().ticks, sentry.mux.in_flight()), (16, 2));
+        assert_eq!(sentry.stats().verdicts_folded, 3, "each classified alone");
+        assert_eq!(sentry.mux.stats().ticks, 0);
+        assert!(sentry.mux.is_idle());
+        // A block's worth goes through the block, all of it in one poll.
+        let mut sentry = queued(4, 4);
+        sentry.poll();
+        assert_eq!(sentry.stats().verdicts_folded, 4);
+        assert_eq!(sentry.mux.stats().ticks, 8, "eight steps a window");
+    }
+
+    #[test]
+    fn poll_stops_at_its_budget_and_the_backlog_keeps_ageing() {
         // Twenty windows on one lane are 160 lane-steps: the budget
         // stops the poll, the rest still waits.
         let mut sentry = queued(1, 20);
         sentry.poll();
         assert_eq!(sentry.mux.stats().ticks, POLL_ROUNDS_MAX as u64);
+        assert_eq!(sentry.stats().verdicts_folded as usize, POLL_ROUNDS_MAX / 8);
         assert_eq!(sentry.mux.pending(), 20 - POLL_ROUNDS_MAX / 8 - 1);
+        let stale = sentry.staleness();
+        assert!(stale > 0, "the oldest window left is already behind");
+        // Unbuffered events move the clock and nothing else.
+        for t in 0..10 {
+            sentry.ingest(&ProcessEvent::exit(t, 999));
+        }
+        assert_eq!(sentry.staleness(), stale + 10);
+        // Four lanes, forty windows: the block path meets the same
+        // budget (64 rounds × 4 lanes ÷ 8 steps = 32 windows).
+        let mut sentry = queued(4, 40);
+        sentry.poll();
+        assert_eq!(sentry.mux.stats().ticks, POLL_ROUNDS_MAX as u64);
+        assert_eq!((sentry.mux.pending(), sentry.mux.in_flight()), (4, 4));
     }
 
-    /// When windows classify never changes what latches: serving the
-    /// queue raises the incidents one-round polling raises.
+    /// When windows classify never changes what latches: serving them
+    /// to the verdict raises the incidents one-round polling raises.
     #[test]
-    fn queue_serving_poll_raises_the_incidents_of_one_round_polling() {
+    fn serving_poll_raises_the_incidents_of_one_round_polling() {
         let run = |serve: fn(&mut Sentry) -> Vec<Incident>| {
             let mut cfg = config();
             cfg.mux.lanes = Some(2);
@@ -1336,10 +1371,13 @@ mod tests {
     /// poll cadence and no SLO, ingest outpaces the engine and verdict
     /// staleness grows without bound — the backlog at the end is
     /// proportional to everything ever fed. The cadence has to be
-    /// lazier than a poll's budget for that: 128 events offer the one
-    /// lane 256 lane-steps and a poll serves [`POLL_ROUNDS_MAX`] of
-    /// them (at 64 events a poll the queue-serving poll keeps up with
-    /// this feed once three of its four sessions have latched).
+    /// lazier than a poll's budget for that: 128 events complete 32
+    /// eight-step windows, 256 lane-steps, and a poll serves
+    /// [`POLL_ROUNDS_MAX`] = 64 of them, eight windows — through the
+    /// lane while a backlog stands, and a lone window the mux classifies
+    /// by itself is charged the same eight rounds (at 64 events a poll
+    /// the budget keeps up with this feed once three of its four
+    /// sessions have latched).
     #[test]
     fn fixed_poll_cadence_degenerates_staleness_without_an_slo() {
         let (sentry, worst) = overload_run(None, 4, 40, 128);

@@ -1,13 +1,25 @@
 //! Lane-batched (structure-of-arrays) kernels for the fused LSTM gate
-//! computation.
+//! computation, and the row-vectorised kernel that runs one sequence
+//! alone at the same cost.
 //!
-//! The serial inference path processes one sequence at a time: each
-//! timestep is a `4H × Z` matrix–*vector* product plus elementwise
-//! activations. These kernels instead advance `W` sequences ("lanes") in
-//! lockstep with all state stored as `rows × W` lane blocks, so the same
-//! timestep becomes a `4H × Z · Z × W` matrix–*matrix* product and the
-//! activations sweep contiguous lane rows. Memory layout: element
-//! `(row r, lane l)` lives at `buf[r * width + l]`.
+//! A fixed-point timestep is a `4H × H` recurrent product on top of a
+//! precomputed gate-table row, plus elementwise activations. There are
+//! two ways to fill a SIMD register with it, and this module has both:
+//!
+//! - **Across lanes** ([`matmul_fx_lanes_table`]): `W` sequences
+//!   ("lanes") advance in lockstep with all state stored as `rows × W`
+//!   lane blocks, so the timestep becomes a `4H × H · H × W`
+//!   matrix–*matrix* product and the activations sweep contiguous lane
+//!   rows. Memory layout: element `(row r, lane l)` lives at
+//!   `buf[r * width + l]`. A block costs the same whether one lane is
+//!   occupied or all of them.
+//! - **Across rows** ([`matvec_fx_rows_table`]): one sequence, its `4H`
+//!   gate rows spread over the registers. The gate-table row is
+//!   contiguous and `W_h` is kept transposed, so neither needs a
+//!   gather; the elementwise kernels ([`sigmoid_lut_lanes`],
+//!   [`softsign_lanes`], [`update_lanes`]) are layout-agnostic and run
+//!   unchanged at width 1. One window alone costs about what it costs as
+//!   one lane of a full block.
 //!
 //! # Bit-identity contract
 //!
@@ -26,13 +38,21 @@
 //!   round-half-away-from-zero rescale, LUT sigmoid, exact softsign —
 //!   using FMA/division sequences whose error terms are provably zero on
 //!   that domain. Callers must uphold the range bounds documented per
-//!   kernel (the engine proves them at weight-pack time).
+//!   kernel (the engine proves them at weight-pack time). Both
+//!   vectorisation axes rest on that one argument: under the pack-time
+//!   row bound every partial sum of a gate row is an exact integer
+//!   below `2^52`, so the sum is the same integer however the additions
+//!   associate — lane-tiled, row-tiled or scalar.
 //!
 //! On x86-64 with AVX-512 (F+DQ+VL) the fixed-point kernels dispatch to
-//! hand-written intrinsics (with an AVX2+FMA matmul fallback); everywhere
-//! else they fall back to scalar reference code operating on the same
-//! `f64`-encoded integers. The fallbacks produce the same bits, so the
-//! engine's output never depends on the host ISA.
+//! hand-written intrinsics (with AVX2+FMA bodies for the two matrix
+//! kernels); everywhere else they fall back to scalar reference code
+//! operating on the same `f64`-encoded integers. The tier is resolved
+//! once per process and every kernel dispatches on it. The fallbacks
+//! produce the same bits, so the engine's output never depends on the
+//! host ISA.
+
+use std::sync::OnceLock;
 
 use csd_fxp::activation::{sigmoid_lut_table, LUT_ENTRIES, LUT_RANGE};
 use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fx6};
@@ -40,33 +60,51 @@ use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fx6};
 /// The decimal scale of [`Fx6`] as an `f64` (`10^6`).
 const FSCALE: f64 = Fx6::SCALE as f64;
 
+/// The SIMD tier the fixed-point kernels dispatch on. Each tier implies
+/// the ones below it: [`Tier::Avx512`] is only resolved on a host that
+/// also reports AVX2 and FMA.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// AVX-512 F + DQ + VL (and AVX2 + FMA).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// AVX2 + FMA.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// Portable scalar code.
+    Scalar,
+}
+
+/// The host's tier, detected on first use.
+fn tier() -> Tier {
+    static TIER: OnceLock<Tier> = OnceLock::new();
+    *TIER.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("fma") {
+                if has!("avx512f") && has!("avx512dq") && has!("avx512vl") {
+                    return Tier::Avx512;
+                }
+                return Tier::Avx2;
+            }
+        }
+        Tier::Scalar
+    })
+}
+
 /// Which SIMD tier the fixed-point lane kernels dispatch to on this host.
 ///
 /// Purely informational (bench reports); the result is one of
 /// `"avx512"`, `"avx2"`, or `"scalar"` and never affects output bits.
 pub fn simd_level() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            return "avx512";
-        }
-        if avx2_fma_available() {
-            return "avx2";
-        }
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => "avx512",
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => "avx2",
+        Tier::Scalar => "scalar",
     }
-    "scalar"
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512vl")
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_fma_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
 // ---------------------------------------------------------------------------
@@ -198,29 +236,30 @@ pub fn matmul_fx_lanes_table(
     for &item in items {
         assert!(item < n_items, "item {item} outside the gate table");
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if rows.is_multiple_of(8) && width.is_multiple_of(8) && avx512_available() {
-            // SAFETY: avx512f/dq/vl presence checked at runtime just above;
-            // the shape and item-range asserts guarantee in-bounds access.
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 if rows.is_multiple_of(8) && width.is_multiple_of(8) => {
+            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+            // bits; the shape and item-range asserts guarantee in-bounds
+            // access.
             #[allow(unsafe_code)]
             unsafe {
                 x86::mm_fma_avx512_table(w, rows, hcols, zh, width, table, items, out)
             };
-            return;
         }
-        if rows.is_multiple_of(4) && width.is_multiple_of(4) && avx2_fma_available() {
-            // SAFETY: avx2/fma presence checked at runtime just above; the
-            // shape and item-range asserts guarantee in-bounds access.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 | Tier::Avx2 if rows.is_multiple_of(4) && width.is_multiple_of(4) => {
+            // SAFETY: both tiers are only resolved on a host with avx2 and
+            // fma; the shape and item-range asserts guarantee in-bounds
+            // access.
             #[allow(unsafe_code)]
             unsafe {
                 x86::mm_fma_avx2_table(w, rows, hcols, zh, width, table, items, out)
             };
             rescale_lanes(out);
-            return;
         }
+        _ => matmul_fx_table_scalar(w, rows, hcols, zh, width, table, items, out),
     }
-    matmul_fx_table_scalar(w, rows, hcols, zh, width, table, items, out);
 }
 
 /// Scalar reference for [`matmul_fx_lanes_table`], rescale included.
@@ -253,6 +292,88 @@ fn matmul_fx_table_scalar(
     }
 }
 
+/// Row-vectorised fused gate matvec for **one** sequence:
+/// `out[r] = round_half_away((table_row[r] + Σ_k w_t[k·rows + r]·h[k]) /
+/// SCALE)` — [`matmul_fx_lanes_table`] at width 1, with the SIMD axis
+/// turned from lanes to gate rows.
+///
+/// `w_t` is the recurrent half `W_h` **transposed**, `hcols × rows`
+/// row-major, so the `rows` weights that multiply `h[k]` are contiguous:
+/// per `k` the kernel broadcasts `h[k]` once and feeds one load-FMA per
+/// register of rows (16 `zmm` accumulators at the paper's `4H = 128`).
+/// `table_row` is the sequence's current gate-table row, contiguous as
+/// stored — no transpose, no gather. The rescale is fused into the
+/// store epilogue. Any alignment is correct; a `w_t` that starts on a
+/// 64-byte cache line is a third faster (every load of a register of
+/// weights otherwise straddles two lines, and the loop is one load per
+/// FMA).
+///
+/// Exact by the argument of [`matmul_fx_lanes_table`]: under the
+/// pack-time row bound (`|h[k]| ≤ SCALE`) every product and partial sum
+/// is an exact integer below `2^52`, so accumulating `k`-outer across
+/// rows gives the same integer as the reference `k`-inner `i64` sum, on
+/// every body.
+///
+/// # Panics
+///
+/// Panics when the slice lengths disagree: `rows = out.len()`,
+/// `hcols = h.len()`.
+pub fn matvec_fx_rows_table(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
+    let rows = out.len();
+    assert_eq!(
+        w_t.len(),
+        h.len() * rows,
+        "row matvec weight shape mismatch"
+    );
+    assert_eq!(table_row.len(), rows, "row matvec table row mismatch");
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+            // bits; the shape asserts guarantee in-bounds access.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::mv_rows_avx512(w_t, h, table_row, out)
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => {
+            // SAFETY: the tier is only resolved on a host with avx2 and
+            // fma; the shape asserts guarantee in-bounds access.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::mv_rows_avx2(w_t, h, table_row, out)
+            };
+            rescale_lanes(out);
+        }
+        Tier::Scalar => matvec_fx_rows_scalar(w_t, h, table_row, out),
+    }
+}
+
+/// Scalar reference for [`matvec_fx_rows_table`], rescale included.
+fn matvec_fx_rows_scalar(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
+    accumulate_rows_from(w_t, h, table_row, out, 0);
+    for acc in out.iter_mut() {
+        *acc = div_round_raw(*acc as i64, Fx6::SCALE) as f64;
+    }
+}
+
+/// The raw (unrescaled) accumulators of rows `from..` of a row matvec —
+/// the whole scalar body, and the SIMD bodies' tail past their last full
+/// register. `k`-outer over contiguous rows, so the compiler vectorises
+/// the inner loop on whatever the build target offers.
+fn accumulate_rows_from(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64], from: usize) {
+    let rows = out.len();
+    let out = &mut out[from..];
+    out.copy_from_slice(&table_row[from..]);
+    for (k, &hk) in h.iter().enumerate() {
+        let col = &w_t[k * rows + from..(k + 1) * rows];
+        for (acc, &wv) in out.iter_mut().zip(col) {
+            *acc += wv * hk;
+        }
+    }
+}
+
 /// In-place `x := round_half_away(x / SCALE)` over a block of `f64`-encoded
 /// raw integers — the `10^12 → 10^6` product correction (§III-D), exactly
 /// as `div_round_i64(x, SCALE)` computes it.
@@ -262,17 +383,21 @@ fn matmul_fx_table_scalar(
 /// sweep — the AVX-512 and scalar table kernels rescale in their store
 /// epilogue.
 fn rescale_lanes(xs: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::rescale_avx512(xs)
-        };
-        return;
-    }
-    for x in xs {
-        *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+            // bits.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::rescale_avx512(xs)
+            }
+        }
+        _ => {
+            for x in xs {
+                *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
+            }
+        }
     }
 }
 
@@ -283,17 +408,21 @@ fn rescale_lanes(xs: &mut [f64]) {
 /// Exact for `|x| ≤ 2^52` (far beyond any pre-activation the matmul bound
 /// admits).
 pub fn sigmoid_lut_lanes(xs: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::sigmoid_avx512(xs, sigmoid_lut_table())
-        };
-        return;
-    }
-    for x in xs {
-        *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+            // bits.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::sigmoid_avx512(xs, sigmoid_lut_table())
+            }
+        }
+        _ => {
+            for x in xs {
+                *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
+            }
+        }
     }
 }
 
@@ -304,17 +433,21 @@ pub fn sigmoid_lut_lanes(xs: &mut [f64]) {
 /// Exact for `|x| ≤ ~8·10^9` (`x·SCALE + den/2` must stay below `2^53`);
 /// the engine's sequence-length cap guarantees it.
 pub fn softsign_lanes(xs: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::softsign_avx512(xs)
-        };
-        return;
-    }
-    for x in xs {
-        *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+            // bits.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::softsign_avx512(xs)
+            }
+        }
+        _ => {
+            for x in xs {
+                *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
+            }
+        }
     }
 }
 
@@ -336,22 +469,26 @@ pub fn update_lanes(g: &[f64], hidden: usize, width: usize, c: &mut [f64], h: &m
     assert_eq!(g.len(), 4 * hw, "lane update gate shape mismatch");
     assert_eq!(c.len(), hw, "lane update cell shape mismatch");
     assert_eq!(h.len(), hw, "lane update hidden shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f/dq/vl presence checked at runtime just above;
-        // the shape asserts guarantee in-bounds access.
-        #[allow(unsafe_code)]
-        unsafe {
-            x86::update_avx512(g, hw, c, h)
-        };
-        return;
-    }
-    let (gi, gf, gc, go) = (&g[..hw], &g[hw..2 * hw], &g[2 * hw..3 * hw], &g[3 * hw..]);
-    for j in 0..hw {
-        let ct = fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
-        c[j] = ct as f64;
-        let ss = softsign_fx(Fx6::from_raw(ct)).raw();
-        h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+            // bits; the shape asserts guarantee in-bounds access.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::update_avx512(g, hw, c, h)
+            }
+        }
+        _ => {
+            let (gi, gf, gc, go) = (&g[..hw], &g[hw..2 * hw], &g[2 * hw..3 * hw], &g[3 * hw..]);
+            for j in 0..hw {
+                let ct =
+                    fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
+                c[j] = ct as f64;
+                let ss = softsign_fx(Fx6::from_raw(ct)).raw();
+                h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
+            }
+        }
     }
 }
 
@@ -720,6 +857,135 @@ mod x86 {
         }
     }
 
+    /// `NV` registers of eight gate rows each, starting at row `r`:
+    /// accumulators loaded from the table row, one broadcast of `h[k]`
+    /// and `NV` load-FMAs per `k`, rescale in the store epilogue.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx512f/dq/vl; `r + 8·NV <= out.len()`, `w_t.len() ==
+    /// h.len()·out.len()`, `table_row.len() == out.len()`.
+    #[inline]
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn rows_tile_avx512<const NV: usize>(
+        w_t: &[f64],
+        h: &[f64],
+        table_row: &[f64],
+        out: &mut [f64],
+        r: usize,
+    ) {
+        let rows = out.len();
+        let mut acc = [_mm512_setzero_pd(); NV];
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_loadu_pd(table_row.as_ptr().add(r + 8 * i));
+        }
+        for (k, &hk) in h.iter().enumerate() {
+            let hv = _mm512_set1_pd(hk);
+            let col = w_t.as_ptr().add(k * rows + r);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_fmadd_pd(_mm512_loadu_pd(col.add(8 * i)), hv, *a);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm512_storeu_pd(out.as_mut_ptr().add(r + 8 * i), div_round_scale_pd(*a));
+        }
+    }
+
+    /// AVX-512 row matvec: 128-row tiles of 16 accumulators (the whole
+    /// gate vector at paper dimensions — 16 independent FMA chains, so
+    /// the loop runs at FMA throughput, one 64-byte weight load per
+    /// FMA), then single registers of eight rows, then a scalar tail
+    /// for `rows % 8`. All products and sums are exact integers, so the
+    /// tile shape introduces no rounding.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx512f/dq/vl and the slice shapes asserted by the
+    /// dispatching wrapper.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub(super) unsafe fn mv_rows_avx512(
+        w_t: &[f64],
+        h: &[f64],
+        table_row: &[f64],
+        out: &mut [f64],
+    ) {
+        let rows = out.len();
+        let mut r = 0;
+        while r + 128 <= rows {
+            rows_tile_avx512::<16>(w_t, h, table_row, out, r);
+            r += 128;
+        }
+        while r + 8 <= rows {
+            rows_tile_avx512::<1>(w_t, h, table_row, out, r);
+            r += 8;
+        }
+        super::accumulate_rows_from(w_t, h, table_row, out, r);
+        for acc in &mut out[r..] {
+            *acc = super::div_round_raw(*acc as i64, Fx6::SCALE) as f64;
+        }
+    }
+
+    /// `NV` registers of four gate rows each, starting at row `r`; the
+    /// raw accumulator is stored.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2/fma; `r + 4·NV <= out.len()` and the slice shapes
+    /// of [`rows_tile_avx512`].
+    #[inline]
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn rows_tile_avx2<const NV: usize>(
+        w_t: &[f64],
+        h: &[f64],
+        table_row: &[f64],
+        out: &mut [f64],
+        r: usize,
+    ) {
+        let rows = out.len();
+        let mut acc = [_mm256_setzero_pd(); NV];
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_pd(table_row.as_ptr().add(r + 4 * i));
+        }
+        for (k, &hk) in h.iter().enumerate() {
+            let hv = _mm256_set1_pd(hk);
+            let col = w_t.as_ptr().add(k * rows + r);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_pd(_mm256_loadu_pd(col.add(4 * i)), hv, *a);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.as_mut_ptr().add(r + 4 * i), *a);
+        }
+    }
+
+    /// AVX2+FMA row matvec: 32-row tiles of 8 accumulators, single
+    /// registers of four rows, scalar tail. Leaves the raw accumulator
+    /// in `out`; the dispatching wrapper runs the rescale sweep
+    /// afterwards (as for [`mm_fma_avx2_table`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2/fma and the slice shapes asserted by the
+    /// dispatching wrapper.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn mv_rows_avx2(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
+        let rows = out.len();
+        let mut r = 0;
+        while r + 32 <= rows {
+            rows_tile_avx2::<8>(w_t, h, table_row, out, r);
+            r += 32;
+        }
+        while r + 4 <= rows {
+            rows_tile_avx2::<1>(w_t, h, table_row, out, r);
+            r += 4;
+        }
+        super::accumulate_rows_from(w_t, h, table_row, out, r);
+    }
+
     /// # Safety
     ///
     /// Requires avx512f/dq/vl.
@@ -1014,6 +1280,97 @@ mod tests {
                         "table matmul r={r} l={l} w={width}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Runs `body` (a full row matvec, rescale included) over every
+    /// shape the tiles split differently — 4: below one register;
+    /// 8, 24: single registers; 12: register plus tail; 128: the
+    /// 16-register tile; 136: tile plus register — against the `i128`
+    /// reference, with operands at the edge of the pack bound: `|h|`
+    /// up to `SCALE` and every row's worst case
+    /// `Σ|w|·SCALE + |table| + SCALE/2` within a few units of `2^52`.
+    /// Odd rows push every term the way of their table entry, so their
+    /// partial sums climb to that edge; even rows mix signs.
+    fn check_rows_body(name: &str, body: impl Fn(&[f64], &[f64], &[f64], &mut [f64])) {
+        const BOUND: i64 = (1 << 52) - 1 - Fx6::SCALE / 2;
+        let encode = |v: &[i64]| v.iter().map(|&x| x as f64).collect::<Vec<f64>>();
+        for rows in [4usize, 8, 12, 24, 128, 136] {
+            for hcols in [1usize, 8, 32] {
+                let hi: Vec<i64> = (0..hcols)
+                    .map(|k| match k % 4 {
+                        0 => Fx6::SCALE,
+                        1 => -Fx6::SCALE,
+                        _ => (k as i64 * 40_503) % 2_000_001 - 1_000_000,
+                    })
+                    .collect();
+                let ti: Vec<i64> = (0..rows)
+                    .map(|r| (BOUND / 3 + r as i64 * 7_919) * if r % 4 < 2 { 1 } else { -1 })
+                    .collect();
+                // `hcols × rows` row-major: the transposed layout.
+                let mut wi = vec![0i64; hcols * rows];
+                for r in 0..rows {
+                    let each = (BOUND - ti[r].abs()) / (hcols as i64 * Fx6::SCALE);
+                    for k in 0..hcols {
+                        let sign = if r % 2 == 1 {
+                            ti[r].signum() * hi[k].signum()
+                        } else if (r + k) % 3 == 0 {
+                            1
+                        } else {
+                            -1
+                        };
+                        wi[k * rows + r] = sign * (each - (k as i64 * 31) % 1000);
+                    }
+                }
+                let mut out = vec![0.0f64; rows];
+                body(&encode(&wi), &encode(&hi), &encode(&ti), &mut out);
+                for r in 0..rows {
+                    let col = |k: usize| wi[k * rows + r] as i128;
+                    let worst = (0..hcols).map(|k| col(k).abs()).sum::<i128>() * Fx6::SCALE as i128
+                        + ti[r].abs() as i128;
+                    assert!(worst <= BOUND as i128, "operands outside the pack bound");
+                    let acc =
+                        ti[r] as i128 + (0..hcols).map(|k| col(k) * hi[k] as i128).sum::<i128>();
+                    if r % 2 == 1 {
+                        assert!(acc.abs() > (BOUND / 2) as i128, "edge not reached: {acc}");
+                    }
+                    assert_eq!(
+                        out[r] as i64,
+                        div_round_i64(acc as i64, Fx6::SCALE),
+                        "{name} rows={rows} hcols={hcols} r={r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fx_rows_matvec_matches_integer_reference_on_every_body() {
+        check_rows_body("dispatch", matvec_fx_rows_table);
+        check_rows_body("scalar", matvec_fx_rows_scalar);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if tier() != Tier::Scalar {
+                check_rows_body("avx2", |w_t, h, table_row, out| {
+                    // SAFETY: the tier says the host has avx2 and fma;
+                    // `check_rows_body` sizes every slice from `rows`.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        x86::mv_rows_avx2(w_t, h, table_row, out)
+                    };
+                    rescale_lanes(out);
+                });
+            }
+            if tier() == Tier::Avx512 {
+                check_rows_body("avx512", |w_t, h, table_row, out| {
+                    // SAFETY: the tier says the host has avx512f/dq/vl;
+                    // `check_rows_body` sizes every slice from `rows`.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        x86::mv_rows_avx512(w_t, h, table_row, out)
+                    };
+                });
             }
         }
     }
