@@ -41,10 +41,18 @@
 //! the tracked count runs more than [`TRACKED_SLACK`] ahead of the live
 //! one — ended sessions must retire once their verdicts are in — and
 //! every cell must end tracking only the sessions still alive.
+//!
+//! And every cell reports what its respawns read: journal bytes scanned
+//! and incidents reached by their back-links, summed over the reopens,
+//! beside the events replayed and incidents adopted. A kill cell fails
+//! if a reopen that had a checkpoint did not start at its anchor, or
+//! read more than the bytes appended since that checkpoint plus
+//! [`HOP_BYTES`] per chained incident and one record: a respawn costs
+//! what the checkpoint interval holds, not what the journal does.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
@@ -54,6 +62,7 @@ use csd_ransomware::dataset::{Dataset, DatasetBuilder};
 use csd_ransomware::replay::{interleave, EventTrace, ReplayProfile};
 use csd_sentry::{
     ActionKind, DurableConfig, DurableSentry, OverloadLevel, ProcessEvent, Sentry, SentryConfig,
+    SentrySnapshot, SNAPSHOT_MAGIC,
 };
 use serde::Serialize;
 
@@ -73,6 +82,11 @@ const SYNC_EVERY: usize = 1024;
 /// Overload cells are exempt — their backlog is the experiment.
 const TRACKED_SLACK: u64 = 128;
 
+/// What a reopen may read per incident it reaches by a back-link (one
+/// positional read), and the slack for the one record it reads back at
+/// the checkpoint's anchor.
+const HOP_BYTES: u64 = 512;
+
 #[derive(Serialize)]
 struct CellReport {
     name: String,
@@ -91,6 +105,11 @@ struct CellReport {
     replayed_events: u64,
     /// Incidents re-adopted from the journal across all recoveries.
     adopted_incidents: u64,
+    /// Journal bytes read across all recoveries.
+    journal_bytes_scanned: u64,
+    /// Of the adopted incidents, those reached by back-links from a
+    /// checkpoint's anchor rather than by scanning.
+    chained_incidents: u64,
     staleness_p50: u64,
     staleness_p99: u64,
     staleness_max: u64,
@@ -195,6 +214,15 @@ fn oracle_keys(trace: &EventTrace, config: &SentryConfig) -> Vec<(u32, usize, St
     keys
 }
 
+/// The journal offset the checkpoint in `dir` is anchored at, if there
+/// is a checkpoint.
+fn anchor_offset(dir: &Path) -> Option<u64> {
+    let bytes = fs::read(dir.join("checkpoint.snap")).ok()?;
+    let body = std::str::from_utf8(bytes.get(SNAPSHOT_MAGIC.len() + 4..)?).ok()?;
+    let snap: SentrySnapshot = serde_json::from_str(body).ok()?;
+    Some(snap.journal.offset)
+}
+
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("csd-exp-chaos-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&d);
@@ -247,6 +275,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     let mut kills_done = 0u64;
     let mut replayed_events = 0u64;
     let mut adopted_incidents = 0u64;
+    let (mut journal_bytes_scanned, mut chained_incidents) = (0u64, 0u64);
     let mut since_poll = 0usize;
     let mut max_rung = OverloadLevel::Normal;
     let (mut live_sessions_peak, mut tracked_sessions_peak) = (0u64, 0u64);
@@ -289,10 +318,32 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
                     checkpoints += d.checkpoints_written();
                     // Torn tails of varying lengths across kills.
                     d.simulate_crash((kills_done as usize * 13) % 40);
+                    let journal_len = fs::metadata(dir.join("journal.log")).map_or(0, |m| m.len());
+                    let anchored_at = anchor_offset(&dir);
                     d = DurableSentry::open(engine(), config.clone(), durable.clone())
                         .expect("reopen after crash");
-                    replayed_events += d.recovery().replayed_events;
-                    adopted_incidents += d.recovery().adopted_incidents;
+                    let recovery = d.recovery();
+                    replayed_events += recovery.replayed_events;
+                    adopted_incidents += recovery.adopted_incidents;
+                    journal_bytes_scanned += recovery.journal_bytes_scanned;
+                    chained_incidents += recovery.chained_incidents;
+                    if let Some(offset) = anchored_at {
+                        assert_eq!(
+                            recovery.full_scan, None,
+                            "cell {}: a checkpoint this run wrote was not used",
+                            cell.name
+                        );
+                        let bound = (journal_len - offset)
+                            + HOP_BYTES * recovery.chained_incidents
+                            + HOP_BYTES;
+                        assert!(
+                            recovery.journal_bytes_scanned <= bound,
+                            "cell {}: a respawn read {} bytes of a {journal_len}-byte journal \
+                             checkpointed at {offset}: {recovery:?}",
+                            cell.name,
+                            recovery.journal_bytes_scanned
+                        );
+                    }
                     let durable_n = d.durable_events() as usize;
                     assert!(
                         durable_n <= exec_log.len(),
@@ -375,6 +426,8 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
         duplicate_incidents,
         replayed_events,
         adopted_incidents,
+        journal_bytes_scanned,
+        chained_incidents,
         staleness_p50: percentile(&staleness_samples, 0.50),
         staleness_p99: percentile(&staleness_samples, 0.99),
         staleness_max: staleness_samples.last().copied().unwrap_or(0),
@@ -502,6 +555,8 @@ fn main() {
         let r = run_cell(cell, &trace, &parity_expect);
         println!(
             "  {:<26} shards={} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} \
+             replayed_events={} adopted_incidents={} journal_bytes_scanned={} \
+             chained_incidents={} \
              tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} journal_syncs={} \
              checkpoints={} ({:.0} ms)",
             r.name,
@@ -513,6 +568,10 @@ fn main() {
             r.oracle_incidents,
             r.lost_incidents,
             r.duplicate_incidents,
+            r.replayed_events,
+            r.adopted_incidents,
+            r.journal_bytes_scanned,
+            r.chained_incidents,
             r.tracked_sessions_peak,
             r.live_sessions_peak,
             r.checkpoint_bytes_last,

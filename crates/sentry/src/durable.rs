@@ -19,6 +19,52 @@
 //!    and the journal's event records from the checkpoint's event
 //!    index onward are re-ingested through the ordinary path.
 //!
+//! # What `open` reads
+//!
+//! A checkpoint bounds recovery time only if `open` does not read the
+//! journal from its first byte to find the records past it. So a
+//! checkpoint carries an **anchor** — where the journal sync it makes
+//! left `journal.log`: the synced length, the offset of the last
+//! record before it, how many incident records lie before it and
+//! where the newest of them is ([`JournalAnchor`](crate::journal::JournalAnchor),
+//! four numbers read off the sync `checkpoint()` makes anyway) — and
+//! `open` starts there:
+//!
+//! - it reads the checkpoint first;
+//! - it checks the anchor against the file before trusting it: the
+//!   file is at least that long, and the record the anchor says ends
+//!   at its offset is there, length and CRC;
+//! - it fetches the incidents before the anchor by their back-links —
+//!   every incident record names the offset of the one before it, so
+//!   they are reached newest to oldest with one read and one CRC check
+//!   each, and adopted oldest first;
+//! - it scans, and if torn truncates, only the bytes past the anchor,
+//!   with the scan and the truncation rule of the full open, and
+//!   replays the events found there.
+//!
+//! Event records before the anchor are not read; they are what the
+//! checkpoint stands for. Incidents are not in the checkpoint — the
+//! journal stays their system of record, and a checkpoint that copied
+//! them would grow with history again — so what `open` costs is the
+//! checkpoint interval plus one small read per incident ever raised,
+//! which is what [`Sentry::incidents`] holds in memory anyway.
+//!
+//! The anchor is an optimisation, never information. A checkpoint still
+//! holds nothing the journal lacks: delete it and `open` reaches the
+//! same incidents, cursors and counters by scanning and replaying the
+//! whole journal ([`Journal::open`], untouched) — the property
+//! `tests/proptest_crash.rs` checks at every crash it generates. That
+//! full scan is what `open` falls back to, and says so in
+//! [`RecoveryReport::full_scan`], whenever there is no anchor to use:
+//! no checkpoint, a checkpoint that cannot be read or validated, one
+//! written before anchors existed (restored all the same), or one
+//! whose anchor the journal refuses — a shorter file, no record
+//! boundary where it says, a chain that does not lead through exactly
+//! the incident records it counts. A refused anchor takes its
+//! checkpoint down with it (they are not of one history) and never
+//! cuts a byte of the journal: a wrong, stale or hostile anchor costs a
+//! full scan, not data.
+//!
 //! # Why the recovered incident set is exact
 //!
 //! Replay determinism rests on two properties. First, session ids are
@@ -81,7 +127,7 @@
 
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -89,7 +135,7 @@ use serde::Serialize;
 
 use crate::actions::Incident;
 use crate::event::ProcessEvent;
-use crate::journal::{crc32, Journal, JournalConfig, JournalError};
+use crate::journal::{crc32, AnchorRefused, Journal, JournalConfig, JournalError};
 use crate::service::{Sentry, SentryConfig};
 use crate::snapshot::{SentrySnapshot, SNAPSHOT_VERSION};
 use csd_accel::CsdInferenceEngine;
@@ -147,6 +193,27 @@ impl DurableConfig {
     }
 }
 
+/// Why [`DurableSentry::open`] scanned the whole journal — the one
+/// path whose cost grows with everything ever journaled — instead of
+/// starting at a checkpoint's anchor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum FullScan {
+    /// There is no checkpoint file: a first start, or checkpoints are
+    /// switched off.
+    NoCheckpoint,
+    /// The checkpoint file could not be read or failed validation (bad
+    /// magic, CRC or version), or it claims more events than the
+    /// journal holds. Discarded.
+    CheckpointInvalid,
+    /// The checkpoint is valid but carries no anchor (it was written
+    /// before checkpoints had one). Restored; only the journal's event
+    /// records past it are replayed, but all of them were read.
+    Unanchored,
+    /// The checkpoint's anchor does not describe this journal, so the
+    /// checkpoint is taken to belong to another history. Discarded.
+    AnchorRefused(AnchorRefused),
+}
+
 /// What [`DurableSentry::open`] found and did.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RecoveryReport {
@@ -165,10 +232,22 @@ pub struct RecoveryReport {
     pub replay_incidents: u64,
     /// Torn journal bytes truncated on open.
     pub journal_bytes_truncated: u64,
-    /// A checkpoint file existed but failed validation (bad magic,
-    /// CRC, version, or it post-dated the journal) and was ignored —
-    /// recovery fell back to full journal replay.
+    /// A checkpoint file existed but was not used: it could not be
+    /// read, failed validation (bad magic, CRC, version), post-dated
+    /// the journal, or its anchor did not describe the journal —
+    /// recovery fell back to full journal replay. `full_scan` says
+    /// which.
     pub checkpoint_discarded: bool,
+    /// Why the whole journal was scanned; `None` when `open` started at
+    /// the checkpoint's anchor.
+    pub full_scan: Option<FullScan>,
+    /// Journal bytes `open` read: the file's length on a full scan; from
+    /// an anchor, the magic, the record ending at the anchor, one read
+    /// per chained incident and the bytes past the anchor.
+    pub journal_bytes_scanned: u64,
+    /// Of the adopted incidents, those reached by the back-links from
+    /// the anchor instead of by scanning (0 on a full scan).
+    pub chained_incidents: u64,
 }
 
 /// A [`Sentry`] wrapped with the journal + checkpoint + replay
@@ -197,36 +276,62 @@ pub struct DurableSentry {
 
 impl DurableSentry {
     /// Opens the durable sentry under `durable.dir`, recovering
-    /// whatever a previous incarnation left behind: journal torn-tail
-    /// truncation, checkpoint restore (or fallback to full replay if
-    /// the checkpoint is missing or invalid), incident re-adoption,
-    /// and event replay. `config` must be the config the previous
-    /// incarnation ran under — it travels with the deployment, not the
-    /// state files.
+    /// whatever a previous incarnation left behind: checkpoint restore,
+    /// the journal opened at the checkpoint's anchor (or scanned whole
+    /// and replayed from its first event if the checkpoint is missing,
+    /// invalid or does not fit the journal —
+    /// [`RecoveryReport::full_scan`] says which), torn-tail truncation,
+    /// incident re-adoption, and event replay. `config` must be the
+    /// config the previous incarnation ran under — it travels with the
+    /// deployment, not the state files.
     pub fn open(
         engine: CsdInferenceEngine,
         config: SentryConfig,
         durable: DurableConfig,
     ) -> Result<Self, JournalError> {
         fs::create_dir_all(&durable.dir)?;
-        let (mut journal, recovered) =
-            Journal::open(&durable.dir.join("journal.log"), durable.journal)?;
+        let journal_path = durable.dir.join("journal.log");
         let checkpoint_path = durable.dir.join("checkpoint.snap");
+
+        // The checkpoint first: its anchor says where in the journal to
+        // start. An anchor the journal refuses takes its checkpoint
+        // down with it — they are not of one history.
+        let (anchored, mut snapshot, mut full_scan) = match read_checkpoint(&checkpoint_path) {
+            CheckpointRead::Valid(snap) if snap.journal.offset != 0 => {
+                match Journal::open_at(&journal_path, durable.journal, &snap.journal, snap.events)?
+                {
+                    Ok(opened) => (Some(opened), Some(snap), None),
+                    Err(refused) => (None, None, Some(FullScan::AnchorRefused(refused))),
+                }
+            }
+            CheckpointRead::Valid(snap) => (None, Some(snap), Some(FullScan::Unanchored)),
+            CheckpointRead::Absent => (None, None, Some(FullScan::NoCheckpoint)),
+            CheckpointRead::Invalid => (None, None, Some(FullScan::CheckpointInvalid)),
+        };
+        let (mut journal, recovered) = match anchored {
+            Some(opened) => opened,
+            None => Journal::open(&journal_path, durable.journal)?,
+        };
+        // Without an anchor to vouch for it, a checkpoint that claims
+        // more events than the journal holds must have been written by
+        // a future the torn journal no longer remembers: the journal
+        // wins, replay it all.
+        if snapshot
+            .as_ref()
+            .is_some_and(|snap| snap.events > journal.durable_events())
+        {
+            (snapshot, full_scan) = (None, Some(FullScan::CheckpointInvalid));
+        }
         let mut report = RecoveryReport {
             journal_bytes_truncated: recovered.bytes_truncated,
+            journal_bytes_scanned: recovered.bytes_scanned,
+            chained_incidents: recovered.chained_incidents,
+            checkpoint_discarded: matches!(
+                full_scan,
+                Some(FullScan::CheckpointInvalid | FullScan::AnchorRefused(_))
+            ),
+            full_scan,
             ..RecoveryReport::default()
-        };
-
-        let snapshot = match read_checkpoint(&checkpoint_path) {
-            CheckpointRead::Valid(snap) if snap.events <= journal.durable_events() => Some(snap),
-            CheckpointRead::Absent => None,
-            // Invalid, or claims more events than the journal holds
-            // (it must have been written by a future the torn journal
-            // no longer remembers): the journal wins, replay it all.
-            _ => {
-                report.checkpoint_discarded = true;
-                None
-            }
         };
 
         let mut inner = match &snapshot {
@@ -237,13 +342,13 @@ impl DurableSentry {
             None => Sentry::new(engine, config),
         };
 
-        // Adopt incidents first: their streams latch, so replay cannot
-        // raise them again or re-dispatch their actions.
+        // Adopt incidents first, oldest first: their streams latch, so
+        // replay cannot raise them again or re-dispatch their actions.
         let mut adopted: HashSet<u64> = HashSet::new();
-        for incident in recovered.incidents() {
+        for incident in recovered.incidents {
             if adopted.insert(incident.sid) {
                 report.adopted_incidents += 1;
-                inner.adopt_incident(incident.clone());
+                inner.adopt_incident(incident);
             } else {
                 report.duplicate_incidents += 1;
             }
@@ -252,12 +357,18 @@ impl DurableSentry {
         // Replay events past the checkpoint through the ordinary
         // ingest path; incidents raised here had not latched before
         // the crash, so they are journaled now like any fresh one.
+        // From an anchor the scan returned nothing older than the
+        // checkpoint; a full scan returned every event there is.
         // The overload governor is off during replay: replay pressure
         // is an artifact of recovery speed, not of live ingest load,
         // and shedding here would diverge from the uninterrupted run.
+        let covered = match full_scan {
+            Some(_) => report.checkpoint_events as usize,
+            None => 0,
+        };
         inner.set_governing(false);
         let mut pending_raise: Vec<Incident> = Vec::new();
-        for event in recovered.events().skip(report.checkpoint_events as usize) {
+        for event in recovered.events.iter().skip(covered) {
             pending_raise.extend(inner.ingest(event));
             report.replayed_events += 1;
             if report.replayed_events.is_multiple_of(REPLAY_POLL_EVERY) {
@@ -358,10 +469,12 @@ impl DurableSentry {
     }
 
     /// Takes a quiescent checkpoint now: drain, journal sync, atomic
-    /// snapshot write. A sync point like [`drain`](Self::drain):
-    /// returns the incidents the drain raised and everything held.
-    /// Bounds the next recovery's replay to events ingested after this
-    /// call.
+    /// snapshot write — the snapshot anchored at where that sync left
+    /// the journal. A sync point like [`drain`](Self::drain): returns
+    /// the incidents the drain raised and everything held. Bounds the
+    /// next recovery's replay to events ingested after this call, and
+    /// what it reads of the journal to the bytes appended after it plus
+    /// the incidents' own records.
     pub fn checkpoint(&mut self) -> Result<Vec<Incident>, JournalError> {
         let durable = self.drain()?;
         self.journal.sync()?;
@@ -370,7 +483,10 @@ impl DurableSentry {
             self.inner.events(),
             "journal and sentry must agree on the event count at a sync point"
         );
-        let snap = self.inner.snapshot();
+        let snap = SentrySnapshot {
+            journal: self.journal.anchor(),
+            ..self.inner.snapshot()
+        };
         write_checkpoint(&self.checkpoint_path, &snap, &mut self.checkpoint_buf)?;
         self.checkpoints_written += 1;
         self.since_checkpoint = 0;
@@ -425,8 +541,13 @@ enum CheckpointRead {
 }
 
 fn read_checkpoint(path: &Path) -> CheckpointRead {
-    let Ok(bytes) = fs::read(path) else {
-        return CheckpointRead::Absent;
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return CheckpointRead::Absent,
+        // There is a checkpoint and it cannot be read (permissions, a
+        // failing disk): that is a discarded checkpoint, reported, not
+        // a first start.
+        Err(_) => return CheckpointRead::Invalid,
     };
     let magic_len = SNAPSHOT_MAGIC.len();
     if bytes.len() < magic_len + 4 || &bytes[..magic_len] != SNAPSHOT_MAGIC {
@@ -496,6 +617,7 @@ fn write_checkpoint(
 mod tests {
     use super::*;
     use crate::actions::ActionKind;
+    use crate::journal::JournalAnchor;
     use csd_accel::OptimizationLevel;
     use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 
@@ -785,6 +907,156 @@ mod tests {
         assert!(d.recovery().checkpoint_discarded);
         assert_eq!(d.recovery().checkpoint_events, 0);
         assert_eq!(keys(d.sentry()), expect, "journal-only recovery is exact");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An anchor that does not hold — stale, of another history, or
+    /// simply wrong — costs a full scan and its checkpoint, never data:
+    /// the journal is not cut by a byte, every incident is adopted from
+    /// it, and the report says why. A checkpoint without an anchor is
+    /// still restored, by a full scan.
+    #[test]
+    fn an_anchor_that_does_not_hold_costs_a_full_scan_not_data() {
+        use AnchorRefused::{BoundaryMismatch, BrokenLink, JournalShort};
+        let dir = tmpdir("bad-anchor");
+        let events = workload(4, 30);
+        let expect = oracle(&events);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 40;
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        feed(&mut d, &events);
+        d.drain().unwrap();
+        drop(d); // clean shutdown: nothing torn, nothing left to raise
+        let journal = fs::read(dir.join("journal.log")).unwrap();
+        let ckpt = dir.join("checkpoint.snap");
+        let CheckpointRead::Valid(good) = read_checkpoint(&ckpt) else {
+            panic!("the run left a checkpoint");
+        };
+        assert!(good.journal.incidents > 0 && good.journal.offset < journal.len() as u64);
+
+        // Another history's checkpoint: same workload shape, other names.
+        let other_dir = tmpdir("bad-anchor-other");
+        let mut other_durable = DurableConfig::new(&other_dir);
+        other_durable.checkpoint_every_events = 40;
+        let mut other = DurableSentry::open(engine(), config(), other_durable).unwrap();
+        for e in &events {
+            let mut e = e.clone();
+            if let crate::event::EventKind::Spawn(name) = &mut e.kind {
+                name.push_str("-elsewhere");
+            }
+            other.ingest(&e).unwrap();
+        }
+        drop(other);
+        let CheckpointRead::Valid(foreign) = read_checkpoint(&other_dir.join("checkpoint.snap"))
+        else {
+            panic!("the other run left a checkpoint");
+        };
+
+        let anchored = |lie: &dyn Fn(&mut JournalAnchor)| {
+            let mut snap = (*good).clone();
+            lie(&mut snap.journal);
+            snap
+        };
+        let a = good.journal;
+        let cases = [
+            (
+                anchored(&|j| j.offset = journal.len() as u64 + 1),
+                JournalShort,
+            ),
+            (anchored(&|j| j.offset += 3), BoundaryMismatch),
+            (anchored(&|j| j.last_record -= 1), BoundaryMismatch),
+            (anchored(&|j| j.incidents += 1), BrokenLink),
+            (anchored(&|j| j.incidents -= 1), BrokenLink),
+            (anchored(&|j| j.last_incident = 0), BrokenLink),
+            ((*foreign).clone(), BoundaryMismatch),
+        ];
+        let mut buf = Vec::new();
+        for (snap, why) in &cases {
+            write_checkpoint(&ckpt, snap, &mut buf).unwrap();
+            let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+            let report = d.recovery();
+            assert_eq!(report.full_scan, Some(FullScan::AnchorRefused(*why)));
+            assert!(report.checkpoint_discarded);
+            assert_eq!(report.checkpoint_events, 0);
+            assert_eq!(report.replayed_events, events.len() as u64);
+            assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
+            assert_eq!(report.journal_bytes_truncated, 0);
+            assert_eq!(keys(d.sentry()), expect, "{why:?}");
+            drop(d);
+            assert_eq!(
+                fs::read(dir.join("journal.log")).unwrap(),
+                journal,
+                "{why:?}"
+            );
+        }
+
+        // No anchor at all (a checkpoint from before there was one):
+        // restored, after a full scan.
+        write_checkpoint(
+            &ckpt,
+            &anchored(&|j| *j = JournalAnchor::default()),
+            &mut buf,
+        )
+        .unwrap();
+        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        let report = d.recovery();
+        assert_eq!(report.full_scan, Some(FullScan::Unanchored));
+        assert!(!report.checkpoint_discarded);
+        assert_eq!(report.checkpoint_events, good.events);
+        assert_eq!(report.replayed_events, events.len() as u64 - good.events);
+        assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
+        assert_eq!(keys(d.sentry()), expect);
+        drop(d);
+
+        // And the anchor as it was written: the same place, by reading
+        // the tail and the incidents' records only.
+        write_checkpoint(&ckpt, &good, &mut buf).unwrap();
+        let d = DurableSentry::open(engine(), config(), durable).unwrap();
+        let report = d.recovery();
+        assert_eq!(report.full_scan, None);
+        assert_eq!(report.chained_incidents, a.incidents);
+        assert_eq!(report.replayed_events, events.len() as u64 - good.events);
+        assert!(report.journal_bytes_scanned < journal.len() as u64);
+        assert_eq!(keys(d.sentry()), expect);
+        drop(d);
+        assert_eq!(fs::read(dir.join("journal.log")).unwrap(), journal);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&other_dir);
+    }
+
+    /// A checkpoint that is there and cannot be read is a discarded
+    /// checkpoint, reported — not a first start.
+    #[test]
+    fn an_unreadable_checkpoint_is_discarded_not_absent() {
+        let dir = tmpdir("unreadable-ckpt");
+        let events = workload(4, 30);
+        let expect = oracle(&events);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 40;
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        feed(&mut d, &events);
+        d.drain().unwrap();
+        drop(d);
+        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        assert_eq!(d.recovery().full_scan, None, "readable: used");
+        drop(d);
+
+        // A directory where the file should be: `read` fails, and not
+        // with `NotFound`.
+        let ckpt = dir.join("checkpoint.snap");
+        fs::remove_file(&ckpt).unwrap();
+        fs::create_dir(&ckpt).unwrap();
+        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        assert_eq!(d.recovery().full_scan, Some(FullScan::CheckpointInvalid));
+        assert!(d.recovery().checkpoint_discarded);
+        assert_eq!(keys(d.sentry()), expect, "the journal alone is enough");
+        drop(d);
+
+        // No file: a first start, nothing discarded.
+        fs::remove_dir(&ckpt).unwrap();
+        let d = DurableSentry::open(engine(), config(), durable).unwrap();
+        assert_eq!(d.recovery().full_scan, Some(FullScan::NoCheckpoint));
+        assert!(!d.recovery().checkpoint_discarded);
         let _ = fs::remove_dir_all(&dir);
     }
 

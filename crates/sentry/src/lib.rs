@@ -78,11 +78,12 @@ pub use actions::{ActionKind, ActionOutcome, ActionTaken, Incident};
 pub use bus::{
     EventBus, EventProducer, FrameHook, SocketClient, SocketServer, DEFAULT_BUS_CAPACITY,
 };
-pub use durable::{DurableConfig, DurableSentry, RecoveryReport, SNAPSHOT_MAGIC};
+pub use durable::{DurableConfig, DurableSentry, FullScan, RecoveryReport, SNAPSHOT_MAGIC};
 pub use event::{read_frame, write_frame, EventKind, ProcessEvent, WireError, MAX_FRAME_LEN};
 pub use histogram::LatencyHistogram;
 pub use journal::{
-    Journal, JournalConfig, JournalError, JournalRecord, JournalRecovery, JOURNAL_MAGIC,
+    AnchorRefused, Journal, JournalAnchor, JournalConfig, JournalError, JournalRecovery,
+    JOURNAL_MAGIC,
 };
 pub use quarantine::{FsSandboxBackend, QuarantineBackend, SimBackend};
 pub use service::{OverloadLevel, Sentry, SentryConfig, SentryStats, ShedRecord};

@@ -50,6 +50,7 @@ use serde::{Deserialize, Serialize};
 use crate::actions::{ActionKind, ActionOutcome, ActionTaken, Incident};
 use crate::event::ProcessEvent;
 use crate::histogram::LatencyHistogram;
+use crate::journal::JournalAnchor;
 use crate::quarantine::{QuarantineBackend, SimBackend};
 use crate::session::{Applied, SessionTable};
 use crate::snapshot::{SentrySnapshot, StreamSnap, SNAPSHOT_VERSION};
@@ -820,6 +821,8 @@ impl Sentry {
             last_t_us,
             dup_events: self.dup_events,
             shed_log: self.shed_log.clone(),
+            // The durable layer's to set: it has the journal.
+            journal: JournalAnchor::default(),
         }
     }
 

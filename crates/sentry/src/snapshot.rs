@@ -23,10 +23,16 @@
 //! Incidents are not in the snapshot either: the journal is their
 //! system of record (every latched incident is an fsync'd journal
 //! record before `poll` returns it), and [`durable`](crate::durable)
-//! re-adopts them from there on open.
+//! re-adopts them from there on open. What a *checkpoint* does carry
+//! about the journal is four numbers saying where its sync left the
+//! file ([`SentrySnapshot::journal`]): a place to start reading, which
+//! `open` checks against the file before using, not a copy of anything
+//! in it — so the checkpoint stays the size of the live sessions however
+//! many incidents precede it.
 
 use serde::{Deserialize, Serialize};
 
+use crate::journal::JournalAnchor;
 use crate::service::ShedRecord;
 
 /// Snapshot format version; bumped on incompatible layout changes.
@@ -151,4 +157,15 @@ pub struct SentrySnapshot {
     /// Sessions shed by the overload governor, in shed order.
     #[serde(default)]
     pub shed_log: Vec<ShedRecord>,
+    /// Where the checkpoint's journal sync left `journal.log`: the
+    /// place [`DurableSentry::open`](crate::DurableSentry::open) starts
+    /// reading from, once it has checked it against the file.
+    /// [`DurableSentry::checkpoint`](crate::DurableSentry::checkpoint)
+    /// fills it in from the journal it has just synced;
+    /// [`Sentry::snapshot`](crate::Sentry::snapshot), which knows no
+    /// journal, leaves it zeroed, and so does a checkpoint written
+    /// before it existed — offset 0 means "no anchor: scan the whole
+    /// journal".
+    #[serde(default)]
+    pub journal: JournalAnchor,
 }

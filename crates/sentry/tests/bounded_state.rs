@@ -4,14 +4,18 @@
 //! exits, and another takes its slot — is run for 50 and for 5 000
 //! processes. What the sentry tracks along the way, and what a
 //! checkpoint taken with the last processes still running weighs, must
-//! not depend on which of the two it was.
+//! not depend on which of the two it was. Nor may what a reopen reads
+//! of the journal: the bytes past the checkpoint and one record per
+//! incident, however long the file has grown in front of them.
 
 use std::fs;
 use std::path::PathBuf;
 
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
-use csd_sentry::{DurableConfig, DurableSentry, ProcessEvent, Sentry, SentryConfig};
+use csd_sentry::{
+    DurableConfig, DurableSentry, ProcessEvent, RecoveryReport, Sentry, SentryConfig,
+};
 
 const VOCAB: usize = 16;
 /// Processes alive at once.
@@ -230,5 +234,159 @@ fn durable_sentry_state_and_checkpoint_do_not_grow_with_sessions_seen() {
     assert_bounded(
         &run_durable(&churn(50), "small"),
         &run_durable(&churn(5_000), "large"),
+    );
+}
+
+/// `n` processes one after the other, each gone after five calls: too
+/// few to fill a window, so a history that raises nothing.
+fn quiet(n: usize) -> Vec<ProcessEvent> {
+    let mut events = Vec::with_capacity(n * 7);
+    for k in 0..n {
+        let pid = 5000 + (k % 7) as u32;
+        events.push(ProcessEvent::spawn(0, pid, "quiet.exe"));
+        events.extend((0..5).map(|i| ProcessEvent::api(0, pid, (i + k) % VOCAB)));
+        events.push(ProcessEvent::exit(0, pid));
+    }
+    events
+}
+
+/// What reopening a crashed run found and read.
+struct Reopened {
+    report: RecoveryReport,
+    /// `journal.log` at the crash, and how much of it lies past the
+    /// checkpoint.
+    journal_bytes: u64,
+    tail_bytes: u64,
+    checkpoint_bytes: u64,
+}
+
+/// `events` through a durable sentry on the service cadence, a
+/// checkpoint, [`TAIL`] more calls, a crash that keeps every byte of
+/// them, and the reopen.
+fn crash_and_reopen(config: SentryConfig, events: &[ProcessEvent], tag: &str) -> Reopened {
+    /// Calls ingested past the checkpoint, spread over the live
+    /// processes: ten each, so every one of them closes a window there.
+    const TAIL: usize = 100;
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("csd-bounded-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut durable = DurableConfig::new(&dir);
+    durable.journal.sync_every = 4096;
+    durable.checkpoint_every_events = 0;
+    let journal_len = || {
+        fs::metadata(dir.join("journal.log"))
+            .expect("journal")
+            .len()
+    };
+    let mut sentry = DurableSentry::open(engine(), config.clone(), durable.clone()).expect("open");
+    for e in events {
+        sentry.ingest(e).expect("journaled ingest");
+        if sentry.sentry().events().is_multiple_of(POLL_EVERY) {
+            sentry.poll().expect("journaled poll");
+        }
+    }
+    sentry.checkpoint().expect("checkpoint");
+    let at_checkpoint = journal_len();
+    for i in 0..TAIL {
+        let pid = 1000 + (i % CONCURRENCY) as u32;
+        sentry
+            .ingest(&ProcessEvent::api(0, pid, i % VOCAB))
+            .expect("journaled ingest");
+    }
+    // Every pending byte reaches the file: whole records, all valid.
+    sentry.simulate_crash(usize::MAX);
+    let journal_bytes = journal_len();
+    let checkpoint_bytes = fs::metadata(dir.join("checkpoint.snap"))
+        .expect("checkpoint written")
+        .len();
+    let sentry = DurableSentry::open(engine(), config, durable).expect("reopen");
+    let report = sentry.recovery().clone();
+    assert_eq!(report.full_scan, None, "{tag}: opened at the anchor");
+    assert_eq!(report.replayed_events, TAIL as u64, "{tag}");
+    assert_eq!(report.journal_bytes_truncated, 0, "{tag}");
+    drop(sentry);
+    let _ = fs::remove_dir_all(&dir);
+    Reopened {
+        report,
+        journal_bytes,
+        tail_bytes: journal_bytes - at_checkpoint,
+        checkpoint_bytes,
+    }
+}
+
+#[test]
+fn a_reopen_reads_the_tail_and_the_incidents_whatever_lies_before_them() {
+    /// More than any record these runs journal (an event is ≈ 30 bytes,
+    /// an incident ≈ 200): the slack for the record `open` reads back
+    /// at the anchor, and the magic.
+    const ONE_RECORD: u64 = 256;
+    /// What one hop of the incident chain may read.
+    const PER_INCIDENT: u64 = 512;
+
+    // The churn, short and a hundred times as long: the journal grows a
+    // hundredfold, what the reopen reads only by its incidents' records.
+    let small = crash_and_reopen(config(), &churn(50), "reopen-small");
+    let large = crash_and_reopen(config(), &churn(5_000), "reopen-large");
+    assert!(large.journal_bytes > 90 * small.journal_bytes);
+    assert!(large.report.chained_incidents >= 1_000, "the model flags");
+    for run in [&small, &large] {
+        let report = &run.report;
+        assert_eq!(report.chained_incidents, report.adopted_incidents);
+        let most = run.tail_bytes + PER_INCIDENT * report.chained_incidents + ONE_RECORD;
+        assert!(
+            (run.tail_bytes..=most).contains(&report.journal_bytes_scanned),
+            "{report:?} of {} bytes, {} past the checkpoint",
+            run.journal_bytes,
+            run.tail_bytes
+        );
+    }
+    assert_eq!(small.tail_bytes, large.tail_bytes);
+
+    // A hundred times the history in front of the same incidents and
+    // the same tail: the same bytes read, to within a record.
+    let mut short = quiet(7);
+    short.extend(churn(50));
+    let mut long = quiet(70_000);
+    long.extend(churn(50));
+    let short = crash_and_reopen(config(), &short, "reopen-short");
+    let long = crash_and_reopen(config(), &long, "reopen-long");
+    assert!(long.journal_bytes > 90 * short.journal_bytes);
+    assert_eq!(
+        long.report.chained_incidents,
+        short.report.chained_incidents
+    );
+    assert!(short.report.chained_incidents > 0);
+    assert_eq!(long.tail_bytes, short.tail_bytes);
+    assert!(
+        long.report
+            .journal_bytes_scanned
+            .abs_diff(short.report.journal_bytes_scanned)
+            <= ONE_RECORD,
+        "{:?} vs {:?}",
+        short.report,
+        long.report
+    );
+
+    // The checkpoint carries where the incidents are, not the
+    // incidents: the same churn with no incident before it (no process
+    // lives long enough for three votes) weighs what it weighs with
+    // over a thousand.
+    let none = crash_and_reopen(
+        SentryConfig {
+            votes_needed: 3,
+            vote_horizon: 3,
+            ..config()
+        },
+        &churn(5_000),
+        "reopen-none",
+    );
+    assert_eq!(none.report.adopted_incidents, 0);
+    let one_session = none.checkpoint_bytes / CONCURRENCY as u64;
+    assert!(
+        large.checkpoint_bytes.abs_diff(none.checkpoint_bytes) < one_session,
+        "{} bytes with no incident, {} with {}",
+        none.checkpoint_bytes,
+        large.checkpoint_bytes,
+        large.report.adopted_incidents
     );
 }
