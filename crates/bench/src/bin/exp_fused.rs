@@ -8,13 +8,20 @@
 //! ```
 //!
 //! Fixed-point bit parity between the two paths is asserted before
-//! timing anything. Historical comparisons (the seed's primitives:
-//! 2.2–2.5×) are recorded in `EXPERIMENTS.md`, "Frozen baselines".
+//! timing anything, at every length timed. Historical comparisons (the
+//! seed's primitives: 2.2–2.5×) are recorded in `EXPERIMENTS.md`,
+//! "Frozen baselines".
+//!
+//! It also times the four kernels of one fused fixed-point timestep on
+//! their own (`kernel_ns_per_step`), at paper dimensions on the tier the
+//! host resolves: the share of a timestep each one is, which is what an
+//! issue about any of them is sized with.
 
 use std::time::Instant;
 
-use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel};
+use csd_accel::{CsdInferenceEngine, GatePath, LaneGatesFx, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+use csd_tensor::lanes;
 use serde::Serialize;
 
 /// One (path, length) measurement.
@@ -27,17 +34,37 @@ struct Measurement {
     mean_us_per_item: f64,
 }
 
+/// Best-of-rounds ns for each kernel of one serial fixed-point timestep
+/// (`run_states_fx_rows`): `4H = 128` gate rows, `H = 32`.
+#[derive(Serialize)]
+struct KernelNs {
+    /// `lanes::simd_level()`: the bodies these numbers belong to.
+    simd: String,
+    /// One `matvec_fx_rows_table`, rescale epilogue included.
+    matvec: f64,
+    /// Both `sigmoid_lut_lanes` calls: `i f` (8 vectors) and `o` (4).
+    sigmoid: f64,
+    /// `softsign_lanes` over the candidate gate (4 vectors).
+    softsign: f64,
+    /// `update_lanes` at width 1.
+    update: f64,
+}
+
 #[derive(Serialize)]
 struct Report {
     level: String,
     measurements: Vec<Measurement>,
     /// fused throughput ÷ per-CU throughput, per sequence length.
     speedup_vs_per_cu_by_len: Vec<(usize, f64)>,
+    kernel_ns_per_step: KernelNs,
 }
 
 fn seq(n: usize) -> Vec<usize> {
     (0..n).map(|i| (i * 37 + 11) % 278).collect()
 }
+
+/// The sequence lengths compared.
+const LENGTHS: [usize; 3] = [10, 100, 1000];
 
 /// Interleaved rounds each contender runs, to ride out CPU frequency
 /// drift: contenders are timed back to back within every round and each
@@ -94,17 +121,19 @@ fn main() {
 
     // Correctness gate before any timing: the production path and the
     // table-free reference agree bit-for-bit in fixed point.
-    let check = seq(100);
-    assert_eq!(
-        fused.classify(&check),
-        per_cu.classify(&check),
-        "fused path diverged from the per-CU reference"
-    );
+    for len in LENGTHS {
+        let check = seq(len);
+        assert_eq!(
+            fused.classify(&check),
+            per_cu.classify(&check),
+            "fused path diverged from the per-CU reference at length {len}"
+        );
+    }
 
     let mut measurements = Vec::new();
     let mut speedup_vs_per_cu_by_len = Vec::new();
     println!("fused vs per-CU single-sequence inference ({level}):");
-    for len in [10usize, 100, 1000] {
+    for len in LENGTHS {
         let s = seq(len);
 
         let mut fused_scratch = fused.make_scratch();
@@ -127,14 +156,86 @@ fn main() {
         speedup_vs_per_cu_by_len.push((len, speedup));
     }
 
+    let kernel_ns_per_step = time_step_kernels(&fused);
+    println!(
+        "kernels of one fused timestep ({}): matvec {:.0} ns, sigmoid {:.0} ns, \
+         softsign {:.0} ns, update {:.0} ns",
+        kernel_ns_per_step.simd,
+        kernel_ns_per_step.matvec,
+        kernel_ns_per_step.sigmoid,
+        kernel_ns_per_step.softsign,
+        kernel_ns_per_step.update
+    );
+
     let report = Report {
         level: level.to_string(),
         measurements,
         speedup_vs_per_cu_by_len,
+        kernel_ns_per_step,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_fused.json", json).expect("write BENCH_fused.json");
     println!("wrote BENCH_fused.json");
+}
+
+/// Times each kernel of a serial timestep alone, on the state and gate
+/// block a real window leaves behind. The activations and the update
+/// run in place, so past a burst's first call they see their own
+/// output; the AVX-512 bodies are branch-free, so what they cost does
+/// not depend on it.
+fn time_step_kernels(engine: &CsdInferenceEngine) -> KernelNs {
+    let weights = engine.weights();
+    let hdim = weights.dims().hidden;
+    let pack = LaneGatesFx::pack(&weights.fused_fx(), &weights.embedding_fx, hdim)
+        .expect("paper weights pass the lane proof");
+    let rows = pack.rows();
+    let (mut g, mut c, mut h) = (vec![0.0; rows], vec![0.0; hdim], vec![0.0; hdim]);
+    let table_row = |item: usize| &pack.gate_table()[item * rows..(item + 1) * rows];
+    for item in seq(50) {
+        lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(item), &mut g);
+        lanes::sigmoid_lut_lanes(&mut g[..2 * hdim]);
+        lanes::softsign_lanes(&mut g[2 * hdim..3 * hdim]);
+        lanes::sigmoid_lut_lanes(&mut g[3 * hdim..]);
+        lanes::update_lanes(&g, hdim, 1, &mut c, &mut h);
+    }
+    let mut preact = vec![0.0; rows];
+    lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(7), &mut preact);
+
+    let mut out = vec![0.0; rows];
+    let mut run_matvec = || {
+        lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(7), &mut out);
+        std::hint::black_box(&mut out);
+    };
+    let mut sig = preact.clone();
+    let mut run_sigmoid = || {
+        lanes::sigmoid_lut_lanes(&mut sig[..2 * hdim]);
+        lanes::sigmoid_lut_lanes(&mut sig[3 * hdim..]);
+        std::hint::black_box(&mut sig);
+    };
+    let mut soft = preact[2 * hdim..3 * hdim].to_vec();
+    let mut run_softsign = || {
+        lanes::softsign_lanes(&mut soft);
+        std::hint::black_box(&mut soft);
+    };
+    let (mut c_run, mut h_run) = (c.clone(), h.clone());
+    let mut run_update = || {
+        lanes::update_lanes(&g, hdim, 1, &mut c_run, &mut h_run);
+        std::hint::black_box((&mut c_run, &mut h_run));
+    };
+    let timed = time_interleaved(&mut [
+        &mut run_matvec,
+        &mut run_sigmoid,
+        &mut run_softsign,
+        &mut run_update,
+    ]);
+    let ns = |slot: usize| timed[slot].1 * 1e3;
+    KernelNs {
+        simd: lanes::simd_level().to_string(),
+        matvec: ns(0),
+        sigmoid: ns(1),
+        softsign: ns(2),
+        update: ns(3),
+    }
 }
 
 fn record(out: &mut Vec<Measurement>, path: &str, len: usize, iterations: u64, mean_us: f64) {

@@ -147,10 +147,10 @@ impl CsdInferenceEngine {
     /// same table-folded, `f64`-encoded kernels, with the gate matvec
     /// vectorised across its `4H` rows
     /// ([`csd_tensor::lanes::matvec_fx_rows_table`]). At paper
-    /// dimensions a 100-step window costs ≈ 35 µs here against ≈ 35 µs
-    /// as one lane of a full 16-lane block and ≈ 570 µs as the only
-    /// lane of one (EXPERIMENTS.md row 21a), so one window never has to
-    /// wait for company.
+    /// dimensions a 100-step window costs ≈ 29 µs here, the same as
+    /// one lane of a full 16-lane block and a sixteenth of what it
+    /// costs as the only lane of one (EXPERIMENTS.md rows 21a, 23d), so
+    /// one window never has to wait for company.
     ///
     /// # Panics
     ///
@@ -211,8 +211,9 @@ impl CsdInferenceEngine {
         if sequences.len() == 1 {
             // A lane block would compute `width` lanes for one sequence;
             // the serial path is strictly cheaper — by measurement
-            // since it is the row kernel: ≈ 35 µs a 100-step window
-            // against ≈ 570 µs for a 16-lane block at any occupancy —
+            // since it is the row kernel: ≈ 29 µs a 100-step window
+            // against sixteen times that for a 16-lane block at any
+            // occupancy —
             // and bit-identical.
             return vec![self.classify(sequences[0])];
         }
@@ -817,12 +818,29 @@ mod tests {
         // One candidate-gate row with recurrent weights ~10^4: raw 10^10
         // against |h| ≤ 1 (raw 10^6) is 32·10^16 ≫ 2^52, so the lane
         // proof fails and nothing may touch the table or the lanes.
+        refused_weights_run_the_wide_path_end_to_end(1.0e4);
+    }
+
+    #[test]
+    fn weights_between_the_rescale_and_the_f64_bound_run_the_wide_path_end_to_end() {
+        // Recurrent weights of 60: the row's worst case, 32·60·10^12 ≈
+        // 1.9·10^15, is an exact f64 sum (< 2^52) but outside the
+        // four-op rescale's 2^49, so the pack refuses it all the same.
+        let worst = 32.0 * 60.0 * 1.0e12;
+        assert!(worst > csd_fxp::LANE_ROW_BOUND as f64 && worst < csd_fxp::EXACT_F64_INT as f64);
+        refused_weights_run_the_wide_path_end_to_end(60.0);
+    }
+
+    /// Sets every recurrent weight of one candidate-gate row to
+    /// `±magnitude`, checks that the pack refuses the model, and that
+    /// every entry point classifies it 0-ULP against the per-CU path.
+    fn refused_weights_run_the_wide_path_end_to_end(magnitude: f64) {
         let m = model();
         let mut w = ModelWeights::from_model(&m);
         let h = w.config.hidden;
         for hc in 0..h {
             let sign = if hc % 2 == 0 { 1.0 } else { -1.0 };
-            w.lstm_recurrent[hc * 4 * h + 2 * h + 5] = sign * 1.0e4;
+            w.lstm_recurrent[hc * 4 * h + 2 * h + 5] = sign * magnitude;
         }
         let fused = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
         assert!(!fused.supports_lane_stepping());

@@ -585,6 +585,35 @@ mod tests {
     }
 
     #[test]
+    fn hostile_weight_file_is_an_error_not_a_panic() {
+        // Each of these parses as an `f64` and would reach the
+        // quantizer's `expect`; the last line's header wraps
+        // `vocab · embed_dim` to 0.
+        let text = weights().to_text();
+        let first = text.find("[embedding]\n").expect("section") + "[embedding]\n".len();
+        let end = first + text[first..].find(' ').expect("a first value");
+        for hostile in ["NaN", "inf", "-inf", "1e400", "1e13"] {
+            let mut poisoned = text.clone();
+            poisoned.replace_range(first..end, hostile);
+            let err = HostProgram::from_weight_file(&poisoned, OptimizationLevel::FixedPoint)
+                .expect_err("must fail");
+            assert!(
+                matches!(&err, HostError::Weights(WeightsError::BadNumber(tok)) if tok == hostile),
+                "{err:?}"
+            );
+        }
+        let wrapped = text
+            .replace("vocab 278\n", "vocab 9223372036854775808\n")
+            .replace("embed_dim 8\n", "embed_dim 2\n");
+        let err = HostProgram::from_weight_file(&wrapped, OptimizationLevel::FixedPoint)
+            .expect_err("must fail");
+        assert!(
+            matches!(err, HostError::Weights(WeightsError::BadHeader(_))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn classification_matches_pure_engine() {
         let w = weights();
         let mut host = HostProgram::new(&w, OptimizationLevel::FixedPoint).expect("boot");

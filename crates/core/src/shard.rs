@@ -299,10 +299,13 @@ impl ShardedStreamMux {
     /// classifies serially, alone, through the row-vectorised kernel;
     /// otherwise the lane blocks advance. A partly filled block is never
     /// the cheaper way: a block round costs the same at any occupancy
-    /// (5.5–8 µs at 16 lanes and paper dimensions, 550–750 µs for a
-    /// block of 100-step windows), a window alone costs ≈ 35 µs, so `n`
+    /// (5–6 µs at 16 lanes and paper dimensions, 500–600 µs for a
+    /// block of 100-step windows), a window alone costs ≈ 29 µs, so `n`
     /// windows break even only at the full block, which is no cheaper
-    /// per window than the row kernel (EXPERIMENTS.md row 21a; the
+    /// per window than the row kernel (EXPERIMENTS.md rows 21a and 23d:
+    /// both share the element-wise kernels, so in one traced pair the
+    /// cut that took a window alone from 47.6 to 31.8 µs took a lane of
+    /// a full block from 48.7 to 33.1 with it, and the rule stands; the
     /// threshold was `width / 4` while a window alone cost 315–450 µs,
     /// eight lanes' worth). Verdicts are bit-identical either way, so
     /// the choice is invisible in anything but time — and a window that

@@ -147,7 +147,11 @@ pub struct LaneGatesFx {
     /// The precomputed **input-gate table**, `vocab × rows` row-major:
     /// `table[item·rows + r] = Σ_e w[r][hidden+e]·emb[item][e] +
     /// b_r·SCALE`. One row gather replaces the per-timestep embedding
-    /// copy plus the `E` input columns of the matmul.
+    /// copy plus the `E` input columns of the matmul. Left where the
+    /// allocator puts it: a row is read once a timestep, and placing it
+    /// on a cache line (16 lines a row instead of 17) won 3 of 5
+    /// alternations at a 28–30 µs window, under the 4 it had to
+    /// (EXPERIMENTS.md row 23a).
     table: Vec<f64>,
     rows: usize,
     hidden: usize,
@@ -160,15 +164,17 @@ impl LaneGatesFx {
     /// The proof obligations, per row `r` of the fused matrix:
     ///
     /// 1. every embedding raw value is an exact `f64` integer (< `2^52`);
-    /// 2. `Σ_k |w[r][k]| · zbound[k] + |b_r|·SCALE + SCALE/2 < 2^52`,
-    ///    where `zbound[k] = SCALE` for recurrent columns (`|h| ≤ 1` is
-    ///    an invariant of the update kernel: `h = o ∗ softsign(C)` with
-    ///    `o ≤ 1`) and the column's largest `|raw|` for embedding columns.
+    /// 2. `Σ_k |w[r][k]| · zbound[k] + |b_r|·SCALE + SCALE/2 < 2^49`
+    ///    ([`csd_fxp::LANE_ROW_BOUND`]), where `zbound[k] = SCALE` for
+    ///    recurrent columns (`|h| ≤ 1` is an invariant of the update
+    ///    kernel: `h = o ∗ softsign(C)` with `o ≤ 1`) and the column's
+    ///    largest `|raw|` for embedding columns.
     ///
-    /// Under (2) every FMA partial sum is an exact integer, so the
-    /// lane-tiled and row-tiled SIMD kernels, their scalar fallbacks, and
-    /// the reference `i64`/`i128` accumulation all produce identical raw
-    /// gate pre-activations.
+    /// Under (2) every FMA partial sum is an exact integer and the
+    /// finished accumulator is inside the domain of the kernels'
+    /// four-op rescale, so the lane-tiled and row-tiled SIMD kernels,
+    /// their scalar fallbacks, and the reference `i64`/`i128`
+    /// accumulation all produce identical raw gate pre-activations.
     pub fn pack(fused: &FusedGates<Fx6>, embedding: &Matrix<Fx6>, hidden: usize) -> Option<Self> {
         let (rows, cols) = (fused.w.rows(), fused.w.cols());
         if cols != hidden + embedding.cols() {
@@ -177,15 +183,17 @@ impl LaneGatesFx {
         let mut zbound = vec![Fx6::SCALE; cols];
         for (k, zb) in zbound.iter_mut().enumerate().skip(hidden) {
             let col = k - hidden;
-            let mut m: i64 = 1;
+            let mut m: u64 = 1;
             for r in 0..embedding.rows() {
-                let raw = embedding.get(r, col).raw();
-                if raw.abs() >= EXACT_F64_INT {
+                // `unsigned_abs`: `i64::MIN.abs()` is `i64::MIN` where
+                // overflow wraps, which would pass under the bound.
+                let mag = embedding.get(r, col).raw().unsigned_abs();
+                if mag >= EXACT_F64_INT as u64 {
                     return None;
                 }
-                m = m.max(raw.abs());
+                m = m.max(mag);
             }
-            *zb = m;
+            *zb = m as i64;
         }
         let mut row_raw = vec![0i64; cols];
         for r in 0..rows {
@@ -198,7 +206,7 @@ impl LaneGatesFx {
         }
         // Fold the embedding columns (plus the scaled bias) into the
         // per-item input-gate table. Every entry is a partial sum of a
-        // row accumulator the proof above already bounded below 2^52,
+        // row accumulator the proof above already bounded below 2^49,
         // so it is exact in f64 — no additional obligation.
         let vocab = embedding.rows();
         let mut table = Vec::with_capacity(vocab * rows);
@@ -468,6 +476,7 @@ impl QuantizedWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csd_fxp::LANE_ROW_BOUND;
     use csd_nn::{ModelConfig, SequenceClassifier};
 
     fn weights() -> QuantizedWeights {
@@ -612,29 +621,42 @@ mod tests {
 
     #[test]
     fn pack_is_decided_by_the_row_bound_alone() {
-        // One recurrent column, one embedding column. A recurrent weight
-        // past `i32` (which the deleted narrow-MAC twin refused) packs:
-        // 2^31·10^6 is well inside the 2^52 row bound, and the row
-        // kernel agrees with the wide path on it.
+        // One recurrent column, one embedding column. The row bound:
+        // |w_h|·SCALE + 1·e (= SCALE²) + SCALE/2 must stay below 2^49.
         let embedding = Matrix::from_flat(1, 1, vec![Fx6::ONE]);
         let shape = |w_h: i64| FusedGates {
             w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(w_h), Fx6::ONE]),
             b: Vector::from(vec![Fx6::ZERO]),
         };
-        let fused = shape(i64::from(i32::MAX) + 1);
-        let lane = LaneGatesFx::pack(&fused, &embedding, 1).expect("inside the row bound");
-        for h in [Fx6::ONE, Fx6::from_raw(-Fx6::SCALE), Fx6::from_raw(333_333)] {
-            assert_eq!(
-                row_preact(&lane, 0, &[h]),
-                wide_preact(&fused, &embedding, 0, &[h])
-            );
-        }
-        // The row bound itself: |w_h|·SCALE + 1·e (= SCALE²) + SCALE/2
-        // must stay below 2^52.
         let rest = Fx6::SCALE * Fx6::SCALE + Fx6::SCALE / 2;
-        let edge = (EXACT_F64_INT - rest - 1) / Fx6::SCALE;
-        assert!(LaneGatesFx::pack(&shape(edge), &embedding, 1).is_some());
+        let edge = (LANE_ROW_BOUND - rest - 1) / Fx6::SCALE;
         assert!(LaneGatesFx::pack(&shape(edge + 1), &embedding, 1).is_none());
+        assert!(LaneGatesFx::pack(&shape(-(edge + 1)), &embedding, 1).is_none());
+        // At the edge the weights pack, and the row kernel — whose
+        // accumulator then comes within SCALE of 2^49 — agrees with the
+        // wide path.
+        for w_h in [edge, -edge] {
+            let fused = shape(w_h);
+            let lane = LaneGatesFx::pack(&fused, &embedding, 1).expect("inside the row bound");
+            for h in [Fx6::ONE, Fx6::from_raw(-Fx6::SCALE), Fx6::from_raw(333_333)] {
+                assert_eq!(
+                    row_preact(&lane, 0, &[h]),
+                    wide_preact(&fused, &embedding, 0, &[h])
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pack_refuses_an_embedding_raw_of_i64_min() {
+        // `i64::MIN.abs()` overflows: wrapped, it is negative and would
+        // sit under any magnitude bound.
+        let embedding = Matrix::from_flat(1, 1, vec![Fx6::from_raw(i64::MIN)]);
+        let fused = FusedGates {
+            w: Matrix::from_flat(1, 2, vec![Fx6::ZERO, Fx6::ZERO]),
+            b: Vector::from(vec![Fx6::ZERO]),
+        };
+        assert!(LaneGatesFx::pack(&fused, &embedding, 1).is_none());
     }
 
     #[test]

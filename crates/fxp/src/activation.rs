@@ -178,9 +178,10 @@ pub const LUT_ENTRIES: usize = 256;
 /// bracketing entries with `exp()` on every call — the software analogue
 /// of re-deriving the BRAM image per lookup.)
 ///
-/// Public so the lane-batched SIMD sigmoid in `csd-tensor` can gather
-/// from the *same* table the scalar path interpolates — a different
-/// table would break the bit-identity contract between the two paths.
+/// Public so the lane-batched SIMD sigmoid in `csd-tensor` can derive
+/// its slope–intercept copy from the *same* table the scalar path
+/// interpolates — a different table would break the bit-identity
+/// contract between the two paths.
 pub fn sigmoid_lut_table() -> &'static [f64; LUT_ENTRIES] {
     sigmoid_table()
 }

@@ -22,6 +22,19 @@
 /// cross `2^53` either.
 pub const EXACT_F64_INT: i64 = 1 << 52;
 
+/// The largest worst-case magnitude a fused-gate row accumulator may
+/// reach for the `f64` lane kernels to take the weights: `2^49`.
+///
+/// Exactness of the sum alone would admit [`EXACT_F64_INT`]. The
+/// AVX-512 matvec epilogues rescale the finished accumulator with a
+/// multiply by a rounded-up `1/SCALE` and a truncation, which is the
+/// exact `round_half_away(x / SCALE)` only while the quotient's excess
+/// stays under `1/SCALE` — up to `2^49` (see `csd_tensor::lanes`).
+/// The benchmark's trained detector sits 62× below it (worst row
+/// 9.1·10^12); a weight set in between runs the wide integer path,
+/// bit-identical anyway.
+pub const LANE_ROW_BOUND: i64 = 1 << 49;
+
 /// Worst-case row accumulator magnitude: `Σ_k |row[k]| · zbound[k]`,
 /// where `zbound[k]` bounds `|z[k]|` over every input the caller will
 /// ever present. Computed in `i128` so the bound itself cannot overflow.
@@ -40,17 +53,18 @@ pub fn row_mac_bound(row: &[i64], zbound: &[i64]) -> i128 {
 /// Whether a fused-gate row is exact in the `f64` lane kernels: the
 /// worst-case accumulator `Σ_k |row[k]|·zbound[k] + |bias|·scale +
 /// scale/2` (the folded bias plus the rounding offset of the final
-/// rescale) stays strictly below [`EXACT_F64_INT`].
+/// rescale) stays strictly below [`LANE_ROW_BOUND`].
 ///
 /// Under this bound every product and every partial sum — in any
 /// association — is an integer of magnitude below `2^53`, so each FMA
 /// and add is exact and the tiled SIMD matmul equals the `i128`
-/// reference bit for bit.
+/// reference bit for bit, and the finished accumulator is inside the
+/// domain of the kernels' rescale.
 pub fn row_exact_in_f64(row: &[i64], zbound: &[i64], bias: i64, scale: i64) -> bool {
     let bound = row_mac_bound(row, zbound)
         + bias.unsigned_abs() as i128 * scale as i128
         + (scale / 2) as i128;
-    bound < EXACT_F64_INT as i128
+    bound < LANE_ROW_BOUND as i128
 }
 
 #[cfg(test)]
@@ -73,10 +87,25 @@ mod tests {
     #[test]
     fn f64_row_bound_accepts_paper_scale_magnitudes() {
         // A 40-column row of |w| ≤ 4 (raw 4·10^6) against |z| ≤ 1
-        // (raw 10^6) sums to 1.6·10^14 ≪ 2^52 ≈ 4.5·10^15.
+        // (raw 10^6) sums to 1.6·10^14 < 2^49 ≈ 5.6·10^14.
         let row = vec![4_000_000i64; 40];
         let zbound = vec![Fx6::SCALE; 40];
         assert!(row_exact_in_f64(&row, &zbound, 2_000_000, Fx6::SCALE));
+    }
+
+    #[test]
+    fn f64_row_bound_is_the_rescale_domain_not_the_f64_one() {
+        // One column against |z| ≤ 1: the edge is the last weight whose
+        // accumulator plus the rounding offset stays under 2^49.
+        let edge = (LANE_ROW_BOUND - Fx6::SCALE / 2 - 1) / Fx6::SCALE;
+        assert!(row_exact_in_f64(&[edge], &[Fx6::SCALE], 0, Fx6::SCALE));
+        assert!(!row_exact_in_f64(&[edge + 1], &[Fx6::SCALE], 0, Fx6::SCALE));
+        assert!(!row_exact_in_f64(
+            &[-(edge + 1)],
+            &[Fx6::SCALE],
+            0,
+            Fx6::SCALE
+        ));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use csd_fxp::Fx6;
 use csd_tensor::{Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
@@ -247,7 +248,7 @@ impl ModelWeights {
                     return Err(WeightsError::BadHeader(line.to_string()));
                 };
                 for tok in line.split_whitespace() {
-                    last.1.push(parse_num::<f64>(tok)?);
+                    last.1.push(parse_weight(tok)?);
                 }
             }
         }
@@ -268,12 +269,25 @@ impl ModelWeights {
             }
             Ok(values.clone())
         };
+        // The header is as untrusted as the sections: a product that
+        // wrapped could make an empty section the expected one.
+        let size = |a: usize, b: usize| {
+            a.checked_mul(b).ok_or_else(|| {
+                WeightsError::BadHeader(format!(
+                    "section size overflows: vocab {vocab} embed_dim {embed_dim} hidden {hidden}"
+                ))
+            })
+        };
+        let gate_cols = size(4, hidden)?;
+        let embedding_len = size(vocab, embed_dim)?;
+        let kernel_len = size(embed_dim, gate_cols)?;
+        let recurrent_len = size(hidden, gate_cols)?;
         let weights = Self {
             config,
-            embedding: take("embedding", vocab * embed_dim)?,
-            lstm_kernel: take("lstm_kernel", embed_dim * 4 * hidden)?,
-            lstm_recurrent: take("lstm_recurrent", hidden * 4 * hidden)?,
-            lstm_bias: take("lstm_bias", 4 * hidden)?,
+            embedding: take("embedding", embedding_len)?,
+            lstm_kernel: take("lstm_kernel", kernel_len)?,
+            lstm_recurrent: take("lstm_recurrent", recurrent_len)?,
+            lstm_bias: take("lstm_bias", gate_cols)?,
             fc_weights: take("fc_weights", hidden)?,
             fc_bias: take("fc_bias", 1)?[0],
         };
@@ -301,6 +315,17 @@ impl ModelWeights {
 
 fn parse_num<T: FromStr>(tok: &str) -> Result<T, WeightsError> {
     tok.parse()
+        .map_err(|_| WeightsError::BadNumber(tok.to_string()))
+}
+
+/// A parameter token: a finite number the device's 10^6 fixed point can
+/// hold. `NaN`, `inf` and `1e400` all parse as `f64`s, and the engine's
+/// quantizer panics on them — so they stop here, with the rest of the
+/// malformed input.
+fn parse_weight(tok: &str) -> Result<f64, WeightsError> {
+    let value = parse_num::<f64>(tok)?;
+    Fx6::try_from_f64(value)
+        .map(|_| value)
         .map_err(|_| WeightsError::BadNumber(tok.to_string()))
 }
 
@@ -375,6 +400,44 @@ mod tests {
         let err = ModelWeights::from_text(&text).unwrap_err();
         assert!(matches!(err, WeightsError::BadNumber(_)), "{err}");
         assert!(err.to_string().contains("not_a_number"));
+    }
+
+    #[test]
+    fn numbers_the_fixed_point_cannot_hold_are_bad_numbers() {
+        let text = ModelWeights::from_model(&trained_ish_model()).to_text();
+        for hostile in ["NaN", "inf", "-inf", "1e400", "1e13", "-9.3e12"] {
+            let text = text.replace("[fc_bias]\n", &format!("[fc_bias]\n{hostile} "));
+            assert_eq!(
+                ModelWeights::from_text(&text),
+                Err(WeightsError::BadNumber(hostile.to_string()))
+            );
+        }
+        // The largest magnitude that still quantizes is a number like any
+        // other (and then one too many for its section).
+        let text = text.replace("[fc_bias]\n", "[fc_bias]\n9.2e12 ");
+        let err = ModelWeights::from_text(&text).unwrap_err();
+        assert!(matches!(err, WeightsError::BadSection { .. }), "{err}");
+    }
+
+    #[test]
+    fn header_products_that_overflow_are_bad_headers() {
+        // 2^63 · 2 wraps to 0, which an empty [embedding] would satisfy;
+        // the other two make `embed_dim·4·hidden` and `hidden·4·hidden`
+        // overflow.
+        for (vocab, embed_dim, hidden) in [
+            ("9223372036854775808", "2", "1"),
+            ("1", "4611686018427387904", "1"),
+            ("1", "1", "4294967296"),
+        ] {
+            let text = format!(
+                "csd-weights-v1\nvocab {vocab}\nembed_dim {embed_dim}\nhidden {hidden}\n\
+                 activation softsign\n[embedding]\n[lstm_kernel]\n[lstm_recurrent]\n\
+                 [lstm_bias]\n[fc_weights]\n[fc_bias]\n0.0\n"
+            );
+            let err = ModelWeights::from_text(&text).unwrap_err();
+            assert!(matches!(err, WeightsError::BadHeader(_)), "{err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
     }
 
     #[test]

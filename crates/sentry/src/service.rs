@@ -119,11 +119,12 @@ impl Default for SentryConfig {
 /// The engine time one [`Sentry::poll`] may spend, in lane rounds.
 ///
 /// A budget, so that a backlog cannot keep the service loop away from
-/// ingest. 64 rounds are ≈ 0.5 ms at paper dimensions (a 16-lane round
-/// measures 7.3–8.0 µs, `core.shard.tick_us`). A window the mux
-/// classifies alone is charged `⌈len / width⌉` rounds — what a full
+/// ingest. 64 rounds are ≈ 0.4 ms at paper dimensions (a 16-lane round
+/// measures 5.9–6.0 µs, `core.shard.tick_us`, against 7.5 before the
+/// element-wise kernels were cut; EXPERIMENTS.md row 23d). A window the
+/// mux classifies alone is charged `⌈len / width⌉` rounds — what a full
 /// block would have spent on it: 7 for a 100-step window on 16 lanes,
-/// 35–50 µs either way — so a poll serves about nine such windows
+/// 30–40 µs either way — so a poll serves about nine such windows
 /// against the 0.16 (one-window sessions) to 1.6 (a fleet of long-lived
 /// processes, a window per 10 events) that 16 events offer it, and
 /// every verdict is back at the first poll after its window's last

@@ -35,14 +35,18 @@
 //! - The fixed-point kernels hold `Fixed<6>` raw integers as exact `f64`
 //!   values (every intermediate stays below `2^53`) and compute the
 //!   *integer-exact* result of the reference formulas — accumulate,
-//!   round-half-away-from-zero rescale, LUT sigmoid, exact softsign —
-//!   using FMA/division sequences whose error terms are provably zero on
-//!   that domain. Callers must uphold the range bounds documented per
-//!   kernel (the engine proves them at weight-pack time). Both
-//!   vectorisation axes rest on that one argument: under the pack-time
-//!   row bound every partial sum of a gate row is an exact integer
-//!   below `2^52`, so the sum is the same integer however the additions
-//!   associate — lane-tiled, row-tiled or scalar.
+//!   round-half-away-from-zero rescale, LUT sigmoid, exact softsign.
+//!   The accumulation, the rescales and the softsign use FMA, reciprocal
+//!   and division sequences whose error terms are provably too small to
+//!   change the integer on a stated domain; the LUT sigmoid, an integer
+//!   function on a 16 M-point domain, is compared with its scalar
+//!   reference on every point of it by a test instead. Callers must
+//!   uphold the range bounds documented per kernel (the engine proves
+//!   them at weight-pack time). Both vectorisation axes rest on one
+//!   argument: under the pack-time row bound every partial sum of a gate
+//!   row is an exact integer below `2^49`, so the sum is the same
+//!   integer however the additions associate — lane-tiled, row-tiled or
+//!   scalar — and its rescale is the four-op one.
 //!
 //! On x86-64 with AVX-512 (F+DQ+VL) the fixed-point kernels dispatch to
 //! hand-written intrinsics (with AVX2+FMA bodies for the two matrix
@@ -54,7 +58,6 @@
 
 use std::sync::OnceLock;
 
-use csd_fxp::activation::{sigmoid_lut_table, LUT_ENTRIES, LUT_RANGE};
 use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fx6};
 
 /// The decimal scale of [`Fx6`] as an `f64` (`10^6`).
@@ -196,13 +199,14 @@ pub fn matmul_f64_lanes(
 /// associative when nothing overflows, so moving those terms into the
 /// init changes no bit.
 ///
-/// Every product and partial sum must stay below `2^53` in magnitude for
-/// the `f64` accumulation to be exact; the caller proves the per-row
-/// bound `Σ_k |w[r][k]|·max|z[k]| + |b_r|·SCALE + SCALE/2 < 2^52` over
-/// the full row at pack time (a table entry is a partial sum of that
-/// proven accumulator, hence itself exact). Under the bound the result
-/// is the exact integer no matter how the additions associate, so the
-/// FMA-tiled SIMD versions and the scalar fallback agree bit for bit.
+/// The caller proves the per-row bound `Σ_k |w[r][k]|·max|z[k]| +
+/// |b_r|·SCALE + SCALE/2 < 2^49` over the full row at pack time (a table
+/// entry is a partial sum of that proven accumulator, hence itself
+/// exact). Under the bound every product and partial sum is an exact
+/// `f64` integer no matter how the additions associate, and the finished
+/// accumulator is inside the domain of the AVX-512 epilogue's four-op
+/// rescale, so the FMA-tiled SIMD versions and the scalar fallback agree
+/// bit for bit.
 ///
 /// `zh` is the `hcols × width` recurrent lane block (the `h` rows of
 /// the gate input); `table` is `n_items × rows` row-major.
@@ -310,7 +314,7 @@ fn matmul_fx_table_scalar(
 ///
 /// Exact by the argument of [`matmul_fx_lanes_table`]: under the
 /// pack-time row bound (`|h[k]| ≤ SCALE`) every product and partial sum
-/// is an exact integer below `2^52`, so accumulating `k`-outer across
+/// is an exact integer below `2^49`, so accumulating `k`-outer across
 /// rows gives the same integer as the reference `k`-inner `i64` sum, on
 /// every body.
 ///
@@ -378,10 +382,9 @@ fn accumulate_rows_from(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f6
 /// raw integers — the `10^12 → 10^6` product correction (§III-D), exactly
 /// as `div_round_i64(x, SCALE)` computes it.
 ///
-/// Exact for `|x| + SCALE/2 < 2^53`; the matmul row bound guarantees a
-/// stronger `< 2^52`. Only the AVX2 table tile needs it as a separate
-/// sweep — the AVX-512 and scalar table kernels rescale in their store
-/// epilogue.
+/// Exact for `|x| + SCALE/2 < 2^53`, whatever the matmul row bound the
+/// caller holds. Only the AVX2 tiles need it as a separate sweep — the
+/// AVX-512 and scalar kernels rescale in their store epilogue.
 fn rescale_lanes(xs: &mut [f64]) {
     match tier() {
         #[cfg(target_arch = "x86_64")]
@@ -402,8 +405,11 @@ fn rescale_lanes(xs: &mut [f64]) {
 }
 
 /// In-place LUT sigmoid over a block of `f64`-encoded raw pre-activations,
-/// bit-identical to `csd_fxp::sigmoid_fx_lut` on each element: 256-entry
-/// table over `[-8, 8]`, linear interpolation, saturation outside.
+/// the same raw as `csd_fxp::sigmoid_fx_lut` on each element: 256-entry
+/// table over `[-8, 8]`, linear interpolation, saturation outside. The
+/// scalar function is the reference and what every tier but AVX-512
+/// calls; that tier's body is checked against it on every input the
+/// table covers.
 ///
 /// Exact for `|x| ≤ 2^52` (far beyond any pre-activation the matmul bound
 /// admits).
@@ -415,7 +421,7 @@ pub fn sigmoid_lut_lanes(xs: &mut [f64]) {
             // bits.
             #[allow(unsafe_code)]
             unsafe {
-                x86::sigmoid_avx512(xs, sigmoid_lut_table())
+                x86::sigmoid_avx512(xs, x86::sigmoid_segments())
             }
         }
         _ => {
@@ -520,13 +526,62 @@ fn fx_mul_raw(a: i64, b: i64) -> i64 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{fx_mul_raw, FSCALE, LUT_ENTRIES, LUT_RANGE};
+    use super::{fx_mul_raw, FSCALE};
+    use csd_fxp::activation::{sigmoid_lut_table, LUT_ENTRIES, LUT_RANGE};
     use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fx6};
     use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// `RN((1/SCALE)·(1 + 2^-50))`: the reciprocal [`div_round_scale_pd`]
+    /// multiplies by, nudged up so a product can only err upward.
+    const INV_SCALE_UP: f64 = (1.0 + 1.0 / (1u64 << 50) as f64) / FSCALE;
 
     /// Exact `round_half_away(x / SCALE)` for `x` an exact integer with
-    /// `|x| + SCALE/2 ≤ 2^53`: `floor(RN(m / SCALE))` on the magnitude
-    /// `m = |x| + SCALE/2`, with the correctly rounded `m / SCALE` from
+    /// `|x| + SCALE/2 < 2^49` — the domain the pack-time row bound puts
+    /// every matvec accumulator in, and far above the `≤ 10^12` gate
+    /// products of the state update — in four ops:
+    /// `trunc((x + copysign(SCALE/2, x)) · y⁺)`, `y⁺` =
+    /// [`INV_SCALE_UP`].
+    ///
+    /// Why truncating the *rounded* product is the true quotient: with
+    /// `m = |x| + SCALE/2` and both roundings (of `y⁺`, of the product)
+    /// within a relative `2^-53`, the product is `(m/SCALE)·(1 + ε)`
+    /// with `0.75·2^-50 < ε < 1.25·2^-50`. It errs upward only, so an
+    /// exact multiple of `SCALE` (every tie of the original `x`) never
+    /// truncates one low; and any other `m` leaves `m/SCALE` at least
+    /// `1/SCALE = 10^-6` under its next integer, while the excess
+    /// `(m/SCALE)·ε` stays below `2^49/SCALE · 1.25·2^-50 < 6.3·10^-7`,
+    /// so the product never reaches it.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx512f/dq/vl.
+    #[inline]
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn div_round_scale_pd(x: __m512d) -> __m512d {
+        let half = _mm512_castpd_si512(_mm512_set1_pd((Fx6::SCALE / 2) as f64));
+        let sgnmask = _mm512_castpd_si512(_mm512_set1_pd(-0.0));
+        // `(x & sgnmask) | half`: one `vpternlog`.
+        let signed_half = _mm512_castsi512_pd(_mm512_ternarylogic_epi64::<0xEA>(
+            _mm512_castpd_si512(x),
+            sgnmask,
+            half,
+        ));
+        let m = _mm512_add_pd(x, signed_half);
+        _mm512_roundscale_pd(
+            _mm512_mul_pd(m, _mm512_set1_pd(INV_SCALE_UP)),
+            _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC,
+        )
+    }
+
+    /// [`div_round_scale_pd`] on the wide domain `|x| + SCALE/2 ≤ 2^53`,
+    /// for the two callers whose operand the pack proof does not bound
+    /// below `2^49`: `f∗C` in [`update_avx512`] (`|C|` grows by up to
+    /// `SCALE` a timestep, so the product reaches `8·10^15` at the
+    /// sequence cap) and the stand-alone sweep [`rescale_avx512`].
+    /// `floor(RN(m / SCALE))` on the magnitude `m = |x| + SCALE/2`, with
+    /// the correctly rounded `m / SCALE` from
     /// [`div_by_scale_exact_pd`] — no ±1 correction step needed.
     ///
     /// Why the floor of the *rounded* quotient is the true floor: RN
@@ -543,7 +598,7 @@ mod x86 {
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn div_round_scale_pd(x: __m512d) -> __m512d {
+    unsafe fn div_round_scale_wide_pd(x: __m512d) -> __m512d {
         let half = _mm512_set1_pd((Fx6::SCALE / 2) as f64);
         let sgnmask = _mm512_set1_pd(-0.0);
         let sgn = _mm512_and_pd(x, sgnmask);
@@ -986,6 +1041,11 @@ mod x86 {
         super::accumulate_rows_from(w_t, h, table_row, out, r);
     }
 
+    /// The stand-alone rescale sweep, on the wide domain
+    /// `|x| + SCALE/2 ≤ 2^53`: its caller is a block of raw accumulators
+    /// from a body that did not rescale in its epilogue, which this
+    /// function cannot see the bound of.
+    ///
     /// # Safety
     ///
     /// Requires avx512f/dq/vl.
@@ -995,7 +1055,7 @@ mod x86 {
         let mut i = 0;
         while i + 8 <= xs.len() {
             let x = _mm512_loadu_pd(xs.as_ptr().add(i));
-            _mm512_storeu_pd(xs.as_mut_ptr().add(i), div_round_scale_pd(x));
+            _mm512_storeu_pd(xs.as_mut_ptr().add(i), div_round_scale_wide_pd(x));
             i += 8;
         }
         for x in &mut xs[i..] {
@@ -1003,53 +1063,75 @@ mod x86 {
         }
     }
 
-    /// One vector of LUT sigmoid, bit-identical to the scalar
-    /// `sigmoid_fx_lut`: `v = raw / SCALE` uses the exact constant
-    /// division ([`div_by_scale_exact_pd`], same bits as a true divide);
-    /// the index position replaces the scalar's `/ 16.0` with `* 0.0625`
-    /// (bit-identical: 1/16 is a power of two); interpolation uses
-    /// separate multiplies and adds (no FMA) in the scalar's exact
-    /// expression order; rounding is truncate-plus-carry; saturation
-    /// lanes are overwritten by mask blends at the end.
+    /// The sigmoid LUT in slope–intercept form and raw units: segment `i`
+    /// of `sigmoid_fx_lut`'s interpolation is `intercept[i] +
+    /// slope[i]·frac`, with `intercept[i] = t[i]·SCALE` and `slope[i] =
+    /// (t[i+1] − t[i])·SCALE`. The last entry is the high saturation,
+    /// `(SCALE, 0)`. 4 KB, derived once from the table the scalar path
+    /// interpolates.
+    pub(super) struct SigmoidSegments {
+        intercept: [f64; LUT_ENTRIES],
+        slope: [f64; LUT_ENTRIES],
+    }
+
+    pub(super) fn sigmoid_segments() -> &'static SigmoidSegments {
+        static SEGMENTS: OnceLock<SigmoidSegments> = OnceLock::new();
+        SEGMENTS.get_or_init(|| {
+            let t = sigmoid_lut_table();
+            let mut seg = SigmoidSegments {
+                intercept: [FSCALE; LUT_ENTRIES],
+                slope: [0.0; LUT_ENTRIES],
+            };
+            for i in 0..LUT_ENTRIES - 1 {
+                seg.intercept[i] = t[i] * FSCALE;
+                seg.slope[i] = (t[i + 1] - t[i]) * FSCALE;
+            }
+            seg
+        })
+    }
+
+    /// One vector of LUT sigmoid: the same integer as the scalar
+    /// `sigmoid_fx_lut` on every input, by a different route. The table
+    /// position comes straight from the raw integer with one FMA
+    /// (`raw·(255/16·SCALE) + 127.5`, no division by `SCALE`), clamped
+    /// to `[0, 255]` — which is also the high saturation, entry 255
+    /// being `(SCALE, 0)`; the interpolation is one FMA on
+    /// [`SigmoidSegments`]; rounding is `floor(y + 0.5)`; the low
+    /// saturation zeroes the lanes at or below `−8·SCALE`.
+    ///
+    /// None of these intermediates has the bits of the scalar's — its
+    /// `raw / SCALE`, its two-multiply lerp, its `· SCALE` and `round` —
+    /// and no argument is offered that the results agree. The function
+    /// maps integers to integers and is constant outside
+    /// `(−8·SCALE, 8·SCALE)`, so the test
+    /// `sigmoid_matches_scalar_lut_across_domain` compares the two on
+    /// every raw of that interval and a margin beyond it.
     ///
     /// # Safety
     ///
     /// Requires avx512f/dq/vl. `raw` must hold exact integers with
-    /// `|raw| ≤ 2^52`; `t` must have `LUT_ENTRIES` elements.
+    /// `|raw| ≤ 2^52`.
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn sigmoid_pd(raw: __m512d, t: &[f64; LUT_ENTRIES]) -> __m512d {
-        let range = _mm512_set1_pd(LUT_RANGE);
-        let neg_range = _mm512_set1_pd(-LUT_RANGE);
-        let inv_two_range = _mm512_set1_pd(1.0 / (2.0 * LUT_RANGE));
-        let ent = _mm512_set1_pd(LUT_ENTRIES as f64 - 1.0);
-        let zero = _mm512_setzero_pd();
-        let one = _mm512_set1_pd(1.0);
-        let half = _mm512_set1_pd(0.5);
-        let fscale = _mm512_set1_pd(FSCALE);
-        let max_idx = _mm512_set1_epi64((LUT_ENTRIES - 2) as i64);
-        let v = div_by_scale_exact_pd(raw);
-        let pos = _mm512_mul_pd(_mm512_mul_pd(_mm512_add_pd(v, range), inv_two_range), ent);
-        let posc = _mm512_max_pd(pos, zero);
-        let fi = _mm512_roundscale_pd(posc, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-        let idx = _mm512_min_epi64(_mm512_cvttpd_epi64(fi), max_idx);
-        let frac = _mm512_sub_pd(posc, fi);
-        let t0 = _mm512_i64gather_pd::<8>(idx, t.as_ptr());
-        let t1 = _mm512_i64gather_pd::<8>(_mm512_add_epi64(idx, _mm512_set1_epi64(1)), t.as_ptr());
-        let y = _mm512_add_pd(
-            _mm512_mul_pd(t0, _mm512_sub_pd(one, frac)),
-            _mm512_mul_pd(t1, frac),
+    unsafe fn sigmoid_pd(raw: __m512d, seg: &SigmoidSegments) -> __m512d {
+        const LAST: f64 = LUT_ENTRIES as f64 - 1.0;
+        const POS_PER_RAW: f64 = LAST / (2.0 * LUT_RANGE * FSCALE);
+        // Rounds down to an integer for `vrndscale`; for `vreduce`,
+        // `x − floor(x)`.
+        const FLOOR: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
+        let pos = _mm512_fmadd_pd(raw, _mm512_set1_pd(POS_PER_RAW), _mm512_set1_pd(LAST / 2.0));
+        let pos = _mm512_min_pd(
+            _mm512_max_pd(pos, _mm512_setzero_pd()),
+            _mm512_set1_pd(LAST),
         );
-        let yy = _mm512_mul_pd(y, fscale);
-        let tr = _mm512_roundscale_pd(yy, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-        let fr = _mm512_sub_pd(yy, tr);
-        let round_up = _mm512_cmp_pd_mask(fr, half, _CMP_GE_OQ);
-        let r = _mm512_mask_add_pd(tr, round_up, tr, one);
-        let hi = _mm512_cmp_pd_mask(v, range, _CMP_GE_OQ);
-        let lo = _mm512_cmp_pd_mask(v, neg_range, _CMP_LE_OQ);
-        let r = _mm512_mask_mov_pd(r, hi, fscale);
-        _mm512_maskz_mov_pd(!lo, r)
+        let idx = _mm512_cvttpd_epi64(pos);
+        let frac = _mm512_reduce_pd::<FLOOR>(pos);
+        let intercept = _mm512_i64gather_pd::<8>(idx, seg.intercept.as_ptr());
+        let slope = _mm512_i64gather_pd::<8>(idx, seg.slope.as_ptr());
+        let y = _mm512_fmadd_pd(slope, frac, intercept);
+        let above_low = _mm512_cmp_pd_mask(raw, _mm512_set1_pd(-LUT_RANGE * FSCALE), _CMP_GT_OQ);
+        _mm512_maskz_roundscale_pd::<FLOOR>(above_low, _mm512_add_pd(y, _mm512_set1_pd(0.5)))
     }
 
     /// One vector of exact softsign on raw values:
@@ -1073,14 +1155,14 @@ mod x86 {
 
     /// # Safety
     ///
-    /// Requires avx512f/dq/vl. `t` must have `LUT_ENTRIES` elements.
+    /// Requires avx512f/dq/vl; `|x| ≤ 2^52` for every element.
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn sigmoid_avx512(xs: &mut [f64], t: &[f64; LUT_ENTRIES]) {
+    pub(super) unsafe fn sigmoid_avx512(xs: &mut [f64], seg: &SigmoidSegments) {
         let mut i = 0;
         while i + 8 <= xs.len() {
             let raw = _mm512_loadu_pd(xs.as_ptr().add(i));
-            _mm512_storeu_pd(xs.as_mut_ptr().add(i), sigmoid_pd(raw, t));
+            _mm512_storeu_pd(xs.as_mut_ptr().add(i), sigmoid_pd(raw, seg));
             i += 8;
         }
         for x in &mut xs[i..] {
@@ -1120,7 +1202,9 @@ mod x86 {
             let cb = _mm512_loadu_pd(gc.as_ptr().add(j));
             let ov = _mm512_loadu_pd(go.as_ptr().add(j));
             let cv = _mm512_loadu_pd(c.as_ptr().add(j));
-            let fc = div_round_scale_pd(_mm512_mul_pd(fv, cv));
+            // `f∗C` reaches 8·10^15 at the sequence cap; the two gate
+            // products below are ≤ SCALE² = 10^12.
+            let fc = div_round_scale_wide_pd(_mm512_mul_pd(fv, cv));
             let ic = div_round_scale_pd(_mm512_mul_pd(iv, cb));
             let ct = _mm512_add_pd(fc, ic);
             _mm512_storeu_pd(c.as_mut_ptr().add(j), ct);
@@ -1174,24 +1258,116 @@ mod tests {
         }
     }
 
+    /// Rescales `probes` in the store epilogue of both table kernels —
+    /// with no recurrent column the accumulator is the table entry, so
+    /// `out = rescale(table)` — and compares with the integer reference.
+    /// Pads `probes` with zeros to one register past whole 128-row
+    /// tiles, so the row kernel runs both of its tile shapes; the lane
+    /// kernel takes the whole blocks of 128.
+    fn assert_epilogue_rescale_matches(probes: &mut Vec<i64>) {
+        while probes.len() % 128 != 8 {
+            probes.push(0);
+        }
+        let table: Vec<f64> = probes.iter().map(|&x| x as f64).collect();
+
+        let mut by_rows = vec![0.0f64; table.len()];
+        matvec_fx_rows_table(&[], &[], &table, &mut by_rows);
+        for (&inp, &out) in probes.iter().zip(&by_rows) {
+            assert_eq!(out as i64, div_round_i64(inp, Fx6::SCALE), "rows {inp}");
+        }
+
+        // 8 gate rows × 16 lanes a call, lane `l` reading table row `l`,
+        // so `out[r·16 + l] = rescale(block[l·8 + r])`.
+        let items: Vec<usize> = (0..16).collect();
+        let mut by_lanes = [0.0f64; 128];
+        for (block, raws) in table.chunks_exact(128).zip(probes.chunks_exact(128)) {
+            matmul_fx_lanes_table(&[], 8, 0, &[], 16, block, &items, &mut by_lanes);
+            for l in 0..16 {
+                for r in 0..8 {
+                    let inp = raws[l * 8 + r];
+                    assert_eq!(
+                        by_lanes[r * 16 + l] as i64,
+                        div_round_i64(inp, Fx6::SCALE),
+                        "lanes {inp}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The four-op rescale of the AVX-512 matvec epilogues on its whole
+    /// domain, `|x| < 2^49`. Along a ×3 ladder of quotients up to the
+    /// top: the exact multiple of `SCALE`, the tie half a `SCALE` below
+    /// it and both neighbours of each, in both signs. Then every integer
+    /// of the band around 0 and of the last band under `±2^49`.
+    #[test]
+    fn epilogue_rescale_matches_integer_reference_below_2p49() {
+        const TOP: i64 = (1 << 49) - 1;
+        const BAND: i64 = 1_500_000;
+        const BLOCK: usize = 1 << 16;
+        let half = Fx6::SCALE / 2;
+        let mut ladder: Vec<i64> = Vec::new();
+        let mut q: i64 = 1;
+        while q * Fx6::SCALE <= TOP {
+            for base in [q * Fx6::SCALE, q * Fx6::SCALE - half] {
+                for x in [base - 1, base, base + 1] {
+                    ladder.extend([x, -x]);
+                }
+            }
+            q *= 3;
+        }
+        let mut dense = ladder
+            .into_iter()
+            .chain(-BAND..=BAND)
+            .chain(TOP - BAND..=TOP)
+            .chain(-TOP..=BAND - TOP);
+        let mut block: Vec<i64> = Vec::with_capacity(BLOCK + 128);
+        loop {
+            block.clear();
+            block.extend(dense.by_ref().take(BLOCK));
+            if block.is_empty() {
+                break;
+            }
+            assert_epilogue_rescale_matches(&mut block);
+        }
+    }
+
+    /// Runs `raws` through [`sigmoid_lut_lanes`] and compares every
+    /// element with the scalar `sigmoid_fx_lut`.
+    fn assert_sigmoid_matches_scalar(raws: &[i64], got: &mut Vec<f64>) {
+        got.clear();
+        got.extend(raws.iter().map(|&r| r as f64));
+        sigmoid_lut_lanes(got);
+        for (&inp, &out) in raws.iter().zip(got.iter()) {
+            let expect = sigmoid_fx_lut(Fx6::from_raw(inp)).raw();
+            assert_eq!(out as i64, expect, "sigmoid raw {inp}");
+        }
+    }
+
+    /// The proof of the vector sigmoid: it is an integer function,
+    /// constant outside `(−8·SCALE, 8·SCALE)`, so every raw of that
+    /// interval (and 10^5 beyond each end) is compared with the scalar
+    /// reference — 16,200,001 inputs, none sampled — and then probes far
+    /// outside it. Blocks of `8n + 3` keep memory flat and run the
+    /// kernel's scalar tail on every one.
     #[test]
     fn sigmoid_matches_scalar_lut_across_domain() {
-        let mut raws: Vec<i64> = (-9_000_000..9_000_000).step_by(7).collect();
-        raws.extend([
-            -8_000_000,
-            8_000_000,
-            -8_000_001,
-            8_000_001,
-            1_000_000_000,
-            -1_000_000_000,
-            0,
-            1,
-            -1,
-        ]);
-        // Constant-division worst cases for the FMA sequence: raws whose
-        // quotient is near representable values (multiples of 15625 make
-        // raw/10^6 land exactly on the 2^-6 grid) and the top of the
-        // documented |raw| ≤ 2^52 domain.
+        const EDGE: i64 = 8_100_000;
+        const BLOCK: i64 = (1 << 16) + 3;
+        let mut got = Vec::with_capacity(BLOCK as usize);
+        let mut raws = Vec::with_capacity(BLOCK as usize);
+        let mut lo = -EDGE;
+        while lo <= EDGE {
+            raws.clear();
+            raws.extend(lo..(lo + BLOCK).min(EDGE + 1));
+            assert_sigmoid_matches_scalar(&raws, &mut got);
+            lo += BLOCK;
+        }
+
+        let mut raws: Vec<i64> = vec![1_000_000_000, -1_000_000_000];
+        // Up to the top of the documented |raw| ≤ 2^52 domain, on a
+        // ladder whose quotients by SCALE land on the 2^-6 grid
+        // (multiples of 15625) and next to it.
         let mut m: i64 = 15_625;
         while m < (1i64 << 52) {
             for d in [-1i64, 0, 1] {
@@ -1209,12 +1385,12 @@ mod tests {
         while raws.len() % 8 != 3 {
             raws.push(0);
         }
-        let mut got: Vec<f64> = raws.iter().map(|&r| r as f64).collect();
-        sigmoid_lut_lanes(&mut got);
-        for (&inp, &out) in raws.iter().zip(&got) {
-            let expect = sigmoid_fx_lut(Fx6::from_raw(inp)).raw();
-            assert_eq!(out as i64, expect, "sigmoid raw {inp}");
-        }
+        assert_sigmoid_matches_scalar(&raws, &mut got);
+        // `−0.0` is what a negative accumulator that rescales to zero
+        // leaves behind.
+        let mut zeros = [-0.0f64; 8];
+        sigmoid_lut_lanes(&mut zeros);
+        assert_eq!(zeros, [(Fx6::SCALE / 2) as f64; 8]);
     }
 
     #[test]
@@ -1288,13 +1464,17 @@ mod tests {
     /// shape the tiles split differently — 4: below one register;
     /// 8, 24: single registers; 12: register plus tail; 128: the
     /// 16-register tile; 136: tile plus register — against the `i128`
-    /// reference, with operands at the edge of the pack bound: `|h|`
-    /// up to `SCALE` and every row's worst case
-    /// `Σ|w|·SCALE + |table| + SCALE/2` within a few units of `2^52`.
-    /// Odd rows push every term the way of their table entry, so their
+    /// reference, with operands at the edge of a row bound of
+    /// `2^bound_bits`: `|h|` up to `SCALE` and every row's worst case
+    /// `Σ|w|·SCALE + |table| + SCALE/2` within a few units of it. Odd
+    /// rows push every term the way of their table entry, so their
     /// partial sums climb to that edge; even rows mix signs.
-    fn check_rows_body(name: &str, body: impl Fn(&[f64], &[f64], &[f64], &mut [f64])) {
-        const BOUND: i64 = (1 << 52) - 1 - Fx6::SCALE / 2;
+    fn check_rows_body(
+        name: &str,
+        bound_bits: u32,
+        body: impl Fn(&[f64], &[f64], &[f64], &mut [f64]),
+    ) {
+        let bound: i64 = (1 << bound_bits) - 1 - Fx6::SCALE / 2;
         let encode = |v: &[i64]| v.iter().map(|&x| x as f64).collect::<Vec<f64>>();
         for rows in [4usize, 8, 12, 24, 128, 136] {
             for hcols in [1usize, 8, 32] {
@@ -1306,12 +1486,12 @@ mod tests {
                     })
                     .collect();
                 let ti: Vec<i64> = (0..rows)
-                    .map(|r| (BOUND / 3 + r as i64 * 7_919) * if r % 4 < 2 { 1 } else { -1 })
+                    .map(|r| (bound / 3 + r as i64 * 7_919) * if r % 4 < 2 { 1 } else { -1 })
                     .collect();
                 // `hcols × rows` row-major: the transposed layout.
                 let mut wi = vec![0i64; hcols * rows];
                 for r in 0..rows {
-                    let each = (BOUND - ti[r].abs()) / (hcols as i64 * Fx6::SCALE);
+                    let each = (bound - ti[r].abs()) / (hcols as i64 * Fx6::SCALE);
                     for k in 0..hcols {
                         let sign = if r % 2 == 1 {
                             ti[r].signum() * hi[k].signum()
@@ -1329,11 +1509,11 @@ mod tests {
                     let col = |k: usize| wi[k * rows + r] as i128;
                     let worst = (0..hcols).map(|k| col(k).abs()).sum::<i128>() * Fx6::SCALE as i128
                         + ti[r].abs() as i128;
-                    assert!(worst <= BOUND as i128, "operands outside the pack bound");
+                    assert!(worst <= bound as i128, "operands outside the pack bound");
                     let acc =
                         ti[r] as i128 + (0..hcols).map(|k| col(k) * hi[k] as i128).sum::<i128>();
                     if r % 2 == 1 {
-                        assert!(acc.abs() > (BOUND / 2) as i128, "edge not reached: {acc}");
+                        assert!(acc.abs() > (bound / 2) as i128, "edge not reached: {acc}");
                     }
                     assert_eq!(
                         out[r] as i64,
@@ -1345,14 +1525,17 @@ mod tests {
         }
     }
 
+    /// The contract — and the AVX-512 epilogue's domain — is the pack
+    /// bound, `2^49`; the bodies that rescale with the wide sweep or in
+    /// integers are held to the `2^52` they are exact to.
     #[test]
     fn fx_rows_matvec_matches_integer_reference_on_every_body() {
-        check_rows_body("dispatch", matvec_fx_rows_table);
-        check_rows_body("scalar", matvec_fx_rows_scalar);
+        check_rows_body("dispatch", 49, matvec_fx_rows_table);
+        check_rows_body("scalar", 52, matvec_fx_rows_scalar);
         #[cfg(target_arch = "x86_64")]
         {
             if tier() != Tier::Scalar {
-                check_rows_body("avx2", |w_t, h, table_row, out| {
+                check_rows_body("avx2", 52, |w_t, h, table_row, out| {
                     // SAFETY: the tier says the host has avx2 and fma;
                     // `check_rows_body` sizes every slice from `rows`.
                     #[allow(unsafe_code)]
@@ -1363,7 +1546,7 @@ mod tests {
                 });
             }
             if tier() == Tier::Avx512 {
-                check_rows_body("avx512", |w_t, h, table_row, out| {
+                check_rows_body("avx512", 49, |w_t, h, table_row, out| {
                     // SAFETY: the tier says the host has avx512f/dq/vl;
                     // `check_rows_body` sizes every slice from `rows`.
                     #[allow(unsafe_code)]
@@ -1389,9 +1572,31 @@ mod tests {
                     *x = x.abs() % FSCALE;
                 }
             }
+            // The gate products at their largest (SCALE², both signs) and
+            // on exact ties of the rescale (odd multiples of SCALE/2).
+            for (j, (gate, cand)) in [
+                (1_000_000.0, 1_000_000.0),
+                (1_000_000.0, -1_000_000.0),
+                (500_000.0, 999_999.0),
+                (500_000.0, -999_999.0),
+                (1.0, 500_000.0),
+                (1.0, -500_000.0),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                g[j] = gate;
+                g[2 * hw + j] = cand;
+                g[3 * hw + j] = gate;
+            }
             let mut c: Vec<f64> = (0..hw)
                 .map(|i| ((i as i64 * 48_271) % 16_000_000_000 - 8_000_000_000) as f64)
                 .collect();
+            // f = SCALE against the largest |C| the sequence cap admits.
+            g[hw] = FSCALE;
+            c[0] = -7_999_000_000.0;
+            g[hw + 1] = FSCALE;
+            c[1] = 7_999_000_000.0;
             let mut h = vec![0.0f64; hw];
             let c0 = c.clone();
             update_lanes(&g, hidden, width, &mut c, &mut h);
