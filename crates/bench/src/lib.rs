@@ -17,12 +17,12 @@
 //! | Family identification (extension) | `exp_family` | — |
 //! | Ablations (activation / scale / CUs / P2P / model) | — | `ablation_*` |
 //! | Fused hot path vs per-CU reference path | `exp_fused` | `fused_vs_unfused` |
-//! | Stream mux throughput, shard sweep, idle budget | `exp_streaming` | `mux_hot` |
 //!
 //! Historical comparisons (seed, PR 1 batch path, per-PID serial
 //! monitors, gate table off, mixed precision, the two-tier cascade, the
-//! volatile corpus replay and the batch-throughput sweep) are recorded
-//! numbers: see "Frozen baselines" in `EXPERIMENTS.md`.
+//! volatile corpus replay, the batch-throughput sweep, the stream-mux
+//! shard sweep and the lane-batched batch engine) are recorded numbers:
+//! see "Frozen baselines" in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

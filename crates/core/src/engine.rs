@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
 use crate::pool::WorkerPool;
-use crate::schedule::LaneSchedule;
 use crate::scratch::{EngineScratch, InferenceScratch, LaneScratch};
 use crate::weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
 
@@ -36,10 +35,6 @@ pub struct Classification {
     /// Hard decision at threshold 0.5.
     pub is_positive: bool,
 }
-
-/// One lane shard's output: `(sequence index, result)` pairs in
-/// retirement order, merged back into input order by the caller.
-type ShardResults = Vec<(usize, Classification)>;
 
 /// How the per-timestep gate computation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +58,7 @@ struct EngineCore {
     fused_fx: FusedGates<Fx6>,
     /// The production fixed-point pack of `fused_fx` plus the embedding
     /// table: the folded input-gate table and recurrent weights behind
-    /// both the row-vectorised serial kernel and the lane-batched one
+    /// both the row-vectorised serial kernel and the mux's lane step
     /// (`None` when the exactness proof fails; every fixed-point path
     /// then runs the wide serial matvec, bit-identical anyway).
     lane_fx: Option<LaneGatesFx>,
@@ -143,7 +138,7 @@ impl CsdInferenceEngine {
     /// allocation; callers classifying many sequences (monitors, batch
     /// workers) amortize the buffer allocation across all of them.
     ///
-    /// In fixed point this is the width-1 case of the lane engine: the
+    /// In fixed point this is the width-1 case of the mux's lane step: the
     /// same table-folded, `f64`-encoded kernels, with the gate matvec
     /// vectorised across its `4H` rows
     /// ([`csd_tensor::lanes::matvec_fx_rows_table`]). At paper
@@ -193,14 +188,18 @@ impl CsdInferenceEngine {
         self.classify_batch_refs(&refs)
     }
 
-    /// Classifies many borrowed sequences in input order, choosing the
-    /// fastest batch execution for this engine's gate path.
+    /// Classifies many borrowed sequences in input order: a plain loop
+    /// of [`classify_with_scratch`](Self::classify_with_scratch) over
+    /// chunks scattered onto the persistent worker pool as *scoped* jobs
+    /// that borrow the engine and the input slices — neither is cloned —
+    /// each reusing one scratch for its whole chunk. A batch that makes
+    /// one chunk runs on the calling thread. Both gate paths take this
+    /// loop, so every result is `classify`'s, bit for bit.
     ///
-    /// On the default [`GatePath::Fused`] path this runs the lane-batched
-    /// engine ([`classify_lanes`](Self::classify_lanes)); the per-CU path
-    /// keeps the hardware-mirroring serial kernels, sharded across the
-    /// persistent worker pool by borrowing — neither the engine nor any
-    /// sequence is cloned per chunk. Both return bit-identical results.
+    /// There is no lane-block arm: held to a ≥ 1.25× bar against this
+    /// loop, 16-lane SoA blocks read 0.60–0.86× of it at batch 512 and
+    /// failed the bar at every level, batch size and length mix
+    /// (EXPERIMENTS.md row 24a).
     ///
     /// # Panics
     ///
@@ -208,139 +207,50 @@ impl CsdInferenceEngine {
     /// out-of-vocabulary token.
     pub fn classify_batch_refs(&self, sequences: &[&[usize]]) -> Vec<Classification> {
         assert!(!sequences.is_empty(), "empty batch");
-        if sequences.len() == 1 {
-            // A lane block would compute `width` lanes for one sequence;
-            // the serial path is strictly cheaper — by measurement
-            // since it is the row kernel: ≈ 29 µs a 100-step window
-            // against sixteen times that for a 16-lane block at any
-            // occupancy —
-            // and bit-identical.
-            return vec![self.classify(sequences[0])];
-        }
-        match self.path {
-            GatePath::Fused => self.classify_lanes(sequences),
-            GatePath::PerCu => self.classify_batch_scoped(sequences),
-        }
-    }
-
-    /// Serial per-sequence batch execution: chunks scattered onto the
-    /// pool as *scoped* jobs that borrow the engine and the input slices
-    /// directly, each reusing one scratch for its whole chunk.
-    fn classify_batch_scoped(&self, sequences: &[&[usize]]) -> Vec<Classification> {
+        let classify_chunk = move |batch: &[&[usize]]| {
+            let mut scratch = self.make_scratch();
+            batch
+                .iter()
+                .map(|seq| self.classify_with_scratch(seq, &mut scratch))
+                .collect::<Vec<_>>()
+        };
         let pool = WorkerPool::global();
         let threads = pool.threads().min(sequences.len());
+        if threads == 1 {
+            return classify_chunk(sequences);
+        }
         // Ceil division: at most `threads` chunks, never an empty one.
         let chunk = sequences.len().div_ceil(threads);
         let jobs: Vec<Box<dyn FnOnce() -> Vec<Classification> + Send + '_>> = sequences
             .chunks(chunk)
             .map(|batch| {
-                Box::new(move || {
-                    let mut scratch = self.make_scratch();
-                    batch
-                        .iter()
-                        .map(|seq| self.classify_with_scratch(seq, &mut scratch))
-                        .collect::<Vec<_>>()
-                }) as Box<dyn FnOnce() -> Vec<Classification> + Send + '_>
+                Box::new(move || classify_chunk(batch))
+                    as Box<dyn FnOnce() -> Vec<Classification> + Send + '_>
             })
             .collect();
         pool.scatter_scoped(jobs).into_iter().flatten().collect()
     }
 
-    /// The lane width [`classify_lanes`](Self::classify_lanes) uses: the
-    /// widest multiple of 8 whose lane block — about `(4H + Z + H) · 8`
-    /// bytes of `g`/`z`/`c` state per lane — fits a 32 KiB L1 data
-    /// cache, clamped to `[8, 64]`. Multiples of 8 keep the AVX-512
-    /// kernels on their full-width tiles; for the paper's dimensions
-    /// (`H = 32`, `Z = 40`, 1600 bytes per lane) this lands on 16 lanes,
-    /// i.e. two 8-wide vectors. Callers that want another width pass it
-    /// to [`classify_lanes_with_width`](Self::classify_lanes_with_width).
-    pub fn lane_width(&self) -> usize {
+    /// The stream multiplexer's default lane width: the widest multiple
+    /// of 8 whose lane block — about `(4H + Z + H) · 8` bytes of
+    /// `g`/`z`/`c` state per lane — fits a 32 KiB L1 data cache, clamped
+    /// to `[8, 64]`. Multiples of 8 keep the AVX-512 kernels on their
+    /// full-width tiles; for the paper's dimensions (`H = 32`, `Z = 40`,
+    /// 1600 bytes per lane) this lands on 16 lanes, i.e. two 8-wide
+    /// vectors.
+    pub(crate) fn lane_width(&self) -> usize {
         let dims = self.core.weights.dims();
         let bytes_per_lane = 8 * (4 * dims.hidden + dims.z() + dims.hidden);
         let fit = (32 * 1024) / bytes_per_lane.max(1);
         (fit / 8 * 8).clamp(8, 64)
     }
 
-    /// Classifies many borrowed sequences with the lane-batched engine at
-    /// the default lane width — see
-    /// [`classify_lanes_with_width`](Self::classify_lanes_with_width).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch, an empty sequence, or an
-    /// out-of-vocabulary token.
-    pub fn classify_lanes(&self, sequences: &[&[usize]]) -> Vec<Classification> {
-        // A batch smaller than the full width still pays for every lane
-        // in the block, so shrink to the next multiple of 8 that covers
-        // it (8 keeps the AVX-512 kernels on full-width tiles).
-        let width = self
-            .lane_width()
-            .min(sequences.len().next_multiple_of(8))
-            .max(1);
-        self.classify_lanes_with_width(sequences, width)
-    }
-
-    /// Classifies many borrowed sequences by advancing `width` of them in
-    /// lockstep per worker: structure-of-arrays state turns the per-item
-    /// `4H×Z` gate matvec into one `4H×Z · Z×width` matrix–matrix kernel
-    /// (see [`csd_tensor::lanes`]). A length-bucketing schedule
-    /// ([`LaneSchedule`]) groups similar lengths, and finished lanes
-    /// retire early and refill from the shard's queue, so ragged batches
-    /// waste almost no lane-steps. Results are bit-identical to
-    /// [`classify`](Self::classify) at every optimization level: the
-    /// float path replays the serial operation order per lane, and the
-    /// fixed-point path computes the exact integer semantics (falling
-    /// back to the serial kernels when the weights fail the lane
-    /// exactness proof or a sequence exceeds
-    /// [`LANE_MAX_STEPS`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch, a zero width, an empty sequence, or an
-    /// out-of-vocabulary token.
-    pub fn classify_lanes_with_width(
-        &self,
-        sequences: &[&[usize]],
-        width: usize,
-    ) -> Vec<Classification> {
-        assert!(!sequences.is_empty(), "empty batch");
-        assert!(width > 0, "lane width must be at least 1");
-        for seq in sequences {
-            assert!(!seq.is_empty(), "empty sequence");
-        }
-        let fixed = self.level.is_fixed_point();
-        if fixed
-            && (self.core.lane_fx.is_none() || sequences.iter().any(|s| s.len() > LANE_MAX_STEPS))
-        {
-            return self.classify_batch_scoped(sequences);
-        }
-        let lengths: Vec<usize> = sequences.iter().map(|s| s.len()).collect();
-        let plan = LaneSchedule::plan(&lengths, width);
-        let pool = WorkerPool::global();
-        let shard_count = pool.threads().min(sequences.len().div_ceil(width)).max(1);
-        let shards = plan.shards(shard_count);
-        let jobs: Vec<Box<dyn FnOnce() -> ShardResults + Send + '_>> = shards
-            .iter()
-            .map(|queue| {
-                Box::new(move || self.run_lanes(queue, sequences, width))
-                    as Box<dyn FnOnce() -> ShardResults + Send + '_>
-            })
-            .collect();
-        let mut out: Vec<Option<Classification>> = vec![None; sequences.len()];
-        for (index, result) in pool.scatter_scoped(jobs).into_iter().flatten() {
-            out[index] = Some(result);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every sequence classified"))
-            .collect()
-    }
-
-    /// Whether [`step_lanes`](Self::step_lanes) can serve this engine:
-    /// the float levels always step; fixed point additionally needs the
-    /// weights to have passed the lane exactness proof at construction.
-    /// When `false`, per-timestep callers (the stream multiplexer) must
-    /// classify windows through the serial path instead — which is
-    /// bit-identical anyway.
+    /// Whether the stream multiplexer can step this engine's windows
+    /// through its lane block: the float levels always step; fixed point
+    /// additionally needs the weights to have passed the lane exactness
+    /// proof at construction. When `false` the mux classifies every
+    /// window through the serial path instead — which is bit-identical
+    /// anyway.
     pub fn supports_lane_stepping(&self) -> bool {
         !self.level.is_fixed_point() || self.core.lane_fx.is_some()
     }
@@ -348,10 +258,10 @@ impl CsdInferenceEngine {
     /// Advances a lane block one timestep in lockstep: lane `l` consumes
     /// `items[l]` when `Some`, and keeps computing on its (never read)
     /// stale state when `None`. This is the iteration-level primitive
-    /// behind both the offline batch engine and the continuous-batching
-    /// stream multiplexer ([`crate::shard::ShardedStreamMux`]): callers own the
-    /// per-lane occupancy (which sequence, which position) and the engine
-    /// owns one SoA kernel sweep per call.
+    /// behind the continuous-batching stream multiplexer
+    /// ([`crate::shard::ShardedStreamMux`]), its only caller: the mux
+    /// owns the per-lane occupancy (which window, which position) and
+    /// the engine owns one SoA kernel sweep per call.
     ///
     /// After the final item of a lane's sequence, read its verdict with
     /// [`retire_lane`](Self::retire_lane) and zero its state with
@@ -368,7 +278,7 @@ impl CsdInferenceEngine {
     /// model dimensions, or on a fixed-point engine whose weights failed
     /// the lane exactness proof (check
     /// [`supports_lane_stepping`](Self::supports_lane_stepping)).
-    pub fn step_lanes(&self, scratch: &mut LaneScratch, items: &[Option<usize>]) {
+    pub(crate) fn step_lanes(&self, scratch: &mut LaneScratch, items: &[Option<usize>]) {
         let width = scratch.width();
         assert_eq!(items.len(), width, "one item slot per lane");
         assert_eq!(
@@ -396,7 +306,7 @@ impl CsdInferenceEngine {
     /// # Panics
     ///
     /// Panics when `lane` is outside the scratch width.
-    pub fn retire_lane(&self, scratch: &LaneScratch, lane: usize) -> Classification {
+    pub(crate) fn retire_lane(&self, scratch: &LaneScratch, lane: usize) -> Classification {
         let w = &self.core.weights;
         let hdim = w.dims().hidden;
         let width = scratch.width();
@@ -517,51 +427,6 @@ impl CsdInferenceEngine {
             s.c[j] = ct;
             zh[j] = o_g[j] * (ct / (1.0 + ct.abs()));
         }
-    }
-
-    /// Runs one worker's queue of sequences through a lane block: `width`
-    /// lanes advance in lockstep via [`step_lanes`](Self::step_lanes),
-    /// each holding one in-flight sequence; a finished lane retires
-    /// ([`retire_lane`](Self::retire_lane)) and immediately refills from
-    /// the queue.
-    fn run_lanes(&self, queue: &[usize], sequences: &[&[usize]], width: usize) -> ShardResults {
-        let mut s = LaneScratch::new(self.core.weights.dims(), width);
-        // Per-lane occupancy: `(sequence index, next position)`.
-        let mut slots: Vec<Option<(usize, usize)>> = vec![None; width];
-        let mut items: Vec<Option<usize>> = vec![None; width];
-        let mut out = Vec::with_capacity(queue.len());
-        let mut next = 0usize;
-        let mut active = 0usize;
-        for slot in slots.iter_mut() {
-            if next < queue.len() {
-                *slot = Some((queue[next], 0));
-                next += 1;
-                active += 1;
-            }
-        }
-        while active > 0 {
-            for (item, slot) in items.iter_mut().zip(slots.iter()) {
-                *item = slot.map(|(si, pos)| sequences[si][pos]);
-            }
-            self.step_lanes(&mut s, &items);
-            for (l, slot) in slots.iter_mut().enumerate() {
-                let Some((si, pos)) = *slot else { continue };
-                if pos + 1 < sequences[si].len() {
-                    *slot = Some((si, pos + 1));
-                    continue;
-                }
-                out.push((si, self.retire_lane(&s, l)));
-                s.clear_lane(l);
-                if next < queue.len() {
-                    *slot = Some((queue[next], 0));
-                    next += 1;
-                } else {
-                    *slot = None;
-                    active -= 1;
-                }
-            }
-        }
-        out
     }
 
     /// The final hidden state in f64 (for parity tests against the
@@ -743,20 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_lanes_matches_serial_on_mixed_lengths() {
-        let m = model();
-        let w = ModelWeights::from_model(&m);
-        for level in OptimizationLevel::ALL {
-            let engine = CsdInferenceEngine::new(&w, level);
-            let batch: Vec<Vec<usize>> = [31usize, 1, 100, 7, 55].iter().map(|&n| seq(n)).collect();
-            let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
-            let serial: Vec<_> = batch.iter().map(|s| engine.classify(s)).collect();
-            assert_eq!(engine.classify_lanes(&refs), serial, "{level}");
-            assert_eq!(engine.classify_batch_refs(&refs), serial, "{level}");
-        }
-    }
-
-    #[test]
     fn float_engine_matches_offline_model_exactly() {
         let m = model();
         let w = ModelWeights::from_model(&m);
@@ -856,7 +707,7 @@ mod tests {
         let serial: Vec<Classification> = windows.iter().map(|s| fused.classify(s)).collect();
         assert_eq!(serial, reference);
 
-        // The batch entry point falls back to the scoped serial path.
+        // The batch entry point loops over the same serial `classify`.
         let refs: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
         assert_eq!(fused.classify_batch_refs(&refs), reference);
 

@@ -26,20 +26,17 @@
 //!   the default software hot path fuses the four gate matrices into one
 //!   `4H×Z` matvec over preallocated scratch, with the per-CU
 //!   formulation preserved for hardware-mirroring fidelity and as the
-//!   parity reference. Batches run the *lane-batched* engine:
-//!   many sequences advance in lockstep as structure-of-arrays lane
-//!   blocks, turning the gate matvec into a matrix–matrix kernel while
-//!   staying bit-identical to the serial path at every level.
+//!   parity reference. A batch is a plain loop of the serial path over
+//!   chunks on the worker pool.
 //! - [`scratch`] — the preallocated buffers behind the zero-allocation
-//!   steady state, including the lane-block scratch.
+//!   steady state.
 //! - [`pool`] — the process-wide persistent worker pool backing
 //!   [`classify_batch`](engine::CsdInferenceEngine::classify_batch) and
 //!   the sharded stream mux, with scoped (borrowing) job submission.
 //! - [`timing`] — regenerates Fig. 3 and the FPGA row of Table I from the
 //!   HLS latency model.
 //! - [`schedule`] — the §III-C software pipeline (preprocess prefetching
-//!   item `t+1` under the compute of item `t`), plus the length-bucketing
-//!   lane schedule for ragged batches.
+//!   item `t+1` under the compute of item `t`).
 //! - [`monitor`] — the continuous-protection wrapper: rolling window,
 //!   stride classification, alert debouncing (§I's background execution).
 //! - [`shard`] — [`ShardedStreamMux`], the continuous-batching stream
@@ -104,8 +101,8 @@ pub use kernels::LstmDims;
 pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};
 pub use opt::OptimizationLevel;
 pub use pool::{PoolError, WorkerPool};
-pub use schedule::{Bottleneck, LaneBucket, LaneSchedule, PipelineSchedule, ScheduleEvent};
-pub use scratch::{EngineScratch, InferenceScratch, LaneScratch};
+pub use schedule::{Bottleneck, PipelineSchedule, ScheduleEvent};
+pub use scratch::{EngineScratch, InferenceScratch};
 pub use shard::ShardedStreamMux;
 pub use stream::{MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict};
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};

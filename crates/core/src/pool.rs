@@ -8,9 +8,9 @@
 //!
 //! [`WorkerPool::scatter_scoped`] is the submission primitive: run a
 //! batch of jobs that may borrow from the caller's stack, return results
-//! in submission order — the lane engine and the sharded mux shard
-//! borrowed slices across workers without cloning the engine or copying
-//! sequences. While waiting, the submitting thread drains pending pool
+//! in submission order — batch classification and the sharded mux
+//! share borrowed slices across workers without cloning the engine or
+//! copying sequences. While waiting, the submitting thread drains pending pool
 //! jobs itself, so nested scatters cannot deadlock even when every
 //! worker is busy.
 

@@ -170,115 +170,6 @@ impl PipelineSchedule {
     }
 }
 
-/// One near-uniform-length bucket of sequences in a [`LaneSchedule`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneBucket {
-    /// Batch indices of the member sequences, longest first.
-    pub indices: Vec<usize>,
-    /// Shortest member length.
-    pub min_len: usize,
-    /// Longest member length.
-    pub max_len: usize,
-    /// Total items (sum of member lengths) — the bucket's work estimate.
-    pub work: usize,
-}
-
-/// A length-bucketing plan for lane-batched batch classification.
-///
-/// A lane block advances all its lanes until the *last* one finishes, so
-/// mixing a 5-item sequence into a block of 500-item sequences wastes
-/// almost nothing (the short lane retires early and is refilled), but the
-/// reverse — one straggler keeping a near-empty block alive — wastes
-/// compute on vacated lanes. Sorting the batch by descending length and
-/// cutting a new bucket when lengths fall below half the bucket's longest
-/// keeps every block's occupants within 2× of each other, so refills stay
-/// effective and tail waste is bounded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneSchedule {
-    /// Buckets in descending length order.
-    pub buckets: Vec<LaneBucket>,
-}
-
-impl LaneSchedule {
-    /// Plans buckets for a batch with the given per-sequence lengths.
-    ///
-    /// Sequences are sorted by descending length (ties broken by batch
-    /// index, so the plan is deterministic); a new bucket starts when the
-    /// next length drops below half the current bucket's maximum *and*
-    /// the bucket already fills a whole number of lane rows (cutting
-    /// mid-row would strand lanes the refill queue could have used).
-    pub fn plan(lengths: &[usize], lane_width: usize) -> Self {
-        assert!(lane_width > 0, "lane width must be at least 1");
-        let mut order: Vec<usize> = (0..lengths.len()).collect();
-        order.sort_by(|&a, &b| lengths[b].cmp(&lengths[a]).then(a.cmp(&b)));
-        let mut buckets: Vec<LaneBucket> = Vec::new();
-        for i in order {
-            let len = lengths[i];
-            match buckets.last_mut() {
-                Some(b) if 2 * len >= b.max_len || !b.indices.len().is_multiple_of(lane_width) => {
-                    b.indices.push(i);
-                    b.min_len = len;
-                    b.work += len;
-                }
-                _ => buckets.push(LaneBucket {
-                    indices: vec![i],
-                    min_len: len,
-                    max_len: len,
-                    work: len,
-                }),
-            }
-        }
-        Self { buckets }
-    }
-
-    /// Partitions the buckets across at most `shards` workers, greedily
-    /// assigning each bucket (largest work first) to the least-loaded
-    /// shard. Returns the concatenated index order per shard; empty
-    /// shards are dropped. Buckets are never split, so each shard's queue
-    /// stays sorted by descending length within a bucket — the property
-    /// the lane refill relies on.
-    pub fn shards(&self, shards: usize) -> Vec<Vec<usize>> {
-        assert!(shards > 0, "shard count must be at least 1");
-        let mut order: Vec<usize> = (0..self.buckets.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.buckets[b]
-                .work
-                .cmp(&self.buckets[a].work)
-                .then(a.cmp(&b))
-        });
-        let mut loads = vec![0usize; shards.min(self.buckets.len()).max(1)];
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); loads.len()];
-        for bi in order {
-            let target = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &load)| (load, i))
-                .map(|(i, _)| i)
-                .expect("at least one shard");
-            loads[target] += self.buckets[bi].work;
-            assigned[target].push(bi);
-        }
-        assigned
-            .into_iter()
-            .filter(|bucket_ids| !bucket_ids.is_empty())
-            .map(|mut bucket_ids| {
-                // Process each shard's buckets in plan (descending-length)
-                // order.
-                bucket_ids.sort_unstable();
-                bucket_ids
-                    .into_iter()
-                    .flat_map(|bi| self.buckets[bi].indices.iter().copied())
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Total items across all buckets.
-    pub fn total_work(&self) -> usize {
-        self.buckets.iter().map(|b| b.work).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,78 +290,5 @@ mod tests {
     #[should_panic(expected = "empty sequence")]
     fn zero_items_rejected() {
         let _ = fixed().sequence_us(0);
-    }
-
-    #[test]
-    fn lane_plan_sorts_descending_and_buckets_within_2x() {
-        let lengths = [5usize, 100, 7, 98, 3, 55, 120, 1];
-        let plan = LaneSchedule::plan(&lengths, 2);
-        // Every index appears exactly once.
-        let mut seen: Vec<usize> = plan
-            .buckets
-            .iter()
-            .flat_map(|b| b.indices.iter().copied())
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..lengths.len()).collect::<Vec<_>>());
-        assert_eq!(plan.total_work(), lengths.iter().sum::<usize>());
-        for b in &plan.buckets {
-            // Descending within a bucket…
-            for pair in b.indices.windows(2) {
-                assert!(lengths[pair[0]] >= lengths[pair[1]]);
-            }
-            assert_eq!(b.work, b.indices.iter().map(|&i| lengths[i]).sum::<usize>());
-            // …and a cut only happens at a whole lane row, so any bucket
-            // holding a full row respects the 2× rule for the rows it cut
-            // away from.
-            assert!(b.max_len >= b.min_len);
-        }
-        // Buckets themselves are in descending length order.
-        for pair in plan.buckets.windows(2) {
-            assert!(pair[0].min_len >= pair[1].max_len || 2 * pair[1].max_len < pair[0].max_len);
-        }
-    }
-
-    #[test]
-    fn lane_plan_keeps_uniform_batch_in_one_bucket() {
-        let lengths = vec![50usize; 64];
-        let plan = LaneSchedule::plan(&lengths, 16);
-        assert_eq!(plan.buckets.len(), 1);
-        assert_eq!(plan.buckets[0].work, 64 * 50);
-    }
-
-    #[test]
-    fn lane_plan_never_cuts_mid_row() {
-        // 3 long + 1 much shorter with width 4: the short one must join
-        // the long bucket to complete the lane row.
-        let lengths = [100usize, 100, 100, 2];
-        let plan = LaneSchedule::plan(&lengths, 4);
-        assert_eq!(plan.buckets.len(), 1);
-        // With width 2 the third long item leaves a half-full row, so the
-        // short item still joins to complete it rather than cut mid-row.
-        let plan2 = LaneSchedule::plan(&lengths, 2);
-        assert_eq!(plan2.buckets.len(), 1);
-        // Drop one long item: the row boundary now falls after two, and
-        // 2*2 < 100 cuts a new bucket for the short tail.
-        let plan3 = LaneSchedule::plan(&[100usize, 100, 2], 2);
-        assert_eq!(plan3.buckets.len(), 2);
-        assert_eq!(plan3.buckets[1].indices, vec![2]);
-    }
-
-    #[test]
-    fn lane_shards_cover_all_and_balance() {
-        let lengths = [100usize, 3, 98, 5, 55, 1, 120, 7, 60, 2];
-        let plan = LaneSchedule::plan(&lengths, 2);
-        for shards in [1usize, 2, 3, 8] {
-            let parts = plan.shards(shards);
-            assert!(parts.len() <= shards);
-            let mut seen: Vec<usize> = parts.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(
-                seen,
-                (0..lengths.len()).collect::<Vec<_>>(),
-                "{shards} shards"
-            );
-        }
     }
 }

@@ -4,7 +4,8 @@
 //! here: the per-timestep loop performs no heap allocation at all. This
 //! mirrors the hardware, where every kernel-side array is a fixed BRAM
 //! buffer sized at synthesis from the model dimensions (§III-B), not
-//! storage acquired per item.
+//! storage acquired per item. The stream mux's lane block keeps its
+//! structure-of-arrays state in the crate-private `LaneScratch`.
 
 use csd_fxp::Fx6;
 use csd_tensor::{Scalar, Vector};
@@ -52,7 +53,7 @@ impl<T: Scalar> InferenceScratch<T> {
 }
 
 /// Structure-of-arrays working memory for one lane block: `width`
-/// sequences advanced in lockstep by the lane-batched engine path.
+/// windows advanced in lockstep by a stream-mux shard.
 ///
 /// Layout: every buffer is row-major with lanes contiguous — element
 /// `(row r, lane l)` lives at `buf[r * width + l]`. All buffers are `f64`
@@ -65,7 +66,7 @@ impl<T: Scalar> InferenceScratch<T> {
 /// and the update kernel writes `h_t` directly where the next timestep's
 /// matmul reads it.
 #[derive(Debug, Clone)]
-pub struct LaneScratch {
+pub(crate) struct LaneScratch {
     /// Gate input block, `Z × width`: rows `0..H` hold `h_{t−1}`, rows
     /// `H..Z` hold the gathered embedding of each lane's current item.
     pub z: Vec<f64>,
@@ -125,14 +126,6 @@ impl LaneScratch {
         }
         self.item[lane] = 0;
     }
-
-    /// Zeroes every buffer.
-    pub fn reset(&mut self) {
-        self.z.fill(0.0);
-        self.g.fill(0.0);
-        self.c.fill(0.0);
-        self.item.fill(0);
-    }
 }
 
 /// Both precisions' scratch, so one allocation serves an engine at any
@@ -141,7 +134,7 @@ impl LaneScratch {
 pub struct EngineScratch {
     /// Float-path buffers. A fixed-point engine's fused path keeps its
     /// state here too (`g`, `c`, `h`): raw 10^6-scaled integers exactly
-    /// encoded in `f64`, as in a [`LaneScratch`] of width 1 — the form
+    /// encoded in `f64`, as in a mux lane block of width 1 — the form
     /// the [`csd_tensor::lanes`] kernels compute on.
     pub f64_buffers: InferenceScratch<f64>,
     /// Fixed-point-path buffers: the wide and per-CU paths' working
@@ -199,9 +192,6 @@ mod tests {
         // Embedding rows of the cleared lane are untouched (overwritten
         // by the next gather).
         assert_eq!(s.z[dims.hidden * width + 2], 1.0);
-        s.reset();
-        assert!(s.z.iter().all(|&v| v == 0.0));
-        assert!(s.item.iter().all(|&v| v == 0));
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! serial [`StreamMonitor`](crate::monitor::StreamMonitor) classifies one
 //! full window per completed stride — fine for one stream, but a fleet of
 //! processes turns that into thousands of independent serial `classify`
-//! calls, leaving the lane-batched SoA kernels idle exactly where the
-//! workload is most batchable.
+//! calls with no shared admission, backpressure or ordering.
 //!
-//! The mux closes that gap with *iteration-level* (continuous) batching,
+//! The mux's lane block is *iteration-level* (continuous) batching,
 //! the scheduling idea behind Orca-style LLM serving applied to LSTM
 //! windows: a fixed block of `W` lane slots advances all in-flight
-//! windows one timestep per tick through
-//! [`CsdInferenceEngine::step_lanes`]; a window that consumes its last
-//! item retires within the tick ([`CsdInferenceEngine::retire_lane`] — the
-//! FC head), and its slot is refilled from the pending queue *in the same
-//! tick*, so slots never idle waiting for a batch barrier. Every verdict
+//! windows one timestep per tick through the engine's crate-private
+//! `step_lanes`; a window that consumes its last item retires within the
+//! tick (`retire_lane` — the FC head), and its slot is refilled from the
+//! pending queue *in the same tick*, so slots never idle waiting for a
+//! batch barrier. (The block is the lane axis's only user; whether it
+//! earns its place under the mux is ROADMAP direction 2 A, and
+//! EXPERIMENTS.md row 24b has the reading per level.) Every verdict
 //! is bit-identical to serial
 //! [`classify`](crate::engine::CsdInferenceEngine::classify) of the same
 //! window — the lane-stepping contract — so going online changes nothing
@@ -61,8 +62,7 @@ pub enum OverflowPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamMuxConfig {
     /// Number of lane slots `W` per shard. `None` resolves to the
-    /// engine's cache-derived
-    /// [`lane_width`](CsdInferenceEngine::lane_width).
+    /// engine's cache-derived width (16 at the paper's dimensions).
     pub lanes: Option<usize>,
     /// Bound on the pending-window queue, summed across shards;
     /// [`OverflowPolicy`] applies beyond it.

@@ -59,6 +59,22 @@ fn fused_serial_past_the_lane_step_bound_matches_per_cu() {
     }
 }
 
+/// A sequence past the row kernel's proven range in the middle of a
+/// batch takes the wide path inside its chunk; its neighbours do not,
+/// and the batch still comes back in input order, equal to serial
+/// classification, at every level.
+#[test]
+fn batch_with_an_overlong_sequence_in_the_middle_matches_serial() {
+    let long: Vec<usize> = (0..LANE_MAX_STEPS + 1).map(|i| i % 278).collect();
+    let short: Vec<usize> = (0..40).map(|i| (i * 7) % 278).collect();
+    let batch = [short.clone(), long, short];
+    for level in OptimizationLevel::ALL {
+        let [_, engine] = engines(5, level);
+        let individually: Vec<_> = batch.iter().map(|s| engine.classify(s)).collect();
+        assert_eq!(engine.classify_batch(&batch), individually, "{level}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -123,11 +139,12 @@ proptest! {
 
     /// `classify_batch` (pooled workers, chunked scatter) returns exactly
     /// what per-sequence classification returns, in input order, for
-    /// every level and any batch size including awkward ones.
+    /// every level, any batch size including awkward ones, and ragged
+    /// lengths on both sides of a window.
     #[test]
     fn batch_matches_serial_at_every_level(
         seed in any::<u64>(),
-        batch in prop::collection::vec(arb_sequence(), 1..=9),
+        batch in prop::collection::vec(prop::collection::vec(0usize..278, 1..=150), 1..=12),
         level_idx in 0usize..3,
     ) {
         let level = OptimizationLevel::ALL[level_idx];

@@ -1,7 +1,7 @@
 //! Property-based parity of the continuous-batching stream multiplexer
 //! against per-window serial classification.
 //!
-//! The mux's contract is the lane engine's, taken online: every
+//! This is the only test of the lane step itself: every
 //! [`Verdict`] must be bit-identical — exact f64 equality on the float
 //! levels, 0 ULP in 10^6-scaled fixed point — to
 //! [`CsdInferenceEngine::classify`] of the same window, no matter how
@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use csd_accel::{
-    CsdInferenceEngine, OptimizationLevel, ShardedStreamMux, StreamMuxConfig, Verdict,
+    CsdInferenceEngine, GatePath, OptimizationLevel, ShardedStreamMux, StreamMuxConfig, Verdict,
 };
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use proptest::prelude::*;
@@ -45,10 +45,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Streamed verdicts equal serial per-window classification bit for
-    /// bit at every optimization level and lane width, with submissions
+    /// bit at every optimization level and lane width (1 and 3: scalar
+    /// remainders; 8, 16 and 32: full SIMD tiles), with submissions
     /// interleaved against ticks so windows are admitted into a mux
     /// whose lanes are mid-window, retire at different times, and refill
-    /// slots within ticks.
+    /// slots within ticks. In fixed point the serial side is also held
+    /// to the per-CU reference, which never touches the gate table the
+    /// lane step gathers from.
     #[test]
     fn streamed_verdicts_bit_identical_to_serial(
         seed in any::<u64>(),
@@ -62,7 +65,12 @@ proptest! {
         let level = OptimizationLevel::ALL[level_idx];
         let e = engine(seed, level);
         let serial: Vec<_> = windows.iter().map(|w| e.classify(w)).collect();
-        for width in [1usize, 3, 8, 16] {
+        if level.is_fixed_point() {
+            let per_cu = e.clone().with_gate_path(GatePath::PerCu);
+            let reference: Vec<_> = windows.iter().map(|w| per_cu.classify(w)).collect();
+            prop_assert_eq!(&serial, &reference, "table serial vs per-CU");
+        }
+        for width in [1usize, 3, 8, 16, 32] {
             let mut m = mux(e.clone(), width);
             let mut verdicts: Vec<Verdict> = Vec::new();
             for (k, w) in windows.iter().enumerate() {

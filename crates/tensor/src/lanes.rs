@@ -12,7 +12,8 @@
 //!   matrix–*matrix* product and the activations sweep contiguous lane
 //!   rows. Memory layout: element `(row r, lane l)` lives at
 //!   `buf[r * width + l]`. A block costs the same whether one lane is
-//!   occupied or all of them.
+//!   occupied or all of them. The stream mux's lane block is this
+//!   axis's only caller; batches loop the row kernel below.
 //! - **Across rows** ([`matvec_fx_rows_table`]): one sequence, its `4H`
 //!   gate rows spread over the registers. The gate-table row is
 //!   contiguous and `W_h` is kept transposed, so neither needs a

@@ -16,6 +16,7 @@
 
 use std::process::ExitCode;
 
+use csd_inference::accel::kernels::preprocess::in_vocabulary;
 use csd_inference::accel::{CsdInferenceEngine, OptimizationLevel};
 use csd_inference::accel::{MonitorConfig, StreamMonitor};
 use csd_inference::nn::{
@@ -87,6 +88,33 @@ fn required<'a>(args: &'a [String], name: &str) -> Result<&'a str, String> {
     flag(args, name).ok_or_else(|| format!("missing required flag {name}"))
 }
 
+/// Reads a labelled CSV corpus for a model of `vocab` tokens. The file
+/// comes from outside the program and `Dataset::from_csv` cannot know the
+/// vocabulary, so every token is checked here, where the model is known:
+/// the engine and the trainer both panic on one they have no row for
+/// (and on a corpus with no sequence at all).
+fn load_dataset(path: &str, vocab: usize) -> Result<Dataset, String> {
+    let csv = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let ds = Dataset::from_csv(&csv)?;
+    if ds.is_empty() {
+        return Err(format!("{path}: no sequences"));
+    }
+    // `from_csv` makes one entry per non-blank line, in order.
+    let rows = csv
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
+    for ((lineno, _), entry) in rows.zip(ds.entries()) {
+        if let Some(token) = entry.sequence.iter().find(|&&t| !in_vocabulary(vocab, t)) {
+            return Err(format!(
+                "{path}: line {}: token {token} outside the model's vocabulary of {vocab}",
+                lineno + 1
+            ));
+        }
+    }
+    Ok(ds)
+}
+
 fn cmd_dataset(args: &[String]) -> Result<(), String> {
     let out = required(args, "--out")?;
     let windows: usize = parse(args, "--windows", 2_000)?;
@@ -115,15 +143,15 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let test_frac: f64 = parse(args, "--test-frac", 0.2)?;
     let seed: u64 = parse(args, "--seed", 0xC5D)?;
 
-    let csv = std::fs::read_to_string(data).map_err(|e| format!("reading {data}: {e}"))?;
-    let ds = Dataset::from_csv(&csv)?;
+    let config = ModelConfig::paper();
+    let ds = load_dataset(data, config.vocab)?;
     let (train, test) = ds.split(test_frac, SplitKind::Random, seed);
     eprintln!(
         "training on {} sequences, evaluating on {} ...",
         train.len(),
         test.len()
     );
-    let mut model = SequenceClassifier::new(ModelConfig::paper(), seed);
+    let mut model = SequenceClassifier::new(config, seed);
     let trainer = Trainer::new(TrainOptions {
         epochs,
         seed,
@@ -155,11 +183,12 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     let weights = ModelWeights::from_text(&text).map_err(|e| e.to_string())?;
     let engine = CsdInferenceEngine::new(&weights, level);
 
-    let csv = std::fs::read_to_string(data).map_err(|e| format!("reading {data}: {e}"))?;
-    let ds = Dataset::from_csv(&csv)?;
+    let ds = load_dataset(data, engine.weights().dims().vocab)?;
+    let windows: Vec<&[usize]> = ds.entries().iter().map(|e| e.sequence.as_slice()).collect();
+    let verdicts = engine.classify_batch_refs(&windows);
     let mut cm = ConfusionMatrix::new();
-    for e in ds.entries() {
-        cm.record(e.is_ransomware, engine.classify(&e.sequence).is_positive);
+    for (e, verdict) in ds.entries().iter().zip(verdicts) {
+        cm.record(e.is_ransomware, verdict.is_positive);
     }
     println!(
         "{} sequences classified at level {level}: {}",
