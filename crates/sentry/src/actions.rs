@@ -95,8 +95,9 @@ pub struct Incident {
     /// What the sentry did.
     pub action: ActionTaken,
     /// What the action's backend reported. Defaults on deserialize so
-    /// pre-outcome journal records (and older forensic exports) still
-    /// load.
+    /// forensic exports written before outcomes were recorded still
+    /// load. (The journal keeps incidents in a fixed binary layout of
+    /// its own; these derives are for export only.)
     #[serde(default)]
     pub outcome: ActionOutcome,
     /// The verdict landed after the session had already ended (exit or

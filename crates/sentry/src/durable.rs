@@ -452,7 +452,7 @@ impl DurableSentry {
             return Ok(raised);
         }
         let waiting = self.journal.pending_incidents() > 0;
-        self.journal.frame_incidents(&raised)?;
+        self.journal.frame_incidents(&raised);
         self.held.extend(raised);
         if self.journal.pending_incidents() > 0 {
             if commit || (waiting && self.held_since.elapsed() >= COMMIT_DEADLINE) {

@@ -10,7 +10,7 @@
 //!
 //! # Record format
 //!
-//! The file opens with an 8-byte magic (`CSDJRNL2`) and then holds
+//! The file opens with an 8-byte magic (`CSDJRNL3`) and then holds
 //! back-to-back records, each framed with the same discipline as the
 //! socket protocol in [`event`](crate::event):
 //!
@@ -19,19 +19,57 @@
 //! │ len u32 LE │ crc32 u32 LE│ rtype │ body (len-1 bytes)   │
 //! └────────────┴─────────────┴───────┴──────────────────────┘
 //!   rtype 0 = Event    (body: the wire payload of the event)
-//!   rtype 1 = Incident (body: prev u64 LE, then the incident's JSON)
+//!   rtype 1 = Incident (body: the fixed layout below)
 //! ```
 //!
-//! `len` counts `rtype + body`; the CRC-32 (IEEE) covers the same
-//! bytes. A record is *valid* iff its length fits the remaining file,
-//! is within [`MAX_RECORD_LEN`], its CRC matches, and its body decodes.
+//! `len` counts `rtype + body`; the CRC-32 (IEEE, computed eight bytes
+//! a step) covers the same bytes. A record is *valid* iff its length
+//! fits the remaining file, is within [`MAX_RECORD_LEN`], its CRC
+//! matches, and its body decodes.
+//!
+//! An incident body is little-endian and fixed up to its two strings:
+//!
+//! ```text
+//!   offset  bytes  field
+//!        0      8  prev          u64: file offset of the previous incident record, 0 = none
+//!        8      8  sid           u64
+//!       16      4  pid           u32
+//!       20      8  at_call       u64
+//!       28      8  probability   f64 bits
+//!       36      8  inference_us  f64 bits
+//!       44      1  action        0 Logged · 1 Killed · 2 Quarantined · 3 Suppressed
+//!       45      1  post_exit     0 · 1
+//!       46      1  outcome       0 NotAttempted · 1 Applied · 2 Failed
+//!       47  2 + n  name          u16 length n + UTF-8; length 0xFFFF = no name
+//!        …  2 + m  outcome text  u16 length m + UTF-8; empty for NotAttempted
+//! ```
+//!
+//! Floats travel as their bits, so a NaN or an infinity is journaled
+//! like any other value. A string longer than its length field allows
+//! (65,534 bytes for a name, 65,535 for an outcome text) is cut at a
+//! character boundary; nothing else about an incident can fail to
+//! encode. The decoder is the encoder's inverse and nothing more: a
+//! short field, a length past the body, an unknown tag, invalid UTF-8
+//! or a byte left over refuses the record. It allocates only the two
+//! strings, whose lengths the body's own bytes bound.
 //!
 //! An incident record's `prev` is the file offset of the incident
 //! record before it (0 for the first): the incidents form a chain
 //! through the file, newest to oldest, so a reader that knows where the
 //! newest one sits reaches all of them without reading the events in
 //! between. That is the one incident record there is; a file with an
-//! earlier magic is refused like any other foreign file.
+//! earlier magic — unlinked records (`1`), JSON bodies (`2`) — is
+//! refused like any other foreign file.
+//!
+//! Recovery decodes one incident body per incident ever raised and
+//! replays every tail event through the sessions, so neither the body
+//! nor the per-event bookkeeping may cost more than the data asks. The
+//! session-id-keyed maps on that path (the session table's and the
+//! sentry's stream records) hash with an in-tree multiply-rotate
+//! hasher (`session::SidHasher`): the table issues
+//! session ids, one after another, so no producer can choose keys that
+//! collide. Maps keyed by PID keep the standard library's randomly
+//! seeded SipHash, because a producer does choose its PIDs.
 //!
 //! # Durability model
 //!
@@ -95,27 +133,40 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::actions::Incident;
+use crate::actions::{ActionOutcome, ActionTaken, Incident};
 use crate::event::{decode_payload, encode_payload, ProcessEvent};
+use csd_accel::Alert;
 
-/// Magic bytes opening every journal file (format version 2: incident
-/// records carry a back-link).
-pub const JOURNAL_MAGIC: &[u8; 8] = b"CSDJRNL2";
+/// Magic bytes opening every journal file (format version 3: incident
+/// records carry a back-link and a fixed-layout body).
+pub const JOURNAL_MAGIC: &[u8; 8] = b"CSDJRNL3";
 
-/// Upper bound on one record's `rtype + body` length. The largest
-/// legitimate record is an incident's JSON, far under this; a torn or
+/// Upper bound on one record's `rtype + body` length: the largest
+/// record there can be, an incident whose name and outcome text are
+/// both as long as their length fields allow (131,121 bytes). A torn or
 /// hostile length prefix beyond it ends the valid prefix.
-pub const MAX_RECORD_LEN: usize = 64 * 1024;
+pub const MAX_RECORD_LEN: usize = 1 + INCIDENT_FIXED_LEN + 2 + MAX_NAME_LEN + 2 + MAX_TEXT_LEN;
 
 /// Bytes of a record before its `rtype`: length and CRC.
 const HEADER_LEN: usize = 8;
 
-/// Bytes of an incident record's payload before its JSON: `rtype` and
-/// the back-link.
+/// Bytes of an incident record's payload before the rest of its body:
+/// `rtype` and the back-link.
 const LINK_LEN: usize = 1 + 8;
 
+/// Bytes of an incident body before its two strings (see the
+/// [module docs](self#record-format)).
+const INCIDENT_FIXED_LEN: usize = 8 + 8 + 4 + 8 + 8 + 8 + 3;
+
+/// An incident body's name length that stands for "no name".
+const NO_NAME: u16 = u16::MAX;
+
+/// The longest name and outcome text an incident body holds, in bytes.
+const MAX_NAME_LEN: usize = NO_NAME as usize - 1;
+const MAX_TEXT_LEN: usize = u16::MAX as usize;
+
 /// What one hop of the chain walk reads before it knows the record's
-/// length: several times a usual incident record (≈ 200 bytes), so a
+/// length: several times a usual incident record (≈ 80 bytes), so a
 /// hop is one read.
 const HOP_READ: u64 = 512;
 
@@ -129,7 +180,8 @@ pub enum JournalError {
     /// is not a journal, and truncating it would destroy someone
     /// else's data.
     BadMagic,
-    /// An incident could not be serialized for the record body.
+    /// A checkpoint could not be serialized. (Journal records always
+    /// encode.)
     Encode(String),
 }
 
@@ -138,7 +190,7 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o failed: {e}"),
             JournalError::BadMagic => write!(f, "file is not a csd-sentry journal"),
-            JournalError::Encode(e) => write!(f, "journal record failed to encode: {e}"),
+            JournalError::Encode(e) => write!(f, "checkpoint failed to encode: {e}"),
         }
     }
 }
@@ -249,9 +301,12 @@ impl Default for JournalConfig {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slice-by-8 tables, built at compile
+/// time: `CRC_TABLES[0]` is the bytewise table, and `CRC_TABLES[k][b]`
+/// is entry `b` carried through `k` more zero bytes, so eight table
+/// reads fold eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -264,18 +319,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes` — the same polynomial the device sim's
-/// CRC-on-DMA check models, reused here as the record checksum.
+/// CRC-on-DMA check models, reused here as the record checksum. Eight
+/// bytes a step (slice-by-8), then the bytewise step for the rest; the
+/// value is the bytewise definition's.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -461,38 +541,27 @@ impl Journal {
     /// Frames one record in place at the end of `pending` and returns
     /// the file offset it will have: the header is reserved, `body`
     /// appends the record's bytes after the type tag, then length and
-    /// CRC are patched in. A record whose body fails to encode leaves
-    /// the journal as it was.
-    fn frame_in_place(
-        &mut self,
-        rtype: u8,
-        body: impl FnOnce(&mut Vec<u8>) -> Result<(), JournalError>,
-    ) -> Result<u64, JournalError> {
+    /// CRC are patched in.
+    fn frame_in_place(&mut self, rtype: u8, body: impl FnOnce(&mut Vec<u8>)) -> u64 {
         let pending = &mut self.pending;
         let at = pending.len();
         pending.extend_from_slice(&[0u8; HEADER_LEN]);
         pending.push(rtype);
-        if let Err(e) = body(pending) {
-            pending.truncate(at);
-            return Err(e);
-        }
+        body(pending);
         let len = pending.len() - at - HEADER_LEN;
         debug_assert!(len <= MAX_RECORD_LEN, "record exceeds MAX_RECORD_LEN");
         let crc = crc32(&pending[at + HEADER_LEN..]);
         pending[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
         pending[at + 4..at + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         self.last_record = self.synced_len + at as u64;
-        Ok(self.last_record)
+        self.last_record
     }
 
     /// Appends one event record. Buffered; becomes durable at the next
     /// sync point (every `sync_every` events, `sync`,
     /// `append_incidents`, or clean drop).
     pub fn append_event(&mut self, event: &ProcessEvent) -> Result<(), JournalError> {
-        self.frame_in_place(0, |out| {
-            encode_payload(event, out);
-            Ok(())
-        })?;
+        self.frame_in_place(0, |out| encode_payload(event, out));
         self.pending_events += 1;
         if self.pending_events >= self.sync_every {
             self.sync()?;
@@ -515,7 +584,7 @@ impl Journal {
         if incidents.is_empty() {
             return Ok(());
         }
-        self.frame_incidents(incidents)?;
+        self.frame_incidents(incidents);
         self.sync()
     }
 
@@ -524,17 +593,12 @@ impl Journal {
     /// durable with whatever sync comes next, and until then
     /// [`pending_incidents`](Self::pending_incidents) counts them. The
     /// caller must not hand them on before that.
-    pub(crate) fn frame_incidents(&mut self, incidents: &[Incident]) -> Result<(), JournalError> {
+    pub(crate) fn frame_incidents(&mut self, incidents: &[Incident]) {
         for incident in incidents {
             let prev = self.last_incident;
-            self.last_incident = self.frame_in_place(1, |out| {
-                out.extend_from_slice(&prev.to_le_bytes());
-                serde_json::to_writer(out, incident)
-                    .map_err(|e| JournalError::Encode(e.to_string()))
-            })?;
+            self.last_incident = self.frame_in_place(1, |out| encode_incident(prev, incident, out));
             self.pending_incidents += 1;
         }
-        Ok(())
     }
 
     /// Writes every buffered record and fdatasyncs. After `Ok`, all
@@ -624,13 +688,120 @@ fn header(bytes: &[u8]) -> (usize, u32) {
     )
 }
 
+/// Appends the body of an incident record linked back to `prev` (the
+/// layout in the [module docs](self#record-format)).
+fn encode_incident(prev: u64, incident: &Incident, out: &mut Vec<u8>) {
+    let alert = &incident.alert;
+    let action = match incident.action {
+        ActionTaken::Logged => 0,
+        ActionTaken::Killed => 1,
+        ActionTaken::Quarantined => 2,
+        ActionTaken::Suppressed => 3,
+    };
+    let (outcome, text) = match &incident.outcome {
+        ActionOutcome::NotAttempted => (0, ""),
+        ActionOutcome::Applied(text) => (1, text.as_str()),
+        ActionOutcome::Failed(text) => (2, text.as_str()),
+    };
+    out.extend_from_slice(&prev.to_le_bytes());
+    out.extend_from_slice(&incident.sid.to_le_bytes());
+    out.extend_from_slice(&incident.pid.to_le_bytes());
+    out.extend_from_slice(&(alert.at_call as u64).to_le_bytes());
+    out.extend_from_slice(&alert.probability.to_bits().to_le_bytes());
+    out.extend_from_slice(&alert.inference_us.to_bits().to_le_bytes());
+    out.extend_from_slice(&[action, u8::from(incident.post_exit), outcome]);
+    match &incident.name {
+        Some(name) => put_str(name, MAX_NAME_LEN, out),
+        None => out.extend_from_slice(&NO_NAME.to_le_bytes()),
+    }
+    put_str(text, MAX_TEXT_LEN, out);
+}
+
+/// Appends `s` as a `u16` length and its UTF-8, cut to at most `max`
+/// (≤ `u16::MAX`) bytes at a character boundary.
+fn put_str(s: &str, max: usize, out: &mut Vec<u8>) {
+    let len = s.floor_char_boundary(max);
+    out.extend_from_slice(&(len as u16).to_le_bytes());
+    out.extend_from_slice(&s.as_bytes()[..len]);
+}
+
 /// An incident record's payload (`rtype` included): its back-link and
-/// the incident.
+/// the incident. `None` unless the body is exactly what
+/// [`encode_incident`] writes for some incident.
 fn decode_incident(payload: &[u8]) -> Option<(u64, Incident)> {
-    let link: [u8; 8] = payload.get(1..LINK_LEN)?.try_into().ok()?;
-    let json = std::str::from_utf8(&payload[LINK_LEN..]).ok()?;
-    let incident = serde_json::from_str(json).ok()?;
-    Some((u64::from_le_bytes(link), incident))
+    let mut body = Fields(payload.get(1..)?);
+    let prev = body.u64()?;
+    let sid = body.u64()?;
+    let pid = u32::from_le_bytes(body.array()?);
+    let at_call = usize::try_from(body.u64()?).ok()?;
+    let probability = f64::from_bits(body.u64()?);
+    let inference_us = f64::from_bits(body.u64()?);
+    let [action, post_exit, outcome] = body.array()?;
+    let action = match action {
+        0 => ActionTaken::Logged,
+        1 => ActionTaken::Killed,
+        2 => ActionTaken::Quarantined,
+        3 => ActionTaken::Suppressed,
+        _ => return None,
+    };
+    let post_exit = match post_exit {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    let name = match u16::from_le_bytes(body.array()?) {
+        NO_NAME => None,
+        len => Some(body.str(len)?.to_string()),
+    };
+    let len = u16::from_le_bytes(body.array()?);
+    let text = body.str(len)?;
+    let outcome = match outcome {
+        0 if text.is_empty() => ActionOutcome::NotAttempted,
+        1 => ActionOutcome::Applied(text.to_string()),
+        2 => ActionOutcome::Failed(text.to_string()),
+        _ => return None,
+    };
+    if !body.0.is_empty() {
+        return None;
+    }
+    let incident = Incident {
+        sid,
+        pid,
+        name,
+        alert: Alert {
+            at_call,
+            probability,
+            inference_us,
+        },
+        action,
+        outcome,
+        post_exit,
+    };
+    Some((prev, incident))
+}
+
+/// The fields of an incident body not read yet.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// The next `n` bytes, if the body has them.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn str(&mut self, len: u16) -> Option<&'a str> {
+        std::str::from_utf8(self.take(usize::from(len))?).ok()
+    }
 }
 
 /// The anchor is trusted only for a file that frames to it: the magic
@@ -943,21 +1114,18 @@ mod tests {
     /// The on-disk format, byte for byte: the magic, a spawn event,
     /// [`sample_incident`]`(3)` with no incident before it (`prev` 0),
     /// an API event, and [`sample_incident`]`(4)` linked back to the
-    /// first one's offset, 40 = `0x28`. The bytes after each record's
-    /// link are what the unlinked format wrote.
-    const GOLDEN: &str = "4353444a524e4c32\
-        18000000923d22d5000007000000000000009210000008006576696c2e657865\
-        b9000000d7f8c1600100000000000000007b22736964223a332c22706964223a343234322c226e\
-        616d65223a226576696c2e657865222c22616c657274223a7b2261745f63616c6c223a3130302c\
-        2270726f626162696c697479223a302e39372c22696e666572656e63655f7573223a31322e357d\
-        2c22616374696f6e223a2251756172616e74696e6564222c226f7574636f6d65223a7b22417070\
-        6c696564223a2273616e64626f786564227d2c22706f73745f65786974223a66616c73657d1200\
-        000031440bae000108000000000000009210000005000000b9000000b366a0d001280000000000\
-        00007b22736964223a342c22706964223a343234322c226e616d65223a226576696c2e65786522\
-        2c22616c657274223a7b2261745f63616c6c223a3130302c2270726f626162696c697479223a30\
-        2e39372c22696e666572656e63655f7573223a31322e357d2c22616374696f6e223a2251756172\
-        616e74696e6564222c226f7574636f6d65223a7b224170706c696564223a2273616e64626f7865\
-        64227d2c22706f73745f65786974223a66616c73657d";
+    /// first one's offset, 40 = `0x28`. One record a line; an incident's
+    /// body is split at `prev`, `sid`, `pid`, `at_call`, the two floats'
+    /// bits, the three tags and the two strings. The two event records
+    /// are byte for byte, CRC included, what every earlier format wrote:
+    /// the event format has not changed.
+    const GOLDEN: &str = "4353444a524e4c33
+        18000000923d22d5000007000000000000009210000008006576696c2e657865
+        45000000843ad420 01 0000000000000000 0300000000000000 92100000 6400000000000000
+            0ad7a3703d0aef3f 0000000000002940 020001 08006576696c2e657865 090073616e64626f786564
+        1200000031440bae000108000000000000009210000005000000
+        45000000f368dbb7 01 2800000000000000 0400000000000000 92100000 6400000000000000
+            0ad7a3703d0aef3f 0000000000002940 020001 08006576696c2e657865 090073616e64626f786564";
 
     #[test]
     fn the_on_disk_format_is_the_golden_bytes() {
@@ -1064,7 +1232,7 @@ mod tests {
             }
             j.append_event(e).unwrap();
             if incident_after(i) {
-                j.frame_incidents(&[sample_incident(i as u64)]).unwrap();
+                j.frame_incidents(&[sample_incident(i as u64)]);
             }
         }
         j.sync().unwrap();
@@ -1176,7 +1344,7 @@ mod tests {
             for e in sample_events(4) {
                 j.append_event(&e).unwrap();
             }
-            j.frame_incidents(&[sample_incident(2)]).unwrap();
+            j.frame_incidents(&[sample_incident(2)]);
             j.append_event(&sample_events(1)[0]).unwrap();
             j.simulate_crash(torn);
             let rec = assert_open_at_matches_the_full_scan(&path, &anchor, 9);
@@ -1203,7 +1371,7 @@ mod tests {
         }
         // An incident is pending when the sync fails, part of the batch
         // already in the file...
-        j.frame_incidents(&[sample_incident(2)]).unwrap();
+        j.frame_incidents(&[sample_incident(2)]);
         let mut writable = std::mem::replace(&mut j.file, File::open(&path).unwrap());
         assert!(matches!(j.sync(), Err(JournalError::Io(_))));
         writable.write_all(&j.pending[..10]).unwrap();
@@ -1211,7 +1379,7 @@ mod tests {
         j.file = writable;
         // ...and another is framed behind it before the retry: it links
         // to where the first one *will* be.
-        j.frame_incidents(&[sample_incident(3)]).unwrap();
+        j.frame_incidents(&[sample_incident(3)]);
         j.sync().unwrap();
         let anchor = j.anchor();
         assert_eq!(anchor.incidents, 3);
@@ -1405,9 +1573,9 @@ mod tests {
     fn a_journal_of_the_previous_format_is_refused_untouched() {
         let path = tmp("old-magic");
         let anchor = anchored_journal(&path, 10, 5, |i| i == 2);
-        // The magic before incident records were linked ended in 1.
+        // The magic before incident bodies had a fixed layout ended in 2.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[JOURNAL_MAGIC.len() - 1] = b'1';
+        bytes[JOURNAL_MAGIC.len() - 1] = b'2';
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             Journal::open(&path, JournalConfig::default()),
@@ -1421,10 +1589,274 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The bytewise definition slice-by-8 must agree with: one table
+    /// read a byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_reference_vector() {
         // The canonical check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_crc_at_every_length_and_alignment() {
+        // Bytes from a 64-bit LCG: every byte value, no pattern a
+        // table could share with its neighbour.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..300 + 8)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "{len} bytes from {start}"
+                );
+            }
+        }
+        // Runs of one byte value, where a table mix-up would cancel.
+        for b in [0x00, 0xFF, 0x80, 0x01] {
+            let run = [b; 67];
+            assert_eq!(crc32(&run), crc32_bytewise(&run), "a run of {b:#04x}");
+        }
+    }
+
+    /// Incidents whose bodies exercise every field: each action × each
+    /// outcome, names absent, empty, non-ASCII and as long as the
+    /// length field allows, floats that JSON cannot carry.
+    fn codec_incidents() -> Vec<Incident> {
+        let actions = [
+            ActionTaken::Logged,
+            ActionTaken::Killed,
+            ActionTaken::Quarantined,
+            ActionTaken::Suppressed,
+        ];
+        let outcomes = [
+            ActionOutcome::NotAttempted,
+            ActionOutcome::Applied("/var/sandbox/évil.exe".to_string()),
+            ActionOutcome::Applied(String::new()),
+            ActionOutcome::Failed("kill(4242): ESRCH — no such process".to_string()),
+        ];
+        let names = [
+            None,
+            Some(String::new()),
+            Some("шифровальщик-🔒.exe".to_string()),
+            Some("x".repeat(MAX_NAME_LEN)),
+        ];
+        let floats = [
+            (0.97, 12.5),
+            (f64::NAN, f64::INFINITY),
+            (f64::NEG_INFINITY, -0.0),
+            (
+                f64::from_bits(0x7FF0_0000_0000_0001),
+                f64::MIN_POSITIVE / 2.0,
+            ),
+        ];
+        let mut incidents = Vec::new();
+        for (i, action) in actions.iter().enumerate() {
+            for (j, outcome) in outcomes.iter().enumerate() {
+                for (k, name) in names.iter().enumerate() {
+                    let (probability, inference_us) = floats[(i + j + k) % floats.len()];
+                    incidents.push(Incident {
+                        sid: u64::MAX - (i * 16 + j * 4 + k) as u64,
+                        pid: u32::MAX - k as u32,
+                        name: name.clone(),
+                        alert: Alert {
+                            at_call: usize::MAX - j,
+                            probability,
+                            inference_us,
+                        },
+                        action: *action,
+                        outcome: outcome.clone(),
+                        post_exit: (i + j + k) % 2 == 1,
+                    });
+                }
+            }
+        }
+        incidents
+    }
+
+    /// `a == b` with the floats compared by their bits (NaN ≠ NaN, and
+    /// −0.0 = 0.0, under `PartialEq`).
+    fn same_bits(a: &Incident, b: &Incident) -> bool {
+        let bits = |i: &Incident| {
+            (
+                i.alert.probability.to_bits(),
+                i.alert.inference_us.to_bits(),
+            )
+        };
+        let plain = |i: &Incident| Incident {
+            alert: Alert {
+                probability: 0.0,
+                inference_us: 0.0,
+                ..i.alert
+            },
+            ..i.clone()
+        };
+        bits(a) == bits(b) && plain(a) == plain(b)
+    }
+
+    /// A record payload — `rtype` and body — for `incident`.
+    fn incident_payload(prev: u64, incident: &Incident) -> Vec<u8> {
+        let mut payload = vec![1u8];
+        encode_incident(prev, incident, &mut payload);
+        payload
+    }
+
+    #[test]
+    fn incident_bodies_round_trip_bit_for_bit() {
+        for (i, incident) in codec_incidents().iter().enumerate() {
+            let prev = (i as u64).wrapping_mul(0x0123_4567_89AB_CDEF);
+            let payload = incident_payload(prev, incident);
+            assert!(payload.len() <= MAX_RECORD_LEN);
+            let (back_prev, back) = decode_incident(&payload).expect("decodes");
+            assert_eq!(back_prev, prev);
+            assert!(same_bits(&back, incident), "{i}: {back:?}");
+        }
+        // The largest body there is fits a record.
+        let largest = Incident {
+            name: Some("n".repeat(MAX_NAME_LEN)),
+            outcome: ActionOutcome::Failed("t".repeat(MAX_TEXT_LEN)),
+            ..sample_incident(1)
+        };
+        let payload = incident_payload(0, &largest);
+        assert_eq!(payload.len(), MAX_RECORD_LEN);
+        assert_eq!(decode_incident(&payload).unwrap().1, largest);
+    }
+
+    #[test]
+    fn strings_past_their_length_field_are_cut_at_a_character_boundary() {
+        // One byte, then three-byte characters across the cap.
+        let long = format!("a{}", "€".repeat(MAX_TEXT_LEN / 3 + 2));
+        let incident = Incident {
+            name: Some(long.clone()),
+            outcome: ActionOutcome::Applied(long.clone()),
+            ..sample_incident(1)
+        };
+        let (_, back) = decode_incident(&incident_payload(0, &incident)).unwrap();
+        let name = back.name.unwrap();
+        let ActionOutcome::Applied(text) = back.outcome else {
+            panic!("the outcome kind survives");
+        };
+        for (cut, max) in [(&name, MAX_NAME_LEN), (&text, MAX_TEXT_LEN)] {
+            assert!(long.starts_with(cut.as_str()));
+            assert!(cut.len() <= max && cut.len() + 3 > max, "{}", cut.len());
+        }
+    }
+
+    #[test]
+    fn hostile_incident_bodies_are_refused() {
+        let incident = Incident {
+            name: Some("évil.exe".to_string()),
+            ..sample_incident(7)
+        };
+        let good = incident_payload(40, &incident);
+        assert!(decode_incident(&good).is_some());
+        // Every truncation, the type tag alone included.
+        for len in 0..good.len() {
+            assert!(decode_incident(&good[..len]).is_none(), "cut at {len}");
+        }
+        // A byte left over.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(decode_incident(&long).is_none());
+        // Field offsets in the payload (after the type tag).
+        let (action, post_exit, outcome, name_len) = (45, 46, 47, 48);
+        let name_at = name_len + 2;
+        let text_len = name_at + "évil.exe".len();
+        let forged = |at: usize, bytes: &[u8]| {
+            let mut p = good.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            p
+        };
+        let hostile = [
+            // Unknown tags.
+            forged(action, &[4]),
+            forged(action, &[0xFF]),
+            forged(post_exit, &[2]),
+            forged(outcome, &[3]),
+            // No outcome text may ride on NotAttempted.
+            forged(outcome, &[0]),
+            // Lengths past the body, by one and by everything.
+            forged(name_len, &((text_len - name_at + 1) as u16).to_le_bytes()),
+            forged(name_len, &(NO_NAME - 1).to_le_bytes()),
+            forged(text_len, &(good.len() - text_len - 1).to_le_bytes()[..2]),
+            forged(text_len, &u16::MAX.to_le_bytes()),
+            // Lengths short of the body: bytes left over.
+            forged(text_len, &(good.len() - text_len - 3).to_le_bytes()[..2]),
+            // "No name" with the name's bytes still there.
+            forged(name_len, &NO_NAME.to_le_bytes()),
+            // Invalid UTF-8: a lone continuation byte, a cut character.
+            forged(name_at, &[0x80]),
+            forged(name_at + 1, b"x"),
+            forged(text_len + 2, &[0xC3]),
+        ];
+        for (i, payload) in hostile.iter().enumerate() {
+            assert!(decode_incident(payload).is_none(), "forgery {i}");
+        }
+        // The same bytes are refused in a file too: the scan stops at
+        // the record, CRC and all, and the chain walk refuses it.
+        let path = tmp("hostile-body");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+        j.append_event(&ProcessEvent::api(1, 2, 3)).unwrap();
+        for payload in &hostile {
+            j.frame_in_place(1, |out| out.extend_from_slice(&payload[1..]));
+        }
+        drop(j);
+        let (_, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
+        assert_eq!((rec.event_count(), rec.incidents.len()), (1, 0));
+        assert!(rec.bytes_truncated > 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn incidents_reopen_to_the_same_vec_by_scan_and_from_an_anchor() {
+        let path = tmp("codec-reopen");
+        let _ = std::fs::remove_file(&path);
+        let incidents = codec_incidents();
+        let half = incidents.len() / 2;
+        let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
+        let mut anchor = JournalAnchor::default();
+        for (i, incident) in incidents.iter().enumerate() {
+            if i == half {
+                j.sync().unwrap();
+                anchor = j.anchor();
+            }
+            j.append_event(&ProcessEvent::api(i as u64, 1, i)).unwrap();
+            j.frame_incidents(std::slice::from_ref(incident));
+        }
+        drop(j);
+        let (_, scanned) = Journal::open(&path, JournalConfig::default()).unwrap();
+        let (_, anchored) = Journal::open_at(&path, JournalConfig::default(), &anchor, half as u64)
+            .unwrap()
+            .expect("the anchor holds");
+        assert_eq!(scanned.bytes_truncated, 0);
+        assert_eq!(anchored.chained_incidents, half as u64);
+        for rec in [&scanned, &anchored] {
+            assert_eq!(rec.incidents.len(), incidents.len());
+            assert!(rec
+                .incidents
+                .iter()
+                .zip(&incidents)
+                .all(|(a, b)| same_bits(a, b)));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

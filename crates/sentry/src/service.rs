@@ -39,6 +39,7 @@
 //! window — which is what makes live-vs-offline alert parity a testable
 //! invariant rather than a hope (see `proptest_monitor_parity`).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use csd_accel::{
@@ -52,7 +53,7 @@ use crate::event::ProcessEvent;
 use crate::histogram::LatencyHistogram;
 use crate::journal::JournalAnchor;
 use crate::quarantine::{QuarantineBackend, SimBackend};
-use crate::session::{Applied, SessionTable};
+use crate::session::{Applied, SessionTable, SidMap};
 use crate::snapshot::{SentrySnapshot, StreamSnap, SNAPSHOT_VERSION};
 use crate::whitelist::Whitelist;
 
@@ -254,7 +255,7 @@ pub struct Sentry {
     sessions: SessionTable,
     whitelist: Whitelist,
     backend: Box<dyn QuarantineBackend>,
-    streams: HashMap<u64, StreamRecord>,
+    streams: SidMap<StreamRecord>,
     /// Ended sessions still tracked because the mux may yet return a
     /// verdict for them.
     awaiting: Vec<u64>,
@@ -321,7 +322,7 @@ impl Sentry {
             sessions,
             whitelist: Whitelist::new(),
             backend: Box::new(SimBackend::new()),
-            streams: HashMap::new(),
+            streams: SidMap::default(),
             awaiting: Vec::new(),
             retired_loss: StreamLoss::default(),
             incidents: Vec::new(),
@@ -369,8 +370,8 @@ impl Sentry {
     pub fn ingest(&mut self, event: &ProcessEvent) -> Vec<Incident> {
         self.events += 1;
         if self.config.dedup_monotone_ts {
-            match self.last_t_us.get(&event.pid) {
-                Some(&last) if event.t_us <= last => {
+            match self.last_t_us.entry(event.pid) {
+                Entry::Occupied(last) if event.t_us <= *last.get() => {
                     // A re-sent or duplicated frame: the slot on the
                     // ingest clock is consumed (keeping the durable
                     // event cursor 1:1 with delivered frames) but the
@@ -378,8 +379,11 @@ impl Sentry {
                     self.dup_events += 1;
                     return Vec::new();
                 }
-                _ => {
-                    self.last_t_us.insert(event.pid, event.t_us);
+                Entry::Occupied(mut last) => {
+                    last.insert(event.t_us);
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(event.t_us);
                 }
             }
         }
@@ -427,19 +431,20 @@ impl Sentry {
 
     /// Submits every complete, unsubmitted window of session `sid`,
     /// then compacts the session's buffer down to what future windows
-    /// still need.
+    /// still need. The stream record and the session are looked up once
+    /// each and held for the whole pump.
     fn pump_windows(&mut self, sid: u64) {
         let (window_len, stride) = (self.config.window_len, self.config.stride);
-        loop {
-            let rec = self.streams.entry(sid).or_default();
-            if rec.latched || rec.shed {
-                return;
-            }
+        let rec = self.streams.entry(sid).or_default();
+        if rec.latched || rec.shed {
+            return;
+        }
+        let Some(s) = self.sessions.session_mut(sid) else {
+            return;
+        };
+        while s.is_live() {
             let offset = rec.submitted * stride;
-            let Some(s) = self.sessions.session(sid) else {
-                return;
-            };
-            if !s.is_live() || offset + window_len > s.vocab_calls() {
+            if offset + window_len > s.vocab_calls() {
                 break;
             }
             let Some(window) = s.window_at(offset, window_len) else {
@@ -450,21 +455,13 @@ impl Sentry {
             // shed load: the cursor still advances and the mux tallies
             // the refusal per stream.
             let accepted = self.mux.submit(sid, at_call, window);
-            if let Some(rec) = self.streams.get_mut(&sid) {
-                rec.submitted += 1;
-                if accepted {
-                    rec.stamps.push_back((at_call, self.events));
-                    rec.in_mux += 1;
-                }
+            rec.submitted += 1;
+            if accepted {
+                rec.stamps.push_back((at_call, self.events));
+                rec.in_mux += 1;
             }
         }
-        let consumed = self
-            .streams
-            .get(&sid)
-            .map_or(0, |rec| rec.submitted * stride);
-        if let Some(s) = self.sessions.session_mut(sid) {
-            s.discard_consumed(consumed);
-        }
+        s.discard_consumed(rec.submitted * stride);
     }
 
     /// Serves every admitted window to its verdict

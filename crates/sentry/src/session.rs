@@ -33,9 +33,39 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::{EventKind, ProcessEvent};
 use crate::snapshot::{SessionSnap, TableSnap};
+
+/// Hasher for maps keyed by session id: one multiply a key, the
+/// product rotated so the bits the map indexes by come from its mixed
+/// top half. SipHash's random seed defends against keys chosen to
+/// collide, and no producer chooses a sid — the table issues them — so
+/// a sid probe costs ≈ 3 ns here instead of ≈ 12 (see the
+/// [`journal`](crate::journal) module docs). PID-keyed maps keep
+/// `RandomState`.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SidHasher(u64);
+
+impl Hasher for SidHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+}
+
+/// A map keyed by session id, hashed with [`SidHasher`].
+pub(crate) type SidMap<V> = HashMap<u64, V, BuildHasherDefault<SidHasher>>;
 
 /// Why a session ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +286,7 @@ pub struct SessionTable {
     /// Live and killed sessions, PID-linked.
     by_pid: HashMap<u32, u64>,
     /// PID-linked sessions plus ended ones not yet retired.
-    sessions: HashMap<u64, Session>,
+    sessions: SidMap<Session>,
     next_sid: u64,
     clock: u64,
     started: u64,
@@ -288,7 +318,7 @@ impl SessionTable {
             vocab,
             idle_timeout_events,
             by_pid: HashMap::new(),
-            sessions: HashMap::new(),
+            sessions: SidMap::default(),
             next_sid: 1,
             clock: 0,
             started: 0,
