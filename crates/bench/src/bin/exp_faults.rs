@@ -20,14 +20,18 @@
 //! 2. **Dead device** — one device fails every operation; the fleet
 //!    must quarantine it, redistribute its shard, and still return
 //!    every verdict unchanged.
-//! 3. **Stream sweep** — a one-shard [`ShardedStreamMux`] with
-//!    lane-corruption faults armed; poisoned lanes are retired and
-//!    their windows re-run through the serial fused path. Verdicts must
-//!    stay bit-identical to the fault-free engine, with zero drops.
+//! 3. **Stream sweep** — a one-shard [`ShardedStreamMux`] with window
+//!    corruption armed: each window served draws once, and a corrupted
+//!    one is re-run before its verdict is emitted, its window-steps
+//!    owed by the next serving call. The queue is served a poll's
+//!    budget at a time; verdicts must stay bit-identical to the
+//!    fault-free engine, with zero drops, and the serving calls it
+//!    took are the (deterministic) cost of the faults.
 //!
 //! Fault rates are specified *per window* (probability a 100-call
-//! classification is disturbed at least once) and converted to per-op /
-//! per-tick probabilities, since one classify issues ~600 faultable
+//! classification is disturbed at least once). The mux draws per
+//! window, so it takes them as they are; the fleet converts them to
+//! per-op probabilities, since one classify issues ~600 faultable
 //! device operations and per-op rates compound.
 //!
 //! The zero-loss assertions run in both full and `--smoke` mode; smoke
@@ -36,8 +40,9 @@
 use std::time::Instant;
 
 use csd_accel::{
-    Classification, CsdFleet, CsdInferenceEngine, FleetStats, MuxStats, OptimizationLevel,
-    OverflowPolicy, RecoveryPolicy, RecoveryStats, ShardedStreamMux, StreamMuxConfig,
+    Admission, Classification, CsdFleet, CsdInferenceEngine, FleetStats, MuxStats,
+    OptimizationLevel, OverflowPolicy, RecoveryPolicy, RecoveryStats, ShardedStreamMux,
+    StreamMuxConfig,
 };
 use csd_device::{FaultConfig, FaultCounters, FaultPlan};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -117,8 +122,11 @@ struct DeadDeviceRun {
 #[derive(Serialize)]
 struct StreamRun {
     rate_per_window: f64,
-    rate_per_tick: f64,
     windows: usize,
+    /// `serve_into` calls of [`SERVE_ROUNDS`] rounds it took to serve
+    /// every window: re-runs are owed window-steps, so this grows with
+    /// the corruption rate, deterministically.
+    serving_calls: usize,
     verdicts_lost: usize,
     verdicts_changed: usize,
     dropped: u64,
@@ -141,9 +149,13 @@ struct Report {
     fleet_runs: Vec<FleetRun>,
     dead_device: DeadDeviceRun,
     stream_windows: usize,
-    stream_cooldown_ticks: u64,
+    stream_serve_rounds: usize,
     stream_runs: Vec<StreamRun>,
 }
+
+/// Rounds per `serve_into` call in the stream sweep: a sentry poll's
+/// budget (`csd_sentry::POLL_ROUNDS_MAX`), 1,024 window-steps.
+const SERVE_ROUNDS: usize = 64;
 
 fn sum_recovery(fleet: &CsdFleet) -> RecoveryStats {
     let mut total = RecoveryStats::default();
@@ -297,46 +309,49 @@ fn main() {
         }
     };
 
-    // Stream sweep: lane corruption per occupied lane per tick.
+    // Stream sweep: one corruption draw per window served.
     let stream_windows = if smoke { 32 } else { 128 };
-    let cooldown_ticks = 16u64;
     let windows: Vec<Vec<usize>> = (0..stream_windows).map(|s| trace(s, window_len)).collect();
     let stream_reference: Vec<Classification> =
         windows.iter().map(|w| engine.classify(w)).collect();
-    println!("stream sweep: {stream_windows} windows through the mux, lane cooldown {cooldown_ticks} ticks");
+    println!(
+        "stream sweep: {stream_windows} windows through the mux, {SERVE_ROUNDS} rounds a serving call"
+    );
 
     let mut stream_runs = Vec::new();
     let mut stream_fault_free = f64::NAN;
     for &rate in rates {
-        // A window occupies a lane for ~window_len ticks; convert the
-        // per-window disturbance rate to a per-tick lane rate.
-        let per_tick = per_op_rate(rate, window_len as f64);
         let mut mux = ShardedStreamMux::new(
             engine.clone(),
             StreamMuxConfig {
-                lanes: None,
                 max_pending: stream_windows,
                 policy: OverflowPolicy::DropOldest,
                 shards: Some(1),
             },
         );
-        if per_tick > 0.0 {
+        if rate > 0.0 {
             let cfg = FaultConfig {
-                corruption: per_tick,
+                corruption: rate,
                 ..FaultConfig::none()
             };
-            mux.arm_faults(FaultPlan::new(0xFACE, cfg), cooldown_ticks);
+            mux.arm_faults(FaultPlan::new(0xFACE, cfg));
         }
         for (stream, w) in windows.iter().enumerate() {
-            assert!(
+            assert_eq!(
                 mux.submit(stream as u64, window_len, w),
+                Admission::Queued,
                 "queue sized for all windows"
             );
         }
         let start = Instant::now();
-        let verdicts = mux.drain();
+        let mut verdicts = Vec::new();
+        let mut serving_calls = 0;
+        while !mux.is_idle() {
+            mux.serve_into(&mut verdicts, SERVE_ROUNDS);
+            serving_calls += 1;
+        }
         let wall = start.elapsed().as_secs_f64();
-        // Verdict order varies with lane scheduling; key by stream id.
+        // Key by stream id: the check does not lean on queue order.
         let mut got: Vec<Option<Classification>> = vec![None; stream_windows];
         for v in &verdicts {
             got[v.stream as usize] = Some(v.classification);
@@ -356,16 +371,15 @@ fn main() {
             stream_fault_free = throughput;
         }
         println!(
-            "  rate {rate:>5.2}: {throughput:>9.0} windows/s ({:.2}x of fault-free), {} lane faults, {} serial reruns, {} degraded ticks",
+            "  rate {rate:>5.2}: {throughput:>9.0} windows/s ({:.2}x of fault-free), {} window faults, {} reruns, {serving_calls} serving calls",
             throughput / stream_fault_free,
             stats.faults,
             stats.degraded_reruns,
-            stats.degraded_ticks,
         );
         stream_runs.push(StreamRun {
             rate_per_window: rate,
-            rate_per_tick: per_tick,
             windows: stream_windows,
+            serving_calls,
             verdicts_lost: lost,
             verdicts_changed: changed,
             dropped: stats.dropped,
@@ -387,7 +401,7 @@ fn main() {
         fleet_runs,
         dead_device,
         stream_windows,
-        stream_cooldown_ticks: cooldown_ticks,
+        stream_serve_rounds: SERVE_ROUNDS,
         stream_runs,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

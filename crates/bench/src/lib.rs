@@ -21,8 +21,8 @@
 //! Historical comparisons (seed, PR 1 batch path, per-PID serial
 //! monitors, gate table off, mixed precision, the two-tier cascade, the
 //! volatile corpus replay, the batch-throughput sweep, the stream-mux
-//! shard sweep and the lane-batched batch engine) are recorded numbers:
-//! see "Frozen baselines" in `EXPERIMENTS.md`.
+//! shard sweep, the lane-batched batch engine and the mux's lane block)
+//! are recorded numbers: see "Frozen baselines" in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,10 @@
 //! `4H×Z` matrix, so each item costs one embedding copy, one concat, one
 //! matvec and two in-place sweeps over preallocated scratch (in fixed
 //! point the embedding half is further folded into a per-item gate
-//! table, see [`LaneGatesFx`], and one sequence alone runs the same
-//! `f64`-encoded kernels as a lane of a block, vectorised across gate
-//! rows instead of across lanes). The original per-CU formulation (four
+//! table, see [`LaneGatesFx`], and the sequence runs `f64`-encoded
+//! integer kernels vectorised across its gate rows). Everything that
+//! classifies — one window, a batch, the stream mux — runs this one
+//! sequence at a time. The original per-CU formulation (four
 //! separate gate kernels, mirroring the four hardware CUs of §III-C)
 //! remains available via [`GatePath`] as the table-free reference and is
 //! bit-for-bit identical — in f64 for the float levels and in
@@ -24,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
 use crate::pool::WorkerPool;
-use crate::scratch::{EngineScratch, InferenceScratch, LaneScratch};
+use crate::scratch::{EngineScratch, InferenceScratch};
 use crate::weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
 
 /// The outcome of classifying one sequence.
@@ -57,11 +58,11 @@ struct EngineCore {
     fused_f64: FusedGates<f64>,
     fused_fx: FusedGates<Fx6>,
     /// The production fixed-point pack of `fused_fx` plus the embedding
-    /// table: the folded input-gate table and recurrent weights behind
-    /// both the row-vectorised serial kernel and the mux's lane step
-    /// (`None` when the exactness proof fails; every fixed-point path
-    /// then runs the wide serial matvec, bit-identical anyway).
-    lane_fx: Option<LaneGatesFx>,
+    /// table: the folded input-gate table and transposed recurrent
+    /// weights behind the row-vectorised kernel (`None` when the
+    /// exactness proof fails; the fused path then runs the wide integer
+    /// matvec, bit-identical anyway).
+    pack: Option<LaneGatesFx>,
 }
 
 /// The CSD-resident classifier.
@@ -83,13 +84,13 @@ impl CsdInferenceEngine {
         let weights = QuantizedWeights::from_model_weights(weights);
         let fused_f64 = weights.fused_f64();
         let fused_fx = weights.fused_fx();
-        let lane_fx = LaneGatesFx::pack(&fused_fx, &weights.embedding_fx, weights.dims().hidden);
+        let pack = LaneGatesFx::pack(&fused_fx, &weights.embedding_fx, weights.dims().hidden);
         Self {
             core: Arc::new(EngineCore {
                 weights,
                 fused_f64,
                 fused_fx,
-                lane_fx,
+                pack,
             }),
             level,
             path: GatePath::Fused,
@@ -138,14 +139,13 @@ impl CsdInferenceEngine {
     /// allocation; callers classifying many sequences (monitors, batch
     /// workers) amortize the buffer allocation across all of them.
     ///
-    /// In fixed point this is the width-1 case of the mux's lane step: the
-    /// same table-folded, `f64`-encoded kernels, with the gate matvec
-    /// vectorised across its `4H` rows
+    /// In fixed point this runs the table-folded, `f64`-encoded kernels
+    /// with the gate matvec vectorised across its `4H` rows
     /// ([`csd_tensor::lanes::matvec_fx_rows_table`]). At paper
     /// dimensions a 100-step window costs ≈ 29 µs here, the same as
-    /// one lane of a full 16-lane block and a sixteenth of what it
-    /// costs as the only lane of one (EXPERIMENTS.md rows 21a, 23d), so
-    /// one window never has to wait for company.
+    /// one lane of a full 16-lane block cost and a sixteenth of what it
+    /// cost as the only lane of one (EXPERIMENTS.md rows 21a, 23d, 26a),
+    /// so nothing classifies windows any other way.
     ///
     /// # Panics
     ///
@@ -206,6 +206,20 @@ impl CsdInferenceEngine {
     /// Panics on an empty batch, an empty sequence, or an
     /// out-of-vocabulary token.
     pub fn classify_batch_refs(&self, sequences: &[&[usize]]) -> Vec<Classification> {
+        self.classify_chunked(sequences, usize::MAX)
+    }
+
+    /// [`classify_batch_refs`](Self::classify_batch_refs) over at most
+    /// `max_chunks` chunks — the stream mux's sharded serving path.
+    ///
+    /// # Panics
+    ///
+    /// As [`classify_batch_refs`](Self::classify_batch_refs).
+    pub(crate) fn classify_chunked(
+        &self,
+        sequences: &[&[usize]],
+        max_chunks: usize,
+    ) -> Vec<Classification> {
         assert!(!sequences.is_empty(), "empty batch");
         let classify_chunk = move |batch: &[&[usize]]| {
             let mut scratch = self.make_scratch();
@@ -215,8 +229,8 @@ impl CsdInferenceEngine {
                 .collect::<Vec<_>>()
         };
         let pool = WorkerPool::global();
-        let threads = pool.threads().min(sequences.len());
-        if threads == 1 {
+        let threads = pool.threads().min(max_chunks).min(sequences.len());
+        if threads <= 1 {
             return classify_chunk(sequences);
         }
         // Ceil division: at most `threads` chunks, never an empty one.
@@ -229,204 +243,6 @@ impl CsdInferenceEngine {
             })
             .collect();
         pool.scatter_scoped(jobs).into_iter().flatten().collect()
-    }
-
-    /// The stream multiplexer's default lane width: the widest multiple
-    /// of 8 whose lane block — about `(4H + Z + H) · 8` bytes of
-    /// `g`/`z`/`c` state per lane — fits a 32 KiB L1 data cache, clamped
-    /// to `[8, 64]`. Multiples of 8 keep the AVX-512 kernels on their
-    /// full-width tiles; for the paper's dimensions (`H = 32`, `Z = 40`,
-    /// 1600 bytes per lane) this lands on 16 lanes, i.e. two 8-wide
-    /// vectors.
-    pub(crate) fn lane_width(&self) -> usize {
-        let dims = self.core.weights.dims();
-        let bytes_per_lane = 8 * (4 * dims.hidden + dims.z() + dims.hidden);
-        let fit = (32 * 1024) / bytes_per_lane.max(1);
-        (fit / 8 * 8).clamp(8, 64)
-    }
-
-    /// Whether the stream multiplexer can step this engine's windows
-    /// through its lane block: the float levels always step; fixed point
-    /// additionally needs the weights to have passed the lane exactness
-    /// proof at construction. When `false` the mux classifies every
-    /// window through the serial path instead — which is bit-identical
-    /// anyway.
-    pub fn supports_lane_stepping(&self) -> bool {
-        !self.level.is_fixed_point() || self.core.lane_fx.is_some()
-    }
-
-    /// Advances a lane block one timestep in lockstep: lane `l` consumes
-    /// `items[l]` when `Some`, and keeps computing on its (never read)
-    /// stale state when `None`. This is the iteration-level primitive
-    /// behind the continuous-batching stream multiplexer
-    /// ([`crate::shard::ShardedStreamMux`]), its only caller: the mux
-    /// owns the per-lane occupancy (which window, which position) and
-    /// the engine owns one SoA kernel sweep per call.
-    ///
-    /// After the final item of a lane's sequence, read its verdict with
-    /// [`retire_lane`](Self::retire_lane) and zero its state with
-    /// [`LaneScratch::clear_lane`] before assigning the lane a new
-    /// sequence. Stepping is bit-identical to the serial path: a sequence
-    /// fed item by item through a lane produces exactly the bits
-    /// [`classify`](Self::classify) produces, at every optimization
-    /// level, regardless of what the other lanes are doing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-vocabulary item, when `items.len()` differs
-    /// from the scratch width, when the scratch was sized for different
-    /// model dimensions, or on a fixed-point engine whose weights failed
-    /// the lane exactness proof (check
-    /// [`supports_lane_stepping`](Self::supports_lane_stepping)).
-    pub(crate) fn step_lanes(&self, scratch: &mut LaneScratch, items: &[Option<usize>]) {
-        let width = scratch.width();
-        assert_eq!(items.len(), width, "one item slot per lane");
-        assert_eq!(
-            scratch.z.len(),
-            self.core.weights.dims().z() * width,
-            "scratch sized for different model dimensions"
-        );
-        if self.level.is_fixed_point() {
-            let pack = self
-                .core
-                .lane_fx
-                .as_ref()
-                .expect("weights failed the lane exactness proof; see supports_lane_stepping");
-            self.step_lanes_fx(pack, scratch, items);
-        } else {
-            self.step_lanes_f64(scratch, items);
-        }
-    }
-
-    /// Applies the FC head to lane `lane`'s current hidden-state column,
-    /// returning the classification of the sequence that lane just
-    /// finished. Call exactly once per sequence, after
-    /// [`step_lanes`](Self::step_lanes) consumed its final item.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is outside the scratch width.
-    pub(crate) fn retire_lane(&self, scratch: &LaneScratch, lane: usize) -> Classification {
-        let w = &self.core.weights;
-        let hdim = w.dims().hidden;
-        let width = scratch.width();
-        assert!(lane < width, "lane {lane} out of range for width {width}");
-        let probability = if self.level.is_fixed_point() {
-            let mut h: Vector<Fx6> = Vector::zeros(hdim);
-            for r in 0..hdim {
-                h[r] = Fx6::from_raw(scratch.z[r * width + lane] as i64);
-            }
-            hidden::classify_fx(&h, &w.fc_w_fx, w.fc_b_fx).to_f64()
-        } else {
-            let mut h: Vector<f64> = Vector::zeros(hdim);
-            for r in 0..hdim {
-                h[r] = scratch.z[r * width + lane];
-            }
-            hidden::classify_f64(&h, &w.fc_w_f64, w.fc_b_f64)
-        };
-        Classification {
-            probability,
-            is_positive: probability >= 0.5,
-        }
-    }
-
-    /// One fixed-point lockstep timestep, then the full SoA kernel
-    /// sweep. Lanes passed `None` keep computing — their state stays
-    /// inside every kernel's proven exactness range and is never read.
-    ///
-    /// A consuming lane just records its item index: the table matmul
-    /// initializes that lane's accumulators from the precomputed
-    /// `W_x·e(item) + b·SCALE` row, runs only the `H` recurrent columns,
-    /// and rescales in its store epilogue — no embedding gather, no `E`
-    /// input columns, no separate rescale pass (exact integer
-    /// reassociation, hence bit-identical to the per-CU reference). Idle
-    /// lanes keep item 0, whose table row is proof-bounded like any
-    /// other, so their (never read) state stays exact.
-    fn step_lanes_fx(&self, pack: &LaneGatesFx, s: &mut LaneScratch, items: &[Option<usize>]) {
-        let hdim = pack.hidden();
-        let vocab = pack.vocab();
-        let width = s.width();
-        let hw = hdim * width;
-        for (l, slot) in items.iter().enumerate() {
-            if let Some(item) = *slot {
-                assert!(item < vocab, "item {item} out of vocabulary");
-                s.item[l] = item;
-            }
-        }
-        lanes::matmul_fx_lanes_table(
-            pack.w_hidden(),
-            4 * hdim,
-            hdim,
-            &s.z[..hw],
-            width,
-            pack.gate_table(),
-            &s.item,
-            &mut s.g,
-        );
-        // Separate compact activation passes beat a fused
-        // rescale+activate kernel on this data: the gate block is
-        // L1-resident, so re-reading it is nearly free, while the small
-        // loop bodies pipeline better. (The table matmul's in-register
-        // rescale epilogue is the exception — it reuses values already
-        // in accumulators, costing no extra pass at all.)
-        lanes::sigmoid_lut_lanes(&mut s.g[..2 * hw]);
-        lanes::softsign_lanes(&mut s.g[2 * hw..3 * hw]);
-        lanes::sigmoid_lut_lanes(&mut s.g[3 * hw..]);
-        let (c, zh) = (&mut s.c, &mut s.z[..hw]);
-        lanes::update_lanes(&s.g, hdim, width, c, zh);
-    }
-
-    /// Float twin of [`step_lanes_fx`](Self::step_lanes_fx): each
-    /// elementwise step written exactly as the serial fused path computes
-    /// it (same operations, same order, per lane), so IEEE determinism
-    /// makes the results bit-identical.
-    fn step_lanes_f64(&self, s: &mut LaneScratch, items: &[Option<usize>]) {
-        let core = &self.core;
-        let w = &core.weights;
-        let dims = w.dims();
-        let (hdim, zdim) = (dims.hidden, dims.z());
-        let wflat = core.fused_f64.w.as_flat();
-        let bias = core.fused_f64.b.as_slice();
-        let width = s.width();
-        let hw = hdim * width;
-        for (l, slot) in items.iter().enumerate() {
-            if let Some(item) = *slot {
-                assert!(
-                    item < w.embedding_f64.rows(),
-                    "item {item} out of vocabulary"
-                );
-                let row = w.embedding_f64.row(item);
-                for (e, &v) in row.iter().enumerate() {
-                    s.z[(hdim + e) * width + l] = v;
-                }
-            }
-        }
-        lanes::matmul_f64_lanes(wflat, 4 * hdim, zdim, &s.z, width, &mut s.g, &mut s.acc);
-        for (r, &b) in bias.iter().enumerate() {
-            for v in &mut s.g[r * width..(r + 1) * width] {
-                *v += b;
-            }
-        }
-        for (g, block) in s.g.chunks_exact_mut(hw).enumerate() {
-            if GateKind::ALL[g].is_candidate() {
-                for v in block {
-                    *v /= 1.0 + v.abs();
-                }
-            } else {
-                for v in block {
-                    *v = 1.0 / (1.0 + (-*v).exp());
-                }
-            }
-        }
-        let (i_g, rest) = s.g.split_at(hw);
-        let (f_g, rest) = rest.split_at(hw);
-        let (cbar, o_g) = rest.split_at(hw);
-        let zh = &mut s.z[..hw];
-        for j in 0..hw {
-            let ct = f_g[j] * s.c[j] + i_g[j] * cbar[j];
-            s.c[j] = ct;
-            zh[j] = o_g[j] * (ct / (1.0 + ct.abs()));
-        }
     }
 
     /// The final hidden state in f64 (for parity tests against the
@@ -504,7 +320,7 @@ impl CsdInferenceEngine {
         let s = &mut scratch.fx_buffers;
         s.reset();
         match self.path {
-            GatePath::Fused => match &core.lane_fx {
+            GatePath::Fused => match &core.pack {
                 Some(pack) if seq.len() <= LANE_MAX_STEPS => {
                     Self::run_states_fx_rows(pack, seq, &mut scratch.f64_buffers, &mut s.h);
                 }
@@ -534,14 +350,13 @@ impl CsdInferenceEngine {
         }
     }
 
-    /// One sequence as the width-1 case of
-    /// [`step_lanes_fx`](Self::step_lanes_fx): the raw state is held
+    /// One sequence through the row kernel: the raw state is held
     /// `f64`-encoded in `raw` (the float buffers, idle on a fixed-point
     /// engine otherwise), the gate matvec is the row-vectorised table
     /// kernel — one gate-table row plus the `H` recurrent columns per
     /// item, no embedding copy, no `[h|x]` concat, no bias add — and the
-    /// activation and update kernels are the lane ones at width 1. The
-    /// final hidden state is decoded into `h_out`.
+    /// activation and update kernels run at width 1. The final hidden
+    /// state is decoded into `h_out`.
     fn run_states_fx_rows(
         pack: &LaneGatesFx,
         seq: &[usize],
@@ -595,16 +410,6 @@ mod tests {
 
     fn seq(n: usize) -> Vec<usize> {
         (0..n).map(|i| (i * 37 + 11) % 278).collect()
-    }
-
-    #[test]
-    fn lane_width_heuristic_for_paper_dims() {
-        // (4·32 + 40 + 32)·8 = 1600 B/lane → 20 lanes fit 32 KiB →
-        // round down to the multiple of 8: two full AVX-512 vectors.
-        let m = model();
-        let engine =
-            CsdInferenceEngine::new(&ModelWeights::from_model(&m), OptimizationLevel::FixedPoint);
-        assert_eq!(engine.lane_width(), 16);
     }
 
     #[test]
@@ -667,8 +472,8 @@ mod tests {
     #[test]
     fn weights_that_fail_the_pack_proof_run_the_wide_path_end_to_end() {
         // One candidate-gate row with recurrent weights ~10^4: raw 10^10
-        // against |h| ≤ 1 (raw 10^6) is 32·10^16 ≫ 2^52, so the lane
-        // proof fails and nothing may touch the table or the lanes.
+        // against |h| ≤ 1 (raw 10^6) is 32·10^16 ≫ 2^52, so the pack
+        // proof fails and nothing may touch the table.
         refused_weights_run_the_wide_path_end_to_end(1.0e4);
     }
 
@@ -694,7 +499,7 @@ mod tests {
             w.lstm_recurrent[hc * 4 * h + 2 * h + 5] = sign * magnitude;
         }
         let fused = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
-        assert!(!fused.supports_lane_stepping());
+        assert!(fused.core.pack.is_none());
         let per_cu = fused.clone().with_gate_path(GatePath::PerCu);
 
         // Serial classify (Fused → wide arm) ≡ the per-CU reference, 0 ULP.
@@ -711,8 +516,7 @@ mod tests {
         let refs: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
         assert_eq!(fused.classify_batch_refs(&refs), reference);
 
-        // The stream mux retires every window through its serial route
-        // (stepping a lane would panic on this engine).
+        // The stream mux serves every window through the same path.
         let mut mux = crate::ShardedStreamMux::new(
             fused,
             crate::StreamMuxConfig {
@@ -721,7 +525,7 @@ mod tests {
             },
         );
         for (k, s) in windows.iter().enumerate() {
-            assert!(mux.submit(k as u64, s.len(), s));
+            assert!(mux.submit(k as u64, s.len(), s).queued());
         }
         let mut verdicts = mux.drain();
         verdicts.sort_unstable_by_key(|v| v.stream);

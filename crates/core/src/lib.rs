@@ -32,21 +32,19 @@
 //!   steady state.
 //! - [`pool`] — the process-wide persistent worker pool backing
 //!   [`classify_batch`](engine::CsdInferenceEngine::classify_batch) and
-//!   the sharded stream mux, with scoped (borrowing) job submission.
+//!   the stream mux's shards, with scoped (borrowing) job submission.
 //! - [`timing`] — regenerates Fig. 3 and the FPGA row of Table I from the
 //!   HLS latency model.
 //! - [`schedule`] — the §III-C software pipeline (preprocess prefetching
 //!   item `t+1` under the compute of item `t`).
 //! - [`monitor`] — the continuous-protection wrapper: rolling window,
 //!   stride classification, alert debouncing (§I's background execution).
-//! - [`shard`] — [`ShardedStreamMux`], the continuous-batching stream
-//!   multiplexer: thousands of process streams multiplexed onto one lane
-//!   block (or, when asked, one per shard, advanced in parallel) with
-//!   iteration-level admission/retirement (a retiring window's slot
-//!   refills the same tick), global backpressure, placement fixed at
-//!   admission, per-stream in-order delivery and tick-level stats.
-//!   [`stream`] holds its config/verdict/stats types and the
-//!   crate-private lane block the shards run.
+//! - [`shard`] — [`ShardedStreamMux`], the stream multiplexer:
+//!   thousands of process streams' windows in one bounded FIFO, served
+//!   one window at a time under a budget counted in window-steps, with
+//!   backpressure, typed per-stream loss and in-order delivery by
+//!   construction. [`stream`] holds its config/admission/verdict/stats
+//!   types.
 //! - [`fleet`] — multi-device scaling (§II's "multiple devices within a
 //!   single node").
 //! - [`bitstream`] — the `v++` link step: schedules the design against a
@@ -104,6 +102,8 @@ pub use pool::{PoolError, WorkerPool};
 pub use schedule::{Bottleneck, PipelineSchedule, ScheduleEvent};
 pub use scratch::{EngineScratch, InferenceScratch};
 pub use shard::ShardedStreamMux;
-pub use stream::{MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict};
+pub use stream::{
+    Admission, MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict, ROUND_STEPS,
+};
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
 pub use weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

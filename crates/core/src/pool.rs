@@ -1,7 +1,7 @@
 //! A persistent worker pool shared by the engine's parallel paths.
 //!
 //! The seed engine spawned fresh OS threads per batch call via scoped
-//! threads. Thread creation costs dwarf a lane block's work, so the
+//! threads. Thread creation costs dwarf a batch chunk's work, so the
 //! parallel paths now submit work to one process-wide pool of long-lived
 //! workers ([`WorkerPool::global`]), mirroring how the physical CUs are
 //! instantiated once at bitstream programming and then fed inputs.

@@ -4,8 +4,7 @@
 //! here: the per-timestep loop performs no heap allocation at all. This
 //! mirrors the hardware, where every kernel-side array is a fixed BRAM
 //! buffer sized at synthesis from the model dimensions (§III-B), not
-//! storage acquired per item. The stream mux's lane block keeps its
-//! structure-of-arrays state in the crate-private `LaneScratch`.
+//! storage acquired per item.
 
 use csd_fxp::Fx6;
 use csd_tensor::{Scalar, Vector};
@@ -52,90 +51,14 @@ impl<T: Scalar> InferenceScratch<T> {
     }
 }
 
-/// Structure-of-arrays working memory for one lane block: `width`
-/// windows advanced in lockstep by a stream-mux shard.
-///
-/// Layout: every buffer is row-major with lanes contiguous — element
-/// `(row r, lane l)` lives at `buf[r * width + l]`. All buffers are `f64`
-/// for both precisions: the float path stores actual values, the
-/// fixed-point path stores raw 10^6-scaled integers exactly encoded in
-/// `f64` (see [`csd_tensor::lanes`]).
-///
-/// The hidden state has no buffer of its own: rows `0..H` of `z` *are*
-/// `h`, so the `[h | x]` gate-input concatenation falls out of the layout
-/// and the update kernel writes `h_t` directly where the next timestep's
-/// matmul reads it.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneScratch {
-    /// Gate input block, `Z × width`: rows `0..H` hold `h_{t−1}`, rows
-    /// `H..Z` hold the gathered embedding of each lane's current item.
-    pub z: Vec<f64>,
-    /// Fused gate block, `4H × width`: pre-activations then activations
-    /// in place (TF gate order `i f c o`, gate `g` owning the contiguous
-    /// row range `g·H..(g+1)·H`).
-    pub g: Vec<f64>,
-    /// Cell state block, `H × width`.
-    pub c: Vec<f64>,
-    /// Four-accumulator scratch (`4 × width`) for the order-preserving
-    /// float lane matmul.
-    pub acc: Vec<f64>,
-    /// Each lane's current vocabulary item — the gate-table row the
-    /// fixed-point table matmul initializes that lane's accumulators
-    /// from. Idle and freshly cleared lanes point at item 0: its table
-    /// row is a valid, proof-bounded entry, and only retired lanes'
-    /// outputs are ever read, so the placeholder cannot affect a verdict.
-    pub item: Vec<usize>,
-    hidden: usize,
-    width: usize,
-}
-
-impl LaneScratch {
-    /// Allocates all lane buffers for the given model dimensions and lane
-    /// width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is zero.
-    pub fn new(dims: LstmDims, width: usize) -> Self {
-        assert!(width > 0, "lane width must be at least 1");
-        Self {
-            z: vec![0.0; dims.z() * width],
-            g: vec![0.0; 4 * dims.hidden * width],
-            c: vec![0.0; dims.hidden * width],
-            acc: vec![0.0; 4 * width],
-            item: vec![0; width],
-            hidden: dims.hidden,
-            width,
-        }
-    }
-
-    /// Number of lanes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Zeroes one lane's recurrent state (its `h` rows inside `z` and its
-    /// `c` column) so a freshly assigned — or vacated — lane starts from
-    /// the zero state. The embedding rows are overwritten at the next
-    /// gather (or harmlessly stale for a vacated lane: every kernel input
-    /// stays inside its proven range).
-    pub fn clear_lane(&mut self, lane: usize) {
-        for r in 0..self.hidden {
-            self.z[r * self.width + lane] = 0.0;
-            self.c[r * self.width + lane] = 0.0;
-        }
-        self.item[lane] = 0;
-    }
-}
-
 /// Both precisions' scratch, so one allocation serves an engine at any
 /// [`OptimizationLevel`](crate::opt::OptimizationLevel).
 #[derive(Debug, Clone)]
 pub struct EngineScratch {
     /// Float-path buffers. A fixed-point engine's fused path keeps its
     /// state here too (`g`, `c`, `h`): raw 10^6-scaled integers exactly
-    /// encoded in `f64`, as in a mux lane block of width 1 — the form
-    /// the [`csd_tensor::lanes`] kernels compute on.
+    /// encoded in `f64` — the form the [`csd_tensor::lanes`] kernels
+    /// compute on.
     pub f64_buffers: InferenceScratch<f64>,
     /// Fixed-point-path buffers: the wide and per-CU paths' working
     /// state, and every fixed-point path's final `h` for the FC head.
@@ -165,33 +88,6 @@ mod tests {
         assert_eq!(s.g.len(), 4 * dims.hidden);
         assert_eq!(s.c.len(), dims.hidden);
         assert_eq!(s.h.len(), dims.hidden);
-    }
-
-    #[test]
-    fn lane_scratch_layout_and_clear() {
-        let dims = LstmDims::paper();
-        let width = 4;
-        let mut s = LaneScratch::new(dims, width);
-        assert_eq!(s.z.len(), dims.z() * width);
-        assert_eq!(s.g.len(), 4 * dims.hidden * width);
-        assert_eq!(s.c.len(), dims.hidden * width);
-        assert_eq!(s.acc.len(), 4 * width);
-        assert_eq!(s.width(), width);
-        s.z.fill(1.0);
-        s.c.fill(2.0);
-        s.item.fill(7);
-        s.clear_lane(2);
-        assert_eq!(s.item[2], 0);
-        assert_eq!(s.item[1], 7);
-        for r in 0..dims.hidden {
-            assert_eq!(s.z[r * width + 2], 0.0);
-            assert_eq!(s.c[r * width + 2], 0.0);
-            assert_eq!(s.z[r * width + 1], 1.0);
-            assert_eq!(s.c[r * width + 3], 2.0);
-        }
-        // Embedding rows of the cleared lane are untouched (overwritten
-        // by the next gather).
-        assert_eq!(s.z[dims.hidden * width + 2], 1.0);
     }
 
     #[test]

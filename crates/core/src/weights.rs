@@ -47,7 +47,7 @@ fn fuse_gates<T: Scalar>(ws: &[Matrix<T>; 4], bs: &[Vector<T>; 4]) -> FusedGates
 }
 
 /// Longest sequence (timesteps from a zero state) the `f64`-encoded
-/// fixed-point kernels accept — a lane of a block or a window alone.
+/// fixed-point row kernel accepts.
 ///
 /// The kernels hold raw values as exact integers in `f64`. Each
 /// timestep grows the cell state by at most `SCALE` in raw magnitude
@@ -112,37 +112,30 @@ impl PartialEq for LineAligned {
 }
 
 /// The fused fixed-point gate parameters folded and re-encoded for the
-/// production fixed-point path — the kernels of [`csd_tensor::lanes`],
-/// vectorised across lanes for a block of windows and across gate rows
-/// for one window alone.
+/// production fixed-point path — the row-vectorised kernels of
+/// [`csd_tensor::lanes`].
 ///
 /// The embedding is folded through the input (`W_x`) half of the fused
 /// gate matrix into a per-item **input-gate table** with the bias
 /// pre-multiplied by `SCALE` (`round(a/S) + b == round((a + b·S)/S)`
 /// exactly, because `b·S` is a multiple of `S`), so a timestep is one
-/// table-row gather plus the `H` recurrent columns. The table is kept
-/// once — item-major, so a row is contiguous for the row kernel and
-/// transposed in registers by the lane kernel. The recurrent half
-/// (`W_h`, 32 KB at paper dimensions) is kept twice, as exact `f64`
-/// integers in both orders, because each kernel streams it along its
-/// own SIMD axis: `rows × hidden` for the lane kernel, which broadcasts
-/// one weight against a register of lanes, and `hidden × rows` for the
-/// row kernel, which loads a register of weights against one broadcast
-/// `h[k]`.
+/// table-row gather plus the `H` recurrent columns. The table is
+/// item-major, so a row is contiguous. The recurrent half (`W_h`, 32 KB
+/// at paper dimensions) is kept as exact `f64` integers, transposed
+/// (`hidden × rows`): the row kernel loads a register of weights
+/// against one broadcast `h[k]`.
 ///
 /// [`LaneGatesFx::pack`] is where the exactness contract is *proven*, not
 /// assumed: it rejects (returns `None`) any weight set whose worst-case
 /// pre-activation accumulator could leave the exact-integer range of
 /// `f64`. The engine then routes rejected models through the wide serial
-/// fixed-point path, so neither packing nor either vectorisation ever
-/// changes a single output bit.
+/// fixed-point path, so neither packing nor vectorisation ever changes
+/// a single output bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneGatesFx {
-    /// Row-major `rows × hidden` recurrent-column weights (`W_h`) as
-    /// exact `f64` values — what the lane table matmul iterates over.
-    w_h: Vec<f64>,
-    /// The same `W_h` transposed, `hidden × rows` — what the row kernel
-    /// iterates over, a 64-byte load at a time.
+    /// The recurrent-column weights `W_h` as exact `f64` values,
+    /// transposed, `hidden × rows` — what the row kernel iterates over,
+    /// a 64-byte load at a time.
     w_h_t: LineAligned,
     /// The precomputed **input-gate table**, `vocab × rows` row-major:
     /// `table[item·rows + r] = Σ_e w[r][hidden+e]·emb[item][e] +
@@ -172,9 +165,9 @@ impl LaneGatesFx {
     ///
     /// Under (2) every FMA partial sum is an exact integer and the
     /// finished accumulator is inside the domain of the kernels'
-    /// four-op rescale, so the lane-tiled and row-tiled SIMD kernels,
-    /// their scalar fallbacks, and the reference `i64`/`i128`
-    /// accumulation all produce identical raw gate pre-activations.
+    /// four-op rescale, so the row-tiled SIMD kernels, their scalar
+    /// fallback, and the reference `i64`/`i128` accumulation all produce
+    /// identical raw gate pre-activations.
     pub fn pack(fused: &FusedGates<Fx6>, embedding: &Matrix<Fx6>, hidden: usize) -> Option<Self> {
         let (rows, cols) = (fused.w.rows(), fused.w.cols());
         if cols != hidden + embedding.cols() {
@@ -220,27 +213,18 @@ impl LaneGatesFx {
                 table.push(acc as f64);
             }
         }
-        let mut w_h = vec![0.0; rows * hidden];
         let mut w_h_t = vec![0.0; hidden * rows];
         for r in 0..rows {
             for k in 0..hidden {
-                let raw = fused.w.get(r, k).raw() as f64;
-                w_h[r * hidden + k] = raw;
-                w_h_t[k * rows + r] = raw;
+                w_h_t[k * rows + r] = fused.w.get(r, k).raw() as f64;
             }
         }
         Some(Self {
-            w_h,
             w_h_t: LineAligned::new(&w_h_t),
             table,
             rows,
             hidden,
         })
-    }
-
-    /// Recurrent-column weights `W_h`, row-major `rows × hidden`.
-    pub fn w_hidden(&self) -> &[f64] {
-        &self.w_h
     }
 
     /// `W_h` transposed, row-major `hidden × rows`, starting on a cache
@@ -540,7 +524,6 @@ mod tests {
         assert_eq!(lane.hidden(), dims.hidden);
         assert_eq!(lane.vocab(), q.embedding_fx.rows());
         assert_eq!(lane.gate_table().len(), lane.vocab() * lane.rows());
-        assert_eq!(lane.w_hidden().len(), lane.rows() * dims.hidden);
         assert_eq!(lane.w_hidden_t().len(), lane.rows() * dims.hidden);
         for item in [0usize, 1, 137, 277] {
             for r in 0..lane.rows() {
@@ -559,11 +542,10 @@ mod tests {
         let copy = lane.clone();
         assert_eq!(copy.w_hidden_t().as_ptr().align_offset(64), 0);
         assert_eq!(copy, lane);
-        // W_h is the recurrent prefix of each fused row, in both orders.
+        // W_h is the recurrent prefix of each fused row, transposed.
         for r in 0..lane.rows() {
             for k in 0..dims.hidden {
                 let raw = fused.w.get(r, k).raw();
-                assert_eq!(lane.w_hidden()[r * dims.hidden + k] as i64, raw);
                 assert_eq!(lane.w_hidden_t()[k * lane.rows() + r] as i64, raw);
             }
         }

@@ -1,13 +1,11 @@
-//! Property-based parity of the continuous-batching stream multiplexer
-//! against per-window serial classification.
+//! Property-based parity of the stream multiplexer against per-window
+//! serial classification.
 //!
-//! This is the only test of the lane step itself: every
-//! [`Verdict`] must be bit-identical — exact f64 equality on the float
-//! levels, 0 ULP in 10^6-scaled fixed point — to
+//! Every [`Verdict`] must be bit-identical — exact f64 equality on the
+//! float levels, 0 ULP in 10^6-scaled fixed point — to
 //! [`CsdInferenceEngine::classify`] of the same window, no matter how
-//! admission interleaves with ticking, how ragged the window lengths
-//! are, how narrow the lane block is, how many shards run it, or how
-//! often retirements refill slots mid-flight. (The monitor-level
+//! admission interleaves with serving rounds, how ragged the window
+//! lengths are, or how many shards serve them. (The monitor-level
 //! contract — alert parity with a serial `StreamMonitor` per process —
 //! is `csd-sentry`'s `proptest_monitor_parity`.)
 
@@ -24,12 +22,11 @@ fn engine(seed: u64, level: OptimizationLevel) -> CsdInferenceEngine {
     CsdInferenceEngine::new(&ModelWeights::from_model(&model), level)
 }
 
-/// The one-shard mux — what the service runs — at `width` lanes.
-fn mux(engine: CsdInferenceEngine, width: usize) -> ShardedStreamMux {
+/// The one-shard mux — what the service runs.
+fn mux(engine: CsdInferenceEngine) -> ShardedStreamMux {
     ShardedStreamMux::new(
         engine,
         StreamMuxConfig {
-            lanes: Some(width),
             shards: Some(1),
             ..StreamMuxConfig::default()
         },
@@ -45,13 +42,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Streamed verdicts equal serial per-window classification bit for
-    /// bit at every optimization level and lane width (1 and 3: scalar
-    /// remainders; 8, 16 and 32: full SIMD tiles), with submissions
-    /// interleaved against ticks so windows are admitted into a mux
-    /// whose lanes are mid-window, retire at different times, and refill
-    /// slots within ticks. In fixed point the serial side is also held
-    /// to the per-CU reference, which never touches the gate table the
-    /// lane step gathers from.
+    /// bit at every optimization level, with submissions interleaved
+    /// against rounds so windows are admitted into a mux that owes
+    /// window-steps and served at different times. In fixed point the
+    /// serial side is also held to the per-CU reference, which never
+    /// touches the gate table the row kernel gathers from.
     #[test]
     fn streamed_verdicts_bit_identical_to_serial(
         seed in any::<u64>(),
@@ -70,33 +65,30 @@ proptest! {
             let reference: Vec<_> = windows.iter().map(|w| per_cu.classify(w)).collect();
             prop_assert_eq!(&serial, &reference, "table serial vs per-CU");
         }
-        for width in [1usize, 3, 8, 16, 32] {
-            let mut m = mux(e.clone(), width);
-            let mut verdicts: Vec<Verdict> = Vec::new();
-            for (k, w) in windows.iter().enumerate() {
-                m.submit(k as u64, k, w);
-                for _ in 0..ticks_between[k % ticks_between.len()] {
-                    m.tick_into(&mut verdicts);
-                }
+        let mut m = mux(e.clone());
+        let mut verdicts: Vec<Verdict> = Vec::new();
+        for (k, w) in windows.iter().enumerate() {
+            m.submit(k as u64, k, w);
+            for _ in 0..ticks_between[k % ticks_between.len()] {
+                m.tick_into(&mut verdicts);
             }
-            verdicts.extend(m.drain());
-            prop_assert!(m.is_idle());
-            prop_assert_eq!(verdicts.len(), windows.len(), "width {}", width);
-            for v in &verdicts {
-                prop_assert_eq!(
-                    v.classification,
-                    serial[v.stream as usize],
-                    "level {} width {} stream {}", level, width, v.stream
-                );
-            }
+        }
+        verdicts.extend(m.drain());
+        prop_assert!(m.is_idle());
+        prop_assert_eq!(verdicts.len(), windows.len());
+        for v in &verdicts {
+            prop_assert_eq!(
+                v.classification,
+                serial[v.stream as usize],
+                "level {} stream {}", level, v.stream
+            );
         }
     }
 
     /// The bit-identity contract holds at every shard count — a
-    /// stream's windows land on different shards and retire out of
-    /// order, but each verdict still equals serial classification of
-    /// its window exactly, and each stream's verdicts arrive in
-    /// submission order.
+    /// serving call spreads its windows over the pool's chunks, but
+    /// each verdict still equals serial classification of its window
+    /// exactly, and each stream's verdicts arrive in submission order.
     #[test]
     fn sharded_verdicts_bit_identical_and_in_stream_order_at_every_shard_count(
         seed in any::<u64>(),
@@ -111,8 +103,6 @@ proptest! {
         let mut m = ShardedStreamMux::new(
             e,
             StreamMuxConfig {
-                // Narrow shards force queueing.
-                lanes: Some(2),
                 shards: Some(shards),
                 ..StreamMuxConfig::default()
             },
@@ -157,7 +147,7 @@ proptest! {
     }
 
     /// Draining everything at once (pure batch arrival) agrees with the
-    /// same windows trickled in one tick apart (pure online arrival):
+    /// same windows trickled in one round apart (pure online arrival):
     /// arrival order must be invisible in the verdicts.
     #[test]
     fn arrival_pattern_does_not_change_verdicts(
@@ -167,13 +157,13 @@ proptest! {
     ) {
         let level = OptimizationLevel::ALL[level_idx];
         let e = engine(seed, level);
-        let mut batch = mux(e.clone(), 4);
+        let mut batch = mux(e.clone());
         for (k, w) in windows.iter().enumerate() {
             batch.submit(k as u64, k, w);
         }
         let batch_verdicts = batch.drain();
 
-        let mut online = mux(e, 4);
+        let mut online = mux(e);
         let mut online_verdicts = Vec::new();
         for (k, w) in windows.iter().enumerate() {
             online.submit(k as u64, k, w);

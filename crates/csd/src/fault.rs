@@ -294,11 +294,11 @@ impl FaultPlan {
         }
     }
 
-    /// Decides whether one SoA lane's DMA sweep is corrupted this tick
+    /// Decides whether one served window's classification is corrupted
     /// — the hook the stream multiplexer's degraded mode uses. One
     /// draw per call against [`FaultConfig::corruption`]; counted as a
     /// corruption.
-    pub fn corrupt_lane(&mut self) -> bool {
+    pub fn corrupt_window(&mut self) -> bool {
         if self.rng.chance(self.config.corruption) {
             self.counters.corruptions += 1;
             true
@@ -417,12 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn lane_corruption_is_deterministic_and_counted() {
+    fn window_corruption_is_deterministic_and_counted() {
         let config = FaultConfig::uniform(0.4);
         let mut a = FaultPlan::new(11, config);
         let mut b = FaultPlan::new(11, config);
-        let seq_a: Vec<bool> = (0..300).map(|_| a.corrupt_lane()).collect();
-        let seq_b: Vec<bool> = (0..300).map(|_| b.corrupt_lane()).collect();
+        let seq_a: Vec<bool> = (0..300).map(|_| a.corrupt_window()).collect();
+        let seq_b: Vec<bool> = (0..300).map(|_| b.corrupt_window()).collect();
         assert_eq!(seq_a, seq_b);
         let hits = seq_a.iter().filter(|&&x| x).count() as u64;
         assert!(hits > 0, "rate 0.4 over 300 draws must hit");

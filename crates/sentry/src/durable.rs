@@ -17,7 +17,9 @@
 //!    sessions alive at that moment and costs in proportion to them.
 //! 3. **Replay** — on open, the newest valid checkpoint is restored
 //!    and the journal's event records from the checkpoint's event
-//!    index onward are re-ingested through the ordinary path.
+//!    index onward are re-ingested through the ordinary path. Replay
+//!    serves no window: the windows it queues wait in the mux for the
+//!    first poll after `open`.
 //!
 //! # What `open` reads
 //!
@@ -143,15 +145,6 @@ use csd_accel::CsdInferenceEngine;
 /// Magic bytes opening a checkpoint file (format version 1).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CSDSNAP1";
 
-/// During recovery replay, run one engine round every this many events
-/// so queued windows classify incrementally instead of piling up. One
-/// round ([`Sentry::round`]), not a queue-serving [`Sentry::poll`]:
-/// replay is followed by the next checkpoint's drain whatever happens,
-/// and serving the queue here only moves that work into `open`
-/// (`recover_cpu_s` 0.0054 → 0.0236 s on the benchmark's fleet workload
-/// and 0.0084 → 0.0091 s on its corpus workload when tried).
-const REPLAY_POLL_EVERY: u64 = 64;
-
 /// How long a raised incident may wait for the event batch's sync
 /// before a call forces one for it: the bound, in wall time and at any
 /// event rate, on hand-back after the verdict.
@@ -227,8 +220,10 @@ pub struct RecoveryReport {
     /// only if a crash interleaved with a partially completed adopt;
     /// counted, never re-applied).
     pub duplicate_incidents: u64,
-    /// Incidents newly raised *during* replay (their verdicts had not
-    /// folded before the crash).
+    /// Incidents raised *during* replay. Replay serves no window and the
+    /// overload governor is off, so this is 0: a window whose verdict
+    /// had not folded before the crash is served, and its incident
+    /// raised, by the first poll after `open`.
     pub replay_incidents: u64,
     /// Torn journal bytes truncated on open.
     pub journal_bytes_truncated: u64,
@@ -355,30 +350,29 @@ impl DurableSentry {
         }
 
         // Replay events past the checkpoint through the ordinary
-        // ingest path; incidents raised here had not latched before
-        // the crash, so they are journaled now like any fresh one.
-        // From an anchor the scan returned nothing older than the
-        // checkpoint; a full scan returned every event there is.
-        // The overload governor is off during replay: replay pressure
-        // is an artifact of recovery speed, not of live ingest load,
-        // and shedding here would diverge from the uninterrupted run.
+        // ingest path. From an anchor the scan returned nothing older
+        // than the checkpoint; a full scan returned every event there
+        // is. The overload governor is off during replay: replay
+        // pressure is an artifact of recovery speed, not of live ingest
+        // load, and shedding here would diverge from the uninterrupted
+        // run. Nor does replay serve a window: a round here would serve
+        // the oldest queued ones, and which those are depends on where
+        // replay started — the anchor or the journal's first event — so
+        // the incidents `open` raised would too, and the anchor would
+        // be information. The windows wait for the first poll.
         let covered = match full_scan {
             Some(_) => report.checkpoint_events as usize,
             None => 0,
         };
         inner.set_governing(false);
-        let mut pending_raise: Vec<Incident> = Vec::new();
+        let mut raised: Vec<Incident> = Vec::new();
         for event in recovered.events.iter().skip(covered) {
-            pending_raise.extend(inner.ingest(event));
+            raised.extend(inner.ingest(event));
             report.replayed_events += 1;
-            if report.replayed_events.is_multiple_of(REPLAY_POLL_EVERY) {
-                pending_raise.extend(inner.round());
-            }
         }
-        pending_raise.extend(inner.round());
         inner.set_governing(true);
-        report.replay_incidents = pending_raise.len() as u64;
-        journal.append_incidents(&pending_raise)?;
+        report.replay_incidents = raised.len() as u64;
+        journal.append_incidents(&raised)?;
 
         Ok(Self {
             inner,

@@ -4,7 +4,7 @@
 //! *monitor*: "the CSD continuously monitors the API calls of the host
 //! system in the background" (§I). The rest of this workspace builds
 //! the engine side of that sentence — bit-faithful kernels, the
-//! continuous-batching mux, fleet sharding; this crate builds the
+//! stream mux's window queue, fleet sharding; this crate builds the
 //! service around it, following the split Owlyshield (the production
 //! EDR the paper's deployment model resembles) uses between its driver
 //! shim, process tracker, and actions-on-kill layers:

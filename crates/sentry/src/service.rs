@@ -23,7 +23,7 @@
 //! and takes its stream record and the mux's loss entry with it — as
 //! soon as it has ended (exit, idle timeout, superseded; its PID link
 //! is already gone) *and* no verdict can reference it again (every
-//! window the mux accepted for it has come back; a
+//! window the mux accepted for it has come back or been evicted; a
 //! [`drain`](Sentry::drain) leaves the mux empty, so after one every
 //! ended session goes). Killed sessions stay PID-linked until their
 //! exit, so stragglers are still dropped and tallied. Per-session
@@ -33,8 +33,7 @@
 //! follow the sessions alive now, not every session ever seen.
 //!
 //! The engine contract is untouched: every window classifies through
-//! the sharded mux — alone or in a lane block, the same kernels —
-//! bit-identical to offline
+//! the mux, one window at a time, bit-identical to offline
 //! [`classify`](csd_accel::CsdInferenceEngine::classify) of the same
 //! window — which is what makes live-vs-offline alert parity a testable
 //! invariant rather than a hope (see `proptest_monitor_parity`).
@@ -43,7 +42,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use csd_accel::{
-    Alert, CsdInferenceEngine, MuxStats, PipelineSchedule, ShardedStreamMux, StreamLoss,
+    Admission, Alert, CsdInferenceEngine, MuxStats, PipelineSchedule, ShardedStreamMux, StreamLoss,
     StreamMuxConfig, Verdict, VoteRing,
 };
 use serde::{Deserialize, Serialize};
@@ -96,7 +95,7 @@ pub struct SentryConfig {
     /// sessions) — see [`overload_level`](Sentry::overload_level).
     #[serde(default)]
     pub staleness_slo: Option<u64>,
-    /// The sharded mux under the service.
+    /// The stream mux under the service.
     pub mux: StreamMuxConfig,
 }
 
@@ -117,24 +116,20 @@ impl Default for SentryConfig {
     }
 }
 
-/// The engine time one [`Sentry::poll`] may spend, in lane rounds.
+/// The engine time one [`Sentry::poll`] may spend, in rounds of
+/// [`ROUND_STEPS`](csd_accel::ROUND_STEPS) window-steps: 1,024
+/// window-steps, where a window of `len` calls costs `len`.
 ///
 /// A budget, so that a backlog cannot keep the service loop away from
-/// ingest. 64 rounds are ≈ 0.4 ms at paper dimensions (a 16-lane round
-/// measures 5.9–6.0 µs, `core.shard.tick_us`, against 7.5 before the
-/// element-wise kernels were cut; EXPERIMENTS.md row 23d). A window the
-/// mux classifies alone is charged `⌈len / width⌉` rounds — what a full
-/// block would have spent on it: 7 for a 100-step window on 16 lanes,
-/// 30–40 µs either way — so a poll serves about nine such windows
-/// against the 0.16 (one-window sessions) to 1.6 (a fleet of long-lived
-/// processes, a window per 10 events) that 16 events offer it, and
-/// every verdict is back at the first poll after its window's last
-/// call. On one lane the charge is the window's length, what its lane
-/// would have taken, so demand above the budget queues exactly as it
-/// did when every window went through a lane: `exp_chaos`'s one-lane
-/// overload cell offers about four times the budget at its 256-event
-/// cadence and still reads p99 staleness ≈ 3,500 events ungoverned
-/// (EXPERIMENTS.md "Frozen baselines" rows 20 and 21).
+/// ingest. 1,024 steps are ten 100-step windows and the start of an
+/// eleventh, ≈ 0.3 ms at paper dimensions (a window alone costs
+/// 29–35 µs; EXPERIMENTS.md row 23d). The service loop offers a poll
+/// 0.16 (one-window sessions) to 1.6 (a fleet of long-lived processes,
+/// a window per 10 events) windows per 16 events, so every verdict is
+/// back at the first poll after its window's last call. Demand above
+/// the budget queues, grows [`Sentry::staleness`] and engages the
+/// overload governor: `exp_chaos`'s overload cells poll every 4,096
+/// events, 0.25 window-steps an event against ≈ 1.5 offered.
 pub const POLL_ROUNDS_MAX: usize = 64;
 
 /// Where the overload governor currently sits on the degradation
@@ -148,6 +143,7 @@ pub enum OverloadLevel {
     #[default]
     Normal,
     /// Staleness above `slo/2`: every ingest also runs an engine round
+    /// of [`ROUND_STEPS`](csd_accel::ROUND_STEPS) window-steps
     /// (SLO-driven poll cadence), counted in
     /// [`SentryStats::slo_polls`].
     FastPoll,
@@ -189,15 +185,11 @@ struct StreamRecord {
     /// outstanding verdicts are ignored — the typed coverage loss of
     /// [`OverloadLevel::Shed`].
     shed: bool,
-    /// `(at_call, ingest clock)` per accepted submission, in order —
-    /// matched back up at fold for service-side latency. Evicted
-    /// windows never fold, so entries are matched by `at_call` (stale
-    /// ones are skipped), not blindly popped.
+    /// `(at_call, ingest clock)` of each window of this session the
+    /// mux holds, oldest first: pushed when the mux queues a window,
+    /// popped when its verdict folds or the mux evicts it. The mux is a
+    /// FIFO, so both leave from the front.
     stamps: VecDeque<(usize, u64)>,
-    /// Windows the mux accepted whose verdict has not come back. An
-    /// evicted window never comes back, so this can stay above what
-    /// the mux really holds until the next drain.
-    in_mux: u32,
 }
 
 /// Aggregate service counters, for reports and the bench campaign.
@@ -245,7 +237,7 @@ pub struct SentryStats {
     pub mux: MuxStats,
 }
 
-/// The live ingestion service over one sharded fleet engine.
+/// The live ingestion service over one stream mux.
 #[derive(Debug)]
 pub struct Sentry {
     config: SentryConfig,
@@ -256,9 +248,13 @@ pub struct Sentry {
     whitelist: Whitelist,
     backend: Box<dyn QuarantineBackend>,
     streams: SidMap<StreamRecord>,
-    /// Ended sessions still tracked because the mux may yet return a
-    /// verdict for them.
-    awaiting: Vec<u64>,
+    /// Admission sequence number from which [`staleness`] scans the
+    /// mux's queue: every window queued before it belongs to a shed,
+    /// latched or retired session, none of which is ever monitored
+    /// again.
+    ///
+    /// [`staleness`]: Self::staleness
+    stale_from: u64,
     /// Mux-side loss of retired sessions, whose per-stream entries the
     /// mux has forgotten.
     retired_loss: StreamLoss,
@@ -323,7 +319,7 @@ impl Sentry {
             whitelist: Whitelist::new(),
             backend: Box::new(SimBackend::new()),
             streams: SidMap::default(),
-            awaiting: Vec::new(),
+            stale_from: 0,
             retired_loss: StreamLoss::default(),
             incidents: Vec::new(),
             latencies: LatencyHistogram::default(),
@@ -442,6 +438,7 @@ impl Sentry {
         let Some(s) = self.sessions.session_mut(sid) else {
             return;
         };
+        let mut evicted = Vec::new();
         while s.is_live() {
             let offset = rec.submitted * stride;
             if offset + window_len > s.vocab_calls() {
@@ -454,45 +451,54 @@ impl Sentry {
             // A refused submission (backpressure under DropNewest) is
             // shed load: the cursor still advances and the mux tallies
             // the refusal per stream.
-            let accepted = self.mux.submit(sid, at_call, window);
+            let admission = self.mux.submit(sid, at_call, window);
             rec.submitted += 1;
-            if accepted {
+            if admission.queued() {
                 rec.stamps.push_back((at_call, self.events));
-                rec.in_mux += 1;
+            }
+            if let Admission::QueuedEvicting { stream, at_call } = admission {
+                evicted.push((stream, at_call));
             }
         }
         s.discard_consumed(rec.submitted * stride);
+        // The mux named every window it evicted to make room: they will
+        // never fold, so their stamps go now.
+        for (stream, at_call) in evicted {
+            if let Some(rec) = self.streams.get_mut(&stream) {
+                let stamp = rec.stamps.pop_front();
+                debug_assert_eq!(stamp.map(|(at, _)| at), Some(at_call));
+            }
+            self.left_mux(stream);
+        }
     }
 
-    /// Serves every admitted window to its verdict
+    /// Serves admitted windows to their verdicts
     /// ([`ShardedStreamMux::serve_into`]) under a budget of
-    /// [`POLL_ROUNDS_MAX`] engine rounds, folds the verdicts and returns
-    /// the incidents raised.
+    /// [`POLL_ROUNDS_MAX`] rounds, folds the verdicts and returns the
+    /// incidents raised.
     ///
-    /// The mux picks the cheaper way for what it holds: fewer windows
-    /// than a lane block, none in a lane, classify one by one, each
-    /// alone at about the cost of one lane of a full block; more, or a
-    /// block under way, and the block advances. Either way a window's
-    /// verdict comes back from the first `poll` after its last call
-    /// unless the budget runs out first — a caller that offers less
-    /// than the budget per poll (the service loop: 0.16 windows a poll
-    /// from one-window sessions, 1.6 from a fleet of long-lived
-    /// processes, against ≈ 9) never waits for rounds, only for the next
-    /// poll. Demand above the budget still queues, still grows
-    /// [`staleness`](Self::staleness) and still engages the overload
-    /// governor.
+    /// A window's verdict comes back from the first `poll` after its
+    /// last call unless the budget runs out first — a caller that
+    /// offers less than the budget per poll (the service loop: 0.16
+    /// windows a poll from one-window sessions, 1.6 from a fleet of
+    /// long-lived processes, against ≈ 10) never waits for rounds, only
+    /// for the next poll. Demand above the budget still queues, still
+    /// grows [`staleness`](Self::staleness) and still engages the
+    /// overload governor.
     ///
-    /// The rule reads the mux and nothing else — no clock, no bus
-    /// state — so the rounds run stay a pure function of the sequence
-    /// of `ingest` and `poll` calls: two service loops that batch the
-    /// bus differently end with equal [`SentryStats`].
+    /// The budget reads the mux and nothing else — no clock, no bus
+    /// state — so the windows served stay a pure function of the
+    /// sequence of `ingest` and `poll` calls: two service loops that
+    /// batch the bus differently end with equal [`SentryStats`].
     pub fn poll(&mut self) -> Vec<Incident> {
         self.run_and_fold(|mux, verdicts| mux.serve_into(verdicts, POLL_ROUNDS_MAX))
     }
 
-    /// Runs one lane round and folds its verdicts: what the overload
-    /// governor and recovery replay call on cadences of their own.
-    pub(crate) fn round(&mut self) -> Vec<Incident> {
+    /// Runs one round — [`ROUND_STEPS`](csd_accel::ROUND_STEPS)
+    /// window-steps, overdraw carried as debt — and folds its verdicts:
+    /// what the overload governor runs at every ingest from
+    /// [`OverloadLevel::FastPoll`] up.
+    fn round(&mut self) -> Vec<Incident> {
         self.run_and_fold(|mux, verdicts| {
             mux.tick_into(verdicts);
         })
@@ -512,23 +518,21 @@ impl Sentry {
         new
     }
 
-    /// Classifies everything queued or in flight and returns incidents
-    /// raised. The mux is empty afterwards, so every ended session
-    /// retires.
+    /// Classifies everything queued and returns incidents raised. The
+    /// mux is empty afterwards, so every ended session has retired.
     pub fn drain(&mut self) -> Vec<Incident> {
-        let new = self.run_and_fold(ShardedStreamMux::drain_into);
-        while let Some(sid) = self.awaiting.pop() {
-            self.retire(sid);
-        }
-        new
+        self.run_and_fold(ShardedStreamMux::drain_into)
     }
 
     /// The lifetime rule at a session's end: retire it now unless the
-    /// mux may still return a verdict for it.
+    /// mux holds a window of it, in which case it retires when the last
+    /// one leaves ([`left_mux`](Self::left_mux)).
     fn session_ended(&mut self, sid: u64) {
-        if self.streams.get(&sid).is_some_and(|rec| rec.in_mux > 0) {
-            self.awaiting.push(sid);
-        } else {
+        if self
+            .streams
+            .get(&sid)
+            .is_none_or(|rec| rec.stamps.is_empty())
+        {
             self.retire(sid);
         }
     }
@@ -548,12 +552,42 @@ impl Sentry {
     }
 
     /// Current verdict staleness: ingest-clock events elapsed since the
-    /// oldest submitted window still awaiting its verdict (0 when
-    /// nothing is outstanding). This — not queue depth — is what the
-    /// overload SLO bounds: a fixed poll cadence lets it grow without
-    /// limit when ingest outpaces the engine, which is exactly the
-    /// degeneration the governor exists to stop.
+    /// oldest submitted window still awaiting its verdict, among the
+    /// sessions still monitored (0 when nothing is outstanding). This —
+    /// not queue depth — is what the overload SLO bounds: a fixed poll
+    /// cadence lets it grow without limit when ingest outpaces the
+    /// engine, which is exactly the degeneration the governor exists to
+    /// stop.
+    ///
+    /// The mux is a FIFO, so that window is the first one in its queue
+    /// whose session is neither shed, latched nor retired, and its
+    /// stamp is the front of its session's stamps.
     pub fn staleness(&self) -> u64 {
+        self.oldest_monitored()
+            .1
+            .map_or(0, |oldest| self.events.saturating_sub(oldest))
+    }
+
+    /// Scans the mux's queue from [`stale_from`](Self::stale_from) for
+    /// the oldest window of a session still monitored. Returns where
+    /// the next scan may start — at that window, or past every window
+    /// scanned — and the window's stamp.
+    fn oldest_monitored(&self) -> (u64, Option<u64>) {
+        let mut from = self.stale_from;
+        for (seq, sid) in self.mux.queued_from(from) {
+            if let Some(rec) = self.streams.get(&sid).filter(|r| !r.shed && !r.latched) {
+                return (seq, rec.stamps.front().map(|&(_, stamp)| stamp));
+            }
+            from = seq + 1;
+        }
+        (from, None)
+    }
+
+    /// [`staleness`](Self::staleness) as a scan of every tracked
+    /// session: the reference the queue-head reading is checked
+    /// against.
+    #[cfg(test)]
+    fn staleness_by_scan(&self) -> u64 {
         self.streams
             .values()
             .filter(|r| !r.shed && !r.latched)
@@ -595,7 +629,9 @@ impl Sentry {
             return Vec::new();
         }
         let slo = slo.max(2);
-        let s = self.staleness();
+        let (from, oldest) = self.oldest_monitored();
+        self.stale_from = from;
+        let s = oldest.map_or(0, |stamp| self.events.saturating_sub(stamp));
         let target = if s > 2 * slo {
             OverloadLevel::Shed
         } else if s > slo / 2 {
@@ -656,7 +692,6 @@ impl Sentry {
             };
             if let Some(rec) = self.streams.get_mut(&sid) {
                 rec.shed = true;
-                rec.stamps.clear();
             }
             self.shed_log.push(ShedRecord {
                 sid,
@@ -667,8 +702,8 @@ impl Sentry {
         }
     }
 
-    /// Folds retired verdicts into vote rings; a completed vote runs
-    /// the dispatch path: whitelist check, configured action, latched
+    /// Folds served verdicts into vote rings; a completed vote runs the
+    /// dispatch path: whitelist check, configured action, latched
     /// incident. Verdicts key on session ids, so nothing here can touch
     /// a PID's later incarnation. An ended session retires with the
     /// last verdict it was waiting for.
@@ -678,24 +713,30 @@ impl Sentry {
             let Some(rec) = self.streams.get_mut(&v.stream) else {
                 continue;
             };
-            rec.in_mux = rec.in_mux.saturating_sub(1);
-            let last_in_mux = rec.in_mux == 0;
+            // Verdicts leave the mux in submission order: the front
+            // stamp is this window's.
+            let stamp = rec.stamps.pop_front();
+            debug_assert_eq!(stamp.map(|(at, _)| at), Some(v.at_call));
             if !rec.latched && !rec.shed {
-                raised.extend(self.fold_verdict(v));
+                raised.extend(self.fold_verdict(v, stamp.map(|(_, clock)| clock)));
             }
-            if last_in_mux {
-                if let Some(at) = self.awaiting.iter().position(|&sid| sid == v.stream) {
-                    self.awaiting.swap_remove(at);
-                    self.retire(v.stream);
-                }
-            }
+            self.left_mux(v.stream);
         }
         raised
     }
 
-    /// Folds one verdict of an open (not latched, not shed) stream and
-    /// returns the incident it raised, if its vote completed.
-    fn fold_verdict(&mut self, v: &Verdict) -> Option<Incident> {
+    /// One of `sid`'s windows left the mux, served or evicted: an ended
+    /// session retires with the last one (a live one stays).
+    fn left_mux(&mut self, sid: u64) {
+        if self.streams.get(&sid).is_some_and(|r| r.stamps.is_empty()) {
+            self.retire(sid);
+        }
+    }
+
+    /// Folds one verdict of an open (not latched, not shed) stream —
+    /// submitted at ingest-clock `submitted_at` — and returns the
+    /// incident it raised, if its vote completed.
+    fn fold_verdict(&mut self, v: &Verdict, submitted_at: Option<u64>) -> Option<Incident> {
         let rec = self.streams.get_mut(&v.stream)?;
         self.verdicts_folded += 1;
         rec.verdicts += 1;
@@ -705,20 +746,6 @@ impl Sentry {
             self.config.votes_needed,
         );
         let verdicts_folded = rec.verdicts;
-        // Match the verdict to its submission stamp; stamps for
-        // windows evicted before classifying are skipped here.
-        let submitted_at = loop {
-            match rec.stamps.front().copied() {
-                Some((at, _)) if at < v.at_call => {
-                    rec.stamps.pop_front();
-                }
-                Some((at, stamp)) if at == v.at_call => {
-                    rec.stamps.pop_front();
-                    break Some(stamp);
-                }
-                _ => break None,
-            }
-        };
         if let Some(stamp) = submitted_at {
             self.service_latencies
                 .record(self.events.saturating_sub(stamp));
@@ -861,7 +888,6 @@ impl Sentry {
                     latched: s.latched,
                     shed: s.shed,
                     stamps: VecDeque::new(),
-                    in_mux: 0,
                 },
             );
         }
@@ -1004,7 +1030,7 @@ impl Sentry {
 mod tests {
     use super::*;
     use crate::event::ProcessEvent;
-    use csd_accel::OptimizationLevel;
+    use csd_accel::{OptimizationLevel, OverflowPolicy, ROUND_STEPS};
     use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 
     const VOCAB: usize = 16;
@@ -1229,11 +1255,10 @@ mod tests {
         assert_eq!(sentry.stats().dup_events, 2);
     }
 
-    /// A sentry over `lanes` lanes with `pids` sessions' first windows
-    /// (eight calls each) admitted and nothing ticked yet.
-    fn queued(lanes: usize, pids: u32) -> Sentry {
+    /// A sentry with `pids` sessions' first windows (eight calls each)
+    /// admitted and nothing served yet.
+    fn queued(pids: u32) -> Sentry {
         let mut cfg = config();
-        cfg.mux.lanes = Some(lanes);
         cfg.mux.shards = Some(1);
         let mut sentry = Sentry::new(engine(), cfg);
         for pid in 1..=pids {
@@ -1250,14 +1275,13 @@ mod tests {
             .find(|&s| offline.classify(&trace(s, 8)).is_positive)
             .expect("some window classifies positive");
         let mut cfg = config();
-        cfg.mux.lanes = Some(4);
         cfg.mux.shards = Some(1);
         let mut sentry = Sentry::new(engine(), cfg);
         let calls = trace(salt, 8);
         feed(&mut sentry, 1, &calls[..7]);
         assert!(sentry.poll().is_empty(), "no window yet");
         feed(&mut sentry, 1, &calls[7..]);
-        // Not eight polls later, one lane round each: this one.
+        // Not some polls later: this one.
         let raised = sentry.poll();
         assert_eq!(raised.len(), 1);
         assert_eq!((raised[0].pid, raised[0].alert.at_call), (1, 8));
@@ -1265,41 +1289,25 @@ mod tests {
     }
 
     #[test]
-    fn poll_counts_no_lane_round_for_fewer_windows_than_lanes() {
-        let mut sentry = queued(4, 3);
-        sentry.poll();
-        assert_eq!(sentry.stats().verdicts_folded, 3, "each classified alone");
-        assert_eq!(sentry.mux.stats().ticks, 0);
-        assert!(sentry.mux.is_idle());
-        // A block's worth goes through the block, all of it in one poll.
-        let mut sentry = queued(4, 4);
-        sentry.poll();
-        assert_eq!(sentry.stats().verdicts_folded, 4);
-        assert_eq!(sentry.mux.stats().ticks, 8, "eight steps a window");
-    }
-
-    #[test]
     fn poll_stops_at_its_budget_and_the_backlog_keeps_ageing() {
-        // Twenty windows on one lane are 160 lane-steps: the budget
-        // stops the poll, the rest still waits.
-        let mut sentry = queued(1, 20);
+        // Two hundred eight-step windows are 1,600 window-steps: a
+        // poll's 1,024 serve 128 of them, the rest still waits.
+        let mut sentry = queued(200);
         sentry.poll();
-        assert_eq!(sentry.mux.stats().ticks, POLL_ROUNDS_MAX as u64);
-        assert_eq!(sentry.stats().verdicts_folded as usize, POLL_ROUNDS_MAX / 8);
-        assert_eq!(sentry.mux.pending(), 20 - POLL_ROUNDS_MAX / 8 - 1);
+        let served = POLL_ROUNDS_MAX * ROUND_STEPS / 8;
+        assert_eq!(sentry.stats().verdicts_folded as usize, served);
+        assert_eq!(sentry.mux.pending(), 200 - served);
         let stale = sentry.staleness();
         assert!(stale > 0, "the oldest window left is already behind");
         // Unbuffered events move the clock and nothing else.
         for t in 0..10 {
-            sentry.ingest(&ProcessEvent::exit(t, 999));
+            sentry.ingest(&ProcessEvent::exit(t, 9999));
         }
         assert_eq!(sentry.staleness(), stale + 10);
-        // Four lanes, forty windows: the block path meets the same
-        // budget (64 rounds × 4 lanes ÷ 8 steps = 32 windows).
-        let mut sentry = queued(4, 40);
+        // The next poll serves the rest.
         sentry.poll();
-        assert_eq!(sentry.mux.stats().ticks, POLL_ROUNDS_MAX as u64);
-        assert_eq!((sentry.mux.pending(), sentry.mux.in_flight()), (4, 4));
+        assert!(sentry.mux.is_idle());
+        assert_eq!((sentry.staleness(), sentry.mux.stats().ticks), (0, 2));
     }
 
     /// When windows classify never changes what latches: serving them
@@ -1308,7 +1316,6 @@ mod tests {
     fn serving_poll_raises_the_incidents_of_one_round_polling() {
         let run = |serve: fn(&mut Sentry) -> Vec<Incident>| {
             let mut cfg = config();
-            cfg.mux.lanes = Some(2);
             cfg.mux.shards = Some(1);
             let mut sentry = Sentry::new(engine(), cfg);
             let mut returned = 0;
@@ -1336,14 +1343,21 @@ mod tests {
         assert_eq!(served, run(Sentry::round));
     }
 
-    /// A slow one-lane mux with a fixed caller poll cadence. Feeds
-    /// `rounds` strides of traffic on `n_pids` concurrent sessions,
-    /// polling every `cadence` events, and returns the worst staleness
-    /// observed.
+    /// Long windows at a short stride against a fixed caller poll
+    /// cadence: a window of 64 calls every 2, so a session offers 32
+    /// window-steps per call of its own, and 3-of-3 votes, so the
+    /// sessions keep submitting. Feeds `rounds` strides of traffic on
+    /// `n_pids` concurrent sessions, polling every `cadence` events,
+    /// and returns the worst staleness observed. At every event the
+    /// queue-head staleness is checked against the scan of every
+    /// session.
     fn overload_run(slo: Option<u64>, n_pids: u32, rounds: usize, cadence: u64) -> (Sentry, u64) {
         let mut cfg = config();
+        cfg.window_len = 64;
+        cfg.stride = 2;
+        cfg.votes_needed = 3;
+        cfg.vote_horizon = 3;
         cfg.staleness_slo = slo;
-        cfg.mux.lanes = Some(1);
         cfg.mux.shards = Some(1);
         cfg.mux.max_pending = 4096;
         let mut sentry = Sentry::new(engine(), cfg);
@@ -1358,9 +1372,11 @@ mod tests {
                         pid,
                         (round * 4 + k + pid as usize) % VOCAB,
                     ));
+                    assert_eq!(sentry.staleness(), sentry.staleness_by_scan(), "event {t}");
                     worst = worst.max(sentry.staleness());
                     if t.is_multiple_of(cadence) {
                         sentry.poll();
+                        assert_eq!(sentry.staleness(), sentry.staleness_by_scan());
                     }
                 }
             }
@@ -1372,13 +1388,9 @@ mod tests {
     /// poll cadence and no SLO, ingest outpaces the engine and verdict
     /// staleness grows without bound — the backlog at the end is
     /// proportional to everything ever fed. The cadence has to be
-    /// lazier than a poll's budget for that: 128 events complete 32
-    /// eight-step windows, 256 lane-steps, and a poll serves
-    /// [`POLL_ROUNDS_MAX`] = 64 of them, eight windows — through the
-    /// lane while a backlog stands, and a lone window the mux classifies
-    /// by itself is charged the same eight rounds (at 64 events a poll
-    /// the budget keeps up with this feed once three of its four
-    /// sessions have latched).
+    /// lazier than a poll's budget for that: 128 events offer 4,096
+    /// window-steps, and a poll serves [`POLL_ROUNDS_MAX`] rounds,
+    /// 1,024 of them.
     #[test]
     fn fixed_poll_cadence_degenerates_staleness_without_an_slo() {
         let (sentry, worst) = overload_run(None, 4, 40, 128);
@@ -1430,7 +1442,7 @@ mod tests {
         let (sentry, _) = overload_run(Some(slo), 6, 60, u64::MAX);
         assert!(
             !sentry.shed_log().is_empty(),
-            "six sessions against one lane with slo 16 must shed"
+            "32 window-steps an event against the governor's 16 with slo 16 must shed"
         );
         let shed_sids: Vec<u64> = sentry.shed_log().iter().map(|r| r.sid).collect();
         let mut sorted = shed_sids.clone();
@@ -1470,16 +1482,24 @@ mod tests {
         let mut sentry = Sentry::new(engine(), cfg);
         sentry.ingest(&ProcessEvent::api(0, 7, 1));
         let sid = sentry.sessions().sessions().next().unwrap().sid();
-        // Nothing below is in the mux, so the governor's polls retire
-        // nothing and staleness is exactly what `step` sets. The live
-        // session has folded one negative verdict and has a window
-        // outstanding: what Shed sheds.
+        // A window of no tracked session, served first, leaves the mux
+        // owing more window-steps than the rounds below pay off: the
+        // governor's rounds serve nothing, and staleness is exactly
+        // what `step` sets.
+        let owed: Vec<usize> = (0..20_000).map(|i| i % VOCAB).collect();
+        sentry.mux.submit(u64::MAX, 0, &owed);
+        assert_eq!(sentry.mux.tick().len(), 1);
+        let window = trace(1, 8);
+        // The live session has folded one negative verdict and has a
+        // window outstanding: what Shed sheds.
         let rec = sentry.streams.entry(sid).or_default();
         rec.verdicts = 1;
+        assert!(sentry.mux.submit(sid, 8, &window).queued());
         rec.stamps.push_back((8, 1));
         // A stream with no verdict folded yet is never shed, so it
         // keeps staleness defined once the first one is.
         let unscored = sentry.streams.entry(sid + 1).or_default();
+        assert!(sentry.mux.submit(sid + 1, 8, &window).queued());
         unscored.stamps.push_back((8, 1));
 
         assert_eq!(step(&mut sentry, slo / 4), (Normal, 0, 0));
@@ -1500,18 +1520,54 @@ mod tests {
         assert_eq!(step(&mut sentry, 0), (Normal, 9, 1));
     }
 
-    /// Stats written before the cascade counters and the rebalancer's
-    /// tally were removed still load, with every surviving field intact.
+    /// An evicted window never folds, and the mux names it, so its stamp
+    /// goes with it. A stamp left behind stayed outstanding for ever:
+    /// staleness grew by one an event after a full drain, and with an
+    /// SLO the governor climbed to Shed and stayed there, since Shed
+    /// never sheds a session that has folded no verdict.
+    #[test]
+    fn an_evicted_window_leaves_nothing_outstanding() {
+        let mut cfg = config();
+        cfg.stride = 8;
+        cfg.staleness_slo = Some(64);
+        cfg.mux.max_pending = 2;
+        cfg.mux.policy = OverflowPolicy::DropOldest;
+        let mut sentry = Sentry::new(engine(), cfg);
+        // Three sessions fill a window each; the third evicts the first.
+        for pid in 1..=3 {
+            feed(&mut sentry, pid, &trace(pid as usize, 8));
+        }
+        assert_eq!(sentry.stats().mux.evicted, 1);
+        sentry.drain();
+        assert_eq!(sentry.staleness(), 0, "nothing is outstanding");
+        // Forty one-window sessions, each served at the next poll.
+        for pid in 10..50u32 {
+            feed(&mut sentry, pid, &trace(pid as usize, 8));
+            sentry.ingest(&ProcessEvent::exit(0, pid));
+            sentry.poll();
+            assert_eq!(sentry.staleness(), 0, "pid {pid}");
+        }
+        assert_eq!(sentry.overload_level(), OverloadLevel::Normal);
+        assert_eq!(sentry.stats().slo_polls, 0);
+    }
+
+    /// Stats written before the cascade counters, the rebalancer's tally
+    /// and the lane block's two counters were removed still load, with
+    /// every surviving field intact.
     #[test]
     fn stats_json_with_removed_counters_still_loads() {
         // The removed keys: the five cascade counters (spelled in
         // halves so that a grep for the deleted names over the source
-        // tree stays empty) and the rebalancer's `steals`.
+        // tree stays empty), the rebalancer's `steals` and the lane
+        // block's two counters (in halves too).
         let removed = concat!(
             r#""screened": 0, "escalated": 0, "cascade_"#,
             r#"flips": 0, "forced_"#,
             r#"screen": 0, "screen_"#,
-            r#"only_ticks": 0, "steals": 0,"#
+            r#"only_ticks": 0, "steals": 0,"#,
+            r#""degraded_"#,
+            r#"ticks": 0, "lanes_"#,
+            r#"poisoned": 0,"#
         );
         let template = r#"{
             "events": 40800, "sessions_started": 400, "sessions_ended": 400,
@@ -1524,7 +1580,7 @@ mod tests {
                 "refused": 0, "rejected": 0, "occupancy": 0.4746535029428517,
                 "p50_latency_ticks": 100, "p99_latency_ticks": 100,
                 "verdicts_per_sec": 3988.0636059853773, "faults": 0,
-                "degraded_reruns": 0, "degraded_ticks": 0, "lanes_poisoned": 0,
+                "degraded_reruns": 0,
                 @REMOVED@
                 "shards": 2
             }

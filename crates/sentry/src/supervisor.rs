@@ -128,9 +128,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct ServiceConfig {
     /// How often the mux's queue is served: a
     /// [`poll`](DurableSentry::poll) after this many ingested events.
-    /// A poll runs as many engine rounds as windows are waiting for (up
-    /// to its budget), so this sets how long a verdict can wait for the
-    /// next poll, not how much engine work is done per event.
+    /// A poll serves the waiting windows up to its budget, so this sets
+    /// how long a verdict can wait for the next poll, not how much
+    /// engine work is done per event.
     pub poll_every: u64,
     /// How long one loop iteration blocks waiting for bus traffic, and
     /// so how long the bus must be quiet before the loop drains.

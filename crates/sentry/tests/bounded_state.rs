@@ -202,9 +202,8 @@ fn volatile_sentry_state_does_not_grow_with_sessions_seen() {
 #[test]
 fn loss_of_retired_sessions_still_adds_up_to_the_mux_totals() {
     let mut config = config();
-    // One lane retires a window per 160 events, the ten streams submit
-    // one per 50, and the queue holds one: most windows are evicted.
-    config.mux.lanes = Some(1);
+    // The ten streams submit a window per five events, a poll comes
+    // every 16, and the queue holds one: most windows are evicted.
     config.mux.max_pending = 1;
     let mut sentry = Sentry::new(engine(), config);
     for e in &churn(200) {

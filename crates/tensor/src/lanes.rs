@@ -1,53 +1,47 @@
-//! Lane-batched (structure-of-arrays) kernels for the fused LSTM gate
-//! computation, and the row-vectorised kernel that runs one sequence
-//! alone at the same cost.
+//! The fixed-point LSTM timestep's SIMD kernels: the row-vectorised
+//! gate matvec that runs every sequence the engine classifies, and the
+//! element-wise kernels it shares with the lane-batched matmul.
 //!
 //! A fixed-point timestep is a `4H × H` recurrent product on top of a
 //! precomputed gate-table row, plus elementwise activations. There are
-//! two ways to fill a SIMD register with it, and this module has both:
+//! two ways to fill a SIMD register with it:
 //!
-//! - **Across lanes** ([`matmul_fx_lanes_table`]): `W` sequences
-//!   ("lanes") advance in lockstep with all state stored as `rows × W`
-//!   lane blocks, so the timestep becomes a `4H × H · H × W`
-//!   matrix–*matrix* product and the activations sweep contiguous lane
-//!   rows. Memory layout: element `(row r, lane l)` lives at
-//!   `buf[r * width + l]`. A block costs the same whether one lane is
-//!   occupied or all of them. The stream mux's lane block is this
-//!   axis's only caller; batches loop the row kernel below.
 //! - **Across rows** ([`matvec_fx_rows_table`]): one sequence, its `4H`
 //!   gate rows spread over the registers. The gate-table row is
 //!   contiguous and `W_h` is kept transposed, so neither needs a
-//!   gather; the elementwise kernels ([`sigmoid_lut_lanes`],
-//!   [`softsign_lanes`], [`update_lanes`]) are layout-agnostic and run
-//!   unchanged at width 1. One window alone costs about what it costs as
-//!   one lane of a full block.
+//!   gather. This is the production kernel.
+//! - **Across lanes** ([`matmul_fx_lanes_table`]): `W` sequences
+//!   ("lanes") advance in lockstep with all state stored as `rows × W`
+//!   lane blocks, so the timestep becomes a `4H × H · H × W`
+//!   matrix–*matrix* product. Memory layout: element `(row r, lane l)`
+//!   lives at `buf[r * width + l]`. A block costs the same whether one
+//!   lane is occupied or all of them, and a window alone through the
+//!   row kernel costs what one lane of a full block does, so nothing in
+//!   the engine calls it any more; it is kept, with its test, as a
+//!   timed kernel.
+//!
+//! The elementwise kernels ([`sigmoid_lut_lanes`], [`softsign_lanes`],
+//! [`update_lanes`]) are layout-agnostic and run at any width.
 //!
 //! # Bit-identity contract
 //!
 //! Every kernel here is **bit-identical** to the serial scalar code it
-//! replaces — not approximately equal, identical:
-//!
-//! - The `f64` kernels replay the serial operation sequence exactly.
-//!   [`matmul_f64_lanes`] reproduces `f64::dot_slices`' four-accumulator
-//!   chunked summation *per lane* (same adds, same order, no FMA), and
-//!   the pointwise ops are the identical IEEE-754 expressions. Since
-//!   every individual IEEE op is correctly rounded, vectorizing across
-//!   lanes cannot change any bit.
-//! - The fixed-point kernels hold `Fixed<6>` raw integers as exact `f64`
-//!   values (every intermediate stays below `2^53`) and compute the
-//!   *integer-exact* result of the reference formulas — accumulate,
-//!   round-half-away-from-zero rescale, LUT sigmoid, exact softsign.
-//!   The accumulation, the rescales and the softsign use FMA, reciprocal
-//!   and division sequences whose error terms are provably too small to
-//!   change the integer on a stated domain; the LUT sigmoid, an integer
-//!   function on a 16 M-point domain, is compared with its scalar
-//!   reference on every point of it by a test instead. Callers must
-//!   uphold the range bounds documented per kernel (the engine proves
-//!   them at weight-pack time). Both vectorisation axes rest on one
-//!   argument: under the pack-time row bound every partial sum of a gate
-//!   row is an exact integer below `2^49`, so the sum is the same
-//!   integer however the additions associate — lane-tiled, row-tiled or
-//!   scalar — and its rescale is the four-op one.
+//! replaces — not approximately equal, identical. The kernels hold
+//! `Fixed<6>` raw integers as exact `f64` values (every intermediate
+//! stays below `2^53`) and compute the *integer-exact* result of the
+//! reference formulas — accumulate, round-half-away-from-zero rescale,
+//! LUT sigmoid, exact softsign. The accumulation, the rescales and the
+//! softsign use FMA, reciprocal and division sequences whose error
+//! terms are provably too small to change the integer on a stated
+//! domain; the LUT sigmoid, an integer function on a 16 M-point domain,
+//! is compared with its scalar reference on every point of it by a test
+//! instead. Callers must uphold the range bounds documented per kernel
+//! (the engine proves them at weight-pack time). Both vectorisation
+//! axes rest on one argument: under the pack-time row bound every
+//! partial sum of a gate row is an exact integer below `2^49`, so the
+//! sum is the same integer however the additions associate —
+//! lane-tiled, row-tiled or scalar — and its rescale is the four-op
+//! one.
 //!
 //! On x86-64 with AVX-512 (F+DQ+VL) the fixed-point kernels dispatch to
 //! hand-written intrinsics (with AVX2+FMA bodies for the two matrix
@@ -108,74 +102,6 @@ pub fn simd_level() -> &'static str {
         #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => "avx2",
         Tier::Scalar => "scalar",
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f64 path
-// ---------------------------------------------------------------------------
-
-/// Lane-batched `out = W · Z` for the float path: `w` is `rows × cols`
-/// row-major, `z` is a `cols × width` lane block, `out` is `rows × width`.
-///
-/// Per lane this reproduces `f64::dot_slices` bit-for-bit: four
-/// accumulators over column chunks of 4 (separate multiply then add — no
-/// FMA contraction), combined as `(a0 + a1) + (a2 + a3)`, remainder
-/// columns added sequentially. `acc` is caller-provided scratch of at
-/// least `4 * width` elements so the hot loop never allocates.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with `rows`/`cols`/`width`.
-pub fn matmul_f64_lanes(
-    w: &[f64],
-    rows: usize,
-    cols: usize,
-    z: &[f64],
-    width: usize,
-    out: &mut [f64],
-    acc: &mut [f64],
-) {
-    assert_eq!(w.len(), rows * cols, "lane matmul weight shape mismatch");
-    assert_eq!(z.len(), cols * width, "lane matmul input shape mismatch");
-    assert_eq!(out.len(), rows * width, "lane matmul output shape mismatch");
-    assert!(acc.len() >= 4 * width, "lane matmul scratch too small");
-    let (a0, rest) = acc.split_at_mut(width);
-    let (a1, rest) = rest.split_at_mut(width);
-    let (a2, rest) = rest.split_at_mut(width);
-    let a3 = &mut rest[..width];
-    let chunks = cols / 4;
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        a0.fill(0.0);
-        a1.fill(0.0);
-        a2.fill(0.0);
-        a3.fill(0.0);
-        for m in 0..chunks {
-            let k = 4 * m;
-            let (w0, w1, w2, w3) = (row[k], row[k + 1], row[k + 2], row[k + 3]);
-            let z0 = &z[k * width..(k + 1) * width];
-            let z1 = &z[(k + 1) * width..(k + 2) * width];
-            let z2 = &z[(k + 2) * width..(k + 3) * width];
-            let z3 = &z[(k + 3) * width..(k + 4) * width];
-            for l in 0..width {
-                a0[l] += w0 * z0[l];
-                a1[l] += w1 * z1[l];
-                a2[l] += w2 * z2[l];
-                a3[l] += w3 * z3[l];
-            }
-        }
-        let o = &mut out[r * width..(r + 1) * width];
-        for l in 0..width {
-            o[l] = (a0[l] + a1[l]) + (a2[l] + a3[l]);
-        }
-        for k in 4 * chunks..cols {
-            let wk = row[k];
-            let zk = &z[k * width..(k + 1) * width];
-            for l in 0..width {
-                o[l] += wk * zk[l];
-            }
-        }
     }
 }
 
@@ -1227,7 +1153,6 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scalar;
 
     fn div_round_i64(num: i64, den: i64) -> i64 {
         div_round_raw(num, den)
@@ -1610,34 +1535,6 @@ mod tests {
                 assert_eq!(c[j] as i64, ct.raw(), "update c j={j} w={width}");
                 let hh = ov * softsign_fx(ct);
                 assert_eq!(h[j] as i64, hh.raw(), "update h j={j} w={width}");
-            }
-        }
-    }
-
-    #[test]
-    fn f64_matmul_matches_dot_slices_per_lane() {
-        let rows = 128;
-        let cols = 40;
-        let w: Vec<f64> = (0..rows * cols)
-            .map(|i| ((i as i64 * 2_654_435_761 % 4_000_000 - 2_000_000) as f64) * 1e-6)
-            .collect();
-        for width in [1usize, 3, 8, 16] {
-            let z: Vec<f64> = (0..cols * width)
-                .map(|i| ((i as i64 * 40_503 % 2_000_000 - 1_000_000) as f64) * 1e-6)
-                .collect();
-            let mut out = vec![0.0f64; rows * width];
-            let mut acc = vec![0.0f64; 4 * width];
-            matmul_f64_lanes(&w, rows, cols, &z, width, &mut out, &mut acc);
-            for r in 0..rows {
-                for l in 0..width {
-                    let col: Vec<f64> = (0..cols).map(|k| z[k * width + l]).collect();
-                    let expect = f64::dot_slices(&w[r * cols..(r + 1) * cols], &col);
-                    assert_eq!(
-                        out[r * width + l].to_bits(),
-                        expect.to_bits(),
-                        "f64 matmul r={r} l={l} w={width}"
-                    );
-                }
             }
         }
     }

@@ -12,9 +12,9 @@
 //! *bit-level parity bounds* between the offline model and the FPGA kernel
 //! implementations.
 //!
-//! The [`lanes`] module adds lane-batched (structure-of-arrays) kernels
-//! that advance many sequences in lockstep — the matrix–matrix form of the
-//! fused gate matvec — while remaining bit-identical to the serial path.
+//! The [`lanes`] module adds the fixed-point SIMD kernels of the fused
+//! gate timestep — vectorised across gate rows for one sequence, or
+//! across lanes for a block of them — bit-identical to the serial path.
 //!
 //! # Example
 //!
@@ -27,7 +27,7 @@
 //! assert_eq!(y.as_slice(), &[3.0, 7.0]);
 //! ```
 
-// deny, not forbid: the lane-batched kernels in [`lanes`] carry narrowly
+// deny, not forbid: the SIMD kernels in [`lanes`] carry narrowly
 // scoped `#[allow(unsafe_code)]` blocks for runtime-dispatched SIMD
 // intrinsics, each with a SAFETY comment. Everything else stays safe.
 #![deny(unsafe_code)]
