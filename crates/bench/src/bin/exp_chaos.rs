@@ -32,7 +32,7 @@
 //!
 //! Every cell runs the mux at one shard, as every serving configuration
 //! does; `--smoke` repeats the clean and the heaviest parity cell at two,
-//! so the multi-shard coordinator meets the same contract in CI.
+//! so the chunked serving path meets the same contract in CI.
 //!
 //! Every cell also reports what the sentry held: the most sessions it
 //! tracked at once next to the most that were alive, and the size of
@@ -62,8 +62,8 @@ use csd_ransomware::chaos::{ChaosConfig, ChaosCounters, ChaosOp, ChaosSchedule};
 use csd_ransomware::dataset::{Dataset, DatasetBuilder};
 use csd_ransomware::replay::{interleave, EventTrace, ReplayProfile};
 use csd_sentry::{
-    ActionKind, DurableConfig, DurableSentry, OverloadLevel, ProcessEvent, Sentry, SentryConfig,
-    SentrySnapshot, SNAPSHOT_MAGIC,
+    read_checkpoint, ActionKind, CheckpointRead, DurableConfig, DurableSentry, OverloadLevel,
+    ProcessEvent, Sentry, SentryConfig,
 };
 use serde::Serialize;
 
@@ -215,12 +215,12 @@ fn oracle_keys(trace: &EventTrace, config: &SentryConfig) -> Vec<(u32, usize, St
 }
 
 /// The journal offset the checkpoint in `dir` is anchored at, if there
-/// is a checkpoint.
+/// is one that [`DurableSentry::open`] would use.
 fn anchor_offset(dir: &Path) -> Option<u64> {
-    let bytes = fs::read(dir.join("checkpoint.snap")).ok()?;
-    let body = std::str::from_utf8(bytes.get(SNAPSHOT_MAGIC.len() + 4..)?).ok()?;
-    let snap: SentrySnapshot = serde_json::from_str(body).ok()?;
-    Some(snap.journal.offset)
+    match read_checkpoint(&dir.join("checkpoint.snap")) {
+        CheckpointRead::Valid(snap) => Some(snap.journal.offset),
+        CheckpointRead::Absent | CheckpointRead::Invalid => None,
+    }
 }
 
 fn tmpdir(tag: &str) -> PathBuf {

@@ -15,7 +15,7 @@
 //! bit-for-bit identical — in f64 for the float levels and in
 //! 10^6-scaled fixed point for [`OptimizationLevel::FixedPoint`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use csd_fxp::Fx6;
 use csd_nn::ModelWeights;
@@ -24,9 +24,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
-use crate::pool::WorkerPool;
 use crate::scratch::{EngineScratch, InferenceScratch};
 use crate::weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
+
+/// The cores the machine makes available, read once per process: the
+/// most chunks a batch is cut into.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+}
 
 /// The outcome of classifying one sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -189,12 +195,12 @@ impl CsdInferenceEngine {
     }
 
     /// Classifies many borrowed sequences in input order: a plain loop
-    /// of [`classify_with_scratch`](Self::classify_with_scratch) over
-    /// chunks scattered onto the persistent worker pool as *scoped* jobs
-    /// that borrow the engine and the input slices — neither is cloned —
-    /// each reusing one scratch for its whole chunk. A batch that makes
-    /// one chunk runs on the calling thread. Both gate paths take this
-    /// loop, so every result is `classify`'s, bit for bit.
+    /// of [`classify_with_scratch`](Self::classify_with_scratch) over at
+    /// most one chunk per core, each reusing one scratch for its whole
+    /// chunk. The calling thread runs the first chunk and a scoped
+    /// thread each other one, borrowing the engine and the input slices
+    /// — neither is cloned. Both gate paths take this loop, so every
+    /// result is `classify`'s, bit for bit.
     ///
     /// There is no lane-block arm: held to a ≥ 1.25× bar against this
     /// loop, 16-lane SoA blocks read 0.60–0.86× of it at batch 512 and
@@ -214,35 +220,45 @@ impl CsdInferenceEngine {
     ///
     /// # Panics
     ///
-    /// As [`classify_batch_refs`](Self::classify_batch_refs).
+    /// As [`classify_batch_refs`](Self::classify_batch_refs). A chunk's
+    /// panic reaches the caller with the engine's own message, once
+    /// every chunk has finished.
     pub(crate) fn classify_chunked(
         &self,
         sequences: &[&[usize]],
         max_chunks: usize,
     ) -> Vec<Classification> {
         assert!(!sequences.is_empty(), "empty batch");
-        let classify_chunk = move |batch: &[&[usize]]| {
+        let classify_chunk = |batch: &[&[usize]]| {
             let mut scratch = self.make_scratch();
             batch
                 .iter()
                 .map(|seq| self.classify_with_scratch(seq, &mut scratch))
                 .collect::<Vec<_>>()
         };
-        let pool = WorkerPool::global();
-        let threads = pool.threads().min(max_chunks).min(sequences.len());
-        if threads <= 1 {
+        let chunks = cores().min(max_chunks).min(sequences.len());
+        if chunks <= 1 {
             return classify_chunk(sequences);
         }
-        // Ceil division: at most `threads` chunks, never an empty one.
-        let chunk = sequences.len().div_ceil(threads);
-        let jobs: Vec<Box<dyn FnOnce() -> Vec<Classification> + Send + '_>> = sequences
-            .chunks(chunk)
-            .map(|batch| {
-                Box::new(move || classify_chunk(batch))
-                    as Box<dyn FnOnce() -> Vec<Classification> + Send + '_>
-            })
-            .collect();
-        pool.scatter_scoped(jobs).into_iter().flatten().collect()
+        // Ceil division: at most `chunks` chunks, never an empty one.
+        let size = sequences.len().div_ceil(chunks);
+        let (first, rest) = sequences.split_at(size);
+        std::thread::scope(|s| {
+            let spawned: Vec<_> = rest
+                .chunks(size)
+                .map(|batch| s.spawn(move || classify_chunk(batch)))
+                .collect();
+            let mut out = classify_chunk(first);
+            for handle in spawned {
+                match handle.join() {
+                    Ok(chunk) => out.extend(chunk),
+                    // The scope joins the other chunks before this
+                    // unwinds out of it.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            out
+        })
     }
 
     /// The final hidden state in f64 (for parity tests against the
@@ -560,13 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_pool_threads_plus_one() {
-        // One more sequence than workers: ceil-division chunking must
+    fn batch_of_cores_plus_one() {
+        // One more sequence than chunks: ceil-division chunking must
         // cover every sequence with no empty trailing chunk.
         let m = model();
         let engine =
             CsdInferenceEngine::new(&ModelWeights::from_model(&m), OptimizationLevel::Vanilla);
-        let n = WorkerPool::global().threads() + 1;
+        let n = cores() + 1;
         let batch: Vec<Vec<usize>> = (0..n)
             .map(|k| (0..12).map(|i| (i * 7 + k) % 278).collect())
             .collect();
@@ -575,6 +591,22 @@ mod tests {
         for (seq, res) in batch.iter().zip(&got) {
             assert_eq!(*res, engine.classify(seq));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of vocabulary")]
+    fn a_panic_in_the_last_chunk_reaches_the_caller_with_the_engines_message() {
+        // Two sequences a chunk and one over: the out-of-vocabulary
+        // token sits in the last chunk, which a spawned thread runs
+        // wherever there is a second core.
+        let m = model();
+        let engine =
+            CsdInferenceEngine::new(&ModelWeights::from_model(&m), OptimizationLevel::FixedPoint);
+        let mut batch: Vec<Vec<usize>> = (0..2 * cores() + 1).map(|k| seq(10 + k)).collect();
+        if let Some(last) = batch.last_mut() {
+            last.push(278);
+        }
+        let _ = engine.classify_batch(&batch);
     }
 
     #[test]

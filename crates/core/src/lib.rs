@@ -27,12 +27,10 @@
 //!   `4H×Z` matvec over preallocated scratch, with the per-CU
 //!   formulation preserved for hardware-mirroring fidelity and as the
 //!   parity reference. A batch is a plain loop of the serial path over
-//!   chunks on the worker pool.
+//!   at most one chunk per core: the first on the calling thread, each
+//!   other one on a scoped thread.
 //! - [`scratch`] — the preallocated buffers behind the zero-allocation
 //!   steady state.
-//! - [`pool`] — the process-wide persistent worker pool backing
-//!   [`classify_batch`](engine::CsdInferenceEngine::classify_batch) and
-//!   the stream mux's shards, with scoped (borrowing) job submission.
 //! - [`timing`] — regenerates Fig. 3 and the FPGA row of Table I from the
 //!   HLS latency model.
 //! - [`schedule`] — the §III-C software pipeline (preprocess prefetching
@@ -69,11 +67,7 @@
 //! assert!((p_fpga - p_f64).abs() < 0.05);
 //! ```
 
-// `deny`, not `forbid`: the worker pool carries one narrowly scoped
-// `allow` for the lifetime transmute behind scoped jobs (see
-// `pool::WorkerPool::try_scatter_scoped`); everything else stays
-// unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitstream;
@@ -83,7 +77,6 @@ pub mod host;
 pub mod kernels;
 pub mod monitor;
 pub mod opt;
-pub mod pool;
 pub mod schedule;
 pub mod scratch;
 pub mod shard;
@@ -98,7 +91,6 @@ pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats}
 pub use kernels::LstmDims;
 pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};
 pub use opt::OptimizationLevel;
-pub use pool::{PoolError, WorkerPool};
 pub use schedule::{Bottleneck, PipelineSchedule, ScheduleEvent};
 pub use scratch::{EngineScratch, InferenceScratch};
 pub use shard::ShardedStreamMux;

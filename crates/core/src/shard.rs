@@ -40,8 +40,9 @@
 //! [`StreamMuxConfig::shards`] is `None` by default: every window
 //! classifies on the caller's thread. With `Some(n)`, a serving call
 //! that can afford two or more windows classifies them over at most
-//! `min(n, pool threads)` chunks on the [`WorkerPool`] — the chunked
-//! loop behind [`classify_batch_refs`] — and emits them in queue order.
+//! `min(n, cores)` chunks, the caller's thread running the first and a
+//! scoped thread each other one — the chunked loop behind
+//! [`classify_batch_refs`] — and emits them in queue order.
 //! Which windows are served, and every verdict, are the same at every
 //! `n`; only the wall time differs.
 //!
@@ -56,7 +57,6 @@
 //! [`classify_with_scratch`]: CsdInferenceEngine::classify_with_scratch
 //! [`classify`]: CsdInferenceEngine::classify
 //! [`classify_batch_refs`]: CsdInferenceEngine::classify_batch_refs
-//! [`WorkerPool`]: crate::pool::WorkerPool
 
 #![deny(clippy::unwrap_used)]
 
@@ -357,7 +357,7 @@ impl ShardedStreamMux {
     }
 
     /// Takes the `take` oldest windows off the queue, classifies them —
-    /// on this thread, or over the worker pool's chunks when there are
+    /// on this thread, or over chunks across threads when there are
     /// shards and company — and emits their verdicts in queue order.
     /// Returns the window-steps spent re-running corrupted windows.
     fn serve(&mut self, take: usize, out: &mut Vec<Verdict>) -> u64 {

@@ -45,10 +45,10 @@ pub struct StreamMuxConfig {
     pub max_pending: usize,
     /// What to do when `max_pending` is reached.
     pub policy: OverflowPolicy,
-    /// Most worker-pool chunks one serving call splits its windows
-    /// over. `None` (one) classifies every window on the caller's
-    /// thread; `Some(n)` spreads a serving call that can afford two or
-    /// more windows over at most `n` chunks, which pays only where each
+    /// Most chunks one serving call splits its windows over. `None`
+    /// (one) classifies every window on the caller's thread; `Some(n)`
+    /// spreads a serving call that can afford two or more windows over
+    /// at most `n` chunks, one thread each, which pays only where each
     /// chunk has a free core.
     #[serde(default)]
     pub shards: Option<usize>,
@@ -160,7 +160,7 @@ pub struct MuxStats {
     /// Corrupted windows re-run before their verdict was emitted —
     /// every one still produced its verdict.
     pub degraded_reruns: u64,
-    /// Worker-pool chunks a serving call may split its windows over.
+    /// Chunks a serving call may split its windows over.
     #[serde(default = "MuxStats::one_shard")]
     pub shards: u64,
 }

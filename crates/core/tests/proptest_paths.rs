@@ -137,7 +137,7 @@ proptest! {
         prop_assert_eq!(per_cu.final_hidden_f64(&seq), fused.final_hidden_f64(&seq));
     }
 
-    /// `classify_batch` (pooled workers, chunked scatter) returns exactly
+    /// `classify_batch` (chunks across threads) returns exactly
     /// what per-sequence classification returns, in input order, for
     /// every level, any batch size including awkward ones, and ragged
     /// lengths on both sides of a window.

@@ -86,7 +86,7 @@ proptest! {
     }
 
     /// The bit-identity contract holds at every shard count — a
-    /// serving call spreads its windows over the pool's chunks, but
+    /// serving call spreads its windows over chunks across threads, but
     /// each verdict still equals serial classification of its window
     /// exactly, and each stream's verdicts arrive in submission order.
     #[test]

@@ -528,13 +528,24 @@ impl DurableSentry {
     }
 }
 
-enum CheckpointRead {
+/// What [`read_checkpoint`] found at a checkpoint path.
+#[derive(Debug)]
+pub enum CheckpointRead {
+    /// No file: a first start.
     Absent,
+    /// A file [`DurableSentry::open`] would discard: unreadable, a wrong
+    /// magic, a failed CRC, a body that does not parse, or another
+    /// [`SNAPSHOT_VERSION`].
     Invalid,
+    /// A checkpoint `open` would start from.
     Valid(Box<SentrySnapshot>),
 }
 
-fn read_checkpoint(path: &Path) -> CheckpointRead {
+/// Decodes the checkpoint file at `path` (`checkpoint.snap` under a
+/// durable directory) with every check [`DurableSentry::open`] applies:
+/// magic, CRC-32 of the body, the JSON [`SentrySnapshot`] and its
+/// version. The one decoder of the format.
+pub fn read_checkpoint(path: &Path) -> CheckpointRead {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return CheckpointRead::Absent,

@@ -78,7 +78,10 @@ pub use actions::{ActionKind, ActionOutcome, ActionTaken, Incident};
 pub use bus::{
     EventBus, EventProducer, FrameHook, SocketClient, SocketServer, DEFAULT_BUS_CAPACITY,
 };
-pub use durable::{DurableConfig, DurableSentry, FullScan, RecoveryReport, SNAPSHOT_MAGIC};
+pub use durable::{
+    read_checkpoint, CheckpointRead, DurableConfig, DurableSentry, FullScan, RecoveryReport,
+    SNAPSHOT_MAGIC,
+};
 pub use event::{read_frame, write_frame, EventKind, ProcessEvent, WireError, MAX_FRAME_LEN};
 pub use histogram::LatencyHistogram;
 pub use journal::{

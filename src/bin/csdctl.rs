@@ -142,9 +142,21 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let epochs: usize = parse(args, "--epochs", 25)?;
     let test_frac: f64 = parse(args, "--test-frac", 0.2)?;
     let seed: u64 = parse(args, "--seed", 0xC5D)?;
+    // `Dataset::split` panics outside (0, 1), NaN included, and on fewer
+    // than two sequences, where it cannot leave one on each side.
+    if !(test_frac > 0.0 && test_frac < 1.0) {
+        return Err(format!(
+            "bad value for --test-frac: {test_frac} (must be in (0, 1))"
+        ));
+    }
 
     let config = ModelConfig::paper();
     let ds = load_dataset(data, config.vocab)?;
+    if ds.len() < 2 {
+        return Err(format!(
+            "{data}: one sequence; training needs two, one to train on and one to test"
+        ));
+    }
     let (train, test) = ds.split(test_frac, SplitKind::Random, seed);
     eprintln!(
         "training on {} sequences, evaluating on {} ...",

@@ -2,9 +2,11 @@
 //! what it prints. A data file is input from outside the program, so a
 //! token the model has no row for must be a reported error with the line
 //! it sits on, and a file without sequences a reported error too — not
-//! a panic out of the engine, the trainer or the split.
+//! a panic out of the engine, the trainer or the split. So is a split
+//! the trainer cannot make: a test fraction outside (0, 1), or a corpus
+//! of one sequence.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn csdctl(args: &[&str]) -> Output {
@@ -16,6 +18,67 @@ fn csdctl(args: &[&str]) -> Output {
 
 fn path_str(p: &Path) -> &str {
     p.to_str().expect("utf-8 temp path")
+}
+
+fn assert_refused(name: &str, out: &Output, complaint: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{name} accepted: {out:?}");
+    assert!(!stderr.contains("panicked at"), "{name} panicked: {stderr}");
+    assert!(stderr.contains(complaint), "{name}: {stderr}");
+}
+
+/// Writes a six-sequence corpus under a directory of its own and returns
+/// the directory.
+fn small_corpus(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(tag);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let corpus = dir.join("corpus.csv");
+    let out = csdctl(&[
+        "dataset",
+        "--out",
+        path_str(&corpus),
+        "--windows",
+        "6",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success(), "dataset: {out:?}");
+    dir
+}
+
+fn train(dir: &Path, data: &Path, test_frac: &str) -> Output {
+    csdctl(&[
+        "train",
+        "--data",
+        path_str(data),
+        "--out",
+        path_str(&dir.join("model.txt")),
+        "--epochs",
+        "1",
+        "--test-frac",
+        test_frac,
+    ])
+}
+
+#[test]
+fn train_refuses_a_test_fraction_outside_the_unit_interval() {
+    let dir = small_corpus("csdctl_cli_test_frac");
+    let corpus = dir.join("corpus.csv");
+    for frac in ["0", "1", "NaN", "-0.5", "1.5"] {
+        let out = train(&dir, &corpus, frac);
+        assert_refused(&format!("--test-frac {frac}"), &out, "--test-frac");
+    }
+}
+
+#[test]
+fn train_refuses_a_one_sequence_corpus() {
+    let dir = small_corpus("csdctl_cli_one_sequence");
+    let csv = std::fs::read_to_string(dir.join("corpus.csv")).expect("corpus written");
+    let single = dir.join("single.csv");
+    let first = csv.lines().next().expect("a sequence");
+    std::fs::write(&single, format!("{first}\n")).expect("write one-sequence corpus");
+    let out = train(&dir, &single, "0.2");
+    assert_refused("one sequence", &out, path_str(&single));
 }
 
 #[test]
@@ -81,10 +144,7 @@ fn dataset_train_detect_round_trip_and_out_of_vocabulary_tokens_are_errors() {
     let oov = format!("line {oov_line}: token 999 outside");
     for (data, complaint) in [(&bad, oov.as_str()), (&empty, "no sequences")] {
         for (name, out) in [("train", train(data)), ("detect", detect(data))] {
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(!out.status.success(), "{name} accepted {data:?}: {out:?}");
-            assert!(!stderr.contains("panicked at"), "{name} panicked: {stderr}");
-            assert!(stderr.contains(complaint), "{name}: {stderr}");
+            assert_refused(&format!("{name} {data:?}"), &out, complaint);
         }
     }
 }
