@@ -46,7 +46,7 @@ struct KernelNs {
     sigmoid: f64,
     /// `softsign_lanes` over the candidate gate (4 vectors).
     softsign: f64,
-    /// `update_lanes` at width 1.
+    /// One `update_lanes`.
     update: f64,
 }
 
@@ -196,7 +196,7 @@ fn time_step_kernels(engine: &CsdInferenceEngine) -> KernelNs {
         lanes::sigmoid_lut_lanes(&mut g[..2 * hdim]);
         lanes::softsign_lanes(&mut g[2 * hdim..3 * hdim]);
         lanes::sigmoid_lut_lanes(&mut g[3 * hdim..]);
-        lanes::update_lanes(&g, hdim, 1, &mut c, &mut h);
+        lanes::update_lanes(&g, hdim, &mut c, &mut h);
     }
     let mut preact = vec![0.0; rows];
     lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(7), &mut preact);
@@ -219,7 +219,7 @@ fn time_step_kernels(engine: &CsdInferenceEngine) -> KernelNs {
     };
     let (mut c_run, mut h_run) = (c.clone(), h.clone());
     let mut run_update = || {
-        lanes::update_lanes(&g, hdim, 1, &mut c_run, &mut h_run);
+        lanes::update_lanes(&g, hdim, &mut c_run, &mut h_run);
         std::hint::black_box((&mut c_run, &mut h_run));
     };
     let timed = time_interleaved(&mut [

@@ -13,7 +13,9 @@
 //! separate gate kernels, mirroring the four hardware CUs of §III-C)
 //! remains available via [`GatePath`] as the table-free reference and is
 //! bit-for-bit identical — in f64 for the float levels and in
-//! 10^6-scaled fixed point for [`OptimizationLevel::FixedPoint`].
+//! 10^6-scaled fixed point for [`OptimizationLevel::FixedPoint`]. In
+//! fixed point it is also the fallback: weights the pack proof refuses
+//! and sequences past [`LANE_MAX_STEPS`] run it on the fused path too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -62,12 +64,11 @@ pub enum GatePath {
 struct EngineCore {
     weights: QuantizedWeights,
     fused_f64: FusedGates<f64>,
-    fused_fx: FusedGates<Fx6>,
-    /// The production fixed-point pack of `fused_fx` plus the embedding
-    /// table: the folded input-gate table and transposed recurrent
-    /// weights behind the row-vectorised kernel (`None` when the
-    /// exactness proof fails; the fused path then runs the wide integer
-    /// matvec, bit-identical anyway).
+    /// The production fixed-point pack of the fused gates plus the
+    /// embedding table: the folded input-gate table and transposed
+    /// recurrent weights behind the row-vectorised kernel (`None` when
+    /// the exactness proof fails; every window then runs the per-CU
+    /// loop, bit-identical anyway).
     pack: Option<LaneGatesFx>,
 }
 
@@ -89,13 +90,15 @@ impl CsdInferenceEngine {
     pub fn new(weights: &ModelWeights, level: OptimizationLevel) -> Self {
         let weights = QuantizedWeights::from_model_weights(weights);
         let fused_f64 = weights.fused_f64();
-        let fused_fx = weights.fused_fx();
-        let pack = LaneGatesFx::pack(&fused_fx, &weights.embedding_fx, weights.dims().hidden);
+        let pack = LaneGatesFx::pack(
+            &weights.fused_fx(),
+            &weights.embedding_fx,
+            weights.dims().hidden,
+        );
         Self {
             core: Arc::new(EngineCore {
                 weights,
                 fused_f64,
-                fused_fx,
                 pack,
             }),
             level,
@@ -326,33 +329,23 @@ impl CsdInferenceEngine {
     }
 
     /// Walks the sequence in fixed point; leaves the final hidden state
-    /// in `scratch.fx_buffers.h`. The fused path has two arms: the row
-    /// kernel ([`run_states_fx_rows`](Self::run_states_fx_rows)), or —
-    /// for weights that failed the pack proof and sequences past
-    /// [`LANE_MAX_STEPS`], the softsign kernel's exactness range — the
-    /// wide integer matvec, bit-identical anyway.
+    /// in `scratch.fx_buffers.h`. The fused path is the row kernel
+    /// ([`run_states_fx_rows`](Self::run_states_fx_rows)) when the
+    /// weights passed the pack proof and the sequence is at most
+    /// [`LANE_MAX_STEPS`] long, the softsign kernel's exactness range.
+    /// Everything else runs the per-CU loop, the reference the row kernel
+    /// is bit-identical to: no fused workload ever reached it (0 of
+    /// 205,102 windows on the benchmark's two workloads, EXPERIMENTS.md
+    /// row 28a).
     fn run_states_fx(&self, seq: &[usize], scratch: &mut EngineScratch) {
         let core = &self.core;
         let s = &mut scratch.fx_buffers;
-        s.reset();
-        match self.path {
-            GatePath::Fused => match &core.pack {
-                Some(pack) if seq.len() <= LANE_MAX_STEPS => {
-                    Self::run_states_fx_rows(pack, seq, &mut scratch.f64_buffers, &mut s.h);
-                }
-                _ => {
-                    let hdim = core.weights.dims().hidden;
-                    for &item in seq {
-                        preprocess::run_into(&core.weights.embedding_fx, item, &mut s.x);
-                        s.h.concat_into(&s.x, &mut s.z);
-                        core.fused_fx.w.matvec_into(&s.z, &mut s.g);
-                        s.g.add_assign(&core.fused_fx.b);
-                        gates::activate_fused_fx(&mut s.g, hdim);
-                        hidden::update_fused_fx(&s.g, &mut s.c, &mut s.h);
-                    }
-                }
-            },
-            GatePath::PerCu => {
+        match &core.pack {
+            Some(pack) if self.path == GatePath::Fused && seq.len() <= LANE_MAX_STEPS => {
+                Self::run_states_fx_rows(pack, seq, &mut scratch.f64_buffers, &mut s.h);
+            }
+            _ => {
+                s.reset();
                 for &item in seq {
                     let x = preprocess::run_fx(&core.weights.embedding_fx, item);
                     let xs = preprocess::fanout(&x);
@@ -393,7 +386,7 @@ impl CsdInferenceEngine {
             lanes::sigmoid_lut_lanes(&mut g[..2 * hdim]);
             lanes::softsign_lanes(&mut g[2 * hdim..3 * hdim]);
             lanes::sigmoid_lut_lanes(&mut g[3 * hdim..]);
-            lanes::update_lanes(g, hdim, 1, c, h);
+            lanes::update_lanes(g, hdim, c, h);
         }
         for (out, &v) in h_out.as_mut_slice().iter_mut().zip(h.iter()) {
             *out = Fx6::from_raw(v as i64);
@@ -486,27 +479,27 @@ mod tests {
     }
 
     #[test]
-    fn weights_that_fail_the_pack_proof_run_the_wide_path_end_to_end() {
+    fn weights_that_fail_the_pack_proof_run_the_per_cu_path_end_to_end() {
         // One candidate-gate row with recurrent weights ~10^4: raw 10^10
         // against |h| ≤ 1 (raw 10^6) is 32·10^16 ≫ 2^52, so the pack
         // proof fails and nothing may touch the table.
-        refused_weights_run_the_wide_path_end_to_end(1.0e4);
+        refused_weights_run_the_per_cu_path_end_to_end(1.0e4);
     }
 
     #[test]
-    fn weights_between_the_rescale_and_the_f64_bound_run_the_wide_path_end_to_end() {
+    fn weights_between_the_rescale_and_the_f64_bound_run_the_per_cu_path_end_to_end() {
         // Recurrent weights of 60: the row's worst case, 32·60·10^12 ≈
         // 1.9·10^15, is an exact f64 sum (< 2^52) but outside the
         // four-op rescale's 2^49, so the pack refuses it all the same.
         let worst = 32.0 * 60.0 * 1.0e12;
         assert!(worst > csd_fxp::LANE_ROW_BOUND as f64 && worst < csd_fxp::EXACT_F64_INT as f64);
-        refused_weights_run_the_wide_path_end_to_end(60.0);
+        refused_weights_run_the_per_cu_path_end_to_end(60.0);
     }
 
     /// Sets every recurrent weight of one candidate-gate row to
     /// `±magnitude`, checks that the pack refuses the model, and that
     /// every entry point classifies it 0-ULP against the per-CU path.
-    fn refused_weights_run_the_wide_path_end_to_end(magnitude: f64) {
+    fn refused_weights_run_the_per_cu_path_end_to_end(magnitude: f64) {
         let m = model();
         let mut w = ModelWeights::from_model(&m);
         let h = w.config.hidden;
@@ -518,7 +511,7 @@ mod tests {
         assert!(fused.core.pack.is_none());
         let per_cu = fused.clone().with_gate_path(GatePath::PerCu);
 
-        // Serial classify (Fused → wide arm) ≡ the per-CU reference, 0 ULP.
+        // Serial classify (Fused → its per-CU fallback) ≡ the per-CU reference, 0 ULP.
         let windows: Vec<Vec<usize>> = [1usize, 9, 40, 100, 33, 77, 100, 12]
             .iter()
             .enumerate()

@@ -614,6 +614,22 @@ mod tests {
     }
 
     #[test]
+    fn weight_file_that_can_overflow_the_fixed_point_is_an_error_not_a_panic() {
+        // Each value quantizes, but the head's logit can leave `i64`:
+        // classifying with it panicked with `fc logit overflow`.
+        let mut w = weights();
+        w.fc_weights.fill(1e11);
+        w.fc_bias = 9.2e12;
+        let err = HostProgram::from_weight_file(&w.to_text(), OptimizationLevel::FixedPoint)
+            .expect_err("must fail");
+        assert!(
+            matches!(&err, HostError::Weights(WeightsError::Overflow(what)) if what == "the fc head"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
+    #[test]
     fn classification_matches_pure_engine() {
         let w = weights();
         let mut host = HostProgram::new(&w, OptimizationLevel::FixedPoint).expect("boot");

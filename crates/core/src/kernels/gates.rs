@@ -122,26 +122,6 @@ pub fn activate_fused_f64(pre: &mut Vector<f64>, hidden: usize) {
     }
 }
 
-/// Fixed-point twin of [`activate_fused_f64`]: the LUT sigmoid / exact
-/// softsign applied per gate block in place.
-///
-/// # Panics
-///
-/// Panics if `pre.len() != 4 * hidden`.
-pub fn activate_fused_fx(pre: &mut Vector<Fx6>, hidden: usize) {
-    assert_eq!(pre.len(), 4 * hidden, "fused gate length mismatch");
-    let data = pre.as_mut_slice();
-    for (g, block) in data.chunks_exact_mut(hidden).enumerate() {
-        if GateKind::ALL[g].is_candidate() {
-            for v in block {
-                *v = softsign_fx(*v);
-            }
-        } else {
-            csd_fxp::sigmoid_fx_lut_slice(block);
-        }
-    }
-}
-
 /// The hardware structure of one CU: the `H × Z` MAC nest followed by the
 /// activation loop. `#pragma HLS DATAFLOW` (§III-C) overlaps the two.
 pub fn spec(kind: GateKind, level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {
@@ -244,22 +224,6 @@ mod tests {
             let expected = run_f64(kind, &w, &b, &h, &x);
             assert_eq!(
                 &fused.as_slice()[g * 32..(g + 1) * 32],
-                expected.as_slice(),
-                "{kind:?}"
-            );
-        }
-
-        let wq = Matrix::<Fx6>::from_f64_flat(32, 40, &w.to_f64_flat());
-        let bq = Vector::<Fx6>::from_f64_slice(&b.to_f64_vec());
-        let hq = Vector::<Fx6>::from_f64_slice(&h.to_f64_vec());
-        let xq = Vector::<Fx6>::from_f64_slice(&x.to_f64_vec());
-        let preq = wq.matvec(&hq.concat(&xq)).add(&bq);
-        let mut fusedq: Vector<Fx6> = Vector::from([preq.as_slice(); 4].concat());
-        activate_fused_fx(&mut fusedq, 32);
-        for (g, kind) in GateKind::ALL.into_iter().enumerate() {
-            let expected = run_fx(kind, &wq, &bq, &hq, &xq);
-            assert_eq!(
-                &fusedq.as_slice()[g * 32..(g + 1) * 32],
                 expected.as_slice(),
                 "{kind:?}"
             );

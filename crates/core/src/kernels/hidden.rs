@@ -76,23 +76,6 @@ pub fn update_fused_f64(g: &Vector<f64>, c: &mut Vector<f64>, h: &mut Vector<f64
     }
 }
 
-/// Fixed-point twin of [`update_fused_f64`].
-///
-/// # Panics
-///
-/// Panics on dimension mismatches.
-pub fn update_fused_fx(g: &Vector<Fx6>, c: &mut Vector<Fx6>, h: &mut Vector<Fx6>) {
-    let hdim = c.len();
-    assert_eq!(g.len(), 4 * hdim, "fused gate length mismatch");
-    assert_eq!(h.len(), hdim, "state length mismatch");
-    let (i, f, cbar, o) = fused_blocks(g.as_slice(), hdim);
-    for j in 0..hdim {
-        let ct = f[j] * c[j] + i[j] * cbar[j];
-        c[j] = ct;
-        h[j] = o[j] * softsign_fx(ct);
-    }
-}
-
 /// Splits a fused `4H` gate slice into its `(i, f, C', o)` blocks.
 fn fused_blocks<T>(g: &[T], hdim: usize) -> (&[T], &[T], &[T], &[T]) {
     (
@@ -232,23 +215,6 @@ mod tests {
         update_fused_f64(&fused, &mut c, &mut h);
         assert_eq!(c, c_expect);
         assert_eq!(h, h_expect);
-
-        let q = |v: &Vector<f64>| Vector::<Fx6>::from_f64_slice(&v.to_f64_vec());
-        let (cq_expect, hq_expect) = run_fx(&q(&i), &q(&f), &q(&o), &q(&cbar), &q(&c_prev));
-        let fusedq: Vector<Fx6> = Vector::from(
-            [
-                q(&i).as_slice(),
-                q(&f).as_slice(),
-                q(&cbar).as_slice(),
-                q(&o).as_slice(),
-            ]
-            .concat(),
-        );
-        let mut cq = q(&c_prev);
-        let mut hq = q(&h_prev);
-        update_fused_fx(&fusedq, &mut cq, &mut hq);
-        assert_eq!(cq, cq_expect);
-        assert_eq!(hq, hq_expect);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub struct EngineScratch {
     /// encoded in `f64` — the form the [`csd_tensor::lanes`] kernels
     /// compute on.
     pub f64_buffers: InferenceScratch<f64>,
-    /// Fixed-point-path buffers: the wide and per-CU paths' working
-    /// state, and every fixed-point path's final `h` for the FC head.
+    /// Fixed-point-path buffers: the per-CU loop's state (`c`, `h`), and
+    /// every fixed-point path's final `h` for the FC head.
     pub fx_buffers: InferenceScratch<Fx6>,
 }
 

@@ -55,7 +55,8 @@ fn fuse_gates<T: Scalar>(ws: &[Matrix<T>; 4], bs: &[Vector<T>; 4]) -> FusedGates
 /// the sigmoid gates are ≤ `SCALE` and the candidate is a softsign
 /// output), so after `t` steps `|C| ≤ t · SCALE`. The softsign kernel
 /// needs `|C|·SCALE + den/2 < 2^53`, i.e. `|C| ≤ ~8·10^9 = 8000·SCALE`.
-/// Longer sequences take the wide serial matvec (bit-identical anyway).
+/// Longer sequences run the per-CU reference loop (bit-identical anyway;
+/// no benchmark window comes near it, EXPERIMENTS.md row 28a).
 pub const LANE_MAX_STEPS: usize = 8_000;
 
 /// A fixed `f64` buffer whose first element starts a 64-byte cache line.
@@ -127,10 +128,10 @@ impl PartialEq for LineAligned {
 ///
 /// [`LaneGatesFx::pack`] is where the exactness contract is *proven*, not
 /// assumed: it rejects (returns `None`) any weight set whose worst-case
-/// pre-activation accumulator could leave the exact-integer range of
-/// `f64`. The engine then routes rejected models through the wide serial
-/// fixed-point path, so neither packing nor vectorisation ever changes
-/// a single output bit.
+/// pre-activation accumulator could leave the domain of the kernels'
+/// exact rescale. The engine then runs rejected models through the
+/// per-CU reference loop, so neither packing nor vectorisation ever
+/// changes a single output bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneGatesFx {
     /// The recurrent-column weights `W_h` as exact `f64` values,

@@ -41,8 +41,8 @@ fn shape(vocab: usize, embed_dim: usize, hidden: usize) -> ModelConfig {
 }
 
 /// One step past the `f64`-encoded kernels' proven range the fused
-/// serial path takes the wide integer matvec: still the per-CU bits, at
-/// every level, hidden sizes on and off the register width.
+/// serial path leaves the row kernel for the per-CU loop: the per-CU
+/// bits at every level, hidden sizes on and off the register width.
 #[test]
 fn fused_serial_past_the_lane_step_bound_matches_per_cu() {
     let seq: Vec<usize> = (0..LANE_MAX_STEPS + 1).map(|i| (i * 7 + 3) % 16).collect();
@@ -60,7 +60,7 @@ fn fused_serial_past_the_lane_step_bound_matches_per_cu() {
 }
 
 /// A sequence past the row kernel's proven range in the middle of a
-/// batch takes the wide path inside its chunk; its neighbours do not,
+/// batch runs the per-CU loop inside its chunk; its neighbours do not,
 /// and the batch still comes back in input order, equal to serial
 /// classification, at every level.
 #[test]

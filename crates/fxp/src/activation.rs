@@ -116,22 +116,7 @@ pub fn sigmoid_fx<const P: u32>(x: Fixed<P>) -> Fixed<P> {
 /// 6 × 10⁻⁴. The inference engine uses this; [`sigmoid_fx`]'s 5-segment
 /// PLAN approximation is kept for the activation ablation.
 pub fn sigmoid_fx_lut<const P: u32>(x: Fixed<P>) -> Fixed<P> {
-    sigmoid_lut_one(x, sigmoid_table())
-}
-
-/// [`sigmoid_fx_lut`] applied across a slice in place. Identical values,
-/// but the table reference is resolved once and the independent lookups
-/// pipeline — the form the fused gate kernel uses on its pre-activation
-/// block.
-pub fn sigmoid_fx_lut_slice<const P: u32>(xs: &mut [Fixed<P>]) {
     let table = sigmoid_table();
-    for x in xs {
-        *x = sigmoid_lut_one(*x, table);
-    }
-}
-
-#[inline]
-fn sigmoid_lut_one<const P: u32>(x: Fixed<P>, table: &[f64; LUT_ENTRIES]) -> Fixed<P> {
     let v = x.to_f64();
     if v <= -LUT_RANGE {
         return Fixed::ZERO;
@@ -282,14 +267,6 @@ mod tests {
     fn sigmoid_lut_saturates_cleanly() {
         assert_eq!(sigmoid_fx_lut(Fx6::from_f64(20.0)), Fx6::ONE);
         assert_eq!(sigmoid_fx_lut(Fx6::from_f64(-20.0)), Fx6::ZERO);
-    }
-
-    #[test]
-    fn sigmoid_lut_slice_matches_scalar_calls() {
-        let mut xs: Vec<Fx6> = (-40..=40).map(|i| Fx6::from_f64(i as f64 * 0.31)).collect();
-        let expected: Vec<Fx6> = xs.iter().map(|&x| sigmoid_fx_lut(x)).collect();
-        sigmoid_fx_lut_slice(&mut xs);
-        assert_eq!(xs, expected);
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Accumulator-width proofs for the narrowed MAC paths.
+//! Accumulator-width proofs for the fixed-point MAC paths.
 //!
-//! The engine's fast gate kernels run 10^6-scaled integer arithmetic
-//! inside containers narrower than the reference `i128` accumulator:
-//! `f64` FMA lanes (exact-integer window `±2^53`) and `i32` weights
-//! with `i64` row sums. Each narrowing is sound only under a pack-time
-//! magnitude bound over the worst-case input, and *integer addition is
-//! exact and associative when nothing overflows*, so once the bound
-//! holds the narrow sum equals the wide sum bit for bit — no matter how
-//! a SIMD tile associates the adds.
+//! The engine's row kernel runs 10^6-scaled integer arithmetic in `f64`
+//! FMA lanes (exact-integer window `±2^53`), narrower than the reference
+//! `i128` accumulator, and the reference rounds its sum back into an
+//! `i64`. Each is sound only under a magnitude bound over the worst-case
+//! input — the pack-time row bound for the lanes, the weight-file check
+//! for the `i64` — and *integer addition is exact and associative when
+//! nothing overflows*, so once the bound holds the narrow sum equals the
+//! wide sum bit for bit, no matter how a SIMD tile associates the adds.
 //!
-//! This module is the single home for those bounds so the packers in
-//! `csd-accel` and the kernels in `csd-tensor` cite one proof instead
-//! of each re-deriving (and possibly drifting on) the arithmetic.
+//! This module is the single home for those bounds so the weight
+//! loader, the packer in `csd-accel` and the kernels in `csd-tensor`
+//! cite one proof instead of each re-deriving (and possibly drifting
+//! on) the arithmetic.
 
 /// The largest integer magnitude the `f64`-encoded fixed-point kernels
 /// admit for any value or partial sum: `2^52`.
@@ -31,13 +32,14 @@ pub const EXACT_F64_INT: i64 = 1 << 52;
 /// exact `round_half_away(x / SCALE)` only while the quotient's excess
 /// stays under `1/SCALE` — up to `2^49` (see `csd_tensor::lanes`).
 /// The benchmark's trained detector sits 62× below it (worst row
-/// 9.1·10^12); a weight set in between runs the wide integer path,
+/// 9.1·10^12); a weight set above it runs the per-CU reference path,
 /// bit-identical anyway.
 pub const LANE_ROW_BOUND: i64 = 1 << 49;
 
 /// Worst-case row accumulator magnitude: `Σ_k |row[k]| · zbound[k]`,
 /// where `zbound[k]` bounds `|z[k]|` over every input the caller will
-/// ever present. Computed in `i128` so the bound itself cannot overflow.
+/// ever present. Computed in `i128`, where each term fits, and saturating
+/// at `i128::MAX`, so a hostile row reads as too large, never as small.
 ///
 /// # Panics
 ///
@@ -47,7 +49,7 @@ pub fn row_mac_bound(row: &[i64], zbound: &[i64]) -> i128 {
     row.iter()
         .zip(zbound)
         .map(|(&w, &zb)| w.unsigned_abs() as i128 * zb.unsigned_abs() as i128)
-        .sum()
+        .fold(0, i128::saturating_add)
 }
 
 /// Whether a fused-gate row is exact in the `f64` lane kernels: the
@@ -76,6 +78,7 @@ mod tests {
     fn mac_bound_is_the_abs_weighted_sum() {
         assert_eq!(row_mac_bound(&[2, -3], &[10, 100]), 320);
         assert_eq!(row_mac_bound(&[], &[]), 0);
+        assert_eq!(row_mac_bound(&[i64::MIN; 3], &[i64::MIN; 3]), i128::MAX);
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub mod dynfixed;
 pub mod error;
 pub mod scaled;
 
-pub use activation::{
-    div_round_raw, sigmoid_fx, sigmoid_fx_lut, sigmoid_fx_lut_slice, softsign_fx, FxActivation,
-};
+pub use activation::{div_round_raw, sigmoid_fx, sigmoid_fx_lut, softsign_fx, FxActivation};
 pub use bounds::{row_exact_in_f64, row_mac_bound, EXACT_F64_INT, LANE_ROW_BOUND};
 pub use dynfixed::DynFixed;
 pub use error::{max_abs_error, quantization_bound, ScaleSweep, ScaleSweepRow};

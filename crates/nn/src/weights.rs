@@ -14,7 +14,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use csd_fxp::Fx6;
+use csd_fxp::{row_mac_bound, Fx6};
 use csd_tensor::{Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
@@ -42,6 +42,9 @@ pub enum WeightsError {
     },
     /// A numeric token failed to parse.
     BadNumber(String),
+    /// The named gate row or head could overflow the 10^6 fixed point's
+    /// `i64` on some input.
+    Overflow(String),
 }
 
 impl fmt::Display for WeightsError {
@@ -58,6 +61,9 @@ impl fmt::Display for WeightsError {
                 "section [{section}] expected {expected} values, found {found}"
             ),
             WeightsError::BadNumber(tok) => write!(f, "unparsable number: {tok}"),
+            WeightsError::Overflow(what) => {
+                write!(f, "{what} can overflow the fixed-point accumulator")
+            }
         }
     }
 }
@@ -291,7 +297,49 @@ impl ModelWeights {
             fc_weights: take("fc_weights", hidden)?,
             fc_bias: take("fc_bias", 1)?[0],
         };
+        weights.check_fixed_point_range()?;
         Ok(weights)
+    }
+
+    /// Refuses weights whose fixed-point gate or head arithmetic could
+    /// overflow `i64` on some input. A row's worst-case accumulator is
+    /// `Σ|w|·max|z| + |b|·SCALE` — `|h| ≤ 1` (raw `SCALE`) and each
+    /// embedding column's largest magnitude for a gate row, `|h| ≤ 1`
+    /// for the head — and it must round to an `i64`, the most
+    /// `Fx6::dot` plus the bias add can return without panicking.
+    fn check_fixed_point_range(&self) -> Result<(), WeightsError> {
+        let raw = |v: f64| Fx6::from_f64(v).raw();
+        let scale = Fx6::SCALE as i128;
+        let fits = |row: &[i64], zbound: &[i64], bias: f64| {
+            let worst =
+                row_mac_bound(row, zbound).saturating_add(raw(bias).unsigned_abs() as i128 * scale);
+            worst <= i64::MAX as i128 * scale
+        };
+        let (x, h) = (self.config.embed_dim, self.config.hidden);
+        let mut zbound = vec![Fx6::SCALE; h];
+        zbound.resize(h + x, 0);
+        for (i, &v) in self.embedding.iter().enumerate() {
+            let zb = &mut zbound[h + i % x];
+            *zb = (*zb).max(raw(v).saturating_abs());
+        }
+        let mut row = vec![0i64; h + x];
+        for r in 0..4 * h {
+            for (k, w) in row.iter_mut().enumerate() {
+                *w = raw(if k < h {
+                    self.lstm_recurrent[k * 4 * h + r]
+                } else {
+                    self.lstm_kernel[(k - h) * 4 * h + r]
+                });
+            }
+            if !fits(&row, &zbound, self.lstm_bias[r]) {
+                return Err(WeightsError::Overflow(format!("gate row {r}")));
+            }
+        }
+        let fc: Vec<i64> = self.fc_weights.iter().map(|&v| raw(v)).collect();
+        if !fits(&fc, &zbound[..h], self.fc_bias) {
+            return Err(WeightsError::Overflow("the fc head".to_string()));
+        }
+        Ok(())
     }
 
     /// Serializes to JSON.
@@ -417,6 +465,42 @@ mod tests {
         let text = text.replace("[fc_bias]\n", "[fc_bias]\n9.2e12 ");
         let err = ModelWeights::from_text(&text).unwrap_err();
         assert!(matches!(err, WeightsError::BadSection { .. }), "{err}");
+    }
+
+    #[test]
+    fn weights_whose_fixed_point_can_overflow_are_refused() {
+        let w = ModelWeights::from_model(&trained_ish_model());
+        let h = w.config.hidden;
+        let reload = |w: &ModelWeights| ModelWeights::from_text(&w.to_text());
+        let refused = |what: String| Err(WeightsError::Overflow(what));
+
+        // The head: a bias at the top of the range, and weights that can
+        // push the logit past it.
+        let mut head = w.clone();
+        head.fc_weights.fill(1e11);
+        head.fc_bias = 9.2e12;
+        assert_eq!(reload(&head), refused("the fc head".to_string()));
+        // At the edge: with no weight that bias fits, one weight of
+        // 3·10^10 against |h| ≤ 1 takes it over `i64::MAX`.
+        head.fc_weights.fill(0.0);
+        assert_eq!(reload(&head), Ok(head.clone()));
+        head.fc_weights[0] = 3e10;
+        assert_eq!(reload(&head), refused("the fc head".to_string()));
+
+        // A gate row: eight recurrent weights of 2·10^12 against |h| ≤ 1.
+        let mut gate = w.clone();
+        for hc in 0..h {
+            gate.lstm_recurrent[hc * 4 * h + 2 * h + 5] = 2e12;
+        }
+        assert_eq!(reload(&gate), refused(format!("gate row {}", 2 * h + 5)));
+
+        // An input column counts at the embedding's largest value in it.
+        let mut input = w.clone();
+        input.embedding[0] = 1e6;
+        input.lstm_kernel[7] = 1e7;
+        assert_eq!(reload(&input), refused("gate row 7".to_string()));
+        input.embedding[0] = 0.5;
+        assert_eq!(reload(&input), Ok(input.clone()));
     }
 
     #[test]

@@ -1,27 +1,20 @@
 //! The fixed-point LSTM timestep's SIMD kernels: the row-vectorised
 //! gate matvec that runs every sequence the engine classifies, and the
-//! element-wise kernels it shares with the lane-batched matmul.
+//! element-wise kernels behind it.
 //!
 //! A fixed-point timestep is a `4H × H` recurrent product on top of a
-//! precomputed gate-table row, plus elementwise activations. There are
-//! two ways to fill a SIMD register with it:
-//!
-//! - **Across rows** ([`matvec_fx_rows_table`]): one sequence, its `4H`
-//!   gate rows spread over the registers. The gate-table row is
-//!   contiguous and `W_h` is kept transposed, so neither needs a
-//!   gather. This is the production kernel.
-//! - **Across lanes** ([`matmul_fx_lanes_table`]): `W` sequences
-//!   ("lanes") advance in lockstep with all state stored as `rows × W`
-//!   lane blocks, so the timestep becomes a `4H × H · H × W`
-//!   matrix–*matrix* product. Memory layout: element `(row r, lane l)`
-//!   lives at `buf[r * width + l]`. A block costs the same whether one
-//!   lane is occupied or all of them, and a window alone through the
-//!   row kernel costs what one lane of a full block does, so nothing in
-//!   the engine calls it any more; it is kept, with its test, as a
-//!   timed kernel.
-//!
+//! precomputed gate-table row, plus elementwise activations. The
+//! production kernel, [`matvec_fx_rows_table`], spreads one sequence's
+//! `4H` gate rows over the SIMD registers: the gate-table row is
+//! contiguous and `W_h` is kept transposed, so neither needs a gather.
 //! The elementwise kernels ([`sigmoid_lut_lanes`], [`softsign_lanes`],
-//! [`update_lanes`]) are layout-agnostic and run at any width.
+//! [`update_lanes`]) run on the gate and state vectors it leaves.
+//!
+//! [`matmul_fx_lanes_table`] is the same product for `W` sequences
+//! ("lanes") in lockstep, state stored as `rows × W` blocks. Nothing in
+//! the engine calls it — a window alone through the row kernel costs
+//! what one lane of a full block did (EXPERIMENTS.md row 26a) — and it
+//! runs scalar code only (row 28a).
 //!
 //! # Bit-identity contract
 //!
@@ -36,20 +29,17 @@
 //! domain; the LUT sigmoid, an integer function on a 16 M-point domain,
 //! is compared with its scalar reference on every point of it by a test
 //! instead. Callers must uphold the range bounds documented per kernel
-//! (the engine proves them at weight-pack time). Both vectorisation
-//! axes rest on one argument: under the pack-time row bound every
-//! partial sum of a gate row is an exact integer below `2^49`, so the
-//! sum is the same integer however the additions associate —
-//! lane-tiled, row-tiled or scalar — and its rescale is the four-op
-//! one.
+//! (the engine proves them at weight-pack time): under the pack-time
+//! row bound every partial sum of a gate row is an exact integer below
+//! `2^49`, so the sum is the same integer however the additions
+//! associate, and its rescale is the four-op one.
 //!
-//! On x86-64 with AVX-512 (F+DQ+VL) the fixed-point kernels dispatch to
-//! hand-written intrinsics (with AVX2+FMA bodies for the two matrix
-//! kernels); everywhere else they fall back to scalar reference code
-//! operating on the same `f64`-encoded integers. The tier is resolved
-//! once per process and every kernel dispatches on it. The fallbacks
-//! produce the same bits, so the engine's output never depends on the
-//! host ISA.
+//! On x86-64 with AVX-512 (F+DQ+VL) the kernels dispatch to
+//! hand-written intrinsics (with an AVX2+FMA body for the row matvec);
+//! everywhere else they fall back to scalar reference code operating on
+//! the same `f64`-encoded integers. The tier is resolved once per
+//! process and every kernel dispatches on it. The fallbacks produce the
+//! same bits, so the engine's output never depends on the host ISA.
 
 use std::sync::OnceLock;
 
@@ -110,33 +100,15 @@ pub fn simd_level() -> &'static str {
 // ---------------------------------------------------------------------------
 
 /// Lane-batched fused gate matmul with a precomputed **input-gate
-/// table**: the accumulator of row `r`, lane `l` is *initialized* from
-/// `table[items[l] · rows + r]` — the per-item precomputation
-/// `Σ_x w_x[r]·e(item)_x + bias_r·SCALE` — and the k-loop then covers
-/// only the `hcols` recurrent columns. The final rescale is fused into
-/// the store epilogue, so `out` receives the finished raw gate
-/// pre-activation: `round_half_away(acc / SCALE)`.
+/// table**: [`matvec_fx_rows_table`] for `width` sequences at once,
+/// `out[r·width + l] = round_half_away((table[items[l]·rows + r] +
+/// Σ_k w[r][k]·zh[k·width + l]) / SCALE)`. Scalar code, exact while
+/// every accumulator stays below `2^53` (the pack-time row bound keeps
+/// it below `2^49`).
 ///
-/// This is exactly `round_half_away((Σ_k w[r][k]·z[k][l] + bias_r·SCALE)
-/// / SCALE)` over the full `Z = hcols + E` gate input (with the embedding
-/// columns holding `e(items[l])`), i.e. the serial semantics
-/// `round(Σ w·z / SCALE) + bias_r` — `round(a/S) + b == round((a + b·S)/S)`
-/// because `b·S` is a multiple of `S`. The table entry is the exact
-/// integer value of the folded-out partial sum, and integer addition is
-/// associative when nothing overflows, so moving those terms into the
-/// init changes no bit.
-///
-/// The caller proves the per-row bound `Σ_k |w[r][k]|·max|z[k]| +
-/// |b_r|·SCALE + SCALE/2 < 2^49` over the full row at pack time (a table
-/// entry is a partial sum of that proven accumulator, hence itself
-/// exact). Under the bound every product and partial sum is an exact
-/// `f64` integer no matter how the additions associate, and the finished
-/// accumulator is inside the domain of the AVX-512 epilogue's four-op
-/// rescale, so the FMA-tiled SIMD versions and the scalar fallback agree
-/// bit for bit.
-///
-/// `zh` is the `hcols × width` recurrent lane block (the `h` rows of
-/// the gate input); `table` is `n_items × rows` row-major.
+/// `w` is `rows × hcols` row-major (not transposed); `zh` is the
+/// `hcols × width` recurrent lane block (the `h` rows of the gate
+/// input); `table` is `n_items × rows` row-major.
 ///
 /// # Panics
 ///
@@ -167,44 +139,6 @@ pub fn matmul_fx_lanes_table(
     for &item in items {
         assert!(item < n_items, "item {item} outside the gate table");
     }
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 if rows.is_multiple_of(8) && width.is_multiple_of(8) => {
-            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-            // bits; the shape and item-range asserts guarantee in-bounds
-            // access.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mm_fma_avx512_table(w, rows, hcols, zh, width, table, items, out)
-            };
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 | Tier::Avx2 if rows.is_multiple_of(4) && width.is_multiple_of(4) => {
-            // SAFETY: both tiers are only resolved on a host with avx2 and
-            // fma; the shape and item-range asserts guarantee in-bounds
-            // access.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mm_fma_avx2_table(w, rows, hcols, zh, width, table, items, out)
-            };
-            rescale_lanes(out);
-        }
-        _ => matmul_fx_table_scalar(w, rows, hcols, zh, width, table, items, out),
-    }
-}
-
-/// Scalar reference for [`matmul_fx_lanes_table`], rescale included.
-#[allow(clippy::too_many_arguments)]
-fn matmul_fx_table_scalar(
-    w: &[f64],
-    rows: usize,
-    hcols: usize,
-    zh: &[f64],
-    width: usize,
-    table: &[f64],
-    items: &[usize],
-    out: &mut [f64],
-) {
     for r in 0..rows {
         let row = &w[r * hcols..(r + 1) * hcols];
         let o = &mut out[r * width..(r + 1) * width];
@@ -217,16 +151,22 @@ fn matmul_fx_table_scalar(
                 *acc += wk * zv;
             }
         }
-        for acc in o.iter_mut() {
-            *acc = div_round_raw(*acc as i64, Fx6::SCALE) as f64;
-        }
+        rescale_lanes(o);
     }
 }
 
 /// Row-vectorised fused gate matvec for **one** sequence:
 /// `out[r] = round_half_away((table_row[r] + Σ_k w_t[k·rows + r]·h[k]) /
-/// SCALE)` — [`matmul_fx_lanes_table`] at width 1, with the SIMD axis
-/// turned from lanes to gate rows.
+/// SCALE)`, the SIMD axis across the gate rows.
+///
+/// `table_row[r]` is the per-item precomputation `Σ_x w_x[r]·e(item)_x +
+/// bias_r·SCALE`, so `out` is exactly
+/// `round_half_away((Σ_k w[r][k]·z[k] + bias_r·SCALE) / SCALE)` over the
+/// full `Z = hcols + E` gate input — the serial `round(Σ w·z / SCALE) +
+/// bias_r`, since `round(a/S) + b == round((a + b·S)/S)` when `b·S` is a
+/// multiple of `S`. The table entry is the exact integer of the
+/// folded-out partial sum, and integer addition is associative when
+/// nothing overflows, so the fold changes no bit.
 ///
 /// `w_t` is the recurrent half `W_h` **transposed**, `hcols × rows`
 /// row-major, so the `rows` weights that multiply `h[k]` are contiguous:
@@ -239,11 +179,14 @@ fn matmul_fx_table_scalar(
 /// weights otherwise straddles two lines, and the loop is one load per
 /// FMA).
 ///
-/// Exact by the argument of [`matmul_fx_lanes_table`]: under the
-/// pack-time row bound (`|h[k]| ≤ SCALE`) every product and partial sum
-/// is an exact integer below `2^49`, so accumulating `k`-outer across
-/// rows gives the same integer as the reference `k`-inner `i64` sum, on
-/// every body.
+/// The caller proves the per-row bound `Σ_k |w[r][k]|·max|z[k]| +
+/// |b_r|·SCALE + SCALE/2 < 2^49` over the full row at pack time (a
+/// table entry is a partial sum of that accumulator, hence itself
+/// exact), with `|h[k]| ≤ SCALE`. Under it every product and partial
+/// sum is an exact integer below `2^49`, so accumulating `k`-outer
+/// across rows gives the same integer as the reference `k`-inner `i64`
+/// sum on every body, and the finished accumulator is inside the domain
+/// of the AVX-512 epilogue's four-op rescale.
 ///
 /// # Panics
 ///
@@ -284,9 +227,7 @@ pub fn matvec_fx_rows_table(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut
 /// Scalar reference for [`matvec_fx_rows_table`], rescale included.
 fn matvec_fx_rows_scalar(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
     accumulate_rows_from(w_t, h, table_row, out, 0);
-    for acc in out.iter_mut() {
-        *acc = div_round_raw(*acc as i64, Fx6::SCALE) as f64;
-    }
+    rescale_lanes(out);
 }
 
 /// The raw (unrescaled) accumulators of rows `from..` of a row matvec —
@@ -309,25 +250,12 @@ fn accumulate_rows_from(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f6
 /// raw integers — the `10^12 → 10^6` product correction (§III-D), exactly
 /// as `div_round_i64(x, SCALE)` computes it.
 ///
-/// Exact for `|x| + SCALE/2 < 2^53`, whatever the matmul row bound the
-/// caller holds. Only the AVX2 tiles need it as a separate sweep — the
-/// AVX-512 and scalar kernels rescale in their store epilogue.
+/// Exact for `|x| + SCALE/2 < 2^53`, whatever the row bound the caller
+/// holds. Scalar: the AVX-512 row matvec rescales in its store epilogue,
+/// and this sweep finishes every other body.
 fn rescale_lanes(xs: &mut [f64]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-            // bits.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::rescale_avx512(xs)
-            }
-        }
-        _ => {
-            for x in xs {
-                *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
-            }
-        }
+    for x in xs {
+        *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
     }
 }
 
@@ -384,24 +312,23 @@ pub fn softsign_lanes(xs: &mut [f64]) {
     }
 }
 
-/// Lane-batched LSTM state update for the fixed-point path:
+/// LSTM state update for the fixed-point path:
 /// `C_t = f∗C_{t−1} + i∗C'`, `h_t = o ∗ softsign(C_t)` with every `∗` the
-/// rescaling fixed-point product — bit-identical to the serial
-/// `update_fused_fx`.
+/// rescaling fixed-point product — bit-identical to the per-CU
+/// `Vector<Fx6>` update.
 ///
-/// `g` is the activated `4H × width` gate block in TF order
-/// (`i f c o`), `c` and `h` are `hidden × width` lane blocks. Exact while
-/// `|C_t| ≤ ~8·10^9` raw (≤ 8000 timesteps from a zero state, since each
-/// step grows `|C|` by at most `SCALE`).
+/// `g` is the activated `4H` gate vector in TF order (`i f c o`), `c`
+/// and `h` are the `H`-element state. Exact while `|C_t| ≤ ~8·10^9` raw
+/// (≤ 8000 timesteps from a zero state, since each step grows `|C|` by
+/// at most `SCALE`).
 ///
 /// # Panics
 ///
-/// Panics when the slice lengths disagree with `hidden`/`width`.
-pub fn update_lanes(g: &[f64], hidden: usize, width: usize, c: &mut [f64], h: &mut [f64]) {
-    let hw = hidden * width;
-    assert_eq!(g.len(), 4 * hw, "lane update gate shape mismatch");
-    assert_eq!(c.len(), hw, "lane update cell shape mismatch");
-    assert_eq!(h.len(), hw, "lane update hidden shape mismatch");
+/// Panics when the slice lengths disagree with `hidden`.
+pub fn update_lanes(g: &[f64], hidden: usize, c: &mut [f64], h: &mut [f64]) {
+    assert_eq!(g.len(), 4 * hidden, "lane update gate shape mismatch");
+    assert_eq!(c.len(), hidden, "lane update cell shape mismatch");
+    assert_eq!(h.len(), hidden, "lane update hidden shape mismatch");
     match tier() {
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => {
@@ -409,12 +336,17 @@ pub fn update_lanes(g: &[f64], hidden: usize, width: usize, c: &mut [f64], h: &m
             // bits; the shape asserts guarantee in-bounds access.
             #[allow(unsafe_code)]
             unsafe {
-                x86::update_avx512(g, hw, c, h)
+                x86::update_avx512(g, hidden, c, h)
             }
         }
         _ => {
-            let (gi, gf, gc, go) = (&g[..hw], &g[hw..2 * hw], &g[2 * hw..3 * hw], &g[3 * hw..]);
-            for j in 0..hw {
+            let (gi, gf, gc, go) = (
+                &g[..hidden],
+                &g[hidden..2 * hidden],
+                &g[2 * hidden..3 * hidden],
+                &g[3 * hidden..],
+            );
+            for j in 0..hidden {
                 let ct =
                     fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
                 c[j] = ct as f64;
@@ -503,10 +435,9 @@ mod x86 {
     }
 
     /// [`div_round_scale_pd`] on the wide domain `|x| + SCALE/2 ≤ 2^53`,
-    /// for the two callers whose operand the pack proof does not bound
-    /// below `2^49`: `f∗C` in [`update_avx512`] (`|C|` grows by up to
-    /// `SCALE` a timestep, so the product reaches `8·10^15` at the
-    /// sequence cap) and the stand-alone sweep [`rescale_avx512`].
+    /// for the one operand the pack proof does not bound below `2^49`:
+    /// `f∗C` in [`update_avx512`] (`|C|` grows by up to `SCALE` a
+    /// timestep, so the product reaches `8·10^15` at the sequence cap).
     /// `floor(RN(m / SCALE))` on the magnitude `m = |x| + SCALE/2`, with
     /// the correctly rounded `m / SCALE` from
     /// [`div_by_scale_exact_pd`] — no ±1 correction step needed.
@@ -525,7 +456,7 @@ mod x86 {
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn div_round_scale_wide_pd(x: __m512d) -> __m512d {
+    pub(super) unsafe fn div_round_scale_wide_pd(x: __m512d) -> __m512d {
         let half = _mm512_set1_pd((Fx6::SCALE / 2) as f64);
         let sgnmask = _mm512_set1_pd(-0.0);
         let sgn = _mm512_and_pd(x, sgnmask);
@@ -612,233 +543,6 @@ mod x86 {
         _mm512_fmadd_pd(r, y, q0)
     }
 
-    /// Load eight consecutive gate-table entries for each of eight lanes
-    /// (`table[items8[l]·rows + r .. +8]`) and transpose in-register so
-    /// vector `i` of the result holds entry `r + i` across the eight
-    /// lanes — exactly the accumulator layout of the row-tiled matmul.
-    ///
-    /// 8 unaligned loads + 24 permute ops, all pure data movement, so
-    /// trivially exact. Compare ~64 scalar gather stores for the same
-    /// init through memory.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f; `items8.len() == 8`, every `items8[l]·rows + r
-    /// + 8 <= table.len()`, and `r + 8 <= rows`.
-    #[inline]
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn transpose_table_8(
-        table: &[f64],
-        rows: usize,
-        items8: &[usize],
-        r: usize,
-    ) -> [__m512d; 8] {
-        let r0 = _mm512_loadu_pd(table.as_ptr().add(items8[0] * rows + r));
-        let r1 = _mm512_loadu_pd(table.as_ptr().add(items8[1] * rows + r));
-        let r2 = _mm512_loadu_pd(table.as_ptr().add(items8[2] * rows + r));
-        let r3 = _mm512_loadu_pd(table.as_ptr().add(items8[3] * rows + r));
-        let r4 = _mm512_loadu_pd(table.as_ptr().add(items8[4] * rows + r));
-        let r5 = _mm512_loadu_pd(table.as_ptr().add(items8[5] * rows + r));
-        let r6 = _mm512_loadu_pd(table.as_ptr().add(items8[6] * rows + r));
-        let r7 = _mm512_loadu_pd(table.as_ptr().add(items8[7] * rows + r));
-        // Stage 1: interleave adjacent lane pairs within 128-bit blocks.
-        let t0 = _mm512_unpacklo_pd(r0, r1);
-        let t1 = _mm512_unpackhi_pd(r0, r1);
-        let t2 = _mm512_unpacklo_pd(r2, r3);
-        let t3 = _mm512_unpackhi_pd(r2, r3);
-        let t4 = _mm512_unpacklo_pd(r4, r5);
-        let t5 = _mm512_unpackhi_pd(r4, r5);
-        let t6 = _mm512_unpacklo_pd(r6, r7);
-        let t7 = _mm512_unpackhi_pd(r6, r7);
-        // Stages 2–3: gather the 128-bit blocks across vectors. 0x88
-        // selects blocks [a0,a2,b0,b2]; 0xDD selects [a1,a3,b1,b3].
-        let u0 = _mm512_shuffle_f64x2::<0x88>(t0, t2);
-        let u1 = _mm512_shuffle_f64x2::<0x88>(t4, t6);
-        let u2 = _mm512_shuffle_f64x2::<0x88>(t1, t3);
-        let u3 = _mm512_shuffle_f64x2::<0x88>(t5, t7);
-        let u4 = _mm512_shuffle_f64x2::<0xDD>(t0, t2);
-        let u5 = _mm512_shuffle_f64x2::<0xDD>(t4, t6);
-        let u6 = _mm512_shuffle_f64x2::<0xDD>(t1, t3);
-        let u7 = _mm512_shuffle_f64x2::<0xDD>(t5, t7);
-        [
-            _mm512_shuffle_f64x2::<0x88>(u0, u1),
-            _mm512_shuffle_f64x2::<0x88>(u2, u3),
-            _mm512_shuffle_f64x2::<0x88>(u4, u5),
-            _mm512_shuffle_f64x2::<0x88>(u6, u7),
-            _mm512_shuffle_f64x2::<0xDD>(u0, u1),
-            _mm512_shuffle_f64x2::<0xDD>(u2, u3),
-            _mm512_shuffle_f64x2::<0xDD>(u4, u5),
-            _mm512_shuffle_f64x2::<0xDD>(u6, u7),
-        ]
-    }
-
-    /// AVX-512 gate-table matmul. Lane-vector pairs get an 8-row ×
-    /// 16-lane tile (16 accumulators): per `k` step that is 8 weight
-    /// broadcasts + 2 `z` loads feeding 16 FMAs — 5 load-port cycles
-    /// against 8 FMA-port cycles, so the loop runs FMA-bound, where the
-    /// single-vector 8 × 8 tile (9 loads per 8 FMAs) is load-port-bound.
-    /// An odd trailing vector falls back to the 8 × 8 tile. The
-    /// accumulators are *initialized from the precomputed input-gate
-    /// table* (via [`transpose_table_8`]), the `k` loop covers only the
-    /// `hcols` recurrent columns, and the rescale is fused into the
-    /// store epilogue ([`div_round_scale_pd`] on the finished
-    /// accumulator). All products and sums are exact integers, so
-    /// neither the fused multiply-adds nor the tile shape introduce any
-    /// rounding.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `rows % 8 == 0`, `width % 8 == 0`, every
-    /// `items[l]` in table range, and the slice shapes asserted by the
-    /// dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn mm_fma_avx512_table(
-        w: &[f64],
-        rows: usize,
-        hcols: usize,
-        zh: &[f64],
-        width: usize,
-        table: &[f64],
-        items: &[usize],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(rows % 8, 0);
-        debug_assert_eq!(width % 8, 0);
-        let nvec = width / 8;
-        let mut r = 0;
-        while r < rows {
-            let mut v = 0;
-            while v + 2 <= nvec {
-                let init0 = transpose_table_8(table, rows, &items[v * 8..v * 8 + 8], r);
-                let init1 = transpose_table_8(table, rows, &items[(v + 1) * 8..(v + 2) * 8], r);
-                let mut acc = [[_mm512_setzero_pd(); 2]; 8];
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a = [init0[i], init1[i]];
-                }
-                for k in 0..hcols {
-                    let z0 = _mm512_loadu_pd(zh.as_ptr().add(k * width + v * 8));
-                    let z1 = _mm512_loadu_pd(zh.as_ptr().add(k * width + (v + 1) * 8));
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let wk = _mm512_set1_pd(*w.get_unchecked((r + i) * hcols + k));
-                        a[0] = _mm512_fmadd_pd(wk, z0, a[0]);
-                        a[1] = _mm512_fmadd_pd(wk, z1, a[1]);
-                    }
-                }
-                for (i, a) in acc.iter().enumerate() {
-                    let o0 = div_round_scale_pd(a[0]);
-                    let o1 = div_round_scale_pd(a[1]);
-                    _mm512_storeu_pd(out.as_mut_ptr().add((r + i) * width + v * 8), o0);
-                    _mm512_storeu_pd(out.as_mut_ptr().add((r + i) * width + (v + 1) * 8), o1);
-                }
-                v += 2;
-            }
-            while v < nvec {
-                let mut acc = transpose_table_8(table, rows, &items[v * 8..v * 8 + 8], r);
-                for k in 0..hcols {
-                    let zv = _mm512_loadu_pd(zh.as_ptr().add(k * width + v * 8));
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let wk = _mm512_set1_pd(*w.get_unchecked((r + i) * hcols + k));
-                        *a = _mm512_fmadd_pd(wk, zv, *a);
-                    }
-                }
-                for (i, a) in acc.iter().enumerate() {
-                    let o = div_round_scale_pd(*a);
-                    _mm512_storeu_pd(out.as_mut_ptr().add((r + i) * width + v * 8), o);
-                }
-                v += 1;
-            }
-            r += 8;
-        }
-    }
-
-    /// AVX2+FMA gate-table matmul: 4-row × 4-lane tiles (same
-    /// exact-integer argument as the AVX-512 tile, so same bits) with
-    /// accumulators initialized by four scalar table loads per row
-    /// (`_mm256_set_pd` — no cross-lane permute network below AVX-512).
-    /// Leaves the raw accumulator in `out`; the dispatching wrapper runs
-    /// the scalar rescale sweep afterwards.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx2/fma; `rows % 4 == 0`, `width % 4 == 0`, every
-    /// `items[l]` in table range, and the slice shapes asserted by the
-    /// dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn mm_fma_avx2_table(
-        w: &[f64],
-        rows: usize,
-        hcols: usize,
-        zh: &[f64],
-        width: usize,
-        table: &[f64],
-        items: &[usize],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(rows % 4, 0);
-        debug_assert_eq!(width % 4, 0);
-        let nvec = width / 4;
-        let mut r = 0;
-        while r < rows {
-            for v in 0..nvec {
-                let (l0, l1, l2, l3) = (
-                    items[v * 4] * rows,
-                    items[v * 4 + 1] * rows,
-                    items[v * 4 + 2] * rows,
-                    items[v * 4 + 3] * rows,
-                );
-                let mut a0 =
-                    _mm256_set_pd(table[l3 + r], table[l2 + r], table[l1 + r], table[l0 + r]);
-                let mut a1 = _mm256_set_pd(
-                    table[l3 + r + 1],
-                    table[l2 + r + 1],
-                    table[l1 + r + 1],
-                    table[l0 + r + 1],
-                );
-                let mut a2 = _mm256_set_pd(
-                    table[l3 + r + 2],
-                    table[l2 + r + 2],
-                    table[l1 + r + 2],
-                    table[l0 + r + 2],
-                );
-                let mut a3 = _mm256_set_pd(
-                    table[l3 + r + 3],
-                    table[l2 + r + 3],
-                    table[l1 + r + 3],
-                    table[l0 + r + 3],
-                );
-                for k in 0..hcols {
-                    let zv = _mm256_loadu_pd(zh.as_ptr().add(k * width + v * 4));
-                    a0 = _mm256_fmadd_pd(_mm256_set1_pd(*w.get_unchecked(r * hcols + k)), zv, a0);
-                    a1 = _mm256_fmadd_pd(
-                        _mm256_set1_pd(*w.get_unchecked((r + 1) * hcols + k)),
-                        zv,
-                        a1,
-                    );
-                    a2 = _mm256_fmadd_pd(
-                        _mm256_set1_pd(*w.get_unchecked((r + 2) * hcols + k)),
-                        zv,
-                        a2,
-                    );
-                    a3 = _mm256_fmadd_pd(
-                        _mm256_set1_pd(*w.get_unchecked((r + 3) * hcols + k)),
-                        zv,
-                        a3,
-                    );
-                }
-                _mm256_storeu_pd(out.as_mut_ptr().add(r * width + v * 4), a0);
-                _mm256_storeu_pd(out.as_mut_ptr().add((r + 1) * width + v * 4), a1);
-                _mm256_storeu_pd(out.as_mut_ptr().add((r + 2) * width + v * 4), a2);
-                _mm256_storeu_pd(out.as_mut_ptr().add((r + 3) * width + v * 4), a3);
-            }
-            r += 4;
-        }
-    }
-
     /// `NV` registers of eight gate rows each, starting at row `r`:
     /// accumulators loaded from the table row, one broadcast of `h[k]`
     /// and `NV` load-FMAs per `k`, rescale in the store epilogue.
@@ -904,9 +608,7 @@ mod x86 {
             r += 8;
         }
         super::accumulate_rows_from(w_t, h, table_row, out, r);
-        for acc in &mut out[r..] {
-            *acc = super::div_round_raw(*acc as i64, Fx6::SCALE) as f64;
-        }
+        super::rescale_lanes(&mut out[r..]);
     }
 
     /// `NV` registers of four gate rows each, starting at row `r`; the
@@ -946,7 +648,7 @@ mod x86 {
     /// AVX2+FMA row matvec: 32-row tiles of 8 accumulators, single
     /// registers of four rows, scalar tail. Leaves the raw accumulator
     /// in `out`; the dispatching wrapper runs the rescale sweep
-    /// afterwards (as for [`mm_fma_avx2_table`]).
+    /// afterwards.
     ///
     /// # Safety
     ///
@@ -966,28 +668,6 @@ mod x86 {
             r += 4;
         }
         super::accumulate_rows_from(w_t, h, table_row, out, r);
-    }
-
-    /// The stand-alone rescale sweep, on the wide domain
-    /// `|x| + SCALE/2 ≤ 2^53`: its caller is a block of raw accumulators
-    /// from a body that did not rescale in its epilogue, which this
-    /// function cannot see the bound of.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn rescale_avx512(xs: &mut [f64]) {
-        let mut i = 0;
-        while i + 8 <= xs.len() {
-            let x = _mm512_loadu_pd(xs.as_ptr().add(i));
-            _mm512_storeu_pd(xs.as_mut_ptr().add(i), div_round_scale_wide_pd(x));
-            i += 8;
-        }
-        for x in &mut xs[i..] {
-            *x = super::div_round_raw(*x as i64, Fx6::SCALE) as f64;
-        }
     }
 
     /// The sigmoid LUT in slope–intercept form and raw units: segment `i`
@@ -1173,8 +853,7 @@ mod tests {
         probes.extend([
             499_999, 500_000, 500_001, 1_499_999, 1_500_000, 1_500_001, 0, 1, -1,
         ]);
-        // Cover both the vector body and the scalar tail of the kernel.
-        while probes.len() % 8 != 5 {
+        while !probes.len().is_multiple_of(8) {
             probes.push(0);
         }
         let mut got: Vec<f64> = probes.iter().map(|&x| x as f64).collect();
@@ -1182,14 +861,32 @@ mod tests {
         for (&inp, &out) in probes.iter().zip(&got) {
             assert_eq!(out as i64, div_round_i64(inp, Fx6::SCALE), "rescale {inp}");
         }
+        // The wide rescale `update_avx512` applies to `f∗C`, on the same
+        // ladder up to the top of its `2^53` domain.
+        #[cfg(target_arch = "x86_64")]
+        if tier() == Tier::Avx512 {
+            use std::arch::x86_64::{_mm512_loadu_pd, _mm512_storeu_pd};
+            let mut got: Vec<f64> = probes.iter().map(|&x| x as f64).collect();
+            for block in got.chunks_exact_mut(8) {
+                // SAFETY: the tier says the host has avx512f/dq/vl, and
+                // each block is one whole register.
+                #[allow(unsafe_code)]
+                unsafe {
+                    let x = _mm512_loadu_pd(block.as_ptr());
+                    _mm512_storeu_pd(block.as_mut_ptr(), x86::div_round_scale_wide_pd(x));
+                }
+            }
+            for (&inp, &out) in probes.iter().zip(&got) {
+                assert_eq!(out as i64, div_round_i64(inp, Fx6::SCALE), "wide {inp}");
+            }
+        }
     }
 
-    /// Rescales `probes` in the store epilogue of both table kernels —
-    /// with no recurrent column the accumulator is the table entry, so
-    /// `out = rescale(table)` — and compares with the integer reference.
-    /// Pads `probes` with zeros to one register past whole 128-row
-    /// tiles, so the row kernel runs both of its tile shapes; the lane
-    /// kernel takes the whole blocks of 128.
+    /// Rescales `probes` in the store epilogue of the row kernel — with
+    /// no recurrent column the accumulator is the table entry, so `out =
+    /// rescale(table)` — and compares with the integer reference. Pads
+    /// `probes` with zeros to one register past whole 128-row tiles, so
+    /// the kernel runs both of its tile shapes.
     fn assert_epilogue_rescale_matches(probes: &mut Vec<i64>) {
         while probes.len() % 128 != 8 {
             probes.push(0);
@@ -1200,24 +897,6 @@ mod tests {
         matvec_fx_rows_table(&[], &[], &table, &mut by_rows);
         for (&inp, &out) in probes.iter().zip(&by_rows) {
             assert_eq!(out as i64, div_round_i64(inp, Fx6::SCALE), "rows {inp}");
-        }
-
-        // 8 gate rows × 16 lanes a call, lane `l` reading table row `l`,
-        // so `out[r·16 + l] = rescale(block[l·8 + r])`.
-        let items: Vec<usize> = (0..16).collect();
-        let mut by_lanes = [0.0f64; 128];
-        for (block, raws) in table.chunks_exact(128).zip(probes.chunks_exact(128)) {
-            matmul_fx_lanes_table(&[], 8, 0, &[], 16, block, &items, &mut by_lanes);
-            for l in 0..16 {
-                for r in 0..8 {
-                    let inp = raws[l * 8 + r];
-                    assert_eq!(
-                        by_lanes[r * 16 + l] as i64,
-                        div_round_i64(inp, Fx6::SCALE),
-                        "lanes {inp}"
-                    );
-                }
-            }
         }
     }
 
@@ -1358,10 +1037,7 @@ mod tests {
             .collect();
         let wf: Vec<f64> = wi.iter().map(|&x| x as f64).collect();
         let tf: Vec<f64> = ti.iter().map(|&x| x as f64).collect();
-        // 16 exercises the paired-vector transpose-init AVX-512 tile, 24
-        // the pair plus the odd trailing vector, 8 the single-vector
-        // tile, 4 the AVX2 set_pd init, 1/3/11 the scalar fallback.
-        for width in [1usize, 3, 4, 8, 11, 16, 24] {
+        for width in [1usize, 3, 16] {
             let items: Vec<usize> = (0..width).map(|l| (l * 97 + 13) % N_ITEMS).collect();
             let zi: Vec<i64> = (0..HCOLS * width)
                 .map(|i| i as i64 * 40_503 % 2_000_000 - 1_000_000)
@@ -1452,8 +1128,8 @@ mod tests {
     }
 
     /// The contract — and the AVX-512 epilogue's domain — is the pack
-    /// bound, `2^49`; the bodies that rescale with the wide sweep or in
-    /// integers are held to the `2^52` they are exact to.
+    /// bound, `2^49`; the bodies that rescale in integers are held to the
+    /// `2^52` they are exact to.
     #[test]
     fn fx_rows_matvec_matches_integer_reference_on_every_body() {
         check_rows_body("dispatch", 49, matvec_fx_rows_table);
@@ -1486,9 +1162,8 @@ mod tests {
 
     #[test]
     fn update_matches_fx6_reference() {
-        let hidden = 32;
-        for width in [3usize, 8] {
-            let hw = hidden * width;
+        // 99: twelve registers and a scalar tail.
+        for hw in [99usize, 256] {
             let mut g: Vec<f64> = (0..4 * hw)
                 .map(|i| ((i as i64 * 31_337) % 2_000_001 - 1_000_000) as f64)
                 .collect();
@@ -1525,16 +1200,16 @@ mod tests {
             c[1] = 7_999_000_000.0;
             let mut h = vec![0.0f64; hw];
             let c0 = c.clone();
-            update_lanes(&g, hidden, width, &mut c, &mut h);
+            update_lanes(&g, hw, &mut c, &mut h);
             for j in 0..hw {
                 let fv = Fx6::from_raw(g[hw + j] as i64);
                 let iv = Fx6::from_raw(g[j] as i64);
                 let cb = Fx6::from_raw(g[2 * hw + j] as i64);
                 let ov = Fx6::from_raw(g[3 * hw + j] as i64);
                 let ct = fv * Fx6::from_raw(c0[j] as i64) + iv * cb;
-                assert_eq!(c[j] as i64, ct.raw(), "update c j={j} w={width}");
+                assert_eq!(c[j] as i64, ct.raw(), "update c j={j} hidden={hw}");
                 let hh = ov * softsign_fx(ct);
-                assert_eq!(h[j] as i64, hh.raw(), "update h j={j} w={width}");
+                assert_eq!(h[j] as i64, hh.raw(), "update h j={j} hidden={hw}");
             }
         }
     }

@@ -4,10 +4,12 @@
 //! it sits on, and a file without sequences a reported error too — not
 //! a panic out of the engine, the trainer or the split. So is a split
 //! the trainer cannot make: a test fraction outside (0, 1), or a corpus
-//! of one sequence.
+//! of one sequence, and a weight file whose fixed point can overflow.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use csd_inference::nn::ModelWeights;
 
 fn csdctl(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_csdctl"))
@@ -146,5 +148,40 @@ fn dataset_train_detect_round_trip_and_out_of_vocabulary_tokens_are_errors() {
         for (name, out) in [("train", train(data)), ("detect", detect(data))] {
             assert_refused(&format!("{name} {data:?}"), &out, complaint);
         }
+    }
+}
+
+/// A weight file whose every value quantizes, but whose fixed-point
+/// head (large weights, a bias at the top of the range) or gate rows
+/// (recurrent weights of 10^12) can leave `i64`, is refused when read:
+/// `detect` used to panic mid-classify with `fc logit overflow` or `dot
+/// product overflow`.
+#[test]
+fn detect_refuses_weights_that_can_overflow_the_fixed_point() {
+    let dir = small_corpus("csdctl_cli_overflow");
+    let (corpus, model) = (dir.join("corpus.csv"), dir.join("model.txt"));
+    let out = train(&dir, &corpus, "0.2");
+    assert!(out.status.success(), "train: {out:?}");
+    let text = std::fs::read_to_string(&model).expect("model written");
+    let trained = ModelWeights::from_text(&text).expect("trained weights load");
+    let mut head = trained.clone();
+    head.fc_weights.fill(1e11);
+    head.fc_bias = 9.2e12;
+    let mut gates = trained;
+    gates.lstm_recurrent.fill(1e12);
+    for (name, hostile, complaint) in [
+        ("head", head.to_text(), "the fc head can overflow"),
+        ("gates", gates.to_text(), "gate row 0 can overflow"),
+    ] {
+        let path = dir.join(format!("{name}.txt"));
+        std::fs::write(&path, hostile).expect("write hostile weights");
+        let out = csdctl(&[
+            "detect",
+            "--model",
+            path_str(&path),
+            "--data",
+            path_str(&corpus),
+        ]);
+        assert_refused(name, &out, complaint);
     }
 }

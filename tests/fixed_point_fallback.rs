@@ -1,0 +1,103 @@
+//! The fixed-point fallback through the meta-crate. Weights the pack
+//! proof refuses, and a window one call past `LANE_MAX_STEPS`, leave the
+//! row kernel for the per-CU loop on the default fused path, and every
+//! entry point — `classify`, `classify_batch` and a `Sentry` drain —
+//! still gives `GatePath::PerCu`'s results, bit for bit.
+
+use csd_inference::accel::{
+    Classification, CsdInferenceEngine, GatePath, LaneGatesFx, OptimizationLevel, LANE_MAX_STEPS,
+};
+use csd_inference::nn::{ModelConfig, ModelWeights, SequenceClassifier};
+use csd_inference::sentry::{ActionKind, ProcessEvent, Sentry, SentryConfig};
+
+/// A paper-shaped model whose head leans positive, so every window of
+/// the sentry run below raises an incident carrying its probability.
+fn weights() -> ModelWeights {
+    let mut w = ModelWeights::from_model(&SequenceClassifier::new(ModelConfig::paper(), 21));
+    w.fc_bias = 3.0;
+    w
+}
+
+/// One candidate-gate row with recurrent weights of ±10^4: raw 10^10
+/// against `|h| ≤ 1` puts the row far past the pack bound.
+fn refused_weights() -> ModelWeights {
+    let mut w = weights();
+    let h = w.config.hidden;
+    for hc in 0..h {
+        let sign = if hc % 2 == 0 { 1.0 } else { -1.0 };
+        w.lstm_recurrent[hc * 4 * h + 2 * h + 5] = sign * 1.0e4;
+    }
+    w
+}
+
+fn packs(engine: &CsdInferenceEngine) -> bool {
+    let q = engine.weights();
+    LaneGatesFx::pack(&q.fused_fx(), &q.embedding_fx, q.dims().hidden).is_some()
+}
+
+fn window(len: usize, salt: usize) -> Vec<usize> {
+    (0..len).map(|i| (i * 37 + 11 + salt * 53) % 278).collect()
+}
+
+/// Classifies `windows` on the fused path through `classify`,
+/// `classify_batch` and a sentry with one session per window, and holds
+/// each to the per-CU reference.
+fn assert_fallback_matches_per_cu(fused: &CsdInferenceEngine, windows: &[Vec<usize>]) {
+    let per_cu = fused.clone().with_gate_path(GatePath::PerCu);
+    let reference: Vec<Classification> = windows.iter().map(|s| per_cu.classify(s)).collect();
+    let serial: Vec<Classification> = windows.iter().map(|s| fused.classify(s)).collect();
+    assert_eq!(serial, reference);
+    assert_eq!(fused.classify_batch(windows), reference);
+
+    let len = windows[0].len();
+    assert!(windows.iter().all(|s| s.len() == len), "one window length");
+    let mut sentry = Sentry::new(
+        fused.clone(),
+        SentryConfig {
+            window_len: len,
+            stride: len,
+            votes_needed: 1,
+            vote_horizon: 1,
+            action: ActionKind::Log,
+            ..SentryConfig::default()
+        },
+    );
+    let mut t = 0;
+    for (k, s) in windows.iter().enumerate() {
+        let pid = 100 + k as u32;
+        t += 1;
+        sentry.ingest(&ProcessEvent::spawn(t, pid, "w.exe"));
+        for &call in s {
+            t += 1;
+            sentry.ingest(&ProcessEvent::api(t, pid, call));
+        }
+    }
+    sentry.drain();
+    let mut got: Vec<(u32, f64)> = sentry
+        .incidents()
+        .iter()
+        .map(|i| (i.pid, i.alert.probability))
+        .collect();
+    got.sort_by_key(|&(pid, _)| pid);
+    let expect: Vec<(u32, f64)> = reference
+        .iter()
+        .enumerate()
+        .map(|(k, c)| (100 + k as u32, c.probability))
+        .collect();
+    assert_eq!(got, expect);
+}
+
+#[test]
+fn pack_refused_weights_classify_as_per_cu_everywhere() {
+    let fused = CsdInferenceEngine::new(&refused_weights(), OptimizationLevel::FixedPoint);
+    assert!(!packs(&fused), "the pack must refuse these weights");
+    let windows: Vec<Vec<usize>> = (0..5).map(|k| window(100, k)).collect();
+    assert_fallback_matches_per_cu(&fused, &windows);
+}
+
+#[test]
+fn a_window_past_the_row_kernels_range_classifies_as_per_cu_everywhere() {
+    let fused = CsdInferenceEngine::new(&weights(), OptimizationLevel::FixedPoint);
+    assert!(packs(&fused), "these weights take the row kernel");
+    assert_fallback_matches_per_cu(&fused, &[window(LANE_MAX_STEPS + 1, 0)]);
+}
