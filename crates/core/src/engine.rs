@@ -1,21 +1,22 @@
 //! The end-to-end CSD inference engine.
 //!
 //! [`CsdInferenceEngine`] executes the five-kernel design functionally.
-//! The default per-timestep path is *fused and allocation-free*: the four
-//! `H×Z` gate matrices are stacked once at construction into a single
-//! `4H×Z` matrix, so each item costs one embedding copy, one concat, one
-//! matvec and two in-place sweeps over preallocated scratch (in fixed
-//! point the embedding half is further folded into a per-item gate
-//! table, see [`LaneGatesFx`], and the sequence runs `f64`-encoded
-//! integer kernels vectorised across its gate rows). Everything that
-//! classifies — one window, a batch, the stream mux — runs this one
-//! sequence at a time. The original per-CU formulation (four
-//! separate gate kernels, mirroring the four hardware CUs of §III-C)
-//! remains available via [`GatePath`] as the table-free reference and is
-//! bit-for-bit identical — in f64 for the float levels and in
-//! 10^6-scaled fixed point for [`OptimizationLevel::FixedPoint`]. In
-//! fixed point it is also the fallback: weights the pack proof refuses
-//! and sequences past [`LANE_MAX_STEPS`] run it on the fused path too.
+//! There are two loops, and every entry point — one window, a batch, the
+//! stream mux — runs one of them a sequence at a time:
+//!
+//! - the **per-CU loop** (four separate gate kernels, mirroring the four
+//!   hardware CUs of §III-C) is the table-free reference, and the only
+//!   path at the float levels;
+//! - the **row kernel** is the fixed-point production path: the
+//!   embedding is folded into a per-item gate table (see
+//!   [`LaneGatesFx`]), and a timestep is one allocation-free pass of
+//!   `f64`-encoded integer kernels vectorised across the `4H` gate rows.
+//!   It is bit-for-bit the per-CU loop in 10^6-scaled fixed point.
+//!
+//! [`GatePath::PerCu`] selects the reference at every level. In fixed
+//! point the per-CU loop is also the fallback: weights the pack proof
+//! refuses and sequences past [`LANE_MAX_STEPS`] run it on the fused
+//! path too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -27,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
 use crate::scratch::{EngineScratch, InferenceScratch};
-use crate::weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
+use crate::weights::{LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
 
 /// The cores the machine makes available, read once per process: the
 /// most chunks a batch is cut into.
@@ -48,8 +49,9 @@ pub struct Classification {
 /// How the per-timestep gate computation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatePath {
-    /// One fused `4H×Z` matvec into preallocated scratch — the default,
-    /// allocation-free software hot path.
+    /// The production path, and the default: the row kernel in fixed
+    /// point (the per-CU loop past [`LANE_MAX_STEPS`] or under weights
+    /// the pack refuses), the per-CU loop at both float levels.
     Fused,
     /// Four separate gate kernels, exactly as the seed engine ran them —
     /// the hardware-mirroring formulation, and the table-free reference
@@ -58,12 +60,11 @@ pub enum GatePath {
 }
 
 /// Immutable model state shared (via `Arc`) by engine clones and batch
-/// workers: the quantized weights plus the fused gate matrices derived
+/// workers: the quantized weights plus the row kernel's pack derived
 /// from them at construction.
 #[derive(Debug)]
 struct EngineCore {
     weights: QuantizedWeights,
-    fused_f64: FusedGates<f64>,
     /// The production fixed-point pack of the fused gates plus the
     /// embedding table: the folded input-gate table and transposed
     /// recurrent weights behind the row-vectorised kernel (`None` when
@@ -89,18 +90,13 @@ impl CsdInferenceEngine {
     /// Panics if the weight arrays are inconsistent with their config.
     pub fn new(weights: &ModelWeights, level: OptimizationLevel) -> Self {
         let weights = QuantizedWeights::from_model_weights(weights);
-        let fused_f64 = weights.fused_f64();
         let pack = LaneGatesFx::pack(
             &weights.fused_fx(),
             &weights.embedding_fx,
             weights.dims().hidden,
         );
         Self {
-            core: Arc::new(EngineCore {
-                weights,
-                fused_f64,
-                pack,
-            }),
+            core: Arc::new(EngineCore { weights, pack }),
             level,
             path: GatePath::Fused,
         }
@@ -143,10 +139,10 @@ impl CsdInferenceEngine {
         self.classify_with_scratch(seq, &mut scratch)
     }
 
-    /// Classifies one sequence reusing caller-owned scratch. On the
-    /// default fused path the per-timestep loop performs no heap
-    /// allocation; callers classifying many sequences (monitors, batch
-    /// workers) amortize the buffer allocation across all of them.
+    /// Classifies one sequence reusing caller-owned scratch. On the row
+    /// kernel the per-timestep loop performs no heap allocation; callers
+    /// classifying many sequences (monitors, batch workers) amortize the
+    /// buffer allocation across all of them.
     ///
     /// In fixed point this runs the table-folded, `f64`-encoded kernels
     /// with the gate matvec vectorised across its `4H` rows
@@ -282,35 +278,22 @@ impl CsdInferenceEngine {
         }
     }
 
-    /// Walks the sequence updating `(C, h)` in `s`; leaves the final
-    /// states in `s.c` / `s.h`.
+    /// Walks the sequence through the per-CU loop, the only float path:
+    /// a functional model of the paper's float32 designs, kept for
+    /// Fig. 3's Vanilla and II levels. Leaves the final states in `s.c` /
+    /// `s.h`.
     fn run_states_f64(&self, seq: &[usize], s: &mut InferenceScratch<f64>) {
-        let core = &self.core;
+        let w = &self.core.weights;
         s.reset();
-        match self.path {
-            GatePath::Fused => {
-                let hdim = core.weights.dims().hidden;
-                for &item in seq {
-                    preprocess::run_into(&core.weights.embedding_f64, item, &mut s.x);
-                    s.h.concat_into(&s.x, &mut s.z);
-                    core.fused_f64.w.matvec_into(&s.z, &mut s.g);
-                    s.g.add_assign(&core.fused_f64.b);
-                    gates::activate_fused_f64(&mut s.g, hdim);
-                    hidden::update_fused_f64(&s.g, &mut s.c, &mut s.h);
-                }
-            }
-            GatePath::PerCu => {
-                for &item in seq {
-                    let x = preprocess::run_f64(&core.weights.embedding_f64, item);
-                    // §III-C: each CU receives its own copies of x_t, h_{t−1}.
-                    let xs = preprocess::fanout(&x);
-                    let hs = hidden::fanout_h(&s.h);
-                    let g = self.run_gate_cus_f64(&hs, &xs);
-                    let (c_next, h_next) = hidden::run_f64(&g[0], &g[1], &g[3], &g[2], &s.c);
-                    s.c = c_next;
-                    s.h = h_next;
-                }
-            }
+        for &item in seq {
+            let x = preprocess::run_f64(&w.embedding_f64, item);
+            // §III-C: each CU receives its own copies of x_t, h_{t−1}.
+            let xs = preprocess::fanout(&x);
+            let hs = hidden::fanout_h(&s.h);
+            let g = self.run_gate_cus_f64(&hs, &xs);
+            let (c_next, h_next) = hidden::run_f64(&g[0], &g[1], &g[3], &g[2], &s.c);
+            s.c = c_next;
+            s.h = h_next;
         }
     }
 

@@ -95,33 +95,6 @@ pub fn run_fx(
     }
 }
 
-/// Applies the gate activations in place to a fused `4H` pre-activation
-/// vector (TF gate order `i f c o`, so rows `2H..3H` are the softsign
-/// candidate and the rest are sigmoid), f64 path.
-///
-/// Uses exactly the same scalar expressions as [`run_f64`], so a fused
-/// matvec followed by this call is bit-identical to the four per-CU
-/// launches.
-///
-/// # Panics
-///
-/// Panics if `pre.len() != 4 * hidden`.
-pub fn activate_fused_f64(pre: &mut Vector<f64>, hidden: usize) {
-    assert_eq!(pre.len(), 4 * hidden, "fused gate length mismatch");
-    let data = pre.as_mut_slice();
-    for (g, block) in data.chunks_exact_mut(hidden).enumerate() {
-        if GateKind::ALL[g].is_candidate() {
-            for v in block {
-                *v /= 1.0 + v.abs();
-            }
-        } else {
-            for v in block {
-                *v = 1.0 / (1.0 + (-*v).exp());
-            }
-        }
-    }
-}
-
 /// The hardware structure of one CU: the `H × Z` MAC nest followed by the
 /// activation loop. `#pragma HLS DATAFLOW` (§III-C) overlaps the two.
 pub fn spec(kind: GateKind, level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {
@@ -208,33 +181,6 @@ mod tests {
                 assert!((a - bb).abs() < 1e-3, "{kind:?}: {a} vs {bb}");
             }
         }
-    }
-
-    #[test]
-    fn fused_activation_is_bit_identical_to_per_gate() {
-        let (w, b, h, x) = setup();
-        let z = h.concat(&x);
-        // Build the fused pre-activation vector by stacking the per-gate
-        // pre-activations (all four gates share w/b here, which is fine:
-        // only the activation split is under test).
-        let pre = w.matvec(&z).add(&b);
-        let mut fused: Vector<f64> = Vector::from([pre.as_slice(); 4].concat());
-        activate_fused_f64(&mut fused, 32);
-        for (g, kind) in GateKind::ALL.into_iter().enumerate() {
-            let expected = run_f64(kind, &w, &b, &h, &x);
-            assert_eq!(
-                &fused.as_slice()[g * 32..(g + 1) * 32],
-                expected.as_slice(),
-                "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fused gate length mismatch")]
-    fn fused_activation_rejects_bad_length() {
-        let mut pre = Vector::zeros(7);
-        activate_fused_f64(&mut pre, 2);
     }
 
     fn gates_budget() -> ResourceEstimate {

@@ -54,38 +54,6 @@ pub fn run_fx(
     (c, h)
 }
 
-/// One state update from a fused `4H` gate vector (TF order `i f c o`),
-/// writing `C_t` and `h_t` in place over the previous state — the
-/// allocation-free form of [`run_f64`], computing the same expressions in
-/// the same order.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches.
-pub fn update_fused_f64(g: &Vector<f64>, c: &mut Vector<f64>, h: &mut Vector<f64>) {
-    let hdim = c.len();
-    assert_eq!(g.len(), 4 * hdim, "fused gate length mismatch");
-    assert_eq!(h.len(), hdim, "state length mismatch");
-    let (i, f, cbar, o) = fused_blocks(g.as_slice(), hdim);
-    for j in 0..hdim {
-        // C_t = f ∗ C_{t−1} + i ∗ C'.
-        let ct = f[j] * c[j] + i[j] * cbar[j];
-        c[j] = ct;
-        // h_t = o ∗ softsign(C_t).
-        h[j] = o[j] * (ct / (1.0 + ct.abs()));
-    }
-}
-
-/// Splits a fused `4H` gate slice into its `(i, f, C', o)` blocks.
-fn fused_blocks<T>(g: &[T], hdim: usize) -> (&[T], &[T], &[T], &[T]) {
-    (
-        &g[..hdim],
-        &g[hdim..2 * hdim],
-        &g[2 * hdim..3 * hdim],
-        &g[3 * hdim..],
-    )
-}
-
 /// The FC head on the final hidden state, f64 path: `σ(w · h_T + b)`.
 ///
 /// # Panics
@@ -200,21 +168,6 @@ mod tests {
             Fx6::from_f64(0.3),
         );
         assert!((pq.to_f64() - p).abs() < 1e-3);
-    }
-
-    #[test]
-    fn fused_update_is_bit_identical_to_run() {
-        let [i, f, o, cbar, c_prev] = vecs();
-        let h_prev = Initializer::Uniform { limit_millis: 900 }.vector(32, 99);
-
-        let (c_expect, h_expect) = run_f64(&i, &f, &o, &cbar, &c_prev);
-        let fused: Vector<f64> =
-            Vector::from([i.as_slice(), f.as_slice(), cbar.as_slice(), o.as_slice()].concat());
-        let mut c = c_prev.clone();
-        let mut h = h_prev.clone();
-        update_fused_f64(&fused, &mut c, &mut h);
-        assert_eq!(c, c_expect);
-        assert_eq!(h, h_expect);
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!
 //! Keeping the two views side by side in one module is the Rust analogue
 //! of an HLS source file: the code *is* the hardware description.
+//!
+//! The functional kernels are the engine's per-CU loop: the only path at
+//! the float levels, and the reference (and fallback) in fixed point,
+//! where production windows run the row kernels of
+//! [`csd_tensor::lanes`] instead.
 
 pub mod gates;
 pub mod hidden;

@@ -54,19 +54,6 @@ pub fn run_fx(embedding: &Matrix<Fx6>, item: usize) -> Vector<Fx6> {
     Vector::from(embedding.row(item).to_vec())
 }
 
-/// Embedding lookup into a caller-owned buffer — the allocation-free form
-/// used by the fused inference path (either precision).
-///
-/// # Panics
-///
-/// Panics if `item` is out of vocabulary or `out.len()` is not the
-/// embedding width.
-pub fn run_into<T: csd_tensor::Scalar>(embedding: &Matrix<T>, item: usize, out: &mut Vector<T>) {
-    assert!(item < embedding.rows(), "item {item} out of vocabulary");
-    assert_eq!(out.len(), embedding.cols(), "embedding width mismatch");
-    out.as_mut_slice().copy_from_slice(embedding.row(item));
-}
-
 /// Fans `x` out into the per-CU copies (§III-C's four-copy operation).
 pub fn fanout<T: csd_tensor::Scalar>(x: &Vector<T>) -> [Vector<T>; 4] {
     [x.clone(), x.clone(), x.clone(), x.clone()]
@@ -118,21 +105,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.to_f64_vec()) {
             assert!((x - y).abs() <= 5e-7);
         }
-    }
-
-    #[test]
-    fn run_into_matches_allocating_lookup() {
-        let e = embedding();
-        let mut out = Vector::zeros(8);
-        run_into(&e, 42, &mut out);
-        assert_eq!(out, run_f64(&e, 42));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of vocabulary")]
-    fn run_into_oov_panics() {
-        let mut out = Vector::zeros(8);
-        run_into(&embedding(), 278, &mut out);
     }
 
     #[test]

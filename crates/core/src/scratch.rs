@@ -1,10 +1,11 @@
 //! Preallocated working memory for the zero-allocation inference path.
 //!
-//! The fused serial path walks a sequence touching only the buffers held
-//! here: the per-timestep loop performs no heap allocation at all. This
-//! mirrors the hardware, where every kernel-side array is a fixed BRAM
-//! buffer sized at synthesis from the model dimensions (§III-B), not
-//! storage acquired per item.
+//! The fixed-point row kernel walks a sequence touching only the buffers
+//! held here: its per-timestep loop performs no heap allocation at all.
+//! This mirrors the hardware, where every kernel-side array is a fixed
+//! BRAM buffer sized at synthesis from the model dimensions (§III-B), not
+//! storage acquired per item. The per-CU loop keeps only its recurrent
+//! state here.
 
 use csd_fxp::Fx6;
 use csd_tensor::{Scalar, Vector};
@@ -17,10 +18,6 @@ use crate::kernels::LstmDims;
 /// sequences; the timestep loop only reads and overwrites them.
 #[derive(Debug, Clone)]
 pub struct InferenceScratch<T> {
-    /// Embedding of the current item (`E` elements).
-    pub x: Vector<T>,
-    /// Concatenated `[h_{t−1}, x_t]` gate input (`Z = H + E` elements).
-    pub z: Vector<T>,
     /// Fused gate vector: pre-activations then activations in place
     /// (`4H` elements, TF gate order `i f c o`).
     pub g: Vector<T>,
@@ -34,8 +31,6 @@ impl<T: Scalar> InferenceScratch<T> {
     /// Allocates all buffers for the given model dimensions.
     pub fn new(dims: LstmDims) -> Self {
         Self {
-            x: Vector::zeros(dims.embed),
-            z: Vector::zeros(dims.z()),
             g: Vector::zeros(4 * dims.hidden),
             c: Vector::zeros(dims.hidden),
             h: Vector::zeros(dims.hidden),
@@ -43,8 +38,8 @@ impl<T: Scalar> InferenceScratch<T> {
     }
 
     /// Zeroes the recurrent state so the next sequence starts fresh. The
-    /// non-state buffers (`x`, `z`, `g`) are fully overwritten every
-    /// timestep and need no clearing.
+    /// gate buffer `g` is fully overwritten every timestep and needs no
+    /// clearing.
     pub fn reset(&mut self) {
         self.c.as_mut_slice().fill(T::zero());
         self.h.as_mut_slice().fill(T::zero());
@@ -83,8 +78,6 @@ mod tests {
     fn buffers_are_sized_from_dims() {
         let dims = LstmDims::paper();
         let s: InferenceScratch<f64> = InferenceScratch::new(dims);
-        assert_eq!(s.x.len(), dims.embed);
-        assert_eq!(s.z.len(), dims.hidden + dims.embed);
         assert_eq!(s.g.len(), 4 * dims.hidden);
         assert_eq!(s.c.len(), dims.hidden);
         assert_eq!(s.h.len(), dims.hidden);

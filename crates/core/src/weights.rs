@@ -20,8 +20,8 @@ use crate::kernels::LstmDims;
 ///
 /// One matvec against this matrix computes all four gate pre-activations
 /// of a timestep, replacing four separate matvec launches. Each fused row
-/// is byte-identical to the corresponding per-gate row, so results match
-/// the per-gate path bit for bit in both precisions.
+/// is byte-identical to the corresponding per-gate row; the engine builds
+/// it in fixed point only, as the input to [`LaneGatesFx::pack`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedGates<T> {
     /// Stacked `4H × Z` gate weights.
@@ -344,14 +344,10 @@ impl QuantizedWeights {
         self.dims
     }
 
-    /// Builds the fused `4H × Z` gate matrix, float view. Computed on
-    /// demand (typically once, at engine construction) so the serialized
-    /// form of this struct stays the per-gate layout the device consumes.
-    pub fn fused_f64(&self) -> FusedGates<f64> {
-        fuse_gates(&self.gate_w_f64, &self.gate_b_f64)
-    }
-
-    /// Builds the fused `4H × Z` gate matrix, quantized view.
+    /// Builds the fused `4H × Z` gate matrix, quantized view. Computed on
+    /// demand (once, at engine construction, to build the row kernel's
+    /// pack) so the serialized form of this struct stays the per-gate
+    /// layout the device consumes.
     pub fn fused_fx(&self) -> FusedGates<Fx6> {
         fuse_gates(&self.gate_w_fx, &self.gate_b_fx)
     }
@@ -501,15 +497,12 @@ mod tests {
     fn fused_rows_are_the_per_gate_rows() {
         let q = weights();
         let h = q.dims().hidden;
-        let fused = q.fused_f64();
         let fused_fx = q.fused_fx();
-        assert_eq!(fused.w.rows(), 4 * h);
-        assert_eq!(fused.w.cols(), q.dims().z());
-        assert_eq!(fused.b.len(), 4 * h);
+        assert_eq!(fused_fx.w.rows(), 4 * h);
+        assert_eq!(fused_fx.w.cols(), q.dims().z());
+        assert_eq!(fused_fx.b.len(), 4 * h);
         for g in 0..4 {
             for j in 0..h {
-                assert_eq!(fused.w.row(g * h + j), q.gate_w_f64[g].row(j));
-                assert_eq!(fused.b[g * h + j], q.gate_b_f64[g][j]);
                 assert_eq!(fused_fx.w.row(g * h + j), q.gate_w_fx[g].row(j));
                 assert_eq!(fused_fx.b[g * h + j], q.gate_b_fx[g][j]);
             }
@@ -561,8 +554,7 @@ mod tests {
     ) -> Vec<i64> {
         let mut z: Vec<Fx6> = h.to_vec();
         z.extend((0..embedding.cols()).map(|e| embedding.get(item, e)));
-        let mut wide = fused.w.matvec(&Vector::from(z));
-        wide.add_assign(&fused.b);
+        let wide = fused.w.matvec(&Vector::from(z)).add(&fused.b);
         wide.iter().map(|v| v.raw()).collect()
     }
 

@@ -1,12 +1,12 @@
 //! Property-based parity of the two gate execution paths.
 //!
-//! The fused zero-allocation path is the default; the per-CU path
-//! mirrors the hardware CUs and never uses the gate table. The two must
-//! agree bit for bit on random models and random sequences at every
-//! optimization level: exactly (f64 `assert_eq`) on the float levels,
-//! and to 0 ULP in 10^6-scaled fixed point (fixed-point classification
-//! is a deterministic function of the quantized weights, so any path
-//! divergence shows up as raw-integer inequality).
+//! The fused path is the default; the per-CU path mirrors the hardware
+//! CUs and never uses the gate table. In fixed point the two must agree
+//! to 0 ULP on random models and random sequences (fixed-point
+//! classification is a deterministic function of the quantized weights,
+//! so any path divergence shows up as raw-integer inequality). At the
+//! float levels both run the per-CU loop; the shape and overlong tests
+//! still iterate every level.
 
 use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel, LANE_MAX_STEPS};
 use csd_nn::{Activation, ModelConfig, ModelWeights, SequenceClassifier};
@@ -110,24 +110,7 @@ proptest! {
         }
     }
 
-    /// Fused == per-CU on the float levels, compared with exact f64 equality (not a tolerance).
-    #[test]
-    fn float_paths_bit_identical(
-        seed in any::<u64>(),
-        seq in arb_sequence(),
-        ii in any::<bool>(),
-    ) {
-        let level = if ii {
-            OptimizationLevel::IiOptimized
-        } else {
-            OptimizationLevel::Vanilla
-        };
-        let [per_cu, fused] = engines(seed, level);
-        prop_assert_eq!(per_cu.classify(&seq), fused.classify(&seq));
-        prop_assert_eq!(per_cu.final_hidden_f64(&seq), fused.final_hidden_f64(&seq));
-    }
-
-    /// Same property in fixed point: the probability is produced from
+    /// Fused == per-CU in fixed point: the probability is produced from
     /// raw `i64` state, so f64 equality here certifies 0 ULP agreement
     /// of the underlying Fx6 computation (table-folded matvec included).
     #[test]

@@ -43,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fx6};
+use csd_fxp::{div_round_raw, sigmoid_fx_lut, softsign_fx, Fx6};
 
 /// The decimal scale of [`Fx6`] as an `f64` (`10^6`).
 const FSCALE: f64 = Fx6::SCALE as f64;
@@ -354,16 +354,6 @@ pub fn update_lanes(g: &[f64], hidden: usize, c: &mut [f64], h: &mut [f64]) {
                 h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
             }
         }
-    }
-}
-
-/// Round-half-away-from-zero division, the reference rescale semantics.
-fn div_round_raw(num: i64, den: i64) -> i64 {
-    let half = den / 2;
-    if num >= 0 {
-        (num + half) / den
-    } else {
-        (num - half) / den
     }
 }
 

@@ -144,23 +144,6 @@ impl<T: Scalar> Matrix<T> {
             .collect()
     }
 
-    /// Matrix–vector product written into a caller-owned buffer — the
-    /// allocation-free form of [`matvec`](Self::matvec) used by the fused
-    /// inference hot path. Produces bit-identical results to `matvec`
-    /// because each output element is the same [`Scalar::dot_slices`] over
-    /// the same row data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `out.len() != rows`.
-    pub fn matvec_into(&self, x: &Vector<T>, out: &mut Vector<T>) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
-            *o = T::dot_slices(&self.data[r * self.cols..(r + 1) * self.cols], x.as_slice());
-        }
-    }
-
     /// Vector–matrix product `xᵀ · self` (used for the one-hot × embedding
     /// lookup in `kernel_preprocess`).
     ///
@@ -180,29 +163,6 @@ impl<T: Scalar> Matrix<T> {
             }
         }
         Vector::from(out)
-    }
-
-    /// Matrix product `self · rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Self) -> Self {
-        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        let mut out = Self::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[r * self.cols + k];
-                if a == T::zero() {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    let prod = a * rhs.data[k * rhs.cols + c];
-                    out.data[r * rhs.cols + c] += prod;
-                }
-            }
-        }
-        out
     }
 
     /// Transposed copy.
@@ -245,27 +205,6 @@ impl<T: Scalar> Matrix<T> {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&a| a * k).collect(),
-        }
-    }
-
-    /// Horizontal concatenation `[self | rhs]` — builds the combined
-    /// `W = [W_h | W_x]` gate matrix acting on `[h_{t−1}, x_t]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn hconcat(&self, rhs: &Self) -> Self {
-        assert_eq!(self.rows, rhs.rows, "hconcat row mismatch");
-        let cols = self.cols + rhs.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(rhs.row(r));
-        }
-        Self {
-            rows: self.rows,
-            cols,
-            data,
         }
     }
 
@@ -328,30 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity() {
-        let m = sample();
-        let id = Matrix::from_rows(vec![
-            vec![1.0, 0.0, 0.0],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 1.0],
-        ]);
-        assert_eq!(m.matmul(&id), m);
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = sample();
         assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn hconcat_builds_gate_matrix() {
-        let wh = Matrix::from_rows(vec![vec![1.0], vec![2.0]]);
-        let wx = Matrix::from_rows(vec![vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let w = wh.hconcat(&wx);
-        assert_eq!((w.rows(), w.cols()), (2, 3));
-        assert_eq!(w.row(0), &[1.0, 3.0, 4.0]);
-        assert_eq!(w.row(1), &[2.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -370,23 +288,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_bad_shape_panics() {
         let _ = sample().matvec(&Vector::from(vec![1.0]));
-    }
-
-    #[test]
-    fn matvec_into_matches_matvec_exactly() {
-        let m = sample();
-        let x = Vector::from(vec![0.3, -1.7, 2.9]);
-        let mut out = Vector::zeros(2);
-        m.matvec_into(&x, &mut out);
-        assert_eq!(out, m.matvec(&x));
-    }
-
-    #[test]
-    #[should_panic(expected = "output length mismatch")]
-    fn matvec_into_wrong_out_panics() {
-        let m = sample();
-        let mut out = Vector::zeros(3);
-        m.matvec_into(&Vector::from(vec![1.0, 2.0, 3.0]), &mut out);
     }
 
     #[test]

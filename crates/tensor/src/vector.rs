@@ -63,11 +63,6 @@ impl<T: Scalar> Vector<T> {
         &mut self.data
     }
 
-    /// Consumes the vector, returning its storage.
-    pub fn into_inner(self) -> Vec<T> {
-        self.data
-    }
-
     /// Inner product.
     ///
     /// # Panics
@@ -90,23 +85,6 @@ impl<T: Scalar> Vector<T> {
                 .iter()
                 .zip(&rhs.data)
                 .map(|(&a, &b)| a + b)
-                .collect(),
-        }
-    }
-
-    /// Elementwise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    pub fn sub(&self, rhs: &Self) -> Self {
-        assert_eq!(self.len(), rhs.len(), "vector sub length mismatch");
-        Self {
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| a - b)
                 .collect(),
         }
     }
@@ -150,77 +128,6 @@ impl<T: Scalar> Vector<T> {
         data.extend_from_slice(&self.data);
         data.extend_from_slice(&rhs.data);
         Self { data }
-    }
-
-    /// In-place elementwise sum `self[i] += rhs[i]` — the allocation-free
-    /// form of [`add`](Self::add) used by the fused inference hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    pub fn add_assign(&mut self, rhs: &Self) {
-        assert_eq!(self.len(), rhs.len(), "vector add length mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-
-    /// In-place Hadamard product `self[i] *= rhs[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    pub fn hadamard_assign(&mut self, rhs: &Self) {
-        assert_eq!(self.len(), rhs.len(), "hadamard length mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a = *a * b;
-        }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_assign(&mut self, f: impl Fn(T) -> T) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
-    /// Writes `f(self[i])` into `dst[i]` without allocating — the reusable-
-    /// buffer form of [`map`](Self::map).
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    pub fn map_into(&self, f: impl Fn(T) -> T, dst: &mut Self) {
-        assert_eq!(self.len(), dst.len(), "map_into length mismatch");
-        for (d, &a) in dst.data.iter_mut().zip(&self.data) {
-            *d = f(a);
-        }
-    }
-
-    /// Writes `[self, rhs]` into `dst` without allocating — the reusable-
-    /// buffer form of [`concat`](Self::concat) building `[h_{t−1}, x_t]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dst.len() != self.len() + rhs.len()`.
-    pub fn concat_into(&self, rhs: &Self, dst: &mut Self) {
-        assert_eq!(
-            dst.len(),
-            self.len() + rhs.len(),
-            "concat_into length mismatch"
-        );
-        dst.data[..self.len()].copy_from_slice(&self.data);
-        dst.data[self.len()..].copy_from_slice(&rhs.data);
-    }
-
-    /// Overwrites `self` with a copy of `rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    pub fn copy_from(&mut self, rhs: &Self) {
-        assert_eq!(self.len(), rhs.len(), "copy_from length mismatch");
-        self.data.copy_from_slice(&rhs.data);
     }
 
     /// Maximum absolute elementwise difference vs. `rhs`, in `f64`.
@@ -296,7 +203,6 @@ mod tests {
         let a = Vector::from(vec![1.0, -2.0]);
         let b = Vector::from(vec![3.0, 5.0]);
         assert_eq!(a.add(&b).as_slice(), &[4.0, 3.0]);
-        assert_eq!(a.sub(&b).as_slice(), &[-2.0, -7.0]);
         assert_eq!(a.hadamard(&b).as_slice(), &[3.0, -10.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, -4.0]);
         assert_eq!(a.dot(&b), -7.0);
@@ -335,45 +241,6 @@ mod tests {
     fn from_iterator() {
         let v: Vector<f64> = (0..3).map(|i| i as f64).collect();
         assert_eq!(v.as_slice(), &[0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn in_place_ops_match_allocating_ops() {
-        let a = Vector::from(vec![1.0, -2.0, 0.5]);
-        let b = Vector::from(vec![3.0, 5.0, -1.0]);
-
-        let mut sum = a.clone();
-        sum.add_assign(&b);
-        assert_eq!(sum, a.add(&b));
-
-        let mut prod = a.clone();
-        prod.hadamard_assign(&b);
-        assert_eq!(prod, a.hadamard(&b));
-
-        let mut mapped = Vector::zeros(3);
-        a.map_into(|x| x * x, &mut mapped);
-        assert_eq!(mapped, a.map(|x| x * x));
-
-        let mut mapped_in_place = a.clone();
-        mapped_in_place.map_assign(|x| x * x);
-        assert_eq!(mapped_in_place, a.map(|x| x * x));
-
-        let mut cat = Vector::zeros(6);
-        a.concat_into(&b, &mut cat);
-        assert_eq!(cat, a.concat(&b));
-
-        let mut copied = Vector::zeros(3);
-        copied.copy_from(&b);
-        assert_eq!(copied, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "concat_into length mismatch")]
-    fn concat_into_wrong_dst_panics() {
-        let a = Vector::from(vec![1.0]);
-        let b = Vector::from(vec![2.0]);
-        let mut dst = Vector::zeros(3);
-        a.concat_into(&b, &mut dst);
     }
 
     #[test]

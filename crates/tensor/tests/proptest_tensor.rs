@@ -59,16 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_associative(a in small_vec(4), b in small_vec(4), c in small_vec(4)) {
-        let ma = Matrix::from_flat(2, 2, a);
-        let mb = Matrix::from_flat(2, 2, b);
-        let mc = Matrix::from_flat(2, 2, c);
-        let lhs = ma.matmul(&mb).matmul(&mc);
-        let rhs = ma.matmul(&mb.matmul(&mc));
-        prop_assert!(lhs.max_abs_diff(&rhs) < 1e-6);
-    }
-
-    #[test]
     fn fixed_matvec_tracks_f64(flat in small_vec(12), xs in small_vec(4)) {
         let mf = Matrix::<f64>::from_flat(3, 4, flat.clone());
         let xf = Vector::<f64>::from(xs.clone());

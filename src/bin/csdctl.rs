@@ -120,6 +120,12 @@ fn cmd_dataset(args: &[String]) -> Result<(), String> {
     let windows: usize = parse(args, "--windows", 2_000)?;
     let seed: u64 = parse(args, "--seed", 0xC5D)?;
     let noise: f64 = parse(args, "--noise", 0.12)?;
+    // `DatasetBuilder::noise` panics outside [0, 1), NaN included.
+    if !(0.0..1.0).contains(&noise) {
+        return Err(format!(
+            "bad value for --noise: {noise} (must be in [0, 1))"
+        ));
+    }
     let ransomware = windows * 46 / 100;
     let ds = DatasetBuilder::new(seed)
         .ransomware_windows(ransomware)

@@ -4,7 +4,8 @@
 //! it sits on, and a file without sequences a reported error too — not
 //! a panic out of the engine, the trainer or the split. So is a split
 //! the trainer cannot make: a test fraction outside (0, 1), or a corpus
-//! of one sequence, and a weight file whose fixed point can overflow.
+//! of one sequence, and a weight file whose fixed point can overflow; so
+//! is a noise rate outside [0, 1) and a level `detect` does not know.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -73,6 +74,25 @@ fn train_refuses_a_test_fraction_outside_the_unit_interval() {
 }
 
 #[test]
+fn dataset_refuses_a_noise_rate_outside_zero_to_one() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csdctl_cli_noise");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let corpus = dir.join("corpus.csv");
+    for noise in ["nan", "1.5", "-0.1"] {
+        let out = csdctl(&[
+            "dataset",
+            "--out",
+            path_str(&corpus),
+            "--windows",
+            "6",
+            "--noise",
+            noise,
+        ]);
+        assert_refused(&format!("--noise {noise}"), &out, "--noise");
+    }
+}
+
+#[test]
 fn train_refuses_a_one_sequence_corpus() {
     let dir = small_corpus("csdctl_cli_one_sequence");
     let csv = std::fs::read_to_string(dir.join("corpus.csv")).expect("corpus written");
@@ -118,15 +138,18 @@ fn dataset_train_detect_round_trip_and_out_of_vocabulary_tokens_are_errors() {
             "7",
         ])
     };
-    let detect = |data: &Path| {
+    let detect_at = |data: &Path, level: &str| {
         csdctl(&[
             "detect",
             "--model",
             path_str(&model),
             "--data",
             path_str(data),
+            "--level",
+            level,
         ])
     };
+    let detect = |data: &Path| detect_at(data, "fixed");
 
     let out = train(&corpus);
     assert!(out.status.success(), "train: {out:?}");
@@ -135,6 +158,26 @@ fn dataset_train_detect_round_trip_and_out_of_vocabulary_tokens_are_errors() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("40 sequences classified"), "{stdout}");
     assert!(stdout.contains("confusion: TP "), "{stdout}");
+
+    // Both float levels run the per-CU loop on the same f64 weights, so
+    // they print the same confusion counts; an unknown level is refused.
+    let confusion = |level: &str| {
+        let out = detect_at(&corpus, level);
+        assert!(out.status.success(), "detect --level {level}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.contains("40 sequences classified"), "{stdout}");
+        stdout
+            .lines()
+            .find(|l| l.starts_with("confusion: "))
+            .map(str::to_owned)
+            .unwrap_or_else(|| panic!("no confusion line at {level}: {stdout}"))
+    };
+    assert_eq!(confusion("vanilla"), confusion("ii"));
+    assert_refused(
+        "--level bogus",
+        &detect_at(&corpus, "bogus"),
+        "unknown level",
+    );
 
     // The same corpus with one token past the 278-entry vocabulary on a
     // new last line, and a file with no sequence in it.
