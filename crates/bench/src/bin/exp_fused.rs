@@ -12,10 +12,12 @@
 //! seed's primitives: 2.2–2.5×) are recorded in `EXPERIMENTS.md`,
 //! "Frozen baselines".
 //!
-//! It also times the four kernels of one fused fixed-point timestep on
-//! their own (`kernel_ns_per_step`), at paper dimensions on the tier the
-//! host resolves: the share of a timestep each one is, which is what an
-//! issue about any of them is sized with.
+//! It also times one fixed-point window per timestep through each of
+//! its two bodies (`window_ns_per_step`), at paper dimensions on the tier
+//! the host resolves: `lanes::run_window_fx`, the production body (the
+//! register body on AVX-512), next to `lanes::run_window_fx_steps`, the
+//! step loop of slice kernels every other host runs — after asserting
+//! the two leave the same state.
 
 use std::time::Instant;
 
@@ -34,20 +36,16 @@ struct Measurement {
     mean_us_per_item: f64,
 }
 
-/// Best-of-rounds ns for each kernel of one serial fixed-point timestep
-/// (`run_states_fx_rows`): `4H = 128` gate rows, `H = 32`.
+/// Best-of-rounds ns per timestep of one `WINDOW_STEPS`-item window
+/// through each fixed-point body: `4H = 128` gate rows, `H = 32`.
 #[derive(Serialize)]
-struct KernelNs {
+struct WindowNs {
     /// `lanes::simd_level()`: the bodies these numbers belong to.
     simd: String,
-    /// One `matvec_fx_rows_table`, rescale epilogue included.
-    matvec: f64,
-    /// Both `sigmoid_lut_lanes` calls: `i f` (8 vectors) and `o` (4).
-    sigmoid: f64,
-    /// `softsign_lanes` over the candidate gate (4 vectors).
-    softsign: f64,
-    /// One `update_lanes`.
-    update: f64,
+    /// `lanes::run_window_fx`, what the engine runs.
+    window: f64,
+    /// `lanes::run_window_fx_steps`, the step loop.
+    steps: f64,
 }
 
 #[derive(Serialize)]
@@ -56,7 +54,7 @@ struct Report {
     measurements: Vec<Measurement>,
     /// fused throughput ÷ per-CU throughput, per sequence length.
     speedup_vs_per_cu_by_len: Vec<(usize, f64)>,
-    kernel_ns_per_step: KernelNs,
+    window_ns_per_step: WindowNs,
 }
 
 fn seq(n: usize) -> Vec<usize> {
@@ -156,85 +154,74 @@ fn main() {
         speedup_vs_per_cu_by_len.push((len, speedup));
     }
 
-    let kernel_ns_per_step = time_step_kernels(&fused);
+    let window_ns_per_step = time_window_bodies(&fused);
     println!(
-        "kernels of one fused timestep ({}): matvec {:.0} ns, sigmoid {:.0} ns, \
-         softsign {:.0} ns, update {:.0} ns",
-        kernel_ns_per_step.simd,
-        kernel_ns_per_step.matvec,
-        kernel_ns_per_step.sigmoid,
-        kernel_ns_per_step.softsign,
-        kernel_ns_per_step.update
+        "one fused timestep ({}): window body {:.0} ns, step loop {:.0} ns → {:.2}x",
+        window_ns_per_step.simd,
+        window_ns_per_step.window,
+        window_ns_per_step.steps,
+        window_ns_per_step.window / window_ns_per_step.steps
     );
 
     let report = Report {
         level: level.to_string(),
         measurements,
         speedup_vs_per_cu_by_len,
-        kernel_ns_per_step,
+        window_ns_per_step,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_fused.json", json).expect("write BENCH_fused.json");
     println!("wrote BENCH_fused.json");
 }
 
-/// Times each kernel of a serial timestep alone, on the state and gate
-/// block a real window leaves behind. The activations and the update
-/// run in place, so past a burst's first call they see their own
-/// output; the AVX-512 bodies are branch-free, so what they cost does
-/// not depend on it.
-fn time_step_kernels(engine: &CsdInferenceEngine) -> KernelNs {
+/// Items in the window [`time_window_bodies`] times: the benchmark's
+/// window length.
+const WINDOW_STEPS: usize = 100;
+
+/// The signature both window bodies share.
+type WindowBody = fn(&[f64], &[f64], &[usize], &mut [f64], &mut [f64]);
+
+/// Times a `WINDOW_STEPS`-item window from a zero state through both
+/// fixed-point bodies, interleaved, after asserting they leave the same
+/// raw state.
+fn time_window_bodies(engine: &CsdInferenceEngine) -> WindowNs {
     let weights = engine.weights();
     let hdim = weights.dims().hidden;
     let pack = LaneGatesFx::pack(&weights.fused_fx(), &weights.embedding_fx, hdim)
         .expect("paper weights pass the lane proof");
-    let rows = pack.rows();
-    let (mut g, mut c, mut h) = (vec![0.0; rows], vec![0.0; hdim], vec![0.0; hdim]);
-    let table_row = |item: usize| &pack.gate_table()[item * rows..(item + 1) * rows];
-    for item in seq(50) {
-        lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(item), &mut g);
-        lanes::sigmoid_lut_lanes(&mut g[..2 * hdim]);
-        lanes::softsign_lanes(&mut g[2 * hdim..3 * hdim]);
-        lanes::sigmoid_lut_lanes(&mut g[3 * hdim..]);
-        lanes::update_lanes(&g, hdim, &mut c, &mut h);
-    }
-    let mut preact = vec![0.0; rows];
-    lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(7), &mut preact);
+    let window = seq(WINDOW_STEPS);
+    let run = |body: WindowBody| {
+        let (mut c, mut h) = (vec![0.0; hdim], vec![0.0; hdim]);
+        body(
+            pack.w_hidden_t(),
+            pack.gate_table(),
+            &window,
+            &mut c,
+            &mut h,
+        );
+        (c, h)
+    };
+    let raws = |v: &[f64]| v.iter().map(|&x| x as i64).collect::<Vec<_>>();
+    let (c, h) = run(lanes::run_window_fx);
+    let (c_ref, h_ref) = run(lanes::run_window_fx_steps);
+    assert_eq!(
+        (raws(&c), raws(&h)),
+        (raws(&c_ref), raws(&h_ref)),
+        "the window body diverged from the step loop"
+    );
 
-    let mut out = vec![0.0; rows];
-    let mut run_matvec = || {
-        lanes::matvec_fx_rows_table(pack.w_hidden_t(), &h, table_row(7), &mut out);
-        std::hint::black_box(&mut out);
+    let mut run_window = || {
+        std::hint::black_box(run(lanes::run_window_fx));
     };
-    let mut sig = preact.clone();
-    let mut run_sigmoid = || {
-        lanes::sigmoid_lut_lanes(&mut sig[..2 * hdim]);
-        lanes::sigmoid_lut_lanes(&mut sig[3 * hdim..]);
-        std::hint::black_box(&mut sig);
+    let mut run_steps = || {
+        std::hint::black_box(run(lanes::run_window_fx_steps));
     };
-    let mut soft = preact[2 * hdim..3 * hdim].to_vec();
-    let mut run_softsign = || {
-        lanes::softsign_lanes(&mut soft);
-        std::hint::black_box(&mut soft);
-    };
-    let (mut c_run, mut h_run) = (c.clone(), h.clone());
-    let mut run_update = || {
-        lanes::update_lanes(&g, hdim, &mut c_run, &mut h_run);
-        std::hint::black_box((&mut c_run, &mut h_run));
-    };
-    let timed = time_interleaved(&mut [
-        &mut run_matvec,
-        &mut run_sigmoid,
-        &mut run_softsign,
-        &mut run_update,
-    ]);
-    let ns = |slot: usize| timed[slot].1 * 1e3;
-    KernelNs {
+    let timed = time_interleaved(&mut [&mut run_window, &mut run_steps]);
+    let ns = |slot: usize| timed[slot].1 * 1e3 / WINDOW_STEPS as f64;
+    WindowNs {
         simd: lanes::simd_level().to_string(),
-        matvec: ns(0),
-        sigmoid: ns(1),
-        softsign: ns(2),
-        update: ns(3),
+        window: ns(0),
+        steps: ns(1),
     }
 }
 

@@ -9,9 +9,11 @@
 //!   path at the float levels;
 //! - the **row kernel** is the fixed-point production path: the
 //!   embedding is folded into a per-item gate table (see
-//!   [`LaneGatesFx`]), and a timestep is one allocation-free pass of
-//!   `f64`-encoded integer kernels vectorised across the `4H` gate rows.
-//!   It is bit-for-bit the per-CU loop in 10^6-scaled fixed point.
+//!   [`LaneGatesFx`]), and a window is one call of
+//!   [`lanes::run_window_fx`] on `f64`-encoded integers vectorised across
+//!   the `4H` gate rows — at the paper's `H = 32` on AVX-512, one
+//!   function whose gates and cell state never leave it. It is
+//!   bit-for-bit the per-CU loop in 10^6-scaled fixed point.
 //!
 //! [`GatePath::PerCu`] selects the reference at every level. In fixed
 //! point the per-CU loop is also the fallback: weights the pack proof
@@ -144,13 +146,13 @@ impl CsdInferenceEngine {
     /// classifying many sequences (monitors, batch workers) amortize the
     /// buffer allocation across all of them.
     ///
-    /// In fixed point this runs the table-folded, `f64`-encoded kernels
-    /// with the gate matvec vectorised across its `4H` rows
-    /// ([`csd_tensor::lanes::matvec_fx_rows_table`]). At paper
-    /// dimensions a 100-step window costs ≈ 29 µs here, the same as
-    /// one lane of a full 16-lane block cost and a sixteenth of what it
-    /// cost as the only lane of one (EXPERIMENTS.md rows 21a, 23d, 26a),
-    /// so nothing classifies windows any other way.
+    /// In fixed point this runs the table-folded, `f64`-encoded window
+    /// ([`csd_tensor::lanes::run_window_fx`]). At paper dimensions on
+    /// AVX-512 a 100-step window costs ≈ 24 µs here, where the
+    /// AVX-512 slice kernels the register body replaced cost ≈ 27 µs —
+    /// what one lane of a full 16-lane block cost, and a sixteenth of
+    /// what it cost as the only lane of one (EXPERIMENTS.md rows 21a,
+    /// 23d, 26a, 31a) — so nothing classifies windows any other way.
     ///
     /// # Panics
     ///
@@ -342,35 +344,21 @@ impl CsdInferenceEngine {
         }
     }
 
-    /// One sequence through the row kernel: the raw state is held
-    /// `f64`-encoded in `raw` (the float buffers, idle on a fixed-point
-    /// engine otherwise), the gate matvec is the row-vectorised table
-    /// kernel — one gate-table row plus the `H` recurrent columns per
-    /// item, no embedding copy, no `[h|x]` concat, no bias add — and the
-    /// activation and update kernels run at width 1. The final hidden
-    /// state is decoded into `h_out`.
+    /// One sequence through the row kernel, one call of
+    /// [`lanes::run_window_fx`]: the raw state is held `f64`-encoded in
+    /// `raw` (the float buffers, idle on a fixed-point engine otherwise),
+    /// and each item costs one gate-table row plus the `H` recurrent
+    /// columns — no embedding copy, no `[h|x]` concat, no bias add. The
+    /// final hidden state is decoded into `h_out`.
     fn run_states_fx_rows(
         pack: &LaneGatesFx,
         seq: &[usize],
         raw: &mut InferenceScratch<f64>,
         h_out: &mut Vector<Fx6>,
     ) {
-        let (rows, hdim) = (pack.rows(), pack.hidden());
         raw.reset();
-        let (g, c, h) = (
-            raw.g.as_mut_slice(),
-            raw.c.as_mut_slice(),
-            raw.h.as_mut_slice(),
-        );
-        for &item in seq {
-            assert!(item < pack.vocab(), "item {item} out of vocabulary");
-            let table_row = &pack.gate_table()[item * rows..(item + 1) * rows];
-            lanes::matvec_fx_rows_table(pack.w_hidden_t(), h, table_row, g);
-            lanes::sigmoid_lut_lanes(&mut g[..2 * hdim]);
-            lanes::softsign_lanes(&mut g[2 * hdim..3 * hdim]);
-            lanes::sigmoid_lut_lanes(&mut g[3 * hdim..]);
-            lanes::update_lanes(g, hdim, c, h);
-        }
+        let (c, h) = (raw.c.as_mut_slice(), raw.h.as_mut_slice());
+        lanes::run_window_fx(pack.w_hidden_t(), pack.gate_table(), seq, c, h);
         for (out, &v) in h_out.as_mut_slice().iter_mut().zip(h.iter()) {
             *out = Fx6::from_raw(v as i64);
         }

@@ -1,7 +1,9 @@
 //! Preallocated working memory for the zero-allocation inference path.
 //!
-//! The fixed-point row kernel walks a sequence touching only the buffers
-//! held here: its per-timestep loop performs no heap allocation at all.
+//! The fixed-point row kernel walks a sequence on the state held here:
+//! its per-timestep loop performs no heap allocation at all (the gate
+//! vector lives in registers, or — on the step loop other hosts run — in
+//! one buffer a window).
 //! This mirrors the hardware, where every kernel-side array is a fixed
 //! BRAM buffer sized at synthesis from the model dimensions (§III-B), not
 //! storage acquired per item. The per-CU loop keeps only its recurrent
@@ -18,9 +20,6 @@ use crate::kernels::LstmDims;
 /// sequences; the timestep loop only reads and overwrites them.
 #[derive(Debug, Clone)]
 pub struct InferenceScratch<T> {
-    /// Fused gate vector: pre-activations then activations in place
-    /// (`4H` elements, TF gate order `i f c o`).
-    pub g: Vector<T>,
     /// Cell state `C_t` (`H` elements).
     pub c: Vector<T>,
     /// Hidden state `h_t` (`H` elements).
@@ -31,15 +30,12 @@ impl<T: Scalar> InferenceScratch<T> {
     /// Allocates all buffers for the given model dimensions.
     pub fn new(dims: LstmDims) -> Self {
         Self {
-            g: Vector::zeros(4 * dims.hidden),
             c: Vector::zeros(dims.hidden),
             h: Vector::zeros(dims.hidden),
         }
     }
 
-    /// Zeroes the recurrent state so the next sequence starts fresh. The
-    /// gate buffer `g` is fully overwritten every timestep and needs no
-    /// clearing.
+    /// Zeroes the recurrent state so the next sequence starts fresh.
     pub fn reset(&mut self) {
         self.c.as_mut_slice().fill(T::zero());
         self.h.as_mut_slice().fill(T::zero());
@@ -51,7 +47,7 @@ impl<T: Scalar> InferenceScratch<T> {
 #[derive(Debug, Clone)]
 pub struct EngineScratch {
     /// Float-path buffers. A fixed-point engine's fused path keeps its
-    /// state here too (`g`, `c`, `h`): raw 10^6-scaled integers exactly
+    /// state here too (`c`, `h`): raw 10^6-scaled integers exactly
     /// encoded in `f64` — the form the [`csd_tensor::lanes`] kernels
     /// compute on.
     pub f64_buffers: InferenceScratch<f64>,
@@ -78,21 +74,18 @@ mod tests {
     fn buffers_are_sized_from_dims() {
         let dims = LstmDims::paper();
         let s: InferenceScratch<f64> = InferenceScratch::new(dims);
-        assert_eq!(s.g.len(), 4 * dims.hidden);
         assert_eq!(s.c.len(), dims.hidden);
         assert_eq!(s.h.len(), dims.hidden);
     }
 
     #[test]
-    fn reset_clears_only_state() {
+    fn reset_clears_the_state() {
         let dims = LstmDims::paper();
         let mut s: InferenceScratch<f64> = InferenceScratch::new(dims);
         s.c[0] = 1.5;
         s.h[3] = -2.0;
-        s.g[7] = 9.0;
         s.reset();
         assert!(s.c.iter().all(|&v| v == 0.0));
         assert!(s.h.iter().all(|&v| v == 0.0));
-        assert_eq!(s.g[7], 9.0);
     }
 }

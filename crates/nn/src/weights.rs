@@ -230,6 +230,13 @@ impl ModelWeights {
         let vocab = parse_num::<usize>(&header("vocab", lines.next())?)?;
         let embed_dim = parse_num::<usize>(&header("embed_dim", lines.next())?)?;
         let hidden = parse_num::<usize>(&header("hidden", lines.next())?)?;
+        // A model with no hidden unit or no item has an empty gate table:
+        // it loads, then cannot classify a single window.
+        for (name, size) in [("vocab", vocab), ("hidden", hidden)] {
+            if size == 0 {
+                return Err(WeightsError::BadHeader(format!("{name} 0")));
+            }
+        }
         let act = match header("activation", lines.next())?.as_str() {
             "sigmoid" => Activation::Sigmoid,
             "tanh" => Activation::Tanh,
@@ -521,6 +528,19 @@ mod tests {
             let err = ModelWeights::from_text(&text).unwrap_err();
             assert!(matches!(err, WeightsError::BadHeader(_)), "{err}");
             assert!(err.to_string().contains("overflows"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_empty_vocabulary_or_hidden_layer_is_a_bad_header() {
+        for (vocab, hidden, field) in [("0", "2", "vocab 0"), ("3", "0", "hidden 0")] {
+            let text = format!(
+                "csd-weights-v1\nvocab {vocab}\nembed_dim 1\nhidden {hidden}\n\
+                 activation softsign\n[embedding]\n[lstm_kernel]\n[lstm_recurrent]\n\
+                 [lstm_bias]\n[fc_weights]\n[fc_bias]\n0.0\n"
+            );
+            let err = ModelWeights::from_text(&text).unwrap_err();
+            assert_eq!(err, WeightsError::BadHeader(field.to_string()));
         }
     }
 

@@ -1,20 +1,26 @@
-//! The fixed-point LSTM timestep's SIMD kernels: the row-vectorised
-//! gate matvec that runs every sequence the engine classifies, and the
-//! element-wise kernels behind it.
+//! The fixed-point LSTM window: every sequence the engine classifies in
+//! fixed point runs [`run_window_fx`], timestep after timestep.
 //!
 //! A fixed-point timestep is a `4H × H` recurrent product on top of a
-//! precomputed gate-table row, plus elementwise activations. The
-//! production kernel, [`matvec_fx_rows_table`], spreads one sequence's
-//! `4H` gate rows over the SIMD registers: the gate-table row is
-//! contiguous and `W_h` is kept transposed, so neither needs a gather.
-//! The elementwise kernels ([`sigmoid_lut_lanes`], [`softsign_lanes`],
-//! [`update_lanes`]) run on the gate and state vectors it leaves.
+//! precomputed gate-table row, the LUT sigmoid on the `i f o` gates, the
+//! softsign on the candidate, and the state update. The gate axis is the
+//! SIMD axis: the gate-table row is contiguous and `W_h` is kept
+//! transposed, so neither needs a gather. On AVX-512 at `H ∈ {8, 16, 24,
+//! 32}` (the paper's `H = 32` among them) the whole window is one
+//! function: the `4H` gate accumulators stay in registers through the
+//! matvec, the activations and the update run on them in place, the cell
+//! state `C` never leaves the function, and `h` sits in one cache line
+//! the next step broadcasts from — what the paper's `kernel_hidden_state`
+//! does on chip (§III-C). Every other tier and `H`
+//! runs [`run_window_fx_steps`], the same arithmetic as one slice kernel
+//! per stage, storing and reloading the gate vector and the state between
+//! them.
 //!
 //! [`matmul_fx_lanes_table`] is the same product for `W` sequences
 //! ("lanes") in lockstep, state stored as `rows × W` blocks. Nothing in
-//! the engine calls it — a window alone through the row kernel costs
-//! what one lane of a full block did (EXPERIMENTS.md row 26a) — and it
-//! runs scalar code only (row 28a).
+//! the engine calls it — a window alone costs what one lane of a full
+//! block did (EXPERIMENTS.md row 26a) — and it runs scalar code only
+//! (row 28a).
 //!
 //! # Bit-identity contract
 //!
@@ -34,12 +40,12 @@
 //! `2^49`, so the sum is the same integer however the additions
 //! associate, and its rescale is the four-op one.
 //!
-//! On x86-64 with AVX-512 (F+DQ+VL) the kernels dispatch to
-//! hand-written intrinsics (with an AVX2+FMA body for the row matvec);
-//! everywhere else they fall back to scalar reference code operating on
-//! the same `f64`-encoded integers. The tier is resolved once per
-//! process and every kernel dispatches on it. The fallbacks produce the
-//! same bits, so the engine's output never depends on the host ISA.
+//! On x86-64 with AVX-512 (F+DQ+VL) the window runs the register body
+//! built from the per-register helpers in `x86`; with AVX2+FMA (and on
+//! AVX-512 at any other `H`) the step loop's matvec runs an AVX2 body;
+//! everything else is scalar code on the same `f64`-encoded integers.
+//! The tier is resolved once per process. Every body produces the same
+//! bits, so the engine's output never depends on the host ISA.
 
 use std::sync::OnceLock;
 
@@ -171,13 +177,16 @@ pub fn matmul_fx_lanes_table(
 /// `w_t` is the recurrent half `W_h` **transposed**, `hcols × rows`
 /// row-major, so the `rows` weights that multiply `h[k]` are contiguous:
 /// per `k` the kernel broadcasts `h[k]` once and feeds one load-FMA per
-/// register of rows (16 `zmm` accumulators at the paper's `4H = 128`).
-/// `table_row` is the sequence's current gate-table row, contiguous as
-/// stored — no transpose, no gather. The rescale is fused into the
-/// store epilogue. Any alignment is correct; a `w_t` that starts on a
-/// 64-byte cache line is a third faster (every load of a register of
-/// weights otherwise straddles two lines, and the loop is one load per
-/// FMA).
+/// register of rows. `table_row` is the sequence's current gate-table
+/// row, contiguous as stored — no transpose, no gather. Any alignment
+/// is correct; a `w_t` that starts on a 64-byte cache line is faster
+/// (every load of a register of weights otherwise straddles two lines,
+/// and the loop is one load per FMA).
+///
+/// This is the matvec stage of [`run_window_fx_steps`]: on both x86
+/// tiers it runs the AVX2 body, then a scalar rescale sweep. The
+/// AVX-512 register body of [`run_window_fx`] runs the same
+/// accumulation and rescales with the four-op helper.
 ///
 /// The caller proves the per-row bound `Σ_k |w[r][k]|·max|z[k]| +
 /// |b_r|·SCALE + SCALE/2 < 2^49` over the full row at pack time (a
@@ -186,7 +195,7 @@ pub fn matmul_fx_lanes_table(
 /// sum is an exact integer below `2^49`, so accumulating `k`-outer
 /// across rows gives the same integer as the reference `k`-inner `i64`
 /// sum on every body, and the finished accumulator is inside the domain
-/// of the AVX-512 epilogue's four-op rescale.
+/// of the register body's four-op rescale.
 ///
 /// # Panics
 ///
@@ -202,16 +211,7 @@ pub fn matvec_fx_rows_table(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut
     assert_eq!(table_row.len(), rows, "row matvec table row mismatch");
     match tier() {
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-            // bits; the shape asserts guarantee in-bounds access.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mv_rows_avx512(w_t, h, table_row, out)
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => {
+        Tier::Avx512 | Tier::Avx2 => {
             // SAFETY: the tier is only resolved on a host with avx2 and
             // fma; the shape asserts guarantee in-bounds access.
             #[allow(unsafe_code)]
@@ -251,109 +251,142 @@ fn accumulate_rows_from(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f6
 /// as `div_round_i64(x, SCALE)` computes it.
 ///
 /// Exact for `|x| + SCALE/2 < 2^53`, whatever the row bound the caller
-/// holds. Scalar: the AVX-512 row matvec rescales in its store epilogue,
-/// and this sweep finishes every other body.
+/// holds. Scalar: it finishes the step loop's matvec on every tier.
 fn rescale_lanes(xs: &mut [f64]) {
     for x in xs {
         *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
     }
 }
 
-/// In-place LUT sigmoid over a block of `f64`-encoded raw pre-activations,
-/// the same raw as `csd_fxp::sigmoid_fx_lut` on each element: 256-entry
-/// table over `[-8, 8]`, linear interpolation, saturation outside. The
-/// scalar function is the reference and what every tier but AVX-512
-/// calls; that tier's body is checked against it on every input the
-/// table covers.
+/// One window of the fixed-point LSTM: from the state in `c`/`h`, each
+/// item of `seq` in turn runs the gate matvec on its gate-table row
+/// ([`matvec_fx_rows_table`]), the LUT sigmoid on the `i f o` gates, the
+/// softsign on the candidate, and the update `C_t = f∗C_{t−1} + i∗C'`,
+/// `h_t = o ∗ softsign(C_t)`, every `∗` the rescaling fixed-point
+/// product. The state after the last item is left in `c`/`h`, and it is
+/// bit-identical to the per-CU `Vector<Fx6>` loop's.
 ///
-/// Exact for `|x| ≤ 2^52` (far beyond any pre-activation the matmul bound
-/// admits).
-pub fn sigmoid_lut_lanes(xs: &mut [f64]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-            // bits.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::sigmoid_avx512(xs, x86::sigmoid_segments())
+/// `H = c.len()`; `w_t` is `W_h` transposed, `H × 4H` row-major, and
+/// `table` the item-major input-gate table, `vocab × 4H`.
+///
+/// On AVX-512 at `H ∈ {8, 16, 24, 32}` the window runs in one function:
+/// the `H/2` gate-accumulator registers are rescaled, activated and
+/// folded into the `H/8` cell-state registers in place, and `h` goes
+/// through one 64-byte-aligned stack line the next step broadcasts
+/// from; `c`/`h` are read once and written once a window. Its
+/// per-register helpers — the four-op rescale, the LUT sigmoid, the
+/// softsign, the wide rescale of `f∗C` — are each checked against the
+/// scalar reference the step loop runs (the sigmoid on every input its
+/// table covers), so the two bodies leave the same bits. Every other
+/// tier and `H` runs [`run_window_fx_steps`].
+///
+/// Exact under the pack-time row bound of [`matvec_fx_rows_table`] with
+/// `|h| ≤ SCALE` on entry, and while `|C| ≤ ~8·10^9` raw: each timestep
+/// grows `|C|` by at most `SCALE`, so 8000 steps from a zero state.
+///
+/// # Panics
+///
+/// Panics when `H` is 0, when the slice lengths disagree, or when an
+/// item of `seq` is outside the table.
+pub fn run_window_fx(w_t: &[f64], table: &[f64], seq: &[usize], c: &mut [f64], h: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier() == Tier::Avx512 && c.len().is_multiple_of(8) && c.len() <= x86::WINDOW_MAX_HIDDEN {
+        check_window(w_t, table, seq, c, h);
+        // SAFETY: the tier was resolved from the host's avx512f/dq/vl
+        // bits; `H` is a nonzero multiple of 8 up to 32, so each arm's
+        // `8·NH` is `H`, and `check_window` asserted `h.len() == H` and
+        // `w_t.len() == 4H²`.
+        #[allow(unsafe_code)]
+        unsafe {
+            match c.len() / 8 {
+                1 => x86::window_avx512::<1>(w_t, table, seq, c, h),
+                2 => x86::window_avx512::<2>(w_t, table, seq, c, h),
+                3 => x86::window_avx512::<3>(w_t, table, seq, c, h),
+                _ => x86::window_avx512::<4>(w_t, table, seq, c, h),
             }
         }
-        _ => {
-            for x in xs {
-                *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
-            }
-        }
+        return;
+    }
+    run_window_fx_steps(w_t, table, seq, c, h);
+}
+
+/// [`run_window_fx`] one stage at a time — the matvec, both sigmoids,
+/// the softsign and the update each a pass over a `4H` gate vector and
+/// the state slices — whatever the tier and `H`: what
+/// [`run_window_fx`] falls back to, public so a bench can time the
+/// register body against it. Same contract, same bits.
+///
+/// # Panics
+///
+/// As [`run_window_fx`].
+pub fn run_window_fx_steps(
+    w_t: &[f64],
+    table: &[f64],
+    seq: &[usize],
+    c: &mut [f64],
+    h: &mut [f64],
+) {
+    check_window(w_t, table, seq, c, h);
+    let hidden = c.len();
+    let rows = 4 * hidden;
+    // One gate vector a window, stored and reloaded by every stage.
+    let mut g = vec![0.0; rows];
+    for &item in seq {
+        matvec_fx_rows_table(w_t, h, &table[item * rows..(item + 1) * rows], &mut g);
+        sigmoid_lut_lanes(&mut g[..2 * hidden]);
+        softsign_lanes(&mut g[2 * hidden..3 * hidden]);
+        sigmoid_lut_lanes(&mut g[3 * hidden..]);
+        update_lanes(&g, c, h);
+    }
+}
+
+/// The shape and vocabulary asserts both window bodies rely on.
+fn check_window(w_t: &[f64], table: &[f64], seq: &[usize], c: &[f64], h: &[f64]) {
+    let hidden = c.len();
+    assert!(hidden > 0, "window needs at least one hidden unit");
+    assert_eq!(h.len(), hidden, "window hidden shape mismatch");
+    let rows = 4 * hidden;
+    assert_eq!(w_t.len(), hidden * rows, "window weight shape mismatch");
+    let vocab = table.len() / rows;
+    assert_eq!(table.len(), vocab * rows, "ragged gate table");
+    for &item in seq {
+        assert!(item < vocab, "item {item} out of vocabulary");
+    }
+}
+
+/// In-place LUT sigmoid over a block of `f64`-encoded raw pre-activations,
+/// `csd_fxp::sigmoid_fx_lut` on each element: 256-entry table over
+/// `[-8, 8]`, linear interpolation, saturation outside. Exact for
+/// `|x| ≤ 2^52` (far beyond any pre-activation the matmul bound admits).
+fn sigmoid_lut_lanes(xs: &mut [f64]) {
+    for x in xs {
+        *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
     }
 }
 
 /// In-place exact softsign over a block of `f64`-encoded raw values:
-/// `round_half_away(x·SCALE / (|x| + SCALE))`, bit-identical to
-/// `csd_fxp::softsign_fx`.
-///
-/// Exact for `|x| ≤ ~8·10^9` (`x·SCALE + den/2` must stay below `2^53`);
-/// the engine's sequence-length cap guarantees it.
-pub fn softsign_lanes(xs: &mut [f64]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-            // bits.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::softsign_avx512(xs)
-            }
-        }
-        _ => {
-            for x in xs {
-                *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
-            }
-        }
+/// `round_half_away(x·SCALE / (|x| + SCALE))`, as `csd_fxp::softsign_fx`.
+fn softsign_lanes(xs: &mut [f64]) {
+    for x in xs {
+        *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
     }
 }
 
-/// LSTM state update for the fixed-point path:
-/// `C_t = f∗C_{t−1} + i∗C'`, `h_t = o ∗ softsign(C_t)` with every `∗` the
-/// rescaling fixed-point product — bit-identical to the per-CU
-/// `Vector<Fx6>` update.
-///
-/// `g` is the activated `4H` gate vector in TF order (`i f c o`), `c`
-/// and `h` are the `H`-element state. Exact while `|C_t| ≤ ~8·10^9` raw
-/// (≤ 8000 timesteps from a zero state, since each step grows `|C|` by
-/// at most `SCALE`).
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with `hidden`.
-pub fn update_lanes(g: &[f64], hidden: usize, c: &mut [f64], h: &mut [f64]) {
-    assert_eq!(g.len(), 4 * hidden, "lane update gate shape mismatch");
-    assert_eq!(c.len(), hidden, "lane update cell shape mismatch");
-    assert_eq!(h.len(), hidden, "lane update hidden shape mismatch");
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-            // bits; the shape asserts guarantee in-bounds access.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::update_avx512(g, hidden, c, h)
-            }
-        }
-        _ => {
-            let (gi, gf, gc, go) = (
-                &g[..hidden],
-                &g[hidden..2 * hidden],
-                &g[2 * hidden..3 * hidden],
-                &g[3 * hidden..],
-            );
-            for j in 0..hidden {
-                let ct =
-                    fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
-                c[j] = ct as f64;
-                let ss = softsign_fx(Fx6::from_raw(ct)).raw();
-                h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
-            }
-        }
+/// The state update of the step loop, on the activated `4H` gate vector
+/// `g` in TF order (`i f c o`) and the `H`-element state `c`/`h`.
+fn update_lanes(g: &[f64], c: &mut [f64], h: &mut [f64]) {
+    let hidden = c.len();
+    let (gi, gf, gc, go) = (
+        &g[..hidden],
+        &g[hidden..2 * hidden],
+        &g[2 * hidden..3 * hidden],
+        &g[3 * hidden..],
+    );
+    for j in 0..hidden {
+        let ct = fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
+        c[j] = ct as f64;
+        let ss = softsign_fx(Fx6::from_raw(ct)).raw();
+        h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
     }
 }
 
@@ -375,9 +408,9 @@ fn fx_mul_raw(a: i64, b: i64) -> i64 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{fx_mul_raw, FSCALE};
+    use super::FSCALE;
     use csd_fxp::activation::{sigmoid_lut_table, LUT_ENTRIES, LUT_RANGE};
-    use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fx6};
+    use csd_fxp::Fx6;
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -408,7 +441,7 @@ mod x86 {
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn div_round_scale_pd(x: __m512d) -> __m512d {
+    pub(super) unsafe fn div_round_scale_pd(x: __m512d) -> __m512d {
         let half = _mm512_castpd_si512(_mm512_set1_pd((Fx6::SCALE / 2) as f64));
         let sgnmask = _mm512_castpd_si512(_mm512_set1_pd(-0.0));
         // `(x & sgnmask) | half`: one `vpternlog`.
@@ -426,7 +459,7 @@ mod x86 {
 
     /// [`div_round_scale_pd`] on the wide domain `|x| + SCALE/2 ≤ 2^53`,
     /// for the one operand the pack proof does not bound below `2^49`:
-    /// `f∗C` in [`update_avx512`] (`|C|` grows by up to `SCALE` a
+    /// `f∗C` in [`update_pd`] (`|C|` grows by up to `SCALE` a
     /// timestep, so the product reaches `8·10^15` at the sequence cap).
     /// `floor(RN(m / SCALE))` on the magnitude `m = |x| + SCALE/2`, with
     /// the correctly rounded `m / SCALE` from
@@ -533,81 +566,13 @@ mod x86 {
         _mm512_fmadd_pd(r, y, q0)
     }
 
-    /// `NV` registers of eight gate rows each, starting at row `r`:
-    /// accumulators loaded from the table row, one broadcast of `h[k]`
-    /// and `NV` load-FMAs per `k`, rescale in the store epilogue.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `r + 8·NV <= out.len()`, `w_t.len() ==
-    /// h.len()·out.len()`, `table_row.len() == out.len()`.
-    #[inline]
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn rows_tile_avx512<const NV: usize>(
-        w_t: &[f64],
-        h: &[f64],
-        table_row: &[f64],
-        out: &mut [f64],
-        r: usize,
-    ) {
-        let rows = out.len();
-        let mut acc = [_mm512_setzero_pd(); NV];
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm512_loadu_pd(table_row.as_ptr().add(r + 8 * i));
-        }
-        for (k, &hk) in h.iter().enumerate() {
-            let hv = _mm512_set1_pd(hk);
-            let col = w_t.as_ptr().add(k * rows + r);
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = _mm512_fmadd_pd(_mm512_loadu_pd(col.add(8 * i)), hv, *a);
-            }
-        }
-        for (i, a) in acc.iter().enumerate() {
-            _mm512_storeu_pd(out.as_mut_ptr().add(r + 8 * i), div_round_scale_pd(*a));
-        }
-    }
-
-    /// AVX-512 row matvec: 128-row tiles of 16 accumulators (the whole
-    /// gate vector at paper dimensions — 16 independent FMA chains, so
-    /// the loop runs at FMA throughput, one 64-byte weight load per
-    /// FMA), then single registers of eight rows, then a scalar tail
-    /// for `rows % 8`. All products and sums are exact integers, so the
-    /// tile shape introduces no rounding.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl and the slice shapes asserted by the
-    /// dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn mv_rows_avx512(
-        w_t: &[f64],
-        h: &[f64],
-        table_row: &[f64],
-        out: &mut [f64],
-    ) {
-        let rows = out.len();
-        let mut r = 0;
-        while r + 128 <= rows {
-            rows_tile_avx512::<16>(w_t, h, table_row, out, r);
-            r += 128;
-        }
-        while r + 8 <= rows {
-            rows_tile_avx512::<1>(w_t, h, table_row, out, r);
-            r += 8;
-        }
-        super::accumulate_rows_from(w_t, h, table_row, out, r);
-        super::rescale_lanes(&mut out[r..]);
-    }
-
     /// `NV` registers of four gate rows each, starting at row `r`; the
     /// raw accumulator is stored.
     ///
     /// # Safety
     ///
-    /// Requires avx2/fma; `r + 4·NV <= out.len()` and the slice shapes
-    /// of [`rows_tile_avx512`].
+    /// Requires avx2/fma; `r + 4·NV <= out.len()`, `w_t.len() ==
+    /// h.len()·out.len()`, `table_row.len() == out.len()`.
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx2,fma")]
@@ -711,7 +676,7 @@ mod x86 {
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn sigmoid_pd(raw: __m512d, seg: &SigmoidSegments) -> __m512d {
+    pub(super) unsafe fn sigmoid_pd(raw: __m512d, seg: &SigmoidSegments) -> __m512d {
         const LAST: f64 = LUT_ENTRIES as f64 - 1.0;
         const POS_PER_RAW: f64 = LAST / (2.0 * LUT_RANGE * FSCALE);
         // Rounds down to an integer for `vrndscale`; for `vreduce`,
@@ -740,7 +705,7 @@ mod x86 {
     #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn softsign_pd(raw: __m512d) -> __m512d {
+    pub(super) unsafe fn softsign_pd(raw: __m512d) -> __m512d {
         let fscale = _mm512_set1_pd(FSCALE);
         let sgnmask = _mm512_set1_pd(-0.0);
         let sgn = _mm512_and_pd(raw, sgnmask);
@@ -750,82 +715,190 @@ mod x86 {
         div_round_generic_pd(num, den, sgn)
     }
 
+    /// The state update on one register of eight hidden units, from the
+    /// activated gates: `C_t = f∗C + i∗C'`, `h_t = o ∗ softsign(C_t)`,
+    /// returned as `(C_t, h_t)`.
+    ///
     /// # Safety
     ///
-    /// Requires avx512f/dq/vl; `|x| ≤ 2^52` for every element.
+    /// Requires avx512f/dq/vl; `i f o` in `[0, SCALE]`, `|C'| ≤ SCALE`
+    /// and `|C_t| ≤ ~8·10^9` raw.
+    #[inline]
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn sigmoid_avx512(xs: &mut [f64], seg: &SigmoidSegments) {
-        let mut i = 0;
-        while i + 8 <= xs.len() {
-            let raw = _mm512_loadu_pd(xs.as_ptr().add(i));
-            _mm512_storeu_pd(xs.as_mut_ptr().add(i), sigmoid_pd(raw, seg));
-            i += 8;
-        }
-        for x in &mut xs[i..] {
-            *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
-        }
+    pub(super) unsafe fn update_pd(
+        i: __m512d,
+        f: __m512d,
+        cand: __m512d,
+        o: __m512d,
+        c: __m512d,
+    ) -> (__m512d, __m512d) {
+        // `f∗C` reaches 8·10^15 at the sequence cap; the two gate
+        // products below are ≤ SCALE² = 10^12.
+        let fc = div_round_scale_wide_pd(_mm512_mul_pd(f, c));
+        let ic = div_round_scale_pd(_mm512_mul_pd(i, cand));
+        let ct = _mm512_add_pd(fc, ic);
+        let ht = div_round_scale_pd(_mm512_mul_pd(o, softsign_pd(ct)));
+        (ct, ht)
     }
 
-    /// # Safety
-    ///
-    /// Requires avx512f/dq/vl; `|x| ≤ ~8·10^9` for every element.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn softsign_avx512(xs: &mut [f64]) {
-        let mut i = 0;
-        while i + 8 <= xs.len() {
-            let raw = _mm512_loadu_pd(xs.as_ptr().add(i));
-            _mm512_storeu_pd(xs.as_mut_ptr().add(i), softsign_pd(raw));
-            i += 8;
-        }
-        for x in &mut xs[i..] {
-            *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
-        }
-    }
+    /// The largest `H` [`window_avx512`] takes: 16 gate accumulators and
+    /// 4 cell-state registers, 20 of the 32 `zmm`.
+    pub(super) const WINDOW_MAX_HIDDEN: usize = 32;
 
+    /// `h` between timesteps: one cache-line-aligned stack buffer the
+    /// next step's matvec broadcasts from.
+    #[repr(C, align(64))]
+    struct HiddenLine([f64; WINDOW_MAX_HIDDEN]);
+
+    /// [`super::run_window_fx`] in one function at `H = 8·NH`. Per item: the
+    /// `4·NH` gate accumulators (`acc[gate][j]`, TF order `i f c o`,
+    /// units `8j..8j+8`) start from the gate-table row and take one
+    /// broadcast of `h[k]` and one load-FMA per register for each `k`;
+    /// then, in place, the four-op rescale, the sigmoid on `i f o`, the
+    /// softsign on `c`, and [`update_pd`] into the `NH` cell registers,
+    /// which hold `C` for the whole window (the compiler keeps them and the
+    /// activated gates in registers or its own stack frame; the FMA loop's
+    /// accumulators stay in registers). `h` is stored to the line
+    /// the next step broadcasts from, `C` and `h` to the caller's slices
+    /// after the last item.
+    ///
     /// # Safety
     ///
-    /// Requires avx512f/dq/vl; `g.len() == 4*hw`, `c.len() == h.len() == hw`,
-    /// and `|C_t| ≤ ~8·10^9` raw throughout.
-    #[allow(unsafe_code)]
+    /// Requires avx512f/dq/vl, `c.len() == h.len() == 8·NH` and
+    /// `w_t.len() == 8·NH · 32·NH`; and the contract of
+    /// [`super::run_window_fx`] for the bits. Table rows are indexed
+    /// with bounds checks.
+    // Index loops over constant bounds: reached through iterators, the
+    // accumulators stayed on the stack through the FMA loop (row 31a).
+    #[allow(unsafe_code, clippy::needless_range_loop)]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) unsafe fn update_avx512(g: &[f64], hw: usize, c: &mut [f64], h: &mut [f64]) {
-        let (gi, gf, gc, go) = (&g[..hw], &g[hw..2 * hw], &g[2 * hw..3 * hw], &g[3 * hw..]);
-        let mut j = 0;
-        while j + 8 <= hw {
-            let iv = _mm512_loadu_pd(gi.as_ptr().add(j));
-            let fv = _mm512_loadu_pd(gf.as_ptr().add(j));
-            let cb = _mm512_loadu_pd(gc.as_ptr().add(j));
-            let ov = _mm512_loadu_pd(go.as_ptr().add(j));
-            let cv = _mm512_loadu_pd(c.as_ptr().add(j));
-            // `f∗C` reaches 8·10^15 at the sequence cap; the two gate
-            // products below are ≤ SCALE² = 10^12.
-            let fc = div_round_scale_wide_pd(_mm512_mul_pd(fv, cv));
-            let ic = div_round_scale_pd(_mm512_mul_pd(iv, cb));
-            let ct = _mm512_add_pd(fc, ic);
-            _mm512_storeu_pd(c.as_mut_ptr().add(j), ct);
-            let ss = softsign_pd(ct);
-            let hv = div_round_scale_pd(_mm512_mul_pd(ov, ss));
-            _mm512_storeu_pd(h.as_mut_ptr().add(j), hv);
-            j += 8;
+    pub(super) unsafe fn window_avx512<const NH: usize>(
+        w_t: &[f64],
+        table: &[f64],
+        seq: &[usize],
+        c: &mut [f64],
+        h: &mut [f64],
+    ) {
+        let (hidden, rows) = (8 * NH, 32 * NH);
+        let seg = sigmoid_segments();
+        let mut h_line = HiddenLine([0.0; WINDOW_MAX_HIDDEN]);
+        h_line.0[..hidden].copy_from_slice(h);
+        let mut cell = [_mm512_setzero_pd(); NH];
+        for j in 0..NH {
+            cell[j] = _mm512_loadu_pd(c.as_ptr().add(8 * j));
         }
-        while j < hw {
-            let ct = fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
-            c[j] = ct as f64;
-            let ss = softsign_fx(Fx6::from_raw(ct)).raw();
-            h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
-            j += 1;
+        for &item in seq {
+            let row = table[item * rows..(item + 1) * rows].as_ptr();
+            let mut acc = [[_mm512_setzero_pd(); NH]; 4];
+            for g in 0..4 {
+                for j in 0..NH {
+                    acc[g][j] = _mm512_loadu_pd(row.add(8 * (g * NH + j)));
+                }
+            }
+            for k in 0..hidden {
+                let hv = _mm512_set1_pd(h_line.0[k]);
+                let col = w_t.as_ptr().add(k * rows);
+                for g in 0..4 {
+                    for j in 0..NH {
+                        let w = _mm512_loadu_pd(col.add(8 * (g * NH + j)));
+                        acc[g][j] = _mm512_fmadd_pd(w, hv, acc[g][j]);
+                    }
+                }
+            }
+            for g in 0..4 {
+                for j in 0..NH {
+                    acc[g][j] = div_round_scale_pd(acc[g][j]);
+                }
+            }
+            for g in [0, 1, 3] {
+                for j in 0..NH {
+                    acc[g][j] = sigmoid_pd(acc[g][j], seg);
+                }
+            }
+            for j in 0..NH {
+                acc[2][j] = softsign_pd(acc[2][j]);
+            }
+            for j in 0..NH {
+                let (ct, ht) = update_pd(acc[0][j], acc[1][j], acc[2][j], acc[3][j], cell[j]);
+                cell[j] = ct;
+                _mm512_store_pd(h_line.0.as_mut_ptr().add(8 * j), ht);
+            }
         }
+        for j in 0..NH {
+            _mm512_storeu_pd(c.as_mut_ptr().add(8 * j), cell[j]);
+        }
+        h.copy_from_slice(&h_line.0[..hidden]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn div_round_i64(num: i64, den: i64) -> i64 {
         div_round_raw(num, den)
+    }
+
+    /// Runs every whole register of `xs` through `reg` on an AVX-512
+    /// host and returns the rest: the tail past the last whole register,
+    /// or all of `xs` on any other host.
+    #[cfg(target_arch = "x86_64")]
+    fn by_register(
+        xs: &mut [f64],
+        reg: impl Fn(std::arch::x86_64::__m512d) -> std::arch::x86_64::__m512d,
+    ) -> &mut [f64] {
+        use std::arch::x86_64::{_mm512_loadu_pd, _mm512_storeu_pd};
+        if tier() != Tier::Avx512 {
+            return xs;
+        }
+        let (head, tail) = xs.split_at_mut(xs.len() / 8 * 8);
+        for block in head.chunks_exact_mut(8) {
+            // SAFETY: the tier says the host has avx512f/dq/vl, and each
+            // block is one whole register.
+            #[allow(unsafe_code)]
+            unsafe {
+                _mm512_storeu_pd(block.as_mut_ptr(), reg(_mm512_loadu_pd(block.as_ptr())));
+            }
+        }
+        tail
+    }
+
+    /// The window body's four-op rescale where [`by_register`] runs it,
+    /// the slice rescale on the rest.
+    fn rescale_by_register(xs: &mut [f64]) {
+        // SAFETY (in the closure): `by_register` calls it on an AVX-512
+        // host only.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        let xs = by_register(xs, |x| unsafe { x86::div_round_scale_pd(x) });
+        rescale_lanes(xs);
+    }
+
+    /// The window body's LUT sigmoid where [`by_register`] runs it, the
+    /// step loop's on the rest.
+    fn sigmoid_by_register(xs: &mut [f64]) {
+        // SAFETY (in the closure): `by_register` calls it on an AVX-512
+        // host only.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        let xs = by_register(xs, |x| unsafe {
+            x86::sigmoid_pd(x, x86::sigmoid_segments())
+        });
+        sigmoid_lut_lanes(xs);
+    }
+
+    /// The window body's softsign where [`by_register`] runs it, the
+    /// step loop's on the rest.
+    fn softsign_by_register(xs: &mut [f64]) {
+        // SAFETY (in the closure): `by_register` calls it on an AVX-512
+        // host only.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        let xs = by_register(xs, |x| unsafe { x86::softsign_pd(x) });
+        softsign_lanes(xs);
     }
 
     #[test]
@@ -851,7 +924,7 @@ mod tests {
         for (&inp, &out) in probes.iter().zip(&got) {
             assert_eq!(out as i64, div_round_i64(inp, Fx6::SCALE), "rescale {inp}");
         }
-        // The wide rescale `update_avx512` applies to `f∗C`, on the same
+        // The wide rescale `update_pd` applies to `f∗C`, on the same
         // ladder up to the top of its `2^53` domain.
         #[cfg(target_arch = "x86_64")]
         if tier() == Tier::Avx512 {
@@ -872,25 +945,18 @@ mod tests {
         }
     }
 
-    /// Rescales `probes` in the store epilogue of the row kernel — with
-    /// no recurrent column the accumulator is the table entry, so `out =
-    /// rescale(table)` — and compares with the integer reference. Pads
-    /// `probes` with zeros to one register past whole 128-row tiles, so
-    /// the kernel runs both of its tile shapes.
-    fn assert_epilogue_rescale_matches(probes: &mut Vec<i64>) {
-        while probes.len() % 128 != 8 {
-            probes.push(0);
-        }
-        let table: Vec<f64> = probes.iter().map(|&x| x as f64).collect();
-
-        let mut by_rows = vec![0.0f64; table.len()];
-        matvec_fx_rows_table(&[], &[], &table, &mut by_rows);
-        for (&inp, &out) in probes.iter().zip(&by_rows) {
+    /// Rescales `probes` a register at a time as the window body rescales
+    /// its gate accumulators, and compares with the integer reference.
+    fn assert_epilogue_rescale_matches(probes: &[i64], got: &mut Vec<f64>) {
+        got.clear();
+        got.extend(probes.iter().map(|&x| x as f64));
+        rescale_by_register(got);
+        for (&inp, &out) in probes.iter().zip(got.iter()) {
             assert_eq!(out as i64, div_round_i64(inp, Fx6::SCALE), "rows {inp}");
         }
     }
 
-    /// The four-op rescale of the AVX-512 matvec epilogues on its whole
+    /// The four-op rescale of the window body's accumulators on its whole
     /// domain, `|x| < 2^49`. Along a ×3 ladder of quotients up to the
     /// top: the exact multiple of `SCALE`, the tie half a `SCALE` below
     /// it and both neighbours of each, in both signs. Then every integer
@@ -916,23 +982,24 @@ mod tests {
             .chain(-BAND..=BAND)
             .chain(TOP - BAND..=TOP)
             .chain(-TOP..=BAND - TOP);
-        let mut block: Vec<i64> = Vec::with_capacity(BLOCK + 128);
+        let mut block: Vec<i64> = Vec::with_capacity(BLOCK);
+        let mut got = Vec::with_capacity(BLOCK);
         loop {
             block.clear();
             block.extend(dense.by_ref().take(BLOCK));
             if block.is_empty() {
                 break;
             }
-            assert_epilogue_rescale_matches(&mut block);
+            assert_epilogue_rescale_matches(&block, &mut got);
         }
     }
 
-    /// Runs `raws` through [`sigmoid_lut_lanes`] and compares every
+    /// Runs `raws` through the window body's sigmoid and compares every
     /// element with the scalar `sigmoid_fx_lut`.
     fn assert_sigmoid_matches_scalar(raws: &[i64], got: &mut Vec<f64>) {
         got.clear();
         got.extend(raws.iter().map(|&r| r as f64));
-        sigmoid_lut_lanes(got);
+        sigmoid_by_register(got);
         for (&inp, &out) in raws.iter().zip(got.iter()) {
             let expect = sigmoid_fx_lut(Fx6::from_raw(inp)).raw();
             assert_eq!(out as i64, expect, "sigmoid raw {inp}");
@@ -984,7 +1051,7 @@ mod tests {
         // `−0.0` is what a negative accumulator that rescales to zero
         // leaves behind.
         let mut zeros = [-0.0f64; 8];
-        sigmoid_lut_lanes(&mut zeros);
+        sigmoid_by_register(&mut zeros);
         assert_eq!(zeros, [(Fx6::SCALE / 2) as f64; 8]);
     }
 
@@ -1007,7 +1074,7 @@ mod tests {
             raws.push(0);
         }
         let mut got: Vec<f64> = raws.iter().map(|&r| r as f64).collect();
-        softsign_lanes(&mut got);
+        softsign_by_register(&mut got);
         for (&inp, &out) in raws.iter().zip(&got) {
             let expect = softsign_fx(Fx6::from_raw(inp)).raw();
             assert_eq!(out as i64, expect, "softsign raw {inp}");
@@ -1053,9 +1120,9 @@ mod tests {
     }
 
     /// Runs `body` (a full row matvec, rescale included) over every
-    /// shape the tiles split differently — 4: below one register;
-    /// 8, 24: single registers; 12: register plus tail; 128: the
-    /// 16-register tile; 136: tile plus register — against the `i128`
+    /// shape the AVX2 tiles split differently — 4, 8, 12, 24: single
+    /// registers of four rows; 6: registers plus a scalar tail; 128: four
+    /// 32-row tiles; 136: tiles plus registers — against the `i128`
     /// reference, with operands at the edge of a row bound of
     /// `2^bound_bits`: `|h|` up to `SCALE` and every row's worst case
     /// `Σ|w|·SCALE + |table| + SCALE/2` within a few units of it. Odd
@@ -1068,7 +1135,7 @@ mod tests {
     ) {
         let bound: i64 = (1 << bound_bits) - 1 - Fx6::SCALE / 2;
         let encode = |v: &[i64]| v.iter().map(|&x| x as f64).collect::<Vec<f64>>();
-        for rows in [4usize, 8, 12, 24, 128, 136] {
+        for rows in [4usize, 6, 8, 12, 24, 128, 136] {
             for hcols in [1usize, 8, 32] {
                 let hi: Vec<i64> = (0..hcols)
                     .map(|k| match k % 4 {
@@ -1117,9 +1184,8 @@ mod tests {
         }
     }
 
-    /// The contract — and the AVX-512 epilogue's domain — is the pack
-    /// bound, `2^49`; the bodies that rescale in integers are held to the
-    /// `2^52` they are exact to.
+    /// The contract is the pack bound, `2^49`; the bodies, which rescale
+    /// in integers, are held to the `2^52` they are exact to.
     #[test]
     fn fx_rows_matvec_matches_integer_reference_on_every_body() {
         check_rows_body("dispatch", 49, matvec_fx_rows_table);
@@ -1137,17 +1203,42 @@ mod tests {
                     rescale_lanes(out);
                 });
             }
-            if tier() == Tier::Avx512 {
-                check_rows_body("avx512", 49, |w_t, h, table_row, out| {
-                    // SAFETY: the tier says the host has avx512f/dq/vl;
-                    // `check_rows_body` sizes every slice from `rows`.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        x86::mv_rows_avx512(w_t, h, table_row, out)
-                    };
-                });
+        }
+    }
+
+    /// The window body's `update_pd` over the whole registers of the
+    /// state on an AVX-512 host, the step loop's update on the rest.
+    fn update_by_register(g: &[f64], c: &mut [f64], h: &mut [f64]) {
+        let hw = c.len();
+        let mut whole = 0;
+        #[cfg(target_arch = "x86_64")]
+        if tier() == Tier::Avx512 {
+            use std::arch::x86_64::{_mm512_loadu_pd as load, _mm512_storeu_pd as store};
+            whole = hw / 8 * 8;
+            for j in (0..whole).step_by(8) {
+                let gate = |blk: usize| g[blk * hw + j..blk * hw + j + 8].as_ptr();
+                // SAFETY: the tier says the host has avx512f/dq/vl, and
+                // every pointer starts a whole register inside its slice.
+                #[allow(unsafe_code)]
+                unsafe {
+                    let c_in = load(c[j..j + 8].as_ptr());
+                    let (ct, ht) = x86::update_pd(
+                        load(gate(0)),
+                        load(gate(1)),
+                        load(gate(2)),
+                        load(gate(3)),
+                        c_in,
+                    );
+                    store(c[j..j + 8].as_mut_ptr(), ct);
+                    store(h[j..j + 8].as_mut_ptr(), ht);
+                }
             }
         }
+        let g_tail: Vec<f64> = (0..4)
+            .flat_map(|blk| &g[blk * hw + whole..(blk + 1) * hw])
+            .copied()
+            .collect();
+        update_lanes(&g_tail, &mut c[whole..], &mut h[whole..]);
     }
 
     #[test]
@@ -1188,18 +1279,102 @@ mod tests {
             c[0] = -7_999_000_000.0;
             g[hw + 1] = FSCALE;
             c[1] = 7_999_000_000.0;
-            let mut h = vec![0.0f64; hw];
-            let c0 = c.clone();
-            update_lanes(&g, hw, &mut c, &mut h);
-            for j in 0..hw {
-                let fv = Fx6::from_raw(g[hw + j] as i64);
-                let iv = Fx6::from_raw(g[j] as i64);
-                let cb = Fx6::from_raw(g[2 * hw + j] as i64);
-                let ov = Fx6::from_raw(g[3 * hw + j] as i64);
-                let ct = fv * Fx6::from_raw(c0[j] as i64) + iv * cb;
-                assert_eq!(c[j] as i64, ct.raw(), "update c j={j} hidden={hw}");
-                let hh = ov * softsign_fx(ct);
-                assert_eq!(h[j] as i64, hh.raw(), "update h j={j} hidden={hw}");
+            // `f∗C` a unit under a tie at the top of the wide rescale's
+            // domain, where the four-op rescale's upward error rounds it
+            // past the tie.
+            for (j, sign) in [(2, 1.0), (3, -1.0)] {
+                g[hw + j] = 999_999.0;
+                c[j] = sign * 7_999_500_001.0;
+            }
+            // The step loop's update, then the window body's.
+            for (name, update) in [
+                ("steps", update_lanes as fn(&[f64], &mut [f64], &mut [f64])),
+                ("registers", update_by_register),
+            ] {
+                let (mut c_out, mut h) = (c.clone(), vec![0.0f64; hw]);
+                update(&g, &mut c_out, &mut h);
+                for j in 0..hw {
+                    let fv = Fx6::from_raw(g[hw + j] as i64);
+                    let iv = Fx6::from_raw(g[j] as i64);
+                    let cb = Fx6::from_raw(g[2 * hw + j] as i64);
+                    let ov = Fx6::from_raw(g[3 * hw + j] as i64);
+                    let ct = fv * Fx6::from_raw(c[j] as i64) + iv * cb;
+                    assert_eq!(c_out[j] as i64, ct.raw(), "{name} c j={j} hidden={hw}");
+                    let hh = ov * softsign_fx(ct);
+                    assert_eq!(h[j] as i64, hh.raw(), "{name} h j={j} hidden={hw}");
+                }
+            }
+        }
+    }
+
+    /// A random pack of `hidden` units inside the row bound, `(w_t,
+    /// table)`: every row's recurrent weights sum to at most `2^45 /
+    /// SCALE` and every table entry is below `2^48`. Units `≡ 0 mod 4`
+    /// drive `i f o` into the high saturation and the candidate to
+    /// `≈ ±SCALE` on every item, so `|C|` grows by almost `SCALE` a step
+    /// (both signs); units `≡ 1 mod 4` drive every gate into the low
+    /// saturation; the rest draw their table entries to `±16` after the
+    /// rescale, across the LUT and both ends of it.
+    fn random_pack(hidden: usize, vocab: usize, rng: &mut ChaCha8Rng) -> (Vec<f64>, Vec<f64>) {
+        const DRIVE: i64 = 1 << 48;
+        const SPREAD: i64 = 16 * Fx6::SCALE * Fx6::SCALE;
+        let rows = 4 * hidden;
+        let w_max = (1i64 << 45) / (hidden as i64 * Fx6::SCALE);
+        let w_t = (0..hidden * rows)
+            .map(|_| rng.random_range(-w_max..=w_max) as f64)
+            .collect();
+        let mut table = Vec::with_capacity(vocab * rows);
+        for _ in 0..vocab {
+            for r in 0..rows {
+                let (gate, unit) = (r / hidden, r % hidden);
+                let entry = match unit % 4 {
+                    0 if gate == 2 && unit % 8 == 4 => -DRIVE,
+                    0 => DRIVE,
+                    1 => -DRIVE,
+                    _ => rng.random_range(-SPREAD..=SPREAD),
+                };
+                table.push(entry as f64);
+            }
+        }
+        (w_t, table)
+    }
+
+    /// The register body against the step loop on random packs, every
+    /// final `(C, h)` raw for raw: `H` 8 to 32 take the register body on
+    /// an AVX-512 host, 5 and 40 the loop on every host. Lengths 1, 2,
+    /// 100 and the engine's `LANE_MAX_STEPS` (8,000), from a random
+    /// state with `|C|, |h| ≤ SCALE`; at the longest, the driven units'
+    /// `|C|` ends within 1 % of the `8·10^9` the kernels are exact to.
+    #[test]
+    fn window_body_matches_the_step_loop() {
+        const LANE_MAX_STEPS: usize = 8_000;
+        const VOCAB: usize = 16;
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let raws = |v: &[f64]| v.iter().map(|&x| x as i64).collect::<Vec<i64>>();
+        for hidden in [8usize, 16, 24, 32, 5, 40] {
+            let (w_t, table) = random_pack(hidden, VOCAB, &mut rng);
+            for len in [1usize, 2, 100, LANE_MAX_STEPS] {
+                let seq: Vec<usize> = (0..len).map(|_| rng.random_range(0..VOCAB)).collect();
+                let mut state = || -> Vec<f64> {
+                    (0..hidden)
+                        .map(|_| rng.random_range(-Fx6::SCALE..=Fx6::SCALE) as f64)
+                        .collect()
+                };
+                let (c0, h0) = (state(), state());
+                let (mut c, mut h) = (c0.clone(), h0.clone());
+                run_window_fx(&w_t, &table, &seq, &mut c, &mut h);
+                let (mut c_ref, mut h_ref) = (c0, h0);
+                run_window_fx_steps(&w_t, &table, &seq, &mut c_ref, &mut h_ref);
+                let at = format!("H = {hidden}, {len} steps");
+                assert_eq!(raws(&c), raws(&c_ref), "C at {at}");
+                assert_eq!(raws(&h), raws(&h_ref), "h at {at}");
+                // Every gate of a unit ≡ 1 mod 4 is 0: so are C and h.
+                assert!(c.iter().skip(1).step_by(4).all(|&v| v == 0.0), "{at}");
+                if len == LANE_MAX_STEPS {
+                    for (j, &v) in c.iter().enumerate().step_by(4) {
+                        assert!(v.abs() > 7.92e9, "|C[{j}]| = {v} at {at}");
+                    }
+                }
             }
         }
     }

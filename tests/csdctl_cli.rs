@@ -4,13 +4,14 @@
 //! it sits on, and a file without sequences a reported error too — not
 //! a panic out of the engine, the trainer or the split. So is a split
 //! the trainer cannot make: a test fraction outside (0, 1), or a corpus
-//! of one sequence, and a weight file whose fixed point can overflow; so
-//! is a noise rate outside [0, 1) and a level `detect` does not know.
+//! of one sequence, and a weight file whose fixed point can overflow or
+//! that has no hidden unit or no vocabulary; so is a noise rate outside
+//! [0, 1) and a level `detect` does not know.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use csd_inference::nn::ModelWeights;
+use csd_inference::nn::{ModelConfig, ModelWeights, SequenceClassifier};
 
 fn csdctl(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_csdctl"))
@@ -226,5 +227,37 @@ fn detect_refuses_weights_that_can_overflow_the_fixed_point() {
             path_str(&corpus),
         ]);
         assert_refused(name, &out, complaint);
+    }
+}
+
+/// A weight file whose header says `hidden 0` (or `vocab 0`) is refused
+/// when read: it used to load, and `detect` and `monitor` then panicked
+/// with an out-of-vocabulary item on the first window.
+#[test]
+fn detect_and_monitor_refuse_a_model_without_hidden_units_or_vocabulary() {
+    let dir = small_corpus("csdctl_cli_empty_model");
+    let corpus = dir.join("corpus.csv");
+    let weights = ModelWeights::from_model(&SequenceClassifier::new(ModelConfig::paper(), 3));
+    let mut no_hidden = weights.clone();
+    no_hidden.config.hidden = 0;
+    for section in [
+        &mut no_hidden.lstm_kernel,
+        &mut no_hidden.lstm_recurrent,
+        &mut no_hidden.lstm_bias,
+        &mut no_hidden.fc_weights,
+    ] {
+        section.clear();
+    }
+    let mut no_vocab = weights;
+    no_vocab.config.vocab = 0;
+    no_vocab.embedding.clear();
+    for (field, model) in [("hidden 0", no_hidden), ("vocab 0", no_vocab)] {
+        let path = dir.join(format!("{}.txt", field.replace(' ', "_")));
+        std::fs::write(&path, model.to_text()).expect("write empty model");
+        let model = path_str(&path);
+        let detect = csdctl(&["detect", "--model", model, "--data", path_str(&corpus)]);
+        assert_refused(&format!("detect {field}"), &detect, field);
+        let monitor = csdctl(&["monitor", "--model", model, "--family", "Wannacry"]);
+        assert_refused(&format!("monitor {field}"), &monitor, field);
     }
 }
