@@ -80,12 +80,13 @@ impl Dense {
         &self,
         h: &Vector<f64>,
         d_logit: f64,
-        grad_w: &mut Vector<f64>,
+        grad_w: &mut [f64],
         grad_b: &mut f64,
     ) -> Vector<f64> {
         assert_eq!(h.len(), self.w.len(), "dimension mismatch");
-        for j in 0..h.len() {
-            grad_w[j] += d_logit * h[j];
+        assert_eq!(grad_w.len(), self.w.len(), "dimension mismatch");
+        for (g, &hj) in grad_w.iter_mut().zip(h.iter()) {
+            *g += d_logit * hj;
         }
         *grad_b += d_logit;
         self.w.scale(d_logit)
@@ -131,7 +132,7 @@ mod tests {
         let h = Vector::from(vec![1.0, 2.0, -0.5]);
         let mut gw = Vector::zeros(3);
         let mut gb = 0.0;
-        let d_h = d.backward(&h, 1.0, &mut gw, &mut gb);
+        let d_h = d.backward(&h, 1.0, gw.as_mut_slice(), &mut gb);
         // d(logit)/dw_j = h_j, d(logit)/db = 1, d(logit)/dh_j = w_j.
         assert_eq!(gw.as_slice(), h.as_slice());
         assert_eq!(gb, 1.0);
@@ -145,7 +146,7 @@ mod tests {
         let before = d.logit(&h);
         let mut gw = Vector::zeros(1);
         let mut gb = 0.0;
-        d.backward(&h, 1.0, &mut gw, &mut gb);
+        d.backward(&h, 1.0, gw.as_mut_slice(), &mut gb);
         d.apply_gradients(&gw, gb, 0.1);
         assert!(d.logit(&h) < before);
     }

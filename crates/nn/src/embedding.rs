@@ -62,36 +62,48 @@ impl Embedding {
     ///
     /// Panics if `item` is out of vocabulary.
     pub fn forward(&self, item: usize) -> Vector<f64> {
+        Vector::from(self.row(item).to_vec())
+    }
+
+    /// The embedding of `item`, borrowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `item` is out of vocabulary.
+    pub(crate) fn row(&self, item: usize) -> &[f64] {
         assert!(item < self.vocab(), "item {item} out of vocabulary");
-        Vector::from(self.table.row(item).to_vec())
+        self.table.row(item)
     }
 
     /// Accumulates the gradient `d_x` flowing back into row `item` of
-    /// `grad_table`.
+    /// `grad_table`, a flat row-major `vocab × dim` gradient.
     ///
     /// # Panics
     ///
     /// Panics on vocabulary or dimension mismatch.
-    pub fn backward(&self, item: usize, d_x: &Vector<f64>, grad_table: &mut Matrix<f64>) {
+    pub fn backward(&self, item: usize, d_x: &[f64], grad_table: &mut [f64]) {
         assert!(item < self.vocab(), "item {item} out of vocabulary");
         assert_eq!(d_x.len(), self.dim(), "gradient dim mismatch");
-        for c in 0..self.dim() {
-            *grad_table.get_mut(item, c) += d_x[c];
+        assert_eq!(
+            grad_table.len(),
+            self.num_parameters(),
+            "gradient shape mismatch"
+        );
+        let row = &mut grad_table[item * self.dim()..(item + 1) * self.dim()];
+        for (g, &d) in row.iter_mut().zip(d_x) {
+            *g += d;
         }
     }
 
-    /// Applies a scaled gradient step: `table -= lr * grad`.
+    /// Applies a scaled gradient step: `table -= lr * grad`, `grad` flat
+    /// row-major `vocab × dim`.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn apply_gradient(&mut self, grad: &Matrix<f64>, lr: f64) {
+    pub fn apply_gradient(&mut self, grad: &[f64], lr: f64) {
+        let grad = Matrix::from_flat(self.vocab(), self.dim(), grad.to_vec());
         self.table = self.table.add(&grad.scale(-lr));
-    }
-
-    /// A zero matrix with the table's shape, for gradient accumulation.
-    pub fn zero_grad(&self) -> Matrix<f64> {
-        Matrix::zeros(self.vocab(), self.dim())
     }
 }
 
@@ -124,19 +136,19 @@ mod tests {
     #[test]
     fn backward_accumulates_only_target_row() {
         let e = Embedding::new(5, 2, 3);
-        let mut grad = e.zero_grad();
-        e.backward(2, &Vector::from(vec![1.0, -1.0]), &mut grad);
-        e.backward(2, &Vector::from(vec![0.5, 0.5]), &mut grad);
-        assert_eq!(grad.row(2), &[1.5, -0.5]);
-        assert_eq!(grad.row(0), &[0.0, 0.0]);
+        let mut grad = vec![0.0; 10];
+        e.backward(2, &[1.0, -1.0], &mut grad);
+        e.backward(2, &[0.5, 0.5], &mut grad);
+        assert_eq!(grad[4..6], [1.5, -0.5]);
+        assert_eq!(grad[0..2], [0.0, 0.0]);
     }
 
     #[test]
     fn gradient_step_moves_against_grad() {
         let mut e = Embedding::new(3, 2, 4);
         let before = e.forward(1)[0];
-        let mut grad = e.zero_grad();
-        *grad.get_mut(1, 0) = 1.0;
+        let mut grad = vec![0.0; 6];
+        grad[2] = 1.0;
         e.apply_gradient(&grad, 0.1);
         assert!((e.forward(1)[0] - (before - 0.1)).abs() < 1e-12);
     }

@@ -282,12 +282,14 @@ impl GruClassifier {
         // Backward.
         let mut grad_w = Vector::zeros(self.cell.hidden());
         let mut grad_b = 0.0;
-        let mut d_h = self.head.backward(&h, d_logit, &mut grad_w, &mut grad_b);
+        let mut d_h = self
+            .head
+            .backward(&h, d_logit, grad_w.as_mut_slice(), &mut grad_b);
         let mut cell_grads = self.cell.zero_grads();
-        let mut emb_grads = self.embedding.zero_grad();
+        let mut emb_grads = vec![0.0; self.embedding.num_parameters()];
         for (cache, &tok) in caches.iter().zip(&xs).rev() {
             let (d_h_prev, d_x) = self.cell.step_backward(cache, &d_h, &mut cell_grads);
-            self.embedding.backward(tok, &d_x, &mut emb_grads);
+            self.embedding.backward(tok, d_x.as_slice(), &mut emb_grads);
             d_h = d_h_prev;
         }
 

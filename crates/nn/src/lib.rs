@@ -59,3 +59,20 @@ pub use multiclass::{FamilyClassifier, SoftmaxHead};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use trainer::{evaluate, EpochRecord, TrainOptions, Trainer, TrainingHistory};
 pub use weights::{ModelWeights, WeightsError};
+
+/// The bit patterns of `xs`, for comparing floats to the bit.
+#[cfg(test)]
+pub(crate) fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// FNV-1a over the bit patterns of `xs`: what the tests pin trained
+/// values with, to the bit.
+#[cfg(test)]
+pub(crate) fn bits_digest(xs: impl IntoIterator<Item = f64>) -> u64 {
+    xs.into_iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}

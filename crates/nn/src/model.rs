@@ -11,7 +11,7 @@ use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::embedding::Embedding;
 use crate::loss::{bce_loss, bce_loss_grad};
-use crate::lstm::{LstmCell, LstmGrads, LstmLayer};
+use crate::lstm::{LstmCell, LstmLayer, PackedCell, Tape};
 
 /// Architecture hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -47,47 +47,6 @@ impl ModelConfig {
             hidden: 8,
             cell_activation: Activation::Softsign,
         }
-    }
-}
-
-/// Gradients for every parameter group of the model.
-#[derive(Debug, Clone)]
-pub struct Gradients {
-    /// Embedding-table gradient.
-    pub embedding: Matrix<f64>,
-    /// LSTM gate gradients.
-    pub lstm: LstmGrads,
-    /// Head weight gradient.
-    pub fc_w: Vector<f64>,
-    /// Head bias gradient.
-    pub fc_b: f64,
-}
-
-impl Gradients {
-    /// Elementwise accumulation `self += other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &Gradients) {
-        self.embedding = self.embedding.add(&other.embedding);
-        for g in 0..4 {
-            self.lstm.w[g] = self.lstm.w[g].add(&other.lstm.w[g]);
-            self.lstm.b[g] = self.lstm.b[g].add(&other.lstm.b[g]);
-        }
-        self.fc_w = self.fc_w.add(&other.fc_w);
-        self.fc_b += other.fc_b;
-    }
-
-    /// Scales every gradient by `k` (used for batch averaging).
-    pub fn scale(&mut self, k: f64) {
-        self.embedding = self.embedding.scale(k);
-        for g in 0..4 {
-            self.lstm.w[g] = self.lstm.w[g].scale(k);
-            self.lstm.b[g] = self.lstm.b[g].scale(k);
-        }
-        self.fc_w = self.fc_w.scale(k);
-        self.fc_b *= k;
     }
 }
 
@@ -180,8 +139,8 @@ impl SequenceClassifier {
     ///
     /// Panics on an empty sequence or out-of-vocabulary token.
     pub fn final_hidden(&self, seq: &[usize]) -> Vector<f64> {
-        let xs: Vec<Vector<f64>> = seq.iter().map(|&t| self.embedding.forward(t)).collect();
-        self.lstm.forward(&xs).0.h
+        let tape = self.lstm.run(seq.iter().map(|&t| self.embedding.row(t)));
+        Vector::from(tape.h_last().to_vec())
     }
 
     /// The classification probability `P(positive | seq)`.
@@ -204,43 +163,59 @@ impl SequenceClassifier {
 
     /// Forward + full BPTT for one `(sequence, label)` pair.
     ///
-    /// Returns the BCE loss and the gradients of every parameter group.
+    /// Returns the BCE loss and the gradient of every parameter, flat in
+    /// [`Self::flatten_params`] order.
     ///
     /// # Panics
     ///
     /// Panics on an empty sequence, an out-of-vocabulary token, or a label
     /// outside `[0, 1]`.
-    pub fn compute_gradients(&self, seq: &[usize], label: f64) -> (f64, Gradients) {
-        let xs: Vec<Vector<f64>> = seq.iter().map(|&t| self.embedding.forward(t)).collect();
-        let (state, caches) = self.lstm.forward(&xs);
-        let logit = self.head.logit(&state.h);
+    pub fn compute_gradients(&self, seq: &[usize], label: f64) -> (f64, Vec<f64>) {
+        let mut grad = vec![0.0; self.num_parameters()];
+        let loss = self.gradients_into(
+            &self.lstm.cell().pack(),
+            &mut Tape::default(),
+            seq,
+            label,
+            &mut grad,
+        );
+        (loss, grad)
+    }
+
+    /// [`Self::compute_gradients`] on a caller's tape and packed cell
+    /// (`self`'s, packed since its last update): overwrites `grad` with
+    /// the example's gradient and returns its loss.
+    pub(crate) fn gradients_into(
+        &self,
+        packed: &PackedCell<'_>,
+        tape: &mut Tape,
+        seq: &[usize],
+        label: f64,
+        grad: &mut [f64],
+    ) -> f64 {
+        assert_eq!(
+            grad.len(),
+            self.num_parameters(),
+            "gradient length mismatch"
+        );
+        packed.forward(tape, seq.iter().map(|&t| self.embedding.row(t)));
+        let h = Vector::from(tape.h_last().to_vec());
+        let logit = self.head.logit(&h);
         let loss = bce_loss(logit, label);
         let d_logit = bce_loss_grad(logit, label);
 
-        let mut grads = Gradients {
-            embedding: self.embedding.zero_grad(),
-            lstm: self.lstm.cell().zero_grads(),
-            fc_w: Vector::zeros(self.config.hidden),
-            fc_b: 0.0,
-        };
-        let d_h = self
-            .head
-            .backward(&state.h, d_logit, &mut grads.fc_w, &mut grads.fc_b);
-        let d_xs = self.lstm.backward(&caches, &d_h, &mut grads.lstm);
-        for (t, d_x) in d_xs.iter().enumerate() {
-            self.embedding.backward(seq[t], d_x, &mut grads.embedding);
+        let (o, hidden) = (self.config.embed_dim, self.config.hidden);
+        grad.fill(0.0);
+        let (g_emb, rest) = grad.split_at_mut(self.embedding.num_parameters());
+        let (g_w, rest) = rest.split_at_mut(4 * hidden * (hidden + o));
+        let (g_b, rest) = rest.split_at_mut(4 * hidden);
+        let (fc_w, fc_b) = rest.split_at_mut(hidden);
+        let d_h = self.head.backward(&h, d_logit, fc_w, &mut fc_b[0]);
+        packed.backward(tape, d_h.as_slice(), g_w, g_b);
+        for (&item, d_x) in seq.iter().zip(tape.d_x().chunks_exact(o)) {
+            self.embedding.backward(item, d_x, g_emb);
         }
-        (loss, grads)
-    }
-
-    /// Zero gradients with this model's shapes.
-    pub fn zero_gradients(&self) -> Gradients {
-        Gradients {
-            embedding: self.embedding.zero_grad(),
-            lstm: self.lstm.cell().zero_grads(),
-            fc_w: Vector::zeros(self.config.hidden),
-            fc_b: 0.0,
-        }
+        loss
     }
 
     /// Flattens all parameters into one vector, in the canonical order
@@ -256,22 +231,6 @@ impl SequenceClassifier {
         }
         out.extend(self.head.weights().iter().copied());
         out.push(self.head.bias());
-        out
-    }
-
-    /// Flattens gradients in the same canonical order as
-    /// [`Self::flatten_params`].
-    pub fn flatten_grads(&self, grads: &Gradients) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.num_parameters());
-        out.extend_from_slice(&grads.embedding.to_f64_flat());
-        for g in 0..4 {
-            out.extend_from_slice(&grads.lstm.w[g].to_f64_flat());
-        }
-        for g in 0..4 {
-            out.extend(grads.lstm.b[g].iter().copied());
-        }
-        out.extend(grads.fc_w.iter().copied());
-        out.push(grads.fc_b);
         out
     }
 
@@ -308,6 +267,108 @@ impl SequenceClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
+    use crate::lstm::reference;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The per-step `Vector` code [`SequenceClassifier::compute_gradients`]
+    /// replaced, its gradients flattened in `flatten_params` order.
+    fn reference_gradients(m: &SequenceClassifier, seq: &[usize], label: f64) -> (f64, Vec<f64>) {
+        let cell = m.lstm.cell();
+        let xs: Vec<Vector<f64>> = seq.iter().map(|&t| m.embedding.forward(t)).collect();
+        let (state, caches) = reference::forward(cell, &xs);
+        let logit = m.head.logit(&state.h);
+        let (loss, d_logit) = (bce_loss(logit, label), bce_loss_grad(logit, label));
+        let mut fc_w = Vector::zeros(m.config.hidden);
+        let mut fc_b = 0.0;
+        let d_h = m
+            .head
+            .backward(&state.h, d_logit, fc_w.as_mut_slice(), &mut fc_b);
+        let mut lstm = cell.zero_grads();
+        let d_xs = reference::backward(cell, &caches, &d_h, &mut lstm);
+        let mut emb = Matrix::<f64>::zeros(m.config.vocab, m.config.embed_dim);
+        for (t, d_x) in d_xs.iter().enumerate() {
+            for c in 0..m.config.embed_dim {
+                *emb.get_mut(seq[t], c) += d_x[c];
+            }
+        }
+        let (w, b) = lstm.flatten();
+        let mut flat = emb.to_f64_flat();
+        flat.extend(w);
+        flat.extend(b);
+        flat.extend(fc_w.iter());
+        flat.push(fc_b);
+        (loss, flat)
+    }
+
+    /// `(loss, gradient)` of the flat path equals the per-step reference
+    /// to the bit across hidden sizes around the 32-row kernel block,
+    /// input sizes around the four-wide partials, short and long
+    /// sequences, and both cell activations.
+    #[test]
+    fn gradients_are_the_per_step_reference_to_the_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(32);
+        for hidden in [1, 5, 8, 32, 34] {
+            for embed_dim in [1, 8, 9] {
+                for cell_activation in [Activation::Softsign, Activation::Tanh] {
+                    let config = ModelConfig {
+                        vocab: 13,
+                        embed_dim,
+                        hidden,
+                        cell_activation,
+                    };
+                    let m = SequenceClassifier::new(config, rng.random_range(0..1_000u64));
+                    for (k, len) in [1usize, 2, 100, 120].into_iter().enumerate() {
+                        let seq: Vec<usize> =
+                            (0..len).map(|_| rng.random_range(0..13usize)).collect();
+                        let label = (k % 2) as f64;
+                        let (loss, grad) = m.compute_gradients(&seq, label);
+                        let (want_loss, want) = reference_gradients(&m, &seq, label);
+                        let at = format!("H {hidden} X {embed_dim} {cell_activation:?} len {len}");
+                        assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss, {at}");
+                        assert_eq!(bits(&grad), bits(&want), "gradient, {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Gates driven to an exact zero gradient — `i = 0`, `o = 1`, and
+    /// head weights of zero — take the kernels' zero-row skip, and the
+    /// gradient still equals the reference to the bit.
+    #[test]
+    fn zero_gate_gradients_are_the_per_step_reference_to_the_bit() {
+        for cell_activation in [Activation::Softsign, Activation::Tanh] {
+            let config = ModelConfig {
+                cell_activation,
+                ..ModelConfig::tiny(9)
+            };
+            let mut m = SequenceClassifier::new(config, 5);
+            let (v, o, h) = (config.vocab, config.embed_dim, config.hidden);
+            let mut params = m.flatten_params();
+            let b = v * o + 4 * h * (h + o);
+            for j in 0..h {
+                if j % 2 == 0 {
+                    params[b + j] = -1_000.0; // σ = 0: i = 0 exactly
+                }
+                if j % 3 == 0 {
+                    params[b + 3 * h + j] = 50.0; // σ = 1: o = 1 exactly
+                }
+                if j % 4 == 1 {
+                    params[b + 4 * h + j] = 0.0; // no gradient reaches h_j
+                }
+            }
+            m.assign_params(&params);
+            let seq = [3usize, 1, 4, 1, 5, 8, 2, 6];
+            let (loss, grad) = m.compute_gradients(&seq, 1.0);
+            let (want_loss, want) = reference_gradients(&m, &seq, 1.0);
+            assert_eq!(loss.to_bits(), want_loss.to_bits());
+            assert_eq!(bits(&grad), bits(&want), "{cell_activation:?}");
+            // The input gate's bias saw no gradient on any step.
+            assert!((0..h).step_by(2).all(|j| grad[b + j] == 0.0));
+        }
+    }
 
     #[test]
     fn paper_model_parameter_counts() {
@@ -356,12 +417,8 @@ mod tests {
             let mut params = m.flatten_params();
             let (_, gp) = m.compute_gradients(&pos, 1.0);
             let (_, gn) = m.compute_gradients(&neg, 0.0);
-            let mut acc = gp;
-            acc.accumulate(&gn);
-            acc.scale(0.5);
-            let flat = m.flatten_grads(&acc);
-            for (p, g) in params.iter_mut().zip(&flat) {
-                *p -= 0.5 * g;
+            for ((p, a), b) in params.iter_mut().zip(&gp).zip(&gn) {
+                *p -= 0.5 * ((a + b) * 0.5);
             }
             m.assign_params(&params);
         }
@@ -374,8 +431,7 @@ mod tests {
         let m = SequenceClassifier::new(ModelConfig::tiny(6), 11);
         let seq = [0usize, 2, 4, 1];
         let label = 1.0;
-        let (_, grads) = m.compute_gradients(&seq, label);
-        let flat_grads = m.flatten_grads(&grads);
+        let (_, flat_grads) = m.compute_gradients(&seq, label);
         let params = m.flatten_params();
         let eps = 1e-6;
         // Spot-check a spread of parameter indices across all groups.
@@ -399,11 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_gradients_shapes() {
+    fn gradient_has_one_entry_per_parameter() {
         let m = SequenceClassifier::new(ModelConfig::tiny(5), 0);
-        let g = m.zero_gradients();
-        assert_eq!(m.flatten_grads(&g).len(), m.num_parameters());
-        assert!(m.flatten_grads(&g).iter().all(|&x| x == 0.0));
+        let (_, g) = m.compute_gradients(&[1, 2], 0.0);
+        assert_eq!(g.len(), m.num_parameters());
+        // Rows of tokens the sequence lacks get no gradient.
+        assert!(g[..4].iter().all(|&x| x == 0.0));
     }
 
     #[test]

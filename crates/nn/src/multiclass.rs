@@ -14,7 +14,7 @@ use csd_tensor::{Initializer, Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
 use crate::embedding::Embedding;
-use crate::lstm::{LstmCell, LstmLayer};
+use crate::lstm::{LstmCell, LstmLayer, Tape};
 use crate::Activation;
 
 /// A softmax output layer: `p = softmax(W h + b)`.
@@ -177,26 +177,34 @@ impl FamilyClassifier {
     /// Panics on an empty sequence, out-of-vocabulary token, or class out
     /// of range.
     pub fn train_step(&mut self, seq: &[usize], class: usize, lr: f64) -> f64 {
-        assert!(!seq.is_empty(), "empty sequence");
-        let xs: Vec<Vector<f64>> = seq.iter().map(|&t| self.embedding.forward(t)).collect();
-        let (state, caches) = self.lstm.forward(&xs);
-        let loss = self.head.loss(&state.h, class);
-        let d_h = self.head.train_step(&state.h, class, lr);
-        let mut grads = self.lstm.cell().zero_grads();
-        let d_xs = self.lstm.backward(&caches, &d_h, &mut grads);
-        self.lstm.cell_mut().apply_gradients(&grads, lr);
-        let mut emb_grads = self.embedding.zero_grad();
-        for (t, d_x) in d_xs.iter().enumerate() {
-            self.embedding.backward(seq[t], d_x, &mut emb_grads);
+        let cell = self.lstm.cell();
+        let (h, z) = (cell.hidden(), cell.hidden() + cell.input_dim());
+        let mut tape = Tape::default();
+        let (mut g_w, mut g_b) = (vec![0.0; 4 * h * z], vec![0.0; 4 * h]);
+        let loss = {
+            let packed = cell.pack();
+            packed.forward(&mut tape, seq.iter().map(|&t| self.embedding.row(t)));
+            let h_t = Vector::from(tape.h_last().to_vec());
+            let loss = self.head.loss(&h_t, class);
+            let d_h = self.head.train_step(&h_t, class, lr);
+            packed.backward(&mut tape, d_h.as_slice(), &mut g_w, &mut g_b);
+            loss
+        };
+        self.lstm.cell_mut().apply_gradients(&g_w, &g_b, lr);
+        let mut emb_grads = vec![0.0; self.embedding.num_parameters()];
+        for (&item, d_x) in seq
+            .iter()
+            .zip(tape.d_x().chunks_exact(self.embedding.dim()))
+        {
+            self.embedding.backward(item, d_x, &mut emb_grads);
         }
         self.embedding.apply_gradient(&emb_grads, lr);
         loss
     }
 
     fn final_hidden(&self, seq: &[usize]) -> Vector<f64> {
-        assert!(!seq.is_empty(), "empty sequence");
-        let xs: Vec<Vector<f64>> = seq.iter().map(|&t| self.embedding.forward(t)).collect();
-        self.lstm.forward(&xs).0.h
+        let tape = self.lstm.run(seq.iter().map(|&t| self.embedding.row(t)));
+        Vector::from(tape.h_last().to_vec())
     }
 }
 
@@ -268,6 +276,25 @@ mod tests {
         let m = FamilyClassifier::new(278, 8, 32, names, 0);
         // 2,224 + 5,248 + 10 × 33.
         assert_eq!(m.num_parameters(), 7_802);
+    }
+
+    /// `train_step`'s losses do not change by one bit, pinned by digest.
+    #[test]
+    fn train_step_losses_are_pinned_to_the_bit() {
+        let names = vec!["A".to_string(), "B".to_string(), "C".to_string()];
+        let mut m = FamilyClassifier::new(40, 8, 32, names, 0x717);
+        let losses: Vec<f64> = (0..12)
+            .map(|step| {
+                let family = step % 3;
+                let seq: Vec<usize> = (0..60).map(|i| (family * 13 + i * 7 + step) % 40).collect();
+                m.train_step(&seq, family, 0.05)
+            })
+            .collect();
+        assert_eq!(
+            crate::bits_digest(losses),
+            0xacf1_04e5_eca1_d08c,
+            "train_step loss digest"
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ const FSCALE: f64 = Fx6::SCALE as f64;
 /// the ones below it: [`Tier::Avx512`] is only resolved on a host that
 /// also reports AVX2 and FMA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
+pub(crate) enum Tier {
     /// AVX-512 F + DQ + VL (and AVX2 + FMA).
     #[cfg(target_arch = "x86_64")]
     Avx512,
@@ -70,7 +70,7 @@ enum Tier {
 }
 
 /// The host's tier, detected on first use.
-fn tier() -> Tier {
+pub(crate) fn tier() -> Tier {
     static TIER: OnceLock<Tier> = OnceLock::new();
     *TIER.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]

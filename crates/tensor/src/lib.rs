@@ -15,6 +15,8 @@
 //! The [`lanes`] module adds the fixed-point SIMD kernels of the fused
 //! gate timestep — vectorised across gate rows for one sequence, or
 //! across lanes for a block of them — bit-identical to the serial path.
+//! The [`bptt`] module holds the three `f64` products of LSTM training,
+//! bit-identical to the [`Matrix`] code they replace.
 //!
 //! # Example
 //!
@@ -27,12 +29,14 @@
 //! assert_eq!(y.as_slice(), &[3.0, 7.0]);
 //! ```
 
-// deny, not forbid: the SIMD kernels in [`lanes`] carry narrowly
-// scoped `#[allow(unsafe_code)]` blocks for runtime-dispatched SIMD
-// intrinsics, each with a SAFETY comment. Everything else stays safe.
+// deny, not forbid: the SIMD kernels in [`lanes`] and the AVX-512
+// calls in [`bptt`] carry narrowly scoped `#[allow(unsafe_code)]`
+// blocks for runtime-dispatched SIMD code, each with a SAFETY comment.
+// Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bptt;
 pub mod init;
 pub mod lanes;
 pub mod matrix;

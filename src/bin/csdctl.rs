@@ -148,6 +148,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let epochs: usize = parse(args, "--epochs", 25)?;
     let test_frac: f64 = parse(args, "--test-frac", 0.2)?;
     let seed: u64 = parse(args, "--seed", 0xC5D)?;
+    // `Trainer::new` panics on zero epochs.
+    if epochs == 0 {
+        return Err("bad value for --epochs: 0 (must be positive)".into());
+    }
     // `Dataset::split` panics outside (0, 1), NaN included, and on fewer
     // than two sequences, where it cannot leave one on each side.
     if !(test_frac > 0.0 && test_frac < 1.0) {

@@ -75,6 +75,21 @@ fn train_refuses_a_test_fraction_outside_the_unit_interval() {
 }
 
 #[test]
+fn train_refuses_zero_epochs() {
+    let dir = small_corpus("csdctl_cli_epochs");
+    let out = csdctl(&[
+        "train",
+        "--data",
+        path_str(&dir.join("corpus.csv")),
+        "--out",
+        path_str(&dir.join("model.txt")),
+        "--epochs",
+        "0",
+    ]);
+    assert_refused("--epochs 0", &out, "--epochs");
+}
+
+#[test]
 fn dataset_refuses_a_noise_rate_outside_zero_to_one() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csdctl_cli_noise");
     std::fs::create_dir_all(&dir).expect("scratch dir");
