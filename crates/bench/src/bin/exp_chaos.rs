@@ -43,13 +43,14 @@
 //! one — ended sessions must retire once their verdicts are in — and
 //! every cell must end tracking only the sessions still alive.
 //!
-//! And every cell reports what its respawns read: journal bytes scanned
-//! and incidents reached by their back-links, summed over the reopens,
-//! beside the events replayed and incidents adopted. A kill cell fails
-//! if a reopen that had a checkpoint did not start at its anchor, or
-//! read more than the bytes appended since that checkpoint plus
-//! [`HOP_BYTES`] per chained incident and one record: a respawn costs
-//! what the checkpoint interval holds, not what the journal does.
+//! And every cell reports what its respawns read: journal bytes
+//! scanned, positional reads and incidents read from checkpoint
+//! digests, summed over the reopens, beside the events replayed and
+//! incidents adopted. A kill cell fails if a reopen that had a
+//! checkpoint did not start at its anchor, or read more than the bytes
+//! appended since that checkpoint plus [`HOP_BYTES`] per chained
+//! incident and one record: a respawn costs what the checkpoint
+//! interval holds, not what the journal does.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -86,9 +87,8 @@ const SYNC_EVERY: usize = 1024;
 /// the experiment.
 const TRACKED_SLACK: u64 = 128;
 
-/// What a reopen may read per incident it reaches by a back-link (one
-/// positional read), and the slack for the one record it reads back at
-/// the checkpoint's anchor.
+/// What a reopen may read per incident it reads from a digest, and the
+/// slack for the one record it reads back at the checkpoint's anchor.
 const HOP_BYTES: u64 = 512;
 
 #[derive(Serialize)]
@@ -111,9 +111,12 @@ struct CellReport {
     adopted_incidents: u64,
     /// Journal bytes read across all recoveries.
     journal_bytes_scanned: u64,
-    /// Of the adopted incidents, those reached by back-links from a
-    /// checkpoint's anchor rather than by scanning.
+    /// Of the adopted incidents, those read from the digests a
+    /// checkpoint's anchor leads to rather than scanned.
     chained_incidents: u64,
+    /// Positional journal reads across all recoveries: the magic, and
+    /// from an anchor the record there and one per digest.
+    journal_reads: u64,
     staleness_p50: u64,
     staleness_p99: u64,
     staleness_max: u64,
@@ -200,11 +203,8 @@ fn sentry_config(overload: bool, n_entries: usize) -> SentryConfig {
 /// `(pid, at_call, action)` names an incident independently of sid
 /// assignment order (which frame reordering may perturb).
 fn oracle_keys(trace: &EventTrace, config: &SentryConfig) -> Vec<(u32, usize, String)> {
-    let mut sentry = Sentry::new(engine(), config.clone());
-    for e in &trace.events {
-        sentry.ingest(&ProcessEvent::from(e));
-    }
-    sentry.drain();
+    let events: Vec<ProcessEvent> = trace.events.iter().map(ProcessEvent::from).collect();
+    let sentry = Sentry::uninterrupted(engine(), config.clone(), &events, 0);
     let mut keys: Vec<_> = sentry
         .incidents()
         .iter()
@@ -275,7 +275,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
     let mut kills_done = 0u64;
     let mut replayed_events = 0u64;
     let mut adopted_incidents = 0u64;
-    let (mut journal_bytes_scanned, mut chained_incidents) = (0u64, 0u64);
+    let (mut journal_bytes_scanned, mut chained_incidents, mut journal_reads) = (0u64, 0u64, 0u64);
     let mut since_poll = 0usize;
     let mut max_rung = OverloadLevel::Normal;
     let (mut live_sessions_peak, mut tracked_sessions_peak) = (0u64, 0u64);
@@ -331,6 +331,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
                     adopted_incidents += recovery.adopted_incidents;
                     journal_bytes_scanned += recovery.journal_bytes_scanned;
                     chained_incidents += recovery.chained_incidents;
+                    journal_reads += recovery.journal_reads;
                     if let Some(offset) = anchored_at {
                         assert_eq!(
                             recovery.full_scan, None,
@@ -432,6 +433,7 @@ fn run_cell(cell: &Cell, trace: &EventTrace, expect: &[(u32, usize, String)]) ->
         adopted_incidents,
         journal_bytes_scanned,
         chained_incidents,
+        journal_reads,
         staleness_p50: percentile(&staleness_samples, 0.50),
         staleness_p99: percentile(&staleness_samples, 0.99),
         staleness_max: staleness_samples.last().copied().unwrap_or(0),
@@ -560,7 +562,7 @@ fn main() {
         println!(
             "  {:<26} shards={} kills={} chaos={} dup_dropped={} incidents={}/{} lost={} dup={} \
              replayed_events={} adopted_incidents={} journal_bytes_scanned={} \
-             chained_incidents={} \
+             chained_incidents={} journal_reads={} \
              tracked_sessions_peak={} (live {}) checkpoint_bytes_last={} journal_syncs={} \
              checkpoints={} ({:.0} ms)",
             r.name,
@@ -576,6 +578,7 @@ fn main() {
             r.adopted_incidents,
             r.journal_bytes_scanned,
             r.chained_incidents,
+            r.journal_reads,
             r.tracked_sessions_peak,
             r.live_sessions_peak,
             r.checkpoint_bytes_last,

@@ -28,18 +28,20 @@
 //! checkpoint carries an **anchor** — where the journal sync it makes
 //! left `journal.log`: the synced length, the offset of the last
 //! record before it, how many incident records lie before it and
-//! where the newest of them is ([`JournalAnchor`](crate::journal::JournalAnchor),
-//! four numbers read off the sync `checkpoint()` makes anyway) — and
-//! `open` starts there:
+//! where the newest incident digest is
+//! ([`JournalAnchor`](crate::journal::JournalAnchor), returned by the
+//! journal's half of the checkpoint) — and `open` starts there:
 //!
 //! - it reads the checkpoint first;
 //! - it checks the anchor against the file before trusting it: the
 //!   file is at least that long, and the record the anchor says ends
 //!   at its offset is there, length and CRC;
-//! - it fetches the incidents before the anchor by their back-links —
-//!   every incident record names the offset of the one before it, so
-//!   they are reached newest to oldest with one read and one CRC check
-//!   each, and adopted oldest first;
+//! - it fetches the incidents before the anchor from the **digests**
+//!   checkpoints left in the journal — each checkpoint frames, before
+//!   its sync, one record holding every incident framed since the
+//!   previous digest, linked back to it — so they are reached with one
+//!   read and one CRC check per checkpoint interval that raised any,
+//!   not per incident, and adopted oldest first;
 //! - it scans, and if torn truncates, only the bytes past the anchor,
 //!   with the scan and the truncation rule of the full open, and
 //!   replays the events found there.
@@ -48,8 +50,12 @@
 //! checkpoint stands for. Incidents are not in the checkpoint — the
 //! journal stays their system of record, and a checkpoint that copied
 //! them would grow with history again — so what `open` costs is the
-//! checkpoint interval plus one small read per incident ever raised,
-//! which is what [`Sentry::incidents`] holds in memory anyway.
+//! checkpoint interval plus one read per digest and one fixed-layout
+//! decode per incident ever raised, which is what
+//! [`Sentry::incidents`] holds in memory anyway. Incidents recovered
+//! past the anchor, and those raised after `open`, belong to no digest
+//! yet; the journal queues them, and the next checkpoint's digest
+//! carries them forward.
 //!
 //! The anchor is an optimisation, never information. A checkpoint still
 //! holds nothing the journal lacks: delete it and `open` reaches the
@@ -61,8 +67,8 @@
 //! no checkpoint, a checkpoint that cannot be read or validated, one
 //! written before anchors existed (restored all the same), or one
 //! whose anchor the journal refuses — a shorter file, no record
-//! boundary where it says, a chain that does not lead through exactly
-//! the incident records it counts. A refused anchor takes its
+//! boundary where it says, a digest chain that does not hold exactly
+//! the incidents it counts. A refused anchor takes its
 //! checkpoint down with it (they are not of one history) and never
 //! cuts a byte of the journal: a wrong, stale or hostile anchor costs a
 //! full scan, not data.
@@ -237,12 +243,17 @@ pub struct RecoveryReport {
     /// the checkpoint's anchor.
     pub full_scan: Option<FullScan>,
     /// Journal bytes `open` read: the file's length on a full scan; from
-    /// an anchor, the magic, the record ending at the anchor, one read
-    /// per chained incident and the bytes past the anchor.
+    /// an anchor, the magic, the record ending at the anchor, the
+    /// digests behind it and the bytes past the anchor.
     pub journal_bytes_scanned: u64,
-    /// Of the adopted incidents, those reached by the back-links from
-    /// the anchor instead of by scanning (0 on a full scan).
+    /// Of the adopted incidents, those read from the digests the anchor
+    /// leads to instead of scanned (0 on a full scan).
     pub chained_incidents: u64,
+    /// Positional reads of the journal `open` made before its scan: the
+    /// magic, and from an anchor the record ending there and one per
+    /// digest behind it — the digests plus one when the record at the
+    /// anchor is the newest digest, whatever the number of incidents.
+    pub journal_reads: u64,
 }
 
 /// A [`Sentry`] wrapped with the journal + checkpoint + replay
@@ -321,6 +332,7 @@ impl DurableSentry {
             journal_bytes_truncated: recovered.bytes_truncated,
             journal_bytes_scanned: recovered.bytes_scanned,
             chained_incidents: recovered.chained_incidents,
+            journal_reads: recovered.reads,
             checkpoint_discarded: matches!(
                 full_scan,
                 Some(FullScan::CheckpointInvalid | FullScan::AnchorRefused(_))
@@ -401,11 +413,19 @@ impl DurableSentry {
     /// resume protocol (re-send from
     /// [`durable_events`](Self::durable_events)) covers both.
     pub fn ingest(&mut self, event: &ProcessEvent) -> Result<Vec<Incident>, JournalError> {
-        self.journal.append_event(event)?;
+        let checkpoint_due =
+            self.checkpoint_every > 0 && self.since_checkpoint + 1 >= self.checkpoint_every;
+        if checkpoint_due {
+            // The checkpoint below syncs: a batch this event fills
+            // rides that sync with the digest instead of taking its own.
+            self.journal.frame_event(event);
+        } else {
+            self.journal.append_event(event)?;
+        }
         let raised = self.inner.ingest(event);
         let mut durable = self.hold(raised, false)?;
         self.since_checkpoint += 1;
-        if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
+        if checkpoint_due {
             durable.extend(self.checkpoint()?);
         }
         Ok(durable)
@@ -462,23 +482,28 @@ impl DurableSentry {
         Ok(self.held.drain(..durable).collect())
     }
 
-    /// Takes a quiescent checkpoint now: drain, journal sync, atomic
-    /// snapshot write — the snapshot anchored at where that sync left
-    /// the journal. A sync point like [`drain`](Self::drain): returns
-    /// the incidents the drain raised and everything held. Bounds the
+    /// Takes a quiescent checkpoint now: drain, journal digest and
+    /// sync, atomic snapshot write — the snapshot anchored at where that
+    /// sync left the journal. A sync point like [`drain`](Self::drain):
+    /// returns the incidents the drain raised and everything held. The
+    /// drain's incidents and the digest of every incident no digest
+    /// holds yet ride one sync, the one a drain would make. Bounds the
     /// next recovery's replay to events ingested after this call, and
     /// what it reads of the journal to the bytes appended after it plus
-    /// the incidents' own records.
+    /// one record per checkpoint interval.
     pub fn checkpoint(&mut self) -> Result<Vec<Incident>, JournalError> {
-        let durable = self.drain()?;
-        self.journal.sync()?;
+        let raised = self.inner.drain();
+        self.journal.frame_incidents(&raised);
+        self.held.extend(raised);
+        let anchor = self.journal.checkpoint()?;
+        let durable = self.held.drain(..).collect();
         debug_assert_eq!(
             self.journal.durable_events(),
             self.inner.events(),
             "journal and sentry must agree on the event count at a sync point"
         );
         let snap = SentrySnapshot {
-            journal: self.journal.anchor(),
+            journal: anchor,
             ..self.inner.snapshot()
         };
         write_checkpoint(&self.checkpoint_path, &snap, &mut self.checkpoint_buf)?;
@@ -767,17 +792,10 @@ mod tests {
         ledger
     }
 
-    /// Oracle: the same workload through a plain sentry, uninterrupted.
+    /// The reference: the same workload through a plain sentry,
+    /// uninterrupted, on the service loop's cadence.
     fn oracle(events: &[ProcessEvent]) -> Vec<(u64, u32, Option<String>, usize, String)> {
-        let mut s = Sentry::new(engine(), config());
-        for (i, e) in events.iter().enumerate() {
-            s.ingest(e);
-            if i % 16 == 0 {
-                s.poll();
-            }
-        }
-        s.drain();
-        keys(&s)
+        keys(&Sentry::uninterrupted(engine(), config(), events, 16))
     }
 
     #[test]
@@ -939,7 +957,8 @@ mod tests {
         };
         assert!(good.journal.incidents > 0 && good.journal.offset < journal.len() as u64);
 
-        // Another history's checkpoint: same workload shape, other names.
+        // Another history's checkpoint: same workload shape, shorter
+        // names, so its anchor lands inside this journal.
         let other_dir = tmpdir("bad-anchor-other");
         let mut other_durable = DurableConfig::new(&other_dir);
         other_durable.checkpoint_every_events = 40;
@@ -947,7 +966,7 @@ mod tests {
         for e in &events {
             let mut e = e.clone();
             if let crate::event::EventKind::Spawn(name) = &mut e.kind {
-                name.push_str("-elsewhere");
+                name.truncate(1);
             }
             other.ingest(&e).unwrap();
         }
@@ -972,7 +991,8 @@ mod tests {
             (anchored(&|j| j.last_record -= 1), BoundaryMismatch),
             (anchored(&|j| j.incidents += 1), BrokenLink),
             (anchored(&|j| j.incidents -= 1), BrokenLink),
-            (anchored(&|j| j.last_incident = 0), BrokenLink),
+            (anchored(&|j| j.digest = 0), BrokenLink),
+            (anchored(&|j| j.digest_len += 1), BrokenLink),
             ((*foreign).clone(), BoundaryMismatch),
         ];
         let mut buf = Vec::new();
@@ -985,6 +1005,7 @@ mod tests {
             assert_eq!(report.checkpoint_events, 0);
             assert_eq!(report.replayed_events, events.len() as u64);
             assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
+            assert_eq!(report.journal_reads, 1, "the magic, then the scan");
             assert_eq!(report.journal_bytes_truncated, 0);
             assert_eq!(keys(d.sentry()), expect, "{why:?}");
             drop(d);
@@ -1014,12 +1035,17 @@ mod tests {
         drop(d);
 
         // And the anchor as it was written: the same place, by reading
-        // the tail and the incidents' records only.
+        // the tail and the digests only — one read a checkpoint, the
+        // boundary's included, and the magic.
         write_checkpoint(&ckpt, &good, &mut buf).unwrap();
         let d = DurableSentry::open(engine(), config(), durable).unwrap();
         let report = d.recovery();
         assert_eq!(report.full_scan, None);
         assert_eq!(report.chained_incidents, a.incidents);
+        assert!(
+            (2..=good.events / 40 + 2).contains(&report.journal_reads),
+            "{report:?}"
+        );
         assert_eq!(report.replayed_events, events.len() as u64 - good.events);
         assert!(report.journal_bytes_scanned < journal.len() as u64);
         assert_eq!(keys(d.sentry()), expect);
@@ -1331,8 +1357,11 @@ mod tests {
         assert_eq!(d.sentry().stats().dropped_after_kill, 1);
         // And the next checkpoint is written without the dead.
         d.checkpoint().unwrap();
-        let rewritten = fs::metadata(dir.join("checkpoint.snap")).unwrap().len();
-        assert!((rewritten as usize) < file.len() - 300, "{rewritten} bytes");
+        let CheckpointRead::Valid(rewritten) = read_checkpoint(&dir.join("checkpoint.snap")) else {
+            panic!("the checkpoint was written");
+        };
+        assert_eq!(rewritten.table.sessions.len(), 1);
+        assert_eq!(rewritten.streams.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

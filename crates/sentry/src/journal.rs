@@ -10,7 +10,7 @@
 //!
 //! # Record format
 //!
-//! The file opens with an 8-byte magic (`CSDJRNL3`) and then holds
+//! The file opens with an 8-byte magic (`CSDJRNL4`) and then holds
 //! back-to-back records, each framed with the same discipline as the
 //! socket protocol in [`event`](crate::event):
 //!
@@ -20,6 +20,7 @@
 //! └────────────┴─────────────┴───────┴──────────────────────┘
 //!   rtype 0 = Event    (body: the wire payload of the event)
 //!   rtype 1 = Incident (body: the fixed layout below)
+//!   rtype 2 = Digest   (body: a link, a count and incident bodies)
 //! ```
 //!
 //! `len` counts `rtype + body`; the CRC-32 (IEEE, computed eight bytes
@@ -31,16 +32,15 @@
 //!
 //! ```text
 //!   offset  bytes  field
-//!        0      8  prev          u64: file offset of the previous incident record, 0 = none
-//!        8      8  sid           u64
-//!       16      4  pid           u32
-//!       20      8  at_call       u64
-//!       28      8  probability   f64 bits
-//!       36      8  inference_us  f64 bits
-//!       44      1  action        0 Logged · 1 Killed · 2 Quarantined · 3 Suppressed
-//!       45      1  post_exit     0 · 1
-//!       46      1  outcome       0 NotAttempted · 1 Applied · 2 Failed
-//!       47  2 + n  name          u16 length n + UTF-8; length 0xFFFF = no name
+//!        0      8  sid           u64
+//!        8      4  pid           u32
+//!       12      8  at_call       u64
+//!       20      8  probability   f64 bits
+//!       28      8  inference_us  f64 bits
+//!       36      1  action        0 Logged · 1 Killed · 2 Quarantined · 3 Suppressed
+//!       37      1  post_exit     0 · 1
+//!       38      1  outcome       0 NotAttempted · 1 Applied · 2 Failed
+//!       39  2 + n  name          u16 length n + UTF-8; length 0xFFFF = no name
 //!        …  2 + m  outcome text  u16 length m + UTF-8; empty for NotAttempted
 //! ```
 //!
@@ -53,13 +53,29 @@
 //! or a byte left over refuses the record. It allocates only the two
 //! strings, whose lengths the body's own bytes bound.
 //!
-//! An incident record's `prev` is the file offset of the incident
-//! record before it (0 for the first): the incidents form a chain
-//! through the file, newest to oldest, so a reader that knows where the
-//! newest one sits reaches all of them without reading the events in
-//! between. That is the one incident record there is; a file with an
-//! earlier magic — unlinked records (`1`), JSON bodies (`2`) — is
-//! refused like any other foreign file.
+//! An **incident digest** is what a checkpoint leaves behind
+//! ([`Journal::checkpoint`]): the bodies of every incident framed since
+//! the previous digest, back to back, behind a link to that digest.
+//!
+//! ```text
+//!   offset  bytes  field
+//!        0      8  prev      u64: file offset of the previous digest, 0 = none
+//!        8      4  prev_len  u32: its length field, 0 = none
+//!       12      4  count     u32: incident bodies that follow, at least 1
+//!       16      …  count incident bodies, each the layout above
+//! ```
+//!
+//! A digest that would pass [`MAX_RECORD_LEN`] is split into several,
+//! each linked to the one before, so the digests form one chain through
+//! the file, newest to oldest, and a reader that knows where the newest
+//! one sits reaches every incident before it with one read a digest.
+//! The link carries the record's length, so that read is exactly the
+//! record. A digest decodes like an incident body: the link is none or
+//! both fields are set, the count is at least one, every body decodes,
+//! and no byte is left over. Incident records carry no link of their
+//! own; a file with an earlier magic — unlinked records (`1`), JSON
+//! bodies (`2`), per-incident back-links (`3`) — is refused like any
+//! other foreign file.
 //!
 //! Recovery decodes one incident body per incident ever raised and
 //! replays every tail event through the sessions, so neither the body
@@ -76,8 +92,8 @@
 //! Appends are framed in place in one user-space buffer and reach the
 //! file — one `write` plus one `fdatasync` — at *sync points*: every
 //! [`sync_every`](JournalConfig::sync_every) event records, at every
-//! explicit [`sync`](Journal::sync) or
-//! [`append_incidents`](Journal::append_incidents) call, and on clean
+//! explicit [`sync`](Journal::sync), [`checkpoint`](Journal::checkpoint)
+//! or [`append_incidents`](Journal::append_incidents) call, and on clean
 //! shutdown (drop). A sync writes the whole pending tail, events and
 //! incidents alike, so an incident framed into the tail without a
 //! sync of its own becomes durable with the event batch around it —
@@ -85,7 +101,7 @@
 //! batch's sync, and the [`durable`](crate::durable) layer above
 //! holds each one back until [`Journal::pending_incidents`] says it is
 //! on disk, forcing a sync only when one has waited past its commit
-//! deadline.
+//! deadline. A digest rides its checkpoint's sync the same way.
 //! A crash therefore loses at most `sync_every − 1` trailing event
 //! records and the incident records framed among them plus, if the
 //! crash interrupts a flush, a torn partial record at the tail.
@@ -106,25 +122,42 @@
 //! next append extends a clean tail. This is the longest-valid-prefix
 //! contract the torn-tail proptest pins: arbitrary truncation or byte
 //! corruption of the tail never loses a record that was fully synced
-//! before it.
+//! before it. The scan checks digests and adopts nothing from them:
+//! their incidents are the file's own incident records.
 //!
 //! # Opening at an anchor
 //!
 //! The full scan costs time and memory in proportion to everything ever
 //! journaled. A checkpoint records where its journal sync left the file
-//! — a [`JournalAnchor`], read off [`Journal::anchor`] — and
-//! [`Journal::open_at`] starts there: it reads back the record that
-//! ends at the anchor to see that the file still frames to it, walks
-//! the incident chain from the anchor's newest incident (one positional
-//! read and one CRC check per incident), and then scans and, if torn,
-//! truncates only the bytes past the anchor, exactly as the full scan
-//! would. Event records before the anchor are not read at all. The
-//! anchor is a hint about a file, never a source of data: whatever it
-//! claims is checked against the bytes, and one that does not hold is
-//! refused with an [`AnchorRefused`] — before anything was truncated —
-//! so the caller can fall back to [`Journal::open`]. The full scan stays
-//! the only way in without a checkpoint and the reference `open_at` is
-//! tested against.
+//! — a [`JournalAnchor`], returned by [`Journal::checkpoint`] — and
+//! [`Journal::open_at`] starts there. It reads back the record that
+//! ends at the anchor to see that the file still frames to it; walks
+//! the digest chain from the anchor's newest digest, one positional
+//! read and one CRC check a digest (when the newest digest is the
+//! record at the anchor, as it is whenever the checkpoint had incidents
+//! to digest, that read is the boundary's); and then scans and, if
+//! torn, truncates only the bytes past the anchor, exactly as the full
+//! scan would. Event records before the anchor are not read at all, nor
+//! is an incident record: [`JournalRecovery::reads`] is the magic, the
+//! boundary and one per digest behind it, whatever the number of
+//! incidents.
+//!
+//! The anchor is a hint about a file, never a source of data: whatever
+//! it claims is checked against the bytes, and one that does not hold
+//! is refused with an [`AnchorRefused`] — before anything was truncated
+//! — so the caller can fall back to [`Journal::open`]. The full scan
+//! stays the only way in without a checkpoint and the reference
+//! `open_at` is tested against.
+//!
+//! Two rules keep the chain equal to the anchor's count. Incidents
+//! recovered from records past the anchor — the whole file, for a full
+//! scan — and incidents framed after `open` belong to no digest the
+//! anchor reaches, so every `open` seeds the journal's *undigested*
+//! list with the recovered ones and the next checkpoint's digest
+//! carries them forward; after a full scan the chain starts again. And
+//! a digest past the anchor — written by a checkpoint whose file never
+//! landed — is neither adopted from nor linked to: the next digest
+//! links to the anchor's.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -137,26 +170,35 @@ use crate::actions::{ActionOutcome, ActionTaken, Incident};
 use crate::event::{decode_payload, encode_payload, ProcessEvent};
 use csd_accel::Alert;
 
-/// Magic bytes opening every journal file (format version 3: incident
-/// records carry a back-link and a fixed-layout body).
-pub const JOURNAL_MAGIC: &[u8; 8] = b"CSDJRNL3";
+/// Magic bytes opening every journal file (format version 4: incident
+/// records carry a fixed-layout body and no link; checkpoints leave
+/// linked incident digests).
+pub const JOURNAL_MAGIC: &[u8; 8] = b"CSDJRNL4";
 
 /// Upper bound on one record's `rtype + body` length: the largest
-/// record there can be, an incident whose name and outcome text are
-/// both as long as their length fields allow (131,121 bytes). A torn or
-/// hostile length prefix beyond it ends the valid prefix.
-pub const MAX_RECORD_LEN: usize = 1 + INCIDENT_FIXED_LEN + 2 + MAX_NAME_LEN + 2 + MAX_TEXT_LEN;
+/// record there can be, a digest of one incident whose name and outcome
+/// text are both as long as their length fields allow (131,129 bytes).
+/// A torn or hostile length prefix beyond it ends the valid prefix.
+pub const MAX_RECORD_LEN: usize = 1 + DIGEST_HEAD_LEN + MAX_INCIDENT_BODY;
 
 /// Bytes of a record before its `rtype`: length and CRC.
 const HEADER_LEN: usize = 8;
 
-/// Bytes of an incident record's payload before the rest of its body:
-/// `rtype` and the back-link.
-const LINK_LEN: usize = 1 + 8;
+/// Record types (the `rtype` byte).
+const EVENT: u8 = 0;
+const INCIDENT: u8 = 1;
+const DIGEST: u8 = 2;
 
 /// Bytes of an incident body before its two strings (see the
 /// [module docs](self#record-format)).
-const INCIDENT_FIXED_LEN: usize = 8 + 8 + 4 + 8 + 8 + 8 + 3;
+const INCIDENT_FIXED_LEN: usize = 8 + 4 + 8 + 8 + 8 + 3;
+
+/// The longest incident body there is.
+const MAX_INCIDENT_BODY: usize = INCIDENT_FIXED_LEN + 2 + MAX_NAME_LEN + 2 + MAX_TEXT_LEN;
+
+/// Bytes of a digest body before its incident bodies: the link to the
+/// previous digest (offset and length) and the count.
+const DIGEST_HEAD_LEN: usize = 8 + 4 + 4;
 
 /// An incident body's name length that stands for "no name".
 const NO_NAME: u16 = u16::MAX;
@@ -164,11 +206,6 @@ const NO_NAME: u16 = u16::MAX;
 /// The longest name and outcome text an incident body holds, in bytes.
 const MAX_NAME_LEN: usize = NO_NAME as usize - 1;
 const MAX_TEXT_LEN: usize = u16::MAX as usize;
-
-/// What one hop of the chain walk reads before it knows the record's
-/// length: several times a usual incident record (≈ 80 bytes), so a
-/// hop is one read.
-const HOP_READ: u64 = 512;
 
 /// Why a journal operation failed. Torn tails are *not* errors — open
 /// recovers them — so everything here is an environmental failure.
@@ -203,27 +240,31 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// Where a sync left the journal file: what a checkpoint records so the
-/// next [`open_at`](Journal::open_at) can start there. All four are
-/// file offsets or counts of *synced* bytes; 0 stands for "none", and
-/// an anchor whose `offset` is 0 for "no anchor".
+/// Where a checkpoint's sync left the journal file: what the checkpoint
+/// records so the next [`open_at`](Journal::open_at) can start there.
+/// All of it describes *synced* bytes; 0 stands for "none", and an
+/// anchor whose `offset` is 0 for "no anchor".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalAnchor {
     /// The file's synced length: every byte before it is durable and
     /// the last of them ends a record.
     #[serde(default)]
     pub offset: u64,
-    /// Incident records before `offset`.
+    /// Incident records before `offset`: what the digest chain holds.
     #[serde(default)]
     pub incidents: u64,
-    /// Offset of the newest incident record before `offset` — the head
-    /// of the chain — or 0 if there is none.
-    #[serde(default)]
-    pub last_incident: u64,
     /// Offset of the last record before `offset`, or 0 if the file held
     /// only its magic.
     #[serde(default)]
     pub last_record: u64,
+    /// Offset of the newest digest before `offset` — the head of the
+    /// chain, and usually `last_record` itself — or 0 if there is none.
+    #[serde(default)]
+    pub digest: u64,
+    /// That digest's length field (`rtype` and body bytes), 0 with no
+    /// digest.
+    #[serde(default)]
+    pub digest_len: u32,
 }
 
 /// Why [`Journal::open_at`] would not start from an anchor. Nothing
@@ -237,9 +278,11 @@ pub enum AnchorRefused {
     /// length or CRC do not read back — so the anchor does not
     /// describe this file.
     BoundaryMismatch,
-    /// The incident chain does not hold: a link that does not point at
-    /// an earlier incident record with a good CRC, or a chain longer or
-    /// shorter than the anchor's count.
+    /// The digest chain does not hold: a link that does not lead to an
+    /// earlier digest record — at or past the magic, ending before the
+    /// record it came from starts, at most [`MAX_RECORD_LEN`] long,
+    /// with a good CRC and a body that decodes exactly — or counts that
+    /// do not add up to the anchor's.
     BrokenLink,
 }
 
@@ -251,15 +294,19 @@ pub struct JournalRecovery {
     /// file's for [`open`](Journal::open), those past the anchor for
     /// [`open_at`](Journal::open_at).
     pub events: Vec<ProcessEvent>,
-    /// Every incident record in the file, in append order: the chained
+    /// Every incident record in the file, in append order: the digested
     /// ones first, then the scanned ones.
     pub incidents: Vec<Incident>,
-    /// How many of `incidents` were reached by back-links from the
-    /// anchor instead of by the scan (0 for a full scan).
+    /// How many of `incidents` were read from the digests the anchor
+    /// leads to instead of scanned (0 for a full scan).
     pub chained_incidents: u64,
+    /// Positional reads made before the scan: the magic, and from an
+    /// anchor the boundary record and each digest behind it (the
+    /// boundary read doubling as the newest digest's when it is one).
+    pub reads: u64,
     /// Bytes read from the file: all of it for a full scan; the magic,
-    /// the boundary record, one read per chained incident and the bytes
-    /// past the anchor otherwise.
+    /// the boundary record, the digests and the bytes past the anchor
+    /// otherwise.
     pub bytes_scanned: u64,
     /// Bytes discarded past the longest valid prefix (0 for a clean
     /// shutdown).
@@ -360,6 +407,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Where a digest record sits: its file offset and its length field.
+/// `(0, 0)` is "no digest".
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Link {
+    at: u64,
+    len: u32,
+}
+
 /// The append-only durable journal.
 ///
 /// See the [module docs](self) for the format and durability model.
@@ -384,11 +439,16 @@ pub struct Journal {
     durable_events: u64,
     /// Incident records durably on disk.
     durable_incidents: u64,
-    /// File offset of the newest incident record, durable or pending
-    /// (0 = none): what the next one links back to.
-    last_incident: u64,
     /// File offset of the newest record, durable or pending (0 = none).
     last_record: u64,
+    /// The newest digest the chain holds, durable or pending: what the
+    /// next one links back to.
+    digest: Link,
+    /// The bodies of the incidents no digest holds yet, back to back:
+    /// what the next [`checkpoint`](Self::checkpoint) digests.
+    undigested: Vec<u8>,
+    /// Where each of those bodies ends in `undigested`.
+    undigested_ends: Vec<usize>,
     /// fsync batches issued (for reports).
     syncs: u64,
 }
@@ -397,7 +457,9 @@ impl Journal {
     /// Opens (or creates) the journal at `path`, recovering the
     /// longest valid record prefix and truncating any torn tail. The
     /// recovered records come back alongside the journal, positioned
-    /// to append.
+    /// to append; every recovered incident waits for the next
+    /// [`checkpoint`](Self::checkpoint)'s digest, which starts the chain
+    /// again.
     pub fn open(
         path: &Path,
         config: JournalConfig,
@@ -423,21 +485,25 @@ impl Journal {
             file.sync_data()?;
         } else {
             check_magic(&file)?;
+            recovery.reads = 1;
             recover_tail(&mut file, &mut at, &mut recovery)?;
         }
         let events = recovery.event_count();
-        Ok((Self::positioned(file, path, config, &at, events), recovery))
+        let mut journal = Self::positioned(file, path, config, &at, events);
+        journal.seed_undigested(&recovery.incidents);
+        Ok((journal, recovery))
     }
 
     /// Opens the journal at `path` from `anchor`, which a checkpoint
     /// holding `events_before` events recorded: reads the incidents
-    /// before the anchor by their back-links, scans — and, if torn,
+    /// before the anchor from its digests, scans — and, if torn,
     /// truncates — only what lies past it, and counts `events_before`
     /// for the event records it did not read. Everything the anchor
     /// says is checked against the file first (see the
     /// [module docs](self#opening-at-an-anchor)); an anchor that does
     /// not hold comes back as the inner `Err` with the file untouched,
-    /// and the caller falls back to [`open`](Self::open).
+    /// and the caller falls back to [`open`](Self::open). The incidents
+    /// recovered past the anchor wait for the next checkpoint's digest.
     pub fn open_at(
         path: &Path,
         config: JournalConfig,
@@ -453,20 +519,20 @@ impl Journal {
         if let Err(refused) = verify_boundary(&file, anchor, &mut buf, &mut recovery)? {
             return Ok(Err(refused));
         }
-        if let Err(refused) = walk_chain(&file, anchor, &mut buf, &mut recovery)? {
+        if let Err(refused) = walk_digests(&file, anchor, &mut buf, &mut recovery)? {
             return Ok(Err(refused));
         }
         let mut at = *anchor;
         recover_tail(&mut file, &mut at, &mut recovery)?;
         let events = events_before + recovery.event_count();
-        Ok(Ok((
-            Self::positioned(file, path, config, &at, events),
-            recovery,
-        )))
+        let mut journal = Self::positioned(file, path, config, &at, events);
+        journal.seed_undigested(&recovery.incidents[recovery.chained_incidents as usize..]);
+        Ok(Ok((journal, recovery)))
     }
 
     /// A journal standing at `at` — the end of the file's valid records
-    /// — with `events` event records before it.
+    /// — with `events` event records before it, its digest chain headed
+    /// by `at`'s digest.
     fn positioned(
         file: File,
         path: &Path,
@@ -485,9 +551,23 @@ impl Journal {
             tail_suspect: false,
             durable_events: events,
             durable_incidents: at.incidents,
-            last_incident: at.last_incident,
             last_record: at.last_record,
+            digest: Link {
+                at: at.digest,
+                len: at.digest_len,
+            },
+            undigested: Vec::new(),
+            undigested_ends: Vec::new(),
             syncs: 0,
+        }
+    }
+
+    /// Queues `incidents` — recovered from records no digest reaches —
+    /// for the next digest.
+    fn seed_undigested(&mut self, incidents: &[Incident]) {
+        for incident in incidents {
+            encode_incident(incident, &mut self.undigested);
+            self.undigested_ends.push(self.undigested.len());
         }
     }
 
@@ -523,19 +603,22 @@ impl Journal {
         self.syncs
     }
 
-    /// Where the file stands, for a checkpoint to record. It describes
-    /// synced bytes, so it is taken with nothing pending — right after
-    /// a [`sync`](Self::sync). (Taken at any other time it names
-    /// records the file does not hold yet, and
-    /// [`open_at`](Self::open_at) will refuse it.)
-    pub fn anchor(&self) -> JournalAnchor {
-        debug_assert!(self.pending.is_empty(), "an anchor describes synced bytes");
-        JournalAnchor {
+    /// The journal's half of a checkpoint: frames a digest of every
+    /// incident no digest holds yet (split at [`MAX_RECORD_LEN`]),
+    /// syncs — one sync for the digest and whatever else is pending —
+    /// and returns where the file then stands, for the checkpoint to
+    /// record. With nothing to digest no digest is framed, and with
+    /// nothing pending either nothing is synced.
+    pub fn checkpoint(&mut self) -> Result<JournalAnchor, JournalError> {
+        self.frame_digests();
+        self.sync()?;
+        Ok(JournalAnchor {
             offset: self.synced_len,
             incidents: self.durable_incidents,
-            last_incident: self.last_incident,
             last_record: self.last_record,
-        }
+            digest: self.digest.at,
+            digest_len: self.digest.len,
+        })
     }
 
     /// Frames one record in place at the end of `pending` and returns
@@ -558,15 +641,23 @@ impl Journal {
     }
 
     /// Appends one event record. Buffered; becomes durable at the next
-    /// sync point (every `sync_every` events, `sync`,
+    /// sync point (every `sync_every` events, `sync`, `checkpoint`,
     /// `append_incidents`, or clean drop).
     pub fn append_event(&mut self, event: &ProcessEvent) -> Result<(), JournalError> {
-        self.frame_in_place(0, |out| encode_payload(event, out));
-        self.pending_events += 1;
+        self.frame_event(event);
         if self.pending_events >= self.sync_every {
             self.sync()?;
         }
         Ok(())
+    }
+
+    /// Frames one event record into the pending tail without the
+    /// batch's sync, for a caller whose next journal step is a
+    /// [`checkpoint`](Self::checkpoint): its one sync carries the batch
+    /// and the digest together.
+    pub(crate) fn frame_event(&mut self, event: &ProcessEvent) {
+        self.frame_in_place(EVENT, |out| encode_payload(event, out));
+        self.pending_events += 1;
     }
 
     /// Appends one incident record and forces a sync: an incident is
@@ -588,17 +679,55 @@ impl Journal {
         self.sync()
     }
 
-    /// Frames `incidents` into the pending tail, each linked back to
-    /// the incident record before it, and syncs nothing: they become
+    /// Frames `incidents` into the pending tail, and queues their
+    /// bodies for the next digest, and syncs nothing: they become
     /// durable with whatever sync comes next, and until then
     /// [`pending_incidents`](Self::pending_incidents) counts them. The
     /// caller must not hand them on before that.
     pub(crate) fn frame_incidents(&mut self, incidents: &[Incident]) {
         for incident in incidents {
-            let prev = self.last_incident;
-            self.last_incident = self.frame_in_place(1, |out| encode_incident(prev, incident, out));
+            let body = self.pending.len() + HEADER_LEN + 1;
+            self.frame_in_place(INCIDENT, |out| encode_incident(incident, out));
+            self.undigested.extend_from_slice(&self.pending[body..]);
+            self.undigested_ends.push(self.undigested.len());
             self.pending_incidents += 1;
         }
+    }
+
+    /// Frames the undigested incidents into as few digest records as
+    /// [`MAX_RECORD_LEN`] allows, each linked back to the one before,
+    /// and empties the list (keeping its capacity).
+    fn frame_digests(&mut self) {
+        let bodies = std::mem::take(&mut self.undigested);
+        let mut ends = std::mem::take(&mut self.undigested_ends);
+        let (mut from, mut next) = (0usize, 0usize);
+        while next < ends.len() {
+            // One body always fits — `MAX_RECORD_LEN` is sized for the
+            // largest — and more while they do.
+            let first = next;
+            next += 1;
+            while ends
+                .get(next)
+                .is_some_and(|&end| 1 + DIGEST_HEAD_LEN + end - from <= MAX_RECORD_LEN)
+            {
+                next += 1;
+            }
+            let to = ends[next - 1];
+            let (prev, count) = (self.digest, (next - first) as u32);
+            let at = self.frame_in_place(DIGEST, |out| {
+                out.extend_from_slice(&prev.at.to_le_bytes());
+                out.extend_from_slice(&prev.len.to_le_bytes());
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&bodies[from..to]);
+            });
+            let len = (1 + DIGEST_HEAD_LEN + to - from) as u32;
+            self.digest = Link { at, len };
+            from = to;
+        }
+        ends.clear();
+        self.undigested_ends = ends;
+        self.undigested = bodies;
+        self.undigested.clear();
     }
 
     /// Writes every buffered record and fdatasyncs. After `Ok`, all
@@ -688,9 +817,9 @@ fn header(bytes: &[u8]) -> (usize, u32) {
     )
 }
 
-/// Appends the body of an incident record linked back to `prev` (the
-/// layout in the [module docs](self#record-format)).
-fn encode_incident(prev: u64, incident: &Incident, out: &mut Vec<u8>) {
+/// Appends the body of an incident record (the layout in the
+/// [module docs](self#record-format)).
+fn encode_incident(incident: &Incident, out: &mut Vec<u8>) {
     let alert = &incident.alert;
     let action = match incident.action {
         ActionTaken::Logged => 0,
@@ -703,7 +832,6 @@ fn encode_incident(prev: u64, incident: &Incident, out: &mut Vec<u8>) {
         ActionOutcome::Applied(text) => (1, text.as_str()),
         ActionOutcome::Failed(text) => (2, text.as_str()),
     };
-    out.extend_from_slice(&prev.to_le_bytes());
     out.extend_from_slice(&incident.sid.to_le_bytes());
     out.extend_from_slice(&incident.pid.to_le_bytes());
     out.extend_from_slice(&(alert.at_call as u64).to_le_bytes());
@@ -725,62 +853,36 @@ fn put_str(s: &str, max: usize, out: &mut Vec<u8>) {
     out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
-/// An incident record's payload (`rtype` included): its back-link and
-/// the incident. `None` unless the body is exactly what
-/// [`encode_incident`] writes for some incident.
-fn decode_incident(payload: &[u8]) -> Option<(u64, Incident)> {
+/// An incident record's payload (`rtype` included). `None` unless the
+/// body is exactly what [`encode_incident`] writes for some incident.
+fn decode_incident(payload: &[u8]) -> Option<Incident> {
     let mut body = Fields(payload.get(1..)?);
-    let prev = body.u64()?;
-    let sid = body.u64()?;
-    let pid = u32::from_le_bytes(body.array()?);
-    let at_call = usize::try_from(body.u64()?).ok()?;
-    let probability = f64::from_bits(body.u64()?);
-    let inference_us = f64::from_bits(body.u64()?);
-    let [action, post_exit, outcome] = body.array()?;
-    let action = match action {
-        0 => ActionTaken::Logged,
-        1 => ActionTaken::Killed,
-        2 => ActionTaken::Quarantined,
-        3 => ActionTaken::Suppressed,
-        _ => return None,
-    };
-    let post_exit = match post_exit {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let name = match u16::from_le_bytes(body.array()?) {
-        NO_NAME => None,
-        len => Some(body.str(len)?.to_string()),
-    };
-    let len = u16::from_le_bytes(body.array()?);
-    let text = body.str(len)?;
-    let outcome = match outcome {
-        0 if text.is_empty() => ActionOutcome::NotAttempted,
-        1 => ActionOutcome::Applied(text.to_string()),
-        2 => ActionOutcome::Failed(text.to_string()),
-        _ => return None,
-    };
-    if !body.0.is_empty() {
-        return None;
-    }
-    let incident = Incident {
-        sid,
-        pid,
-        name,
-        alert: Alert {
-            at_call,
-            probability,
-            inference_us,
-        },
-        action,
-        outcome,
-        post_exit,
-    };
-    Some((prev, incident))
+    let incident = body.incident()?;
+    body.0.is_empty().then_some(incident)
 }
 
-/// The fields of an incident body not read yet.
+/// A digest record's payload (`rtype` included): its link, with its
+/// incidents appended to `out`. `None` unless the body is exactly what
+/// a checkpoint frames — a link that is none or has both fields set, at
+/// least one incident, every body whole, no byte left over — and `out`
+/// may then hold some of the incidents.
+fn decode_digest(payload: &[u8], out: &mut Vec<Incident>) -> Option<Link> {
+    let mut body = Fields(payload.get(1..)?);
+    let prev = Link {
+        at: body.u64()?,
+        len: u32::from_le_bytes(body.array()?),
+    };
+    let count = u32::from_le_bytes(body.array()?);
+    if count == 0 || (prev.at == 0) != (prev.len == 0) {
+        return None;
+    }
+    for _ in 0..count {
+        out.push(body.incident()?);
+    }
+    body.0.is_empty().then_some(prev)
+}
+
+/// The fields of a record body not read yet.
 struct Fields<'a>(&'a [u8]);
 
 impl<'a> Fields<'a> {
@@ -802,13 +904,60 @@ impl<'a> Fields<'a> {
     fn str(&mut self, len: u16) -> Option<&'a str> {
         std::str::from_utf8(self.take(usize::from(len))?).ok()
     }
+
+    /// One incident body, the inverse of [`encode_incident`].
+    fn incident(&mut self) -> Option<Incident> {
+        let sid = self.u64()?;
+        let pid = u32::from_le_bytes(self.array()?);
+        let at_call = usize::try_from(self.u64()?).ok()?;
+        let probability = f64::from_bits(self.u64()?);
+        let inference_us = f64::from_bits(self.u64()?);
+        let [action, post_exit, outcome] = self.array()?;
+        let action = match action {
+            0 => ActionTaken::Logged,
+            1 => ActionTaken::Killed,
+            2 => ActionTaken::Quarantined,
+            3 => ActionTaken::Suppressed,
+            _ => return None,
+        };
+        let post_exit = match post_exit {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let name = match u16::from_le_bytes(self.array()?) {
+            NO_NAME => None,
+            len => Some(self.str(len)?.to_string()),
+        };
+        let len = u16::from_le_bytes(self.array()?);
+        let text = self.str(len)?;
+        let outcome = match outcome {
+            0 if text.is_empty() => ActionOutcome::NotAttempted,
+            1 => ActionOutcome::Applied(text.to_string()),
+            2 => ActionOutcome::Failed(text.to_string()),
+            _ => return None,
+        };
+        Some(Incident {
+            sid,
+            pid,
+            name,
+            alert: Alert {
+                at_call,
+                probability,
+                inference_us,
+            },
+            action,
+            outcome,
+            post_exit,
+        })
+    }
 }
 
 /// The anchor is trusted only for a file that frames to it: the magic
 /// is ours, and the record the anchor names as the last one before its
 /// offset is there — starting where it says, exactly as long as it
 /// says, with a good CRC. The file is already known to be
-/// `anchor.offset` long.
+/// `anchor.offset` long. The record is left in `buf`, header included.
 fn verify_boundary(
     file: &File,
     anchor: &JournalAnchor,
@@ -821,6 +970,7 @@ fn verify_boundary(
         return Ok(MISMATCH);
     }
     check_magic(file)?;
+    recovery.reads += 1;
     recovery.bytes_scanned += magic_len;
     if anchor.last_record == 0 {
         // An anchor taken of a journal without records.
@@ -840,6 +990,7 @@ fn verify_boundary(
     };
     buf.resize(HEADER_LEN + len as usize, 0);
     file.read_exact_at(buf, anchor.last_record)?;
+    recovery.reads += 1;
     recovery.bytes_scanned += buf.len() as u64;
     let (framed_len, crc) = header(buf);
     if framed_len as u64 != len || crc32(&buf[HEADER_LEN..]) != crc {
@@ -848,54 +999,63 @@ fn verify_boundary(
     Ok(Ok(()))
 }
 
-/// Follows the back-links from the anchor's newest incident to the
-/// first, leaving the incidents in `recovery` oldest first. Each hop
-/// must land on an incident record that starts at or past the magic,
-/// ends no later than the record the walk came from starts (so offsets
-/// strictly decrease and the walk ends), is at most
-/// [`MAX_RECORD_LEN`] long and passes its CRC; and the chain must be
-/// exactly as long as the anchor's count.
-fn walk_chain(
+/// Follows the digest links from the anchor's newest digest to the
+/// first, leaving the incidents in `recovery` oldest first. `buf` holds
+/// the boundary record [`verify_boundary`] read, which is the first
+/// digest when the anchor says so. Each digest must start at or past
+/// the magic, end no later than the digest the walk came from starts
+/// (the anchor's offset, for the first), so offsets strictly decrease
+/// and the walk ends; be at most [`MAX_RECORD_LEN`] long, exactly as
+/// long as its link says; pass its CRC and decode exactly; and the
+/// counts must sum to the anchor's.
+fn walk_digests(
     file: &File,
     anchor: &JournalAnchor,
     buf: &mut Vec<u8>,
     recovery: &mut JournalRecovery,
 ) -> Result<Result<(), AnchorRefused>, JournalError> {
     const BROKEN: Result<(), AnchorRefused> = Err(AnchorRefused::BrokenLink);
-    let (mut at, mut bound) = (anchor.last_incident, anchor.offset);
-    while at != 0 {
-        if at < JOURNAL_MAGIC.len() as u64
-            || at >= bound
-            || recovery.chained_incidents == anchor.incidents
+    let mut link = Link {
+        at: anchor.digest,
+        len: anchor.digest_len,
+    };
+    if (link.at == 0) != (link.len == 0) {
+        return Ok(BROKEN);
+    }
+    let mut bound = anchor.offset;
+    let mut in_buf = link.at != 0 && link.at == anchor.last_record;
+    while link.at != 0 {
+        let len = link.len as usize;
+        if link.at < JOURNAL_MAGIC.len() as u64
+            || len > MAX_RECORD_LEN
+            || bound
+                .checked_sub(link.at)
+                .is_none_or(|room| room < (HEADER_LEN + len) as u64)
         {
             return Ok(BROKEN);
         }
-        let room = bound - at;
-        let first = room.min(HOP_READ) as usize;
-        if first < HEADER_LEN + LINK_LEN {
-            return Ok(BROKEN);
-        }
-        buf.resize(first, 0);
-        file.read_exact_at(buf, at)?;
-        let (len, crc) = header(buf);
-        if len > MAX_RECORD_LEN || (HEADER_LEN + len) as u64 > room {
-            return Ok(BROKEN);
-        }
-        if HEADER_LEN + len > first {
+        if !std::mem::take(&mut in_buf) {
             buf.resize(HEADER_LEN + len, 0);
-            file.read_exact_at(&mut buf[first..], at + first as u64)?;
+            file.read_exact_at(buf, link.at)?;
+            recovery.reads += 1;
+            recovery.bytes_scanned += buf.len() as u64;
         }
-        recovery.bytes_scanned += buf.len() as u64;
-        let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-        if crc32(payload) != crc || payload.first() != Some(&1) {
+        let (framed_len, crc) = header(buf);
+        let payload = &buf[HEADER_LEN..];
+        if framed_len != len || crc32(payload) != crc || payload.first() != Some(&DIGEST) {
             return Ok(BROKEN);
         }
-        let Some((prev, incident)) = decode_incident(payload) else {
+        let from = recovery.incidents.len();
+        let Some(prev) = decode_digest(payload, &mut recovery.incidents) else {
             return Ok(BROKEN);
         };
-        recovery.incidents.push(incident);
-        recovery.chained_incidents += 1;
-        (at, bound) = (prev, at);
+        recovery.chained_incidents += (recovery.incidents.len() - from) as u64;
+        if recovery.chained_incidents > anchor.incidents {
+            return Ok(BROKEN);
+        }
+        // Newest first for now, like the digests: reversed whole below.
+        recovery.incidents[from..].reverse();
+        (link, bound) = (prev, link.at);
     }
     if recovery.chained_incidents != anchor.incidents {
         return Ok(BROKEN);
@@ -928,11 +1088,13 @@ fn recover_tail(
 }
 
 /// Scans `bytes` — the file from `at.offset` on — record by record,
-/// pushing decoded records and advancing `at` over the longest valid
-/// prefix.
+/// pushing decoded events and incidents and advancing `at` over the
+/// longest valid prefix. A digest is checked like any record and
+/// adopted from never: its incidents are records of this file already.
 fn scan_records(bytes: &[u8], at: &mut JournalAnchor, recovery: &mut JournalRecovery) {
     let base = at.offset;
     let mut pos = 0usize;
+    let mut digested = Vec::new();
     // Until a torn length/CRC prefix, or the clean end.
     while let Some(head) = bytes.get(pos..pos + HEADER_LEN) {
         let (len, crc) = header(head);
@@ -945,23 +1107,28 @@ fn scan_records(bytes: &[u8], at: &mut JournalAnchor, recovery: &mut JournalReco
         if crc32(payload) != crc {
             break; // Flipped bits anywhere in the payload.
         }
-        let offset = base + pos as u64;
         match payload[0] {
-            0 => match decode_payload(&payload[1..]) {
+            EVENT => match decode_payload(&payload[1..]) {
                 Ok(Some(event)) => recovery.events.push(event),
                 _ => break,
             },
-            1 => match decode_incident(payload) {
-                Some((_, incident)) => {
+            INCIDENT => match decode_incident(payload) {
+                Some(incident) => {
                     recovery.incidents.push(incident);
                     at.incidents += 1;
-                    at.last_incident = offset;
                 }
                 None => break,
             },
+            DIGEST => {
+                let whole = decode_digest(payload, &mut digested).is_some();
+                digested.clear();
+                if !whole {
+                    break;
+                }
+            }
             _ => break, // Unknown record type: not ours.
         }
-        at.last_record = offset;
+        at.last_record = base + pos as u64;
         pos += HEADER_LEN + len;
     }
     at.offset = base + pos as u64;
@@ -1112,20 +1279,32 @@ mod tests {
     }
 
     /// The on-disk format, byte for byte: the magic, a spawn event,
-    /// [`sample_incident`]`(3)` with no incident before it (`prev` 0),
-    /// an API event, and [`sample_incident`]`(4)` linked back to the
-    /// first one's offset, 40 = `0x28`. One record a line; an incident's
-    /// body is split at `prev`, `sid`, `pid`, `at_call`, the two floats'
-    /// bits, the three tags and the two strings. The two event records
-    /// are byte for byte, CRC included, what every earlier format wrote:
-    /// the event format has not changed.
-    const GOLDEN: &str = "4353444a524e4c33
+    /// [`sample_incident`]`(3)`, an API event, [`sample_incident`]`(4)`,
+    /// the first checkpoint's digest of both (no digest before it), then
+    /// [`sample_incident`]`(5)` and the second checkpoint's digest of it,
+    /// linked back to the first digest's offset (`0xcc`) and length
+    /// (`0x89`). One record a line; an incident's body is split at `sid`,
+    /// `pid`, `at_call`, the two floats' bits, the three tags and the two
+    /// strings, a digest's head at the link's two fields and the count.
+    /// The two event records are byte for byte, CRC included, what every
+    /// earlier format wrote: the event format has not changed.
+    const GOLDEN: &str = "4353444a524e4c34
         18000000923d22d5000007000000000000009210000008006576696c2e657865
-        45000000843ad420 01 0000000000000000 0300000000000000 92100000 6400000000000000
-            0ad7a3703d0aef3f 0000000000002940 020001 08006576696c2e657865 090073616e64626f786564
+        3d0000004799b42e 01 0300000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+            020001 08006576696c2e657865 090073616e64626f786564
         1200000031440bae000108000000000000009210000005000000
-        45000000f368dbb7 01 2800000000000000 0400000000000000 92100000 6400000000000000
-            0ad7a3703d0aef3f 0000000000002940 020001 08006576696c2e657865 090073616e64626f786564";
+        3d000000293a1d37 01 0400000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+            020001 08006576696c2e657865 090073616e64626f786564
+        89000000aa71f69a 02 0000000000000000 00000000 02000000
+            0300000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+                020001 08006576696c2e657865 090073616e64626f786564
+            0400000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+                020001 08006576696c2e657865 090073616e64626f786564
+        3d000000a6b4cefd 01 0500000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+            020001 08006576696c2e657865 090073616e64626f786564
+        4d000000cb00104b 02 cc00000000000000 89000000 01000000
+            0500000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+                020001 08006576696c2e657865 090073616e64626f786564";
 
     #[test]
     fn the_on_disk_format_is_the_golden_bytes() {
@@ -1138,6 +1317,9 @@ mod tests {
             j.append_incident(&sample_incident(3)).unwrap();
             j.append_event(&ProcessEvent::api(8, 4242, 5)).unwrap();
             j.append_incident(&sample_incident(4)).unwrap();
+            j.checkpoint().unwrap();
+            j.append_incident(&sample_incident(5)).unwrap();
+            j.checkpoint().unwrap();
         }
         let hex: String = std::fs::read(&path)
             .unwrap()
@@ -1213,69 +1395,107 @@ mod tests {
     }
 
     /// A journal of `n` events, an incident framed after each event
-    /// `incident_after` picks, syncing every 8 events; the anchor is
-    /// taken once `anchor_after` events are in, after the sync a
-    /// checkpoint makes, and covers that many events.
-    fn anchored_journal(
+    /// `incident_after` picks, syncing every 8 events, and a checkpoint
+    /// before event `k` for each `k` in `checkpoints` (`n` is after the
+    /// last). Returns their anchors: each covers its `k` events, and
+    /// its digest holds every incident framed before it.
+    fn journal_with_checkpoints(
         path: &Path,
         n: usize,
-        anchor_after: usize,
+        checkpoints: &[usize],
         incident_after: impl Fn(usize) -> bool,
-    ) -> JournalAnchor {
+    ) -> Vec<JournalAnchor> {
         let _ = std::fs::remove_file(path);
         let (mut j, _) = Journal::open(path, JournalConfig { sync_every: 8 }).unwrap();
-        let mut anchor = None;
+        let mut anchors = Vec::new();
         for (i, e) in sample_events(n).iter().enumerate() {
-            if i == anchor_after {
-                j.sync().unwrap();
-                anchor = Some(j.anchor());
+            if checkpoints.contains(&i) {
+                anchors.push(j.checkpoint().unwrap());
             }
             j.append_event(e).unwrap();
             if incident_after(i) {
                 j.frame_incidents(&[sample_incident(i as u64)]);
             }
         }
+        if checkpoints.contains(&n) {
+            anchors.push(j.checkpoint().unwrap());
+        }
         j.sync().unwrap();
-        anchor.unwrap_or_else(|| j.anchor())
+        anchors
+    }
+
+    /// [`journal_with_checkpoints`] with one checkpoint.
+    fn anchored_journal(
+        path: &Path,
+        n: usize,
+        anchor_after: usize,
+        incident_after: impl Fn(usize) -> bool,
+    ) -> JournalAnchor {
+        journal_with_checkpoints(path, n, &[anchor_after], incident_after)[0]
+    }
+
+    /// `(offset, length field)` of every digest in the anchor's chain,
+    /// newest first, read off the file's bytes by their links.
+    fn digest_chain(bytes: &[u8], anchor: &JournalAnchor) -> Vec<(u64, usize)> {
+        let (mut at, mut len) = (anchor.digest, anchor.digest_len as usize);
+        let mut chain = Vec::new();
+        while at != 0 {
+            chain.push((at, len));
+            let body = &bytes[at as usize + HEADER_LEN + 1..];
+            at = u64::from_le_bytes(body[..8].try_into().unwrap());
+            len = u32::from_le_bytes(body[8..12].try_into().unwrap()) as usize;
+        }
+        chain
     }
 
     /// `open_at` against the full scan of a copy of the same file: the
     /// same incidents in the same order, the events past the anchor,
-    /// the same truncation and counts, no more read than the anchor
-    /// promises — and, since the links go on where they left off, the
-    /// same file once both have appended the same records.
+    /// the same truncation and counts, exactly the magic, the boundary,
+    /// the digests and the tail read — and the same file once both have
+    /// appended the same records. Then each side's next checkpoint: its
+    /// digest carries forward what the anchor did not reach (the tail's
+    /// incidents from the anchor, every incident after the full scan),
+    /// so an open at the new anchor reads all of them from digests.
     fn assert_open_at_matches_the_full_scan(
         path: &Path,
         anchor: &JournalAnchor,
         events_before: usize,
     ) -> JournalRecovery {
+        let config = JournalConfig::default();
         let copy = path.with_extension("copy");
         std::fs::copy(path, &copy).unwrap();
-        let len = std::fs::metadata(path).unwrap().len();
-        let (mut full, full_rec) = Journal::open(&copy, JournalConfig::default()).unwrap();
-        let (mut at, at_rec) =
-            Journal::open_at(path, JournalConfig::default(), anchor, events_before as u64)
-                .unwrap()
-                .expect("the anchor holds");
+        let bytes = std::fs::read(path).unwrap();
+        let len = bytes.len() as u64;
+        let (mut full, full_rec) = Journal::open(&copy, config).unwrap();
+        let (mut at, at_rec) = Journal::open_at(path, config, anchor, events_before as u64)
+            .unwrap()
+            .expect("the anchor holds");
         assert_eq!(full_rec.bytes_scanned, len);
-        assert_eq!(full_rec.chained_incidents, 0);
+        assert_eq!((full_rec.chained_incidents, full_rec.reads), (0, 1));
         assert_eq!(at_rec.incidents, full_rec.incidents);
         assert_eq!(at_rec.events[..], full_rec.events[events_before..]);
         assert_eq!(at_rec.bytes_truncated, full_rec.bytes_truncated);
         assert_eq!(at_rec.chained_incidents, anchor.incidents);
-        // Read: the magic, the record at the boundary, the tail, and at
-        // most a hop's worth per chained incident.
-        let fixed = JOURNAL_MAGIC.len() as u64
-            + (anchor.offset - anchor.last_record.max(JOURNAL_MAGIC.len() as u64))
-            + (len - anchor.offset);
-        assert!(
-            (fixed..=fixed + HOP_READ * anchor.incidents).contains(&at_rec.bytes_scanned),
-            "{} bytes read of {len}, anchor {anchor:?}",
-            at_rec.bytes_scanned
+        // Read: the magic, the record at the boundary, every digest
+        // behind it once, and the tail.
+        let magic = JOURNAL_MAGIC.len() as u64;
+        let behind: Vec<(u64, usize)> = digest_chain(&bytes, anchor)
+            .into_iter()
+            .filter(|&(at, _)| at != anchor.last_record)
+            .collect();
+        let digests: u64 = behind.iter().map(|&(_, n)| (HEADER_LEN + n) as u64).sum();
+        let boundary = anchor.offset - anchor.last_record.max(magic);
+        assert_eq!(
+            at_rec.bytes_scanned,
+            magic + boundary + digests + (len - anchor.offset),
+            "anchor {anchor:?}"
+        );
+        assert_eq!(
+            at_rec.reads,
+            1 + u64::from(anchor.last_record != 0) + behind.len() as u64
         );
         assert_eq!(at.durable_events(), full.durable_events());
         assert_eq!(at.durable_incidents(), full.durable_incidents());
-        assert_eq!(at.anchor(), full.anchor(), "both stand at the same place");
         for j in [&mut full, &mut at] {
             j.append_event(&ProcessEvent::api(99, 1, 2)).unwrap();
             j.append_incident(&sample_incident(999)).unwrap();
@@ -1284,8 +1504,27 @@ mod tests {
         assert_eq!(
             std::fs::read(path).unwrap(),
             std::fs::read(&copy).unwrap(),
-            "the same records, linked the same way"
+            "the same records in the same places"
         );
+
+        for (file, anchored) in [(path, true), (copy.as_path(), false)] {
+            let (mut j, rec) = if anchored {
+                Journal::open_at(file, config, anchor, events_before as u64)
+                    .unwrap()
+                    .unwrap()
+            } else {
+                Journal::open(file, config).unwrap()
+            };
+            let next = j.checkpoint().unwrap();
+            let events = j.durable_events();
+            drop(j);
+            let (_, again) = Journal::open_at(file, config, &next, events)
+                .unwrap()
+                .expect("the next checkpoint's anchor holds");
+            assert_eq!(again.incidents, rec.incidents, "anchored: {anchored}");
+            assert_eq!(again.chained_incidents, rec.incidents.len() as u64);
+            assert_eq!(again.event_count(), 0);
+        }
         let _ = std::fs::remove_file(&copy);
         at_rec
     }
@@ -1293,26 +1532,36 @@ mod tests {
     #[test]
     fn open_at_recovers_what_the_full_scan_recovers() {
         let path = tmp("anchored");
-        type Case = (usize, usize, fn(usize) -> bool);
-        let cases: [Case; 6] = [
+        type Case = (usize, &'static [usize], usize, fn(usize) -> bool);
+        let cases: [Case; 9] = [
             // An anchor taken of an empty journal.
-            (20, 0, |i| i % 3 == 2),
-            // No incident anywhere.
-            (20, 10, |_| false),
+            (20, &[0], 0, |i| i % 3 == 2),
+            // No incident anywhere: no digest either.
+            (20, &[10], 0, |_| false),
             // Incidents on both sides of the anchor.
-            (40, 20, |i| i % 3 == 2),
+            (40, &[20], 0, |i| i % 3 == 2),
             // Nothing past the anchor: a crash straight after the
             // checkpoint.
-            (40, 40, |i| i % 3 == 2),
+            (40, &[40], 0, |i| i % 3 == 2),
             // Many incidents before the anchor and none after.
-            (60, 50, |i| i < 45),
-            // The record that ends at the anchor is an incident.
-            (30, 12, |i| i == 11 || i == 20),
+            (60, &[50], 0, |i| i < 45),
+            // The anchor's digest holds one incident, framed just
+            // before it.
+            (30, &[12], 0, |i| i == 11 || i == 20),
+            // A digest a checkpoint interval.
+            (60, &[10, 20, 30, 40], 3, |i| i % 4 == 1),
+            // The last intervals raised nothing: the newest digest is
+            // behind the record at the anchor.
+            (60, &[10, 20, 30], 2, |i| i < 15),
+            // Digests past the anchor — checkpoints whose files never
+            // landed — are neither adopted from nor linked to.
+            (60, &[10, 20, 30, 40], 1, |i| i % 4 == 1),
         ];
-        for (n, anchor_after, incident_after) in cases {
-            let anchor = anchored_journal(&path, n, anchor_after, incident_after);
-            let rec = assert_open_at_matches_the_full_scan(&path, &anchor, anchor_after);
-            assert_eq!(rec.event_count(), (n - anchor_after) as u64);
+        for (n, checkpoints, pick, incident_after) in cases {
+            let anchor = journal_with_checkpoints(&path, n, checkpoints, incident_after)[pick];
+            let before = checkpoints[pick];
+            let rec = assert_open_at_matches_the_full_scan(&path, &anchor, before);
+            assert_eq!(rec.event_count(), (n - before) as u64);
             assert_eq!(
                 rec.incidents.len(),
                 (0..n).filter(|&i| incident_after(i)).count()
@@ -1321,7 +1570,57 @@ mod tests {
         // The head is not read: its size does not show in what was.
         let anchor = anchored_journal(&path, 5_000, 4_990, |i| i % 1_000 == 0);
         let rec = assert_open_at_matches_the_full_scan(&path, &anchor, 4_990);
-        assert!(rec.bytes_scanned < 5 * HOP_READ + 1_024, "{rec:?}");
+        assert_eq!(rec.reads, 2, "the magic, and the digest at the anchor");
+        assert!(rec.bytes_scanned < 1_024, "{rec:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// What an anchored open reads is one record per digest and the
+    /// magic — however many incidents each digest holds — and one more
+    /// when the record at the anchor is not the newest digest.
+    #[test]
+    fn an_anchored_open_makes_one_read_a_digest_whatever_the_incidents() {
+        let path = tmp("reads");
+        for per_interval in [1usize, 7, 300] {
+            for intervals in [1usize, 3, 6] {
+                let _ = std::fs::remove_file(&path);
+                let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
+                let mut anchor = JournalAnchor::default();
+                let mut sid = 0u64;
+                for _ in 0..intervals {
+                    for e in sample_events(20) {
+                        j.append_event(&e).unwrap();
+                    }
+                    for _ in 0..per_interval {
+                        sid += 1;
+                        j.frame_incidents(&[sample_incident(sid)]);
+                    }
+                    anchor = j.checkpoint().unwrap();
+                }
+                let digests = intervals as u64;
+                assert_eq!(anchor.digest, anchor.last_record);
+                let (_, rec) =
+                    Journal::open_at(&path, JournalConfig::default(), &anchor, 20 * digests)
+                        .unwrap()
+                        .expect("the anchor holds");
+                assert_eq!(rec.reads, digests + 1, "{per_interval} × {intervals}");
+                assert_eq!(rec.chained_incidents, sid);
+
+                // An interval that raised nothing frames no digest.
+                for e in sample_events(20) {
+                    j.append_event(&e).unwrap();
+                }
+                let quiet = j.checkpoint().unwrap();
+                assert_eq!((quiet.digest, quiet.incidents), (anchor.digest, sid));
+                drop(j);
+                let (_, rec) =
+                    Journal::open_at(&path, JournalConfig::default(), &quiet, 20 * digests + 20)
+                        .unwrap()
+                        .expect("the anchor holds");
+                assert_eq!(rec.reads, digests + 2);
+                assert_eq!(rec.chained_incidents, sid);
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1340,7 +1639,7 @@ mod tests {
                 j.append_event(&e).unwrap();
             }
             j.append_incident(&sample_incident(1)).unwrap();
-            let anchor = j.anchor();
+            let anchor = j.checkpoint().unwrap();
             for e in sample_events(4) {
                 j.append_event(&e).unwrap();
             }
@@ -1369,23 +1668,27 @@ mod tests {
         for e in &events[3..5] {
             j.append_event(e).unwrap();
         }
-        // An incident is pending when the sync fails, part of the batch
-        // already in the file...
+        // An incident and the digest of both are pending when the
+        // checkpoint's sync fails, part of the batch already in the
+        // file...
         j.frame_incidents(&[sample_incident(2)]);
         let mut writable = std::mem::replace(&mut j.file, File::open(&path).unwrap());
-        assert!(matches!(j.sync(), Err(JournalError::Io(_))));
+        assert!(matches!(j.checkpoint(), Err(JournalError::Io(_))));
         writable.write_all(&j.pending[..10]).unwrap();
         writable.sync_data().unwrap();
         j.file = writable;
-        // ...and another is framed behind it before the retry: it links
-        // to where the first one *will* be.
+        // ...and another incident is framed behind it before the retry,
+        // whose digest links to where the first one *will* be.
         j.frame_incidents(&[sample_incident(3)]);
-        j.sync().unwrap();
-        let anchor = j.anchor();
+        let anchor = j.checkpoint().unwrap();
         assert_eq!(anchor.incidents, 3);
         j.append_event(&events[5]).unwrap();
         drop(j);
-        // The chain walks: every record sits where its link says.
+        assert_eq!(
+            digest_chain(&std::fs::read(&path).unwrap(), &anchor).len(),
+            2
+        );
+        // The chain walks: every digest sits where its link says.
         let rec = assert_open_at_matches_the_full_scan(&path, &anchor, 5);
         let sids: Vec<u64> = rec.incidents().map(|i| i.sid).collect();
         assert_eq!(sids, [1, 2, 3]);
@@ -1402,13 +1705,22 @@ mod tests {
         out
     }
 
-    /// Points the incident record at `at` back to `prev`, CRC and all.
-    fn relink(bytes: &mut [u8], at: u64, prev: u64) {
+    /// Writes `patch` into the body of the record at `at`, `offset`
+    /// bytes past its `rtype`, and fixes its CRC: a record that frames
+    /// and says something else.
+    fn forge(bytes: &mut [u8], at: u64, offset: usize, patch: &[u8]) {
         let at = at as usize;
         let end = at + HEADER_LEN + header(&bytes[at..]).0;
-        bytes[at + HEADER_LEN + 1..at + HEADER_LEN + LINK_LEN].copy_from_slice(&prev.to_le_bytes());
+        let body = at + HEADER_LEN + 1 + offset;
+        bytes[body..body + patch.len()].copy_from_slice(patch);
         let crc = crc32(&bytes[at + HEADER_LEN..end]);
         bytes[at + 4..at + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Points the digest at `at` back to `(prev, prev_len)`, CRC and all.
+    fn relink(bytes: &mut [u8], at: u64, prev: u64, prev_len: u32) {
+        let link = [prev.to_le_bytes().as_slice(), &prev_len.to_le_bytes()].concat();
+        forge(bytes, at, 0, &link);
     }
 
     /// Why `open_at` refuses `anchor` on the file at `path` — which it
@@ -1428,23 +1740,32 @@ mod tests {
     }
 
     #[test]
-    fn hostile_anchors_and_links_are_refused_with_the_file_untouched() {
+    fn hostile_anchors_and_digests_are_refused_with_the_file_untouched() {
         use AnchorRefused::{BoundaryMismatch, BrokenLink, JournalShort};
         let path = tmp("hostile");
-        let good = anchored_journal(&path, 40, 30, |i| i % 3 == 2);
+        // Four checkpoints with incidents before each: the anchor is the
+        // third's, three digests long; the fourth's digest lies past it.
+        let checkpoints = [10, 20, 30, 45];
+        let anchors = journal_with_checkpoints(&path, 60, &checkpoints, |i| i % 3 == 2);
+        let (good, later) = (anchors[2], anchors[3]);
         // A torn tail, to see that a refusal does not cut it either.
         let mut pristine = std::fs::read(&path).unwrap();
         pristine.extend_from_slice(&[0xAB; 13]);
         std::fs::write(&path, &pristine).unwrap();
         let len = pristine.len() as u64;
         let records = record_offsets(&pristine);
+        let chain = digest_chain(&pristine, &good);
+        assert_eq!(chain.len(), 3);
+        assert_eq!(good.digest, good.last_record, "the boundary is the digest");
         let before = |rtype: u8| {
             let of_type = |&&(at, t): &&(u64, u8)| t == rtype && at < good.last_record;
             records.iter().rev().find(of_type).unwrap().0
         };
+        let length = |at: u64| header(&pristine[at as usize..]).0 as u32;
+        let (event, incident) = (before(EVENT), before(INCIDENT));
         let tail_incident = records
             .iter()
-            .find(|&&(at, t)| t == 1 && at >= good.offset)
+            .find(|&&(at, t)| t == INCIDENT && at >= good.offset)
             .unwrap()
             .0;
 
@@ -1467,7 +1788,7 @@ mod tests {
                 with(good, |a| a.last_record = good.last_record + 1),
                 BoundaryMismatch,
             ),
-            (with(good, |a| a.last_record = before(0)), BoundaryMismatch),
+            (with(good, |a| a.last_record = event), BoundaryMismatch),
             (with(good, |a| a.last_record = 0), BoundaryMismatch),
             (with(good, |a| a.last_record = 5), BoundaryMismatch),
             (
@@ -1480,53 +1801,134 @@ mod tests {
             (with(good, |a| a.incidents = good.incidents - 1), BrokenLink),
             (with(good, |a| a.incidents = 0), BrokenLink),
             (with(good, |a| a.incidents = u64::MAX), BrokenLink),
-            // The chain's head is no incident record before the anchor.
-            (with(good, |a| a.last_incident = 0), BrokenLink),
-            (with(good, |a| a.last_incident = 3), BrokenLink),
+            // No digest, or half a link.
             (
-                with(good, |a| a.last_incident = good.last_incident + 1),
+                with(good, |a| (a.digest, a.digest_len) = (0, 0)),
                 BrokenLink,
             ),
-            (with(good, |a| a.last_incident = before(0)), BrokenLink),
-            (with(good, |a| a.last_incident = tail_incident), BrokenLink),
+            (with(good, |a| a.digest = 0), BrokenLink),
+            (with(good, |a| a.digest_len = 0), BrokenLink),
+            // The head is no digest before the anchor: below the magic,
+            // an event, an incident, an older digest under the newest's
+            // length, a digest or an incident past the anchor.
+            (with(good, |a| a.digest = 3), BrokenLink),
             (
-                with(good, |a| a.last_incident = good.offset - 4),
+                with(good, |a| (a.digest, a.digest_len) = (event, length(event))),
                 BrokenLink,
             ),
-            (with(good, |a| a.last_incident = u64::MAX), BrokenLink),
+            (
+                with(good, |a| {
+                    (a.digest, a.digest_len) = (incident, length(incident))
+                }),
+                BrokenLink,
+            ),
+            (with(good, |a| a.digest = chain[1].0), BrokenLink),
+            (
+                with(good, |a| {
+                    (a.digest, a.digest_len) = (later.digest, later.digest_len)
+                }),
+                BrokenLink,
+            ),
+            (
+                with(good, |a| {
+                    (a.digest, a.digest_len) = (tail_incident, length(tail_incident))
+                }),
+                BrokenLink,
+            ),
+            // A length past MAX_RECORD_LEN, or not the record's.
+            (
+                with(good, |a| a.digest_len = MAX_RECORD_LEN as u32 + 1),
+                BrokenLink,
+            ),
+            (with(good, |a| a.digest_len = u32::MAX), BrokenLink),
+            (
+                with(good, |a| a.digest_len = good.digest_len - 1),
+                BrokenLink,
+            ),
         ];
         for (anchor, expect) in lies {
             assert_eq!(refusal(&path, &anchor), expect, "{anchor:?}");
         }
 
-        // The anchor is true; a linked record is not what it was.
-        let head = good.last_incident;
-        let second = before(1);
-        assert!(second < head);
-        let (event, last) = (before(0), good.last_record as usize);
+        // The anchor is true; a digest is not what it was.
+        let [(head, _), (second, second_len), (third, _)] = chain[..] else {
+            panic!("three digests");
+        };
+        let second_len = second_len as u32;
+        let count = |at: u64| {
+            let at = at as usize + HEADER_LEN + 1 + 12;
+            u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap())
+        };
+        let second_count = count(second);
+        let (head_len, event_len, incident_len) = (length(head), length(event), length(incident));
+        let last = good.last_record as usize;
         type Forgery = Box<dyn Fn(&mut [u8])>;
-        let forgeries: [(Forgery, AnchorRefused); 10] = [
-            // A link pointing at itself, forward, below the magic, into
-            // an event record, past the next incident.
-            (Box::new(move |b| relink(b, head, head)), BrokenLink),
-            (Box::new(move |b| relink(b, second, head)), BrokenLink),
-            (Box::new(move |b| relink(b, head, 3)), BrokenLink),
-            (Box::new(move |b| relink(b, head, event)), BrokenLink),
-            (Box::new(move |b| relink(b, second, 0)), BrokenLink),
-            // A flipped bit in a linked record: its body, its link, its
+        let forgeries: [(Forgery, AnchorRefused); 19] = [
+            // A link that does not decrease: to itself, forward, below
+            // the magic.
+            (
+                Box::new(move |b| relink(b, head, head, head_len)),
+                BrokenLink,
+            ),
+            (
+                Box::new(move |b| relink(b, second, head, head_len)),
+                BrokenLink,
+            ),
+            (Box::new(move |b| relink(b, third, 3, 20)), BrokenLink),
+            // A link to a record that is no digest.
+            (
+                Box::new(move |b| relink(b, head, event, event_len)),
+                BrokenLink,
+            ),
+            (
+                Box::new(move |b| relink(b, second, incident, incident_len)),
+                BrokenLink,
+            ),
+            // A length past MAX_RECORD_LEN, or one off the record's.
+            (
+                Box::new(move |b| relink(b, head, second, MAX_RECORD_LEN as u32 + 1)),
+                BrokenLink,
+            ),
+            (
+                Box::new(move |b| relink(b, head, second, second_len + 1)),
+                BrokenLink,
+            ),
+            (
+                Box::new(move |b| relink(b, head, second, second_len - 1)),
+                BrokenLink,
+            ),
+            // Half a link; no link where there was one, so the counts
+            // fall short of the anchor's.
+            (Box::new(move |b| relink(b, second, third, 0)), BrokenLink),
+            (Box::new(move |b| relink(b, second, 0, 0)), BrokenLink),
+            // A count that disagrees with the body: one more, one fewer
+            // (a body left over), none.
+            (
+                Box::new(move |b| forge(b, second, 12, &(second_count + 1).to_le_bytes())),
+                BrokenLink,
+            ),
+            (
+                Box::new(move |b| forge(b, second, 12, &(second_count - 1).to_le_bytes())),
+                BrokenLink,
+            ),
+            (Box::new(move |b| forge(b, third, 12, &[0; 4])), BrokenLink),
+            // An undecodable body: an unknown action in its first
+            // incident, invalid UTF-8 in its name.
+            (
+                Box::new(move |b| forge(b, head, DIGEST_HEAD_LEN + 36, &[9])),
+                BrokenLink,
+            ),
+            (
+                Box::new(move |b| forge(b, second, DIGEST_HEAD_LEN + 41, &[0xFF])),
+                BrokenLink,
+            ),
+            // A flipped bit in a digest behind the anchor: its body, its
             // length.
             (
                 Box::new(move |b| b[second as usize + 40] ^= 0x10),
                 BrokenLink,
             ),
-            (
-                Box::new(move |b| b[second as usize + HEADER_LEN + 2] ^= 0x01),
-                BrokenLink,
-            ),
-            (
-                Box::new(move |b| b[second as usize + 3] ^= 0x80),
-                BrokenLink,
-            ),
+            (Box::new(move |b| b[third as usize + 3] ^= 0x80), BrokenLink),
             // A flipped bit in the record that ends at the anchor: its
             // body, its length.
             (
@@ -1563,8 +1965,31 @@ mod tests {
         }
         assert_eq!(refusal(&other, &good), BoundaryMismatch);
 
-        // And the true anchor on the true file still opens.
-        assert_open_at_matches_the_full_scan(&path, &good, 30);
+        // And every true anchor on the true file still opens, to what
+        // the full scan finds.
+        for (anchor, events) in anchors.iter().zip(checkpoints) {
+            assert_open_at_matches_the_full_scan(&path, anchor, events);
+        }
+
+        // A digest with a byte left over, whole and anchored: the
+        // boundary holds, the digest does not decode.
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+        j.append_event(&sample_events(1)[0]).unwrap();
+        j.frame_incidents(&[sample_incident(1)]);
+        let bodies = std::mem::take(&mut j.undigested);
+        j.undigested_ends.clear();
+        let at = j.frame_in_place(DIGEST, |out| {
+            out.extend_from_slice(&[0; 8 + 4]);
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&bodies);
+            out.push(0);
+        });
+        let len = (1 + DIGEST_HEAD_LEN + bodies.len() + 1) as u32;
+        j.digest = Link { at, len };
+        let leftover = j.checkpoint().unwrap();
+        drop(j);
+        assert_eq!(refusal(&path, &leftover), BrokenLink);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&other);
     }
@@ -1573,9 +1998,9 @@ mod tests {
     fn a_journal_of_the_previous_format_is_refused_untouched() {
         let path = tmp("old-magic");
         let anchor = anchored_journal(&path, 10, 5, |i| i == 2);
-        // The magic before incident bodies had a fixed layout ended in 2.
+        // The magic before incident digests ended in 3.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[JOURNAL_MAGIC.len() - 1] = b'2';
+        bytes[JOURNAL_MAGIC.len() - 1] = b'3';
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             Journal::open(&path, JournalConfig::default()),
@@ -1713,31 +2138,121 @@ mod tests {
     }
 
     /// A record payload — `rtype` and body — for `incident`.
-    fn incident_payload(prev: u64, incident: &Incident) -> Vec<u8> {
-        let mut payload = vec![1u8];
-        encode_incident(prev, incident, &mut payload);
+    fn incident_payload(incident: &Incident) -> Vec<u8> {
+        let mut payload = vec![INCIDENT];
+        encode_incident(incident, &mut payload);
+        payload
+    }
+
+    /// A digest record's payload: the link, `count`, the bodies of
+    /// `incidents` and `extra` bytes.
+    fn digest_payload(prev: Link, count: u32, incidents: &[Incident], extra: &[u8]) -> Vec<u8> {
+        let mut payload = vec![DIGEST];
+        payload.extend_from_slice(&prev.at.to_le_bytes());
+        payload.extend_from_slice(&prev.len.to_le_bytes());
+        payload.extend_from_slice(&count.to_le_bytes());
+        for incident in incidents {
+            encode_incident(incident, &mut payload);
+        }
+        payload.extend_from_slice(extra);
         payload
     }
 
     #[test]
     fn incident_bodies_round_trip_bit_for_bit() {
-        for (i, incident) in codec_incidents().iter().enumerate() {
-            let prev = (i as u64).wrapping_mul(0x0123_4567_89AB_CDEF);
-            let payload = incident_payload(prev, incident);
+        let incidents = codec_incidents();
+        for (i, incident) in incidents.iter().enumerate() {
+            let payload = incident_payload(incident);
             assert!(payload.len() <= MAX_RECORD_LEN);
-            let (back_prev, back) = decode_incident(&payload).expect("decodes");
-            assert_eq!(back_prev, prev);
+            let back = decode_incident(&payload).expect("decodes");
             assert!(same_bits(&back, incident), "{i}: {back:?}");
         }
-        // The largest body there is fits a record.
+        // And in a digest, back to back.
+        let small: Vec<Incident> = incidents
+            .into_iter()
+            .filter(|i| i.name.as_ref().is_none_or(|n| n.len() < 100))
+            .collect();
+        let prev = Link { at: 40, len: 77 };
+        let payload = digest_payload(prev, small.len() as u32, &small, &[]);
+        let mut back = Vec::new();
+        assert_eq!(decode_digest(&payload, &mut back), Some(prev));
+        assert_eq!(back.len(), small.len());
+        assert!(back.iter().zip(&small).all(|(a, b)| same_bits(a, b)));
+        // The largest body there is fits a digest of its own, and that
+        // digest is the largest record there is.
         let largest = Incident {
             name: Some("n".repeat(MAX_NAME_LEN)),
             outcome: ActionOutcome::Failed("t".repeat(MAX_TEXT_LEN)),
             ..sample_incident(1)
         };
-        let payload = incident_payload(0, &largest);
+        let payload = incident_payload(&largest);
+        assert_eq!(payload.len(), 1 + MAX_INCIDENT_BODY);
+        assert_eq!(decode_incident(&payload).unwrap(), largest);
+        let one = std::slice::from_ref(&largest);
+        let payload = digest_payload(Link::default(), 1, one, &[]);
         assert_eq!(payload.len(), MAX_RECORD_LEN);
-        assert_eq!(decode_incident(&payload).unwrap().1, largest);
+        let mut back = Vec::new();
+        assert_eq!(decode_digest(&payload, &mut back), Some(Link::default()));
+        assert_eq!(back, one);
+    }
+
+    #[test]
+    fn hostile_digest_bodies_are_refused() {
+        let incidents = [
+            sample_incident(1),
+            Incident {
+                name: None,
+                ..sample_incident(2)
+            },
+        ];
+        let link = Link { at: 40, len: 77 };
+        let good = digest_payload(link, 2, &incidents, &[]);
+        assert_eq!(decode_digest(&good, &mut Vec::new()), Some(link));
+        // Every truncation, the type tag alone included.
+        for len in 0..good.len() {
+            assert!(
+                decode_digest(&good[..len], &mut Vec::new()).is_none(),
+                "cut at {len}"
+            );
+        }
+        let hostile = [
+            // A count one short (a body left over), one long, none, all.
+            digest_payload(link, 1, &incidents, &[]),
+            digest_payload(link, 3, &incidents, &[]),
+            digest_payload(link, 0, &incidents, &[]),
+            digest_payload(link, 0, &[], &[]),
+            digest_payload(link, u32::MAX, &incidents, &[]),
+            // Half a link.
+            digest_payload(Link { at: 40, len: 0 }, 2, &incidents, &[]),
+            digest_payload(Link { at: 0, len: 77 }, 2, &incidents, &[]),
+            // A byte left over.
+            digest_payload(link, 2, &incidents, &[0]),
+        ];
+        for (i, payload) in hostile.iter().enumerate() {
+            assert!(
+                decode_digest(payload, &mut Vec::new()).is_none(),
+                "forgery {i}"
+            );
+        }
+        // An undecodable incident inside: an unknown action tag.
+        let mut bad = good.clone();
+        bad[1 + DIGEST_HEAD_LEN + 36] = 7;
+        assert!(decode_digest(&bad, &mut Vec::new()).is_none());
+        // In a file, the scan stops at such a record, CRC and all.
+        let path = tmp("hostile-digest");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+        j.append_event(&ProcessEvent::api(1, 2, 3)).unwrap();
+        j.frame_in_place(DIGEST, |out| out.extend_from_slice(&good[1..]));
+        for payload in hostile.iter().chain([&bad]) {
+            j.frame_in_place(DIGEST, |out| out.extend_from_slice(&payload[1..]));
+        }
+        drop(j);
+        let (_, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
+        assert_eq!((rec.event_count(), rec.incidents.len()), (1, 0));
+        let whole = JOURNAL_MAGIC.len() + 2 * HEADER_LEN + 18 + good.len();
+        assert!(rec.bytes_truncated > 0 && rec.bytes_scanned > whole as u64);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1749,7 +2264,7 @@ mod tests {
             outcome: ActionOutcome::Applied(long.clone()),
             ..sample_incident(1)
         };
-        let (_, back) = decode_incident(&incident_payload(0, &incident)).unwrap();
+        let back = decode_incident(&incident_payload(&incident)).unwrap();
         let name = back.name.unwrap();
         let ActionOutcome::Applied(text) = back.outcome else {
             panic!("the outcome kind survives");
@@ -1766,7 +2281,7 @@ mod tests {
             name: Some("évil.exe".to_string()),
             ..sample_incident(7)
         };
-        let good = incident_payload(40, &incident);
+        let good = incident_payload(&incident);
         assert!(decode_incident(&good).is_some());
         // Every truncation, the type tag alone included.
         for len in 0..good.len() {
@@ -1777,7 +2292,7 @@ mod tests {
         long.push(0);
         assert!(decode_incident(&long).is_none());
         // Field offsets in the payload (after the type tag).
-        let (action, post_exit, outcome, name_len) = (45, 46, 47, 48);
+        let (action, post_exit, outcome, name_len) = (37, 38, 39, 40);
         let name_at = name_len + 2;
         let text_len = name_at + "évil.exe".len();
         let forged = |at: usize, bytes: &[u8]| {
@@ -1811,13 +2326,13 @@ mod tests {
             assert!(decode_incident(payload).is_none(), "forgery {i}");
         }
         // The same bytes are refused in a file too: the scan stops at
-        // the record, CRC and all, and the chain walk refuses it.
+        // the record, CRC and all.
         let path = tmp("hostile-body");
         let _ = std::fs::remove_file(&path);
         let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
         j.append_event(&ProcessEvent::api(1, 2, 3)).unwrap();
         for payload in &hostile {
-            j.frame_in_place(1, |out| out.extend_from_slice(&payload[1..]));
+            j.frame_in_place(INCIDENT, |out| out.extend_from_slice(&payload[1..]));
         }
         drop(j);
         let (_, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
@@ -1836,8 +2351,7 @@ mod tests {
         let mut anchor = JournalAnchor::default();
         for (i, incident) in incidents.iter().enumerate() {
             if i == half {
-                j.sync().unwrap();
-                anchor = j.anchor();
+                anchor = j.checkpoint().unwrap();
             }
             j.append_event(&ProcessEvent::api(i as u64, 1, i)).unwrap();
             j.frame_incidents(std::slice::from_ref(incident));
@@ -1849,6 +2363,12 @@ mod tests {
             .expect("the anchor holds");
         assert_eq!(scanned.bytes_truncated, 0);
         assert_eq!(anchored.chained_incidents, half as u64);
+        // Eight of them carry a name as long as its length field
+        // allows: the digest splits where the record would be too long.
+        let chain = digest_chain(&std::fs::read(&path).unwrap(), &anchor);
+        assert!(chain.len() >= 8, "{} digests", chain.len());
+        assert!(chain.iter().all(|&(_, len)| len <= MAX_RECORD_LEN));
+        assert_eq!(anchored.reads, 1 + chain.len() as u64);
         for rec in [&scanned, &anchored] {
             assert_eq!(rec.incidents.len(), incidents.len());
             assert!(rec

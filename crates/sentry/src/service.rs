@@ -524,6 +524,29 @@ impl Sentry {
         self.run_and_fold(ShardedStreamMux::drain_into)
     }
 
+    /// The reference a crashed and recovered run is held to: `events`
+    /// through one plain sentry that is never interrupted — ingested in
+    /// order, a [`poll`](Self::poll) after every `poll_every`-th event
+    /// (none for 0), then a [`drain`](Self::drain). What latches does
+    /// not depend on the cadence, so its [`incidents`](Self::incidents)
+    /// are the set any durable run over the same events must end with.
+    pub fn uninterrupted(
+        engine: CsdInferenceEngine,
+        config: SentryConfig,
+        events: &[ProcessEvent],
+        poll_every: usize,
+    ) -> Self {
+        let mut sentry = Self::new(engine, config);
+        for (i, event) in events.iter().enumerate() {
+            sentry.ingest(event);
+            if poll_every > 0 && (i + 1).is_multiple_of(poll_every) {
+                sentry.poll();
+            }
+        }
+        sentry.drain();
+        sentry
+    }
+
     /// The lifetime rule at a session's end: retire it now unless the
     /// mux holds a window of it, in which case it retires when the last
     /// one leaves ([`left_mux`](Self::left_mux)).

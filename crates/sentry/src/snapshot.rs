@@ -24,8 +24,9 @@
 //! system of record (every latched incident is an fsync'd journal
 //! record before `poll` returns it), and [`durable`](crate::durable)
 //! re-adopts them from there on open. What a *checkpoint* does carry
-//! about the journal is four numbers saying where its sync left the
-//! file ([`SentrySnapshot::journal`]): a place to start reading, which
+//! about the journal is five numbers saying where its sync left the
+//! file and where the newest incident digest in it is
+//! ([`SentrySnapshot::journal`]): a place to start reading, which
 //! `open` checks against the file before using, not a copy of anything
 //! in it — so the checkpoint stays the size of the live sessions however
 //! many incidents precede it.

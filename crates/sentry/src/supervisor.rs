@@ -252,7 +252,8 @@ pub fn run_service(
                     sentry.drain()?;
                 }
             }
-            sentry.drain()?;
+            // The checkpoint drains, and one sync carries what the drain
+            // raises, the pending tail and the incident digest.
             sentry.checkpoint()?;
             Ok(ServiceOutcome {
                 incidents: sentry.sentry().incidents().to_vec(),
