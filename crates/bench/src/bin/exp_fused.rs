@@ -8,20 +8,15 @@
 //! ```
 //!
 //! Fixed-point bit parity between the two paths is asserted before
-//! timing anything, at every length timed. Historical comparisons (the
-//! seed's primitives: 2.2–2.5×) are recorded in `EXPERIMENTS.md`,
-//! "Frozen baselines".
-//!
-//! It also times one fixed-point window per timestep through each of
-//! its two bodies (`window_ns_per_step`), at paper dimensions on the tier
-//! the host resolves: `lanes::run_window_fx`, the production body (the
-//! register body on AVX-512), next to `lanes::run_window_fx_steps`, the
-//! step loop of slice kernels every other host runs — after asserting
-//! the two leave the same state.
+//! timing anything, at every length timed. The fused path is the
+//! AVX-512 register window at paper dimensions on a host that has it
+//! (`simd` in the report), and the per-CU loop itself everywhere else.
+//! Historical comparisons (the seed's primitives: 2.2–2.5×) are recorded
+//! in `EXPERIMENTS.md`, "Frozen baselines".
 
 use std::time::Instant;
 
-use csd_accel::{CsdInferenceEngine, GatePath, LaneGatesFx, OptimizationLevel};
+use csd_accel::{CsdInferenceEngine, GatePath, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_tensor::lanes;
 use serde::Serialize;
@@ -36,25 +31,14 @@ struct Measurement {
     mean_us_per_item: f64,
 }
 
-/// Best-of-rounds ns per timestep of one `WINDOW_STEPS`-item window
-/// through each fixed-point body: `4H = 128` gate rows, `H = 32`.
-#[derive(Serialize)]
-struct WindowNs {
-    /// `lanes::simd_level()`: the bodies these numbers belong to.
-    simd: String,
-    /// `lanes::run_window_fx`, what the engine runs.
-    window: f64,
-    /// `lanes::run_window_fx_steps`, the step loop.
-    steps: f64,
-}
-
 #[derive(Serialize)]
 struct Report {
     level: String,
+    /// `lanes::simd_level()`: the host tier the fused numbers belong to.
+    simd: String,
     measurements: Vec<Measurement>,
     /// fused throughput ÷ per-CU throughput, per sequence length.
     speedup_vs_per_cu_by_len: Vec<(usize, f64)>,
-    window_ns_per_step: WindowNs,
 }
 
 fn seq(n: usize) -> Vec<usize> {
@@ -154,75 +138,15 @@ fn main() {
         speedup_vs_per_cu_by_len.push((len, speedup));
     }
 
-    let window_ns_per_step = time_window_bodies(&fused);
-    println!(
-        "one fused timestep ({}): window body {:.0} ns, step loop {:.0} ns → {:.2}x",
-        window_ns_per_step.simd,
-        window_ns_per_step.window,
-        window_ns_per_step.steps,
-        window_ns_per_step.window / window_ns_per_step.steps
-    );
-
     let report = Report {
         level: level.to_string(),
+        simd: lanes::simd_level().to_string(),
         measurements,
         speedup_vs_per_cu_by_len,
-        window_ns_per_step,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_fused.json", json).expect("write BENCH_fused.json");
     println!("wrote BENCH_fused.json");
-}
-
-/// Items in the window [`time_window_bodies`] times: the benchmark's
-/// window length.
-const WINDOW_STEPS: usize = 100;
-
-/// The signature both window bodies share.
-type WindowBody = fn(&[f64], &[f64], &[usize], &mut [f64], &mut [f64]);
-
-/// Times a `WINDOW_STEPS`-item window from a zero state through both
-/// fixed-point bodies, interleaved, after asserting they leave the same
-/// raw state.
-fn time_window_bodies(engine: &CsdInferenceEngine) -> WindowNs {
-    let weights = engine.weights();
-    let hdim = weights.dims().hidden;
-    let pack = LaneGatesFx::pack(&weights.fused_fx(), &weights.embedding_fx, hdim)
-        .expect("paper weights pass the lane proof");
-    let window = seq(WINDOW_STEPS);
-    let run = |body: WindowBody| {
-        let (mut c, mut h) = (vec![0.0; hdim], vec![0.0; hdim]);
-        body(
-            pack.w_hidden_t(),
-            pack.gate_table(),
-            &window,
-            &mut c,
-            &mut h,
-        );
-        (c, h)
-    };
-    let raws = |v: &[f64]| v.iter().map(|&x| x as i64).collect::<Vec<_>>();
-    let (c, h) = run(lanes::run_window_fx);
-    let (c_ref, h_ref) = run(lanes::run_window_fx_steps);
-    assert_eq!(
-        (raws(&c), raws(&h)),
-        (raws(&c_ref), raws(&h_ref)),
-        "the window body diverged from the step loop"
-    );
-
-    let mut run_window = || {
-        std::hint::black_box(run(lanes::run_window_fx));
-    };
-    let mut run_steps = || {
-        std::hint::black_box(run(lanes::run_window_fx_steps));
-    };
-    let timed = time_interleaved(&mut [&mut run_window, &mut run_steps]);
-    let ns = |slot: usize| timed[slot].1 * 1e3 / WINDOW_STEPS as f64;
-    WindowNs {
-        simd: lanes::simd_level().to_string(),
-        window: ns(0),
-        steps: ns(1),
-    }
 }
 
 fn record(out: &mut Vec<Measurement>, path: &str, len: usize, iterations: u64, mean_us: f64) {

@@ -7,18 +7,21 @@
 //! - the **per-CU loop** (four separate gate kernels, mirroring the four
 //!   hardware CUs of §III-C) is the table-free reference, and the only
 //!   path at the float levels;
-//! - the **row kernel** is the fixed-point production path: the
-//!   embedding is folded into a per-item gate table (see
-//!   [`LaneGatesFx`]), and a window is one call of
-//!   [`lanes::run_window_fx`] on `f64`-encoded integers vectorised across
-//!   the `4H` gate rows — at the paper's `H = 32` on AVX-512, one
-//!   function whose gates and cell state never leave it. It is
+//! - the **row kernel** is the fixed-point production path on an
+//!   AVX-512 host at `H ∈ {8, 16, 24, 32}` (the paper's `H = 32` among
+//!   them, [`lanes::window_fits`]): the embedding is folded into a
+//!   per-item gate table (see [`LaneGatesFx`]), and a window is one call
+//!   of [`lanes::run_window_fx`], one function on `f64`-encoded integers
+//!   whose gates and cell state never leave its registers. It is
 //!   bit-for-bit the per-CU loop in 10^6-scaled fixed point.
 //!
-//! [`GatePath::PerCu`] selects the reference at every level. In fixed
-//! point the per-CU loop is also the fallback: weights the pack proof
-//! refuses and sequences past [`LANE_MAX_STEPS`] run it on the fused
-//! path too.
+//! So fixed point has two bodies, and a host runs one of them: the
+//! register window where the host and `H` allow it, the per-CU loop
+//! everywhere else (EXPERIMENTS.md row 34a). [`GatePath::PerCu`]
+//! selects the reference at every level. The per-CU loop is also the
+//! fallback on a host that has the register window: weights the pack
+//! proof refuses and sequences past [`LANE_MAX_STEPS`] run it on the
+//! fused path too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -52,8 +55,9 @@ pub struct Classification {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatePath {
     /// The production path, and the default: the row kernel in fixed
-    /// point (the per-CU loop past [`LANE_MAX_STEPS`] or under weights
-    /// the pack refuses), the per-CU loop at both float levels.
+    /// point (the per-CU loop where the register window does not fit the
+    /// host or `H`, past [`LANE_MAX_STEPS`] or under weights the pack
+    /// refuses), the per-CU loop at both float levels.
     Fused,
     /// Four separate gate kernels, exactly as the seed engine ran them —
     /// the hardware-mirroring formulation, and the table-free reference
@@ -67,11 +71,11 @@ pub enum GatePath {
 #[derive(Debug)]
 struct EngineCore {
     weights: QuantizedWeights,
-    /// The production fixed-point pack of the fused gates plus the
-    /// embedding table: the folded input-gate table and transposed
-    /// recurrent weights behind the row-vectorised kernel (`None` when
-    /// the exactness proof fails; every window then runs the per-CU
-    /// loop, bit-identical anyway).
+    /// The production fixed-point pack of the gates plus the embedding
+    /// table: the folded input-gate table and transposed recurrent
+    /// weights behind the register window (`None` when the window does
+    /// not fit this host and `H`, or the exactness proof fails; every
+    /// window then runs the per-CU loop, bit-identical anyway).
     pack: Option<LaneGatesFx>,
 }
 
@@ -92,11 +96,15 @@ impl CsdInferenceEngine {
     /// Panics if the weight arrays are inconsistent with their config.
     pub fn new(weights: &ModelWeights, level: OptimizationLevel) -> Self {
         let weights = QuantizedWeights::from_model_weights(weights);
-        let pack = LaneGatesFx::pack(
-            &weights.fused_fx(),
-            &weights.embedding_fx,
-            weights.dims().hidden,
-        );
+        let pack = lanes::window_fits(weights.dims().hidden)
+            .then(|| {
+                LaneGatesFx::pack(
+                    &weights.gate_w_fx,
+                    &weights.gate_b_fx,
+                    &weights.embedding_fx,
+                )
+            })
+            .flatten();
         Self {
             core: Arc::new(EngineCore { weights, pack }),
             level,
@@ -147,12 +155,14 @@ impl CsdInferenceEngine {
     /// buffer allocation across all of them.
     ///
     /// In fixed point this runs the table-folded, `f64`-encoded window
-    /// ([`csd_tensor::lanes::run_window_fx`]). At paper dimensions on
-    /// AVX-512 a 100-step window costs ≈ 24 µs here, where the
-    /// AVX-512 slice kernels the register body replaced cost ≈ 27 µs —
-    /// what one lane of a full 16-lane block cost, and a sixteenth of
+    /// ([`csd_tensor::lanes::run_window_fx`]) where it fits. At paper
+    /// dimensions on AVX-512 a 100-step window costs ≈ 24 µs here, where
+    /// the AVX-512 slice kernels the register body replaced cost ≈ 27 µs
+    /// — what one lane of a full 16-lane block cost, and a sixteenth of
     /// what it cost as the only lane of one (EXPERIMENTS.md rows 21a,
     /// 23d, 26a, 31a) — so nothing classifies windows any other way.
+    /// Elsewhere it runs the per-CU loop, ≈ 0.78 ms a 100-step window at
+    /// paper dimensions (row 34a).
     ///
     /// # Panics
     ///
@@ -315,13 +325,14 @@ impl CsdInferenceEngine {
 
     /// Walks the sequence in fixed point; leaves the final hidden state
     /// in `scratch.fx_buffers.h`. The fused path is the row kernel
-    /// ([`run_states_fx_rows`](Self::run_states_fx_rows)) when the
-    /// weights passed the pack proof and the sequence is at most
+    /// ([`run_states_fx_rows`](Self::run_states_fx_rows)) when the engine
+    /// holds a pack — the register window fits the host and `H`, and the
+    /// weights passed the pack proof — and the sequence is at most
     /// [`LANE_MAX_STEPS`] long, the softsign kernel's exactness range.
     /// Everything else runs the per-CU loop, the reference the row kernel
-    /// is bit-identical to: no fused workload ever reached it (0 of
-    /// 205,102 windows on the benchmark's two workloads, EXPERIMENTS.md
-    /// row 28a).
+    /// is bit-identical to: on an AVX-512 host no fused workload ever
+    /// reached it (0 of 480,594 windows on the benchmark's two
+    /// workloads, EXPERIMENTS.md row 34a).
     fn run_states_fx(&self, seq: &[usize], scratch: &mut EngineScratch) {
         let core = &self.core;
         let s = &mut scratch.fx_buffers;

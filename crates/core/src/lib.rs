@@ -98,4 +98,4 @@ pub use stream::{
     Admission, MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict, ROUND_STEPS,
 };
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
-pub use weights::{FusedGates, LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};
+pub use weights::{LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

@@ -9,42 +9,10 @@
 
 use csd_fxp::{row_exact_in_f64, Fx6, EXACT_F64_INT};
 use csd_nn::ModelWeights;
-use csd_tensor::{Matrix, Scalar, Vector};
+use csd_tensor::{Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
 use crate::kernels::LstmDims;
-
-/// The four per-gate `H × Z` matrices stacked row-wise into one `4H × Z`
-/// matrix (TF gate order `i f c o`, gate `g` owning rows `g·H..(g+1)·H`),
-/// with the biases stacked the same way.
-///
-/// One matvec against this matrix computes all four gate pre-activations
-/// of a timestep, replacing four separate matvec launches. Each fused row
-/// is byte-identical to the corresponding per-gate row; the engine builds
-/// it in fixed point only, as the input to [`LaneGatesFx::pack`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedGates<T> {
-    /// Stacked `4H × Z` gate weights.
-    pub w: Matrix<T>,
-    /// Stacked `4H` gate biases.
-    pub b: Vector<T>,
-}
-
-fn fuse_gates<T: Scalar>(ws: &[Matrix<T>; 4], bs: &[Vector<T>; 4]) -> FusedGates<T> {
-    let (h, z) = (ws[0].rows(), ws[0].cols());
-    let mut w_flat = Vec::with_capacity(4 * h * z);
-    let mut b_flat = Vec::with_capacity(4 * h);
-    for g in 0..4 {
-        assert_eq!((ws[g].rows(), ws[g].cols()), (h, z), "gate shape mismatch");
-        assert_eq!(bs[g].len(), h, "gate bias length mismatch");
-        w_flat.extend_from_slice(ws[g].as_flat());
-        b_flat.extend_from_slice(bs[g].as_slice());
-    }
-    FusedGates {
-        w: Matrix::from_flat(4 * h, z, w_flat),
-        b: Vector::from(b_flat),
-    }
-}
 
 /// Longest sequence (timesteps from a zero state) the `f64`-encoded
 /// fixed-point row kernel accepts.
@@ -112,19 +80,21 @@ impl PartialEq for LineAligned {
     }
 }
 
-/// The fused fixed-point gate parameters folded and re-encoded for the
-/// production fixed-point path — the row-vectorised kernels of
-/// [`csd_tensor::lanes`].
+/// The fixed-point gate parameters folded and re-encoded for the
+/// production fixed-point path — the AVX-512 register window of
+/// [`csd_tensor::lanes::run_window_fx`]. Its rows are the four per-gate
+/// `H × Z` matrices' rows in TF gate order (`i f c o`), gate `g` owning
+/// rows `g·H..(g+1)·H`: one pass over them computes all four gate
+/// pre-activations of a timestep.
 ///
-/// The embedding is folded through the input (`W_x`) half of the fused
-/// gate matrix into a per-item **input-gate table** with the bias
-/// pre-multiplied by `SCALE` (`round(a/S) + b == round((a + b·S)/S)`
-/// exactly, because `b·S` is a multiple of `S`), so a timestep is one
-/// table-row gather plus the `H` recurrent columns. The table is
-/// item-major, so a row is contiguous. The recurrent half (`W_h`, 32 KB
-/// at paper dimensions) is kept as exact `f64` integers, transposed
-/// (`hidden × rows`): the row kernel loads a register of weights
-/// against one broadcast `h[k]`.
+/// The embedding is folded through the input (`W_x`) half of every row
+/// into a per-item **input-gate table** with the bias pre-multiplied by
+/// `SCALE` (`round(a/S) + b == round((a + b·S)/S)` exactly, because
+/// `b·S` is a multiple of `S`), so a timestep is one table-row gather
+/// plus the `H` recurrent columns. The table is item-major, so a row is
+/// contiguous. The recurrent half (`W_h`, 32 KB at paper dimensions) is
+/// kept as exact `f64` integers, transposed (`hidden × rows`): the
+/// window loads a register of weights against one broadcast `h[k]`.
 ///
 /// [`LaneGatesFx::pack`] is where the exactness contract is *proven*, not
 /// assumed: it rejects (returns `None`) any weight set whose worst-case
@@ -135,8 +105,8 @@ impl PartialEq for LineAligned {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneGatesFx {
     /// The recurrent-column weights `W_h` as exact `f64` values,
-    /// transposed, `hidden × rows` — what the row kernel iterates over,
-    /// a 64-byte load at a time.
+    /// transposed, `hidden × rows` — what the window iterates over, a
+    /// 64-byte load at a time.
     w_h_t: LineAligned,
     /// The precomputed **input-gate table**, `vocab × rows` row-major:
     /// `table[item·rows + r] = Σ_e w[r][hidden+e]·emb[item][e] +
@@ -152,10 +122,11 @@ pub struct LaneGatesFx {
 }
 
 impl LaneGatesFx {
-    /// Folds and re-encodes the fused gates and embedding table, or
-    /// `None` when the exactness proof fails.
+    /// Folds and re-encodes the per-gate weights `gate_w` (each `H × Z`
+    /// over `[h | x]` columns), biases `gate_b` and the embedding table,
+    /// or `None` when the shapes disagree or the exactness proof fails.
     ///
-    /// The proof obligations, per row `r` of the fused matrix:
+    /// The proof obligations, per gate row `r`:
     ///
     /// 1. every embedding raw value is an exact `f64` integer (< `2^52`);
     /// 2. `Σ_k |w[r][k]| · zbound[k] + |b_r|·SCALE + SCALE/2 < 2^49`
@@ -166,14 +137,31 @@ impl LaneGatesFx {
     ///
     /// Under (2) every FMA partial sum is an exact integer and the
     /// finished accumulator is inside the domain of the kernels'
-    /// four-op rescale, so the row-tiled SIMD kernels, their scalar
-    /// fallback, and the reference `i64`/`i128` accumulation all produce
-    /// identical raw gate pre-activations.
-    pub fn pack(fused: &FusedGates<Fx6>, embedding: &Matrix<Fx6>, hidden: usize) -> Option<Self> {
-        let (rows, cols) = (fused.w.rows(), fused.w.cols());
-        if cols != hidden + embedding.cols() {
+    /// four-op rescale, so the register window and the reference
+    /// `i64`/`i128` accumulation produce identical raw gate
+    /// pre-activations.
+    pub fn pack(
+        gate_w: &[Matrix<Fx6>; 4],
+        gate_b: &[Vector<Fx6>; 4],
+        embedding: &Matrix<Fx6>,
+    ) -> Option<Self> {
+        let hidden = gate_w[0].rows();
+        let cols = hidden + embedding.cols();
+        if gate_w
+            .iter()
+            .any(|w| (w.rows(), w.cols()) != (hidden, cols))
+            || gate_b.iter().any(|b| b.len() != hidden)
+        {
             return None;
         }
+        let rows = 4 * hidden;
+        // Row `r` of the pack is row `r mod H` of gate `r / H`.
+        let gate_rows = || {
+            gate_w
+                .iter()
+                .zip(gate_b)
+                .flat_map(|(w, b)| (0..hidden).map(move |j| (w.row(j), b[j].raw())))
+        };
         let mut zbound = vec![Fx6::SCALE; cols];
         for (k, zb) in zbound.iter_mut().enumerate().skip(hidden) {
             let col = k - hidden;
@@ -190,11 +178,11 @@ impl LaneGatesFx {
             *zb = m as i64;
         }
         let mut row_raw = vec![0i64; cols];
-        for r in 0..rows {
-            for (k, slot) in row_raw.iter_mut().enumerate() {
-                *slot = fused.w.get(r, k).raw();
+        for (row, bias) in gate_rows() {
+            for (slot, w) in row_raw.iter_mut().zip(row) {
+                *slot = w.raw();
             }
-            if !row_exact_in_f64(&row_raw, &zbound, fused.b[r].raw(), Fx6::SCALE) {
+            if !row_exact_in_f64(&row_raw, &zbound, bias, Fx6::SCALE) {
                 return None;
             }
         }
@@ -205,19 +193,18 @@ impl LaneGatesFx {
         let vocab = embedding.rows();
         let mut table = Vec::with_capacity(vocab * rows);
         for item in 0..vocab {
-            for r in 0..rows {
-                let mut acc = fused.b[r].raw() as i128 * Fx6::SCALE as i128;
+            for (row, bias) in gate_rows() {
+                let mut acc = bias as i128 * Fx6::SCALE as i128;
                 for e in 0..embedding.cols() {
-                    acc += fused.w.get(r, hidden + e).raw() as i128
-                        * embedding.get(item, e).raw() as i128;
+                    acc += row[hidden + e].raw() as i128 * embedding.get(item, e).raw() as i128;
                 }
                 table.push(acc as f64);
             }
         }
         let mut w_h_t = vec![0.0; hidden * rows];
-        for r in 0..rows {
+        for (r, (row, _)) in gate_rows().enumerate() {
             for k in 0..hidden {
-                w_h_t[k * rows + r] = fused.w.get(r, k).raw() as f64;
+                w_h_t[k * rows + r] = row[k].raw() as f64;
             }
         }
         Some(Self {
@@ -239,7 +226,7 @@ impl LaneGatesFx {
         &self.table
     }
 
-    /// Fused gate rows (`4H`).
+    /// Gate rows (`4H`).
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -342,14 +329,6 @@ impl QuantizedWeights {
     /// The model dimensions.
     pub fn dims(&self) -> LstmDims {
         self.dims
-    }
-
-    /// Builds the fused `4H × Z` gate matrix, quantized view. Computed on
-    /// demand (once, at engine construction, to build the row kernel's
-    /// pack) so the serialized form of this struct stays the per-gate
-    /// layout the device consumes.
-    pub fn fused_fx(&self) -> FusedGates<Fx6> {
-        fuse_gates(&self.gate_w_fx, &self.gate_b_fx)
     }
 
     /// Bytes occupied by the quantized parameter buffers on the device
@@ -493,37 +472,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_rows_are_the_per_gate_rows() {
-        let q = weights();
-        let h = q.dims().hidden;
-        let fused_fx = q.fused_fx();
-        assert_eq!(fused_fx.w.rows(), 4 * h);
-        assert_eq!(fused_fx.w.cols(), q.dims().z());
-        assert_eq!(fused_fx.b.len(), 4 * h);
-        for g in 0..4 {
-            for j in 0..h {
-                assert_eq!(fused_fx.w.row(g * h + j), q.gate_w_fx[g].row(j));
-                assert_eq!(fused_fx.b[g * h + j], q.gate_b_fx[g][j]);
-            }
-        }
+    /// Gate row `r` of a pack over `gate_w`/`gate_b`: row `r mod H` of
+    /// gate `r / H`, and its bias.
+    fn gate_row<'a>(
+        gate_w: &'a [Matrix<Fx6>; 4],
+        gate_b: &[Vector<Fx6>; 4],
+        r: usize,
+    ) -> (&'a [Fx6], Fx6) {
+        let h = gate_w[0].rows();
+        (gate_w[r / h].row(r % h), gate_b[r / h][r % h])
     }
 
     #[test]
     fn gate_table_entries_are_the_folded_embedding_products() {
         let q = weights();
-        let fused = q.fused_fx();
         let dims = q.dims();
-        let lane = LaneGatesFx::pack(&fused, &q.embedding_fx, dims.hidden).expect("paper packs");
+        let lane =
+            LaneGatesFx::pack(&q.gate_w_fx, &q.gate_b_fx, &q.embedding_fx).expect("paper packs");
         assert_eq!(lane.hidden(), dims.hidden);
         assert_eq!(lane.vocab(), q.embedding_fx.rows());
         assert_eq!(lane.gate_table().len(), lane.vocab() * lane.rows());
         assert_eq!(lane.w_hidden_t().len(), lane.rows() * dims.hidden);
         for item in [0usize, 1, 137, 277] {
             for r in 0..lane.rows() {
-                let mut acc = fused.b[r].raw() as i128 * Fx6::SCALE as i128;
+                let (row, bias) = gate_row(&q.gate_w_fx, &q.gate_b_fx, r);
+                let mut acc = bias.raw() as i128 * Fx6::SCALE as i128;
                 for e in 0..dims.embed {
-                    acc += fused.w.get(r, dims.hidden + e).raw() as i128
+                    acc += row[dims.hidden + e].raw() as i128
                         * q.embedding_fx.get(item, e).raw() as i128;
                 }
                 // The f64 entry is that integer, exactly encoded.
@@ -531,54 +506,68 @@ mod tests {
                 assert_eq!(entry as i128, acc, "item {item} row {r}");
             }
         }
-        // The row kernel's copy starts a cache line, in a clone too.
+        // The window's copy starts a cache line, in a clone too.
         assert_eq!(lane.w_hidden_t().as_ptr().align_offset(64), 0);
         let copy = lane.clone();
         assert_eq!(copy.w_hidden_t().as_ptr().align_offset(64), 0);
         assert_eq!(copy, lane);
-        // W_h is the recurrent prefix of each fused row, transposed.
+        // W_h is the recurrent prefix of each gate row, transposed.
         for r in 0..lane.rows() {
             for k in 0..dims.hidden {
-                let raw = fused.w.get(r, k).raw();
+                let raw = gate_row(&q.gate_w_fx, &q.gate_b_fx, r).0[k].raw();
                 assert_eq!(lane.w_hidden_t()[k * lane.rows() + r] as i64, raw);
             }
         }
     }
 
-    /// The table-free reference: wide `[h | e(item)]` matvec plus bias.
+    /// The table-free reference: each gate's wide `[h | e(item)]` matvec
+    /// plus bias, the four gates' rows in order.
     fn wide_preact(
-        fused: &FusedGates<Fx6>,
+        gate_w: &[Matrix<Fx6>; 4],
+        gate_b: &[Vector<Fx6>; 4],
         embedding: &Matrix<Fx6>,
         item: usize,
         h: &[Fx6],
     ) -> Vec<i64> {
         let mut z: Vec<Fx6> = h.to_vec();
         z.extend((0..embedding.cols()).map(|e| embedding.get(item, e)));
-        let wide = fused.w.matvec(&Vector::from(z)).add(&fused.b);
-        wide.iter().map(|v| v.raw()).collect()
+        let z = Vector::from(z);
+        gate_w
+            .iter()
+            .zip(gate_b)
+            .flat_map(|(w, b)| {
+                w.matvec(&z)
+                    .add(b)
+                    .iter()
+                    .map(|v| v.raw())
+                    .collect::<Vec<_>>()
+            })
+            .collect()
     }
 
-    /// What the row kernel computes from a pack's transposed `W_h` and
-    /// one gate-table row.
+    /// What the window's matvec computes from a pack's transposed `W_h`
+    /// and one gate-table row, in integers: `round_half_away((table[r] +
+    /// Σ_k w_t[k][r]·h[k]) / SCALE)`.
     fn row_preact(lane: &LaneGatesFx, item: usize, h: &[Fx6]) -> Vec<i64> {
         let rows = lane.rows();
-        let hf: Vec<f64> = h.iter().map(|v| v.raw() as f64).collect();
-        let mut out = vec![0.0f64; rows];
-        csd_tensor::lanes::matvec_fx_rows_table(
-            lane.w_hidden_t(),
-            &hf,
-            &lane.gate_table()[item * rows..(item + 1) * rows],
-            &mut out,
-        );
-        out.iter().map(|&v| v as i64).collect()
+        let table_row = &lane.gate_table()[item * rows..(item + 1) * rows];
+        (0..rows)
+            .map(|r| {
+                let acc = table_row[r] as i64
+                    + (0..h.len())
+                        .map(|k| lane.w_hidden_t()[k * rows + r] as i64 * h[k].raw())
+                        .sum::<i64>();
+                csd_fxp::div_round_raw(acc, Fx6::SCALE)
+            })
+            .collect()
     }
 
     #[test]
     fn row_matvec_is_bit_identical_to_wide_path() {
         let q = weights();
-        let fused = q.fused_fx();
         let dims = q.dims();
-        let lane = LaneGatesFx::pack(&fused, &q.embedding_fx, dims.hidden).expect("paper packs");
+        let lane =
+            LaneGatesFx::pack(&q.gate_w_fx, &q.gate_b_fx, &q.embedding_fx).expect("paper packs");
         // Every |h| ≤ 1, the kernel's domain, its two ends included.
         let mut h: Vec<Fx6> = (0..dims.hidden)
             .map(|i| Fx6::from_raw((i as i64 * 137_911) % 2_000_001 - 1_000_000))
@@ -588,10 +577,19 @@ mod tests {
         for item in [0usize, 42, 277] {
             assert_eq!(
                 row_preact(&lane, item, &h),
-                wide_preact(&fused, &q.embedding_fx, item, &h),
+                wide_preact(&q.gate_w_fx, &q.gate_b_fx, &q.embedding_fx, item, &h),
                 "item {item}"
             );
         }
+    }
+
+    /// Four gates of one unit each, every gate row `[w_h, 1]` over one
+    /// recurrent and one embedding column, biases 0.
+    fn one_unit_gates(w_h: i64) -> ([Matrix<Fx6>; 4], [Vector<Fx6>; 4]) {
+        (
+            std::array::from_fn(|_| Matrix::from_flat(1, 2, vec![Fx6::from_raw(w_h), Fx6::ONE])),
+            std::array::from_fn(|_| Vector::from(vec![Fx6::ZERO])),
+        )
     }
 
     #[test]
@@ -599,24 +597,22 @@ mod tests {
         // One recurrent column, one embedding column. The row bound:
         // |w_h|·SCALE + 1·e (= SCALE²) + SCALE/2 must stay below 2^49.
         let embedding = Matrix::from_flat(1, 1, vec![Fx6::ONE]);
-        let shape = |w_h: i64| FusedGates {
-            w: Matrix::from_flat(1, 2, vec![Fx6::from_raw(w_h), Fx6::ONE]),
-            b: Vector::from(vec![Fx6::ZERO]),
-        };
+        let pack =
+            |(w, b): &([Matrix<Fx6>; 4], [Vector<Fx6>; 4])| LaneGatesFx::pack(w, b, &embedding);
         let rest = Fx6::SCALE * Fx6::SCALE + Fx6::SCALE / 2;
         let edge = (LANE_ROW_BOUND - rest - 1) / Fx6::SCALE;
-        assert!(LaneGatesFx::pack(&shape(edge + 1), &embedding, 1).is_none());
-        assert!(LaneGatesFx::pack(&shape(-(edge + 1)), &embedding, 1).is_none());
-        // At the edge the weights pack, and the row kernel — whose
+        assert!(pack(&one_unit_gates(edge + 1)).is_none());
+        assert!(pack(&one_unit_gates(-(edge + 1))).is_none());
+        // At the edge the weights pack, and the window's matvec — whose
         // accumulator then comes within SCALE of 2^49 — agrees with the
         // wide path.
         for w_h in [edge, -edge] {
-            let fused = shape(w_h);
-            let lane = LaneGatesFx::pack(&fused, &embedding, 1).expect("inside the row bound");
+            let gates = one_unit_gates(w_h);
+            let lane = pack(&gates).expect("inside the row bound");
             for h in [Fx6::ONE, Fx6::from_raw(-Fx6::SCALE), Fx6::from_raw(333_333)] {
                 assert_eq!(
                     row_preact(&lane, 0, &[h]),
-                    wide_preact(&fused, &embedding, 0, &[h])
+                    wide_preact(&gates.0, &gates.1, &embedding, 0, &[h])
                 );
             }
         }
@@ -627,11 +623,9 @@ mod tests {
         // `i64::MIN.abs()` overflows: wrapped, it is negative and would
         // sit under any magnitude bound.
         let embedding = Matrix::from_flat(1, 1, vec![Fx6::from_raw(i64::MIN)]);
-        let fused = FusedGates {
-            w: Matrix::from_flat(1, 2, vec![Fx6::ZERO, Fx6::ZERO]),
-            b: Vector::from(vec![Fx6::ZERO]),
-        };
-        assert!(LaneGatesFx::pack(&fused, &embedding, 1).is_none());
+        let w = std::array::from_fn(|_| Matrix::from_flat(1, 2, vec![Fx6::ZERO, Fx6::ZERO]));
+        let b = std::array::from_fn(|_| Vector::from(vec![Fx6::ZERO]));
+        assert!(LaneGatesFx::pack(&w, &b, &embedding).is_none());
     }
 
     #[test]

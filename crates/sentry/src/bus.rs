@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::event::{read_frame, write_frame, ProcessEvent, WireError};
+use crate::event::{read_frame_while, write_frame, ProcessEvent, WireError};
 
 /// Default bound on queued events between producers and the sentry.
 pub const DEFAULT_BUS_CAPACITY: usize = 65_536;
@@ -344,11 +344,15 @@ fn serve_connection(
     frames: &Arc<AtomicU64>,
     hook: Option<&FrameHook>,
 ) {
-    // A read timeout keeps shutdown responsive on idle connections.
+    // A read timeout keeps shutdown responsive on idle connections. One
+    // that fires inside a frame keeps the bytes read so far and waits for
+    // the rest until shutdown, when the frame is lost with the
+    // connection (`WireError::Stalled`).
     let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
     let mut reader = BufReader::new(stream);
+    let mut keep_waiting = || running.load(Ordering::SeqCst);
     while running.load(Ordering::SeqCst) {
-        match read_frame(&mut reader) {
+        match read_frame_while(&mut reader, &mut keep_waiting) {
             Ok(Some(event)) => {
                 frames.fetch_add(1, Ordering::Relaxed);
                 if let Some(hook) = hook {
@@ -362,6 +366,7 @@ fn serve_connection(
             Err(WireError::Io(e))
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(WireError::Stalled) => return, // Shutdown mid-frame.
             Err(_) => {
                 // Malformed frame: this connection is untrusted from
                 // here on — drop it, keep the bus and its peers alive.

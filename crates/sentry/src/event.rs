@@ -123,6 +123,10 @@ pub enum WireError {
     BadTag(u8),
     /// A spawn name is not valid UTF-8.
     BadName,
+    /// The peer stopped sending inside a frame and the reader stopped
+    /// waiting for the rest: the bytes of that frame are lost, and the
+    /// stream is no longer at a frame boundary.
+    Stalled,
 }
 
 impl fmt::Display for WireError {
@@ -135,6 +139,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "frame shorter than its declared length"),
             WireError::BadTag(t) => write!(f, "unknown event tag {t}"),
             WireError::BadName => write!(f, "spawn name is not valid UTF-8"),
+            WireError::Stalled => write!(f, "peer stalled inside a frame"),
         }
     }
 }
@@ -189,11 +194,16 @@ pub fn write_frame<W: Write>(w: &mut W, event: &ProcessEvent) -> Result<(), Wire
 
 /// Reads exactly `buf.len()` bytes, distinguishing a clean EOF at a
 /// frame boundary (`Ok(false)` when `at_boundary`) from a mid-frame
-/// truncation.
+/// truncation. A read timeout (`WouldBlock` / `TimedOut`) is returned as
+/// is only before the first byte of a frame. Inside one, returning would
+/// drop the bytes already read and leave the stream mid-frame, so the
+/// read is retried while `keep_waiting()` holds and ends in
+/// [`WireError::Stalled`] once it does not.
 fn read_exact_or_eof<R: Read>(
     r: &mut R,
     buf: &mut [u8],
     at_boundary: bool,
+    keep_waiting: &mut dyn FnMut() -> bool,
 ) -> Result<bool, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
@@ -206,6 +216,16 @@ fn read_exact_or_eof<R: Read>(
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) && (filled > 0 || !at_boundary) =>
+            {
+                if !keep_waiting() {
+                    return Err(WireError::Stalled);
+                }
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -214,10 +234,22 @@ fn read_exact_or_eof<R: Read>(
 
 /// Decodes the next frame from `r`. Returns `Ok(None)` on a clean EOF
 /// at a frame boundary (the producer hung up); any malformed input is a
-/// typed [`WireError`].
+/// typed [`WireError`]. A read timeout before the frame's first byte is
+/// `WireError::Io` and leaves the stream where it was; one inside the
+/// frame is [`WireError::Stalled`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<ProcessEvent>, WireError> {
+    read_frame_while(r, &mut || false)
+}
+
+/// [`read_frame`] for a reader whose timeouts only poll for shutdown: a
+/// timeout inside a frame waits for the rest of it while `keep_waiting()`
+/// holds, so no frame is cut in two by a slow peer.
+pub(crate) fn read_frame_while<R: Read>(
+    r: &mut R,
+    keep_waiting: &mut dyn FnMut() -> bool,
+) -> Result<Option<ProcessEvent>, WireError> {
     let mut len_buf = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_buf, true)? {
+    if !read_exact_or_eof(r, &mut len_buf, true, keep_waiting)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -229,7 +261,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<ProcessEvent>, WireError>
         return Err(WireError::Truncated);
     }
     let mut payload = vec![0u8; len];
-    read_exact_or_eof(r, &mut payload, false)?;
+    read_exact_or_eof(r, &mut payload, false, keep_waiting)?;
     decode_payload(&payload)
 }
 

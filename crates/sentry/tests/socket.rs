@@ -279,3 +279,67 @@ fn connections_beyond_the_cap_are_refused_at_accept_and_counted() {
     assert_eq!(got[0].pid, 13);
     drop(server);
 }
+
+#[test]
+fn a_frame_split_by_a_pause_longer_than_the_read_timeout_is_delivered_whole() {
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    let bus = EventBus::new(1024);
+    let path = socket_path("split");
+    let server = SocketServer::bind(&path, bus.producer()).expect("bind");
+    // The server's reads time out after 20 ms: each pause below lets at
+    // least two of them fire inside the frame.
+    let pause = Duration::from_millis(60);
+    let frame = |event: &ProcessEvent| {
+        let mut bytes = Vec::new();
+        csd_sentry::write_frame(&mut bytes, event).expect("encode");
+        bytes
+    };
+    let mut raw = UnixStream::connect(&path).expect("connect");
+    // Half of a frame, then the rest.
+    let first = frame(&ProcessEvent::spawn(0, 41, "split.exe"));
+    let half = first.len() / 2;
+    raw.write_all(&first[..half]).expect("first half");
+    std::thread::sleep(pause);
+    raw.write_all(&first[half..]).expect("second half");
+    // Two of the four length bytes, then the rest.
+    let second = frame(&ProcessEvent::api(1, 41, 3));
+    raw.write_all(&second[..2]).expect("two length bytes");
+    std::thread::sleep(pause);
+    raw.write_all(&second[2..]).expect("the rest");
+    // A frame after both, to show the stream is still at a boundary.
+    raw.write_all(&frame(&ProcessEvent::exit(2, 41)))
+        .expect("third frame");
+
+    let mut got = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got.len() < 3 && Instant::now() < deadline {
+        bus.recv_into(&mut got, Duration::from_millis(20));
+    }
+    assert_eq!(server.decode_errors(), 0, "no frame was cut in two");
+    assert_eq!(
+        got,
+        vec![
+            ProcessEvent::spawn(0, 41, "split.exe"),
+            ProcessEvent::api(1, 41, 3),
+            ProcessEvent::exit(2, 41),
+        ]
+    );
+    assert_eq!(server.frames(), 3);
+
+    // A peer that stalls inside a frame for good does not hold up the
+    // server's shutdown.
+    let mut stalled = UnixStream::connect(&path).expect("connect");
+    stalled.write_all(&second[..5]).expect("part of a frame");
+    std::thread::sleep(pause);
+    let started = Instant::now();
+    drop(server);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown waited {:?} on a stalled peer",
+        started.elapsed()
+    );
+    drop(raw);
+}

@@ -1,5 +1,5 @@
 //! The fixed-point LSTM window: every sequence the engine classifies in
-//! fixed point runs [`run_window_fx`], timestep after timestep.
+//! fixed point on a host [`window_fits`] accepts runs [`run_window_fx`].
 //!
 //! A fixed-point timestep is a `4H × H` recurrent product on top of a
 //! precomputed gate-table row, the LUT sigmoid on the `i f o` gates, the
@@ -11,10 +11,14 @@
 //! matvec, the activations and the update run on them in place, the cell
 //! state `C` never leaves the function, and `h` sits in one cache line
 //! the next step broadcasts from — what the paper's `kernel_hidden_state`
-//! does on chip (§III-C). Every other tier and `H`
-//! runs [`run_window_fx_steps`], the same arithmetic as one slice kernel
-//! per stage, storing and reloading the gate vector and the state between
-//! them.
+//! does on chip (§III-C).
+//!
+//! That register body is one of the engine's two fixed-point bodies. A
+//! host without AVX-512, or an `H` the body does not take, gets the
+//! other: the engine's per-CU loop, the reference every fixed-point
+//! path is bit-identical to (EXPERIMENTS.md row 34a). Nothing here runs
+//! a window any other way; the slice-at-a-time step loop the register
+//! body is checked against lives in this module's tests.
 //!
 //! [`matmul_fx_lanes_table`] is the same product for `W` sequences
 //! ("lanes") in lockstep, state stored as `rows × W` blocks. Nothing in
@@ -40,31 +44,23 @@
 //! `2^49`, so the sum is the same integer however the additions
 //! associate, and its rescale is the four-op one.
 //!
-//! On x86-64 with AVX-512 (F+DQ+VL) the window runs the register body
-//! built from the per-register helpers in `x86`; with AVX2+FMA (and on
-//! AVX-512 at any other `H`) the step loop's matvec runs an AVX2 body;
-//! everything else is scalar code on the same `f64`-encoded integers.
-//! The tier is resolved once per process. Every body produces the same
-//! bits, so the engine's output never depends on the host ISA.
+//! The tier (`avx512` or `scalar`) is resolved once per process. The
+//! register body and the per-CU loop produce the same bits, so the
+//! engine's output never depends on the host ISA.
 
 use std::sync::OnceLock;
 
-use csd_fxp::{div_round_raw, sigmoid_fx_lut, softsign_fx, Fx6};
+use csd_fxp::{div_round_raw, Fx6};
 
 /// The decimal scale of [`Fx6`] as an `f64` (`10^6`).
 const FSCALE: f64 = Fx6::SCALE as f64;
 
-/// The SIMD tier the fixed-point kernels dispatch on. Each tier implies
-/// the ones below it: [`Tier::Avx512`] is only resolved on a host that
-/// also reports AVX2 and FMA.
+/// The SIMD tier the fixed-point kernels dispatch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tier {
-    /// AVX-512 F + DQ + VL (and AVX2 + FMA).
+    /// AVX-512 F + DQ + VL.
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// AVX2 + FMA.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
     /// Portable scalar code.
     Scalar,
 }
@@ -76,28 +72,34 @@ pub(crate) fn tier() -> Tier {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
-            if has!("avx2") && has!("fma") {
-                if has!("avx512f") && has!("avx512dq") && has!("avx512vl") {
-                    return Tier::Avx512;
-                }
-                return Tier::Avx2;
+            if has!("avx512f") && has!("avx512dq") && has!("avx512vl") {
+                return Tier::Avx512;
             }
         }
         Tier::Scalar
     })
 }
 
-/// Which SIMD tier the fixed-point lane kernels dispatch to on this host.
+/// Which SIMD tier the fixed-point kernels dispatch to on this host.
 ///
-/// Purely informational (bench reports); the result is one of
-/// `"avx512"`, `"avx2"`, or `"scalar"` and never affects output bits.
+/// Purely informational (bench reports); the result is `"avx512"` or
+/// `"scalar"` and never affects output bits.
 pub fn simd_level() -> &'static str {
     match tier() {
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => "avx512",
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => "avx2",
         Tier::Scalar => "scalar",
+    }
+}
+
+/// Whether [`run_window_fx`] runs a window of `hidden` units on this
+/// host: AVX-512 and `hidden ∈ {8, 16, 24, 32}`. Where it does not, the
+/// engine runs its per-CU loop.
+pub fn window_fits(hidden: usize) -> bool {
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => hidden > 0 && hidden.is_multiple_of(8) && hidden <= x86::WINDOW_MAX_HIDDEN,
+        Tier::Scalar => false,
     }
 }
 
@@ -106,7 +108,8 @@ pub fn simd_level() -> &'static str {
 // ---------------------------------------------------------------------------
 
 /// Lane-batched fused gate matmul with a precomputed **input-gate
-/// table**: [`matvec_fx_rows_table`] for `width` sequences at once,
+/// table**: the gate matvec of [`run_window_fx`] for `width` sequences
+/// at once,
 /// `out[r·width + l] = round_half_away((table[items[l]·rows + r] +
 /// Σ_k w[r][k]·zh[k·width + l]) / SCALE)`. Scalar code, exact while
 /// every accumulator stays below `2^53` (the pack-time row bound keeps
@@ -157,190 +160,76 @@ pub fn matmul_fx_lanes_table(
                 *acc += wk * zv;
             }
         }
-        rescale_lanes(o);
-    }
-}
-
-/// Row-vectorised fused gate matvec for **one** sequence:
-/// `out[r] = round_half_away((table_row[r] + Σ_k w_t[k·rows + r]·h[k]) /
-/// SCALE)`, the SIMD axis across the gate rows.
-///
-/// `table_row[r]` is the per-item precomputation `Σ_x w_x[r]·e(item)_x +
-/// bias_r·SCALE`, so `out` is exactly
-/// `round_half_away((Σ_k w[r][k]·z[k] + bias_r·SCALE) / SCALE)` over the
-/// full `Z = hcols + E` gate input — the serial `round(Σ w·z / SCALE) +
-/// bias_r`, since `round(a/S) + b == round((a + b·S)/S)` when `b·S` is a
-/// multiple of `S`. The table entry is the exact integer of the
-/// folded-out partial sum, and integer addition is associative when
-/// nothing overflows, so the fold changes no bit.
-///
-/// `w_t` is the recurrent half `W_h` **transposed**, `hcols × rows`
-/// row-major, so the `rows` weights that multiply `h[k]` are contiguous:
-/// per `k` the kernel broadcasts `h[k]` once and feeds one load-FMA per
-/// register of rows. `table_row` is the sequence's current gate-table
-/// row, contiguous as stored — no transpose, no gather. Any alignment
-/// is correct; a `w_t` that starts on a 64-byte cache line is faster
-/// (every load of a register of weights otherwise straddles two lines,
-/// and the loop is one load per FMA).
-///
-/// This is the matvec stage of [`run_window_fx_steps`]: on both x86
-/// tiers it runs the AVX2 body, then a scalar rescale sweep. The
-/// AVX-512 register body of [`run_window_fx`] runs the same
-/// accumulation and rescales with the four-op helper.
-///
-/// The caller proves the per-row bound `Σ_k |w[r][k]|·max|z[k]| +
-/// |b_r|·SCALE + SCALE/2 < 2^49` over the full row at pack time (a
-/// table entry is a partial sum of that accumulator, hence itself
-/// exact), with `|h[k]| ≤ SCALE`. Under it every product and partial
-/// sum is an exact integer below `2^49`, so accumulating `k`-outer
-/// across rows gives the same integer as the reference `k`-inner `i64`
-/// sum on every body, and the finished accumulator is inside the domain
-/// of the register body's four-op rescale.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree: `rows = out.len()`,
-/// `hcols = h.len()`.
-pub fn matvec_fx_rows_table(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
-    let rows = out.len();
-    assert_eq!(
-        w_t.len(),
-        h.len() * rows,
-        "row matvec weight shape mismatch"
-    );
-    assert_eq!(table_row.len(), rows, "row matvec table row mismatch");
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 | Tier::Avx2 => {
-            // SAFETY: the tier is only resolved on a host with avx2 and
-            // fma; the shape asserts guarantee in-bounds access.
-            #[allow(unsafe_code)]
-            unsafe {
-                x86::mv_rows_avx2(w_t, h, table_row, out)
-            };
-            rescale_lanes(out);
+        for acc in o {
+            *acc = div_round_raw(*acc as i64, Fx6::SCALE) as f64;
         }
-        Tier::Scalar => matvec_fx_rows_scalar(w_t, h, table_row, out),
-    }
-}
-
-/// Scalar reference for [`matvec_fx_rows_table`], rescale included.
-fn matvec_fx_rows_scalar(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
-    accumulate_rows_from(w_t, h, table_row, out, 0);
-    rescale_lanes(out);
-}
-
-/// The raw (unrescaled) accumulators of rows `from..` of a row matvec —
-/// the whole scalar body, and the SIMD bodies' tail past their last full
-/// register. `k`-outer over contiguous rows, so the compiler vectorises
-/// the inner loop on whatever the build target offers.
-fn accumulate_rows_from(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64], from: usize) {
-    let rows = out.len();
-    let out = &mut out[from..];
-    out.copy_from_slice(&table_row[from..]);
-    for (k, &hk) in h.iter().enumerate() {
-        let col = &w_t[k * rows + from..(k + 1) * rows];
-        for (acc, &wv) in out.iter_mut().zip(col) {
-            *acc += wv * hk;
-        }
-    }
-}
-
-/// In-place `x := round_half_away(x / SCALE)` over a block of `f64`-encoded
-/// raw integers — the `10^12 → 10^6` product correction (§III-D), exactly
-/// as `div_round_i64(x, SCALE)` computes it.
-///
-/// Exact for `|x| + SCALE/2 < 2^53`, whatever the row bound the caller
-/// holds. Scalar: it finishes the step loop's matvec on every tier.
-fn rescale_lanes(xs: &mut [f64]) {
-    for x in xs {
-        *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
     }
 }
 
 /// One window of the fixed-point LSTM: from the state in `c`/`h`, each
-/// item of `seq` in turn runs the gate matvec on its gate-table row
-/// ([`matvec_fx_rows_table`]), the LUT sigmoid on the `i f o` gates, the
-/// softsign on the candidate, and the update `C_t = f∗C_{t−1} + i∗C'`,
-/// `h_t = o ∗ softsign(C_t)`, every `∗` the rescaling fixed-point
-/// product. The state after the last item is left in `c`/`h`, and it is
-/// bit-identical to the per-CU `Vector<Fx6>` loop's.
+/// item of `seq` in turn runs the gate matvec on its gate-table row, the
+/// LUT sigmoid on the `i f o` gates, the softsign on the candidate, and
+/// the update `C_t = f∗C_{t−1} + i∗C'`, `h_t = o ∗ softsign(C_t)`, every
+/// `∗` the rescaling fixed-point product. The state after the last item
+/// is left in `c`/`h`, and it is bit-identical to the per-CU
+/// `Vector<Fx6>` loop's.
 ///
-/// `H = c.len()`; `w_t` is `W_h` transposed, `H × 4H` row-major, and
-/// `table` the item-major input-gate table, `vocab × 4H`.
+/// `H = c.len()`; `w_t` is `W_h` transposed, `H × 4H` row-major, so the
+/// `4H` weights that multiply `h[k]` are contiguous, and `table` the
+/// item-major input-gate table, `vocab × 4H`. A table row is the
+/// per-item precomputation `Σ_x w_x[r]·e(item)_x + bias_r·SCALE`, so
+/// row `r`'s pre-activation is exactly the serial
+/// `round(Σ w·z / SCALE) + bias_r` over the full gate input:
+/// `round(a/S) + b == round((a + b·S)/S)` when `b·S` is a multiple of
+/// `S`, and integer addition is associative when nothing overflows.
 ///
-/// On AVX-512 at `H ∈ {8, 16, 24, 32}` the window runs in one function:
-/// the `H/2` gate-accumulator registers are rescaled, activated and
-/// folded into the `H/8` cell-state registers in place, and `h` goes
-/// through one 64-byte-aligned stack line the next step broadcasts
-/// from; `c`/`h` are read once and written once a window. Its
-/// per-register helpers — the four-op rescale, the LUT sigmoid, the
-/// softsign, the wide rescale of `f∗C` — are each checked against the
-/// scalar reference the step loop runs (the sigmoid on every input its
-/// table covers), so the two bodies leave the same bits. Every other
-/// tier and `H` runs [`run_window_fx_steps`].
+/// The window runs in one function: the `H/2` gate-accumulator
+/// registers take one broadcast of `h[k]` and one load-FMA each per
+/// recurrent column, and are rescaled, activated and folded into the
+/// `H/8` cell-state registers in place; `h` goes through one
+/// 64-byte-aligned stack line the next step broadcasts from; `c`/`h`
+/// are read once and written once a window. Its per-register helpers —
+/// the four-op rescale, the LUT sigmoid, the softsign, the wide rescale
+/// of `f∗C` — are each checked against a scalar reference (the sigmoid
+/// on every input its table covers), and the whole window against a
+/// slice-at-a-time step loop up to 8,000 steps. A `w_t` that starts on a
+/// 64-byte cache line is faster (every load of a register of weights
+/// otherwise straddles two lines); any alignment is correct.
 ///
-/// Exact under the pack-time row bound of [`matvec_fx_rows_table`] with
-/// `|h| ≤ SCALE` on entry, and while `|C| ≤ ~8·10^9` raw: each timestep
-/// grows `|C|` by at most `SCALE`, so 8000 steps from a zero state.
+/// Exact under the pack-time row bound `Σ_k |w[r][k]|·max|z[k]| +
+/// |b_r|·SCALE + SCALE/2 < 2^49` over every full gate row, with `|h| ≤
+/// SCALE` on entry, and while `|C| ≤ ~8·10^9` raw: each timestep grows
+/// `|C|` by at most `SCALE`, so 8000 steps from a zero state.
 ///
 /// # Panics
 ///
-/// Panics when `H` is 0, when the slice lengths disagree, or when an
-/// item of `seq` is outside the table.
+/// Panics when [`window_fits`] refuses `H` on this host, when the slice
+/// lengths disagree, or when an item of `seq` is outside the table.
 pub fn run_window_fx(w_t: &[f64], table: &[f64], seq: &[usize], c: &mut [f64], h: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier() == Tier::Avx512 && c.len().is_multiple_of(8) && c.len() <= x86::WINDOW_MAX_HIDDEN {
-        check_window(w_t, table, seq, c, h);
-        // SAFETY: the tier was resolved from the host's avx512f/dq/vl
-        // bits; `H` is a nonzero multiple of 8 up to 32, so each arm's
-        // `8·NH` is `H`, and `check_window` asserted `h.len() == H` and
-        // `w_t.len() == 4H²`.
-        #[allow(unsafe_code)]
-        unsafe {
-            match c.len() / 8 {
-                1 => x86::window_avx512::<1>(w_t, table, seq, c, h),
-                2 => x86::window_avx512::<2>(w_t, table, seq, c, h),
-                3 => x86::window_avx512::<3>(w_t, table, seq, c, h),
-                _ => x86::window_avx512::<4>(w_t, table, seq, c, h),
-            }
-        }
-        return;
-    }
-    run_window_fx_steps(w_t, table, seq, c, h);
-}
-
-/// [`run_window_fx`] one stage at a time — the matvec, both sigmoids,
-/// the softsign and the update each a pass over a `4H` gate vector and
-/// the state slices — whatever the tier and `H`: what
-/// [`run_window_fx`] falls back to, public so a bench can time the
-/// register body against it. Same contract, same bits.
-///
-/// # Panics
-///
-/// As [`run_window_fx`].
-pub fn run_window_fx_steps(
-    w_t: &[f64],
-    table: &[f64],
-    seq: &[usize],
-    c: &mut [f64],
-    h: &mut [f64],
-) {
+    assert!(
+        window_fits(c.len()),
+        "no register window for H = {} on a {} host",
+        c.len(),
+        simd_level()
+    );
     check_window(w_t, table, seq, c, h);
-    let hidden = c.len();
-    let rows = 4 * hidden;
-    // One gate vector a window, stored and reloaded by every stage.
-    let mut g = vec![0.0; rows];
-    for &item in seq {
-        matvec_fx_rows_table(w_t, h, &table[item * rows..(item + 1) * rows], &mut g);
-        sigmoid_lut_lanes(&mut g[..2 * hidden]);
-        softsign_lanes(&mut g[2 * hidden..3 * hidden]);
-        sigmoid_lut_lanes(&mut g[3 * hidden..]);
-        update_lanes(&g, c, h);
+    // SAFETY: `window_fits` holds only where the tier was resolved from
+    // the host's avx512f/dq/vl bits and `H` is a nonzero multiple of 8 up
+    // to 32, so each arm's `8·NH` is `H`; `check_window` asserted
+    // `h.len() == H` and `w_t.len() == 4H²`.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    unsafe {
+        match c.len() / 8 {
+            1 => x86::window_avx512::<1>(w_t, table, seq, c, h),
+            2 => x86::window_avx512::<2>(w_t, table, seq, c, h),
+            3 => x86::window_avx512::<3>(w_t, table, seq, c, h),
+            _ => x86::window_avx512::<4>(w_t, table, seq, c, h),
+        }
     }
 }
 
-/// The shape and vocabulary asserts both window bodies rely on.
+/// The shape and vocabulary asserts the window relies on.
 fn check_window(w_t: &[f64], table: &[f64], seq: &[usize], c: &[f64], h: &[f64]) {
     let hidden = c.len();
     assert!(hidden > 0, "window needs at least one hidden unit");
@@ -352,54 +241,6 @@ fn check_window(w_t: &[f64], table: &[f64], seq: &[usize], c: &[f64], h: &[f64])
     for &item in seq {
         assert!(item < vocab, "item {item} out of vocabulary");
     }
-}
-
-/// In-place LUT sigmoid over a block of `f64`-encoded raw pre-activations,
-/// `csd_fxp::sigmoid_fx_lut` on each element: 256-entry table over
-/// `[-8, 8]`, linear interpolation, saturation outside. Exact for
-/// `|x| ≤ 2^52` (far beyond any pre-activation the matmul bound admits).
-fn sigmoid_lut_lanes(xs: &mut [f64]) {
-    for x in xs {
-        *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
-    }
-}
-
-/// In-place exact softsign over a block of `f64`-encoded raw values:
-/// `round_half_away(x·SCALE / (|x| + SCALE))`, as `csd_fxp::softsign_fx`.
-fn softsign_lanes(xs: &mut [f64]) {
-    for x in xs {
-        *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
-    }
-}
-
-/// The state update of the step loop, on the activated `4H` gate vector
-/// `g` in TF order (`i f c o`) and the `H`-element state `c`/`h`.
-fn update_lanes(g: &[f64], c: &mut [f64], h: &mut [f64]) {
-    let hidden = c.len();
-    let (gi, gf, gc, go) = (
-        &g[..hidden],
-        &g[hidden..2 * hidden],
-        &g[2 * hidden..3 * hidden],
-        &g[3 * hidden..],
-    );
-    for j in 0..hidden {
-        let ct = fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
-        c[j] = ct as f64;
-        let ss = softsign_fx(Fx6::from_raw(ct)).raw();
-        h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
-    }
-}
-
-/// The rescaling fixed-point product on raw values (`Fx6` `Mul` replica).
-fn fx_mul_raw(a: i64, b: i64) -> i64 {
-    let p = a as i128 * b as i128;
-    let half = (Fx6::SCALE / 2) as i128;
-    let scale = Fx6::SCALE as i128;
-    (if p >= 0 {
-        (p + half) / scale
-    } else {
-        (p - half) / scale
-    }) as i64
 }
 
 // ---------------------------------------------------------------------------
@@ -564,65 +405,6 @@ mod x86 {
         let q0 = _mm512_mul_pd(x, y);
         let r = _mm512_fnmadd_pd(q0, c, x);
         _mm512_fmadd_pd(r, y, q0)
-    }
-
-    /// `NV` registers of four gate rows each, starting at row `r`; the
-    /// raw accumulator is stored.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx2/fma; `r + 4·NV <= out.len()`, `w_t.len() ==
-    /// h.len()·out.len()`, `table_row.len() == out.len()`.
-    #[inline]
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn rows_tile_avx2<const NV: usize>(
-        w_t: &[f64],
-        h: &[f64],
-        table_row: &[f64],
-        out: &mut [f64],
-        r: usize,
-    ) {
-        let rows = out.len();
-        let mut acc = [_mm256_setzero_pd(); NV];
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm256_loadu_pd(table_row.as_ptr().add(r + 4 * i));
-        }
-        for (k, &hk) in h.iter().enumerate() {
-            let hv = _mm256_set1_pd(hk);
-            let col = w_t.as_ptr().add(k * rows + r);
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_fmadd_pd(_mm256_loadu_pd(col.add(4 * i)), hv, *a);
-            }
-        }
-        for (i, a) in acc.iter().enumerate() {
-            _mm256_storeu_pd(out.as_mut_ptr().add(r + 4 * i), *a);
-        }
-    }
-
-    /// AVX2+FMA row matvec: 32-row tiles of 8 accumulators, single
-    /// registers of four rows, scalar tail. Leaves the raw accumulator
-    /// in `out`; the dispatching wrapper runs the rescale sweep
-    /// afterwards.
-    ///
-    /// # Safety
-    ///
-    /// Requires avx2/fma and the slice shapes asserted by the
-    /// dispatching wrapper.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn mv_rows_avx2(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
-        let rows = out.len();
-        let mut r = 0;
-        while r + 32 <= rows {
-            rows_tile_avx2::<8>(w_t, h, table_row, out, r);
-            r += 32;
-        }
-        while r + 4 <= rows {
-            rows_tile_avx2::<1>(w_t, h, table_row, out, r);
-            r += 4;
-        }
-        super::accumulate_rows_from(w_t, h, table_row, out, r);
     }
 
     /// The sigmoid LUT in slope–intercept form and raw units: segment `i`
@@ -835,11 +617,103 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csd_fxp::{sigmoid_fx_lut, softsign_fx};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn div_round_i64(num: i64, den: i64) -> i64 {
         div_round_raw(num, den)
+    }
+
+    /// The reference [`run_window_fx`] is checked against: the same
+    /// window one stage at a time — the matvec, both sigmoids, the
+    /// softsign and the update each a pass over a `4H` gate vector and
+    /// the state slices — in scalar code, at any `H` and on any host.
+    fn run_window_fx_steps(
+        w_t: &[f64],
+        table: &[f64],
+        seq: &[usize],
+        c: &mut [f64],
+        h: &mut [f64],
+    ) {
+        check_window(w_t, table, seq, c, h);
+        let hidden = c.len();
+        let rows = 4 * hidden;
+        let mut g = vec![0.0; rows];
+        for &item in seq {
+            matvec_fx_rows(w_t, h, &table[item * rows..(item + 1) * rows], &mut g);
+            sigmoid_lut_lanes(&mut g[..2 * hidden]);
+            softsign_lanes(&mut g[2 * hidden..3 * hidden]);
+            sigmoid_lut_lanes(&mut g[3 * hidden..]);
+            update_lanes(&g, c, h);
+        }
+    }
+
+    /// The step loop's gate matvec: `out[r] =
+    /// round_half_away((table_row[r] + Σ_k w_t[k·rows + r]·h[k]) /
+    /// SCALE)`, `k`-outer over contiguous rows.
+    fn matvec_fx_rows(w_t: &[f64], h: &[f64], table_row: &[f64], out: &mut [f64]) {
+        let rows = out.len();
+        assert_eq!(w_t.len(), h.len() * rows, "row matvec weight shape");
+        out.copy_from_slice(table_row);
+        for (k, &hk) in h.iter().enumerate() {
+            for (acc, &wv) in out.iter_mut().zip(&w_t[k * rows..(k + 1) * rows]) {
+                *acc += wv * hk;
+            }
+        }
+        rescale_lanes(out);
+    }
+
+    /// In-place `x := round_half_away(x / SCALE)`, exactly as
+    /// `div_round_i64(x, SCALE)` computes it.
+    fn rescale_lanes(xs: &mut [f64]) {
+        for x in xs {
+            *x = div_round_raw(*x as i64, Fx6::SCALE) as f64;
+        }
+    }
+
+    /// In-place `csd_fxp::sigmoid_fx_lut` on `f64`-encoded raws.
+    fn sigmoid_lut_lanes(xs: &mut [f64]) {
+        for x in xs {
+            *x = sigmoid_fx_lut(Fx6::from_raw(*x as i64)).raw() as f64;
+        }
+    }
+
+    /// In-place `csd_fxp::softsign_fx` on `f64`-encoded raws.
+    fn softsign_lanes(xs: &mut [f64]) {
+        for x in xs {
+            *x = softsign_fx(Fx6::from_raw(*x as i64)).raw() as f64;
+        }
+    }
+
+    /// The step loop's state update, on the activated `4H` gate vector
+    /// `g` in TF order (`i f c o`) and the `H`-element state `c`/`h`.
+    fn update_lanes(g: &[f64], c: &mut [f64], h: &mut [f64]) {
+        let hidden = c.len();
+        let (gi, gf, gc, go) = (
+            &g[..hidden],
+            &g[hidden..2 * hidden],
+            &g[2 * hidden..3 * hidden],
+            &g[3 * hidden..],
+        );
+        for j in 0..hidden {
+            let ct = fx_mul_raw(gf[j] as i64, c[j] as i64) + fx_mul_raw(gi[j] as i64, gc[j] as i64);
+            c[j] = ct as f64;
+            let ss = softsign_fx(Fx6::from_raw(ct)).raw();
+            h[j] = fx_mul_raw(go[j] as i64, ss) as f64;
+        }
+    }
+
+    /// The rescaling fixed-point product on raw values (`Fx6` `Mul` replica).
+    fn fx_mul_raw(a: i64, b: i64) -> i64 {
+        let p = a as i128 * b as i128;
+        let half = (Fx6::SCALE / 2) as i128;
+        let scale = Fx6::SCALE as i128;
+        (if p >= 0 {
+            (p + half) / scale
+        } else {
+            (p - half) / scale
+        }) as i64
     }
 
     /// Runs every whole register of `xs` through `reg` on an AVX-512
@@ -1119,21 +993,16 @@ mod tests {
         }
     }
 
-    /// Runs `body` (a full row matvec, rescale included) over every
-    /// shape the AVX2 tiles split differently — 4, 8, 12, 24: single
-    /// registers of four rows; 6: registers plus a scalar tail; 128: four
-    /// 32-row tiles; 136: tiles plus registers — against the `i128`
-    /// reference, with operands at the edge of a row bound of
-    /// `2^bound_bits`: `|h|` up to `SCALE` and every row's worst case
-    /// `Σ|w|·SCALE + |table| + SCALE/2` within a few units of it. Odd
-    /// rows push every term the way of their table entry, so their
-    /// partial sums climb to that edge; even rows mix signs.
-    fn check_rows_body(
-        name: &str,
-        bound_bits: u32,
-        body: impl Fn(&[f64], &[f64], &[f64], &mut [f64]),
-    ) {
-        let bound: i64 = (1 << bound_bits) - 1 - Fx6::SCALE / 2;
+    /// The step loop's matvec against the `i128` reference, over row
+    /// counts on and off a register's eight (4, 6, 8, 12, 24, 128, 136)
+    /// and with operands at the edge of the `2^52` it is exact to: `|h|`
+    /// up to `SCALE` and every row's worst case `Σ|w|·SCALE + |table| +
+    /// SCALE/2` within a few units of it. Odd rows push every term the
+    /// way of their table entry, so their partial sums climb to that
+    /// edge; even rows mix signs.
+    #[test]
+    fn reference_row_matvec_matches_integer_reference() {
+        let bound: i64 = (1 << 52) - 1 - Fx6::SCALE / 2;
         let encode = |v: &[i64]| v.iter().map(|&x| x as f64).collect::<Vec<f64>>();
         for rows in [4usize, 6, 8, 12, 24, 128, 136] {
             for hcols in [1usize, 8, 32] {
@@ -1163,7 +1032,7 @@ mod tests {
                     }
                 }
                 let mut out = vec![0.0f64; rows];
-                body(&encode(&wi), &encode(&hi), &encode(&ti), &mut out);
+                matvec_fx_rows(&encode(&wi), &encode(&hi), &encode(&ti), &mut out);
                 for r in 0..rows {
                     let col = |k: usize| wi[k * rows + r] as i128;
                     let worst = (0..hcols).map(|k| col(k).abs()).sum::<i128>() * Fx6::SCALE as i128
@@ -1177,31 +1046,9 @@ mod tests {
                     assert_eq!(
                         out[r] as i64,
                         div_round_i64(acc as i64, Fx6::SCALE),
-                        "{name} rows={rows} hcols={hcols} r={r}"
+                        "rows={rows} hcols={hcols} r={r}"
                     );
                 }
-            }
-        }
-    }
-
-    /// The contract is the pack bound, `2^49`; the bodies, which rescale
-    /// in integers, are held to the `2^52` they are exact to.
-    #[test]
-    fn fx_rows_matvec_matches_integer_reference_on_every_body() {
-        check_rows_body("dispatch", 49, matvec_fx_rows_table);
-        check_rows_body("scalar", 52, matvec_fx_rows_scalar);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if tier() != Tier::Scalar {
-                check_rows_body("avx2", 52, |w_t, h, table_row, out| {
-                    // SAFETY: the tier says the host has avx2 and fma;
-                    // `check_rows_body` sizes every slice from `rows`.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        x86::mv_rows_avx2(w_t, h, table_row, out)
-                    };
-                    rescale_lanes(out);
-                });
             }
         }
     }
@@ -1340,9 +1187,9 @@ mod tests {
     }
 
     /// The register body against the step loop on random packs, every
-    /// final `(C, h)` raw for raw: `H` 8 to 32 take the register body on
-    /// an AVX-512 host, 5 and 40 the loop on every host. Lengths 1, 2,
-    /// 100 and the engine's `LANE_MAX_STEPS` (8,000), from a random
+    /// final `(C, h)` raw for raw, at each `H` the body takes (8 to 32;
+    /// on a host without AVX-512 there is no body to check). Lengths 1,
+    /// 2, 100 and the engine's `LANE_MAX_STEPS` (8,000), from a random
     /// state with `|C|, |h| ≤ SCALE`; at the longest, the driven units'
     /// `|C|` ends within 1 % of the `8·10^9` the kernels are exact to.
     #[test]
@@ -1351,7 +1198,11 @@ mod tests {
         const VOCAB: usize = 16;
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let raws = |v: &[f64]| v.iter().map(|&x| x as i64).collect::<Vec<i64>>();
-        for hidden in [8usize, 16, 24, 32, 5, 40] {
+        for hidden in [8usize, 16, 24, 32] {
+            if !window_fits(hidden) {
+                assert_eq!(simd_level(), "scalar");
+                continue;
+            }
             let (w_t, table) = random_pack(hidden, VOCAB, &mut rng);
             for len in [1usize, 2, 100, LANE_MAX_STEPS] {
                 let seq: Vec<usize> = (0..len).map(|_| rng.random_range(0..VOCAB)).collect();
@@ -1381,6 +1232,24 @@ mod tests {
 
     #[test]
     fn simd_level_reports_a_tier() {
-        assert!(["avx512", "avx2", "scalar"].contains(&simd_level()));
+        assert!(["avx512", "scalar"].contains(&simd_level()));
+    }
+
+    #[test]
+    fn window_fits_the_register_shapes_on_avx512_only() {
+        let avx512 = simd_level() == "avx512";
+        for hidden in [8usize, 16, 24, 32] {
+            assert_eq!(window_fits(hidden), avx512, "H = {hidden}");
+        }
+        for hidden in [0usize, 1, 5, 12, 34, 40, 64] {
+            assert!(!window_fits(hidden), "H = {hidden}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no register window for H = 5")]
+    fn a_window_the_register_body_does_not_fit_is_refused() {
+        let (mut c, mut h) = (vec![0.0; 5], vec![0.0; 5]);
+        run_window_fx(&[0.0; 100], &[0.0; 20], &[0], &mut c, &mut h);
     }
 }

@@ -1,14 +1,17 @@
 //! The fixed-point fallback through the meta-crate. Weights the pack
-//! proof refuses, and a window one call past `LANE_MAX_STEPS`, leave the
-//! row kernel for the per-CU loop on the default fused path, and every
-//! entry point — `classify`, `classify_batch` and a `Sentry` drain —
-//! still gives `GatePath::PerCu`'s results, bit for bit.
+//! proof refuses, a window one call past `LANE_MAX_STEPS`, and a model
+//! whose `H` the register window does not take run the per-CU loop on
+//! the default fused path, and every entry point — `classify`,
+//! `classify_batch` and a `Sentry` drain — still gives
+//! `GatePath::PerCu`'s results, bit for bit. So does a long window on
+//! the production path at paper dimensions.
 
 use csd_inference::accel::{
     Classification, CsdInferenceEngine, GatePath, LaneGatesFx, OptimizationLevel, LANE_MAX_STEPS,
 };
 use csd_inference::nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_inference::sentry::{ActionKind, ProcessEvent, Sentry, SentryConfig};
+use csd_inference::tensor::lanes;
 
 /// A paper-shaped model whose head leans positive, so every window of
 /// the sentry run below raises an incident carrying its probability.
@@ -32,7 +35,7 @@ fn refused_weights() -> ModelWeights {
 
 fn packs(engine: &CsdInferenceEngine) -> bool {
     let q = engine.weights();
-    LaneGatesFx::pack(&q.fused_fx(), &q.embedding_fx, q.dims().hidden).is_some()
+    LaneGatesFx::pack(&q.gate_w_fx, &q.gate_b_fx, &q.embedding_fx).is_some()
 }
 
 fn window(len: usize, salt: usize) -> Vec<usize> {
@@ -100,4 +103,31 @@ fn a_window_past_the_row_kernels_range_classifies_as_per_cu_everywhere() {
     let fused = CsdInferenceEngine::new(&weights(), OptimizationLevel::FixedPoint);
     assert!(packs(&fused), "these weights take the row kernel");
     assert_fallback_matches_per_cu(&fused, &[window(LANE_MAX_STEPS + 1, 0)]);
+}
+
+#[test]
+fn a_hidden_size_the_register_window_does_not_take_classifies_as_per_cu_everywhere() {
+    for hidden in [5usize, 34] {
+        assert!(!lanes::window_fits(hidden), "H = {hidden}");
+        let config = ModelConfig {
+            hidden,
+            ..ModelConfig::paper()
+        };
+        let mut w = ModelWeights::from_model(&SequenceClassifier::new(config, 21));
+        w.fc_bias = 3.0;
+        let fused = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
+        assert!(
+            packs(&fused),
+            "H = {hidden}: the pack alone would take these weights"
+        );
+        let windows: Vec<Vec<usize>> = (0..5).map(|k| window(100, k)).collect();
+        assert_fallback_matches_per_cu(&fused, &windows);
+    }
+}
+
+#[test]
+fn a_thousand_step_window_on_the_production_path_matches_per_cu_everywhere() {
+    let fused = CsdInferenceEngine::new(&weights(), OptimizationLevel::FixedPoint);
+    assert!(packs(&fused), "these weights take the row kernel");
+    assert_fallback_matches_per_cu(&fused, &[window(1_000, 0), window(1_000, 1)]);
 }
