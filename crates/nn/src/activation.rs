@@ -27,6 +27,7 @@ impl Activation {
     /// assert_eq!(Activation::Softsign.apply(1.0), 0.5);
     /// assert_eq!(Activation::Sigmoid.apply(0.0), 0.5);
     /// ```
+    #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
@@ -35,8 +36,20 @@ impl Activation {
         }
     }
 
+    /// `out[j] = self.apply(xs[j])` for every `j`, with the activation
+    /// resolved once for the slice rather than once an element.
+    pub(crate) fn apply_each(self, xs: &[f64], out: &mut [f64]) {
+        let out = out.iter_mut().zip(xs);
+        match self {
+            Activation::Sigmoid => out.for_each(|(y, &x)| *y = Activation::Sigmoid.apply(x)),
+            Activation::Tanh => out.for_each(|(y, &x)| *y = Activation::Tanh.apply(x)),
+            Activation::Softsign => out.for_each(|(y, &x)| *y = Activation::Softsign.apply(x)),
+        }
+    }
+
     /// Derivative of the activation *with respect to its input*, expressed
     /// in terms of the input `x`.
+    #[inline]
     pub fn derivative(self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => {
@@ -55,6 +68,7 @@ impl Activation {
     /// form exists; used on the cell-state path where only `C_t` is cached.
     ///
     /// For `softsign`, `y = x/(1+|x|)` gives `f'(x) = (1−|y|)²`.
+    #[inline]
     pub fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Sigmoid => y * (1.0 - y),
@@ -116,6 +130,21 @@ mod tests {
                     Activation::Sigmoid => assert!((0.0..=1.0).contains(&y)),
                     _ => assert!((-1.0..=1.0).contains(&y)),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn apply_each_is_apply_to_the_bit() {
+        let xs: Vec<f64> = (-400..=400)
+            .map(|i| i as f64 * 0.137)
+            .chain([0.0, -0.0, 745.0, -745.0, f64::INFINITY, f64::NAN])
+            .collect();
+        for act in ACTS {
+            let mut out = vec![f64::NAN; xs.len()];
+            act.apply_each(&xs, &mut out);
+            for (&x, &y) in xs.iter().zip(&out) {
+                assert_eq!(y.to_bits(), act.apply(x).to_bits(), "{act:?} at {x}");
             }
         }
     }

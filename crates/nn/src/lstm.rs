@@ -25,16 +25,20 @@
 //! contiguous `f64` array of a `Tape`, which a thread sizes once and
 //! reuses. A `PackedCell` holds the weights laid out for it: all four
 //! gates' `Wᵀ` side by side, so a forward step is one
-//! [`bptt::gate_preact`] over the `4H` gate rows. A BPTT step is the
-//! element-wise gate loop and four [`bptt::back_product_add`]s, one per
-//! gate; the weight gradient (laid out in
+//! [`bptt::gate_preact`] over the `4H` gate rows and then one activation
+//! loop a gate; and all four gates' `W` stacked in gate order, so a BPTT
+//! step is the element-wise gate loop and one [`bptt::back_product_gates`]
+//! over the `4H × Z` block. The weight gradient (laid out in
 //! `SequenceClassifier::flatten_params` order, so `W_i W_f W_C' W_o` is
-//! one `4H × Z` block) takes every step's rank-1 update in one
+//! the same `4H × Z` block) takes every step's rank-1 update in one
 //! [`bptt::rank1_add`] at the end.
 //!
 //! Every element keeps the operation sequence of the per-step `Vector`
 //! code this replaced, which the tests keep as the reference
-//! (`reference`): trained weights are the same to the bit on every host.
+//! (`reference`): one sequence's gradient is the same to the bit on every
+//! host. A trained model is the same to the bit for a given
+//! `TrainOptions::threads`: a batch's gradient is summed per thread chunk,
+//! so a different thread count adds the same terms in another order.
 
 use csd_tensor::{bptt, Initializer, Matrix, Vector};
 use serde::{Deserialize, Serialize};
@@ -188,6 +192,11 @@ impl LstmCell {
         PackedCell {
             cell: self,
             w_t,
+            w: self
+                .w
+                .iter()
+                .flat_map(|w| w.as_flat().iter().copied())
+                .collect(),
             b: self.b.iter().flat_map(|b| b.iter().copied()).collect(),
         }
     }
@@ -204,12 +213,14 @@ impl LstmCell {
 }
 
 /// An [`LstmCell`]'s weights laid out for the flat path: every gate's
-/// `W` transposed, side by side (`(H+X) × 4H`), and the biases stacked in
-/// gate order (`4H`).
+/// `W` transposed, side by side (`(H+X) × 4H`), the gates' `W` stacked in
+/// gate order (`4H × (H+X)`), and the biases stacked in gate order
+/// (`4H`).
 #[derive(Debug)]
 pub(crate) struct PackedCell<'a> {
     cell: &'a LstmCell,
     w_t: Vec<f64>,
+    w: Vec<f64>,
     b: Vec<f64>,
 }
 
@@ -308,13 +319,17 @@ impl PackedCell<'_> {
             let pre = &mut pre[t * rows..(t + 1) * rows];
             bptt::gate_preact(&self.w_t, z, &self.b, pre);
             let gate = &mut gate[t * rows..(t + 1) * rows];
-            for r in 0..rows {
-                let f = if r / h == GATE_C {
+            for (g, (pre, gate)) in pre
+                .chunks_exact(h)
+                .zip(gate.chunks_exact_mut(h))
+                .enumerate()
+            {
+                let f = if g == GATE_C {
                     act
                 } else {
                     Activation::Sigmoid
                 };
-                gate[r] = f.apply(pre[r]);
+                f.apply_each(pre, gate);
             }
             let [i, f, cc, o] = gates(gate, h);
             let (c_prev, c_t) = c[t * h..(t + 2) * h].split_at_mut(h);
@@ -383,9 +398,7 @@ impl PackedCell<'_> {
             }
             // dz = Σ_g W_gᵀ da_g
             d_z.fill(0.0);
-            for (w, d) in cell.w.iter().zip(d_pre.chunks_exact(h)) {
-                bptt::back_product_add(w.as_flat(), d, d_z);
-            }
+            bptt::back_product_gates(&self.w, d_pre, d_z);
             let (dz_h, dz_x) = d_z.split_at(h);
             d_h.copy_from_slice(dz_h);
             d_x[t * x..(t + 1) * x].copy_from_slice(dz_x);

@@ -33,7 +33,9 @@ pub struct TrainOptions {
     pub seed: u64,
     /// Evaluate on the test set every `eval_every` epochs (1 = every epoch).
     pub eval_every: usize,
-    /// Worker threads for intra-batch gradient parallelism.
+    /// Worker threads for intra-batch gradient parallelism. A batch's
+    /// gradient is summed per thread chunk, so the trained bits depend on
+    /// this count (the default, the host's parallelism, varies by host).
     pub threads: usize,
     /// Stop early when test accuracy has not improved for this many
     /// evaluations (`None` disables early stopping).
@@ -192,7 +194,9 @@ impl Trainer {
     }
 
     /// Mean loss and mean flat gradient over one mini-batch, computed in
-    /// parallel across worker threads.
+    /// parallel: the batch is cut into `threads` chunks, the last runs on
+    /// the calling thread and each other one on a scoped thread, and the
+    /// chunk sums are added in chunk order.
     fn batch_gradients(
         &self,
         model: &SequenceClassifier,
@@ -203,31 +207,33 @@ impl Trainer {
         let chunk = batch.len().div_ceil(threads);
         let packed = &model.lstm_cell().pack();
         let params = model.num_parameters();
+        let chunk_sum = |ids: &[usize]| {
+            let mut tape = Tape::default();
+            let mut example = vec![0.0; params];
+            let mut loss = 0.0;
+            let mut acc = vec![0.0; params];
+            for &i in ids {
+                let (seq, label) = &train[i];
+                let label = if *label { 1.0 } else { 0.0 };
+                loss += model.gradients_into(packed, &mut tape, seq, label, &mut example);
+                for (a, g) in acc.iter_mut().zip(&example) {
+                    *a += g;
+                }
+            }
+            (loss, acc)
+        };
         let partials: Vec<(f64, Vec<f64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .map(|ids| {
-                    scope.spawn(move || {
-                        let mut tape = Tape::default();
-                        let mut example = vec![0.0; params];
-                        let mut loss = 0.0;
-                        let mut acc = vec![0.0; params];
-                        for &i in ids {
-                            let (seq, label) = &train[i];
-                            let label = if *label { 1.0 } else { 0.0 };
-                            loss +=
-                                model.gradients_into(packed, &mut tape, seq, label, &mut example);
-                            for (a, g) in acc.iter_mut().zip(&example) {
-                                *a += g;
-                            }
-                        }
-                        (loss, acc)
-                    })
-                })
+            let mut chunks: Vec<&[usize]> = batch.chunks(chunk).collect();
+            let last = chunks.pop().expect("a nonempty batch");
+            let handles: Vec<_> = chunks
+                .into_iter()
+                .map(|ids| scope.spawn(move || chunk_sum(ids)))
                 .collect();
+            let last = chunk_sum(last);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("gradient worker panicked"))
+                .chain([last])
                 .collect()
         });
         let n = batch.len() as f64;

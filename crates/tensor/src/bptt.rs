@@ -1,26 +1,31 @@
 //! The three `f64` products of LSTM training: the gate pre-activations of
 //! a forward step, the rank-1 weight-gradient updates of a BPTT pass, and
-//! the `Wᵀ·d` back-product that carries a step's gradient to `[h_{t−1},
-//! x_t]`.
+//! the four gates' `Wᵀ·d` back-product that carries a step's gradient to
+//! `[h_{t−1}, x_t]`.
 //!
-//! Each kernel is one plain slice loop compiled twice: under
-//! `#[target_feature]` for the AVX-512 tier the fixed-point kernels in
-//! [`lanes`](crate::lanes) resolve, and for the build's baseline target.
-//! The tier is resolved once per process; the safe entry points dispatch
-//! on it.
+//! Each kernel has a portable body, plain slice loops compiled for the
+//! build's baseline target, and an AVX-512 body. The pre-activations'
+//! AVX-512 body is the same loop compiled under `#[target_feature]`; the
+//! rank-1 update and the back-product have register-tiled intrinsic
+//! bodies, because the compiler spills their accumulators when it tiles
+//! plain loops itself. The tier is the one the fixed-point kernels in
+//! [`lanes`](crate::lanes) resolve, once per process; the safe entry
+//! points dispatch on it.
 //!
 //! # Bit-identity contract
 //!
 //! Every output element runs the same operation sequence as the `Matrix`
-//! code it replaces, in both bodies: vectorisation runs *across* output
+//! code it replaces, in every body: vectorisation runs *across* output
 //! elements, never along one element's sum. Products are multiplied then
-//! added, never fused (Rust does not contract `a * b + c`). So
+//! added, never fused (Rust does not contract `a * b + c`, and the
+//! intrinsic bodies multiply and add in separate instructions). So
 //! [`gate_preact`] equals `W.matvec(z) + b` (the four interleaved
 //! partials of `f64::dot_slices`), [`rank1_add`] equals BPTT's
 //! outer-product accumulation one step after the other, and
-//! [`back_product_add`] equals `out + W.vecmat(d)`, bit for bit. The
-//! rank-1 update and the back-product skip a row whose `d` is zero
-//! (`-0.0` included), as `Matrix::vecmat` does.
+//! [`back_product_gates`] equals `out + W_i.vecmat(d_i) + W_f.vecmat(d_f)
+//! + W_C'.vecmat(d_C') + W_o.vecmat(d_o)`, added left to right, bit for
+//! bit. The rank-1 update and the back-product skip a row whose `d` is
+//! zero (`-0.0` included), as `Matrix::vecmat` does.
 
 #[cfg(target_arch = "x86_64")]
 use crate::lanes::{tier, Tier};
@@ -81,8 +86,9 @@ pub fn gate_preact(w_t: &[f64], z: &[f64], b: &[f64], out: &mut [f64]) {
 /// for `t` from `steps − 1` down to `0`, and every row `r` with
 /// `d[t][r] ≠ 0`, `g_w[r][c] += d[t][r]·z[t][c]` for every column `c`
 /// and `g_b[r] += d[t][r]`. Every element sees the additions a per-step
-/// update would make, in the same order; the steps run over a few rows
-/// of `g_w` at a time, so those rows stay in L1.
+/// update would make, in the same order. On AVX-512 a block of four rows
+/// of `g_w` stays in registers through every step and is stored once;
+/// the portable body carries [`RANK1_ROWS`] rows through the steps in L1.
 ///
 /// `d` is `steps × rows` and `z` is `steps × cols`, both row-major; `g_w`
 /// is `rows × cols`, `rows = g_b.len()`.
@@ -118,16 +124,25 @@ pub fn rank1_add(d: &[f64], z: &[f64], g_w: &mut [f64], g_b: &mut [f64]) {
     rank1_add_body(d, z, g_w, g_b);
 }
 
-/// The back-product `out[c] += (Wᵀ·d)[c]`: `Wᵀ·d` is summed on its own
-/// from `0.0` over the rows with `d[r] ≠ 0`, in row order, and then added
-/// to `out` — `out + W.vecmat(d)`.
+/// The back-product of all four LSTM gates, `out[c] += (W_gᵀ·d_g)[c]`
+/// for `g` = `i, f, C', o` in that order: each gate's `W_gᵀ·d_g` is summed
+/// on its own from `0.0` over the rows with `d_g[r] ≠ 0`, in row order,
+/// and then added to `out` — `out + W_g.vecmat(d_g)`, gate after gate.
+/// The AVX-512 body runs the four gates' sums interleaved, one register
+/// tile of columns at a time.
 ///
-/// `w` is `d.len() × out.len()` row-major.
+/// `d` is the four gates' `d_g` in gate order (`4H`), and `w` the four
+/// gates' `W_g` stacked in the same order: `4H × out.len()` row-major.
 ///
 /// # Panics
 ///
-/// Panics when `w.len() != d.len() · out.len()`.
-pub fn back_product_add(w: &[f64], d: &[f64], out: &mut [f64]) {
+/// Panics when `d.len()` is not a multiple of four or `w.len() != d.len()
+/// · out.len()`.
+pub fn back_product_gates(w: &[f64], d: &[f64], out: &mut [f64]) {
+    assert!(
+        d.len().is_multiple_of(4),
+        "back-product needs four gates' rows"
+    );
     assert_eq!(
         w.len(),
         d.len() * out.len(),
@@ -138,11 +153,11 @@ pub fn back_product_add(w: &[f64], d: &[f64], out: &mut [f64]) {
         // SAFETY: the tier is only resolved on a host with avx512f/dq/vl.
         #[allow(unsafe_code)]
         unsafe {
-            x86::back_product_add(w, d, out)
+            x86::back_product_gates(w, d, out)
         };
         return;
     }
-    back_product_add_body(w, d, out);
+    back_product_gates_body(w, d, out);
 }
 
 #[inline(always)]
@@ -187,8 +202,9 @@ fn preact_rows<const N: usize>(w_t: &[f64], z: &[f64], b: &[f64], out: &mut [f64
     }
 }
 
-/// Rows of `g_w` [`rank1_add`] carries through every step at once: 16
-/// rows of the paper's 40 columns are 5 KiB, which stay in L1.
+/// Rows of `g_w` the portable [`rank1_add`] body carries through every
+/// step at once: 16 rows of the paper's 40 columns are 5 KiB, which stay
+/// in L1.
 const RANK1_ROWS: usize = 16;
 
 #[inline(always)]
@@ -214,12 +230,16 @@ fn rank1_add_body(d: &[f64], z: &[f64], g_w: &mut [f64], g_b: &mut [f64]) {
     }
 }
 
-#[inline(always)]
-fn back_product_add_body(w: &[f64], d: &[f64], out: &mut [f64]) {
-    by_blocks!(out.len(), back_product_cols(w, d, out));
+/// The portable [`back_product_gates`]: one gate after the other.
+fn back_product_gates_body(w: &[f64], d: &[f64], out: &mut [f64]) {
+    let h = d.len() / 4;
+    for g in 0..4 {
+        let (w_g, d_g) = (&w[g * h * out.len()..][..h * out.len()], &d[g * h..][..h]);
+        by_blocks!(out.len(), back_product_cols(w_g, d_g, out));
+    }
 }
 
-/// [`back_product_add`] for columns `c0 .. c0 + N`.
+/// One gate's back-product for columns `c0 .. c0 + N`.
 #[inline(always)]
 fn back_product_cols<const N: usize>(w: &[f64], d: &[f64], out: &mut [f64], c0: usize) {
     let cols = out.len();
@@ -239,22 +259,226 @@ fn back_product_cols<const N: usize>(w: &[f64], d: &[f64], out: &mut [f64], c0: 
     }
 }
 
-/// The same loops compiled for AVX-512.
+/// The AVX-512 bodies.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use std::arch::x86_64::*;
+
+    /// Columns one register tile spans: five registers of eight `f64`s,
+    /// the paper's `Z = 40` in one tile. The rank-1 update holds four
+    /// rows of a tile (20 registers), the back-product four gates' sums
+    /// (20 registers).
+    const TILE: usize = 40;
+
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
     pub(super) fn gate_preact(w_t: &[f64], z: &[f64], b: &[f64], out: &mut [f64]) {
         super::gate_preact_body(w_t, z, b, out);
     }
 
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) fn rank1_add(d: &[f64], z: &[f64], g_w: &mut [f64], g_b: &mut [f64]) {
-        super::rank1_add_body(d, z, g_w, g_b);
+    /// Lanes `0 .. min(s.len(), 8)` of `s`, the rest zero.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(s: &[f64]) -> __m512d {
+        // SAFETY: the mask selects only lanes inside `s`, and a masked
+        // load does not touch the lanes it leaves out.
+        #[allow(unsafe_code)]
+        unsafe {
+            _mm512_maskz_loadu_pd(lanes(s.len()), s.as_ptr())
+        }
+    }
+
+    /// Stores lanes `0 .. min(s.len(), 8)` of `v` to `s`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(s: &mut [f64], v: __m512d) {
+        // SAFETY: as in `load`.
+        #[allow(unsafe_code)]
+        unsafe {
+            _mm512_mask_storeu_pd(s.as_mut_ptr(), lanes(s.len()), v)
+        }
+    }
+
+    /// The mask of lanes `0 .. min(len, 8)`.
+    fn lanes(len: usize) -> __mmask8 {
+        ((1u32 << len.min(8)) - 1) as __mmask8
+    }
+
+    /// Register `k` of a tile of `n` columns starting at `s[0]`: eight
+    /// columns, fewer in the last register of a ragged tile.
+    #[inline(always)]
+    fn chunk(s: &[f64], k: usize) -> &[f64] {
+        &s[8 * k..s.len().min(8 * k + 8)]
+    }
+
+    /// Evaluates `$call` with the constant `$c` the registers `$n`
+    /// columns take (one to five).
+    macro_rules! by_width {
+        ($n:expr, $c:ident => $call:expr) => {
+            match $n.div_ceil(8) {
+                1 => {
+                    const $c: usize = 1;
+                    $call
+                }
+                2 => {
+                    const $c: usize = 2;
+                    $call
+                }
+                3 => {
+                    const $c: usize = 3;
+                    $call
+                }
+                4 => {
+                    const $c: usize = 4;
+                    $call
+                }
+                _ => {
+                    const $c: usize = 5;
+                    $call
+                }
+            }
+        };
     }
 
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    pub(super) fn back_product_add(w: &[f64], d: &[f64], out: &mut [f64]) {
-        super::back_product_add_body(w, d, out);
+    pub(super) fn rank1_add(d: &[f64], z: &[f64], g_w: &mut [f64], g_b: &mut [f64]) {
+        let rows = g_b.len();
+        let cols = g_w.len() / rows;
+        for c0 in (0..cols).step_by(TILE) {
+            let n = (cols - c0).min(TILE);
+            let mut r0 = 0;
+            while r0 + 4 <= rows {
+                by_width!(n, C => rank1_tile::<4, C>(d, z, g_w, rows, r0, c0, n));
+                r0 += 4;
+            }
+            for r0 in r0..rows {
+                by_width!(n, C => rank1_tile::<1, C>(d, z, g_w, rows, r0, c0, n));
+            }
+        }
+        rank1_bias(d, g_b);
+    }
+
+    /// [`rank1_add`]'s weight updates for rows `r0 .. r0 + R` and the
+    /// `n` columns from `c0`, which take `C` registers a row: the tile is
+    /// loaded once, takes every step's update in registers, last step
+    /// first, and is stored once.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    #[allow(clippy::too_many_arguments)]
+    fn rank1_tile<const R: usize, const C: usize>(
+        d: &[f64],
+        z: &[f64],
+        g_w: &mut [f64],
+        rows: usize,
+        r0: usize,
+        c0: usize,
+        n: usize,
+    ) {
+        let cols = g_w.len() / rows;
+        assert!(8 * (C - 1) < n && n <= 8 * C && c0 + n <= cols && r0 + R <= rows);
+        let mut acc = [[_mm512_setzero_pd(); C]; R];
+        for (i, acc) in acc.iter_mut().enumerate() {
+            let g = &g_w[(r0 + i) * cols..][c0..c0 + n];
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a = load(chunk(g, k));
+            }
+        }
+        for (z_t, d_t) in z.chunks_exact(cols).zip(d.chunks_exact(rows)).rev() {
+            let z_t = &z_t[c0..c0 + n];
+            let mut zs = [_mm512_setzero_pd(); C];
+            for (k, zk) in zs.iter_mut().enumerate() {
+                *zk = load(chunk(z_t, k));
+            }
+            for (acc, &dv) in acc.iter_mut().zip(&d_t[r0..r0 + R]) {
+                if dv == 0.0 {
+                    continue;
+                }
+                let dv = _mm512_set1_pd(dv);
+                for (a, &zk) in acc.iter_mut().zip(&zs) {
+                    *a = _mm512_add_pd(*a, _mm512_mul_pd(dv, zk));
+                }
+            }
+        }
+        for (i, acc) in acc.iter().enumerate() {
+            let g = &mut g_w[(r0 + i) * cols..][c0..c0 + n];
+            for (k, &a) in acc.iter().enumerate() {
+                store(&mut g[8 * k..n.min(8 * k + 8)], a);
+            }
+        }
+    }
+
+    /// [`rank1_add`]'s bias updates, eight rows to a register: a masked
+    /// add leaves the lanes whose `d` is zero untouched.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    fn rank1_bias(d: &[f64], g_b: &mut [f64]) {
+        let rows = g_b.len();
+        let steps = d.len() / rows;
+        for r0 in (0..rows).step_by(8) {
+            let n = (rows - r0).min(8);
+            let mut acc = load(&g_b[r0..r0 + n]);
+            for t in (0..steps).rev() {
+                let dv = load(&d[t * rows + r0..][..n]);
+                let nonzero = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(dv, _mm512_setzero_pd());
+                acc = _mm512_mask_add_pd(acc, nonzero, acc, dv);
+            }
+            store(&mut g_b[r0..r0 + n], acc);
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub(super) fn back_product_gates(w: &[f64], d: &[f64], out: &mut [f64]) {
+        let cols = out.len();
+        for c0 in (0..cols).step_by(TILE) {
+            let n = (cols - c0).min(TILE);
+            by_width!(n, C => back_product_tile::<C>(w, d, out, c0, n));
+        }
+    }
+
+    /// [`back_product_gates`] for the `n` columns from `c0`, which take
+    /// `C` registers: the four gates' sums run interleaved, row by row,
+    /// each in `C` registers of its own, and are added to `out` in gate
+    /// order.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    fn back_product_tile<const C: usize>(
+        w: &[f64],
+        d: &[f64],
+        out: &mut [f64],
+        c0: usize,
+        n: usize,
+    ) {
+        let (cols, h) = (out.len(), d.len() / 4);
+        assert!(8 * (C - 1) < n && n <= 8 * C && c0 + n <= cols);
+        // Row iterators a gate, not row offsets: with offsets the compiler
+        // left bounds checks and stack reloads between the FP ops.
+        let mut gates: [_; 4] = std::array::from_fn(|g| {
+            let rows = g * h..(g + 1) * h;
+            w[rows.start * cols..rows.end * cols]
+                .chunks_exact(cols)
+                .zip(&d[rows])
+        });
+        let mut acc = [[_mm512_setzero_pd(); C]; 4];
+        for _ in 0..h {
+            for (acc, gate) in acc.iter_mut().zip(&mut gates) {
+                let (w_r, &dv) = gate.next().expect("h rows a gate");
+                if dv == 0.0 {
+                    continue;
+                }
+                let w_r = &w_r[c0..c0 + n];
+                let dv = _mm512_set1_pd(dv);
+                for (k, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_add_pd(*a, _mm512_mul_pd(dv, load(chunk(w_r, k))));
+                }
+            }
+        }
+        let out = &mut out[c0..c0 + n];
+        for k in 0..C {
+            let mut o = load(chunk(out, k));
+            for acc in &acc {
+                o = _mm512_add_pd(o, acc[k]);
+            }
+            store(&mut out[8 * k..n.min(8 * k + 8)], o);
+        }
     }
 }
 
@@ -282,6 +506,12 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `(rows, cols)`: row counts on both sides of the rank-1 update's
+    /// four-row register block and the pre-activations' blocks of 32 and
+    /// 8, and column counts on both sides of the 40-column register tile
+    /// and its eight-column registers: `(31, 5)` and `(33, 3)` leave rows
+    /// outside a four-row block, and `(136, 43)`, `(20, 9)`, `(64, 17)`
+    /// and `(33, 3)` a ragged last register of columns.
     const SHAPES: [(usize, usize); 9] = [
         (1, 1),
         (4, 2),
@@ -292,6 +522,21 @@ mod tests {
         (128, 40),
         (136, 43),
         (64, 17),
+    ];
+
+    /// `(H, Z)` for the four-gate back-product: `4H` rows of `Z` columns,
+    /// with ragged column tails at `Z` = 3, 9 and 43, and no rows or no
+    /// columns at all.
+    const GATE_SHAPES: [(usize, usize); 9] = [
+        (0, 3),
+        (2, 0),
+        (1, 1),
+        (1, 2),
+        (5, 9),
+        (8, 40),
+        (32, 40),
+        (33, 3),
+        (34, 43),
     ];
 
     #[test]
@@ -314,7 +559,7 @@ mod tests {
     fn rank1_add_is_the_per_step_outer_product_loop() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         for (rows, cols) in SHAPES {
-            for steps in [1, 3] {
+            for steps in [1, 3, 100] {
                 let (d, z) = (
                     values(&mut rng, steps * rows),
                     values(&mut rng, steps * cols),
@@ -341,14 +586,20 @@ mod tests {
     }
 
     #[test]
-    fn back_product_add_is_vecmat_then_add() {
+    fn back_product_gates_is_four_vecmats_added_in_gate_order() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for (rows, cols) in SHAPES {
-            let m = Matrix::from_flat(rows, cols, values(&mut rng, rows * cols));
-            let (d, mut out) = (values(&mut rng, rows), values(&mut rng, cols));
-            let want = Vector::from(out.clone()).add(&m.vecmat(&Vector::from(d.clone())));
-            back_product_add(&m.to_f64_flat(), &d, &mut out);
-            assert_eq!(bits(&out), bits(want.as_slice()), "{rows}×{cols}");
+        for (h, cols) in GATE_SHAPES {
+            let gates: Vec<Matrix<f64>> = (0..4)
+                .map(|_| Matrix::from_flat(h, cols, values(&mut rng, h * cols)))
+                .collect();
+            let (d, mut out) = (values(&mut rng, 4 * h), values(&mut rng, cols));
+            let mut want = Vector::from(out.clone());
+            for (g, m) in gates.iter().enumerate() {
+                want = want.add(&m.vecmat(&Vector::from(d[g * h..(g + 1) * h].to_vec())));
+            }
+            let w: Vec<f64> = gates.iter().flat_map(|m| m.to_f64_flat()).collect();
+            back_product_gates(&w, &d, &mut out);
+            assert_eq!(bits(&out), bits(want.as_slice()), "H {h}, Z {cols}");
         }
     }
 
@@ -374,8 +625,8 @@ mod tests {
                 gate_preact_body(&w, &z, &b, &mut portable);
                 assert_eq!(bits(&simd), bits(&portable), "preact {rows}×{cols}");
 
-                // Three steps of `d` and `z`.
-                let (d, zs) = (values(&mut rng, 3 * rows), values(&mut rng, 3 * cols));
+                // Seven steps of `d` and `z`.
+                let (d, zs) = (values(&mut rng, 7 * rows), values(&mut rng, 7 * cols));
                 let (mut simd_w, mut simd_b) = (w.clone(), b.clone());
                 let (mut port_w, mut port_b) = (w.clone(), b.clone());
                 // SAFETY: as above.
@@ -386,15 +637,18 @@ mod tests {
                 rank1_add_body(&d, &zs, &mut port_w, &mut port_b);
                 assert_eq!(bits(&simd_w), bits(&port_w), "rank-1 {rows}×{cols}");
                 assert_eq!(bits(&simd_b), bits(&port_b), "rank-1 bias {rows}×{cols}");
-
-                let (mut simd, mut portable) = (z.clone(), z.clone());
+            }
+            for (h, cols) in GATE_SHAPES {
+                let (w, d) = (values(&mut rng, 4 * h * cols), values(&mut rng, 4 * h));
+                let out = values(&mut rng, cols);
+                let (mut simd, mut portable) = (out.clone(), out);
                 // SAFETY: as above.
                 #[allow(unsafe_code)]
                 unsafe {
-                    x86::back_product_add(&w, &b, &mut simd)
+                    x86::back_product_gates(&w, &d, &mut simd)
                 };
-                back_product_add_body(&w, &b, &mut portable);
-                assert_eq!(bits(&simd), bits(&portable), "back-product {rows}×{cols}");
+                back_product_gates_body(&w, &d, &mut portable);
+                assert_eq!(bits(&simd), bits(&portable), "back-product H {h}, Z {cols}");
             }
         }
     }
@@ -408,15 +662,58 @@ mod tests {
         rank1_add(&d, &z, &mut g_w, &mut g_b);
         assert_eq!(g_w, [0.0, 0.0, 0.0, 0.0, f64::INFINITY, 2.0]);
         assert_eq!(g_b, [0.0, 0.0, 2.0]);
-        let w = [f64::INFINITY, f64::NAN, 1.0, 1.0, 3.0, 4.0];
-        let mut out = [0.0, 0.0];
-        back_product_add(&w, &d, &mut out);
-        assert_eq!(out, [6.0, 8.0]);
+
+        // The same inside a register block: rows 1 and 2 of the first
+        // four-row block are zero at the one step, against infinite and
+        // NaN inputs over a ragged tile of nine columns. A skipped row
+        // keeps its `-0.0`, where adding `0.0` would have made it `0.0`.
+        let (rows, cols) = (5, 9);
+        let d = [1.0, 0.0, -0.0, 2.0, 0.0];
+        let mut z = [1.0; 9];
+        (z[0], z[8]) = (f64::INFINITY, f64::NAN);
+        let (mut g_w, mut g_b) = (vec![-0.0; rows * cols], vec![-0.0; rows]);
+        rank1_add(&d, &z, &mut g_w, &mut g_b);
+        for (r, g_row) in g_w.chunks_exact(cols).enumerate() {
+            if d[r] == 0.0 {
+                assert_eq!(bits(g_row), bits(&[-0.0; 9]), "row {r}");
+                assert_eq!(g_b[r].to_bits(), (-0.0f64).to_bits(), "bias {r}");
+            } else {
+                assert_eq!(g_row[0], f64::INFINITY, "row {r}");
+                assert_eq!(g_row[1..8], [d[r]; 7], "row {r}");
+                assert!(g_row[8].is_nan(), "row {r}");
+                assert_eq!(g_b[r], d[r], "bias {r}");
+            }
+        }
+
+        // The back-product: `H = 2`, two columns. Every gate has a zero
+        // row whose weights are infinite or NaN; gate o's rows are both
+        // zero.
+        let d = [0.0, 1.0, 2.0, -0.0, -0.0, 1.0, 0.0, -0.0];
+        let w = [
+            [f64::INFINITY, f64::NAN],
+            [1.0, 2.0],
+            [3.0, 4.0],
+            [f64::NAN, f64::NAN],
+            [f64::NAN, f64::INFINITY],
+            [5.0, 6.0],
+            [f64::INFINITY, f64::INFINITY],
+            [f64::NAN, f64::NEG_INFINITY],
+        ]
+        .concat();
+        let mut out = [0.0, -0.0];
+        back_product_gates(&w, &d, &mut out);
+        assert_eq!(out, [1.0 + 6.0 + 5.0, 2.0 + 8.0 + 6.0]);
     }
 
     #[test]
     #[should_panic(expected = "pre-activation weight shape mismatch")]
     fn gate_preact_checks_its_shapes() {
         gate_preact(&[1.0; 5], &[1.0; 2], &[0.0; 3], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "back-product needs four gates' rows")]
+    fn back_product_gates_checks_its_gates() {
+        back_product_gates(&[1.0; 6], &[1.0; 3], &mut [0.0; 2]);
     }
 }

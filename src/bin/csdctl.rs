@@ -174,9 +174,13 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         test.len()
     );
     let mut model = SequenceClassifier::new(config, seed);
+    // A batch's gradient is summed per thread chunk, so the thread count
+    // is part of the result: two, whatever the host has, as the
+    // benchmark's detector recipe uses, so a seed names one weight file.
     let trainer = Trainer::new(TrainOptions {
         epochs,
         seed,
+        threads: 2,
         ..TrainOptions::default()
     });
     let history = trainer.fit(&mut model, &train.examples(), &test.examples());

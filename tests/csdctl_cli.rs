@@ -11,7 +11,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use csd_inference::nn::{ModelConfig, ModelWeights, SequenceClassifier};
+use csd_inference::nn::{ModelConfig, ModelWeights, SequenceClassifier, TrainOptions, Trainer};
+use csd_inference::ransomware::{Dataset, SplitKind};
 
 fn csdctl(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_csdctl"))
@@ -208,6 +209,60 @@ fn dataset_train_detect_round_trip_and_out_of_vocabulary_tokens_are_errors() {
             assert_refused(&format!("{name} {data:?}"), &out, complaint);
         }
     }
+}
+
+/// `train` writes the weight file of a two-thread fit whatever the host
+/// has: a batch's gradient is summed per thread chunk, and the default
+/// thread count is the host's parallelism, so the same `--seed` used to
+/// write another file on a host with another core count.
+#[test]
+fn train_writes_the_two_thread_fit_on_every_host() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csdctl_cli_threads");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (corpus, model) = (dir.join("corpus.csv"), dir.join("model.txt"));
+    let out = csdctl(&[
+        "dataset",
+        "--out",
+        path_str(&corpus),
+        "--windows",
+        "12",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success(), "dataset: {out:?}");
+    let out = csdctl(&[
+        "train",
+        "--data",
+        path_str(&corpus),
+        "--out",
+        path_str(&model),
+        "--epochs",
+        "2",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success(), "train: {out:?}");
+
+    // `train`'s defaults: a test fraction of 0.2, a random split and a
+    // model seeded with `--seed`.
+    let csv = std::fs::read_to_string(&corpus).expect("corpus written");
+    let (train, test) =
+        Dataset::from_csv(&csv)
+            .expect("corpus parses")
+            .split(0.2, SplitKind::Random, 7);
+    let mut want = SequenceClassifier::new(ModelConfig::paper(), 7);
+    Trainer::new(TrainOptions {
+        epochs: 2,
+        seed: 7,
+        threads: 2,
+        ..TrainOptions::default()
+    })
+    .fit(&mut want, &train.examples(), &test.examples());
+    let written = std::fs::read_to_string(&model).expect("model written");
+    assert!(
+        written == ModelWeights::from_model(&want).to_text(),
+        "the weight file is not the two-thread fit"
+    );
 }
 
 /// A weight file whose every value quantizes, but whose fixed-point
