@@ -16,14 +16,14 @@
 //! | Window length (extension) | `exp_window` | — |
 //! | Family identification (extension) | `exp_family` | — |
 //! | Ablations (activation / scale / CUs / P2P / model) | — | `ablation_*` |
-//! | Fused hot path vs per-CU reference path | `exp_fused` | — |
 //!
 //! Historical comparisons (seed, PR 1 batch path, per-PID serial
 //! monitors, gate table off, mixed precision, the two-tier cascade, the
 //! volatile corpus replay, the batch-throughput sweep, the stream-mux
-//! shard sweep, the lane-batched batch engine, the mux's lane block and
-//! the float levels' fused arm) are recorded numbers: see "Frozen
-//! baselines" in `EXPERIMENTS.md`.
+//! shard sweep, the lane-batched batch engine, the mux's lane block, the
+//! float levels' fused arm, and the full-corpus chaos, fault-rate and
+//! fused-vs-per-CU sweeps) are recorded numbers: see "Frozen baselines"
+//! in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

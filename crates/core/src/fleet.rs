@@ -59,7 +59,7 @@ impl Default for FleetPolicy {
 }
 
 /// Fleet-level fault tallies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetStats {
     /// Scans performed.
     pub scans: u64,
@@ -300,6 +300,7 @@ impl CsdFleet {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::engine::CsdInferenceEngine;
     use csd_device::FaultConfig;
     use csd_nn::{ModelConfig, SequenceClassifier};
 
@@ -464,17 +465,52 @@ mod tests {
         let seqs = sequences(12);
         let mut healthy = CsdFleet::new(4, &w, OptimizationLevel::FixedPoint).expect("boot");
         let reference = healthy.scan(&seqs).expect("scan");
+        let engine = CsdInferenceEngine::new(&w, OptimizationLevel::FixedPoint);
+        let serial: Vec<Classification> = seqs.iter().map(|s| engine.classify(s)).collect();
+        assert_eq!(reference.classifications, serial);
 
-        let mut fleet = CsdFleet::new(4, &w, OptimizationLevel::FixedPoint).expect("boot");
-        fleet.set_recovery(RecoveryPolicy {
-            max_retries: 16,
+        // Seeded corruption on two devices; then every fault class on
+        // every device at the per-op rate that disturbs a 100-call
+        // window (≈ 602 faultable device operations) with probability
+        // 0.2, ≈ 3.7e-4, under retry alone and retry with reprogramming.
+        let mut corruption = FaultConfig::none();
+        corruption.corruption = 0.002;
+        let uniform = FaultConfig::uniform(1.0 - 0.8f64.powf(1.0 / 602.0));
+        let every_device = || {
+            (0..4)
+                .map(|d| (d, 0xC5D0 + d as u64, uniform))
+                .collect::<Vec<_>>()
+        };
+        let reprogram = RecoveryPolicy {
+            reprogram_after: 3,
             ..RecoveryPolicy::default()
-        });
-        let mut cfg = FaultConfig::none();
-        cfg.corruption = 0.002;
-        fleet.arm_faults(0, FaultPlan::new(17, cfg));
-        fleet.arm_faults(3, FaultPlan::new(99, cfg));
-        let scan = fleet.scan(&seqs).expect("recovers");
-        assert_eq!(scan.classifications, reference.classifications);
+        };
+        let cases = [
+            (
+                16,
+                RecoveryPolicy::default(),
+                vec![(0, 17, corruption), (3, 99, corruption)],
+            ),
+            (12, RecoveryPolicy::retry_only(), every_device()),
+            (12, reprogram, every_device()),
+        ];
+        for (max_retries, policy, plans) in cases {
+            let recovery = RecoveryPolicy {
+                max_retries,
+                ..policy
+            };
+            let mut fleet = CsdFleet::new(4, &w, OptimizationLevel::FixedPoint).expect("boot");
+            fleet.set_recovery(recovery);
+            for (idx, seed, cfg) in plans {
+                fleet.arm_faults(idx, FaultPlan::new(seed, cfg));
+            }
+            let scan = fleet.scan(&seqs).expect("recovers");
+            assert_eq!(
+                scan.classifications, reference.classifications,
+                "{recovery:?}"
+            );
+            let faults: u64 = (0..4).map(|idx| fleet.device_stats(idx).faults).sum();
+            assert!(faults > 0, "{recovery:?}: no fault was injected");
+        }
     }
 }

@@ -124,7 +124,7 @@ impl RecoveryPolicy {
 }
 
 /// Running recovery tallies for one host session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryStats {
     /// Device faults observed (all classes).
     pub faults: u64,

@@ -13,8 +13,8 @@
 //! correctness.
 
 use csd_accel::{
-    CsdInferenceEngine, HostProgram, OptimizationLevel, RecoveryPolicy, ShardedStreamMux,
-    StreamMuxConfig, Verdict,
+    Admission, CsdInferenceEngine, HostProgram, OptimizationLevel, RecoveryPolicy,
+    ShardedStreamMux, StreamMuxConfig, Verdict,
 };
 use csd_device::{FaultConfig, FaultPlan};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -32,7 +32,10 @@ proptest! {
     /// submission/round interleaving and optimization level yields
     /// exactly one verdict per window,
     /// bit-identical to fault-free serial `classify`, each stream's in
-    /// the order it submitted them.
+    /// the order it submitted them, and drops none — whether the queue
+    /// is drained or served a sentry poll's budget (64 rounds, 1,024
+    /// window-steps) at a time until idle, where a corrupted window's
+    /// re-run is owed by the next serving call.
     #[test]
     fn any_fault_interleaving_is_bit_identical_to_fault_free_serial(
         model_seed in any::<u64>(),
@@ -43,6 +46,7 @@ proptest! {
         windows in prop::collection::vec(prop::collection::vec(0usize..278, 1..=100), 1..=12),
         ticks_between in prop::collection::vec(0usize..5, 12),
         level_idx in 0usize..3,
+        serve in any::<bool>(),
     ) {
         let level = OptimizationLevel::ALL[level_idx];
         let e = engine(model_seed, level);
@@ -60,13 +64,19 @@ proptest! {
         // observable: stream k gets windows k and (k+1) % n.
         let n = windows.len();
         for (k, w) in windows.iter().enumerate() {
-            m.submit(k as u64, 0, w);
-            m.submit(k as u64, 1, &windows[(k + 1) % n]);
+            prop_assert_eq!(m.submit(k as u64, 0, w), Admission::Queued);
+            prop_assert_eq!(m.submit(k as u64, 1, &windows[(k + 1) % n]), Admission::Queued);
             for _ in 0..ticks_between[k % ticks_between.len()] {
                 m.tick_into(&mut verdicts);
             }
         }
-        verdicts.extend(m.drain());
+        if serve {
+            while !m.is_idle() {
+                m.serve_into(&mut verdicts, 64);
+            }
+        } else {
+            verdicts.extend(m.drain());
+        }
         prop_assert!(m.is_idle());
         prop_assert_eq!(
             verdicts.len(), 2 * n,
@@ -88,6 +98,7 @@ proptest! {
         }
         let s = m.stats();
         prop_assert_eq!(s.degraded_reruns, s.faults, "every fault reruns exactly once");
+        prop_assert_eq!(s.dropped, 0);
     }
 
     /// Host recovery invariant: a flaky device datapath (every fault

@@ -29,11 +29,10 @@
 //!   bounded-staleness overload ladder exists to bound.
 //!
 //! The plan only *decides* chaos; enforcement lives in the replay
-//! driver (`exp_chaos`), which maps each [`ChaosOp`] onto the durable
-//! sentry under test. Everything is seeded SplitMix64: the same
-//! `(trace, seed, config)` triple yields byte-identical schedules.
-
-use serde::{Deserialize, Serialize};
+//! driver (`csd-sentry`'s `tests/chaos_campaign.rs`), which maps each
+//! [`ChaosOp`] onto the durable sentry under test. Everything is seeded
+//! SplitMix64: the same `(trace, seed, config)` triple yields
+//! byte-identical schedules.
 
 use crate::replay::{EventTrace, TraceEvent};
 
@@ -41,7 +40,7 @@ use crate::replay::{EventTrace, TraceEvent};
 ///
 /// Probabilities are per *delivered frame*, matching the granularity
 /// at which a real transport misbehaves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Probability a frame is delivered twice back to back.
     pub duplicate: f64,
@@ -111,7 +110,7 @@ impl ChaosConfig {
 }
 
 /// One step of a chaos schedule, interpreted by the replay driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChaosOp {
     /// Hand this frame to the ingest path. Every `Deliver` corresponds
     /// to exactly one journal append on the consumer, which is what
@@ -131,7 +130,7 @@ pub enum ChaosOp {
 }
 
 /// Running tallies of injected chaos, by class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosCounters {
     /// Frames delivered (including duplicate and re-sent copies).
     pub delivered: u64,
@@ -187,7 +186,7 @@ impl ChaosRng {
 /// - per-pid program order of first deliveries matches the trace —
 ///   only cross-pid arrival order is perturbed;
 /// - the same `(trace, seed, config)` yields a byte-identical schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSchedule {
     /// The ops, in driver execution order.
     pub ops: Vec<ChaosOp>,

@@ -128,8 +128,9 @@ impl Default for SentryConfig {
 /// a window per 10 events) windows per 16 events, so every verdict is
 /// back at the first poll after its window's last call. Demand above
 /// the budget queues, grows [`Sentry::staleness`] and engages the
-/// overload governor: `exp_chaos`'s overload cells poll every 4,096
-/// events, 0.25 window-steps an event against ≈ 1.5 offered.
+/// overload governor: the chaos campaign's overload cells
+/// (`tests/chaos_campaign.rs`) poll every 4,096 events, 0.25
+/// window-steps an event against ≈ 1.5 offered.
 pub const POLL_ROUNDS_MAX: usize = 64;
 
 /// Where the overload governor currently sits on the degradation

@@ -3,8 +3,9 @@
 //! whose `H` the register window does not take run the per-CU loop on
 //! the default fused path, and every entry point — `classify`,
 //! `classify_batch` and a `Sentry` drain — still gives
-//! `GatePath::PerCu`'s results, bit for bit. So does a long window on
-//! the production path at paper dimensions.
+//! `GatePath::PerCu`'s results, bit for bit. So do windows of 10, 100
+//! and 1,000 calls on the production path at paper dimensions, for this
+//! file's model and for the untrained seed-51 one.
 
 use csd_inference::accel::{
     Classification, CsdInferenceEngine, GatePath, LaneGatesFx, OptimizationLevel, LANE_MAX_STEPS,
@@ -42,15 +43,25 @@ fn window(len: usize, salt: usize) -> Vec<usize> {
     (0..len).map(|i| (i * 37 + 11 + salt * 53) % 278).collect()
 }
 
-/// Classifies `windows` on the fused path through `classify`,
-/// `classify_batch` and a sentry with one session per window, and holds
-/// each to the per-CU reference.
-fn assert_fallback_matches_per_cu(fused: &CsdInferenceEngine, windows: &[Vec<usize>]) {
+/// Classifies `windows` on the fused path through `classify` and
+/// `classify_batch`, holds both to the per-CU reference and returns it.
+fn assert_classify_matches_per_cu(
+    fused: &CsdInferenceEngine,
+    windows: &[Vec<usize>],
+) -> Vec<Classification> {
     let per_cu = fused.clone().with_gate_path(GatePath::PerCu);
     let reference: Vec<Classification> = windows.iter().map(|s| per_cu.classify(s)).collect();
     let serial: Vec<Classification> = windows.iter().map(|s| fused.classify(s)).collect();
     assert_eq!(serial, reference);
     assert_eq!(fused.classify_batch(windows), reference);
+    reference
+}
+
+/// [`assert_classify_matches_per_cu`], and a sentry with one session
+/// per window raising each window's incident with the reference's
+/// probability.
+fn assert_fallback_matches_per_cu(fused: &CsdInferenceEngine, windows: &[Vec<usize>]) {
+    let reference = assert_classify_matches_per_cu(fused, windows);
 
     let len = windows[0].len();
     assert!(windows.iter().all(|s| s.len() == len), "one window length");
@@ -129,5 +140,16 @@ fn a_hidden_size_the_register_window_does_not_take_classifies_as_per_cu_everywhe
 fn a_thousand_step_window_on_the_production_path_matches_per_cu_everywhere() {
     let fused = CsdInferenceEngine::new(&weights(), OptimizationLevel::FixedPoint);
     assert!(packs(&fused), "these weights take the row kernel");
-    assert_fallback_matches_per_cu(&fused, &[window(1_000, 0), window(1_000, 1)]);
+    // The untrained seed-51 model reads ≈ 0.5, so a sentry would raise
+    // on some windows only: it is held to the reference through
+    // `classify` and `classify_batch`.
+    let seed_51 = CsdInferenceEngine::new(
+        &ModelWeights::from_model(&SequenceClassifier::new(ModelConfig::paper(), 51)),
+        OptimizationLevel::FixedPoint,
+    );
+    for len in [10, 100, 1_000] {
+        let windows = [window(len, 0), window(len, 1)];
+        assert_fallback_matches_per_cu(&fused, &windows);
+        assert_classify_matches_per_cu(&seed_51, &windows);
+    }
 }
