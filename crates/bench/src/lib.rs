@@ -1,29 +1,26 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
-//! Every table and figure in the paper's evaluation has a regenerating
-//! entry point here (see `EXPERIMENTS.md` for the full index):
+//! Every table and figure in the paper's evaluation has one regenerating
+//! binary here (see `EXPERIMENTS.md` for the full index):
 //!
-//! | Experiment | Binary | Bench |
-//! |---|---|---|
-//! | Fig. 3 (kernel times × optimizations) | `exp_fig3` | `fig3_optimizations` |
-//! | Table I (FPGA vs CPU vs GPU) | `exp_table1` | `table1_hardware` |
-//! | Fig. 4 (training convergence) | `exp_fig4` | — |
-//! | Table II (ransomware corpus) | `exp_table2` | — |
-//! | §IV dataset stats (29K / 46%) | `exp_dataset_stats` | — |
-//! | §IV detection metrics | `exp_detection` | — |
-//! | Energy per item (extension) | `exp_energy` | — |
-//! | Mitigation value (extension) | `exp_mitigation` | — |
-//! | Window length (extension) | `exp_window` | — |
-//! | Family identification (extension) | `exp_family` | — |
-//! | Ablations (activation / scale / CUs / P2P / model) | — | `ablation_*` |
+//! | Experiment | Binary |
+//! |---|---|
+//! | Fig. 3 (kernel times × optimizations) | `exp_fig3` |
+//! | Table I (FPGA vs CPU vs GPU) | `exp_table1` |
+//! | Fig. 4 (training convergence) | `exp_fig4` |
+//! | Table II (ransomware corpus) | `exp_table2` |
+//! | §IV dataset stats (29K / 46%) | `exp_dataset_stats` |
+//! | §IV detection metrics | `exp_detection` |
+//! | §I energy per item | `exp_energy` |
 //!
 //! Historical comparisons (seed, PR 1 batch path, per-PID serial
 //! monitors, gate table off, mixed precision, the two-tier cascade, the
 //! volatile corpus replay, the batch-throughput sweep, the stream-mux
 //! shard sweep, the lane-batched batch engine, the mux's lane block, the
-//! float levels' fused arm, and the full-corpus chaos, fault-rate and
-//! fused-vs-per-CU sweeps) are recorded numbers: see "Frozen baselines"
-//! in `EXPERIMENTS.md`.
+//! float levels' fused arm, the full-corpus chaos, fault-rate and
+//! fused-vs-per-CU sweeps, and the mitigation, window-length, family and
+//! ablation runs) are recorded numbers: see "Frozen baselines" in
+//! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,12 +84,6 @@ pub fn train_detector(
     (model, history, report)
 }
 
-/// A fixed pseudo-API-call sequence of length 100 for timing benches
-/// (content does not affect timing).
-pub fn bench_sequence() -> Vec<usize> {
-    (0..100).map(|i| (i * 31 + 5) % 278).collect()
-}
-
 /// Prints a two-column paper-vs-measured table row.
 pub fn print_row(label: &str, paper: &str, measured: &str) {
     println!("{label:<42} {paper:>18} {measured:>18}");
@@ -114,12 +105,5 @@ mod tests {
         let t = detection_task(60, 60, 3);
         assert_eq!(t.train.len() + t.test.len(), 120);
         assert!(!t.test.is_empty());
-    }
-
-    #[test]
-    fn bench_sequence_is_valid() {
-        let s = bench_sequence();
-        assert_eq!(s.len(), 100);
-        assert!(s.iter().all(|&t| t < 278));
     }
 }

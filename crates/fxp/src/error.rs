@@ -3,8 +3,9 @@
 //! The paper fixes the decimal scale at 10^6 with a one-line justification
 //! ("the vast majority of the floating point numbers used [...] are small").
 //! This module provides the machinery to *test* that choice: analytic error
-//! bounds and empirical sweeps over candidate scales, consumed by the
-//! `ablation_scale` bench and `EXPERIMENTS.md`.
+//! bounds and empirical sweeps over candidate scales, whose conclusions
+//! this module's tests hold (the last full sweep is `EXPERIMENTS.md` row
+//! 37a).
 
 use serde::{Deserialize, Serialize};
 

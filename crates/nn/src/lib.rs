@@ -11,7 +11,7 @@
 //!   parameters) with full backpropagation-through-time,
 //! - [`Dense`] — the 32+1-parameter fully-connected classification head,
 //! - [`SequenceClassifier`] — the composed 7,472-parameter model,
-//! - [`Trainer`] — mini-batch Adam/SGD training with per-epoch convergence
+//! - [`Trainer`] — mini-batch Adam training with per-epoch convergence
 //!   history (regenerates the paper's Fig. 4),
 //! - [`ModelWeights`] — the `get_weights()`-style three-array export format
 //!   the paper ships to the host program (§III-A),
@@ -37,12 +37,10 @@
 pub mod activation;
 pub mod dense;
 pub mod embedding;
-pub mod gru;
 pub mod loss;
 pub mod lstm;
 pub mod metrics;
 pub mod model;
-pub mod multiclass;
 pub mod optimizer;
 pub mod trainer;
 pub mod weights;
@@ -50,13 +48,11 @@ pub mod weights;
 pub use activation::Activation;
 pub use dense::Dense;
 pub use embedding::Embedding;
-pub use gru::{GruCell, GruClassifier};
 pub use loss::{bce_loss, bce_loss_grad};
 pub use lstm::{LstmCell, LstmLayer, LstmState};
 pub use metrics::{ClassificationReport, ConfusionMatrix};
 pub use model::{ModelConfig, SequenceClassifier};
-pub use multiclass::{FamilyClassifier, SoftmaxHead};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;
 pub use trainer::{evaluate, EpochRecord, TrainOptions, Trainer, TrainingHistory};
 pub use weights::{ModelWeights, WeightsError};
 

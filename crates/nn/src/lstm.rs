@@ -19,11 +19,10 @@
 //! # The flat path
 //!
 //! Every LSTM forward pass and BPTT in the crate — training and
-//! prediction of `SequenceClassifier`, `FamilyClassifier` and
-//! [`LstmLayer`] — runs one path. A sequence's `z_t = [h_{t−1}, x_t]`,
-//! gate pre-activations, gate outputs, `C_t` and `h_t` each live in one
-//! contiguous `f64` array of a `Tape`, which a thread sizes once and
-//! reuses. A `PackedCell` holds the weights laid out for it: all four
+//! prediction of `SequenceClassifier` and [`LstmLayer`] — runs one
+//! path. A sequence's `z_t = [h_{t−1}, x_t]`, gate pre-activations, gate
+//! outputs, `C_t` and `h_t` each live in one contiguous `f64` array of a
+//! `Tape`, which a thread sizes once and reuses. A `PackedCell` holds the weights laid out for it: all four
 //! gates' `Wᵀ` side by side, so a forward step is one
 //! [`bptt::gate_preact`] over the `4H` gate rows and then one activation
 //! loop a gate; and all four gates' `W` stacked in gate order, so a BPTT
@@ -198,16 +197,6 @@ impl LstmCell {
                 .flat_map(|w| w.as_flat().iter().copied())
                 .collect(),
             b: self.b.iter().flat_map(|b| b.iter().copied()).collect(),
-        }
-    }
-
-    /// Applies `params -= lr * grads` in place, from flat gradients: the
-    /// `4H × (H+X)` gate weights in gate order and the `4H` biases.
-    pub(crate) fn apply_gradients(&mut self, g_w: &[f64], g_b: &[f64], lr: f64) {
-        let (h, z) = (self.hidden, self.hidden + self.input_dim);
-        for (g, (gw, gb)) in g_w.chunks_exact(h * z).zip(g_b.chunks_exact(h)).enumerate() {
-            self.w[g] = self.w[g].add(&Matrix::from_flat(h, z, gw.to_vec()).scale(-lr));
-            self.b[g] = self.b[g].add(&Vector::from(gb.to_vec()).scale(-lr));
         }
     }
 }
@@ -820,16 +809,6 @@ mod tests {
                 d_x[t * 3 + k]
             );
         }
-    }
-
-    #[test]
-    fn apply_gradients_descends() {
-        let mut cell = tiny_cell(Activation::Softsign);
-        let xs: Vec<Vector<f64>> = (0..3).map(|_| Vector::from(vec![1.0, -1.0, 0.5])).collect();
-        let before = sum_h(&cell, &xs);
-        let (g_w, g_b, _) = grads_of_sum(&cell, &xs);
-        cell.apply_gradients(&g_w, &g_b, 0.05);
-        assert!(sum_h(&cell, &xs) < before);
     }
 
     #[test]

@@ -1,75 +1,11 @@
-//! Flat-parameter optimizers (SGD and Adam).
+//! The flat-parameter optimizer (Adam).
 //!
 //! The model exposes its 7,472 parameters as one flat `Vec<f64>`
-//! ([`crate::SequenceClassifier::flatten_params`]); optimizers update that
-//! flat view, mirroring how deep-learning frameworks treat parameters as a
-//! single tensor list.
+//! ([`crate::SequenceClassifier::flatten_params`]); the optimizer updates
+//! that flat view, mirroring how deep-learning frameworks treat parameters
+//! as a single tensor list.
 
 use serde::{Deserialize, Serialize};
-
-/// A first-order optimizer over a flat parameter vector.
-///
-/// The trait is sealed in spirit (only used internally by the
-/// [`Trainer`](crate::Trainer)), but kept open so downstream code can plug
-/// in custom schedules.
-pub trait Optimizer {
-    /// Applies one update step: mutates `params` given `grads`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when `params.len() != grads.len()`.
-    fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// The (current) learning rate, for logging.
-    fn learning_rate(&self) -> f64;
-}
-
-/// Plain stochastic gradient descent with optional gradient clipping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f64,
-    clip: Option<f64>,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite and positive.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "lr must be positive");
-        Self { lr, clip: None }
-    }
-
-    /// Enables elementwise gradient clipping at `±clip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clip` is not positive.
-    pub fn with_clip(mut self, clip: f64) -> Self {
-        assert!(clip > 0.0, "clip must be positive");
-        self.clip = Some(clip);
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        for (p, &g) in params.iter_mut().zip(grads) {
-            let g = match self.clip {
-                Some(c) => g.clamp(-c, c),
-                None => g,
-            };
-            *p -= self.lr * g;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
 
 /// Adam (Kingma & Ba 2015) with bias correction and optional clipping —
 /// the de-facto default for LSTM training, and what we use to regenerate
@@ -122,10 +58,14 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+    /// Applies one update step: mutates `params` given `grads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params.len() != grads.len()`, or when the length
+    /// differs from the first step's.
+    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
         if self.m.is_empty() {
             self.m = vec![0.0; params.len()];
@@ -147,10 +87,6 @@ impl Optimizer for Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
 }
 
 #[cfg(test)]
@@ -164,20 +100,6 @@ mod tests {
             .zip(target)
             .map(|(p, t)| 2.0 * (p - t))
             .collect()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let target = [3.0, -2.0, 0.5];
-        let mut params = vec![0.0; 3];
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            let g = quadratic_grad(&params, &target);
-            opt.step(&mut params, &g);
-        }
-        for (p, t) in params.iter().zip(&target) {
-            assert!((p - t).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -196,14 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn clipping_limits_update_magnitude() {
-        let mut params = vec![0.0];
-        let mut opt = Sgd::new(1.0).with_clip(0.5);
-        opt.step(&mut params, &[100.0]);
-        assert_eq!(params[0], -0.5);
-    }
-
-    #[test]
     fn adam_first_step_size_is_lr() {
         // With bias correction, the first Adam step ≈ lr regardless of grad scale.
         let mut params = vec![0.0];
@@ -215,7 +129,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         opt.step(&mut [0.0, 1.0], &[1.0]);
     }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::lstm::Tape;
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
 use crate::model::SequenceClassifier;
-use crate::optimizer::{Adam, Optimizer};
+use crate::optimizer::Adam;
 
 /// A labelled training example: token sequence + binary label
 /// (`true` = ransomware in the paper's use case).

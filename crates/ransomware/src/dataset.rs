@@ -17,6 +17,9 @@ use crate::sandbox::{Sandbox, WindowsVersion};
 use crate::variant::Variant;
 use crate::window::{sliding_windows, WINDOW_LEN};
 
+/// Calls between the starts of two consecutive windows of a trace.
+const STRIDE: usize = 10;
+
 /// One labelled example with provenance (which run produced it).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatasetEntry {
@@ -204,8 +207,6 @@ pub struct DatasetBuilder {
     seed: u64,
     ransomware_target: usize,
     benign_target: usize,
-    stride: usize,
-    window_len: usize,
     noise: f64,
 }
 
@@ -223,8 +224,6 @@ impl DatasetBuilder {
             seed,
             ransomware_target: 200,
             benign_target: 200,
-            stride: 10,
-            window_len: WINDOW_LEN,
             noise: 0.03,
         }
     }
@@ -245,28 +244,6 @@ impl DatasetBuilder {
     /// Sets the benign window target.
     pub fn benign_windows(mut self, n: usize) -> Self {
         self.benign_target = n;
-        self
-    }
-
-    /// Sets the sliding-window stride (default 10 calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn stride(mut self, stride: usize) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        self.stride = stride;
-        self
-    }
-
-    /// Sets the sliding-window length (default 100, the paper's value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn window_len(mut self, len: usize) -> Self {
-        assert!(len > 0, "window length must be positive");
-        self.window_len = len;
         self
     }
 
@@ -318,7 +295,7 @@ impl DatasetBuilder {
             for v in &variants {
                 for os in WindowsVersion::BOTH {
                     let trace = apply_noise(sandbox.detonate_run(v, os, run));
-                    for w in sliding_windows(&trace, self.window_len, self.stride) {
+                    for w in sliding_windows(&trace, WINDOW_LEN, STRIDE) {
                         if collected >= self.ransomware_target {
                             break 'outer;
                         }
@@ -350,7 +327,7 @@ impl DatasetBuilder {
                         sb.run_benign(app, os).calls
                     };
                     let trace = apply_noise(trace);
-                    for w in sliding_windows(&trace, self.window_len, self.stride) {
+                    for w in sliding_windows(&trace, WINDOW_LEN, STRIDE) {
                         if collected >= self.benign_target {
                             break 'benign;
                         }
@@ -363,7 +340,7 @@ impl DatasetBuilder {
                     }
                 }
                 let manual = apply_noise(sandbox.run_manual(os, session).calls);
-                for w in sliding_windows(&manual, self.window_len, self.stride) {
+                for w in sliding_windows(&manual, WINDOW_LEN, STRIDE) {
                     if collected >= self.benign_target {
                         break 'benign;
                     }

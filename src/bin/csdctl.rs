@@ -33,18 +33,28 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "dataset" => cmd_dataset(&args[1..]),
-        "train" => cmd_train(&args[1..]),
-        "detect" => cmd_detect(&args[1..]),
-        "monitor" => cmd_monitor(&args[1..]),
-        "info" => cmd_info(&args[1..]),
+    type Command = fn(&Flags) -> Result<(), String>;
+    let (known, run): (&[&str], Command) = match command.as_str() {
+        "dataset" => (&["--out", "--windows", "--seed", "--noise"], cmd_dataset),
+        "train" => (
+            &["--data", "--out", "--epochs", "--test-frac", "--seed"],
+            cmd_train,
+        ),
+        "detect" => (&["--model", "--data", "--level"], cmd_detect),
+        "monitor" => (&["--model", "--family", "--variant", "--seed"], cmd_monitor),
+        "info" => (&["--model"], cmd_info),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("csdctl: unknown command {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
+    let result = Flags::parse(command, &args[1..], known)
+        .map_err(|e| e.to_string())
+        .and_then(|flags| run(&flags));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -69,23 +79,65 @@ commands:
   info --model FILE
       describe a weight file";
 
-/// Pulls `--name value` out of `args`.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Why a subcommand's arguments were refused.
+enum FlagError {
+    /// An argument that is not one of the subcommand's flags.
+    Unknown { command: String, flag: String },
+    /// A flag at the end of the line, or followed by another flag.
+    MissingValue(String),
 }
 
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Unknown { command, flag } => {
+                write!(f, "unknown flag {flag} for {command} (see `csdctl help`)")
+            }
+            Self::MissingValue(flag) => write!(f, "missing value for {flag}"),
+        }
     }
 }
 
-fn required<'a>(args: &'a [String], name: &str) -> Result<&'a str, String> {
-    flag(args, name).ok_or_else(|| format!("missing required flag {name}"))
+/// A subcommand's `--name value` pairs, each name one of the flags the
+/// subcommand takes and each value not itself a flag.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Flags<'a> {
+    fn parse(command: &str, args: &'a [String], known: &[&str]) -> Result<Self, FlagError> {
+        let mut pairs = Vec::new();
+        let mut args = args.iter();
+        while let Some(name) = args.next() {
+            if !known.contains(&name.as_str()) {
+                return Err(FlagError::Unknown {
+                    command: command.to_string(),
+                    flag: name.clone(),
+                });
+            }
+            match args.next() {
+                Some(value) if !value.starts_with("--") => {
+                    pairs.push((name.as_str(), value.as_str()))
+                }
+                _ => return Err(FlagError::MissingValue(name.clone())),
+            }
+        }
+        Ok(Self(pairs))
+    }
+
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
+        }
+    }
+
+    fn required(&self, name: &str) -> Result<&'a str, String> {
+        self.get(name)
+            .ok_or_else(|| format!("missing required flag {name}"))
+    }
 }
 
 /// Reads a labelled CSV corpus for a model of `vocab` tokens. The file
@@ -115,11 +167,11 @@ fn load_dataset(path: &str, vocab: usize) -> Result<Dataset, String> {
     Ok(ds)
 }
 
-fn cmd_dataset(args: &[String]) -> Result<(), String> {
-    let out = required(args, "--out")?;
-    let windows: usize = parse(args, "--windows", 2_000)?;
-    let seed: u64 = parse(args, "--seed", 0xC5D)?;
-    let noise: f64 = parse(args, "--noise", 0.12)?;
+fn cmd_dataset(flags: &Flags) -> Result<(), String> {
+    let out = flags.required("--out")?;
+    let windows: usize = flags.parse_or("--windows", 2_000)?;
+    let seed: u64 = flags.parse_or("--seed", 0xC5D)?;
+    let noise: f64 = flags.parse_or("--noise", 0.12)?;
     // `DatasetBuilder::noise` panics outside [0, 1), NaN included.
     if !(0.0..1.0).contains(&noise) {
         return Err(format!(
@@ -142,12 +194,12 @@ fn cmd_dataset(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(args: &[String]) -> Result<(), String> {
-    let data = required(args, "--data")?;
-    let out = required(args, "--out")?;
-    let epochs: usize = parse(args, "--epochs", 25)?;
-    let test_frac: f64 = parse(args, "--test-frac", 0.2)?;
-    let seed: u64 = parse(args, "--seed", 0xC5D)?;
+fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let data = flags.required("--data")?;
+    let out = flags.required("--out")?;
+    let epochs: usize = flags.parse_or("--epochs", 25)?;
+    let test_frac: f64 = flags.parse_or("--test-frac", 0.2)?;
+    let seed: u64 = flags.parse_or("--seed", 0xC5D)?;
     // `Trainer::new` panics on zero epochs.
     if epochs == 0 {
         return Err("bad value for --epochs: 0 (must be positive)".into());
@@ -195,10 +247,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_detect(args: &[String]) -> Result<(), String> {
-    let model_path = required(args, "--model")?;
-    let data = required(args, "--data")?;
-    let level = match flag(args, "--level").unwrap_or("fixed") {
+fn cmd_detect(flags: &Flags) -> Result<(), String> {
+    let model_path = flags.required("--model")?;
+    let data = flags.required("--data")?;
+    let level = match flags.get("--level").unwrap_or("fixed") {
         "fixed" => OptimizationLevel::FixedPoint,
         "ii" => OptimizationLevel::IiOptimized,
         "vanilla" => OptimizationLevel::Vanilla,
@@ -231,13 +283,13 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_monitor(args: &[String]) -> Result<(), String> {
-    let model_path = required(args, "--model")?;
-    let family_name = required(args, "--family")?;
-    let seed: u64 = parse(args, "--seed", 0xFEED)?;
+fn cmd_monitor(flags: &Flags) -> Result<(), String> {
+    let model_path = flags.required("--model")?;
+    let family_name = flags.required("--family")?;
+    let seed: u64 = flags.parse_or("--seed", 0xFEED)?;
     let family = FamilyProfile::by_name(family_name)
         .ok_or_else(|| format!("unknown family {family_name:?}"))?;
-    let variant_idx: u32 = parse(args, "--variant", 0)?;
+    let variant_idx: u32 = flags.parse_or("--variant", 0)?;
     if variant_idx >= family.variants {
         return Err(format!(
             "{family_name} has {} variants (0..{})",
@@ -285,8 +337,8 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
-    let model_path = required(args, "--model")?;
+fn cmd_info(flags: &Flags) -> Result<(), String> {
+    let model_path = flags.required("--model")?;
     let text =
         std::fs::read_to_string(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
     let w = ModelWeights::from_text(&text).map_err(|e| e.to_string())?;

@@ -6,7 +6,8 @@
 //! the trainer cannot make: a test fraction outside (0, 1), or a corpus
 //! of one sequence, and a weight file whose fixed point can overflow or
 //! that has no hidden unit or no vocabulary; so is a noise rate outside
-//! [0, 1) and a level `detect` does not know.
+//! [0, 1), a level `detect` does not know, a flag the subcommand does
+//! not take and a flag without its value.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -107,6 +108,30 @@ fn dataset_refuses_a_noise_rate_outside_zero_to_one() {
         ]);
         assert_refused(&format!("--noise {noise}"), &out, "--noise");
     }
+}
+
+/// A flag the subcommand does not take, or a flag where a value belongs,
+/// is refused by name: `--window 40` used to be ignored (2,000 sequences
+/// written), and `--out --windows 20` wrote a file named `--windows`.
+#[test]
+fn dataset_refuses_an_unknown_flag_and_a_flag_without_its_value() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csdctl_cli_flags");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let corpus = dir.join("corpus.csv");
+    let out = csdctl(&["dataset", "--out", path_str(&corpus), "--window", "40"]);
+    assert_refused("--window 40", &out, "unknown flag --window");
+    assert!(!corpus.exists(), "a refused dataset wrote {corpus:?}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_csdctl"))
+        .args(["dataset", "--out", "--windows", "20"])
+        .current_dir(&dir)
+        .output()
+        .expect("csdctl runs");
+    assert_refused("--out --windows", &out, "missing value for --out");
+    assert!(
+        !dir.join("--windows").exists(),
+        "a flag became the output file"
+    );
 }
 
 #[test]

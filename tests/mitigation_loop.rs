@@ -89,8 +89,7 @@ fn benign_session_is_never_quarantined() {
     let weights = ModelWeights::from_model(detector());
     let engine = CsdInferenceEngine::new(&weights, OptimizationLevel::FixedPoint);
     let sandbox = Sandbox::new(0xB0B);
-    // A GUI-heavy editor: nowhere near the decision boundary (the
-    // encrypted-backup hard negatives are exercised in exp_mitigation).
+    // A GUI-heavy editor: nowhere near the decision boundary.
     let app = csd_inference::ransomware::BenignProfile::by_name("NotepadX").expect("app");
     let trace = sandbox.run_benign(&app, WindowsVersion::Win10);
     // Debounced config (the deployment default).
@@ -127,4 +126,25 @@ fn damage_timeline_confirms_files_saved() {
         "early alert must save ≥90% of files ({saved}/{})",
         timeline.total_files()
     );
+
+    // §I: detection at the drive "could immediately thwart any subsequent
+    // encryption". A fresh detonation of every family's last variant
+    // alerts before its sweep has touched a file.
+    let sandbox = Sandbox::new(0xBEEF);
+    for family in FamilyProfile::all() {
+        let variant = Variant::new(family.clone(), family.variants - 1);
+        let trace = sandbox.detonate_run(&variant, WindowsVersion::Win11, 7);
+        let timeline = DamageTimeline::from_trace(&trace, &vocab);
+        monitor.reset();
+        let alert = monitor
+            .observe_all(&trace)
+            .unwrap_or_else(|| panic!("{} not detected", family.name));
+        assert_eq!(
+            timeline.files_lost_by(alert.at_call),
+            0,
+            "{} alerted at call {} after its sweep began",
+            family.name,
+            alert.at_call
+        );
+    }
 }

@@ -1,9 +1,14 @@
 //! Integration tests over the timing stack: the orderings and magnitudes
 //! that constitute the paper's Fig. 3 and Table I "shape".
 
-use csd_inference::accel::{fig3, table1_fpga_row, HostProgram, OptimizationLevel};
+use csd_inference::accel::kernels::{gates, GateKind};
+use csd_inference::accel::timing::kernel_budget;
+use csd_inference::accel::{fig3, table1_fpga_row, HostProgram, LstmDims, OptimizationLevel};
 use csd_inference::baselines::{CpuExecutionModel, GpuExecutionModel};
 use csd_inference::device::{SmartSsd, TransferPath};
+use csd_inference::hls::{
+    DeviceProfile, KernelSpec, LoopBody, LoopNest, NumericFormat, Op, Pragmas,
+};
 use csd_inference::nn::{ModelConfig, ModelWeights, SequenceClassifier};
 
 #[test]
@@ -72,6 +77,59 @@ fn device_runs_order_by_optimization_level() {
     let fx = elapsed(OptimizationLevel::FixedPoint);
     assert!(v > ii, "vanilla {v} vs II {ii}");
     assert!(ii > fx, "II {ii} vs fixed {fx}");
+}
+
+/// §III-D swaps tanh for softsign because softsign needs no `exp()` on
+/// the fabric: a pipelined, partitioned 32-wide Float32 activation loop
+/// fills in fewer cycles for softsign than for sigmoid (one `exp`), and
+/// fewer for sigmoid than for tanh (two).
+#[test]
+fn softsign_loop_fills_fastest_then_sigmoid_then_tanh() {
+    let fill = |ops: Vec<Op>| {
+        KernelSpec::new("activation", NumericFormat::Float32)
+            .stage(LoopNest::new(
+                32,
+                LoopBody::Map(ops),
+                Pragmas::new().pipeline(1).partition(),
+            ))
+            .estimate_default()
+            .fill_cycles
+    };
+    let softsign = fill(vec![Op::MemRead, Op::Abs, Op::Add, Op::Div]);
+    let sigmoid = fill(vec![Op::MemRead, Op::Exp, Op::Add, Op::Div]);
+    let tanh = fill(vec![
+        Op::MemRead,
+        Op::Exp,
+        Op::Exp,
+        Op::Add,
+        Op::Add,
+        Op::Div,
+    ]);
+    assert!(
+        softsign < sigmoid && sigmoid < tanh,
+        "softsign {softsign}, sigmoid {sigmoid}, tanh {tanh} cycles"
+    );
+}
+
+/// §III-C gives each of the four gates its own compute unit. With fewer
+/// CUs the gates run in `ceil(4 / CUs)` waves of the same per-CU time,
+/// so one CU per gate has the lowest per-item gate time.
+#[test]
+fn four_gate_cus_beat_two_and_one() {
+    let (dims, device) = (LstmDims::paper(), DeviceProfile::alveo_u200());
+    let gate_cycles = |cus: u32| {
+        let budget = kernel_budget(&device, (80 / cus).min(60));
+        let per_cu = gates::spec(GateKind::Input, OptimizationLevel::IiOptimized, &dims)
+            .estimate(&budget)
+            .timing
+            .fill_cycles;
+        u64::from(4u32.div_ceil(cus)) * per_cu
+    };
+    let [one, two, four] = [1, 2, 4].map(gate_cycles);
+    assert!(
+        four < two && two < one,
+        "1 / 2 / 4 CUs: {one} / {two} / {four} cycles"
+    );
 }
 
 #[test]
