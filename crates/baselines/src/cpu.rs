@@ -15,12 +15,11 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::stats::Summary;
 
 /// Per-item forward-pass time model for a framework-driven CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuExecutionModel {
     /// Fixed per-item overhead (session entry, input staging) in µs.
     pub base_us: f64,

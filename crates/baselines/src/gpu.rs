@@ -13,13 +13,12 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::cpu::standard_normal;
 use crate::stats::Summary;
 
 /// Per-item forward-pass time model for a framework-driven GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuExecutionModel {
     /// CUDA kernel launches per LSTM timestep.
     pub launches_per_step: u32,

@@ -6,11 +6,9 @@
 //! inference item* as `device power × per-item time`, the attribution
 //! convention used in most accelerator papers.
 
-use serde::{Deserialize, Serialize};
-
 /// Power draw attributed to a baseline device while serving the
 /// inference workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DevicePower {
     /// Human-readable device name.
     pub name: &'static str,

@@ -1,14 +1,12 @@
 //! Summary statistics in the paper's reporting convention.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean, standard deviation, and the 95% interval of a sample.
 ///
 /// The paper's Table I intervals are symmetric about the mean with width
 /// ≈ ±1.96σ of the *sample distribution* (991.58 ∓ 774.11 for σ ≈ 395),
 /// i.e. a normal-approximation tolerance interval rather than a standard
 /// error of the mean; [`Summary::from_samples`] reproduces that convention.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample mean (µs in this crate's usage).
     pub mean: f64,

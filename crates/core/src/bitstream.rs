@@ -13,7 +13,6 @@
 //! (timings, resources, dimensions) and never parameter values.
 
 use csd_hls::{Clock, DeviceProfile, KernelEstimate, ResourceEstimate};
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::{gates, hidden, preprocess, GateKind, LstmDims};
 use crate::opt::OptimizationLevel;
@@ -44,7 +43,7 @@ impl std::fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// One compiled kernel inside the image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelImage {
     /// Kernel instance name (e.g. `kernel_gates[Forget]`).
     pub name: String,
@@ -53,7 +52,7 @@ pub struct KernelImage {
 }
 
 /// The linked FPGA binary: structure only, no parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Xclbin {
     /// Target device.
     pub device: DeviceProfile,
@@ -104,15 +103,6 @@ impl Xclbin {
             k.estimate.timing.fill_cycles
         };
         self.clock.micros(cycles)
-    }
-
-    /// Serializes the image metadata to JSON.
-    ///
-    /// # Panics
-    ///
-    /// Never panics for a well-formed image.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("xclbin serialize")
     }
 }
 
@@ -241,17 +231,5 @@ mod tests {
                 .fold(0.0f64, f64::max);
             assert!((worst_gate - b.gates_us).abs() < 1e-9, "{level}");
         }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let image = link(
-            OptimizationLevel::IiOptimized,
-            &LstmDims::paper(),
-            &DeviceProfile::alveo_u200(),
-        )
-        .expect("links");
-        let parsed: Xclbin = serde_json::from_str(&image.to_json()).expect("parse");
-        assert_eq!(parsed, image);
     }
 }

@@ -28,7 +28,6 @@ use std::sync::{Arc, OnceLock};
 use csd_fxp::Fx6;
 use csd_nn::ModelWeights;
 use csd_tensor::{lanes, Vector};
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
@@ -43,7 +42,7 @@ fn cores() -> usize {
 }
 
 /// The outcome of classifying one sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Classification {
     /// `P(positive | sequence)` — ransomware probability in the use case.
     pub probability: f64,

@@ -17,14 +17,13 @@
 
 use csd_device::{FaultPlan, Nanos, RuntimeError};
 use csd_nn::ModelWeights;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::Classification;
 use crate::host::{HostError, HostProgram, RecoveryPolicy, RecoveryStats};
 use crate::opt::OptimizationLevel;
 
 /// The outcome of a fleet scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScan {
     /// Per-sequence classifications, in input order.
     pub classifications: Vec<Classification>,
@@ -46,7 +45,7 @@ impl FleetScan {
 }
 
 /// Fleet-level fault-handling knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetPolicy {
     /// Scans a quarantined device sits out before re-admission.
     pub cooldown_scans: u64,

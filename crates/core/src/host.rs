@@ -28,7 +28,6 @@ use csd_device::{
     SmartSsd,
 };
 use csd_nn::{ModelWeights, WeightsError};
-use serde::{Deserialize, Serialize};
 
 use crate::bitstream::{link, LinkError, Xclbin};
 use crate::engine::{Classification, CsdInferenceEngine};
@@ -86,7 +85,7 @@ impl From<RuntimeError> for HostError {
 }
 
 /// How a [`HostProgram`] responds to device faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retries per classification before giving up and surfacing the
     /// error (the fleet layer then quarantines the device).

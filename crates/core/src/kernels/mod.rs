@@ -21,12 +21,10 @@ pub mod gates;
 pub mod hidden;
 pub mod preprocess;
 
-use serde::{Deserialize, Serialize};
-
 pub use gates::GateKind;
 
 /// The model dimensions every kernel is parameterized by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LstmDims {
     /// Vocabulary size `M`.
     pub vocab: usize,

@@ -22,13 +22,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::CsdInferenceEngine;
 use crate::schedule::PipelineSchedule;
 
 /// Configuration for the streaming monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Rolling-window length (the paper uses 100).
     pub window_len: usize,
@@ -53,7 +51,7 @@ impl Default for MonitorConfig {
 }
 
 /// A raised alert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alert {
     /// Index of the API call whose window completed the vote.
     pub at_call: usize,

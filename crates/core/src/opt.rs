@@ -1,11 +1,10 @@
 //! The three optimization levels evaluated in the paper's Fig. 3.
 
 use csd_hls::{NumericFormat, Pragmas};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's incremental optimization configurations a design
 /// is built with (§III-D, Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptimizationLevel {
     /// Kernel parallelization only (§III-C); loops carry no pragmas beyond
     /// the toolchain's default innermost-loop pipelining.

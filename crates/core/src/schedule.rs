@@ -19,14 +19,12 @@
 //! stage is explicit. [`PipelineSchedule::simulate`] also produces the
 //! full Gantt-style event trace for inspection and testing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels::LstmDims;
 use crate::opt::OptimizationLevel;
 use crate::timing::{breakdown, KernelBreakdown};
 
 /// Which pipeline stage bounds the steady-state item rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bottleneck {
     /// The embedding/fan-out stage (memory-bound designs).
     Preprocess,
@@ -35,7 +33,7 @@ pub enum Bottleneck {
 }
 
 /// One executed kernel occurrence in the simulated schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleEvent {
     /// Item index within the sequence.
     pub item: usize,
@@ -48,7 +46,7 @@ pub struct ScheduleEvent {
 }
 
 /// The derived pipeline timing for one optimization level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineSchedule {
     /// Per-kernel times feeding the schedule.
     pub breakdown: KernelBreakdown,

@@ -12,7 +12,7 @@
 //! [`Verdict`], [`MuxStats`], [`StreamLoss`], and the unit its serving
 //! budget is counted in, [`ROUND_STEPS`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::Classification;
 
@@ -26,7 +26,7 @@ pub const ROUND_STEPS: usize = 16;
 
 /// What [`ShardedStreamMux::submit`](crate::shard::ShardedStreamMux::submit)
 /// does when the pending queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Evict the oldest pending window to admit the new one — the
     /// freshest data wins (default: stale windows age out under
@@ -38,7 +38,7 @@ pub enum OverflowPolicy {
 
 /// Configuration for a
 /// [`ShardedStreamMux`](crate::shard::ShardedStreamMux).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamMuxConfig {
     /// Bound on the pending-window queue; [`OverflowPolicy`] applies
     /// beyond it.
@@ -50,7 +50,6 @@ pub struct StreamMuxConfig {
     /// spreads a serving call that can afford two or more windows over
     /// at most `n` chunks, one thread each, which pays only where each
     /// chunk has a free core.
-    #[serde(default)]
     pub shards: Option<usize>,
 }
 
@@ -93,7 +92,7 @@ impl Admission {
 }
 
 /// One served window's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Verdict {
     /// The stream (process) id the window came from.
     pub stream: u64,
@@ -111,40 +110,35 @@ pub struct Verdict {
     /// strictly increasing in submission order. Verdicts leave in this
     /// order, so each stream's own verdicts carry an increasing
     /// subsequence.
-    #[serde(default)]
     pub seq: u64,
 }
 
 /// A snapshot of the multiplexer's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MuxStats {
     /// Serving calls that classified at least one window.
     pub ticks: u64,
     /// Windows served (verdicts emitted).
     pub verdicts: u64,
     /// Windows dropped by backpressure — the sum of
-    /// [`evicted`](Self::evicted) and [`refused`](Self::refused), kept
-    /// as the historical aggregate so old snapshots stay comparable.
+    /// [`evicted`](Self::evicted) and [`refused`](Self::refused).
     pub dropped: u64,
     /// Windows evicted *after admission*: the queue was full under
     /// [`OverflowPolicy::DropOldest`] and the oldest pending window was
     /// discarded to make room for a newer one. Charged to the stream
     /// that lost its window, not the one that submitted.
-    #[serde(default)]
     pub evicted: u64,
     /// Windows refused *at submission*: the queue was full under
     /// [`OverflowPolicy::DropNewest`] and the incoming window was turned
     /// away. Charged to the submitting stream.
-    #[serde(default)]
     pub refused: u64,
     /// Windows refused at submission for out-of-vocabulary tokens — a
     /// typed rejection at the admission boundary, never a panic inside
     /// the engine. Distinct from backpressure: rejection means the
     /// *data* was unclassifiable, not that the mux was overloaded.
-    #[serde(default)]
     pub rejected: u64,
-    /// Always 0: there is no lane block to occupy. Kept so snapshots
-    /// and their readers stay comparable.
+    /// Always 0: there is no lane block to occupy. The benchmark still
+    /// reports it, as `core.shard.occupancy`.
     pub occupancy: f64,
     /// Median [`Verdict::latency_ticks`] over the most recent window of
     /// verdicts.
@@ -161,16 +155,7 @@ pub struct MuxStats {
     /// every one still produced its verdict.
     pub degraded_reruns: u64,
     /// Chunks a serving call may split its windows over.
-    #[serde(default = "MuxStats::one_shard")]
     pub shards: u64,
-}
-
-impl MuxStats {
-    /// Serde default for [`shards`](Self::shards): historical snapshots
-    /// predate sharding and were all single-mux.
-    fn one_shard() -> u64 {
-        1
-    }
 }
 
 /// Per-stream submission-loss breakdown: every way a stream's windows
@@ -178,7 +163,7 @@ impl MuxStats {
 /// the sentry service) can report *why* a process lost coverage — was
 /// its data garbage, was it overload eviction, or was it turned away at
 /// the door.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamLoss {
     /// Admitted windows of this stream later evicted by
     /// [`OverflowPolicy::DropOldest`] backpressure.
@@ -196,52 +181,9 @@ impl StreamLoss {
         self.evicted + self.refused + self.rejected
     }
 
-    /// Backpressure losses only (evicted + refused), matching the
-    /// historical `dropped` aggregate.
+    /// Backpressure losses only (evicted + refused), as
+    /// [`MuxStats::dropped`] sums them over every stream.
     pub fn dropped(&self) -> u64 {
         self.evicted + self.refused
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mux_stats_json_predating_loss_split_still_deserializes() {
-        // A BENCH_*.json snapshot written before `evicted`/`refused`
-        // existed, with the two lane-block counters since removed
-        // (spelled in halves so that a grep for the deleted names over
-        // the source tree stays empty): the split fields default to
-        // zero, `dropped` keeps its recorded aggregate, the removed keys
-        // are ignored.
-        let old = concat!(
-            r#"{"ticks": 10, "verdicts": 8, "dropped": 3, "occupancy": 0.5,"#,
-            r#""p50_latency_ticks": 1, "p99_latency_ticks": 2,"#,
-            r#""verdicts_per_sec": 100.0, "faults": 0, "degraded_reruns": 0,"#,
-            r#""degraded_"#,
-            r#"ticks": 0, "lanes_"#,
-            r#"poisoned": 0}"#
-        );
-        let stats: MuxStats = serde_json::from_str(old).expect("old snapshot parses");
-        assert_eq!(stats.dropped, 3);
-        assert_eq!(stats.evicted, 0);
-        assert_eq!(stats.refused, 0);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.shards, 1);
-    }
-
-    #[test]
-    fn config_json_with_a_lane_count_still_deserializes() {
-        let old = r#"{"lanes": 16, "max_pending": 7, "policy": "DropNewest"}"#;
-        let config: StreamMuxConfig = serde_json::from_str(old).expect("old config parses");
-        assert_eq!(
-            config,
-            StreamMuxConfig {
-                max_pending: 7,
-                policy: OverflowPolicy::DropNewest,
-                shards: None,
-            }
-        );
     }
 }

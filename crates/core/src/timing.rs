@@ -3,7 +3,6 @@
 //! row of Table I.
 
 use csd_hls::{Clock, DeviceProfile, KernelEstimate, ResourceEstimate};
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::{gates, hidden, preprocess, GateKind, LstmDims};
 use crate::opt::OptimizationLevel;
@@ -23,7 +22,7 @@ pub fn kernel_budget(device: &DeviceProfile, percent: u32) -> ResourceEstimate {
 
 /// Per-kernel timing at one optimization level — one column group of
 /// Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelBreakdown {
     /// `kernel_preprocess` per-item time in µs.
     pub preprocess_us: f64,
@@ -43,7 +42,7 @@ impl KernelBreakdown {
 }
 
 /// One row of the regenerated Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Row {
     /// Optimization level.
     pub level: OptimizationLevel,

@@ -10,7 +10,6 @@
 use csd_fxp::{row_exact_in_f64, Fx6, EXACT_F64_INT};
 use csd_nn::ModelWeights;
 use csd_tensor::{Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::LstmDims;
 
@@ -245,7 +244,7 @@ impl LaneGatesFx {
 /// The full parameter set in kernel-ready layout: per-gate `H × Z`
 /// matrices over `[h | x]` columns (TF gate order `i f c o`), in both f64
 /// and 10^6-scaled fixed point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedWeights {
     dims: LstmDims,
     /// Embedding table, float view.
@@ -339,79 +338,6 @@ impl QuantizedWeights {
             + self.dims.hidden
             + 1;
         (params * std::mem::size_of::<i64>()) as u64
-    }
-
-    /// Serializes the quantized parameters into the byte image the host
-    /// DMA's to FPGA DRAM: a 16-byte header (magic, vocab, embed, hidden)
-    /// followed by every raw `i64` little-endian, in kernel consumption
-    /// order (embedding | W_i W_f W_c W_o | b_i b_f b_c b_o | fc_w | fc_b).
-    pub fn to_device_image(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.device_bytes() as usize);
-        out.extend_from_slice(b"CSDW");
-        out.extend_from_slice(&(self.dims.vocab as u32).to_le_bytes());
-        out.extend_from_slice(&(self.dims.embed as u32).to_le_bytes());
-        out.extend_from_slice(&(self.dims.hidden as u32).to_le_bytes());
-        let mut push = |fx: Fx6| out.extend_from_slice(&fx.raw().to_le_bytes());
-        for &v in self.embedding_fx.as_flat() {
-            push(v);
-        }
-        for g in 0..4 {
-            for &v in self.gate_w_fx[g].as_flat() {
-                push(v);
-            }
-        }
-        for g in 0..4 {
-            for &v in self.gate_b_fx[g].as_slice() {
-                push(v);
-            }
-        }
-        for &v in self.fc_w_fx.as_slice() {
-            push(v);
-        }
-        push(self.fc_b_fx);
-        out
-    }
-
-    /// Parses a device image back into raw fixed-point values (used by
-    /// tests to prove the DMA buffer is faithful).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem.
-    pub fn parse_device_image(image: &[u8]) -> Result<(LstmDims, Vec<Fx6>), String> {
-        if image.len() < 16 {
-            return Err("image shorter than the header".to_string());
-        }
-        if &image[0..4] != b"CSDW" {
-            return Err("bad magic".to_string());
-        }
-        let word =
-            |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let dims = LstmDims {
-            vocab: word(4),
-            embed: word(8),
-            hidden: word(12),
-        };
-        let body = &image[16..];
-        if !body.len().is_multiple_of(8) {
-            return Err("payload not i64-aligned".to_string());
-        }
-        let expected = dims.vocab * dims.embed
-            + 4 * (dims.hidden * (dims.hidden + dims.embed))
-            + 4 * dims.hidden
-            + dims.hidden
-            + 1;
-        if body.len() / 8 != expected {
-            return Err(format!(
-                "expected {expected} parameters, found {}",
-                body.len() / 8
-            ));
-        }
-        let values = body
-            .chunks_exact(8)
-            .map(|c| Fx6::from_raw(i64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect();
-        Ok((dims, values))
     }
 
     /// Worst-case quantization error introduced across all parameters.
@@ -631,33 +557,16 @@ mod tests {
     #[test]
     fn device_bytes_counts_all_parameters() {
         let q = weights();
-        // 7,505 parameters × 8 bytes.
+        let held = q.embedding_fx.as_flat().len()
+            + q.gate_w_fx.iter().map(|w| w.as_flat().len()).sum::<usize>()
+            + q.gate_b_fx
+                .iter()
+                .map(|b| b.as_slice().len())
+                .sum::<usize>()
+            + q.fc_w_fx.as_slice().len()
+            + 1;
+        // 7,505 parameters × 8 bytes: every buffer the kernels read.
+        assert_eq!(held, 7_505);
         assert_eq!(q.device_bytes(), 7_505 * 8);
-    }
-
-    #[test]
-    fn device_image_roundtrip() {
-        let q = weights();
-        let image = q.to_device_image();
-        assert_eq!(image.len() as u64, 16 + q.device_bytes());
-        let (dims, values) = QuantizedWeights::parse_device_image(&image).expect("parse");
-        assert_eq!(dims, q.dims());
-        assert_eq!(values.len(), 7_505);
-        // First value is embedding[0,0]; last is the FC bias.
-        assert_eq!(values[0], q.embedding_fx.as_flat()[0]);
-        assert_eq!(*values.last().expect("non-empty"), q.fc_b_fx);
-    }
-
-    #[test]
-    fn device_image_rejects_corruption() {
-        let q = weights();
-        let image = q.to_device_image();
-        assert!(QuantizedWeights::parse_device_image(&image[..10]).is_err());
-        let mut bad_magic = image.clone();
-        bad_magic[0] = b'X';
-        assert!(QuantizedWeights::parse_device_image(&bad_magic).is_err());
-        let truncated = &image[..image.len() - 8];
-        let err = QuantizedWeights::parse_device_image(truncated).unwrap_err();
-        assert!(err.contains("expected"), "{err}");
     }
 }

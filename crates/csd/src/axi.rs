@@ -7,12 +7,10 @@
 //! data path running at the kernel clock, shared (and therefore contended)
 //! by whatever accesses its owner issues.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::{Nanos, ResourceTimeline};
 
 /// One AXI master interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AxiPort {
     /// Data width in bytes per beat (512-bit = 64 B is the Vitis default).
     beat_bytes: u32,

@@ -5,12 +5,10 @@
 //! SmartSSD-compatible footprint. Each bank is an independent
 //! [`ResourceTimeline`]; kernels bound to the same bank contend.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::{Nanos, ResourceTimeline};
 
 /// One DDR4 bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdrBank {
     /// Peak bandwidth in GiB/s (DDR4-2400 ECC DIMM ≈ 19.2 GB/s ≈ 17.9 GiB/s).
     pub bandwidth_gib_s: f64,

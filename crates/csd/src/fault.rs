@@ -28,12 +28,10 @@
 //! [`runtime`](crate::runtime) verbs so that every `Result<_,
 //! RuntimeError>` in the host API can actually fail on demand.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::Nanos;
 
 /// Where in the datapath a fault strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// The external PCIe link (host-mediated DMA).
     PcieTransfer,
@@ -90,7 +88,7 @@ pub enum FaultEvent {
 /// Probabilities are per *operation* (one transfer, one enqueue, one
 /// page read), not per byte, matching the granularity at which the
 /// runtime consults the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a PCIe/AXI/DRAM transfer is corrupted.
     pub corruption: f64,
@@ -150,7 +148,7 @@ impl FaultConfig {
 }
 
 /// Running tallies of injected faults, by class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounters {
     /// Transfers corrupted (CRC-on-DMA rejections).
     pub corruptions: u64,

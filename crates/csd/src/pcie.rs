@@ -6,12 +6,10 @@
 //! the external link twice (SSD→host, host→FPGA) and pays DMA setup both
 //! times; the P2P path crosses the internal switch once.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::{Nanos, ResourceTimeline};
 
 /// One PCIe link (a set of lanes between two ports).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieLink {
     /// Effective data bandwidth in GiB/s after encoding/protocol overhead.
     pub bandwidth_gib_s: f64,

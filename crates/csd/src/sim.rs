@@ -5,16 +5,12 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Simulation time in integer nanoseconds.
 ///
 /// Integer time keeps the simulator deterministic and free of
 /// floating-point ordering hazards; at nanosecond resolution the clock
 /// wraps after ~584 years of simulated time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
 
 impl Nanos {
@@ -163,7 +159,7 @@ impl<E> Default for EventQueue<E> {
 /// A serially-reusable resource (a PCIe link, a DDR bank, an SSD channel):
 /// requests are serviced in arrival order, each occupying the resource for
 /// its duration — the busy-until contention model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceTimeline {
     busy_until: Nanos,
     busy_total: Nanos,

@@ -4,12 +4,10 @@
 //! path needs: per-command latency, page-granular NAND reads striped over
 //! independent channels, and a sequential-read bandwidth ceiling.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::{Nanos, ResourceTimeline};
 
 /// Static SSD parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdConfig {
     /// NAND page size in bytes.
     pub page_bytes: u64,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A decimal fixed-point number whose scale exponent is chosen at runtime.
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let b = DynFixed::from_f64(0.25, 3);
 /// assert_eq!((a.mul(b)).to_f64(), 0.125);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DynFixed {
     raw: i64,
     scale_pow: u32,

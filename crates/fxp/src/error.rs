@@ -7,8 +7,6 @@
 //! this module's tests hold (the last full sweep is `EXPERIMENTS.md` row
 //! 37a).
 
-use serde::{Deserialize, Serialize};
-
 use crate::dynfixed::DynFixed;
 
 /// The worst-case quantization error for a single value at scale
@@ -36,7 +34,7 @@ pub fn max_abs_error(values: &[f64], scale_pow: u32) -> f64 {
 }
 
 /// One row of a scale-factor sweep: empirical errors at a single scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleSweepRow {
     /// Decimal scale exponent (the paper uses 6).
     pub scale_pow: u32,
@@ -50,7 +48,7 @@ pub struct ScaleSweepRow {
 
 /// Sweeps quantization error across decimal scales for a set of probe
 /// values, reproducing the data behind the scale-factor ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleSweep {
     rows: Vec<ScaleSweepRow>,
 }

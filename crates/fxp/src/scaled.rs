@@ -12,8 +12,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Error produced when converting out-of-range values into [`Fixed`].
 ///
 /// The backing `i64` can represent magnitudes up to roughly
@@ -66,8 +64,7 @@ impl std::error::Error for FixedError {}
 /// assert_eq!((a * b).to_f64(), -0.625);
 /// assert_eq!((a + b).to_f64(), 0.75);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fixed<const P: u32> {
     raw: i64,
 }

@@ -20,8 +20,6 @@
 //!   unrolling of the loops it contains; if resources forbid that, the
 //!   outer pipeline fails and the loop stays sequential.
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::{op_cost, NumericFormat, Op, OpLatencies};
 use crate::pragma::Pragmas;
 use crate::resource::{DeviceProfile, ResourceEstimate};
@@ -33,7 +31,7 @@ pub const LOOP_OVERHEAD: u64 = 2;
 pub const AXI_BURST_SETUP: u64 = 28;
 
 /// What one loop iteration does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoopBody {
     /// Multiply-accumulate with a loop-carried dependence on the
     /// accumulator: two buffer reads, a multiply, and an accumulating add.
@@ -45,7 +43,7 @@ pub enum LoopBody {
 }
 
 /// A counted loop with pragmas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     trips: u32,
     body: LoopBody,
@@ -84,7 +82,7 @@ impl LoopNest {
 }
 
 /// One top-level stage of a kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stage {
     /// A loop nest.
     Loop(LoopNest),
@@ -105,7 +103,7 @@ pub enum Stage {
 }
 
 /// Estimated cycles and achieved schedule for one loop or kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelTiming {
     /// Cycles from first input to first complete output (pipeline fill +
     /// drain; for non-pipelined code, simply the latency).
@@ -117,7 +115,7 @@ pub struct KernelTiming {
 }
 
 /// The result of estimating a [`KernelSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelEstimate {
     /// Timing of the whole kernel.
     pub timing: KernelTiming,
@@ -137,7 +135,7 @@ struct LoopEstimate {
 
 /// A kernel: named, format-typed, a sequence of stages, optionally in a
 /// `DATAFLOW` region (stages overlap; latency = slowest stage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     name: String,
     format: NumericFormat,

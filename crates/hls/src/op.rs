@@ -8,12 +8,10 @@
 //! trip counts, and the pragmas — never from per-configuration fudge
 //! factors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::resource::ResourceEstimate;
 
 /// The arithmetic format a kernel is synthesized in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumericFormat {
     /// IEEE single-precision floating point (the paper's baseline).
     Float32,
@@ -25,7 +23,7 @@ pub enum NumericFormat {
 }
 
 /// Primitive operations appearing in kernel bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Addition / subtraction.
     Add,
@@ -46,7 +44,7 @@ pub enum Op {
 }
 
 /// Per-operation latencies in kernel clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpLatencies {
     /// Cycles for [`Op::Add`].
     pub add: u32,

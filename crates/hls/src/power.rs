@@ -12,14 +12,12 @@
 //! comparisons that matter (orders of magnitude vs CPU/GPU baselines)
 //! are robust to 2–3× error in any constant.
 
-use serde::{Deserialize, Serialize};
-
 use crate::report::Clock;
 use crate::resource::{DeviceProfile, ResourceEstimate};
 
 /// Per-unit dynamic power at a reference 300 MHz clock and 100% toggle,
 /// in microwatts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitPowers {
     /// One DSP48 slice.
     pub dsp_uw: f64,
@@ -45,7 +43,7 @@ impl UnitPowers {
 }
 
 /// A device-level power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Static (leakage + always-on shell) power in watts.
     pub static_w: f64,

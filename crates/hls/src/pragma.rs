@@ -10,8 +10,6 @@
 //! plus `#pragma HLS DATAFLOW` in `kernel_gates` (§III-C) for task-level
 //! overlap. [`Pragmas`] is the typed equivalent attached to a loop nest.
 
-use serde::{Deserialize, Serialize};
-
 /// The pragma set attached to one loop nest.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.pipeline_ii(), Some(1));
 /// assert!(p.is_fully_unrolled());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Pragmas {
     pipeline_ii: Option<u32>,
     /// `None` = no unroll, `Some(0)` = full unroll, `Some(u)` = factor `u`.

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::latency::KernelTiming;
 use crate::resource::ResourceEstimate;
 
 /// A kernel clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clock {
     freq_mhz: f64,
 }
@@ -64,7 +62,7 @@ impl Default for Clock {
 }
 
 /// A human-readable per-kernel report: the unit Fig. 3 is built from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
     /// Kernel name (e.g. `kernel_gates`).
     pub name: String,

@@ -3,10 +3,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A bundle of FPGA resources (consumed by a design or offered by a device).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ResourceEstimate {
     /// DSP48 slices.
     pub dsp: u32,
@@ -102,7 +100,7 @@ impl fmt::Display for ResourceEstimate {
 }
 
 /// A named FPGA device with its resource capacity and DDR bank count.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,

@@ -1,14 +1,12 @@
 //! Floating-point activations and their derivatives for BPTT.
 
-use serde::{Deserialize, Serialize};
-
 /// Differentiable activation functions used by the offline model.
 ///
 /// The paper trains with the standard `tanh` cell activation but deploys
 /// with `softsign` on the FPGA (§III-D). Training directly with `softsign`
 /// — supported here — removes that train/deploy mismatch, and the activation
 /// ablation quantifies the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Logistic sigmoid `1 / (1 + e^{-x})` — the gate activation.
     Sigmoid,

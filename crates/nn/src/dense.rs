@@ -5,13 +5,12 @@
 //! binary ransomware/benign decision inside `kernel_hidden_state`.
 
 use csd_tensor::{Initializer, Vector};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 
 /// A single-output dense layer with sigmoid activation:
 /// `p = σ(w · h + b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     w: Vector<f64>,
     b: f64,

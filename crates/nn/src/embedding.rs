@@ -6,14 +6,13 @@
 //! this contributes the paper's 2,224 embedding parameters.
 
 use csd_tensor::{Initializer, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 /// A trainable `vocab × dim` embedding table.
 ///
 /// Forward is a row lookup — equivalent to the one-hot × matrix dot product
 /// that `kernel_preprocess` performs on the FPGA (§III-B) but without
 /// materializing the one-hot vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Embedding {
     table: Matrix<f64>,
 }

@@ -40,7 +40,6 @@
 //! so a different thread count adds the same terms in another order.
 
 use csd_tensor::{bptt, Initializer, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 
@@ -58,7 +57,7 @@ pub const GATE_O: usize = 3;
 pub const GATE_NAMES: [&str; 4] = ["input", "forget", "candidate", "output"];
 
 /// The recurrent state `(h, C)` carried between timesteps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmState {
     /// Hidden state `h_t`.
     pub h: Vector<f64>,
@@ -77,7 +76,7 @@ impl LstmState {
 }
 
 /// A single LSTM cell: four gates over the concatenated `[h_{t−1}, x_t]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmCell {
     input_dim: usize,
     hidden: usize,
@@ -419,7 +418,7 @@ fn gates_mut(v: &mut [f64], h: usize) -> [&mut [f64]; 4] {
 
 /// Runs an [`LstmCell`] over whole sequences, producing the final hidden
 /// state (the paper classifies from `h_T` only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmLayer {
     cell: LstmCell,
 }

@@ -1,8 +1,6 @@
 //! Binary-classification metrics as reported in the paper's §IV:
 //! accuracy, precision, recall, and F1.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2×2 confusion matrix for the ransomware (positive) / benign (negative)
 /// task.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cm.total(), 3);
 /// assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ConfusionMatrix {
     tp: u64,
     tn: u64,
@@ -128,7 +126,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// The four headline metrics the paper reports (§IV: 0.9833 / 0.9789 /
 /// 0.9890 / 0.9840).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassificationReport {
     /// Fraction of correct predictions.
     pub accuracy: f64,

@@ -5,7 +5,6 @@
 //! fully-connected head's 32 weights and one bias — 7,505 in total.
 
 use csd_tensor::{Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::dense::Dense;
@@ -14,7 +13,7 @@ use crate::loss::{bce_loss, bce_loss_grad};
 use crate::lstm::{LstmCell, LstmLayer, PackedCell, Tape};
 
 /// Architecture hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Vocabulary size `M` (number of distinct sequence items).
     pub vocab: usize,
@@ -51,7 +50,7 @@ impl ModelConfig {
 }
 
 /// The full classifier: `item → embedding → LSTM → σ(w·h_T + b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceClassifier {
     config: ModelConfig,
     embedding: Embedding,

@@ -5,12 +5,10 @@
 //! that flat view, mirroring how deep-learning frameworks treat parameters
 //! as a single tensor list.
 
-use serde::{Deserialize, Serialize};
-
 /// Adam (Kingma & Ba 2015) with bias correction and optional clipping —
 /// the de-facto default for LSTM training, and what we use to regenerate
 /// the paper's Fig. 4 convergence curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     lr: f64,
     beta1: f64,

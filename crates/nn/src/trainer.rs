@@ -7,7 +7,6 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::lstm::Tape;
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
@@ -19,7 +18,7 @@ use crate::optimizer::Adam;
 pub type Example = (Vec<usize>, bool);
 
 /// Options controlling a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainOptions {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -58,7 +57,7 @@ impl Default for TrainOptions {
 }
 
 /// One row of the convergence history (one point on Fig. 4's curve).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
     /// 1-based epoch number.
     pub epoch: usize,
@@ -69,7 +68,7 @@ pub struct EpochRecord {
 }
 
 /// The full convergence history of a run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingHistory {
     records: Vec<EpochRecord>,
 }

@@ -9,14 +9,13 @@
 //! `kernel` (`X × 4H`, gate order `i f c o`), `recurrent` (`H × 4H`), and
 //! `bias` (`4H`) for the LSTM, plus the embedding table and the
 //! fully-connected head — and serializes it to the line-oriented text file
-//! the host program ingests (and to JSON).
+//! the host program ingests.
 
 use std::fmt;
 use std::str::FromStr;
 
 use csd_fxp::{row_mac_bound, Fx6};
 use csd_tensor::{Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::dense::Dense;
@@ -71,7 +70,7 @@ impl fmt::Display for WeightsError {
 impl std::error::Error for WeightsError {}
 
 /// The exported parameter set of a trained [`SequenceClassifier`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWeights {
     /// Architecture the weights belong to.
     pub config: ModelConfig,
@@ -348,24 +347,6 @@ impl ModelWeights {
         }
         Ok(())
     }
-
-    /// Serializes to JSON.
-    ///
-    /// # Panics
-    ///
-    /// Never panics for valid weights (serialization of plain data).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("weights serialize")
-    }
-
-    /// Parses the JSON produced by [`Self::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error message.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
 }
 
 fn parse_num<T: FromStr>(tok: &str) -> Result<T, WeightsError> {
@@ -418,13 +399,6 @@ mod tests {
         let w = ModelWeights::from_model(&trained_ish_model());
         let text = w.to_text();
         let parsed = ModelWeights::from_text(&text).expect("parse");
-        assert_eq!(w, parsed);
-    }
-
-    #[test]
-    fn json_roundtrip_is_exact() {
-        let w = ModelWeights::from_model(&trained_ish_model());
-        let parsed = ModelWeights::from_json(&w.to_json()).expect("parse");
         assert_eq!(w, parsed);
     }
 

@@ -7,12 +7,10 @@
 //! was destroyed — so a detection point can be converted into files lost
 //! vs files saved.
 
-use serde::{Deserialize, Serialize};
-
 use crate::api::ApiVocabulary;
 
 /// The damage timeline of one detonation trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DamageTimeline {
     /// Call indices at which a victim file's encryption completed (the
     /// rename that seals the encrypted copy).

@@ -8,10 +8,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Behavioural category of an API call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ApiCategory {
     /// Reading file contents and positions.
     FileRead,
@@ -60,7 +58,7 @@ pub enum ApiCategory {
 }
 
 /// One vocabulary entry: an API call name and its category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ApiCall {
     /// The canonical API name (e.g. `"CryptEncrypt"`).
     pub name: &'static str,

@@ -10,7 +10,6 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::benign::BenignProfile;
 use crate::sandbox::{Sandbox, WindowsVersion};
@@ -21,7 +20,7 @@ use crate::window::{sliding_windows, WINDOW_LEN};
 const STRIDE: usize = 10;
 
 /// One labelled example with provenance (which run produced it).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetEntry {
     /// The length-100 token sequence.
     pub sequence: Vec<usize>,
@@ -43,7 +42,7 @@ pub enum SplitKind {
 }
 
 /// A labelled sliding-window corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     entries: Vec<DatasetEntry>,
 }

@@ -18,10 +18,8 @@
 //! behaviour (C2 styles, CryptoAPI vs CNG usage, worm modules, Virlock's
 //! polymorphic file infection, …).
 
-use serde::{Deserialize, Serialize};
-
 /// Which Windows crypto stack a family's encryption loop uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CryptoStack {
     /// Classic advapi32 CryptoAPI (`CryptAcquireContext`/`CryptEncrypt`).
     CryptoApi,
@@ -32,7 +30,7 @@ pub enum CryptoStack {
 }
 
 /// A ransomware family's behaviour profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyProfile {
     /// Family name as listed in Table II.
     pub name: &'static str,
@@ -211,7 +209,7 @@ impl FamilyProfile {
 }
 
 /// A row of the regenerated Table II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2Row {
     /// Family name.
     pub family: String,

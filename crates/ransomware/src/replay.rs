@@ -23,12 +23,11 @@ use std::fmt::Write as _;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
 /// What a traced process did at one instant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// Process start, with its image name (the dataset entry's source
     /// key, e.g. `"Wannacry#3/Win10/r2"`).
@@ -40,7 +39,7 @@ pub enum TraceEventKind {
 }
 
 /// One timestamped process event in a replayable trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Microseconds from the trace origin.
     pub t_us: u64,
@@ -52,7 +51,7 @@ pub struct TraceEvent {
 }
 
 /// Shapes the synthetic arrival process of [`interleave`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayProfile {
     /// Mean inter-arrival gap between one process's API calls, µs.
     pub mean_gap_us: u64,
@@ -75,7 +74,7 @@ impl Default for ReplayProfile {
 }
 
 /// A merged, time-ordered stream of process events — the replay file.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventTrace {
     /// Events in non-decreasing `t_us` order; ties preserve per-pid
     /// program order.

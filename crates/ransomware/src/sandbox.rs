@@ -7,14 +7,12 @@
 //! or benign workload under a chosen [`WindowsVersion`] and returns the
 //! labelled [`ApiTrace`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::api::ApiVocabulary;
 use crate::benign::{manual_interaction, BenignProfile};
 use crate::variant::Variant;
 
 /// The guest OS a trace was captured on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowsVersion {
     /// Windows 10 guest.
     Win10,
@@ -28,7 +26,7 @@ impl WindowsVersion {
 }
 
 /// Ground-truth label of a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TraceLabel {
     /// A ransomware detonation (family, variant index).
     Ransomware {
@@ -54,7 +52,7 @@ impl TraceLabel {
 }
 
 /// One captured execution: the ordered API-call tokens plus metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiTrace {
     /// Ground truth.
     pub label: TraceLabel,

@@ -15,10 +15,9 @@
 //! bench campaign's parity witness.
 
 use csd_accel::Alert;
-use serde::{Deserialize, Serialize};
 
 /// The configured response to an alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionKind {
     /// Record only; the process keeps running.
     Log,
@@ -32,7 +31,7 @@ pub enum ActionKind {
 }
 
 /// What was actually done for one alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionTaken {
     /// Logged; no intervention.
     Logged,
@@ -66,11 +65,10 @@ impl ActionKind {
 /// [`ActionTaken`]. PR 9 latched only the intent; the durable journal
 /// records outcomes, so a restarted sentry knows whether a quarantine
 /// completed before the crash or must be reconciled.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionOutcome {
     /// No backend intervention was attempted: log-only action,
     /// whitelist suppression, or the session had already exited.
-    #[default]
     NotAttempted,
     /// The backend applied the action; the string is its receipt
     /// (e.g. the sandbox path a quarantined image was moved to).
@@ -81,7 +79,7 @@ pub enum ActionOutcome {
 }
 
 /// One latched alert-plus-response record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// The session the alert latched against (never reused).
     pub sid: u64,
@@ -94,11 +92,7 @@ pub struct Incident {
     pub alert: Alert,
     /// What the sentry did.
     pub action: ActionTaken,
-    /// What the action's backend reported. Defaults on deserialize so
-    /// forensic exports written before outcomes were recorded still
-    /// load. (The journal keeps incidents in a fixed binary layout of
-    /// its own; these derives are for export only.)
-    #[serde(default)]
+    /// What the action's backend reported.
     pub outcome: ActionOutcome,
     /// The verdict landed after the session had already ended (exit or
     /// idle timeout raced the engine) — the record stands, but there
@@ -118,38 +112,5 @@ mod tests {
         assert!(!ActionKind::Log.stops_process());
         assert!(ActionKind::Kill.stops_process());
         assert!(ActionKind::Quarantine.stops_process());
-    }
-
-    #[test]
-    fn incidents_serialize_for_the_forensic_record() {
-        let incident = Incident {
-            sid: 3,
-            pid: 4242,
-            name: Some("evil.exe".to_string()),
-            alert: Alert {
-                at_call: 100,
-                probability: 0.97,
-                inference_us: 12.5,
-            },
-            action: ActionTaken::Killed,
-            outcome: ActionOutcome::Applied("terminated".to_string()),
-            post_exit: false,
-        };
-        let json = serde_json::to_string(&incident).expect("serializes");
-        assert!(json.contains("evil.exe"));
-        assert!(json.contains("Killed"));
-        assert!(json.contains("terminated"));
-        let back: Incident = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, incident);
-    }
-
-    #[test]
-    fn pre_outcome_records_deserialize_with_a_default_outcome() {
-        // A PR 9-era record: no `outcome` key at all.
-        let json = r#"{"sid":1,"pid":2,"name":null,
-            "alert":{"at_call":100,"probability":0.9,"inference_us":1.0},
-            "action":"Logged","post_exit":false}"#;
-        let back: Incident = serde_json::from_str(json).expect("deserializes");
-        assert_eq!(back.outcome, ActionOutcome::NotAttempted);
     }
 }

@@ -64,14 +64,14 @@
 //! `tests/proptest_crash.rs` checks at every crash it generates. That
 //! full scan is what `open` falls back to, and says so in
 //! [`RecoveryReport::full_scan`], whenever there is no anchor to use:
-//! no checkpoint, a checkpoint that cannot be read or validated, one
-//! written before anchors existed (restored all the same), or one
-//! whose anchor the journal refuses — a shorter file, no record
-//! boundary where it says, a digest chain that does not hold exactly
-//! the incidents it counts. A refused anchor takes its
-//! checkpoint down with it (they are not of one history) and never
-//! cuts a byte of the journal: a wrong, stale or hostile anchor costs a
-//! full scan, not data.
+//! no checkpoint, a checkpoint that cannot be read or validated (a
+//! checkpoint without an anchor is one of those), or one whose anchor
+//! the journal refuses — a shorter file, no record boundary where it
+//! says, a digest chain that does not hold exactly the incidents it
+//! counts. A checkpoint is restored only from an anchor the journal
+//! accepts: any other takes its checkpoint down with it (they are not
+//! of one history) and never cuts a byte of the journal — a missing,
+//! wrong, stale or hostile anchor costs a full scan, not data.
 //!
 //! # Why the recovered incident set is exact
 //!
@@ -139,8 +139,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
-
 use crate::actions::Incident;
 use crate::event::ProcessEvent;
 use crate::journal::{crc32, AnchorRefused, Journal, JournalConfig, JournalError};
@@ -194,27 +192,23 @@ impl DurableConfig {
 
 /// Why [`DurableSentry::open`] scanned the whole journal — the one
 /// path whose cost grows with everything ever journaled — instead of
-/// starting at a checkpoint's anchor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// starting at a checkpoint's anchor. With any of these no checkpoint
+/// is restored: the whole journal is replayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FullScan {
     /// There is no checkpoint file: a first start, or checkpoints are
     /// switched off.
     NoCheckpoint,
-    /// The checkpoint file could not be read or failed validation (bad
-    /// magic, CRC or version), or it claims more events than the
-    /// journal holds. Discarded.
+    /// The checkpoint file could not be read or failed validation (see
+    /// [`CheckpointRead::Invalid`]). Discarded.
     CheckpointInvalid,
-    /// The checkpoint is valid but carries no anchor (it was written
-    /// before checkpoints had one). Restored; only the journal's event
-    /// records past it are replayed, but all of them were read.
-    Unanchored,
     /// The checkpoint's anchor does not describe this journal, so the
     /// checkpoint is taken to belong to another history. Discarded.
     AnchorRefused(AnchorRefused),
 }
 
 /// What [`DurableSentry::open`] found and did.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Event index the restored checkpoint was taken at (0 if none).
     pub checkpoint_events: u64,
@@ -234,10 +228,9 @@ pub struct RecoveryReport {
     /// Torn journal bytes truncated on open.
     pub journal_bytes_truncated: u64,
     /// A checkpoint file existed but was not used: it could not be
-    /// read, failed validation (bad magic, CRC, version), post-dated
-    /// the journal, or its anchor did not describe the journal —
-    /// recovery fell back to full journal replay. `full_scan` says
-    /// which.
+    /// read, failed validation (bad magic, CRC, body, version or no
+    /// anchor), or its anchor did not describe the journal — recovery
+    /// fell back to full journal replay. `full_scan` says which.
     pub checkpoint_discarded: bool,
     /// Why the whole journal was scanned; `None` when `open` started at
     /// the checkpoint's anchor.
@@ -302,32 +295,21 @@ impl DurableSentry {
         // The checkpoint first: its anchor says where in the journal to
         // start. An anchor the journal refuses takes its checkpoint
         // down with it — they are not of one history.
-        let (anchored, mut snapshot, mut full_scan) = match read_checkpoint(&checkpoint_path) {
-            CheckpointRead::Valid(snap) if snap.journal.offset != 0 => {
+        let (anchored, full_scan) = match read_checkpoint(&checkpoint_path) {
+            CheckpointRead::Valid(snap) => {
                 match Journal::open_at(&journal_path, durable.journal, &snap.journal, snap.events)?
                 {
-                    Ok(opened) => (Some(opened), Some(snap), None),
-                    Err(refused) => (None, None, Some(FullScan::AnchorRefused(refused))),
+                    Ok(opened) => (Some((snap, opened)), None),
+                    Err(refused) => (None, Some(FullScan::AnchorRefused(refused))),
                 }
             }
-            CheckpointRead::Valid(snap) => (None, Some(snap), Some(FullScan::Unanchored)),
-            CheckpointRead::Absent => (None, None, Some(FullScan::NoCheckpoint)),
-            CheckpointRead::Invalid => (None, None, Some(FullScan::CheckpointInvalid)),
+            CheckpointRead::Absent => (None, Some(FullScan::NoCheckpoint)),
+            CheckpointRead::Invalid => (None, Some(FullScan::CheckpointInvalid)),
         };
-        let (mut journal, recovered) = match anchored {
-            Some(opened) => opened,
-            None => Journal::open(&journal_path, durable.journal)?,
+        let (snapshot, (mut journal, recovered)) = match anchored {
+            Some((snap, opened)) => (Some(snap), opened),
+            None => (None, Journal::open(&journal_path, durable.journal)?),
         };
-        // Without an anchor to vouch for it, a checkpoint that claims
-        // more events than the journal holds must have been written by
-        // a future the torn journal no longer remembers: the journal
-        // wins, replay it all.
-        if snapshot
-            .as_ref()
-            .is_some_and(|snap| snap.events > journal.durable_events())
-        {
-            (snapshot, full_scan) = (None, Some(FullScan::CheckpointInvalid));
-        }
         let mut report = RecoveryReport {
             journal_bytes_truncated: recovered.bytes_truncated,
             journal_bytes_scanned: recovered.bytes_scanned,
@@ -362,9 +344,9 @@ impl DurableSentry {
         }
 
         // Replay events past the checkpoint through the ordinary
-        // ingest path. From an anchor the scan returned nothing older
-        // than the checkpoint; a full scan returned every event there
-        // is. The overload governor is off during replay: replay
+        // ingest path: from an anchor the scan returned nothing older
+        // than the checkpoint, and a full scan restored no checkpoint.
+        // The overload governor is off during replay: replay
         // pressure is an artifact of recovery speed, not of live ingest
         // load, and shedding here would diverge from the uninterrupted
         // run. Nor does replay serve a window: a round here would serve
@@ -372,13 +354,9 @@ impl DurableSentry {
         // replay started — the anchor or the journal's first event — so
         // the incidents `open` raised would too, and the anchor would
         // be information. The windows wait for the first poll.
-        let covered = match full_scan {
-            Some(_) => report.checkpoint_events as usize,
-            None => 0,
-        };
         inner.set_governing(false);
         let mut raised: Vec<Incident> = Vec::new();
-        for event in recovered.events.iter().skip(covered) {
+        for event in &recovered.events {
             raised.extend(inner.ingest(event));
             report.replayed_events += 1;
         }
@@ -559,17 +537,19 @@ pub enum CheckpointRead {
     /// No file: a first start.
     Absent,
     /// A file [`DurableSentry::open`] would discard: unreadable, a wrong
-    /// magic, a failed CRC, a body that does not parse, or another
-    /// [`SNAPSHOT_VERSION`].
+    /// magic, a failed CRC, a body that does not parse (a field
+    /// missing among them), another [`SNAPSHOT_VERSION`], or no journal
+    /// anchor.
     Invalid,
     /// A checkpoint `open` would start from.
     Valid(Box<SentrySnapshot>),
 }
 
 /// Decodes the checkpoint file at `path` (`checkpoint.snap` under a
-/// durable directory) with every check [`DurableSentry::open`] applies:
-/// magic, CRC-32 of the body, the JSON [`SentrySnapshot`] and its
-/// version. The one decoder of the format.
+/// durable directory) with every check [`DurableSentry::open`] applies
+/// before it asks the journal about the anchor: magic, CRC-32 of the
+/// body, the JSON [`SentrySnapshot`], its version and a nonzero anchor.
+/// The one decoder of the format.
 pub fn read_checkpoint(path: &Path) -> CheckpointRead {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
@@ -599,7 +579,7 @@ pub fn read_checkpoint(path: &Path) -> CheckpointRead {
     else {
         return CheckpointRead::Invalid;
     };
-    if snap.version != SNAPSHOT_VERSION {
+    if snap.version != SNAPSHOT_VERSION || snap.journal.offset == 0 {
         return CheckpointRead::Invalid;
     }
     CheckpointRead::Valid(Box::new(snap))
@@ -676,6 +656,13 @@ mod tests {
         let d = std::env::temp_dir().join(format!("csd-durable-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// Writes `body` as the checkpoint file at `path`, framed the way
+    /// [`write_checkpoint`] frames one: magic, CRC-32 of the body, body.
+    fn write_body(path: &Path, body: &[u8]) {
+        let file = [SNAPSHOT_MAGIC.as_slice(), &crc32(body).to_le_bytes(), body].concat();
+        fs::write(path, file).unwrap();
     }
 
     /// A deterministic multi-pid event stream with spawns, calls, and
@@ -936,8 +923,8 @@ mod tests {
     /// An anchor that does not hold — stale, of another history, or
     /// simply wrong — costs a full scan and its checkpoint, never data:
     /// the journal is not cut by a byte, every incident is adopted from
-    /// it, and the report says why. A checkpoint without an anchor is
-    /// still restored, by a full scan.
+    /// it, and the report says why. So does a checkpoint with no anchor,
+    /// or one missing a field: it is invalid.
     #[test]
     fn an_anchor_that_does_not_hold_costs_a_full_scan_not_data() {
         use AnchorRefused::{BoundaryMismatch, BrokenLink, JournalShort};
@@ -1016,23 +1003,28 @@ mod tests {
             );
         }
 
-        // No anchor at all (a checkpoint from before there was one):
-        // restored, after a full scan.
-        write_checkpoint(
-            &ckpt,
-            &anchored(&|j| *j = JournalAnchor::default()),
-            &mut buf,
-        )
-        .unwrap();
-        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        let report = d.recovery();
-        assert_eq!(report.full_scan, Some(FullScan::Unanchored));
-        assert!(!report.checkpoint_discarded);
-        assert_eq!(report.checkpoint_events, good.events);
-        assert_eq!(report.replayed_events, events.len() as u64 - good.events);
-        assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
-        assert_eq!(keys(d.sentry()), expect);
-        drop(d);
+        // No anchor at all, and no `journal` field at all: invalid, so
+        // discarded, and the whole journal replayed.
+        let anchorless = anchored(&|j| *j = JournalAnchor::default());
+        let whole = serde_json::to_string(&*good).unwrap();
+        let cut = whole.rfind(r#","journal":"#).unwrap();
+        for body in [
+            serde_json::to_string(&anchorless).unwrap(),
+            format!("{}}}", &whole[..cut]),
+        ] {
+            write_body(&ckpt, body.as_bytes());
+            assert!(matches!(read_checkpoint(&ckpt), CheckpointRead::Invalid));
+            let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+            let report = d.recovery();
+            assert_eq!(report.full_scan, Some(FullScan::CheckpointInvalid));
+            assert!(report.checkpoint_discarded);
+            assert_eq!(report.checkpoint_events, 0);
+            assert_eq!(report.replayed_events, events.len() as u64);
+            assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
+            assert_eq!(keys(d.sentry()), expect);
+            drop(d);
+            assert_eq!(fs::read(dir.join("journal.log")).unwrap(), journal);
+        }
 
         // And the anchor as it was written: the same place, by reading
         // the tail and the digests only — one read a checkpoint, the
@@ -1277,18 +1269,18 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// `Sentry::snapshot()` as the commit before sessions retired wrote
-    /// it, after this test's 36 events: sessions 1 and 2 exited (one
-    /// out-of-vocabulary call between them), session 3 killed and still
-    /// PID-linked, no `retired_*` totals.
-    const PARENT_SNAPSHOT: &str = r#"{"version":1,"events":36,"verdicts_folded":3,"whitelist_exact":[],"whitelist_prefixes":[],"table":{"vocab":16,"idle_timeout_events":null,"next_sid":4,"clock":36,"started":3,"ended":2,"dropped_after_kill":0,"stray_exits":0,"oov_total":1,"by_pid":[[102,3]],"sessions":[{"sid":1,"pid":100,"name":"w.exe","buf":[],"base":10,"calls_seen":11,"oov":1,"killed":false,"ended":1,"started_at":1,"last_event":34},{"sid":2,"pid":101,"name":"w.exe","buf":[],"base":10,"calls_seen":10,"oov":0,"killed":false,"ended":1,"started_at":2,"last_event":32},{"sid":3,"pid":102,"name":"w.exe","buf":[],"base":10,"calls_seen":10,"oov":0,"killed":true,"ended":0,"started_at":3,"last_event":33}]},"streams":[{"sid":1,"submitted":1,"ring":0,"verdicts":1,"latched":false,"shed":false},{"sid":2,"submitted":1,"ring":0,"verdicts":1,"latched":false,"shed":false},{"sid":3,"submitted":1,"ring":1,"verdicts":1,"latched":true,"shed":false}],"last_t_us":[],"dup_events":0,"shed_log":[]}"#;
-
+    /// A checkpoint that still carries ended sessions — a snapshot
+    /// taken before the drain that would retire them — loads, and they
+    /// retire on the way in: the restored sentry tracks only the live
+    /// session and holds the state of the run that never stopped.
     #[test]
     fn checkpoint_with_dead_sessions_loads_and_is_pruned() {
-        let dir = tmpdir("parent-format");
+        let dir = tmpdir("dead-sessions");
         fs::create_dir_all(&dir).unwrap();
-        // The run that wrote it: three processes, ten calls each, one
-        // stray out-of-vocabulary call, two exits.
+        // Three processes, ten calls each: the third's window is served
+        // first, then the other two call, one of them out of
+        // vocabulary, and exit with their windows still queued.
+        let call = |round: usize, pid: u32| (round * 7 + pid as usize * 3) % VOCAB;
         let mut events = Vec::new();
         let mut t = 0u64;
         for pid in 100..103u32 {
@@ -1296,13 +1288,14 @@ mod tests {
             events.push(ProcessEvent::spawn(t, pid, "w.exe"));
         }
         for round in 0..10usize {
-            for pid in 100..103u32 {
+            t += 1;
+            events.push(ProcessEvent::api(t, 102, call(round, 102)));
+        }
+        let served = events.len();
+        for round in 0..10usize {
+            for pid in 100..102u32 {
                 t += 1;
-                events.push(ProcessEvent::api(
-                    t,
-                    pid,
-                    (round * 7 + pid as usize * 3) % VOCAB,
-                ));
+                events.push(ProcessEvent::api(t, pid, call(round, pid)));
             }
         }
         t += 1;
@@ -1312,25 +1305,29 @@ mod tests {
             events.push(ProcessEvent::exit(t, pid));
         }
         let mut live = Sentry::new(engine(), config());
-        for e in &events {
+        let (mut journal, _) =
+            Journal::open(&dir.join("journal.log"), JournalConfig::default()).unwrap();
+        for e in &events[..served] {
             live.ingest(e);
+            journal.append_event(e).unwrap();
         }
+        journal.append_incidents(&live.poll()).unwrap();
+        for e in &events[served..] {
+            live.ingest(e);
+            journal.append_event(e).unwrap();
+        }
+        let snap = SentrySnapshot {
+            journal: journal.checkpoint().unwrap(),
+            ..live.snapshot()
+        };
+        drop(journal);
+        assert_eq!(snap.table.sessions.len(), 3, "two of them ended");
+        write_checkpoint(&dir.join("checkpoint.snap"), &snap, &mut Vec::new()).unwrap();
         live.drain();
-        {
-            let (mut journal, _) =
-                Journal::open(&dir.join("journal.log"), JournalConfig::default()).unwrap();
-            for e in &events {
-                journal.append_event(e).unwrap();
-            }
-            journal.append_incidents(live.incidents()).unwrap();
-        }
-        let mut file = SNAPSHOT_MAGIC.to_vec();
-        file.extend_from_slice(&crc32(PARENT_SNAPSHOT.as_bytes()).to_le_bytes());
-        file.extend_from_slice(PARENT_SNAPSHOT.as_bytes());
-        fs::write(dir.join("checkpoint.snap"), &file).unwrap();
+        assert_eq!(live.incidents().len(), 1);
 
         let mut d = DurableSentry::open(engine(), config(), DurableConfig::new(&dir)).unwrap();
-        assert!(!d.recovery().checkpoint_discarded, "the old format loads");
+        assert_eq!(d.recovery().full_scan, None, "the checkpoint loads");
         assert_eq!(d.recovery().checkpoint_events, 36);
         assert_eq!(d.recovery().replayed_events, 0);
         assert_eq!(d.recovery().adopted_incidents, 1);
@@ -1340,18 +1337,27 @@ mod tests {
         assert!(sentry.sessions().session(3).unwrap().is_killed());
         assert_eq!(sentry.sessions().retired_calls(), 21);
         assert_eq!(sentry.sessions().retired_oov(), 1);
-        // Same state as the run that never stopped, field for field
-        // (the mux's counters restart with the process).
+        // Same state as the run that never stopped, field for field (the
+        // mux's counters restart with the process), but for the windows
+        // the two dead sessions had queued: a snapshot does not carry
+        // the mux, so the live run folds their verdicts and the
+        // restored one never sees them.
+        let in_flight: u64 = snap
+            .streams
+            .iter()
+            .map(|s| s.submitted as u64 - u64::from(s.verdicts))
+            .sum();
+        assert_eq!(in_flight, 2);
         let (got, mut want) = (sentry.stats(), live.stats());
-        want.mux = got.mux;
+        assert_eq!(got.verdicts_folded + in_flight, want.verdicts_folded);
+        (want.mux, want.verdicts_folded) = (got.mux, got.verdicts_folded);
         assert_eq!(
             serde_json::to_string(&got).unwrap(),
             serde_json::to_string(&want).unwrap()
         );
-        assert_eq!(
-            serde_json::to_string(&sentry.snapshot()).unwrap(),
-            serde_json::to_string(&live.snapshot()).unwrap()
-        );
+        let mut want = live.snapshot();
+        want.verdicts_folded -= in_flight;
+        assert_eq!(sentry.snapshot(), want);
         // The killed session still drops its stragglers.
         d.ingest(&ProcessEvent::api(t + 1, 102, 1)).unwrap();
         assert_eq!(d.sentry().stats().dropped_after_kill, 1);
@@ -1362,6 +1368,93 @@ mod tests {
         };
         assert_eq!(rewritten.table.sessions.len(), 1);
         assert_eq!(rewritten.streams.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `checkpoint.snap` as [`the_checkpoint_on_disk_is_the_golden_bytes`]
+    /// writes it — magic, CRC-32 of the body, JSON body — pinned, so a
+    /// directory an earlier build of the format wrote opens unchanged,
+    /// and a serializer change that moves a byte fails here.
+    const GOLDEN_CHECKPOINT_CRC: u32 = 0x6cb9_7139;
+    const GOLDEN_CHECKPOINT: &str = concat!(
+        r#"{"version":1,"events":38,"verdicts_folded":3,"#,
+        r#""whitelist_exact":["svc.exe"],"whitelist_prefixes":["C:\\Windows\\"],"#,
+        r#""table":{"vocab":16,"idle_timeout_events":null,"next_sid":5,"clock":38,"#,
+        r#""started":4,"ended":1,"dropped_after_kill":0,"stray_exits":0,"#,
+        r#""oov_total":0,"retired_calls":11,"retired_oov":0,"by_pid":[[7,4],"#,
+        r#"[101,2],[102,3]],"sessions":[{"sid":2,"pid":101,"name":"w.exe","#,
+        r#""buf":[6,13,4,11,2,9,0],"base":4,"calls_seen":11,"oov":0,"killed":false,"#,
+        r#""ended":0,"started_at":2,"last_event":35},{"sid":3,"pid":102,"#,
+        r#""name":"w.exe","buf":[9,0,7,14,5,12,3],"base":4,"calls_seen":11,"oov":0,"#,
+        r#""killed":false,"ended":0,"started_at":3,"last_event":36},{"sid":4,"#,
+        r#""pid":7,"name":null,"buf":[3],"base":0,"calls_seen":1,"oov":0,"#,
+        r#""killed":false,"ended":0,"started_at":38,"last_event":38}]},"#,
+        r#""streams":[{"sid":2,"submitted":1,"ring":0,"verdicts":1,"latched":false,"#,
+        r#""shed":false},{"sid":3,"submitted":1,"ring":0,"verdicts":1,"#,
+        r#""latched":false,"shed":false},{"sid":4,"submitted":0,"ring":0,"#,
+        r#""verdicts":0,"latched":false,"shed":false}],"last_t_us":[[7,1000],"#,
+        r#"[100,37],[101,35],[102,36]],"dup_events":0,"shed_log":[],"#,
+        r#""journal":{"offset":1131,"incidents":1,"last_record":1058,"digest":1058,"#,
+        r#""digest_len":65}}"#,
+    );
+
+    /// The twin of the journal's golden-bytes test: a small seeded run
+    /// writes these bytes, and a directory holding them opens from the
+    /// anchor they carry.
+    #[test]
+    fn the_checkpoint_on_disk_is_the_golden_bytes() {
+        let dir = tmpdir("golden");
+        let mut cfg = config();
+        cfg.dedup_monotone_ts = true;
+        let mut d = DurableSentry::open(engine(), cfg.clone(), DurableConfig::new(&dir)).unwrap();
+        d.sentry_mut().whitelist_mut().add("svc.exe");
+        d.sentry_mut().whitelist_mut().add_prefix("C:\\Windows\\");
+        // Three sessions, one of them exited and retired, and one with
+        // no spawn and so no name.
+        let mut events = workload(3, 12);
+        events.truncate(events.len() - 2);
+        events.push(ProcessEvent::api(1000, 7, 3));
+        for e in &events {
+            d.ingest(e).unwrap();
+        }
+        d.checkpoint().unwrap();
+        drop(d);
+        let file = fs::read(dir.join("checkpoint.snap")).unwrap();
+        let (head, body) = file.split_at(SNAPSHOT_MAGIC.len() + 4);
+        let crc = GOLDEN_CHECKPOINT_CRC.to_le_bytes();
+        assert_eq!(head, [SNAPSHOT_MAGIC.as_slice(), &crc].concat());
+        assert_eq!(std::str::from_utf8(body).unwrap(), GOLDEN_CHECKPOINT);
+
+        let d = DurableSentry::open(engine(), cfg, DurableConfig::new(&dir)).unwrap();
+        let report = d.recovery();
+        assert_eq!(report.full_scan, None);
+        assert_eq!(report.checkpoint_events, events.len() as u64);
+        assert_eq!(report.replayed_events, 0);
+        assert_eq!(report.adopted_incidents, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Nesting a parser cannot hold on its stack, in a checkpoint whose
+    /// CRC is good, is an invalid checkpoint and not a crash: `open`
+    /// scans the whole journal and reaches the same incidents.
+    #[test]
+    fn a_deeply_nested_checkpoint_is_invalid_not_a_crash() {
+        let dir = tmpdir("deep-nesting");
+        let events = workload(4, 30);
+        let expect = oracle(&events);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 40;
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        feed(&mut d, &events);
+        d.drain().unwrap();
+        drop(d);
+        let ckpt = dir.join("checkpoint.snap");
+        write_body(&ckpt, &[b'['; 100_000]);
+        assert!(matches!(read_checkpoint(&ckpt), CheckpointRead::Invalid));
+        let d = DurableSentry::open(engine(), config(), durable).unwrap();
+        assert_eq!(d.recovery().full_scan, Some(FullScan::CheckpointInvalid));
+        assert_eq!(d.recovery().replayed_events, events.len() as u64);
+        assert_eq!(keys(d.sentry()), expect);
         let _ = fs::remove_dir_all(&dir);
     }
 

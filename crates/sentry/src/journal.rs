@@ -242,34 +242,32 @@ impl From<io::Error> for JournalError {
 
 /// Where a checkpoint's sync left the journal file: what the checkpoint
 /// records so the next [`open_at`](Journal::open_at) can start there.
-/// All of it describes *synced* bytes; 0 stands for "none", and an
-/// anchor whose `offset` is 0 for "no anchor".
+/// All of it describes *synced* bytes; 0 stands for "none". An anchor
+/// whose `offset` is 0 — the default, which
+/// [`Sentry::snapshot`](crate::Sentry::snapshot) leaves — is no anchor,
+/// and a checkpoint carrying it is invalid
+/// ([`read_checkpoint`](crate::read_checkpoint)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalAnchor {
     /// The file's synced length: every byte before it is durable and
     /// the last of them ends a record.
-    #[serde(default)]
     pub offset: u64,
     /// Incident records before `offset`: what the digest chain holds.
-    #[serde(default)]
     pub incidents: u64,
     /// Offset of the last record before `offset`, or 0 if the file held
     /// only its magic.
-    #[serde(default)]
     pub last_record: u64,
     /// Offset of the newest digest before `offset` — the head of the
     /// chain, and usually `last_record` itself — or 0 if there is none.
-    #[serde(default)]
     pub digest: u64,
     /// That digest's length field (`rtype` and body bytes), 0 with no
     /// digest.
-    #[serde(default)]
     pub digest_len: u32,
 }
 
 /// Why [`Journal::open_at`] would not start from an anchor. Nothing
 /// was truncated or written when one of these comes back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnchorRefused {
     /// The file is shorter than the anchor's offset: the anchor was
     /// taken of a longer file than this one.

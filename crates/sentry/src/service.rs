@@ -45,6 +45,7 @@ use csd_accel::{
     Admission, Alert, CsdInferenceEngine, MuxStats, PipelineSchedule, ShardedStreamMux, StreamLoss,
     StreamMuxConfig, Verdict, VoteRing,
 };
+
 use serde::{Deserialize, Serialize};
 
 use crate::actions::{ActionKind, ActionOutcome, ActionTaken, Incident};
@@ -58,7 +59,7 @@ use crate::whitelist::Whitelist;
 
 /// Sentry tuning. Defaults mirror the serial monitor's
 /// (`MonitorConfig`): window 100, stride 10, 2-of-3 votes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SentryConfig {
     /// Window length fed to the engine.
     pub window_len: usize,
@@ -85,7 +86,6 @@ pub struct SentryConfig {
     /// ([`SentryStats::dup_events`]) and still occupy an event slot on
     /// the ingest clock, so the journal's durable-event cursor stays
     /// 1:1 with delivered frames.
-    #[serde(default)]
     pub dedup_monotone_ts: bool,
     /// Bounded-staleness SLO, in ingest-clock events: the oldest
     /// outstanding submitted window should be at most this many events
@@ -93,7 +93,6 @@ pub struct SentryConfig {
     /// governor walks the degradation ladder as staleness crosses
     /// `slo/2` (SLO-driven polling) and `2·slo` (shed zero-vote
     /// sessions) — see [`overload_level`](Sentry::overload_level).
-    #[serde(default)]
     pub staleness_slo: Option<u64>,
     /// The stream mux under the service.
     pub mux: StreamMuxConfig,
@@ -138,7 +137,7 @@ pub const POLL_ROUNDS_MAX: usize = 64;
 /// configured SLO and release with hysteresis (one rung per ingest,
 /// only once staleness falls to half the rung's entry threshold), so
 /// the ladder doesn't flap at a boundary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OverloadLevel {
     /// Staleness within budget; no intervention.
     #[default]
@@ -194,7 +193,7 @@ struct StreamRecord {
 }
 
 /// Aggregate service counters, for reports and the bench campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SentryStats {
     /// Events ingested.
     pub events: u64,
@@ -218,21 +217,16 @@ pub struct SentryStats {
     pub post_exit_incidents: u64,
     /// Action dispatches the backend reported as failed (the incident
     /// still latched, with the error in its outcome).
-    #[serde(default)]
     pub actions_failed: u64,
     /// Duplicate events dropped by monotone-timestamp dedup (0 unless
     /// [`SentryConfig::dedup_monotone_ts`]).
-    #[serde(default)]
     pub dup_events: u64,
     /// Sessions shed by the overload governor.
-    #[serde(default)]
     pub shed_sessions: u64,
     /// Extra engine rounds run by the SLO-driven poll governor.
-    #[serde(default)]
     pub slo_polls: u64,
     /// Current verdict staleness: ingest-clock events since the oldest
     /// outstanding submitted window.
-    #[serde(default)]
     pub staleness: u64,
     /// The mux's own counters (submissions, occupancy, loss).
     pub mux: MuxStats,
@@ -882,9 +876,8 @@ impl Sentry {
     /// restored sentry to the uninterrupted run's incident set.
     ///
     /// The lifetime rule applies on the way in: the fresh mux holds
-    /// nothing, so ended sessions the snapshot still carries (a
-    /// non-quiescent one, or one written before sessions retired)
-    /// retire here.
+    /// nothing, so ended sessions the snapshot still carries (one taken
+    /// before the drain that would have retired them) retire here.
     ///
     /// Incident-derived counters (`suppressed`, `post_exit_incidents`,
     /// `actions_failed`) start at zero here and are recomputed as
@@ -1573,53 +1566,5 @@ mod tests {
         }
         assert_eq!(sentry.overload_level(), OverloadLevel::Normal);
         assert_eq!(sentry.stats().slo_polls, 0);
-    }
-
-    /// Stats written before the cascade counters, the rebalancer's tally
-    /// and the lane block's two counters were removed still load, with
-    /// every surviving field intact.
-    #[test]
-    fn stats_json_with_removed_counters_still_loads() {
-        // The removed keys: the five cascade counters (spelled in
-        // halves so that a grep for the deleted names over the source
-        // tree stays empty), the rebalancer's `steals` and the lane
-        // block's two counters (in halves too).
-        let removed = concat!(
-            r#""screened": 0, "escalated": 0, "cascade_"#,
-            r#"flips": 0, "forced_"#,
-            r#"screen": 0, "screen_"#,
-            r#"only_ticks": 0, "steals": 0,"#,
-            r#""degraded_"#,
-            r#"ticks": 0, "lanes_"#,
-            r#"poisoned": 0,"#
-        );
-        let template = r#"{
-            "events": 40800, "sessions_started": 400, "sessions_ended": 400,
-            "oov_calls": 0, "dropped_after_kill": 0, "stray_exits": 0,
-            "verdicts_folded": 400, "incidents": 210, "suppressed": 0,
-            "post_exit_incidents": 210, "actions_failed": 0, "dup_events": 0,
-            "shed_sessions": 0, "slo_polls": 0, "staleness": 0,
-            "mux": {
-                "ticks": 5267, "verdicts": 400, "dropped": 0, "evicted": 0,
-                "refused": 0, "rejected": 0, "occupancy": 0.4746535029428517,
-                "p50_latency_ticks": 100, "p99_latency_ticks": 100,
-                "verdicts_per_sec": 3988.0636059853773, "faults": 0,
-                "degraded_reruns": 0,
-                @REMOVED@
-                "shards": 2
-            }
-        }"#;
-        let old = template.replace("@REMOVED@", removed);
-        let stats: SentryStats = serde_json::from_str(&old).expect("old stats parse");
-        let surviving: String = template
-            .replace("@REMOVED@", "")
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .collect();
-        assert_eq!(
-            serde_json::to_string(&stats).expect("serializes"),
-            surviving,
-            "every surviving field round-trips"
-        );
     }
 }

@@ -15,10 +15,12 @@
 //! when the mux is empty, and latency samples are measurements of a
 //! particular run, not state the detection pipeline depends on.
 //!
-//! The structures here are shaped for the vendored serde: `Vec`s of
-//! tuples instead of maps, unit-variant enums only. Ordering is
-//! normalized (sorted by sid) so snapshots of equal states are
-//! byte-equal.
+//! The structures here are plain named-field structs of integers,
+//! strings, options, `Vec`s and pairs — the JSON body of
+//! `checkpoint.snap`, and the only types in the workspace that derive
+//! `Deserialize`. Every field is required: a body missing one does not
+//! parse. Ordering is normalized (sorted by sid) so snapshots of equal
+//! states are byte-equal.
 //!
 //! Incidents are not in the snapshot either: the journal is their
 //! system of record (every latched incident is an fsync'd journal
@@ -88,10 +90,8 @@ pub struct TableSnap {
     /// Out-of-vocabulary calls across all sessions.
     pub oov_total: u64,
     /// `calls_seen` summed over retired sessions.
-    #[serde(default)]
     pub retired_calls: u64,
     /// `oov` summed over retired sessions.
-    #[serde(default)]
     pub retired_oov: u64,
     /// The PID → sid links, sorted by PID.
     pub by_pid: Vec<(u32, u64)>,
@@ -114,7 +114,6 @@ pub struct StreamSnap {
     pub latched: bool,
     /// Shed by the overload governor; the stream is closed without a
     /// verdict.
-    #[serde(default)]
     pub shed: bool,
 }
 
@@ -150,13 +149,10 @@ pub struct SentrySnapshot {
     /// Checkpointed events are never replayed, so the watermark that
     /// guarded them must survive the checkpoint — otherwise a duplicate
     /// frame re-sent across a crash would be ingested twice.
-    #[serde(default)]
     pub last_t_us: Vec<(u32, u64)>,
     /// Duplicate frames dropped by monotone-timestamp dedup.
-    #[serde(default)]
     pub dup_events: u64,
     /// Sessions shed by the overload governor, in shed order.
-    #[serde(default)]
     pub shed_log: Vec<ShedRecord>,
     /// Where the checkpoint's journal sync left `journal.log`: the
     /// place [`DurableSentry::open`](crate::DurableSentry::open) starts
@@ -164,9 +160,7 @@ pub struct SentrySnapshot {
     /// [`DurableSentry::checkpoint`](crate::DurableSentry::checkpoint)
     /// fills it in from the journal it has just synced;
     /// [`Sentry::snapshot`](crate::Sentry::snapshot), which knows no
-    /// journal, leaves it zeroed, and so does a checkpoint written
-    /// before it existed — offset 0 means "no anchor: scan the whole
-    /// journal".
-    #[serde(default)]
+    /// journal, leaves it zeroed — offset 0 means "no anchor", and a
+    /// checkpoint without one is invalid.
     pub journal: JournalAnchor,
 }

@@ -25,8 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::Serialize;
-
 use crate::actions::Incident;
 use crate::bus::{EventBus, FrameHook};
 use crate::durable::{DurableConfig, DurableSentry};
@@ -67,7 +65,7 @@ impl SupervisorPolicy {
 }
 
 /// What a supervised run went through.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SupervisorReport {
     /// Body incarnations started (first run + respawns).
     pub attempts: u32,

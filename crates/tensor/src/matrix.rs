@@ -1,7 +1,5 @@
 //! Dense row-major matrices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 
@@ -21,7 +19,7 @@ use crate::vector::Vector;
 /// let y = m.matvec(&Vector::from(vec![3.0, 4.0]));
 /// assert_eq!(y.as_slice(), &[3.0, 8.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<T> {
     rows: usize,
     cols: usize,

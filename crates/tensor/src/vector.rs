@@ -2,8 +2,6 @@
 
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::scalar::Scalar;
 
 /// A dense, heap-allocated vector of [`Scalar`]s.
@@ -18,7 +16,7 @@ use crate::scalar::Scalar;
 /// assert_eq!(a.dot(&b), 32.0);
 /// assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vector<T> {
     data: Vec<T>,
 }
