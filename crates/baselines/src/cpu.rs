@@ -45,20 +45,6 @@ impl CpuExecutionModel {
         }
     }
 
-    /// A fused-kernel calibration: the same Xeon once the four gate
-    /// matmuls are stacked into one `4H×Z` matvec and the elementwise
-    /// work is fused, as the engine's software hot path does. Dispatch
-    /// count drops from ~17 ops per timestep to ~6 (lookup, one biased
-    /// matmul, two activation sweeps, state update, bookkeeping); the
-    /// per-op cost and jitter regime are unchanged because they are
-    /// properties of the framework, not the graph.
-    pub fn xeon_fused() -> Self {
-        Self {
-            ops_per_step: 6,
-            ..Self::xeon_framework()
-        }
-    }
-
     /// The deterministic mean per-item time in µs.
     pub fn mean_us(&self) -> f64 {
         self.base_us + self.ops_per_step as f64 * self.per_op_dispatch_us
@@ -130,15 +116,6 @@ mod tests {
         let s = m.measure(100, 7);
         assert!(s.std < 1e-9);
         assert!((s.mean - m.mean_us()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fused_dispatch_is_cheaper_but_not_free() {
-        let fused = CpuExecutionModel::xeon_fused();
-        let eager = CpuExecutionModel::xeon_framework();
-        assert!(fused.mean_us() < eager.mean_us());
-        // Fusion removes dispatch, not the fixed session overhead.
-        assert!(fused.mean_us() > eager.base_us);
     }
 
     #[test]

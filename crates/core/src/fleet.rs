@@ -19,7 +19,7 @@ use csd_device::{FaultPlan, Nanos, RuntimeError};
 use csd_nn::ModelWeights;
 
 use crate::engine::Classification;
-use crate::host::{HostError, HostProgram, RecoveryPolicy, RecoveryStats};
+use crate::host::{HostError, HostProgram, RecoveryPolicy};
 use crate::opt::OptimizationLevel;
 
 /// The outcome of a fleet scan.
@@ -44,18 +44,8 @@ impl FleetScan {
     }
 }
 
-/// Fleet-level fault-handling knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetPolicy {
-    /// Scans a quarantined device sits out before re-admission.
-    pub cooldown_scans: u64,
-}
-
-impl Default for FleetPolicy {
-    fn default() -> Self {
-        Self { cooldown_scans: 2 }
-    }
-}
+/// Scans a quarantined device sits out before re-admission.
+const COOLDOWN_SCANS: u64 = 2;
 
 /// Fleet-level fault tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,7 +74,6 @@ struct Slot {
 #[derive(Debug)]
 pub struct CsdFleet {
     slots: Vec<Slot>,
-    policy: FleetPolicy,
     stats: FleetStats,
 }
 
@@ -114,7 +103,6 @@ impl CsdFleet {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             slots,
-            policy: FleetPolicy::default(),
             stats: FleetStats::default(),
         })
     }
@@ -127,11 +115,6 @@ impl CsdFleet {
     /// `false`: fleets are non-empty by construction.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Replaces the fleet-level fault policy.
-    pub fn set_policy(&mut self, policy: FleetPolicy) {
-        self.policy = policy;
     }
 
     /// Applies a recovery policy to every device.
@@ -159,15 +142,6 @@ impl CsdFleet {
         self.slots[idx].host.disarm_faults()
     }
 
-    /// Recovery tallies of device `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn device_stats(&self, idx: usize) -> RecoveryStats {
-        self.slots[idx].host.recovery_stats()
-    }
-
     /// Fleet-level fault tallies.
     pub fn stats(&self) -> FleetStats {
         self.stats
@@ -187,7 +161,7 @@ impl CsdFleet {
     /// devices. Devices run concurrently; each serializes its own share.
     ///
     /// A device that exhausts its recovery budget on a sequence is
-    /// quarantined for [`FleetPolicy::cooldown_scans`] scans and the
+    /// quarantined for two scans and the
     /// sequence moves to the next healthy device, so one flaky SmartSSD
     /// delays its shard instead of sinking the scan.
     ///
@@ -236,8 +210,7 @@ impl CsdFleet {
                     Err(e) => {
                         self.stats.faults += 1;
                         self.stats.quarantines += 1;
-                        self.slots[d].quarantined_until =
-                            Some(scan_no + self.policy.cooldown_scans);
+                        self.slots[d].quarantined_until = Some(scan_no + COOLDOWN_SCANS);
                         last_err = Some(e);
                     }
                 }
@@ -424,7 +397,6 @@ mod tests {
         let w = weights();
         let seqs = sequences(6);
         let mut fleet = CsdFleet::new(3, &w, OptimizationLevel::FixedPoint).expect("boot");
-        fleet.set_policy(FleetPolicy { cooldown_scans: 2 });
         fleet.set_recovery(RecoveryPolicy {
             max_retries: 1,
             ..RecoveryPolicy::retry_only()
@@ -508,7 +480,10 @@ mod tests {
                 scan.classifications, reference.classifications,
                 "{recovery:?}"
             );
-            let faults: u64 = (0..4).map(|idx| fleet.device_stats(idx).faults).sum();
+            let faults: u64 = (0..4)
+                .filter_map(|idx| fleet.disarm_faults(idx))
+                .map(|plan| plan.counters().total())
+                .sum();
             assert!(faults > 0, "{recovery:?}: no fault was injected");
         }
     }

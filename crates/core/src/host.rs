@@ -451,11 +451,6 @@ impl HostProgram {
         self.runtime.freeze_writes();
     }
 
-    /// Releases the quarantine after remediation.
-    pub fn release_quarantine(&mut self) {
-        self.runtime.thaw_writes();
-    }
-
     /// A write attempt against the protected storage (e.g. the ransomware
     /// sealing another encrypted file); returns `None` when the quarantine
     /// rejected it.
@@ -663,8 +658,6 @@ mod tests {
         host.quarantine();
         assert!(host.attempt_victim_write(16 * 1024).is_none());
         assert!(host.attempt_victim_write(4096).is_none());
-        host.release_quarantine();
-        assert!(host.attempt_victim_write(4096).is_some());
     }
 
     #[test]

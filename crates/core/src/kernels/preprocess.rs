@@ -75,10 +75,6 @@ pub fn spec(level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {
     spec
 }
 
-/// `Stage` count sanity helper for tests/benches: 1 fetch + 1 loop + 4
-/// fan-out bursts.
-pub const STAGES: usize = 6;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,7 +86,7 @@ pub mod weights;
 
 pub use bitstream::{link, LinkError, Xclbin};
 pub use engine::{Classification, CsdInferenceEngine, GatePath};
-pub use fleet::{CsdFleet, FleetPolicy, FleetScan, FleetStats};
+pub use fleet::{CsdFleet, FleetScan, FleetStats};
 pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats};
 pub use kernels::LstmDims;
 pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};

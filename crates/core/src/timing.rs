@@ -2,7 +2,7 @@
 //! Fig. 3 (per-kernel times under each optimization level) and the FPGA
 //! row of Table I.
 
-use csd_hls::{Clock, DeviceProfile, KernelEstimate, ResourceEstimate};
+use csd_hls::{Clock, DeviceProfile, KernelEstimate, KernelSpec, ResourceEstimate};
 
 use crate::kernels::{gates, hidden, preprocess, GateKind, LstmDims};
 use crate::opt::OptimizationLevel;
@@ -53,34 +53,7 @@ pub struct Fig3Row {
 /// Estimates one kernel breakdown on the paper's testbed (Alveo u200 at
 /// 300 MHz).
 pub fn breakdown(level: OptimizationLevel, dims: &LstmDims) -> KernelBreakdown {
-    let device = DeviceProfile::alveo_u200();
-    let clock = Clock::default_kernel_clock();
-    let small = kernel_budget(&device, 10);
-    let gate_budget = kernel_budget(&device, 20);
-
-    let pre = preprocess::spec(level, dims).estimate(&small);
-    let hid = hidden::spec(level, dims).estimate(&small);
-    let gate_worst = GateKind::ALL
-        .iter()
-        .map(|&k| gates::spec(k, level, dims).estimate(&gate_budget))
-        .map(|est: KernelEstimate| {
-            // The fixed-point design pipelines the row loop across items:
-            // its steady-state per-item cost is the kernel interval. The
-            // float designs process items back to back at full latency.
-            if level.is_fixed_point() {
-                est.timing.interval_cycles
-            } else {
-                est.timing.fill_cycles
-            }
-        })
-        .max()
-        .expect("four CUs");
-
-    KernelBreakdown {
-        preprocess_us: clock.micros(pre.timing.fill_cycles),
-        gates_us: clock.micros(gate_worst),
-        hidden_us: clock.micros(hid.timing.fill_cycles),
-    }
+    estimate(level, dims, false)
 }
 
 /// Like [`breakdown`] but with every inter-kernel AXI burst replaced by an
@@ -88,21 +61,25 @@ pub fn breakdown(level: OptimizationLevel, dims: &LstmDims) -> KernelBreakdown {
 /// ported to the kernel implementation for additional acceleration if the
 /// FPGA supports it".
 pub fn breakdown_streamed(level: OptimizationLevel, dims: &LstmDims) -> KernelBreakdown {
+    estimate(level, dims, true)
+}
+
+fn estimate(level: OptimizationLevel, dims: &LstmDims, streamed: bool) -> KernelBreakdown {
     let device = DeviceProfile::alveo_u200();
     let clock = Clock::default_kernel_clock();
     let small = kernel_budget(&device, 10);
     let gate_budget = kernel_budget(&device, 20);
+    let handoff = |spec: KernelSpec| if streamed { spec.streamed() } else { spec };
 
-    let pre = preprocess::spec(level, dims).streamed().estimate(&small);
-    let hid = hidden::spec(level, dims).streamed().estimate(&small);
+    let pre = handoff(preprocess::spec(level, dims)).estimate(&small);
+    let hid = handoff(hidden::spec(level, dims)).estimate(&small);
     let gate_worst = GateKind::ALL
         .iter()
-        .map(|&k| {
-            gates::spec(k, level, dims)
-                .streamed()
-                .estimate(&gate_budget)
-        })
+        .map(|&k| handoff(gates::spec(k, level, dims)).estimate(&gate_budget))
         .map(|est: KernelEstimate| {
+            // The fixed-point design pipelines the row loop across items:
+            // its steady-state per-item cost is the kernel interval. The
+            // float designs process items back to back at full latency.
             if level.is_fixed_point() {
                 est.timing.interval_cycles
             } else {

@@ -123,11 +123,6 @@ impl SmartSsd {
         self.ssd.freeze_writes();
     }
 
-    /// Releases the SSD write-freeze.
-    pub fn thaw_writes(&mut self) {
-        self.ssd.thaw_writes();
-    }
-
     /// Attempts a host write of `bytes` to the SSD starting at `now`:
     /// crosses the external link, then programs NAND. Returns `None` when
     /// the mitigation freeze rejects it.
@@ -233,8 +228,6 @@ mod tests {
         dev.freeze_writes();
         assert!(dev.host_write(Nanos::ZERO, 4096).is_none());
         assert_eq!(dev.ssd().writes_rejected(), 1);
-        dev.thaw_writes();
-        assert!(dev.host_write(Nanos::ZERO, 4096).is_some());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A discrete-event model of Samsung's SmartSSD Computational Storage Drive.
+//! A timing model of Samsung's SmartSSD Computational Storage Drive.
 //!
 //! The reproduced paper (DSN-S 2024, §II) runs its LSTM entirely on the
 //! FPGA of a SmartSSD: a 4 TB PM1733-class NVMe SSD paired with a Xilinx
@@ -10,15 +10,14 @@
 //! device at the level that matters for the paper's claims: *where bytes
 //! move and how long the moves take*.
 //!
-//! - [`sim`] — simulation time, a deterministic event queue, and busy-until
-//!   resource timelines (the contention model).
+//! - [`sim`] — simulation time and busy-until resource timelines (the
+//!   contention model).
 //! - [`ssd`] — the NVMe SSD: page reads, channel parallelism, sequential
 //!   bandwidth.
 //! - [`dram`] — FPGA DDR banks (the paper provisions a "conservative two
 //!   banks", §III-C) with per-bank bandwidth and contention.
 //! - [`pcie`] — the Gen3 ×4 link and the onboard switch: host-mediated
 //!   transfers cross the link twice; P2P transfers stay inside the device.
-//! - [`axi`] — AXI master ports between kernels and DDR.
 //! - [`runtime`] — an XRT-like host API: allocate device buffers, migrate
 //!   data, enqueue kernels, wait for completion — the verbs the paper's
 //!   host program uses.
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod axi;
 pub mod device;
 pub mod dram;
 pub mod fault;
@@ -52,11 +50,10 @@ pub mod runtime;
 pub mod sim;
 pub mod ssd;
 
-pub use axi::AxiPort;
 pub use device::{SmartSsd, TransferPath};
 pub use dram::{DdrBank, DramSubsystem};
 pub use fault::{FaultConfig, FaultCounters, FaultEvent, FaultPlan, FaultSite};
 pub use pcie::{PcieLink, PcieSwitch};
 pub use runtime::{BufferHandle, DeviceRuntime, KernelHandle, RunSummary, RuntimeError};
-pub use sim::{EventQueue, Nanos, ResourceTimeline};
+pub use sim::{Nanos, ResourceTimeline};
 pub use ssd::{NvmeSsd, SsdConfig};

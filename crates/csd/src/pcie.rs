@@ -94,11 +94,6 @@ impl PcieSwitch {
     pub fn host_bytes(&self) -> u64 {
         self.host_bytes
     }
-
-    /// The external link's parameters.
-    pub fn external_link(&self) -> PcieLink {
-        self.external
-    }
 }
 
 #[cfg(test)]

@@ -233,11 +233,6 @@ impl DeviceRuntime {
         self.device.freeze_writes();
     }
 
-    /// Releases the write-freeze after remediation.
-    pub fn thaw_writes(&mut self) {
-        self.device.thaw_writes();
-    }
-
     /// A host write attempt against the SSD (e.g. the ransomware trying to
     /// seal another encrypted file); `None` when the freeze rejected it.
     ///
@@ -558,8 +553,6 @@ mod tests {
         rt.freeze_writes();
         assert!(rt.attempt_host_write(4096).is_none());
         assert_eq!(rt.device().ssd().writes_rejected(), 1);
-        rt.thaw_writes();
-        assert!(rt.attempt_host_write(4096).is_some());
     }
 
     fn only(which: FaultSite, rate: f64) -> crate::fault::FaultConfig {

@@ -1,7 +1,5 @@
-//! Simulation time, a deterministic event queue, and resource timelines.
+//! Simulation time and resource timelines.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -83,79 +81,6 @@ impl fmt::Display for Nanos {
     }
 }
 
-/// A deterministic time-ordered event queue.
-///
-/// Ties are broken by insertion order, so identical-timestamp events pop in
-/// the order they were scheduled — a property the runtime's completion
-/// ordering tests rely on.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Nanos, u64, EventSlot<E>)>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct EventSlot<E>(E);
-
-impl<E> PartialEq for EventSlot<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for EventSlot<E> {}
-impl<E> PartialOrd for EventSlot<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for EventSlot<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: Nanos, event: E) {
-        self.heap.push(Reverse((at, self.seq, EventSlot(event))));
-        self.seq += 1;
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.heap.pop().map(|Reverse((t, _, EventSlot(e)))| (t, e))
-    }
-
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A serially-reusable resource (a PCIe link, a DDR bank, an SSD channel):
 /// requests are serviced in arrival order, each occupying the resource for
 /// its duration — the busy-until contention model.
@@ -222,19 +147,6 @@ mod tests {
         assert_eq!(d.as_nanos(), 1_000_000_000);
         // Zero bytes take zero time.
         assert_eq!(Nanos::for_transfer(0, 3.2), Nanos::ZERO);
-    }
-
-    #[test]
-    fn queue_orders_by_time_then_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos(30), "c");
-        q.schedule(Nanos(10), "a1");
-        q.schedule(Nanos(10), "a2");
-        q.schedule(Nanos(20), "b");
-        assert_eq!(q.peek_time(), Some(Nanos(10)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a1", "a2", "b", "c"]);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -97,15 +97,9 @@ impl NvmeSsd {
     }
 
     /// Engages the mitigation write-freeze: every subsequent write is
-    /// rejected until [`Self::thaw_writes`]. Reads continue (forensics and
-    /// recovery need them).
+    /// rejected. Reads continue (forensics and recovery need them).
     pub fn freeze_writes(&mut self) {
         self.writes_frozen = true;
-    }
-
-    /// Releases the write-freeze (after remediation).
-    pub fn thaw_writes(&mut self) {
-        self.writes_frozen = false;
     }
 
     /// Issues a write of `bytes` starting at `now`; returns the completion
@@ -240,9 +234,7 @@ mod tests {
         assert_eq!(ssd.writes_rejected(), 2);
         // Reads keep flowing for forensics.
         let _ = ssd.read(Nanos::ZERO, 4096);
-        ssd.thaw_writes();
-        assert!(ssd.write(Nanos::ZERO, 4096).is_some());
-        assert_eq!(ssd.bytes_written(), 2 * 4096);
+        assert_eq!(ssd.bytes_written(), 4096);
     }
 
     #[test]

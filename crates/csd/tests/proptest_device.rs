@@ -1,8 +1,7 @@
 //! Property-based tests for the device simulator's core invariants.
 
 use csd_device::{
-    DdrBank, DramSubsystem, EventQueue, Nanos, NvmeSsd, ResourceTimeline, SmartSsd, SsdConfig,
-    TransferPath,
+    DdrBank, DramSubsystem, Nanos, NvmeSsd, ResourceTimeline, SmartSsd, SsdConfig, TransferPath,
 };
 use proptest::prelude::*;
 
@@ -24,24 +23,6 @@ proptest! {
             total += dur;
         }
         prop_assert_eq!(tl.busy_total(), Nanos(total));
-    }
-
-    /// The event queue pops in global time order regardless of insertion
-    /// order.
-    #[test]
-    fn event_queue_sorted(times in prop::collection::vec(0u64..1_000_000, 1..60)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Nanos(t), i);
-        }
-        let mut last = Nanos::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
     }
 
     /// SSD reads: more bytes never finish sooner, and throughput never

@@ -3,40 +3,9 @@
 //! The paper replaces `tanh` with `softsign(x) = x / (|x| + 1)` because
 //! `tanh` requires `exp()`, which is expensive on FPGA fabric (§III-D,
 //! "Activation functions"). The sigmoid gate activations remain, implemented
-//! here both exactly (host-side reference) and as the piecewise-linear
-//! approximation commonly synthesized on fabric.
+//! here as the lookup table the fabric holds in one BRAM.
 
 use crate::scaled::Fixed;
-
-/// Which activation a fixed-point LSTM cell uses for its cell/hidden
-/// squashing, selecting between the paper's optimization and the classical
-/// formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FxActivation {
-    /// The paper's `softsign` replacement — exact in fixed point, no `exp()`.
-    #[default]
-    Softsign,
-    /// Classical `tanh`, evaluated via f64 (models the costly fabric path).
-    Tanh,
-}
-
-impl FxActivation {
-    /// Applies the activation to a fixed-point value.
-    pub fn apply<const P: u32>(self, x: Fixed<P>) -> Fixed<P> {
-        match self {
-            FxActivation::Softsign => softsign_fx(x),
-            FxActivation::Tanh => Fixed::from_f64(x.to_f64().tanh()),
-        }
-    }
-
-    /// Applies the activation to a floating-point value (offline reference).
-    pub fn apply_f64(self, x: f64) -> f64 {
-        match self {
-            FxActivation::Softsign => x / (x.abs() + 1.0),
-            FxActivation::Tanh => x.tanh(),
-        }
-    }
-}
 
 /// Exact fixed-point softsign: `x / (|x| + 1)`.
 ///
@@ -77,44 +46,10 @@ pub fn softsign_fx<const P: u32>(x: Fixed<P>) -> Fixed<P> {
     Fixed::from_raw(out as i64)
 }
 
-/// Fixed-point sigmoid via piecewise-linear approximation.
-///
-/// Uses the classical 5-segment PLAN approximation (Amin, Curtis, Hayes-Gill
-/// 1997), which is what HLS flows typically synthesize when told to avoid
-/// `exp()`:
-///
-/// | region            | value                  |
-/// |-------------------|------------------------|
-/// | `x >= 5`          | `1`                    |
-/// | `2.375 <= x < 5`  | `0.03125*x + 0.84375`  |
-/// | `1 <= x < 2.375`  | `0.125*x + 0.625`      |
-/// | `0 <= x < 1`      | `0.25*x + 0.5`         |
-/// | `x < 0`           | `1 - sigmoid(-x)`      |
-///
-/// Maximum absolute error vs. the true sigmoid is below 0.019, which the
-/// paper's detection metrics tolerate (§IV).
-pub fn sigmoid_fx<const P: u32>(x: Fixed<P>) -> Fixed<P> {
-    if x.is_negative() {
-        return Fixed::ONE - sigmoid_fx(-x);
-    }
-    let v = x.to_f64();
-    let y = if v >= 5.0 {
-        1.0
-    } else if v >= 2.375 {
-        0.03125 * v + 0.84375
-    } else if v >= 1.0 {
-        0.125 * v + 0.625
-    } else {
-        0.25 * v + 0.5
-    };
-    Fixed::from_f64(y)
-}
-
 /// Fixed-point sigmoid via a 256-entry lookup table with linear
 /// interpolation over `[-8, 8]` — the precision-oriented FPGA
 /// implementation (one BRAM, one multiply), with absolute error below
-/// 6 × 10⁻⁴. The inference engine uses this; [`sigmoid_fx`]'s 5-segment
-/// PLAN approximation is kept for the activation ablation.
+/// 6 × 10⁻⁴: the inference engine's gate sigmoid.
 pub fn sigmoid_fx_lut<const P: u32>(x: Fixed<P>) -> Fixed<P> {
     let table = sigmoid_table();
     let v = x.to_f64();
@@ -225,35 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_plan_error_bound() {
-        for i in -160..=160 {
-            let x = i as f64 * 0.05;
-            let approx = sigmoid_fx(Fx6::from_f64(x)).to_f64();
-            let exact = 1.0 / (1.0 + (-x).exp());
-            assert!(
-                (approx - exact).abs() < 0.019,
-                "x={x}: approx {approx} vs exact {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn sigmoid_symmetry() {
-        for i in 0..=40 {
-            let x = Fx6::from_f64(i as f64 * 0.2);
-            let pos = sigmoid_fx(x).to_f64();
-            let neg = sigmoid_fx(-x).to_f64();
-            assert!((pos + neg - 1.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sigmoid_saturates() {
-        assert_eq!(sigmoid_fx(Fx6::from_f64(10.0)), Fx6::ONE);
-        assert_eq!(sigmoid_fx(Fx6::from_f64(-10.0)), Fx6::ZERO);
-    }
-
-    #[test]
     fn sigmoid_lut_is_tight() {
         for i in -200..=200 {
             let x = i as f64 * 0.06;
@@ -276,20 +182,5 @@ mod tests {
         assert_eq!(div_round_raw(-5, 10), -1);
         assert_eq!(div_round_raw(-4, 10), 0);
         assert_eq!(div_round_raw(15, 10), 2);
-    }
-
-    #[test]
-    fn activation_enum_dispatch() {
-        let x = Fx6::from_f64(0.5);
-        assert_eq!(FxActivation::Softsign.apply(x), softsign_fx(x));
-        let t = FxActivation::Tanh.apply(x).to_f64();
-        assert!((t - 0.5f64.tanh()).abs() < 1e-6);
-        assert_eq!(FxActivation::default(), FxActivation::Softsign);
-    }
-
-    #[test]
-    fn activation_f64_reference() {
-        assert_eq!(FxActivation::Softsign.apply_f64(1.0), 0.5);
-        assert!((FxActivation::Tanh.apply_f64(1.0) - 1f64.tanh()).abs() < 1e-12);
     }
 }

@@ -17,13 +17,11 @@
 //! - [`Fixed`] — a compile-time-scaled decimal fixed-point number
 //!   (`Fixed<6>` is the paper's 10^6 configuration) backed by `i64` with
 //!   `i128` intermediates, so products never silently overflow.
-//! - [`DynFixed`] — a runtime-scaled variant used by the scale-factor
-//!   ablation sweep (10^3 … 10^8).
-//! - [`activation`] — fixed-point sigmoid and the paper's softsign
-//!   replacement for `tanh` (`softsign(x) = x / (|x| + 1)`), which avoids
-//!   `exp()` on the FPGA fabric.
-//! - [`error`] — quantization-error bounds and empirical error measurement,
-//!   backing the scale-factor ablation in `EXPERIMENTS.md`.
+//! - [`activation`] — the fixed-point lookup-table sigmoid and the paper's
+//!   softsign replacement for `tanh` (`softsign(x) = x / (|x| + 1)`), which
+//!   avoids `exp()` on the FPGA fabric.
+//! - [`bounds`] — the accumulator bounds under which the SIMD kernels'
+//!   `f64` arithmetic stays exact.
 //!
 //! # Example
 //!
@@ -49,12 +47,8 @@
 
 pub mod activation;
 pub mod bounds;
-pub mod dynfixed;
-pub mod error;
 pub mod scaled;
 
-pub use activation::{div_round_raw, sigmoid_fx, sigmoid_fx_lut, softsign_fx, FxActivation};
+pub use activation::{div_round_raw, sigmoid_fx_lut, softsign_fx};
 pub use bounds::{row_exact_in_f64, row_mac_bound, EXACT_F64_INT, LANE_ROW_BOUND};
-pub use dynfixed::DynFixed;
-pub use error::{max_abs_error, quantization_bound, ScaleSweep, ScaleSweepRow};
 pub use scaled::{Fixed, FixedError, Fx6};

@@ -153,11 +153,6 @@ impl<const P: u32> Fixed<P> {
         }
     }
 
-    /// Returns `true` if the value is negative.
-    pub const fn is_negative(self) -> bool {
-        self.raw < 0
-    }
-
     /// Checked addition; `None` on overflow.
     pub fn checked_add(self, rhs: Self) -> Option<Self> {
         self.raw.checked_add(rhs.raw).map(|raw| Self { raw })
@@ -244,40 +239,6 @@ impl<const P: u32> Fixed<P> {
         let raw = div_round_i128(total, Self::SCALE as i128);
         Self {
             raw: i64::try_from(raw).expect("dot product overflow"),
-        }
-    }
-
-    /// Converts to another decimal scale, rounding when precision drops.
-    ///
-    /// Widening (`Q > P`) is exact; narrowing rounds half-away-from-zero.
-    /// This is the primitive behind mixed-precision pipelines (§VI of the
-    /// reproduced paper lists mixed precision as future work): values
-    /// cross between low-precision matrix stages and high-precision
-    /// state stages via `rescale`.
-    ///
-    /// ```rust
-    /// use csd_fxp::Fixed;
-    /// let x = Fixed::<6>::from_f64(1.234567);
-    /// let narrow: Fixed<3> = x.rescale();
-    /// assert_eq!(narrow.to_f64(), 1.235);
-    /// let wide: Fixed<8> = narrow.rescale();
-    /// assert_eq!(wide.to_f64(), 1.235);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if widening overflows the backing `i64`.
-    pub fn rescale<const Q: u32>(self) -> Fixed<Q> {
-        if Q >= P {
-            let factor = 10i64.pow(Q - P);
-            Fixed::from_raw(
-                self.raw
-                    .checked_mul(factor)
-                    .expect("rescale widening overflow"),
-            )
-        } else {
-            let den = 10i128.pow(P - Q);
-            Fixed::from_raw(div_round_i128(self.raw as i128, den) as i64)
         }
     }
 
@@ -536,29 +497,36 @@ mod tests {
         }
     }
 
+    /// The paper's 10^6 scale (§III-D) over probes of trained-weight
+    /// magnitude: the round-trip error stays within half a step at every
+    /// scale from 10^3 to 10^8, never grows with the scale, and is at most
+    /// 5e-7 at 10^6. EXPERIMENTS.md row 40a has the last sweep's table.
     #[test]
-    fn rescale_widening_is_exact() {
-        let x = Fx6::from_f64(-2.640881);
-        let wide: Fixed<9> = x.rescale();
-        assert_eq!(wide.to_f64(), x.to_f64());
-        let back: Fx6 = wide.rescale();
-        assert_eq!(back, x);
-    }
-
-    #[test]
-    fn rescale_narrowing_rounds() {
-        let x = Fx6::from_f64(0.000_123_5);
-        let narrow: Fixed<4> = x.rescale();
-        assert_eq!(narrow.raw(), 1); // 0.0001235 → 0.0001 (round down at 4)
-        let neg: Fixed<4> = Fx6::from_f64(-0.000_15).rescale();
-        assert_eq!(neg.raw(), -2); // half away from zero
-    }
-
-    #[test]
-    fn rescale_same_scale_is_identity() {
-        let x = Fx6::from_f64(7.5);
-        let y: Fx6 = x.rescale();
-        assert_eq!(x, y);
+    fn round_trip_error_falls_with_the_scale_and_six_is_enough() {
+        fn max_error<const P: u32>() -> f64 {
+            (-40..=40)
+                .map(|i| i as f64 * 0.037 + 0.0123)
+                .map(|v| (Fixed::<P>::from_f64(v).to_f64() - v).abs())
+                .fold(0.0, f64::max)
+        }
+        let errors = [
+            max_error::<3>(),
+            max_error::<4>(),
+            max_error::<5>(),
+            max_error::<6>(),
+            max_error::<7>(),
+            max_error::<8>(),
+        ];
+        for (p, err) in (3..=8).zip(errors) {
+            assert!(
+                err <= 0.5 / 10i64.pow(p) as f64 + f64::EPSILON,
+                "scale 10^{p}: {err}"
+            );
+        }
+        for pair in errors.windows(2) {
+            assert!(pair[1] <= pair[0]);
+        }
+        assert!(errors[3] <= 5e-7 + f64::EPSILON);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the fixed-point substrate.
 
-use csd_fxp::{max_abs_error, quantization_bound, sigmoid_fx, softsign_fx, DynFixed, Fx6};
+use csd_fxp::{sigmoid_fx_lut, softsign_fx, Fixed, Fx6};
 use proptest::prelude::*;
 
 /// Values comfortably inside Fx6 range so checked ops never overflow; the
@@ -12,9 +12,13 @@ fn small_f64() -> impl Strategy<Value = f64> {
 proptest! {
     #[test]
     fn roundtrip_error_at_most_half_lsb(x in small_f64()) {
-        let fx = Fx6::from_f64(x);
-        let err = (fx.to_f64() - x).abs();
-        prop_assert!(err <= 0.5 / 1e6 + 1e-12);
+        fn err<const P: u32>(x: f64) -> f64 {
+            (Fixed::<P>::from_f64(x).to_f64() - x).abs()
+        }
+        let errors = [err::<3>(x), err::<4>(x), err::<5>(x), err::<6>(x), err::<7>(x), err::<8>(x)];
+        for (p, e) in (3..=8).zip(errors) {
+            prop_assert!(e <= 0.5 / 10i64.pow(p) as f64 + 1e-12);
+        }
     }
 
     #[test]
@@ -92,24 +96,9 @@ proptest! {
     #[test]
     fn sigmoid_in_unit_interval_and_monotone(a in small_f64(), b in small_f64()) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let ylo = sigmoid_fx(Fx6::from_f64(lo));
-        let yhi = sigmoid_fx(Fx6::from_f64(hi));
+        let ylo = sigmoid_fx_lut(Fx6::from_f64(lo));
+        let yhi = sigmoid_fx_lut(Fx6::from_f64(hi));
         prop_assert!(ylo.to_f64() >= 0.0 && yhi.to_f64() <= 1.0);
         prop_assert!(ylo <= yhi);
-    }
-
-    #[test]
-    fn dynfixed_respects_bound(x in small_f64(), p in 3u32..9) {
-        let err = (DynFixed::from_f64(x, p).to_f64() - x).abs();
-        prop_assert!(err <= quantization_bound(p) + 1e-12);
-    }
-
-    #[test]
-    fn max_abs_error_is_max(xs in prop::collection::vec(small_f64(), 1..32)) {
-        let m = max_abs_error(&xs, 6);
-        for &x in &xs {
-            let e = (DynFixed::from_f64(x, 6).to_f64() - x).abs();
-            prop_assert!(e <= m + 1e-15);
-        }
     }
 }

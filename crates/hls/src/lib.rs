@@ -20,7 +20,7 @@
 //!   profiles (Alveo u200's VU9P and the SmartSSD's Kintex KU15P).
 //! - [`power`] — first-order power/energy estimation, quantifying the
 //!   paper's energy-efficiency claim.
-//! - [`report`] — per-kernel timing/resource reports in microseconds.
+//! - [`report`] — the kernel clock that turns cycle counts into microseconds.
 //!
 //! # Example
 //!
@@ -50,5 +50,5 @@ pub use latency::{KernelEstimate, KernelSpec, KernelTiming, LoopBody, LoopNest, 
 pub use op::{NumericFormat, Op, OpLatencies};
 pub use power::{PowerModel, UnitPowers};
 pub use pragma::Pragmas;
-pub use report::{Clock, KernelReport};
+pub use report::Clock;
 pub use resource::{DeviceProfile, ResourceEstimate};

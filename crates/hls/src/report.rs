@@ -1,9 +1,4 @@
-//! Kernel reports in wall-clock units.
-
-use std::fmt;
-
-use crate::latency::KernelTiming;
-use crate::resource::ResourceEstimate;
+//! The kernel clock: cycle counts in wall-clock units.
 
 /// A kernel clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,47 +56,6 @@ impl Default for Clock {
     }
 }
 
-/// A human-readable per-kernel report: the unit Fig. 3 is built from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelReport {
-    /// Kernel name (e.g. `kernel_gates`).
-    pub name: String,
-    /// Cycle-level timing.
-    pub timing: KernelTiming,
-    /// Fabric resources consumed.
-    pub resources: ResourceEstimate,
-    /// Clock used for wall-clock conversion.
-    pub clock: Clock,
-}
-
-impl KernelReport {
-    /// Full latency (fill) in microseconds.
-    pub fn fill_micros(&self) -> f64 {
-        self.clock.micros(self.timing.fill_cycles)
-    }
-
-    /// Steady-state per-input cost in microseconds.
-    pub fn interval_micros(&self) -> f64 {
-        self.clock.micros(self.timing.interval_cycles)
-    }
-}
-
-impl fmt::Display for KernelReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: fill {:.5} µs, interval {:.5} µs ({} / {} cycles @ {:.0} MHz; {})",
-            self.name,
-            self.fill_micros(),
-            self.interval_micros(),
-            self.timing.fill_cycles,
-            self.timing.interval_cycles,
-            self.clock.freq_mhz(),
-            self.resources
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,22 +66,6 @@ mod tests {
         assert!((c.period_ns() - 3.3333).abs() < 1e-3);
         assert!((c.micros(1) - 0.003_333).abs() < 1e-5);
         assert_eq!(Clock::default().freq_mhz(), 300.0);
-    }
-
-    #[test]
-    fn report_micros() {
-        let r = KernelReport {
-            name: "kernel_gates".into(),
-            timing: KernelTiming {
-                fill_cycles: 600,
-                interval_cycles: 32,
-            },
-            resources: ResourceEstimate::zero(),
-            clock: Clock::mhz(300.0),
-        };
-        assert!((r.fill_micros() - 2.0).abs() < 1e-9);
-        assert!((r.interval_micros() - 32.0 / 300.0).abs() < 1e-9);
-        assert!(r.to_string().contains("kernel_gates"));
     }
 
     #[test]

@@ -91,16 +91,6 @@ impl Dense {
         self.w.scale(d_logit)
     }
 
-    /// Applies `params -= lr * grads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply_gradients(&mut self, grad_w: &Vector<f64>, grad_b: f64, lr: f64) {
-        self.w = self.w.add(&grad_w.scale(-lr));
-        self.b -= lr * grad_b;
-    }
-
     /// Overwrites the parameters (used by weight import).
     pub(crate) fn set_parts(&mut self, w: Vector<f64>, b: f64) {
         self.w = w;
@@ -136,18 +126,6 @@ mod tests {
         assert_eq!(gw.as_slice(), h.as_slice());
         assert_eq!(gb, 1.0);
         assert_eq!(d_h.as_slice(), d.weights().as_slice());
-    }
-
-    #[test]
-    fn gradient_step_reduces_logit() {
-        let mut d = Dense::from_parts(Vector::from(vec![1.0]), 0.0);
-        let h = Vector::from(vec![1.0]);
-        let before = d.logit(&h);
-        let mut gw = Vector::zeros(1);
-        let mut gb = 0.0;
-        d.backward(&h, 1.0, gw.as_mut_slice(), &mut gb);
-        d.apply_gradients(&gw, gb, 0.1);
-        assert!(d.logit(&h) < before);
     }
 
     #[test]

@@ -93,17 +93,6 @@ impl Embedding {
             *g += d;
         }
     }
-
-    /// Applies a scaled gradient step: `table -= lr * grad`, `grad` flat
-    /// row-major `vocab × dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn apply_gradient(&mut self, grad: &[f64], lr: f64) {
-        let grad = Matrix::from_flat(self.vocab(), self.dim(), grad.to_vec());
-        self.table = self.table.add(&grad.scale(-lr));
-    }
 }
 
 #[cfg(test)]
@@ -140,16 +129,6 @@ mod tests {
         e.backward(2, &[0.5, 0.5], &mut grad);
         assert_eq!(grad[4..6], [1.5, -0.5]);
         assert_eq!(grad[0..2], [0.0, 0.0]);
-    }
-
-    #[test]
-    fn gradient_step_moves_against_grad() {
-        let mut e = Embedding::new(3, 2, 4);
-        let before = e.forward(1)[0];
-        let mut grad = vec![0.0; 6];
-        grad[2] = 1.0;
-        e.apply_gradient(&grad, 0.1);
-        assert!((e.forward(1)[0] - (before - 0.1)).abs() < 1e-12);
     }
 
     #[test]

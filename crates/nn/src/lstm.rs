@@ -53,9 +53,6 @@ pub const GATE_C: usize = 2;
 /// Output gate index.
 pub const GATE_O: usize = 3;
 
-/// Names for the four gates, indexable by the `GATE_*` constants.
-pub const GATE_NAMES: [&str; 4] = ["input", "forget", "candidate", "output"];
-
 /// The recurrent state `(h, C)` carried between timesteps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmState {

@@ -87,11 +87,6 @@ impl TrainingHistory {
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("accuracy is finite"))
     }
 
-    /// The last evaluation report, if any.
-    pub fn final_report(&self) -> Option<ClassificationReport> {
-        self.records.iter().rev().find_map(|r| r.test)
-    }
-
     /// Serializes the convergence curve as CSV
     /// (`epoch,train_loss,accuracy,precision,recall,f1`; metric columns
     /// are empty on non-evaluation epochs) — plot-ready Fig. 4 data.

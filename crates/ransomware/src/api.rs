@@ -220,7 +220,6 @@ const TABLE: &[&[ApiCall]] = &[
 pub struct ApiVocabulary {
     calls: Vec<ApiCall>,
     by_name: HashMap<&'static str, usize>,
-    by_category: HashMap<ApiCategory, Vec<usize>>,
 }
 
 impl ApiVocabulary {
@@ -228,17 +227,11 @@ impl ApiVocabulary {
     pub fn windows() -> Self {
         let calls: Vec<ApiCall> = TABLE.iter().flat_map(|g| g.iter().copied()).collect();
         let mut by_name = HashMap::with_capacity(calls.len());
-        let mut by_category: HashMap<ApiCategory, Vec<usize>> = HashMap::new();
         for (i, c) in calls.iter().enumerate() {
             let prev = by_name.insert(c.name, i);
             debug_assert!(prev.is_none(), "duplicate API name {}", c.name);
-            by_category.entry(c.category).or_default().push(i);
         }
-        Self {
-            calls,
-            by_name,
-            by_category,
-        }
+        Self { calls, by_name }
     }
 
     /// Vocabulary size `M`.
@@ -274,14 +267,6 @@ impl ApiVocabulary {
     pub fn tok(&self, name: &str) -> usize {
         self.token(name)
             .unwrap_or_else(|| panic!("{name} not in vocabulary"))
-    }
-
-    /// All tokens in a category, in canonical order.
-    pub fn category_tokens(&self, category: ApiCategory) -> &[usize] {
-        self.by_category
-            .get(&category)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Iterator over all calls in token order.
@@ -328,42 +313,13 @@ mod tests {
     #[test]
     fn crypto_category_contains_encrypt() {
         let v = ApiVocabulary::windows();
-        let crypto = v.category_tokens(ApiCategory::Crypto);
+        let crypto: Vec<&str> = v
+            .iter()
+            .filter(|c| c.category == ApiCategory::Crypto)
+            .map(|c| c.name)
+            .collect();
         assert_eq!(crypto.len(), 18);
-        assert!(crypto.contains(&v.tok("CryptEncrypt")));
-    }
-
-    #[test]
-    fn categories_partition_the_vocabulary() {
-        let v = ApiVocabulary::windows();
-        let total: usize = [
-            ApiCategory::FileRead,
-            ApiCategory::FileWrite,
-            ApiCategory::FileOpen,
-            ApiCategory::FileEnum,
-            ApiCategory::FileMeta,
-            ApiCategory::Registry,
-            ApiCategory::Crypto,
-            ApiCategory::Process,
-            ApiCategory::Thread,
-            ApiCategory::Memory,
-            ApiCategory::Network,
-            ApiCategory::Internet,
-            ApiCategory::Share,
-            ApiCategory::Service,
-            ApiCategory::Gui,
-            ApiCategory::Sync,
-            ApiCategory::SystemInfo,
-            ApiCategory::Library,
-            ApiCategory::ComShell,
-            ApiCategory::Clipboard,
-            ApiCategory::Environment,
-            ApiCategory::System,
-        ]
-        .iter()
-        .map(|&c| v.category_tokens(c).len())
-        .sum();
-        assert_eq!(total, 278);
+        assert!(crypto.contains(&"CryptEncrypt"));
     }
 
     #[test]

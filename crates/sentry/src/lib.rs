@@ -88,7 +88,7 @@ pub use journal::{
     AnchorRefused, Journal, JournalAnchor, JournalConfig, JournalError, JournalRecovery,
     JOURNAL_MAGIC,
 };
-pub use quarantine::{FsSandboxBackend, QuarantineBackend, SimBackend};
+pub use quarantine::{QuarantineBackend, SimBackend};
 pub use service::{OverloadLevel, Sentry, SentryConfig, SentryStats, ShedRecord};
 pub use session::{Applied, EndReason, Session, SessionTable};
 pub use snapshot::{SentrySnapshot, SessionSnap, StreamSnap, TableSnap, SNAPSHOT_VERSION};

@@ -11,24 +11,12 @@
 //! durable journal then persists outcomes, so a restarted sentry can
 //! tell a completed quarantine from one the crash interrupted.
 //!
-//! Two implementations ship:
-//!
-//! - [`SimBackend`] — the default: an in-memory simulator that always
-//!   succeeds and remembers what it was asked to do. Keeps unit tests
-//!   and benches hermetic.
-//! - [`FsSandboxBackend`] — a filesystem-sandbox simulation of the
-//!   real thing: quarantine creates an isolation directory with a
-//!   manifest (the receipt is its path), kill appends to a tombstone
-//!   log. Its failures are real I/O failures, which is exactly what
-//!   the chaos harness wants to exercise.
-//!
-//! A production deployment would implement the trait over actual
-//! process control (suspend + image relocation); the sentry does not
-//! care which it is handed.
-
-use std::fs::{self, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+//! One implementation ships: [`SimBackend`], the default, an in-memory
+//! simulator that always succeeds and remembers what it was asked to
+//! do, which keeps unit tests and benches hermetic. A production
+//! deployment would implement the trait over actual process control
+//! (suspend + image relocation); the sentry does not care which it is
+//! handed.
 
 /// A backend that can terminate or isolate a process.
 ///
@@ -95,72 +83,10 @@ impl QuarantineBackend for SimBackend {
     }
 }
 
-/// Filesystem-sandbox simulation backend.
-///
-/// Quarantine materializes an isolation directory
-/// `<root>/q-<seq>-<pid>/` holding a `MANIFEST` with the target's
-/// identity; the receipt is that directory's path. Kill appends a
-/// tombstone line to `<root>/kills.log`. Either surfaces its I/O
-/// errors as [`Err`], which the sentry records as a failed outcome —
-/// the path the chaos harness drives by pointing `root` somewhere
-/// unwritable.
-#[derive(Debug)]
-pub struct FsSandboxBackend {
-    root: PathBuf,
-    seq: u64,
-}
-
-impl FsSandboxBackend {
-    /// Opens (creating if needed) the sandbox root.
-    pub fn new(root: &Path) -> Result<Self, String> {
-        fs::create_dir_all(root).map_err(|e| format!("sandbox root {}: {e}", root.display()))?;
-        Ok(Self {
-            root: root.to_path_buf(),
-            seq: 0,
-        })
-    }
-
-    /// The sandbox root.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-}
-
-impl QuarantineBackend for FsSandboxBackend {
-    fn kill(&mut self, pid: u32, name: Option<&str>) -> Result<String, String> {
-        let log = self.root.join("kills.log");
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log)
-            .map_err(|e| format!("{}: {e}", log.display()))?;
-        writeln!(f, "killed pid={pid} name={}", name.unwrap_or("<unknown>"))
-            .map_err(|e| format!("{}: {e}", log.display()))?;
-        Ok(format!("killed; tombstone in {}", log.display()))
-    }
-
-    fn quarantine(&mut self, pid: u32, name: Option<&str>) -> Result<String, String> {
-        self.seq += 1;
-        let dir = self.root.join(format!("q-{}-{pid}", self.seq));
-        fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let manifest = dir.join("MANIFEST");
-        fs::write(
-            &manifest,
-            format!("pid={pid}\nname={}\n", name.unwrap_or("<unknown>")),
-        )
-        .map_err(|e| format!("{}: {e}", manifest.display()))?;
-        Ok(dir.display().to_string())
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    fn tmp(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("csd-sandbox-{}-{tag}", std::process::id()))
-    }
 
     #[test]
     fn sim_backend_remembers_dispatches() {
@@ -171,42 +97,5 @@ mod tests {
         assert!(!b.dispatches()[0].quarantined);
         assert!(b.dispatches()[1].quarantined);
         assert_eq!(b.dispatches()[0].name.as_deref(), Some("a.exe"));
-    }
-
-    #[test]
-    fn fs_sandbox_quarantine_creates_manifest_and_receipt_is_the_path() {
-        let root = tmp("q");
-        let _ = fs::remove_dir_all(&root);
-        let mut b = FsSandboxBackend::new(&root).unwrap();
-        let receipt = b.quarantine(4242, Some("evil.exe")).unwrap();
-        let manifest = PathBuf::from(&receipt).join("MANIFEST");
-        let body = fs::read_to_string(&manifest).unwrap();
-        assert!(body.contains("pid=4242"));
-        assert!(body.contains("name=evil.exe"));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn fs_sandbox_kill_appends_tombstones() {
-        let root = tmp("k");
-        let _ = fs::remove_dir_all(&root);
-        let mut b = FsSandboxBackend::new(&root).unwrap();
-        b.kill(1, Some("one.exe")).unwrap();
-        b.kill(2, None).unwrap();
-        let log = fs::read_to_string(root.join("kills.log")).unwrap();
-        assert_eq!(log.lines().count(), 2);
-        assert!(log.contains("pid=1"));
-        assert!(log.contains("<unknown>"));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn unwritable_root_surfaces_as_a_failed_outcome_not_a_panic() {
-        // A root that is a *file* cannot hold sandbox dirs.
-        let root = tmp("bad");
-        let _ = fs::remove_dir_all(&root);
-        fs::write(&root, b"not a directory").unwrap();
-        assert!(FsSandboxBackend::new(&root).is_err());
-        let _ = fs::remove_file(&root);
     }
 }

@@ -24,8 +24,6 @@ pub enum Initializer {
         /// Half-width of the sampling interval.
         limit_millis: u32,
     },
-    /// All zeros (the TensorFlow default for biases).
-    Zeros,
 }
 
 impl Initializer {
@@ -64,20 +62,8 @@ impl Initializer {
         match self {
             Initializer::XavierUniform => (6.0 / (fan_in + fan_out) as f64).sqrt(),
             Initializer::Uniform { limit_millis } => limit_millis as f64 / 1000.0,
-            Initializer::Zeros => 0.0,
         }
     }
-}
-
-/// Convenience wrapper: Xavier-uniform `rows × cols` matrix.
-///
-/// ```rust
-/// use csd_tensor::xavier_uniform;
-/// let w = xavier_uniform(32, 40, 7);
-/// assert_eq!((w.rows(), w.cols()), (32, 40));
-/// ```
-pub fn xavier_uniform(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
-    Initializer::XavierUniform.matrix(rows, cols, seed)
 }
 
 #[cfg(test)]
@@ -86,33 +72,25 @@ mod tests {
 
     #[test]
     fn deterministic_for_same_seed() {
-        let a = xavier_uniform(4, 4, 42);
-        let b = xavier_uniform(4, 4, 42);
+        let a = Initializer::XavierUniform.matrix(4, 4, 42);
+        let b = Initializer::XavierUniform.matrix(4, 4, 42);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = xavier_uniform(4, 4, 1);
-        let b = xavier_uniform(4, 4, 2);
+        let a = Initializer::XavierUniform.matrix(4, 4, 1);
+        let b = Initializer::XavierUniform.matrix(4, 4, 2);
         assert_ne!(a, b);
     }
 
     #[test]
     fn xavier_within_limit() {
-        let m = xavier_uniform(8, 8, 3);
+        let m = Initializer::XavierUniform.matrix(8, 8, 3);
         let limit = (6.0 / 16.0f64).sqrt();
         for &v in m.as_flat() {
             assert!(v.abs() <= limit);
         }
-    }
-
-    #[test]
-    fn zeros_scheme() {
-        let m = Initializer::Zeros.matrix(3, 3, 0);
-        assert!(m.as_flat().iter().all(|&v| v == 0.0));
-        let v = Initializer::Zeros.vector(5, 0);
-        assert!(v.iter().all(|&x| x == 0.0));
     }
 
     #[test]

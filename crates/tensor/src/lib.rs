@@ -43,7 +43,7 @@ pub mod matrix;
 pub mod scalar;
 pub mod vector;
 
-pub use init::{xavier_uniform, Initializer};
+pub use init::Initializer;
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use vector::Vector;

@@ -174,38 +174,6 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Elementwise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| a + b)
-                .collect(),
-        }
-    }
-
-    /// Multiplies every element by `k`.
-    pub fn scale(&self, k: T) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&a| a * k).collect(),
-        }
-    }
-
     /// Maximum absolute elementwise difference vs. `rhs`, in `f64`.
     ///
     /// # Panics
@@ -268,12 +236,6 @@ mod tests {
     fn transpose_involution() {
         let m = sample();
         assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let m = sample();
-        assert_eq!(m.add(&m), m.scale(2.0));
     }
 
     #[test]

@@ -85,6 +85,8 @@ enum FlagError {
     Unknown { command: String, flag: String },
     /// A flag at the end of the line, or followed by another flag.
     MissingValue(String),
+    /// A flag given more than once.
+    Repeated(String),
 }
 
 impl std::fmt::Display for FlagError {
@@ -94,12 +96,13 @@ impl std::fmt::Display for FlagError {
                 write!(f, "unknown flag {flag} for {command} (see `csdctl help`)")
             }
             Self::MissingValue(flag) => write!(f, "missing value for {flag}"),
+            Self::Repeated(flag) => write!(f, "flag {flag} given twice"),
         }
     }
 }
 
 /// A subcommand's `--name value` pairs, each name one of the flags the
-/// subcommand takes and each value not itself a flag.
+/// subcommand takes and given once, and each value not itself a flag.
 struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
 impl<'a> Flags<'a> {
@@ -112,6 +115,9 @@ impl<'a> Flags<'a> {
                     command: command.to_string(),
                     flag: name.clone(),
                 });
+            }
+            if pairs.iter().any(|&(seen, _)| seen == name) {
+                return Err(FlagError::Repeated(name.clone()));
             }
             match args.next() {
                 Some(value) if !value.starts_with("--") => {

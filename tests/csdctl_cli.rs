@@ -7,7 +7,7 @@
 //! of one sequence, and a weight file whose fixed point can overflow or
 //! that has no hidden unit or no vocabulary; so is a noise rate outside
 //! [0, 1), a level `detect` does not know, a flag the subcommand does
-//! not take and a flag without its value.
+//! not take, a flag without its value and a flag given twice.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -132,6 +132,28 @@ fn dataset_refuses_an_unknown_flag_and_a_flag_without_its_value() {
         !dir.join("--windows").exists(),
         "a flag became the output file"
     );
+}
+
+#[test]
+fn dataset_refuses_a_flag_given_twice_before_writing_anything() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csdctl_cli_repeated");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (first, second) = (dir.join("a.csv"), dir.join("b.csv"));
+    for file in [&first, &second] {
+        let _ = std::fs::remove_file(file);
+    }
+    let out = csdctl(&[
+        "dataset",
+        "--out",
+        path_str(&first),
+        "--windows",
+        "6",
+        "--out",
+        path_str(&second),
+    ]);
+    assert_refused("--out twice", &out, "flag --out given twice");
+    assert!(!first.exists(), "a refused dataset wrote {first:?}");
+    assert!(!second.exists(), "a refused dataset wrote {second:?}");
 }
 
 #[test]
