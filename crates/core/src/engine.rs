@@ -27,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 use csd_fxp::Fx6;
 use csd_nn::ModelWeights;
-use csd_tensor::{lanes, Vector};
+use csd_tensor::{fan_out, lanes, Vector};
 
 use crate::kernels::{gates, hidden, preprocess, GateKind};
 use crate::opt::OptimizationLevel;
@@ -207,10 +207,10 @@ impl CsdInferenceEngine {
     /// Classifies many borrowed sequences in input order: a plain loop
     /// of [`classify_with_scratch`](Self::classify_with_scratch) over at
     /// most one chunk per core, each reusing one scratch for its whole
-    /// chunk. The calling thread runs the first chunk and a scoped
-    /// thread each other one, borrowing the engine and the input slices
-    /// — neither is cloned. Both gate paths take this loop, so every
-    /// result is `classify`'s, bit for bit.
+    /// chunk, through [`csd_tensor::fan_out`]: the calling thread runs
+    /// the first chunk and a scoped thread each other one, borrowing the
+    /// engine and the input slices — neither is cloned. Both gate paths
+    /// take this loop, so every result is `classify`'s, bit for bit.
     ///
     /// There is no lane-block arm: held to a ≥ 1.25× bar against this
     /// loop, 16-lane SoA blocks read 0.60–0.86× of it at batch 512 and
@@ -239,36 +239,12 @@ impl CsdInferenceEngine {
         max_chunks: usize,
     ) -> Vec<Classification> {
         assert!(!sequences.is_empty(), "empty batch");
-        let classify_chunk = |batch: &[&[usize]]| {
-            let mut scratch = self.make_scratch();
-            batch
-                .iter()
-                .map(|seq| self.classify_with_scratch(seq, &mut scratch))
-                .collect::<Vec<_>>()
-        };
-        let chunks = cores().min(max_chunks).min(sequences.len());
-        if chunks <= 1 {
-            return classify_chunk(sequences);
-        }
-        // Ceil division: at most `chunks` chunks, never an empty one.
-        let size = sequences.len().div_ceil(chunks);
-        let (first, rest) = sequences.split_at(size);
-        std::thread::scope(|s| {
-            let spawned: Vec<_> = rest
-                .chunks(size)
-                .map(|batch| s.spawn(move || classify_chunk(batch)))
-                .collect();
-            let mut out = classify_chunk(first);
-            for handle in spawned {
-                match handle.join() {
-                    Ok(chunk) => out.extend(chunk),
-                    // The scope joins the other chunks before this
-                    // unwinds out of it.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
+        fan_out(
+            sequences,
+            cores().min(max_chunks),
+            || self.make_scratch(),
+            |scratch, seq| self.classify_with_scratch(seq, scratch),
+        )
     }
 
     /// The final hidden state in f64 (for parity tests against the

@@ -71,10 +71,6 @@ use crate::stream::{
     Admission, MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict, ROUND_STEPS,
 };
 
-/// Verdict latencies kept for percentile stats (a ring of the most
-/// recent verdicts, so long-running muxes stay bounded).
-const LATENCY_RING: usize = 4096;
-
 /// An admitted window, waiting in the queue.
 #[derive(Debug, Clone)]
 struct Window {
@@ -126,8 +122,6 @@ pub struct ShardedStreamMux {
     started: Instant,
     ticks: u64,
     verdicts: u64,
-    latencies: Vec<u64>,
-    lat_next: usize,
     /// Armed fault plan: one corruption draw per window served. `None`
     /// = fault-free (zero overhead).
     faults: Option<FaultPlan>,
@@ -165,8 +159,6 @@ impl ShardedStreamMux {
             started: Instant::now(),
             ticks: 0,
             verdicts: 0,
-            latencies: Vec::with_capacity(LATENCY_RING),
-            lat_next: 0,
             faults: None,
             fault_events: 0,
             degraded_reruns: 0,
@@ -328,17 +320,8 @@ impl ShardedStreamMux {
         out
     }
 
-    /// Counters, loss tallies and latency percentiles.
+    /// Counters and loss tallies.
     pub fn stats(&self) -> MuxStats {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            if sorted.is_empty() {
-                0
-            } else {
-                sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-            }
-        };
         MuxStats {
             ticks: self.ticks,
             verdicts: self.verdicts,
@@ -347,8 +330,6 @@ impl ShardedStreamMux {
             refused: self.refused,
             rejected: self.rejected,
             occupancy: 0.0,
-            p50_latency_ticks: pct(0.50),
-            p99_latency_ticks: pct(0.99),
             verdicts_per_sec: self.verdicts as f64 / self.started.elapsed().as_secs_f64().max(1e-9),
             faults: self.fault_events,
             degraded_reruns: self.degraded_reruns,
@@ -406,19 +387,12 @@ impl ShardedStreamMux {
                 .engine
                 .classify_with_scratch(&w.items, &mut self.scratch);
         }
-        let latency = self.ticks - w.enqueued_tick;
-        if self.latencies.len() < LATENCY_RING {
-            self.latencies.push(latency);
-        } else {
-            self.latencies[self.lat_next] = latency;
-        }
-        self.lat_next = (self.lat_next + 1) % LATENCY_RING;
         self.verdicts += 1;
         out.push(Verdict {
             stream: w.stream,
             at_call: w.at_call,
             classification,
-            latency_ticks: latency,
+            latency_ticks: self.ticks - w.enqueued_tick,
             seq: w.seq,
         });
         self.free_bufs.push(w.items);
@@ -597,12 +571,13 @@ mod tests {
         }
         // Rounds of 16 steps over 12-step windows: two (8 owed), one
         // (4 owed), one.
-        let served: Vec<usize> = tick_by_tick(&mut mux, 3).iter().map(Vec::len).collect();
+        let ticks = tick_by_tick(&mut mux, 3);
+        let served: Vec<usize> = ticks.iter().map(Vec::len).collect();
         assert_eq!(served, [2, 1, 1]);
+        let latencies: Vec<u64> = ticks.iter().flatten().map(|v| v.latency_ticks).collect();
+        assert_eq!(latencies, [0, 0, 1, 2]);
         let s = mux.stats();
         assert_eq!((s.verdicts, s.ticks), (4, 3));
-        // Latencies 0, 0, 1, 2.
-        assert_eq!((s.p50_latency_ticks, s.p99_latency_ticks), (1, 2));
         assert_eq!(s.occupancy, 0.0);
         assert!(s.verdicts_per_sec > 0.0);
     }

@@ -140,12 +140,6 @@ pub struct MuxStats {
     /// Always 0: there is no lane block to occupy. The benchmark still
     /// reports it, as `core.shard.occupancy`.
     pub occupancy: f64,
-    /// Median [`Verdict::latency_ticks`] over the most recent window of
-    /// verdicts.
-    pub p50_latency_ticks: u64,
-    /// 99th-percentile [`Verdict::latency_ticks`] over the most recent
-    /// window of verdicts.
-    pub p99_latency_ticks: u64,
     /// Verdicts per wall-clock second since the mux was created.
     pub verdicts_per_sec: f64,
     /// Window corruptions injected by an armed

@@ -339,24 +339,6 @@ impl QuantizedWeights {
             + 1;
         (params * std::mem::size_of::<i64>()) as u64
     }
-
-    /// Worst-case quantization error introduced across all parameters.
-    pub fn max_quantization_error(&self) -> f64 {
-        let mut worst: f64 = self.embedding_f64.max_abs_diff(&Matrix::from_f64_flat(
-            self.dims.vocab,
-            self.dims.embed,
-            &self.embedding_fx.to_f64_flat(),
-        ));
-        for g in 0..4 {
-            let dq = Matrix::from_f64_flat(
-                self.dims.hidden,
-                self.dims.z(),
-                &self.gate_w_fx[g].to_f64_flat(),
-            );
-            worst = worst.max(self.gate_w_f64[g].max_abs_diff(&dq));
-        }
-        worst
-    }
 }
 
 #[cfg(test)]
@@ -381,7 +363,12 @@ mod tests {
     #[test]
     fn quantization_error_within_half_lsb() {
         let q = weights();
-        assert!(q.max_quantization_error() <= 0.5e-6 + 1e-12);
+        let pairs = std::iter::once((&q.embedding_f64, &q.embedding_fx))
+            .chain(q.gate_w_f64.iter().zip(&q.gate_w_fx));
+        for (exact, fx) in pairs {
+            let back = Matrix::from_f64_flat(exact.rows(), exact.cols(), &fx.to_f64_flat());
+            assert!(exact.max_abs_diff(&back) <= 0.5e-6 + 1e-12);
+        }
     }
 
     #[test]

@@ -250,11 +250,6 @@ impl<const P: u32> Fixed<P> {
     pub fn quantize_slice(values: &[f64]) -> Vec<Self> {
         values.iter().map(|&v| Self::from_f64(v)).collect()
     }
-
-    /// Dequantizes a fixed-point slice back to floating point.
-    pub fn dequantize_slice(values: &[Self]) -> Vec<f64> {
-        values.iter().map(|v| v.to_f64()).collect()
-    }
 }
 
 /// Rounded division: half-away-from-zero, matching the paper's rounding of
@@ -491,9 +486,8 @@ mod tests {
     fn quantize_dequantize_roundtrip() {
         let values = [0.123456, -9.87654, 0.0, 2.5];
         let fx = Fx6::quantize_slice(&values);
-        let back = Fx6::dequantize_slice(&fx);
-        for (orig, rec) in values.iter().zip(&back) {
-            assert!((orig - rec).abs() <= 0.5 / Fx6::SCALE as f64 + f64::EPSILON);
+        for (orig, rec) in values.iter().zip(&fx) {
+            assert!((orig - rec.to_f64()).abs() <= 0.5 / Fx6::SCALE as f64 + f64::EPSILON);
         }
     }
 

@@ -33,11 +33,6 @@ impl Clock {
         self.freq_mhz
     }
 
-    /// Nanoseconds per cycle.
-    pub fn period_ns(&self) -> f64 {
-        1_000.0 / self.freq_mhz
-    }
-
     /// Converts a cycle count to microseconds.
     ///
     /// ```rust
@@ -63,7 +58,6 @@ mod tests {
     #[test]
     fn clock_conversions() {
         let c = Clock::mhz(300.0);
-        assert!((c.period_ns() - 3.3333).abs() < 1e-3);
         assert!((c.micros(1) - 0.003_333).abs() < 1e-5);
         assert_eq!(Clock::default().freq_mhz(), 300.0);
     }

@@ -35,9 +35,10 @@
 //! Every element keeps the operation sequence of the per-step `Vector`
 //! code this replaced, which the tests keep as the reference
 //! (`reference`): one sequence's gradient is the same to the bit on every
-//! host. A trained model is the same to the bit for a given
-//! `TrainOptions::threads`: a batch's gradient is summed per thread chunk,
-//! so a different thread count adds the same terms in another order.
+//! host. A trained model is the same to the bit at every
+//! `TrainOptions::threads`: a batch's gradient is summed over fixed
+//! sub-batches (`trainer::GRADIENT_SUB_BATCH`), whichever worker runs
+//! each one.
 
 use csd_tensor::{bptt, Initializer, Matrix, Vector};
 

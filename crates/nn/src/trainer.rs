@@ -4,6 +4,7 @@
 //! ransomware API call sequences"): per-epoch test accuracy alongside the
 //! final precision/recall/F1 reported in §IV.
 
+use csd_tensor::fan_out;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -12,6 +13,11 @@ use crate::lstm::Tape;
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
 use crate::model::SequenceClassifier;
 use crate::optimizer::Adam;
+
+/// Examples a batch's gradient is summed over before the partial sums
+/// meet: a sub-batch is the unit of work a gradient worker takes, and
+/// the one place the summation order is fixed.
+pub const GRADIENT_SUB_BATCH: usize = 16;
 
 /// A labelled training example: token sequence + binary label
 /// (`true` = ransomware in the paper's use case).
@@ -32,9 +38,9 @@ pub struct TrainOptions {
     pub seed: u64,
     /// Evaluate on the test set every `eval_every` epochs (1 = every epoch).
     pub eval_every: usize,
-    /// Worker threads for intra-batch gradient parallelism. A batch's
-    /// gradient is summed per thread chunk, so the trained bits depend on
-    /// this count (the default, the host's parallelism, varies by host).
+    /// Worker threads that share a batch's [`GRADIENT_SUB_BATCH`]-example
+    /// sub-batches. The sums are fixed by the sub-batches, not by the
+    /// workers, so every count trains the same bits.
     pub threads: usize,
     /// Stop early when test accuracy has not improved for this many
     /// evaluations (`None` disables early stopping).
@@ -187,52 +193,41 @@ impl Trainer {
         history
     }
 
-    /// Mean loss and mean flat gradient over one mini-batch, computed in
-    /// parallel: the batch is cut into `threads` chunks, the last runs on
-    /// the calling thread and each other one on a scoped thread, and the
-    /// chunk sums are added in chunk order.
+    /// Mean loss and mean flat gradient over one mini-batch. The batch
+    /// is cut into [`GRADIENT_SUB_BATCH`]-example sub-batches, each
+    /// summed from zero in example order, and the partials are added in
+    /// sub-batch order; `threads` only decides how many workers share
+    /// the sub-batches, so it never changes a bit.
     fn batch_gradients(
         &self,
         model: &SequenceClassifier,
         train: &[Example],
         batch: &[usize],
     ) -> (f64, Vec<f64>) {
-        let threads = self.options.threads.min(batch.len()).max(1);
-        let chunk = batch.len().div_ceil(threads);
         let packed = &model.lstm_cell().pack();
         let params = model.num_parameters();
-        let chunk_sum = |ids: &[usize]| {
-            let mut tape = Tape::default();
-            let mut example = vec![0.0; params];
-            let mut loss = 0.0;
-            let mut acc = vec![0.0; params];
-            for &i in ids {
-                let (seq, label) = &train[i];
-                let label = if *label { 1.0 } else { 0.0 };
-                loss += model.gradients_into(packed, &mut tape, seq, label, &mut example);
-                for (a, g) in acc.iter_mut().zip(&example) {
-                    *a += g;
+        let sub_batches: Vec<&[usize]> = batch.chunks(GRADIENT_SUB_BATCH).collect();
+        let partials = fan_out(
+            &sub_batches,
+            self.options.threads,
+            || (Tape::default(), vec![0.0; params]),
+            |(tape, example), ids| {
+                let mut loss = 0.0;
+                let mut acc = vec![0.0; params];
+                for &i in *ids {
+                    let (seq, label) = &train[i];
+                    let label = if *label { 1.0 } else { 0.0 };
+                    loss += model.gradients_into(packed, tape, seq, label, example);
+                    for (a, g) in acc.iter_mut().zip(example.iter()) {
+                        *a += g;
+                    }
                 }
-            }
-            (loss, acc)
-        };
-        let partials: Vec<(f64, Vec<f64>)> = std::thread::scope(|scope| {
-            let mut chunks: Vec<&[usize]> = batch.chunks(chunk).collect();
-            let last = chunks.pop().expect("a nonempty batch");
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|ids| scope.spawn(move || chunk_sum(ids)))
-                .collect();
-            let last = chunk_sum(last);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gradient worker panicked"))
-                .chain([last])
-                .collect()
-        });
+                (loss, acc)
+            },
+        );
         let n = batch.len() as f64;
         let mut total_loss = 0.0;
-        let mut grads = vec![0.0; model.num_parameters()];
+        let mut grads = vec![0.0; params];
         for (loss, flat) in partials {
             total_loss += loss;
             for (g, f) in grads.iter_mut().zip(&flat) {
@@ -293,7 +288,6 @@ mod tests {
             epochs: 25,
             batch_size: 16,
             learning_rate: 0.02,
-            threads: 2,
             ..TrainOptions::default()
         });
         let history = trainer.fit(&mut model, &train, &test);
@@ -383,27 +377,30 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_gradients_agree() {
-        let train = toy_data(12, 8);
+        // 40 examples: two full sub-batches and a ragged one, so three
+        // workers take one each and four leave one idle.
+        let train = toy_data(40, 8);
         let model = SequenceClassifier::new(ModelConfig::tiny(8), 3);
-        let serial = Trainer::new(TrainOptions {
-            threads: 1,
-            ..TrainOptions::default()
-        });
-        let parallel = Trainer::new(TrainOptions {
-            threads: 4,
-            ..TrainOptions::default()
-        });
-        let ids: Vec<usize> = (0..12).collect();
-        let (l1, g1) = serial.batch_gradients(&model, &train, &ids);
-        let (l2, g2) = parallel.batch_gradients(&model, &train, &ids);
-        assert!((l1 - l2).abs() < 1e-12);
-        for (a, b) in g1.iter().zip(&g2) {
-            assert!((a - b).abs() < 1e-12);
+        let ids: Vec<usize> = (0..40).collect();
+        let gradients = |threads| {
+            Trainer::new(TrainOptions {
+                threads,
+                ..TrainOptions::default()
+            })
+            .batch_gradients(&model, &train, &ids)
+        };
+        let bits = |(loss, grads): (f64, Vec<f64>)| {
+            let grads: Vec<u64> = grads.iter().map(|g| g.to_bits()).collect();
+            (loss.to_bits(), grads)
+        };
+        let serial = bits(gradients(1));
+        for threads in [2, 3, 4] {
+            assert!(bits(gradients(threads)) == serial, "{threads} threads");
         }
     }
 
     /// Trained weights do not change by one bit: the parameters after a
-    /// small seeded two-thread fit of the paper's model, pinned by digest.
+    /// small seeded fit of the paper's model, pinned by digest.
     #[test]
     fn paper_fit_is_pinned_to_the_bit() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x717);
@@ -422,14 +419,13 @@ mod tests {
             epochs: 2,
             batch_size: 8,
             seed: 0x717,
-            threads: 2,
             ..TrainOptions::default()
         })
         .fit(&mut model, &train, &[]);
         let losses = history.records().iter().map(|r| r.train_loss);
         assert_eq!(
             (bits_digest(model.flatten_params()), bits_digest(losses)),
-            (0xaf7c_73d0_db5c_8bd9, 0x699b_9595_30cf_60bf),
+            (0x99e9_d289_9cd0_5ae2, 0xbb29_a240_c682_1cba),
             "fit digest"
         );
     }

@@ -3,213 +3,128 @@
 //! The paper's embedding table holds 2,224 parameters at embedding size 8,
 //! fixing the vocabulary at `M = 278` distinct API calls (§IV). This module
 //! defines those 278 calls — real Win32/Nt API names spanning the behaviour
-//! space both ransomware and benign software exercise — grouped into
-//! categories the trace generators compose from.
+//! space both ransomware and benign software exercise — grouped by the
+//! behaviour the trace generators compose.
 
 use std::collections::HashMap;
 
-/// Behavioural category of an API call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ApiCategory {
-    /// Reading file contents and positions.
-    FileRead,
-    /// Writing, flushing, renaming file contents.
-    FileWrite,
-    /// Opening/creating/closing file and mapping handles.
-    FileOpen,
-    /// Directory and volume enumeration.
-    FileEnum,
-    /// File attributes, deletion, temp paths.
-    FileMeta,
-    /// Registry access.
-    Registry,
-    /// CryptoAPI / CNG — the heart of an encryption loop.
-    Crypto,
-    /// Process creation and inspection.
-    Process,
-    /// Thread management and injection primitives.
-    Thread,
-    /// Virtual memory and heaps.
-    Memory,
-    /// Winsock networking.
-    Network,
-    /// WinINet/WinHTTP/DNS — C2-style communication.
-    Internet,
-    /// SMB shares and network neighbourhood — propagation surface.
-    Share,
-    /// Windows services — persistence surface.
-    Service,
-    /// Windows and message-loop GUI calls.
-    Gui,
-    /// Synchronization objects.
-    Sync,
-    /// Time, system information, anti-analysis probes.
-    SystemInfo,
-    /// Dynamic library loading.
-    Library,
-    /// COM and shell helpers.
-    ComShell,
-    /// Clipboard and input state.
-    Clipboard,
-    /// Environment, paths, error handling, string conversion.
-    Environment,
-    /// Device control and shutdown.
-    System,
-}
-
-/// One vocabulary entry: an API call name and its category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ApiCall {
-    /// The canonical API name (e.g. `"CryptEncrypt"`).
-    pub name: &'static str,
-    /// Behavioural category.
-    pub category: ApiCategory,
-}
-
-macro_rules! calls {
-    ($cat:ident: $($name:literal),+ $(,)?) => {
-        &[$(ApiCall { name: $name, category: ApiCategory::$cat }),+]
-    };
-}
-
-/// The full 278-call table, category by category.
-const TABLE: &[&[ApiCall]] = &[
-    calls!(FileRead:
-        "NtReadFile", "ReadFile", "ReadFileEx", "ReadFileScatter",
-        "NtQueryInformationFile", "GetFileSize", "GetFileSizeEx",
-        "SetFilePointer", "SetFilePointerEx", "GetFileType",
-    ),
-    calls!(FileWrite:
-        "NtWriteFile", "WriteFile", "WriteFileEx", "WriteFileGather",
-        "FlushFileBuffers", "NtFlushBuffersFile", "SetEndOfFile",
-        "NtSetInformationFile", "MoveFileW", "MoveFileExW", "ReplaceFileW",
-        "CopyFileW",
-    ),
-    calls!(FileOpen:
-        "NtCreateFile", "NtOpenFile", "CreateFileW", "CreateFileA",
-        "NtClose", "CloseHandle", "CreateFileMappingW", "MapViewOfFile",
-        "UnmapViewOfFile", "DuplicateHandle", "CreateDirectoryW",
-        "RemoveDirectoryW",
-    ),
-    calls!(FileEnum:
-        "FindFirstFileW", "FindNextFileW", "FindClose",
-        "NtQueryDirectoryFile", "GetLogicalDrives", "GetDriveTypeW",
-        "GetVolumeInformationW", "GetDiskFreeSpaceExW", "SearchPathW",
-        "GetFullPathNameW",
-    ),
-    calls!(FileMeta:
-        "GetFileAttributesW", "SetFileAttributesW", "GetFileAttributesExW",
-        "DeleteFileW", "NtDeleteFile", "GetFileInformationByHandle",
-        "GetFileTime", "SetFileTime", "GetTempPathW", "GetTempFileNameW",
-    ),
-    calls!(Registry:
-        "RegOpenKeyExW", "RegOpenKeyExA", "RegCreateKeyExW",
-        "RegSetValueExW", "RegSetValueExA", "RegQueryValueExW",
-        "RegQueryValueExA", "RegDeleteValueW", "RegDeleteKeyW",
-        "RegEnumKeyExW", "RegEnumValueW", "RegCloseKey", "RegFlushKey",
-        "RegQueryInfoKeyW", "NtOpenKey", "NtSetValueKey",
-    ),
-    calls!(Crypto:
-        "CryptAcquireContextW", "CryptAcquireContextA",
-        "CryptReleaseContext", "CryptGenKey", "CryptDeriveKey",
-        "CryptDestroyKey", "CryptEncrypt", "CryptDecrypt", "CryptGenRandom",
-        "CryptExportKey", "CryptImportKey", "CryptHashData",
-        "CryptCreateHash", "CryptDestroyHash", "BCryptOpenAlgorithmProvider",
-        "BCryptGenRandom", "BCryptEncrypt", "BCryptCloseAlgorithmProvider",
-    ),
-    calls!(Process:
-        "CreateProcessW", "CreateProcessA", "CreateProcessInternalW",
-        "OpenProcess", "TerminateProcess", "ExitProcess",
-        "GetCurrentProcess", "GetCurrentProcessId",
-        "NtQuerySystemInformation", "CreateToolhelp32Snapshot",
-        "Process32FirstW", "Process32NextW", "Module32FirstW",
-        "Module32NextW", "OpenProcessToken", "AdjustTokenPrivileges",
-        "LookupPrivilegeValueW", "ShellExecuteExW",
-    ),
-    calls!(Thread:
-        "CreateThread", "CreateRemoteThread", "OpenThread", "ResumeThread",
-        "SuspendThread", "TerminateThread", "GetCurrentThreadId",
-        "NtCreateThreadEx", "QueueUserAPC", "SetThreadContext",
-    ),
-    calls!(Memory:
-        "VirtualAlloc", "VirtualAllocEx", "VirtualFree", "VirtualProtect",
-        "VirtualProtectEx", "VirtualQuery", "WriteProcessMemory",
-        "ReadProcessMemory", "HeapAlloc", "HeapFree", "HeapCreate",
-        "GlobalAlloc",
-    ),
-    calls!(Network:
-        "WSAStartup", "WSACleanup", "socket", "connect", "bind", "listen",
-        "accept", "send", "recv", "sendto", "recvfrom", "closesocket",
-        "gethostbyname", "getaddrinfo", "select", "ioctlsocket",
-        "WSASocketW", "WSAConnect", "WSASend", "WSARecv",
-    ),
-    calls!(Internet:
-        "InternetOpenW", "InternetOpenUrlW", "InternetConnectW",
-        "InternetReadFile", "InternetWriteFile", "InternetCloseHandle",
-        "HttpOpenRequestW", "HttpSendRequestW", "HttpQueryInfoW",
-        "InternetCrackUrlW", "URLDownloadToFileW", "DnsQuery_W",
-        "InternetSetOptionW", "WinHttpOpen",
-    ),
-    calls!(Share:
-        "NetShareEnum", "NetServerEnum", "NetUserEnum", "WNetOpenEnumW",
-        "WNetEnumResourceW", "WNetCloseEnum", "WNetAddConnection2W",
-        "WNetCancelConnection2W", "NetWkstaGetInfo", "NetRemoteTOD",
-    ),
-    calls!(Service:
-        "OpenSCManagerW", "OpenServiceW", "CreateServiceW", "StartServiceW",
-        "ControlService", "DeleteService", "CloseServiceHandle",
-        "QueryServiceStatusEx", "ChangeServiceConfigW",
-        "EnumServicesStatusExW",
-    ),
-    calls!(Gui:
-        "CreateWindowExW", "DestroyWindow", "ShowWindow", "UpdateWindow",
-        "GetMessageW", "PeekMessageW", "DispatchMessageW",
-        "TranslateMessage", "DefWindowProcW", "SendMessageW",
-        "PostMessageW", "MessageBoxW", "SetWindowTextW", "GetDC",
-        "ReleaseDC", "BitBlt", "InvalidateRect", "RegisterClassExW",
-    ),
-    calls!(Sync:
-        "CreateMutexW", "OpenMutexW", "ReleaseMutex", "CreateEventW",
-        "SetEvent", "WaitForSingleObject", "WaitForMultipleObjects",
-        "CreateSemaphoreW", "EnterCriticalSection", "LeaveCriticalSection",
-    ),
-    calls!(SystemInfo:
-        "GetSystemTimeAsFileTime", "GetSystemTime", "GetLocalTime",
-        "QueryPerformanceCounter", "QueryPerformanceFrequency",
-        "GetTickCount", "GetTickCount64", "Sleep", "SleepEx",
-        "GetSystemInfo", "GetNativeSystemInfo", "GetComputerNameW",
-        "GetUserNameW", "GetVersionExW", "GlobalMemoryStatusEx",
-        "IsDebuggerPresent",
-    ),
-    calls!(Library:
-        "LoadLibraryW", "LoadLibraryA", "LoadLibraryExW", "FreeLibrary",
-        "GetProcAddress", "GetModuleHandleW", "GetModuleHandleA",
-        "GetModuleFileNameW", "LdrLoadDll", "LdrGetProcedureAddress",
-        "DisableThreadLibraryCalls", "SetDllDirectoryW",
-    ),
-    calls!(ComShell:
-        "CoInitialize", "CoInitializeEx", "CoUninitialize",
-        "CoCreateInstance", "CoTaskMemAlloc", "CoTaskMemFree",
-        "SHGetFolderPathW", "SHGetKnownFolderPath", "SHFileOperationW",
-        "ShellExecuteW", "SHCreateDirectoryExW", "SHChangeNotify",
-    ),
-    calls!(Clipboard:
-        "OpenClipboard", "CloseClipboard", "GetClipboardData",
-        "SetClipboardData", "EmptyClipboard", "GetKeyState",
-        "GetAsyncKeyState", "GetCursorPos",
-    ),
-    calls!(Environment:
-        "GetCommandLineW", "GetEnvironmentVariableW",
-        "SetEnvironmentVariableW", "ExpandEnvironmentStringsW",
-        "GetCurrentDirectoryW", "SetCurrentDirectoryW", "GetStartupInfoW",
-        "GetSystemDirectoryW", "GetWindowsDirectoryW", "OutputDebugStringW",
-        "SetErrorMode", "GetLastError", "SetLastError", "FormatMessageW",
-        "MultiByteToWideChar", "WideCharToMultiByte",
-    ),
-    calls!(System:
-        "DeviceIoControl", "NtShutdownSystem", "InitiateSystemShutdownExW",
-        "SetSystemPowerState",
-    ),
+/// The full 278-call table, in token order, grouped by behaviour.
+#[rustfmt::skip]
+const TABLE: &[&str] = &[
+    // Reading file contents and positions.
+    "NtReadFile", "ReadFile", "ReadFileEx", "ReadFileScatter",
+    "NtQueryInformationFile", "GetFileSize", "GetFileSizeEx",
+    "SetFilePointer", "SetFilePointerEx", "GetFileType",
+    // Writing, flushing, renaming file contents.
+    "NtWriteFile", "WriteFile", "WriteFileEx", "WriteFileGather",
+    "FlushFileBuffers", "NtFlushBuffersFile", "SetEndOfFile",
+    "NtSetInformationFile", "MoveFileW", "MoveFileExW", "ReplaceFileW",
+    "CopyFileW",
+    // Opening/creating/closing file and mapping handles.
+    "NtCreateFile", "NtOpenFile", "CreateFileW", "CreateFileA",
+    "NtClose", "CloseHandle", "CreateFileMappingW", "MapViewOfFile",
+    "UnmapViewOfFile", "DuplicateHandle", "CreateDirectoryW",
+    "RemoveDirectoryW",
+    // Directory and volume enumeration.
+    "FindFirstFileW", "FindNextFileW", "FindClose",
+    "NtQueryDirectoryFile", "GetLogicalDrives", "GetDriveTypeW",
+    "GetVolumeInformationW", "GetDiskFreeSpaceExW", "SearchPathW",
+    "GetFullPathNameW",
+    // File attributes, deletion, temp paths.
+    "GetFileAttributesW", "SetFileAttributesW", "GetFileAttributesExW",
+    "DeleteFileW", "NtDeleteFile", "GetFileInformationByHandle",
+    "GetFileTime", "SetFileTime", "GetTempPathW", "GetTempFileNameW",
+    // Registry access.
+    "RegOpenKeyExW", "RegOpenKeyExA", "RegCreateKeyExW",
+    "RegSetValueExW", "RegSetValueExA", "RegQueryValueExW",
+    "RegQueryValueExA", "RegDeleteValueW", "RegDeleteKeyW",
+    "RegEnumKeyExW", "RegEnumValueW", "RegCloseKey", "RegFlushKey",
+    "RegQueryInfoKeyW", "NtOpenKey", "NtSetValueKey",
+    // CryptoAPI / CNG — the heart of an encryption loop.
+    "CryptAcquireContextW", "CryptAcquireContextA",
+    "CryptReleaseContext", "CryptGenKey", "CryptDeriveKey",
+    "CryptDestroyKey", "CryptEncrypt", "CryptDecrypt", "CryptGenRandom",
+    "CryptExportKey", "CryptImportKey", "CryptHashData",
+    "CryptCreateHash", "CryptDestroyHash", "BCryptOpenAlgorithmProvider",
+    "BCryptGenRandom", "BCryptEncrypt", "BCryptCloseAlgorithmProvider",
+    // Process creation and inspection.
+    "CreateProcessW", "CreateProcessA", "CreateProcessInternalW",
+    "OpenProcess", "TerminateProcess", "ExitProcess",
+    "GetCurrentProcess", "GetCurrentProcessId",
+    "NtQuerySystemInformation", "CreateToolhelp32Snapshot",
+    "Process32FirstW", "Process32NextW", "Module32FirstW",
+    "Module32NextW", "OpenProcessToken", "AdjustTokenPrivileges",
+    "LookupPrivilegeValueW", "ShellExecuteExW",
+    // Thread management and injection primitives.
+    "CreateThread", "CreateRemoteThread", "OpenThread", "ResumeThread",
+    "SuspendThread", "TerminateThread", "GetCurrentThreadId",
+    "NtCreateThreadEx", "QueueUserAPC", "SetThreadContext",
+    // Virtual memory and heaps.
+    "VirtualAlloc", "VirtualAllocEx", "VirtualFree", "VirtualProtect",
+    "VirtualProtectEx", "VirtualQuery", "WriteProcessMemory",
+    "ReadProcessMemory", "HeapAlloc", "HeapFree", "HeapCreate",
+    "GlobalAlloc",
+    // Winsock networking.
+    "WSAStartup", "WSACleanup", "socket", "connect", "bind", "listen",
+    "accept", "send", "recv", "sendto", "recvfrom", "closesocket",
+    "gethostbyname", "getaddrinfo", "select", "ioctlsocket",
+    "WSASocketW", "WSAConnect", "WSASend", "WSARecv",
+    // WinINet/WinHTTP/DNS — C2-style communication.
+    "InternetOpenW", "InternetOpenUrlW", "InternetConnectW",
+    "InternetReadFile", "InternetWriteFile", "InternetCloseHandle",
+    "HttpOpenRequestW", "HttpSendRequestW", "HttpQueryInfoW",
+    "InternetCrackUrlW", "URLDownloadToFileW", "DnsQuery_W",
+    "InternetSetOptionW", "WinHttpOpen",
+    // SMB shares and network neighbourhood — propagation surface.
+    "NetShareEnum", "NetServerEnum", "NetUserEnum", "WNetOpenEnumW",
+    "WNetEnumResourceW", "WNetCloseEnum", "WNetAddConnection2W",
+    "WNetCancelConnection2W", "NetWkstaGetInfo", "NetRemoteTOD",
+    // Windows services — persistence surface.
+    "OpenSCManagerW", "OpenServiceW", "CreateServiceW", "StartServiceW",
+    "ControlService", "DeleteService", "CloseServiceHandle",
+    "QueryServiceStatusEx", "ChangeServiceConfigW",
+    "EnumServicesStatusExW",
+    // Windows and message-loop GUI calls.
+    "CreateWindowExW", "DestroyWindow", "ShowWindow", "UpdateWindow",
+    "GetMessageW", "PeekMessageW", "DispatchMessageW",
+    "TranslateMessage", "DefWindowProcW", "SendMessageW",
+    "PostMessageW", "MessageBoxW", "SetWindowTextW", "GetDC",
+    "ReleaseDC", "BitBlt", "InvalidateRect", "RegisterClassExW",
+    // Synchronization objects.
+    "CreateMutexW", "OpenMutexW", "ReleaseMutex", "CreateEventW",
+    "SetEvent", "WaitForSingleObject", "WaitForMultipleObjects",
+    "CreateSemaphoreW", "EnterCriticalSection", "LeaveCriticalSection",
+    // Time, system information, anti-analysis probes.
+    "GetSystemTimeAsFileTime", "GetSystemTime", "GetLocalTime",
+    "QueryPerformanceCounter", "QueryPerformanceFrequency",
+    "GetTickCount", "GetTickCount64", "Sleep", "SleepEx",
+    "GetSystemInfo", "GetNativeSystemInfo", "GetComputerNameW",
+    "GetUserNameW", "GetVersionExW", "GlobalMemoryStatusEx",
+    "IsDebuggerPresent",
+    // Dynamic library loading.
+    "LoadLibraryW", "LoadLibraryA", "LoadLibraryExW", "FreeLibrary",
+    "GetProcAddress", "GetModuleHandleW", "GetModuleHandleA",
+    "GetModuleFileNameW", "LdrLoadDll", "LdrGetProcedureAddress",
+    "DisableThreadLibraryCalls", "SetDllDirectoryW",
+    // COM and shell helpers.
+    "CoInitialize", "CoInitializeEx", "CoUninitialize",
+    "CoCreateInstance", "CoTaskMemAlloc", "CoTaskMemFree",
+    "SHGetFolderPathW", "SHGetKnownFolderPath", "SHFileOperationW",
+    "ShellExecuteW", "SHCreateDirectoryExW", "SHChangeNotify",
+    // Clipboard and input state.
+    "OpenClipboard", "CloseClipboard", "GetClipboardData",
+    "SetClipboardData", "EmptyClipboard", "GetKeyState",
+    "GetAsyncKeyState", "GetCursorPos",
+    // Environment, paths, error handling, string conversion.
+    "GetCommandLineW", "GetEnvironmentVariableW",
+    "SetEnvironmentVariableW", "ExpandEnvironmentStringsW",
+    "GetCurrentDirectoryW", "SetCurrentDirectoryW", "GetStartupInfoW",
+    "GetSystemDirectoryW", "GetWindowsDirectoryW", "OutputDebugStringW",
+    "SetErrorMode", "GetLastError", "SetLastError", "FormatMessageW",
+    "MultiByteToWideChar", "WideCharToMultiByte",
+    // Device control and shutdown.
+    "DeviceIoControl", "NtShutdownSystem", "InitiateSystemShutdownExW",
+    "SetSystemPowerState",
 ];
 
 /// The 278-call vocabulary with name↔token lookup.
@@ -218,39 +133,37 @@ const TABLE: &[&[ApiCall]] = &[
 /// are exactly what the model embeds (`0 ≤ token < 278`).
 #[derive(Debug, Clone)]
 pub struct ApiVocabulary {
-    calls: Vec<ApiCall>,
     by_name: HashMap<&'static str, usize>,
 }
 
 impl ApiVocabulary {
     /// The canonical 278-call Windows vocabulary.
     pub fn windows() -> Self {
-        let calls: Vec<ApiCall> = TABLE.iter().flat_map(|g| g.iter().copied()).collect();
-        let mut by_name = HashMap::with_capacity(calls.len());
-        for (i, c) in calls.iter().enumerate() {
-            let prev = by_name.insert(c.name, i);
-            debug_assert!(prev.is_none(), "duplicate API name {}", c.name);
+        let mut by_name = HashMap::with_capacity(TABLE.len());
+        for (i, &name) in TABLE.iter().enumerate() {
+            let prev = by_name.insert(name, i);
+            debug_assert!(prev.is_none(), "duplicate API name {name}");
         }
-        Self { calls, by_name }
+        Self { by_name }
     }
 
     /// Vocabulary size `M`.
     pub fn len(&self) -> usize {
-        self.calls.len()
+        TABLE.len()
     }
 
     /// `false`: the vocabulary is never empty.
     pub fn is_empty(&self) -> bool {
-        self.calls.is_empty()
+        TABLE.is_empty()
     }
 
-    /// The call at `token`.
+    /// The API name at `token`.
     ///
     /// # Panics
     ///
     /// Panics if `token` is out of vocabulary.
-    pub fn call(&self, token: usize) -> ApiCall {
-        self.calls[token]
+    pub fn call(&self, token: usize) -> &'static str {
+        TABLE[token]
     }
 
     /// The token of a call name, if present.
@@ -269,9 +182,9 @@ impl ApiVocabulary {
             .unwrap_or_else(|| panic!("{name} not in vocabulary"))
     }
 
-    /// Iterator over all calls in token order.
-    pub fn iter(&self) -> impl Iterator<Item = &ApiCall> {
-        self.calls.iter()
+    /// Iterator over all API names in token order.
+    pub fn iter(&self) -> impl Iterator<Item = &'static str> {
+        TABLE.iter().copied()
     }
 }
 
@@ -297,7 +210,7 @@ mod tests {
     #[test]
     fn no_duplicate_names() {
         let v = ApiVocabulary::windows();
-        let names: HashSet<&str> = v.iter().map(|c| c.name).collect();
+        let names: HashSet<&str> = v.iter().collect();
         assert_eq!(names.len(), v.len());
     }
 
@@ -305,21 +218,9 @@ mod tests {
     fn token_lookup_roundtrip() {
         let v = ApiVocabulary::windows();
         for t in 0..v.len() {
-            assert_eq!(v.token(v.call(t).name), Some(t));
+            assert_eq!(v.token(v.call(t)), Some(t));
         }
         assert_eq!(v.token("NotARealApi"), None);
-    }
-
-    #[test]
-    fn crypto_category_contains_encrypt() {
-        let v = ApiVocabulary::windows();
-        let crypto: Vec<&str> = v
-            .iter()
-            .filter(|c| c.category == ApiCategory::Crypto)
-            .map(|c| c.name)
-            .collect();
-        assert_eq!(crypto.len(), 18);
-        assert!(crypto.contains(&"CryptEncrypt"));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! - [`sandbox`] — the Cuckoo-replacement executor (Windows 10/11).
 //! - [`window`] — sliding-window extraction (length 100).
 //! - [`dataset`] — corpus assembly, CSV round-trip, train/test splits.
-//! - [`replay`] — the corpus as interleaved live traffic: a replayable
-//!   process-event trace format plus the seeded load generator.
+//! - [`replay`] — the corpus as interleaved live traffic: the seeded
+//!   load generator of process-event traces.
 //!
 //! # Example
 //!
@@ -56,7 +56,7 @@ pub mod variant;
 pub mod window;
 
 pub use analysis::DamageTimeline;
-pub use api::{ApiCall, ApiCategory, ApiVocabulary};
+pub use api::ApiVocabulary;
 pub use benign::BenignProfile;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosOp, ChaosSchedule};
 pub use dataset::{Dataset, DatasetBuilder, SplitKind};

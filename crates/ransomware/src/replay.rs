@@ -14,12 +14,7 @@
 //! can be checked 1:1 against offline classification.
 //!
 //! Everything is seeded: the same `(dataset, seed, profile)` triple
-//! yields byte-identical traces, and the text round-trip
-//! ([`EventTrace::to_text`] / [`EventTrace::from_text`]) makes a trace
-//! a file you can store, diff, and replay later — the load generator
-//! and the replay file format are the same thing.
-
-use std::fmt::Write as _;
+//! yields the same trace, event for event.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -73,7 +68,7 @@ impl Default for ReplayProfile {
     }
 }
 
-/// A merged, time-ordered stream of process events — the replay file.
+/// A merged, time-ordered stream of process events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventTrace {
     /// Events in non-decreasing `t_us` order; ties preserve per-pid
@@ -90,60 +85,6 @@ impl EventTrace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Serializes the trace as line-oriented text, one event per line:
-    /// `t_us pid spawn <name>` / `t_us pid api <call>` / `t_us pid exit`.
-    /// Spawn names go last on the line so embedded spaces survive.
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 24);
-        for e in &self.events {
-            match &e.kind {
-                TraceEventKind::Spawn(name) => {
-                    let _ = writeln!(out, "{} {} spawn {}", e.t_us, e.pid, name);
-                }
-                TraceEventKind::Api(call) => {
-                    let _ = writeln!(out, "{} {} api {}", e.t_us, e.pid, call);
-                }
-                TraceEventKind::Exit => {
-                    let _ = writeln!(out, "{} {} exit", e.t_us, e.pid);
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses a trace written by [`to_text`](Self::to_text). Malformed
-    /// lines are reported by number, never panicked on — replay files
-    /// are external input.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut events = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("line {}: {what}: {line:?}", lineno + 1);
-            let mut parts = line.splitn(4, ' ');
-            let t_us = parts
-                .next()
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| err("bad timestamp"))?;
-            let pid = parts
-                .next()
-                .and_then(|s| s.parse::<u32>().ok())
-                .ok_or_else(|| err("bad pid"))?;
-            let kind = match (parts.next(), parts.next()) {
-                (Some("spawn"), Some(name)) => TraceEventKind::Spawn(name.to_string()),
-                (Some("api"), Some(call)) => {
-                    TraceEventKind::Api(call.parse::<usize>().map_err(|_| err("bad call index"))?)
-                }
-                (Some("exit"), None) => TraceEventKind::Exit,
-                _ => return Err(err("bad event kind")),
-            };
-            events.push(TraceEvent { t_us, pid, kind });
-        }
-        Ok(Self { events })
     }
 }
 
@@ -273,48 +214,6 @@ mod tests {
             trace.events.iter().take(50).any(|e| e.pid != first_pid),
             "sessions interleave rather than run back to back"
         );
-    }
-
-    #[test]
-    fn text_roundtrip_is_lossless() {
-        let ds = small();
-        let trace = interleave(&ds, 9, ReplayProfile::default());
-        let text = trace.to_text();
-        let back = EventTrace::from_text(&text).expect("parses");
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn spawn_names_with_spaces_survive_the_text_format() {
-        let trace = EventTrace {
-            events: vec![TraceEvent {
-                t_us: 5,
-                pid: 2,
-                kind: TraceEventKind::Spawn("C:\\Program Files\\app one.exe".to_string()),
-            }],
-        };
-        let back = EventTrace::from_text(&trace.to_text()).expect("parses");
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn malformed_replay_lines_are_typed_errors_not_panics() {
-        for bad in [
-            "x 1 api 3",
-            "1 y api 3",
-            "1 2 warp 3",
-            "1 2 api zork",
-            "1 2 spawn",
-            "1 2",
-        ] {
-            assert!(
-                EventTrace::from_text(bad).is_err(),
-                "{bad:?} should be rejected"
-            );
-        }
-        assert!(EventTrace::from_text("  \n\n")
-            .expect("blank ok")
-            .is_empty());
     }
 
     #[test]

@@ -626,7 +626,7 @@ fn write_checkpoint(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::actions::ActionKind;
+    use crate::actions::{ActionKind, ActionOutcome};
     use crate::journal::JournalAnchor;
     use csd_accel::OptimizationLevel;
     use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -818,6 +818,75 @@ mod tests {
             expect,
             "recovered incident set must equal the uninterrupted run"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A backend that fails every dispatch against the PIDs it holds:
+    /// the process it fails on keeps running.
+    #[derive(Debug)]
+    struct FailsOn(Vec<u32>);
+
+    impl crate::quarantine::QuarantineBackend for FailsOn {
+        fn kill(&mut self, pid: u32, _name: Option<&str>) -> Result<String, String> {
+            if self.0.contains(&pid) {
+                Err(format!("pid {pid} is still running"))
+            } else {
+                Ok(format!("pid {pid} terminated"))
+            }
+        }
+
+        fn quarantine(&mut self, pid: u32, name: Option<&str>) -> Result<String, String> {
+            self.kill(pid, name)
+        }
+    }
+
+    /// A kill the backend fails is not a kill, live or recovered: the
+    /// processes keep running, so a crash after their incidents are
+    /// durable replays their later calls into live sessions, and the
+    /// reopened run ends where the uninterrupted one does — same
+    /// incidents and outcomes, same counters, no call dropped as a
+    /// kill's straggler.
+    #[test]
+    fn a_failed_kill_recovers_as_a_live_session() {
+        let dir = tmpdir("failed-kill");
+        let events = workload(3, 120);
+        let backend = || Box::new(FailsOn(vec![100, 101, 102]));
+        let mut want = Sentry::new(engine(), config());
+        want.set_backend(backend());
+        for (i, e) in events.iter().enumerate() {
+            want.ingest(e);
+            if (i + 1).is_multiple_of(16) {
+                want.poll();
+            }
+        }
+        want.drain();
+        let failed = want.incidents().len() as u64;
+        assert!(failed > 0);
+        assert!(want
+            .incidents()
+            .iter()
+            .all(|i| matches!(i.outcome, ActionOutcome::Failed(_))));
+
+        // Checkpoint once every incident is durable, crash later: reopen
+        // adopts them and replays their sessions' later calls.
+        let mut d = DurableSentry::open(engine(), config(), DurableConfig::new(&dir)).unwrap();
+        d.sentry_mut().set_backend(backend());
+        feed(&mut d, &events[..120]);
+        d.checkpoint().unwrap();
+        feed(&mut d, &events[120..300]);
+        let resume_from = d.durable_events() as usize;
+        d.simulate_crash(0);
+        let mut d = DurableSentry::open(engine(), config(), DurableConfig::new(&dir)).unwrap();
+        assert_eq!(d.recovery().adopted_incidents, failed);
+        d.sentry_mut().set_backend(backend());
+        feed(&mut d, &events[resume_from..]);
+        d.drain().unwrap();
+
+        assert_eq!(d.sentry().incidents(), want.incidents());
+        let (got, mut want) = (d.sentry().stats(), want.stats());
+        assert_eq!((got.actions_failed, got.dropped_after_kill), (failed, 0));
+        want.mux = got.mux;
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
         let _ = fs::remove_dir_all(&dir);
     }
 

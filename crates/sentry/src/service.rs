@@ -427,12 +427,16 @@ impl Sentry {
     fn pump_windows(&mut self, sid: u64) {
         let (window_len, stride) = (self.config.window_len, self.config.stride);
         let rec = self.streams.entry(sid).or_default();
-        if rec.latched || rec.shed {
-            return;
-        }
         let Some(s) = self.sessions.session_mut(sid) else {
             return;
         };
+        if rec.latched || rec.shed {
+            // No window of this stream is ever submitted again, so no
+            // future window needs a call: the buffer empties as it
+            // fills, or a session left running holds its whole trace.
+            s.discard_consumed(s.vocab_calls());
+            return;
+        }
         let mut evicted = Vec::new();
         while s.is_live() {
             let offset = rec.submitted * stride;
@@ -784,15 +788,20 @@ impl Sentry {
             (ActionTaken::Suppressed, ActionOutcome::NotAttempted)
         } else {
             let outcome = if self.config.action.stops_process() && !post_exit {
-                self.sessions.kill(v.stream);
                 // The terminal effect: dispatch to the backend and
-                // record what it reported, not just the intent.
+                // record what it reported, not just the intent. Only a
+                // process the backend stopped is marked killed: one it
+                // failed to stop keeps running, and its calls still
+                // count as its own.
                 let dispatched = match self.config.action {
                     ActionKind::Quarantine => self.backend.quarantine(pid, name.as_deref()),
                     _ => self.backend.kill(pid, name.as_deref()),
                 };
                 match dispatched {
-                    Ok(receipt) => ActionOutcome::Applied(receipt),
+                    Ok(receipt) => {
+                        self.sessions.kill(v.stream);
+                        ActionOutcome::Applied(receipt)
+                    }
                     Err(err) => {
                         self.actions_failed += 1;
                         ActionOutcome::Failed(err)
@@ -933,10 +942,10 @@ impl Sentry {
 
     /// Re-adopts a journal-recovered incident: the stream latches, the
     /// session is marked killed if the original action stopped the
-    /// process, counters recount, and the incident rejoins the log —
-    /// all *without* re-dispatching the backend. The action already
-    /// ran (or failed) before the crash; recovery must not run it
-    /// twice.
+    /// process (its backend reported it applied), counters recount, and
+    /// the incident rejoins the log — all *without* re-dispatching the
+    /// backend. The action already ran (or failed) before the crash;
+    /// recovery must not run it twice.
     ///
     /// The stream latches only if something can still fold against it:
     /// the session is tracked, or its id is yet to be assigned, i.e.
@@ -951,7 +960,8 @@ impl Sentry {
         if matches!(
             incident.action,
             ActionTaken::Killed | ActionTaken::Quarantined
-        ) {
+        ) && matches!(incident.outcome, ActionOutcome::Applied(_))
+        {
             self.sessions.kill(incident.sid);
         }
         if incident.action == ActionTaken::Suppressed {
@@ -1145,6 +1155,32 @@ mod tests {
         sentry.ingest(&ProcessEvent::api(1000, 77, 1));
         sentry.ingest(&ProcessEvent::api(1001, 77, 2));
         assert_eq!(sentry.stats().dropped_after_kill, 2);
+    }
+
+    /// A session that latched but keeps running (a Log action here; a
+    /// whitelisted image, a failed kill and a shed session alike) holds
+    /// at most a window of calls, however long it runs: no window of it
+    /// is ever submitted again.
+    #[test]
+    fn a_latched_session_left_running_holds_at_most_a_window() {
+        let e = engine();
+        let offline = e.clone();
+        let cfg = config();
+        assert_eq!(cfg.action, ActionKind::Log);
+        let window_len = cfg.window_len;
+        let mut sentry = Sentry::new(e, cfg);
+        let salt = (0..64)
+            .find(|&s| offline.classify(&trace(s, 8)).is_positive)
+            .expect("some window classifies positive");
+        feed(&mut sentry, 77, &trace(salt, 8));
+        assert_eq!(sentry.drain().len(), 1);
+        for i in 0..2_000u64 {
+            sentry.ingest(&ProcessEvent::api(100 + i, 77, (i % 16) as usize));
+        }
+        let snap = sentry.snapshot();
+        let held: Vec<usize> = snap.table.sessions.iter().map(|s| s.buf.len()).collect();
+        assert_eq!(held.len(), 1);
+        assert!(held[0] <= window_len, "{} calls held", held[0]);
     }
 
     #[test]

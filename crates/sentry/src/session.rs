@@ -269,9 +269,6 @@ pub enum Applied {
     },
     /// A call on a killed session — dropped and tallied.
     DroppedKilled(u64),
-    /// A call on an exited-but-still-linked session (cannot happen
-    /// today: exit unlinks immediately; kept for exhaustive matching).
-    DroppedEnded(u64),
     /// The session exited.
     Exited(u64),
     /// An `Exit` for a PID the table has never seen — tallied.
@@ -377,12 +374,11 @@ impl SessionTable {
             unreachable!("pid-linked session {sid} missing from table");
         };
         s.last_event = self.clock;
+        // A PID links only a live or a killed session: every way a
+        // session ends unlinks it, and `restore` keeps no other link.
         if s.killed {
             self.dropped_after_kill += 1;
             return Applied::DroppedKilled(sid);
-        }
-        if s.ended.is_some() {
-            return Applied::DroppedEnded(sid);
         }
         s.calls_seen += 1;
         let buffered = call < self.vocab;
@@ -583,15 +579,23 @@ impl SessionTable {
     /// events against the restored table assigns the same session ids
     /// and reaches the same state as the uninterrupted table.
     pub fn restore(snap: &TableSnap) -> Self {
+        let sessions: SidMap<Session> = snap
+            .sessions
+            .iter()
+            .map(|s| (s.sid, Session::from_snap(s)))
+            .collect();
         Self {
             vocab: snap.vocab.max(1),
             idle_timeout_events: snap.idle_timeout_events,
-            by_pid: snap.by_pid.iter().copied().collect(),
-            sessions: snap
-                .sessions
+            // A link to an untracked or ended session is not one a run
+            // can leave: it goes, so a call on its PID starts a session.
+            by_pid: snap
+                .by_pid
                 .iter()
-                .map(|s| (s.sid, Session::from_snap(s)))
+                .copied()
+                .filter(|(_, sid)| sessions.get(sid).is_some_and(|s| s.ended.is_none()))
                 .collect(),
+            sessions,
             next_sid: snap.next_sid,
             clock: snap.clock,
             started: snap.started,
@@ -680,6 +684,31 @@ mod tests {
             t.sid_for_pid(2).is_some(),
             "the busy session survives the sweep"
         );
+    }
+
+    /// A checkpoint that links a PID to an ended or an untracked
+    /// session restores without the link: a call on that PID starts a
+    /// fresh session rather than reaching a dead one (or none).
+    #[test]
+    fn restore_drops_links_no_run_leaves() {
+        let mut t = table();
+        t.apply(&ProcessEvent::api(0, 5, 1));
+        t.apply(&ProcessEvent::api(1, 6, 1));
+        let (ended, live) = (t.sid_for_pid(5).unwrap(), t.sid_for_pid(6).unwrap());
+        t.apply(&ProcessEvent::exit(2, 5));
+        let mut snap = t.snapshot();
+        snap.by_pid = vec![(5, ended), (6, live), (7, 99)];
+        let mut t = SessionTable::restore(&snap);
+        assert_eq!(
+            (t.sid_for_pid(5), t.sid_for_pid(6), t.sid_for_pid(7)),
+            (None, Some(live), None)
+        );
+        let Applied::Started { sid, .. } = t.apply(&ProcessEvent::api(3, 5, 2)) else {
+            panic!("a call on an unlinked PID starts a session");
+        };
+        assert!(sid > live);
+        t.apply(&ProcessEvent::api(4, 7, 2));
+        assert_eq!(t.sid_for_pid(7), Some(sid + 1));
     }
 
     #[test]

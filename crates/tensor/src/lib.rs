@@ -16,7 +16,9 @@
 //! gate timestep — vectorised across gate rows for one sequence, or
 //! across lanes for a block of them — bit-identical to the serial path.
 //! The [`bptt`] module holds the three `f64` products of LSTM training,
-//! bit-identical to the [`Matrix`] code they replace.
+//! bit-identical to the [`Matrix`] code they replace. [`fan_out`] is
+//! the one scoped fan-out the trainer and the engine share: the worker
+//! count schedules parts, and never changes a result.
 //!
 //! # Example
 //!
@@ -37,12 +39,14 @@
 #![warn(missing_docs)]
 
 pub mod bptt;
+mod fanout;
 pub mod init;
 pub mod lanes;
 pub mod matrix;
 pub mod scalar;
 pub mod vector;
 
+pub use fanout::fan_out;
 pub use init::Initializer;
 pub use matrix::Matrix;
 pub use scalar::Scalar;

@@ -232,13 +232,11 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         test.len()
     );
     let mut model = SequenceClassifier::new(config, seed);
-    // A batch's gradient is summed per thread chunk, so the thread count
-    // is part of the result: two, whatever the host has, as the
-    // benchmark's detector recipe uses, so a seed names one weight file.
+    // The thread count only schedules gradient sub-batches, so a seed
+    // names one weight file on every host.
     let trainer = Trainer::new(TrainOptions {
         epochs,
         seed,
-        threads: 2,
         ..TrainOptions::default()
     });
     let history = trainer.fit(&mut model, &train.examples(), &test.examples());

@@ -122,3 +122,33 @@ fn all_three_levels_classify_identically_on_decisions() {
     // Fixed point may flip only borderline cases.
     assert!(disagreements <= 1, "{disagreements} fixed-point flips");
 }
+
+/// The thread count only schedules gradient sub-batches: a small fit
+/// of the paper's model writes one weight file, byte for byte, at one,
+/// two and three threads. Its 38 examples make a full 32-example batch
+/// and a ragged one, so three workers and a short last batch are both
+/// exercised.
+#[test]
+fn a_fit_writes_one_weight_file_at_every_thread_count() {
+    let dataset = DatasetBuilder::new(0x717)
+        .ransomware_windows(24)
+        .benign_windows(24)
+        .build();
+    let (train, _) = dataset.split(0.2, SplitKind::Random, 1);
+    let files: Vec<String> = [1, 2, 3]
+        .into_iter()
+        .map(|threads| {
+            let mut model = SequenceClassifier::new(ModelConfig::paper(), 0x717);
+            Trainer::new(TrainOptions {
+                epochs: 2,
+                seed: 0x717,
+                threads,
+                ..TrainOptions::default()
+            })
+            .fit(&mut model, &train.examples(), &[]);
+            ModelWeights::from_model(&model).to_text()
+        })
+        .collect();
+    assert!(files[0] == files[1], "two threads wrote another file");
+    assert!(files[0] == files[2], "three threads wrote another file");
+}
