@@ -73,7 +73,7 @@ impl Xclbin {
     }
 
     /// Total fabric resources across all kernel instances.
-    pub fn total_resources(&self) -> ResourceEstimate {
+    fn total_resources(&self) -> ResourceEstimate {
         self.kernels
             .iter()
             .fold(ResourceEstimate::zero(), |acc, k| {

@@ -117,11 +117,6 @@ impl CsdInferenceEngine {
         self
     }
 
-    /// The gate execution path in effect.
-    pub fn gate_path(&self) -> GatePath {
-        self.path
-    }
-
     /// The optimization level the engine executes at.
     pub fn level(&self) -> OptimizationLevel {
         self.level

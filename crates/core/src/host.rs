@@ -124,7 +124,7 @@ impl RecoveryPolicy {
 
 /// Running recovery tallies for one host session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryStats {
+pub(crate) struct RecoveryStats {
     /// Device faults observed (all classes).
     pub faults: u64,
     /// Retries performed.
@@ -296,14 +296,10 @@ impl HostProgram {
         // Register the kernel instances with their per-item durations
         // straight from the linked image.
         let micros = |name: &str| Nanos::from_micros(image.per_item_us(name));
-        let k_pre = runtime.register_kernel("kernel_preprocess", micros("kernel_preprocess"));
-        let k_gates = GateKind::ALL.map(|kind| {
-            let name = format!("kernel_gates[{kind:?}]");
-            let d = micros(&name);
-            runtime.register_kernel(name, d)
-        });
-        let k_hidden =
-            runtime.register_kernel("kernel_hidden_state", micros("kernel_hidden_state"));
+        let k_pre = runtime.register_kernel(micros("kernel_preprocess"));
+        let k_gates = GateKind::ALL
+            .map(|kind| runtime.register_kernel(micros(&format!("kernel_gates[{kind:?}]"))));
+        let k_hidden = runtime.register_kernel(micros("kernel_hidden_state"));
         Ok((weight_buf, seq_buf, k_pre, k_gates, k_hidden))
     }
 
@@ -317,16 +313,6 @@ impl HostProgram {
     pub fn set_recovery(&mut self, policy: RecoveryPolicy) {
         self.policy = policy;
         self.runtime.set_watchdog(policy.watchdog);
-    }
-
-    /// The active recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Recovery tallies accumulated by this session.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.stats
     }
 
     /// Arms a deterministic fault schedule on the underlying device.
@@ -407,12 +393,6 @@ impl HostProgram {
     fn backoff_for(&self, attempt: u32) -> Nanos {
         let shift = attempt.saturating_sub(1).min(16);
         Nanos(self.policy.backoff.as_nanos().saturating_mul(1u64 << shift))
-    }
-
-    /// The currently-deployed model version (1 after boot; bumped by
-    /// every [`Self::update_weights`]).
-    pub fn model_version(&self) -> u64 {
-        self.model_version
     }
 
     /// Hot-swaps the deployed model with retrained weights — the §III-A
@@ -699,11 +679,11 @@ mod tests {
         let retrained =
             ModelWeights::from_model(&SequenceClassifier::new(ModelConfig::paper(), 99));
         let mut host = HostProgram::new(&old, OptimizationLevel::FixedPoint).expect("boot");
-        assert_eq!(host.model_version(), 1);
+        assert_eq!(host.model_version, 1);
         let s = seq();
         let before = host.engine().classify(&s);
         host.update_weights(&retrained).expect("update");
-        assert_eq!(host.model_version(), 2);
+        assert_eq!(host.model_version, 2);
         let after = host.engine().classify(&s);
         assert_ne!(before, after, "new weights must change behaviour");
         // And matches a fresh engine on the retrained weights.
@@ -718,7 +698,7 @@ mod tests {
             ModelWeights::from_model(&SequenceClassifier::new(ModelConfig::tiny(50), 1));
         let err = host.update_weights(&other_shape).unwrap_err();
         assert_eq!(err, RuntimeError::ShapeMismatch);
-        assert_eq!(host.model_version(), 1, "failed update must not bump");
+        assert_eq!(host.model_version, 1, "failed update must not bump");
     }
 
     fn corruption_only(rate: f64) -> FaultConfig {
@@ -750,7 +730,7 @@ mod tests {
             }
         }
         assert!(faulted_runs > 0, "rate 0.002 over 8 runs must fault");
-        let stats = host.recovery_stats();
+        let stats = host.stats;
         assert!(stats.faults > 0 && stats.retries > 0);
         assert_eq!(stats.crc_rejects, stats.faults, "only corruption armed");
     }
@@ -768,7 +748,7 @@ mod tests {
             .classify_from_ssd(&seq())
             .expect_err("budget exhausted");
         assert!(matches!(err, RuntimeError::TransferCorrupted { .. }));
-        let stats = host.recovery_stats();
+        let stats = host.stats;
         assert_eq!(stats.retries, 2, "exactly the budget");
         assert_eq!(stats.faults, 3, "initial attempt + two retries");
         assert_eq!(stats.reprograms, 0, "retry-only policy never reloads");
@@ -792,7 +772,7 @@ mod tests {
         host.arm_faults(FaultPlan::new(9, cfg));
         let err = host.classify_from_ssd(&seq()).expect_err("still flaky");
         assert!(matches!(err, RuntimeError::KernelTimeout { .. }), "{err:?}");
-        let stats = host.recovery_stats();
+        let stats = host.stats;
         assert!(stats.watchdog_trips >= 1);
         assert!(stats.reprograms >= 1, "policy reloads after 1 failure");
         // Clear the fault, reload once more to free the hung circuit:
@@ -828,10 +808,7 @@ mod tests {
             let run = host.classify_from_ssd(&s).expect("waits out brownouts");
             assert_eq!(run.classification, engine.classify(&s));
         }
-        assert!(
-            host.recovery_stats().brownout_waits > 0,
-            "brownouts did fire"
-        );
+        assert!(host.stats.brownout_waits > 0, "brownouts did fire");
         assert!(host.fault_counters().brownouts > 0);
     }
 

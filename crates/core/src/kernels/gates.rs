@@ -47,7 +47,7 @@ impl GateKind {
     }
 
     /// `true` for the softsign-activated candidate gate.
-    pub fn is_candidate(self) -> bool {
+    fn is_candidate(self) -> bool {
         self == GateKind::Candidate
     }
 }

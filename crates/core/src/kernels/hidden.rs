@@ -81,7 +81,7 @@ pub fn fanout_h<T: Scalar>(h: &Vector<T>) -> [Vector<T>; 4] {
 
 /// The per-item hardware structure: four gate-result input bursts, the
 /// elementwise state loop, four `h` fan-out bursts, and the timestep
-/// counter. (The FC head runs once per sequence; see [`fc_spec`].)
+/// counter. (The FC head runs once per sequence and is not part of it.)
 pub fn spec(level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {
     let h = dims.hidden as u32;
     let mut ops = vec![Op::MemRead, Op::MemRead, Op::MemRead, Op::MemRead];
@@ -105,20 +105,6 @@ pub fn spec(level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {
     }
     // The static sequence counter: increment + end-of-sequence compare.
     spec.seq(vec![Op::Add, Op::Cmp])
-}
-
-/// The end-of-sequence FC stage: a `H`-element MAC plus the output
-/// sigmoid, charged once per sequence.
-pub fn fc_spec(level: OptimizationLevel, dims: &LstmDims) -> KernelSpec {
-    let h = dims.hidden as u32;
-    let act = if level.is_fixed_point() {
-        vec![Op::MemRead, Op::Cmp, Op::Mul, Op::Add]
-    } else {
-        vec![Op::Exp, Op::Add, Op::Div]
-    };
-    KernelSpec::new("kernel_hidden_state::fc", level.format())
-        .stage(LoopNest::new(h, LoopBody::Mac, level.inner_loop_pragmas()))
-        .seq(act)
 }
 
 #[cfg(test)]
@@ -191,15 +177,5 @@ mod tests {
         assert!((fx - ii).abs() / ii < 0.15, "II {ii} vs fixed {fx}");
         // Ballpark of the paper's 1.3–1.7 µs row: within ~2×.
         assert!(v > 0.6 && v < 3.5, "vanilla hidden {v}");
-    }
-
-    #[test]
-    fn fc_stage_is_cheap() {
-        let dims = LstmDims::paper();
-        let clock = Clock::default_kernel_clock();
-        for l in OptimizationLevel::ALL {
-            let t = clock.micros(fc_spec(l, &dims).estimate_default().fill_cycles);
-            assert!(t < 1.0, "{l}: {t} µs");
-        }
     }
 }

@@ -40,8 +40,8 @@
 //! - [`shard`] — [`ShardedStreamMux`], the stream multiplexer:
 //!   thousands of process streams' windows in one bounded FIFO, served
 //!   one window at a time under a budget counted in window-steps, with
-//!   backpressure, typed per-stream loss and in-order delivery by
-//!   construction. [`stream`] holds its config/admission/verdict/stats
+//!   backpressure, each loss named to the submitter ([`Admission`]) and
+//!   in-order delivery by construction. [`stream`] holds its config/admission/verdict/stats
 //!   types.
 //! - [`fleet`] — multi-device scaling (§II's "multiple devices within a
 //!   single node").
@@ -87,15 +87,13 @@ pub mod weights;
 pub use bitstream::{link, LinkError, Xclbin};
 pub use engine::{Classification, CsdInferenceEngine, GatePath};
 pub use fleet::{CsdFleet, FleetScan, FleetStats};
-pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy, RecoveryStats};
+pub use host::{DeviceRun, HostError, HostProgram, RecoveryPolicy};
 pub use kernels::LstmDims;
 pub use monitor::{Alert, MonitorConfig, RollingWindow, StreamMonitor, VoteRing};
 pub use opt::OptimizationLevel;
 pub use schedule::{Bottleneck, PipelineSchedule, ScheduleEvent};
 pub use scratch::{EngineScratch, InferenceScratch};
 pub use shard::ShardedStreamMux;
-pub use stream::{
-    Admission, MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict, ROUND_STEPS,
-};
+pub use stream::{Admission, MuxStats, OverflowPolicy, StreamMuxConfig, Verdict, ROUND_STEPS};
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
 pub use weights::{LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

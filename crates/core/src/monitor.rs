@@ -111,7 +111,7 @@ impl RollingWindow {
     }
 
     /// Whether the window holds `window_len` items.
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.len() == self.window_len
     }
 
@@ -129,7 +129,7 @@ impl RollingWindow {
     }
 
     /// The live window, oldest first — the full window once
-    /// [`is_full`](Self::is_full).
+    /// `window_len` items have been pushed.
     pub fn as_slice(&self) -> &[usize] {
         &self.buf[self.start..]
     }

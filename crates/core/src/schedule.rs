@@ -154,18 +154,6 @@ impl PipelineSchedule {
         events.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
         events
     }
-
-    /// The simulated makespan for `items` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items == 0`.
-    pub fn simulated_makespan_us(&self, items: usize) -> f64 {
-        self.simulate(items)
-            .iter()
-            .map(|e| e.end_us)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +207,11 @@ mod tests {
         for level in OptimizationLevel::ALL {
             let s = PipelineSchedule::for_level(level);
             for items in [1usize, 2, 10, 100] {
-                let sim = s.simulated_makespan_us(items);
+                let sim = s
+                    .simulate(items)
+                    .iter()
+                    .map(|e| e.end_us)
+                    .fold(0.0, f64::max);
                 // Closed form: fill + n·steady is exact when compute-bound.
                 let closed = s.sequence_us(items);
                 assert!(

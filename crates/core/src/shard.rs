@@ -13,10 +13,10 @@
 //! [`submit`](ShardedStreamMux::submit) is the only way in, and the
 //! only place admission policy lives: it refuses out-of-vocabulary
 //! windows, applies the pending bound and its [`OverflowPolicy`],
-//! tallies every loss against its stream and numbers the window
-//! ([`Verdict::seq`]). It tells the caller what it did
-//! ([`Admission`]), naming the window an eviction discarded, so a caller
-//! that tracks its outstanding windows can follow the queue exactly.
+//! counts every loss and numbers the window ([`Verdict::seq`]). It
+//! tells the caller what it did ([`Admission`]), naming the window an
+//! eviction discarded, so a caller that tracks its outstanding windows
+//! can follow the queue exactly and charge each loss to its stream.
 //! Multi-producer ingestion sits in front of the mux, not inside it
 //! (the sentry's bounded event bus).
 //!
@@ -60,16 +60,14 @@
 
 #![deny(clippy::unwrap_used)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use csd_device::FaultPlan;
 
 use crate::engine::{Classification, CsdInferenceEngine};
 use crate::scratch::EngineScratch;
-use crate::stream::{
-    Admission, MuxStats, OverflowPolicy, StreamLoss, StreamMuxConfig, Verdict, ROUND_STEPS,
-};
+use crate::stream::{Admission, MuxStats, OverflowPolicy, StreamMuxConfig, Verdict, ROUND_STEPS};
 
 /// An admitted window, waiting in the queue.
 #[derive(Debug, Clone)]
@@ -106,17 +104,12 @@ pub struct ShardedStreamMux {
     max_pending: usize,
     policy: OverflowPolicy,
     next_seq: u64,
-    /// Admitted windows later evicted by `DropOldest` backpressure
-    /// (charged to the stream that lost its window).
+    /// Admitted windows later evicted by `DropOldest` backpressure.
     evicted: u64,
-    /// Windows refused at admission by `DropNewest` backpressure
-    /// (charged to the submitting stream).
+    /// Windows refused at admission by `DropNewest` backpressure.
     refused: u64,
     /// Windows refused for out-of-vocabulary tokens.
     rejected: u64,
-    /// Per-stream breakdown of the three tallies above; only streams
-    /// that lost a window hold an entry.
-    loss: HashMap<u64, StreamLoss>,
     /// Vocabulary size, cached for admission-time validation.
     vocab: usize,
     started: Instant,
@@ -125,8 +118,8 @@ pub struct ShardedStreamMux {
     /// Armed fault plan: one corruption draw per window served. `None`
     /// = fault-free (zero overhead).
     faults: Option<FaultPlan>,
+    /// Corrupted windows re-run before their verdict was emitted.
     fault_events: u64,
-    degraded_reruns: u64,
 }
 
 impl ShardedStreamMux {
@@ -154,14 +147,12 @@ impl ShardedStreamMux {
             evicted: 0,
             refused: 0,
             rejected: 0,
-            loss: HashMap::new(),
             vocab,
             started: Instant::now(),
             ticks: 0,
             verdicts: 0,
             faults: None,
             fault_events: 0,
-            degraded_reruns: 0,
         }
     }
 
@@ -186,22 +177,6 @@ impl ShardedStreamMux {
         self.queue.range(skip..).map(|w| (w.seq, w.stream))
     }
 
-    /// The per-stream loss breakdown for `stream`: windows evicted by
-    /// [`OverflowPolicy::DropOldest`] backpressure after admission,
-    /// refused at admission by [`OverflowPolicy::DropNewest`], or
-    /// rejected for out-of-vocabulary tokens.
-    pub fn loss_for(&self, stream: u64) -> StreamLoss {
-        self.loss.get(&stream).copied().unwrap_or_default()
-    }
-
-    /// Drops `stream`'s loss entry and returns it — for a caller whose
-    /// stream ids are never reused and that keeps its own total for
-    /// retired streams, so the map follows the streams still alive.
-    /// The aggregate tallies in [`stats`](Self::stats) are unaffected.
-    pub fn forget_stream(&mut self, stream: u64) -> StreamLoss {
-        self.loss.remove(&stream).unwrap_or_default()
-    }
-
     /// Arms degraded mode: each window served draws one corruption
     /// chance from `plan` ([`FaultPlan::corrupt_window`]), in queue
     /// order. A corrupted window is re-run before its verdict is
@@ -221,8 +196,8 @@ impl ShardedStreamMux {
     ///
     /// An out-of-vocabulary window is a *typed rejection, not a panic*:
     /// one misbehaving (or hostile) process is refused at the boundary
-    /// and tallied ([`loss_for`](Self::loss_for),
-    /// [`MuxStats::rejected`]); every other stream is untouched.
+    /// and tallied ([`MuxStats::rejected`]); every other stream is
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -234,19 +209,16 @@ impl ShardedStreamMux {
             .all(|&item| crate::kernels::preprocess::in_vocabulary(self.vocab, item))
         {
             self.rejected += 1;
-            self.loss.entry(stream).or_default().rejected += 1;
             return Admission::Rejected;
         }
         let mut admission = Admission::Queued;
         if self.queue.len() >= self.max_pending {
             if self.policy == OverflowPolicy::DropNewest {
                 self.refused += 1;
-                self.loss.entry(stream).or_default().refused += 1;
                 return Admission::Refused;
             }
             if let Some(victim) = self.queue.pop_front() {
                 self.evicted += 1;
-                self.loss.entry(victim.stream).or_default().evicted += 1;
                 admission = Admission::QueuedEvicting {
                     stream: victim.stream,
                     at_call: victim.at_call,
@@ -325,14 +297,12 @@ impl ShardedStreamMux {
         MuxStats {
             ticks: self.ticks,
             verdicts: self.verdicts,
-            dropped: self.evicted + self.refused,
             evicted: self.evicted,
             refused: self.refused,
             rejected: self.rejected,
             occupancy: 0.0,
             verdicts_per_sec: self.verdicts as f64 / self.started.elapsed().as_secs_f64().max(1e-9),
             faults: self.fault_events,
-            degraded_reruns: self.degraded_reruns,
             shards: self.shards as u64,
         }
     }
@@ -381,7 +351,6 @@ impl ShardedStreamMux {
             // through the same kernel — bit-identical, so the verdict
             // is delayed, never lost or changed.
             self.fault_events += 1;
-            self.degraded_reruns += 1;
             rerun = w.items.len() as u64;
             classification = self
                 .engine
@@ -603,8 +572,7 @@ mod tests {
             }
             let s = mux.stats();
             assert!(s.faults > 0, "rate 0.3 over 16 windows must hit");
-            assert_eq!(s.degraded_reruns, s.faults);
-            assert_eq!(s.dropped, 0, "faults delay, they never drop");
+            assert_eq!(s.evicted + s.refused, 0, "faults delay, they never drop");
         }
     }
 
@@ -629,8 +597,7 @@ mod tests {
         mux.submit(2, 2, &w0);
         assert!(mux.tick().is_empty());
         assert_eq!(mux.tick().len(), 1);
-        let s = mux.stats();
-        assert_eq!((s.faults, s.degraded_reruns), (3, 3));
+        assert_eq!(mux.stats().faults, 3);
     }
 
     #[test]
@@ -652,7 +619,8 @@ mod tests {
         );
         for k in 0..8u64 {
             // DropOldest always admits: past the bound, the oldest
-            // queued window is evicted, and the caller is told which.
+            // queued window is evicted, and the caller is told which —
+            // the stream that lost it, not the submitter.
             let admission = mux.submit(k, k as usize * 10, &seq(6, k as usize));
             let expect = if k < 3 {
                 Admission::Queued
@@ -666,31 +634,9 @@ mod tests {
         }
         assert_eq!(mux.pending(), 3, "the bound holds");
         let stats = mux.stats();
-        assert_eq!((stats.dropped, stats.evicted, stats.refused), (5, 5, 0));
+        assert_eq!((stats.evicted, stats.refused), (5, 0));
         let kept: Vec<u64> = mux.drain().iter().map(|v| v.stream).collect();
         assert_eq!(kept, vec![5, 6, 7]);
-        // The evicted windows are charged to the streams that lost
-        // them, not to the submitters.
-        for k in 0..8u64 {
-            let lost = u64::from(k < 5);
-            assert_eq!(
-                mux.loss_for(k),
-                StreamLoss {
-                    evicted: lost,
-                    refused: 0,
-                    rejected: 0
-                },
-                "stream {k}"
-            );
-            assert_eq!(mux.loss_for(k).dropped(), lost);
-        }
-        assert_eq!(mux.loss_for(99), StreamLoss::default(), "untracked stream");
-        // Forgetting a stream hands its entry back exactly once and
-        // leaves the aggregate alone.
-        assert_eq!(mux.forget_stream(0).evicted, 1);
-        assert_eq!(mux.forget_stream(0), StreamLoss::default());
-        assert_eq!(mux.loss_for(0), StreamLoss::default());
-        assert_eq!(mux.stats().evicted, 5);
     }
 
     #[test]
@@ -705,7 +651,6 @@ mod tests {
         );
         assert_eq!(mux.submit(0, 0, &seq(6, 0)), Admission::Queued);
         assert_eq!(mux.submit(1, 1, &seq(6, 1)), Admission::Refused);
-        assert_eq!(mux.loss_for(1).dropped(), 1);
         // A round serves the queued window, freeing the bound.
         assert_eq!(mux.tick().len(), 1);
         assert_eq!(mux.submit(2, 2, &seq(6, 2)), Admission::Queued);
@@ -713,19 +658,7 @@ mod tests {
         let kept: Vec<u64> = mux.drain().iter().map(|v| v.stream).collect();
         assert_eq!(kept, vec![2], "the queue stayed intact");
         let stats = mux.stats();
-        assert_eq!((stats.dropped, stats.refused, stats.evicted), (2, 2, 0));
-        for refused in [1u64, 3] {
-            assert_eq!(
-                mux.loss_for(refused),
-                StreamLoss {
-                    evicted: 0,
-                    refused: 1,
-                    rejected: 0
-                },
-                "submitter {refused} charged"
-            );
-        }
-        assert_eq!(mux.loss_for(0).total(), 0, "admitted streams lose nothing");
+        assert_eq!((stats.refused, stats.evicted), (2, 0));
     }
 
     #[test]
@@ -746,11 +679,12 @@ mod tests {
         for v in &verdicts {
             assert_eq!(v.classification, e.classify(&windows[v.stream as usize]));
         }
-        assert_eq!(mux.loss_for(50).rejected, 1);
-        assert_eq!(mux.loss_for(51).rejected, 2);
-        assert_eq!(mux.loss_for(0).rejected, 0);
         let stats = mux.stats();
-        assert_eq!((stats.rejected, stats.dropped), (3, 0), "not backpressure");
+        assert_eq!(
+            (stats.rejected, stats.evicted + stats.refused),
+            (3, 0),
+            "not backpressure"
+        );
         assert!(mux.is_idle());
     }
 

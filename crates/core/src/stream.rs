@@ -9,8 +9,10 @@
 //! of the engine. That is [`ShardedStreamMux`](crate::shard::ShardedStreamMux),
 //! one bounded queue of windows in [`shard`](crate::shard). This module
 //! holds the types its API speaks: [`StreamMuxConfig`], [`Admission`],
-//! [`Verdict`], [`MuxStats`], [`StreamLoss`], and the unit its serving
-//! budget is counted in, [`ROUND_STEPS`].
+//! [`Verdict`], [`MuxStats`], and the unit its serving budget is
+//! counted in, [`ROUND_STEPS`]. The mux counts its losses in total; a
+//! caller that wants them per stream charges each to its stream from
+//! the [`Admission`] a submission returns.
 
 use serde::Serialize;
 
@@ -120,9 +122,6 @@ pub struct MuxStats {
     pub ticks: u64,
     /// Windows served (verdicts emitted).
     pub verdicts: u64,
-    /// Windows dropped by backpressure — the sum of
-    /// [`evicted`](Self::evicted) and [`refused`](Self::refused).
-    pub dropped: u64,
     /// Windows evicted *after admission*: the queue was full under
     /// [`OverflowPolicy::DropOldest`] and the oldest pending window was
     /// discarded to make room for a newer one. Charged to the stream
@@ -143,41 +142,10 @@ pub struct MuxStats {
     /// Verdicts per wall-clock second since the mux was created.
     pub verdicts_per_sec: f64,
     /// Window corruptions injected by an armed
-    /// [`FaultPlan`](csd_device::FaultPlan) (0 when no plan is armed).
+    /// [`FaultPlan`](csd_device::FaultPlan) (0 when no plan is armed),
+    /// each re-run before its verdict was emitted — every one still
+    /// produced its verdict.
     pub faults: u64,
-    /// Corrupted windows re-run before their verdict was emitted —
-    /// every one still produced its verdict.
-    pub degraded_reruns: u64,
     /// Chunks a serving call may split its windows over.
     pub shards: u64,
-}
-
-/// Per-stream submission-loss breakdown: every way a stream's windows
-/// can fail to produce a verdict, separately countable so a monitor (or
-/// the sentry service) can report *why* a process lost coverage — was
-/// its data garbage, was it overload eviction, or was it turned away at
-/// the door.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamLoss {
-    /// Admitted windows of this stream later evicted by
-    /// [`OverflowPolicy::DropOldest`] backpressure.
-    pub evicted: u64,
-    /// Windows refused at submission by [`OverflowPolicy::DropNewest`]
-    /// backpressure.
-    pub refused: u64,
-    /// Windows refused at submission for out-of-vocabulary tokens.
-    pub rejected: u64,
-}
-
-impl StreamLoss {
-    /// Total windows of the stream that never produced a verdict.
-    pub fn total(&self) -> u64 {
-        self.evicted + self.refused + self.rejected
-    }
-
-    /// Backpressure losses only (evicted + refused), as
-    /// [`MuxStats::dropped`] sums them over every stream.
-    pub fn dropped(&self) -> u64 {
-        self.evicted + self.refused
-    }
 }

@@ -1,6 +1,6 @@
 //! The assembled SmartSSD device.
 
-use csd_hls::{Clock, DeviceProfile};
+use csd_hls::DeviceProfile;
 
 use crate::dram::DramSubsystem;
 use crate::fault::{FaultCounters, FaultEvent, FaultPlan, FaultSite};
@@ -28,7 +28,6 @@ pub struct SmartSsd {
     dram: DramSubsystem,
     switch: PcieSwitch,
     fpga: DeviceProfile,
-    kernel_clock: Clock,
     /// Armed fault schedule; `None` = the device never misbehaves.
     faults: Option<FaultPlan>,
 }
@@ -42,7 +41,6 @@ impl SmartSsd {
             dram: DramSubsystem::two_banks(),
             switch: PcieSwitch::smartssd(),
             fpga: DeviceProfile::kintex_ku15p(),
-            kernel_clock: Clock::default_kernel_clock(),
             faults: None,
         }
     }
@@ -59,11 +57,6 @@ impl SmartSsd {
     /// The FPGA fabric profile.
     pub fn fpga(&self) -> &DeviceProfile {
         &self.fpga
-    }
-
-    /// The kernel clock.
-    pub fn kernel_clock(&self) -> Clock {
-        self.kernel_clock
     }
 
     /// The SSD component.

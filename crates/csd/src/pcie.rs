@@ -19,7 +19,7 @@ pub struct PcieLink {
 
 impl PcieLink {
     /// PCIe Gen3 ×4: 3.94 GB/s raw, ≈3.3 GiB/s effective, ~1 µs DMA setup.
-    pub fn gen3_x4() -> Self {
+    fn gen3_x4() -> Self {
         Self {
             bandwidth_gib_s: 3.3,
             dma_setup: Nanos::from_micros(1.0),
@@ -28,7 +28,7 @@ impl PcieLink {
 
     /// The internal switch hop: same lanes, but no root-complex traversal —
     /// lower setup cost.
-    pub fn internal_switch_hop() -> Self {
+    fn internal_switch_hop() -> Self {
         Self {
             bandwidth_gib_s: 3.3,
             dma_setup: Nanos::from_micros(0.4),
@@ -36,7 +36,7 @@ impl PcieLink {
     }
 
     /// Duration of one `bytes`-sized transfer on an idle link.
-    pub fn transfer_duration(&self, bytes: u64) -> Nanos {
+    fn transfer_duration(&self, bytes: u64) -> Nanos {
         self.dma_setup + Nanos::for_transfer(bytes, self.bandwidth_gib_s)
     }
 }

@@ -115,7 +115,6 @@ struct Buffer {
 
 #[derive(Debug)]
 struct Kernel {
-    name: String,
     run_duration: Nanos,
     /// Kernel occupancy: a kernel is a physical circuit; runs serialize.
     busy_until: Nanos,
@@ -336,13 +335,8 @@ impl DeviceRuntime {
     }
 
     /// Registers a kernel circuit whose each run takes `run_duration`.
-    pub fn register_kernel(
-        &mut self,
-        name: impl Into<String>,
-        run_duration: Nanos,
-    ) -> KernelHandle {
+    pub fn register_kernel(&mut self, run_duration: Nanos) -> KernelHandle {
         self.kernels.push(Kernel {
-            name: name.into(),
             run_duration,
             busy_until: Nanos::ZERO,
             runs: 0,
@@ -434,15 +428,6 @@ impl DeviceRuntime {
         latest
     }
 
-    /// Name of a registered kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign handle.
-    pub fn kernel_name(&self, kernel: KernelHandle) -> &str {
-        &self.kernels[kernel.0].name
-    }
-
     /// Session statistics so far.
     pub fn summary(&self) -> RunSummary {
         RunSummary {
@@ -480,7 +465,7 @@ mod tests {
     fn enqueue_requires_resident_inputs() {
         let mut rt = rt();
         let buf = rt.alloc_buffer(0, 4096).expect("alloc");
-        let k = rt.register_kernel("kernel_preprocess", Nanos::from_micros(0.8));
+        let k = rt.register_kernel(Nanos::from_micros(0.8));
         let err = rt.enqueue(k, &[buf]).unwrap_err();
         assert_eq!(err, RuntimeError::BufferNotResident(buf));
         rt.migrate_to_device(buf).expect("migrate");
@@ -492,7 +477,7 @@ mod tests {
         let mut rt = rt();
         let buf = rt.alloc_buffer(0, 64).expect("alloc");
         rt.migrate_to_device(buf).expect("migrate");
-        let k = rt.register_kernel("gates", Nanos::from_micros(5.0));
+        let k = rt.register_kernel(Nanos::from_micros(5.0));
         let first = rt.enqueue(k, &[buf]).expect("run 1");
         let second = rt.enqueue(k, &[buf]).expect("run 2");
         assert!(second.as_nanos() >= first.as_nanos() + 5_000);
@@ -503,8 +488,8 @@ mod tests {
         let mut rt = rt();
         let buf = rt.alloc_buffer(0, 64).expect("alloc");
         rt.migrate_to_device(buf).expect("migrate");
-        let k1 = rt.register_kernel("cu0", Nanos::from_micros(5.0));
-        let k2 = rt.register_kernel("cu1", Nanos::from_micros(5.0));
+        let k1 = rt.register_kernel(Nanos::from_micros(5.0));
+        let k2 = rt.register_kernel(Nanos::from_micros(5.0));
         let a = rt.enqueue(k1, &[buf]).expect("run");
         let b = rt.enqueue(k2, &[buf]).expect("run");
         // Both CUs run concurrently (same start, small DRAM skew allowed).
@@ -516,7 +501,7 @@ mod tests {
         let mut rt = rt();
         let buf = rt.alloc_buffer(0, 64).expect("alloc");
         rt.migrate_to_device(buf).expect("migrate");
-        let k = rt.register_kernel("hidden", Nanos::from_micros(1.3));
+        let k = rt.register_kernel(Nanos::from_micros(1.3));
         rt.enqueue(k, &[buf]).expect("run");
         let t = rt.wait_all();
         assert_eq!(rt.now(), t);
@@ -538,12 +523,11 @@ mod tests {
         let mut rt = rt();
         let buf = rt.alloc_buffer(0, 64).expect("alloc");
         rt.migrate_to_device(buf).expect("migrate");
-        let k = rt.register_kernel("k", Nanos(100));
+        let k = rt.register_kernel(Nanos(100));
         for _ in 0..5 {
             rt.enqueue(k, &[buf]).expect("run");
         }
         assert_eq!(rt.summary().kernel_runs, 5);
-        assert_eq!(rt.kernel_name(k), "k");
     }
 
     #[test]
@@ -580,7 +564,7 @@ mod tests {
         let buf = rt.alloc_buffer(0, 4096).expect("alloc");
         let err = rt.migrate_to_device(buf).unwrap_err();
         assert!(matches!(err, RuntimeError::TransferCorrupted { .. }));
-        let k = rt.register_kernel("k", Nanos(100));
+        let k = rt.register_kernel(Nanos(100));
         // The corrupted data never became resident.
         assert_eq!(
             rt.enqueue(k, &[buf]).unwrap_err(),
@@ -613,7 +597,7 @@ mod tests {
         let mut rt = rt();
         let buf = rt.alloc_buffer(0, 64).expect("alloc");
         rt.migrate_to_device(buf).expect("migrate");
-        let k = rt.register_kernel("gates", Nanos::from_micros(5.0));
+        let k = rt.register_kernel(Nanos::from_micros(5.0));
         rt.set_watchdog(Some(Nanos::from_micros(1_000.0)));
         rt.device_mut().arm_faults(crate::fault::FaultPlan::new(
             3,
@@ -679,7 +663,7 @@ mod tests {
     fn foreign_handles_rejected() {
         let mut rt1 = rt();
         let mut rt2 = rt();
-        let k = rt1.register_kernel("k", Nanos(1));
+        let k = rt1.register_kernel(Nanos(1));
         let buf2 = rt2.alloc_buffer(0, 1).expect("alloc");
         // rt1 has no buffers: buf from rt2 is out of range here.
         assert_eq!(

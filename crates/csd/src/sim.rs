@@ -106,11 +106,6 @@ impl ResourceTimeline {
         end
     }
 
-    /// The earliest time a new request could start.
-    pub fn free_at(&self) -> Nanos {
-        self.busy_until
-    }
-
     /// Total busy time booked so far (for utilization accounting).
     pub fn busy_total(&self) -> Nanos {
         self.busy_total

@@ -80,11 +80,6 @@ impl NvmeSsd {
         self.bytes_read
     }
 
-    /// Total bytes programmed so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
     /// `true` while the mitigation write-freeze is engaged.
     pub fn writes_frozen(&self) -> bool {
         self.writes_frozen
@@ -234,7 +229,7 @@ mod tests {
         assert_eq!(ssd.writes_rejected(), 2);
         // Reads keep flowing for forensics.
         let _ = ssd.read(Nanos::ZERO, 4096);
-        assert_eq!(ssd.bytes_written(), 4096);
+        assert_eq!(ssd.bytes_written, 4096);
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl FixedError {
     pub fn value(&self) -> f64 {
         self.value
     }
-
-    /// The decimal scale exponent of the target type.
-    pub fn scale_pow(&self) -> u32 {
-        self.scale_pow
-    }
 }
 
 impl fmt::Display for FixedError {
@@ -175,7 +170,7 @@ impl<const P: u32> Fixed<P> {
     }
 
     /// Checked division; `None` when `rhs` is zero or the quotient overflows.
-    pub fn checked_div(self, rhs: Self) -> Option<Self> {
+    fn checked_div(self, rhs: Self) -> Option<Self> {
         if rhs.raw == 0 {
             return None;
         }
@@ -428,7 +423,7 @@ mod tests {
     fn out_of_range_rejected() {
         assert!(Fx6::try_from_f64(1e19).is_err());
         let err = Fx6::try_from_f64(-1e19).unwrap_err();
-        assert_eq!(err.scale_pow(), 6);
+        assert_eq!(err.scale_pow, 6);
         assert!(err.to_string().contains("10^6"));
     }
 

@@ -94,7 +94,7 @@ impl OpLatencies {
     }
 
     /// Narrow fixed point: a single-DSP multiply completes in 2 cycles.
-    pub fn fixed_point32() -> Self {
+    fn fixed_point32() -> Self {
         Self {
             mul: 2,
             ..Self::fixed_point64()

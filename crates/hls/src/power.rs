@@ -13,7 +13,7 @@
 //! are robust to 2–3× error in any constant.
 
 use crate::report::Clock;
-use crate::resource::{DeviceProfile, ResourceEstimate};
+use crate::resource::ResourceEstimate;
 
 /// Per-unit dynamic power at a reference 300 MHz clock and 100% toggle,
 /// in microwatts.
@@ -32,7 +32,7 @@ pub struct UnitPowers {
 impl UnitPowers {
     /// UltraScale+ ballparks: 2.3 mW/DSP, 4.5 µW/LUT, 1.5 µW/FF,
     /// 7 mW/BRAM36.
-    pub fn ultrascale_plus() -> Self {
+    fn ultrascale_plus() -> Self {
         Self {
             dsp_uw: 2_300.0,
             lut_uw: 4.5,
@@ -75,7 +75,7 @@ impl PowerModel {
 
     /// Dynamic power of a design occupying `resources` at `clock`, in
     /// watts. Scales linearly with frequency from the 300 MHz reference.
-    pub fn dynamic_w(&self, resources: &ResourceEstimate, clock: Clock) -> f64 {
+    fn dynamic_w(&self, resources: &ResourceEstimate, clock: Clock) -> f64 {
         let scale = self.toggle * clock.freq_mhz() / 300.0;
         let uw = resources.dsp as f64 * self.units.dsp_uw
             + resources.lut as f64 * self.units.lut_uw
@@ -99,17 +99,12 @@ impl PowerModel {
         assert!(micros >= 0.0, "negative duration");
         self.total_w(resources, clock) * micros
     }
-
-    /// A sanity ceiling: the full device at 100% utilization must stay
-    /// within a plausible card envelope.
-    pub fn full_device_w(&self, device: &DeviceProfile, clock: Clock) -> f64 {
-        self.total_w(&device.capacity, clock)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resource::DeviceProfile;
 
     #[test]
     fn dynamic_power_scales_with_resources_and_clock() {
@@ -136,7 +131,7 @@ mod tests {
         // The u200 is a 225 W card; a fully-toggling full device must be
         // below that and above the static floor.
         let m = PowerModel::alveo_u200();
-        let w = m.full_device_w(&DeviceProfile::alveo_u200(), Clock::mhz(300.0));
+        let w = m.total_w(&DeviceProfile::alveo_u200().capacity, Clock::mhz(300.0));
         assert!(w > m.static_w);
         assert!(w < 225.0, "{w} W");
     }
@@ -144,7 +139,7 @@ mod tests {
     #[test]
     fn smartssd_envelope_is_small() {
         let m = PowerModel::smartssd();
-        let w = m.full_device_w(&DeviceProfile::kintex_ku15p(), Clock::mhz(300.0));
+        let w = m.total_w(&DeviceProfile::kintex_ku15p().capacity, Clock::mhz(300.0));
         // SmartSSD board power is tens of watts.
         assert!(w < 60.0, "{w} W");
     }

@@ -40,20 +40,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Builds a matrix from parallel label/prediction slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths differ.
-    pub fn from_predictions(actual: &[bool], predicted: &[bool]) -> Self {
-        assert_eq!(actual.len(), predicted.len(), "length mismatch");
-        let mut cm = Self::new();
-        for (&a, &p) in actual.iter().zip(predicted) {
-            cm.record(a, p);
-        }
-        cm
-    }
-
     /// True positives.
     pub fn true_positives(&self) -> u64 {
         self.tp
@@ -152,9 +138,18 @@ impl std::fmt::Display for ClassificationReport {
 mod tests {
     use super::*;
 
+    /// A matrix of parallel label/prediction slices.
+    fn from_predictions(actual: &[bool], predicted: &[bool]) -> ConfusionMatrix {
+        let mut cm = ConfusionMatrix::new();
+        for (&a, &p) in actual.iter().zip(predicted) {
+            cm.record(a, p);
+        }
+        cm
+    }
+
     #[test]
     fn perfect_classifier() {
-        let cm = ConfusionMatrix::from_predictions(&[true, false, true], &[true, false, true]);
+        let cm = from_predictions(&[true, false, true], &[true, false, true]);
         let r = cm.report();
         assert_eq!(r.accuracy, 1.0);
         assert_eq!(r.precision, 1.0);
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn all_wrong_classifier() {
-        let cm = ConfusionMatrix::from_predictions(&[true, false], &[false, true]);
+        let cm = from_predictions(&[true, false], &[false, true]);
         assert_eq!(cm.accuracy(), 0.0);
         assert_eq!(cm.f1(), 0.0);
     }
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn report_display() {
-        let cm = ConfusionMatrix::from_predictions(&[true], &[true]);
+        let cm = from_predictions(&[true], &[true]);
         let s = cm.report().to_string();
         assert!(s.contains("accuracy 1.0000"));
     }

@@ -151,16 +151,23 @@ pub const MAX_CONNECTIONS: usize = 256;
 /// processing.
 pub type FrameHook = Arc<dyn Fn(&ProcessEvent) + Send + Sync>;
 
+/// The tallies a [`SocketServer`] keeps, shared by its handle, its
+/// accept loop and every connection it serves.
+#[derive(Debug, Default)]
+struct ServerCounters {
+    decode_errors: AtomicU64,
+    frames: AtomicU64,
+    reader_panics: AtomicU64,
+    accept_errors: AtomicU64,
+    connections_refused: AtomicU64,
+}
+
 /// A Unix-socket frame server feeding an [`EventBus`].
 #[derive(Debug)]
 pub struct SocketServer {
     path: PathBuf,
     running: Arc<AtomicBool>,
-    decode_errors: Arc<AtomicU64>,
-    frames: Arc<AtomicU64>,
-    reader_panics: Arc<AtomicU64>,
-    accept_errors: Arc<AtomicU64>,
-    connections_refused: Arc<AtomicU64>,
+    counters: Arc<ServerCounters>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -185,28 +192,16 @@ impl SocketServer {
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
         let running = Arc::new(AtomicBool::new(true));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let frames = Arc::new(AtomicU64::new(0));
-        let reader_panics = Arc::new(AtomicU64::new(0));
-        let accept_errors = Arc::new(AtomicU64::new(0));
-        let connections_refused = Arc::new(AtomicU64::new(0));
+        let counters = Arc::new(ServerCounters::default());
         let accept_thread = {
             let running = Arc::clone(&running);
-            let decode_errors = Arc::clone(&decode_errors);
-            let frames = Arc::clone(&frames);
-            let reader_panics = Arc::clone(&reader_panics);
-            let accept_errors = Arc::clone(&accept_errors);
-            let connections_refused = Arc::clone(&connections_refused);
+            let counters = Arc::clone(&counters);
             std::thread::spawn(move || {
                 accept_loop(AcceptCtx {
                     listener: &listener,
                     producer: &producer,
                     running: &running,
-                    decode_errors: &decode_errors,
-                    frames: &frames,
-                    reader_panics: &reader_panics,
-                    accept_errors: &accept_errors,
-                    connections_refused: &connections_refused,
+                    counters: &counters,
                     hook: hook.as_ref(),
                 });
             })
@@ -214,43 +209,39 @@ impl SocketServer {
         Ok(Self {
             path: path.to_path_buf(),
             running,
-            decode_errors,
-            frames,
-            reader_panics,
-            accept_errors,
-            connections_refused,
+            counters,
             accept_thread: Some(accept_thread),
         })
     }
 
     /// Connections dropped because they sent a malformed frame.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.counters.decode_errors.load(Ordering::Relaxed)
     }
 
     /// Reader threads that died by panic — caught at the thread
     /// boundary, counted, connection dropped. Anything non-zero is a
     /// bug being witnessed instead of lost.
     pub fn reader_panics(&self) -> u64 {
-        self.reader_panics.load(Ordering::Relaxed)
+        self.counters.reader_panics.load(Ordering::Relaxed)
     }
 
     /// `accept` calls that failed with anything other than "no
     /// connection waiting" (descriptor exhaustion, an aborted handshake,
     /// a signal). Each is retried after the accept poll interval.
     pub fn accept_errors(&self) -> u64 {
-        self.accept_errors.load(Ordering::Relaxed)
+        self.counters.accept_errors.load(Ordering::Relaxed)
     }
 
     /// Connections dropped at accept because [`MAX_CONNECTIONS`] were
     /// already being served.
     pub fn connections_refused(&self) -> u64 {
-        self.connections_refused.load(Ordering::Relaxed)
+        self.counters.connections_refused.load(Ordering::Relaxed)
     }
 
     /// Frames decoded and forwarded so far, across all connections.
     pub fn frames(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
+        self.counters.frames.load(Ordering::Relaxed)
     }
 
     /// The bound socket path.
@@ -274,11 +265,7 @@ struct AcceptCtx<'a> {
     listener: &'a UnixListener,
     producer: &'a EventProducer,
     running: &'a Arc<AtomicBool>,
-    decode_errors: &'a Arc<AtomicU64>,
-    frames: &'a Arc<AtomicU64>,
-    reader_panics: &'a Arc<AtomicU64>,
-    accept_errors: &'a Arc<AtomicU64>,
-    connections_refused: &'a Arc<AtomicU64>,
+    counters: &'a Arc<ServerCounters>,
     hook: Option<&'a FrameHook>,
 }
 
@@ -294,36 +281,29 @@ fn accept_loop(ctx: AcceptCtx<'_>) {
     while ctx.running.load(Ordering::SeqCst) {
         match ctx.listener.accept() {
             Ok(_) if connections.len() >= MAX_CONNECTIONS => {
-                ctx.connections_refused.fetch_add(1, Ordering::Relaxed);
+                ctx.counters
+                    .connections_refused
+                    .fetch_add(1, Ordering::Relaxed);
             }
             Ok((stream, _)) => {
                 let producer = ctx.producer.clone();
                 let running = Arc::clone(ctx.running);
-                let decode_errors = Arc::clone(ctx.decode_errors);
-                let frames = Arc::clone(ctx.frames);
-                let reader_panics = Arc::clone(ctx.reader_panics);
+                let counters = Arc::clone(ctx.counters);
                 let hook = ctx.hook.map(Arc::clone);
                 connections.push(std::thread::spawn(move || {
                     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        serve_connection(
-                            stream,
-                            &producer,
-                            &running,
-                            &decode_errors,
-                            &frames,
-                            hook.as_ref(),
-                        );
+                        serve_connection(stream, &producer, &running, &counters, hook.as_ref());
                     }));
                     if caught.is_err() {
                         // The thread boundary is where a lost panic
                         // would otherwise vanish: count it here.
-                        reader_panics.fetch_add(1, Ordering::Relaxed);
+                        counters.reader_panics.fetch_add(1, Ordering::Relaxed);
                     }
                 }));
             }
             Err(e) => {
                 if e.kind() != std::io::ErrorKind::WouldBlock {
-                    ctx.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    ctx.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
                 }
                 std::thread::sleep(ACCEPT_POLL);
             }
@@ -340,8 +320,7 @@ fn serve_connection(
     stream: UnixStream,
     producer: &EventProducer,
     running: &Arc<AtomicBool>,
-    decode_errors: &Arc<AtomicU64>,
-    frames: &Arc<AtomicU64>,
+    counters: &ServerCounters,
     hook: Option<&FrameHook>,
 ) {
     // A read timeout keeps shutdown responsive on idle connections. One
@@ -354,7 +333,7 @@ fn serve_connection(
     while running.load(Ordering::SeqCst) {
         match read_frame_while(&mut reader, &mut keep_waiting) {
             Ok(Some(event)) => {
-                frames.fetch_add(1, Ordering::Relaxed);
+                counters.frames.fetch_add(1, Ordering::Relaxed);
                 if let Some(hook) = hook {
                     hook(&event);
                 }
@@ -370,7 +349,7 @@ fn serve_connection(
             Err(_) => {
                 // Malformed frame: this connection is untrusted from
                 // here on — drop it, keep the bus and its peers alive.
-                decode_errors.fetch_add(1, Ordering::Relaxed);
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }

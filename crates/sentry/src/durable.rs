@@ -92,18 +92,25 @@
 //! the journal — an event either reached the journal (replayed
 //! exactly once) or did not (re-sent, applied exactly once). Incidents
 //! latched before a crash are re-adopted from their journal records
-//! with their streams pre-latched, so replay cannot raise them a
-//! second time or re-dispatch their backend action — the never-reused
-//! session id is the dedup key. An incident whose session had already
-//! retired at the checkpoint rejoins the log and the counters only:
-//! its id is spent, replay cannot touch it, and a stream record for it
-//! would re-grow what retirement shrank.
+//! with their sessions latched, so replay cannot raise them a second
+//! time or re-dispatch their backend action — the never-reused session
+//! id is the dedup key. A session the checkpoint holds is latched at
+//! adoption; one that replay is yet to create is latched the moment
+//! replay creates it, and either is marked killed if the incident's
+//! kill or quarantine applied. An incident whose session had already
+//! retired at the checkpoint rejoins the log only: its id is spent and
+//! replay cannot touch it.
 //!
 //! What recovery does *not* preserve: the latency histograms (run
 //! telemetry), and the `post_exit` flag / backend outcome of an
 //! incident may differ from the uninterrupted run when a crash changes
 //! fold timing relative to a session's exit — the detection itself
-//! (sid, window, verdict, action kind) is invariant. Nor does it
+//! (sid, window, verdict, action kind) is invariant. Nor does it keep
+//! the call at which an applied kill took effect: the incident does not
+//! record it, so a session whose kill is adopted before replay creates
+//! it is killed from its first replayed event, and every replayed call
+//! of it is dropped and tallied (`dropped_after_kill`), where the run
+//! that raised the incident took the calls before its verdict. Nor does it
 //! remember an incident that was raised but whose record had not been
 //! synced when the crash came: its action was dispatched at the fold,
 //! the crash forgets the record, replay raises the incident again and
@@ -146,7 +153,8 @@ use crate::service::{Sentry, SentryConfig};
 use crate::snapshot::{SentrySnapshot, SNAPSHOT_VERSION};
 use csd_accel::CsdInferenceEngine;
 
-/// Magic bytes opening a checkpoint file (format version 1).
+/// Magic bytes opening a checkpoint file. The body's layout is
+/// versioned apart from it, by [`SNAPSHOT_VERSION`].
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CSDSNAP1";
 
 /// How long a raised incident may wait for the event batch's sync
@@ -331,17 +339,25 @@ impl DurableSentry {
             None => Sentry::new(engine, config),
         };
 
-        // Adopt incidents first, oldest first: their streams latch, so
+        // Adopt incidents first, oldest first: their sessions latch, so
         // replay cannot raise them again or re-dispatch their actions.
+        // A session replay is yet to create is latched when it does,
+        // which is before any window of it can be served: `unborn`
+        // holds those incidents, the highest sid first.
         let mut adopted: HashSet<u64> = HashSet::new();
+        let mut unborn: Vec<Incident> = Vec::new();
         for incident in recovered.incidents {
             if adopted.insert(incident.sid) {
                 report.adopted_incidents += 1;
+                if incident.sid >= inner.sessions().next_sid() {
+                    unborn.push(incident.clone());
+                }
                 inner.adopt_incident(incident);
             } else {
                 report.duplicate_incidents += 1;
             }
         }
+        unborn.sort_unstable_by_key(|i| std::cmp::Reverse(i.sid));
 
         // Replay events past the checkpoint through the ordinary
         // ingest path: from an anchor the scan returned nothing older
@@ -359,6 +375,9 @@ impl DurableSentry {
         for event in &recovered.events {
             raised.extend(inner.ingest(event));
             report.replayed_events += 1;
+            while let Some(incident) = unborn.pop_if(|i| i.sid < inner.sessions().next_sid()) {
+                inner.latch_adopted(&incident);
+            }
         }
         inner.set_governing(true);
         report.replay_incidents = raised.len() as u64;
@@ -626,7 +645,7 @@ fn write_checkpoint(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::actions::{ActionKind, ActionOutcome};
+    use crate::actions::{ActionKind, ActionOutcome, ActionTaken};
     use crate::journal::JournalAnchor;
     use csd_accel::OptimizationLevel;
     use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -887,6 +906,52 @@ mod tests {
         assert_eq!((got.actions_failed, got.dropped_after_kill), (failed, 0));
         want.mux = got.mux;
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An applied kill is adopted onto its session whether the session
+    /// is in the checkpoint or created by replay: a reopen that replays
+    /// the whole journal marks the sessions it creates killed, so a
+    /// further call on one of their PIDs is dropped as a kill's
+    /// straggler, as in the run that raised the kill.
+    #[test]
+    fn an_adopted_kill_is_marked_on_the_session_replay_creates() {
+        let dir = tmpdir("replayed-kill");
+        let events = workload(3, 120);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        let applied_kills = |d: &DurableSentry| -> Vec<(u64, u32)> {
+            let sentry = d.sentry();
+            sentry
+                .incidents()
+                .iter()
+                .filter(|i| i.action == ActionTaken::Killed)
+                .filter(|i| matches!(i.outcome, ActionOutcome::Applied(_)))
+                .filter(|i| sentry.sessions().session(i.sid).is_some())
+                .map(|i| (i.sid, i.pid))
+                .collect()
+        };
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        feed(&mut d, &events[..300]);
+        d.drain().unwrap();
+        let live = applied_kills(&d);
+        assert_eq!(live.len(), 3, "every session killed and still tracked");
+        drop(d);
+
+        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
+        assert_eq!(d.recovery().full_scan, Some(FullScan::NoCheckpoint));
+        assert_eq!(applied_kills(&d), live);
+        for (t, &(sid, pid)) in (10_000u64..).zip(&live) {
+            let session = d.sentry().sessions().session(sid).unwrap();
+            assert!(session.is_killed(), "session {sid}");
+            let dropped = d.sentry().stats().dropped_after_kill;
+            d.ingest(&ProcessEvent::api(t, pid, 1)).unwrap();
+            assert_eq!(
+                d.sentry().stats().dropped_after_kill,
+                dropped + 1,
+                "pid {pid}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1155,7 +1220,7 @@ mod tests {
     /// Crash after most sessions have ended and retired: recovery
     /// reaches the oracle's incidents, adopts every journaled one, and
     /// comes up tracking the sessions alive at the crash — not one
-    /// stream record per incident the journal remembers.
+    /// session per incident the journal remembers.
     #[test]
     fn crash_after_sessions_retired_recovers_exactly_and_stays_small() {
         let dir = tmpdir("retired");
@@ -1194,11 +1259,6 @@ mod tests {
         let table = d.sentry().sessions();
         let live = table.started() - table.ended_count();
         assert!(live <= 4);
-        assert!(
-            d.sentry().tracked_streams() as u64 <= live + recovery.replayed_events,
-            "{} stream records for {live} live sessions",
-            d.sentry().tracked_streams()
-        );
         assert!(table.tracked() as u64 <= live + recovery.replayed_events);
         let mut ledger = feed(&mut d, &events[resume_from..]);
         let back = d.drain().unwrap();
@@ -1209,7 +1269,6 @@ mod tests {
             0,
             "all exited, all retired"
         );
-        assert_eq!(d.sentry().tracked_streams(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1402,7 +1461,6 @@ mod tests {
         assert_eq!(d.recovery().adopted_incidents, 1);
         let sentry = d.sentry();
         assert_eq!(sentry.sessions().tracked(), 1, "the two dead sessions go");
-        assert_eq!(sentry.tracked_streams(), 1);
         assert!(sentry.sessions().session(3).unwrap().is_killed());
         assert_eq!(sentry.sessions().retired_calls(), 21);
         assert_eq!(sentry.sessions().retired_oov(), 1);
@@ -1412,7 +1470,8 @@ mod tests {
         // the mux, so the live run folds their verdicts and the
         // restored one never sees them.
         let in_flight: u64 = snap
-            .streams
+            .table
+            .sessions
             .iter()
             .map(|s| s.submitted as u64 - u64::from(s.verdicts))
             .sum();
@@ -1436,7 +1495,6 @@ mod tests {
             panic!("the checkpoint was written");
         };
         assert_eq!(rewritten.table.sessions.len(), 1);
-        assert_eq!(rewritten.streams.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1444,8 +1502,33 @@ mod tests {
     /// writes it — magic, CRC-32 of the body, JSON body — pinned, so a
     /// directory an earlier build of the format wrote opens unchanged,
     /// and a serializer change that moves a byte fails here.
-    const GOLDEN_CHECKPOINT_CRC: u32 = 0x6cb9_7139;
+    const GOLDEN_CHECKPOINT_CRC: u32 = 0x6b9d_28b3;
     const GOLDEN_CHECKPOINT: &str = concat!(
+        r#"{"version":2,"events":38,"verdicts_folded":3,"#,
+        r#""whitelist_exact":["svc.exe"],"whitelist_prefixes":["C:\\Windows\\"],"#,
+        r#""table":{"next_sid":5,"clock":38,"started":4,"ended":1,"#,
+        r#""dropped_after_kill":0,"stray_exits":0,"oov_total":0,"retired_calls":11,"#,
+        r#""retired_oov":0,"by_pid":[[7,4],[101,2],[102,3]],"sessions":[{"sid":2,"#,
+        r#""pid":101,"name":"w.exe","buf":[6,13,4,11,2,9,0],"base":4,"calls_seen":11,"#,
+        r#""oov":0,"killed":false,"ended":0,"started_at":2,"last_event":35,"#,
+        r#""submitted":1,"ring":0,"verdicts":1,"latched":false,"shed":false},"#,
+        r#"{"sid":3,"pid":102,"name":"w.exe","buf":[9,0,7,14,5,12,3],"base":4,"#,
+        r#""calls_seen":11,"oov":0,"killed":false,"ended":0,"started_at":3,"#,
+        r#""last_event":36,"submitted":1,"ring":0,"verdicts":1,"latched":false,"#,
+        r#""shed":false},{"sid":4,"pid":7,"name":null,"buf":[3],"base":0,"#,
+        r#""calls_seen":1,"oov":0,"killed":false,"ended":0,"started_at":38,"#,
+        r#""last_event":38,"submitted":0,"ring":0,"verdicts":0,"latched":false,"#,
+        r#""shed":false}]},"last_t_us":[[7,1000],[100,37],[101,35],[102,36]],"#,
+        r#""dup_events":0,"shed_log":[],"journal":{"offset":1131,"incidents":1,"#,
+        r#""last_record":1058,"digest":1058,"digest_len":65}}"#,
+    );
+
+    /// The checkpoint the golden run wrote in the format's previous
+    /// generation, version 1, byte for byte: a stream list beside the
+    /// sessions, and the table's copies of the vocabulary and the idle
+    /// timeout.
+    const V1_CHECKPOINT_CRC: u32 = 0x6cb9_7139;
+    const V1_CHECKPOINT: &str = concat!(
         r#"{"version":1,"events":38,"verdicts_folded":3,"#,
         r#""whitelist_exact":["svc.exe"],"whitelist_prefixes":["C:\\Windows\\"],"#,
         r#""table":{"vocab":16,"idle_timeout_events":null,"next_sid":5,"clock":38,"#,
@@ -1467,15 +1550,12 @@ mod tests {
         r#""digest_len":65}}"#,
     );
 
-    /// The twin of the journal's golden-bytes test: a small seeded run
-    /// writes these bytes, and a directory holding them opens from the
-    /// anchor they carry.
-    #[test]
-    fn the_checkpoint_on_disk_is_the_golden_bytes() {
-        let dir = tmpdir("golden");
+    /// The golden run: a small seeded run into `dir` that ends with a
+    /// checkpoint. Returns its config and its events.
+    fn golden_run(dir: &Path) -> (SentryConfig, Vec<ProcessEvent>) {
         let mut cfg = config();
         cfg.dedup_monotone_ts = true;
-        let mut d = DurableSentry::open(engine(), cfg.clone(), DurableConfig::new(&dir)).unwrap();
+        let mut d = DurableSentry::open(engine(), cfg.clone(), DurableConfig::new(dir)).unwrap();
         d.sentry_mut().whitelist_mut().add("svc.exe");
         d.sentry_mut().whitelist_mut().add_prefix("C:\\Windows\\");
         // Three sessions, one of them exited and retired, and one with
@@ -1487,7 +1567,16 @@ mod tests {
             d.ingest(e).unwrap();
         }
         d.checkpoint().unwrap();
-        drop(d);
+        (cfg, events)
+    }
+
+    /// The twin of the journal's golden-bytes test: a small seeded run
+    /// writes these bytes, and a directory holding them opens from the
+    /// anchor they carry.
+    #[test]
+    fn the_checkpoint_on_disk_is_the_golden_bytes() {
+        let dir = tmpdir("golden");
+        let (cfg, events) = golden_run(&dir);
         let file = fs::read(dir.join("checkpoint.snap")).unwrap();
         let (head, body) = file.split_at(SNAPSHOT_MAGIC.len() + 4);
         let crc = GOLDEN_CHECKPOINT_CRC.to_le_bytes();
@@ -1500,6 +1589,27 @@ mod tests {
         assert_eq!(report.checkpoint_events, events.len() as u64);
         assert_eq!(report.replayed_events, 0);
         assert_eq!(report.adopted_incidents, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint of the previous generation is invalid, never misread
+    /// into this one: `open` replays the whole journal and reaches the
+    /// incidents of the run that never stopped.
+    #[test]
+    fn a_version_one_checkpoint_is_invalid_and_the_journal_replays() {
+        let dir = tmpdir("version-one");
+        let (cfg, events) = golden_run(&dir);
+        assert_eq!(crc32(V1_CHECKPOINT.as_bytes()), V1_CHECKPOINT_CRC);
+        let ckpt = dir.join("checkpoint.snap");
+        write_body(&ckpt, V1_CHECKPOINT.as_bytes());
+        assert!(matches!(read_checkpoint(&ckpt), CheckpointRead::Invalid));
+        let d = DurableSentry::open(engine(), cfg, DurableConfig::new(&dir)).unwrap();
+        let report = d.recovery();
+        assert_eq!(report.full_scan, Some(FullScan::CheckpointInvalid));
+        assert!(report.checkpoint_discarded);
+        assert_eq!(report.replayed_events, events.len() as u64);
+        assert_eq!(report.adopted_incidents, 1);
+        assert_eq!(keys(d.sentry()), oracle(&events));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,8 +17,10 @@
 //!   that remote producers connect to.
 //! - [`session`] — per-PID lifecycle: spawn / exit / idle-timeout /
 //!   PID-supersession, each incarnation keyed by a never-reused session
-//!   id so recycled PIDs can't inherit verdicts or incidents; an ended
-//!   session leaves the table once no verdict can name it.
+//!   id so recycled PIDs can't inherit verdicts or incidents; a
+//!   session is also the one record of its stream (window cursor, vote
+//!   ring, outstanding windows, loss), and an ended session leaves the
+//!   table once no verdict can name it.
 //! - [`whitelist`] — image-name allow list consulted between alert and
 //!   action (suppresses the response, never the detection).
 //! - [`actions`] — the dispatch end: log / kill / quarantine, every
@@ -90,8 +92,8 @@ pub use journal::{
 };
 pub use quarantine::{QuarantineBackend, SimBackend};
 pub use service::{OverloadLevel, Sentry, SentryConfig, SentryStats, ShedRecord};
-pub use session::{Applied, EndReason, Session, SessionTable};
-pub use snapshot::{SentrySnapshot, SessionSnap, StreamSnap, TableSnap, SNAPSHOT_VERSION};
+pub use session::{Applied, EndReason, Session, SessionTable, StreamLoss};
+pub use snapshot::{SentrySnapshot, SessionSnap, TableSnap, SNAPSHOT_VERSION};
 pub use supervisor::{
     run_service, supervise, ServiceConfig, ServiceOutcome, SupervisorPolicy, SupervisorReport,
 };

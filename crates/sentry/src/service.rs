@@ -6,21 +6,26 @@
 //! `stride` calls, exactly the classify points of the serial
 //! [`StreamMonitor`](csd_accel::StreamMonitor) — and submits them to a
 //! [`ShardedStreamMux`] keyed by *session id*, not PID. Retired
-//! verdicts fold into a packed [`VoteRing`] (a `u64` bitmask over the
-//! last `vote_horizon` verdicts, alert at `votes_needed` positives,
-//! latched forever) — the serial monitor's k-of-n vote, alert for alert
+//! verdicts fold into the session's packed [`VoteRing`] (a `u64`
+//! bitmask over the last `vote_horizon` verdicts, alert at
+//! `votes_needed` positives, latched forever) — the serial monitor's k-of-n vote, alert for alert
 //! (`tests/proptest_monitor_parity.rs`); a fresh alert passes the
 //! whitelist check and the configured [`ActionKind`] before latching as
 //! an [`Incident`].
 //!
 //! Because streams key on never-reused session ids, a verdict raced by
 //! an exit folds against the dead incarnation (recorded `post_exit`),
-//! never against whatever process the OS hands the PID to next.
+//! never against whatever process the OS hands the PID to next. A
+//! stream's state — window cursor, vote ring, the stamps of its windows
+//! the mux holds, what the mux lost of them — lives on its
+//! [`Session`](crate::Session), so a verdict's fold is one lookup in
+//! one sid-keyed map; the loss is read off the [`Admission`] each
+//! submission returns.
 //!
 //! # Session lifetime
 //!
-//! One rule, no knob: a session **retires** — leaves the session table
-//! and takes its stream record and the mux's loss entry with it — as
+//! One rule, no knob: a session **retires** — leaves the session table,
+//! its stream state and loss with it — as
 //! soon as it has ended (exit, idle timeout, superseded; its PID link
 //! is already gone) *and* no verdict can reference it again (every
 //! window the mux accepted for it has come back or been evicted; a
@@ -28,7 +33,7 @@
 //! ended session goes). Killed sessions stay PID-linked until their
 //! exit, so stragglers are still dropped and tallied. Per-session
 //! tallies fold into totals at retirement, so [`SentryStats`] does not
-//! change; what changes is that the table, the stream map,
+//! change; what changes is that the table,
 //! [`snapshot`](Sentry::snapshot) and [`staleness`](Sentry::staleness)
 //! follow the sessions alive now, not every session ever seen.
 //!
@@ -39,10 +44,10 @@
 //! invariant rather than a hope (see `proptest_monitor_parity`).
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use csd_accel::{
-    Admission, Alert, CsdInferenceEngine, MuxStats, PipelineSchedule, ShardedStreamMux, StreamLoss,
+    Admission, Alert, CsdInferenceEngine, MuxStats, PipelineSchedule, ShardedStreamMux,
     StreamMuxConfig, Verdict, VoteRing,
 };
 
@@ -53,8 +58,8 @@ use crate::event::ProcessEvent;
 use crate::histogram::LatencyHistogram;
 use crate::journal::JournalAnchor;
 use crate::quarantine::{QuarantineBackend, SimBackend};
-use crate::session::{Applied, SessionTable, SidMap};
-use crate::snapshot::{SentrySnapshot, StreamSnap, SNAPSHOT_VERSION};
+use crate::session::{Applied, SessionTable, StreamLoss};
+use crate::snapshot::{SentrySnapshot, SNAPSHOT_VERSION};
 use crate::whitelist::Whitelist;
 
 /// Sentry tuning. Defaults mirror the serial monitor's
@@ -168,30 +173,6 @@ pub struct ShedRecord {
     pub at_event: u64,
 }
 
-/// Per-session stream state on the sentry side: window cursor plus the
-/// vote ring. Keyed by session id in [`Sentry::streams`].
-#[derive(Debug, Default)]
-struct StreamRecord {
-    /// Windows submitted so far; the next starts at
-    /// `submitted * stride`.
-    submitted: usize,
-    /// Last `vote_horizon` verdicts.
-    ring: VoteRing,
-    /// Verdicts folded for this session.
-    verdicts: u32,
-    /// An incident latched; no further windows or folds.
-    latched: bool,
-    /// Shed by the overload governor: no further windows or folds, and
-    /// outstanding verdicts are ignored — the typed coverage loss of
-    /// [`OverloadLevel::Shed`].
-    shed: bool,
-    /// `(at_call, ingest clock)` of each window of this session the
-    /// mux holds, oldest first: pushed when the mux queues a window,
-    /// popped when its verdict folds or the mux evicts it. The mux is a
-    /// FIFO, so both leave from the front.
-    stamps: VecDeque<(usize, u64)>,
-}
-
 /// Aggregate service counters, for reports and the bench campaign.
 #[derive(Debug, Clone, Serialize)]
 pub struct SentryStats {
@@ -242,7 +223,6 @@ pub struct Sentry {
     sessions: SessionTable,
     whitelist: Whitelist,
     backend: Box<dyn QuarantineBackend>,
-    streams: SidMap<StreamRecord>,
     /// Admission sequence number from which [`staleness`] scans the
     /// mux's queue: every window queued before it belongs to a shed,
     /// latched or retired session, none of which is ever monitored
@@ -250,8 +230,7 @@ pub struct Sentry {
     ///
     /// [`staleness`]: Self::staleness
     stale_from: u64,
-    /// Mux-side loss of retired sessions, whose per-stream entries the
-    /// mux has forgotten.
+    /// Mux-side loss of retired sessions.
     retired_loss: StreamLoss,
     incidents: Vec<Incident>,
     /// Verdict latency samples: events the session observed between
@@ -261,9 +240,6 @@ pub struct Sentry {
     /// ingested (across all sessions) between window-full and fold.
     service_latencies: LatencyHistogram,
     verdicts_folded: u64,
-    suppressed: u64,
-    post_exit_incidents: u64,
-    actions_failed: u64,
     events: u64,
     verdict_buf: Vec<Verdict>,
     /// Last event timestamp seen per PID, for monotone-timestamp dedup
@@ -313,16 +289,12 @@ impl Sentry {
             sessions,
             whitelist: Whitelist::new(),
             backend: Box::new(SimBackend::new()),
-            streams: SidMap::default(),
             stale_from: 0,
             retired_loss: StreamLoss::default(),
             incidents: Vec::new(),
             latencies: LatencyHistogram::default(),
             service_latencies: LatencyHistogram::default(),
             verdicts_folded: 0,
-            suppressed: 0,
-            post_exit_incidents: 0,
-            actions_failed: 0,
             events: 0,
             verdict_buf: Vec::new(),
             last_t_us: HashMap::new(),
@@ -422,15 +394,14 @@ impl Sentry {
 
     /// Submits every complete, unsubmitted window of session `sid`,
     /// then compacts the session's buffer down to what future windows
-    /// still need. The stream record and the session are looked up once
-    /// each and held for the whole pump.
+    /// still need. The session is looked up once and held for the whole
+    /// pump.
     fn pump_windows(&mut self, sid: u64) {
         let (window_len, stride) = (self.config.window_len, self.config.stride);
-        let rec = self.streams.entry(sid).or_default();
         let Some(s) = self.sessions.session_mut(sid) else {
             return;
         };
-        if rec.latched || rec.shed {
+        if s.latched || s.shed {
             // No window of this stream is ever submitted again, so no
             // future window needs a call: the buffer empties as it
             // fills, or a session left running holds its whole trace.
@@ -439,7 +410,7 @@ impl Sentry {
         }
         let mut evicted = Vec::new();
         while s.is_live() {
-            let offset = rec.submitted * stride;
+            let offset = s.submitted * stride;
             if offset + window_len > s.vocab_calls() {
                 break;
             }
@@ -447,27 +418,38 @@ impl Sentry {
                 break;
             };
             let at_call = s.calls_seen() as usize;
-            // A refused submission (backpressure under DropNewest) is
-            // shed load: the cursor still advances and the mux tallies
-            // the refusal per stream.
+            // A window the mux turns away (backpressure under
+            // DropNewest, or an out-of-vocabulary token) is shed load:
+            // the cursor still advances and the session tallies it.
             let admission = self.mux.submit(sid, at_call, window);
-            rec.submitted += 1;
-            if admission.queued() {
-                rec.stamps.push_back((at_call, self.events));
-            }
-            if let Admission::QueuedEvicting { stream, at_call } = admission {
-                evicted.push((stream, at_call));
+            s.submitted += 1;
+            match admission {
+                Admission::Queued => s.stamps.push_back((at_call, self.events)),
+                Admission::QueuedEvicting {
+                    stream,
+                    at_call: lost,
+                } => {
+                    s.stamps.push_back((at_call, self.events));
+                    evicted.push((stream, lost));
+                }
+                Admission::Refused => s.loss.refused += 1,
+                Admission::Rejected => s.loss.rejected += 1,
             }
         }
-        s.discard_consumed(rec.submitted * stride);
+        s.discard_consumed(s.submitted * stride);
         // The mux named every window it evicted to make room: they will
-        // never fold, so their stamps go now.
+        // never fold, so their stamps go now, charged to the session
+        // that lost them, which retires with its last one if it ended.
         for (stream, at_call) in evicted {
-            if let Some(rec) = self.streams.get_mut(&stream) {
-                let stamp = rec.stamps.pop_front();
-                debug_assert_eq!(stamp.map(|(at, _)| at), Some(at_call));
+            let Some(victim) = self.sessions.session_mut(stream) else {
+                continue;
+            };
+            let stamp = victim.stamps.pop_front();
+            debug_assert_eq!(stamp.map(|(at, _)| at), Some(at_call));
+            victim.loss.evicted += 1;
+            if victim.stamps.is_empty() && victim.ended().is_some() {
+                self.retire(stream);
             }
-            self.left_mux(stream);
         }
     }
 
@@ -548,29 +530,25 @@ impl Sentry {
 
     /// The lifetime rule at a session's end: retire it now unless the
     /// mux holds a window of it, in which case it retires when the last
-    /// one leaves ([`left_mux`](Self::left_mux)).
+    /// one leaves, folded or evicted.
     fn session_ended(&mut self, sid: u64) {
         if self
-            .streams
-            .get(&sid)
-            .is_none_or(|rec| rec.stamps.is_empty())
+            .sessions
+            .session(sid)
+            .is_some_and(|s| s.stamps.is_empty())
         {
             self.retire(sid);
         }
     }
 
     /// Stops tracking an ended session: the table folds its tallies
-    /// into totals, its stream record goes, and the mux forgets its
-    /// loss entry (kept here as a total).
+    /// into totals and its loss joins the retired total.
     fn retire(&mut self, sid: u64) {
-        if !self.sessions.retire(sid) {
-            return;
+        if let Some(s) = self.sessions.retire(sid) {
+            self.retired_loss.evicted += s.loss.evicted;
+            self.retired_loss.refused += s.loss.refused;
+            self.retired_loss.rejected += s.loss.rejected;
         }
-        self.streams.remove(&sid);
-        let loss = self.mux.forget_stream(sid);
-        self.retired_loss.evicted += loss.evicted;
-        self.retired_loss.refused += loss.refused;
-        self.retired_loss.rejected += loss.rejected;
     }
 
     /// Current verdict staleness: ingest-clock events elapsed since the
@@ -597,8 +575,8 @@ impl Sentry {
     fn oldest_monitored(&self) -> (u64, Option<u64>) {
         let mut from = self.stale_from;
         for (seq, sid) in self.mux.queued_from(from) {
-            if let Some(rec) = self.streams.get(&sid).filter(|r| !r.shed && !r.latched) {
-                return (seq, rec.stamps.front().map(|&(_, stamp)| stamp));
+            if let Some(s) = self.sessions.session(sid).filter(|s| !s.shed && !s.latched) {
+                return (seq, s.stamps.front().map(|&(_, stamp)| stamp));
             }
             from = seq + 1;
         }
@@ -610,10 +588,10 @@ impl Sentry {
     /// against.
     #[cfg(test)]
     fn staleness_by_scan(&self) -> u64 {
-        self.streams
-            .values()
-            .filter(|r| !r.shed && !r.latched)
-            .filter_map(|r| r.stamps.front().map(|&(_, stamp)| stamp))
+        self.sessions
+            .sessions()
+            .filter(|s| !s.shed && !s.latched)
+            .filter_map(|s| s.stamps.front().map(|&(_, stamp)| stamp))
             .min()
             .map_or(0, |oldest| self.events.saturating_sub(oldest))
     }
@@ -695,96 +673,69 @@ impl Sentry {
     /// just-spawned ransomware process must not lose its first window
     /// to load shedding.
     fn shed_zero_vote_sessions(&mut self) {
-        let mut shed: Vec<(u64, u64)> = self
-            .streams
-            .iter()
-            .filter(|(_, r)| {
-                !r.latched
-                    && !r.shed
-                    && r.verdicts > 0
-                    && r.ring.bits() == 0
-                    && !r.stamps.is_empty()
-            })
-            .map(|(&sid, r)| (sid, r.stamps.len() as u64))
-            .collect();
-        shed.sort_unstable_by_key(|&(sid, _)| sid);
-        for (sid, outstanding) in shed {
-            let Some(pid) = self.sessions.session(sid).map(|s| s.pid()) else {
-                continue;
-            };
-            if let Some(rec) = self.streams.get_mut(&sid) {
-                rec.shed = true;
+        let from = self.shed_log.len();
+        for s in self.sessions.sessions_mut() {
+            if !s.latched && !s.shed && s.verdicts > 0 && s.ring.bits() == 0 && !s.stamps.is_empty()
+            {
+                s.shed = true;
+                self.shed_log.push(ShedRecord {
+                    sid: s.sid(),
+                    pid: s.pid(),
+                    windows_outstanding: s.stamps.len() as u64,
+                    at_event: self.events,
+                });
             }
-            self.shed_log.push(ShedRecord {
-                sid,
-                pid,
-                windows_outstanding: outstanding,
-                at_event: self.events,
-            });
         }
+        self.shed_log[from..].sort_unstable_by_key(|r| r.sid);
     }
 
     /// Folds served verdicts into vote rings; a completed vote runs the
-    /// dispatch path: whitelist check, configured action, latched
-    /// incident. Verdicts key on session ids, so nothing here can touch
-    /// a PID's later incarnation. An ended session retires with the
-    /// last verdict it was waiting for.
+    /// dispatch path ([`latch`](Self::latch)). Verdicts key on session
+    /// ids, so nothing here can touch a PID's later incarnation. An
+    /// ended session retires with the last verdict it was waiting for.
+    /// A verdict that completes no vote costs one session lookup.
     fn fold(&mut self, verdicts: &[Verdict]) -> Vec<Incident> {
         let mut raised = Vec::new();
         for v in verdicts {
-            let Some(rec) = self.streams.get_mut(&v.stream) else {
+            let Some(s) = self.sessions.session_mut(v.stream) else {
                 continue;
             };
             // Verdicts leave the mux in submission order: the front
             // stamp is this window's.
-            let stamp = rec.stamps.pop_front();
+            let stamp = s.stamps.pop_front();
             debug_assert_eq!(stamp.map(|(at, _)| at), Some(v.at_call));
-            if !rec.latched && !rec.shed {
-                raised.extend(self.fold_verdict(v, stamp.map(|(_, clock)| clock)));
+            let retires = s.stamps.is_empty() && s.ended().is_some();
+            if !s.latched && !s.shed {
+                self.verdicts_folded += 1;
+                s.verdicts += 1;
+                if let Some((_, clock)) = stamp {
+                    self.service_latencies
+                        .record(self.events.saturating_sub(clock));
+                }
+                self.latencies
+                    .record(s.calls_seen().saturating_sub(v.at_call as u64));
+                let positive = v.classification.is_positive;
+                if s.ring
+                    .push(positive, self.vote_mask, self.config.votes_needed)
+                {
+                    s.latched = true;
+                    raised.extend(self.latch(v));
+                }
             }
-            self.left_mux(v.stream);
+            if retires {
+                self.retire(v.stream);
+            }
         }
         raised
     }
 
-    /// One of `sid`'s windows left the mux, served or evicted: an ended
-    /// session retires with the last one (a live one stays).
-    fn left_mux(&mut self, sid: u64) {
-        if self.streams.get(&sid).is_some_and(|r| r.stamps.is_empty()) {
-            self.retire(sid);
-        }
-    }
-
-    /// Folds one verdict of an open (not latched, not shed) stream —
-    /// submitted at ingest-clock `submitted_at` — and returns the
-    /// incident it raised, if its vote completed.
-    fn fold_verdict(&mut self, v: &Verdict, submitted_at: Option<u64>) -> Option<Incident> {
-        let rec = self.streams.get_mut(&v.stream)?;
-        self.verdicts_folded += 1;
-        rec.verdicts += 1;
-        let vote_complete = rec.ring.push(
-            v.classification.is_positive,
-            self.vote_mask,
-            self.config.votes_needed,
-        );
-        let verdicts_folded = rec.verdicts;
-        if let Some(stamp) = submitted_at {
-            self.service_latencies
-                .record(self.events.saturating_sub(stamp));
-        }
+    /// The dispatch path of the verdict `v` that completed its
+    /// session's vote: whitelist check, configured action, incident.
+    fn latch(&mut self, v: &Verdict) -> Option<Incident> {
         let s = self.sessions.session(v.stream)?;
-        self.latencies
-            .record(s.calls_seen().saturating_sub(v.at_call as u64));
-        if !vote_complete {
-            return None;
-        }
         let (pid, name, post_exit) = (s.pid(), s.name().map(str::to_string), !s.is_live());
-        if let Some(rec) = self.streams.get_mut(&v.stream) {
-            rec.latched = true;
-        }
-        let whitelisted = self.whitelist.contains(name.as_deref());
-        let (action, outcome) = if whitelisted {
-            self.suppressed += 1;
+        let verdicts_folded = s.verdicts;
+        let (action, outcome) = if self.whitelist.contains(name.as_deref()) {
             (ActionTaken::Suppressed, ActionOutcome::NotAttempted)
         } else {
             let outcome = if self.config.action.stops_process() && !post_exit {
@@ -802,19 +753,13 @@ impl Sentry {
                         self.sessions.kill(v.stream);
                         ActionOutcome::Applied(receipt)
                     }
-                    Err(err) => {
-                        self.actions_failed += 1;
-                        ActionOutcome::Failed(err)
-                    }
+                    Err(err) => ActionOutcome::Failed(err),
                 }
             } else {
                 ActionOutcome::NotAttempted
             };
             (self.config.action.taken(), outcome)
         };
-        if post_exit {
-            self.post_exit_incidents += 1;
-        }
         let incident = Incident {
             sid: v.stream,
             pid,
@@ -835,8 +780,8 @@ impl Sentry {
     }
 
     /// Flattens the sentry's durable state for a checkpoint: the
-    /// tracked sessions and their stream records, so its size follows
-    /// the sessions alive now.
+    /// tracked sessions with their streams, so its size follows the
+    /// sessions alive now.
     ///
     /// Call this *quiescently* — right after [`drain`](Self::drain),
     /// when the mux holds no queued or in-flight windows. Windows
@@ -846,19 +791,6 @@ impl Sentry {
     /// are run-local telemetry, the latter's system of record is the
     /// durable journal (see [`adopt_incident`](Self::adopt_incident)).
     pub fn snapshot(&self) -> SentrySnapshot {
-        let mut streams: Vec<StreamSnap> = self
-            .streams
-            .iter()
-            .map(|(&sid, r)| StreamSnap {
-                sid,
-                submitted: r.submitted,
-                ring: r.ring.bits(),
-                verdicts: r.verdicts,
-                latched: r.latched,
-                shed: r.shed,
-            })
-            .collect();
-        streams.sort_unstable_by_key(|s| s.sid);
         let mut last_t_us: Vec<(u32, u64)> =
             self.last_t_us.iter().map(|(&pid, &t)| (pid, t)).collect();
         last_t_us.sort_unstable_by_key(|&(pid, _)| pid);
@@ -869,7 +801,6 @@ impl Sentry {
             whitelist_exact: self.whitelist.exact().to_vec(),
             whitelist_prefixes: self.whitelist.prefixes().to_vec(),
             table: self.sessions.snapshot(),
-            streams,
             last_t_us,
             dup_events: self.dup_events,
             shed_log: self.shed_log.clone(),
@@ -888,11 +819,10 @@ impl Sentry {
     /// nothing, so ended sessions the snapshot still carries (one taken
     /// before the drain that would have retired them) retire here.
     ///
-    /// Incident-derived counters (`suppressed`, `post_exit_incidents`,
-    /// `actions_failed`) start at zero here and are recomputed as
-    /// [`adopt_incident`](Self::adopt_incident) re-adopts the journal's
-    /// incident records — every incident is journaled, so the recount
-    /// is exact.
+    /// The incident log starts empty; [`adopt_incident`](Self::adopt_incident)
+    /// refills it from the journal's incident records, and the
+    /// incident-derived counters of [`stats`](Self::stats) are counted
+    /// from it.
     ///
     /// # Panics
     ///
@@ -902,21 +832,10 @@ impl Sentry {
         config: SentryConfig,
         snap: &SentrySnapshot,
     ) -> Self {
+        let vocab = engine.weights().dims().vocab;
+        let idle_timeout_events = config.idle_timeout_events;
         let mut sentry = Self::new(engine, config);
-        sentry.sessions = SessionTable::restore(&snap.table);
-        for s in &snap.streams {
-            sentry.streams.insert(
-                s.sid,
-                StreamRecord {
-                    submitted: s.submitted,
-                    ring: VoteRing::from_bits(s.ring),
-                    verdicts: s.verdicts,
-                    latched: s.latched,
-                    shed: s.shed,
-                    stamps: VecDeque::new(),
-                },
-            );
-        }
+        sentry.sessions = SessionTable::restore(vocab, idle_timeout_events, &snap.table);
         let ended: Vec<u64> = sentry
             .sessions
             .sessions()
@@ -940,23 +859,33 @@ impl Sentry {
         sentry
     }
 
-    /// Re-adopts a journal-recovered incident: the stream latches, the
-    /// session is marked killed if the original action stopped the
-    /// process (its backend reported it applied), counters recount, and
-    /// the incident rejoins the log — all *without* re-dispatching the
-    /// backend. The action already ran (or failed) before the crash;
-    /// recovery must not run it twice.
+    /// Re-adopts a journal-recovered incident: it rejoins the log, and
+    /// its session, if the table tracks it, is latched
+    /// ([`latch_adopted`](Self::latch_adopted)) — all *without*
+    /// re-dispatching the backend. The action already ran (or failed)
+    /// before the crash; recovery must not run it twice.
     ///
-    /// The stream latches only if something can still fold against it:
-    /// the session is tracked, or its id is yet to be assigned, i.e.
-    /// replay will create it. An id already spent and untracked belongs
-    /// to a session that retired before the checkpoint; a record for it
-    /// would never be removed.
+    /// A session retired before the checkpoint is not tracked, and
+    /// nothing can fold against it any more. One that journal replay is
+    /// yet to create is not tracked either: [`DurableSentry::open`]
+    /// latches it when replay creates it.
+    ///
+    /// [`DurableSentry::open`]: crate::DurableSentry::open
     pub fn adopt_incident(&mut self, incident: Incident) {
-        if self.sessions.session(incident.sid).is_some() || incident.sid >= self.sessions.next_sid()
-        {
-            self.streams.entry(incident.sid).or_default().latched = true;
-        }
+        self.latch_adopted(&incident);
+        self.incidents.push(incident);
+    }
+
+    /// Latches the session an adopted incident was raised against, so
+    /// no window of it is submitted or folds again, and marks it killed
+    /// if the incident's kill or quarantine applied: the process is
+    /// gone, so its later calls are dropped and tallied. A session the
+    /// table does not track is left alone.
+    pub(crate) fn latch_adopted(&mut self, incident: &Incident) {
+        let Some(s) = self.sessions.session_mut(incident.sid) else {
+            return;
+        };
+        s.latched = true;
         if matches!(
             incident.action,
             ActionTaken::Killed | ActionTaken::Quarantined
@@ -964,26 +893,11 @@ impl Sentry {
         {
             self.sessions.kill(incident.sid);
         }
-        if incident.action == ActionTaken::Suppressed {
-            self.suppressed += 1;
-        }
-        if incident.post_exit {
-            self.post_exit_incidents += 1;
-        }
-        if matches!(incident.outcome, ActionOutcome::Failed(_)) {
-            self.actions_failed += 1;
-        }
-        self.incidents.push(incident);
     }
 
     /// Every incident latched so far, in latch order.
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
-    }
-
-    /// The incident latched against session `sid`, if any.
-    pub fn incident_for(&self, sid: u64) -> Option<&Incident> {
-        self.incidents.iter().find(|i| i.sid == sid)
     }
 
     /// Verdict latency: events the session observed past window-full
@@ -999,12 +913,6 @@ impl Sentry {
         &self.service_latencies
     }
 
-    /// Stream records held: one per tracked session that has buffered
-    /// a call, plus incidents adopted ahead of their session's replay.
-    pub fn tracked_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// The session table, read-only.
     pub fn sessions(&self) -> &SessionTable {
         &self.sessions
@@ -1014,7 +922,9 @@ impl Sentry {
     /// session; a retired session's is in
     /// [`retired_loss`](Self::retired_loss).
     pub fn loss_for(&self, sid: u64) -> StreamLoss {
-        self.mux.loss_for(sid)
+        self.sessions
+            .session(sid)
+            .map_or_else(StreamLoss::default, |s| s.loss)
     }
 
     /// Engine-side loss summed over retired sessions: with
@@ -1029,8 +939,15 @@ impl Sentry {
         self.events
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters. The incident-derived ones are counted from
+    /// the incident log.
     pub fn stats(&self) -> SentryStats {
+        let (mut suppressed, mut post_exit_incidents, mut actions_failed) = (0, 0, 0);
+        for i in &self.incidents {
+            suppressed += u64::from(i.action == ActionTaken::Suppressed);
+            post_exit_incidents += u64::from(i.post_exit);
+            actions_failed += u64::from(matches!(i.outcome, ActionOutcome::Failed(_)));
+        }
         SentryStats {
             events: self.events,
             sessions_started: self.sessions.started(),
@@ -1040,9 +957,9 @@ impl Sentry {
             stray_exits: self.sessions.stray_exits(),
             verdicts_folded: self.verdicts_folded,
             incidents: self.incidents.len() as u64,
-            suppressed: self.suppressed,
-            post_exit_incidents: self.post_exit_incidents,
-            actions_failed: self.actions_failed,
+            suppressed,
+            post_exit_incidents,
+            actions_failed,
             dup_events: self.dup_events,
             shed_sessions: self.shed_log.len() as u64,
             slo_polls: self.slo_polls,
@@ -1114,8 +1031,8 @@ mod tests {
         );
         assert_eq!(incidents.len(), usize::from(any_positive));
         assert_eq!(
-            (sentry.sessions().tracked(), sentry.tracked_streams()),
-            (0, 0),
+            sentry.sessions().tracked(),
+            0,
             "exited and drained: the session has retired"
         );
     }
@@ -1230,7 +1147,7 @@ mod tests {
         sentry.ingest(&ProcessEvent::spawn(101, 8, "fresh.exe"));
         let new_sid = sentry.sessions().sid_for_pid(8).unwrap();
         assert_ne!(new_sid, incidents[0].sid);
-        assert!(sentry.incident_for(new_sid).is_none());
+        assert!(sentry.incidents().iter().all(|i| i.sid != new_sid));
     }
 
     #[test]
@@ -1480,7 +1397,7 @@ mod tests {
                 .expect("shed sid tracked");
             assert_eq!(session.pid(), rec.pid);
             assert!(
-                sentry.incident_for(rec.sid).is_none(),
+                sentry.incidents().iter().all(|i| i.sid != rec.sid),
                 "only zero-vote sessions are shed"
             );
         }
@@ -1534,7 +1451,8 @@ mod tests {
         cfg.staleness_slo = Some(slo);
         let mut sentry = Sentry::new(engine(), cfg);
         sentry.ingest(&ProcessEvent::api(0, 7, 1));
-        let sid = sentry.sessions().sessions().next().unwrap().sid();
+        sentry.ingest(&ProcessEvent::api(0, 8, 1));
+        let sid = sentry.sessions().sid_for_pid(7).unwrap();
         // A window of no tracked session, served first, leaves the mux
         // owing more window-steps than the rounds below pay off: the
         // governor's rounds serve nothing, and staleness is exactly
@@ -1545,13 +1463,13 @@ mod tests {
         let window = trace(1, 8);
         // The live session has folded one negative verdict and has a
         // window outstanding: what Shed sheds.
-        let rec = sentry.streams.entry(sid).or_default();
-        rec.verdicts = 1;
+        let s = sentry.sessions.session_mut(sid).unwrap();
+        s.verdicts = 1;
         assert!(sentry.mux.submit(sid, 8, &window).queued());
-        rec.stamps.push_back((8, 1));
+        s.stamps.push_back((8, 1));
         // A stream with no verdict folded yet is never shed, so it
         // keeps staleness defined once the first one is.
-        let unscored = sentry.streams.entry(sid + 1).or_default();
+        let unscored = sentry.sessions.session_mut(sid + 1).unwrap();
         assert!(sentry.mux.submit(sid + 1, 8, &window).queued());
         unscored.stamps.push_back((8, 1));
 

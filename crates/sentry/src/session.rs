@@ -23,6 +23,12 @@
 //! windows are consumed (see [`Session::discard_consumed`]) so resident
 //! memory per session stays O(window) rather than O(trace).
 //!
+//! A session is also the one record of its stream on the sentry side:
+//! the window cursor, the vote ring, the latched and shed flags, the
+//! stamps of its windows the mux holds and what the mux lost of them
+//! ([`StreamLoss`]) live on it, so a session and its stream have one
+//! lifetime and one lookup.
+//!
 //! An ended session is no longer PID-linked, so no event can reach it;
 //! the table keeps it only until its owner calls
 //! [`retire`](SessionTable::retire) — the sentry does so once no
@@ -32,8 +38,10 @@
 //! holds O(live) sessions rather than every session it ever saw.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+
+use csd_accel::VoteRing;
 
 use crate::event::{EventKind, ProcessEvent};
 use crate::snapshot::{SessionSnap, TableSnap};
@@ -79,7 +87,33 @@ pub enum EndReason {
     Superseded,
 }
 
-/// One incarnation of a process.
+/// Windows of one session that never produced a verdict, by cause, so
+/// a report can say *why* a process lost coverage: was its data
+/// garbage, was it overload eviction, or was it turned away at the door.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamLoss {
+    /// Admitted windows later evicted by
+    /// [`OverflowPolicy::DropOldest`](csd_accel::OverflowPolicy::DropOldest)
+    /// backpressure.
+    pub evicted: u64,
+    /// Windows refused at submission by
+    /// [`OverflowPolicy::DropNewest`](csd_accel::OverflowPolicy::DropNewest)
+    /// backpressure.
+    pub refused: u64,
+    /// Windows refused at submission for out-of-vocabulary tokens.
+    pub rejected: u64,
+}
+
+impl StreamLoss {
+    /// Total windows of the session that never produced a verdict.
+    pub fn total(&self) -> u64 {
+        self.evicted + self.refused + self.rejected
+    }
+}
+
+/// One incarnation of a process, and its stream: the fields from
+/// `submitted` on are the sentry's, kept here so that a session is
+/// stored once.
 #[derive(Debug)]
 pub struct Session {
     sid: u64,
@@ -96,6 +130,26 @@ pub struct Session {
     ended: Option<EndReason>,
     started_at: u64,
     last_event: u64,
+    /// Windows submitted so far; the next starts at
+    /// `submitted * stride`.
+    pub(crate) submitted: usize,
+    /// Last `vote_horizon` verdicts.
+    pub(crate) ring: VoteRing,
+    /// Verdicts folded for this session.
+    pub(crate) verdicts: u32,
+    /// An incident latched; no further windows or folds.
+    pub(crate) latched: bool,
+    /// Shed by the overload governor: no further windows or folds, and
+    /// outstanding verdicts are ignored — the typed coverage loss of
+    /// [`OverloadLevel::Shed`](crate::OverloadLevel::Shed).
+    pub(crate) shed: bool,
+    /// `(at_call, ingest clock)` of each window of this session the
+    /// mux holds, oldest first: pushed when the mux queues a window,
+    /// popped when its verdict folds or the mux evicts it. The mux is a
+    /// FIFO, so both leave from the front.
+    pub(crate) stamps: VecDeque<(usize, u64)>,
+    /// Windows of this session the mux lost.
+    pub(crate) loss: StreamLoss,
 }
 
 impl Session {
@@ -112,6 +166,13 @@ impl Session {
             ended: None,
             started_at: clock,
             last_event: clock,
+            submitted: 0,
+            ring: VoteRing::default(),
+            verdicts: 0,
+            latched: false,
+            shed: false,
+            stamps: VecDeque::new(),
+            loss: StreamLoss::default(),
         }
     }
 
@@ -215,10 +276,17 @@ impl Session {
             },
             started_at: self.started_at,
             last_event: self.last_event,
+            submitted: self.submitted,
+            ring: self.ring.bits(),
+            verdicts: self.verdicts,
+            latched: self.latched,
+            shed: self.shed,
         }
     }
 
-    /// Rebuilds a session from its checkpoint form.
+    /// Rebuilds a session from its checkpoint form. A checkpoint is
+    /// taken with the mux empty, so no window is outstanding; the loss
+    /// restarts with the mux's counters.
     fn from_snap(s: &SessionSnap) -> Self {
         Self {
             sid: s.sid,
@@ -237,6 +305,13 @@ impl Session {
             },
             started_at: s.started_at,
             last_event: s.last_event,
+            submitted: s.submitted,
+            ring: VoteRing::from_bits(s.ring),
+            verdicts: s.verdicts,
+            latched: s.latched,
+            shed: s.shed,
+            stamps: VecDeque::new(),
+            loss: StreamLoss::default(),
         }
     }
 }
@@ -467,19 +542,19 @@ impl SessionTable {
     }
 
     /// Stops tracking an *ended* session: its tallies fold into the
-    /// table totals and the entry is freed. The id stays spent. Returns
-    /// `false` (and does nothing) for a session that is untracked or
-    /// still PID-linked — live and killed sessions must keep receiving
-    /// their PID's events.
-    pub fn retire(&mut self, sid: u64) -> bool {
+    /// table totals and the entry is freed and returned. The id stays
+    /// spent. Returns `None` (and does nothing) for a session that is
+    /// untracked or still PID-linked — live and killed sessions must
+    /// keep receiving their PID's events.
+    pub fn retire(&mut self, sid: u64) -> Option<Session> {
         match self.sessions.entry(sid) {
             Entry::Occupied(entry) if entry.get().ended.is_some() => {
                 let s = entry.remove();
                 self.retired_calls += s.calls_seen;
                 self.retired_oov += s.oov;
-                true
+                Some(s)
             }
-            _ => false,
+            _ => None,
         }
     }
 
@@ -502,6 +577,11 @@ impl SessionTable {
     /// ones not yet [`retire`](Self::retire)d — in unspecified order.
     pub fn sessions(&self) -> impl Iterator<Item = &Session> {
         self.sessions.values()
+    }
+
+    /// The tracked sessions, mutable, for the sentry's stream fields.
+    pub(crate) fn sessions_mut(&mut self) -> impl Iterator<Item = &mut Session> {
+        self.sessions.values_mut()
     }
 
     /// How many sessions are tracked.
@@ -559,8 +639,6 @@ impl SessionTable {
         let mut sessions: Vec<SessionSnap> = self.sessions.values().map(Session::snap).collect();
         sessions.sort_unstable_by_key(|s| s.sid);
         TableSnap {
-            vocab: self.vocab,
-            idle_timeout_events: self.idle_timeout_events,
             next_sid: self.next_sid,
             clock: self.clock,
             started: self.started,
@@ -575,18 +653,22 @@ impl SessionTable {
         }
     }
 
-    /// Rebuilds a table from its checkpoint form. Replaying the same
-    /// events against the restored table assigns the same session ids
-    /// and reaches the same state as the uninterrupted table.
-    pub fn restore(snap: &TableSnap) -> Self {
+    /// Rebuilds a table from its checkpoint form, over the vocabulary
+    /// and idle timeout of [`new`](Self::new) (the deployment's, not the
+    /// checkpoint's). Replaying the same events against the restored
+    /// table assigns the same session ids and reaches the same state as
+    /// the uninterrupted table.
+    ///
+    /// # Panics
+    ///
+    /// On the arguments [`new`](Self::new) panics on.
+    pub fn restore(vocab: usize, idle_timeout_events: Option<u64>, snap: &TableSnap) -> Self {
         let sessions: SidMap<Session> = snap
             .sessions
             .iter()
             .map(|s| (s.sid, Session::from_snap(s)))
             .collect();
         Self {
-            vocab: snap.vocab.max(1),
-            idle_timeout_events: snap.idle_timeout_events,
             // A link to an untracked or ended session is not one a run
             // can leave: it goes, so a call on its PID starts a session.
             by_pid: snap
@@ -605,6 +687,7 @@ impl SessionTable {
             oov_total: snap.oov_total,
             retired_calls: snap.retired_calls,
             retired_oov: snap.retired_oov,
+            ..Self::new(vocab, idle_timeout_events)
         }
     }
 }
@@ -698,7 +781,7 @@ mod tests {
         t.apply(&ProcessEvent::exit(2, 5));
         let mut snap = t.snapshot();
         snap.by_pid = vec![(5, ended), (6, live), (7, 99)];
-        let mut t = SessionTable::restore(&snap);
+        let mut t = SessionTable::restore(16, Some(100), &snap);
         assert_eq!(
             (t.sid_for_pid(5), t.sid_for_pid(6), t.sid_for_pid(7)),
             (None, Some(live), None)

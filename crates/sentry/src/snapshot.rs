@@ -5,8 +5,10 @@
 //! replay* reconstructs the same incident
 //! set an uninterrupted run produces: the session table (including the
 //! `next_sid` cursor, so replayed events assign the same never-reused
-//! session ids), the vote ring and window cursor of every *tracked*
-//! session, and the scalar service counters. Sessions that ended and
+//! session ids), every *tracked* session with its window cursor and
+//! vote ring in one record, and the scalar service counters. What the
+//! deployment fixes — the vocabulary (the engine's) and the idle
+//! timeout (the config's) — is not in it. Sessions that ended and
 //! retired are not in it — nothing can reference them again, and their
 //! tallies are already in the counters — so a checkpoint's size follows
 //! the sessions alive when it was taken. Volatile telemetry — the
@@ -39,9 +41,12 @@ use crate::journal::JournalAnchor;
 use crate::service::ShedRecord;
 
 /// Snapshot format version; bumped on incompatible layout changes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 keeps each session's stream in its [`SessionSnap`]; a
+/// version-1 checkpoint is invalid, and `open` replays the journal.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// One session's durable state (see [`Session`](crate::Session)).
+/// One session's durable state, its stream's included (see
+/// [`Session`](crate::Session)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSnap {
     /// Never-reused session id.
@@ -66,15 +71,22 @@ pub struct SessionSnap {
     pub started_at: u64,
     /// Table-clock value of the most recent event.
     pub last_event: u64,
+    /// Windows submitted so far.
+    pub submitted: usize,
+    /// The packed vote ring.
+    pub ring: u64,
+    /// Verdicts folded.
+    pub verdicts: u32,
+    /// An incident latched; the stream is closed.
+    pub latched: bool,
+    /// Shed by the overload governor; the stream is closed without a
+    /// verdict.
+    pub shed: bool,
 }
 
 /// The session table's durable state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableSnap {
-    /// Vocabulary bound for ingest filtering.
-    pub vocab: usize,
-    /// Idle timeout, in table-clock events.
-    pub idle_timeout_events: Option<u64>,
     /// Next session id to assign — the replay-determinism linchpin.
     pub next_sid: u64,
     /// Events applied (the table clock).
@@ -99,24 +111,6 @@ pub struct TableSnap {
     pub sessions: Vec<SessionSnap>,
 }
 
-/// One sentry-side stream record: window cursor plus vote ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamSnap {
-    /// Session id the stream keys on.
-    pub sid: u64,
-    /// Windows submitted so far.
-    pub submitted: usize,
-    /// The packed vote ring.
-    pub ring: u64,
-    /// Verdicts folded.
-    pub verdicts: u32,
-    /// An incident latched; the stream is closed.
-    pub latched: bool,
-    /// Shed by the overload governor; the stream is closed without a
-    /// verdict.
-    pub shed: bool,
-}
-
 /// The whole sentry, minus engine, config, and volatile telemetry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SentrySnapshot {
@@ -129,8 +123,9 @@ pub struct SentrySnapshot {
     ///
     /// Incident-derived counters (suppressed, post-exit, failed
     /// actions) are deliberately absent: every incident is a journal
-    /// record, so [`adopt_incident`](crate::Sentry::adopt_incident)
-    /// recomputes them exactly on recovery.
+    /// record, [`adopt_incident`](crate::Sentry::adopt_incident) puts it
+    /// back in the log on recovery, and
+    /// [`stats`](crate::Sentry::stats) counts them from the log.
     pub verdicts_folded: u64,
     /// Whitelisted exact image names, in insertion order.
     pub whitelist_exact: Vec<String>,
@@ -138,8 +133,6 @@ pub struct SentrySnapshot {
     pub whitelist_prefixes: Vec<String>,
     /// The session table.
     pub table: TableSnap,
-    /// Per-session stream records, sorted by sid.
-    pub streams: Vec<StreamSnap>,
     /// Monotone-timestamp dedup watermarks, sorted by PID — one per PID
     /// *ever seen*, not per live one, and deliberately so: a frame
     /// re-sent after its process exited must still be recognised, and

@@ -117,8 +117,10 @@ type IncidentKey = (u64, u32, usize, String);
 /// the incidents in log order, the journal's cursors, and every counter
 /// that recovery preserves. (`verdicts_folded` and `dropped_after_kill`
 /// are not among them: a replay from the first event meets the adopted
-/// incidents' streams already latched, so it folds and drops less than
-/// the run that raised them.)
+/// incidents' sessions already latched, so it folds less than the run
+/// that raised them, and an adopted kill drops every replayed call of
+/// its session, where that run dropped only the calls after its
+/// verdict.)
 fn standing(d: &DurableSentry) -> (Vec<IncidentKey>, [u64; 11]) {
     let incidents = d
         .sentry()

@@ -76,7 +76,7 @@ proptest! {
         }
         let _ = sentry.drain();
 
-        prop_assert_eq!(sentry.stats().mux.dropped, 0, "the default queue holds every window");
+        prop_assert_eq!(sentry.stats().mux.evicted + sentry.stats().mux.refused, 0, "the default queue holds every window");
         for (pid, expected) in reference.iter().enumerate() {
             let raised: Vec<_> = sentry
                 .incidents()
