@@ -12,10 +12,10 @@
 //!
 //! With a fault plan armed on the device (see [`csd_device::fault`]),
 //! every step can fail; [`HostProgram`] recovers per its
-//! [`RecoveryPolicy`]: bounded retry with exponential backoff, waiting
-//! out brownouts, and a full bitstream reload ([reprogram]) after
-//! repeated failures — so a flaky device delays verdicts but never
-//! loses or changes one.
+//! [`RecoveryPolicy`]: bounded retry with exponential backoff from
+//! 50 µs, waiting out brownouts, a 10 ms watchdog on every kernel run,
+//! and a full bitstream reload ([reprogram]) after repeated failures —
+//! so a flaky device delays verdicts but never loses or changes one.
 //!
 //! [reprogram]: RecoveryPolicy::reprogram_after
 
@@ -90,24 +90,17 @@ pub struct RecoveryPolicy {
     /// Retries per classification before giving up and surfacing the
     /// error (the fleet layer then quarantines the device).
     pub max_retries: u32,
-    /// Base backoff between retries; doubles per consecutive failure.
-    pub backoff: Nanos,
     /// Consecutive failures that trigger a bitstream reload. Set to
     /// `u32::MAX` for a retry-only policy (the hung-kernel worst case
     /// then drains at the stall's own pace).
     pub reprogram_after: u32,
-    /// Per-run kernel watchdog deadline (`None` disables it — a hung
-    /// kernel then just makes the run slow instead of erroring).
-    pub watchdog: Option<Nanos>,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             max_retries: 4,
-            backoff: Nanos::from_micros(50.0),
             reprogram_after: 2,
-            watchdog: Some(Nanos::from_micros(10_000.0)),
         }
     }
 }
@@ -158,6 +151,13 @@ impl RecoveryStats {
 /// bitstream (partial reconfiguration of a KU15P-class fabric runs in
 /// the hundreds of milliseconds).
 const REPROGRAM_COST: Nanos = Nanos(400_000_000);
+
+/// Base backoff between retries; doubles per consecutive failure.
+const RETRY_BACKOFF: Nanos = Nanos(50_000);
+
+/// Per-run kernel watchdog deadline: a hung kernel errors after 10 ms
+/// of simulated time instead of making its run slow.
+const KERNEL_WATCHDOG: Nanos = Nanos(10_000_000);
 
 /// The result of one device-timed sequence classification.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,9 +249,8 @@ impl HostProgram {
         image: Xclbin,
         engine: CsdInferenceEngine,
     ) -> Result<Self, RuntimeError> {
-        let policy = RecoveryPolicy::default();
         let mut runtime = DeviceRuntime::new(device);
-        runtime.set_watchdog(policy.watchdog);
+        runtime.set_watchdog(Some(KERNEL_WATCHDOG));
         let (weight_buf, seq_buf, k_pre, k_gates, k_hidden) =
             Self::set_up_session(&mut runtime, &image, &engine)?;
         Ok(Self {
@@ -264,7 +263,7 @@ impl HostProgram {
             k_gates,
             k_hidden,
             model_version: 1,
-            policy,
+            policy: RecoveryPolicy::default(),
             stats: RecoveryStats::default(),
             p2p_offset: 0,
         })
@@ -312,7 +311,6 @@ impl HostProgram {
     /// Replaces the recovery policy in place.
     pub fn set_recovery(&mut self, policy: RecoveryPolicy) {
         self.policy = policy;
-        self.runtime.set_watchdog(policy.watchdog);
     }
 
     /// Arms a deterministic fault schedule on the underlying device.
@@ -349,7 +347,7 @@ impl HostProgram {
         );
         let (device, elapsed) = old.release();
         let mut runtime = DeviceRuntime::new_at(device, elapsed + REPROGRAM_COST);
-        runtime.set_watchdog(self.policy.watchdog);
+        runtime.set_watchdog(Some(KERNEL_WATCHDOG));
         let mut attempt = 0u32;
         let result = loop {
             match Self::set_up_session(&mut runtime, &self.image, &self.engine) {
@@ -392,7 +390,7 @@ impl HostProgram {
     /// Exponential backoff for the `attempt`-th retry (1-based).
     fn backoff_for(&self, attempt: u32) -> Nanos {
         let shift = attempt.saturating_sub(1).min(16);
-        Nanos(self.policy.backoff.as_nanos().saturating_mul(1u64 << shift))
+        Nanos(RETRY_BACKOFF.as_nanos().saturating_mul(1u64 << shift))
     }
 
     /// Hot-swaps the deployed model with retrained weights — the §III-A
@@ -767,7 +765,6 @@ mod tests {
             .with_recovery(RecoveryPolicy {
                 max_retries: 1,
                 reprogram_after: 1,
-                ..RecoveryPolicy::default()
             });
         host.arm_faults(FaultPlan::new(9, cfg));
         let err = host.classify_from_ssd(&seq()).expect_err("still flaky");

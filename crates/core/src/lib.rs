@@ -40,8 +40,9 @@
 //! - [`shard`] — [`ShardedStreamMux`], the stream multiplexer:
 //!   thousands of process streams' windows in one bounded FIFO, served
 //!   one window at a time under a budget counted in window-steps, with
-//!   backpressure, each loss named to the submitter ([`Admission`]) and
-//!   in-order delivery by construction. [`stream`] holds its config/admission/verdict/stats
+//!   backpressure that evicts the oldest window, each loss named to
+//!   the stream that lost it ([`Admission`]) and in-order delivery by
+//!   construction. [`stream`] holds its config/admission/verdict/stats
 //!   types.
 //! - [`fleet`] — multi-device scaling (§II's "multiple devices within a
 //!   single node").
@@ -94,6 +95,6 @@ pub use opt::OptimizationLevel;
 pub use schedule::{Bottleneck, PipelineSchedule, ScheduleEvent};
 pub use scratch::{EngineScratch, InferenceScratch};
 pub use shard::ShardedStreamMux;
-pub use stream::{Admission, MuxStats, OverflowPolicy, StreamMuxConfig, Verdict, ROUND_STEPS};
+pub use stream::{Admission, MuxStats, StreamMuxConfig, Verdict, ROUND_STEPS};
 pub use timing::{fig3, table1_fpga_row, Fig3Row, KernelBreakdown};
 pub use weights::{LaneGatesFx, QuantizedWeights, LANE_MAX_STEPS};

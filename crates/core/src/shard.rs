@@ -12,11 +12,12 @@
 //!
 //! [`submit`](ShardedStreamMux::submit) is the only way in, and the
 //! only place admission policy lives: it refuses out-of-vocabulary
-//! windows, applies the pending bound and its [`OverflowPolicy`],
-//! counts every loss and numbers the window ([`Verdict::seq`]). It
-//! tells the caller what it did ([`Admission`]), naming the window an
-//! eviction discarded, so a caller that tracks its outstanding windows
-//! can follow the queue exactly and charge each loss to its stream.
+//! windows, applies the pending bound — a full queue evicts its oldest
+//! window to admit the new one — counts every loss and numbers the
+//! window ([`Verdict::seq`]). It tells the caller what it did
+//! ([`Admission`]), naming the window an eviction discarded, so a
+//! caller that tracks its outstanding windows can follow the queue
+//! exactly and charge each loss to its stream.
 //! Multi-producer ingestion sits in front of the mux, not inside it
 //! (the sentry's bounded event bus).
 //!
@@ -67,7 +68,7 @@ use csd_device::FaultPlan;
 
 use crate::engine::{Classification, CsdInferenceEngine};
 use crate::scratch::EngineScratch;
-use crate::stream::{Admission, MuxStats, OverflowPolicy, StreamMuxConfig, Verdict, ROUND_STEPS};
+use crate::stream::{Admission, MuxStats, StreamMuxConfig, Verdict, ROUND_STEPS};
 
 /// An admitted window, waiting in the queue.
 #[derive(Debug, Clone)]
@@ -77,8 +78,6 @@ struct Window {
     items: Vec<usize>,
     /// Admission sequence number (see [`Verdict::seq`]).
     seq: u64,
-    /// [`ShardedStreamMux::ticks`] at admission.
-    enqueued_tick: u64,
 }
 
 /// The stream multiplexer: a bounded FIFO of windows behind one
@@ -102,12 +101,9 @@ pub struct ShardedStreamMux {
     /// Window-steps served beyond the budgets granted so far.
     debt: u64,
     max_pending: usize,
-    policy: OverflowPolicy,
     next_seq: u64,
-    /// Admitted windows later evicted by `DropOldest` backpressure.
+    /// Admitted windows later evicted by backpressure.
     evicted: u64,
-    /// Windows refused at admission by `DropNewest` backpressure.
-    refused: u64,
     /// Windows refused for out-of-vocabulary tokens.
     rejected: u64,
     /// Vocabulary size, cached for admission-time validation.
@@ -142,10 +138,8 @@ impl ShardedStreamMux {
             shards: config.shards.unwrap_or(1).max(1),
             debt: 0,
             max_pending: config.max_pending,
-            policy: config.policy,
             next_seq: 0,
             evicted: 0,
-            refused: 0,
             rejected: 0,
             vocab,
             started: Instant::now(),
@@ -188,11 +182,9 @@ impl ShardedStreamMux {
 
     /// Enqueues one window for classification, copying it into a pooled
     /// buffer, and says what became of it ([`Admission`]). A window is
-    /// refused by backpressure ([`OverflowPolicy::DropNewest`] with the
-    /// pending bound reached) or because a token falls outside the
-    /// model's vocabulary; under [`OverflowPolicy::DropOldest`] a full
-    /// queue evicts its oldest window instead, names it, and admits
-    /// this one.
+    /// refused only when a token falls outside the model's vocabulary;
+    /// a full queue evicts its oldest window, names it, and admits this
+    /// one.
     ///
     /// An out-of-vocabulary window is a *typed rejection, not a panic*:
     /// one misbehaving (or hostile) process is refused at the boundary
@@ -213,10 +205,6 @@ impl ShardedStreamMux {
         }
         let mut admission = Admission::Queued;
         if self.queue.len() >= self.max_pending {
-            if self.policy == OverflowPolicy::DropNewest {
-                self.refused += 1;
-                return Admission::Refused;
-            }
             if let Some(victim) = self.queue.pop_front() {
                 self.evicted += 1;
                 admission = Admission::QueuedEvicting {
@@ -234,7 +222,6 @@ impl ShardedStreamMux {
             at_call,
             items,
             seq: self.next_seq,
-            enqueued_tick: self.ticks,
         });
         self.next_seq += 1;
         admission
@@ -298,7 +285,7 @@ impl ShardedStreamMux {
             ticks: self.ticks,
             verdicts: self.verdicts,
             evicted: self.evicted,
-            refused: self.refused,
+            refused: 0,
             rejected: self.rejected,
             occupancy: 0.0,
             verdicts_per_sec: self.verdicts as f64 / self.started.elapsed().as_secs_f64().max(1e-9),
@@ -361,7 +348,6 @@ impl ShardedStreamMux {
             stream: w.stream,
             at_call: w.at_call,
             classification,
-            latency_ticks: self.ticks - w.enqueued_tick,
             seq: w.seq,
         });
         self.free_bufs.push(w.items);
@@ -487,7 +473,6 @@ mod tests {
         assert_eq!(served, [1, 0, 0, 0, 0, 0, 1]);
         assert_eq!(ticks[0][0].classification, e.classify(&w0));
         assert_eq!(ticks[6][0].classification, e.classify(&w1));
-        assert_eq!(ticks[6][0].latency_ticks, 1, "one working call went first");
         assert!(mux.is_idle());
         // A poll's 64 rounds are 1,024 steps: ten 100-step windows leave
         // 24 of credit, which starts an eleventh.
@@ -533,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_ticks_and_latency() {
+    fn stats_track_ticks_and_verdicts() {
         let mut mux = sharded(engine(21), 1);
         for k in 0..4u64 {
             mux.submit(k, 0, &seq(12, k as usize));
@@ -543,8 +528,6 @@ mod tests {
         let ticks = tick_by_tick(&mut mux, 3);
         let served: Vec<usize> = ticks.iter().map(Vec::len).collect();
         assert_eq!(served, [2, 1, 1]);
-        let latencies: Vec<u64> = ticks.iter().flatten().map(|v| v.latency_ticks).collect();
-        assert_eq!(latencies, [0, 0, 1, 2]);
         let s = mux.stats();
         assert_eq!((s.verdicts, s.ticks), (4, 3));
         assert_eq!(s.occupancy, 0.0);
@@ -608,17 +591,16 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_evicts_the_head_and_names_it() {
+    fn a_full_queue_evicts_the_head_and_names_it() {
         let mut mux = ShardedStreamMux::new(
             engine(2),
             StreamMuxConfig {
                 max_pending: 3,
-                policy: OverflowPolicy::DropOldest,
                 shards: None,
             },
         );
         for k in 0..8u64 {
-            // DropOldest always admits: past the bound, the oldest
+            // The queue always admits: past the bound, the oldest
             // queued window is evicted, and the caller is told which —
             // the stream that lost it, not the submitter.
             let admission = mux.submit(k, k as usize * 10, &seq(6, k as usize));
@@ -637,28 +619,6 @@ mod tests {
         assert_eq!((stats.evicted, stats.refused), (5, 0));
         let kept: Vec<u64> = mux.drain().iter().map(|v| v.stream).collect();
         assert_eq!(kept, vec![5, 6, 7]);
-    }
-
-    #[test]
-    fn drop_newest_refuses_and_charges_the_submitter() {
-        let mut mux = ShardedStreamMux::new(
-            engine(2),
-            StreamMuxConfig {
-                max_pending: 1,
-                policy: OverflowPolicy::DropNewest,
-                shards: None,
-            },
-        );
-        assert_eq!(mux.submit(0, 0, &seq(6, 0)), Admission::Queued);
-        assert_eq!(mux.submit(1, 1, &seq(6, 1)), Admission::Refused);
-        // A round serves the queued window, freeing the bound.
-        assert_eq!(mux.tick().len(), 1);
-        assert_eq!(mux.submit(2, 2, &seq(6, 2)), Admission::Queued);
-        assert_eq!(mux.submit(3, 3, &seq(6, 3)), Admission::Refused);
-        let kept: Vec<u64> = mux.drain().iter().map(|v| v.stream).collect();
-        assert_eq!(kept, vec![2], "the queue stayed intact");
-        let stats = mux.stats();
-        assert_eq!((stats.refused, stats.evicted), (2, 0));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! one bounded queue of windows in [`shard`](crate::shard). This module
 //! holds the types its API speaks: [`StreamMuxConfig`], [`Admission`],
 //! [`Verdict`], [`MuxStats`], and the unit its serving budget is
-//! counted in, [`ROUND_STEPS`]. The mux counts its losses in total; a
+//! counted in, [`ROUND_STEPS`]. A full queue evicts its oldest window
+//! to admit the new one, so backpressure costs the stalest window and
+//! never turns the newest away. The mux counts its losses in total; a
 //! caller that wants them per stream charges each to its stream from
 //! the [`Admission`] a submission returns.
 
@@ -26,27 +28,15 @@ use crate::engine::Classification;
 /// every budget counted in rounds keeps its engine time.
 pub const ROUND_STEPS: usize = 16;
 
-/// What [`ShardedStreamMux::submit`](crate::shard::ShardedStreamMux::submit)
-/// does when the pending queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Evict the oldest pending window to admit the new one — the
-    /// freshest data wins (default: stale windows age out under
-    /// overload, recent behaviour keeps being classified).
-    DropOldest,
-    /// Refuse the new window, keeping the queue intact.
-    DropNewest,
-}
-
 /// Configuration for a
 /// [`ShardedStreamMux`](crate::shard::ShardedStreamMux).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamMuxConfig {
-    /// Bound on the pending-window queue; [`OverflowPolicy`] applies
-    /// beyond it.
+    /// Bound on the pending-window queue. A window submitted to a full
+    /// queue evicts the oldest one: the freshest data wins, so under
+    /// overload stale windows age out and recent behaviour keeps being
+    /// classified.
     pub max_pending: usize,
-    /// What to do when `max_pending` is reached.
-    pub policy: OverflowPolicy,
     /// Most chunks one serving call splits its windows over. `None`
     /// (one) classifies every window on the caller's thread; `Some(n)`
     /// spreads a serving call that can afford two or more windows over
@@ -59,7 +49,6 @@ impl Default for StreamMuxConfig {
     fn default() -> Self {
         Self {
             max_pending: 4096,
-            policy: OverflowPolicy::DropOldest,
             shards: None,
         }
     }
@@ -71,17 +60,15 @@ impl Default for StreamMuxConfig {
 pub enum Admission {
     /// Queued.
     Queued,
-    /// Queued after evicting the oldest queued window to make room
-    /// ([`OverflowPolicy::DropOldest`] at the bound). The evicted
-    /// window's stream and `at_call`: it will never produce a verdict.
+    /// Queued after evicting the oldest queued window to make room (the
+    /// queue was at `max_pending`). The evicted window's stream and
+    /// `at_call`: it will never produce a verdict.
     QueuedEvicting {
         /// Stream of the evicted window.
         stream: u64,
         /// `at_call` tag of the evicted window.
         at_call: usize,
     },
-    /// Refused at the bound ([`OverflowPolicy::DropNewest`]).
-    Refused,
     /// Refused for an out-of-vocabulary token.
     Rejected,
 }
@@ -104,10 +91,6 @@ pub struct Verdict {
     /// The classification — bit-identical to serial `classify` of the
     /// same window.
     pub classification: Classification,
-    /// Serving calls that classified other windows while this one
-    /// waited (0: served by the first serving call to classify
-    /// anything after its submission).
-    pub latency_ticks: u64,
     /// Admission sequence number, assigned by the mux at `submit` and
     /// strictly increasing in submission order. Verdicts leave in this
     /// order, so each stream's own verdicts carry an increasing
@@ -122,14 +105,14 @@ pub struct MuxStats {
     pub ticks: u64,
     /// Windows served (verdicts emitted).
     pub verdicts: u64,
-    /// Windows evicted *after admission*: the queue was full under
-    /// [`OverflowPolicy::DropOldest`] and the oldest pending window was
-    /// discarded to make room for a newer one. Charged to the stream
-    /// that lost its window, not the one that submitted.
+    /// Windows evicted *after admission*: the queue was full and the
+    /// oldest pending window was discarded to make room for a newer
+    /// one. Charged to the stream that lost its window, not the one
+    /// that submitted.
     pub evicted: u64,
-    /// Windows refused *at submission*: the queue was full under
-    /// [`OverflowPolicy::DropNewest`] and the incoming window was turned
-    /// away. Charged to the submitting stream.
+    /// Always 0: a full queue evicts its oldest window and admits the
+    /// new one, so backpressure refuses nothing. The benchmark still
+    /// counts it among the mux's losses.
     pub refused: u64,
     /// Windows refused at submission for out-of-vocabulary tokens — a
     /// typed rejection at the admission boundary, never a panic inside

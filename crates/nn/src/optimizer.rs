@@ -5,7 +5,11 @@
 //! that flat view, mirroring how deep-learning frameworks treat parameters
 //! as a single tensor list.
 
-/// Adam (Kingma & Ba 2015) with bias correction and optional clipping —
+/// Elementwise bound on each gradient element before the Adam update.
+const GRADIENT_CLIP: f64 = 5.0;
+
+/// Adam (Kingma & Ba 2015) with bias correction and elementwise gradient
+/// clipping at `±GRADIENT_CLIP` —
 /// the de-facto default for LSTM training, and what we use to regenerate
 /// the paper's Fig. 4 convergence curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +18,6 @@ pub struct Adam {
     beta1: f64,
     beta2: f64,
     eps: f64,
-    clip: Option<f64>,
     t: u64,
     m: Vec<f64>,
     v: Vec<f64>,
@@ -34,22 +37,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            clip: None,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Enables elementwise gradient clipping at `±clip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clip` is not positive.
-    pub fn with_clip(mut self, clip: f64) -> Self {
-        assert!(clip > 0.0, "clip must be positive");
-        self.clip = Some(clip);
-        self
     }
 
     /// Number of update steps taken so far.
@@ -74,10 +65,7 @@ impl Adam {
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
         for i in 0..params.len() {
-            let g = match self.clip {
-                Some(c) => grads[i].clamp(-c, c),
-                None => grads[i],
-            };
+            let g = grads[i].clamp(-GRADIENT_CLIP, GRADIENT_CLIP);
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
             let m_hat = self.m[i] / b1t;

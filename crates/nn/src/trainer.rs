@@ -2,7 +2,8 @@
 //!
 //! Regenerates the paper's Fig. 4 ("Convergence of the LSTM training on
 //! ransomware API call sequences"): per-epoch test accuracy alongside the
-//! final precision/recall/F1 reported in §IV.
+//! final precision/recall/F1 reported in §IV. A fit with a test set
+//! evaluates it after every epoch and runs every epoch it was given.
 
 use csd_tensor::fan_out;
 use rand::seq::SliceRandom;
@@ -32,19 +33,12 @@ pub struct TrainOptions {
     pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f64,
-    /// Elementwise gradient clip.
-    pub clip: f64,
     /// Shuffling seed.
     pub seed: u64,
-    /// Evaluate on the test set every `eval_every` epochs (1 = every epoch).
-    pub eval_every: usize,
     /// Worker threads that share a batch's [`GRADIENT_SUB_BATCH`]-example
     /// sub-batches. The sums are fixed by the sub-batches, not by the
     /// workers, so every count trains the same bits.
     pub threads: usize,
-    /// Stop early when test accuracy has not improved for this many
-    /// evaluations (`None` disables early stopping).
-    pub patience: Option<usize>,
 }
 
 impl Default for TrainOptions {
@@ -53,11 +47,8 @@ impl Default for TrainOptions {
             epochs: 30,
             batch_size: 32,
             learning_rate: 0.01,
-            clip: 5.0,
             seed: 0x5eed,
-            eval_every: 1,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            patience: None,
         }
     }
 }
@@ -69,7 +60,7 @@ pub struct EpochRecord {
     pub epoch: usize,
     /// Mean training BCE loss over the epoch.
     pub train_loss: f64,
-    /// Test-set metrics (present on evaluation epochs).
+    /// Test-set metrics (present when the fit has a test set).
     pub test: Option<ClassificationReport>,
 }
 
@@ -95,7 +86,7 @@ impl TrainingHistory {
 
     /// Serializes the convergence curve as CSV
     /// (`epoch,train_loss,accuracy,precision,recall,f1`; metric columns
-    /// are empty on non-evaluation epochs) — plot-ready Fig. 4 data.
+    /// are empty for a fit without a test set) — plot-ready Fig. 4 data.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("epoch,train_loss,accuracy,precision,recall,f1\n");
         for r in &self.records {
@@ -122,11 +113,10 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `epochs`, `batch_size`, `eval_every`, or `threads` is zero.
+    /// Panics if `epochs`, `batch_size`, or `threads` is zero.
     pub fn new(options: TrainOptions) -> Self {
         assert!(options.epochs > 0, "epochs must be positive");
         assert!(options.batch_size > 0, "batch_size must be positive");
-        assert!(options.eval_every > 0, "eval_every must be positive");
         assert!(options.threads > 0, "threads must be positive");
         Self { options }
     }
@@ -136,7 +126,8 @@ impl Trainer {
         &self.options
     }
 
-    /// Runs training in place, returning the convergence history.
+    /// Runs training in place, returning the convergence history: every
+    /// epoch is evaluated on `test` unless it is empty.
     ///
     /// # Panics
     ///
@@ -149,11 +140,9 @@ impl Trainer {
     ) -> TrainingHistory {
         assert!(!train.is_empty(), "training set is empty");
         let mut rng = ChaCha8Rng::seed_from_u64(self.options.seed);
-        let mut opt = Adam::new(self.options.learning_rate).with_clip(self.options.clip);
+        let mut opt = Adam::new(self.options.learning_rate);
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut history = TrainingHistory::default();
-        let mut best_acc = f64::NEG_INFINITY;
-        let mut since_best = 0usize;
 
         for epoch in 1..=self.options.epochs {
             order.shuffle(&mut rng);
@@ -167,28 +156,11 @@ impl Trainer {
             }
             let train_loss = epoch_loss / train.len() as f64;
 
-            let test_report = if !test.is_empty() && epoch % self.options.eval_every == 0 {
-                Some(evaluate(model, test))
-            } else {
-                None
-            };
             history.records.push(EpochRecord {
                 epoch,
                 train_loss,
-                test: test_report,
+                test: (!test.is_empty()).then(|| evaluate(model, test)),
             });
-
-            if let (Some(report), Some(patience)) = (test_report, self.options.patience) {
-                if report.accuracy > best_acc {
-                    best_acc = report.accuracy;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if since_best >= patience {
-                        break;
-                    }
-                }
-            }
         }
         history
     }
@@ -314,65 +286,28 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_halts() {
-        let train = toy_data(16, 4);
-        let test = toy_data(16, 5);
-        let mut model = SequenceClassifier::new(ModelConfig::tiny(8), 1);
-        let trainer = Trainer::new(TrainOptions {
-            epochs: 200,
-            batch_size: 8,
-            learning_rate: 0.02,
-            patience: Some(3),
-            threads: 1,
-            ..TrainOptions::default()
-        });
-        let history = trainer.fit(&mut model, &train, &test);
-        assert!(history.records().len() < 200, "early stopping never fired");
-    }
-
-    #[test]
     fn history_csv_has_one_row_per_epoch() {
         let train = toy_data(16, 10);
         let test = toy_data(8, 11);
-        let mut model = SequenceClassifier::new(ModelConfig::tiny(8), 4);
         let trainer = Trainer::new(TrainOptions {
             epochs: 5,
             batch_size: 8,
-            eval_every: 2,
             threads: 1,
             ..TrainOptions::default()
         });
-        let history = trainer.fit(&mut model, &train, &test);
-        let csv = history.to_csv();
-        assert_eq!(csv.lines().count(), 6, "{csv}");
-        assert!(csv.starts_with("epoch,train_loss"));
-        // Evaluation epochs carry six filled columns, others leave blanks.
-        let row2: Vec<&str> = csv.lines().nth(2).expect("row").split(',').collect();
-        assert_eq!(row2.len(), 6);
-        assert!(!row2[2].is_empty(), "epoch 2 evaluated");
-        let row1: Vec<&str> = csv.lines().nth(1).expect("row").split(',').collect();
-        assert!(row1[2].is_empty(), "epoch 1 not evaluated");
-    }
-
-    #[test]
-    fn eval_every_skips_epochs() {
-        let train = toy_data(8, 6);
-        let test = toy_data(8, 7);
-        let mut model = SequenceClassifier::new(ModelConfig::tiny(8), 2);
-        let trainer = Trainer::new(TrainOptions {
-            epochs: 4,
-            batch_size: 8,
-            eval_every: 2,
-            threads: 1,
-            ..TrainOptions::default()
-        });
-        let history = trainer.fit(&mut model, &train, &test);
-        let evals = history
-            .records()
-            .iter()
-            .filter(|r| r.test.is_some())
-            .count();
-        assert_eq!(evals, 2);
+        // With a test set every epoch carries six filled columns; without
+        // one the metric columns are blank.
+        for (test, filled) in [(&test[..], true), (&[][..], false)] {
+            let mut model = SequenceClassifier::new(ModelConfig::tiny(8), 4);
+            let csv = trainer.fit(&mut model, &train, test).to_csv();
+            assert_eq!(csv.lines().count(), 6, "{csv}");
+            assert!(csv.starts_with("epoch,train_loss"));
+            for (epoch, row) in csv.lines().skip(1).enumerate() {
+                let row: Vec<&str> = row.split(',').collect();
+                assert_eq!(row.len(), 6);
+                assert_eq!(!row[2].is_empty(), filled, "epoch {}", epoch + 1);
+            }
+        }
     }
 
     #[test]

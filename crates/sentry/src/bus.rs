@@ -82,16 +82,6 @@ impl EventBus {
         }
     }
 
-    /// Moves every queued event into `out` without blocking; returns
-    /// how many were appended.
-    pub fn drain_into(&self, out: &mut Vec<ProcessEvent>) -> usize {
-        let before = out.len();
-        while let Ok(event) = self.rx.try_recv() {
-            out.push(event);
-        }
-        out.len() - before
-    }
-
     /// Blocks up to `timeout` for one event, then takes what else is
     /// queued, up to [`MAX_BATCH`] events in all (the rest is there for
     /// the next call). Returns how many were appended — `0` means the
@@ -390,7 +380,7 @@ mod tests {
             assert!(p.send(ProcessEvent::api(i, 1, i as usize)));
         }
         let mut out = Vec::new();
-        assert_eq!(bus.drain_into(&mut out), 5);
+        assert_eq!(bus.recv_into(&mut out, Duration::ZERO), 5);
         let calls: Vec<usize> = out
             .iter()
             .map(|e| match e.kind {
@@ -410,7 +400,11 @@ mod tests {
         assert!(!p.try_send(ProcessEvent::exit(2, 1)), "bus is full");
         assert_eq!(bus.refused(), 1);
         let mut out = Vec::new();
-        assert_eq!(bus.drain_into(&mut out), 2, "queued events survive");
+        assert_eq!(
+            bus.recv_into(&mut out, Duration::ZERO),
+            2,
+            "queued events survive"
+        );
     }
 
     #[test]
@@ -430,7 +424,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut out = Vec::new();
-        bus.drain_into(&mut out);
+        bus.recv_into(&mut out, Duration::ZERO);
         assert_eq!(out.len(), 32, "every producer's events arrive");
     }
 

@@ -228,18 +228,8 @@ pub struct RecoveryReport {
     /// only if a crash interleaved with a partially completed adopt;
     /// counted, never re-applied).
     pub duplicate_incidents: u64,
-    /// Incidents raised *during* replay. Replay serves no window and the
-    /// overload governor is off, so this is 0: a window whose verdict
-    /// had not folded before the crash is served, and its incident
-    /// raised, by the first poll after `open`.
-    pub replay_incidents: u64,
     /// Torn journal bytes truncated on open.
     pub journal_bytes_truncated: u64,
-    /// A checkpoint file existed but was not used: it could not be
-    /// read, failed validation (bad magic, CRC, body, version or no
-    /// anchor), or its anchor did not describe the journal — recovery
-    /// fell back to full journal replay. `full_scan` says which.
-    pub checkpoint_discarded: bool,
     /// Why the whole journal was scanned; `None` when `open` started at
     /// the checkpoint's anchor.
     pub full_scan: Option<FullScan>,
@@ -255,6 +245,20 @@ pub struct RecoveryReport {
     /// digest behind it — the digests plus one when the record at the
     /// anchor is the newest digest, whatever the number of incidents.
     pub journal_reads: u64,
+}
+
+impl RecoveryReport {
+    /// A checkpoint file existed but was not used: it could not be
+    /// read, failed validation (bad magic, CRC, body, version or no
+    /// anchor), or its anchor did not describe the journal — recovery
+    /// fell back to full journal replay. [`full_scan`](Self::full_scan)
+    /// says which.
+    pub fn checkpoint_discarded(&self) -> bool {
+        matches!(
+            self.full_scan,
+            Some(FullScan::CheckpointInvalid | FullScan::AnchorRefused(_))
+        )
+    }
 }
 
 /// A [`Sentry`] wrapped with the journal + checkpoint + replay
@@ -314,7 +318,7 @@ impl DurableSentry {
             CheckpointRead::Absent => (None, Some(FullScan::NoCheckpoint)),
             CheckpointRead::Invalid => (None, Some(FullScan::CheckpointInvalid)),
         };
-        let (snapshot, (mut journal, recovered)) = match anchored {
+        let (snapshot, (journal, recovered)) = match anchored {
             Some((snap, opened)) => (Some(snap), opened),
             None => (None, Journal::open(&journal_path, durable.journal)?),
         };
@@ -323,10 +327,6 @@ impl DurableSentry {
             journal_bytes_scanned: recovered.bytes_scanned,
             chained_incidents: recovered.chained_incidents,
             journal_reads: recovered.reads,
-            checkpoint_discarded: matches!(
-                full_scan,
-                Some(FullScan::CheckpointInvalid | FullScan::AnchorRefused(_))
-            ),
             full_scan,
             ..RecoveryReport::default()
         };
@@ -369,19 +369,18 @@ impl DurableSentry {
         // the oldest queued ones, and which those are depends on where
         // replay started — the anchor or the journal's first event — so
         // the incidents `open` raised would too, and the anchor would
-        // be information. The windows wait for the first poll.
+        // be information. The windows wait for the first poll, so
+        // replay raises no incident.
         inner.set_governing(false);
-        let mut raised: Vec<Incident> = Vec::new();
         for event in &recovered.events {
-            raised.extend(inner.ingest(event));
+            let raised = inner.ingest(event);
+            debug_assert!(raised.is_empty(), "replay serves no window");
             report.replayed_events += 1;
             while let Some(incident) = unborn.pop_if(|i| i.sid < inner.sessions().next_sid()) {
                 inner.latch_adopted(&incident);
             }
         }
         inner.set_governing(true);
-        report.replay_incidents = raised.len() as u64;
-        journal.append_incidents(&raised)?;
 
         Ok(Self {
             inner,
@@ -1007,11 +1006,6 @@ mod tests {
 
         let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
         assert_eq!(d.recovery().adopted_incidents, n_incidents as u64);
-        assert_eq!(
-            d.recovery().replay_incidents,
-            0,
-            "latched streams must not re-raise during replay"
-        );
         assert_eq!(keys(d.sentry()), expect);
         assert_eq!(d.sentry().incidents().len(), n_incidents, "no duplicates");
         drop(d);
@@ -1048,7 +1042,7 @@ mod tests {
         fs::write(&ckpt, &bytes).unwrap();
 
         let d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert!(d.recovery().checkpoint_discarded);
+        assert!(d.recovery().checkpoint_discarded());
         assert_eq!(d.recovery().checkpoint_events, 0);
         assert_eq!(keys(d.sentry()), expect, "journal-only recovery is exact");
         let _ = fs::remove_dir_all(&dir);
@@ -1122,7 +1116,7 @@ mod tests {
             let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
             let report = d.recovery();
             assert_eq!(report.full_scan, Some(FullScan::AnchorRefused(*why)));
-            assert!(report.checkpoint_discarded);
+            assert!(report.checkpoint_discarded());
             assert_eq!(report.checkpoint_events, 0);
             assert_eq!(report.replayed_events, events.len() as u64);
             assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
@@ -1151,7 +1145,7 @@ mod tests {
             let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
             let report = d.recovery();
             assert_eq!(report.full_scan, Some(FullScan::CheckpointInvalid));
-            assert!(report.checkpoint_discarded);
+            assert!(report.checkpoint_discarded());
             assert_eq!(report.checkpoint_events, 0);
             assert_eq!(report.replayed_events, events.len() as u64);
             assert_eq!(report.journal_bytes_scanned, journal.len() as u64);
@@ -1205,7 +1199,7 @@ mod tests {
         fs::create_dir(&ckpt).unwrap();
         let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
         assert_eq!(d.recovery().full_scan, Some(FullScan::CheckpointInvalid));
-        assert!(d.recovery().checkpoint_discarded);
+        assert!(d.recovery().checkpoint_discarded());
         assert_eq!(keys(d.sentry()), expect, "the journal alone is enough");
         drop(d);
 
@@ -1213,7 +1207,7 @@ mod tests {
         fs::remove_dir(&ckpt).unwrap();
         let d = DurableSentry::open(engine(), config(), durable).unwrap();
         assert_eq!(d.recovery().full_scan, Some(FullScan::NoCheckpoint));
-        assert!(!d.recovery().checkpoint_discarded);
+        assert!(!d.recovery().checkpoint_discarded());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1439,7 +1433,9 @@ mod tests {
             live.ingest(e);
             journal.append_event(e).unwrap();
         }
-        journal.append_incidents(&live.poll()).unwrap();
+        for incident in &live.poll() {
+            journal.append_incident(incident).unwrap();
+        }
         for e in &events[served..] {
             live.ingest(e);
             journal.append_event(e).unwrap();
@@ -1606,7 +1602,7 @@ mod tests {
         let d = DurableSentry::open(engine(), cfg, DurableConfig::new(&dir)).unwrap();
         let report = d.recovery();
         assert_eq!(report.full_scan, Some(FullScan::CheckpointInvalid));
-        assert!(report.checkpoint_discarded);
+        assert!(report.checkpoint_discarded());
         assert_eq!(report.replayed_events, events.len() as u64);
         assert_eq!(report.adopted_incidents, 1);
         assert_eq!(keys(d.sentry()), oracle(&events));

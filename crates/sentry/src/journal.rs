@@ -93,7 +93,7 @@
 //! file — one `write` plus one `fdatasync` — at *sync points*: every
 //! [`sync_every`](JournalConfig::sync_every) event records, at every
 //! explicit [`sync`](Journal::sync), [`checkpoint`](Journal::checkpoint)
-//! or [`append_incidents`](Journal::append_incidents) call, and on clean
+//! or [`append_incident`](Journal::append_incident) call, and on clean
 //! shutdown (drop). A sync writes the whole pending tail, events and
 //! incidents alike, so an incident framed into the tail without a
 //! sync of its own becomes durable with the event batch around it —
@@ -640,7 +640,7 @@ impl Journal {
 
     /// Appends one event record. Buffered; becomes durable at the next
     /// sync point (every `sync_every` events, `sync`, `checkpoint`,
-    /// `append_incidents`, or clean drop).
+    /// `append_incident`, or clean drop).
     pub fn append_event(&mut self, event: &ProcessEvent) -> Result<(), JournalError> {
         self.frame_event(event);
         if self.pending_events >= self.sync_every {
@@ -658,22 +658,12 @@ impl Journal {
         self.pending_events += 1;
     }
 
-    /// Appends one incident record and forces a sync: an incident is
-    /// never left in the volatile tail.
-    pub fn append_incident(&mut self, incident: &Incident) -> Result<(), JournalError> {
-        self.append_incidents(std::slice::from_ref(incident))
-    }
-
-    /// Appends `incidents` and forces one sync for all of them: none is
-    /// left in the volatile tail. No-op for an empty slice. Recovery
-    /// replay journals what it raises this way; the serving calls of
+    /// Appends one incident record and forces a sync: the incident is
+    /// not left in the volatile tail. The serving calls of
     /// [`DurableSentry`](crate::durable::DurableSentry) frame theirs
     /// without the sync and let them ride the event batch's.
-    pub fn append_incidents(&mut self, incidents: &[Incident]) -> Result<(), JournalError> {
-        if incidents.is_empty() {
-            return Ok(());
-        }
-        self.frame_incidents(incidents);
+    pub fn append_incident(&mut self, incident: &Incident) -> Result<(), JournalError> {
+        self.frame_incidents(std::slice::from_ref(incident));
         self.sync()
     }
 
@@ -1336,11 +1326,12 @@ mod tests {
         j.append_event(&sample_events(1)[0]).unwrap();
         // A handle that cannot write: every sync fails.
         let writable = std::mem::replace(&mut j.file, File::open(&path).unwrap());
-        let incidents = [sample_incident(1), sample_incident(2)];
-        assert!(matches!(
-            j.append_incidents(&incidents),
-            Err(JournalError::Io(_))
-        ));
+        for incident in [sample_incident(1), sample_incident(2)] {
+            assert!(matches!(
+                j.append_incident(&incident),
+                Err(JournalError::Io(_))
+            ));
+        }
         assert_eq!(j.durable_incidents(), 0, "nothing reached the disk");
         assert_eq!((j.durable_events(), j.pending_events()), (0, 1));
         assert_eq!(j.syncs(), 0);

@@ -11,9 +11,9 @@
 //! durable journal then persists outcomes, so a restarted sentry can
 //! tell a completed quarantine from one the crash interrupted.
 //!
-//! One implementation ships: [`SimBackend`], the default, an in-memory
-//! simulator that always succeeds and remembers what it was asked to
-//! do, which keeps unit tests and benches hermetic. A production
+//! One implementation ships: [`SimBackend`], the default, a stateless
+//! simulator that always succeeds and touches nothing, which keeps unit
+//! tests and benches hermetic. A production
 //! deployment would implement the trait over actual process control
 //! (suspend + image relocation); the sentry does not care which it is
 //! handed.
@@ -33,69 +33,35 @@ pub trait QuarantineBackend: std::fmt::Debug + Send {
     fn quarantine(&mut self, pid: u32, name: Option<&str>) -> Result<String, String>;
 }
 
-/// One dispatched call, as remembered by [`SimBackend`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimDispatch {
-    /// `true` for quarantine, `false` for kill.
-    pub quarantined: bool,
-    /// Target PID.
-    pub pid: u32,
-    /// Target image name, if known.
-    pub name: Option<String>,
-}
-
-/// The default backend: succeeds unconditionally, remembers every
-/// dispatch. No side effects outside the struct.
-#[derive(Debug, Default)]
-pub struct SimBackend {
-    dispatches: Vec<SimDispatch>,
-}
-
-impl SimBackend {
-    /// A fresh simulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Every dispatch so far, in order.
-    pub fn dispatches(&self) -> &[SimDispatch] {
-        &self.dispatches
-    }
-}
+/// The default backend: succeeds unconditionally and keeps nothing. No
+/// side effects; the receipt names the PID.
+#[derive(Debug)]
+pub struct SimBackend;
 
 impl QuarantineBackend for SimBackend {
-    fn kill(&mut self, pid: u32, name: Option<&str>) -> Result<String, String> {
-        self.dispatches.push(SimDispatch {
-            quarantined: false,
-            pid,
-            name: name.map(str::to_string),
-        });
+    fn kill(&mut self, pid: u32, _name: Option<&str>) -> Result<String, String> {
         Ok(format!("sim: pid {pid} terminated"))
     }
 
-    fn quarantine(&mut self, pid: u32, name: Option<&str>) -> Result<String, String> {
-        self.dispatches.push(SimDispatch {
-            quarantined: true,
-            pid,
-            name: name.map(str::to_string),
-        });
+    fn quarantine(&mut self, pid: u32, _name: Option<&str>) -> Result<String, String> {
         Ok(format!("sim: pid {pid} suspended and isolated"))
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sim_backend_remembers_dispatches() {
-        let mut b = SimBackend::new();
-        b.kill(10, Some("a.exe")).unwrap();
-        b.quarantine(11, None).unwrap();
-        assert_eq!(b.dispatches().len(), 2);
-        assert!(!b.dispatches()[0].quarantined);
-        assert!(b.dispatches()[1].quarantined);
-        assert_eq!(b.dispatches()[0].name.as_deref(), Some("a.exe"));
+    fn sim_backend_succeeds_with_a_receipt_naming_the_pid() {
+        let mut b = SimBackend;
+        assert_eq!(
+            b.kill(10, Some("a.exe")),
+            Ok("sim: pid 10 terminated".to_string())
+        );
+        assert_eq!(
+            b.quarantine(11, None),
+            Ok("sim: pid 11 suspended and isolated".to_string())
+        );
     }
 }

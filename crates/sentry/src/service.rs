@@ -75,10 +75,10 @@ pub struct SentryConfig {
     /// Recent verdicts the vote ring remembers (≤ 64).
     pub vote_horizon: usize,
     /// End sessions idle this many events of the ingest clock; `None`
-    /// disables the timeout.
+    /// disables the timeout. Idle sessions are swept every quarter of
+    /// the timeout (at least every event), so a session ends within
+    /// 1¼ timeouts of its last event.
     pub idle_timeout_events: Option<u64>,
-    /// Events between idle sweeps.
-    pub sweep_every: u64,
     /// What to do when an alert fires.
     pub action: ActionKind,
     /// Drop events whose timestamp is not strictly greater than the
@@ -111,7 +111,6 @@ impl Default for SentryConfig {
             votes_needed: 2,
             vote_horizon: 3,
             idle_timeout_events: None,
-            sweep_every: 512,
             action: ActionKind::Log,
             dedup_monotone_ts: false,
             staleness_slo: None,
@@ -275,7 +274,6 @@ impl Sentry {
             config.votes_needed <= config.vote_horizon,
             "votes_needed cannot exceed the vote horizon"
         );
-        assert!(config.sweep_every > 0, "sweep cadence must be positive");
         let vote_mask = VoteRing::mask(config.vote_horizon);
         let per_item_us = PipelineSchedule::for_level(engine.level()).steady_item_us;
         let vocab = engine.weights().dims().vocab;
@@ -288,7 +286,7 @@ impl Sentry {
             mux,
             sessions,
             whitelist: Whitelist::new(),
-            backend: Box::new(SimBackend::new()),
+            backend: Box::new(SimBackend),
             stale_from: 0,
             retired_loss: StreamLoss::default(),
             incidents: Vec::new(),
@@ -306,7 +304,7 @@ impl Sentry {
         }
     }
 
-    /// Replaces the action backend (default: the in-memory
+    /// Replaces the action backend (default: the stateless
     /// [`SimBackend`]). Kill/quarantine responses dispatch through it
     /// and the incident records its outcome.
     pub fn set_backend(&mut self, backend: Box<dyn QuarantineBackend>) {
@@ -370,8 +368,10 @@ impl Sentry {
             Applied::Exited(sid) => self.session_ended(sid),
             _ => {}
         }
-        if self.config.idle_timeout_events.is_some()
-            && self.events.is_multiple_of(self.config.sweep_every)
+        if self
+            .config
+            .idle_timeout_events
+            .is_some_and(|timeout| self.events.is_multiple_of((timeout / 4).max(1)))
         {
             // Ended sessions submit no further windows; verdicts still
             // in flight fold as post-exit records.
@@ -380,16 +380,6 @@ impl Sentry {
             }
         }
         self.govern()
-    }
-
-    /// Ingests a batch of events in order, returning any incidents
-    /// raised by governor-driven engine rounds along the way.
-    pub fn ingest_all(&mut self, events: &[ProcessEvent]) -> Vec<Incident> {
-        let mut raised = Vec::new();
-        for e in events {
-            raised.extend(self.ingest(e));
-        }
-        raised
     }
 
     /// Submits every complete, unsubmitted window of session `sid`,
@@ -418,9 +408,9 @@ impl Sentry {
                 break;
             };
             let at_call = s.calls_seen() as usize;
-            // A window the mux turns away (backpressure under
-            // DropNewest, or an out-of-vocabulary token) is shed load:
-            // the cursor still advances and the session tallies it.
+            // A window the mux turns away for an out-of-vocabulary token
+            // is shed load: the cursor still advances and the session
+            // tallies it.
             let admission = self.mux.submit(sid, at_call, window);
             s.submitted += 1;
             match admission {
@@ -432,7 +422,6 @@ impl Sentry {
                     s.stamps.push_back((at_call, self.events));
                     evicted.push((stream, lost));
                 }
-                Admission::Refused => s.loss.refused += 1,
                 Admission::Rejected => s.loss.rejected += 1,
             }
         }
@@ -546,7 +535,6 @@ impl Sentry {
     fn retire(&mut self, sid: u64) {
         if let Some(s) = self.sessions.retire(sid) {
             self.retired_loss.evicted += s.loss.evicted;
-            self.retired_loss.refused += s.loss.refused;
             self.retired_loss.rejected += s.loss.rejected;
         }
     }
@@ -918,7 +906,7 @@ impl Sentry {
         &self.sessions
     }
 
-    /// Engine-side loss (evicted / refused / rejected) of a tracked
+    /// Engine-side loss (evicted / rejected) of a tracked
     /// session; a retired session's is in
     /// [`retired_loss`](Self::retired_loss).
     pub fn loss_for(&self, sid: u64) -> StreamLoss {
@@ -974,7 +962,7 @@ impl Sentry {
 mod tests {
     use super::*;
     use crate::event::ProcessEvent;
-    use csd_accel::{OptimizationLevel, OverflowPolicy, ROUND_STEPS};
+    use csd_accel::{OptimizationLevel, ROUND_STEPS};
     use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 
     const VOCAB: usize = 16;
@@ -1491,6 +1479,28 @@ mod tests {
         assert_eq!(step(&mut sentry, 0), (Normal, 9, 1));
     }
 
+    /// The idle sweep runs every quarter of the timeout, so a session
+    /// ends within 1¼ timeouts of its last event.
+    #[test]
+    fn an_idle_session_ends_within_a_quarter_timeout_of_going_idle() {
+        let cfg = SentryConfig {
+            idle_timeout_events: Some(20),
+            ..SentryConfig::default()
+        };
+        let mut sentry = Sentry::new(engine(), cfg);
+        feed(&mut sentry, 1, &trace(1, 5));
+        let busy = trace(2, 30);
+        // Events 6..=24: pid 1 has been idle for less than the timeout.
+        feed(&mut sentry, 2, &busy[..19]);
+        assert_eq!(sentry.stats().sessions_ended, 0, "not idle long enough");
+        // Pid 2's 25th call is event 30: 1¼ timeouts after pid 1's last.
+        feed(&mut sentry, 2, &busy[19..25]);
+        assert_eq!(sentry.stats().sessions_ended, 1);
+        assert_eq!(sentry.sessions().sid_for_pid(1), None, "pid 1 is unlinked");
+        feed(&mut sentry, 2, &busy[25..]);
+        assert!(sentry.sessions().sid_for_pid(2).is_some(), "pid 2 is busy");
+    }
+
     /// An evicted window never folds, and the mux names it, so its stamp
     /// goes with it. A stamp left behind stayed outstanding for ever:
     /// staleness grew by one an event after a full drain, and with an
@@ -1502,7 +1512,6 @@ mod tests {
         cfg.stride = 8;
         cfg.staleness_slo = Some(64);
         cfg.mux.max_pending = 2;
-        cfg.mux.policy = OverflowPolicy::DropOldest;
         let mut sentry = Sentry::new(engine(), cfg);
         // Three sessions fill a window each; the third evicts the first.
         for pid in 1..=3 {

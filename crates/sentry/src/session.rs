@@ -12,7 +12,9 @@
 //! the first API call from an unknown PID (the monitor attached after
 //! the process started — normal at deployment). It ends at `Exit`, at
 //! an idle timeout (no events for `idle_timeout_events` ticks of the
-//! table's event-count clock — deterministic, no wall clock), or by
+//! table's event-count clock — deterministic, no wall clock; the sentry
+//! sweeps every quarter of the timeout, so an idle session ends within
+//! 1¼ timeouts of its last event), or by
 //! being superseded when a `Spawn` arrives on its PID (the old process
 //! died unobserved). A killed session (the action layer terminated the
 //! process) stays PID-linked so straggler events are recognized,
@@ -26,8 +28,9 @@
 //! A session is also the one record of its stream on the sentry side:
 //! the window cursor, the vote ring, the latched and shed flags, the
 //! stamps of its windows the mux holds and what the mux lost of them
-//! ([`StreamLoss`]) live on it, so a session and its stream have one
-//! lifetime and one lookup.
+//! ([`StreamLoss`]: windows evicted from the mux's full queue, or
+//! rejected for out-of-vocabulary calls) live on it, so a session and
+//! its stream have one lifetime and one lookup.
 //!
 //! An ended session is no longer PID-linked, so no event can reach it;
 //! the table keeps it only until its owner calls
@@ -89,17 +92,12 @@ pub enum EndReason {
 
 /// Windows of one session that never produced a verdict, by cause, so
 /// a report can say *why* a process lost coverage: was its data
-/// garbage, was it overload eviction, or was it turned away at the door.
+/// garbage, or was it overload eviction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamLoss {
-    /// Admitted windows later evicted by
-    /// [`OverflowPolicy::DropOldest`](csd_accel::OverflowPolicy::DropOldest)
-    /// backpressure.
+    /// Admitted windows later evicted by backpressure: the mux's queue
+    /// was full and a newer window took the oldest one's place.
     pub evicted: u64,
-    /// Windows refused at submission by
-    /// [`OverflowPolicy::DropNewest`](csd_accel::OverflowPolicy::DropNewest)
-    /// backpressure.
-    pub refused: u64,
     /// Windows refused at submission for out-of-vocabulary tokens.
     pub rejected: u64,
 }
@@ -107,7 +105,7 @@ pub struct StreamLoss {
 impl StreamLoss {
     /// Total windows of the session that never produced a verdict.
     pub fn total(&self) -> u64 {
-        self.evicted + self.refused + self.rejected
+        self.evicted + self.rejected
     }
 }
 

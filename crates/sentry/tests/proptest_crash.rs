@@ -168,7 +168,7 @@ fn assert_the_checkpoint_adds_nothing(durable: &DurableConfig) -> RecoveryReport
     assert_eq!(full.journal_bytes_scanned, journal_len);
     assert_eq!((full.chained_incidents, full.checkpoint_events), (0, 0));
     let report = anchored.recovery().clone();
-    assert!(!report.checkpoint_discarded);
+    assert!(!report.checkpoint_discarded());
     if has_checkpoint {
         assert_eq!(report.full_scan, None, "a checkpoint of this history");
         assert!(report.journal_bytes_scanned <= journal_len);
@@ -305,7 +305,6 @@ fn many_incidents_before_the_anchor_and_none_after() {
     let report = assert_the_checkpoint_adds_nothing(&durable);
     assert_eq!(report.chained_incidents, incidents);
     assert_eq!(report.adopted_incidents, incidents);
-    assert_eq!(report.replay_incidents, 0);
     assert_eq!(report.replayed_events, 16, "one sync batch of the tail");
     let _ = fs::remove_dir_all(&durable.dir);
 }

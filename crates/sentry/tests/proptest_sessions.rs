@@ -45,7 +45,6 @@ fn config(action: ActionKind, idle: Option<u64>) -> SentryConfig {
         vote_horizon: 1,
         action,
         idle_timeout_events: idle,
-        sweep_every: 7, // Odd and small: sweeps land mid-everything.
         ..SentryConfig::default()
     }
 }

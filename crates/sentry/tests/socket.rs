@@ -45,7 +45,9 @@ fn pump(bus: &EventBus, sentry: &mut Sentry, expect: u64, rounds: usize) {
     for _ in 0..rounds {
         buf.clear();
         bus.recv_into(&mut buf, Duration::from_millis(20));
-        sentry.ingest_all(&buf);
+        for event in &buf {
+            sentry.ingest(event);
+        }
         if sentry.events() >= expect {
             return;
         }
