@@ -378,7 +378,7 @@ mod tests {
         let mut fleet = CsdFleet::new(3, &w, OptimizationLevel::FixedPoint).expect("boot");
         fleet.set_recovery(RecoveryPolicy {
             max_retries: 1,
-            ..RecoveryPolicy::retry_only()
+            reprogram_after: u32::MAX,
         });
         fleet.arm_faults(1, always_failing());
         let scan = fleet.scan(&seqs).expect("fleet survives one dead device");
@@ -399,7 +399,7 @@ mod tests {
         let mut fleet = CsdFleet::new(3, &w, OptimizationLevel::FixedPoint).expect("boot");
         fleet.set_recovery(RecoveryPolicy {
             max_retries: 1,
-            ..RecoveryPolicy::retry_only()
+            reprogram_after: u32::MAX,
         });
         fleet.arm_faults(2, always_failing());
         fleet.scan(&seqs).expect("scan 1");
@@ -422,7 +422,7 @@ mod tests {
         let mut fleet = CsdFleet::new(2, &w, OptimizationLevel::FixedPoint).expect("boot");
         fleet.set_recovery(RecoveryPolicy {
             max_retries: 0,
-            ..RecoveryPolicy::retry_only()
+            reprogram_after: u32::MAX,
         });
         fleet.arm_faults(0, always_failing());
         fleet.arm_faults(1, always_failing());
@@ -456,13 +456,17 @@ mod tests {
             reprogram_after: 3,
             ..RecoveryPolicy::default()
         };
+        let retry_alone = RecoveryPolicy {
+            reprogram_after: u32::MAX,
+            ..RecoveryPolicy::default()
+        };
         let cases = [
             (
                 16,
                 RecoveryPolicy::default(),
                 vec![(0, 17, corruption), (3, 99, corruption)],
             ),
-            (12, RecoveryPolicy::retry_only(), every_device()),
+            (12, retry_alone, every_device()),
             (12, reprogram, every_device()),
         ];
         for (max_retries, policy, plans) in cases {

@@ -105,16 +105,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-impl RecoveryPolicy {
-    /// Retry-with-backoff only; never reloads the bitstream.
-    pub fn retry_only() -> Self {
-        Self {
-            reprogram_after: u32::MAX,
-            ..Self::default()
-        }
-    }
-}
-
 /// Running recovery tallies for one host session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RecoveryStats {
@@ -739,7 +729,7 @@ mod tests {
             .expect("boot")
             .with_recovery(RecoveryPolicy {
                 max_retries: 2,
-                ..RecoveryPolicy::retry_only()
+                reprogram_after: u32::MAX,
             });
         host.arm_faults(FaultPlan::new(5, corruption_only(1.0)));
         let err = host

@@ -14,7 +14,8 @@
 //!    atomically (write-temp → fsync → rename). A checkpoint bounds
 //!    recovery *time*; it never holds information the journal lacks.
 //!    A drain retires every ended session, so a checkpoint holds the
-//!    sessions alive at that moment and costs in proportion to them.
+//!    sessions alive at that moment and costs in proportion to them;
+//!    of the overload governor's sheds it holds only their count.
 //! 3. **Replay** — on open, the newest valid checkpoint is restored
 //!    and the journal's event records from the checkpoint's event
 //!    index onward are re-ingested through the ordinary path. Replay
@@ -60,7 +61,8 @@
 //! The anchor is an optimisation, never information. A checkpoint still
 //! holds nothing the journal lacks: delete it and `open` reaches the
 //! same incidents, cursors and counters by scanning and replaying the
-//! whole journal ([`Journal::open`], untouched) — the property
+//! whole journal ([`Journal::open`]: the same anchored open, from the
+//! anchor at the journal's magic, untouched) — the property
 //! `tests/proptest_crash.rs` checks at every crash it generates. That
 //! full scan is what `open` falls back to, and says so in
 //! [`RecoveryReport::full_scan`], whenever there is no anchor to use:
@@ -147,8 +149,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::actions::Incident;
+use crate::codec::{crc32, Fields};
 use crate::event::ProcessEvent;
-use crate::journal::{crc32, AnchorRefused, Journal, JournalConfig, JournalError};
+use crate::journal::{AnchorRefused, Journal, JournalConfig, JournalError};
 use crate::service::{Sentry, SentryConfig};
 use crate::snapshot::{SentrySnapshot, SNAPSHOT_VERSION};
 use csd_accel::CsdInferenceEngine;
@@ -567,7 +570,8 @@ pub enum CheckpointRead {
 /// durable directory) with every check [`DurableSentry::open`] applies
 /// before it asks the journal about the anchor: magic, CRC-32 of the
 /// body, the JSON [`SentrySnapshot`], its version and a nonzero anchor.
-/// The one decoder of the format.
+/// The one decoder of the format; its magic and CRC envelope are read
+/// with the field reader the journal and the wire use.
 pub fn read_checkpoint(path: &Path) -> CheckpointRead {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
@@ -577,30 +581,21 @@ pub fn read_checkpoint(path: &Path) -> CheckpointRead {
         // a first start.
         Err(_) => return CheckpointRead::Invalid,
     };
-    let magic_len = SNAPSHOT_MAGIC.len();
-    if bytes.len() < magic_len + 4 || &bytes[..magic_len] != SNAPSHOT_MAGIC {
-        return CheckpointRead::Invalid;
+    decode_checkpoint(&bytes).map_or(CheckpointRead::Invalid, |snap| {
+        CheckpointRead::Valid(Box::new(snap))
+    })
+}
+
+/// The snapshot a checkpoint file's `bytes` hold, if they pass every
+/// check [`read_checkpoint`] names.
+fn decode_checkpoint(bytes: &[u8]) -> Option<SentrySnapshot> {
+    let mut file = Fields(bytes);
+    let (magic, crc) = (file.take(SNAPSHOT_MAGIC.len())?, file.u32()?);
+    if magic != SNAPSHOT_MAGIC || crc32(file.0) != crc {
+        return None;
     }
-    let crc = u32::from_le_bytes([
-        bytes[magic_len],
-        bytes[magic_len + 1],
-        bytes[magic_len + 2],
-        bytes[magic_len + 3],
-    ]);
-    let body = &bytes[magic_len + 4..];
-    if crc32(body) != crc {
-        return CheckpointRead::Invalid;
-    }
-    let Some(snap) = std::str::from_utf8(body)
-        .ok()
-        .and_then(|json| serde_json::from_str::<SentrySnapshot>(json).ok())
-    else {
-        return CheckpointRead::Invalid;
-    };
-    if snap.version != SNAPSHOT_VERSION || snap.journal.offset == 0 {
-        return CheckpointRead::Invalid;
-    }
-    CheckpointRead::Valid(Box::new(snap))
+    let snap: SentrySnapshot = serde_json::from_str(std::str::from_utf8(file.0).ok()?).ok()?;
+    (snap.version == SNAPSHOT_VERSION && snap.journal.offset != 0).then_some(snap)
 }
 
 /// Atomic checkpoint write: temp file, fsync, rename over the old
@@ -836,6 +831,32 @@ mod tests {
             expect,
             "recovered incident set must equal the uninterrupted run"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A spawn name past its length field is journaled cut at a
+    /// character boundary, so its record reads back and a reopen
+    /// reaches every event and incident synced after it.
+    #[test]
+    fn a_spawn_name_past_its_length_field_survives_a_reopen() {
+        let dir = tmpdir("long-name");
+        let mut events = vec![ProcessEvent::spawn(0, 99, &"é".repeat(40_000))];
+        events.extend((1..6).map(|t| ProcessEvent::api(t, 99, t as usize)));
+        events.extend(workload(6, 40));
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
+        feed(&mut d, &events);
+        d.drain().unwrap();
+        let (durable_events, live) = (d.durable_events(), keys(d.sentry()));
+        assert_eq!(durable_events, events.len() as u64);
+        assert!(!live.is_empty() && live.iter().all(|k| k.1 != 99));
+        drop(d);
+
+        let d = DurableSentry::open(engine(), config(), durable).unwrap();
+        assert_eq!(d.recovery().journal_bytes_truncated, 0);
+        assert_eq!(d.durable_events(), durable_events);
+        assert_eq!(keys(d.sentry()), live);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1498,9 +1519,9 @@ mod tests {
     /// writes it — magic, CRC-32 of the body, JSON body — pinned, so a
     /// directory an earlier build of the format wrote opens unchanged,
     /// and a serializer change that moves a byte fails here.
-    const GOLDEN_CHECKPOINT_CRC: u32 = 0x6b9d_28b3;
+    const GOLDEN_CHECKPOINT_CRC: u32 = 0x97c4_3606;
     const GOLDEN_CHECKPOINT: &str = concat!(
-        r#"{"version":2,"events":38,"verdicts_folded":3,"#,
+        r#"{"version":3,"events":38,"verdicts_folded":3,"#,
         r#""whitelist_exact":["svc.exe"],"whitelist_prefixes":["C:\\Windows\\"],"#,
         r#""table":{"next_sid":5,"clock":38,"started":4,"ended":1,"#,
         r#""dropped_after_kill":0,"stray_exits":0,"oov_total":0,"retired_calls":11,"#,
@@ -1515,11 +1536,11 @@ mod tests {
         r#""calls_seen":1,"oov":0,"killed":false,"ended":0,"started_at":38,"#,
         r#""last_event":38,"submitted":0,"ring":0,"verdicts":0,"latched":false,"#,
         r#""shed":false}]},"last_t_us":[[7,1000],[100,37],[101,35],[102,36]],"#,
-        r#""dup_events":0,"shed_log":[],"journal":{"offset":1131,"incidents":1,"#,
+        r#""dup_events":0,"shed_sessions":0,"journal":{"offset":1131,"incidents":1,"#,
         r#""last_record":1058,"digest":1058,"digest_len":65}}"#,
     );
 
-    /// The checkpoint the golden run wrote in the format's previous
+    /// The checkpoint the golden run wrote in the format's first
     /// generation, version 1, byte for byte: a stream list beside the
     /// sessions, and the table's copies of the vocabulary and the idle
     /// timeout.

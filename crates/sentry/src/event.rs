@@ -20,23 +20,34 @@
 //!   tag 2 = Exit  (no body)
 //! ```
 //!
-//! The decoder treats the stream as *untrusted*: a corrupt length
-//! prefix, an unknown tag, a truncated body, or invalid UTF-8 is a
-//! typed [`WireError`], never a panic and never an unbounded
-//! allocation ([`MAX_FRAME_LEN`] bounds what a length prefix may
-//! claim). The bus drops the offending connection and tallies the
-//! error; co-resident producers are unaffected.
+//! A name past its length field is cut at a character boundary, so every
+//! payload the encoder writes decodes. The decoder treats the stream as
+//! *untrusted* and is the encoder's inverse and nothing more: a corrupt
+//! length prefix, an unknown tag, a truncated body, invalid UTF-8 or a
+//! byte left over is a typed [`WireError`], never a panic and never an
+//! unbounded allocation ([`MAX_FRAME_LEN`] bounds what a length prefix
+//! may claim). The bus drops the offending connection and tallies the
+//! error; co-resident producers are unaffected. Journal event records
+//! are these payloads, read and written with the same field reader and
+//! string writer as the journal's incident bodies.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use csd_ransomware::replay::{TraceEvent, TraceEventKind};
 
+use crate::codec::{put_str, Fields};
+
 /// Upper bound on a frame payload. The largest legitimate frame is a
 /// spawn whose image name is path-length bound, far under this; a
 /// corrupt or hostile length prefix beyond it is refused before any
 /// allocation happens.
 pub const MAX_FRAME_LEN: usize = 4096;
+
+/// Event tags (the payload's first byte).
+const SPAWN: u8 = 0;
+const API: u8 = 1;
+const EXIT: u8 = 2;
 
 /// What happened to the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,12 +128,15 @@ pub enum WireError {
     Io(io::Error),
     /// The length prefix claims a payload larger than [`MAX_FRAME_LEN`].
     Oversize(usize),
-    /// The payload ended before the declared length.
+    /// The frame ended before its declared length, or the payload
+    /// before a field the event needs.
     Truncated,
     /// The first payload byte is not a known event tag.
     BadTag(u8),
     /// A spawn name is not valid UTF-8.
     BadName,
+    /// The payload holds bytes past the end of the event's body.
+    Trailing,
     /// The peer stopped sending inside a frame and the reader stopped
     /// waiting for the rest: the bytes of that frame are lost, and the
     /// stream is no longer at a frame boundary.
@@ -139,6 +153,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "frame shorter than its declared length"),
             WireError::BadTag(t) => write!(f, "unknown event tag {t}"),
             WireError::BadName => write!(f, "spawn name is not valid UTF-8"),
+            WireError::Trailing => write!(f, "frame longer than its event"),
             WireError::Stalled => write!(f, "peer stalled inside a frame"),
         }
     }
@@ -157,28 +172,21 @@ impl From<io::Error> for WireError {
 /// events on the socket and records them in the durable journal, so the
 /// two paths cannot drift.
 pub fn encode_payload(event: &ProcessEvent, out: &mut Vec<u8>) {
+    let tag = match event.kind {
+        EventKind::Spawn(_) => SPAWN,
+        EventKind::Api(_) => API,
+        EventKind::Exit => EXIT,
+    };
+    out.push(tag);
+    out.extend_from_slice(&event.t_us.to_le_bytes());
+    out.extend_from_slice(&event.pid.to_le_bytes());
     match &event.kind {
-        EventKind::Spawn(name) => {
-            out.push(0u8);
-            out.extend_from_slice(&event.t_us.to_le_bytes());
-            out.extend_from_slice(&event.pid.to_le_bytes());
-            let bytes = name.as_bytes();
-            let len = u16::try_from(bytes.len().min(u16::MAX as usize)).unwrap_or(u16::MAX);
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(&bytes[..len as usize]);
-        }
+        EventKind::Spawn(name) => put_str(name, u16::MAX as usize, out),
         EventKind::Api(call) => {
-            out.push(1u8);
-            out.extend_from_slice(&event.t_us.to_le_bytes());
-            out.extend_from_slice(&event.pid.to_le_bytes());
             let call = u32::try_from(*call).unwrap_or(u32::MAX);
             out.extend_from_slice(&call.to_le_bytes());
         }
-        EventKind::Exit => {
-            out.push(2u8);
-            out.extend_from_slice(&event.t_us.to_le_bytes());
-            out.extend_from_slice(&event.pid.to_le_bytes());
-        }
+        EventKind::Exit => {}
     }
 }
 
@@ -256,57 +264,35 @@ pub(crate) fn read_frame_while<R: Read>(
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversize(len));
     }
-    if len < 13 {
-        // Every event carries at least tag + t_us + pid.
-        return Err(WireError::Truncated);
-    }
     let mut payload = vec![0u8; len];
     read_exact_or_eof(r, &mut payload, false, keep_waiting)?;
-    decode_payload(&payload)
+    decode_payload(&payload).map(Some)
 }
 
 /// Decodes one frame payload (everything after the length prefix) —
-/// the inverse of [`encode_payload`]. Also the journal's record-body
+/// the inverse of [`encode_payload`] and nothing more: a short field is
+/// [`WireError::Truncated`], and a byte left over after the event's
+/// body is [`WireError::Trailing`]. Also the journal's event-record
 /// decoder.
-pub fn decode_payload(payload: &[u8]) -> Result<Option<ProcessEvent>, WireError> {
-    // Callers guarantee `payload.len() >= 13`; re-checked here so this
-    // stays safe standalone.
-    let (Some(&tag), Some(t_bytes), Some(pid_bytes)) =
-        (payload.first(), payload.get(1..9), payload.get(9..13))
-    else {
-        return Err(WireError::Truncated);
-    };
-    let mut t_us = [0u8; 8];
-    t_us.copy_from_slice(t_bytes);
-    let t_us = u64::from_le_bytes(t_us);
-    let mut pid = [0u8; 4];
-    pid.copy_from_slice(pid_bytes);
-    let pid = u32::from_le_bytes(pid);
-    let body = &payload[13..];
+pub fn decode_payload(payload: &[u8]) -> Result<ProcessEvent, WireError> {
+    let mut body = Fields(payload);
+    let short = || WireError::Truncated;
+    let [tag] = body.array().ok_or_else(short)?;
+    let t_us = body.u64().ok_or_else(short)?;
+    let pid = body.u32().ok_or_else(short)?;
     let kind = match tag {
-        0 => {
-            let Some(len_bytes) = body.get(..2) else {
-                return Err(WireError::Truncated);
-            };
-            let name_len = u16::from_le_bytes([len_bytes[0], len_bytes[1]]) as usize;
-            let Some(name) = body.get(2..2 + name_len) else {
-                return Err(WireError::Truncated);
-            };
+        SPAWN => {
+            let len = body.u16().ok_or_else(short)?;
+            let name = body.take(usize::from(len)).ok_or_else(short)?;
             let name = std::str::from_utf8(name).map_err(|_| WireError::BadName)?;
             EventKind::Spawn(name.to_string())
         }
-        1 => {
-            let Some(call_bytes) = body.get(..4) else {
-                return Err(WireError::Truncated);
-            };
-            let call =
-                u32::from_le_bytes([call_bytes[0], call_bytes[1], call_bytes[2], call_bytes[3]]);
-            EventKind::Api(call as usize)
-        }
-        2 => EventKind::Exit,
+        API => EventKind::Api(body.u32().ok_or_else(short)? as usize),
+        EXIT => EventKind::Exit,
         t => return Err(WireError::BadTag(t)),
     };
-    Ok(Some(ProcessEvent { t_us, pid, kind }))
+    body.finish(ProcessEvent { t_us, pid, kind })
+        .ok_or(WireError::Trailing)
 }
 
 #[cfg(test)]
@@ -410,6 +396,38 @@ mod tests {
             read_frame(&mut Cursor::new(buf)),
             Err(WireError::BadName)
         ));
+    }
+
+    #[test]
+    fn a_byte_past_the_event_is_a_typed_error() {
+        // An exit's whole body, and one byte more inside the frame.
+        let mut payload = Vec::new();
+        encode_payload(&ProcessEvent::exit(3, 9), &mut payload);
+        payload.push(0);
+        let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&payload);
+        assert!(matches!(
+            read_frame(&mut Cursor::new(buf)),
+            Err(WireError::Trailing)
+        ));
+        assert!(matches!(decode_payload(&payload), Err(WireError::Trailing)));
+    }
+
+    #[test]
+    fn a_spawn_name_past_its_length_field_is_cut_at_a_character_boundary() {
+        // Two-byte characters across the 65,535-byte field.
+        let name = "é".repeat(40_000);
+        let mut payload = Vec::new();
+        encode_payload(&ProcessEvent::spawn(1, 2, &name), &mut payload);
+        let Ok(ProcessEvent {
+            kind: EventKind::Spawn(back),
+            ..
+        }) = decode_payload(&payload)
+        else {
+            panic!("the payload decodes to a spawn");
+        };
+        assert!(name.starts_with(back.as_str()));
+        assert_eq!(back.len(), usize::from(u16::MAX) - 1);
     }
 
     #[test]

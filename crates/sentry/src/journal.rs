@@ -51,7 +51,9 @@
 //! encode. The decoder is the encoder's inverse and nothing more: a
 //! short field, a length past the body, an unknown tag, invalid UTF-8
 //! or a byte left over refuses the record. It allocates only the two
-//! strings, whose lengths the body's own bytes bound.
+//! strings, whose lengths the body's own bytes bound. An event record
+//! is decoded by the wire decoder on the same terms, with the same
+//! field reader and string writer, so the two cannot disagree.
 //!
 //! An **incident digest** is what a checkpoint leaves behind
 //! ([`Journal::checkpoint`]): the bodies of every incident framed since
@@ -116,7 +118,9 @@
 //! [`Journal::open`] scans the existing file record by record and
 //! truncates at the first invalid one — a torn length prefix, a length
 //! past the file end, a CRC mismatch, or an undecodable body all end
-//! the valid prefix. Everything before it is returned for replay;
+//! the valid prefix. It is [`Journal::open_at`] from the anchor every
+//! journal has, at the end of the magic (see below); only a file
+//! shorter than the magic takes a branch of its own. Everything before it is returned for replay;
 //! everything after is counted in
 //! [`JournalRecovery::bytes_truncated`] and physically removed, so the
 //! next append extends a clean tail. This is the longest-valid-prefix
@@ -145,9 +149,9 @@
 //! The anchor is a hint about a file, never a source of data: whatever
 //! it claims is checked against the bytes, and one that does not hold
 //! is refused with an [`AnchorRefused`] — before anything was truncated
-//! — so the caller can fall back to [`Journal::open`]. The full scan
-//! stays the only way in without a checkpoint and the reference
-//! `open_at` is tested against.
+//! — so the caller can fall back to [`Journal::open`]. The full scan —
+//! the same path from the magic's anchor — stays the only way in
+//! without a checkpoint and the reference an anchor is tested against.
 //!
 //! Two rules keep the chain equal to the anchor's count. Incidents
 //! recovered from records past the anchor — the whole file, for a full
@@ -167,6 +171,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::actions::{ActionOutcome, ActionTaken, Incident};
+use crate::codec::{crc32, put_str, Fields};
 use crate::event::{decode_payload, encode_payload, ProcessEvent};
 use csd_accel::Alert;
 
@@ -312,16 +317,6 @@ pub struct JournalRecovery {
 }
 
 impl JournalRecovery {
-    /// The recovered events, in append order.
-    pub fn events(&self) -> impl Iterator<Item = &ProcessEvent> {
-        self.events.iter()
-    }
-
-    /// The recovered incidents, in append order.
-    pub fn incidents(&self) -> impl Iterator<Item = &Incident> {
-        self.incidents.iter()
-    }
-
     /// Recovered event-record count.
     pub fn event_count(&self) -> u64 {
         self.events.len() as u64
@@ -344,65 +339,6 @@ impl Default for JournalConfig {
     fn default() -> Self {
         Self { sync_every: 256 }
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected) slice-by-8 tables, built at compile
-/// time: `CRC_TABLES[0]` is the bytewise table, and `CRC_TABLES[k][b]`
-/// is entry `b` carried through `k` more zero bytes, so eight table
-/// reads fold eight input bytes at once.
-static CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `bytes` — the same polynomial the device sim's
-/// CRC-on-DMA check models, reused here as the record checksum. Eight
-/// bytes a step (slice-by-8), then the bytewise step for the rest; the
-/// value is the bytewise definition's.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = u32::MAX;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][usize::from(w[4])]
-            ^ t[2][usize::from(w[5])]
-            ^ t[1][usize::from(w[6])]
-            ^ t[0][usize::from(w[7])];
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
 }
 
 /// Where a digest record sits: its file offset and its length field.
@@ -453,43 +389,41 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (or creates) the journal at `path`, recovering the
-    /// longest valid record prefix and truncating any torn tail. The
-    /// recovered records come back alongside the journal, positioned
-    /// to append; every recovered incident waits for the next
-    /// [`checkpoint`](Self::checkpoint)'s digest, which starts the chain
-    /// again.
+    /// longest valid record prefix and truncating any torn tail: an
+    /// [`open_at`](Self::open_at) from the anchor at the end of the
+    /// magic. The recovered records come back alongside the journal,
+    /// positioned to append; every recovered incident waits for the
+    /// next [`checkpoint`](Self::checkpoint)'s digest, which starts the
+    /// chain again.
     pub fn open(
         path: &Path,
         config: JournalConfig,
     ) -> Result<(Self, JournalRecovery), JournalError> {
-        let mut file = open_file(path)?;
-        let len = file.metadata()?.len();
-        // Where the records end: for now, where they start.
-        let mut at = JournalAnchor {
+        let magic = JournalAnchor {
             offset: JOURNAL_MAGIC.len() as u64,
             ..JournalAnchor::default()
         };
-        let mut recovery = JournalRecovery {
-            bytes_scanned: len.min(at.offset),
-            ..JournalRecovery::default()
-        };
-        if len < at.offset {
-            // Nothing, or a torn first write: nothing valid was ever
-            // synced.
-            recovery.bytes_truncated = len;
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(JOURNAL_MAGIC)?;
-            file.sync_data()?;
-        } else {
-            check_magic(&file)?;
-            recovery.reads = 1;
-            recover_tail(&mut file, &mut at, &mut recovery)?;
+        match Self::open_at(path, config, &magic, 0)? {
+            Ok(opened) => Ok(opened),
+            Err(AnchorRefused::JournalShort) => {
+                // Nothing, or a torn first write: nothing valid was
+                // ever synced.
+                let mut file = open_file(path)?;
+                let len = file.metadata()?.len();
+                file.set_len(0)?;
+                file.write_all(JOURNAL_MAGIC)?;
+                file.sync_data()?;
+                let recovery = JournalRecovery {
+                    bytes_scanned: len,
+                    bytes_truncated: len,
+                    ..JournalRecovery::default()
+                };
+                Ok((Self::positioned(file, path, config, &magic, 0), recovery))
+            }
+            // The boundary of an anchor without records is the magic,
+            // and its chain is empty: nothing else can be refused.
+            Err(refused) => unreachable!("the magic's anchor was refused: {refused:?}"),
         }
-        let events = recovery.event_count();
-        let mut journal = Self::positioned(file, path, config, &at, events);
-        journal.seed_undigested(&recovery.incidents);
-        Ok((journal, recovery))
     }
 
     /// Opens the journal at `path` from `anchor`, which a checkpoint
@@ -785,24 +719,25 @@ fn open_file(path: &Path) -> io::Result<File> {
         .open(path)
 }
 
-/// A file at least as long as the magic must start with it.
-fn check_magic(file: &File) -> Result<(), JournalError> {
-    let mut magic = [0u8; JOURNAL_MAGIC.len()];
-    file.read_exact_at(&mut magic, 0)?;
-    if &magic == JOURNAL_MAGIC {
-        Ok(())
-    } else {
-        Err(JournalError::BadMagic)
+/// The next record in `rest` — its CRC field and its payload — if its
+/// length field is within `1..=`[`MAX_RECORD_LEN`] and `rest` holds
+/// all of it.
+fn record<'a>(rest: &mut Fields<'a>) -> Option<(u32, &'a [u8])> {
+    let len = rest.u32()? as usize;
+    let crc = rest.u32()?;
+    if len == 0 || len > MAX_RECORD_LEN {
+        return None;
     }
+    Some((crc, rest.take(len)?))
 }
 
-/// A record's length and CRC fields, from its first [`HEADER_LEN`]
-/// bytes.
-fn header(bytes: &[u8]) -> (usize, u32) {
-    (
-        u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize,
-        u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-    )
+/// The payload of the record `buf` holds, if `buf` is one record
+/// exactly — its length field is `buf`'s, less the header — and its
+/// CRC matches.
+fn whole_record(buf: &[u8]) -> Option<&[u8]> {
+    let mut rest = Fields(buf);
+    let (crc, payload) = record(&mut rest)?;
+    rest.finish(payload).filter(|p| crc32(p) == crc)
 }
 
 /// Appends the body of an incident record (the layout in the
@@ -833,20 +768,12 @@ fn encode_incident(incident: &Incident, out: &mut Vec<u8>) {
     put_str(text, MAX_TEXT_LEN, out);
 }
 
-/// Appends `s` as a `u16` length and its UTF-8, cut to at most `max`
-/// (≤ `u16::MAX`) bytes at a character boundary.
-fn put_str(s: &str, max: usize, out: &mut Vec<u8>) {
-    let len = s.floor_char_boundary(max);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len]);
-}
-
 /// An incident record's payload (`rtype` included). `None` unless the
 /// body is exactly what [`encode_incident`] writes for some incident.
 fn decode_incident(payload: &[u8]) -> Option<Incident> {
     let mut body = Fields(payload.get(1..)?);
-    let incident = body.incident()?;
-    body.0.is_empty().then_some(incident)
+    let incident = read_incident(&mut body)?;
+    body.finish(incident)
 }
 
 /// A digest record's payload (`rtype` included): its link, with its
@@ -858,87 +785,64 @@ fn decode_digest(payload: &[u8], out: &mut Vec<Incident>) -> Option<Link> {
     let mut body = Fields(payload.get(1..)?);
     let prev = Link {
         at: body.u64()?,
-        len: u32::from_le_bytes(body.array()?),
+        len: body.u32()?,
     };
-    let count = u32::from_le_bytes(body.array()?);
+    let count = body.u32()?;
     if count == 0 || (prev.at == 0) != (prev.len == 0) {
         return None;
     }
     for _ in 0..count {
-        out.push(body.incident()?);
+        out.push(read_incident(&mut body)?);
     }
-    body.0.is_empty().then_some(prev)
+    body.finish(prev)
 }
 
-/// The fields of a record body not read yet.
-struct Fields<'a>(&'a [u8]);
-
-impl<'a> Fields<'a> {
-    /// The next `n` bytes, if the body has them.
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = self.0.split_at_checked(n)?;
-        self.0 = rest;
-        Some(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    fn str(&mut self, len: u16) -> Option<&'a str> {
-        std::str::from_utf8(self.take(usize::from(len))?).ok()
-    }
-
-    /// One incident body, the inverse of [`encode_incident`].
-    fn incident(&mut self) -> Option<Incident> {
-        let sid = self.u64()?;
-        let pid = u32::from_le_bytes(self.array()?);
-        let at_call = usize::try_from(self.u64()?).ok()?;
-        let probability = f64::from_bits(self.u64()?);
-        let inference_us = f64::from_bits(self.u64()?);
-        let [action, post_exit, outcome] = self.array()?;
-        let action = match action {
-            0 => ActionTaken::Logged,
-            1 => ActionTaken::Killed,
-            2 => ActionTaken::Quarantined,
-            3 => ActionTaken::Suppressed,
-            _ => return None,
-        };
-        let post_exit = match post_exit {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let name = match u16::from_le_bytes(self.array()?) {
-            NO_NAME => None,
-            len => Some(self.str(len)?.to_string()),
-        };
-        let len = u16::from_le_bytes(self.array()?);
-        let text = self.str(len)?;
-        let outcome = match outcome {
-            0 if text.is_empty() => ActionOutcome::NotAttempted,
-            1 => ActionOutcome::Applied(text.to_string()),
-            2 => ActionOutcome::Failed(text.to_string()),
-            _ => return None,
-        };
-        Some(Incident {
-            sid,
-            pid,
-            name,
-            alert: Alert {
-                at_call,
-                probability,
-                inference_us,
-            },
-            action,
-            outcome,
-            post_exit,
-        })
-    }
+/// One incident body off the front of `body`, the inverse of
+/// [`encode_incident`].
+fn read_incident(body: &mut Fields<'_>) -> Option<Incident> {
+    let sid = body.u64()?;
+    let pid = body.u32()?;
+    let at_call = usize::try_from(body.u64()?).ok()?;
+    let probability = f64::from_bits(body.u64()?);
+    let inference_us = f64::from_bits(body.u64()?);
+    let [action, post_exit, outcome] = body.array()?;
+    let action = match action {
+        0 => ActionTaken::Logged,
+        1 => ActionTaken::Killed,
+        2 => ActionTaken::Quarantined,
+        3 => ActionTaken::Suppressed,
+        _ => return None,
+    };
+    let post_exit = match post_exit {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    let name = match body.u16()? {
+        NO_NAME => None,
+        len => Some(body.str(len)?.to_string()),
+    };
+    let len = body.u16()?;
+    let text = body.str(len)?;
+    let outcome = match outcome {
+        0 if text.is_empty() => ActionOutcome::NotAttempted,
+        1 => ActionOutcome::Applied(text.to_string()),
+        2 => ActionOutcome::Failed(text.to_string()),
+        _ => return None,
+    };
+    Some(Incident {
+        sid,
+        pid,
+        name,
+        alert: Alert {
+            at_call,
+            probability,
+            inference_us,
+        },
+        action,
+        outcome,
+        post_exit,
+    })
 }
 
 /// The anchor is trusted only for a file that frames to it: the magic
@@ -957,7 +861,11 @@ fn verify_boundary(
     if anchor.offset < magic_len {
         return Ok(MISMATCH);
     }
-    check_magic(file)?;
+    let mut magic = [0u8; JOURNAL_MAGIC.len()];
+    file.read_exact_at(&mut magic, 0)?;
+    if &magic != JOURNAL_MAGIC {
+        return Err(JournalError::BadMagic);
+    }
     recovery.reads += 1;
     recovery.bytes_scanned += magic_len;
     if anchor.last_record == 0 {
@@ -980,8 +888,7 @@ fn verify_boundary(
     file.read_exact_at(buf, anchor.last_record)?;
     recovery.reads += 1;
     recovery.bytes_scanned += buf.len() as u64;
-    let (framed_len, crc) = header(buf);
-    if framed_len as u64 != len || crc32(&buf[HEADER_LEN..]) != crc {
+    if whole_record(buf).is_none() {
         return Ok(MISMATCH);
     }
     Ok(Ok(()))
@@ -1028,11 +935,11 @@ fn walk_digests(
             recovery.reads += 1;
             recovery.bytes_scanned += buf.len() as u64;
         }
-        let (framed_len, crc) = header(buf);
-        let payload = &buf[HEADER_LEN..];
-        if framed_len != len || crc32(payload) != crc || payload.first() != Some(&DIGEST) {
+        let Some(payload) =
+            whole_record(buf).filter(|p| p.len() == len && p.first() == Some(&DIGEST))
+        else {
             return Ok(BROKEN);
-        }
+        };
         let from = recovery.incidents.len();
         let Some(prev) = decode_digest(payload, &mut recovery.incidents) else {
             return Ok(BROKEN);
@@ -1052,9 +959,11 @@ fn walk_digests(
     Ok(Ok(()))
 }
 
-/// Scans the file from `at.offset` to its end, appends the valid
-/// records to `recovery`, cuts a torn tail off the file, and leaves
-/// `at` — and the file's cursor — at the end of the valid prefix.
+/// Scans the file from `at.offset` to its end record by record,
+/// appends the valid records to `recovery`, cuts a torn tail off the
+/// file, and leaves `at` — and the file's cursor — at the end of the
+/// longest valid prefix. A digest is checked like any record and
+/// adopted from never: its incidents are records of this file already.
 fn recover_tail(
     file: &mut File,
     at: &mut JournalAnchor,
@@ -1064,41 +973,18 @@ fn recover_tail(
     file.seek(SeekFrom::Start(from))?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
-    scan_records(&bytes, at, recovery);
-    recovery.bytes_scanned += bytes.len() as u64;
-    recovery.bytes_truncated = from + bytes.len() as u64 - at.offset;
-    if recovery.bytes_truncated > 0 {
-        file.set_len(at.offset)?;
-        file.sync_data()?;
-    }
-    file.seek(SeekFrom::Start(at.offset))?;
-    Ok(())
-}
-
-/// Scans `bytes` — the file from `at.offset` on — record by record,
-/// pushing decoded events and incidents and advancing `at` over the
-/// longest valid prefix. A digest is checked like any record and
-/// adopted from never: its incidents are records of this file already.
-fn scan_records(bytes: &[u8], at: &mut JournalAnchor, recovery: &mut JournalRecovery) {
-    let base = at.offset;
-    let mut pos = 0usize;
+    let mut rest = Fields(&bytes);
     let mut digested = Vec::new();
-    // Until a torn length/CRC prefix, or the clean end.
-    while let Some(head) = bytes.get(pos..pos + HEADER_LEN) {
-        let (len, crc) = header(head);
-        if len == 0 || len > MAX_RECORD_LEN {
-            break;
-        }
-        let Some(payload) = bytes.get(pos + HEADER_LEN..pos + HEADER_LEN + len) else {
-            break; // Record cut mid-body.
-        };
+    // Until a torn header, a length out of range, a record cut
+    // mid-body, or the clean end.
+    while let Some((crc, payload)) = record(&mut rest) {
         if crc32(payload) != crc {
             break; // Flipped bits anywhere in the payload.
         }
         match payload[0] {
             EVENT => match decode_payload(&payload[1..]) {
-                Ok(Some(event)) => recovery.events.push(event),
-                _ => break,
+                Ok(event) => recovery.events.push(event),
+                Err(_) => break,
             },
             INCIDENT => match decode_incident(payload) {
                 Some(incident) => {
@@ -1116,10 +1002,17 @@ fn scan_records(bytes: &[u8], at: &mut JournalAnchor, recovery: &mut JournalReco
             }
             _ => break, // Unknown record type: not ours.
         }
-        at.last_record = base + pos as u64;
-        pos += HEADER_LEN + len;
+        at.last_record = at.offset;
+        at.offset = from + (bytes.len() - rest.0.len()) as u64;
     }
-    at.offset = base + pos as u64;
+    recovery.bytes_scanned += bytes.len() as u64;
+    recovery.bytes_truncated = from + bytes.len() as u64 - at.offset;
+    if recovery.bytes_truncated > 0 {
+        file.set_len(at.offset)?;
+        file.sync_data()?;
+    }
+    file.seek(SeekFrom::Start(at.offset))?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1131,6 +1024,13 @@ mod tests {
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("csd-journal-{}-{tag}.log", std::process::id()))
+    }
+
+    /// A record's length and CRC fields, from its first [`HEADER_LEN`]
+    /// bytes.
+    fn header(bytes: &[u8]) -> (usize, u32) {
+        let mut head = Fields(bytes);
+        (head.u32().unwrap() as usize, head.u32().unwrap())
     }
 
     fn sample_events(n: usize) -> Vec<ProcessEvent> {
@@ -1179,9 +1079,9 @@ mod tests {
         assert_eq!(rec.bytes_truncated, 0);
         assert_eq!(rec.event_count(), 10);
         assert_eq!(j.durable_events(), 10);
-        let got: Vec<ProcessEvent> = rec.events().cloned().collect();
+        let got: Vec<ProcessEvent> = rec.events.clone();
         assert_eq!(got, events);
-        let incidents: Vec<&Incident> = rec.incidents().collect();
+        let incidents: Vec<&Incident> = rec.incidents.iter().collect();
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0], &sample_incident(3));
         let _ = std::fs::remove_file(&path);
@@ -1343,7 +1243,7 @@ mod tests {
         assert_eq!(j.syncs(), 1, "two incidents, one sync");
         drop(j);
         let (j, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
-        assert_eq!(rec.incidents().count(), 2);
+        assert_eq!(rec.incidents.len(), 2);
         assert_eq!((j.durable_events(), j.durable_incidents()), (1, 2));
         let _ = std::fs::remove_file(&path);
     }
@@ -1375,7 +1275,7 @@ mod tests {
             assert_eq!((j.durable_events(), j.pending_events()), (7, 0));
             drop(j);
             let (j, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
-            let got: Vec<ProcessEvent> = rec.events().cloned().collect();
+            let got: Vec<ProcessEvent> = rec.events.clone();
             assert_eq!(got, events, "{left} bytes left behind");
             assert_eq!(rec.bytes_truncated, 0);
             assert_eq!(j.durable_events(), 7, "the cursor is what recovery finds");
@@ -1679,7 +1579,7 @@ mod tests {
         );
         // The chain walks: every digest sits where its link says.
         let rec = assert_open_at_matches_the_full_scan(&path, &anchor, 5);
-        let sids: Vec<u64> = rec.incidents().map(|i| i.sid).collect();
+        let sids: Vec<u64> = rec.incidents.iter().map(|i| i.sid).collect();
         assert_eq!(sids, [1, 2, 3]);
         let _ = std::fs::remove_file(&path);
     }
@@ -2003,54 +1903,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The bytewise definition slice-by-8 must agree with: one table
-    /// read a byte.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut crc = u32::MAX;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_reference_vector() {
-        // The canonical check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn slice_by_8_equals_the_bytewise_crc_at_every_length_and_alignment() {
-        // Bytes from a 64-bit LCG: every byte value, no pattern a
-        // table could share with its neighbour.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let bytes: Vec<u8> = (0..300 + 8)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (x >> 56) as u8
-            })
-            .collect();
-        for start in 0..8 {
-            for len in 0..=300 {
-                let slice = &bytes[start..start + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "{len} bytes from {start}"
-                );
-            }
-        }
-        // Runs of one byte value, where a table mix-up would cancel.
-        for b in [0x00, 0xFF, 0x80, 0x01] {
-            let run = [b; 67];
-            assert_eq!(crc32(&run), crc32_bytewise(&run), "a run of {b:#04x}");
-        }
-    }
-
     /// Incidents whose bodies exercise every field: each action × each
     /// outcome, names absent, empty, non-ASCII and as long as the
     /// length field allows, floats that JSON cannot carry.
@@ -2241,6 +2093,27 @@ mod tests {
         assert_eq!((rec.event_count(), rec.incidents.len()), (1, 0));
         let whole = JOURNAL_MAGIC.len() + 2 * HEADER_LEN + 18 + good.len();
         assert!(rec.bytes_truncated > 0 && rec.bytes_scanned > whole as u64);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An event record is refused on the wire decoder's terms: a byte
+    /// left over after the event's body ends the valid prefix, CRC and
+    /// all, as it ends a frame on the socket.
+    #[test]
+    fn an_event_record_with_a_byte_left_over_ends_the_valid_prefix() {
+        let path = tmp("event-leftover");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+        j.append_event(&ProcessEvent::api(1, 2, 3)).unwrap();
+        j.frame_in_place(EVENT, |out| {
+            encode_payload(&ProcessEvent::exit(4, 2), out);
+            out.push(0);
+        });
+        j.append_event(&ProcessEvent::exit(5, 2)).unwrap();
+        drop(j);
+        let (_, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
+        assert_eq!(rec.events, [ProcessEvent::api(1, 2, 3)]);
+        assert!(rec.bytes_truncated > 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -65,6 +65,7 @@
 
 pub mod actions;
 pub mod bus;
+mod codec;
 pub mod durable;
 pub mod event;
 pub mod histogram;

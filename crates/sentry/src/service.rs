@@ -35,7 +35,9 @@
 //! tallies fold into totals at retirement, so [`SentryStats`] does not
 //! change; what changes is that the table,
 //! [`snapshot`](Sentry::snapshot) and [`staleness`](Sentry::staleness)
-//! follow the sessions alive now, not every session ever seen.
+//! follow the sessions alive now, not every session ever seen. So do
+//! the governor's sheds: a snapshot counts them, and
+//! [`shed_log`](Sentry::shed_log) keeps the records since open.
 //!
 //! The engine contract is untouched: every window classifies through
 //! the mux, one window at a time, bit-identical to offline
@@ -51,7 +53,7 @@ use csd_accel::{
     StreamMuxConfig, Verdict, VoteRing,
 };
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::actions::{ActionKind, ActionOutcome, ActionTaken, Incident};
 use crate::event::ProcessEvent;
@@ -159,7 +161,7 @@ pub enum OverloadLevel {
 
 /// One session the overload governor stopped monitoring: the typed
 /// record of deliberately shed coverage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShedRecord {
     /// The shed session.
     pub sid: u64,
@@ -247,8 +249,10 @@ pub struct Sentry {
     dup_events: u64,
     /// Where the overload governor sits on the degradation ladder.
     overload: OverloadLevel,
-    /// Sessions the governor shed, in shed order.
+    /// Sessions the governor shed since open, in shed order.
     shed_log: Vec<ShedRecord>,
+    /// Sessions the governor shed, ever (checkpoints carry the count).
+    shed_sessions: u64,
     slo_polls: u64,
     /// Whether the overload governor runs. `false` during journal
     /// replay: mid-replay staleness measures the replay loop, not live
@@ -299,6 +303,7 @@ impl Sentry {
             dup_events: 0,
             overload: OverloadLevel::Normal,
             shed_log: Vec::new(),
+            shed_sessions: 0,
             slo_polls: 0,
             governing: true,
         }
@@ -590,7 +595,9 @@ impl Sentry {
         self.overload
     }
 
-    /// Sessions the overload governor shed, in shed order.
+    /// Sessions the overload governor shed since open (built or
+    /// restored), in shed order; [`stats`](Self::stats)' `shed_sessions`
+    /// counts every shed, as a checkpoint keeps only the count.
     pub fn shed_log(&self) -> &[ShedRecord] {
         &self.shed_log
     }
@@ -675,6 +682,7 @@ impl Sentry {
             }
         }
         self.shed_log[from..].sort_unstable_by_key(|r| r.sid);
+        self.shed_sessions += (self.shed_log.len() - from) as u64;
     }
 
     /// Folds served verdicts into vote rings; a completed vote runs the
@@ -791,7 +799,7 @@ impl Sentry {
             table: self.sessions.snapshot(),
             last_t_us,
             dup_events: self.dup_events,
-            shed_log: self.shed_log.clone(),
+            shed_sessions: self.shed_sessions,
             // The durable layer's to set: it has the journal.
             journal: JournalAnchor::default(),
         }
@@ -835,7 +843,7 @@ impl Sentry {
         }
         sentry.last_t_us = snap.last_t_us.iter().copied().collect();
         sentry.dup_events = snap.dup_events;
-        sentry.shed_log = snap.shed_log.clone();
+        sentry.shed_sessions = snap.shed_sessions;
         for name in &snap.whitelist_exact {
             sentry.whitelist.add(name);
         }
@@ -949,7 +957,7 @@ impl Sentry {
             post_exit_incidents,
             actions_failed,
             dup_events: self.dup_events,
-            shed_sessions: self.shed_log.len() as u64,
+            shed_sessions: self.shed_sessions,
             slo_polls: self.slo_polls,
             staleness: self.staleness(),
             mux: self.mux.stats(),

@@ -38,12 +38,13 @@
 use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalAnchor;
-use crate::service::ShedRecord;
 
 /// Snapshot format version; bumped on incompatible layout changes.
-/// Version 2 keeps each session's stream in its [`SessionSnap`]; a
-/// version-1 checkpoint is invalid, and `open` replays the journal.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 2 keeps each session's stream in its [`SessionSnap`], and
+/// version 3 counts the overload governor's sheds instead of copying
+/// their records; a checkpoint of another version is invalid, and
+/// `open` replays the journal.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// One session's durable state, its stream's included (see
 /// [`Session`](crate::Session)).
@@ -145,8 +146,10 @@ pub struct SentrySnapshot {
     pub last_t_us: Vec<(u32, u64)>,
     /// Duplicate frames dropped by monotone-timestamp dedup.
     pub dup_events: u64,
-    /// Sessions shed by the overload governor, in shed order.
-    pub shed_log: Vec<ShedRecord>,
+    /// Sessions shed by the overload governor, ever: a tracked shed
+    /// session carries its own [`SessionSnap::shed`] flag, so the
+    /// checkpoint keeps no shed records and stays the live sessions' size.
+    pub shed_sessions: u64,
     /// Where the checkpoint's journal sync left `journal.log`: the
     /// place [`DurableSentry::open`](crate::DurableSentry::open) starts
     /// reading from, once it has checked it against the file.

@@ -11,13 +11,13 @@
 use std::fs;
 use std::path::PathBuf;
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+mod common;
+
+use common::{engine, VOCAB};
 use csd_sentry::{
     DurableConfig, DurableSentry, ProcessEvent, RecoveryReport, Sentry, SentryConfig,
 };
 
-const VOCAB: usize = 16;
 /// Processes alive at once.
 const CONCURRENCY: usize = 10;
 const CALLS: usize = 100;
@@ -32,14 +32,6 @@ const POLL_EVERY: u64 = 16;
 /// window of theirs was still in the mux (≈ 16 at this cadence), with
 /// headroom.
 const AWAITING_SLACK: usize = 32;
-
-fn engine() -> CsdInferenceEngine {
-    let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), 9);
-    CsdInferenceEngine::new(
-        &ModelWeights::from_model(&model),
-        OptimizationLevel::FixedPoint,
-    )
-}
 
 fn config() -> SentryConfig {
     let mut config = SentryConfig {

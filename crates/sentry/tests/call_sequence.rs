@@ -15,22 +15,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+mod common;
+
+use common::{engine, VOCAB};
 use csd_sentry::{
     run_service, ActionKind, DurableConfig, DurableSentry, EventBus, Incident, ProcessEvent,
     SentryConfig, SentryStats, ServiceConfig, SupervisorPolicy,
 };
-
-const VOCAB: usize = 16;
-
-fn engine() -> CsdInferenceEngine {
-    let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), 9);
-    CsdInferenceEngine::new(
-        &ModelWeights::from_model(&model),
-        OptimizationLevel::FixedPoint,
-    )
-}
 
 /// Long windows at a short stride, a staleness SLO the feed exceeds
 /// and a queue that overflows: governor rounds, shedding and evictions

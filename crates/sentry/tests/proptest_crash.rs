@@ -23,25 +23,16 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+mod common;
+
+use common::{engine, VOCAB};
 use csd_sentry::{
     ActionKind, DurableConfig, DurableSentry, FullScan, Journal, JournalConfig, ProcessEvent,
     RecoveryReport, Sentry, SentryConfig,
 };
 use proptest::prelude::*;
 
-const VOCAB: usize = 16;
-
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn engine() -> CsdInferenceEngine {
-    let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), 9);
-    CsdInferenceEngine::new(
-        &ModelWeights::from_model(&model),
-        OptimizationLevel::FixedPoint,
-    )
-}
 
 fn config() -> SentryConfig {
     SentryConfig {
@@ -444,7 +435,7 @@ proptest! {
         }
 
         let (_, recovery) = Journal::open(&path, JournalConfig::default()).unwrap();
-        let recovered: Vec<&ProcessEvent> = recovery.events().collect();
+        let recovered: Vec<&ProcessEvent> = recovery.events.iter().collect();
         prop_assert!(recovered.len() <= n_events, "recovery never invents records");
         for (got, want) in recovered.iter().zip(events.iter()) {
             prop_assert_eq!(*got, want, "recovery is a prefix, in order");

@@ -5,19 +5,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+mod common;
+
+use common::{engine, VOCAB};
 use csd_sentry::{EventBus, ProcessEvent, Sentry, SentryConfig, SocketClient, SocketServer};
-
-const VOCAB: usize = 16;
-
-fn engine() -> CsdInferenceEngine {
-    let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), 9);
-    CsdInferenceEngine::new(
-        &ModelWeights::from_model(&model),
-        OptimizationLevel::FixedPoint,
-    )
-}
 
 fn config() -> SentryConfig {
     SentryConfig {

@@ -8,22 +8,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+mod common;
+
+use common::{engine, VOCAB};
 use csd_sentry::{
     run_service, ActionKind, DurableConfig, EventBus, Journal, JournalConfig, ProcessEvent, Sentry,
     SentryConfig, ServiceConfig, SupervisorPolicy,
 };
-
-const VOCAB: usize = 16;
-
-fn engine() -> CsdInferenceEngine {
-    let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), 9);
-    CsdInferenceEngine::new(
-        &ModelWeights::from_model(&model),
-        OptimizationLevel::FixedPoint,
-    )
-}
 
 fn config() -> SentryConfig {
     SentryConfig {
@@ -262,7 +253,7 @@ fn quiet_bus_still_delivers_the_verdict_and_syncs_its_incident() {
                     continue;
                 }
                 let (_, found) = Journal::open(&copy, JournalConfig::default()).expect("a journal");
-                journaled = found.incidents().filter(|i| i.pid == 900).count();
+                journaled = found.incidents.iter().filter(|i| i.pid == 900).count();
                 if journaled > 0 {
                     break;
                 }
