@@ -639,7 +639,7 @@ fn write_checkpoint(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::actions::{ActionKind, ActionOutcome, ActionTaken};
+    use crate::actions::ActionKind;
     use crate::journal::JournalAnchor;
     use csd_accel::OptimizationLevel;
     use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
@@ -704,7 +704,9 @@ mod tests {
     /// The incident identity recovery must preserve: sid, pid, name,
     /// alert position, action. (`post_exit` and the backend outcome
     /// legitimately depend on fold timing; see the module docs.)
-    fn keys(sentry: &Sentry) -> Vec<(u64, u32, Option<String>, usize, String)> {
+    type Key = (u64, u32, Option<String>, usize, String);
+
+    fn keys(sentry: &Sentry) -> Vec<Key> {
         let mut v: Vec<_> = sentry
             .incidents()
             .iter()
@@ -722,351 +724,25 @@ mod tests {
         v
     }
 
-    /// What one incarnation's calls have handed back, checked against
-    /// the journal after every call: the acknowledgement contract.
-    struct Ledger {
-        /// `durable_incidents()` at open: adopted and replay-raised
-        /// records, which no call hands back.
-        base: u64,
-        handed_back: HashSet<u64>,
-    }
-
-    impl Ledger {
-        fn new(d: &DurableSentry) -> Self {
-            assert_eq!(d.journal().pending_incidents(), 0, "open is a sync point");
-            Self {
-                base: d.journal().durable_incidents(),
-                handed_back: HashSet::new(),
-            }
-        }
-
-        /// After any call that returned `back`: each incident comes
-        /// back once, none before its record is durable, and every
-        /// latched incident is either durable or in the pending tail.
-        fn check(&mut self, d: &DurableSentry, back: Vec<Incident>) {
-            for incident in back {
-                assert!(
-                    self.handed_back.insert(incident.sid),
-                    "session {} handed back twice",
-                    incident.sid
-                );
-            }
-            let journal = d.journal();
-            assert!(
-                self.handed_back.len() as u64 <= journal.durable_incidents() - self.base,
-                "an incident was handed back before its record was durable"
-            );
-            assert_eq!(
-                journal.durable_incidents() + journal.pending_incidents() as u64,
-                d.sentry().incidents().len() as u64,
-                "every latched incident is journaled: durable or held"
-            );
-        }
-
-        /// After a sync point (`drain`, `checkpoint`) that returned
-        /// `back`: nothing is held any more.
-        fn check_settled(&mut self, d: &DurableSentry, back: Vec<Incident>) {
-            self.check(d, back);
-            assert_eq!(d.journal().pending_incidents(), 0);
-            assert_eq!(
-                self.handed_back.len() as u64,
-                d.journal().durable_incidents() - self.base,
-                "a sync point hands back everything held"
-            );
-        }
-    }
-
-    /// The service loop's shape — journaled ingest, a poll every 16
-    /// events — on a freshly opened `d`, with the acknowledgement
-    /// contract checked after every call.
-    fn feed(d: &mut DurableSentry, events: &[ProcessEvent]) -> Ledger {
-        let mut ledger = Ledger::new(d);
-        for e in events {
-            let back = d.ingest(e).unwrap();
-            ledger.check(d, back);
-            if d.sentry().events().is_multiple_of(16) {
-                let back = d.poll().unwrap();
-                ledger.check(d, back);
-            }
-        }
-        ledger
-    }
-
-    /// The reference: the same workload through a plain sentry,
-    /// uninterrupted, on the service loop's cadence.
-    fn oracle(events: &[ProcessEvent]) -> Vec<(u64, u32, Option<String>, usize, String)> {
-        keys(&Sentry::uninterrupted(engine(), config(), events, 16))
-    }
-
-    #[test]
-    fn crash_and_reopen_recovers_the_oracle_incident_set() {
-        let dir = tmpdir("recover");
-        let events = workload(6, 40);
-        let expect = oracle(&events);
-        assert!(!expect.is_empty(), "workload must produce incidents");
-
-        // Run with periodic checkpoints, crash mid-stream.
-        let kill_at = events.len() * 2 / 3;
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 50;
-        durable.journal.sync_every = 16;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events[..kill_at]);
-        let resume_from = {
-            let cursor = d.durable_events();
-            d.simulate_crash(0);
-            cursor
-        };
-        assert!(resume_from as usize <= kill_at);
-
-        // Reopen: checkpoint + replay, then the producer re-sends from
-        // the durable cursor.
-        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert!(d.recovery().checkpoint_events > 0, "a checkpoint restored");
-        let mut ledger = feed(&mut d, &events[resume_from as usize..]);
-        let back = d.drain().unwrap();
-        ledger.check_settled(&d, back);
-        assert_eq!(
-            keys(d.sentry()),
-            expect,
-            "recovered incident set must equal the uninterrupted run"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A spawn name past its length field is journaled cut at a
-    /// character boundary, so its record reads back and a reopen
-    /// reaches every event and incident synced after it.
-    #[test]
-    fn a_spawn_name_past_its_length_field_survives_a_reopen() {
-        let dir = tmpdir("long-name");
-        let mut events = vec![ProcessEvent::spawn(0, 99, &"é".repeat(40_000))];
-        events.extend((1..6).map(|t| ProcessEvent::api(t, 99, t as usize)));
-        events.extend(workload(6, 40));
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 0;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events);
-        d.drain().unwrap();
-        let (durable_events, live) = (d.durable_events(), keys(d.sentry()));
-        assert_eq!(durable_events, events.len() as u64);
-        assert!(!live.is_empty() && live.iter().all(|k| k.1 != 99));
-        drop(d);
-
-        let d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert_eq!(d.recovery().journal_bytes_truncated, 0);
-        assert_eq!(d.durable_events(), durable_events);
-        assert_eq!(keys(d.sentry()), live);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A backend that fails every dispatch against the PIDs it holds:
-    /// the process it fails on keeps running.
-    #[derive(Debug)]
-    struct FailsOn(Vec<u32>);
-
-    impl crate::quarantine::QuarantineBackend for FailsOn {
-        fn kill(&mut self, pid: u32, _name: Option<&str>) -> Result<String, String> {
-            if self.0.contains(&pid) {
-                Err(format!("pid {pid} is still running"))
-            } else {
-                Ok(format!("pid {pid} terminated"))
-            }
-        }
-
-        fn quarantine(&mut self, pid: u32, name: Option<&str>) -> Result<String, String> {
-            self.kill(pid, name)
-        }
-    }
-
-    /// A kill the backend fails is not a kill, live or recovered: the
-    /// processes keep running, so a crash after their incidents are
-    /// durable replays their later calls into live sessions, and the
-    /// reopened run ends where the uninterrupted one does — same
-    /// incidents and outcomes, same counters, no call dropped as a
-    /// kill's straggler.
-    #[test]
-    fn a_failed_kill_recovers_as_a_live_session() {
-        let dir = tmpdir("failed-kill");
-        let events = workload(3, 120);
-        let backend = || Box::new(FailsOn(vec![100, 101, 102]));
-        let mut want = Sentry::new(engine(), config());
-        want.set_backend(backend());
-        for (i, e) in events.iter().enumerate() {
-            want.ingest(e);
-            if (i + 1).is_multiple_of(16) {
-                want.poll();
-            }
-        }
-        want.drain();
-        let failed = want.incidents().len() as u64;
-        assert!(failed > 0);
-        assert!(want
-            .incidents()
-            .iter()
-            .all(|i| matches!(i.outcome, ActionOutcome::Failed(_))));
-
-        // Checkpoint once every incident is durable, crash later: reopen
-        // adopts them and replays their sessions' later calls.
-        let mut d = DurableSentry::open(engine(), config(), DurableConfig::new(&dir)).unwrap();
-        d.sentry_mut().set_backend(backend());
-        feed(&mut d, &events[..120]);
-        d.checkpoint().unwrap();
-        feed(&mut d, &events[120..300]);
-        let resume_from = d.durable_events() as usize;
-        d.simulate_crash(0);
-        let mut d = DurableSentry::open(engine(), config(), DurableConfig::new(&dir)).unwrap();
-        assert_eq!(d.recovery().adopted_incidents, failed);
-        d.sentry_mut().set_backend(backend());
-        feed(&mut d, &events[resume_from..]);
-        d.drain().unwrap();
-
-        assert_eq!(d.sentry().incidents(), want.incidents());
-        let (got, mut want) = (d.sentry().stats(), want.stats());
-        assert_eq!((got.actions_failed, got.dropped_after_kill), (failed, 0));
-        want.mux = got.mux;
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// An applied kill is adopted onto its session whether the session
-    /// is in the checkpoint or created by replay: a reopen that replays
-    /// the whole journal marks the sessions it creates killed, so a
-    /// further call on one of their PIDs is dropped as a kill's
-    /// straggler, as in the run that raised the kill.
-    #[test]
-    fn an_adopted_kill_is_marked_on_the_session_replay_creates() {
-        let dir = tmpdir("replayed-kill");
-        let events = workload(3, 120);
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 0;
-        let applied_kills = |d: &DurableSentry| -> Vec<(u64, u32)> {
-            let sentry = d.sentry();
-            sentry
-                .incidents()
-                .iter()
-                .filter(|i| i.action == ActionTaken::Killed)
-                .filter(|i| matches!(i.outcome, ActionOutcome::Applied(_)))
-                .filter(|i| sentry.sessions().session(i.sid).is_some())
-                .map(|i| (i.sid, i.pid))
-                .collect()
-        };
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events[..300]);
-        d.drain().unwrap();
-        let live = applied_kills(&d);
-        assert_eq!(live.len(), 3, "every session killed and still tracked");
-        drop(d);
-
-        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert_eq!(d.recovery().full_scan, Some(FullScan::NoCheckpoint));
-        assert_eq!(applied_kills(&d), live);
-        for (t, &(sid, pid)) in (10_000u64..).zip(&live) {
-            let session = d.sentry().sessions().session(sid).unwrap();
-            assert!(session.is_killed(), "session {sid}");
-            let dropped = d.sentry().stats().dropped_after_kill;
-            d.ingest(&ProcessEvent::api(t, pid, 1)).unwrap();
-            assert_eq!(
-                d.sentry().stats().dropped_after_kill,
-                dropped + 1,
-                "pid {pid}"
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_without_checkpoint_replays_the_whole_journal() {
-        let dir = tmpdir("nockpt");
+    /// `workload(4, 30)` through a durable sentry under `dir` that
+    /// checkpoints every 40 events, on the service loop's cadence,
+    /// drained and shut down: the directory the checkpoint-framing tests
+    /// below tamper with. Returns its config, its events and the
+    /// uninterrupted run's incidents.
+    fn checkpointed_run(dir: &Path) -> (DurableConfig, Vec<ProcessEvent>, Vec<Key>) {
         let events = workload(4, 30);
-        let expect = oracle(&events);
-
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 0; // never checkpoint
-        durable.journal.sync_every = 8;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        for e in &events {
-            d.ingest(e).unwrap();
-        }
-        // Crash without ever draining: all verdicts still in flight.
-        let resume = d.durable_events();
-        d.simulate_crash(3);
-
-        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert_eq!(d.recovery().checkpoint_events, 0);
-        assert_eq!(d.recovery().replayed_events, resume);
-        for e in &events[resume as usize..] {
-            d.ingest(e).unwrap();
-        }
-        d.drain().unwrap();
-        assert_eq!(keys(d.sentry()), expect);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn adopted_incidents_are_not_raised_twice_nor_redispatched() {
-        let dir = tmpdir("adopt");
-        let events = workload(4, 30);
-        let expect = oracle(&events);
-
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 0;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        for e in &events {
-            d.ingest(e).unwrap();
-        }
-        // Drain so incidents latch and journal, *then* crash: the
-        // reopened sentry must adopt them, and replaying the same
-        // events must not raise them again.
-        let n_incidents = {
-            d.drain().unwrap();
-            d.sentry().incidents().len()
-        };
-        assert!(n_incidents > 0);
-        d.simulate_crash(0);
-
-        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        assert_eq!(d.recovery().adopted_incidents, n_incidents as u64);
-        assert_eq!(keys(d.sentry()), expect);
-        assert_eq!(d.sentry().incidents().len(), n_incidents, "no duplicates");
-        drop(d);
-
-        // And a *third* open sees exactly one journal record per
-        // incident — the second open journaled nothing new.
-        let d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert_eq!(d.recovery().adopted_incidents, n_incidents as u64);
-        assert_eq!(d.recovery().duplicate_incidents, 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_checkpoint_falls_back_to_full_replay() {
-        let dir = tmpdir("badckpt");
-        let events = workload(4, 30);
-        let expect = oracle(&events);
-
-        let mut durable = DurableConfig::new(&dir);
+        let mut durable = DurableConfig::new(dir);
         durable.checkpoint_every_events = 40;
         let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
         for e in &events {
             d.ingest(e).unwrap();
+            if d.sentry().events().is_multiple_of(16) {
+                d.poll().unwrap();
+            }
         }
         d.drain().unwrap();
-        assert!(d.checkpoints_written() > 0);
-        drop(d); // clean shutdown
-
-        // Corrupt the checkpoint body: CRC check must reject it.
-        let ckpt = dir.join("checkpoint.snap");
-        let mut bytes = fs::read(&ckpt).unwrap();
-        let n = bytes.len();
-        bytes[n - 3] ^= 0x01;
-        fs::write(&ckpt, &bytes).unwrap();
-
-        let d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert!(d.recovery().checkpoint_discarded());
-        assert_eq!(d.recovery().checkpoint_events, 0);
-        assert_eq!(keys(d.sentry()), expect, "journal-only recovery is exact");
-        let _ = fs::remove_dir_all(&dir);
+        let expect = keys(&Sentry::uninterrupted(engine(), config(), &events, 16));
+        (durable, events, expect)
     }
 
     /// An anchor that does not hold — stale, of another history, or
@@ -1078,14 +754,8 @@ mod tests {
     fn an_anchor_that_does_not_hold_costs_a_full_scan_not_data() {
         use AnchorRefused::{BoundaryMismatch, BrokenLink, JournalShort};
         let dir = tmpdir("bad-anchor");
-        let events = workload(4, 30);
-        let expect = oracle(&events);
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 40;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events);
-        d.drain().unwrap();
-        drop(d); // clean shutdown: nothing torn, nothing left to raise
+        // A clean shutdown: nothing torn, nothing left to raise.
+        let (durable, events, expect) = checkpointed_run(&dir);
         let journal = fs::read(dir.join("journal.log")).unwrap();
         let ckpt = dir.join("checkpoint.snap");
         let CheckpointRead::Valid(good) = read_checkpoint(&ckpt) else {
@@ -1196,123 +866,6 @@ mod tests {
         let _ = fs::remove_dir_all(&other_dir);
     }
 
-    /// A checkpoint that is there and cannot be read is a discarded
-    /// checkpoint, reported — not a first start.
-    #[test]
-    fn an_unreadable_checkpoint_is_discarded_not_absent() {
-        let dir = tmpdir("unreadable-ckpt");
-        let events = workload(4, 30);
-        let expect = oracle(&events);
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 40;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events);
-        d.drain().unwrap();
-        drop(d);
-        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        assert_eq!(d.recovery().full_scan, None, "readable: used");
-        drop(d);
-
-        // A directory where the file should be: `read` fails, and not
-        // with `NotFound`.
-        let ckpt = dir.join("checkpoint.snap");
-        fs::remove_file(&ckpt).unwrap();
-        fs::create_dir(&ckpt).unwrap();
-        let d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        assert_eq!(d.recovery().full_scan, Some(FullScan::CheckpointInvalid));
-        assert!(d.recovery().checkpoint_discarded());
-        assert_eq!(keys(d.sentry()), expect, "the journal alone is enough");
-        drop(d);
-
-        // No file: a first start, nothing discarded.
-        fs::remove_dir(&ckpt).unwrap();
-        let d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert_eq!(d.recovery().full_scan, Some(FullScan::NoCheckpoint));
-        assert!(!d.recovery().checkpoint_discarded());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Crash after most sessions have ended and retired: recovery
-    /// reaches the oracle's incidents, adopts every journaled one, and
-    /// comes up tracking the sessions alive at the crash — not one
-    /// session per incident the journal remembers.
-    #[test]
-    fn crash_after_sessions_retired_recovers_exactly_and_stays_small() {
-        let dir = tmpdir("retired");
-        // Six waves on the same four PIDs: each wave's sessions exit
-        // (and retire at the next checkpoint's drain) before the next
-        // wave reuses their PIDs.
-        let wave = workload(4, 30);
-        let events: Vec<ProcessEvent> = (0..6).flat_map(|_| wave.clone()).collect();
-        let expect = oracle(&events);
-        assert!(expect.len() >= 6, "every wave must produce incidents");
-
-        let kill_at = 5 * wave.len() + wave.len() / 2;
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 50;
-        durable.journal.sync_every = 16;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events[..kill_at]);
-        assert!(
-            d.sentry().sessions().tracked() <= 4,
-            "five waves have retired"
-        );
-        // Every incident is journaled — durable, or held in the
-        // pending tail, which the crash forgets and replay raises again.
-        let journaled = d.journal().durable_incidents();
-        assert_eq!(
-            journaled + d.journal().pending_incidents() as u64,
-            d.sentry().incidents().len() as u64
-        );
-        let resume_from = d.durable_events() as usize;
-        d.simulate_crash(5);
-
-        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
-        let recovery = d.recovery().clone();
-        assert!(recovery.checkpoint_events > 0, "a checkpoint restored");
-        assert_eq!(recovery.adopted_incidents, journaled);
-        let table = d.sentry().sessions();
-        let live = table.started() - table.ended_count();
-        assert!(live <= 4);
-        assert!(table.tracked() as u64 <= live + recovery.replayed_events);
-        let mut ledger = feed(&mut d, &events[resume_from..]);
-        let back = d.drain().unwrap();
-        ledger.check_settled(&d, back);
-        assert_eq!(keys(d.sentry()), expect);
-        assert_eq!(
-            d.sentry().sessions().tracked(),
-            0,
-            "all exited, all retired"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// One seeded feed through every kind of call, the acknowledgement
-    /// contract checked after each: automatic checkpoints and batch
-    /// syncs along the way, then an explicit drain and checkpoint.
-    #[test]
-    fn incidents_come_back_once_and_only_after_they_are_durable() {
-        let dir = tmpdir("ledger");
-        let wave = workload(5, 30);
-        let events: Vec<ProcessEvent> = (0..4).flat_map(|_| wave.clone()).collect();
-        let expect = oracle(&events);
-        assert!(expect.len() >= 4);
-
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 150;
-        durable.journal.sync_every = 24;
-        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
-        let mut ledger = feed(&mut d, &events);
-        let back = d.drain().unwrap();
-        ledger.check_settled(&d, back);
-        let back = d.checkpoint().unwrap();
-        assert!(back.is_empty(), "the drain left nothing to hand back");
-        ledger.check_settled(&d, back);
-        assert_eq!(ledger.handed_back.len(), expect.len());
-        assert_eq!(keys(d.sentry()), expect);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// Feeds `events` (a poll every 16) until a call leaves an incident
     /// held: framed into the journal's pending tail, not durable, not
     /// handed back. Returns how many events went in.
@@ -1328,52 +881,6 @@ mod tests {
             }
         }
         panic!("the workload raises incidents");
-    }
-
-    /// The crash window group commit widens: an incident raised but not
-    /// yet synced is forgotten by the crash, so recovery raises it
-    /// again — once — and the final set is still the oracle's.
-    #[test]
-    fn crash_while_an_incident_is_held_raises_it_again_exactly_once() {
-        let dir = tmpdir("held-crash");
-        let events = workload(6, 40);
-        let expect = oracle(&events);
-
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 0;
-        // Polls fall right after a batch sync, so what one raises waits
-        // for the next batch.
-        durable.journal.sync_every = 16;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        let fed = feed_until_held(&mut d, &events);
-        let held: Vec<u64> = d.sentry().incidents().iter().map(|i| i.sid).collect();
-        assert_eq!(d.journal().durable_incidents(), 0);
-        assert_eq!(d.journal().pending_incidents(), held.len());
-        let resume_from = d.durable_events() as usize;
-        assert!(resume_from <= fed);
-        d.simulate_crash(0);
-
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        assert_eq!(
-            d.recovery().adopted_incidents,
-            0,
-            "the crash forgot the held record"
-        );
-        let mut ledger = feed(&mut d, &events[resume_from..]);
-        let back = d.drain().unwrap();
-        ledger.check_settled(&d, back);
-        assert_eq!(keys(d.sentry()), expect, "no incident lost, none invented");
-        for sid in held {
-            let raised = d.sentry().incidents().iter().filter(|i| i.sid == sid);
-            assert_eq!(raised.count(), 1, "session {sid} raised again exactly once");
-        }
-        drop(d);
-
-        // The journal holds one record per incident.
-        let d = DurableSentry::open(engine(), config(), durable).unwrap();
-        assert_eq!(d.recovery().adopted_incidents, expect.len() as u64);
-        assert_eq!(d.recovery().duplicate_incidents, 0);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Hand-back is bounded in wall time at any event rate: with the
@@ -1626,7 +1133,10 @@ mod tests {
         assert!(report.checkpoint_discarded());
         assert_eq!(report.replayed_events, events.len() as u64);
         assert_eq!(report.adopted_incidents, 1);
-        assert_eq!(keys(d.sentry()), oracle(&events));
+        assert_eq!(
+            keys(d.sentry()),
+            keys(&Sentry::uninterrupted(engine(), config(), &events, 16))
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1636,14 +1146,7 @@ mod tests {
     #[test]
     fn a_deeply_nested_checkpoint_is_invalid_not_a_crash() {
         let dir = tmpdir("deep-nesting");
-        let events = workload(4, 30);
-        let expect = oracle(&events);
-        let mut durable = DurableConfig::new(&dir);
-        durable.checkpoint_every_events = 40;
-        let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
-        feed(&mut d, &events);
-        d.drain().unwrap();
-        drop(d);
+        let (durable, events, expect) = checkpointed_run(&dir);
         let ckpt = dir.join("checkpoint.snap");
         write_body(&ckpt, &[b'['; 100_000]);
         assert!(matches!(read_checkpoint(&ckpt), CheckpointRead::Invalid));
@@ -1671,38 +1174,5 @@ mod tests {
             serde_json::to_string(&again).unwrap(),
             "snapshot → restore → snapshot must be a fixed point"
         );
-    }
-
-    /// The monotone-dedup watermark must survive a checkpoint: events
-    /// before the checkpoint are never replayed, so if the watermark
-    /// were volatile, a duplicate frame re-sent across the crash would
-    /// be ingested twice.
-    #[test]
-    fn dedup_watermark_survives_checkpoint_and_crash() {
-        let dir = tmpdir("dedup-watermark");
-        let mut cfg = config();
-        cfg.dedup_monotone_ts = true;
-        let durable = DurableConfig::new(&dir);
-
-        let mut d = DurableSentry::open(engine(), cfg.clone(), durable.clone()).unwrap();
-        d.ingest(&ProcessEvent::api(10, 1, 3)).unwrap();
-        d.ingest(&ProcessEvent::api(11, 1, 5)).unwrap();
-        d.checkpoint().unwrap();
-        d.simulate_crash(0);
-
-        let mut d = DurableSentry::open(engine(), cfg, durable).unwrap();
-        assert_eq!(d.recovery().checkpoint_events, 2);
-        // The at-least-once producer re-sends the last frame.
-        d.ingest(&ProcessEvent::api(11, 1, 5)).unwrap();
-        let stats = d.sentry().stats();
-        assert_eq!(stats.dup_events, 1, "watermark crossed the crash");
-        let calls: u64 = d
-            .sentry()
-            .sessions()
-            .sessions()
-            .map(|s| s.calls_seen())
-            .sum();
-        assert_eq!(calls, 2, "the re-sent frame was not ingested twice");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -21,7 +21,9 @@
 //! ```
 //!
 //! A name past its length field is cut at a character boundary, so every
-//! payload the encoder writes decodes. The decoder treats the stream as
+//! payload the encoder writes decodes. [`write_frame`] refuses a payload
+//! over [`MAX_FRAME_LEN`] before it writes a byte, so every frame it
+//! writes is one [`read_frame`] takes. The decoder treats the stream as
 //! *untrusted* and is the encoder's inverse and nothing more: a corrupt
 //! length prefix, an unknown tag, a truncated body, invalid UTF-8 or a
 //! byte left over is a typed [`WireError`], never a panic and never an
@@ -190,11 +192,17 @@ pub fn encode_payload(event: &ProcessEvent, out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes one event as a frame onto `w`.
+/// Encodes one event as a frame onto `w`. A payload over
+/// [`MAX_FRAME_LEN`] — a spawn whose name is longer than a reader takes
+/// — is [`WireError::Oversize`] before a byte is written, so every frame
+/// this writes is one [`read_frame`] reads.
 pub fn write_frame<W: Write>(w: &mut W, event: &ProcessEvent) -> Result<(), WireError> {
     let mut payload = Vec::with_capacity(32);
     encode_payload(event, &mut payload);
-    let len = u32::try_from(payload.len()).map_err(|_| WireError::Oversize(payload.len()))?;
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(WireError::Oversize(payload.len()));
+    }
+    let len = payload.len() as u32;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(&payload)?;
     Ok(())
@@ -411,6 +419,18 @@ mod tests {
             Err(WireError::Trailing)
         ));
         assert!(matches!(decode_payload(&payload), Err(WireError::Trailing)));
+    }
+
+    #[test]
+    fn a_frame_the_reader_would_refuse_is_never_written() {
+        // 5,015 payload bytes: over the 4,096 a reader takes.
+        let event = ProcessEvent::spawn(1, 2, &"x".repeat(5_000));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            write_frame(&mut buf, &event),
+            Err(WireError::Oversize(5015))
+        ));
+        assert!(buf.is_empty(), "nothing written");
     }
 
     #[test]

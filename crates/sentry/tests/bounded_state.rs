@@ -9,11 +9,10 @@
 //! incident, however long the file has grown in front of them.
 
 use std::fs;
-use std::path::PathBuf;
 
 mod common;
 
-use common::{engine, VOCAB};
+use common::{engine, sends, tmpdir, Op, World, VOCAB};
 use csd_sentry::{
     DurableConfig, DurableSentry, ProcessEvent, RecoveryReport, Sentry, SentryConfig,
 };
@@ -130,9 +129,7 @@ fn run_volatile(events: &[ProcessEvent]) -> Held {
 }
 
 fn run_durable(events: &[ProcessEvent], tag: &str) -> Held {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("csd-bounded-{}-{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    let dir = tmpdir(tag);
     let mut durable = DurableConfig::new(&dir);
     // The run is about state, not fsync: batch what may be batched.
     durable.journal.sync_every = 4096;
@@ -153,8 +150,6 @@ fn run_durable(events: &[ProcessEvent], tag: &str) -> Held {
             .expect("checkpoint written")
             .len() as usize,
     };
-    drop(sentry);
-    let _ = fs::remove_dir_all(&dir);
     held
 }
 
@@ -192,14 +187,7 @@ fn loss_of_retired_sessions_still_adds_up_to_the_mux_totals() {
     // The ten streams submit a window per five events, a poll comes
     // every 16, and the queue holds one: most windows are evicted.
     config.mux.max_pending = 1;
-    let mut sentry = Sentry::new(engine(), config);
-    for e in &churn(200) {
-        sentry.ingest(e);
-        if sentry.events().is_multiple_of(POLL_EVERY) {
-            sentry.poll();
-        }
-    }
-    sentry.drain();
+    let sentry = Sentry::uninterrupted(engine(), config, &churn(200), POLL_EVERY as usize);
     let mux = sentry.stats().mux;
     assert!(mux.evicted > 0, "the bound never bit: {mux:?}");
     let retired = sentry.retired_loss();
@@ -247,56 +235,39 @@ struct Reopened {
 }
 
 /// `events` through a durable sentry on the service cadence, a
-/// checkpoint, [`TAIL`] more calls, a crash that keeps every byte of
-/// them, and the reopen.
+/// checkpoint, [`TAIL`] more calls with no poll, a crash that keeps
+/// every byte of them, and the reopen: a world of the crash world, held
+/// to its checker.
 fn crash_and_reopen(config: SentryConfig, events: &[ProcessEvent], tag: &str) -> Reopened {
     /// Calls ingested past the checkpoint, spread over the live
     /// processes: ten each, so every one of them closes a window there.
     const TAIL: usize = 100;
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("csd-bounded-{}-{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let mut durable = DurableConfig::new(&dir);
-    durable.journal.sync_every = 4096;
-    durable.checkpoint_every_events = 0;
-    let journal_len = || {
-        fs::metadata(dir.join("journal.log"))
-            .expect("journal")
-            .len()
-    };
-    let mut sentry = DurableSentry::open(engine(), config.clone(), durable.clone()).expect("open");
-    for e in events {
-        sentry.ingest(e).expect("journaled ingest");
-        if sentry.sentry().events().is_multiple_of(POLL_EVERY) {
-            sentry.poll().expect("journaled poll");
-        }
-    }
-    sentry.checkpoint().expect("checkpoint");
-    let at_checkpoint = journal_len();
-    for i in 0..TAIL {
+    let mut ops = sends(events);
+    ops.extend([Op::Checkpoint, Op::Quiet]);
+    ops.extend((0..TAIL).map(|i| {
         let pid = 1000 + (i % CONCURRENCY) as u32;
-        sentry
-            .ingest(&ProcessEvent::api(0, pid, i % VOCAB))
-            .expect("journaled ingest");
-    }
+        Op::Send(ProcessEvent::api(0, pid, i % VOCAB))
+    }));
     // Every pending byte reaches the file: whole records, all valid.
-    sentry.simulate_crash(usize::MAX);
-    let journal_bytes = journal_len();
-    let checkpoint_bytes = fs::metadata(dir.join("checkpoint.snap"))
-        .expect("checkpoint written")
-        .len();
-    let sentry = DurableSentry::open(engine(), config, durable).expect("reopen");
-    let report = sentry.recovery().clone();
+    ops.push(Op::Kill(usize::MAX));
+    let world = World {
+        config,
+        poll_every: POLL_EVERY,
+        sync_every: 4096,
+        checkpoint_every_events: 0,
+        ..World::new(tag, ops)
+    };
+    let run = world.run(&world.oracle());
+    let reopen = &run.reopens[0];
+    let report = reopen.report.clone();
     assert_eq!(report.full_scan, None, "{tag}: opened at the anchor");
     assert_eq!(report.replayed_events, TAIL as u64, "{tag}");
     assert_eq!(report.journal_bytes_truncated, 0, "{tag}");
-    drop(sentry);
-    let _ = fs::remove_dir_all(&dir);
     Reopened {
         report,
-        journal_bytes,
-        tail_bytes: journal_bytes - at_checkpoint,
-        checkpoint_bytes,
+        journal_bytes: reopen.journal_bytes,
+        tail_bytes: reopen.journal_bytes - run.checkpoints[0].journal_bytes,
+        checkpoint_bytes: reopen.checkpoint_bytes.expect("checkpoint written"),
     }
 }
 

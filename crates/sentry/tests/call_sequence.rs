@@ -11,13 +11,12 @@
 //! feed keeps the overload governor's rounds, evictions and kills busy
 //! along the way.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 mod common;
 
-use common::{engine, VOCAB};
+use common::{engine, tmpdir, wave};
 use csd_sentry::{
     run_service, ActionKind, DurableConfig, DurableSentry, EventBus, Incident, ProcessEvent,
     SentryConfig, SentryStats, ServiceConfig, SupervisorPolicy,
@@ -40,37 +39,6 @@ fn config() -> SentryConfig {
     config
 }
 
-/// Twelve processes in three waves of four, calls interleaved.
-fn workload() -> Vec<ProcessEvent> {
-    let mut events = Vec::new();
-    let mut t = 0u64;
-    for wave in 0..3u32 {
-        let pids: Vec<u32> = (0..4).map(|k| 500 + wave * 4 + k).collect();
-        for &pid in &pids {
-            t += 1;
-            events.push(ProcessEvent::spawn(t, pid, "w.exe"));
-        }
-        for call in 0..120usize {
-            for &pid in &pids {
-                t += 1;
-                let token = (call * 7 + pid as usize * 5 + call / 9) % VOCAB;
-                events.push(ProcessEvent::api(t, pid, token));
-            }
-        }
-        for &pid in &pids {
-            t += 1;
-            events.push(ProcessEvent::exit(t, pid));
-        }
-    }
-    events
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("csd-call-sequence-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
 /// What the two loops must agree on: incidents in latch order, the
 /// durable cursor, and every counter (the wall-clock rate zeroed).
 fn outcome(incidents: &[Incident], durable_events: u64, stats: &SentryStats) -> String {
@@ -88,7 +56,8 @@ fn outcome(incidents: &[Incident], durable_events: u64, stats: &SentryStats) -> 
 
 #[test]
 fn loops_that_batch_the_events_differently_end_in_the_same_place() {
-    let events = workload();
+    // Three waves of four processes, calls interleaved.
+    let events: Vec<ProcessEvent> = (0..3).flat_map(|k| wave(4, 120, k)).collect();
     let service = ServiceConfig::default();
 
     // `run_service` over a bus that already holds every event: it pulls
@@ -147,6 +116,4 @@ fn loops_that_batch_the_events_differently_end_in_the_same_place() {
     );
     assert_eq!(handed_back.len(), d.sentry().incidents().len(), "each once");
     drop(d);
-    let _ = std::fs::remove_dir_all(&real_dir);
-    let _ = std::fs::remove_dir_all(&hand_dir);
 }

@@ -22,30 +22,17 @@
 //! runs ([`Observed`]), tallies from tracked sessions plus the table's
 //! retired totals, and attributions from the incident log.
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel};
-use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
+mod common;
+
+use common::{tiny_engine, VOCAB};
 use csd_sentry::{ActionKind, ProcessEvent, Sentry, SentryConfig};
 use proptest::prelude::*;
 
-const VOCAB: usize = 16;
-
-fn engine(seed: u64) -> CsdInferenceEngine {
-    let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), seed);
-    CsdInferenceEngine::new(
-        &ModelWeights::from_model(&model),
-        OptimizationLevel::FixedPoint,
-    )
-}
-
 fn config(action: ActionKind, idle: Option<u64>) -> SentryConfig {
     SentryConfig {
-        window_len: 8,
-        stride: 4,
-        votes_needed: 1,
-        vote_horizon: 1,
         action,
         idle_timeout_events: idle,
-        ..SentryConfig::default()
+        ..common::config()
     }
 }
 
@@ -146,7 +133,7 @@ fn run_script(
     idle: Option<u64>,
     script: &[Step],
 ) -> (Sentry, Observed) {
-    let mut sentry = Sentry::new(engine(seed), config(action, idle));
+    let mut sentry = Sentry::new(tiny_engine(seed), config(action, idle));
     let mut seen = Observed::default();
     for (t, step) in (1u64..).zip(script) {
         apply_step(&mut sentry, &mut seen, t, step);
@@ -301,7 +288,7 @@ proptest! {
         idle_calls in 4usize..12,
         busy_calls in 30usize..90,
     ) {
-        let mut sentry = Sentry::new(engine(seed), config(ActionKind::Log, Some(10)));
+        let mut sentry = Sentry::new(tiny_engine(seed), config(ActionKind::Log, Some(10)));
         // Session A: a burst that fills at least one window, then silence.
         for i in 0..idle_calls.max(8) {
             sentry.ingest(&ProcessEvent::api(i as u64, 1, (i * 3) % VOCAB));

@@ -8,15 +8,15 @@ use std::time::Duration;
 mod common;
 
 use common::{engine, VOCAB};
-use csd_sentry::{EventBus, ProcessEvent, Sentry, SentryConfig, SocketClient, SocketServer};
+use csd_sentry::{
+    ActionKind, EventBus, ProcessEvent, Sentry, SentryConfig, SocketClient, SocketServer,
+};
 
+/// The crash tests' sentry, logging instead of killing.
 fn config() -> SentryConfig {
     SentryConfig {
-        window_len: 8,
-        stride: 4,
-        votes_needed: 1,
-        vote_horizon: 1,
-        ..SentryConfig::default()
+        action: ActionKind::Log,
+        ..common::config()
     }
 }
 

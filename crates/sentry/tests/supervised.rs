@@ -3,85 +3,24 @@
 //! each one from the journal + checkpoint on disk, and the final
 //! incident set still matches an uninterrupted oracle run.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
 
-use common::{engine, VOCAB};
+use common::{config, engine, keys, tmpdir, wave, VOCAB};
 use csd_sentry::{
-    run_service, ActionKind, DurableConfig, EventBus, Journal, JournalConfig, ProcessEvent, Sentry,
-    SentryConfig, ServiceConfig, SupervisorPolicy,
+    run_service, DurableConfig, EventBus, Journal, JournalConfig, ProcessEvent, Sentry,
+    ServiceConfig, SupervisorPolicy,
 };
-
-fn config() -> SentryConfig {
-    SentryConfig {
-        window_len: 8,
-        stride: 4,
-        votes_needed: 1,
-        vote_horizon: 1,
-        action: ActionKind::Kill,
-        ..SentryConfig::default()
-    }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("csd-supervised-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// Interleaved multi-process workload: spawns, calls, exits.
-fn workload(n_pids: u32, calls_per: usize) -> Vec<ProcessEvent> {
-    let mut events = Vec::new();
-    let mut t = 0u64;
-    for round in 0..calls_per {
-        for pid in 0..n_pids {
-            t += 1;
-            if round == 0 {
-                events.push(ProcessEvent::spawn(t, 500 + pid, "w.exe"));
-            } else {
-                let call = ((round * 7) as u32 + pid * 3) as usize % VOCAB;
-                events.push(ProcessEvent::api(t, 500 + pid, call));
-            }
-        }
-    }
-    for pid in 0..n_pids {
-        t += 1;
-        events.push(ProcessEvent::exit(t, 500 + pid));
-    }
-    events
-}
-
-/// The identity recovery must preserve (timing-dependent fields
-/// excluded; see the durable module docs).
-fn keys(incidents: &[csd_sentry::Incident]) -> Vec<(u64, u32, usize, String)> {
-    let mut v: Vec<_> = incidents
-        .iter()
-        .map(|i| (i.sid, i.pid, i.alert.at_call, format!("{:?}", i.action)))
-        .collect();
-    v.sort();
-    v
-}
 
 #[test]
 fn supervised_loop_survives_chaos_panics_with_incident_parity() {
-    let events = workload(6, 40);
+    let events = wave(6, 39, 7);
 
     // Oracle: plain sentry, uninterrupted.
-    let expect = {
-        let mut s = Sentry::new(engine(), config());
-        for (i, e) in events.iter().enumerate() {
-            s.ingest(e);
-            if i % 16 == 0 {
-                s.poll();
-            }
-        }
-        s.drain();
-        keys(s.incidents())
-    };
+    let expect = keys(Sentry::uninterrupted(engine(), config(), &events, 16).incidents());
     assert!(!expect.is_empty(), "workload must produce incidents");
 
     let dir = tmpdir("chaos");
@@ -157,23 +96,12 @@ fn supervised_loop_survives_chaos_panics_with_incident_parity() {
         outcome.stats.sessions_started >= 6,
         "all six processes tracked"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn supervised_loop_without_chaos_matches_the_oracle_exactly() {
-    let events = workload(5, 32);
-    let expect = {
-        let mut s = Sentry::new(engine(), config());
-        for (i, e) in events.iter().enumerate() {
-            s.ingest(e);
-            if i % 16 == 0 {
-                s.poll();
-            }
-        }
-        s.drain();
-        keys(s.incidents())
-    };
+    let events = wave(5, 31, 7);
+    let expect = keys(Sentry::uninterrupted(engine(), config(), &events, 16).incidents());
 
     let dir = tmpdir("clean");
     let bus = EventBus::new(8192);
@@ -210,7 +138,6 @@ fn supervised_loop_without_chaos_matches_the_oracle_exactly() {
     assert_eq!(outcome.events_lost_to_panic, 0);
     assert_eq!(outcome.stats.events, events.len() as u64);
     assert_eq!(keys(&outcome.incidents), expect, "exact incident parity");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A quiet bus is not a detection hole: a process detonates, then the
@@ -239,7 +166,8 @@ fn quiet_bus_still_delivers_the_verdict_and_syncs_its_incident() {
     // crash would leave it, a copy of the file opened on its own —
     // and raises `stop` once the record is there or time is up.
     let host = {
-        let (stop, dir, recv_timeout) = (Arc::clone(&stop), dir.clone(), service.recv_timeout);
+        let (stop, dir, recv_timeout) =
+            (Arc::clone(&stop), dir.to_path_buf(), service.recv_timeout);
         std::thread::spawn(move || {
             assert!(producer.send(ProcessEvent::spawn(1, 900, "evil.exe")));
             for (i, &call) in calls.iter().enumerate() {
@@ -280,5 +208,4 @@ fn quiet_bus_still_delivers_the_verdict_and_syncs_its_incident() {
         journaled, 1,
         "the incident's record was on disk while the bus was idle and the loop still running"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
