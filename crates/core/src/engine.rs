@@ -41,6 +41,33 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
+/// FNV-1a (64-bit) over the little-endian bytes of what an engine at
+/// `level` serves from `w`: its arithmetic, its dimensions and its
+/// weights' float bits, of which the fixed-point weights are a function.
+fn served_digest(w: &QuantizedWeights, level: OptimizationLevel) -> u64 {
+    let d = w.dims();
+    let mut words = vec![
+        u64::from(level.is_fixed_point()),
+        d.vocab as u64,
+        d.embed as u64,
+        d.hidden as u64,
+    ];
+    let mut bits = |xs: &[f64]| words.extend(xs.iter().map(|x| x.to_bits()));
+    bits(w.embedding_f64.as_flat());
+    for (gate_w, gate_b) in w.gate_w_f64.iter().zip(&w.gate_b_f64) {
+        bits(gate_w.as_flat());
+        bits(gate_b.as_slice());
+    }
+    bits(w.fc_w_f64.as_slice());
+    bits(&[w.fc_b_f64]);
+    words
+        .iter()
+        .flat_map(|x| x.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 /// The outcome of classifying one sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Classification {
@@ -76,6 +103,8 @@ struct EngineCore {
     /// not fit this host and `H`, or the exactness proof fails; every
     /// window then runs the per-CU loop, bit-identical anyway).
     pack: Option<LaneGatesFx>,
+    /// [`CsdInferenceEngine::model_digest`], taken once at construction.
+    digest: u64,
 }
 
 /// The CSD-resident classifier.
@@ -104,8 +133,13 @@ impl CsdInferenceEngine {
                 )
             })
             .flatten();
+        let digest = served_digest(&weights, level);
         Self {
-            core: Arc::new(EngineCore { weights, pack }),
+            core: Arc::new(EngineCore {
+                weights,
+                pack,
+                digest,
+            }),
             level,
             path: GatePath::Fused,
         }
@@ -125,6 +159,15 @@ impl CsdInferenceEngine {
     /// The ingested (and quantized) weights.
     pub fn weights(&self) -> &QuantizedWeights {
         &self.core.weights
+    }
+
+    /// A digest of what this engine serves: its arithmetic, its
+    /// dimensions and its weights. Engines with one digest classify
+    /// every sequence alike; a retrained model or a move between fixed
+    /// point and float changes it. Taken once, when the engine is built,
+    /// so a clone reads it for free.
+    pub fn model_digest(&self) -> u64 {
+        self.core.digest
     }
 
     /// Allocates scratch sized for this engine's model, for use with
@@ -385,6 +428,20 @@ mod tests {
                 "{level}"
             );
         }
+    }
+
+    #[test]
+    fn the_model_digest_follows_what_the_engine_serves() {
+        use OptimizationLevel::{FixedPoint, IiOptimized, Vanilla};
+        let digest = |seed, level| {
+            let m = SequenceClassifier::new(ModelConfig::tiny(16), seed);
+            CsdInferenceEngine::new(&ModelWeights::from_model(&m), level).model_digest()
+        };
+        let fixed = digest(9, FixedPoint);
+        assert_eq!(fixed, digest(9, FixedPoint), "one model, one digest");
+        assert_ne!(fixed, digest(77, FixedPoint), "a retrained model");
+        assert_ne!(fixed, digest(9, Vanilla), "fixed point against float");
+        assert_eq!(digest(9, Vanilla), digest(9, IiOptimized), "one float loop");
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl SmartSsd {
         self.faults.take()
     }
 
-    /// `true` when a fault plan is armed.
-    pub fn faults_armed(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Faults injected so far (zeroed counters when no plan is armed).
     pub fn fault_counters(&self) -> FaultCounters {
         self.faults

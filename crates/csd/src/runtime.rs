@@ -653,8 +653,11 @@ mod tests {
         let _ = rt.migrate_to_device(buf); // burns link time, counts a fault
         rt.advance(Nanos::from_micros(10.0));
         let (device, elapsed) = rt.release();
-        assert!(device.faults_armed(), "plan survives teardown");
-        assert_eq!(device.fault_counters().corruptions, 1);
+        assert_eq!(
+            device.fault_counters().corruptions,
+            1,
+            "plan survives teardown"
+        );
         let rt2 = DeviceRuntime::new_at(device, elapsed + Nanos::from_micros(400.0));
         assert!(rt2.now() > elapsed);
     }

@@ -113,9 +113,9 @@ impl ChaosConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaosOp {
     /// Hand this frame to the ingest path. Every `Deliver` corresponds
-    /// to exactly one journal append on the consumer, which is what
-    /// makes [`ChaosSchedule::index_after_delivery`] a valid resume
-    /// cursor.
+    /// to exactly one journal append on the consumer, so a consumer
+    /// whose journal holds `n` durable events resumes after the `n`th
+    /// `Deliver`.
     Deliver(TraceEvent),
     /// A producer connection dropped and reconnected. The conservative
     /// re-send of its last frame follows as an ordinary `Deliver`.
@@ -124,8 +124,8 @@ pub enum ChaosOp {
     /// events, building real backlog.
     Delay(u64),
     /// The consumer process dies here (`kill -9`). The driver crashes
-    /// the durable sentry, reopens it, and rewinds its cursor to
-    /// [`ChaosSchedule::index_after_delivery`]\(durable_events).
+    /// the durable sentry, reopens it, and rewinds its cursor to the op
+    /// after the last `Deliver` the journal holds.
     Kill,
 }
 
@@ -271,36 +271,6 @@ impl ChaosSchedule {
 
         Self { ops, counters }
     }
-
-    /// Frames delivered over the whole schedule (duplicates included).
-    pub fn deliveries(&self) -> u64 {
-        self.counters.delivered
-    }
-
-    /// The op index immediately after the `n`th delivery (1-based), or
-    /// `0` for `n == 0`. This is the resume cursor: after a kill, a
-    /// consumer whose journal holds `n` durable events continues from
-    /// `ops[index_after_delivery(n)..]` — re-delivering exactly the
-    /// frames whose journal records were lost with the unsynced tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds [`deliveries`](Self::deliveries).
-    pub fn index_after_delivery(&self, n: u64) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        let mut seen = 0u64;
-        for (i, op) in self.ops.iter().enumerate() {
-            if matches!(op, ChaosOp::Deliver(_)) {
-                seen += 1;
-                if seen == n {
-                    return i + 1;
-                }
-            }
-        }
-        panic!("cursor {n} past the schedule's {seen} deliveries");
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +314,7 @@ mod tests {
         let t = trace();
         let s = ChaosSchedule::plan(&t, 1, &ChaosConfig::none());
         assert_eq!(s.counters.total(), 0);
-        assert_eq!(s.deliveries(), t.len() as u64);
+        assert_eq!(s.counters.delivered, t.len() as u64);
         let frames: Vec<TraceEvent> = delivered(&s).into_iter().cloned().collect();
         assert_eq!(frames, t.events);
     }
@@ -411,23 +381,6 @@ mod tests {
         let s = ChaosSchedule::plan(&t, 2, &cfg);
         assert_eq!(s.counters.kills, 0);
         assert!(s.ops.iter().all(|op| !matches!(op, ChaosOp::Kill)));
-    }
-
-    #[test]
-    fn resume_cursor_maps_durable_counts_to_op_indices() {
-        let t = trace();
-        let s = ChaosSchedule::plan(&t, 4, &ChaosConfig::uniform(0.15).with_kills(vec![7]));
-        assert_eq!(s.index_after_delivery(0), 0);
-        // Replaying ops[cursor..] after n durable events must deliver
-        // exactly deliveries() - n frames, for every n.
-        for n in 0..=s.deliveries() {
-            let cursor = s.index_after_delivery(n);
-            let rest = s.ops[cursor..]
-                .iter()
-                .filter(|op| matches!(op, ChaosOp::Deliver(_)))
-                .count() as u64;
-            assert_eq!(rest, s.deliveries() - n, "cursor for n={n}");
-        }
     }
 
     #[test]

@@ -70,9 +70,16 @@ pub enum ActionOutcome {
     /// No backend intervention was attempted: log-only action,
     /// whitelist suppression, or the session had already exited.
     NotAttempted,
-    /// The backend applied the action; the string is its receipt
-    /// (e.g. the sandbox path a quarantined image was moved to).
-    Applied(String),
+    /// The backend applied the action.
+    Applied {
+        /// The backend's receipt (e.g. the sandbox path a quarantined
+        /// image was moved to).
+        receipt: String,
+        /// The session's [`calls_seen`](crate::Session::calls_seen)
+        /// when the action took effect: its later calls are dropped,
+        /// and recovery stops the session at the same call.
+        calls_seen: u64,
+    },
     /// The backend failed; the string is the error. The incident still
     /// latches — a failed response is forensic signal, not silence.
     Failed(String),

@@ -61,8 +61,8 @@
 //! The anchor is an optimisation, never information. A checkpoint still
 //! holds nothing the journal lacks: delete it and `open` reaches the
 //! same incidents, cursors and counters by scanning and replaying the
-//! whole journal ([`Journal::open`]: the same anchored open, from the
-//! anchor at the journal's magic, untouched) — the property
+//! whole journal (the same anchored open, from the anchor at the end of
+//! the journal's head, untouched) — the property
 //! `tests/proptest_crash.rs` checks at every crash it generates. That
 //! full scan is what `open` falls back to, and says so in
 //! [`RecoveryReport::full_scan`], whenever there is no anchor to use:
@@ -98,21 +98,26 @@
 //! time or re-dispatch their backend action — the never-reused session
 //! id is the dedup key. A session the checkpoint holds is latched at
 //! adoption; one that replay is yet to create is latched the moment
-//! replay creates it, and either is marked killed if the incident's
-//! kill or quarantine applied. An incident whose session had already
+//! replay creates it. If the incident's kill or quarantine applied,
+//! either is marked killed at the call where it took effect — the
+//! incident records the session's call count then — so replay drops
+//! and tallies the calls the run that applied it dropped, and no
+//! others. An incident whose session had already
 //! retired at the checkpoint rejoins the log only: its id is spent and
 //! replay cannot touch it.
+//!
+//! All of this holds only for the model and the config that wrote the
+//! state: another model classifies the replayed windows otherwise, and
+//! another window, stride or vote rule slices and folds them otherwise,
+//! so a state and a sentry that are not of one [`StateId`] would mix two
+//! histories. `open` refuses such a directory before it changes a byte
+//! ([`JournalError::ForeignState`]).
 //!
 //! What recovery does *not* preserve: the latency histograms (run
 //! telemetry), and the `post_exit` flag / backend outcome of an
 //! incident may differ from the uninterrupted run when a crash changes
 //! fold timing relative to a session's exit — the detection itself
-//! (sid, window, verdict, action kind) is invariant. Nor does it keep
-//! the call at which an applied kill took effect: the incident does not
-//! record it, so a session whose kill is adopted before replay creates
-//! it is killed from its first replayed event, and every replayed call
-//! of it is dropped and tallied (`dropped_after_kill`), where the run
-//! that raised the incident took the calls before its verdict. Nor does it
+//! (sid, window, verdict, action kind) is invariant. Nor does it
 //! remember an incident that was raised but whose record had not been
 //! synced when the crash came: its action was dispatched at the fold,
 //! the crash forgets the record, replay raises the incident again and
@@ -153,12 +158,65 @@ use crate::codec::{crc32, Fields};
 use crate::event::ProcessEvent;
 use crate::journal::{AnchorRefused, Journal, JournalConfig, JournalError};
 use crate::service::{Sentry, SentryConfig};
-use crate::snapshot::{SentrySnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::SentrySnapshot;
 use csd_accel::CsdInferenceEngine;
 
-/// Magic bytes opening a checkpoint file. The body's layout is
-/// versioned apart from it, by [`SNAPSHOT_VERSION`].
+/// Magic bytes opening a checkpoint file. The body's layout is named
+/// apart from it, by the [`StateId`] the body carries.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CSDSNAP1";
+
+/// The layout of the durable state — the journal's records and the
+/// checkpoint's body together. A change to either bumps it, which
+/// changes every [`StateId`], so a directory an older build wrote is
+/// refused rather than misread.
+const STATE_FORMAT: u64 = 1;
+
+/// What a durable state is the state *of*: an FNV-1a digest of the
+/// format, of the model the engine serves
+/// ([`CsdInferenceEngine::model_digest`]) and of every [`SentryConfig`]
+/// field the incident set depends on — window, stride, votes, horizon,
+/// idle timeout, action, dedup, staleness SLO and the mux's
+/// `max_pending`. The mux's `shards` are left out: they split a serving
+/// call over threads and never change a verdict.
+///
+/// `journal.log`'s head and `checkpoint.snap`'s body each carry it once,
+/// and [`DurableSentry::open`] refuses a directory whose files name
+/// another ([`JournalError::ForeignState`]). A deliberate change of
+/// model or config is therefore an explicit step: drain and checkpoint
+/// under the old one, then start the new one in a fresh directory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StateId(pub u64);
+
+impl StateId {
+    /// The id of the state a sentry over `engine` under `config` writes.
+    pub fn of(engine: &CsdInferenceEngine, config: &SentryConfig) -> Self {
+        let optional = |x: Option<u64>| x.map_or([0, 0], |v| [1, v]);
+        let words = [
+            &[
+                STATE_FORMAT,
+                engine.model_digest(),
+                config.window_len as u64,
+                config.stride as u64,
+                config.votes_needed as u64,
+                config.vote_horizon as u64,
+                config.action as u64,
+                u64::from(config.dedup_monotone_ts),
+                config.mux.max_pending as u64,
+            ][..],
+            &optional(config.idle_timeout_events),
+            &optional(config.staleness_slo),
+        ]
+        .concat();
+        Self(
+            words
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                }),
+        )
+    }
+}
 
 /// How long a raised incident may wait for the event batch's sync
 /// before a call forces one for it: the bound, in wall time and at any
@@ -237,14 +295,14 @@ pub struct RecoveryReport {
     /// the checkpoint's anchor.
     pub full_scan: Option<FullScan>,
     /// Journal bytes `open` read: the file's length on a full scan; from
-    /// an anchor, the magic, the record ending at the anchor, the
+    /// an anchor, the head, the record ending at the anchor, the
     /// digests behind it and the bytes past the anchor.
     pub journal_bytes_scanned: u64,
     /// Of the adopted incidents, those read from the digests the anchor
     /// leads to instead of scanned (0 on a full scan).
     pub chained_incidents: u64,
     /// Positional reads of the journal `open` made before its scan: the
-    /// magic, and from an anchor the record ending there and one per
+    /// head, and from an anchor the record ending there and one per
     /// digest behind it — the digests plus one when the record at the
     /// anchor is the newest digest, whatever the number of incidents.
     pub journal_reads: u64,
@@ -252,7 +310,7 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// A checkpoint file existed but was not used: it could not be
-    /// read, failed validation (bad magic, CRC, body, version or no
+    /// read, failed validation (bad magic, CRC, body or no
     /// anchor), or its anchor did not describe the journal — recovery
     /// fell back to full journal replay. [`full_scan`](Self::full_scan)
     /// says which.
@@ -295,9 +353,16 @@ impl DurableSentry {
     /// and replayed from its first event if the checkpoint is missing,
     /// invalid or does not fit the journal —
     /// [`RecoveryReport::full_scan`] says which), torn-tail truncation,
-    /// incident re-adoption, and event replay. `config` must be the
-    /// config the previous incarnation ran under — it travels with the
-    /// deployment, not the state files.
+    /// incident re-adoption, and event replay.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::ForeignState`] if the journal's head or a valid
+    /// checkpoint names another [`StateId`] than `engine` and `config`
+    /// make: the directory was written under another model or detection
+    /// config (or an older format), and is left byte for byte as it was.
+    /// [`JournalError::BadMagic`] if `journal.log` is not a journal, and
+    /// `Io` if a file operation fails.
     pub fn open(
         engine: CsdInferenceEngine,
         config: SentryConfig,
@@ -307,10 +372,27 @@ impl DurableSentry {
         let journal_path = durable.dir.join("journal.log");
         let checkpoint_path = durable.dir.join("checkpoint.snap");
 
+        // Identity before anything else: each file names the state it
+        // belongs to, and one comparison decides for both, before a
+        // byte is cut or an incident adopted. A checkpoint that fails
+        // validation names nothing.
+        let expected = StateId::of(&engine, &config);
+        let checkpoint = read_checkpoint(&checkpoint_path);
+        let named = [
+            Journal::head(&journal_path)?,
+            match &checkpoint {
+                CheckpointRead::Valid(snap) => Some(StateId(snap.state)),
+                CheckpointRead::Absent | CheckpointRead::Invalid => None,
+            },
+        ];
+        if let Some(found) = named.into_iter().flatten().find(|&id| id != expected) {
+            return Err(JournalError::ForeignState { found, expected });
+        }
+
         // The checkpoint first: its anchor says where in the journal to
         // start. An anchor the journal refuses takes its checkpoint
         // down with it — they are not of one history.
-        let (anchored, full_scan) = match read_checkpoint(&checkpoint_path) {
+        let (anchored, full_scan) = match checkpoint {
             CheckpointRead::Valid(snap) => {
                 match Journal::open_at(&journal_path, durable.journal, &snap.journal, snap.events)?
                 {
@@ -323,7 +405,10 @@ impl DurableSentry {
         };
         let (snapshot, (journal, recovered)) = match anchored {
             Some((snap, opened)) => (Some(snap), opened),
-            None => (None, Journal::open(&journal_path, durable.journal)?),
+            None => (
+                None,
+                Journal::open_as(&journal_path, durable.journal, expected)?,
+            ),
         };
         let mut report = RecoveryReport {
             journal_bytes_truncated: recovered.bytes_truncated,
@@ -559,8 +644,8 @@ pub enum CheckpointRead {
     Absent,
     /// A file [`DurableSentry::open`] would discard: unreadable, a wrong
     /// magic, a failed CRC, a body that does not parse (a field
-    /// missing among them), another [`SNAPSHOT_VERSION`], or no journal
-    /// anchor.
+    /// missing among them, as the [`StateId`] is from a body an older
+    /// build wrote), or no journal anchor.
     Invalid,
     /// A checkpoint `open` would start from.
     Valid(Box<SentrySnapshot>),
@@ -568,10 +653,11 @@ pub enum CheckpointRead {
 
 /// Decodes the checkpoint file at `path` (`checkpoint.snap` under a
 /// durable directory) with every check [`DurableSentry::open`] applies
-/// before it asks the journal about the anchor: magic, CRC-32 of the
-/// body, the JSON [`SentrySnapshot`], its version and a nonzero anchor.
-/// The one decoder of the format; its magic and CRC envelope are read
-/// with the field reader the journal and the wire use.
+/// to it alone: magic, CRC-32 of the body, the JSON [`SentrySnapshot`]
+/// and a nonzero anchor. Whether its [`StateId`] is the sentry's is
+/// `open`'s to decide, with the journal's. The one decoder of the
+/// format; its magic and CRC envelope are read with the field reader
+/// the journal and the wire use.
 pub fn read_checkpoint(path: &Path) -> CheckpointRead {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
@@ -595,7 +681,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<SentrySnapshot> {
         return None;
     }
     let snap: SentrySnapshot = serde_json::from_str(std::str::from_utf8(file.0).ok()?).ok()?;
-    (snap.version == SNAPSHOT_VERSION && snap.journal.offset != 0).then_some(snap)
+    (snap.journal.offset != 0).then_some(snap)
 }
 
 /// Atomic checkpoint write: temp file, fsync, rename over the old
@@ -646,12 +732,16 @@ mod tests {
 
     const VOCAB: usize = 16;
 
-    fn engine() -> CsdInferenceEngine {
-        let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), 9);
+    fn tiny_engine(seed: u64) -> CsdInferenceEngine {
+        let model = SequenceClassifier::new(ModelConfig::tiny(VOCAB), seed);
         CsdInferenceEngine::new(
             &ModelWeights::from_model(&model),
             OptimizationLevel::FixedPoint,
         )
+    }
+
+    fn engine() -> CsdInferenceEngine {
+        tiny_engine(9)
     }
 
     fn config() -> SentryConfig {
@@ -866,6 +956,91 @@ mod tests {
         let _ = fs::remove_dir_all(&other_dir);
     }
 
+    /// Every file in `dir`, by name, byte for byte.
+    fn contents(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|f| {
+                let f = f.unwrap();
+                (f.file_name(), fs::read(f.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A sentry over `other` under `other_config` is refused the
+    /// directory [`checkpointed_run`] leaves, with both ids and before a
+    /// byte of it changes; so is a directory holding either of its files
+    /// alone.
+    fn assert_foreign(tag: &str, other: CsdInferenceEngine, other_config: SentryConfig) {
+        let dir = tmpdir(tag);
+        checkpointed_run(&dir);
+        let found = StateId::of(&engine(), &config());
+        let expected = StateId::of(&other, &other_config);
+        assert_ne!(found, expected);
+        let alone = tmpdir(&format!("{tag}-alone"));
+        for keep in [None, Some("journal.log"), Some("checkpoint.snap")] {
+            let at = match keep {
+                None => &dir,
+                Some(file) => {
+                    let _ = fs::remove_dir_all(&alone);
+                    fs::create_dir_all(&alone).unwrap();
+                    fs::copy(dir.join(file), alone.join(file)).unwrap();
+                    &alone
+                }
+            };
+            let before = contents(at);
+            let opened =
+                DurableSentry::open(other.clone(), other_config.clone(), DurableConfig::new(at));
+            assert!(
+                matches!(opened, Err(JournalError::ForeignState { found: f, expected: e })
+                    if (f, e) == (found, expected)),
+                "{keep:?}: {:?}",
+                opened.map(|d| d.recovery().clone())
+            );
+            assert_eq!(contents(at), before, "{keep:?}: refused untouched");
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&alone);
+    }
+
+    /// A retrained model does not reopen the state the old one wrote: run
+    /// on, it would fold its verdicts into the old model's vote rings.
+    #[test]
+    fn a_reopen_under_a_retrained_model_is_refused_untouched() {
+        assert_foreign("retrained", tiny_engine(77), config());
+    }
+
+    /// Nor does another window, stride or vote rule: the checkpoint's
+    /// window cursors and vote rings are the old config's.
+    #[test]
+    fn a_reopen_under_another_detection_config_is_refused_untouched() {
+        let other = SentryConfig {
+            window_len: 12,
+            stride: 6,
+            votes_needed: 2,
+            vote_horizon: 3,
+            ..config()
+        };
+        assert_foreign("reconfigured", engine(), other);
+    }
+
+    /// The mux's shards change no verdict and are no part of the state's
+    /// identity: a reopen with another shard count starts at the
+    /// checkpoint's anchor and reaches the uninterrupted run's incidents.
+    #[test]
+    fn a_reopen_with_other_shards_opens_from_the_anchor() {
+        let dir = tmpdir("shards");
+        let (durable, _, expect) = checkpointed_run(&dir);
+        let mut sharded = config();
+        sharded.mux.shards = Some(2);
+        let d = DurableSentry::open(engine(), sharded, durable).unwrap();
+        assert_eq!(d.recovery().full_scan, None);
+        assert_eq!(keys(d.sentry()), expect);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// Feeds `events` (a poll every 16) until a call leaves an incident
     /// held: framed into the journal's pending tail, not durable, not
     /// handed back. Returns how many events went in.
@@ -955,8 +1130,9 @@ mod tests {
             events.push(ProcessEvent::exit(t, pid));
         }
         let mut live = Sentry::new(engine(), config());
+        let state = StateId::of(&engine(), &config());
         let (mut journal, _) =
-            Journal::open(&dir.join("journal.log"), JournalConfig::default()).unwrap();
+            Journal::open_as(&dir.join("journal.log"), JournalConfig::default(), state).unwrap();
         for e in &events[..served] {
             live.ingest(e);
             journal.append_event(e).unwrap();
@@ -1026,9 +1202,9 @@ mod tests {
     /// writes it — magic, CRC-32 of the body, JSON body — pinned, so a
     /// directory an earlier build of the format wrote opens unchanged,
     /// and a serializer change that moves a byte fails here.
-    const GOLDEN_CHECKPOINT_CRC: u32 = 0x97c4_3606;
+    const GOLDEN_CHECKPOINT_CRC: u32 = 0x2f91_d437;
     const GOLDEN_CHECKPOINT: &str = concat!(
-        r#"{"version":3,"events":38,"verdicts_folded":3,"#,
+        r#"{"state":12187428905404245240,"events":38,"verdicts_folded":3,"#,
         r#""whitelist_exact":["svc.exe"],"whitelist_prefixes":["C:\\Windows\\"],"#,
         r#""table":{"next_sid":5,"clock":38,"started":4,"ended":1,"#,
         r#""dropped_after_kill":0,"stray_exits":0,"oov_total":0,"retired_calls":11,"#,
@@ -1043,8 +1219,8 @@ mod tests {
         r#""calls_seen":1,"oov":0,"killed":false,"ended":0,"started_at":38,"#,
         r#""last_event":38,"submitted":0,"ring":0,"verdicts":0,"latched":false,"#,
         r#""shed":false}]},"last_t_us":[[7,1000],[100,37],[101,35],[102,36]],"#,
-        r#""dup_events":0,"shed_sessions":0,"journal":{"offset":1131,"incidents":1,"#,
-        r#""last_record":1058,"digest":1058,"digest_len":65}}"#,
+        r#""dup_events":0,"shed_sessions":0,"journal":{"offset":1155,"incidents":1,"#,
+        r#""last_record":1074,"digest":1074,"digest_len":73}}"#,
     );
 
     /// The checkpoint the golden run wrote in the format's first

@@ -10,9 +10,11 @@
 //!
 //! # Record format
 //!
-//! The file opens with an 8-byte magic (`CSDJRNL4`) and then holds
-//! back-to-back records, each framed with the same discipline as the
-//! socket protocol in [`event`](crate::event):
+//! The file opens with a 16-byte head — the magic [`JOURNAL_MAGIC`],
+//! then the [`StateId`] of the sentry that writes it, u64 little-endian,
+//! read in one read — and then holds back-to-back records, each framed
+//! with the same discipline as the socket protocol in
+//! [`event`](crate::event):
 //!
 //! ```text
 //! ┌────────────┬─────────────┬───────┬──────────────────────┐
@@ -40,7 +42,8 @@
 //!       36      1  action        0 Logged · 1 Killed · 2 Quarantined · 3 Suppressed
 //!       37      1  post_exit     0 · 1
 //!       38      1  outcome       0 NotAttempted · 1 Applied · 2 Failed
-//!       39  2 + n  name          u16 length n + UTF-8; length 0xFFFF = no name
+//!       39      8  calls_seen    u64: an Applied outcome's kill point, 0 otherwise
+//!       47  2 + n  name          u16 length n + UTF-8; length 0xFFFF = no name
 //!        …  2 + m  outcome text  u16 length m + UTF-8; empty for NotAttempted
 //! ```
 //!
@@ -75,9 +78,14 @@
 //! record. A digest decodes like an incident body: the link is none or
 //! both fields are set, the count is at least one, every body decodes,
 //! and no byte is left over. Incident records carry no link of their
-//! own; a file with an earlier magic — unlinked records (`1`), JSON
-//! bodies (`2`), per-incident back-links (`3`) — is refused like any
-//! other foreign file.
+//! own.
+//!
+//! The magic is fixed for good. Which format the records are in is part
+//! of the head's [`StateId`], with the model and the detection config,
+//! so a change of format changes the id, not the magic, and a file
+//! another format, model or config wrote is refused whole by
+//! [`DurableSentry::open`](crate::DurableSentry::open). A file with an
+//! earlier magic is refused like any other file that is not a journal.
 //!
 //! Recovery decodes one incident body per incident ever raised and
 //! replays every tail event through the sessions, so neither the body
@@ -118,9 +126,9 @@
 //! [`Journal::open`] scans the existing file record by record and
 //! truncates at the first invalid one — a torn length prefix, a length
 //! past the file end, a CRC mismatch, or an undecodable body all end
-//! the valid prefix. It is [`Journal::open_at`] from the anchor every
-//! journal has, at the end of the magic (see below); only a file
-//! shorter than the magic takes a branch of its own. Everything before it is returned for replay;
+//! the valid prefix. It is `Journal::open_at` from the anchor every
+//! journal has, at the end of the head (see below); only a file
+//! shorter than the head takes a branch of its own. Everything before it is returned for replay;
 //! everything after is counted in
 //! [`JournalRecovery::bytes_truncated`] and physically removed, so the
 //! next append extends a clean tail. This is the longest-valid-prefix
@@ -134,7 +142,7 @@
 //! The full scan costs time and memory in proportion to everything ever
 //! journaled. A checkpoint records where its journal sync left the file
 //! — a [`JournalAnchor`], returned by [`Journal::checkpoint`] — and
-//! [`Journal::open_at`] starts there. It reads back the record that
+//! `Journal::open_at` starts there. It reads back the record that
 //! ends at the anchor to see that the file still frames to it; walks
 //! the digest chain from the anchor's newest digest, one positional
 //! read and one CRC check a digest (when the newest digest is the
@@ -142,15 +150,15 @@
 //! to digest, that read is the boundary's); and then scans and, if
 //! torn, truncates only the bytes past the anchor, exactly as the full
 //! scan would. Event records before the anchor are not read at all, nor
-//! is an incident record: [`JournalRecovery::reads`] is the magic, the
+//! is an incident record: [`JournalRecovery::reads`] is the head, the
 //! boundary and one per digest behind it, whatever the number of
 //! incidents.
 //!
 //! The anchor is a hint about a file, never a source of data: whatever
 //! it claims is checked against the bytes, and one that does not hold
 //! is refused with an [`AnchorRefused`] — before anything was truncated
-//! — so the caller can fall back to [`Journal::open`]. The full scan —
-//! the same path from the magic's anchor — stays the only way in
+//! — so the caller can fall back to the full scan. That scan — the
+//! same path from the head's anchor — stays the only way in
 //! without a checkpoint and the reference an anchor is tested against.
 //!
 //! Two rules keep the chain equal to the anchor's count. Incidents
@@ -172,13 +180,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::actions::{ActionOutcome, ActionTaken, Incident};
 use crate::codec::{crc32, put_str, Fields};
+use crate::durable::StateId;
 use crate::event::{decode_payload, encode_payload, ProcessEvent};
 use csd_accel::Alert;
 
-/// Magic bytes opening every journal file (format version 4: incident
-/// records carry a fixed-layout body and no link; checkpoints leave
-/// linked incident digests).
-pub const JOURNAL_MAGIC: &[u8; 8] = b"CSDJRNL4";
+/// Magic bytes opening every journal file. Fixed for good: the
+/// format's version is part of the [`StateId`] that follows it.
+pub const JOURNAL_MAGIC: &[u8; 8] = b"CSDJRNL5";
+
+/// Bytes of a journal's head: [`JOURNAL_MAGIC`] and the [`StateId`].
+const HEAD_LEN: usize = JOURNAL_MAGIC.len() + 8;
 
 /// Upper bound on one record's `rtype + body` length: the largest
 /// record there can be, a digest of one incident whose name and outcome
@@ -196,7 +207,7 @@ const DIGEST: u8 = 2;
 
 /// Bytes of an incident body before its two strings (see the
 /// [module docs](self#record-format)).
-const INCIDENT_FIXED_LEN: usize = 8 + 4 + 8 + 8 + 8 + 3;
+const INCIDENT_FIXED_LEN: usize = 8 + 4 + 8 + 8 + 8 + 3 + 8;
 
 /// The longest incident body there is.
 const MAX_INCIDENT_BODY: usize = INCIDENT_FIXED_LEN + 2 + MAX_NAME_LEN + 2 + MAX_TEXT_LEN;
@@ -222,6 +233,16 @@ pub enum JournalError {
     /// is not a journal, and truncating it would destroy someone
     /// else's data.
     BadMagic,
+    /// The durable directory holds the state of another format, model
+    /// or detection config: a file names `found`, and the sentry being
+    /// opened is `expected`. Nothing was truncated or adopted: the
+    /// directory is left as it was, for the sentry that wrote it.
+    ForeignState {
+        /// The [`StateId`] a state file names.
+        found: StateId,
+        /// The [`StateId`] of the sentry being opened.
+        expected: StateId,
+    },
     /// A checkpoint could not be serialized. (Journal records always
     /// encode.)
     Encode(String),
@@ -232,6 +253,12 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o failed: {e}"),
             JournalError::BadMagic => write!(f, "file is not a csd-sentry journal"),
+            JournalError::ForeignState { found, expected } => write!(
+                f,
+                "durable state {:016x} was written under another model or config \
+                 (this sentry's is {:016x})",
+                found.0, expected.0
+            ),
             JournalError::Encode(e) => write!(f, "checkpoint failed to encode: {e}"),
         }
     }
@@ -246,7 +273,7 @@ impl From<io::Error> for JournalError {
 }
 
 /// Where a checkpoint's sync left the journal file: what the checkpoint
-/// records so the next [`open_at`](Journal::open_at) can start there.
+/// records so the next `open_at` can start there.
 /// All of it describes *synced* bytes; 0 stands for "none". An anchor
 /// whose `offset` is 0 — the default, which
 /// [`Sentry::snapshot`](crate::Sentry::snapshot) leaves — is no anchor,
@@ -260,7 +287,7 @@ pub struct JournalAnchor {
     /// Incident records before `offset`: what the digest chain holds.
     pub incidents: u64,
     /// Offset of the last record before `offset`, or 0 if the file held
-    /// only its magic.
+    /// only its head.
     pub last_record: u64,
     /// Offset of the newest digest before `offset` — the head of the
     /// chain, and usually `last_record` itself — or 0 if there is none.
@@ -270,7 +297,7 @@ pub struct JournalAnchor {
     pub digest_len: u32,
 }
 
-/// Why [`Journal::open_at`] would not start from an anchor. Nothing
+/// Why `Journal::open_at` would not start from an anchor. Nothing
 /// was truncated or written when one of these comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnchorRefused {
@@ -282,20 +309,20 @@ pub enum AnchorRefused {
     /// describe this file.
     BoundaryMismatch,
     /// The digest chain does not hold: a link that does not lead to an
-    /// earlier digest record — at or past the magic, ending before the
+    /// earlier digest record — at or past the head, ending before the
     /// record it came from starts, at most [`MAX_RECORD_LEN`] long,
     /// with a good CRC and a body that decodes exactly — or counts that
     /// do not add up to the anchor's.
     BrokenLink,
 }
 
-/// What [`Journal::open`] or [`Journal::open_at`] recovered from an
+/// What [`Journal::open`] or `Journal::open_at` recovered from an
 /// existing file.
 #[derive(Debug, Default)]
 pub struct JournalRecovery {
     /// Every valid event record scanned, in append order: all of the
     /// file's for [`open`](Journal::open), those past the anchor for
-    /// [`open_at`](Journal::open_at).
+    /// `open_at`.
     pub events: Vec<ProcessEvent>,
     /// Every incident record in the file, in append order: the digested
     /// ones first, then the scanned ones.
@@ -303,11 +330,11 @@ pub struct JournalRecovery {
     /// How many of `incidents` were read from the digests the anchor
     /// leads to instead of scanned (0 for a full scan).
     pub chained_incidents: u64,
-    /// Positional reads made before the scan: the magic, and from an
+    /// Positional reads made before the scan: the head, and from an
     /// anchor the boundary record and each digest behind it (the
     /// boundary read doubling as the newest digest's when it is one).
     pub reads: u64,
-    /// Bytes read from the file: all of it for a full scan; the magic,
+    /// Bytes read from the file: all of it for a full scan; the head,
     /// the boundary record, the digests and the bytes past the anchor
     /// otherwise.
     pub bytes_scanned: u64,
@@ -389,21 +416,58 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (or creates) the journal at `path`, recovering the
-    /// longest valid record prefix and truncating any torn tail: an
-    /// [`open_at`](Self::open_at) from the anchor at the end of the
-    /// magic. The recovered records come back alongside the journal,
-    /// positioned to append; every recovered incident waits for the
-    /// next [`checkpoint`](Self::checkpoint)'s digest, which starts the
-    /// chain again.
+    /// longest valid record prefix and truncating any torn tail: the
+    /// full scan, an `open_at` from the anchor at the
+    /// end of the head. The recovered records come back alongside the
+    /// journal, positioned to append; every recovered incident waits for
+    /// the next [`checkpoint`](Self::checkpoint)'s digest, which starts
+    /// the chain again. The journal keeps the [`StateId`] its head
+    /// names, whatever it is; a new one is headed with
+    /// `StateId::default()`, which names no sentry.
     pub fn open(
         path: &Path,
         config: JournalConfig,
     ) -> Result<(Self, JournalRecovery), JournalError> {
-        let magic = JournalAnchor {
-            offset: JOURNAL_MAGIC.len() as u64,
+        let state = Self::head(path)?.unwrap_or_default();
+        Self::open_as(path, config, state)
+    }
+
+    /// The [`StateId`] the head of the journal at `path` names, read
+    /// with the magic in one read: `None` if there is no file, or it is
+    /// too short to hold a head and what it holds is the start of one —
+    /// nothing was ever synced to it. [`JournalError::BadMagic`] if the
+    /// file is not a journal. Every open reads the head this way first,
+    /// and changes nothing before it has.
+    pub(crate) fn head(path: &Path) -> Result<Option<StateId>, JournalError> {
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut head = Vec::with_capacity(HEAD_LEN);
+        file.take(HEAD_LEN as u64).read_to_end(&mut head)?;
+        let mut fields = Fields(&head);
+        match fields.take(JOURNAL_MAGIC.len()) {
+            Some(magic) if magic != JOURNAL_MAGIC => Err(JournalError::BadMagic),
+            None if !JOURNAL_MAGIC.starts_with(&head) => Err(JournalError::BadMagic),
+            _ => Ok(fields.u64().map(StateId)),
+        }
+    }
+
+    /// The full scan of the journal at `path`, whose
+    /// [`head`](Self::head) has been read: [`open_at`](Self::open_at)
+    /// from the anchor at the end of the head, or, for a file too short
+    /// to hold one, the file started again, headed with `state`.
+    pub(crate) fn open_as(
+        path: &Path,
+        config: JournalConfig,
+        state: StateId,
+    ) -> Result<(Self, JournalRecovery), JournalError> {
+        let head = JournalAnchor {
+            offset: HEAD_LEN as u64,
             ..JournalAnchor::default()
         };
-        match Self::open_at(path, config, &magic, 0)? {
+        match Self::open_at(path, config, &head, 0)? {
             Ok(opened) => Ok(opened),
             Err(AnchorRefused::JournalShort) => {
                 // Nothing, or a torn first write: nothing valid was
@@ -411,32 +475,34 @@ impl Journal {
                 let mut file = open_file(path)?;
                 let len = file.metadata()?.len();
                 file.set_len(0)?;
-                file.write_all(JOURNAL_MAGIC)?;
+                file.write_all(&[JOURNAL_MAGIC.as_slice(), &state.0.to_le_bytes()].concat())?;
                 file.sync_data()?;
                 let recovery = JournalRecovery {
                     bytes_scanned: len,
                     bytes_truncated: len,
                     ..JournalRecovery::default()
                 };
-                Ok((Self::positioned(file, path, config, &magic, 0), recovery))
+                Ok((Self::positioned(file, path, config, &head, 0), recovery))
             }
-            // The boundary of an anchor without records is the magic,
+            // The boundary of an anchor without records is the head,
             // and its chain is empty: nothing else can be refused.
-            Err(refused) => unreachable!("the magic's anchor was refused: {refused:?}"),
+            Err(refused) => unreachable!("the head's anchor was refused: {refused:?}"),
         }
     }
 
-    /// Opens the journal at `path` from `anchor`, which a checkpoint
-    /// holding `events_before` events recorded: reads the incidents
+    /// Opens the journal at `path`, whose [`head`](Self::head) has been
+    /// read, from `anchor`, which a checkpoint holding `events_before`
+    /// events recorded: reads the incidents
     /// before the anchor from its digests, scans — and, if torn,
     /// truncates — only what lies past it, and counts `events_before`
     /// for the event records it did not read. Everything the anchor
     /// says is checked against the file first (see the
     /// [module docs](self#opening-at-an-anchor)); an anchor that does
     /// not hold comes back as the inner `Err` with the file untouched,
-    /// and the caller falls back to [`open`](Self::open). The incidents
-    /// recovered past the anchor wait for the next checkpoint's digest.
-    pub fn open_at(
+    /// and the caller falls back to [`open_as`](Self::open_as). The
+    /// incidents recovered past the anchor wait for the next
+    /// checkpoint's digest.
+    pub(crate) fn open_at(
         path: &Path,
         config: JournalConfig,
         anchor: &JournalAnchor,
@@ -750,10 +816,13 @@ fn encode_incident(incident: &Incident, out: &mut Vec<u8>) {
         ActionTaken::Quarantined => 2,
         ActionTaken::Suppressed => 3,
     };
-    let (outcome, text) = match &incident.outcome {
-        ActionOutcome::NotAttempted => (0, ""),
-        ActionOutcome::Applied(text) => (1, text.as_str()),
-        ActionOutcome::Failed(text) => (2, text.as_str()),
+    let (outcome, text, calls_seen) = match &incident.outcome {
+        ActionOutcome::NotAttempted => (0, "", 0),
+        ActionOutcome::Applied {
+            receipt,
+            calls_seen,
+        } => (1, receipt.as_str(), *calls_seen),
+        ActionOutcome::Failed(text) => (2, text.as_str(), 0),
     };
     out.extend_from_slice(&incident.sid.to_le_bytes());
     out.extend_from_slice(&incident.pid.to_le_bytes());
@@ -761,6 +830,7 @@ fn encode_incident(incident: &Incident, out: &mut Vec<u8>) {
     out.extend_from_slice(&alert.probability.to_bits().to_le_bytes());
     out.extend_from_slice(&alert.inference_us.to_bits().to_le_bytes());
     out.extend_from_slice(&[action, u8::from(incident.post_exit), outcome]);
+    out.extend_from_slice(&calls_seen.to_le_bytes());
     match &incident.name {
         Some(name) => put_str(name, MAX_NAME_LEN, out),
         None => out.extend_from_slice(&NO_NAME.to_le_bytes()),
@@ -806,6 +876,7 @@ fn read_incident(body: &mut Fields<'_>) -> Option<Incident> {
     let probability = f64::from_bits(body.u64()?);
     let inference_us = f64::from_bits(body.u64()?);
     let [action, post_exit, outcome] = body.array()?;
+    let calls_seen = body.u64()?;
     let action = match action {
         0 => ActionTaken::Logged,
         1 => ActionTaken::Killed,
@@ -824,10 +895,13 @@ fn read_incident(body: &mut Fields<'_>) -> Option<Incident> {
     };
     let len = body.u16()?;
     let text = body.str(len)?;
-    let outcome = match outcome {
-        0 if text.is_empty() => ActionOutcome::NotAttempted,
-        1 => ActionOutcome::Applied(text.to_string()),
-        2 => ActionOutcome::Failed(text.to_string()),
+    let outcome = match (outcome, calls_seen) {
+        (0, 0) if text.is_empty() => ActionOutcome::NotAttempted,
+        (1, calls_seen) => ActionOutcome::Applied {
+            receipt: text.to_string(),
+            calls_seen,
+        },
+        (2, 0) => ActionOutcome::Failed(text.to_string()),
         _ => return None,
     };
     Some(Incident {
@@ -845,11 +919,12 @@ fn read_incident(body: &mut Fields<'_>) -> Option<Incident> {
     })
 }
 
-/// The anchor is trusted only for a file that frames to it: the magic
-/// is ours, and the record the anchor names as the last one before its
-/// offset is there — starting where it says, exactly as long as it
-/// says, with a good CRC. The file is already known to be
-/// `anchor.offset` long. The record is left in `buf`, header included.
+/// The anchor is trusted only for a file that frames to it: the record
+/// the anchor names as the last one before its offset is there —
+/// starting where it says, exactly as long as it says, with a good CRC.
+/// The file is already known to be `anchor.offset` long, and its head,
+/// which the caller read, is counted here. The record is left in `buf`,
+/// header included.
 fn verify_boundary(
     file: &File,
     anchor: &JournalAnchor,
@@ -857,20 +932,15 @@ fn verify_boundary(
     recovery: &mut JournalRecovery,
 ) -> Result<Result<(), AnchorRefused>, JournalError> {
     const MISMATCH: Result<(), AnchorRefused> = Err(AnchorRefused::BoundaryMismatch);
-    let magic_len = JOURNAL_MAGIC.len() as u64;
-    if anchor.offset < magic_len {
+    let head_len = HEAD_LEN as u64;
+    if anchor.offset < head_len {
         return Ok(MISMATCH);
     }
-    let mut magic = [0u8; JOURNAL_MAGIC.len()];
-    file.read_exact_at(&mut magic, 0)?;
-    if &magic != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
-    }
     recovery.reads += 1;
-    recovery.bytes_scanned += magic_len;
+    recovery.bytes_scanned += head_len;
     if anchor.last_record == 0 {
         // An anchor taken of a journal without records.
-        return Ok(if anchor.offset == magic_len {
+        return Ok(if anchor.offset == head_len {
             Ok(())
         } else {
             MISMATCH
@@ -880,7 +950,7 @@ fn verify_boundary(
         .offset
         .checked_sub(anchor.last_record)
         .and_then(|n| n.checked_sub(HEADER_LEN as u64))
-        .filter(|&n| anchor.last_record >= magic_len && (1..=MAX_RECORD_LEN as u64).contains(&n))
+        .filter(|&n| anchor.last_record >= head_len && (1..=MAX_RECORD_LEN as u64).contains(&n))
     else {
         return Ok(MISMATCH);
     };
@@ -898,7 +968,7 @@ fn verify_boundary(
 /// first, leaving the incidents in `recovery` oldest first. `buf` holds
 /// the boundary record [`verify_boundary`] read, which is the first
 /// digest when the anchor says so. Each digest must start at or past
-/// the magic, end no later than the digest the walk came from starts
+/// the head, end no later than the digest the walk came from starts
 /// (the anchor's offset, for the first), so offsets strictly decrease
 /// and the walk ends; be at most [`MAX_RECORD_LEN`] long, exactly as
 /// long as its link says; pass its CRC and decode exactly; and the
@@ -921,7 +991,7 @@ fn walk_digests(
     let mut in_buf = link.at != 0 && link.at == anchor.last_record;
     while link.at != 0 {
         let len = link.len as usize;
-        if link.at < JOURNAL_MAGIC.len() as u64
+        if link.at < HEAD_LEN as u64
             || len > MAX_RECORD_LEN
             || bound
                 .checked_sub(link.at)
@@ -1054,7 +1124,10 @@ mod tests {
                 inference_us: 12.5,
             },
             action: ActionTaken::Quarantined,
-            outcome: ActionOutcome::Applied("sandboxed".to_string()),
+            outcome: ActionOutcome::Applied {
+                receipt: "sandboxed".to_string(),
+                calls_seen: 107,
+            },
             post_exit: false,
         }
     }
@@ -1166,33 +1239,35 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The on-disk format, byte for byte: the magic, a spawn event,
+    /// The on-disk format, byte for byte: the head (the magic and the
+    /// zero id of a journal opened on its own), a spawn event,
     /// [`sample_incident`]`(3)`, an API event, [`sample_incident`]`(4)`,
     /// the first checkpoint's digest of both (no digest before it), then
     /// [`sample_incident`]`(5)` and the second checkpoint's digest of it,
-    /// linked back to the first digest's offset (`0xcc`) and length
-    /// (`0x89`). One record a line; an incident's body is split at `sid`,
-    /// `pid`, `at_call`, the two floats' bits, the three tags and the two
-    /// strings, a digest's head at the link's two fields and the count.
-    /// The two event records are byte for byte, CRC included, what every
-    /// earlier format wrote: the event format has not changed.
-    const GOLDEN: &str = "4353444a524e4c34
+    /// linked back to the first digest's offset (`0xe4`) and length
+    /// (`0x99`). One record a line; an incident's body is split at `sid`,
+    /// `pid`, `at_call`, the two floats' bits, the three tags, the kill
+    /// point and the two strings, a digest's head at the link's two
+    /// fields and the count. The two event records are byte for byte,
+    /// CRC included, what every earlier format wrote: the event format
+    /// has not changed.
+    const GOLDEN: &str = "4353444a524e4c35 0000000000000000
         18000000923d22d5000007000000000000009210000008006576696c2e657865
-        3d0000004799b42e 01 0300000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
-            020001 08006576696c2e657865 090073616e64626f786564
+        450000003140416d 01 0300000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+            020001 6b00000000000000 08006576696c2e657865 090073616e64626f786564
         1200000031440bae000108000000000000009210000005000000
-        3d000000293a1d37 01 0400000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
-            020001 08006576696c2e657865 090073616e64626f786564
-        89000000aa71f69a 02 0000000000000000 00000000 02000000
+        450000009e8e808d 01 0400000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+            020001 6b00000000000000 08006576696c2e657865 090073616e64626f786564
+        990000001b33eb71 02 0000000000000000 00000000 02000000
             0300000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
-                020001 08006576696c2e657865 090073616e64626f786564
+                020001 6b00000000000000 08006576696c2e657865 090073616e64626f786564
             0400000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
-                020001 08006576696c2e657865 090073616e64626f786564
-        3d000000a6b4cefd 01 0500000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
-            020001 08006576696c2e657865 090073616e64626f786564
-        4d000000cb00104b 02 cc00000000000000 89000000 01000000
+                020001 6b00000000000000 08006576696c2e657865 090073616e64626f786564
+        45000000bc16bde8 01 0500000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
+            020001 6b00000000000000 08006576696c2e657865 090073616e64626f786564
+        55000000b742e96f 02 e400000000000000 99000000 01000000
             0500000000000000 92100000 6400000000000000 0ad7a3703d0aef3f 0000000000002940
-                020001 08006576696c2e657865 090073616e64626f786564";
+                020001 6b00000000000000 08006576696c2e657865 090073616e64626f786564";
 
     #[test]
     fn the_on_disk_format_is_the_golden_bytes() {
@@ -1339,7 +1414,7 @@ mod tests {
 
     /// `open_at` against the full scan of a copy of the same file: the
     /// same incidents in the same order, the events past the anchor,
-    /// the same truncation and counts, exactly the magic, the boundary,
+    /// the same truncation and counts, exactly the head, the boundary,
     /// the digests and the tail read — and the same file once both have
     /// appended the same records. Then each side's next checkpoint: its
     /// digest carries forward what the anchor did not reach (the tail's
@@ -1365,18 +1440,18 @@ mod tests {
         assert_eq!(at_rec.events[..], full_rec.events[events_before..]);
         assert_eq!(at_rec.bytes_truncated, full_rec.bytes_truncated);
         assert_eq!(at_rec.chained_incidents, anchor.incidents);
-        // Read: the magic, the record at the boundary, every digest
+        // Read: the head, the record at the boundary, every digest
         // behind it once, and the tail.
-        let magic = JOURNAL_MAGIC.len() as u64;
+        let head = HEAD_LEN as u64;
         let behind: Vec<(u64, usize)> = digest_chain(&bytes, anchor)
             .into_iter()
             .filter(|&(at, _)| at != anchor.last_record)
             .collect();
         let digests: u64 = behind.iter().map(|&(_, n)| (HEADER_LEN + n) as u64).sum();
-        let boundary = anchor.offset - anchor.last_record.max(magic);
+        let boundary = anchor.offset - anchor.last_record.max(head);
         assert_eq!(
             at_rec.bytes_scanned,
-            magic + boundary + digests + (len - anchor.offset),
+            head + boundary + digests + (len - anchor.offset),
             "anchor {anchor:?}"
         );
         assert_eq!(
@@ -1459,13 +1534,13 @@ mod tests {
         // The head is not read: its size does not show in what was.
         let anchor = anchored_journal(&path, 5_000, 4_990, |i| i % 1_000 == 0);
         let rec = assert_open_at_matches_the_full_scan(&path, &anchor, 4_990);
-        assert_eq!(rec.reads, 2, "the magic, and the digest at the anchor");
+        assert_eq!(rec.reads, 2, "the head, and the digest at the anchor");
         assert!(rec.bytes_scanned < 1_024, "{rec:?}");
         let _ = std::fs::remove_file(&path);
     }
 
     /// What an anchored open reads is one record per digest and the
-    /// magic — however many incidents each digest holds — and one more
+    /// head — however many incidents each digest holds — and one more
     /// when the record at the anchor is not the newest digest.
     #[test]
     fn an_anchored_open_makes_one_read_a_digest_whatever_the_incidents() {
@@ -1586,7 +1661,7 @@ mod tests {
 
     /// `(offset, rtype)` of every record in a journal file's bytes.
     fn record_offsets(bytes: &[u8]) -> Vec<(u64, u8)> {
-        let (mut at, mut out) = (JOURNAL_MAGIC.len(), Vec::new());
+        let (mut at, mut out) = (HEAD_LEN, Vec::new());
         while at + HEADER_LEN < bytes.len() {
             out.push((at as u64, bytes[at + HEADER_LEN]));
             at += HEADER_LEN + header(&bytes[at..]).0;
@@ -1667,7 +1742,7 @@ mod tests {
             // Past the end of the file.
             (with(good, |a| a.offset = len + 1), JournalShort),
             (with(good, |a| a.offset = u64::MAX), JournalShort),
-            // Inside a record, before the magic's end, at no boundary.
+            // Inside a record, before the head's end, at no boundary.
             (with(good, |a| a.offset = good.offset + 3), BoundaryMismatch),
             (with(good, |a| a.offset = good.offset - 1), BoundaryMismatch),
             (with(good, |a| a.offset = 4), BoundaryMismatch),
@@ -1697,7 +1772,7 @@ mod tests {
             ),
             (with(good, |a| a.digest = 0), BrokenLink),
             (with(good, |a| a.digest_len = 0), BrokenLink),
-            // The head is no digest before the anchor: below the magic,
+            // The head is no digest before the anchor: below the head,
             // an event, an incident, an older digest under the newest's
             // length, a digest or an incident past the anchor.
             (with(good, |a| a.digest = 3), BrokenLink),
@@ -1754,7 +1829,7 @@ mod tests {
         type Forgery = Box<dyn Fn(&mut [u8])>;
         let forgeries: [(Forgery, AnchorRefused); 19] = [
             // A link that does not decrease: to itself, forward, below
-            // the magic.
+            // the head.
             (
                 Box::new(move |b| relink(b, head, head, head_len)),
                 BrokenLink,
@@ -1808,7 +1883,7 @@ mod tests {
                 BrokenLink,
             ),
             (
-                Box::new(move |b| forge(b, second, DIGEST_HEAD_LEN + 41, &[0xFF])),
+                Box::new(move |b| forge(b, second, DIGEST_HEAD_LEN + 49, &[0xFF])),
                 BrokenLink,
             ),
             // A flipped bit in a digest behind the anchor: its body, its
@@ -1886,20 +1961,20 @@ mod tests {
     #[test]
     fn a_journal_of_the_previous_format_is_refused_untouched() {
         let path = tmp("old-magic");
-        let anchor = anchored_journal(&path, 10, 5, |i| i == 2);
-        // The magic before incident digests ended in 3.
+        anchored_journal(&path, 10, 5, |i| i == 2);
+        // The magics before this one spelled the format's version, 1
+        // to 4.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[JOURNAL_MAGIC.len() - 1] = b'3';
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            Journal::open(&path, JournalConfig::default()),
-            Err(JournalError::BadMagic)
-        ));
-        assert!(matches!(
-            Journal::open_at(&path, JournalConfig::default(), &anchor, 5),
-            Err(JournalError::BadMagic)
-        ));
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "refused, not cut");
+        for version in b'1'..=b'4' {
+            bytes[JOURNAL_MAGIC.len() - 1] = version;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                Journal::open(&path, JournalConfig::default()),
+                Err(JournalError::BadMagic)
+            ));
+            assert!(matches!(Journal::head(&path), Err(JournalError::BadMagic)));
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "refused, not cut");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1915,8 +1990,14 @@ mod tests {
         ];
         let outcomes = [
             ActionOutcome::NotAttempted,
-            ActionOutcome::Applied("/var/sandbox/évil.exe".to_string()),
-            ActionOutcome::Applied(String::new()),
+            ActionOutcome::Applied {
+                receipt: "/var/sandbox/évil.exe".to_string(),
+                calls_seen: 1,
+            },
+            ActionOutcome::Applied {
+                receipt: String::new(),
+                calls_seen: u64::MAX,
+            },
             ActionOutcome::Failed("kill(4242): ESRCH — no such process".to_string()),
         ];
         let names = [
@@ -2091,7 +2172,7 @@ mod tests {
         drop(j);
         let (_, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
         assert_eq!((rec.event_count(), rec.incidents.len()), (1, 0));
-        let whole = JOURNAL_MAGIC.len() + 2 * HEADER_LEN + 18 + good.len();
+        let whole = HEAD_LEN + 2 * HEADER_LEN + 18 + good.len();
         assert!(rec.bytes_truncated > 0 && rec.bytes_scanned > whole as u64);
         let _ = std::fs::remove_file(&path);
     }
@@ -2123,12 +2204,15 @@ mod tests {
         let long = format!("a{}", "€".repeat(MAX_TEXT_LEN / 3 + 2));
         let incident = Incident {
             name: Some(long.clone()),
-            outcome: ActionOutcome::Applied(long.clone()),
+            outcome: ActionOutcome::Applied {
+                receipt: long.clone(),
+                calls_seen: 0,
+            },
             ..sample_incident(1)
         };
         let back = decode_incident(&incident_payload(&incident)).unwrap();
         let name = back.name.unwrap();
-        let ActionOutcome::Applied(text) = back.outcome else {
+        let ActionOutcome::Applied { receipt: text, .. } = back.outcome else {
             panic!("the outcome kind survives");
         };
         for (cut, max) in [(&name, MAX_NAME_LEN), (&text, MAX_TEXT_LEN)] {
@@ -2154,7 +2238,7 @@ mod tests {
         long.push(0);
         assert!(decode_incident(&long).is_none());
         // Field offsets in the payload (after the type tag).
-        let (action, post_exit, outcome, name_len) = (37, 38, 39, 40);
+        let (action, post_exit, outcome, name_len) = (37, 38, 39, 48);
         let name_at = name_len + 2;
         let text_len = name_at + "évil.exe".len();
         let forged = |at: usize, bytes: &[u8]| {
@@ -2168,8 +2252,10 @@ mod tests {
             forged(action, &[0xFF]),
             forged(post_exit, &[2]),
             forged(outcome, &[3]),
-            // No outcome text may ride on NotAttempted.
+            // No outcome text may ride on NotAttempted, and a kill point
+            // only on Applied.
             forged(outcome, &[0]),
+            forged(outcome, &[2]),
             // Lengths past the body, by one and by everything.
             forged(name_len, &((text_len - name_at + 1) as u16).to_le_bytes()),
             forged(name_len, &(NO_NAME - 1).to_le_bytes()),

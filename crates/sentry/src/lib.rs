@@ -83,7 +83,7 @@ pub use bus::{
 };
 pub use durable::{
     read_checkpoint, CheckpointRead, DurableConfig, DurableSentry, FullScan, RecoveryReport,
-    SNAPSHOT_MAGIC,
+    StateId, SNAPSHOT_MAGIC,
 };
 pub use event::{read_frame, write_frame, EventKind, ProcessEvent, WireError, MAX_FRAME_LEN};
 pub use histogram::LatencyHistogram;
@@ -94,7 +94,7 @@ pub use journal::{
 pub use quarantine::{QuarantineBackend, SimBackend};
 pub use service::{OverloadLevel, Sentry, SentryConfig, SentryStats, ShedRecord};
 pub use session::{Applied, EndReason, Session, SessionTable, StreamLoss};
-pub use snapshot::{SentrySnapshot, SessionSnap, TableSnap, SNAPSHOT_VERSION};
+pub use snapshot::{SentrySnapshot, SessionSnap, TableSnap};
 pub use supervisor::{
     run_service, supervise, ServiceConfig, ServiceOutcome, SupervisorPolicy, SupervisorReport,
 };

@@ -56,12 +56,13 @@ use csd_accel::{
 use serde::Serialize;
 
 use crate::actions::{ActionKind, ActionOutcome, ActionTaken, Incident};
+use crate::durable::StateId;
 use crate::event::ProcessEvent;
 use crate::histogram::LatencyHistogram;
 use crate::journal::JournalAnchor;
 use crate::quarantine::{QuarantineBackend, SimBackend};
 use crate::session::{Applied, SessionTable, StreamLoss};
-use crate::snapshot::{SentrySnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::SentrySnapshot;
 use crate::whitelist::Whitelist;
 
 /// Sentry tuning. Defaults mirror the serial monitor's
@@ -218,6 +219,9 @@ pub struct SentryStats {
 #[derive(Debug)]
 pub struct Sentry {
     config: SentryConfig,
+    /// The [`StateId`] the engine and the config make: what a snapshot
+    /// names.
+    state: StateId,
     vote_mask: u64,
     per_item_us: f64,
     mux: ShardedStreamMux,
@@ -279,12 +283,14 @@ impl Sentry {
             "votes_needed cannot exceed the vote horizon"
         );
         let vote_mask = VoteRing::mask(config.vote_horizon);
+        let state = StateId::of(&engine, &config);
         let per_item_us = PipelineSchedule::for_level(engine.level()).steady_item_us;
         let vocab = engine.weights().dims().vocab;
         let sessions = SessionTable::new(vocab, config.idle_timeout_events);
         let mux = ShardedStreamMux::new(engine, config.mux);
         Self {
             config,
+            state,
             vote_mask,
             per_item_us,
             mux,
@@ -730,6 +736,7 @@ impl Sentry {
     fn latch(&mut self, v: &Verdict) -> Option<Incident> {
         let s = self.sessions.session(v.stream)?;
         let (pid, name, post_exit) = (s.pid(), s.name().map(str::to_string), !s.is_live());
+        let calls_seen = s.calls_seen();
         let verdicts_folded = s.verdicts;
         let (action, outcome) = if self.whitelist.contains(name.as_deref()) {
             (ActionTaken::Suppressed, ActionOutcome::NotAttempted)
@@ -747,7 +754,10 @@ impl Sentry {
                 match dispatched {
                     Ok(receipt) => {
                         self.sessions.kill(v.stream);
-                        ActionOutcome::Applied(receipt)
+                        ActionOutcome::Applied {
+                            receipt,
+                            calls_seen,
+                        }
                     }
                     Err(err) => ActionOutcome::Failed(err),
                 }
@@ -791,7 +801,7 @@ impl Sentry {
             self.last_t_us.iter().map(|(&pid, &t)| (pid, t)).collect();
         last_t_us.sort_unstable_by_key(|&(pid, _)| pid);
         SentrySnapshot {
-            version: SNAPSHOT_VERSION,
+            state: self.state.0,
             events: self.events,
             verdicts_folded: self.verdicts_folded,
             whitelist_exact: self.whitelist.exact().to_vec(),
@@ -856,9 +866,10 @@ impl Sentry {
     }
 
     /// Re-adopts a journal-recovered incident: it rejoins the log, and
-    /// its session, if the table tracks it, is latched
-    /// ([`latch_adopted`](Self::latch_adopted)) — all *without*
-    /// re-dispatching the backend. The action already ran (or failed)
+    /// its session, if the table tracks it, is latched and, for an
+    /// applied kill, marked killed at the call where the kill took
+    /// effect (`latch_adopted`) — all *without* re-dispatching the
+    /// backend. The action already ran (or failed)
     /// before the crash; recovery must not run it twice.
     ///
     /// A session retired before the checkpoint is not tracked, and
@@ -873,21 +884,23 @@ impl Sentry {
     }
 
     /// Latches the session an adopted incident was raised against, so
-    /// no window of it is submitted or folds again, and marks it killed
-    /// if the incident's kill or quarantine applied: the process is
-    /// gone, so its later calls are dropped and tallied. A session the
-    /// table does not track is left alone.
+    /// no window of it is submitted or folds again, and, if the
+    /// incident's kill or quarantine applied, marks it killed at the
+    /// call where it took effect: at once if the session has seen that
+    /// many calls, otherwise by the replayed call that reaches it. Its
+    /// later calls are dropped and tallied, as in the run that applied
+    /// it. A session the table does not track is left alone.
     pub(crate) fn latch_adopted(&mut self, incident: &Incident) {
         let Some(s) = self.sessions.session_mut(incident.sid) else {
             return;
         };
         s.latched = true;
-        if matches!(
-            incident.action,
-            ActionTaken::Killed | ActionTaken::Quarantined
-        ) && matches!(incident.outcome, ActionOutcome::Applied(_))
+        if let (
+            ActionTaken::Killed | ActionTaken::Quarantined,
+            &ActionOutcome::Applied { calls_seen, .. },
+        ) = (incident.action, &incident.outcome)
         {
-            self.sessions.kill(incident.sid);
+            self.sessions.kill_at(incident.sid, calls_seen);
         }
     }
 

@@ -125,6 +125,10 @@ pub struct Session {
     calls_seen: u64,
     oov: u64,
     killed: bool,
+    /// The call that kills the session when it arrives: an adopted
+    /// kill's point, set by [`SessionTable::kill_at`] ahead of the
+    /// replay that reaches it (so never in a checkpoint).
+    kill_at: Option<u64>,
     ended: Option<EndReason>,
     started_at: u64,
     last_event: u64,
@@ -161,6 +165,7 @@ impl Session {
             calls_seen: 0,
             oov: 0,
             killed: false,
+            kill_at: None,
             ended: None,
             started_at: clock,
             last_event: clock,
@@ -295,6 +300,7 @@ impl Session {
             calls_seen: s.calls_seen,
             oov: s.oov,
             killed: s.killed,
+            kill_at: None,
             ended: match s.ended {
                 1 => Some(EndReason::Exit),
                 2 => Some(EndReason::IdleTimeout),
@@ -461,6 +467,10 @@ impl SessionTable {
             s.oov += 1;
             self.oov_total += 1;
         }
+        if s.kill_at == Some(s.calls_seen) {
+            s.killed = true;
+            s.retire_buffer();
+        }
         if fresh {
             Applied::Started {
                 sid,
@@ -536,6 +546,16 @@ impl SessionTable {
                 s.killed = true;
                 s.retire_buffer();
             }
+        }
+    }
+
+    /// Marks a session killed as of its `calls`-th call: at once if it
+    /// has seen that many, otherwise by the call that reaches it — where
+    /// a kill recovery adopts took effect in the run that applied it.
+    pub(crate) fn kill_at(&mut self, sid: u64, calls: u64) {
+        match self.sessions.get_mut(&sid) {
+            Some(s) if s.calls_seen < calls => s.kill_at = Some(calls),
+            _ => self.kill(sid),
         }
     }
 

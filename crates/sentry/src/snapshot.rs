@@ -7,8 +7,9 @@
 //! `next_sid` cursor, so replayed events assign the same never-reused
 //! session ids), every *tracked* session with its window cursor and
 //! vote ring in one record, and the scalar service counters. What the
-//! deployment fixes — the vocabulary (the engine's) and the idle
-//! timeout (the config's) — is not in it. Sessions that ended and
+//! deployment fixes — the model (the engine's) and the detection config
+//! — is not in it; its [`StateId`](crate::StateId) is, and a reopen
+//! under another model or config is refused. Sessions that ended and
 //! retired are not in it — nothing can reference them again, and their
 //! tallies are already in the counters — so a checkpoint's size follows
 //! the sessions alive when it was taken. Volatile telemetry — the
@@ -38,13 +39,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalAnchor;
-
-/// Snapshot format version; bumped on incompatible layout changes.
-/// Version 2 keeps each session's stream in its [`SessionSnap`], and
-/// version 3 counts the overload governor's sheds instead of copying
-/// their records; a checkpoint of another version is invalid, and
-/// `open` replays the journal.
-pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// One session's durable state, its stream's included (see
 /// [`Session`](crate::Session)).
@@ -115,8 +109,11 @@ pub struct TableSnap {
 /// The whole sentry, minus engine, config, and volatile telemetry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SentrySnapshot {
-    /// [`SNAPSHOT_VERSION`] at write time.
-    pub version: u32,
+    /// The [`StateId`](crate::StateId) of the sentry that took it: the
+    /// format, the model and the detection config.
+    /// [`DurableSentry::open`](crate::DurableSentry::open) refuses a
+    /// checkpoint that names another; one without the field is invalid.
+    pub state: u64,
     /// Events ingested when the snapshot was taken. Recovery replays
     /// journal event records from this index on.
     pub events: u64,

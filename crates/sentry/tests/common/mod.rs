@@ -701,13 +701,10 @@ fn file_len(path: &Path) -> u64 {
 
 /// What a reopened sentry must agree on whichever way `open` got there:
 /// the incidents in log order, the journal's cursors, and every counter
-/// that recovery preserves. (`verdicts_folded` and `dropped_after_kill`
-/// are not among them: a replay from the first event meets the adopted
-/// incidents' sessions already latched, so it folds less than the run
-/// that raised them, and an adopted kill drops every replayed call of
-/// its session, where that run dropped only the calls after its
-/// verdict.)
-fn standing(d: &DurableSentry) -> (Vec<Incident>, [u64; 11]) {
+/// that recovery preserves. (`verdicts_folded` is not among them: a
+/// replay from the first event meets the adopted incidents' sessions
+/// already latched, so it folds less than the run that raised them.)
+fn standing(d: &DurableSentry) -> (Vec<Incident>, [u64; 12]) {
     let incidents = d.sentry().incidents().to_vec();
     let stats = d.sentry().stats();
     let counters = [
@@ -717,6 +714,7 @@ fn standing(d: &DurableSentry) -> (Vec<Incident>, [u64; 11]) {
         stats.sessions_started,
         stats.sessions_ended,
         stats.oov_calls,
+        stats.dropped_after_kill,
         stats.stray_exits,
         stats.incidents,
         stats.suppressed,

@@ -122,17 +122,30 @@ fn applied_kills(d: &DurableSentry) -> Vec<(u64, u32)> {
         .incidents()
         .iter()
         .filter(|i| i.action == ActionTaken::Killed)
-        .filter(|i| matches!(i.outcome, ActionOutcome::Applied(_)))
+        .filter(|i| matches!(i.outcome, ActionOutcome::Applied { .. }))
         .filter(|i| sentry.sessions().session(i.sid).is_some())
         .map(|i| (i.sid, i.pid))
         .collect()
 }
 
+/// What a kill left of the sessions it stopped: the calls dropped as
+/// its stragglers, and each killed session's calls.
+fn kill_marks(d: &DurableSentry, kills: &[(u64, u32)]) -> (u64, Vec<u64>) {
+    let sentry = d.sentry();
+    let calls = kills
+        .iter()
+        .map(|&(sid, _)| sentry.sessions().session(sid).unwrap().calls_seen())
+        .collect();
+    (sentry.stats().dropped_after_kill, calls)
+}
+
 /// An applied kill is adopted onto its session whether the session
 /// is in the checkpoint or created by replay: a reopen that replays
-/// the whole journal marks the sessions it creates killed, so a
-/// further call on one of their PIDs is dropped as a kill's
-/// straggler, as in the run that raised the kill.
+/// the whole journal marks the sessions it creates killed at the call
+/// where the kill took effect, so the calls before it count as the
+/// session's own, the calls after it are dropped as a kill's
+/// stragglers, and a further call on one of their PIDs is dropped too,
+/// as in the run that raised the kill.
 #[test]
 fn an_adopted_kill_is_marked_on_the_session_replay_creates() {
     let events = wave(3, 119, 7);
@@ -142,11 +155,12 @@ fn an_adopted_kill_is_marked_on_the_session_replay_creates() {
         checkpoint_every_events: 0,
         ..World::new("replayed-kill", ops)
     };
-    let mut live = Vec::new();
+    let (mut live, mut marks) = (Vec::new(), (0, Vec::new()));
     let mut run = world.run_probed(&world.oracle(), &mut |at, d| match at {
         Moment::Crash(_) => {
             live = applied_kills(d);
             assert_eq!(live.len(), 3, "every session killed and still tracked");
+            marks = kill_marks(d, &live);
         }
         Moment::Reopened(_) => {
             assert_eq!(d.recovery().full_scan, Some(FullScan::NoCheckpoint));
@@ -154,6 +168,8 @@ fn an_adopted_kill_is_marked_on_the_session_replay_creates() {
         }
     });
     let d = &mut run.sentry;
+    // The producer has re-sent what the crash lost: the same calls.
+    assert_eq!(kill_marks(d, &live), marks, "killed where the kill landed");
     for (t, &(sid, pid)) in (10_000u64..).zip(&live) {
         let session = d.sentry().sessions().session(sid).unwrap();
         assert!(session.is_killed(), "session {sid}");
@@ -427,9 +443,12 @@ fn dedup_watermark_survives_checkpoint_and_crash() {
 #[test]
 fn a_second_record_of_one_incident_is_counted_not_adopted() {
     let dir = common::tmpdir("duplicate-incident");
-    fs::create_dir_all(&*dir).unwrap();
     let live = Sentry::uninterrupted(engine(), config(), &wave(6, 39, 7), 16);
     let incident = &live.incidents()[0];
+    // The sentry heads the journal with its state's id, which the
+    // journal keeps when it is opened on its own.
+    let durable = DurableConfig::new(&dir);
+    drop(DurableSentry::open(engine(), config(), durable.clone()).unwrap());
     let (mut journal, _) =
         Journal::open(&dir.join("journal.log"), JournalConfig::default()).unwrap();
     journal.append_incident(incident).unwrap();
@@ -437,7 +456,6 @@ fn a_second_record_of_one_incident_is_counted_not_adopted() {
     journal.sync().unwrap();
     drop(journal);
 
-    let durable = DurableConfig::new(&dir);
     let mut d = DurableSentry::open(engine(), config(), durable.clone()).unwrap();
     let report = d.recovery();
     assert_eq!(report.full_scan, Some(FullScan::NoCheckpoint));
