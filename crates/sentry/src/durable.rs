@@ -15,7 +15,10 @@
 //!    recovery *time*; it never holds information the journal lacks.
 //!    A drain retires every ended session, so a checkpoint holds the
 //!    sessions alive at that moment and costs in proportion to them;
-//!    of the overload governor's sheds it holds only their count.
+//!    of the overload governor's sheds it holds only their count. Its
+//!    body is compact JSON that the crate's own codec
+//!    ([`snapshot`](crate::snapshot)) writes into a reused buffer and
+//!    reads back field by field; no serde tree is built either way.
 //! 3. **Replay** — on open, the newest valid checkpoint is restored
 //!    and the journal's event records from the checkpoint's event
 //!    index onward are re-ingested through the ordinary path. Replay
@@ -158,7 +161,7 @@ use crate::codec::{crc32, Fields};
 use crate::event::ProcessEvent;
 use crate::journal::{AnchorRefused, Journal, JournalConfig, JournalError};
 use crate::service::{Sentry, SentryConfig};
-use crate::snapshot::SentrySnapshot;
+use crate::snapshot::{put_snapshot, read_snapshot, SentrySnapshot};
 use csd_accel::CsdInferenceEngine;
 
 /// Magic bytes opening a checkpoint file. The body's layout is named
@@ -643,9 +646,10 @@ pub enum CheckpointRead {
     /// No file: a first start.
     Absent,
     /// A file [`DurableSentry::open`] would discard: unreadable, a wrong
-    /// magic, a failed CRC, a body that does not parse (a field
-    /// missing among them, as the [`StateId`] is from a body an older
-    /// build wrote), or no journal anchor.
+    /// magic, a failed CRC, a body the crate's checkpoint codec does not
+    /// read — any text but the exact layout it writes, a field missing
+    /// among them, as the [`StateId`] is from a body an older build
+    /// wrote — or no journal anchor.
     Invalid,
     /// A checkpoint `open` would start from.
     Valid(Box<SentrySnapshot>),
@@ -656,8 +660,9 @@ pub enum CheckpointRead {
 /// to it alone: magic, CRC-32 of the body, the JSON [`SentrySnapshot`]
 /// and a nonzero anchor. Whether its [`StateId`] is the sentry's is
 /// `open`'s to decide, with the journal's. The one decoder of the
-/// format; its magic and CRC envelope are read with the field reader
-/// the journal and the wire use.
+/// format in the library: its magic and CRC envelope are read with the
+/// field reader the journal and the wire use, and its body with the
+/// snapshot module's own strict reader, not serde's.
 pub fn read_checkpoint(path: &Path) -> CheckpointRead {
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
@@ -674,13 +679,13 @@ pub fn read_checkpoint(path: &Path) -> CheckpointRead {
 
 /// The snapshot a checkpoint file's `bytes` hold, if they pass every
 /// check [`read_checkpoint`] names.
-fn decode_checkpoint(bytes: &[u8]) -> Option<SentrySnapshot> {
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Option<SentrySnapshot> {
     let mut file = Fields(bytes);
     let (magic, crc) = (file.take(SNAPSHOT_MAGIC.len())?, file.u32()?);
     if magic != SNAPSHOT_MAGIC || crc32(file.0) != crc {
         return None;
     }
-    let snap: SentrySnapshot = serde_json::from_str(std::str::from_utf8(file.0).ok()?).ok()?;
+    let snap = read_snapshot(file.0)?;
     (snap.journal.offset != 0).then_some(snap)
 }
 
@@ -688,8 +693,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<SentrySnapshot> {
 /// checkpoint, best-effort directory sync. A crash at any point leaves
 /// either the old checkpoint or the new one — never a torn mix. The
 /// file — magic, CRC-32 of the body, JSON body — is built in `buf`
-/// (cleared first, capacity kept between checkpoints) and written in
-/// one call.
+/// (cleared first, capacity kept between checkpoints; the body written
+/// straight into it by the snapshot module's codec) and written in one
+/// call.
 fn write_checkpoint(
     path: &Path,
     snap: &SentrySnapshot,
@@ -699,7 +705,7 @@ fn write_checkpoint(
     buf.clear();
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     buf.extend_from_slice(&[0u8; 4]);
-    serde_json::to_writer(&mut *buf, snap).map_err(|e| JournalError::Encode(e.to_string()))?;
+    put_snapshot(snap, buf);
     let crc = crc32(&buf[body_at..]);
     buf[SNAPSHOT_MAGIC.len()..body_at].copy_from_slice(&crc.to_le_bytes());
     let tmp = path.with_extension("tmp");

@@ -243,9 +243,6 @@ pub enum JournalError {
         /// The [`StateId`] of the sentry being opened.
         expected: StateId,
     },
-    /// A checkpoint could not be serialized. (Journal records always
-    /// encode.)
-    Encode(String),
 }
 
 impl std::fmt::Display for JournalError {
@@ -259,7 +256,6 @@ impl std::fmt::Display for JournalError {
                  (this sentry's is {:016x})",
                 found.0, expected.0
             ),
-            JournalError::Encode(e) => write!(f, "checkpoint failed to encode: {e}"),
         }
     }
 }
