@@ -127,25 +127,33 @@
 //! dispatches the action again — a backend has to tolerate a repeated
 //! kill or quarantine of one process — while the incident is still
 //! handed back once, by the incarnation that made it durable. That
-//! window was one fsync wide when every incident forced its own sync;
-//! it is now at most [`COMMIT_DEADLINE`] plus one fsync.
+//! window is one fsync wide for an incident raised while the journal's
+//! sync credit covers a sync, and at most [`COMMIT_DEADLINE`] plus one
+//! fsync for one raised after the credit is spent.
 //!
 //! # Acknowledgement
 //!
 //! The serving calls — [`ingest`](DurableSentry::ingest) and
 //! [`poll`](DurableSentry::poll) — frame the incidents they raise into
-//! the journal's pending tail *without* forcing a sync and hold them
-//! unacknowledged; each call returns the incidents that **became
-//! durable during it**: because the journal's `sync_every` event batch
-//! filled and synced the tail they ride in, or because the oldest of
-//! them has been held for [`COMMIT_DEADLINE`] and the call forces the
+//! the journal's pending tail without a sync of their own, and each
+//! call returns the incidents that **became durable during it**. The
+//! journal keeps the disk's sync budget (its *credit*, see the
+//! [journal's durability model](crate::journal#durability-model)): the
+//! events earn one sync per `sync_every / 2` of them, and every sync
+//! spends one. While the credit covers a sync, a call that holds an
+//! incident syncs for it at once, and it comes back from the call that
+//! raised it. Otherwise the incident is held unacknowledged until the
+//! journal's `sync_every` event batch fills and syncs the tail it
+//! rides in, the events have paid for a sync again, or the oldest held
+//! incident has waited [`COMMIT_DEADLINE`] and the call forces the
 //! sync. [`drain`](DurableSentry::drain),
 //! [`checkpoint`](DurableSentry::checkpoint) and
 //! [`open`](DurableSentry::open)'s replay are sync points: they leave
 //! nothing held. So a caller sees every incident exactly once, never
 //! before it would survive a crash, at most a deadline and an fsync
-//! after its verdict — and the disk sees one sync per event batch
-//! instead of one more per incident-raising call. Dropping a
+//! after its verdict — usually one fsync — and the disk's budget is
+//! spent on incidents first instead of growing by one sync per
+//! incident-raising call. Dropping a
 //! `DurableSentry` without a final drain still syncs the tail (the
 //! journal's clean-shutdown flush), so held incidents are journaled and
 //! the next `open` adopts them; they are just never returned by a call.
@@ -221,21 +229,25 @@ impl StateId {
     }
 }
 
-/// How long a raised incident may wait for the event batch's sync
-/// before a call forces one for it: the bound, in wall time and at any
-/// event rate, on hand-back after the verdict.
+/// How long a raised incident may wait, once the journal's sync credit
+/// is spent, before a call forces a sync for it: the bound, in wall
+/// time and at any event rate, on hand-back after the verdict.
 ///
 /// 10 ms is the magnitude of the service loop's `recv_timeout` (a bus
-/// quiet for that long drains anyway) and just under the 12.8 ms a
-/// 256-event sync batch takes to fill at the 20,000 events/s the
-/// benchmark paces, so most held incidents ride the batch's sync and
-/// the deadline forces one only for the stragglers: `syncs_per_kevent`
-/// reads 4.14 on `fleet-durable` (4.27 before incidents were held) and
-/// 4.16 on `corpus-durable` (6.11), against 5.14 on the fleet when
-/// every incident-raising call forces its own sync — which the
-/// queue-serving poll otherwise makes it do, and which buys ≈ 7 ms of
-/// p50 latency (14 against 21 ms) for one more sync per thousand events
-/// (EXPERIMENTS.md "Frozen baselines" row 20).
+/// quiet for that long drains anyway). An incident raised while the
+/// credit covers a sync does not wait at all; one raised after it is
+/// spent waits for the events that pay for the next sync (256 from an
+/// empty credit: 12.8 ms at the 20,000 events/s the benchmark paces),
+/// for the 512-event batch, or for this deadline, whichever comes
+/// first. So the deadline forces
+/// syncs only where incidents come faster than the budget pays for
+/// them. On `fleet-durable`, which raises an incident per ≈ 1,250
+/// events, almost none wait: `syncs_per_kevent` reads 3.16 and the p50
+/// latency ≈ 1.5 ms. On `corpus-durable`, which raises more incidents
+/// than one per 256 events, some do: 3.93 and ≈ 4.6 ms. When incidents
+/// rode the 256-event batch and waited, the two read 4.15 and 4.17 at
+/// ≈ 7–8 ms; when every incident-raising call forced its own sync, the
+/// fleet read 5.14 (EXPERIMENTS.md "Frozen baselines" rows 20 and 51).
 pub const COMMIT_DEADLINE: Duration = Duration::from_millis(10);
 
 /// Durability tuning.
@@ -251,8 +263,8 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// Defaults under `dir`: 256-event sync batches, checkpoint every
-    /// 8192 events.
+    /// Defaults under `dir`: 512-event sync batches — a sync budget of
+    /// one per 256 events — and a checkpoint every 8192 events.
     pub fn new(dir: &Path) -> Self {
         Self {
             dir: dir.to_path_buf(),
@@ -492,7 +504,8 @@ impl DurableSentry {
     /// are framed into the journal's pending tail and held. Returns the
     /// incidents that *became durable during this call*, raised by it
     /// or by an earlier one: because this event completed a
-    /// `sync_every` batch, because an automatic checkpoint was due (a
+    /// `sync_every` batch, because the journal's credit covered a sync
+    /// for what is held, because an automatic checkpoint was due (a
     /// sync point: it drains and hands back everything held), or
     /// because the oldest held incident has waited
     /// [`COMMIT_DEADLINE`] and the call forces the sync. Usually empty.
@@ -519,9 +532,10 @@ impl DurableSentry {
     }
 
     /// Serves the mux's queue ([`Sentry::poll`]); the incidents raised
-    /// are framed into the journal's pending tail and held until the
-    /// event batch's sync, or the commit deadline's, has made them
-    /// durable. Returns the incidents that became durable during this
+    /// are framed into the journal's pending tail and synced at once if
+    /// the journal's credit covers a sync, or held until the event
+    /// batch's sync, the credit's, or the commit deadline's has made
+    /// them durable. Returns the incidents that became durable during this
     /// call — see [`ingest`](Self::ingest).
     pub fn poll(&mut self) -> Result<Vec<Incident>, JournalError> {
         let raised = self.inner.poll();
@@ -544,10 +558,11 @@ impl DurableSentry {
     /// by the end of the call. A sync writes the journal's whole
     /// pending tail and every incident record in that tail is one of
     /// `held`'s last, so `held.len() − pending_incidents()` are. The
-    /// sync is forced here if `commit` is set or the oldest incident
-    /// still waiting has waited [`COMMIT_DEADLINE`]; otherwise the
-    /// event batch's will do it. The clock is read at most once, and
-    /// only while something is held.
+    /// sync is made here if `commit` is set, the journal has credit for
+    /// it, or the oldest incident still waiting has waited
+    /// [`COMMIT_DEADLINE`]; otherwise the event batch's, or a later
+    /// call's, will do it. The clock is read at most once, and only
+    /// while something is held and the credit is spent.
     fn hold(&mut self, raised: Vec<Incident>, commit: bool) -> Result<Vec<Incident>, JournalError> {
         if self.held.is_empty() && raised.is_empty() {
             return Ok(raised);
@@ -556,7 +571,10 @@ impl DurableSentry {
         self.journal.frame_incidents(&raised);
         self.held.extend(raised);
         if self.journal.pending_incidents() > 0 {
-            if commit || (waiting && self.held_since.elapsed() >= COMMIT_DEADLINE) {
+            if commit
+                || self.journal.has_sync_credit()
+                || (waiting && self.held_since.elapsed() >= COMMIT_DEADLINE)
+            {
                 self.journal.sync()?;
             } else if !waiting {
                 self.held_since = Instant::now();
@@ -1098,6 +1116,40 @@ mod tests {
         assert_eq!(d.journal().pending_incidents(), 0);
         assert_eq!(d.journal().syncs(), 1, "one forced sync for all of them");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// With a sync's worth of credit banked nothing is held at all: the
+    /// poll that raises the first incidents syncs for them and hands them
+    /// back, with no batch full and no deadline passed.
+    #[test]
+    fn an_incident_with_credit_comes_back_from_the_call_that_raised_it() {
+        let dir = tmpdir("credit");
+        let events = workload(6, 40);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        durable.journal.sync_every = 64;
+        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
+        for e in &events {
+            assert!(d.ingest(e).unwrap().is_empty());
+            assert!(d.sentry().incidents().is_empty(), "ingest serves no window");
+            if !d.sentry().events().is_multiple_of(16) {
+                continue;
+            }
+            let (banked, syncs) = (d.journal().has_sync_credit(), d.journal().syncs());
+            let back = d.poll().unwrap();
+            let raised = d.sentry().incidents().len();
+            if raised == 0 {
+                continue;
+            }
+            assert!(banked, "half a batch came before the first window");
+            assert_eq!(back.len(), raised, "back from the call that raised them");
+            assert_eq!(d.journal().durable_incidents(), raised as u64);
+            assert_eq!(d.journal().pending_incidents(), 0);
+            assert_eq!(d.journal().syncs(), syncs + 1, "one sync, the poll's");
+            let _ = fs::remove_dir_all(&dir);
+            return;
+        }
+        panic!("the workload raises incidents");
     }
 
     /// A checkpoint that still carries ended sessions — a snapshot

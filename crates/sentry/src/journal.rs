@@ -106,15 +106,24 @@
 //! or [`append_incident`](Journal::append_incident) call, and on clean
 //! shutdown (drop). A sync writes the whole pending tail, events and
 //! incidents alike, so an incident framed into the tail without a
-//! sync of its own becomes durable with the event batch around it —
-//! which is how the serving path journals incidents: they ride the
-//! batch's sync, and the [`durable`](crate::durable) layer above
-//! holds each one back until [`Journal::pending_incidents`] says it is
-//! on disk, forcing a sync only when one has waited past its commit
-//! deadline. A digest rides its checkpoint's sync the same way.
-//! A crash therefore loses at most `sync_every − 1` trailing event
-//! records and the incident records framed among them plus, if the
-//! crash interrupts a flush, a torn partial record at the tail.
+//! sync of its own becomes durable with whatever sync comes next. A
+//! digest rides its checkpoint's sync the same way.
+//!
+//! The journal also keeps the disk's sync budget, its *credit*: each
+//! framed event adds one event of credit, up to `sync_every`, and every
+//! sync — batch, commit, deadline or checkpoint — spends
+//! `sync_every / 2`, which may leave it negative. The serving path
+//! journals incidents against it: the [`durable`](crate::durable) layer
+//! above frames each one without a sync, syncs for it at once while
+//! the credit covers a sync (`has_sync_credit`), and otherwise holds it
+//! back until [`Journal::pending_incidents`] says it is on disk — after
+//! the batch's sync, the one the credit pays for once enough events
+//! have come, or the one its commit deadline forces. So incidents are
+//! synced first and the budget still averages one sync per
+//! `sync_every / 2` events; an event-only stream spends half of it.
+//! A crash loses at most `sync_every − 1` trailing event records and
+//! the incident records framed among them plus, if the crash
+//! interrupts a flush, a torn partial record at the tail.
 //!
 //! A record's file offset is fixed when it is framed — the synced
 //! length plus its position in the pending buffer — and a sync that
@@ -349,18 +358,21 @@ impl JournalRecovery {
 /// Journal tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct JournalConfig {
-    /// Event records buffered between fsync batches. `1` syncs every
-    /// append (slow, loses nothing); larger values trade a bounded
-    /// tail of re-sendable events for throughput. Incidents framed
-    /// among the events share the batch's sync; how long one may wait
-    /// for it is the durable layer's commit deadline, not a journal
-    /// setting.
+    /// Event records buffered between fsync batches: at most
+    /// `sync_every − 1` are ever unsynced. `1` syncs every append (slow,
+    /// loses nothing); larger values trade a bounded tail of
+    /// re-sendable events for throughput. It also sets the sync budget
+    /// incidents draw on (see the [module docs](self#durability-model)):
+    /// one sync per `sync_every / 2` events, at most two banked. The
+    /// default, 512, is one sync per 256 events. How long an incident
+    /// may wait when the budget is spent is the durable layer's commit
+    /// deadline, not a journal setting.
     pub sync_every: usize,
 }
 
 impl Default for JournalConfig {
     fn default() -> Self {
-        Self { sync_every: 256 }
+        Self { sync_every: 512 }
     }
 }
 
@@ -408,6 +420,10 @@ pub struct Journal {
     undigested_ends: Vec<usize>,
     /// fsync batches issued (for reports).
     syncs: u64,
+    /// The sync budget, in events: one per event framed, capped at
+    /// `sync_every`, less `sync_every / 2` per sync. Negative after
+    /// syncs the events had not paid for.
+    credit: i64,
 }
 
 impl Journal {
@@ -553,6 +569,7 @@ impl Journal {
             undigested: Vec::new(),
             undigested_ends: Vec::new(),
             syncs: 0,
+            credit: 0,
         }
     }
 
@@ -595,6 +612,20 @@ impl Journal {
     /// fsync batches issued so far.
     pub fn syncs(&self) -> u64 {
         self.syncs
+    }
+
+    /// The credit's cap, `sync_every`, and what a sync spends of it.
+    fn credit_terms(&self) -> (i64, i64) {
+        let cap = i64::try_from(self.sync_every).unwrap_or(i64::MAX);
+        (cap, cap / 2)
+    }
+
+    /// Whether the events framed so far have paid for one more sync:
+    /// the credit holds at least `sync_every / 2`. The durable layer
+    /// syncs a raised incident at once while this holds, and lets it
+    /// wait for the batch or the commit deadline otherwise.
+    pub(crate) fn has_sync_credit(&self) -> bool {
+        self.credit >= self.credit_terms().1
     }
 
     /// The journal's half of a checkpoint: frames a digest of every
@@ -652,12 +683,14 @@ impl Journal {
     pub(crate) fn frame_event(&mut self, event: &ProcessEvent) {
         self.frame_in_place(EVENT, |out| encode_payload(event, out));
         self.pending_events += 1;
+        self.credit = self.credit.saturating_add(1).min(self.credit_terms().0);
     }
 
     /// Appends one incident record and forces a sync: the incident is
     /// not left in the volatile tail. The serving calls of
     /// [`DurableSentry`](crate::durable::DurableSentry) frame theirs
-    /// without the sync and let them ride the event batch's.
+    /// without the sync and sync for them only while the credit covers
+    /// one.
     pub fn append_incident(&mut self, incident: &Incident) -> Result<(), JournalError> {
         self.frame_incidents(std::slice::from_ref(incident));
         self.sync()
@@ -740,6 +773,7 @@ impl Journal {
         self.pending_incidents = 0;
         self.pending.clear();
         self.syncs += 1;
+        self.credit = self.credit.saturating_sub(self.credit_terms().1);
         Ok(())
     }
 
@@ -1316,6 +1350,115 @@ mod tests {
         let (j, rec) = Journal::open(&path, JournalConfig::default()).unwrap();
         assert_eq!(rec.incidents.len(), 2);
         assert_eq!((j.durable_events(), j.durable_incidents()), (1, 2));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The durable layer's rule without its deadline: what is held takes
+    /// a sync as soon as the credit covers one.
+    fn commit_if_credit(j: &mut Journal) {
+        if j.pending_incidents() > 0 && j.has_sync_credit() {
+            j.sync().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_event_only_stream_still_syncs_every_sync_every_records() {
+        let path = tmp("credit-events");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
+        for (i, e) in sample_events(8 * 5 + 3).iter().enumerate() {
+            j.append_event(e).unwrap();
+            let framed = i as u64 + 1;
+            assert_eq!(j.syncs(), framed / 8);
+            assert_eq!(j.durable_events(), framed / 8 * 8);
+        }
+        drop(j);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_incident_framed_with_credit_banked_is_durable_without_waiting_for_a_batch() {
+        let path = tmp("credit-banked");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
+        let events = sample_events(4);
+        for e in &events[..3] {
+            j.append_event(e).unwrap();
+        }
+        assert!(!j.has_sync_credit(), "three events pay for no sync");
+        j.append_event(&events[3]).unwrap();
+        assert!(j.has_sync_credit(), "four pay for half a batch");
+        j.frame_incidents(&[sample_incident(1)]);
+        commit_if_credit(&mut j);
+        assert_eq!(j.syncs(), 1);
+        assert_eq!((j.durable_events(), j.durable_incidents()), (4, 1));
+        assert_eq!((j.pending_events(), j.pending_incidents()), (0, 0));
+        assert!(!j.has_sync_credit(), "the sync spent it");
+        drop(j);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_burst_of_incidents_spends_the_credit_and_the_next_one_waits() {
+        let path = tmp("credit-burst");
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
+        // A batch sync at the eighth event, then seven more: eleven
+        // events of credit left, capped at eight — two syncs.
+        for e in &sample_events(15) {
+            j.append_event(e).unwrap();
+        }
+        assert_eq!(j.syncs(), 1);
+        for sid in 1..=3 {
+            j.frame_incidents(&[sample_incident(sid)]);
+            commit_if_credit(&mut j);
+        }
+        assert_eq!(j.syncs(), 3);
+        assert_eq!((j.durable_incidents(), j.pending_incidents()), (2, 1));
+        // The third waits for half a batch of new events, not one.
+        for (i, e) in sample_events(4).iter().enumerate() {
+            assert_eq!(j.pending_incidents(), 1, "still held after {i} events");
+            j.append_event(e).unwrap();
+            commit_if_credit(&mut j);
+        }
+        assert_eq!((j.durable_incidents(), j.pending_incidents()), (3, 0));
+        assert_eq!(j.syncs(), 4);
+        drop(j);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Whatever the mix of events and incidents, the credit holds the
+    /// disk to one sync per `sync_every / 2` events, plus the closing
+    /// one; and the batch still bounds what is unsynced.
+    #[test]
+    fn incidents_spend_no_more_syncs_than_the_events_pay_for() {
+        use rand::{Rng, SeedableRng};
+        let path = tmp("credit-budget");
+        for seed in 0..6u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let sync_every = [4usize, 16, 64][seed as usize % 3];
+            let incident_share = [0.02, 0.2, 0.6][seed as usize / 2];
+            let _ = std::fs::remove_file(&path);
+            let (mut j, _) = Journal::open(&path, JournalConfig { sync_every }).unwrap();
+            let mut events = 0u64;
+            for op in 0..400u64 {
+                if rng.random_bool(incident_share) {
+                    j.frame_incidents(&[sample_incident(op)]);
+                } else {
+                    j.append_event(&ProcessEvent::api(op, 7, 3)).unwrap();
+                    events += 1;
+                }
+                commit_if_credit(&mut j);
+                assert!(j.pending_events() < sync_every);
+            }
+            j.sync().unwrap();
+            let budget = events / (sync_every as u64 / 2) + 1;
+            assert!(
+                j.syncs() <= budget,
+                "seed {seed}: {} syncs for {events} events, budget {budget}",
+                j.syncs()
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 

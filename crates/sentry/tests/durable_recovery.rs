@@ -366,10 +366,10 @@ fn incidents_come_back_once_and_only_after_they_are_durable() {
 #[test]
 fn crash_while_an_incident_is_held_raises_it_again_exactly_once() {
     let world = World {
-        // Polls fall right after a batch sync, so what one raises waits
-        // for the next batch.
+        // No batch fills and no credit is ever banked, so what a poll
+        // raises waits for the commit deadline or a drain.
         kill_when: Some(|d| d.journal().pending_incidents() > 0),
-        sync_every: 16,
+        sync_every: usize::MAX,
         checkpoint_every_events: 0,
         ..World::new("held-crash", sends(&wave(6, 39, 7)))
     };
