@@ -36,6 +36,18 @@
 //! serving calls. [`drain_into`](ShardedStreamMux::drain_into) has no
 //! budget: it serves everything and clears the debt.
 //!
+//! A budgeted call also leaves a **spare**: the window-steps of its
+//! budget it did not spend (nonzero only when it emptied the queue),
+//! which replaces the spare before it and so never exceeds one call's
+//! budget. [`serve_spare_into`](ShardedStreamMux::serve_spare_into)
+//! spends it on windows submitted since, oldest first, while it covers
+//! each whole window: it never overdraws, so it creates no debt. A
+//! caller can so classify a window at the call that completes it out of
+//! engine time a serving call has already granted, while a caller that
+//! serves lazily — its last call left a backlog, and a spare of 0 —
+//! gets no engine time beyond its budgets. A drain grants no budget and
+//! leaves no spare: until the next budgeted call, windows wait.
+//!
 //! # Shards
 //!
 //! [`StreamMuxConfig::shards`] is `None` by default: every window
@@ -52,8 +64,8 @@
 //! An armed [`FaultPlan`] draws once for each window served, in queue
 //! order ([`FaultPlan::corrupt_window`]). A corrupted window is counted,
 //! re-run through the same kernel and emitted: its verdict is delayed
-//! by the re-run, whose window-steps are charged to the credit, and is
-//! never lost or changed.
+//! by the re-run, whose window-steps are charged to the credit (or to
+//! the spare, down to 0), and is never lost or changed.
 //!
 //! [`classify_with_scratch`]: CsdInferenceEngine::classify_with_scratch
 //! [`classify`]: CsdInferenceEngine::classify
@@ -100,6 +112,10 @@ pub struct ShardedStreamMux {
     shards: usize,
     /// Window-steps served beyond the budgets granted so far.
     debt: u64,
+    /// Window-steps the last budgeted serving call left unspent, less
+    /// what [`serve_spare_into`](Self::serve_spare_into) has spent since
+    /// (0 after a drain).
+    spare: u64,
     max_pending: usize,
     next_seq: u64,
     /// Admitted windows later evicted by backpressure.
@@ -137,6 +153,7 @@ impl ShardedStreamMux {
             free_bufs: Vec::new(),
             shards: config.shards.unwrap_or(1).max(1),
             debt: 0,
+            spare: 0,
             max_pending: config.max_pending,
             next_seq: 0,
             evicted: 0,
@@ -247,7 +264,8 @@ impl ShardedStreamMux {
     /// [`ROUND_STEPS`] window-steps each, appending their verdicts to
     /// `out` in queue order: the budget joins the credit, which first
     /// pays any debt, and the head is served while the credit is
-    /// positive (see the [module docs](self)).
+    /// positive. What is left of the credit becomes the spare (see the
+    /// [module docs](self)).
     pub fn serve_into(&mut self, out: &mut Vec<Verdict>, max_rounds: usize) {
         let budget = (max_rounds as u64).saturating_mul(ROUND_STEPS as u64);
         let mut credit = i128::from(budget) - i128::from(self.debt);
@@ -260,16 +278,39 @@ impl ShardedStreamMux {
             take += 1;
         }
         credit -= i128::from(self.serve(take, out));
-        // Overdraw is debt; an unspent credit is not banked.
+        // Overdraw is debt; an unspent credit is not banked, only kept
+        // as the spare until the next budgeted call replaces it.
         self.debt = u64::try_from(-credit.min(0)).unwrap_or(u64::MAX);
+        self.spare = u64::try_from(credit).unwrap_or(0);
+    }
+
+    /// Serves the queue's head, oldest first, while the spare covers
+    /// each whole window, appending the verdicts to `out` and returning
+    /// how many were appended. Each window served, and a corrupted
+    /// one's re-run, is paid from the spare, never on credit: the debt
+    /// is left as it was.
+    pub fn serve_spare_into(&mut self, out: &mut Vec<Verdict>) -> usize {
+        let mut left = self.spare;
+        let mut take = 0;
+        for w in &self.queue {
+            let Some(rest) = left.checked_sub(w.items.len() as u64) else {
+                break;
+            };
+            left = rest;
+            take += 1;
+        }
+        let rerun = self.serve(take, out);
+        self.spare = left.saturating_sub(rerun);
+        take
     }
 
     /// Serves every queued window, appending every verdict to `out`:
     /// [`serve_into`](Self::serve_into) without a budget, which also
-    /// clears the debt.
+    /// clears the debt and leaves no spare.
     pub fn drain_into(&mut self, out: &mut Vec<Verdict>) {
         self.serve(self.queue.len(), out);
         self.debt = 0;
+        self.spare = 0;
     }
 
     /// Convenience wrapper over [`drain_into`](Self::drain_into).
@@ -515,6 +556,96 @@ mod tests {
         assert_eq!(mux.drain().len(), 2);
         mux.submit(5, 5, &seq(40, 5));
         assert_eq!(mux.tick().len(), 1, "nothing owed after a drain");
+    }
+
+    #[test]
+    fn the_spare_is_replaced_never_added_to_and_capped_at_the_budget() {
+        let mut mux = sharded(engine(21), 1);
+        let mut out = Vec::new();
+        assert_eq!(mux.spare, 0, "nothing granted yet");
+        // A poll's 1,024 steps over an empty queue are all spare, and a
+        // second poll's replace them: the spare is capped at one budget.
+        mux.serve_into(&mut out, 64);
+        assert_eq!(mux.spare, 1024);
+        mux.serve_into(&mut out, 64);
+        assert_eq!(mux.spare, 1024);
+        // A round replaces it with its own 16, not 1,040.
+        mux.tick_into(&mut out);
+        assert_eq!(mux.spare, 16);
+        // What a call spends is not spare.
+        mux.submit(0, 0, &seq(8, 0));
+        mux.serve_into(&mut out, 64);
+        assert_eq!((out.len(), mux.spare), (1, 1016));
+        // A call that leaves a backlog leaves no spare.
+        for k in 1..3 {
+            mux.submit(k, 0, &seq(40, k as usize));
+        }
+        mux.tick_into(&mut out);
+        assert_eq!((mux.pending(), mux.spare, mux.debt), (1, 0, 24));
+    }
+
+    #[test]
+    fn a_drain_leaves_no_spare() {
+        let mut mux = sharded(engine(21), 1);
+        let mut out = Vec::new();
+        mux.serve_into(&mut out, 64);
+        assert_eq!(mux.spare, 1024);
+        // Even on an empty queue: a drain grants no budget.
+        mux.drain_into(&mut out);
+        assert_eq!((out.len(), mux.debt, mux.spare), (0, 0, 0));
+        mux.submit(0, 0, &seq(8, 0));
+        assert_eq!(mux.serve_spare_into(&mut out), 0, "it waits");
+        // The next budgeted call grants one again.
+        mux.serve_into(&mut out, 64);
+        assert_eq!((out.len(), mux.spare), (1, 1016));
+    }
+
+    #[test]
+    fn the_spare_serves_whole_windows_only_and_leaves_the_debt() {
+        let e = engine(21);
+        let mut mux = sharded(e.clone(), 1);
+        let mut out = Vec::new();
+        // With nothing granted, nothing is served.
+        mux.submit(0, 0, &seq(8, 0));
+        assert_eq!(mux.serve_spare_into(&mut out), 0);
+        // A poll leaves 1,024 − 8: ten 100-step windows fit in it whole,
+        // the eleventh does not start.
+        mux.serve_into(&mut out, 64);
+        out.clear();
+        let windows: Vec<Vec<usize>> = (0..11).map(|k| seq(100, k)).collect();
+        for (k, w) in windows.iter().enumerate() {
+            mux.submit(k as u64, k, w);
+        }
+        assert_eq!(mux.serve_spare_into(&mut out), 10);
+        assert_eq!((mux.pending(), mux.spare, mux.debt), (1, 16, 0));
+        for (v, w) in out.iter().zip(&windows) {
+            assert_eq!(v.classification, e.classify(w));
+        }
+        // Spent down, the spare serves nothing more and owes nothing.
+        assert_eq!(mux.serve_spare_into(&mut out), 0);
+        assert_eq!(mux.debt, 0);
+        assert_eq!(mux.drain().len(), 1);
+        // A call that leaves a debt leaves no spare, so the two never
+        // meet through the calls above: set a spare beside a debt to
+        // show that spending it neither pays nor grows the debt.
+        mux.submit(11, 0, &seq(40, 11));
+        mux.submit(12, 0, &seq(8, 12));
+        mux.tick_into(&mut out);
+        assert_eq!((mux.pending(), mux.spare, mux.debt), (1, 0, 24));
+        mux.spare = 16;
+        assert_eq!(mux.serve_spare_into(&mut out), 1);
+        assert_eq!((mux.spare, mux.debt), (8, 24));
+        // A corrupted window's re-run is paid from the spare, down to 0.
+        mux.arm_faults(FaultPlan::new(
+            1,
+            FaultConfig {
+                corruption: 1.0,
+                ..FaultConfig::none()
+            },
+        ));
+        mux.submit(13, 0, &seq(8, 13));
+        assert_eq!(mux.serve_spare_into(&mut out), 1);
+        assert_eq!((mux.spare, mux.debt), (0, 24));
     }
 
     #[test]

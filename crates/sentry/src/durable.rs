@@ -22,8 +22,10 @@
 //! 3. **Replay** — on open, the newest valid checkpoint is restored
 //!    and the journal's event records from the checkpoint's event
 //!    index onward are re-ingested through the ordinary path. Replay
-//!    serves no window: the windows it queues wait in the mux for the
-//!    first poll after `open`.
+//!    serves no window — not even at the call that completes it, as a
+//!    live ingest does out of the last poll's unspent budget: the
+//!    windows it queues wait in the mux for the first poll after
+//!    `open`.
 //!
 //! # What `open` reads
 //!
@@ -468,8 +470,10 @@ impl DurableSentry {
         // The overload governor is off during replay: replay
         // pressure is an artifact of recovery speed, not of live ingest
         // load, and shedding here would diverge from the uninterrupted
-        // run. Nor does replay serve a window: a round here would serve
-        // the oldest queued ones, and which those are depends on where
+        // run. Nor does replay serve a window, by a round or at the
+        // call that completes it (both are off while the governor is):
+        // a round here would serve the oldest queued ones, and which
+        // those are depends on where
         // replay started — the anchor or the journal's first event — so
         // the incidents `open` raised would too, and the anchor would
         // be information. The windows wait for the first poll, so
@@ -500,8 +504,10 @@ impl DurableSentry {
     }
 
     /// Ingests one event: journaled first, then applied. Incidents it
-    /// raises inline — by the overload governor's SLO-driven rounds —
-    /// are framed into the journal's pending tail and held. Returns the
+    /// raises — by the window it completes, served out of what the last
+    /// poll left unspent ([`Sentry::ingest`]), or by the overload
+    /// governor's SLO-driven rounds — are framed into the journal's
+    /// pending tail and held. Returns the
     /// incidents that *became durable during this call*, raised by it
     /// or by an earlier one: because this event completed a
     /// `sync_every` batch, because the journal's credit covered a sync
@@ -1118,9 +1124,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// With a sync's worth of credit banked nothing is held at all: the
-    /// poll that raises the first incidents syncs for them and hands them
-    /// back, with no batch full and no deadline passed.
+    /// With a sync's worth of credit banked nothing is held at all, and
+    /// with the last poll's budget unspent no window waits for the next
+    /// poll: the ingest of the deciding call raises the first incident,
+    /// syncs for it and hands it back, with no batch full and no
+    /// deadline passed.
     #[test]
     fn an_incident_with_credit_comes_back_from_the_call_that_raised_it() {
         let dir = tmpdir("credit");
@@ -1130,26 +1138,82 @@ mod tests {
         durable.journal.sync_every = 64;
         let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
         for e in &events {
-            assert!(d.ingest(e).unwrap().is_empty());
-            assert!(d.sentry().incidents().is_empty(), "ingest serves no window");
-            if !d.sentry().events().is_multiple_of(16) {
-                continue;
-            }
             let (banked, syncs) = (d.journal().has_sync_credit(), d.journal().syncs());
-            let back = d.poll().unwrap();
+            let back = d.ingest(e).unwrap();
             let raised = d.sentry().incidents().len();
             if raised == 0 {
+                assert!(back.is_empty());
+                if d.sentry().events().is_multiple_of(16) {
+                    assert!(d.poll().unwrap().is_empty(), "no window waits for it");
+                }
                 continue;
             }
+            assert!(
+                d.sentry().events() > 16,
+                "a poll came before the first window"
+            );
             assert!(banked, "half a batch came before the first window");
             assert_eq!(back.len(), raised, "back from the call that raised them");
+            let session = d.sentry().sessions().session(back[0].sid).unwrap();
+            assert_eq!(
+                back[0].alert.at_call as u64,
+                session.calls_seen(),
+                "its last call"
+            );
             assert_eq!(d.journal().durable_incidents(), raised as u64);
             assert_eq!(d.journal().pending_incidents(), 0);
-            assert_eq!(d.journal().syncs(), syncs + 1, "one sync, the poll's");
+            assert_eq!(d.journal().syncs(), syncs + 1, "one sync, the ingest's");
             let _ = fs::remove_dir_all(&dir);
             return;
         }
         panic!("the workload raises incidents");
+    }
+
+    /// Replay serves no window, though the live run served each at its
+    /// last call: `open` folds no verdict, and the windows replay queues
+    /// wait for the first poll, which serves them all.
+    #[test]
+    fn replay_folds_no_verdict_and_the_first_poll_serves_what_it_queued() {
+        let dir = tmpdir("replay-queues");
+        let cfg = SentryConfig {
+            votes_needed: 3,
+            vote_horizon: 3,
+            ..config()
+        };
+        let events = workload(4, 30);
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        let mut d = DurableSentry::open(engine(), cfg.clone(), durable.clone()).unwrap();
+        for (i, e) in events.iter().enumerate() {
+            d.ingest(e).unwrap();
+            if d.sentry().events().is_multiple_of(16) {
+                d.poll().unwrap();
+            }
+            if i + 1 == 60 {
+                d.checkpoint().unwrap();
+            }
+        }
+        assert_eq!(d.sentry().staleness(), 0, "the live run kept up");
+        drop(d);
+        let CheckpointRead::Valid(snap) = read_checkpoint(&dir.join("checkpoint.snap")) else {
+            panic!("the run left a checkpoint");
+        };
+
+        let mut d = DurableSentry::open(engine(), cfg, durable).unwrap();
+        assert_eq!(d.recovery().replayed_events, events.len() as u64 - 60);
+        let opened = d.sentry().stats();
+        assert_eq!(
+            opened.verdicts_folded, snap.verdicts_folded,
+            "replay folds none"
+        );
+        assert_eq!(opened.mux.verdicts, 0);
+        assert!(d.sentry().staleness() > 0, "replay queued windows");
+        d.poll().unwrap();
+        let polled = d.sentry().stats();
+        assert!(polled.verdicts_folded > snap.verdicts_folded);
+        assert_eq!(polled.mux.ticks, 1, "one poll served them");
+        assert_eq!(d.sentry().staleness(), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A checkpoint that still carries ended sessions — a snapshot
@@ -1162,7 +1226,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         // Three processes, ten calls each: the third's window is served
         // first, then the other two call, one of them out of
-        // vocabulary, and exit with their windows still queued.
+        // vocabulary, and exit with their windows still queued. A drain
+        // serves it: this sentry has never polled, so no budget is left
+        // over to serve the other two's windows at their last calls.
         let call = |round: usize, pid: u32| (round * 7 + pid as usize * 3) % VOCAB;
         let mut events = Vec::new();
         let mut t = 0u64;
@@ -1195,7 +1261,7 @@ mod tests {
             live.ingest(e);
             journal.append_event(e).unwrap();
         }
-        for incident in &live.poll() {
+        for incident in &live.drain() {
             journal.append_incident(incident).unwrap();
         }
         for e in &events[served..] {

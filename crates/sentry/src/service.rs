@@ -131,12 +131,14 @@ impl Default for SentryConfig {
 /// eleventh, ≈ 0.3 ms at paper dimensions (a window alone costs
 /// 29–35 µs; EXPERIMENTS.md row 23d). The service loop offers a poll
 /// 0.16 (one-window sessions) to 1.6 (a fleet of long-lived processes,
-/// a window per 10 events) windows per 16 events, so every verdict is
-/// back at the first poll after its window's last call. Demand above
-/// the budget queues, grows [`Sentry::staleness`] and engages the
-/// overload governor: the chaos campaign's overload cells
-/// (`tests/chaos_campaign.rs`) poll every 4,096 events, 0.25
-/// window-steps an event against ≈ 1.5 offered.
+/// a window per 10 events) windows per 16 events, so a poll empties the
+/// queue and leaves most of its budget unspent; [`Sentry::ingest`]
+/// spends what is left on each window at the call that completes it,
+/// and the verdict comes back from that call, not from the next poll.
+/// Demand above the budget queues, leaves nothing unspent, grows
+/// [`Sentry::staleness`] and engages the overload governor: the chaos
+/// campaign's overload cells (`tests/chaos_campaign.rs`) poll every
+/// 4,096 events, 0.25 window-steps an event against ≈ 1.5 offered.
 pub const POLL_ROUNDS_MAX: usize = 64;
 
 /// Where the overload governor currently sits on the degradation
@@ -258,11 +260,12 @@ pub struct Sentry {
     /// Sessions the governor shed, ever (checkpoints carry the count).
     shed_sessions: u64,
     slo_polls: u64,
-    /// Whether the overload governor runs. `false` during journal
-    /// replay: mid-replay staleness measures the replay loop, not live
-    /// load, and shedding on it would diverge recovery from the live
-    /// run for no benefit — recovery catches up as fast as it can and
-    /// re-enables the governor when live traffic resumes.
+    /// Whether the overload governor runs, and whether an ingest serves
+    /// the windows it completes. `false` during journal replay:
+    /// mid-replay staleness measures the replay loop, not live load,
+    /// and shedding on it would diverge recovery from the live run for
+    /// no benefit — recovery catches up as fast as it can and
+    /// re-enables both when live traffic resumes.
     governing: bool,
 }
 
@@ -333,12 +336,16 @@ impl Sentry {
     }
 
     /// Ingests one event: session lifecycle, window slicing, mux
-    /// submission. Classification happens at [`poll`](Self::poll) /
-    /// [`drain`](Self::drain) — except under overload, when the
-    /// SLO-driven governor may run engine rounds right here; incidents
-    /// those rounds raise are returned (empty whenever the governor is
-    /// idle or disabled). Never panics on any event sequence — ingest
-    /// is the service's untrusted boundary.
+    /// submission. An event that submits a window also serves the
+    /// queue out of what the last [`poll`](Self::poll) left unspent
+    /// ([`ShardedStreamMux::serve_spare_into`]): while the polls keep
+    /// up, the window is classified and its verdict folded here, at
+    /// the call that completed it, and an incident it raises comes back
+    /// from this call. A backlog leaves nothing unspent, and so does a
+    /// [`drain`](Self::drain): the window then waits for the next poll.
+    /// Under overload the SLO-driven governor may also run engine
+    /// rounds here. Returns the incidents raised. Never panics on any
+    /// event sequence — ingest is the service's untrusted boundary.
     pub fn ingest(&mut self, event: &ProcessEvent) -> Vec<Incident> {
         self.events += 1;
         if self.config.dedup_monotone_ts {
@@ -359,7 +366,7 @@ impl Sentry {
                 }
             }
         }
-        match self.sessions.apply(event) {
+        let submitted = match self.sessions.apply(event) {
             Applied::Started {
                 sid,
                 buffered,
@@ -368,17 +375,27 @@ impl Sentry {
                 if let Some(old) = superseded {
                     self.session_ended(old);
                 }
-                if buffered == Some(true) {
-                    self.pump_windows(sid);
-                }
+                buffered == Some(true) && self.pump_windows(sid)
             }
             Applied::Call {
                 sid,
                 buffered: true,
             } => self.pump_windows(sid),
-            Applied::Exited(sid) => self.session_ended(sid),
-            _ => {}
-        }
+            Applied::Exited(sid) => {
+                self.session_ended(sid);
+                false
+            }
+            _ => false,
+        };
+        // Replay (`governing` off) serves no window: see
+        // `DurableSentry::open`.
+        let mut raised = if submitted && self.governing {
+            self.run_and_fold(|mux, verdicts| {
+                mux.serve_spare_into(verdicts);
+            })
+        } else {
+            Vec::new()
+        };
         if self
             .config
             .idle_timeout_events
@@ -390,25 +407,27 @@ impl Sentry {
                 self.session_ended(sid);
             }
         }
-        self.govern()
+        raised.extend(self.govern());
+        raised
     }
 
     /// Submits every complete, unsubmitted window of session `sid`,
     /// then compacts the session's buffer down to what future windows
     /// still need. The session is looked up once and held for the whole
-    /// pump.
-    fn pump_windows(&mut self, sid: u64) {
+    /// pump. Returns whether the mux queued a window.
+    fn pump_windows(&mut self, sid: u64) -> bool {
         let (window_len, stride) = (self.config.window_len, self.config.stride);
         let Some(s) = self.sessions.session_mut(sid) else {
-            return;
+            return false;
         };
         if s.latched || s.shed {
             // No window of this stream is ever submitted again, so no
             // future window needs a call: the buffer empties as it
             // fills, or a session left running holds its whole trace.
             s.discard_consumed(s.vocab_calls());
-            return;
+            return false;
         }
+        let mut queued = false;
         let mut evicted = Vec::new();
         while s.is_live() {
             let offset = s.submitted * stride;
@@ -424,6 +443,7 @@ impl Sentry {
             // tallies it.
             let admission = self.mux.submit(sid, at_call, window);
             s.submitted += 1;
+            queued |= admission.queued();
             match admission {
                 Admission::Queued => s.stamps.push_back((at_call, self.events)),
                 Admission::QueuedEvicting {
@@ -451,6 +471,7 @@ impl Sentry {
                 self.retire(stream);
             }
         }
+        queued
     }
 
     /// Serves admitted windows to their verdicts
@@ -458,19 +479,21 @@ impl Sentry {
     /// [`POLL_ROUNDS_MAX`] rounds, folds the verdicts and returns the
     /// incidents raised.
     ///
-    /// A window's verdict comes back from the first `poll` after its
-    /// last call unless the budget runs out first — a caller that
-    /// offers less than the budget per poll (the service loop: 0.16
-    /// windows a poll from one-window sessions, 1.6 from a fleet of
-    /// long-lived processes, against ≈ 10) never waits for rounds, only
-    /// for the next poll. Demand above the budget still queues, still
-    /// grows [`staleness`](Self::staleness) and still engages the
-    /// overload governor.
+    /// What the budget leaves unspent, once the queue is empty, serves
+    /// the windows [`ingest`](Self::ingest) completes until the next
+    /// poll: a caller that offers less than the budget per poll (the
+    /// service loop: 0.16 windows a poll from one-window sessions, 1.6
+    /// from a fleet of long-lived processes, against ≈ 10) gets each
+    /// verdict back from the call that completed its window, and a poll
+    /// serves only what arrived before it or after a drain. Demand
+    /// above the budget still queues, leaves nothing unspent, grows
+    /// [`staleness`](Self::staleness) and engages the overload governor.
     ///
     /// The budget reads the mux and nothing else — no clock, no bus
     /// state — so the windows served stay a pure function of the
-    /// sequence of `ingest` and `poll` calls: two service loops that
-    /// batch the bus differently end with equal [`SentryStats`].
+    /// sequence of `ingest`, `poll` and `drain` calls: two service
+    /// loops that batch the bus differently end with equal
+    /// [`SentryStats`].
     pub fn poll(&mut self) -> Vec<Incident> {
         self.run_and_fold(|mux, verdicts| mux.serve_into(verdicts, POLL_ROUNDS_MAX))
     }
@@ -500,7 +523,9 @@ impl Sentry {
     }
 
     /// Classifies everything queued and returns incidents raised. The
-    /// mux is empty afterwards, so every ended session has retired.
+    /// mux is empty afterwards, so every ended session has retired. A
+    /// drain has no budget and leaves none unspent: the windows
+    /// completed after it wait for the next [`poll`](Self::poll).
     pub fn drain(&mut self) -> Vec<Incident> {
         self.run_and_fold(ShardedStreamMux::drain_into)
     }
@@ -608,8 +633,9 @@ impl Sentry {
         &self.shed_log
     }
 
-    /// Enables or disables the overload governor (recovery replay turns
-    /// it off; see the field docs).
+    /// Enables or disables the overload governor and the serving of a
+    /// window at its last call (recovery replay turns both off; see the
+    /// field docs).
     pub(crate) fn set_governing(&mut self, on: bool) {
         self.governing = on;
     }
@@ -1247,23 +1273,54 @@ mod tests {
         sentry
     }
 
-    #[test]
-    fn poll_returns_a_verdict_at_the_first_poll_after_the_windows_last_call() {
+    /// The salt of a trace whose first eight-call window classifies
+    /// positive.
+    fn positive_salt() -> usize {
         let offline = engine();
-        let salt = (0..64)
+        (0..64)
             .find(|&s| offline.classify(&trace(s, 8)).is_positive)
-            .expect("some window classifies positive");
+            .expect("some window classifies positive")
+    }
+
+    #[test]
+    fn the_ingest_of_the_deciding_call_returns_its_incident() {
         let mut cfg = config();
         cfg.mux.shards = Some(1);
         let mut sentry = Sentry::new(engine(), cfg);
-        let calls = trace(salt, 8);
+        let calls = trace(positive_salt(), 8);
         feed(&mut sentry, 1, &calls[..7]);
         assert!(sentry.poll().is_empty(), "no window yet");
-        feed(&mut sentry, 1, &calls[7..]);
-        // Not some polls later: this one.
-        let raised = sentry.poll();
+        // Not a poll later: the ingest of call 8, out of what the poll
+        // left unspent.
+        let raised = sentry.ingest(&ProcessEvent::api(7, 1, calls[7]));
         assert_eq!(raised.len(), 1);
         assert_eq!((raised[0].pid, raised[0].alert.at_call), (1, 8));
+        assert_eq!(sentry.staleness(), 0);
+        assert!(sentry.poll().is_empty(), "nothing waited for the poll");
+    }
+
+    /// The lone detonation on a quiet host. A drain grants no engine
+    /// time, so a window after it waits for the next poll; a poll of the
+    /// idle mux grants a whole budget, and the first window of the next
+    /// session comes back from its own ingest. The service loop's
+    /// quiet-bus branch drains and then polls.
+    #[test]
+    fn after_a_drain_and_a_poll_of_the_idle_mux_a_window_comes_back_from_its_ingest() {
+        let mut cfg = config();
+        cfg.mux.shards = Some(1);
+        let mut sentry = Sentry::new(engine(), cfg);
+        let calls = trace(positive_salt(), 8);
+        sentry.poll();
+        assert!(sentry.drain().is_empty(), "a drain of an idle mux");
+        feed(&mut sentry, 500, &calls);
+        assert_eq!(sentry.mux.pending(), 1, "nothing left to serve it with");
+        assert_eq!(sentry.poll().len(), 1);
+        assert!(sentry.drain().is_empty());
+        assert!(sentry.poll().is_empty());
+        feed(&mut sentry, 600, &calls[..7]);
+        let raised = sentry.ingest(&ProcessEvent::api(7, 600, calls[7]));
+        assert_eq!(raised.len(), 1);
+        assert_eq!((raised[0].pid, raised[0].alert.at_call), (600, 8));
         assert_eq!(sentry.staleness(), 0);
     }
 
@@ -1301,7 +1358,7 @@ mod tests {
             for i in 0..48usize {
                 for pid in 1..=6u32 {
                     let call = trace(pid as usize, 48)[i];
-                    sentry.ingest(&ProcessEvent::api(i as u64, pid, call));
+                    returned += sentry.ingest(&ProcessEvent::api(i as u64, pid, call)).len();
                 }
                 if i % 4 == 3 {
                     returned += serve(&mut sentry).len();
@@ -1541,7 +1598,8 @@ mod tests {
         assert_eq!(sentry.stats().mux.evicted, 1);
         sentry.drain();
         assert_eq!(sentry.staleness(), 0, "nothing is outstanding");
-        // Forty one-window sessions, each served at the next poll.
+        // Forty one-window sessions, each served at its last call or,
+        // after the drain, by the next poll.
         for pid in 10..50u32 {
             feed(&mut sentry, pid, &trace(pid as usize, 8));
             sentry.ingest(&ProcessEvent::exit(0, pid));

@@ -711,6 +711,7 @@ mod tests {
             // One past `u64::MAX`; the derives' reader would saturate it.
             swap("\"events\":4321", "\"events\":18446744073709551616"),
             swap("\"events\":4321", "\"events\":99999999999999999999999"),
+            swap("\"events\":4321", "\"events\":1e30"),
             swap("\"ended\":0", "\"ended\":256"),
             swap("\"digest_len\":77", "\"digest_len\":4294967296"),
             swap("\"p.exe\"", "\"p\\u00zz\""),
@@ -737,5 +738,30 @@ mod tests {
             assert_eq!(read_snapshot(body.as_bytes()), None, "{body}");
         }
         assert_eq!(read_snapshot(&[0xFF]), None);
+    }
+
+    /// A count that is not a JSON integer in range — past `u64::MAX`, a
+    /// float, or spelled with a leading zero — is refused by the
+    /// derives' reader too, as by `serde_json`, never saturated or read
+    /// as another number.
+    #[test]
+    fn the_derives_refuse_a_count_that_is_no_integer() {
+        let good = String::from_utf8(written(&shaped(1, 2, &["p.exe".into()]))).unwrap();
+        assert!(serde_json::from_str::<SentrySnapshot>(&good).is_ok());
+        for events in [
+            "18446744073709551616",
+            "99999999999999999999999",
+            "1e30",
+            "4321.0",
+            "04321",
+        ] {
+            let body = good.replacen("\"events\":4321", &format!("\"events\":{events}"), 1);
+            assert_ne!(body, good);
+            assert!(
+                serde_json::from_str::<SentrySnapshot>(&body).is_err(),
+                "{events}"
+            );
+            assert_eq!(read_snapshot(body.as_bytes()), None, "{events}");
+        }
     }
 }

@@ -126,9 +126,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct ServiceConfig {
     /// How often the mux's queue is served: a
     /// [`poll`](DurableSentry::poll) after this many ingested events.
-    /// A poll serves the waiting windows up to its budget, so this sets
-    /// how long a verdict can wait for the next poll, not how much
-    /// engine work is done per event.
+    /// A poll serves the waiting windows up to its budget, and what it
+    /// leaves unspent serves each window completed before the next poll
+    /// at its last call. So while the polls keep up, a verdict does not
+    /// wait for the next poll; this sets how much engine time the
+    /// service grants per event, and how long a backlog waits.
     pub poll_every: u64,
     /// How long one loop iteration blocks waiting for bus traffic, and
     /// so how long the bus must be quiet before the loop drains.
@@ -181,8 +183,11 @@ pub struct ServiceOutcome {
 /// coming to drive a poll or complete a sync batch, so the windows the
 /// mux still holds are classified and the incidents held for the batch
 /// sync are committed and handed back now, not when traffic resumes.
-/// On an empty mux with nothing held the drain runs no engine round
-/// and issues no sync, so an idle service costs nothing. (The
+/// A drain leaves no engine budget unspent, so the loop then polls the
+/// idle mux, and the window that ends the quiet is classified at its
+/// last call. On an empty mux with nothing held the drain and the poll
+/// run no engine round and issue no sync, so an idle service costs
+/// nothing. (The
 /// benchmark's mirror of this loop, `benchmark/src/mirror.rs`, does
 /// not have this branch: its paced bus is never quiet for a receive
 /// timeout.)
@@ -246,8 +251,12 @@ pub fn run_service(
                     }
                     // A quiet bus: no further event is coming to drive
                     // a poll or complete a sync batch, so finish what
-                    // the mux holds and commit what is held now.
+                    // the mux holds and commit what is held now. The
+                    // drain leaves no budget over; a poll of the idle
+                    // mux grants one, so the window that ends the quiet
+                    // is classified at its last call.
                     sentry.drain()?;
+                    sentry.poll()?;
                 }
             }
             // The checkpoint drains, and one sync carries what the drain

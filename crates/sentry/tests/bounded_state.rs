@@ -184,10 +184,11 @@ fn volatile_sentry_state_does_not_grow_with_sessions_seen() {
 #[test]
 fn loss_of_retired_sessions_still_adds_up_to_the_mux_totals() {
     let mut config = config();
-    // The ten streams submit a window per five events, a poll comes
-    // every 16, and the queue holds one: most windows are evicted.
+    // The ten streams submit a window per five events, no poll comes
+    // (so none leaves engine time over for a window's last call) and
+    // the queue holds one: most windows are evicted.
     config.mux.max_pending = 1;
-    let sentry = Sentry::uninterrupted(engine(), config, &churn(200), POLL_EVERY as usize);
+    let sentry = Sentry::uninterrupted(engine(), config, &churn(200), 0);
     let mux = sentry.stats().mux;
     assert!(mux.evicted > 0, "the bound never bit: {mux:?}");
     let retired = sentry.retired_loss();

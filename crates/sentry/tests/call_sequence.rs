@@ -58,7 +58,12 @@ fn outcome(incidents: &[Incident], durable_events: u64, stats: &SentryStats) -> 
 fn loops_that_batch_the_events_differently_end_in_the_same_place() {
     // Three waves of four processes, calls interleaved.
     let events: Vec<ProcessEvent> = (0..3).flat_map(|k| wave(4, 120, k)).collect();
-    let service = ServiceConfig::default();
+    // A lazy cadence: a poll that kept up would leave engine time over
+    // for each window's last call, and the queue would never overflow.
+    let service = ServiceConfig {
+        poll_every: 256,
+        ..ServiceConfig::default()
+    };
 
     // `run_service` over a bus that already holds every event: it pulls
     // them in batches of the bus's choosing and stops at the first quiet

@@ -11,8 +11,8 @@ mod common;
 
 use common::{config, engine, keys, tmpdir, wave, VOCAB};
 use csd_sentry::{
-    run_service, DurableConfig, EventBus, Journal, JournalConfig, ProcessEvent, Sentry,
-    ServiceConfig, SupervisorPolicy,
+    run_service, ActionOutcome, DurableConfig, EventBus, Journal, JournalConfig, ProcessEvent,
+    Sentry, ServiceConfig, SupervisorPolicy,
 };
 
 #[test]
@@ -138,6 +138,66 @@ fn supervised_loop_without_chaos_matches_the_oracle_exactly() {
     assert_eq!(outcome.events_lost_to_panic, 0);
     assert_eq!(outcome.stats.events, events.len() as u64);
     assert_eq!(keys(&outcome.incidents), expect, "exact incident parity");
+}
+
+/// Nor does a quiet bus delay the next detonation. The drain the loop
+/// makes on a quiet bus grants no engine time, and the poll after it
+/// does, so the window that ends the quiet is classified at its last
+/// call: the process is killed while it runs, not found exited by the
+/// next drain.
+#[test]
+fn the_window_after_a_quiet_bus_is_classified_at_its_last_call() {
+    let offline = engine();
+    let calls: Vec<usize> = (0..64)
+        .map(|salt| (0..8).map(|i| (i * 7 + salt * 3) % VOCAB).collect())
+        .find(|calls: &Vec<usize>| offline.classify(calls).is_positive)
+        .expect("some window classifies positive");
+
+    let dir = tmpdir("after-quiet");
+    let bus = EventBus::new(64);
+    let producer = bus.producer();
+    let stop = Arc::new(AtomicBool::new(false));
+    let service = ServiceConfig::default();
+    // The host: events that reach a poll and complete no window, a
+    // quiet stretch, then a detonation that exits at once, in fewer
+    // events than a poll's cadence, and quiet again.
+    let host = {
+        let stop = Arc::clone(&stop);
+        let (quiet, poll_every) = (service.recv_timeout * 20, service.poll_every);
+        std::thread::spawn(move || {
+            for t in 0..poll_every {
+                assert!(producer.send(ProcessEvent::spawn(t, 800 + t as u32, "idle.exe")));
+            }
+            std::thread::sleep(quiet);
+            assert!(producer.send(ProcessEvent::spawn(100, 900, "evil.exe")));
+            for (i, &call) in calls.iter().enumerate() {
+                assert!(producer.send(ProcessEvent::api(101 + i as u64, 900, call)));
+            }
+            assert!(producer.send(ProcessEvent::exit(200, 900)));
+            std::thread::sleep(quiet);
+            stop.store(true, Ordering::SeqCst);
+        })
+    };
+    let (outcome, _) = run_service(
+        &SupervisorPolicy::default(),
+        engine,
+        &config(),
+        &DurableConfig::new(&dir),
+        &service,
+        &bus,
+        &stop,
+    )
+    .expect("journal healthy");
+    host.join().expect("host thread");
+    let outcome = outcome.expect("completed");
+    assert_eq!(outcome.incidents.len(), 1);
+    let incident = &outcome.incidents[0];
+    assert_eq!((incident.pid, incident.alert.at_call), (900, 8));
+    assert!(!incident.post_exit, "classified while the process ran");
+    assert!(
+        matches!(incident.outcome, ActionOutcome::Applied { .. }),
+        "{incident:?}"
+    );
 }
 
 /// A quiet bus is not a detection hole: a process detonates, then the
