@@ -141,14 +141,15 @@
 //! call returns the incidents that **became durable during it**. The
 //! journal keeps the disk's sync budget (its *credit*, see the
 //! [journal's durability model](crate::journal#durability-model)): the
-//! events earn one sync per `sync_every / 2` of them, and every sync
-//! spends one. While the credit covers a sync, a call that holds an
-//! incident syncs for it at once, and it comes back from the call that
-//! raised it. Otherwise the incident is held unacknowledged until the
-//! journal's `sync_every` event batch fills and syncs the tail it
-//! rides in, the events have paid for a sync again, or the oldest held
-//! incident has waited [`COMMIT_DEADLINE`] and the call forces the
-//! sync. [`drain`](DurableSentry::drain),
+//! events earn one sync per `sync_every / 4` of them, up to four
+//! banked, and every sync spends one — a full event-only batch's too.
+//! While the credit covers a sync, a call that holds an incident syncs
+//! for it at once, and it comes back from the call that raised it.
+//! Otherwise the incident is held unacknowledged until the journal's
+//! `sync_every` event batch fills and syncs the tail it rides in, the
+//! events have paid for a sync again, or the oldest held incident has
+//! waited [`COMMIT_DEADLINE`] and the call forces the sync.
+//! [`drain`](DurableSentry::drain),
 //! [`checkpoint`](DurableSentry::checkpoint) and
 //! [`open`](DurableSentry::open)'s replay are sync points: they leave
 //! nothing held. So a caller sees every incident exactly once, never
@@ -239,17 +240,21 @@ impl StateId {
 /// quiet for that long drains anyway). An incident raised while the
 /// credit covers a sync does not wait at all; one raised after it is
 /// spent waits for the events that pay for the next sync (256 from an
-/// empty credit: 12.8 ms at the 20,000 events/s the benchmark paces),
-/// for the 512-event batch, or for this deadline, whichever comes
-/// first. So the deadline forces
-/// syncs only where incidents come faster than the budget pays for
-/// them. On `fleet-durable`, which raises an incident per ≈ 1,250
-/// events, almost none wait: `syncs_per_kevent` reads 3.16 and the p50
-/// latency ≈ 1.5 ms. On `corpus-durable`, which raises more incidents
-/// than one per 256 events, some do: 3.93 and ≈ 4.6 ms. When incidents
-/// rode the 256-event batch and waited, the two read 4.15 and 4.17 at
-/// ≈ 7–8 ms; when every incident-raising call forced its own sync, the
-/// fleet read 5.14 (EXPERIMENTS.md "Frozen baselines" rows 20 and 51).
+/// empty credit, 12.8 ms at the 20,000 events/s the benchmark paces:
+/// longer than this deadline), for the 1,024-event batch, or for this
+/// deadline, whichever comes first. So the deadline forces syncs only
+/// where incidents come faster than the budget pays for them. On
+/// `fleet-durable`, which raises an incident per ≈ 1,250 events, a
+/// four-sync bank leaves almost none waiting: `syncs_per_kevent` reads
+/// 2.50 and detection latency ≈ 0.6 ms at p50 and ≈ 0.9 ms at p95. On
+/// `corpus-durable`, which raises one per ≈ 224 events, more than the
+/// budget pays for, some still wait: 3.98, ≈ 0.7 ms at p50 and
+/// ≈ 11.4 ms, this deadline and an fsync, at p95. A two-sync bank over a
+/// 512-event batch read 3.16 and ≈ 9 ms at p95 on the fleet, and 3.93
+/// and ≈ 3.1 ms at p50 on the corpus; incidents that rode the 256-event
+/// batch read 4.15 and 4.17 at ≈ 7–8 ms, and a sync for every
+/// incident-raising call 5.14 on the fleet (EXPERIMENTS.md "Frozen
+/// baselines" rows 20, 51 and 53).
 pub const COMMIT_DEADLINE: Duration = Duration::from_millis(10);
 
 /// Durability tuning.
@@ -265,8 +270,9 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// Defaults under `dir`: 512-event sync batches — a sync budget of
-    /// one per 256 events — and a checkpoint every 8192 events.
+    /// Defaults under `dir`: 1,024-event sync batches — a sync budget of
+    /// one per 256 events, four banked — and a checkpoint every 8192
+    /// events.
     pub fn new(dir: &Path) -> Self {
         Self {
             dir: dir.to_path_buf(),
@@ -1152,7 +1158,7 @@ mod tests {
                 d.sentry().events() > 16,
                 "a poll came before the first window"
             );
-            assert!(banked, "half a batch came before the first window");
+            assert!(banked, "a quarter of a batch came before the first window");
             assert_eq!(back.len(), raised, "back from the call that raised them");
             let session = d.sentry().sessions().session(back[0].sid).unwrap();
             assert_eq!(
@@ -1167,6 +1173,61 @@ mod tests {
             return;
         }
         panic!("the workload raises incidents");
+    }
+
+    /// The default journal banks four syncs and a full event-only batch
+    /// spends one of them, so the three incidents raised next each sync
+    /// at once: each comes back from the call that raised it, with no
+    /// second batch and no deadline in between.
+    #[test]
+    fn after_a_full_event_only_batch_three_incidents_come_back_from_their_calls() {
+        let dir = tmpdir("bank");
+        let mut durable = DurableConfig::new(&dir);
+        durable.checkpoint_every_events = 0;
+        let batch = durable.journal.sync_every as u64;
+        let mut d = DurableSentry::open(engine(), config(), durable).unwrap();
+        // Processes that spawn and exit without a call raise nothing.
+        for t in 0..batch {
+            let pid = 1_000 + (t / 2) as u32;
+            let e = if t % 2 == 0 {
+                ProcessEvent::spawn(t, pid, "idle.exe")
+            } else {
+                ProcessEvent::exit(t, pid)
+            };
+            assert!(d.ingest(&e).unwrap().is_empty());
+        }
+        assert_eq!(d.journal().syncs(), 1, "the batch's sync alone");
+        assert_eq!(d.journal().durable_events(), batch);
+        // The events at which an incident was raised.
+        let mut calls = Vec::new();
+        for (i, mut e) in workload(6, 40).into_iter().enumerate() {
+            e.t_us += batch;
+            let before = d.sentry().incidents().len();
+            let mut back = d.ingest(&e).unwrap();
+            if d.sentry().events().is_multiple_of(16) {
+                back.extend(d.poll().unwrap());
+            }
+            let raised = d.sentry().incidents().len() - before;
+            assert_eq!(back.len(), raised, "back from the call that raised them");
+            assert_eq!(d.journal().pending_incidents(), 0);
+            if raised > 0 {
+                calls.push(i as u64);
+                assert_eq!(
+                    d.journal().syncs(),
+                    1 + calls.len() as u64,
+                    "one sync a call"
+                );
+            }
+            if calls.len() == 3 {
+                assert!(
+                    calls[2] - calls[0] < batch / 4,
+                    "the events between them pay for no sync: the bank does"
+                );
+                let _ = fs::remove_dir_all(&dir);
+                return;
+            }
+        }
+        panic!("the workload raises three incidents");
     }
 
     /// Replay serves no window, though the live run served each at its

@@ -112,18 +112,21 @@
 //! The journal also keeps the disk's sync budget, its *credit*: each
 //! framed event adds one event of credit, up to `sync_every`, and every
 //! sync — batch, commit, deadline or checkpoint — spends
-//! `sync_every / 2`, which may leave it negative. The serving path
-//! journals incidents against it: the [`durable`](crate::durable) layer
-//! above frames each one without a sync, syncs for it at once while
-//! the credit covers a sync (`has_sync_credit`), and otherwise holds it
-//! back until [`Journal::pending_incidents`] says it is on disk — after
-//! the batch's sync, the one the credit pays for once enough events
-//! have come, or the one its commit deadline forces. So incidents are
+//! `sync_every / 4` (at least one event), which may leave it negative.
+//! The serving path journals incidents against it: the
+//! [`durable`](crate::durable) layer above frames each one without a
+//! sync, syncs for it at once while the credit covers a sync
+//! (`has_sync_credit`), and otherwise holds it back until
+//! [`Journal::pending_incidents`] says it is on disk — after the
+//! batch's sync, the one the credit pays for once enough events have
+//! come, or the one its commit deadline forces. So incidents are
 //! synced first and the budget still averages one sync per
-//! `sync_every / 2` events; an event-only stream spends half of it.
-//! A crash loses at most `sync_every − 1` trailing event records and
-//! the incident records framed among them plus, if the crash
-//! interrupts a flush, a torn partial record at the tail.
+//! `sync_every / 4` events. The credit banks four syncs and a full
+//! event-only batch spends one of them, so the three incidents after
+//! that batch still sync at once. A crash loses at most
+//! `sync_every − 1` trailing event records and the incident records
+//! framed among them plus, if the crash interrupts a flush, a torn
+//! partial record at the tail.
 //!
 //! A record's file offset is fixed when it is framed — the synced
 //! length plus its position in the pending buffer — and a sync that
@@ -363,16 +366,18 @@ pub struct JournalConfig {
     /// loses nothing); larger values trade a bounded tail of
     /// re-sendable events for throughput. It also sets the sync budget
     /// incidents draw on (see the [module docs](self#durability-model)):
-    /// one sync per `sync_every / 2` events, at most two banked. The
-    /// default, 512, is one sync per 256 events. How long an incident
-    /// may wait when the budget is spent is the durable layer's commit
-    /// deadline, not a journal setting.
+    /// one sync per `sync_every / 4` events (at least one), at most four
+    /// banked. The default, 1,024, is one sync per 256 events, and a
+    /// crash loses at most 1,023 events, which the producer re-sends
+    /// from [`durable_events`](Journal::durable_events). How long an
+    /// incident may wait when the budget is spent is the durable
+    /// layer's commit deadline, not a journal setting.
     pub sync_every: usize,
 }
 
 impl Default for JournalConfig {
     fn default() -> Self {
-        Self { sync_every: 512 }
+        Self { sync_every: 1024 }
     }
 }
 
@@ -421,8 +426,8 @@ pub struct Journal {
     /// fsync batches issued (for reports).
     syncs: u64,
     /// The sync budget, in events: one per event framed, capped at
-    /// `sync_every`, less `sync_every / 2` per sync. Negative after
-    /// syncs the events had not paid for.
+    /// `sync_every`, less `sync_every / 4` (at least one) per sync.
+    /// Negative after syncs the events had not paid for.
     credit: i64,
 }
 
@@ -614,14 +619,16 @@ impl Journal {
         self.syncs
     }
 
-    /// The credit's cap, `sync_every`, and what a sync spends of it.
+    /// The credit's cap, `sync_every`, and what a sync spends of it:
+    /// a quarter of the cap, and at least one event, so the bank holds
+    /// four syncs and even the smallest batch keeps a budget.
     fn credit_terms(&self) -> (i64, i64) {
         let cap = i64::try_from(self.sync_every).unwrap_or(i64::MAX);
-        (cap, cap / 2)
+        (cap, (cap / 4).max(1))
     }
 
     /// Whether the events framed so far have paid for one more sync:
-    /// the credit holds at least `sync_every / 2`. The durable layer
+    /// the credit holds at least `sync_every / 4`. The durable layer
     /// syncs a raised incident at once while this holds, and lets it
     /// wait for the batch or the commit deadline otherwise.
     pub(crate) fn has_sync_credit(&self) -> bool {
@@ -1381,17 +1388,15 @@ mod tests {
         let path = tmp("credit-banked");
         let _ = std::fs::remove_file(&path);
         let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
-        let events = sample_events(4);
-        for e in &events[..3] {
-            j.append_event(e).unwrap();
-        }
-        assert!(!j.has_sync_credit(), "three events pay for no sync");
-        j.append_event(&events[3]).unwrap();
-        assert!(j.has_sync_credit(), "four pay for half a batch");
+        let events = sample_events(2);
+        j.append_event(&events[0]).unwrap();
+        assert!(!j.has_sync_credit(), "one event pays for no sync");
+        j.append_event(&events[1]).unwrap();
+        assert!(j.has_sync_credit(), "two pay for a quarter of a batch");
         j.frame_incidents(&[sample_incident(1)]);
         commit_if_credit(&mut j);
         assert_eq!(j.syncs(), 1);
-        assert_eq!((j.durable_events(), j.durable_incidents()), (4, 1));
+        assert_eq!((j.durable_events(), j.durable_incidents()), (2, 1));
         assert_eq!((j.pending_events(), j.pending_incidents()), (0, 0));
         assert!(!j.has_sync_credit(), "the sync spent it");
         drop(j);
@@ -1403,41 +1408,42 @@ mod tests {
         let path = tmp("credit-burst");
         let _ = std::fs::remove_file(&path);
         let (mut j, _) = Journal::open(&path, JournalConfig { sync_every: 8 }).unwrap();
-        // A batch sync at the eighth event, then seven more: eleven
-        // events of credit left, capped at eight — two syncs.
+        // A batch sync at the eighth event leaves six events of credit,
+        // and seven more fill it to its cap of eight — four syncs.
         for e in &sample_events(15) {
             j.append_event(e).unwrap();
         }
         assert_eq!(j.syncs(), 1);
-        for sid in 1..=3 {
+        for sid in 1..=5 {
             j.frame_incidents(&[sample_incident(sid)]);
             commit_if_credit(&mut j);
         }
-        assert_eq!(j.syncs(), 3);
-        assert_eq!((j.durable_incidents(), j.pending_incidents()), (2, 1));
-        // The third waits for half a batch of new events, not one.
-        for (i, e) in sample_events(4).iter().enumerate() {
+        assert_eq!(j.syncs(), 5);
+        assert_eq!((j.durable_incidents(), j.pending_incidents()), (4, 1));
+        // The fifth waits for a quarter of a batch of new events, not one.
+        for (i, e) in sample_events(2).iter().enumerate() {
             assert_eq!(j.pending_incidents(), 1, "still held after {i} events");
             j.append_event(e).unwrap();
             commit_if_credit(&mut j);
         }
-        assert_eq!((j.durable_incidents(), j.pending_incidents()), (3, 0));
-        assert_eq!(j.syncs(), 4);
+        assert_eq!((j.durable_incidents(), j.pending_incidents()), (5, 0));
+        assert_eq!(j.syncs(), 6);
         drop(j);
         let _ = std::fs::remove_file(&path);
     }
 
     /// Whatever the mix of events and incidents, the credit holds the
-    /// disk to one sync per `sync_every / 2` events, plus the closing
-    /// one; and the batch still bounds what is unsynced.
+    /// disk to one sync per `spend` events — `sync_every / 4`, and at
+    /// least one, so even a batch of two or three keeps a budget — plus
+    /// the closing one; and the batch still bounds what is unsynced.
     #[test]
     fn incidents_spend_no_more_syncs_than_the_events_pay_for() {
         use rand::{Rng, SeedableRng};
         let path = tmp("credit-budget");
-        for seed in 0..6u64 {
+        for seed in 0..18u64 {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let sync_every = [4usize, 16, 64][seed as usize % 3];
-            let incident_share = [0.02, 0.2, 0.6][seed as usize / 2];
+            let sync_every = [1usize, 2, 3, 4, 16, 64][seed as usize % 6];
+            let incident_share = [0.02, 0.2, 0.6][seed as usize / 6];
             let _ = std::fs::remove_file(&path);
             let (mut j, _) = Journal::open(&path, JournalConfig { sync_every }).unwrap();
             let mut events = 0u64;
@@ -1452,7 +1458,8 @@ mod tests {
                 assert!(j.pending_events() < sync_every);
             }
             j.sync().unwrap();
-            let budget = events / (sync_every as u64 / 2) + 1;
+            let spend = (sync_every as u64 / 4).max(1);
+            let budget = events / spend + 1;
             assert!(
                 j.syncs() <= budget,
                 "seed {seed}: {} syncs for {events} events, budget {budget}",
